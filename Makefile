@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build bins test test-short test-race test-alloc bench bench-json smoke-orch fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
+.PHONY: build bins test test-short test-race test-alloc bench bench-json bench-smoke bench-paired smoke-orch fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
 
 build:
 	$(GO) build ./...
@@ -45,12 +45,14 @@ test-race:
 
 # Allocation-regression guards: the orchestration inner loop
 # (AllocsPerRun budgets for the patch+bound cycle, repeat bound queries,
-# and the zero-alloc one-port value path) and the service cache-hit path
-# (tracing spans must add zero allocations when disabled). Must run
-# unraced — the guards self-skip under -race because instrumentation
-# inflates the counts.
+# the zero-alloc value path and ratio-only MCR, and the value-first
+# candidate path — scoring a candidate graph builds no operation list),
+# validating a valid operation list (no labels formatted off the error
+# path) and the service cache-hit path (tracing spans must add zero
+# allocations when disabled). Must run unraced — the guards self-skip under
+# -race because instrumentation inflates the counts.
 test-alloc:
-	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/service/
+	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/
 
 # One pass over every benchmark, including the parallel-vs-serial pairs.
 bench:
@@ -63,6 +65,21 @@ bench:
 bench-json:
 	$(GO) test -run '^$$' -bench 'Serial$$|Parallel$$|BranchBoundChain12$$' -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan.json -note "$(NOTE)"
+
+# The repository benchmark (bench/, a module of its own) must keep
+# compiling against the planner's packages and pass its unit tests and
+# 5-workload smoke run: an API change in orchestrate/solve/service that
+# breaks it fails here, not in the benchmark run that judges a PR.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# Paired comparison of the working tree against a parent commit with the
+# identical benchmark code on both sides (bench/README.md, "Paired
+# comparison"): make bench-paired PARENT=<ref> WORKLOAD=plan-cold [PAIRS=10]
+# [RUN_SECONDS=15].
+bench-paired:
+	./scripts/bench_paired.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # End-to-end daemon smoke: start filterd on a local port, plan
 # testdata/webquery8.json over HTTP, and diff the objective value against
@@ -104,4 +121,4 @@ smoke-orch:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime 30s ./internal/oplist/
 
-check: vet build test-short test-race test-alloc
+check: vet build test-short test-race test-alloc bench-smoke

@@ -57,6 +57,7 @@ type Graph struct {
 	in    [][]int // edge indices by target node
 
 	scratch howardScratch
+	tarjan  sccScratch
 	color   []int // checkZeroTokenAcyclic working state, reused across calls
 }
 
@@ -120,88 +121,111 @@ func (g *Graph) checkZeroTokenAcyclic() error {
 	if cap(g.color) < g.n {
 		g.color = make([]int, g.n)
 	}
-	color := g.color[:g.n] // 0 white, 1 grey, 2 black
-	for i := range color {
-		color[i] = 0
-	}
-	var visit func(v int) bool
-	visit = func(v int) bool {
-		color[v] = 1
-		for _, ei := range g.out[v] {
-			e := g.edges[ei]
-			if e.Tokens != 0 {
-				continue
-			}
-			switch color[e.To] {
-			case 1:
-				return false
-			case 0:
-				if !visit(e.To) {
-					return false
-				}
-			}
-		}
-		color[v] = 2
-		return true
+	g.color = g.color[:g.n] // 0 white, 1 grey, 2 black
+	for i := range g.color {
+		g.color[i] = 0
 	}
 	for v := 0; v < g.n; v++ {
-		if color[v] == 0 && !visit(v) {
+		if g.color[v] == 0 && !g.zeroTokenVisit(v) {
 			return ErrZeroTokenCycle
 		}
 	}
 	return nil
 }
 
-// sccs returns the strongly connected components (Tarjan), smallest-index
-// first within each component, components in reverse topological order.
-func (g *Graph) sccs() [][]int {
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var comps [][]int
-	counter := 0
-	var strong func(v int)
-	strong = func(v int) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, ei := range g.out[v] {
-			w := g.edges[ei].To
-			if index[w] == -1 {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+// zeroTokenVisit is the depth-first step of checkZeroTokenAcyclic: false
+// when a zero-token cycle is reachable from v.
+func (g *Graph) zeroTokenVisit(v int) bool {
+	g.color[v] = 1
+	for _, ei := range g.out[v] {
+		e := &g.edges[ei]
+		if e.Tokens != 0 {
+			continue
+		}
+		switch g.color[e.To] {
+		case 1:
+			return false
+		case 0:
+			if !g.zeroTokenVisit(e.To) {
+				return false
 			}
 		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			comps = append(comps, comp)
-		}
 	}
+	g.color[v] = 2
+	return true
+}
+
+// sccScratch is Tarjan's working state plus its output, reused across
+// calls: the components are stored back to back in nodes, component c
+// being nodes[start[c]:start[c+1]].
+type sccScratch struct {
+	index   []int
+	low     []int
+	onStack []bool
+	stack   []int
+	counter int
+	nodes   []int
+	start   []int
+}
+
+// comp returns component c of the last sccs run.
+func (t *sccScratch) comp(c int) []int { return t.nodes[t.start[c]:t.start[c+1]] }
+
+// sccs computes the strongly connected components (Tarjan) into g.tarjan
+// and returns their number: nodes in pop order within each component,
+// components in reverse topological order.
+func (g *Graph) sccs() int {
+	t := &g.tarjan
+	if cap(t.index) < g.n {
+		t.index = make([]int, g.n)
+		t.low = make([]int, g.n)
+		t.onStack = make([]bool, g.n)
+	}
+	t.index, t.low, t.onStack = t.index[:g.n], t.low[:g.n], t.onStack[:g.n]
+	for i := range t.index {
+		t.index[i] = -1
+		t.onStack[i] = false
+	}
+	t.stack, t.nodes, t.start = t.stack[:0], t.nodes[:0], append(t.start[:0], 0)
+	t.counter = 0
 	for v := 0; v < g.n; v++ {
-		if index[v] == -1 {
-			strong(v)
+		if t.index[v] == -1 {
+			g.strongConnect(v)
 		}
 	}
-	return comps
+	return len(t.start) - 1
+}
+
+func (g *Graph) strongConnect(v int) {
+	t := &g.tarjan
+	t.index[v] = t.counter
+	t.low[v] = t.counter
+	t.counter++
+	t.stack = append(t.stack, v)
+	t.onStack[v] = true
+	for _, ei := range g.out[v] {
+		w := g.edges[ei].To
+		if t.index[w] == -1 {
+			g.strongConnect(w)
+			if t.low[w] < t.low[v] {
+				t.low[v] = t.low[w]
+			}
+		} else if t.onStack[w] && t.index[w] < t.low[v] {
+			t.low[v] = t.index[w]
+		}
+	}
+	if t.low[v] == t.index[v] {
+		for {
+			w := t.stack[len(t.stack)-1]
+			t.stack = t.stack[:len(t.stack)-1]
+			t.onStack[w] = false
+			t.nodes = append(t.nodes, w)
+			if w == v {
+				break
+			}
+		}
+		t.start = append(t.start, len(t.nodes))
+	}
 }
 
 // MCRResult carries the outcome of MaximumCycleRatio.
@@ -215,9 +239,22 @@ type MCRResult struct {
 
 // MaximumCycleRatio computes the exact maximum over all cycles of
 // Σdelay/Σtokens, the smallest feasible period of the encoded cyclic
-// scheduling problem. It returns ErrNoCycle for acyclic graphs and
-// ErrZeroTokenCycle when a deadlock cycle exists.
+// scheduling problem, and one cycle attaining it. It returns ErrNoCycle
+// for acyclic graphs and ErrZeroTokenCycle when a deadlock cycle exists.
 func (g *Graph) MaximumCycleRatio() (MCRResult, error) {
+	return g.mcr(true)
+}
+
+// MaxCycleRatio is MaximumCycleRatio for callers that score by the ratio
+// alone: it extracts no critical cycle, and on a reused Graph (Reset
+// between candidates) it allocates nothing once the scratch has grown to
+// the graph's size.
+func (g *Graph) MaxCycleRatio() (rat.Rat, error) {
+	res, err := g.mcr(false)
+	return res.Ratio, err
+}
+
+func (g *Graph) mcr(wantCycle bool) (MCRResult, error) {
 	if err := g.checkZeroTokenAcyclic(); err != nil {
 		return MCRResult{}, err
 	}
@@ -227,8 +264,8 @@ func (g *Graph) MaximumCycleRatio() (MCRResult, error) {
 	g.scratch.resize(g.n)
 	best := MCRResult{Ratio: rat.Zero}
 	found := false
-	for _, comp := range g.sccs() {
-		res, ok, err := g.howardSCC(comp)
+	for c, comps := 0, g.sccs(); c < comps; c++ {
+		res, ok, err := g.howardSCC(g.tarjan.comp(c), wantCycle)
 		if err != nil {
 			return MCRResult{}, err
 		}
@@ -249,16 +286,18 @@ func (g *Graph) MaximumCycleRatio() (MCRResult, error) {
 // allocation site of period orchestration). resize clears what it keeps,
 // so each call starts clean.
 type howardScratch struct {
-	inComp  []bool
-	hasOut  []bool
-	policy  []int
-	etaSet  []bool
-	eta     []rat.Rat
-	val     []rat.Rat
-	cycleOf [][]int
-	state   []uint8
-	local   []int // edge indices internal to the component
-	stack   []int
+	inComp []bool
+	hasOut []bool
+	policy []int
+	etaSet []bool
+	eta    []rat.Rat
+	val    []rat.Rat
+	cycAt  []int // anchor nodes: offset of the node's policy cycle in cycBuf, else -1
+	cycLen []int
+	cycBuf []int // edge indices of the current policy's cycles, back to back
+	state  []uint8
+	local  []int // edge indices internal to the component
+	stack  []int
 }
 
 func (s *howardScratch) resize(n int) {
@@ -269,7 +308,8 @@ func (s *howardScratch) resize(n int) {
 		s.etaSet = make([]bool, n)
 		s.eta = make([]rat.Rat, n)
 		s.val = make([]rat.Rat, n)
-		s.cycleOf = make([][]int, n)
+		s.cycAt = make([]int, n)
+		s.cycLen = make([]int, n)
 		s.state = make([]uint8, n)
 	}
 	s.inComp = s.inComp[:n]
@@ -278,7 +318,8 @@ func (s *howardScratch) resize(n int) {
 	s.etaSet = s.etaSet[:n]
 	s.eta = s.eta[:n]
 	s.val = s.val[:n]
-	s.cycleOf = s.cycleOf[:n]
+	s.cycAt = s.cycAt[:n]
+	s.cycLen = s.cycLen[:n]
 	s.state = s.state[:n]
 	for i := 0; i < n; i++ {
 		s.inComp[i] = false
@@ -287,7 +328,7 @@ func (s *howardScratch) resize(n int) {
 		s.etaSet[i] = false
 		s.eta[i] = rat.Zero
 		s.val[i] = rat.Zero
-		s.cycleOf[i] = nil
+		s.cycAt[i] = -1
 		s.state[i] = 0
 	}
 	s.local = s.local[:0]
@@ -302,8 +343,10 @@ func (s *howardScratch) resize(n int) {
 // equal-ratio policy cycles — and therefore the returned critical cycle —
 // is deterministic. Only the component's own entries are written, except
 // inComp, whose marks are reset on return (cross-component edges read
-// other nodes' entries).
-func (g *Graph) howardSCC(comp []int) (MCRResult, bool, error) {
+// other nodes' entries). Policy cycles live in reused scratch (scoring
+// needs only their ratios); the critical cycle is copied out once, for the
+// converged winner, and only when wantCycle asks for it.
+func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 	s := &g.scratch
 	s.local = s.local[:0]
 	for _, v := range comp {
@@ -347,9 +390,10 @@ func (g *Graph) howardSCC(comp []int) (MCRResult, bool, error) {
 	}
 
 	evaluate := func() error {
+		s.cycBuf = s.cycBuf[:0]
 		for _, v := range comp {
 			s.etaSet[v] = false
-			s.cycleOf[v] = nil
+			s.cycAt[v] = -1
 			s.state[v] = 0
 		}
 		for _, start := range comp {
@@ -366,7 +410,7 @@ func (g *Graph) howardSCC(comp []int) (MCRResult, bool, error) {
 			}
 			if s.state[v] == 1 {
 				// Found a new policy cycle; v is its entry point.
-				var cyc []int
+				at := len(s.cycBuf)
 				i := len(s.stack) - 1
 				for s.stack[i] != v {
 					i--
@@ -377,7 +421,7 @@ func (g *Graph) howardSCC(comp []int) (MCRResult, bool, error) {
 					e := g.edges[s.policy[u]]
 					sumD = sumD.Add(e.Delay)
 					sumH += e.Tokens
-					cyc = append(cyc, s.policy[u])
+					s.cycBuf = append(s.cycBuf, s.policy[u])
 				}
 				if sumH == 0 {
 					return ErrZeroTokenCycle
@@ -388,7 +432,7 @@ func (g *Graph) howardSCC(comp []int) (MCRResult, bool, error) {
 				s.etaSet[v] = true
 				s.eta[v] = ratio
 				s.val[v] = rat.Zero
-				s.cycleOf[v] = cyc
+				s.cycAt[v], s.cycLen[v] = at, len(cycNodes)
 				for j := len(cycNodes) - 1; j >= 1; j-- {
 					u := cycNodes[j]
 					e := g.edges[s.policy[u]]
@@ -444,19 +488,19 @@ func (g *Graph) howardSCC(comp []int) (MCRResult, bool, error) {
 		if !changed {
 			// Converged: the best policy cycle carries the MCR; comp-order
 			// scanning keeps the winner deterministic among equal ratios.
-			var best MCRResult
-			first := true
+			winner := -1
 			for _, v := range comp {
-				if s.cycleOf[v] == nil {
-					continue
-				}
-				if first || s.eta[v].Greater(best.Ratio) {
-					best = MCRResult{Ratio: s.eta[v], CriticalCycle: s.cycleOf[v]}
-					first = false
+				if s.cycAt[v] >= 0 && (winner < 0 || s.eta[v].Greater(s.eta[winner])) {
+					winner = v
 				}
 			}
-			if first {
+			if winner < 0 {
 				return MCRResult{}, false, fmt.Errorf("eventgraph: internal error: converged without cycle")
+			}
+			best := MCRResult{Ratio: s.eta[winner]}
+			if wantCycle {
+				at := s.cycAt[winner]
+				best.CriticalCycle = append([]int(nil), s.cycBuf[at:at+s.cycLen[winner]]...)
 			}
 			return best, true, nil
 		}

@@ -176,11 +176,11 @@ func (s *Segmented) weightsAt(i int, lambda rat.Rat, lamIv rat.Interval) {
 	sg.wLambda = lambda
 }
 
-// relaxUp runs the upward-rounded relaxation at lambda. ok reports a
-// finite converged fixpoint, in which case s.fpi[v] ≥ the exact potential
-// of node v (and the system is exactly feasible).
-func (s *Segmented) relaxUp(lambda rat.Rat) bool {
-	lamIv := lambda.Interval()
+// relaxUp runs the upward-rounded relaxation at lambda (lamIv its
+// enclosure, computed once per query by the caller). ok reports a finite
+// converged fixpoint, in which case s.fpi[v] ≥ the exact potential of node
+// v (and the system is exactly feasible).
+func (s *Segmented) relaxUp(lambda rat.Rat, lamIv rat.Interval) bool {
 	for i := range s.segs {
 		s.weightsAt(i, lambda, lamIv)
 	}
@@ -224,7 +224,7 @@ const maxFinite = 1.7976931348623157e308
 // relaxed system. fellBack reports that the float pre-filter could not
 // certify the answer and the exact relaxation decided it.
 func (s *Segmented) FeasibleAt(lambda rat.Rat) (feasible, fellBack bool) {
-	if s.relaxUp(lambda) {
+	if s.relaxUp(lambda, lambda.Interval()) {
 		return true, false
 	}
 	_, err := s.PotentialsInto(s.pi, lambda)
@@ -266,7 +266,7 @@ func (s *Segmented) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, er
 
 // LatencyExceeds decides "is the least fixpoint's score strictly above
 // limit, or the system infeasible, at λ = lambda" for score = max over the
-// given terms of π(term.Node) + term.Add — the one-port latency bound —
+// given terms of π(node) + add — the one-port latency bound —
 // certifying through floats where possible. fellBack reports the exact
 // fallback ran.
 //
@@ -276,11 +276,11 @@ func (s *Segmented) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, er
 // system is feasible, so max(π̌+add.Lo) > limit certifies true — and when
 // the system is infeasible, true is the right answer regardless.
 func (s *Segmented) LatencyExceeds(lambda, limit rat.Rat, terms []LatencyTerm) (exceeds, fellBack bool) {
-	lim := limit.Interval()
-	if s.relaxUp(lambda) {
+	lim, lamIv := limit.Interval(), lambda.Interval()
+	if s.relaxUp(lambda, lamIv) {
 		hi := -1.0
 		for _, t := range terms {
-			if v := rat.AddUp(s.fpi[t.Node], t.Add.Interval().Hi); v > hi {
+			if v := rat.AddUp(s.fpi[t.node], t.addIv.Hi); v > hi {
 				hi = v
 			}
 		}
@@ -288,10 +288,10 @@ func (s *Segmented) LatencyExceeds(lambda, limit rat.Rat, terms []LatencyTerm) (
 		if hi <= lim.Lo {
 			return false, false
 		}
-		if s.relaxDown(lambda) {
+		if s.relaxDown(lambda, lamIv) {
 			lo := -1.0
 			for _, t := range terms {
-				if v := rat.AddDown(s.fpi[t.Node], t.Add.Interval().Lo); v > lo {
+				if v := rat.AddDown(s.fpi[t.node], t.addIv.Lo); v > lo {
 					lo = v
 				}
 			}
@@ -307,22 +307,29 @@ func (s *Segmented) LatencyExceeds(lambda, limit rat.Rat, terms []LatencyTerm) (
 	}
 	score := rat.Zero
 	for _, t := range terms {
-		score = rat.Max(score, pi[t.Node].Add(t.Add))
+		score = rat.Max(score, pi[t.node].Add(t.add))
 	}
 	return score.Greater(limit), true
 }
 
-// LatencyTerm is one contribution to the latency score of LatencyExceeds.
+// LatencyTerm is one contribution to the latency score of LatencyExceeds:
+// π(node) + add. It carries the certified float enclosure of add, computed
+// once by NewLatencyTerm, so a bound query converts no constants.
 type LatencyTerm struct {
-	Node int
-	Add  rat.Rat
+	node  int
+	add   rat.Rat
+	addIv rat.Interval
+}
+
+// NewLatencyTerm returns the term π(node) + add.
+func NewLatencyTerm(node int, add rat.Rat) LatencyTerm {
+	return LatencyTerm{node: node, add: add, addIv: add.Interval()}
 }
 
 // relaxDown runs the downward-rounded relaxation over the lower endpoints.
 // On a converged run every value is ≤ the exact potential of a feasible
 // system (each update is dominated by the exact fixpoint, by induction).
-func (s *Segmented) relaxDown(lambda rat.Rat) bool {
-	lamIv := lambda.Interval()
+func (s *Segmented) relaxDown(lambda rat.Rat, lamIv rat.Interval) bool {
 	for i := range s.segs {
 		s.weightsAt(i, lambda, lamIv)
 	}

@@ -123,7 +123,7 @@ func TestSegmentedLatencyExceeds(t *testing.T) {
 		n := s.N()
 		terms := make([]LatencyTerm, 1+rng.Intn(3))
 		for i := range terms {
-			terms[i] = LatencyTerm{Node: rng.Intn(n), Add: rat.New(rng.Int63n(20), 1+rng.Int63n(5))}
+			terms[i] = NewLatencyTerm(rng.Intn(n), rat.New(rng.Int63n(20), 1+rng.Int63n(5)))
 		}
 		lambda := rat.One
 		limit := rat.New(rng.Int63n(300), 1+rng.Int63n(4))
@@ -133,7 +133,7 @@ func TestSegmentedLatencyExceeds(t *testing.T) {
 		} else {
 			score := rat.Zero
 			for _, tm := range terms {
-				score = rat.Max(score, pi[tm.Node].Add(tm.Add))
+				score = rat.Max(score, pi[tm.node].Add(tm.add))
 			}
 			want = score.Greater(limit)
 		}

@@ -125,35 +125,33 @@ func (l *List) Latency() rat.Rat {
 	return max
 }
 
-// op is one operation on a server's timeline, for conflict reporting.
+// op is one operation on a server's timeline: the server's computation
+// (comm < 0) or the communication with index comm. Checks run on every
+// candidate schedule and almost always pass, so an op carries indices only;
+// opLabel formats the name when a check fails.
 type op struct {
-	label string
+	comm  int
 	begin rat.Rat
 	dur   rat.Rat
 }
 
-// serverOps collects every operation touching server v: its computation and
-// all incident communications (virtual input/output endpoints are private
-// and impose no constraints of their own).
-func (l *List) serverOps(v int) []op {
-	ops := []op{{
-		label: fmt.Sprintf("calc(%s)", l.w.Name(v)),
-		begin: l.calcBegin[v],
-		dur:   l.w.Comp(v),
-	}}
-	for _, idx := range l.w.InEdges(v) {
-		ops = append(ops, op{
-			label: fmt.Sprintf("comm(%s)", l.w.Edge(idx)),
-			begin: l.commBegin[idx],
-			dur:   l.commEnd[idx].Sub(l.commBegin[idx]),
-		})
+// opLabel names operation o of server v for conflict reporting.
+func (l *List) opLabel(v int, o op) string {
+	if o.comm < 0 {
+		return fmt.Sprintf("calc(%s)", l.w.Name(v))
 	}
-	for _, idx := range l.w.OutEdges(v) {
-		ops = append(ops, op{
-			label: fmt.Sprintf("comm(%s)", l.w.Edge(idx)),
-			begin: l.commBegin[idx],
-			dur:   l.commEnd[idx].Sub(l.commBegin[idx]),
-		})
+	return fmt.Sprintf("comm(%s)", l.w.Edge(o.comm))
+}
+
+// serverOps collects into buf[:0] every operation touching server v: its
+// computation and all incident communications (virtual input/output
+// endpoints are private and impose no constraints of their own).
+func (l *List) serverOps(v int, buf []op) []op {
+	ops := append(buf[:0], op{comm: -1, begin: l.calcBegin[v], dur: l.w.Comp(v)})
+	for _, idxs := range [2][]int{l.w.InEdges(v), l.w.OutEdges(v)} {
+		for _, idx := range idxs {
+			ops = append(ops, op{comm: idx, begin: l.commBegin[idx], dur: l.commEnd[idx].Sub(l.commBegin[idx])})
+		}
 	}
 	return ops
 }
@@ -243,8 +241,9 @@ func (l *List) validateCommon(m plan.Model) error {
 // server, two operations for the same data set never overlap in absolute
 // time. (Cross-data-set conflicts are handled by the model-specific rules.)
 func (l *List) validateOnePortSameDataSet() error {
+	var ops []op
 	for v := 0; v < l.w.N(); v++ {
-		ops := l.serverOps(v)
+		ops = l.serverOps(v, ops)
 		for i := 0; i < len(ops); i++ {
 			for j := i + 1; j < len(ops); j++ {
 				a, b := ops[i], ops[j]
@@ -255,7 +254,7 @@ func (l *List) validateOnePortSameDataSet() error {
 				bEnd := b.begin.Add(b.dur)
 				if a.begin.Less(bEnd) && b.begin.Less(aEnd) {
 					return fmt.Errorf("oplist: server %s: %s [%s,%s) overlaps %s [%s,%s)",
-						l.w.Name(v), a.label, a.begin, aEnd, b.label, b.begin, bEnd)
+						l.w.Name(v), l.opLabel(v, a), a.begin, aEnd, l.opLabel(v, b), b.begin, bEnd)
 				}
 			}
 		}
@@ -286,13 +285,14 @@ func (l *List) validateInOrder() error {
 // pairwise disjoint on the λ-cycle, which is exactly the Appendix-A
 // case-1/case-2 disjunction list for the OUTORDER model.
 func (l *List) validateOutOrder() error {
+	var ops []op
 	for v := 0; v < l.w.N(); v++ {
-		ops := l.serverOps(v)
+		ops = l.serverOps(v, ops)
 		for i := 0; i < len(ops); i++ {
 			for j := i + 1; j < len(ops); j++ {
 				if !l.circularDisjoint(ops[i], ops[j]) {
 					return fmt.Errorf("oplist: server %s: %s and %s overlap modulo λ=%s",
-						l.w.Name(v), ops[i].label, ops[j].label, l.lambda)
+						l.w.Name(v), l.opLabel(v, ops[i]), l.opLabel(v, ops[j]), l.lambda)
 				}
 			}
 		}
@@ -336,10 +336,9 @@ func (l *List) checkCapacity(v int, edgeIdxs []int, dir string) error {
 		startMod rat.Rat // begin mod λ
 		dur      rat.Rat
 		rate     rat.Rat
-		idx      int
 	}
-	var spans []span
-	var points []rat.Rat
+	spans := make([]span, 0, len(edgeIdxs))
+	sum := rat.Zero
 	for _, idx := range edgeIdxs {
 		vol := l.w.Vol(idx)
 		if vol.IsZero() {
@@ -353,13 +352,20 @@ func (l *List) checkCapacity(v int, edgeIdxs []int, dir string) error {
 			startMod: l.commBegin[idx].Mod(l.lambda),
 			dur:      dur,
 			rate:     vol.Div(dur),
-			idx:      idx,
 		}
 		spans = append(spans, s)
-		points = append(points, s.startMod, s.startMod.Add(s.dur).Mod(l.lambda))
+		sum = sum.Add(s.rate)
 	}
-	if len(spans) == 0 {
+	if sum.Leq(rat.One) {
+		// Even with every communication active at once the port holds: no
+		// instant can exceed the sum of all ratios. Covers the empty and the
+		// single-communication port and every Theorem-1 schedule (ratios
+		// volume/λ with λ ≥ Cin, Cout).
 		return nil
+	}
+	points := make([]rat.Rat, 0, 2*len(spans)+1)
+	for _, s := range spans {
+		points = append(points, s.startMod, s.startMod.Add(s.dur).Mod(l.lambda))
 	}
 	points = append(points, rat.Zero)
 	sort.Slice(points, func(i, j int) bool { return points[i].Less(points[j]) })

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/plan"
 	"repro/internal/rat"
 )
 
@@ -12,9 +13,10 @@ import (
 // the patch+bound cycle legitimately allocates O(segment edges) because
 // rebuilding a server's segment converts its exact delays to float
 // enclosures, but repeat bound queries against an unchanged graph must
-// stay near-free, and the one-port value() scratch reuse from PR 5 must
-// stay exactly zero-alloc. If one of these trips, an inner-loop change
-// started allocating per evaluation instead of per patch.
+// stay near-free, and value() — scratch reuse in the event graph, Howard's
+// policy iteration and Tarjan — must stay exactly zero-alloc on every
+// model. If one of these trips, an inner-loop change started allocating
+// per evaluation instead of per patch.
 
 // allocEvalSetup mirrors runOrderShard's state machine up to "slot 0
 // decided": everything decided except the permutable slots, then the
@@ -60,9 +62,10 @@ func TestOrderEvalAllocBudgets(t *testing.T) {
 		patchBound float64 // patch + exceedsIncremental cycle
 		value      float64 // value() on full orders
 	}{
-		// Measured: inorder 98/24, outorder 98/87, oneport 222/0.
-		{"inorder", newInOrderEval(w), 150, 50},
-		{"outorder", newOutOrderEval(w), 150, 130},
+		// Measured: inorder 98/0, outorder 98/0, oneport 222/0 — value() is
+		// one ratio-only MCR (or one longest-path pass) on reused scratch.
+		{"inorder", newInOrderEval(w), 150, 0},
+		{"outorder", newOutOrderEval(w), 150, 0},
 		{"oneport", newOnePortEval(w), 330, 0},
 	}
 	for _, tc := range cases {
@@ -124,5 +127,64 @@ func TestRepeatBoundAllocBudget(t *testing.T) {
 	i := 0
 	if got := testing.AllocsPerRun(200, func() { e.seg.FeasibleAt(alt[i%2]); i++ }); got > 20 {
 		t.Errorf("segmented FeasibleAt, alternating lambda: %.2f allocs/run, budget 20", got)
+	}
+}
+
+// TestScoringAllocBudget pins the value-first candidate path: scoring a
+// candidate graph builds no operation list. An oplist.List costs four
+// allocations (the struct and its three time vectors), so each budget is
+// the measured count plus three — deliberately less headroom than one
+// list, unlike the 1.5x budgets above: a change that puts the list back on
+// the candidate path trips it. Measured: overlap period 0, tree latency 4,
+// one-port latency on a sparse DAG 239 (evaluator and event-graph set-up).
+func TestScoringAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	rng := gen.NewRand(11)
+	app := gen.App(rng, 6, gen.Mixed)
+	forest := gen.ForestPlan(rng, app).Weighted()
+	// A sparse DAG: a few order combinations, so the search scores a handful
+	// of assignments and the count stays small enough to see one list.
+	var dagPlan *plan.Weighted
+	for dagPlan == nil {
+		if w := gen.DAGPlan(rng, app, 0.2).Weighted(); !isForestShaped(w) && orderCombinations(w, 4) <= 4 {
+			dagPlan = w
+		}
+	}
+	cases := []struct {
+		name   string
+		budget float64
+		score  func() (Score, error)
+	}{
+		{"overlap-period/forest", 3, func() (Score, error) { return scorePeriod(forest, plan.Overlap, Options{}) }},
+		{"tree-latency/forest", 7, func() (Score, error) { return scoreLatency(forest, plan.InOrder, Options{}) }},
+		{"one-port-latency/dag", 242, func() (Score, error) { return scoreLatency(dagPlan, plan.InOrder, Options{}) }},
+	}
+	for _, tc := range cases {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := tc.score(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if got > tc.budget {
+			t.Errorf("%s: %.0f allocs per scoring, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// TestMaxCycleRatioAllocBudget pins the reused-graph MCR: once the scratch
+// has grown to the graph, a ratio-only query allocates nothing.
+func TestMaxCycleRatioAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	w := gen.Weighted(gen.NewRand(5), 6, 0.6)
+	g := buildInOrderGraph(w, DefaultOrders(w))
+	if _, err := g.MaxCycleRatio(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() { g.MaxCycleRatio() }); got > 0 {
+		t.Errorf("MaxCycleRatio on a warm graph: %.2f allocs/run, budget 0", got)
 	}
 }

@@ -2,7 +2,6 @@ package orchestrate
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/eventgraph"
 	"repro/internal/oplist"
@@ -37,8 +36,8 @@ func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 
 // onePortEval is the latency order-search evaluator: the value of an
 // assignment is the longest path of the order-induced DAG, computed on a
-// reused event graph and begin-time buffer; the operation list is only
-// built (by OnePortLatencyWithOrders) for improving candidates.
+// reused event graph and begin-time buffer; OnePortLatencyWithOrders
+// materializes the winning orders once the search is over.
 type onePortEval struct {
 	w     *plan.Weighted
 	g     *eventgraph.Graph
@@ -53,7 +52,7 @@ func newOnePortEval(w *plan.Weighted) orderEval {
 	e := &onePortEval{w: w, g: eventgraph.New(opCount(w)), fl: w.LatencyPathBound()}
 	e.terms = make([]eventgraph.LatencyTerm, len(w.Edges()))
 	for ei := range w.Edges() {
-		e.terms[ei] = eventgraph.LatencyTerm{Node: commOp(w, ei), Add: w.Vol(ei)}
+		e.terms[ei] = eventgraph.NewLatencyTerm(commOp(w, ei), w.Vol(ei))
 	}
 	return e
 }
@@ -179,10 +178,6 @@ func (e *onePortEval) value(o Orders) (rat.Rat, error) {
 	return e.latency()
 }
 
-func (e *onePortEval) list(o Orders) (*oplist.List, error) {
-	return OnePortLatencyWithOrders(e.w, o)
-}
-
 // exceeds bounds all completions of the partial assignment: decided sides
 // contribute their exact chains, open sides only implied constraints, so
 // the relaxed longest path is a lower bound on every completion's latency
@@ -203,18 +198,13 @@ func (e *onePortEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat.
 // combination count fits the exhaustive budget. Applies to both INORDER
 // and OUTORDER, which coincide for latency (paper §2.2).
 func OnePortLatency(w *plan.Weighted, opts Options) (Result, error) {
-	res, err := searchOrders(w, opts, func() orderEval { return newOnePortEval(w) })
-	if err != nil {
-		return Result{}, err
-	}
-	res.Value = res.List.Latency()
-	res.LowerBound = w.LatencyPathBound()
-	for _, m := range plan.Models {
-		if verr := res.List.Validate(m); verr != nil {
-			return Result{}, fmt.Errorf("orchestrate: one-port latency schedule invalid under %s: %w", m, verr)
-		}
-	}
-	return res, nil
+	s, err := scoreOnePortLatency(w, opts)
+	return materialised(s, err, w)
+}
+
+func scoreOnePortLatency(w *plan.Weighted, opts Options) (Score, error) {
+	return searchOrders(w, opts, func() orderEval { return newOnePortEval(w) },
+		w.LatencyPathBound(), onePortPaths)
 }
 
 // OverlapLatencyShared builds the bandwidth-sharing multi-port schedule:
@@ -226,32 +216,7 @@ func OnePortLatency(w *plan.Weighted, opts Options) (Result, error) {
 // every one-port schedule.
 func OverlapLatencyShared(w *plan.Weighted) (*oplist.List, error) {
 	l := oplist.New(w, rat.One)
-	commEnd := make([]rat.Rat, len(w.Edges()))
-	// Input communications: start at 0.
-	for _, idx := range entryInEdges(w) {
-		e := w.Edge(idx)
-		dur := rat.Max(w.Vol(idx), w.Cin(e.To))
-		l.SetCommStretched(idx, rat.Zero, dur)
-		commEnd[idx] = dur
-	}
-	for _, v := range w.Topo() {
-		begin := rat.Zero
-		for _, idx := range w.InEdges(v) {
-			begin = rat.Max(begin, commEnd[idx])
-		}
-		l.SetCalc(v, begin)
-		done := begin.Add(w.Comp(v))
-		for _, idx := range w.OutEdges(v) {
-			e := w.Edge(idx)
-			dur := rat.Max(w.Vol(idx), w.Cout(v))
-			if e.To >= 0 {
-				dur = rat.Max(dur, w.Cin(e.To))
-			}
-			l.SetCommStretched(idx, done, done.Add(dur))
-			commEnd[idx] = done.Add(dur)
-		}
-	}
-	lat := l.Latency()
+	lat := sharedSweep(w, l)
 	if lat.Sign() == 0 {
 		lat = rat.One
 	}
@@ -262,22 +227,60 @@ func OverlapLatencyShared(w *plan.Weighted) (*oplist.List, error) {
 	return l, nil
 }
 
+// sharedSweep runs the bandwidth-sharing construction in topological order
+// and returns its latency (the latest communication end). With l == nil it
+// is the scoring form — communication ends only; otherwise it also records
+// every begin and end time in l.
+func sharedSweep(w *plan.Weighted, l *oplist.List) rat.Rat {
+	commEnd := make([]rat.Rat, len(w.Edges()))
+	lat := rat.Zero
+	setComm := func(idx int, begin, end rat.Rat) {
+		commEnd[idx] = end
+		lat = rat.Max(lat, end)
+		if l != nil {
+			l.SetCommStretched(idx, begin, end)
+		}
+	}
+	// Input communications: start at 0.
+	for idx, e := range w.Edges() {
+		if e.From == plan.In {
+			setComm(idx, rat.Zero, rat.Max(w.Vol(idx), w.Cin(e.To)))
+		}
+	}
+	for _, v := range w.Topo() {
+		begin := rat.Zero
+		for _, idx := range w.InEdges(v) {
+			begin = rat.Max(begin, commEnd[idx])
+		}
+		if l != nil {
+			l.SetCalc(v, begin)
+		}
+		done := begin.Add(w.Comp(v))
+		cout := w.Cout(v)
+		for _, idx := range w.OutEdges(v) {
+			dur := rat.Max(w.Vol(idx), cout)
+			if to := w.Edge(idx).To; to >= 0 {
+				dur = rat.Max(dur, w.Cin(to))
+			}
+			setComm(idx, done, done.Add(dur))
+		}
+	}
+	return lat
+}
+
 // OverlapLatency returns the better of the bandwidth-sharing multi-port
 // schedule and the best one-port schedule (one-port lists are OVERLAP-valid
 // as-is). Computing the true multi-port optimum is NP-hard (paper Prop. 11).
 func OverlapLatency(w *plan.Weighted, opts Options) (Result, error) {
-	onePort, opErr := OnePortLatency(w, opts)
-	shared, shErr := OverlapLatencyShared(w)
-	switch {
-	case opErr != nil && shErr != nil:
-		return Result{}, fmt.Errorf("orchestrate: no overlap latency schedule (one-port: %v, shared: %v)", opErr, shErr)
-	case shErr != nil:
-		return onePort, nil
-	case opErr != nil:
-		return Result{List: shared, Value: shared.Latency(), LowerBound: w.LatencyPathBound()}, nil
-	}
-	if shared.Latency().Less(onePort.Value) {
-		return Result{List: shared, Value: shared.Latency(), LowerBound: w.LatencyPathBound()}, nil
+	s, err := scoreOverlapLatency(w, opts)
+	return materialised(s, err, w)
+}
+
+func scoreOverlapLatency(w *plan.Weighted, opts Options) (Score, error) {
+	onePort, err := scoreOnePortLatency(w, opts)
+	shared := Score{Value: sharedSweep(w, nil), LowerBound: w.LatencyPathBound(), build: sharedBandwidth}
+	if err != nil || shared.Value.Less(onePort.Value) {
+		return shared, nil
 	}
 	return onePort, nil
 }
@@ -289,44 +292,64 @@ func OverlapLatency(w *plan.Weighted, opts Options) (Result, error) {
 // remaining completion time, which an exchange argument shows optimal. The
 // returned schedule is valid under all three models.
 func TreeLatency(w *plan.Weighted) (Result, error) {
+	s, err := scoreTreeLatency(w)
+	return materialised(s, err, w)
+}
+
+// scoreTreeLatency is the rest[] recurrence of Algorithm 1: bottom-up, the
+// time from the end of a node's incoming communication to the completion
+// of everything below it, feeding children by non-increasing remaining
+// time. The chosen feeding orders are the score's Orders.Out.
+func scoreTreeLatency(w *plan.Weighted) (Score, error) {
 	for v := 0; v < w.N(); v++ {
 		if len(w.InEdges(v)) != 1 {
-			return Result{}, fmt.Errorf("orchestrate: node %s has %d incoming communications; TreeLatency requires a forest", w.Name(v), len(w.InEdges(v)))
+			return Score{}, fmt.Errorf("orchestrate: node %s has %d incoming communications; TreeLatency requires a forest", w.Name(v), len(w.InEdges(v)))
 		}
 	}
 	// rest[v] = time from the end of v's incoming communication to the
 	// completion of everything below v (including output communications).
 	rest := make([]rat.Rat, w.N())
 	order := make([][]int, w.N()) // chosen out-edge order per node
+	flat := make([]int, 0, len(w.Edges()))
+	childRest := func(ei int) rat.Rat {
+		if to := w.Edge(ei).To; to >= 0 {
+			return rest[to]
+		}
+		return rat.Zero
+	}
 	topo := w.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
-		type child struct {
-			edge int
-			r    rat.Rat
-		}
-		children := make([]child, 0, len(w.OutEdges(v)))
+		// Stable insertion sort by non-increasing remaining time.
+		start := len(flat)
 		for _, ei := range w.OutEdges(v) {
-			r := rat.Zero
-			if to := w.Edge(ei).To; to >= 0 {
-				r = rest[to]
+			flat = append(flat, ei)
+			for j := len(flat) - 1; j > start && childRest(flat[j]).Greater(childRest(flat[j-1])); j-- {
+				flat[j], flat[j-1] = flat[j-1], flat[j]
 			}
-			children = append(children, child{ei, r})
 		}
-		sort.SliceStable(children, func(a, b int) bool {
-			return children[a].r.Greater(children[b].r)
-		})
+		order[v] = flat[start:len(flat):len(flat)]
 		prefix := rat.Zero
 		worst := rat.Zero
-		order[v] = order[v][:0]
-		for _, c := range children {
-			prefix = prefix.Add(w.Vol(c.edge))
-			worst = rat.Max(worst, prefix.Add(c.r))
-			order[v] = append(order[v], c.edge)
+		for _, ei := range order[v] {
+			prefix = prefix.Add(w.Vol(ei))
+			worst = rat.Max(worst, prefix.Add(childRest(ei)))
 		}
 		rest[v] = w.Comp(v).Add(worst)
 	}
-	// Build the schedule: every root's input communication starts at 0.
+	latency := rat.Zero
+	for v := 0; v < w.N(); v++ {
+		if in := w.InEdges(v)[0]; w.Edge(in).From == plan.In {
+			latency = rat.Max(latency, w.Vol(in).Add(rest[v]))
+		}
+	}
+	return Score{Value: latency, LowerBound: w.LatencyPathBound(), Exact: true, Orders: Orders{Out: order}, build: treeSchedule}, nil
+}
+
+// treeLatencyList builds the Algorithm-1 schedule from the chosen feeding
+// orders: every root's input communication starts at 0 and each node sends
+// to its children back to back in the given order.
+func treeLatencyList(w *plan.Weighted, order [][]int) *oplist.List {
 	l := oplist.New(w, rat.One)
 	var schedule func(v int, calcBegin rat.Rat)
 	schedule = func(v int, calcBegin rat.Rat) {
@@ -340,7 +363,6 @@ func TreeLatency(w *plan.Weighted) (Result, error) {
 			}
 		}
 	}
-	latency := rat.Zero
 	for v := 0; v < w.N(); v++ {
 		in := w.InEdges(v)[0]
 		if w.Edge(in).From != plan.In {
@@ -348,35 +370,11 @@ func TreeLatency(w *plan.Weighted) (Result, error) {
 		}
 		l.SetComm(in, rat.Zero)
 		schedule(v, w.Vol(in))
-		latency = rat.Max(latency, w.Vol(in).Add(rest[v]))
 	}
-	if latency.Sign() == 0 {
-		latency = rat.One
+	if lat := l.Latency(); lat.Sign() != 0 {
+		l.SetLambda(lat)
 	}
-	l.SetLambda(latency)
-	for _, m := range plan.Models {
-		if err := l.Validate(m); err != nil {
-			return Result{}, fmt.Errorf("orchestrate: tree latency schedule invalid under %s: %w", m, err)
-		}
-	}
-	return Result{List: l, Value: l.Latency(), LowerBound: w.LatencyPathBound(), Exact: true}, nil
-}
-
-// Latency dispatches to the model-specific latency orchestrator. For
-// forest-shaped plans the exact tree algorithm is used directly (one-port
-// communications are dominant on trees, paper Prop. 12).
-func Latency(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	if isForestShaped(w) {
-		return TreeLatency(w)
-	}
-	switch m {
-	case plan.Overlap:
-		return OverlapLatency(w, opts)
-	case plan.InOrder, plan.OutOrder:
-		return OnePortLatency(w, opts)
-	default:
-		return Result{}, fmt.Errorf("orchestrate: unknown model %v", m)
-	}
+	return l
 }
 
 func isForestShaped(w *plan.Weighted) bool {

@@ -8,14 +8,21 @@ package orchestrate
 // at symmetric candidates — and a long-running service sees the same
 // subgraphs across requests that share structure. Orchestration is
 // deterministic for a fixed weighted plan and options (every worker count
-// returns the bit-identical Result), so a fingerprint-keyed memo can return
-// the first computation's Result for all of them without touching the
+// returns the bit-identical Score), so a fingerprint-keyed memo can return
+// the first computation's Score for all of them without touching the
 // determinism invariant: a hit is indistinguishable from recomputing.
+//
+// Entries hold Scores (score.go), not schedules: value, bound, exactness
+// and the winning per-server orders — a few small integer slices. The
+// operation list is rebuilt by Score.Materialise for the candidates a
+// search keeps, so the memo costs the garbage collector almost nothing
+// however many candidate graphs pass through it.
 //
 // The key serializes the problem exactly — no hashing, so collisions are
 // impossible: objective kind, model, the Options fields that can change
-// the Result (Workers and Stats are deliberately excluded), and the full
-// weighted plan including names (bottleneck labels mention them).
+// the Score (Workers and Stats are deliberately excluded), and the full
+// weighted plan including names (a materialised schedule's bottleneck
+// labels mention them).
 //
 // The memo is a bounded LRU (least-recently-used completed entry evicted
 // first), not an insert-until-full map: a per-solve memo never notices the
@@ -32,13 +39,12 @@ import (
 	"repro/internal/plan"
 )
 
-// Memo caches orchestration Results across candidate evaluations — of one
+// Memo caches orchestration Scores across candidate evaluations — of one
 // plan-level solve, or of every solve in a service when shared wider. It
 // is safe for concurrent use; entries are immutable once stored (callers
-// must not mutate a memoized Result's operation list — schedules are
-// read-only after construction throughout this repository). Errors are
-// cached too: an infeasible weighted plan is infeasible on every shard and
-// in every request.
+// must not mutate a memoized Score's Orders). Errors are cached too: an
+// infeasible weighted plan is infeasible on every shard and in every
+// request.
 type Memo struct {
 	mu        sync.Mutex
 	entries   map[string]*memoEntry
@@ -51,7 +57,7 @@ type Memo struct {
 
 type memoEntry struct {
 	key  string
-	res  Result
+	res  Score
 	err  error
 	elem *list.Element
 }
@@ -72,13 +78,13 @@ func NewMemo(max int) *Memo {
 }
 
 // lookup returns the cached outcome for key, refreshing its recency.
-func (m *Memo) lookup(key string) (Result, error, bool) {
+func (m *Memo) lookup(key string) (Score, error, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.entries[key]
 	if !ok {
 		m.misses++
-		return Result{}, nil, false
+		return Score{}, nil, false
 	}
 	m.hits++
 	m.lru.MoveToFront(e.elem)
@@ -86,10 +92,10 @@ func (m *Memo) lookup(key string) (Result, error, bool) {
 }
 
 // store records an outcome, first writer wins (concurrent solvers of the
-// same key computed the bit-identical Result, so which one lands is
+// same key computed the bit-identical Score, so which one lands is
 // immaterial; keeping the first preserves its recency position). The
 // least-recently-used entry is evicted when the memo is over capacity.
-func (m *Memo) store(key string, res Result, err error) {
+func (m *Memo) store(key string, res Score, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.entries[key]; ok {
@@ -138,7 +144,7 @@ func (m *Memo) Len() int {
 
 // memoKey serializes one orchestration problem exactly. kind distinguishes
 // the period and latency searches; opts contributes only the fields that
-// can change the Result. Built with strconv appends (no fmt): the key is
+// can change the Score. Built with strconv appends (no fmt): the key is
 // computed per candidate evaluation of a memoized plan search, so its
 // cost is part of the orchestration hot path.
 func memoKey(kind byte, m plan.Model, opts Options, w *plan.Weighted) string {
@@ -170,53 +176,6 @@ func memoKey(kind byte, m plan.Model, opts Options, w *plan.Weighted) string {
 		b = w.Vol(ei).Append(b)
 	}
 	return string(b)
-}
-
-// PeriodMemo is Period through a memo: a nil memo is a direct call, and a
-// hit returns the Result of the first evaluation of an identical weighted
-// plan under identical options — bit-identical to recomputing, since
-// orchestration is deterministic.
-func PeriodMemo(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	res, _, err := PeriodMemoHit(memo, w, m, opts)
-	return res, err
-}
-
-// PeriodMemoHit is PeriodMemo reporting whether the Result came from the
-// memo — observational only (a hit is bit-identical to recomputing); the
-// introspection layer uses it to account memo effectiveness per request.
-func PeriodMemoHit(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, bool, error) {
-	if memo == nil {
-		res, err := Period(w, m, opts)
-		return res, false, err
-	}
-	key := memoKey('p', m, opts, w)
-	if res, err, ok := memo.lookup(key); ok {
-		return res, true, err
-	}
-	res, err := Period(w, m, opts)
-	memo.store(key, res, err)
-	return res, false, err
-}
-
-// LatencyMemo is Latency through a memo; see PeriodMemo.
-func LatencyMemo(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	res, _, err := LatencyMemoHit(memo, w, m, opts)
-	return res, err
-}
-
-// LatencyMemoHit is LatencyMemo reporting memo hits; see PeriodMemoHit.
-func LatencyMemoHit(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, bool, error) {
-	if memo == nil {
-		res, err := Latency(w, m, opts)
-		return res, false, err
-	}
-	key := memoKey('l', m, opts, w)
-	if res, err, ok := memo.lookup(key); ok {
-		return res, true, err
-	}
-	res, err := Latency(w, m, opts)
-	memo.store(key, res, err)
-	return res, false, err
 }
 
 // String renders the memo counters for stats reporting.

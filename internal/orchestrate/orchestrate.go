@@ -20,6 +20,12 @@
 // schedules are explored exactly over per-server orders (the longest path
 // of the induced DAG is the latency), multi-port adds a bandwidth-sharing
 // construction, and tree-shaped graphs use the O(n log n) Algorithm 1.
+//
+// Every orchestrator is split into a scoring form, which finds the value
+// and the winning orders without building a schedule, and
+// Score.Materialise, which rebuilds, validates and explains the schedule
+// of a score (score.go). Plan-level searches score every candidate graph
+// and materialise only the ones they keep.
 package orchestrate
 
 import (
@@ -81,10 +87,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is an orchestration outcome: a validated operation list, the
-// objective value reached, the model-specific lower bound, and whether the
-// search was exhaustive (Exact — the value is optimal within the searched
-// schedule family).
+// Result is a materialised orchestration outcome (Score.Materialise): a
+// validated operation list, the objective value reached, the
+// model-specific lower bound, and whether the search was exhaustive (Exact
+// — the value is optimal within the searched schedule family).
 type Result struct {
 	List       *oplist.List
 	Value      rat.Rat
@@ -125,6 +131,20 @@ func (o Orders) clone() Orders {
 		c.Out[i] = append([]int(nil), o.Out[i]...)
 	}
 	return c
+}
+
+// set copies src into o, reusing o's storage once it has src's shape (all
+// orders of one plan do): the order searches keep their best candidate
+// this way, one copy per improvement and no allocation after the first.
+func (o *Orders) set(src Orders) {
+	if len(o.In) != len(src.In) {
+		*o = src.clone()
+		return
+	}
+	for i := range src.In {
+		copy(o.In[i], src.In[i])
+		copy(o.Out[i], src.Out[i])
+	}
 }
 
 // Operation node numbering inside event graphs: calcs first, then comms.

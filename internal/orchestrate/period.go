@@ -10,48 +10,48 @@ import (
 	"repro/internal/rat"
 )
 
-// OverlapPeriod builds the Theorem-1 operation list for the OVERLAP model:
-// λ = max_k Cexec(k), every communication stretched to duration λ (ratio
-// volume/λ ≤ 1 by definition of the bound), and data set 0 traversing the
-// graph greedily. The result is always optimal, hence Exact.
+// OverlapPeriod orchestrates the OVERLAP period by Theorem 1: λ = max_k
+// Cexec(k), always optimal, hence Exact.
 func OverlapPeriod(w *plan.Weighted) (Result, error) {
+	return scoreOverlapPeriod(w).Materialise(w)
+}
+
+// scoreOverlapPeriod is the scoring form of Theorem 1: the per-server
+// bound is the optimal period, no schedule needed to know it.
+func scoreOverlapPeriod(w *plan.Weighted) Score {
 	lambda := w.PeriodLowerBound(plan.Overlap)
 	if lambda.Sign() == 0 {
 		lambda = rat.One // degenerate all-zero plan; any positive period works
 	}
+	return Score{Value: lambda, LowerBound: lambda, Exact: true, build: theorem1}
+}
+
+// overlapPeriodList builds the Theorem-1 operation list at period λ: every
+// communication stretched to duration λ (ratio volume/λ ≤ 1 by definition
+// of the bound) and data set 0 traversing the graph greedily.
+func overlapPeriodList(w *plan.Weighted, lambda rat.Rat) (*oplist.List, error) {
 	l := oplist.New(w, lambda)
-	// ready[v] = completion time of all of v's incoming communications.
-	ready := make([]rat.Rat, w.N())
-	for _, idx := range entryInEdges(w) {
-		l.SetCommStretched(idx, rat.Zero, lambda)
+	for idx, e := range w.Edges() {
+		if e.From == plan.In {
+			l.SetCommStretched(idx, rat.Zero, lambda)
+		}
 	}
 	for _, v := range w.Topo() {
-		r := rat.Zero
+		// ready = completion time of all of v's incoming communications.
+		ready := rat.Zero
 		for _, idx := range w.InEdges(v) {
-			r = rat.Max(r, l.CommEnd(idx))
+			ready = rat.Max(ready, l.CommEnd(idx))
 		}
-		ready[v] = r
-		l.SetCalc(v, r)
-		done := r.Add(w.Comp(v))
+		l.SetCalc(v, ready)
+		done := ready.Add(w.Comp(v))
 		for _, idx := range w.OutEdges(v) {
 			l.SetCommStretched(idx, done, done.Add(lambda))
 		}
 	}
 	if err := l.Validate(plan.Overlap); err != nil {
-		return Result{}, fmt.Errorf("orchestrate: Theorem-1 construction invalid: %w", err)
+		return nil, fmt.Errorf("orchestrate: Theorem-1 construction invalid: %w", err)
 	}
-	return Result{List: l, Value: lambda, LowerBound: lambda, Exact: true}, nil
-}
-
-// entryInEdges returns the indices of the virtual input communications.
-func entryInEdges(w *plan.Weighted) []int {
-	var out []int
-	for idx, e := range w.Edges() {
-		if e.From == plan.In {
-			out = append(out, idx)
-		}
-	}
-	return out
+	return l, nil
 }
 
 // buildInOrderGraph encodes the INORDER semantics for fixed orders as a
@@ -178,13 +178,13 @@ func InOrderBottleneck(l *oplist.List) []string {
 // solvePeriodGraph does: the exact ratio (1 for degenerate all-zero
 // cycles), 1 when no cyclic constraint exists, and the error otherwise.
 func graphLambda(g *eventgraph.Graph) (rat.Rat, error) {
-	res, err := g.MaximumCycleRatio()
+	ratio, err := g.MaxCycleRatio()
 	switch err {
 	case nil:
-		if res.Ratio.Sign() == 0 {
+		if ratio.Sign() == 0 {
 			return rat.One, nil
 		}
-		return res.Ratio, nil
+		return ratio, nil
 	case eventgraph.ErrNoCycle:
 		return rat.One, nil
 	default:
@@ -202,8 +202,8 @@ type edgeSink interface {
 
 // inOrderEval is the INORDER order-search evaluator: the value of an
 // assignment is the maximum cycle ratio of its event graph, computed on a
-// reused graph; the full operation list (potentials + validation) is built
-// only for improving candidates.
+// reused graph; InOrderPeriodWithOrders materializes the winning orders
+// (potentials + validation) once the search is over.
 type inOrderEval struct {
 	w     *plan.Weighted
 	g     *eventgraph.Graph
@@ -365,10 +365,6 @@ func (e *inOrderEval) value(o Orders) (rat.Rat, error) {
 	return graphLambda(e.g)
 }
 
-func (e *inOrderEval) list(o Orders) (*oplist.List, error) {
-	return InOrderPeriodWithOrders(e.w, o)
-}
-
 // exceeds prunes a partial assignment when even its relaxed event graph —
 // every edge of which is implied by every completion — admits no period of
 // at most limit: the maximum cycle ratio of each completion is then
@@ -391,14 +387,13 @@ func (e *inOrderEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat.
 // INORDER schedule family); the general problem is NP-hard (paper
 // Prop. 3).
 func InOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
-	res, err := searchOrders(w, opts, func() orderEval { return newInOrderEval(w) })
-	if err != nil {
-		return Result{}, err
-	}
-	res.Value = res.List.Lambda()
-	res.LowerBound = w.PeriodLowerBound(plan.InOrder)
-	res.Bottleneck = InOrderBottleneck(res.List)
-	return res, nil
+	s, err := scoreInOrderPeriod(w, opts)
+	return materialised(s, err, w)
+}
+
+func scoreInOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
+	return searchOrders(w, opts, func() orderEval { return newInOrderEval(w) },
+		w.PeriodLowerBound(plan.InOrder), inOrderCycle)
 }
 
 // generations returns per-node pipeline stages: the hop-length of the
@@ -524,7 +519,7 @@ func OutOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 // assignment is the better of its INORDER period and its pipelined-
 // template period (an INORDER list is always OUTORDER-valid), each an MCR
 // on a reused event graph; OutOrderPeriodWithOrders materializes the
-// winner.
+// winning orders once the search is over.
 type outOrderEval struct {
 	ino     *inOrderEval
 	g       *eventgraph.Graph     // pipelined-template scratch
@@ -709,10 +704,6 @@ func (e *outOrderEval) value(o Orders) (rat.Rat, error) {
 	}
 }
 
-func (e *outOrderEval) list(o Orders) (*oplist.List, error) {
-	return OutOrderPeriodWithOrders(e.ino.w, o)
-}
-
 // exceeds prunes a partial assignment only when BOTH templates rule the
 // limit out: the OUTORDER value is the minimum of the two, so the bound
 // must hold for whichever branch a completion ends up taking.
@@ -733,14 +724,13 @@ func (e *outOrderEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat
 // every conceivable OUTORDER schedule, so Exact refers to the family; the
 // general problem is NP-hard (paper Prop. 2).
 func OutOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
-	res, err := searchOrders(w, opts, func() orderEval { return newOutOrderEval(w) })
-	if err != nil {
-		return Result{}, err
-	}
-	res.Value = res.List.Lambda()
-	res.LowerBound = w.PeriodLowerBound(plan.OutOrder)
-	res.Bottleneck = OutOrderBottleneck(res.List)
-	return res, nil
+	s, err := scoreOutOrderPeriod(w, opts)
+	return materialised(s, err, w)
+}
+
+func scoreOutOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
+	return searchOrders(w, opts, func() orderEval { return newOutOrderEval(w) },
+		w.PeriodLowerBound(plan.OutOrder), outOrderCycle)
 }
 
 // OutOrderBottleneck identifies the critical cycle of an OUTORDER schedule
@@ -759,18 +749,4 @@ func OutOrderBottleneck(l *oplist.List) []string {
 		return nil
 	}
 	return describeCycle(w, g, res.CriticalCycle)
-}
-
-// Period dispatches to the model-specific period orchestrator.
-func Period(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	switch m {
-	case plan.Overlap:
-		return OverlapPeriod(w)
-	case plan.InOrder:
-		return InOrderPeriod(w, opts)
-	case plan.OutOrder:
-		return OutOrderPeriod(w, opts)
-	default:
-		return Result{}, fmt.Errorf("orchestrate: unknown model %v", m)
-	}
 }

@@ -1,0 +1,210 @@
+package orchestrate
+
+// Score versus materialise.
+//
+// A plan-level search only ever compares objective values of candidate
+// execution graphs, so every orchestrator in this package is split in two:
+//
+//   - a scoring form (ScorePeriod / ScoreLatency and the per-model score*
+//     functions behind them) that runs the whole search for the best
+//     schedule of the graph but builds no operation list: it returns the
+//     value, the lower bound, the exactness flag and the winning per-server
+//     orders;
+//   - Score.Materialise, which turns a score into the full Result: the
+//     operation list rebuilt from the winning orders, validated with the
+//     Appendix-A checks of the model(s) it is valid under, plus the
+//     bottleneck labels.
+//
+// Period, Latency and every exported orchestrator are score → materialise,
+// so there is one code path: the value a search compared is by construction
+// the value of the schedule it later hands out (Materialise refuses a list
+// whose objective differs from its score).
+
+import (
+	"fmt"
+
+	"repro/internal/oplist"
+	"repro/internal/plan"
+	"repro/internal/rat"
+)
+
+// construction names the schedule builder that realizes a Score.
+type construction uint8
+
+const (
+	theorem1        construction = iota // OVERLAP period (Theorem 1)
+	inOrderCycle                        // INORDER event graph at its MCR
+	outOrderCycle                       // pipelined OUTORDER template (or the INORDER list when better)
+	treeSchedule                        // Algorithm 1 on a forest
+	onePortPaths                        // one-port longest paths for fixed orders
+	sharedBandwidth                     // multi-port bandwidth-sharing latency
+)
+
+// Score is an orchestration outcome without its schedule: what a plan
+// search compares (Value), reports (LowerBound, Exact) and needs to rebuild
+// the schedule later (Orders and the construction that reads them). It
+// holds a few small integer slices and no operation list, so a search can
+// score thousands of candidate graphs and keep a memo of them cheaply.
+type Score struct {
+	Value      rat.Rat
+	LowerBound rat.Rat
+	// Exact reports that the schedule search behind Value was exhaustive.
+	Exact bool
+	// Orders are the winning per-server communication orders (nil where the
+	// construction needs none: Theorem 1 and bandwidth sharing; Out only for
+	// the tree algorithm).
+	Orders Orders
+	build  construction
+}
+
+// Materialise builds, validates and explains the schedule a score stands
+// for. w must be the weighted plan that was scored (or an identical one —
+// a memoized score serves every plan with the same memo key). It fails when
+// the rebuilt list violates the model's constraints or does not reach the
+// scored value; plan searches skip such a candidate exactly as they skip
+// one whose scoring failed.
+func (s Score) Materialise(w *plan.Weighted) (Result, error) {
+	res := Result{LowerBound: s.LowerBound, Exact: s.Exact}
+	var err error
+	switch s.build {
+	case theorem1:
+		res.List, err = overlapPeriodList(w, s.Value)
+		res.Value = s.Value
+	case inOrderCycle:
+		if res.List, err = InOrderPeriodWithOrders(w, s.Orders); err == nil {
+			res.Value = res.List.Lambda()
+			res.Bottleneck = InOrderBottleneck(res.List)
+		}
+	case outOrderCycle:
+		if res.List, err = OutOrderPeriodWithOrders(w, s.Orders); err == nil {
+			res.Value = res.List.Lambda()
+			res.Bottleneck = OutOrderBottleneck(res.List)
+		}
+	case treeSchedule:
+		res.List = treeLatencyList(w, s.Orders.Out)
+		err = validateAllModels(res.List, "tree latency")
+		res.Value = res.List.Latency()
+	case onePortPaths:
+		if res.List, err = OnePortLatencyWithOrders(w, s.Orders); err == nil {
+			err = validateAllModels(res.List, "one-port latency")
+			res.Value = res.List.Latency()
+		}
+	case sharedBandwidth:
+		if res.List, err = OverlapLatencyShared(w); err == nil {
+			res.Value = res.List.Latency()
+		}
+	default:
+		err = fmt.Errorf("orchestrate: unknown construction %d", s.build)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	if !res.Value.Equal(s.Value) {
+		return Result{}, fmt.Errorf("orchestrate: materialised schedule reaches %s, scored %s", res.Value, s.Value)
+	}
+	return res, nil
+}
+
+// validateAllModels checks a one-port single-data-set schedule under all
+// three models (one-port lists are valid everywhere, paper §2.2).
+func validateAllModels(l *oplist.List, what string) error {
+	for _, m := range plan.Models {
+		if err := l.Validate(m); err != nil {
+			return fmt.Errorf("orchestrate: %s schedule invalid under %s: %w", what, m, err)
+		}
+	}
+	return nil
+}
+
+// materialised chains a scoring form into Materialise.
+func materialised(s Score, err error, w *plan.Weighted) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Materialise(w)
+}
+
+// scorePeriod dispatches to the model-specific period scoring form.
+func scorePeriod(w *plan.Weighted, m plan.Model, opts Options) (Score, error) {
+	switch m {
+	case plan.Overlap:
+		return scoreOverlapPeriod(w), nil
+	case plan.InOrder:
+		return scoreInOrderPeriod(w, opts)
+	case plan.OutOrder:
+		return scoreOutOrderPeriod(w, opts)
+	default:
+		return Score{}, fmt.Errorf("orchestrate: unknown model %v", m)
+	}
+}
+
+// scoreLatency dispatches to the model-specific latency scoring form. For
+// forest-shaped plans the exact tree algorithm is used directly (one-port
+// communications are dominant on trees, paper Prop. 12).
+func scoreLatency(w *plan.Weighted, m plan.Model, opts Options) (Score, error) {
+	if isForestShaped(w) {
+		return scoreTreeLatency(w)
+	}
+	switch m {
+	case plan.Overlap:
+		return scoreOverlapLatency(w, opts)
+	case plan.InOrder, plan.OutOrder:
+		return scoreOnePortLatency(w, opts)
+	default:
+		return Score{}, fmt.Errorf("orchestrate: unknown model %v", m)
+	}
+}
+
+// scoreMemo runs one scoring form through a memo: a nil memo is a direct
+// call, and a hit returns the Score of the first evaluation of an identical
+// weighted plan under identical options — bit-identical to recomputing,
+// since orchestration is deterministic. hit is observational only.
+func scoreMemo(memo *Memo, kind byte, w *plan.Weighted, m plan.Model, opts Options,
+	score func(*plan.Weighted, plan.Model, Options) (Score, error)) (s Score, hit bool, err error) {
+	if memo == nil {
+		s, err = score(w, m, opts)
+		return s, false, err
+	}
+	key := memoKey(kind, m, opts, w)
+	if s, err, ok := memo.lookup(key); ok {
+		return s, true, err
+	}
+	s, err = score(w, m, opts)
+	memo.store(key, s, err)
+	return s, false, err
+}
+
+// ScorePeriod scores the best period schedule of w under model m without
+// building it, through memo when non-nil; hit reports a memo hit (the
+// introspection layer accounts memo effectiveness with it).
+func ScorePeriod(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (s Score, hit bool, err error) {
+	return scoreMemo(memo, 'p', w, m, opts, scorePeriod)
+}
+
+// ScoreLatency is ScorePeriod for the latency objective.
+func ScoreLatency(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (s Score, hit bool, err error) {
+	return scoreMemo(memo, 'l', w, m, opts, scoreLatency)
+}
+
+// Period orchestrates w for the period objective under model m.
+func Period(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
+	return PeriodMemo(nil, w, m, opts)
+}
+
+// Latency orchestrates w for the latency objective under model m.
+func Latency(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
+	return LatencyMemo(nil, w, m, opts)
+}
+
+// PeriodMemo is Period with the scoring half served through memo (nil: a
+// direct call); the schedule is always rebuilt from the score.
+func PeriodMemo(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
+	s, _, err := ScorePeriod(memo, w, m, opts)
+	return materialised(s, err, w)
+}
+
+// LatencyMemo is Latency through a memo; see PeriodMemo.
+func LatencyMemo(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
+	s, _, err := ScoreLatency(memo, w, m, opts)
+	return materialised(s, err, w)
+}

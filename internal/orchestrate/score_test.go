@@ -1,0 +1,131 @@
+package orchestrate
+
+// The score/materialise suite: a score carries the value of the schedule
+// Materialise later rebuilds, every rebuilt schedule passes the Appendix-A
+// validator of its model, a memoized score materialises to the same
+// schedule, and a score that does not describe its plan is refused.
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/plan"
+	"repro/internal/rat"
+)
+
+// scoreCorpus yields weighted plans of every shape the scoring forms
+// dispatch on: forests (tree latency), chains, filtering DAGs and raw
+// weighted workflows, small enough for the exhaustive order search and
+// wide enough (the last ones) for the heuristic path under smallSearch.
+func scoreCorpus() []*plan.Weighted {
+	var plans []*plan.Weighted
+	for seed := int64(0); seed < 40; seed++ {
+		rng := gen.NewRand(seed)
+		n := 3 + int(seed%5)
+		app := gen.App(rng, n, gen.Mixed)
+		plans = append(plans,
+			gen.ForestPlan(rng, app).Weighted(),
+			gen.ChainPlan(rng, app).Weighted(),
+			gen.DAGPlan(rng, app, 0.4).Weighted(),
+			gen.DAGPlan(rng, gen.AppWithPrecedence(rng, n, gen.Mixed, 0.3), 0.3).Weighted(),
+			gen.Weighted(rng, n, 0.5))
+	}
+	return plans
+}
+
+// smallSearch keeps the exhaustive budget low so part of the corpus takes
+// the heuristic path.
+func smallSearch() Options { return Options{MaxExhaustive: 64, LocalSearchPasses: 2, RandomSamples: 8} }
+
+func TestScoreValueIsMaterialisedValue(t *testing.T) {
+	type scorer func(*Memo, *plan.Weighted, plan.Model, Options) (Score, bool, error)
+	objectives := []struct {
+		name  string
+		score scorer
+		value func(Result) rat.Rat
+	}{
+		{"period", ScorePeriod, func(r Result) rat.Rat { return r.List.Lambda() }},
+		{"latency", ScoreLatency, func(r Result) rat.Rat { return r.List.Latency() }},
+	}
+	for i, w := range scoreCorpus() {
+		memo := NewMemo(0) // per plan: the corpus repeats some shapes
+		for _, m := range plan.Models {
+			for _, obj := range objectives {
+				s, hit, err := obj.score(memo, w, m, smallSearch())
+				if err != nil {
+					t.Fatalf("plan %d %s/%s: score: %v", i, m, obj.name, err)
+				}
+				if hit {
+					t.Fatalf("plan %d %s/%s: first scoring reported a memo hit", i, m, obj.name)
+				}
+				res, err := s.Materialise(w)
+				if err != nil {
+					t.Fatalf("plan %d %s/%s: materialise: %v", i, m, obj.name, err)
+				}
+				if !res.Value.Equal(s.Value) || !res.LowerBound.Equal(s.LowerBound) || res.Exact != s.Exact {
+					t.Fatalf("plan %d %s/%s: score {%s %s %v} materialised as {%s %s %v}",
+						i, m, obj.name, s.Value, s.LowerBound, s.Exact, res.Value, res.LowerBound, res.Exact)
+				}
+				if v := obj.value(res); !v.Equal(s.Value) {
+					t.Fatalf("plan %d %s/%s: list reaches %s, scored %s", i, m, obj.name, v, s.Value)
+				}
+				if err := res.List.Validate(m); err != nil {
+					t.Fatalf("plan %d %s/%s: materialised schedule invalid: %v", i, m, obj.name, err)
+				}
+				if s.Value.Less(s.LowerBound) {
+					t.Fatalf("plan %d %s/%s: value %s below bound %s", i, m, obj.name, s.Value, s.LowerBound)
+				}
+				// A memo hit is the same score and the same schedule.
+				again, hit, err := obj.score(memo, w, m, smallSearch())
+				if err != nil || !hit {
+					t.Fatalf("plan %d %s/%s: second scoring: hit=%v err=%v", i, m, obj.name, hit, err)
+				}
+				res2, err := again.Materialise(w)
+				if err != nil || !listsIdentical(res.List, res2.List) {
+					t.Fatalf("plan %d %s/%s: memoized score materialised differently (err %v)", i, m, obj.name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMaterialiseRefusesForeignScore pins the safety net behind "a kept
+// candidate has been validated": a score whose value its schedule does not
+// reach, or whose orders deadlock the plan, never becomes a Result.
+func TestMaterialiseRefusesForeignScore(t *testing.T) {
+	w := gen.DAGPlan(gen.NewRand(4), gen.App(gen.NewRand(4), 5, gen.Mixed), 0.6).Weighted()
+	for _, m := range []plan.Model{plan.InOrder, plan.OutOrder} {
+		s, _, err := ScorePeriod(nil, w, m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		low := s
+		low.Value = s.Value.Mul(rat.New(1, 2))
+		if _, err := low.Materialise(w); err == nil || !strings.Contains(err.Error(), "scored") {
+			t.Fatalf("%s: halved value materialised: %v", m, err)
+		}
+	}
+	lat, _, err := ScoreLatency(nil, w, plan.InOrder, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first order assignment that deadlocks the plan (a cross-server
+	// circular wait), dressed up as a latency score.
+	deadlock := Score{Value: lat.Value, LowerBound: lat.LowerBound, Orders: lat.Orders.clone(), build: onePortPaths}
+	found := false
+	forEachOrders(w, func(o Orders) bool {
+		if _, err := OnePortLatencyWithOrders(w, o); err != nil {
+			deadlock.Orders = o.clone()
+			found = true
+			return false
+		}
+		return true
+	})
+	if !found {
+		t.Skip("no deadlocking order assignment on this plan")
+	}
+	if _, err := deadlock.Materialise(w); err == nil {
+		t.Fatal("deadlocking orders materialised")
+	}
+}

@@ -30,12 +30,13 @@ package orchestrate
 //
 //   - Scratch reuse. Each shard owns one orderEval, which keeps a
 //     resettable event graph and a begin-time buffer; complete assignments
-//     are scored with value() (no operation list), and the list is only
-//     materialized when a candidate improves the shard's best.
+//     are scored with value() (no operation list), and a candidate that
+//     improves the shard's best only has its orders copied.
 //
 // The heuristic path (above MaxExhaustive: priority seeds, adjacent-swap
-// climbing, random samples) is unchanged in shape but scores candidates
-// with value() too.
+// climbing, random samples) scores candidates with value() too. Neither
+// path builds a schedule: the search returns the winning orders as a Score
+// and Score.Materialise rebuilds the list (score.go).
 
 import (
 	"fmt"
@@ -44,7 +45,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/oplist"
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -87,18 +87,14 @@ func (s *Stats) add(o Stats) {
 // orderEval is the model-specific machinery of the order search, one
 // instance per shard (it owns scratch):
 //
-//   - value scores a complete assignment cheaply — no operation list;
-//   - list materializes and validates the schedule, called only when a
-//     candidate improves the shard's best (a list error marks the
-//     candidate infeasible exactly where the pre-fast-path evaluator
-//     errored, so the candidate is skipped either way);
+//   - value scores a complete assignment cheaply — no operation list (an
+//     error marks the assignment infeasible: deadlocking orders);
 //   - exceeds is the admissible pruning test on partial assignments:
 //     it may return true only when EVERY completion of the partial orders
 //     is forced strictly above limit;
 //   - floor is the static model lower bound no schedule can beat.
 type orderEval interface {
 	value(o Orders) (rat.Rat, error)
-	list(o Orders) (*oplist.List, error)
 	exceeds(o Orders, decidedIn, decidedOut []bool, limit rat.Rat) bool
 	floor() rat.Rat
 
@@ -115,7 +111,7 @@ type orderEval interface {
 }
 
 // searchIncumbent is the shared pruning threshold of one exhaustive order
-// search: the best value any shard has materialized so far. Same
+// search: the best value any shard has kept so far. Same
 // generation-stamped design as the solve layer's branch-and-bound
 // incumbent — the hot path reads one atomic, and a stale (higher) cached
 // value only weakens strict pruning, never breaks it.
@@ -376,11 +372,11 @@ func identityPerm(n int) []int {
 // natural serial rank, meaningful only when the slots were reordered (the
 // natural nesting keeps shard-order reduction instead).
 type orderShardResult struct {
-	list  *oplist.List
-	val   rat.Rat
-	rank  int64
-	found bool
-	stats Stats
+	orders Orders // the kept candidate's orders (shard-owned copy)
+	val    rat.Rat
+	rank   int64
+	found  bool
+	stats  Stats
 }
 
 // boundMinSuffix gates prefix bounding: a bound costs about one relaxed
@@ -391,24 +387,31 @@ const boundMinSuffix = 4
 // searchOrders minimizes the model evaluator over order assignments:
 // exhaustively (pruned + sharded, see the file comment) when the
 // combination count fits the budget, otherwise seeds + adjacent-swap local
-// search. newEval builds one evaluator per shard.
-func searchOrders(w *plan.Weighted, opts Options, newEval func() orderEval) (Result, error) {
+// search. newEval builds one evaluator per shard; bound is the model's
+// static lower bound and build the construction that materialises the
+// winning orders, both recorded in the returned Score.
+func searchOrders(w *plan.Weighted, opts Options, newEval func() orderEval, bound rat.Rat, build construction) (Score, error) {
 	opts = opts.withDefaults()
+	var s Score
+	var err error
 	if orderCombinations(w, opts.MaxExhaustive) <= opts.MaxExhaustive {
-		return searchOrdersExhaustive(w, opts, newEval)
+		s, err = searchOrdersExhaustive(w, opts, newEval)
+	} else {
+		if opts.Stats != nil {
+			*opts.Stats = Stats{}
+		}
+		s, err = searchOrdersHeuristic(w, opts, newEval())
 	}
-	if opts.Stats != nil {
-		*opts.Stats = Stats{}
-	}
-	return searchOrdersHeuristic(w, opts, newEval())
+	s.LowerBound, s.build = bound, build
+	return s, err
 }
 
 // searchOrdersExhaustive runs the pruned + sharded exact search. Exact is
 // always true on this path: pruning is admissible (it never cuts a
 // candidate strictly better than a value already proved achievable), so
 // the minimum over the searched family is preserved — and the returned
-// schedule is the one the serial flat enumeration would keep.
-func searchOrdersExhaustive(w *plan.Weighted, opts Options, newEval func() orderEval) (Result, error) {
+// orders are the ones the serial flat enumeration would keep.
+func searchOrdersExhaustive(w *plan.Weighted, opts Options, newEval func() orderEval) (Score, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = 1 // serial default: the caller owns the parallelism budget
@@ -466,9 +469,9 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, newEval func() order
 		*opts.Stats = total
 	}
 	if !best.found {
-		return Result{}, fmt.Errorf("orchestrate: no feasible order assignment found")
+		return Score{}, fmt.Errorf("orchestrate: no feasible order assignment found")
 	}
-	return Result{List: best.list, Value: best.val, Exact: true}, nil
+	return Score{Orders: best.orders, Value: best.val, Exact: true}, nil
 }
 
 // runOrderShard enumerates the completions of one shard prefix in serial
@@ -596,20 +599,17 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 			}
 			// A candidate strictly above the shared incumbent can
 			// neither win the reduction nor tighten the pruning limit
-			// below the incumbent, so its materialization is skipped.
-			// Ties must materialize: the shard holding the serial-first
-			// achiever of the final value wins the reduction, and the
-			// incumbent may have been offered by a later shard. A stale
-			// (higher) snapshot only materializes more, never less.
+			// below the incumbent, so it is not kept. Ties must be kept:
+			// the shard holding the serial-first achiever of the final
+			// value wins the reduction, and the incumbent may have been
+			// offered by a later shard. A stale (higher) snapshot only
+			// keeps more, never less.
 			inc.load(&incGen, &incOK, &incVal)
 			if incOK && val.Greater(incVal) {
 				return
 			}
-			l, lerr := eval.list(orders)
-			if lerr != nil {
-				return
-			}
-			r.list, r.val, r.rank, r.found = l, val, curRank, true
+			r.orders.set(orders)
+			r.val, r.rank, r.found = val, curRank, true
 			inc.offer(val)
 			if !reordered && !r.val.Greater(floor) {
 				// Early exit: every remaining candidate is ≥ the static
@@ -688,20 +688,16 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 
 // searchOrdersHeuristic runs the above-budget path: deterministic priority
 // seeds and random samples refined by adjacent-swap climbing. Candidates
-// are scored with value(); the operation list is materialized only on
-// improvements over the best so far.
-func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Result, error) {
-	var best *oplist.List
+// are scored with value(); an improvement over the best so far has its
+// orders copied.
+func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Score, error) {
+	var best Orders
 	var bestVal rat.Rat
-	// consider records a scored assignment, materializing its schedule; a
-	// materialization failure means the candidate was infeasible all along
-	// (the pre-fast-path evaluator errored during construction), so it is
-	// skipped the same way.
+	found := false
 	consider := func(o Orders, val rat.Rat) {
-		if best == nil || val.Less(bestVal) {
-			if l, err := eval.list(o); err == nil {
-				best, bestVal = l, val
-			}
+		if !found || val.Less(bestVal) {
+			best.set(o)
+			bestVal, found = val, true
 		}
 	}
 	climb := func(cur Orders) {
@@ -766,8 +762,8 @@ func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Resu
 			climb(bestSample)
 		}
 	}
-	if best == nil {
-		return Result{}, fmt.Errorf("orchestrate: no feasible order assignment found")
+	if !found {
+		return Score{}, fmt.Errorf("orchestrate: no feasible order assignment found")
 	}
-	return Result{List: best, Value: bestVal, Exact: false}, nil
+	return Score{Orders: best, Value: bestVal, Exact: false}, nil
 }

@@ -228,7 +228,9 @@ func branchBound(app *workflow.App, m plan.Model, obj Objective, opts Options) (
 // seedIncumbent primes the pruning threshold with fast in-family solutions:
 // the greedy chain (a chain is a forest is a DAG) and the hill climb, both
 // orchestrated with the same options as the search so their values are
-// comparable — plus the caller's warm-start value (Options.Incumbent), the
+// comparable, and both materialised — a seed prunes from the root, so it
+// must be the value of a validated schedule, not only a score — plus the
+// caller's warm-start value (Options.Incumbent), the
 // re-evaluated cached plan of the planning service's drift re-planning.
 // Seeds only feed pruning — the search returns the first enumerated graph
 // reaching the optimum, never the seed itself.
@@ -372,12 +374,8 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 	if err != nil {
 		return Solution{}, err
 	}
-	sched, err := evaluate(eg, m, obj, opts.orchWide())
-	if err != nil {
-		return Solution{}, err
-	}
 	// Optimal among chains, like ExactChain — not globally.
-	return Solution{Graph: eg, Sched: sched, Value: sched.Value}, nil
+	return solveGraph(eg, m, obj, opts.orchWide())
 }
 
 // --- forests ---
@@ -435,20 +433,8 @@ func bnbForestRec(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 	n := len(parent)
 	if v == n {
 		sh.stats.Evaluated++
-		eg, err := plan.FromGraph(app, forestGraph(parent))
-		if err != nil {
-			return
-		}
-		sched, err := evaluate(eg, m, obj, opts)
-		if err != nil {
-			if sh.err == nil {
-				sh.err = err
-			}
-			return
-		}
-		if sh.sol.Graph == nil || sched.Value.Less(sh.sol.Value) {
-			sh.sol = Solution{Graph: eg, Sched: sched, Value: sched.Value}
-			inc.offer(sched.Value)
+		if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil && sh.try(eg, m, obj, opts) {
+			inc.offer(sh.sol.Value)
 		}
 		return
 	}
@@ -549,20 +535,9 @@ func bnbDAGRec(app *workflow.App, m plan.Model, obj Objective, opts Options, inc
 	}
 	if i == len(pairs) {
 		sh.stats.Evaluated++
-		eg, err := plan.FromGraph(app, g)
-		if err != nil {
-			return // violates precedence constraints
-		}
-		sched, err := evaluate(eg, m, obj, opts)
-		if err != nil {
-			if sh.err == nil {
-				sh.err = err
-			}
-			return
-		}
-		if sh.sol.Graph == nil || sched.Value.Less(sh.sol.Value) {
-			sh.sol = Solution{Graph: eg, Sched: sched, Value: sched.Value}
-			inc.offer(sched.Value)
+		// A graph FromGraph rejects violates the precedence constraints.
+		if eg, err := plan.FromGraph(app, g); err == nil && sh.try(eg, m, obj, opts) {
+			inc.offer(sh.sol.Value)
 		}
 		return
 	}

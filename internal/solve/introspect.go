@@ -38,26 +38,27 @@ type EvalProbe struct {
 	orch orchestrate.Stats
 }
 
-// evaluate is the probe-instrumented twin of the package evaluate
-// chokepoint: same memo discipline, same Result, plus accounting. The
+// evaluate is the probe-instrumented scoring of the package evaluate
+// chokepoint: same memo discipline, same Score, plus accounting
+// (materialising a kept candidate adds only to the orchestration time). The
 // orchestration counters are collected into a probe-local Stats per call
 // (the orchestrate layer overwrites rather than accumulates its Stats
 // target) and merged, so concurrent evaluations never share a Stats
 // pointer.
-func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts Options) (orchestrate.Result, error) {
+func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts Options) (orchestrate.Score, error) {
 	var st orchestrate.Stats
 	o := opts.Orch
 	o.Stats = &st // excluded from the memo key, so hit behavior is unchanged
 	start := time.Now()
 	var (
-		res orchestrate.Result
+		res orchestrate.Score
 		hit bool
 		err error
 	)
 	if obj == PeriodObjective {
-		res, hit, err = orchestrate.PeriodMemoHit(opts.Memo, w, m, o)
+		res, hit, err = orchestrate.ScorePeriod(opts.Memo, w, m, o)
 	} else {
-		res, hit, err = orchestrate.LatencyMemoHit(opts.Memo, w, m, o)
+		res, hit, err = orchestrate.ScoreLatency(opts.Memo, w, m, o)
 	}
 	d := time.Since(start)
 	p.evals.Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/orchestrate"
@@ -13,18 +14,60 @@ import (
 	"repro/internal/workflow"
 )
 
-// evaluate orchestrates the objective on one candidate execution graph,
+// The plan searches are value-first (see the package documentation):
+// evaluate scores a candidate, shardResult.offer materialises the ones a
+// shard keeps.
+
+// scored is a candidate execution graph with its orchestration score.
+type scored struct {
+	eg *plan.ExecGraph
+	w  *plan.Weighted
+	orchestrate.Score
+}
+
+// evaluate is the scoring chokepoint of every plan search. It is a variable
+// only so that the differential suite (valuefirst_test.go) can substitute
+// the eager materialise-every-candidate reference; nothing else assigns it.
+var evaluate = scoreCandidate
+
+// scoreCandidate scores the objective on one candidate execution graph,
 // through the solve's orchestration memo when one is set: identical
-// weighted graphs reached anywhere in the search orchestrate once.
-func evaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (orchestrate.Result, error) {
-	w := eg.Weighted()
+// weighted graphs reached anywhere in the search are scored once.
+func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (scored, error) {
+	c := scored{eg: eg, w: eg.Weighted()}
+	var err error
+	switch {
+	case opts.Probe != nil:
+		c.Score, err = opts.Probe.evaluate(c.w, m, obj, opts)
+	case obj == PeriodObjective:
+		c.Score, _, err = orchestrate.ScorePeriod(opts.Memo, c.w, m, opts.Orch)
+	default:
+		c.Score, _, err = orchestrate.ScoreLatency(opts.Memo, c.w, m, opts.Orch)
+	}
+	return c, err
+}
+
+// materialise turns a scored candidate into a Solution: the schedule is
+// rebuilt from the score, validated and explained.
+func (c scored) materialise(opts Options) (Solution, error) {
 	if p := opts.Probe; p != nil {
-		return p.evaluate(w, m, obj, opts)
+		defer func(start time.Time) { p.orchNanos.Add(int64(time.Since(start))) }(time.Now())
 	}
-	if obj == PeriodObjective {
-		return orchestrate.PeriodMemo(opts.Memo, w, m, opts.Orch)
+	sched, err := c.Score.Materialise(c.w)
+	if err != nil {
+		return Solution{}, err
 	}
-	return orchestrate.LatencyMemo(opts.Memo, w, m, opts.Orch)
+	return Solution{Graph: c.eg, Sched: sched, Value: sched.Value}, nil
+}
+
+// solveGraph scores and materialises one fixed graph: the single-candidate
+// methods (greedy chain, chain winners, Reevaluate) keep whatever it gives.
+func solveGraph(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
+	c, err := evaluate(eg, m, obj, opts)
+	if err != nil {
+		return Solution{}, err
+	}
+	return c.materialise(opts)
 }
 
 // MinPeriod solves MINPERIOD for the application under model m.
@@ -44,12 +87,7 @@ func MinLatency(app *workflow.App, m plan.Model, opts Options) (Solution, error)
 // on an instance whose costs or selectivities drifted yields a certified
 // achievable objective to seed the branch-and-bound incumbent with.
 func Reevaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	opts = opts.withDefaults()
-	sched, err := evaluate(eg, m, obj, opts.orchWide())
-	if err != nil {
-		return Solution{}, err
-	}
-	return Solution{Graph: eg, Sched: sched, Value: sched.Value}, nil
+	return solveGraph(eg, m, obj, opts.withDefaults().orchWide())
 }
 
 func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
@@ -165,12 +203,8 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 	if err != nil {
 		return Solution{}, err
 	}
-	sched, err := evaluate(eg, m, obj, opts.orchWide())
-	if err != nil {
-		return Solution{}, err
-	}
 	// Optimal among chains (Prop. 8 / Prop. 16), not globally.
-	return Solution{Graph: eg, Sched: sched, Value: sched.Value}, nil
+	return solveGraph(eg, m, obj, opts.orchWide())
 }
 
 // exactChain enumerates all chains using the closed-form objective values
@@ -218,11 +252,7 @@ func exactChain(app *workflow.App, m plan.Model, obj Objective, opts Options) (S
 	if err != nil {
 		return Solution{}, err
 	}
-	sched, err := evaluate(eg, m, obj, opts.orchWide())
-	if err != nil {
-		return Solution{}, err
-	}
-	return Solution{Graph: eg, Sched: sched, Value: sched.Value}, nil
+	return solveGraph(eg, m, obj, opts.orchWide())
 }
 
 // exactForest enumerates all forests. For MINPERIOD without precedence
@@ -237,19 +267,8 @@ func exactForest(app *workflow.App, m plan.Model, obj Objective, opts Options) (
 		return Solution{}, fmt.Errorf("solve: %d services too large for exact forest enumeration (max %d)", n, maxN(opts, 6))
 	}
 	sol, firstErr := reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
-		eg, err := plan.FromGraph(app, forestGraph(parent))
-		if err != nil {
-			return
-		}
-		sched, err := evaluate(eg, m, obj, opts)
-		if err != nil {
-			if r.err == nil {
-				r.err = err
-			}
-			return
-		}
-		if r.sol.Graph == nil || sched.Value.Less(r.sol.Value) {
-			r.sol = Solution{Graph: eg, Sched: sched, Value: sched.Value}
+		if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {
+			r.try(eg, m, obj, opts)
 		}
 	}))
 	if err := ctxErr(opts.Ctx); err != nil {
@@ -268,6 +287,40 @@ func exactForest(app *workflow.App, m plan.Model, obj Objective, opts Options) (
 type shardResult struct {
 	sol Solution
 	err error
+}
+
+// fail records the shard's first error.
+func (r *shardResult) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// try scores one candidate graph and offers it to the shard.
+func (r *shardResult) try(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) bool {
+	c, err := evaluate(eg, m, obj, opts)
+	if err != nil {
+		r.fail(err)
+		return false
+	}
+	return r.offer(c, opts)
+}
+
+// offer keeps c when it strictly improves the shard's best, materialising
+// it first; it reports whether c was kept. A candidate that does not
+// improve is dropped unmaterialised, one whose materialisation fails is
+// skipped with its error recorded.
+func (r *shardResult) offer(c scored, opts Options) bool {
+	if r.sol.Graph != nil && !c.Value.Less(r.sol.Value) {
+		return false
+	}
+	sol, err := c.materialise(opts)
+	if err != nil {
+		r.fail(err)
+		return false
+	}
+	r.sol = sol
+	return true
 }
 
 // forestShards runs the sharded forest enumeration on the worker pool:
@@ -342,19 +395,9 @@ func exactDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 			if cc.stop() {
 				return false
 			}
-			eg, err := plan.FromGraph(app, g)
-			if err != nil {
-				return true // violates precedence constraints
-			}
-			sched, err := evaluate(eg, m, obj, opts)
-			if err != nil {
-				if r.err == nil {
-					r.err = err
-				}
-				return true
-			}
-			if r.sol.Graph == nil || sched.Value.Less(r.sol.Value) {
-				r.sol = Solution{Graph: eg, Sched: sched, Value: sched.Value}
+			// A graph FromGraph rejects violates the precedence constraints.
+			if eg, err := plan.FromGraph(app, g); err == nil {
+				r.try(eg, m, obj, opts)
 			}
 			return true
 		})
@@ -477,17 +520,18 @@ func hillClimbForest(app *workflow.App, m plan.Model, obj Objective, opts Option
 // moved forest's lower bound already rules out a strict improvement.
 func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, seed []int, budget int, rng *rand.Rand) shardResult {
 	n := app.N()
-	evalParent := func(parent []int) (Solution, error) {
+	var r shardResult
+	// tryParent spends one evaluation on the forest and reports whether it
+	// became the climb's best (r.sol is the climb's current point: only
+	// strict improvements are ever accepted).
+	tryParent := func(parent []int) bool {
 		budget--
 		eg, err := plan.FromGraph(app, forestGraph(parent))
 		if err != nil {
-			return Solution{}, err
+			r.fail(err)
+			return false
 		}
-		sched, err := evaluate(eg, m, obj, opts)
-		if err != nil {
-			return Solution{}, err
-		}
-		return Solution{Graph: eg, Sched: sched, Value: sched.Value}, nil
+		return r.try(eg, m, obj, opts)
 	}
 	// candidateParents returns the parents to try for node v: all of them
 	// on small instances, a random sample above.
@@ -513,14 +557,10 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 		return out
 	}
 
-	var r shardResult
 	cur := append([]int(nil), seed...)
-	curSol, err := evalParent(cur)
-	if err != nil {
-		r.err = err
+	if !tryParent(cur) {
 		return r
 	}
-	r.sol = curSol
 	eval := newForestEval(app, cur)
 	cc := cancelCheck{ctx: opts.Ctx}
 	for improved := true; improved && budget > 0 && !cc.stop(); {
@@ -536,7 +576,7 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 				}
 				eval.Move(v, p)
 				cur[v] = p
-				if !eval.Bound(m, obj).Less(curSol.Value) {
+				if !eval.Bound(m, obj).Less(r.sol.Value) {
 					// The incremental bound already reaches the current
 					// value, so orchestration cannot return a strict
 					// improvement: reject the move without spending budget.
@@ -544,14 +584,9 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 					cur[v] = old
 					continue
 				}
-				sol, err := evalParent(cur)
-				if err == nil && sol.Value.Less(curSol.Value) {
-					curSol = sol
+				if tryParent(cur) {
 					old = p
 					improved = true
-					if sol.Value.Less(r.sol.Value) {
-						r.sol = sol
-					}
 				} else {
 					eval.Move(v, old)
 					cur[v] = old
@@ -605,26 +640,18 @@ func hillClimbDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) 
 // rejected before orchestration, without charging the budget.
 func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, cur *dag.Graph, budget int) shardResult {
 	n := app.N()
-	evalBuilt := func(eg *plan.ExecGraph) (Solution, error) {
-		budget--
-		sched, err := evaluate(eg, m, obj, opts)
-		if err != nil {
-			return Solution{}, err
-		}
-		return Solution{Graph: eg, Sched: sched, Value: sched.Value}, nil
-	}
+	// r.sol is the climb's current point: only strict improvements are ever
+	// accepted, so the shard's best and the current graph coincide.
 	var r shardResult
 	start, err := plan.FromGraph(app, cur)
 	if err != nil {
 		r.err = err
 		return r
 	}
-	curSol, err := evalBuilt(start)
-	if err != nil {
-		r.err = err
+	budget--
+	if !r.try(start, m, obj, opts) {
 		return r
 	}
-	r.sol = curSol
 	cc := cancelCheck{ctx: opts.Ctx}
 	for improved := true; improved && budget > 0 && !cc.stop(); {
 		improved = false
@@ -650,17 +677,13 @@ func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 					undo() // move violates the precedence constraints
 					continue
 				}
-				if !graphBound(eg, m, obj).Less(curSol.Value) {
+				if !graphBound(eg, m, obj).Less(r.sol.Value) {
 					undo() // cannot be a strict improvement; skip orchestration
 					continue
 				}
-				sol, err := evalBuilt(eg)
-				if err == nil && sol.Value.Less(curSol.Value) {
-					curSol = sol
+				budget--
+				if r.try(eg, m, obj, opts) {
 					improved = true
-					if sol.Value.Less(r.sol.Value) {
-						r.sol = sol
-					}
 				} else {
 					undo()
 				}
@@ -690,20 +713,21 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	}
 	opts = opts.withDefaults()
 	n := app.N()
-	var best Solution
-	tryIntoWith := func(sol *Solution, eg *plan.ExecGraph, o Options) {
+	var best shardResult
+	// The period is only ever compared against the bound, so it is scored
+	// and never materialised; the latency schedule is materialised when it
+	// improves the shard's best.
+	tryIntoWith := func(r *shardResult, eg *plan.ExecGraph, o Options) {
 		w := eg.Weighted()
-		per, err := orchestrate.PeriodMemo(o.Memo, w, m, o.Orch)
+		per, _, err := orchestrate.ScorePeriod(o.Memo, w, m, o.Orch)
 		if err != nil || per.Value.Greater(periodBound) {
 			return
 		}
-		lat, err := orchestrate.LatencyMemo(o.Memo, w, m, o.Orch)
+		lat, _, err := orchestrate.ScoreLatency(o.Memo, w, m, o.Orch)
 		if err != nil {
 			return
 		}
-		if sol.Graph == nil || lat.Value.Less(sol.Value) {
-			*sol = Solution{Graph: eg, Sched: lat, Value: lat.Value}
-		}
+		r.offer(scored{eg: eg, w: w, Score: lat}, o)
 	}
 	// The structured-candidate scan below runs on the calling goroutine
 	// with the pool idle, so its orchestrations borrow the solve's worker
@@ -715,9 +739,9 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 		// Same sharding as the exact forest solver: each worker scans the
 		// completions of a two-node prefix for the best bound-respecting
 		// latency; the shard winners reduce in serial prefix order.
-		best, _ = reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
+		best.sol, _ = reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
 			if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {
-				tryIntoWith(&r.sol, eg, opts)
+				tryIntoWith(r, eg, opts)
 			}
 		}))
 	} else {
@@ -743,8 +767,8 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 			}
 		}
 	}
-	if best.Graph == nil {
+	if best.sol.Graph == nil {
 		return Solution{}, fmt.Errorf("solve: no plan meets period bound %s under %s", periodBound, m)
 	}
-	return best, nil
+	return best.sol, nil
 }

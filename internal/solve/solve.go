@@ -20,6 +20,19 @@
 //     subtree's volumes and orchestrates only when the resulting lower
 //     bound still allows an improvement (incremental.go).
 //
+// # Value-first search
+//
+// A search only compares objective values, so every method scores its
+// candidate graphs (orchestrate.ScorePeriod / ScoreLatency: the full
+// schedule search, but no operation list) and materialises — rebuilds the
+// list, runs the Appendix-A validator, labels the bottleneck — only a
+// candidate that strictly improves its shard's best. A candidate the
+// search keeps has been materialised and validated; a candidate it drops
+// never needed to be. A failed materialisation skips the candidate like a
+// failed scoring, so the returned Solution is the one an
+// orchestrate-everything search returns (minimize.go; pinned by
+// valuefirst_test.go).
+//
 // # Parallel search
 //
 // The exact enumerations and the hill-climbing restarts run on the shared
@@ -135,7 +148,7 @@ type Options struct {
 	// Memo, when non-nil, is the orchestration memo shared by every
 	// candidate evaluation of this solve: identical weighted candidate
 	// graphs reached from different shards, restarts or search phases
-	// (incumbent seeding included) orchestrate once and share the Result.
+	// (incumbent seeding included) are scored once and share the Score.
 	// When nil, minimize creates one per call for the methods whose
 	// searches revisit graphs by construction — HillClimb and BranchBound
 	// — and leaves the blind exact enumerations memo-less (they visit

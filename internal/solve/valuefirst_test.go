@@ -1,0 +1,237 @@
+package solve
+
+// The value-first differential suite. The plan searches score every
+// candidate graph and materialise only the ones they keep; the reference
+// kept here is the evaluation they replaced — materialise and validate
+// EVERY candidate, fail the candidate when that fails — plugged into the
+// same solvers through the evaluate seam. Over a seeded corpus the two must
+// return the identical Solution for every method, model, objective, worker
+// count and memo mode, and do the identical search (same counters at
+// Workers 1).
+
+import (
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/orchestrate"
+	"repro/internal/plan"
+	"repro/internal/rat"
+	"repro/internal/workflow"
+)
+
+// eagerEvaluate is the pre-value-first evaluation: the candidate is fully
+// orchestrated — scored, its list rebuilt, validated and explained — before
+// the search sees its value.
+func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (scored, error) {
+	c, err := scoreCandidate(eg, m, obj, opts)
+	if err != nil {
+		return c, err
+	}
+	if _, err := c.materialise(opts); err != nil {
+		return c, err
+	}
+	return c, nil
+}
+
+// withEvaluate runs fn with the package's evaluation replaced.
+func withEvaluate(eval func(*plan.ExecGraph, plan.Model, Objective, Options) (scored, error), fn func()) {
+	saved := evaluate
+	evaluate = eval
+	defer func() { evaluate = saved }()
+	fn()
+}
+
+// fingerprint flattens everything a caller can observe of a Solution.
+func fingerprint(t *testing.T, sol Solution) string {
+	t.Helper()
+	sched, err := json.Marshal(sol.Sched.List)
+	if err != nil {
+		t.Fatalf("marshal schedule: %v", err)
+	}
+	return fmt.Sprintf("value=%s exact=%v graph=%s sched=%s schedValue=%s bound=%s schedExact=%v bottleneck=%s",
+		sol.Value, sol.Exact, sol.Graph, sched, sol.Sched.Value, sol.Sched.LowerBound, sol.Sched.Exact,
+		strings.Join(sol.Sched.Bottleneck, ","))
+}
+
+// outcome is one solve as the suite compares it.
+type outcome struct {
+	print  string // fingerprint, or "error: ..." when the solve failed
+	search Stats
+	orch   orchestrate.Stats
+	evals  int64
+}
+
+// memoMode is how a solve of the suite gets its orchestration memo.
+type memoMode int
+
+const (
+	memoOff memoMode = iota
+	memoPerSolve
+	memoShared
+)
+
+func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, method Method, workers int, mode memoMode, shared *orchestrate.Memo) outcome {
+	t.Helper()
+	var out outcome
+	probe := &EvalProbe{}
+	opts := Options{Method: method, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Stats: &out.search, Probe: probe}
+	switch mode {
+	case memoOff:
+		opts.NoMemo = true
+	case memoShared:
+		opts.Memo = shared
+	}
+	sol, err := minimize(app, m, obj, opts)
+	out.orch, out.evals = probe.Orch(), probe.Evals()
+	if err != nil {
+		out.print = "error: " + err.Error()
+		return out
+	}
+	if verr := sol.Sched.List.Validate(m); verr != nil {
+		t.Fatalf("%s/%s/%s workers=%d: winner fails validation: %v", method, m, obj, workers, verr)
+	}
+	out.print = fingerprint(t, sol)
+	return out
+}
+
+// valueFirstMethods lists the methods the suite runs on an instance. Every
+// method runs under every model and objective at n = 3 (and most at 4);
+// above that the cells where one solve costs tens of milliseconds — blind
+// enumerations (their size guards admit far more), one-port period order
+// searches inside DAG climbs — are thinned so the nine solves per cell of
+// the whole corpus fit a unit-test budget.
+func valueFirstMethods(app *workflow.App, m plan.Model, obj Objective) []Method {
+	n, prec := app.N(), app.HasPrecedence()
+	onePortPeriod := obj == PeriodObjective && m != plan.Overlap
+	var methods []Method
+	if !prec || n <= 5 || !onePortPeriod {
+		methods = append(methods, HillClimb)
+	}
+	if !prec {
+		methods = append(methods, GreedyChain, ExactChain)
+		if n <= 3 || (n == 4 && !onePortPeriod) || (n == 5 && m == plan.Overlap && obj == PeriodObjective) {
+			methods = append(methods, ExactForest)
+		}
+	}
+	if n <= 3 || (n == 4 && prec && m == plan.Overlap) {
+		methods = append(methods, ExactDAG)
+	}
+	switch ResolveFamily(app, obj, FamilyAuto) {
+	case FamilyForest:
+		if n <= 5 || (n == 6 && !onePortPeriod) {
+			methods = append(methods, BranchBound)
+		}
+	case FamilyDAG:
+		if n <= 4 || (n == 5 && m == plan.Overlap) {
+			methods = append(methods, BranchBound)
+		}
+	}
+	return methods
+}
+
+// valueFirstSizes is the instance-size cycle of the corpus: mostly small,
+// where every method runs, with n = 6 and 7 for the climbs and the chains.
+var valueFirstSizes = [...]int{3, 4, 3, 4, 5, 3, 4, 5, 6, 7}
+
+func TestValueFirstMatchesEagerReference(t *testing.T) {
+	instances := 200
+	if testing.Short() || raceEnabled {
+		instances = 30 // sizes 3..7 and both precedence kinds once over
+	}
+	solves := 0
+	for i := 0; i < instances; i++ {
+		rng := gen.NewRand(int64(9000 + i))
+		n := valueFirstSizes[(i/2)%len(valueFirstSizes)] // free and precedence-constrained alternating
+		var app *workflow.App
+		if i%2 == 0 {
+			app = gen.App(rng, n, gen.Mixed)
+		} else {
+			app = gen.AppWithPrecedence(rng, n, gen.Mixed, 0.3)
+		}
+		// One "service-wide" memo per side, fed the same sequence of solves.
+		sharedRef, shared1, shared4 := orchestrate.NewMemo(0), orchestrate.NewMemo(0), orchestrate.NewMemo(0)
+		for _, m := range plan.Models {
+			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+				for _, method := range valueFirstMethods(app, m, obj) {
+					for _, mode := range []memoMode{memoOff, memoPerSolve, memoShared} {
+						name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s memo=%d", i, n, i%2 == 1, method, m, obj, mode)
+						var ref outcome
+						withEvaluate(eagerEvaluate, func() {
+							ref = runValueFirstCase(t, app, m, obj, method, 1, mode, sharedRef)
+						})
+						got1 := runValueFirstCase(t, app, m, obj, method, 1, mode, shared1)
+						got4 := runValueFirstCase(t, app, m, obj, method, 4, mode, shared4)
+						solves += 3
+						if got1.print != ref.print {
+							t.Fatalf("%s: value-first diverged from the eager reference:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got1.print)
+						}
+						if got4.print != ref.print {
+							t.Fatalf("%s: value-first at 4 workers diverged:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got4.print)
+						}
+						if got1.search != ref.search || got1.evals != ref.evals ||
+							got1.orch.Prefixes != ref.orch.Prefixes || got1.orch.Pruned != ref.orch.Pruned || got1.orch.Evaluated != ref.orch.Evaluated {
+							t.Fatalf("%s: search effort moved: eager %+v evals=%d orch=%+v, value-first %+v evals=%d orch=%+v",
+								name, ref.search, ref.evals, ref.orch, got1.search, got1.evals, got1.orch)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d instances, %d solves", instances, solves)
+}
+
+// TestInvalidMaterialisationIsSkipped pins the other half of the
+// invariant: a candidate whose materialisation fails is skipped, never
+// returned, and the search goes on to the best candidate that does
+// materialise.
+func TestInvalidMaterialisationIsSkipped(t *testing.T) {
+	app := gen.App(gen.NewRand(31), 4, gen.Mixed)
+	opts := Options{Method: ExactForest, Orch: smallOrch(), Workers: 1, NoMemo: true}
+	honest := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
+
+	// Unit level: an offered candidate that claims more than its schedule
+	// reaches is refused and leaves the shard untouched.
+	c, err := scoreCandidate(honest.Graph, plan.InOrder, PeriodObjective, opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r shardResult
+	lying := c
+	lying.Value = c.Value.Mul(rat.New(1, 2))
+	if r.offer(lying, opts) || r.sol.Graph != nil || r.err == nil {
+		t.Fatalf("lying candidate kept: sol=%v err=%v", r.sol.Graph, r.err)
+	}
+	if !r.offer(c, opts) || !r.sol.Value.Equal(honest.Value) {
+		t.Fatalf("honest candidate refused after a lying one")
+	}
+
+	// Solver level: make the optimal graph's score lie. The enumeration
+	// must skip it and return the best of the remaining forests, which is
+	// what an enumeration that never sees the optimal graph returns.
+	var without Solution
+	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options) (scored, error) {
+		if eg.String() == honest.Graph.String() {
+			return scored{}, fmt.Errorf("excluded")
+		}
+		return scoreCandidate(eg, m, obj, o)
+	}, func() { without = solveOnce(t, app, plan.InOrder, PeriodObjective, opts) })
+	var skipped Solution
+	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options) (scored, error) {
+		c, err := scoreCandidate(eg, m, obj, o)
+		if err == nil && eg.String() == honest.Graph.String() {
+			c.Value = c.Value.Mul(rat.New(1, 2))
+		}
+		return c, err
+	}, func() { skipped = solveOnce(t, app, plan.InOrder, PeriodObjective, opts) })
+	if skipped.Graph.String() == honest.Graph.String() {
+		t.Fatal("the candidate with the invalid materialisation was returned")
+	}
+	if describeSolution(skipped) != describeSolution(without) {
+		t.Fatalf("skipping an invalid materialisation changed the rest of the search:\n--- graph excluded ---\n%s\n--- materialisation invalid ---\n%s",
+			describeSolution(without), describeSolution(skipped))
+	}
+}
