@@ -33,9 +33,9 @@ test-short:
 # persistent store, the cluster router with its circuit breakers (and
 # the replication chaos suite: each replica killed in turn under seeded
 # faults), the gossip agent, the deterministic fault injector, the
-# metrics registry, the data-plane executor (pipelined stage network +
-# closed re-plan loop against an in-process filterd) and its stream
-# substrate, plus one race pass of the concurrent experiment harness
+# metrics registry, the data-plane executor (word kernel against its
+# per-tuple oracles, pipelined stage network + closed re-plan loop against
+# an in-process filterd) and its stream substrate, plus one race pass of the concurrent experiment harness
 # (the rest of internal/experiments runs race+short — its full sweep is
 # covered unraced by `test`).
 test-race:
@@ -48,13 +48,17 @@ test-race:
 # the zero-alloc value path and ratio-only MCR, and the value-first
 # candidate path — scoring a candidate graph builds no operation list),
 # validating a valid operation list (no labels formatted off the error
-# path) and the service cache-hit path (tracing spans must add zero
-# allocations when disabled). Must run unraced — the guards self-skip under
-# -race because instrumentation inflates the counts.
+# path), the service cache-hit path (tracing spans must add zero
+# allocations when disabled) and the executor's round (kernel, estimator
+# folds and a quiet controller pass allocate nothing on a warm program).
+# Must run unraced — the guards self-skip under -race because
+# instrumentation inflates the counts.
 test-alloc:
-	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/
+	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/ ./internal/exec/
 
-# One pass over every benchmark, including the parallel-vs-serial pairs.
+# One pass over every benchmark, including the parallel-vs-serial pairs
+# and the executor's round (BenchmarkExecRound: ns/tuple and
+# evaluations/tuple, serial and pipelined).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

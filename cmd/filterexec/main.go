@@ -107,7 +107,6 @@ func main() {
 		Threshold:  threshold,
 		Truth:      truth,
 		Workers:    *workers,
-		Buffer:     exec.DefaultBuffer,
 		Metrics:    reg,
 		RequestID:  obs.NewID(),
 	})

@@ -68,7 +68,7 @@ func (c *Client) logger() *slog.Logger {
 	if c.Logger != nil {
 		return c.Logger
 	}
-	return slog.New(discardHandler{})
+	return slog.New(slog.DiscardHandler)
 }
 
 // planWireResponse mirrors the service's plan response document.
@@ -416,7 +416,7 @@ func (c *Client) assemble(wire planWireResponse, src *workflow.App) (Plan, error
 		Graph:    eg,
 		Value:    wire.Value,
 		Period:   wire.Period,
-		Schedule: sched.Bytes(),
+		Schedule: json.RawMessage(sched.Bytes()),
 	}, nil
 }
 

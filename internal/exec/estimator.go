@@ -11,46 +11,49 @@ package exec
 // exact and the drift PATCH wants rationals. Cost keeps two views: the
 // exact mean of the virtual per-tuple costs charged by the harness
 // (deterministic, what the controller uses) and a float64 EWMA of the
-// same samples (the observational smoother a real deployment would run;
-// deterministic here because samples arrive in a fixed order). Both are
-// windowed by sample count with a confidence gate: an estimator votes for
-// drift only after MinSamples tuples, preventing the controller from
-// PATCHing the control plane off early-stream noise.
+// same samples (the observational smoother a real deployment would run).
+// Both are windowed by sample count with a confidence gate: an estimator
+// votes for drift only after MinSamples tuples, preventing the controller
+// from PATCHing the control plane off early-stream noise.
 
 import (
 	"repro/internal/rat"
 )
 
-// ewmaAlpha is the smoothing factor of the observational cost EWMA:
-// 2/(N+1) for an N=31 sample horizon.
-const ewmaAlpha = 1.0 / 16
-
-// estimator accumulates the per-service stream measurements.
+// estimator accumulates the per-service stream measurements. It outlives
+// the plans: a hot swap recompiles the stages, the estimators carry on.
 type estimator struct {
 	name string
+
+	// cost is the virtual cost charged per evaluated tuple — the service's
+	// true cost, fixed for the run — and costF its nearest float64.
+	cost  rat.Rat
+	costF float64
 
 	in  uint64 // tuples evaluated (all predecessors passed)
 	out uint64 // tuples passed
 
 	costSum rat.Rat // Σ virtual per-tuple cost (exact)
 	ewma    float64 // observational cost smoother
-	primed  bool    // ewma seeded with the first sample
 }
 
-// observe records one tuple evaluation: whether it passed and the virtual
-// cost charged for it.
-func (e *estimator) observe(passed bool, cost rat.Rat) {
-	e.in++
-	if passed {
-		e.out++
+func newEstimator(name string, cost rat.Rat) *estimator {
+	return &estimator{name: name, cost: cost, costF: cost.Float64()}
+}
+
+// fold records one round's evaluations: in tuples evaluated, out of them
+// passed, each charged the service's cost. The EWMA needs no per-sample
+// loop: the first sample seeds it with the cost, and every later sample of
+// the same cost moves it by α·(cost − ewma) = α·0, so any number of
+// samples leaves it exactly on the cost.
+func (e *estimator) fold(in, out uint64) {
+	if in == 0 {
+		return
 	}
-	e.costSum = e.costSum.Add(cost)
-	f, _ := cost.Big().Float64()
-	if !e.primed {
-		e.ewma, e.primed = f, true
-	} else {
-		e.ewma += ewmaAlpha * (f - e.ewma)
-	}
+	e.in += in
+	e.out += out
+	e.costSum = e.costSum.Add(e.cost.MulInt(int64(in)))
+	e.ewma = e.costF
 }
 
 // selectivity returns the empirical selectivity out/in, exact. ok is

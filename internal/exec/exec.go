@@ -7,8 +7,8 @@
 // "given declared costs and selectivities, what is the best mapping and
 // schedule". This package closes the loop the paper leaves open: it
 // pushes a synthetic tuple stream through the planned execution graph —
-// one pipeline stage per service, wired by bounded channels along the
-// graph's edges — estimates each service's empirical selectivity and
+// compiled into a flat stage program and run 64 tuples at a time
+// (program.go) — estimates each service's empirical selectivity and
 // per-tuple cost online, and when an estimate departs its declared value
 // beyond a confidence-gated threshold, PATCHes the instance
 // (service.Drift / PATCH /v1/instance/{hash}) and hot-swaps to the
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -49,9 +48,6 @@ const (
 	// DefaultMinSamples is the confidence gate: a service's estimates
 	// cannot trigger a drift PATCH before this many evaluated tuples.
 	DefaultMinSamples = 64
-	// DefaultBuffer is the per-edge channel capacity of the pipelined
-	// stage network.
-	DefaultBuffer = 32
 )
 
 // DefaultThreshold returns the default relative drift threshold 1/8: an
@@ -103,13 +99,10 @@ type Config struct {
 	Truth map[string]Truth
 	// Predicate, when non-nil, replaces the synthetic verdicts.
 	Predicate Predicate
-	// Workers selects the execution mode: ≤ 1 runs tuples serially
-	// through the graph on one goroutine; > 1 runs the pipelined stage
-	// network (one goroutine per service). Both produce identical
-	// counts and decisions.
+	// Workers selects the execution mode: ≤ 1 runs the stage program on
+	// one goroutine; > 1 runs the pipelined stage network (one goroutine
+	// per service). Both produce identical counts and decisions.
 	Workers int
-	// Buffer is the stage-edge channel capacity (DefaultBuffer if 0).
-	Buffer int
 
 	// Metrics, when non-nil, receives the filterexec_* instruments.
 	Metrics *metrics.Registry
@@ -186,16 +179,20 @@ type Report struct {
 
 // Executor runs one instance's tuple stream against the control plane.
 type Executor struct {
-	cfg  Config
-	m    *execMetrics
-	plan Plan // current plan (guarded by the run loop, single goroutine)
+	cfg Config
+	m   *execMetrics
 
-	estimators map[string]*estimator
+	// plan is the current plan and prog its compiled form, both replaced
+	// by adopt (run loop only, single goroutine).
+	plan Plan
+	prog *program
 
-	// truthThreshold and truthCost are the fixed physical behavior per
-	// service name, resolved against the initial declared instance.
+	// estimators and truthThreshold are per service name and fixed for
+	// the run: the measurements so far, and the physical pass threshold
+	// resolved against the initial declared instance (the true cost lives
+	// in the estimator it is charged to).
+	estimators     map[string]*estimator
 	truthThreshold map[string]uint64
-	truthCost      map[string]rat.Rat
 }
 
 // New validates cfg and returns an Executor. The initial plan is not
@@ -222,9 +219,6 @@ func New(cfg Config) (*Executor, error) {
 	if cfg.Threshold.Sign() < 0 {
 		return nil, fmt.Errorf("exec: Threshold %s is negative", cfg.Threshold)
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = DefaultBuffer
-	}
 	if cfg.RequestID == "" {
 		cfg.RequestID = obs.NewID()
 	}
@@ -245,14 +239,12 @@ func New(cfg Config) (*Executor, error) {
 		cfg:            cfg,
 		estimators:     make(map[string]*estimator, cfg.App.N()),
 		truthThreshold: make(map[string]uint64, cfg.App.N()),
-		truthCost:      make(map[string]rat.Rat, cfg.App.N()),
 	}
 	if cfg.Metrics != nil {
 		e.m = newExecMetrics(cfg.Metrics)
 	}
 	for v := 0; v < cfg.App.N(); v++ {
 		name := cfg.App.Name(v)
-		e.estimators[name] = &estimator{name: name}
 		sel := cfg.App.Selectivity(v)
 		cost := cfg.App.Cost(v)
 		if t, ok := cfg.Truth[name]; ok {
@@ -264,7 +256,7 @@ func New(cfg Config) (*Executor, error) {
 			}
 		}
 		e.truthThreshold[name] = sim.Threshold(sel)
-		e.truthCost[name] = cost
+		e.estimators[name] = newEstimator(name, cost)
 	}
 	return e, nil
 }
@@ -274,17 +266,8 @@ func (e *Executor) logger() *slog.Logger {
 	if e.cfg.Logger != nil {
 		return e.cfg.Logger
 	}
-	return slog.New(discardHandler{})
+	return slog.New(slog.DiscardHandler)
 }
-
-// discardHandler drops every record (log/slog has no built-in discard
-// handler before go1.24's slog.DiscardHandler).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // Run plans the instance, executes nTuples through the planned graph in
 // Window-sized rounds, and returns the final report. Between rounds it
@@ -302,7 +285,10 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 		span.End(500)
 		return nil, fmt.Errorf("exec: initial plan: %w", err)
 	}
-	e.plan = p
+	e.adopt(p)
+	// The stage network, if any, belongs to the run: whichever way Run
+	// returns, no stage goroutine of the then-current program outlives it.
+	defer func() { e.prog.stop() }()
 	span.SetHash(p.Hash, "")
 	logger.Info("exec.plan", "hash", p.Hash, "value", p.Value.String(), "period", p.Period.String())
 
@@ -346,7 +332,7 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 		if rest := nTuples - done; rest < n {
 			n = rest
 		}
-		emitted := e.runRound(done, n)
+		emitted := e.prog.run(round{first: done, n: n})
 		report.Tuples += n
 		report.Emitted += emitted
 		report.Rounds++
@@ -355,7 +341,7 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 			e.m.tuples.Add(int64(n))
 			e.m.emitted.Add(int64(emitted))
 			e.m.rounds.Inc()
-			e.m.observeOccupancy(e.estimators, report.Tuples)
+			observeOccupancy(e.prog.stages, report.Tuples)
 		}
 
 		// Round boundary: adopt external re-plans, then run the drift
@@ -387,7 +373,11 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 	report.Hash = e.plan.Hash
 	report.Value = e.plan.Value
 	report.Period = e.plan.Period
-	report.Schedule = e.plan.Schedule
+	if report.Schedule, err = json.Marshal(e.plan.Schedule); err != nil {
+		span.SetError(err.Error())
+		span.End(500)
+		return nil, fmt.Errorf("exec: encoding schedule: %w", err)
+	}
 	report.App = e.plan.App
 	report.Services = e.serviceStats()
 	report.Elapsed = time.Since(start)
@@ -415,165 +405,13 @@ func (e *Executor) span(route, id string) *obs.Span {
 	return e.cfg.Tracer.Start(route, id)
 }
 
-// runRound pushes tuples [first, first+n) through the current plan's
-// execution graph and returns how many were emitted (alive at every exit
-// service). Estimators are updated in tuple order per service.
-func (e *Executor) runRound(first, n uint64) (emitted uint64) {
-	if n == 0 {
-		return 0
+// adopt makes p the current plan: the previous plan's stage network is
+// stopped and p compiled in its place.
+func (e *Executor) adopt(p Plan) {
+	if e.prog != nil {
+		e.prog.stop()
 	}
-	if e.cfg.Workers <= 1 {
-		return e.runSerial(first, n)
-	}
-	return e.runPipelined(first, n)
-}
-
-// verdict evaluates one service on one tuple against physical truth.
-func (e *Executor) verdict(name string, tuple uint64) bool {
-	if e.cfg.Predicate != nil {
-		return e.cfg.Predicate(name, tuple)
-	}
-	return sim.Verdict(e.cfg.Seed, name, tuple, e.truthThreshold[name])
-}
-
-// runSerial is the one-goroutine execution path: each tuple walks the
-// execution graph in topological order, exactly like sim.ReferenceStream
-// but observing the estimators.
-func (e *Executor) runSerial(first, n uint64) (emitted uint64) {
-	app := e.plan.App
-	eg := e.plan.Graph
-	g := eg.Graph()
-	topo := eg.Topo()
-	nv := app.N()
-	pass := make([]bool, nv)
-	for t := first; t < first+n; t++ {
-		for _, v := range topo {
-			alive := true
-			for _, p := range g.Pred(v) {
-				if !pass[p] {
-					alive = false
-					break
-				}
-			}
-			if alive {
-				name := app.Name(v)
-				passed := e.verdict(name, t)
-				e.estimatorFor(name).observe(passed, e.truthCost[name])
-				alive = passed
-			}
-			pass[v] = alive
-		}
-		ok := true
-		for v := 0; v < nv; v++ {
-			if g.OutDegree(v) == 0 && !pass[v] {
-				ok = false
-				break
-			}
-		}
-		if nv > 0 && ok {
-			emitted++
-		}
-	}
-	return emitted
-}
-
-// runPipelined is the stage-network execution path: one goroutine per
-// service, wired by bounded channels along the execution graph's edges.
-// A tuple's identity is implicit in channel position — every stage
-// consumes exactly one alive-bit per input edge and produces one per
-// output edge per tuple, so the network is a uniform-rate Kahn process
-// network over a DAG: deadlock-free for any buffer ≥ 1, and every
-// estimator is touched by exactly one goroutine, in tuple order. The
-// counts are therefore bit-identical to runSerial's.
-func (e *Executor) runPipelined(first, n uint64) (emitted uint64) {
-	app := e.plan.App
-	eg := e.plan.Graph
-	g := eg.Graph()
-	nv := app.N()
-	if nv == 0 {
-		return 0
-	}
-
-	// One channel per graph edge, plus one per exit service into the
-	// emit collector. Edge channels are addressed [to][i] matching
-	// Pred(to) order and [from][j] matching Succ(from) order.
-	ins := make([][]chan bool, nv)
-	outs := make([][]chan bool, nv)
-	chans := make(map[[2]int]chan bool, g.EdgeCount())
-	for v := 0; v < nv; v++ {
-		for _, u := range g.Pred(v) {
-			ch := make(chan bool, e.cfg.Buffer)
-			chans[[2]int{u, v}] = ch
-			ins[v] = append(ins[v], ch)
-		}
-	}
-	var sinkChans []chan bool
-	for v := 0; v < nv; v++ {
-		for _, w := range g.Succ(v) {
-			outs[v] = append(outs[v], chans[[2]int{v, w}])
-		}
-		if g.OutDegree(v) == 0 {
-			ch := make(chan bool, e.cfg.Buffer)
-			outs[v] = append(outs[v], ch)
-			sinkChans = append(sinkChans, ch)
-		}
-	}
-
-	// Resolve the per-stage estimators on this goroutine: the stage
-	// goroutines then each own exactly one estimator for the round, so
-	// no estimator (and no map) is ever touched concurrently.
-	sts := make([]*estimator, nv)
-	for v := 0; v < nv; v++ {
-		sts[v] = e.estimatorFor(app.Name(v))
-	}
-
-	var wg sync.WaitGroup
-	for v := 0; v < nv; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			name := app.Name(v)
-			in, out := ins[v], outs[v]
-			st := sts[v]
-			cost := e.truthCost[name]
-			for i := uint64(0); i < n; i++ {
-				alive := true
-				for _, ch := range in {
-					if a := <-ch; !a {
-						alive = false
-					}
-				}
-				if alive {
-					passed := e.verdict(name, first+i)
-					st.observe(passed, cost)
-					alive = passed
-				}
-				for _, ch := range out {
-					ch <- alive
-				}
-			}
-		}(v)
-	}
-
-	collectDone := make(chan uint64, 1)
-	go func() {
-		var em uint64
-		for i := uint64(0); i < n; i++ {
-			ok := true
-			for _, ch := range sinkChans {
-				if a := <-ch; !a {
-					ok = false
-				}
-			}
-			if ok {
-				em++
-			}
-		}
-		collectDone <- em
-	}()
-
-	wg.Wait()
-	return <-collectDone
+	e.plan, e.prog = p, e.compile(p)
 }
 
 // estimatorFor returns the estimator of a service name, creating it for
@@ -582,7 +420,7 @@ func (e *Executor) runPipelined(first, n uint64) (emitted uint64) {
 func (e *Executor) estimatorFor(name string) *estimator {
 	st := e.estimators[name]
 	if st == nil {
-		st = &estimator{name: name}
+		st = newEstimator(name, rat.Zero)
 		e.estimators[name] = st
 	}
 	return st
@@ -631,7 +469,7 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 				NewValue: ev.NewValue,
 			})
 			logger.Info("exec.swap", "source", "subscribe", "old_hash", e.plan.Hash, "new_hash", p.Hash)
-			e.plan = p
+			e.adopt(p)
 			report.ReplanEvents++
 			report.Swaps++
 			if e.m != nil {
@@ -651,39 +489,34 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 // the re-planned schedule. Declaring the empirical values is the
 // hysteresis: after the swap the estimates sit exactly on the declared
 // values, so the controller stays quiet until the stream moves again.
-// Services are examined in name order — part of the determinism contract.
+// Services are examined in name order — part of the determinism contract
+// — which the stage program keeps, so a quiet round allocates nothing.
 func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64, logger *slog.Logger) (bool, error) {
 	app := e.plan.App
 	var updates []Update
-	names := make([]string, 0, app.N())
-	for v := 0; v < app.N(); v++ {
-		names = append(names, app.Name(v))
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		est := e.estimators[name]
-		if est == nil || !est.confident(e.cfg.MinSamples) {
-			continue
-		}
-		v := app.IndexOf(name)
-		if v < 0 {
+	for _, k := range e.prog.byName {
+		st := &e.prog.stages[k]
+		est := st.est
+		if !est.confident(e.cfg.MinSamples) {
 			continue
 		}
 		var up Update
-		declSel := app.Selectivity(v)
+		declSel := app.Selectivity(st.v)
 		if declSel.Less(rat.One) {
 			// An expanding (σ ≥ 1) service never drops tuples, so the
 			// pass-fraction estimator carries no drift signal for it.
 			if emp, ok := est.selectivity(); ok && drifted(emp, declSel, e.cfg.Threshold) {
-				up.Selectivity = &emp
+				drift := emp // only a drifted estimate moves to the heap
+				up.Selectivity = &drift
 			}
 		}
-		declCost := app.Cost(v)
+		declCost := app.Cost(st.v)
 		if mean, ok := est.meanCost(); ok && drifted(mean, declCost, e.cfg.Threshold) {
-			up.Cost = &mean
+			drift := mean
+			up.Cost = &drift
 		}
 		if up.Selectivity != nil || up.Cost != nil {
-			up.Service = name
+			up.Service = st.name
 			updates = append(updates, up)
 		}
 	}
@@ -731,7 +564,7 @@ func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64,
 		"old_hash", ep.OldHash, "new_hash", ep.NewHash,
 		"updates", len(updates),
 		"old_value", ep.OldValue.String(), "new_value", ep.NewValue.String())
-	e.plan = p
+	e.adopt(p)
 	report.Patches++
 	report.Swaps++
 	if e.m != nil {

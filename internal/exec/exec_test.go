@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/service"
@@ -165,7 +166,7 @@ func TestPredicateOverridesSyntheticVerdicts(t *testing.T) {
 	}
 	ex, err := New(Config{
 		App: app, Planner: localPlanner(t),
-		Threshold: neverDrift(),
+		Threshold: neverDrift(), Metrics: metrics.New(),
 		Predicate: func(name string, tuple uint64) bool { return tuple%4 == 0 },
 	})
 	if err != nil {
@@ -183,6 +184,11 @@ func TestPredicateOverridesSyntheticVerdicts(t *testing.T) {
 	}
 	if !s.EmpSelectivity.Equal(rat.New(1, 4)) {
 		t.Fatalf("empirical selectivity %s, want 1/4", s.EmpSelectivity)
+	}
+	// The only service sees the whole stream: its occupancy gauge, resolved
+	// when the plan was compiled, reads 1.
+	if got := ex.m.occupancy.With("only").Value(); got != 1 {
+		t.Fatalf("occupancy gauge %v, want 1", got)
 	}
 }
 

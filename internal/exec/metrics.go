@@ -50,12 +50,14 @@ func newExecMetrics(r *metrics.Registry) *execMetrics {
 }
 
 // observeOccupancy publishes each service's stream occupancy: the
-// fraction of completed tuples that reached (were evaluated by) it.
-func (m *execMetrics) observeOccupancy(ests map[string]*estimator, completed uint64) {
+// fraction of completed tuples that reached (were evaluated by) it. The
+// gauges were resolved when the program was compiled.
+func observeOccupancy(stages []stage, completed uint64) {
 	if completed == 0 {
 		return
 	}
-	for name, est := range ests {
-		m.occupancy.With(name).Set(float64(est.in) / float64(completed))
+	for k := range stages {
+		st := &stages[k]
+		st.occupancy.Set(float64(st.est.in) / float64(completed))
 	}
 }

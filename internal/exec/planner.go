@@ -11,7 +11,6 @@ package exec
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -21,14 +20,17 @@ import (
 
 // Plan is the executor-facing slice of a planning response: the canonical
 // instance the plan was computed from (declared costs and selectivities),
-// the execution graph over its indices, and the schedule.
+// the execution graph over its indices, and the schedule. The schedule is
+// carried in whatever form the planner has it — the operation list
+// in-process, the wire bytes over HTTP — and encoded only where it is
+// read: json.Marshal(Schedule) is its compact JSON document.
 type Plan struct {
 	Hash     string
 	App      *workflow.App
 	Graph    *plan.ExecGraph
 	Value    rat.Rat
 	Period   rat.Rat
-	Schedule json.RawMessage
+	Schedule json.Marshaler
 }
 
 // Update is one measured drift: empirical values for a named service.
@@ -87,7 +89,7 @@ func (l *Local) Plan(ctx context.Context, app *workflow.App, requestID string) (
 	if err != nil {
 		return Plan{}, err
 	}
-	return planFromResponse(resp)
+	return planFromResponse(resp), nil
 }
 
 // Drift implements Planner.
@@ -100,7 +102,7 @@ func (l *Local) Drift(ctx context.Context, hash string, app *workflow.App, updat
 	if err != nil {
 		return Plan{}, err
 	}
-	return planFromResponse(report.Response)
+	return planFromResponse(report.Response), nil
 }
 
 // Subscribe implements Planner.
@@ -134,17 +136,14 @@ func (l *Local) Subscribe(ctx context.Context, hash string) (<-chan Replan, erro
 }
 
 // planFromResponse converts a service response into the executor's Plan.
-func planFromResponse(resp service.Response) (Plan, error) {
-	sched, err := json.Marshal(resp.Solution.Sched.List)
-	if err != nil {
-		return Plan{}, fmt.Errorf("exec: encoding schedule: %w", err)
-	}
+func planFromResponse(resp service.Response) Plan {
+	list := resp.Solution.Sched.List
 	return Plan{
 		Hash:     resp.Hash,
 		App:      resp.Instance.App(),
 		Graph:    resp.Solution.Graph,
 		Value:    resp.Solution.Value,
-		Period:   resp.Solution.Sched.List.Period(),
-		Schedule: sched,
-	}, nil
+		Period:   list.Period(),
+		Schedule: list,
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,9 +157,13 @@ func TestRoundTripControllerDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.Hash != report.Hash || !bytes.Equal(direct.Schedule, report.Schedule) {
+	directSched, err := json.Marshal(direct.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Hash != report.Hash || !bytes.Equal(directSched, report.Schedule) {
 		t.Fatalf("swapped schedule diverges from direct plan of the drifted instance:\n%s\nvs\n%s",
-			report.Schedule, direct.Schedule)
+			report.Schedule, directSched)
 	}
 
 	// Exactly one replan event crossed the SSE surface.

@@ -60,23 +60,34 @@ func Bernoulli(seed uint64, name string, tuple uint64, sel rat.Rat) bool {
 }
 
 // TupleHash is the pinned 64-bit hash behind Verdict: an FNV-1a pass over
-// the service name folded with the seed, then a splitmix64 finalizer over
-// the tuple ID. The function is part of the determinism contract — golden
-// values are pinned by tests, so any change is a deliberate,
-// verdict-breaking one.
+// the service name folded with the seed (NameHash), then a splitmix64
+// finalizer over the tuple ID (Finalise). The function is part of the
+// determinism contract — golden values are pinned by tests, so any change
+// is a deliberate, verdict-breaking one.
 func TupleHash(seed uint64, name string, tuple uint64) uint64 {
+	return Finalise(NameHash(seed, name), tuple)
+}
+
+// NameHash is the per-(seed, service) half of TupleHash: everything that
+// does not depend on the tuple. A tuple loop computes it once per service.
+func NameHash(seed uint64, name string) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
-		golden    = 0x9E3779B97F4A7C15
 	)
 	h := uint64(fnvOffset) ^ seed
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= fnvPrime
 	}
-	// splitmix64 finalizer over the name hash advanced by the tuple index.
-	z := h + (tuple+1)*golden
+	return h
+}
+
+// Finalise is the per-tuple half of TupleHash: the splitmix64 finalizer
+// over the name hash advanced by the tuple index.
+func Finalise(nameHash, tuple uint64) uint64 {
+	const golden = 0x9E3779B97F4A7C15
+	z := nameHash + (tuple+1)*golden
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

@@ -31,6 +31,11 @@ func TestTupleHashGoldens(t *testing.T) {
 		if got := TupleHash(g.seed, g.name, g.tuple); got != g.want {
 			t.Errorf("TupleHash(%d, %q, %d) = %d, want %d", g.seed, g.name, g.tuple, got, g.want)
 		}
+		// The split the executor's compiled tuple loop relies on: the
+		// name half computed once, the tuple half per verdict.
+		if got := Finalise(NameHash(g.seed, g.name), g.tuple); got != g.want {
+			t.Errorf("Finalise(NameHash(%d, %q), %d) = %d, want %d", g.seed, g.name, g.tuple, got, g.want)
+		}
 	}
 	// The three inputs are all live: perturbing any one moves the hash.
 	base := TupleHash(1, "C1", 7)
@@ -84,7 +89,7 @@ func TestBernoulliConvergesToSelectivity(t *testing.T) {
 			}
 		}
 		got := float64(passed) / n
-		want, _ := sel.Big().Float64()
+		want := sel.Float64()
 		if diff := got - want; diff > 0.01 || diff < -0.01 {
 			t.Errorf("selectivity %s: empirical pass rate %.4f", sel, got)
 		}
