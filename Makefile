@@ -49,7 +49,8 @@ test-race:
 # candidate path — scoring a candidate graph builds no operation list),
 # validating a valid operation list (no labels formatted off the error
 # path), the service cache-hit path (tracing spans must add zero
-# allocations when disabled) and the executor's round (kernel, estimator
+# allocations when disabled; a whole HTTP hit through Handler.ServeHTTP
+# stays inside its pinned budget) and the executor's round (kernel, estimator
 # folds and a quiet controller pass allocate nothing on a warm program).
 # Must run unraced — the guards self-skip under -race because
 # instrumentation inflates the counts.
@@ -120,9 +121,13 @@ smoke-exec:
 smoke-orch:
 	$(GO) test -run '^$$' -bench 'Orchestrate' -benchtime 1x .
 
-# Short coverage-guided fuzz smoke of the operation-list JSON codec (the
-# corpus seeds also run as regular unit tests under `test`).
+# Short coverage-guided fuzz smokes (the corpus seeds also run as regular
+# unit tests under `test`): the operation-list JSON codec, the plan-request
+# decoder against its two-step oracle, and rat.Parse's int64 fast path
+# against the math/big path.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime 30s ./internal/oplist/
+	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime 15s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/rat/
 
 check: vet build test-short test-race test-alloc bench-smoke

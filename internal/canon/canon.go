@@ -30,8 +30,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 
-	"repro/internal/rat"
 	"repro/internal/workflow"
 )
 
@@ -110,24 +110,36 @@ func Canonicalize(app *workflow.App) (*Instance, error) {
 }
 
 // contentHash serializes the canonical form unambiguously and hashes it.
-// Every field is delimited (names are %q-quoted, numbers end in "\n"), so
-// no two distinct canonical forms serialize identically.
+// Every field is delimited (names are quoted as %q would, numbers end in
+// "\n", rationals are num/den in lowest terms — the form rat.Rat.Append
+// emits), so no two distinct canonical forms serialize identically. Built
+// with append/strconv in one buffer: this runs on every request.
 func contentHash(app *workflow.App, edges [][2]int) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nn=%d\n", hashVersion, app.N())
+	buf := make([]byte, 0, 64+48*app.N()+16*len(edges))
+	buf = append(buf, hashVersion...)
+	buf = append(buf, "\nn="...)
+	buf = strconv.AppendInt(buf, int64(app.N()), 10)
+	buf = append(buf, '\n')
 	for i := 0; i < app.N(); i++ {
 		s := app.Service(i)
-		fmt.Fprintf(h, "s %q %s %s\n", s.Name, ratKey(s.Cost), ratKey(s.Selectivity))
+		buf = append(buf, "s "...)
+		buf = strconv.AppendQuote(buf, s.Name)
+		buf = append(buf, ' ')
+		buf = s.Cost.Append(buf)
+		buf = append(buf, ' ')
+		buf = s.Selectivity.Append(buf)
+		buf = append(buf, '\n')
 	}
 	for _, e := range edges {
-		fmt.Fprintf(h, "e %d %d\n", e[0], e[1])
+		buf = append(buf, "e "...)
+		buf = strconv.AppendInt(buf, int64(e[0]), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(e[1]), 10)
+		buf = append(buf, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
-
-// ratKey is the canonical text of a rational: num/den in lowest terms with
-// positive denominator, the form rat.Rat.String always emits.
-func ratKey(r rat.Rat) string { return r.String() }
 
 // App returns the canonical application. Callers must not modify it.
 func (in *Instance) App() *workflow.App { return in.app }

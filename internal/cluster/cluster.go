@@ -63,7 +63,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/service"
-	"repro/internal/workflow"
 )
 
 // Config tunes a Router. Peers and Local are required.
@@ -480,27 +479,16 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.handler.ServeHTTP(w, r)
 }
 
-// planInstanceJSON is the slice of a plan request the router must see: the
-// instance (for the canonical hash). Everything else passes through
-// opaquely.
-type planInstanceJSON struct {
-	Instance json.RawMessage `json:"instance"`
-}
-
-// instanceOfPlanBody canonicalizes the request body's instance.
+// instanceOfPlanBody canonicalizes the instance of a plan request body,
+// decoded by the service's own decoder: the router routes exactly the
+// bodies the owning replica will accept, and leaves every other one to
+// the local service, which produces the canonical error.
 func instanceOfPlanBody(body []byte) (*canon.Instance, error) {
-	var doc planInstanceJSON
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("cluster: parsing request body: %w", err)
+	req, err := service.DecodePlanRequest(bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	if len(doc.Instance) == 0 {
-		return nil, fmt.Errorf("cluster: request has no instance")
-	}
-	app := new(workflow.App)
-	if err := app.UnmarshalJSON(doc.Instance); err != nil {
-		return nil, fmt.Errorf("cluster: parsing instance: %w", err)
-	}
-	return canon.Canonicalize(app)
+	return canon.Canonicalize(req.App)
 }
 
 func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -618,7 +606,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Results[i] = batchItemJSON{Error: e.Error}
 	}
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleByHashPath routes requests whose canonical hash is the final path
@@ -684,14 +672,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			Opens:   p.breaker.Opens(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz answers liveness from the router itself — no peer I/O, so
 // a load balancer probing it learns whether THIS process is up, not
 // whether the cluster behind it is healthy (that story is /v1/stats).
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	service.WriteJSON(w, http.StatusOK, struct {
 		Status   string `json:"status"`
 		Role     string `json:"role"`
 		Version  string `json:"version"`
@@ -999,14 +987,6 @@ func flushingCopy(w http.ResponseWriter, src io.Reader) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	service.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

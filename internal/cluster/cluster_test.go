@@ -464,3 +464,35 @@ func TestSubscribeProxiesThroughRouter(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRoutesWhatTheReplicaAccepts: router and replica share one
+// plan-request decoder, so a body the service accepts is routed to its
+// owner, whatever follows its first JSON value, and a body the service
+// rejects is answered by the local service with the canonical error. (The
+// router's own json.Unmarshal used to reject trailing bytes the replica
+// tolerates, and served such bodies locally as "unroutable".)
+func TestRouterRoutesWhatTheReplicaAccepts(t *testing.T) {
+	_, gw, _ := newCluster(t, 2)
+	instance := readTestdata(t, "mixed6.json")
+	for _, c := range []struct {
+		name, body string
+		status     int
+		routed     bool
+	}{
+		{"plain", fmt.Sprintf(`{"instance": %s}`, instance), 200, true},
+		{"trailing garbage", fmt.Sprintf(`{"instance": %s} trailing }{`, instance), 200, true},
+		{"unknown member", fmt.Sprintf(`{"instance": %s, "note": [1, 2]}`, instance), 200, true},
+		{"missing instance", `{"model": "overlap"}`, 400, false},
+		{"null instance", `{"instance": null}`, 422, false},
+		{"duplicate names", `{"instance": {"services": [{"name": "A", "cost": "1", "selectivity": "1"}, {"name": "A", "cost": "1", "selectivity": "1"}]}}`, 400, false},
+		{"unknown precedence name", `{"instance": {"services": [{"name": "A", "cost": "1", "selectivity": "1"}], "precedence": [["A", "Z"]]}}`, 400, false},
+	} {
+		resp := post(t, gw.URL+"/v1/plan", c.body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		by := resp.Header.Get("X-Filterd-Served-By")
+		if resp.StatusCode != c.status || strings.HasPrefix(by, "http") != c.routed {
+			t.Errorf("%s: status %d served by %q, want status %d routed=%v", c.name, resp.StatusCode, by, c.status, c.routed)
+		}
+	}
+}

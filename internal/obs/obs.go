@@ -463,8 +463,9 @@ func IsFailover(ctx context.Context) bool {
 	return b
 }
 
-// statusRecorder captures the committed status for Span.End, forwarding
-// Flush so traced SSE streams still flush event by event.
+// statusRecorder captures the committed status for Span.End and for the
+// handlers' own request counters (Status), forwarding Flush so traced SSE
+// streams still flush event by event.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -490,6 +491,17 @@ func (w *statusRecorder) Flush() {
 	}
 }
 
+// Status returns the status committed so far on a ResponseWriter that
+// Middleware handed to its handler (200 when nothing was written yet, as
+// net/http would send). Handlers that count requests by status read it
+// here instead of stacking a recorder of their own.
+func Status(w http.ResponseWriter) int {
+	if sw, ok := w.(*statusRecorder); ok && sw.code != 0 {
+		return sw.code
+	}
+	return http.StatusOK
+}
+
 // Middleware is the request-ID and span boundary of one HTTP surface:
 // it resolves the request ID (inbound header honored, sanitized, or
 // freshly generated), echoes it on the response BEFORE the handler runs —
@@ -499,10 +511,15 @@ func (w *statusRecorder) Flush() {
 // Layered surfaces compose: when the context already carries a span (the
 // cluster router serving its embedded local service), the inner middleware
 // passes straight through — one request, one ID, one span, annotated by
-// every layer it crossed.
+// every layer it crossed — and reuses the outer layer's status recorder
+// (adding one only when the outer layer wrote into a writer of its own, as
+// the router's batch fan-out does).
 func Middleware(t *Tracer, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if From(r.Context()) != nil {
+			if _, ok := w.(*statusRecorder); !ok {
+				w = &statusRecorder{ResponseWriter: w}
+			}
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -236,6 +236,45 @@ func TestMiddlewareNestedPassthrough(t *testing.T) {
 	}
 }
 
+// TestStatusReadsTheOneRecorder: handlers read the committed status from
+// the middleware's writer — the outer layer's when middlewares nest, a
+// fresh one when the outer layer serves into a writer of its own (the
+// router's batch fan-out) — so no layer stacks a second recorder.
+func TestStatusReadsTheOneRecorder(t *testing.T) {
+	var sawWriter http.ResponseWriter
+	inner := Middleware(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if got := Status(w); got != http.StatusOK {
+			t.Errorf("status before any write = %d, want 200", got)
+		}
+		w.WriteHeader(http.StatusTeapot)
+		if got := Status(w); got != http.StatusTeapot {
+			t.Errorf("status after WriteHeader(418) = %d", got)
+		}
+		sawWriter = w
+	}))
+	var outerWriter http.ResponseWriter
+	var sideways bool
+	outer := Middleware(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		outerWriter = w
+		if sideways {
+			w = httptest.NewRecorder()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	outer.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/stats", nil))
+	if sawWriter != outerWriter {
+		t.Error("nested middleware wrapped the outer recorder a second time")
+	}
+	sideways = true
+	outer.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/stats", nil))
+	if sawWriter == outerWriter {
+		t.Error("a writer of the outer layer's own was not given a recorder")
+	}
+	if got := Status(httptest.NewRecorder()); got != http.StatusOK {
+		t.Errorf("status of a foreign writer = %d, want 200", got)
+	}
+}
+
 func TestTracerHandler(t *testing.T) {
 	tr := NewTracer(2)
 	tr.Start("GET /x", "h1").End(200)

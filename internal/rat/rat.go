@@ -416,11 +416,9 @@ func (r Rat) Append(dst []byte) []byte {
 
 // String renders r as "n" for integers and "n/d" otherwise.
 func (r Rat) String() string {
-	if n, d, ok := r.small(); ok {
-		if d == 1 {
-			return fmt.Sprintf("%d", n)
-		}
-		return fmt.Sprintf("%d/%d", n, d)
+	if _, _, ok := r.small(); ok {
+		var buf [41]byte // two int64s and a slash
+		return string(r.Append(buf[:0]))
 	}
 	if r.b.IsInt() {
 		return r.b.Num().String()
@@ -441,10 +439,21 @@ func Parse(s string) (Rat, error) {
 	if s == "" {
 		return Zero, fmt.Errorf("rat: empty string")
 	}
-	if strings.Contains(s, "/") {
-		parts := strings.SplitN(s, "/", 2)
-		num, ok1 := new(big.Int).SetString(strings.TrimSpace(parts[0]), 10)
-		den, ok2 := new(big.Int).SetString(strings.TrimSpace(parts[1]), 10)
+	numText, denText, frac := strings.Cut(s, "/")
+	// Fast path, no math/big: numerator and denominator (1 for an integer)
+	// that strconv reads as base-10 int64s. Every other form — and every
+	// error — is the general path's below (FuzzParse pins the agreement).
+	if n, err := strconv.ParseInt(numText, 10, 64); err == nil {
+		if !frac {
+			return New(n, 1), nil
+		}
+		if d, err := strconv.ParseInt(denText, 10, 64); err == nil && d != 0 {
+			return New(n, d), nil
+		}
+	}
+	if frac {
+		num, ok1 := new(big.Int).SetString(strings.TrimSpace(numText), 10)
+		den, ok2 := new(big.Int).SetString(strings.TrimSpace(denText), 10)
 		if !ok1 || !ok2 {
 			return Zero, fmt.Errorf("rat: cannot parse %q", s)
 		}

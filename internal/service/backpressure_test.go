@@ -177,6 +177,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
+	// A rejected request: the route's counter reads the committed status
+	// from the middleware's recorder, not from a writer of its own.
+	if resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(`{}`)); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -197,7 +204,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"filterd_solve_seconds_count 1",
 		"filterd_plancache_misses_total 1",
 		`filterd_http_requests_total{route="plan",code="200"} 1`,
-		`filterd_http_request_seconds_count{route="plan"} 1`,
+		`filterd_http_requests_total{route="plan",code="400"} 1`,
+		`filterd_http_request_seconds_count{route="plan"} 2`,
 		"filterd_max_pending",
 	} {
 		if !strings.Contains(text, want) {

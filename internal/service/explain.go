@@ -77,7 +77,7 @@ func newExplainCache(max int) *explainCache {
 
 // record notes one serve. In-place update for a known hash — no
 // allocation; creation (and possibly one eviction) otherwise.
-func (c *explainCache) record(hash, key, reqID string, req Request, outcome, source string, val cacheEntry) {
+func (c *explainCache) record(hash, key, reqID string, req Request, outcome, source string, val *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[hash]; ok {

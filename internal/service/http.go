@@ -28,10 +28,12 @@ package service
 // X-Filterd-Request-Id (obs.Middleware echoes it before handlers run),
 // and JSON error bodies repeat the id for support correlation.
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -112,8 +114,47 @@ func (p planParamsJSON) request(app *workflow.App) (Request, error) {
 type planRequestJSON struct {
 	// Instance is a workflow.App JSON document — identical to the
 	// filterplan -in file format.
-	Instance json.RawMessage `json:"instance"`
+	Instance instanceJSON `json:"instance"`
 	planParamsJSON
+}
+
+// instanceJSON decodes the instance member in place, in the one pass over
+// the body, keeping the application's verdict instead of failing the
+// surrounding decode: requests are judged body syntax first, then missing
+// instance, then instance, and a repeated member overrides an earlier one.
+type instanceJSON struct {
+	app     workflow.App
+	err     error
+	present bool
+}
+
+func (i *instanceJSON) UnmarshalJSON(data []byte) error {
+	i.present = true
+	i.err = i.app.UnmarshalJSON(data)
+	return nil
+}
+
+// request resolves one decoded wire request into a service Request.
+func (doc *planRequestJSON) request() (Request, error) {
+	if !doc.Instance.present {
+		return Request{}, fmt.Errorf("service: request has no instance")
+	}
+	if doc.Instance.err != nil {
+		return Request{}, fmt.Errorf("service: parsing instance: %w", doc.Instance.err)
+	}
+	return doc.planParamsJSON.request(&doc.Instance.app)
+}
+
+// DecodePlanRequest reads one POST /v1/plan body: the first JSON value of
+// r, unknown members ignored, the rest left unread. The cluster router
+// calls it on the bodies it forwards, so router and replica accept and
+// reject the same ones.
+func DecodePlanRequest(r io.Reader) (Request, error) {
+	var doc planRequestJSON
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return Request{}, fmt.Errorf("service: parsing request body: %w", err)
+	}
+	return doc.request()
 }
 
 type graphJSON struct {
@@ -139,43 +180,59 @@ type planResponseJSON struct {
 	Schedule json.RawMessage `json:"schedule"`
 }
 
-func planResponse(resp Response, req Request) (planResponseJSON, error) {
-	sched, err := json.Marshal(resp.Solution.Sched.List)
+// body returns the encoded POST /v1/plan answer of resp: the bytes its
+// cache entry owns for resp.Outcome, encoded on first use.
+func (resp Response) body(req Request) ([]byte, error) {
+	b := &resp.entry.bodies[resp.Outcome]
+	b.once.Do(func() { b.data, b.err = resp.entry.encode(resp.Outcome, req) })
+	return b.data, b.err
+}
+
+// encode renders the entry's answer for one outcome — the only encoder of
+// plan responses. req supplies the model and objective the cache key pins.
+func (e *cacheEntry) encode(outcome plancache.Outcome, req Request) ([]byte, error) {
+	sched, err := json.Marshal(e.sol.Sched.List)
 	if err != nil {
-		return planResponseJSON{}, fmt.Errorf("service: encoding schedule: %w", err)
+		return nil, fmt.Errorf("service: encoding schedule: %w", err)
 	}
-	app := resp.Instance.App()
+	app := e.inst.App()
 	g := graphJSON{Services: make([]string, app.N())}
 	for i := 0; i < app.N(); i++ {
 		g.Services[i] = app.Name(i)
 	}
-	for _, e := range resp.Solution.Graph.Graph().Edges() {
-		g.Edges = append(g.Edges, [2]string{app.Name(e[0]), app.Name(e[1])})
+	for _, edge := range e.sol.Graph.Graph().Edges() {
+		g.Edges = append(g.Edges, [2]string{app.Name(edge[0]), app.Name(edge[1])})
 	}
-	return planResponseJSON{
-		Hash:    resp.Hash,
-		Cached:  resp.Outcome == plancache.Hit,
-		Outcome: resp.Outcome.String(),
+	var buf bytes.Buffer
+	err = encodeJSON(&buf, planResponseJSON{
+		Hash:    e.inst.Hash(),
+		Cached:  outcome == plancache.Hit,
+		Outcome: outcome.String(),
 		// Lowercased so the response vocabulary matches the request one
 		// (cliopt parses case-insensitively, clients may compare exactly).
 		Model:     strings.ToLower(req.Model.String()),
 		Objective: req.Objective.String(),
-		Value:     resp.Solution.Value,
-		Exact:     resp.Solution.Exact,
-		Period:    resp.Solution.Sched.List.Period(),
-		Latency:   resp.Solution.Sched.List.Latency(),
+		Value:     e.sol.Value,
+		Exact:     e.sol.Exact,
+		Period:    e.sol.Sched.List.Period(),
+		Latency:   e.sol.Sched.List.Latency(),
 		Graph:     g,
 		Schedule:  sched,
-	}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: encoding plan response: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 type batchRequestJSON struct {
 	Requests []planRequestJSON `json:"requests"`
 }
 
+// Batch items and drift answers embed the bytes Response.body returns.
 type batchItemJSON struct {
-	Error string            `json:"error,omitempty"`
-	Plan  *planResponseJSON `json:"plan,omitempty"`
+	Error string          `json:"error,omitempty"`
+	Plan  json.RawMessage `json:"plan,omitempty"`
 }
 
 type batchResponseJSON struct {
@@ -194,13 +251,13 @@ type driftRequestJSON struct {
 }
 
 type driftResponseJSON struct {
-	OldHash   string           `json:"old_hash"`
-	NewHash   string           `json:"new_hash"`
-	OldValue  rat.Rat          `json:"old_value"`
-	NewValue  rat.Rat          `json:"new_value"`
-	WarmStart bool             `json:"warm_start"`
-	Incumbent *rat.Rat         `json:"incumbent,omitempty"`
-	Plan      planResponseJSON `json:"plan"`
+	OldHash   string          `json:"old_hash"`
+	NewHash   string          `json:"new_hash"`
+	OldValue  rat.Rat         `json:"old_value"`
+	NewValue  rat.Rat         `json:"new_value"`
+	WarmStart bool            `json:"warm_start"`
+	Incumbent *rat.Rat        `json:"incumbent,omitempty"`
+	Plan      json.RawMessage `json:"plan"`
 }
 
 type statsJSON struct {
@@ -392,45 +449,23 @@ func encodeEvent(ev Event) ([]byte, error) {
 	return []byte(fmt.Sprintf("id: %d\nevent: replan\ndata: %s\n\n", ev.ID, data)), nil
 }
 
-// statusWriter records the committed status code for the request
-// counter. It forwards Flush so instrumented SSE streams still flush
-// event by event.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // instrument wraps a route handler with the request counter and latency
 // histogram (subscribe streams record their whole lifetime — their
-// latency series measures stream duration, not time-to-first-byte).
+// latency series measures stream duration, not time-to-first-byte). The
+// usual series are resolved once, here (Vec.With builds a map key per
+// call); the status is the one obs.Middleware's recorder committed.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	ok := s.mRequests.With(route, "200")
+	latency := s.mLatency.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		if sw.code == 0 {
-			sw.code = http.StatusOK
+		h(w, r)
+		if code := obs.Status(w); code == http.StatusOK {
+			ok.Inc()
+		} else {
+			s.mRequests.With(route, strconv.Itoa(code)).Inc()
 		}
-		s.mRequests.With(route, strconv.Itoa(sw.code)).Inc()
-		s.mLatency.With(route).Observe(time.Since(start).Seconds())
+		latency.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -439,11 +474,7 @@ func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", s.metrics.Handler())
 	mux.HandleFunc("POST /v1/plan", s.instrument("plan", func(w http.ResponseWriter, r *http.Request) {
-		var doc planRequestJSON
-		if !decodeBody(w, r, &doc) {
-			return
-		}
-		req, err := decodePlanRequest(doc)
+		req, err := DecodePlanRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -453,12 +484,12 @@ func Handler(s *Server) http.Handler {
 			httpError(w, errStatus(err, http.StatusUnprocessableEntity), err)
 			return
 		}
-		out, err := planResponse(resp, req)
+		body, err := resp.body(req)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, out)
+		writeBody(w, http.StatusOK, body)
 	}))
 
 	mux.HandleFunc("POST /v1/batch", s.instrument("batch", func(w http.ResponseWriter, r *http.Request) {
@@ -475,8 +506,8 @@ func Handler(s *Server) http.Handler {
 		reqs := make([]Request, len(doc.Requests))
 		decodeErrs := make([]error, len(doc.Requests))
 		valid := make([]Request, 0, len(doc.Requests))
-		for i, item := range doc.Requests {
-			reqs[i], decodeErrs[i] = decodePlanRequest(item)
+		for i := range doc.Requests {
+			reqs[i], decodeErrs[i] = doc.Requests[i].request()
 			if decodeErrs[i] == nil {
 				valid = append(valid, reqs[i])
 			}
@@ -495,14 +526,14 @@ func Handler(s *Server) http.Handler {
 				out.Results[i] = batchItemJSON{Error: res.Err.Error()}
 				continue
 			}
-			pr, err := planResponse(res.Response, reqs[i])
+			plan, err := res.Response.body(reqs[i])
 			if err != nil {
 				out.Results[i] = batchItemJSON{Error: err.Error()}
 				continue
 			}
-			out.Results[i] = batchItemJSON{Plan: &pr}
+			out.Results[i] = batchItemJSON{Plan: plan}
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	}))
 
 	mux.HandleFunc("PATCH /v1/instance/{hash}", s.instrument("drift", func(w http.ResponseWriter, r *http.Request) {
@@ -545,7 +576,7 @@ func Handler(s *Server) http.Handler {
 			httpError(w, errStatus(err, http.StatusUnprocessableEntity), err)
 			return
 		}
-		pr, err := planResponse(report.Response, params)
+		plan, err := report.Response.body(params)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
@@ -556,13 +587,13 @@ func Handler(s *Server) http.Handler {
 			OldValue:  report.OldValue,
 			NewValue:  report.NewValue,
 			WarmStart: report.WarmStart,
-			Plan:      pr,
+			Plan:      plan,
 		}
 		if report.WarmStart {
 			inc := report.Incumbent
 			out.Incumbent = &inc
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	}))
 
 	mux.HandleFunc("GET /v1/subscribe/{hash}", s.instrument("subscribe", func(w http.ResponseWriter, r *http.Request) {
@@ -649,25 +680,25 @@ func Handler(s *Server) http.Handler {
 			httpError(w, http.StatusNotFound, fmt.Errorf("service: no explain record for hash %s", hash))
 			return
 		}
-		writeJSON(w, http.StatusOK, explainResponse(e))
+		WriteJSON(w, http.StatusOK, explainResponse(e))
 	}))
 
 	mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, healthzJSON{Status: "ok", Version: s.version, Revision: s.revision})
+		WriteJSON(w, http.StatusOK, healthzJSON{Status: "ok", Version: s.version, Revision: s.revision})
 	}))
 
 	// Replica synchronization (sync.go): GET answers the digest, POST one
 	// push-pull exchange. The anti-entropy loop of internal/cluster drives
 	// both; a newly (re)joined owner converges by iterating exchanges.
 	mux.HandleFunc("GET /v1/sync", s.instrument("sync", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.SyncDigest())
+		WriteJSON(w, http.StatusOK, s.SyncDigest())
 	}))
 	mux.HandleFunc("POST /v1/sync", s.instrument("sync", func(w http.ResponseWriter, r *http.Request) {
 		var doc SyncRequest
 		if !decodeBody(w, r, &doc) {
 			return
 		}
-		writeJSON(w, http.StatusOK, s.SyncExchange(doc))
+		WriteJSON(w, http.StatusOK, s.SyncExchange(doc))
 	}))
 
 	// The span ring: always mounted (it answers "enabled": false when
@@ -676,7 +707,7 @@ func Handler(s *Server) http.Handler {
 
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Stats()
-		writeJSON(w, http.StatusOK, statsJSON{
+		WriteJSON(w, http.StatusOK, statsJSON{
 			CacheHits:        st.Cache.Hits,
 			CacheMisses:      st.Cache.Misses,
 			CacheCoalesced:   st.Cache.Coalesced,
@@ -729,18 +760,6 @@ func Handler(s *Server) http.Handler {
 	return obs.Middleware(s.tracer, mux)
 }
 
-// decodePlanRequest resolves one wire request into a service Request.
-func decodePlanRequest(doc planRequestJSON) (Request, error) {
-	if len(doc.Instance) == 0 {
-		return Request{}, fmt.Errorf("service: request has no instance")
-	}
-	var app workflow.App
-	if err := json.Unmarshal(doc.Instance, &app); err != nil {
-		return Request{}, fmt.Errorf("service: parsing instance: %w", err)
-	}
-	return doc.planParamsJSON.request(&app)
-}
-
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(into); err != nil {
@@ -750,18 +769,36 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+// encodeJSON writes v the way every JSON body of this API is rendered:
+// two-space indent, trailing newline.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// The status line is already out; log so truncated responses are
-		// diagnosable server-side. The id was echoed onto the response
-		// headers by obs.Middleware before any handler ran.
+	return enc.Encode(v)
+}
+
+// WriteJSON encodes v in full before committing anything, so the response
+// carries a Content-Length and an encode failure is a clean 500 with the
+// request id, never a truncated body under a 200 status line. (Exported
+// for the cluster router, which answers in the same rendering.)
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, v); err != nil {
 		slog.Warn("service: encoding response failed",
 			"request_id", w.Header().Get(obs.HeaderRequestID), "err", err)
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("service: encoding response: %w", err))
+		return
 	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody commits an already encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 // retryAfterSeconds is the Retry-After value of shed (429) and
@@ -776,7 +813,7 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	// The id repeats in the body for support correlation: error reports
 	// usually quote the body, not the headers. obs.Middleware set the
 	// header before any handler ran; "" only for un-middlewared embeds.
-	writeJSON(w, code, map[string]string{
+	WriteJSON(w, code, map[string]string{
 		"error":      err.Error(),
 		"request_id": w.Header().Get(obs.HeaderRequestID),
 	})

@@ -52,7 +52,7 @@ func doJSON(t *testing.T, method, url string, body any, into any) *http.Response
 	return resp
 }
 
-func readTestdata(t *testing.T, name string) []byte {
+func readTestdata(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
 	if err != nil {
@@ -119,6 +119,17 @@ func TestHTTPPlanMatchesCLIAnswer(t *testing.T) {
 	}
 }
 
+// decodePlan decodes the plan document a batch item or a drift answer
+// embeds.
+func decodePlan(t *testing.T, raw json.RawMessage) planResponseJSON {
+	t.Helper()
+	var out planResponseJSON
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("decoding embedded plan: %v", err)
+	}
+	return out
+}
+
 // compactJSON normalizes whitespace (the HTTP encoder re-indents embedded
 // raw messages) so schedule documents compare structurally.
 func compactJSON(t *testing.T, data []byte) string {
@@ -149,7 +160,7 @@ func TestHTTPBatchAndStats(t *testing.T) {
 	if out.Results[0].Error != "" || out.Results[1].Error != "" {
 		t.Fatalf("good items failed: %v / %v", out.Results[0].Error, out.Results[1].Error)
 	}
-	if !out.Results[0].Plan.Value.Equal(out.Results[1].Plan.Value) {
+	if !decodePlan(t, out.Results[0].Plan).Value.Equal(decodePlan(t, out.Results[1].Plan).Value) {
 		t.Error("duplicate batch items disagree")
 	}
 	if out.Results[2].Error == "" || out.Results[2].Plan != nil {
@@ -196,7 +207,7 @@ func TestHTTPDrift(t *testing.T) {
 	if !drift.WarmStart || drift.Incumbent == nil {
 		t.Error("drift did not warm-start")
 	}
-	if drift.Plan.Hash != drift.NewHash || !drift.Plan.Value.Equal(drift.NewValue) {
+	if plan := decodePlan(t, drift.Plan); plan.Hash != drift.NewHash || !plan.Value.Equal(drift.NewValue) {
 		t.Error("drift plan inconsistent with the report")
 	}
 

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,6 +201,8 @@ type Response struct {
 	// solve.MinPeriod/MinLatency call on Instance.App() with the request's
 	// options.
 	Solution solve.Solution
+	// entry is the cache entry that answered; it owns the HTTP body.
+	entry *cacheEntry
 }
 
 // Update is one drift delta: new cost and/or selectivity for a named
@@ -282,11 +285,22 @@ type Stats struct {
 // solve produced, "store" for entries warm-loaded from disk. effort is
 // the search-effort record of the producing solve (nil for entries
 // persisted before the field existed).
+//
+// bodies[outcome] is the encoded /v1/plan response of that outcome — by
+// the determinism invariant a pure function of cache key and outcome, so
+// encoded at most once, on its first HTTP use (Response.body, http.go):
+// entries never served over HTTP pay nothing, and eviction frees it.
 type cacheEntry struct {
 	sol    solve.Solution
 	inst   *canon.Instance
 	src    string
 	effort *solve.Effort
+
+	bodies [plancache.Coalesced + 1]struct {
+		once sync.Once
+		data []byte
+		err  error
+	}
 }
 
 type task struct {
@@ -297,7 +311,7 @@ type task struct {
 // Server is the planning service. Create with New, release with Close.
 type Server struct {
 	cfg   Config
-	cache *plancache.Cache[cacheEntry]
+	cache *plancache.Cache[*cacheEntry]
 	queue chan task
 
 	mu     sync.RWMutex // guards closed
@@ -406,7 +420,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    plancache.New[cacheEntry](cfg.CacheSize),
+		cache:    plancache.New[*cacheEntry](cfg.CacheSize),
 		queue:    make(chan task, cfg.QueueSize),
 		registry: plancache.New[*canon.Instance](cfg.RegistrySize),
 		memo:     orchestrate.NewMemo(cfg.MemoSize),
@@ -426,7 +440,7 @@ func New(cfg Config) *Server {
 	// plan source "store" and carry the original solve's effort record.
 	if cfg.Store != nil {
 		_ = cfg.Store.Load(func(e store.Entry) {
-			s.cache.Seed(e.Key, cacheEntry{sol: e.Solution, inst: e.Instance, src: "store", effort: e.Effort})
+			s.cache.Seed(e.Key, &cacheEntry{sol: e.Solution, inst: e.Instance, src: "store", effort: e.Effort})
 			s.register(e.Instance)
 		})
 	}
@@ -561,9 +575,15 @@ func ctxLive(ctx context.Context) bool {
 // cacheKey is the full identity of a cached plan: canonical instance plus
 // every solve parameter that can change the returned Solution.
 func cacheKey(hash string, req Request) string {
-	return fmt.Sprintf("%s|%s|%s|%s|%s|%d|%d|%d",
-		hash, req.Model, req.Objective, req.Method, req.Family,
-		req.MaxExactN, req.Seed, req.Restarts)
+	var arr [160]byte // a SHA-256 hash and the longest names fit: one allocation, the string
+	buf := append(arr[:0], hash...)
+	for _, part := range [...]string{req.Model.String(), req.Objective.String(), req.Method.String(), req.Family.String()} {
+		buf = append(append(buf, '|'), part...)
+	}
+	for _, n := range [...]int64{int64(req.MaxExactN), req.Seed, int64(req.Restarts)} {
+		buf = strconv.AppendInt(append(buf, '|'), n, 10)
+	}
+	return string(buf)
 }
 
 // register remembers a canonical instance as a drift target (refreshing
@@ -629,7 +649,7 @@ func (s *Server) planCanonical(ctx context.Context, inst *canon.Instance, req Re
 	span.SetHash(inst.Hash(), key)
 retry:
 	cacheStart := time.Now()
-	val, outcome, err := s.cache.Do(key, func() (cacheEntry, error) {
+	val, outcome, err := s.cache.Do(key, func() (*cacheEntry, error) {
 		var sol solve.Solution
 		var solveErr error
 		var effort *solve.Effort
@@ -689,10 +709,10 @@ retry:
 			}
 		})
 		if submitErr != nil {
-			return cacheEntry{}, submitErr
+			return nil, submitErr
 		}
 		if solveErr != nil {
-			return cacheEntry{}, solveErr
+			return nil, solveErr
 		}
 		// Write-through persistence: the entry is on disk before the
 		// response leaves, so a restart after this point answers the key
@@ -708,7 +728,7 @@ retry:
 			s.mPhaseStore.Observe(storeDur.Seconds())
 			span.Observe(obs.PhaseStore, storeDur)
 		}
-		return cacheEntry{sol: sol, inst: inst, src: "cache", effort: effort}, nil
+		return &cacheEntry{sol: sol, inst: inst, src: "cache", effort: effort}, nil
 	})
 	cacheDur := time.Since(cacheStart)
 	s.mPhaseCache.Observe(cacheDur.Seconds())
@@ -748,6 +768,7 @@ retry:
 		Outcome:  outcome,
 		Instance: val.inst,
 		Solution: val.sol,
+		entry:    val,
 	}, nil
 }
 

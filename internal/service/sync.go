@@ -171,7 +171,7 @@ func (s *Server) ImportEntry(data []byte) error {
 		s.syncDuplicates.Add(1)
 		return nil
 	}
-	if !s.cache.Seed(e.Key, cacheEntry{sol: e.Solution, inst: e.Instance, src: "sync", effort: e.Effort}) {
+	if !s.cache.Seed(e.Key, &cacheEntry{sol: e.Solution, inst: e.Instance, src: "sync", effort: e.Effort}) {
 		// Lost a race with an in-flight local solve for the same key —
 		// which will complete with the identical solution.
 		s.syncDuplicates.Add(1)

@@ -11,6 +11,7 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/rat"
@@ -38,41 +39,56 @@ type App struct {
 // New builds an application from its services and precedence edges (pairs of
 // service indices). It validates costs, selectivities and acyclicity.
 func New(services []Service, precEdges [][2]int) (*App, error) {
-	a := &App{
-		services: make([]Service, len(services)),
-		prec:     dag.New(len(services)),
+	a, _, err := newApp(append([]Service(nil), services...))
+	if err == nil {
+		err = a.setPrecedence(precEdges)
 	}
-	copy(a.services, services)
-	names := make(map[string]int)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// newApp validates services (taking ownership), fills in default names and
+// returns the application, precedence-free, with its name → index table.
+func newApp(services []Service) (*App, map[string]int, error) {
+	a := &App{services: services, prec: dag.New(len(services))}
+	names := make(map[string]int, len(services))
 	for i := range a.services {
 		s := &a.services[i]
 		if s.Name == "" {
-			s.Name = fmt.Sprintf("C%d", i+1)
+			s.Name = "C" + strconv.Itoa(i+1)
 		}
 		if prev, dup := names[s.Name]; dup {
-			return nil, fmt.Errorf("workflow: duplicate service name %q (indices %d and %d)", s.Name, prev, i)
+			return nil, nil, fmt.Errorf("workflow: duplicate service name %q (indices %d and %d)", s.Name, prev, i)
 		}
 		names[s.Name] = i
 		if s.Cost.Sign() < 0 {
-			return nil, fmt.Errorf("workflow: service %q has negative cost %s", s.Name, s.Cost)
+			return nil, nil, fmt.Errorf("workflow: service %q has negative cost %s", s.Name, s.Cost)
 		}
 		if s.Selectivity.Sign() < 0 {
-			return nil, fmt.Errorf("workflow: service %q has negative selectivity %s", s.Name, s.Selectivity)
+			return nil, nil, fmt.Errorf("workflow: service %q has negative selectivity %s", s.Name, s.Selectivity)
 		}
 	}
+	return a, names, nil
+}
+
+// setPrecedence adds and checks the precedence edges of a fresh application.
+func (a *App) setPrecedence(precEdges [][2]int) error {
+	n := len(a.services)
 	for _, e := range precEdges {
-		if e[0] < 0 || e[0] >= len(services) || e[1] < 0 || e[1] >= len(services) {
-			return nil, fmt.Errorf("workflow: precedence edge %v out of range", e)
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			return fmt.Errorf("workflow: precedence edge %v out of range", e)
 		}
 		if e[0] == e[1] {
-			return nil, fmt.Errorf("workflow: precedence self-loop on service %d", e[0])
+			return fmt.Errorf("workflow: precedence self-loop on service %d", e[0])
 		}
 		a.prec.AddEdge(e[0], e[1])
 	}
 	if !a.prec.IsAcyclic() {
-		return nil, fmt.Errorf("workflow: precedence constraints contain a cycle")
+		return fmt.Errorf("workflow: precedence constraints contain a cycle")
 	}
-	return a, nil
+	return nil
 }
 
 // MustNew is New that panics on error, for tests and fixed examples.
@@ -185,20 +201,20 @@ func (a *App) UnmarshalJSON(data []byte) error {
 	for i, s := range doc.Services {
 		services[i] = Service{Name: s.Name, Cost: s.Cost, Selectivity: s.Selectivity}
 	}
-	tmp, err := New(services, nil)
+	built, names, err := newApp(services)
 	if err != nil {
 		return err
 	}
-	var edges [][2]int
-	for _, e := range doc.Precedence {
-		u, v := tmp.IndexOf(e[0]), tmp.IndexOf(e[1])
-		if u < 0 || v < 0 {
+	edges := make([][2]int, len(doc.Precedence))
+	for i, e := range doc.Precedence {
+		u, okU := names[e[0]]
+		v, okV := names[e[1]]
+		if !okU || !okV {
 			return fmt.Errorf("workflow: precedence edge %v references unknown service", e)
 		}
-		edges = append(edges, [2]int{u, v})
+		edges[i] = [2]int{u, v}
 	}
-	built, err := New(services, edges)
-	if err != nil {
+	if err := built.setPrecedence(edges); err != nil {
 		return err
 	}
 	*a = *built
