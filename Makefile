@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build bins test test-short test-race test-alloc bench bench-json bench-smoke bench-paired smoke-orch fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
+.PHONY: build bins test test-short test-race test-alloc bench bench-smoke bench-paired fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
 
 build:
 	$(GO) build ./...
@@ -11,7 +11,7 @@ build:
 # data-plane executor) included.
 bins:
 	mkdir -p bin
-	$(GO) build -o bin/ ./cmd/filterplan ./cmd/filterexp ./cmd/filtergen ./cmd/filterd ./cmd/filterexec ./cmd/benchjson
+	$(GO) build -o bin/ ./cmd/filterplan ./cmd/filterexp ./cmd/filtergen ./cmd/filterd ./cmd/filterexec
 
 vet:
 	$(GO) vet ./...
@@ -57,19 +57,12 @@ test-race:
 test-alloc:
 	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/ ./internal/exec/
 
-# One pass over every benchmark, including the parallel-vs-serial pairs
-# and the executor's round (BenchmarkExecRound: ns/tuple and
-# evaluations/tuple, serial and pipelined).
+# One pass over every go-test benchmark: the experiments E1-E12, the
+# component benchmarks, BranchBoundChain12 and the executor's round
+# (BenchmarkExecRound: ns/tuple and evaluations/tuple, serial and
+# pipelined). End-to-end and per-layer numbers are bench/'s (bench-paired).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Parallel-vs-serial benchmark pairs, appended to the committed trajectory
-# artifact BENCH_plan.json (one run record per invocation: Go version, CPU
-# count, ns/op per benchmark). Run on a multi-core host to record the real
-# worker-pool speedup; NOTE annotates the run.
-bench-json:
-	$(GO) test -run '^$$' -bench 'Serial$$|Parallel$$|BranchBoundChain12$$' -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_plan.json -note "$(NOTE)"
 
 # The repository benchmark (bench/, a module of its own) must keep
 # compiling against the planner's packages and pass its unit tests and
@@ -113,13 +106,6 @@ smoke-chaos:
 # (CI runs the same check).
 smoke-exec:
 	./scripts/smoke_exec.sh
-
-# Orchestration fast-path smoke: one iteration of each order-search
-# benchmark pair (pruned + sharded exhaustive search, serial and parallel),
-# so the benchmarks behind BENCH_plan.json cannot bit-rot (CI runs the
-# same check).
-smoke-orch:
-	$(GO) test -run '^$$' -bench 'Orchestrate' -benchtime 1x .
 
 # Short coverage-guided fuzz smokes (the corpus seeds also run as regular
 # unit tests under `test`): the operation-list JSON codec, the plan-request

@@ -5,7 +5,6 @@
 package filtering_test
 
 import (
-	"runtime"
 	"testing"
 
 	filtering "repro"
@@ -160,76 +159,11 @@ func BenchmarkSelfTimedSimulation(b *testing.B) {
 	}
 }
 
-// --- parallel-vs-serial benchmarks: the worker-pool plan-search layer ---
-//
-// Each pair runs the identical deterministic search with Workers: 1 and
-// Workers: 0 (= runtime.NumCPU), so the ratio of the two timings is the
-// wall-clock speedup of the parallel search layer on this machine. On a
-// single-CPU host the pair's timings coincide — the speedup scales with
-// the cores available.
-
-func benchExactForest(b *testing.B, workers int) {
-	app := gen.App(gen.NewRand(21), 6, gen.Mixed)
-	opts := solve.Options{
-		Method:  solve.ExactForest,
-		Workers: workers,
-		Orch:    orchestrate.Options{MaxExhaustive: 64},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve.MinPeriod(app, plan.Overlap, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExactForestSerial(b *testing.B)   { benchExactForest(b, 1) }
-func BenchmarkExactForestParallel(b *testing.B) { benchExactForest(b, 0) }
-
-func benchExactDAG(b *testing.B, workers int) {
-	app := gen.App(gen.NewRand(22), 4, gen.Filtering)
-	opts := solve.Options{
-		Method:  solve.ExactDAG,
-		Workers: workers,
-		Orch:    orchestrate.Options{MaxExhaustive: 64},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve.MinLatency(app, plan.InOrder, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExactDAGSerial(b *testing.B)   { benchExactDAG(b, 1) }
-func BenchmarkExactDAGParallel(b *testing.B) { benchExactDAG(b, 0) }
-
-// benchBranchBoundForest runs the branch-and-bound forest search on the
-// same instance as benchExactForest, so the two benchmark families compare
-// the pruned search against the blind enumeration that certifies the same
-// optimum (E15 reports the node counts behind the gap).
-func benchBranchBoundForest(b *testing.B, workers int) {
-	app := gen.App(gen.NewRand(21), 6, gen.Mixed)
-	opts := solve.Options{
-		Method:  solve.BranchBound,
-		Family:  solve.FamilyForest,
-		Workers: workers,
-		Orch:    orchestrate.Options{MaxExhaustive: 64},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve.MinPeriod(app, plan.Overlap, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBranchBoundForestSerial(b *testing.B)   { benchBranchBoundForest(b, 1) }
-func BenchmarkBranchBoundForestParallel(b *testing.B) { benchBranchBoundForest(b, 0) }
-
-// BenchmarkBranchBoundChain12 times the scale payoff: certifying the chain
-// optimum at n=12, a size whose 12! candidates the blind enumeration
-// rejects outright.
+// BenchmarkBranchBoundChain12 times the scale payoff of the exact search:
+// certifying the chain optimum at n=12, whose 12! candidates no blind
+// enumeration finishes. (Everything timed end to end or per layer — cold
+// plan search, the two order searches, serial against sharded — is the
+// repository benchmark's, bench/.)
 func BenchmarkBranchBoundChain12(b *testing.B) {
 	app := gen.App(gen.NewRand(42), 12, gen.Filtering)
 	opts := solve.Options{
@@ -245,88 +179,6 @@ func BenchmarkBranchBoundChain12(b *testing.B) {
 		}
 	}
 }
-
-func benchHillClimb(b *testing.B, workers int) {
-	app := gen.App(gen.NewRand(23), 20, gen.Filtering)
-	opts := solve.Options{
-		Method:   solve.HillClimb,
-		Workers:  workers,
-		Restarts: 4,
-		Orch:     orchestrate.Options{MaxExhaustive: 32, LocalSearchPasses: 2},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve.MinPeriod(app, plan.Overlap, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHillClimbSerial(b *testing.B)   { benchHillClimb(b, 1) }
-func BenchmarkHillClimbParallel(b *testing.B) { benchHillClimb(b, 0) }
-
-// --- orchestration fast-path benchmarks ---
-//
-// The pruned + sharded order search (PR 5) against a DAG whose 23040-
-// combination order space the pre-fast-path default (MaxExhaustive 4096)
-// refused to search exactly: the raised default covers it, bound pruning
-// and the static-floor early exit score a fraction of the product, and the
-// Serial/Parallel pair measures the order-level sharding on this machine
-// (bit-identical results either way; orchestrate treats Workers <= 1 as
-// serial, so the parallel leg passes runtime.NumCPU() explicitly).
-
-func orchestrateBenchPlan() *plan.Weighted {
-	rng := gen.NewRand(42)
-	app := gen.App(rng, 6+rng.Intn(3), gen.Mixed)
-	return gen.DAGPlan(rng, app, 0.5).Weighted()
-}
-
-func benchOrchestratePeriod(b *testing.B, workers int) {
-	w := orchestrateBenchPlan()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := orchestrate.InOrderPeriod(w, orchestrate.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Exact {
-			b.Fatal("benchmark order space must be searched exactly")
-		}
-	}
-}
-
-func BenchmarkOrchestratePeriodSerial(b *testing.B)   { benchOrchestratePeriod(b, 1) }
-func BenchmarkOrchestratePeriodParallel(b *testing.B) { benchOrchestratePeriod(b, runtime.NumCPU()) }
-
-func benchOrchestrateLatency(b *testing.B, workers int) {
-	w := orchestrateBenchPlan()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := orchestrate.OnePortLatency(w, orchestrate.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Exact {
-			b.Fatal("benchmark order space must be searched exactly")
-		}
-	}
-}
-
-func BenchmarkOrchestrateLatencySerial(b *testing.B)   { benchOrchestrateLatency(b, 1) }
-func BenchmarkOrchestrateLatencyParallel(b *testing.B) { benchOrchestrateLatency(b, runtime.NumCPU()) }
-
-func benchExperimentsAll(b *testing.B, workers int) {
-	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.AllWorkers(1, workers) {
-			if !r.OK {
-				b.Fatalf("%s failed to reproduce", r.ID)
-			}
-		}
-	}
-}
-
-func BenchmarkExperimentsAllSerial(b *testing.B)   { benchExperimentsAll(b, 1) }
-func BenchmarkExperimentsAllParallel(b *testing.B) { benchExperimentsAll(b, 0) }
 
 // BenchmarkPlannerEndToEnd times the full public-API pipeline (plan search
 // + orchestration + validation) on an 8-service instance.

@@ -8,7 +8,7 @@
 //
 //	filterplan -in instance.json [-model overlap|inorder|outorder]
 //	           [-objective period|latency]
-//	           [-method auto|greedy-chain|exact-chain|exact-forest|exact-dag|hill-climb|bnb]
+//	           [-method auto|greedy-chain|hill-climb|bnb]
 //	           [-family auto|chain|forest|dag]
 //	           [-workers N] [-canon] [-gantt] [-timeline] [-replay N]
 //	filterplan -demo fig1|b1|b2    (run on a built-in paper instance)
@@ -18,17 +18,16 @@
 // prints the content hash, reproducing exactly what the filterd planning
 // service would solve and cache for this instance.
 //
-// The bnb method (alias branch-bound) certifies the same optimum as the
-// blind exact enumerations by branch-and-bound: it constructs execution
-// graphs incrementally, bounds every partial graph from below
-// (PeriodLowerBound and its latency analogue on partial structures) and
-// prunes subtrees that cannot beat the incumbent seeded by the greedy and
-// hill-climbing solutions. That reaches instance sizes the blind methods
-// reject (chains to n=12, forests to n=7 by default) and reports the search
-// effort as nodes expanded / candidates evaluated / subtrees pruned.
-// -family restricts the searched structural family: the default auto picks
-// the family the blind exact methods would certify (forests for period
-// without precedence constraints, DAGs otherwise); chain certifies
+// The bnb method (alias branch-bound) is the exact search, and what auto
+// runs on small instances: it constructs execution graphs incrementally,
+// bounds every partial graph from below (PeriodLowerBound and its latency
+// analogue on partial structures) and prunes subtrees that cannot beat the
+// incumbent seeded by the greedy and hill-climbing solutions. It accepts
+// chains to n=12, forests to n=7 and DAGs to n=5 and, asked for by name,
+// reports the search effort as nodes expanded / candidates evaluated /
+// subtrees pruned. -family restricts the searched structural family: the
+// default auto picks the family whose optimum is global (forests for
+// period without precedence constraints, DAGs otherwise); chain certifies
 // optimality among chains on the largest instances.
 package main
 
@@ -54,7 +53,7 @@ func main() {
 		demo      = flag.String("demo", "", "built-in instance: fig1, b1, b2")
 		modelName = flag.String("model", "overlap", "communication model: overlap, inorder, outorder")
 		objective = flag.String("objective", "period", "objective: period or latency")
-		method    = flag.String("method", "auto", "search method: auto, greedy-chain, exact-chain, exact-forest, exact-dag, hill-climb, bnb (branch-and-bound)")
+		method    = flag.String("method", "auto", "search method: auto, greedy-chain, hill-climb, bnb (branch-and-bound)")
 		family    = flag.String("family", "auto", "structural family for -method bnb: auto, chain, forest, dag")
 		workers   = flag.Int("workers", 0, "worker goroutines for the plan search (0 = all CPUs, 1 = serial; any value returns the same plan)")
 		canonical = flag.Bool("canon", false, "canonicalize the instance first (the filterd service form) and print its content hash")

@@ -15,9 +15,9 @@
 // with communication/computation overlap), InOrder and OutOrder (one-port
 // without overlap, with or without strict per-data-set ordering). Plans are
 // optimized for period (inverse throughput) or latency (response time),
-// with exact solvers on small instances, the paper's polynomial special
-// cases (chains, forests, OVERLAP period orchestration), and heuristics
-// everywhere else. Every schedule the library emits is checked against the
+// with an exact branch-and-bound search on small instances, the paper's
+// polynomial special cases (chains, forests, OVERLAP period orchestration),
+// and heuristics everywhere else. Every schedule the library emits is checked against the
 // paper's Appendix-A constraint systems in exact rational arithmetic.
 //
 // Quick start:
@@ -38,7 +38,8 @@
 package filtering
 
 import (
-	"repro/internal/core"
+	"fmt"
+
 	"repro/internal/gen"
 	"repro/internal/oplist"
 	"repro/internal/orchestrate"
@@ -175,24 +176,18 @@ type SolveOptions = solve.Options
 
 // Search methods for SolveOptions.Method.
 const (
-	// Auto picks exact enumeration on small instances, heuristics above.
+	// Auto picks the exact search (BranchBound) on small instances, hill
+	// climbing above.
 	Auto = solve.Auto
 	// GreedyChain is the paper's polynomial chain construction
 	// (Prop. 8 / Prop. 16): optimal among chain-shaped plans.
 	GreedyChain = solve.GreedyChain
-	// ExactChain enumerates all chains.
-	ExactChain = solve.ExactChain
-	// ExactForest enumerates all forests (contains a period-optimal plan
-	// by Prop. 4).
-	ExactForest = solve.ExactForest
-	// ExactDAG enumerates all DAGs (tiny instances only).
-	ExactDAG = solve.ExactDAG
 	// HillClimb is randomized local search over plan structures.
 	HillClimb = solve.HillClimb
-	// BranchBound certifies the same optimum as the exact enumerations by
-	// incremental construction with lower-bound pruning, reaching larger
-	// instances (chains to n=12, forests to n=7 by default). Set
-	// SolveOptions.Stats to observe the search effort and
+	// BranchBound is the exact search: it certifies the optimum of a
+	// structural family by incremental construction with lower-bound
+	// pruning (chains to n=12, forests to n=7, DAGs to n=5 by default).
+	// Set SolveOptions.Stats to observe the search effort and
 	// SolveOptions.Family to force a structural family.
 	BranchBound = solve.BranchBound
 )
@@ -200,7 +195,8 @@ const (
 // Branch-and-bound structural families for SolveOptions.Family and search
 // counters for SolveOptions.Stats.
 const (
-	// FamilyAuto searches the family the exact methods would certify.
+	// FamilyAuto searches the family whose optimum is global: forests for
+	// period without precedence constraints (Prop. 4), DAGs otherwise.
 	FamilyAuto = solve.FamilyAuto
 	// FamilyChain searches linear chains (optimal among chains).
 	FamilyChain = solve.FamilyChain
@@ -223,11 +219,45 @@ const (
 )
 
 // Planner is the high-level entry point combining plan search and
-// orchestration.
-type Planner = core.Planner
+// orchestration with configurable effort.
+type Planner struct {
+	// Solve configures the plan-level search.
+	Solve SolveOptions
+}
 
-// NewPlanner returns a planner with default options.
-func NewPlanner() *Planner { return core.NewPlanner() }
+// NewPlanner returns a planner with default options (automatic method
+// choice: branch-and-bound on small instances, hill climbing above).
+func NewPlanner() *Planner { return &Planner{} }
+
+// MinimizePeriod returns a full plan (execution graph + operation list)
+// minimizing the period of app under model m.
+func (p *Planner) MinimizePeriod(app *App, m Model) (Solution, error) {
+	return solve.MinPeriod(app, m, p.Solve)
+}
+
+// MinimizeLatency returns a full plan minimizing the latency of app under
+// model m.
+func (p *Planner) MinimizeLatency(app *App, m Model) (Solution, error) {
+	return solve.MinLatency(app, m, p.Solve)
+}
+
+// Orchestrate computes an operation list for a fixed execution graph: the
+// paper's "given an execution graph, compute the period/latency" problem.
+func (p *Planner) Orchestrate(eg *ExecGraph, m Model, obj solve.Objective) (Schedule, error) {
+	if obj == PeriodObjective {
+		return Period(eg, m, p.Solve.Orch)
+	}
+	return Latency(eg, m, p.Solve.Orch)
+}
+
+// EvaluatePlan validates an operation list under model m and reports its
+// period and latency.
+func (p *Planner) EvaluatePlan(l *OperationList, m Model) (period, latency Rat, err error) {
+	if err := l.Validate(m); err != nil {
+		return rat.Zero, rat.Zero, err
+	}
+	return l.Period(), l.Latency(), nil
+}
 
 // MinPeriod finds a plan minimizing the period of app under model m.
 func MinPeriod(app *App, m Model, opts SolveOptions) (Solution, error) {
@@ -285,6 +315,60 @@ func RandomApp(seed int64, n int, p Profile) *App {
 	return gen.App(gen.NewRand(seed), n, p)
 }
 
-// ComplexityMatrix returns the paper's 12 complexity results with the
-// algorithms implementing each variant in this library.
-func ComplexityMatrix() []core.Complexity { return core.Matrix() }
+// Complexity classifies one problem variant of the paper.
+type Complexity struct {
+	// Problem is "orchestration" (operation list for a given execution
+	// graph) or "minimization" (find the whole plan).
+	Problem string
+	// Objective is "period" or "latency".
+	Objective string
+	// Model is the communication model.
+	Model Model
+	// Class is the paper's complexity result.
+	Class string
+	// Reference is the paper's theorem/proposition.
+	Reference string
+	// Implementation names the algorithm in this repository.
+	Implementation string
+}
+
+// String renders one matrix entry.
+func (c Complexity) String() string {
+	return fmt.Sprintf("%s/%s under %s: %s (%s) — %s",
+		c.Problem, c.Objective, c.Model, c.Class, c.Reference, c.Implementation)
+}
+
+// ComplexityMatrix returns the paper's 12 complexity results (§4, §5) with
+// the algorithms implementing each variant in this library.
+func ComplexityMatrix() []Complexity {
+	const (
+		minPeriod  = "solve.MinPeriod (branch-and-bound over forests / hill climbing)"
+		minLatency = "solve.MinLatency (branch-and-bound over DAGs / hill climbing)"
+	)
+	return []Complexity{
+		{"orchestration", "period", Overlap, "polynomial", "Thm 1 / Prop 1", "orchestrate.OverlapPeriod (Theorem-1 construction)"},
+		{"orchestration", "period", InOrder, "NP-hard", "Thm 1 / Prop 3", "orchestrate.InOrderPeriod (event-graph MCR + order search)"},
+		{"orchestration", "period", OutOrder, "NP-hard", "Thm 1 / Prop 2", "orchestrate.OutOrderPeriod (pipelined event-graph template)"},
+		{"orchestration", "latency", Overlap, "NP-hard", "Thm 3 / Prop 11", "orchestrate.OverlapLatency (bandwidth sharing + order search)"},
+		{"orchestration", "latency", InOrder, "NP-hard", "Thm 3 / Prop 10", "orchestrate.OnePortLatency (exhaustive/heuristic orders)"},
+		{"orchestration", "latency", OutOrder, "NP-hard", "Thm 3 / Prop 9", "orchestrate.OnePortLatency (exhaustive/heuristic orders)"},
+		{"minimization", "period", Overlap, "NP-hard", "Thm 2 / Prop 5", minPeriod},
+		{"minimization", "period", InOrder, "NP-hard", "Thm 2 / Prop 7", minPeriod},
+		{"minimization", "period", OutOrder, "NP-hard", "Thm 2 / Prop 6", minPeriod},
+		{"minimization", "latency", Overlap, "NP-hard", "Thm 4 / Prop 15", minLatency},
+		{"minimization", "latency", InOrder, "NP-hard", "Thm 4 / Prop 14", minLatency},
+		{"minimization", "latency", OutOrder, "NP-hard", "Thm 4 / Prop 13", minLatency},
+	}
+}
+
+// PolynomialCases lists the paper's tractable special cases and their
+// implementations.
+func PolynomialCases() []Complexity {
+	return []Complexity{
+		{"orchestration", "period", Overlap, "polynomial", "Thm 1", "orchestrate.OverlapPeriod"},
+		{"orchestration (chain plans)", "period", InOrder, "polynomial", "Prop 8", "solve.GreedyChainOrder + orchestrate.InOrderPeriod"},
+		{"orchestration (tree plans)", "latency", InOrder, "polynomial", "Prop 12 / Alg 1", "orchestrate.TreeLatency"},
+		{"minimization (chain plans)", "period", Overlap, "polynomial", "Prop 8", "solve.GreedyChainOrder"},
+		{"minimization (chain plans)", "latency", InOrder, "polynomial", "Prop 16", "solve.GreedyLatencyChainOrder"},
+	}
+}

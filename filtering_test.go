@@ -1,9 +1,11 @@
 package filtering_test
 
 import (
+	"strings"
 	"testing"
 
 	filtering "repro"
+	"repro/internal/paperex"
 )
 
 // TestFacadeQuickstart exercises the package-documentation workflow through
@@ -86,6 +88,107 @@ func TestFacadeRationals(t *testing.T) {
 func TestFacadeComplexityMatrix(t *testing.T) {
 	if len(filtering.ComplexityMatrix()) != 12 {
 		t.Fatal("complexity matrix must have 12 entries")
+	}
+}
+
+func TestMatrixShape(t *testing.T) {
+	m := filtering.ComplexityMatrix()
+	polys, nps := 0, 0
+	for _, c := range m {
+		switch c.Class {
+		case "polynomial":
+			polys++
+		case "NP-hard":
+			nps++
+		default:
+			t.Fatalf("unknown class %q", c.Class)
+		}
+		if c.Implementation == "" || c.Reference == "" {
+			t.Fatal("entry missing implementation or reference")
+		}
+		// The minimization rows name the search that runs, not the blind
+		// enumerations it replaced.
+		if c.Problem == "minimization" && !strings.Contains(c.Implementation, "branch-and-bound") {
+			t.Errorf("%s: implementation %q does not name the exact search", c, c.Implementation)
+		}
+	}
+	// The paper's headline: 11 of the 12 variants are NP-hard; only
+	// OVERLAP period orchestration is polynomial.
+	if polys != 1 || nps != 11 {
+		t.Fatalf("polys=%d nps=%d, want 1/11", polys, nps)
+	}
+	if len(filtering.PolynomialCases()) == 0 {
+		t.Fatal("no polynomial cases listed")
+	}
+	if s := m[0].String(); !strings.Contains(s, "OVERLAP") || !strings.Contains(s, "polynomial") {
+		t.Fatalf("String() = %q", s)
+	}
+}
+
+func TestPlannerEndToEnd(t *testing.T) {
+	p := filtering.NewPlanner()
+	app := paperex.Fig1App()
+	for _, m := range filtering.Models {
+		sol, err := p.MinimizePeriod(app, m)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if err := sol.Sched.List.Validate(m); err != nil {
+			t.Fatalf("%s: invalid schedule: %v", m, err)
+		}
+		// Five uniform unit-selectivity services: the parallel plan gives
+		// the global optimum (cost 4 dominates); sanity-check the value.
+		if sol.Value.Greater(filtering.Int(21)) {
+			t.Fatalf("%s: period %s absurd", m, sol.Value)
+		}
+	}
+	sol, err := p.MinimizeLatency(app, filtering.InOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parallel plan has latency 1+4+1 = 6; nothing can beat computing
+	// at least one service plus its I/O.
+	if !sol.Value.Equal(filtering.Int(6)) {
+		t.Fatalf("latency optimum = %s, want 6", sol.Value)
+	}
+}
+
+func TestPlannerOrchestrate(t *testing.T) {
+	p := filtering.NewPlanner()
+	eg := paperex.Fig1Graph()
+	res, err := p.Orchestrate(eg, filtering.InOrder, filtering.PeriodObjective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Value.Equal(filtering.NewRat(23, 3)) {
+		t.Fatalf("INORDER period = %s, want 23/3", res.Value)
+	}
+	lat, err := p.Orchestrate(eg, filtering.OutOrder, filtering.LatencyObjective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lat.Value.Equal(filtering.Int(21)) {
+		t.Fatalf("latency = %s, want 21", lat.Value)
+	}
+}
+
+func TestPlannerEvaluatePlan(t *testing.T) {
+	p := filtering.NewPlanner()
+	eg := paperex.Fig1Graph()
+	res, err := p.Orchestrate(eg, filtering.Overlap, filtering.PeriodObjective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	period, latency, err := p.EvaluatePlan(res.List, filtering.Overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !period.Equal(filtering.Int(4)) || latency.Less(period) {
+		t.Fatalf("period=%s latency=%s", period, latency)
+	}
+	// The Theorem-1 list is not INORDER-valid (stretched comms).
+	if _, _, err := p.EvaluatePlan(res.List, filtering.InOrder); err == nil {
+		t.Fatal("stretched multi-port list must fail one-port validation")
 	}
 }
 

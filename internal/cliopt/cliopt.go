@@ -40,20 +40,14 @@ func Objective(s string) (solve.Objective, error) {
 	}
 }
 
-// Method parses a search-method name: auto, greedy-chain, exact-chain,
-// exact-forest, exact-dag, hill-climb, bnb (alias branch-bound).
+// Method parses a search-method name: auto, greedy-chain, hill-climb, bnb
+// (alias branch-bound).
 func Method(s string) (solve.Method, error) {
 	switch strings.ToLower(s) {
 	case "auto":
 		return solve.Auto, nil
 	case "greedy-chain":
 		return solve.GreedyChain, nil
-	case "exact-chain":
-		return solve.ExactChain, nil
-	case "exact-forest":
-		return solve.ExactForest, nil
-	case "exact-dag":
-		return solve.ExactDAG, nil
 	case "hill-climb":
 		return solve.HillClimb, nil
 	case "bnb", "branch-bound":

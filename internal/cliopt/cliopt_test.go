@@ -1,6 +1,7 @@
 package cliopt
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/plan"
@@ -39,8 +40,7 @@ func TestObjective(t *testing.T) {
 
 func TestMethod(t *testing.T) {
 	cases := map[string]solve.Method{
-		"auto": solve.Auto, "greedy-chain": solve.GreedyChain, "exact-chain": solve.ExactChain,
-		"exact-forest": solve.ExactForest, "exact-dag": solve.ExactDAG, "hill-climb": solve.HillClimb,
+		"auto": solve.Auto, "greedy-chain": solve.GreedyChain, "hill-climb": solve.HillClimb,
 		"bnb": solve.BranchBound, "Branch-Bound": solve.BranchBound,
 	}
 	for in, want := range cases {
@@ -49,8 +49,12 @@ func TestMethod(t *testing.T) {
 			t.Errorf("Method(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := Method("bogus"); err == nil {
-		t.Error("bogus method accepted")
+	// The blind enumerations are no longer methods: their names fail like
+	// any unknown one.
+	for _, in := range []string{"bogus", "exact-chain", "exact-forest", "exact-dag"} {
+		if _, err := Method(in); err == nil || err.Error() != fmt.Sprintf("unknown method %q", in) {
+			t.Errorf("Method(%q) error = %v, want unknown method", in, err)
+		}
 	}
 }
 
@@ -83,10 +87,16 @@ func TestRoundTrips(t *testing.T) {
 			t.Errorf("Objective(%q) = %v, %v", o.String(), got, err)
 		}
 	}
-	for _, m := range []solve.Method{solve.Auto, solve.GreedyChain, solve.ExactChain,
-		solve.ExactForest, solve.ExactDAG, solve.HillClimb, solve.BranchBound} {
+	for _, m := range []solve.Method{solve.Auto, solve.GreedyChain, solve.HillClimb, solve.BranchBound} {
 		if got, err := Method(m.String()); err != nil || got != m {
 			t.Errorf("Method(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	// The two inert constants (see their comment in solve) round-trip to
+	// nothing.
+	for _, m := range []solve.Method{solve.ExactForest, solve.ExactDAG} {
+		if got, err := Method(m.String()); err == nil {
+			t.Errorf("Method(%q) = %v, want an error", m.String(), got)
 		}
 	}
 	for _, f := range []solve.Family{solve.FamilyAuto, solve.FamilyChain, solve.FamilyForest, solve.FamilyDAG} {

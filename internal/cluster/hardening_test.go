@@ -216,10 +216,19 @@ func TestHealthProbesConcurrentAndCapped(t *testing.T) {
 // smoke test scrapes.
 func TestBreakerIsolatesFlappingPeer(t *testing.T) {
 	var hits atomic.Int64
-	peer := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+	// The peer fails its stats probe as well (a never-seen peer's probe
+	// failures are ignored): the router's boot-time health pass runs
+	// concurrently with the first request, and a probe SUCCESS closes a
+	// breaker from any state — a fakePeer answering it 200 lets a late
+	// probe re-close the breaker the request has just opened, which a fast
+	// local solve makes likely.
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		panic(http.ErrAbortHandler)
 	})
+	peer := httptest.NewServer(mux) // GET /v1/stats: 404
+	t.Cleanup(peer.Close)
 	rt := newRouter(t, Config{
 		Peers: []string{peer.URL}, HealthInterval: time.Hour,
 		BreakerThreshold: 3, ForwardRetries: 2, RetryBackoff: time.Millisecond,

@@ -11,29 +11,26 @@ import (
 )
 
 // E15Pruning measures the pruning effectiveness of the branch-and-bound
-// searches: for each structural family it runs the blind enumeration and
-// the bounded search on the same instance, checks that both certify the
-// identical optimum, and reports the evaluation reduction (candidates
-// orchestrated or closed-form-evaluated vs the family's full candidate
-// count). The last row is the scale payoff: a chain instance whose 12! ≈
-// 4.8e8 candidates the blind enumeration cannot finish (its guard rejects
-// the size outright), certified by branch-and-bound in a few thousand
-// expansions.
-func E15Pruning(budget int) Report { return e15Pruning(budget, 0) }
-
-// e15Pruning bounds the inner blind searches to solverWorkers (1 under the
-// parallel harness, which owns the parallelism budget). The branch-and-
-// bound runs always use one worker so the reported node counters are
+// searches: for each structural family it runs the bounded search on one
+// instance and reports the evaluation reduction (candidates orchestrated or
+// closed-form-evaluated vs the family's full candidate count, i.e. what a
+// blind enumeration scores), checking that the certified value is no worse
+// than the greedy chain's. That the bounded search returns the blind
+// enumeration's Solution is pinned by the differential suite of
+// internal/solve, which owns the enumeration. The last row is the scale
+// payoff: a chain instance with 12! ≈ 4.8e8 candidates, certified in a few
+// dozen expansions.
+//
+// The searches run on one worker so the reported node counters are
 // reproducible: with more workers the result is still identical, but the
 // pruning counters depend on goroutine timing.
-func e15Pruning(budget, solverWorkers int) Report {
-	tab := texttab.New("family", "n", "objective", "blind candidates", "expanded", "evaluated", "evals kept", "optimum")
+func E15Pruning(budget int) Report {
+	tab := texttab.New("family", "n", "objective", "blind candidates", "expanded", "evaluated", "evals kept", "certified ≤ greedy")
 	ok := true
 	orch := orchestrate.Options{MaxExhaustive: 128}
 
 	type pcase struct {
 		family solve.Family
-		exact  solve.Method
 		n      int
 		seed   int64
 		obj    solve.Objective
@@ -57,70 +54,52 @@ func e15Pruning(budget, solverWorkers int) Report {
 	dags := [...]int64{1, 1, 3, 25, 543, 29281} // labeled DAGs on n nodes
 
 	cases := []pcase{
-		{solve.FamilyChain, solve.ExactChain, 7, 31, solve.PeriodObjective, plan.InOrder, factorial(7)},
-		{solve.FamilyChain, solve.ExactChain, 7, 32, solve.LatencyObjective, plan.InOrder, factorial(7)},
-		{solve.FamilyForest, solve.ExactForest, 5, 33, solve.PeriodObjective, plan.Overlap, forests(5)},
-		{solve.FamilyDAG, solve.ExactDAG, 4, 34, solve.LatencyObjective, plan.InOrder, dags[4]},
+		{solve.FamilyChain, 7, 31, solve.PeriodObjective, plan.InOrder, factorial(7)},
+		{solve.FamilyChain, 7, 32, solve.LatencyObjective, plan.InOrder, factorial(7)},
+		{solve.FamilyForest, 5, 33, solve.PeriodObjective, plan.Overlap, forests(5)},
+		{solve.FamilyDAG, 4, 34, solve.LatencyObjective, plan.InOrder, dags[4]},
 	}
 	if budget > 1 {
 		cases = append(cases,
-			pcase{solve.FamilyForest, solve.ExactForest, 6, 35, solve.PeriodObjective, plan.InOrder, forests(6)},
+			pcase{solve.FamilyForest, 6, 35, solve.PeriodObjective, plan.InOrder, forests(6)},
 		)
 	}
+	// The certification row: no blind enumeration finishes 12! chains.
+	cases = append(cases, pcase{solve.FamilyChain, 12, 42, solve.PeriodObjective, plan.InOrder, factorial(12)})
 
 	for _, c := range cases {
 		app := gen.App(gen.NewRand(c.seed), c.n, profileFor(c.seed))
-		solveObj := func(opts solve.Options) (s solve.Solution, err error) {
-			if c.obj == solve.PeriodObjective {
-				return solve.MinPeriod(app, c.m, opts)
-			}
-			return solve.MinLatency(app, c.m, opts)
-		}
-		blindSol, err := solveObj(solve.Options{Method: c.exact, Orch: orch, Workers: solverWorkers})
-		if err != nil {
-			return fail("E15", "pruning effectiveness", err)
+		minimize, greedy := solve.MinPeriod, solve.ChainPeriodValue(app, solve.GreedyChainOrder(app, c.m), c.m)
+		if c.obj == solve.LatencyObjective {
+			minimize, greedy = solve.MinLatency, solve.ChainLatencyValue(app, solve.GreedyLatencyChainOrder(app))
 		}
 		var st solve.Stats
-		bnbSol, err := solveObj(solve.Options{
+		sol, err := minimize(app, c.m, solve.Options{
 			Method: solve.BranchBound, Family: c.family,
 			Orch: orch, Restarts: 1, Workers: 1, Stats: &st,
 		})
 		if err != nil {
 			return fail("E15", "pruning effectiveness", err)
 		}
-		match := bnbSol.Value.Equal(blindSol.Value)
-		ok = ok && match
+		// Every family contains the chains, so its optimum cannot exceed
+		// the best chain's; and pruning must cut the candidates scored at
+		// least tenfold.
+		certOK := !sol.Value.Greater(greedy) && st.Evaluated > 0 && st.Evaluated*10 < c.blind
+		ok = ok && certOK
+		digits := 3
+		if c.n == 12 {
+			digits = 6 // 1 of 12! rounds to 0 at three
+		}
 		tab.Row(c.family, c.n, c.obj, c.blind, st.Expanded, st.Evaluated,
-			fmt.Sprintf("%.3f%%", 100*float64(st.Evaluated)/float64(c.blind)), mark(match))
+			fmt.Sprintf("%.*f%%", digits, 100*float64(st.Evaluated)/float64(c.blind)), mark(certOK))
 	}
-
-	// The certification row: blind chain enumeration rejects n = 12, the
-	// bounded search certifies the chain optimum anyway.
-	big := gen.App(gen.NewRand(42), 12, gen.Filtering)
-	if _, err := solve.MinPeriod(big, plan.InOrder, solve.Options{Method: solve.ExactChain, Orch: orch}); err == nil {
-		return fail("E15", "pruning effectiveness", fmt.Errorf("blind chain enumeration unexpectedly accepted n=12"))
-	}
-	var st solve.Stats
-	bigSol, err := solve.MinPeriod(big, plan.InOrder, solve.Options{
-		Method: solve.BranchBound, Family: solve.FamilyChain,
-		Orch: orch, Workers: 1, Stats: &st,
-	})
-	if err != nil {
-		return fail("E15", "pruning effectiveness", err)
-	}
-	greedy := solve.ChainPeriodValue(big, solve.GreedyChainOrder(big, plan.InOrder), plan.InOrder)
-	certOK := !bigSol.Value.Greater(greedy) && st.Evaluated < factorial(12)/1000
-	ok = ok && certOK
-	tab.Row(solve.FamilyChain, 12, solve.PeriodObjective, fmt.Sprintf("%d (blind guard rejects)", factorial(12)),
-		st.Expanded, st.Evaluated,
-		fmt.Sprintf("%.6f%%", 100*float64(st.Evaluated)/float64(factorial(12))), mark(certOK))
 
 	return Report{
 		ID: "E15", Title: "Branch-and-bound pruning effectiveness vs blind enumeration", Table: tab, OK: ok,
 		Notes: []string{
-			"'blind candidates' is the family's full candidate count (n! chains, (n+1)^(n-1) forests, labeled DAGs); 'evaluated' counts the candidates branch-and-bound actually scored after lower-bound pruning.",
-			"Every shared-size row checks that branch-and-bound certifies the identical optimum as the blind enumeration (the cross-method equivalence suite pins the full Solutions bit for bit).",
-			"The n=12 chain row is beyond the blind guard: the optimum is certified against the greedy-chain incumbent with a ~1e-4% evaluation fraction.",
+			"'blind candidates' is the family's full candidate count (n! chains, (n+1)^(n-1) forests, labeled DAGs) — what a blind enumeration scores; 'evaluated' counts the candidates branch-and-bound actually scored after lower-bound pruning.",
+			"Every row checks that the certified optimum is no worse than the greedy chain's value (a chain is a forest is a DAG). That branch-and-bound returns the blind enumeration's Solution bit for bit is pinned by the differential suite in internal/solve, where the enumeration now lives as the test oracle.",
+			"The n=12 chain row is beyond any blind enumeration: the optimum is certified against the greedy-chain incumbent with a ~1e-4% evaluation fraction.",
 			"Counters come from Workers: 1 runs; parallel runs return the identical Solution but timing-dependent counters.",
 		},
 	}

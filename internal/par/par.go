@@ -1,6 +1,6 @@
 // Package par is the shared parallel-search layer of the repository: a
 // bounded worker pool plus deterministic best-result reduction, used by the
-// exact enumerators and hill-climbing restarts of package solve, by the
+// exact searches and hill-climbing restarts of package solve, by the
 // order-search sharding of package orchestrate, and by the experiment
 // harness.
 //

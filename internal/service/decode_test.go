@@ -102,6 +102,7 @@ func TestPlanRequestDecodeTable(t *testing.T) {
 		{"syntax error", `{"instance": `, 400, "service: parsing request body: unexpected EOF"},
 		{"bad syntax inside instance", `{"instance": {"services": [}}`, 400, "service: parsing request body: invalid character '}' looking for beginning of value"},
 		{"unknown model", `{"instance": ` + twoServices + `, "model": "sideways"}`, 400, `unknown model "sideways" (want overlap, inorder or outorder)`},
+		{"retired method", `{"instance": ` + twoServices + `, "method": "exact-dag"}`, 400, `unknown method "exact-dag"`},
 		{"body over 4 MiB", `{"instance": ` + twoServices + `, "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`, 400, "service: parsing request body: http: request body too large"},
 	}
 	for _, c := range cases {

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -122,5 +125,51 @@ func TestRestartWithColdDirSolvesFresh(t *testing.T) {
 	}
 	if got := s.Stats(); got.Solves != 1 || got.Store.Loaded != 0 {
 		t.Errorf("stats %+v", got)
+	}
+}
+
+// TestParentBuildEntryIsAWarmHit: a data directory written by the build
+// that still had the blind enumerations stays servable. The fixture entry
+// (internal/store/testdata) is what that build persisted for a default
+// request — cache key "…|auto|auto|0|0|0", effort.method "exact-forest" —
+// and the fixture body is its own warm answer to that request. This build
+// must derive the same key text for the request (a hit, no solve) and
+// answer with the same bytes, although it can no longer parse the method
+// the effort record names.
+func TestParentBuildEntryIsAWarmHit(t *testing.T) {
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "store", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	entry, want := fixture("pr16_auto_exact_forest.plan.json"), fixture("pr16_auto_hit_body.json")
+	var doc struct {
+		Instance json.RawMessage `json:"instance"`
+	}
+	if err := json.Unmarshal(entry, &doc); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "parent.plan.json"), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, Store: st})
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+	if got := s.Stats().Store; got.Loaded != 1 || got.Skipped != 0 {
+		t.Fatalf("warm-load stats: %+v", got)
+	}
+	code, body := planBody(t, ts.URL, string(doc.Instance), "")
+	if code != http.StatusOK || body != string(want) {
+		t.Errorf("status %d, body differs from the parent build's warm answer:\n%s\nvs\n%s", code, body, want)
+	}
+	if got := s.Stats(); got.Solves != 0 {
+		t.Errorf("%d solves for a key the parent build persisted", got.Solves)
 	}
 }

@@ -550,8 +550,7 @@ func (s *Server) validate(req Request) error {
 		return fmt.Errorf("service: unknown objective %v", req.Objective)
 	}
 	switch req.Method {
-	case solve.Auto, solve.GreedyChain, solve.ExactChain, solve.ExactForest,
-		solve.ExactDAG, solve.HillClimb, solve.BranchBound:
+	case solve.Auto, solve.GreedyChain, solve.HillClimb, solve.BranchBound:
 	default:
 		return fmt.Errorf("service: unknown method %v", req.Method)
 	}

@@ -323,6 +323,8 @@ func TestValidation(t *testing.T) {
 		{App: app, Model: plan.Model(99)},
 		{App: app, Objective: solve.Objective(99)},
 		{App: app, Method: solve.Method(99)},
+		{App: app, Method: solve.ExactForest}, // the inert constants are not methods
+		{App: app, Method: solve.ExactDAG},
 		{App: app, Family: solve.Family(99)},
 		{App: app, MaxExactN: -1},
 	}

@@ -1,24 +1,25 @@
 package solve
 
-// Branch-and-bound variants of the exact chain/forest/DAG searches.
+// The exact search: branch-and-bound over chains, forests and DAGs.
 //
-// The blind enumerations of minimize.go orchestrate every member of their
-// structural family; the searches here enumerate the same families in the
-// same order but compute an admissible lower bound (bound.go) on every
-// partial decision and discard any subtree whose bound strictly exceeds the
-// shared incumbent — the best objective value any worker has proved
-// achievable so far. The incumbent is seeded with the greedy-chain and
-// hill-climbing solutions before the first expansion, so pruning bites from
-// the root of the branching tree, and the searches certify the same optimum
-// as the blind enumerations at a fraction of the evaluations (experiment
-// E15 quantifies the reduction).
+// A blind enumeration orchestrates every member of a structural family and
+// keeps the first strictly best (the test suite's oracle, oracle_test.go,
+// is exactly that). The searches here visit the same families in the same
+// order but compute an admissible lower bound (bound.go) on every partial
+// decision and discard any subtree whose bound strictly exceeds the shared
+// incumbent — the best objective value any worker has proved achievable so
+// far. The incumbent is seeded with the greedy-chain and hill-climbing
+// solutions before the first expansion, so pruning bites from the root of
+// the branching tree, and the searches return the blind enumeration's
+// Solution at a fraction of the evaluations (experiment E15 quantifies the
+// reduction; the differential suite in bnb_test.go pins the identity).
 //
 // # Determinism
 //
-// The top of the branching tree is sharded over the par pool exactly like
-// the blind searches (chains by first service, forests by the first two
-// parent assignments, DAGs by the first pair orientations) and per-shard
-// winners reduce in shard order. The shared incumbent makes the SET of
+// The top of the branching tree is sharded over the par pool (chains by
+// first service, forests by the first two parent assignments, DAGs by the
+// first pair orientations) and per-shard winners reduce in shard
+// order. The shared incumbent makes the SET of
 // expanded nodes depend on worker interleaving, but not the returned
 // Solution, because pruning follows two rules: against the shared incumbent
 // the test is STRICT (bound > incumbent), and ties are cut only against the
@@ -50,13 +51,12 @@ const (
 	// FamilyAuto picks the family that makes the search exact: forests for
 	// MINPERIOD without precedence constraints (Prop. 4), DAGs otherwise.
 	FamilyAuto Family = iota
-	// FamilyChain searches the n! linear chains (optimal among chains, like
-	// ExactChain; closed-form evaluation, no orchestration per candidate).
+	// FamilyChain searches the n! linear chains (optimal among chains;
+	// closed-form evaluation, no orchestration per candidate).
 	FamilyChain
-	// FamilyForest searches all forests (like ExactForest).
+	// FamilyForest searches all forests.
 	FamilyForest
-	// FamilyDAG searches all DAGs containing the precedence constraints
-	// (like ExactDAG).
+	// FamilyDAG searches all DAGs containing the precedence constraints.
 	FamilyDAG
 )
 
@@ -76,9 +76,8 @@ func (f Family) String() string {
 	}
 }
 
-// Default instance-size caps of the branch-and-bound searches, above the
-// blind-enumeration defaults because pruning shrinks the explored tree by
-// orders of magnitude (Options.MaxExactN overrides all of them).
+// Default instance-size caps of the branch-and-bound searches
+// (Options.MaxExactN overrides all of them).
 const (
 	bnbMaxChainN  = 12
 	bnbMaxForestN = 7
@@ -243,6 +242,11 @@ func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objectiv
 			inc.offer(s.Value)
 		}
 	}
+	// Up to three services the whole family (at most 25 DAGs, 16 forests)
+	// is smaller than a climb's 400 + 40n evaluation budget: no climb seed.
+	if app.N() <= 3 {
+		return
+	}
 	if s, err := hillClimb(app, m, obj, opts); err == nil {
 		inc.offer(s.Value)
 	}
@@ -250,9 +254,9 @@ func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objectiv
 
 // --- chains ---
 
-// branchBoundChain proves optimality among all n! chains like exactChain,
-// but places services position by position and cuts every prefix whose
-// completion bound exceeds the incumbent. Candidate evaluation is the
+// branchBoundChain proves optimality among all n! chains: it places
+// services position by position and cuts every prefix whose completion
+// bound exceeds the incumbent. Candidate evaluation is the
 // closed chain formula; only the winner is orchestrated.
 func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	if app.HasPrecedence() {
@@ -374,16 +378,16 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 	if err != nil {
 		return Solution{}, err
 	}
-	// Optimal among chains, like ExactChain — not globally.
+	// Optimal among chains, not globally.
 	return solveGraph(eg, m, obj, opts.orchWide())
 }
 
 // --- forests ---
 
-// branchBoundForest proves the same optimum as exactForest (globally
-// optimal for MINPERIOD without precedence constraints, Prop. 4) while
-// assigning parents node by node and cutting every partial assignment whose
-// bound exceeds the incumbent.
+// branchBoundForest proves optimality among all forests (globally optimal
+// for MINPERIOD without precedence constraints, Prop. 4), assigning parents
+// node by node and cutting every partial assignment whose bound exceeds
+// the incumbent.
 func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	if app.HasPrecedence() {
 		return Solution{}, fmt.Errorf("solve: forest branch-and-bound requires no precedence constraints")
@@ -471,11 +475,11 @@ func parentChainReaches(parent []int, p, v int) bool {
 
 // --- DAGs ---
 
-// branchBoundDAG proves the same optimum as exactDAG while orienting node
-// pairs one at a time. Besides the bound, two feasibility cuts remove
-// subtrees the blind enumeration would reject graph by graph: orientations
-// that close a cycle, and orientations that reverse a precedence path
-// (either makes every completion invalid).
+// branchBoundDAG proves optimality among all DAGs containing the precedence
+// constraints, orienting node pairs one at a time. Besides the bound, two
+// feasibility cuts remove subtrees a blind enumeration would reject graph
+// by graph: orientations that close a cycle, and orientations that reverse
+// a precedence path (either makes every completion invalid).
 func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	n := app.N()
 	if n > maxN(opts, bnbMaxDAGN) {

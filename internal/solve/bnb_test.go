@@ -6,85 +6,162 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/gen"
+	"repro/internal/orchestrate"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/workflow"
 )
 
-// --- cross-method equivalence: BranchBound vs the blind enumerations ---
+// --- the differential suite: the exact search vs the blind oracle ---
+
+// agreeWithOracle holds the exact search to the oracle (oracle_test.go) on
+// one instance, family, model and objective: every way of asking for the
+// family's optimum — by name, and through Auto where Auto resolves to this
+// family — at every worker count and memo mode returns the oracle's
+// Solution bit for bit: value, Exact, graph and operation list. who names
+// the instance in a failure, shared is its "service-wide" memo. It returns
+// the number of solves.
+func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, obj Objective, family Family, shared *orchestrate.Memo) int {
+	t.Helper()
+	want := describeSolution(oracleSolve(t, app, m, obj, family))
+	asks := []Options{{Method: BranchBound, Family: family}}
+	if ResolveMethod(app, obj, Options{}) == BranchBound && ResolveFamily(app, obj, FamilyAuto) == family {
+		asks = append(asks, Options{Method: Auto})
+	}
+	solves := 0
+	for _, ask := range asks {
+		for _, workers := range []int{1, 4} {
+			for _, mode := range []memoMode{memoOff, memoPerSolve, memoShared} {
+				opts := ask
+				opts.Orch, opts.Restarts, opts.Workers = smallOrch(), 1, workers
+				opts.NoMemo = mode == memoOff
+				if mode == memoShared {
+					opts.Memo = shared
+				}
+				solves++
+				if got := describeSolution(solveOnce(t, app, m, obj, opts)); got != want {
+					t.Fatalf("%s %s/%s method=%s family=%s workers=%d memo=%d diverged from the blind oracle over %ss:\n--- oracle ---\n%s\n--- search ---\n%s",
+						who, m, obj, ask.Method, ask.Family, workers, mode, family, want, got)
+				}
+			}
+		}
+	}
+	return solves
+}
+
+// oracleTooSlow thins the cells where the blind enumeration costs seconds:
+// one-port period order searches over the 16 807 forests of n = 6, the 543
+// DAGs of an unconstrained n = 4 and whatever precedence leaves of the
+// 29 281 DAGs of n = 5.
+func oracleTooSlow(family Family, app *workflow.App, m plan.Model, obj Objective) bool {
+	if obj != PeriodObjective || m == plan.Overlap {
+		return false
+	}
+	n := app.N()
+	return (family == FamilyForest && n >= 6) || (family == FamilyDAG && (n >= 5 || (n == 4 && !app.HasPrecedence())))
+}
 
 // TestBranchBoundMatchesExactEnumerations is the equivalence contract of
-// the branch-and-bound searches: on randomized small instances they return
-// not just the same objective value as the blind ExactChain / ExactForest /
-// ExactDAG enumerations but the bit-identical Solution (same graph, same
-// operation list), for both MinPeriod and MinLatency. Strict pruning
-// guarantees the first optimum-valued graph in enumeration order survives,
-// which is exactly the graph the blind search keeps.
+// the exact search: it returns not just the objective value of the blind
+// chain / forest / DAG enumerations but the bit-identical Solution, for
+// MinPeriod and MinLatency under every model. Strict pruning guarantees the
+// first optimum-valued graph in enumeration order survives, which is
+// exactly the graph the blind search keeps. The named rows are fixed
+// instances; the corpus is random ones of every size the oracle can
+// afford, with and without precedence constraints.
 func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 	profiles := []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}
-	type tc struct {
+	type row struct {
 		name   string
 		family Family
-		exact  Method
 		app    *workflow.App
 		models []plan.Model
 	}
-	var cases []tc
+	var rows []row
 	for seed := int64(0); seed < 3; seed++ {
-		p := profiles[seed%int64(len(profiles))]
-		cases = append(cases,
-			tc{fmt.Sprintf("chain/seed%d", seed), FamilyChain, ExactChain,
-				gen.App(gen.NewRand(seed), 5, p), plan.Models},
-			tc{fmt.Sprintf("forest/seed%d", seed), FamilyForest, ExactForest,
-				gen.App(gen.NewRand(seed+100), 4, p), []plan.Model{plan.Overlap, plan.InOrder}},
-			tc{fmt.Sprintf("dag/seed%d", seed), FamilyDAG, ExactDAG,
-				gen.App(gen.NewRand(seed+200), 4, p), []plan.Model{plan.Overlap, plan.InOrder}},
+		p := profiles[seed]
+		rows = append(rows,
+			row{fmt.Sprintf("chain/seed%d", seed), FamilyChain, gen.App(gen.NewRand(seed), 5, p), plan.Models},
+			row{fmt.Sprintf("forest/seed%d", seed), FamilyForest, gen.App(gen.NewRand(seed+100), 4, p), []plan.Model{plan.Overlap, plan.InOrder}},
+			row{fmt.Sprintf("dag/seed%d", seed), FamilyDAG, gen.App(gen.NewRand(seed+200), 4, p), []plan.Model{plan.Overlap, plan.InOrder}},
 		)
 	}
-	withPrec := gen.AppWithPrecedence(gen.NewRand(8), 4, gen.Filtering, 0.3)
-	if !withPrec.HasPrecedence() {
-		t.Fatal("seed 8 must produce precedence constraints")
-	}
-	cases = append(cases, tc{"dag/precedence", FamilyDAG, ExactDAG,
-		withPrec, []plan.Model{plan.Overlap, plan.InOrder}})
-
-	for _, tc := range cases {
-		for _, m := range tc.models {
+	rows = append(rows, row{"dag/precedence", FamilyDAG,
+		gen.AppWithPrecedence(gen.NewRand(8), 4, gen.Filtering, 0.3), []plan.Model{plan.Overlap, plan.InOrder}})
+	for _, r := range rows {
+		shared := orchestrate.NewMemo(0)
+		for _, m := range r.models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-				t.Run(fmt.Sprintf("%s/%s/%s", tc.name, m, obj), func(t *testing.T) {
-					base := Options{Orch: smallOrch(), Restarts: 1, Workers: 1}
-					exactOpts := base
-					exactOpts.Method = tc.exact
-					blind := solveOnce(t, tc.app, m, obj, exactOpts)
-					bnbOpts := base
-					bnbOpts.Method = BranchBound
-					bnbOpts.Family = tc.family
-					pruned := solveOnce(t, tc.app, m, obj, bnbOpts)
-					if !pruned.Value.Equal(blind.Value) {
-						t.Fatalf("objective diverged: blind %s, branch-and-bound %s",
-							blind.Value, pruned.Value)
-					}
-					if got, want := describeSolution(pruned), describeSolution(blind); got != want {
-						t.Fatalf("solution diverged from blind enumeration:\n--- blind ---\n%s\n--- bnb ---\n%s", want, got)
-					}
+				t.Run(fmt.Sprintf("%s/%s/%s", r.name, m, obj), func(t *testing.T) {
+					agreeWithOracle(t, r.name, r.app, m, obj, r.family, shared)
 				})
 			}
 		}
 	}
+
+	// The corpus: count instances per size, free and precedence-constrained
+	// (density 0.3), the smaller count under -short and -race. Free
+	// instances are searched over every family, constrained ones over DAGs.
+	shapes := []struct {
+		n           int
+		prec        bool
+		full, short int
+	}{
+		{1, false, 24, 2}, {2, false, 50, 4}, {3, false, 60, 6}, {4, false, 20, 3}, {5, false, 3, 1}, {6, false, 2, 0},
+		{2, true, 50, 4}, {3, true, 60, 6}, {4, true, 30, 4}, {5, true, 1, 0},
+	}
+	t.Run("corpus", func(t *testing.T) {
+		instances, solves := 0, 0
+		for si, shape := range shapes {
+			count := shape.full
+			if testing.Short() || raceEnabled {
+				count = shape.short
+			}
+			for k := 0; k < count; k++ {
+				seed := int64(7000 + 1000*si + k)
+				who := fmt.Sprintf("shape %d (n=%d prec=%v) #%d", si, shape.n, shape.prec, k)
+				var app *workflow.App
+				var families []Family
+				switch {
+				case shape.prec:
+					for s := seed; app == nil || !app.HasPrecedence(); s += 500 { // small n often draws no edge
+						app = gen.AppWithPrecedence(gen.NewRand(s), shape.n, profiles[k%3], 0.3)
+					}
+					families = []Family{FamilyDAG}
+				case shape.n > 4: // an unconstrained DAG oracle stops at n = 4
+					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyChain, FamilyForest}
+				default:
+					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyChain, FamilyForest, FamilyDAG}
+				}
+				instances++
+				shared := orchestrate.NewMemo(0)
+				for _, family := range families {
+					for _, m := range plan.Models {
+						for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+							if !oracleTooSlow(family, app, m, obj) {
+								solves += agreeWithOracle(t, who, app, m, obj, family, shared)
+							}
+						}
+					}
+				}
+			}
+		}
+		t.Logf("%d instances, %d solves", instances, solves)
+	})
 }
 
-// TestBranchBoundAutoFamilyMatchesAutoExact pins FamilyAuto to the same
-// family choice the blind methods certify: forests for MINPERIOD without
-// precedence, DAGs for MINLATENCY and under precedence constraints.
+// TestBranchBoundAutoFamilyMatchesAutoExact pins FamilyAuto to the family
+// whose optimum is global: forests for MINPERIOD without precedence, DAGs
+// for MINLATENCY and under precedence constraints.
 func TestBranchBoundAutoFamilyMatchesAutoExact(t *testing.T) {
 	base := Options{Orch: smallOrch(), Restarts: 1, Workers: 1}
 	app := gen.App(gen.NewRand(5), 4, gen.Mixed)
-	forest := solveOnce(t, app, plan.InOrder, PeriodObjective, withM(base, ExactForest))
+	forest := oracleSolve(t, app, plan.InOrder, PeriodObjective, FamilyForest)
 	auto := solveOnce(t, app, plan.InOrder, PeriodObjective, withM(base, BranchBound))
 	if !auto.Value.Equal(forest.Value) || !auto.Exact {
 		t.Fatalf("auto-family period: got %s (exact=%v), forest optimum %s", auto.Value, auto.Exact, forest.Value)
 	}
-	dagSol := solveOnce(t, app, plan.InOrder, LatencyObjective, withM(base, ExactDAG))
+	dagSol := oracleSolve(t, app, plan.InOrder, LatencyObjective, FamilyDAG)
 	autoLat := solveOnce(t, app, plan.InOrder, LatencyObjective, withM(base, BranchBound))
 	if !autoLat.Value.Equal(dagSol.Value) {
 		t.Fatalf("auto-family latency: got %s, DAG optimum %s", autoLat.Value, dagSol.Value)
@@ -102,37 +179,75 @@ func withM(o Options, m Method) Options {
 	return o
 }
 
-// TestAutoBandRoutesRaisedMaxExactNToBranchBound pins the Auto cutoff
-// semantics: raising MaxExactN widens only the branch-and-bound band (both
-// exact searches certify the same optimum, so the headroom goes to the
-// pruned one), the blind enumerations keep their defaults, and lowering it
-// caps every exact method.
+// TestAutoBandRoutesRaisedMaxExactNToBranchBound pins Auto's single cutoff:
+// branch-and-bound up to the cap of the family it would search (7 services
+// where forests suffice, 5 where DAGs are needed), hill climbing above, and
+// MaxExactN replaces the cap whether raised or lowered.
 func TestAutoBandRoutesRaisedMaxExactNToBranchBound(t *testing.T) {
-	app := func(n int) *workflow.App { return gen.App(gen.NewRand(1), n, gen.Mixed) }
+	free := func(n int) *workflow.App { return gen.App(gen.NewRand(1), n, gen.Mixed) }
+	chained := func(n int) *workflow.App { // one precedence edge: the DAG family
+		return workflow.MustNew(free(n).Services(), [][2]int{{0, 1}})
+	}
 	cases := []struct {
-		n         int
+		name      string
+		app       *workflow.App
+		obj       Objective
 		maxExactN int
 		want      Method
 	}{
-		{5, 0, ExactForest},   // blind default band
-		{7, 0, BranchBound},   // bnb default band
-		{8, 0, HillClimb},     // above both defaults
-		{5, 12, ExactForest},  // raising MaxExactN keeps the blind default
-		{10, 12, BranchBound}, // ...and widens the bnb band instead
-		{13, 12, HillClimb},
-		{4, 3, HillClimb}, // lowering caps every exact method
-		{3, 3, ExactForest},
+		{"forest n<=cap", free(7), PeriodObjective, 0, BranchBound},
+		{"forest n>cap", free(8), PeriodObjective, 0, HillClimb},
+		{"forest tiny", free(1), PeriodObjective, 0, BranchBound},
+		{"dag (latency) n<=cap", free(5), LatencyObjective, 0, BranchBound},
+		{"dag (latency) n>cap", free(6), LatencyObjective, 0, HillClimb},
+		{"dag (precedence) n<=cap", chained(5), PeriodObjective, 0, BranchBound},
+		{"dag (precedence) n>cap", chained(6), PeriodObjective, 0, HillClimb},
+		{"raised, n<=MaxExactN", free(10), PeriodObjective, 12, BranchBound},
+		{"raised, n>MaxExactN", free(13), PeriodObjective, 12, HillClimb},
+		{"raised, dag", free(6), LatencyObjective, 6, BranchBound},
+		{"lowered, n<=MaxExactN", free(3), PeriodObjective, 3, BranchBound},
+		{"lowered, n>MaxExactN", free(4), PeriodObjective, 3, HillClimb},
 	}
 	for _, tc := range cases {
-		got := autoMethod(app(tc.n), PeriodObjective, Options{MaxExactN: tc.maxExactN})
+		got := ResolveMethod(tc.app, tc.obj, Options{MaxExactN: tc.maxExactN})
 		if got != tc.want {
-			t.Errorf("n=%d MaxExactN=%d: auto picked %v, want %v", tc.n, tc.maxExactN, got, tc.want)
+			t.Errorf("%s: auto picked %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestBranchBoundGuards mirrors the blind enumeration guards: families
-// reject precedence where required and instances above their caps.
+// TestAutoDoesNotTaxTinyInstances pins the seeding rule by counter: up to
+// three services an Auto solve orchestrates no more candidates than the
+// family it searches holds, plus the one greedy-chain seed — no climb,
+// whose budget alone (400 + 40n evaluations) would dwarf the family.
+func TestAutoDoesNotTaxTinyInstances(t *testing.T) {
+	forests := [...]int64{1, 1, 3, 16} // (n+1)^(n-1)
+	dags := [...]int64{1, 1, 3, 25}    // labeled DAGs on n nodes
+	for n := 1; n <= 3; n++ {
+		for seed := int64(0); seed < 4; seed++ {
+			app := gen.App(gen.NewRand(seed), n, gen.Mixed)
+			for _, m := range plan.Models {
+				for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+					for _, workers := range []int{1, 4} {
+						probe := &EvalProbe{}
+						solveOnce(t, app, m, obj, Options{Orch: smallOrch(), Workers: workers, Probe: probe})
+						family := dags[n]
+						if obj == PeriodObjective {
+							family = forests[n]
+						}
+						if got := probe.Evals(); got > family+1 {
+							t.Errorf("n=%d seed %d %s/%s workers=%d: %d candidate orchestrations for a family of %d",
+								n, seed, m, obj, workers, got, family)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBranchBoundGuards: families reject precedence where they cannot
+// honour it and instances far above their caps.
 func TestBranchBoundGuards(t *testing.T) {
 	big := gen.App(gen.NewRand(1), 16, gen.Mixed)
 	for _, fam := range []Family{FamilyChain, FamilyForest, FamilyDAG} {
@@ -170,7 +285,7 @@ func TestPartialBoundsAdmissible(t *testing.T) {
 	app := gen.App(gen.NewRand(3), 6, gen.Mixed)
 	for _, m := range plan.Models {
 		for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-			forEachChain(app.N(), func(order []int) bool {
+			forEachChain(app.N(), func(order []int) {
 				var val rat.Rat
 				if obj == PeriodObjective {
 					val = ChainPeriodValue(app, order, m)
@@ -183,7 +298,6 @@ func TestPartialBoundsAdmissible(t *testing.T) {
 							m, obj, order, k, b, val)
 					}
 				}
-				return true
 			})
 		}
 	}
@@ -192,7 +306,7 @@ func TestPartialBoundsAdmissible(t *testing.T) {
 	n := small.N()
 	for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
 		for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-			forEachForest(n, func(parent []int) bool {
+			forEachForest(n, func(parent []int) {
 				full := forestPartialBound(small, m, obj, parent, n)
 				prefix := make([]int, n)
 				for k := 0; k <= n; k++ {
@@ -205,7 +319,6 @@ func TestPartialBoundsAdmissible(t *testing.T) {
 							m, obj, parent, k, b, full)
 					}
 				}
-				return true
 			})
 		}
 	}
@@ -214,8 +327,7 @@ func TestPartialBoundsAdmissible(t *testing.T) {
 	// the exact chain of values pruning relies on.
 	for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 		for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
-			opts := Options{Method: ExactForest, Orch: smallOrch(), Workers: 1}
-			sol := solveOnce(t, small, m, obj, opts)
+			sol := oracleSolve(t, small, m, obj, FamilyForest)
 			parent := parentVector(t, sol.Graph)
 			prefix := make([]int, n)
 			for k := 0; k <= n; k++ {
@@ -229,8 +341,7 @@ func TestPartialBoundsAdmissible(t *testing.T) {
 				}
 			}
 
-			dagOpts := Options{Method: ExactDAG, Orch: smallOrch(), Workers: 1}
-			dagSol := solveOnce(t, small, m, obj, dagOpts)
+			dagSol := oracleSolve(t, small, m, obj, FamilyDAG)
 			pairs := nodePairs(n)
 			g := dag.New(n)
 			for i := 0; i <= len(pairs); i++ {
@@ -309,7 +420,7 @@ func TestDAGSourceFloorBinds(t *testing.T) {
 // TestDAGPrecedenceBoundAdmissible checks the precedence-aware DAG bound
 // against the blind enumeration: on precedence-constrained instances the
 // partial bound — fed the precedence closure exactly as branchBoundDAG
-// feeds it — never exceeds the ExactDAG optimum at any prefix of the
+// feeds it — never exceeds the blind DAG optimum at any prefix of the
 // optimal DAG's incremental construction, and branch-and-bound pruned by
 // it still returns the blind optimum.
 func TestDAGPrecedenceBoundAdmissible(t *testing.T) {
@@ -326,8 +437,7 @@ func TestDAGPrecedenceBoundAdmissible(t *testing.T) {
 		pairs := nodePairs(n)
 		for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-				blind := solveOnce(t, app, m, obj,
-					Options{Method: ExactDAG, Orch: smallOrch(), Workers: 1})
+				blind := oracleSolve(t, app, m, obj, FamilyDAG)
 				g := dag.New(n)
 				for i := 0; i <= len(pairs); i++ {
 					if b := dagPartialBound(app, m, obj, g, prec, pairs, i); b.Greater(blind.Value) {
@@ -398,17 +508,15 @@ func TestDAGPrecedenceLastFloorExactOnTotalOrder(t *testing.T) {
 	// (the total order admits only the chain, whose bottleneck is d's
 	// output copy), so the root bound certifies optimality before the
 	// search decides a single pair.
-	sol := solveOnce(t, app, plan.Overlap, PeriodObjective,
-		Options{Method: ExactDAG, Orch: smallOrch(), Workers: 1})
+	sol := oracleSolve(t, app, plan.Overlap, PeriodObjective, FamilyDAG)
 	if !sol.Value.Equal(want) {
-		t.Fatalf("ExactDAG optimum %s, want %s", sol.Value, want)
+		t.Fatalf("blind DAG optimum %s, want %s", sol.Value, want)
 	}
 	// ONE-PORT recovers the chain-style additive unit on the same exact
 	// product: σa·σb·σc·(c_d + σ_d) ≤ bound ≤ optimum.
 	floor1p := rat.New(15, 4).Mul(rat.New(1, 8).Add(rat.I(3)))
 	got1p := dagPartialBound(app, plan.InOrder, PeriodObjective, g, prec, pairs, 0)
-	sol1p := solveOnce(t, app, plan.InOrder, PeriodObjective,
-		Options{Method: ExactDAG, Orch: smallOrch(), Workers: 1})
+	sol1p := oracleSolve(t, app, plan.InOrder, PeriodObjective, FamilyDAG)
 	if got1p.Less(floor1p) || got1p.Greater(sol1p.Value) {
 		t.Fatalf("one-port bound %s outside [floor %s, optimum %s]", got1p, floor1p, sol1p.Value)
 	}
@@ -456,17 +564,12 @@ func parentVector(t *testing.T, eg *plan.ExecGraph) []int {
 // --- certification beyond the blind enumerations ---
 
 // TestBranchBoundCertifiesBeyondBlindEnumeration is the scale payoff: at
-// n = 12 the blind chain enumeration would evaluate 12! ≈ 4.8e8 chains
-// (its guard rejects the instance outright), while branch-and-bound
-// certifies the chain optimum in a vanishing fraction of that and stays
-// worker-count deterministic.
+// n = 12 a blind chain enumeration would evaluate 12! ≈ 4.8e8 chains,
+// while branch-and-bound certifies the chain optimum in a vanishing
+// fraction of that and stays worker-count deterministic.
 func TestBranchBoundCertifiesBeyondBlindEnumeration(t *testing.T) {
 	const n = 12
 	app := gen.App(gen.NewRand(42), n, gen.Filtering)
-	blind := Options{Method: ExactChain, Orch: smallOrch(), Workers: 1}
-	if _, err := MinPeriod(app, plan.InOrder, blind); err == nil {
-		t.Fatalf("blind chain enumeration must reject n=%d", n)
-	}
 	var st Stats
 	opts := Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch(), Workers: 1, Stats: &st}
 	sol := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)

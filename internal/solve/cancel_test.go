@@ -38,7 +38,7 @@ func TestExpiredContextFailsEveryMethod(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	app := gen.App(gen.NewRand(7), 5, gen.Mixed)
-	for _, method := range []Method{Auto, GreedyChain, ExactChain, ExactForest, ExactDAG, HillClimb, BranchBound} {
+	for _, method := range []Method{Auto, GreedyChain, HillClimb, BranchBound} {
 		for _, workers := range []int{1, 4} {
 			_, err := MinPeriod(app, plan.Overlap, Options{Method: method, Workers: workers, Ctx: ctx})
 			if err == nil {
@@ -69,53 +69,45 @@ func TestDeadlineExceededIsReported(t *testing.T) {
 // context probes and checks both that the search aborts with the context
 // error and that it expanded far less of the tree than the uncanceled run —
 // i.e. cancellation actually stops the expansion loop, not just the final
-// return.
+// return. The chain search probes in its own closed-form recursion; the
+// forest search (the one the service runs on its pool for default
+// requests) in its seeding climbs and its shards.
 func TestMidSearchCancellationStopsBranchBound(t *testing.T) {
-	app := gen.App(gen.NewRand(3), 10, gen.Expanding)
-	base := Options{Method: BranchBound, Family: FamilyChain, Workers: 1, MaxExactN: 10}
+	for _, tc := range []struct {
+		family  Family
+		n       int
+		profile gen.Profile
+		m       plan.Model
+	}{{FamilyChain, 10, gen.Expanding, plan.Overlap}, {FamilyForest, 7, gen.Filtering, plan.InOrder}} {
+		t.Run(tc.family.String(), func(t *testing.T) {
+			app := gen.App(gen.NewRand(3), tc.n, tc.profile)
+			base := Options{Method: BranchBound, Family: tc.family, Workers: 1, Restarts: 1}
 
-	var full Stats
-	opts := base
-	opts.Stats = &full
-	if _, err := MinPeriod(app, plan.Overlap, opts); err != nil {
-		t.Fatal(err)
-	}
-	if full.Expanded < 512 {
-		t.Skipf("instance too easy to observe a mid-search abort (%d expansions)", full.Expanded)
-	}
+			var full Stats
+			opts := base
+			opts.Stats = &full
+			if _, err := MinPeriod(app, tc.m, opts); err != nil {
+				t.Fatal(err)
+			}
+			if full.Expanded < 512 {
+				t.Skipf("instance too easy to observe a mid-search abort (%d expansions)", full.Expanded)
+			}
 
-	// One successful probe (the minimize entry check), done from then on:
-	// the shards' first in-loop probe latches the abort.
-	var aborted Stats
-	opts = base
-	opts.Stats = &aborted
-	opts.Ctx = newProbeCtx(1)
-	_, err := MinPeriod(app, plan.Overlap, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-search cancel: got error %v", err)
-	}
-	if aborted.Expanded*4 > full.Expanded {
-		t.Errorf("canceled run expanded %d of %d nodes — cancellation did not stop the search",
-			aborted.Expanded, full.Expanded)
-	}
-}
-
-// TestMidSearchCancellationStopsBlindEnumeration: same probe-based abort
-// for the blind forest enumeration (the other search family the service
-// runs on its pool).
-func TestMidSearchCancellationStopsBlindEnumeration(t *testing.T) {
-	app := gen.App(gen.NewRand(5), 6, gen.Mixed)
-	opts := Options{Method: ExactForest, Workers: 1, Ctx: newProbeCtx(1)}
-	start := time.Now()
-	_, err := MinPeriod(app, plan.Overlap, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got error %v", err)
-	}
-	// 6-node forest enumeration orchestrates ~17k graphs when not
-	// canceled; the latched probe must cut it to a few hundred candidate
-	// visits per shard. The generous wall bound only guards against the
-	// enumeration having run to completion.
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("canceled enumeration still took %v", elapsed)
+			// One successful probe (the minimize entry check), done from
+			// then on: the first in-loop probe of every climb and shard
+			// latches the abort.
+			var aborted Stats
+			opts = base
+			opts.Stats = &aborted
+			opts.Ctx = newProbeCtx(1)
+			_, err := MinPeriod(app, tc.m, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-search cancel: got error %v", err)
+			}
+			if aborted.Expanded*4 > full.Expanded {
+				t.Errorf("canceled run expanded %d of %d nodes — cancellation did not stop the search",
+					aborted.Expanded, full.Expanded)
+			}
+		})
 	}
 }

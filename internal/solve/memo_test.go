@@ -22,14 +22,15 @@ func TestMemoDoesNotChangeSolutions(t *testing.T) {
 	type tcase struct {
 		name   string
 		method Method
+		family Family // exact-<family>: the exact search over that family
 		prec   bool
 	}
 	for _, tc := range []tcase{
-		{"exact-forest", ExactForest, false},
-		{"exact-dag", ExactDAG, false},
-		{"hill-climb", HillClimb, false},
-		{"branch-bound", BranchBound, false},
-		{"branch-bound/precedence", BranchBound, true},
+		{"exact-forest", BranchBound, FamilyForest, false},
+		{"exact-dag", BranchBound, FamilyDAG, false},
+		{"hill-climb", HillClimb, FamilyAuto, false},
+		{"branch-bound", BranchBound, FamilyAuto, false},
+		{"branch-bound/precedence", BranchBound, FamilyAuto, true},
 	} {
 		app := plain
 		if tc.prec {
@@ -38,7 +39,7 @@ func TestMemoDoesNotChangeSolutions(t *testing.T) {
 		for _, m := range plan.Models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 				t.Run(fmt.Sprintf("%s/%s/%s", tc.name, m, obj), func(t *testing.T) {
-					base := Options{Method: tc.method, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: 1}
+					base := Options{Method: tc.method, Family: tc.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: 1}
 					bare := base
 					bare.NoMemo = true
 					want := describeSolution(solveOnce(t, app, m, obj, bare))
@@ -83,7 +84,7 @@ func TestMemoHitsAcrossSearchPhases(t *testing.T) {
 func TestMemoKeySeparatesProblems(t *testing.T) {
 	app := gen.App(gen.NewRand(3), 4, gen.Filtering)
 	memo := orchestrate.NewMemo(0)
-	opts := Options{Method: ExactForest, Orch: smallOrch(), Workers: 1, Memo: memo}
+	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, Memo: memo}
 	ino, err := MinPeriod(app, plan.InOrder, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +107,11 @@ func TestMemoKeySeparatesProblems(t *testing.T) {
 	}
 	// And each must equal its memo-less answer.
 	for _, m := range []plan.Model{plan.InOrder, plan.Overlap} {
-		bare, err := MinPeriod(app, m, Options{Method: ExactForest, Orch: smallOrch(), Workers: 1, NoMemo: true})
+		bare, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, NoMemo: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := MinPeriod(app, m, Options{Method: ExactForest, Orch: smallOrch(), Workers: 1, Memo: memo})
+		shared, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, Memo: memo})
 		if err != nil {
 			t.Fatal(err)
 		}

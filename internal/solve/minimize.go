@@ -61,7 +61,8 @@ func (c scored) materialise(opts Options) (Solution, error) {
 }
 
 // solveGraph scores and materialises one fixed graph: the single-candidate
-// methods (greedy chain, chain winners, Reevaluate) keep whatever it gives.
+// methods (greedy chain, the chain search's winner, Reevaluate) keep
+// whatever it gives.
 func solveGraph(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	c, err := evaluate(eg, m, obj, opts)
 	if err != nil {
@@ -101,24 +102,16 @@ func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 	if method == Auto {
 		method = autoMethod(app, obj, opts)
 	}
-	// The orchestration memo pays exactly where a search revisits
-	// candidate graphs: hill-climb seeds/restarts converging on the same
-	// forests, and branch-and-bound re-reaching the graphs its incumbent
-	// seeding (greedy chain + hill climb, sharing this memo) already
-	// orchestrated. The blind enumerations visit each graph once, so they
-	// stay memo-less unless the caller supplies one.
+	// The orchestration memo pays where a search revisits candidate graphs:
+	// hill-climb seeds/restarts converging on the same forests, and
+	// branch-and-bound re-reaching the graphs its incumbent seeding (greedy
+	// chain + hill climb, sharing this memo) already orchestrated.
 	if opts.Memo == nil && !opts.NoMemo && (method == HillClimb || method == BranchBound) {
 		opts.Memo = orchestrate.NewMemo(0)
 	}
 	switch method {
 	case GreedyChain:
 		return greedyChainSolution(app, m, obj, opts)
-	case ExactChain:
-		return exactChain(app, m, obj, opts)
-	case ExactForest:
-		return exactForest(app, m, obj, opts)
-	case ExactDAG:
-		return exactDAG(app, m, obj, opts)
 	case HillClimb:
 		return hillClimb(app, m, obj, opts)
 	case BranchBound:
@@ -128,57 +121,18 @@ func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 	}
 }
 
+// autoMethod resolves Auto: the exact search up to the size cap of the
+// family it would search (forests suffice for MINPERIOD without precedence
+// constraints, Prop. 4; everything else needs DAGs), hill climbing above.
 func autoMethod(app *workflow.App, obj Objective, opts Options) Method {
-	n := app.N()
-	if app.HasPrecedence() {
-		// DAG enumeration costs 3^(n(n-1)/2) orchestrations; keep the
-		// automatic cutoff low. Above it, branch-and-bound extends the
-		// exactly solvable band — it certifies the identical optimum, so
-		// raising MaxExactN widens that band rather than the blind one.
-		blind, bnb := autoBand(opts, 4, bnbMaxDAGN)
-		switch {
-		case n <= blind:
-			return ExactDAG
-		case n <= bnb:
-			return BranchBound
-		}
-		return HillClimb
+	limit := bnbMaxDAGN
+	if ResolveFamily(app, obj, FamilyAuto) == FamilyForest {
+		limit = bnbMaxForestN
 	}
-	if obj == PeriodObjective {
-		blind, bnb := autoBand(opts, 6, bnbMaxForestN)
-		switch {
-		case n <= blind:
-			return ExactForest // sufficient by Prop. 4
-		case n <= bnb:
-			return BranchBound // same Prop. 4 certificate, pruned search
-		}
-		return HillClimb
-	}
-	blind, bnb := autoBand(opts, 4, bnbMaxDAGN)
-	switch {
-	case n <= blind:
-		return ExactDAG
-	case n <= bnb:
+	if app.N() <= maxN(opts, limit) {
 		return BranchBound
 	}
 	return HillClimb
-}
-
-// autoBand resolves Auto's two exact cutoffs: blind enumeration up to its
-// default, branch-and-bound above it. MaxExactN moves only the outer
-// (branch-and-bound) cutoff when raised — both searches certify the same
-// optimum, so the extra headroom goes to the pruned one — and caps both
-// when lowered below the blind default.
-func autoBand(opts Options, blindDef, bnbDef int) (blind, bnb int) {
-	blind = blindDef
-	if opts.MaxExactN > 0 && opts.MaxExactN < blind {
-		blind = opts.MaxExactN
-	}
-	bnb = maxN(opts, bnbDef)
-	if bnb < blind {
-		bnb = blind
-	}
-	return blind, bnb
 }
 
 func maxN(opts Options, def int) int {
@@ -205,80 +159,6 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 	}
 	// Optimal among chains (Prop. 8 / Prop. 16), not globally.
 	return solveGraph(eg, m, obj, opts.orchWide())
-}
-
-// exactChain enumerates all chains using the closed-form objective values
-// and orchestrates only the winner. The n! orders are sharded by first
-// service across the worker pool.
-func exactChain(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	if app.HasPrecedence() {
-		return Solution{}, fmt.Errorf("solve: chain enumeration requires no precedence constraints")
-	}
-	n := app.N()
-	if n > maxN(opts, 8) {
-		return Solution{}, fmt.Errorf("solve: %d services too large for exact chain enumeration (max %d)", n, maxN(opts, 8))
-	}
-	type cand struct {
-		order []int
-		val   rat.Rat
-	}
-	winner, _ := par.MapBest(opts.Workers, n, func(i int) par.Candidate[cand] {
-		var best cand
-		found := false
-		cc := cancelCheck{ctx: opts.Ctx}
-		forEachChainShard(n, i, func(order []int) bool {
-			if cc.stop() {
-				return false
-			}
-			var v rat.Rat
-			if obj == PeriodObjective {
-				v = ChainPeriodValue(app, order, m)
-			} else {
-				v = ChainLatencyValue(app, order)
-			}
-			if !found || v.Less(best.val) {
-				best.order = append(best.order[:0], order...)
-				best.val = v
-				found = true
-			}
-			return true
-		})
-		return par.Candidate[cand]{Value: best, OK: found}
-	}, func(a, b cand) bool { return a.val.Less(b.val) })
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Solution{}, err
-	}
-	eg, err := plan.ChainFromOrder(app, winner.order)
-	if err != nil {
-		return Solution{}, err
-	}
-	return solveGraph(eg, m, obj, opts.orchWide())
-}
-
-// exactForest enumerates all forests. For MINPERIOD without precedence
-// constraints this family provably contains an optimal plan (Prop. 4), so
-// the result is globally optimal when the orchestration is exact.
-func exactForest(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	if app.HasPrecedence() {
-		return Solution{}, fmt.Errorf("solve: forest enumeration requires no precedence constraints")
-	}
-	n := app.N()
-	if n > maxN(opts, 6) {
-		return Solution{}, fmt.Errorf("solve: %d services too large for exact forest enumeration (max %d)", n, maxN(opts, 6))
-	}
-	sol, firstErr := reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
-		if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {
-			r.try(eg, m, obj, opts)
-		}
-	}))
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Solution{}, err
-	}
-	if sol.Graph == nil {
-		return Solution{}, fmt.Errorf("solve: forest enumeration found no plan: %v", firstErr)
-	}
-	sol.Exact = obj == PeriodObjective && sol.Sched.Exact && m != plan.OutOrder
-	return sol, nil
 }
 
 // shardResult is one enumeration shard's outcome: its best solution (nil
@@ -370,54 +250,9 @@ func reduceShards(shards []shardResult) (Solution, error) {
 	return sol, firstErr
 }
 
-// exactDAG enumerates all DAGs containing the precedence constraints.
-func exactDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	n := app.N()
-	if n > maxN(opts, 5) {
-		return Solution{}, fmt.Errorf("solve: %d services too large for exact DAG enumeration (max %d)", n, maxN(opts, 5))
-	}
-	// Shard by the orientation of the first pairs (3^depth shards), each
-	// worker completing its prefix on a private graph copy.
-	pairs := nodePairs(n)
-	depth := 3
-	if depth > len(pairs) {
-		depth = len(pairs)
-	}
-	prefixes := dagPrefixes(n, depth)
-	shards := par.Map(opts.Workers, len(prefixes), func(i int) shardResult {
-		g := dag.New(n)
-		for _, e := range prefixes[i] {
-			g.AddEdge(e[0], e[1])
-		}
-		var r shardResult
-		cc := cancelCheck{ctx: opts.Ctx}
-		forEachDAGFrom(g, pairs, depth, func(g *dag.Graph) bool {
-			if cc.stop() {
-				return false
-			}
-			// A graph FromGraph rejects violates the precedence constraints.
-			if eg, err := plan.FromGraph(app, g); err == nil {
-				r.try(eg, m, obj, opts)
-			}
-			return true
-		})
-		return r
-	})
-	sol, firstErr := reduceShards(shards)
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Solution{}, err
-	}
-	if sol.Graph == nil {
-		return Solution{}, fmt.Errorf("solve: DAG enumeration found no plan: %v", firstErr)
-	}
-	// DAGs are fully general: exact whenever the orchestration is.
-	sol.Exact = sol.Sched.Exact && exactOrchestration(m, obj)
-	return sol, nil
-}
-
 // exactOrchestration reports whether the orchestration layer explores the
-// full schedule space for the model/objective pair, so that exhaustive
-// graph enumeration yields a certified optimum.
+// full schedule space for the model/objective pair, so that an exhaustive
+// search of the DAG family yields a certified optimum.
 func exactOrchestration(m plan.Model, obj Objective) bool {
 	if obj == PeriodObjective {
 		// OVERLAP is Theorem-1 optimal; INORDER order search is complete
@@ -736,8 +571,8 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	wide := opts.orchWide()
 	tryGraph := func(eg *plan.ExecGraph) { tryIntoWith(&best, eg, wide) }
 	if n <= maxN(opts, 6) {
-		// Same sharding as the exact forest solver: each worker scans the
-		// completions of a two-node prefix for the best bound-respecting
+		// Same sharding as the forest branch-and-bound: each worker scans
+		// the completions of a two-node prefix for the best bound-respecting
 		// latency; the shard winners reduce in serial prefix order.
 		best.sol, _ = reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
 			if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {

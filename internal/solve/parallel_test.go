@@ -49,26 +49,28 @@ func TestParallelSolversDeterministic(t *testing.T) {
 		name   string
 		app    *workflow.App
 		method Method
+		family Family
 	}{
-		{"exact-chain/plain", plain, ExactChain},
-		{"exact-forest/plain", plain, ExactForest},
-		{"exact-dag/plain", plain, ExactDAG},
-		{"hill-climb/plain", plain, HillClimb},
-		{"exact-dag/precedence", withPrec, ExactDAG},
-		{"hill-climb/precedence", withPrec, HillClimb},
-		// The branch-and-bound searches add the shared incumbent as a new
+		// The branch-and-bound searches add the shared incumbent as a
 		// determinism hazard: pruning depends on when other workers improve
 		// it. The two-rule pruning of bnb.go (strict against the shared
 		// value, ties only against the shard-local best) must keep the
-		// returned Solution bit-identical for every worker count.
-		{"branch-bound/plain", plain, BranchBound},
-		{"branch-bound/precedence", withPrec, BranchBound},
+		// returned Solution bit-identical for every worker count — for each
+		// family's sharding (exact-<family>) and for the default family.
+		{"exact-chain/plain", plain, BranchBound, FamilyChain},
+		{"exact-forest/plain", plain, BranchBound, FamilyForest},
+		{"exact-dag/plain", plain, BranchBound, FamilyDAG},
+		{"exact-dag/precedence", withPrec, BranchBound, FamilyDAG},
+		{"branch-bound/plain", plain, BranchBound, FamilyAuto},
+		{"branch-bound/precedence", withPrec, BranchBound, FamilyAuto},
+		{"hill-climb/plain", plain, HillClimb, FamilyAuto},
+		{"hill-climb/precedence", withPrec, HillClimb, FamilyAuto},
 	}
 	for _, tc := range cases {
 		for _, m := range plan.Models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 				t.Run(fmt.Sprintf("%s/%s/%s", tc.name, m, obj), func(t *testing.T) {
-					opts := Options{Method: tc.method, Orch: smallOrch(), Restarts: 2, Seed: 7}
+					opts := Options{Method: tc.method, Family: tc.family, Orch: smallOrch(), Restarts: 2, Seed: 7}
 					opts.Workers = 1
 					serial := solveOnce(t, tc.app, m, obj, opts)
 					want := describeSolution(serial)
@@ -116,14 +118,13 @@ func TestBiCriteriaParallelDeterministic(t *testing.T) {
 
 // TestForestShardsPartitionSerialEnumeration pins the shard construction
 // to the serial reference: concatenating the completions of every prefix
-// (in prefix order) must reproduce forEachForest's sequence exactly — same
-// forests, same order, no drops, no duplicates.
+// (in prefix order) must reproduce the oracle's forEachForest sequence
+// exactly — same forests, same order, no drops, no duplicates.
 func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
 	const n = 5
 	var serial [][]int
-	forEachForest(n, func(parent []int) bool {
+	forEachForest(n, func(parent []int) {
 		serial = append(serial, append([]int(nil), parent...))
-		return true
 	})
 	var sharded [][]int
 	for _, prefix := range forestPrefixes(n, 2) {
@@ -150,7 +151,8 @@ func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
 }
 
 // TestDAGShardsPartitionSerialEnumeration is the same pin for the DAG
-// space: prefix completions in prefix order reproduce forEachDAG exactly.
+// space: prefix completions in prefix order reproduce the oracle's
+// forEachDAG exactly.
 func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
 	const n = 4
 	encode := func(g *dag.Graph) string {
@@ -165,9 +167,8 @@ func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
 		return s
 	}
 	var serial []string
-	forEachDAG(n, func(g *dag.Graph) bool {
+	forEachDAG(n, func(g *dag.Graph) {
 		serial = append(serial, encode(g))
-		return true
 	})
 	pairs := nodePairs(n)
 	var sharded []string
@@ -176,9 +177,8 @@ func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
 		for _, e := range prefix {
 			g.AddEdge(e[0], e[1])
 		}
-		forEachDAGFrom(g, pairs, 3, func(g *dag.Graph) bool {
+		forEachDAGFrom(g, pairs, 3, func(g *dag.Graph) {
 			sharded = append(sharded, encode(g))
-			return true
 		})
 	}
 	if len(serial) != len(sharded) {
@@ -255,12 +255,12 @@ func TestHillClimbSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestConcurrentSolves hammers the solvers from many goroutines sharing one
-// App so `go test -race` can see any shared mutable state in the search or
-// evaluation path.
+// TestConcurrentSolves hammers the hill climb (the other search the service
+// runs on its pool) from many goroutines sharing one App so `go test -race`
+// can see any shared mutable state in the search or evaluation path.
 func TestConcurrentSolves(t *testing.T) {
 	app := gen.App(gen.NewRand(2), 4, gen.Mixed)
-	opts := Options{Method: ExactForest, Orch: smallOrch(), Workers: 4}
+	opts := Options{Method: HillClimb, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: 4}
 	ref := solveOnce(t, app, plan.Overlap, PeriodObjective, opts)
 	want := describeSolution(ref)
 	var wg sync.WaitGroup

@@ -9,12 +9,14 @@
 //   - the polynomial special cases proved in the paper: greedy chain
 //     construction for MINPERIOD (Prop. 8) and MINLATENCY (Prop. 16)
 //     restricted to linear-chain plans;
-//   - exact solvers by exhaustive enumeration of chains, forests (which
-//     Prop. 4 shows sufficient for MINPERIOD without precedence
-//     constraints) and general DAGs, for small instances;
-//   - branch-and-bound searches over the same structural families that
-//     prove the same optima with lower-bound pruning on partial graphs,
-//     reaching instance sizes the blind enumerations cannot (bnb.go);
+//   - one exact search, branch-and-bound (bnb.go), over chains, forests
+//     (which Prop. 4 shows sufficient for MINPERIOD without precedence
+//     constraints) and general DAGs, for small instances: it builds a
+//     family's graphs incrementally in a fixed order and prunes partial
+//     graphs by admissible lower bounds, so it returns the Solution a
+//     blind enumeration of the family returns — and that enumeration
+//     lives in the test suite, as the serial oracle the search is checked
+//     against (oracle_test.go);
 //   - hill-climbing heuristics over forests and DAGs for everything else,
 //     with incremental re-evaluation: each move recomputes only the touched
 //     subtree's volumes and orchestrates only when the resulting lower
@@ -35,8 +37,8 @@
 //
 // # Parallel search
 //
-// The exact enumerations and the hill-climbing restarts run on the shared
-// bounded worker pool of package par: Options.Workers bounds the
+// The branch-and-bound searches and the hill-climbing restarts run on the
+// shared bounded worker pool of package par: Options.Workers bounds the
 // goroutines (0 means runtime.NumCPU(), 1 forces serial execution). The
 // searches shard their spaces statically — chains by first service,
 // forests by the parent assignment of the first two nodes, DAGs by the
@@ -64,28 +66,33 @@ import (
 type Method int
 
 const (
-	// Auto picks: exact enumeration when the instance is small enough,
-	// otherwise hill climbing seeded with the greedy chain.
+	// Auto picks branch-and-bound when the instance is small enough
+	// (Options.MaxExactN; by default 7 services where forests suffice, 5
+	// where DAGs are needed), otherwise hill climbing seeded with the
+	// greedy chain.
 	Auto Method = iota
 	// GreedyChain builds the paper's greedy chain (polynomial; optimal
 	// among chain plans).
 	GreedyChain
-	// ExactChain enumerates all n! chains.
-	ExactChain
-	// ExactForest enumerates all forests (optimal for MINPERIOD without
-	// precedence constraints, by Prop. 4).
-	ExactForest
-	// ExactDAG enumerates all DAGs (only feasible for tiny instances).
-	ExactDAG
 	// HillClimb runs randomized local search over forests (or DAGs when
 	// precedence constraints force merges).
 	HillClimb
-	// BranchBound proves the same optimum as the exact enumerations by
-	// incremental construction with lower-bound pruning against a shared
-	// incumbent (see bnb.go), reaching instance sizes the blind searches
-	// cannot. Options.Family picks the structural family (default: the one
-	// that makes the search exact, as the blind enumerations choose it).
+	// BranchBound is the exact search: it builds the graphs of a
+	// structural family incrementally, in a fixed order, and prunes by
+	// lower bound against a shared incumbent (see bnb.go). Options.Family
+	// picks the family (default: the one whose optimum is global — forests
+	// for MINPERIOD without precedence constraints, DAGs otherwise).
 	BranchBound
+	// ExactForest and ExactDAG named the blind forest and DAG enumerations.
+	// Those are no longer methods — branch-and-bound returns their
+	// Solution, and the enumerations are the test oracle — so the two
+	// constants are inert: no parser, validator or dispatcher accepts
+	// them. They remain only because bench/plancold.go:409-410 uses them
+	// as map keys for its solve.time_share.exact* metrics (always 0 now)
+	// and a PR may not edit bench/; the benchmark PR that drops those two
+	// lines deletes them.
+	ExactForest
+	ExactDAG
 )
 
 // String names the method for reports.
@@ -95,12 +102,6 @@ func (m Method) String() string {
 		return "auto"
 	case GreedyChain:
 		return "greedy-chain"
-	case ExactChain:
-		return "exact-chain"
-	case ExactForest:
-		return "exact-forest"
-	case ExactDAG:
-		return "exact-dag"
 	case HillClimb:
 		return "hill-climb"
 	case BranchBound:
@@ -115,17 +116,14 @@ type Options struct {
 	Method Method
 	// Orch is passed to the orchestration layer.
 	Orch orchestrate.Options
-	// MaxExactN caps instance sizes accepted by the exact methods
-	// (default: 8 chains, 6 forests, 5 DAGs blind; 12 chains, 7 forests,
-	// 5 DAGs with BranchBound). Under Auto, raising it widens only the
-	// BranchBound band — the blind enumerations keep their defaults, since
-	// both certify the identical optimum — while lowering it caps every
-	// exact method.
+	// MaxExactN, when positive, replaces the instance-size cap of the
+	// exact search for every family (defaults: 12 services for chains, 7
+	// for forests, 5 for DAGs): BranchBound rejects larger instances, and
+	// Auto picks HillClimb for them.
 	MaxExactN int
 	// Family picks the structural family searched by BranchBound
 	// (default FamilyAuto: forests for MINPERIOD without precedence
-	// constraints, DAGs otherwise — the family the blind exact methods
-	// would certify).
+	// constraints, DAGs otherwise — the family whose optimum is global).
 	Family Family
 	// Incumbent, when non-nil, seeds the branch-and-bound pruning
 	// threshold with an externally certified objective value before the
@@ -150,9 +148,7 @@ type Options struct {
 	// graphs reached from different shards, restarts or search phases
 	// (incumbent seeding included) are scored once and share the Score.
 	// When nil, minimize creates one per call for the methods whose
-	// searches revisit graphs by construction — HillClimb and BranchBound
-	// — and leaves the blind exact enumerations memo-less (they visit
-	// every graph exactly once, so a memo is pure key-building overhead).
+	// searches revisit graphs by construction, HillClimb and BranchBound.
 	// Orchestration is deterministic for a fixed weighted plan and
 	// options, so a memo hit is bit-identical to recomputing and the
 	// returned Solution never depends on it (pinned by
@@ -170,8 +166,8 @@ type Options struct {
 	// 0 means runtime.NumCPU(), 1 forces serial execution. Any value
 	// yields the identical Solution (see the package documentation).
 	Workers int
-	// Ctx, when non-nil, bounds the search: the exact enumerations, the
-	// branch-and-bound expansions and the hill climbs poll it periodically
+	// Ctx, when non-nil, bounds the search: the branch-and-bound
+	// expansions and the hill climbs poll it periodically
 	// and abort with the context's error once it is done — the
 	// per-request deadline/cancellation hook of the planning service (a
 	// dead client stops burning the pool). A canceled search never
@@ -391,53 +387,6 @@ func ChainLatencyValue(app *workflow.App, order []int) rat.Rat {
 
 // --- enumeration of structural families ---
 
-// forEachChain enumerates all n! chain orders.
-func forEachChain(n int, fn func(order []int) bool) {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	permuteAll(order, 0, fn)
-}
-
-// forEachChainShard enumerates shard i of the chain space: the orders the
-// serial enumeration visits with its i-th choice of first service, in the
-// serial visiting order. The n shards partition all n! chains.
-func forEachChainShard(n, i int, fn func(order []int) bool) {
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	order[0], order[i] = order[i], order[0]
-	permuteAll(order, 1, fn)
-}
-
-func permuteAll(s []int, k int, fn func([]int) bool) bool {
-	if k == len(s) {
-		return fn(s)
-	}
-	for i := k; i < len(s); i++ {
-		s[k], s[i] = s[i], s[k]
-		if !permuteAll(s, k+1, fn) {
-			s[k], s[i] = s[i], s[k]
-			return false
-		}
-		s[k], s[i] = s[i], s[k]
-	}
-	return true
-}
-
-// forEachForest enumerates every forest over n nodes as a parent vector
-// (parent[v] == -1 for roots), (n+1)^(n-1)... in fact all assignments with
-// cycle rejection. fn receives the parent slice (not to be retained).
-func forEachForest(n int, fn func(parent []int) bool) {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	forEachForestFrom(parent, 0, fn)
-}
-
 // forEachForestFrom continues the forest enumeration with nodes 0..from-1
 // already assigned in parent (the remaining entries must be -1), visiting
 // completions in the serial enumeration order.
@@ -448,8 +397,8 @@ func forEachForestFrom(parent []int, from int, fn func(parent []int) bool) bool 
 // forEachForestPartial enumerates every cycle-free assignment of parents to
 // nodes from..upto-1 (nodes 0..from-1 fixed in parent, nodes upto.. left
 // at -1), in the serial enumeration order. It is the single source of
-// truth for the enumeration order and the cycle rule: both the full
-// enumeration and the shard-prefix construction go through it, so they can
+// truth for the enumeration order and the cycle rule: both the shard
+// completions and the shard-prefix construction go through it, so they can
 // never drift apart.
 func forEachForestPartial(parent []int, from, upto int, fn func(parent []int) bool) bool {
 	n := len(parent)
@@ -529,43 +478,6 @@ func nodePairs(n int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// forEachDAG enumerates every labeled DAG on n nodes: each unordered pair
-// gets one of {no edge, u→v, v→u}, filtered by acyclicity. 3^(n(n-1)/2)
-// candidates, so this is for n ≤ 5.
-func forEachDAG(n int, fn func(g *dag.Graph) bool) {
-	forEachDAGFrom(dag.New(n), nodePairs(n), 0, fn)
-}
-
-// forEachDAGFrom continues the DAG enumeration with the first `from` pairs
-// already decided in g, visiting completions in the serial order (for each
-// remaining pair {u,v}: no edge, then u→v, then v→u).
-func forEachDAGFrom(g *dag.Graph, pairs [][2]int, from int, fn func(g *dag.Graph) bool) bool {
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(pairs) {
-			if g.IsAcyclic() {
-				return fn(g)
-			}
-			return true
-		}
-		p := pairs[i]
-		if !rec(i + 1) {
-			return false
-		}
-		g.AddEdge(p[0], p[1])
-		ok := rec(i + 1)
-		g.RemoveEdge(p[0], p[1])
-		if !ok {
-			return false
-		}
-		g.AddEdge(p[1], p[0])
-		ok = rec(i + 1)
-		g.RemoveEdge(p[1], p[0])
-		return ok
-	}
-	return rec(from)
 }
 
 // dagPrefixes returns every orientation assignment of the first depth pairs

@@ -25,12 +25,11 @@ func TestGreedyChainPeriodMatchesExactChain(t *testing.T) {
 				greedy := ChainPeriodValue(app, GreedyChainOrder(app, m), m)
 				var best rat.Rat
 				first := true
-				forEachChain(app.N(), func(order []int) bool {
+				forEachChain(app.N(), func(order []int) {
 					v := ChainPeriodValue(app, order, m)
 					if first || v.Less(best) {
 						best, first = v, false
 					}
-					return true
 				})
 				if !greedy.Equal(best) {
 					t.Fatalf("seed %d profile %s model %s: greedy %s != optimal %s",
@@ -49,12 +48,11 @@ func TestGreedyLatencyChainMatchesExactChain(t *testing.T) {
 			greedy := ChainLatencyValue(app, GreedyLatencyChainOrder(app))
 			var best rat.Rat
 			first := true
-			forEachChain(app.N(), func(order []int) bool {
+			forEachChain(app.N(), func(order []int) {
 				v := ChainLatencyValue(app, order)
 				if first || v.Less(best) {
 					best, first = v, false
 				}
-				return true
 			})
 			if !greedy.Equal(best) {
 				t.Fatalf("seed %d profile %s: greedy %s != optimal %s", seed, p, greedy, best)
@@ -100,11 +98,11 @@ func TestProp4ForestOptimalEqualsDAGOptimal(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		app := gen.App(gen.NewRand(seed), 4, gen.Mixed)
 		for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
-			forest, err := MinPeriod(app, m, Options{Method: ExactForest, Orch: smallOrch()})
+			forest, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dagSol, err := MinPeriod(app, m, Options{Method: ExactDAG, Orch: smallOrch()})
+			dagSol, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyDAG, Orch: smallOrch()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +121,11 @@ func TestExactForestBeatsOrMatchesChains(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		app := gen.App(gen.NewRand(seed), 5, gen.Filtering)
 		for _, m := range plan.Models {
-			forest, err := MinPeriod(app, m, Options{Method: ExactForest, Orch: smallOrch()})
+			forest, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			chain, err := MinPeriod(app, m, Options{Method: ExactChain, Orch: smallOrch()})
+			chain, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +222,7 @@ func TestExactDAGHonorsPrecedence(t *testing.T) {
 		{Cost: rat.I(3), Selectivity: rat.One},
 		{Cost: rat.I(1), Selectivity: rat.Two},
 	}, [][2]int{{2, 0}}) // C3 must precede C1
-	sol, err := MinPeriod(app, plan.Overlap, Options{Method: ExactDAG, Orch: smallOrch()})
+	sol, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyDAG, Orch: smallOrch()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,35 +256,38 @@ func TestGreedyChainRejectsPrecedence(t *testing.T) {
 	if _, err := MinPeriod(app, plan.Overlap, Options{Method: GreedyChain}); err == nil {
 		t.Fatal("greedy chain must reject precedence-constrained instances")
 	}
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: ExactChain}); err == nil {
-		t.Fatal("exact chain must reject precedence-constrained instances")
-	}
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: ExactForest}); err == nil {
-		t.Fatal("exact forest must reject precedence-constrained instances")
-	}
 }
 
+// TestSizeGuards pins the exact search's default caps at their boundary:
+// each family rejects the first size above its cap before searching, and
+// MaxExactN replaces the cap in both directions.
 func TestSizeGuards(t *testing.T) {
-	app := gen.App(gen.NewRand(1), 12, gen.Mixed)
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: ExactChain}); err == nil {
-		t.Fatal("n=12 must exceed the chain enumeration guard")
+	for _, tc := range []struct {
+		family Family
+		limit  int
+	}{{FamilyChain, 12}, {FamilyForest, 7}, {FamilyDAG, 5}} {
+		over := gen.App(gen.NewRand(1), tc.limit+1, gen.Mixed)
+		if _, err := MinPeriod(over, plan.Overlap, Options{Method: BranchBound, Family: tc.family}); err == nil {
+			t.Errorf("%s: n=%d must exceed the default cap %d", tc.family, tc.limit+1, tc.limit)
+		}
 	}
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: ExactForest}); err == nil {
-		t.Fatal("n=12 must exceed the forest enumeration guard")
+	app := gen.App(gen.NewRand(1), 13, gen.Filtering)
+	if _, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyChain, MaxExactN: 13}); err != nil {
+		t.Errorf("MaxExactN=13 must admit a 13-service chain search: %v", err)
 	}
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: ExactDAG}); err == nil {
-		t.Fatal("n=12 must exceed the DAG enumeration guard")
+	if _, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyChain, MaxExactN: 3}); err == nil {
+		t.Error("MaxExactN=3 must reject n=13")
 	}
 }
 
 func TestBiCriteria(t *testing.T) {
 	app := gen.App(gen.NewRand(5), 4, gen.Filtering)
 	// The unconstrained minimal latency and period give the anchors.
-	latOpt, err := MinLatency(app, plan.InOrder, Options{Method: ExactDAG, Orch: smallOrch()})
+	latOpt, err := MinLatency(app, plan.InOrder, Options{Method: BranchBound, Orch: smallOrch()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perOpt, err := MinPeriod(app, plan.InOrder, Options{Method: ExactForest, Orch: smallOrch()})
+	perOpt, err := MinPeriod(app, plan.InOrder, Options{Method: BranchBound, Orch: smallOrch()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,16 +315,14 @@ func TestBiCriteria(t *testing.T) {
 
 func TestMethodAndObjectiveStrings(t *testing.T) {
 	names := map[Method]string{
-		Auto: "auto", GreedyChain: "greedy-chain", ExactChain: "exact-chain",
-		ExactForest: "exact-forest", ExactDAG: "exact-dag", HillClimb: "hill-climb",
+		Auto: "auto", GreedyChain: "greedy-chain", HillClimb: "hill-climb", BranchBound: "branch-bound",
+		// The retired enumeration constants carry no name a parser accepts.
+		ExactForest: "Method(4)", ExactDAG: "Method(5)", Method(42): "Method(42)",
 	}
 	for m, want := range names {
 		if m.String() != want {
 			t.Errorf("%v.String() = %q, want %q", int(m), m.String(), want)
 		}
-	}
-	if Method(42).String() != "Method(42)" {
-		t.Error("unknown method formatting")
 	}
 	if PeriodObjective.String() != "period" || LatencyObjective.String() != "latency" {
 		t.Error("objective names wrong")

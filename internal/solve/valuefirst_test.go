@@ -5,9 +5,9 @@ package solve
 // kept here is the evaluation they replaced — materialise and validate
 // EVERY candidate, fail the candidate when that fails — plugged into the
 // same solvers through the evaluate seam. Over a seeded corpus the two must
-// return the identical Solution for every method, model, objective, worker
-// count and memo mode, and do the identical search (same counters at
-// Workers 1).
+// return the identical Solution for every method, family, model, objective,
+// worker count and memo mode, and do the identical search (same counters
+// at Workers 1).
 
 import (
 	"encoding/json"
@@ -73,11 +73,20 @@ const (
 	memoShared
 )
 
-func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, method Method, workers int, mode memoMode, shared *orchestrate.Memo) outcome {
+// search is one way to ask for a plan: a method, and for BranchBound the
+// structural family.
+type search struct {
+	method Method
+	family Family
+}
+
+func (s search) String() string { return s.method.String() + "/" + s.family.String() }
+
+func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, how search, workers int, mode memoMode, shared *orchestrate.Memo) outcome {
 	t.Helper()
 	var out outcome
 	probe := &EvalProbe{}
-	opts := Options{Method: method, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Stats: &out.search, Probe: probe}
+	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Stats: &out.search, Probe: probe}
 	switch mode {
 	case memoOff:
 		opts.NoMemo = true
@@ -91,45 +100,37 @@ func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Object
 		return out
 	}
 	if verr := sol.Sched.List.Validate(m); verr != nil {
-		t.Fatalf("%s/%s/%s workers=%d: winner fails validation: %v", method, m, obj, workers, verr)
+		t.Fatalf("%s/%s/%s workers=%d: winner fails validation: %v", how, m, obj, workers, verr)
 	}
 	out.print = fingerprint(t, sol)
 	return out
 }
 
-// valueFirstMethods lists the methods the suite runs on an instance. Every
-// method runs under every model and objective at n = 3 (and most at 4);
-// above that the cells where one solve costs tens of milliseconds — blind
-// enumerations (their size guards admit far more), one-port period order
-// searches inside DAG climbs — are thinned so the nine solves per cell of
-// the whole corpus fit a unit-test budget.
-func valueFirstMethods(app *workflow.App, m plan.Model, obj Objective) []Method {
+// valueFirstSearches lists the searches the suite runs on an instance:
+// every method, and the exact search over every family the instance
+// admits. Every one runs under every model and objective up to n = 4;
+// above that only the family Auto would search goes on, and the cells
+// where one solve costs tens of milliseconds — one-port period order
+// searches inside DAG climbs and DAG searches — are thinned so the nine
+// solves per cell of the whole corpus fit a unit-test budget.
+func valueFirstSearches(app *workflow.App, m plan.Model, obj Objective) []search {
 	n, prec := app.N(), app.HasPrecedence()
 	onePortPeriod := obj == PeriodObjective && m != plan.Overlap
-	var methods []Method
+	auto := ResolveFamily(app, obj, FamilyAuto)
+	var out []search
 	if !prec || n <= 5 || !onePortPeriod {
-		methods = append(methods, HillClimb)
+		out = append(out, search{HillClimb, FamilyAuto})
 	}
 	if !prec {
-		methods = append(methods, GreedyChain, ExactChain)
-		if n <= 3 || (n == 4 && !onePortPeriod) || (n == 5 && m == plan.Overlap && obj == PeriodObjective) {
-			methods = append(methods, ExactForest)
+		out = append(out, search{GreedyChain, FamilyAuto}, search{BranchBound, FamilyChain})
+		if n <= 4 || (auto == FamilyForest && (n == 5 || (n == 6 && !onePortPeriod))) {
+			out = append(out, search{BranchBound, FamilyForest})
 		}
 	}
-	if n <= 3 || (n == 4 && prec && m == plan.Overlap) {
-		methods = append(methods, ExactDAG)
+	if n <= 4 || (auto == FamilyDAG && n == 5 && m == plan.Overlap) {
+		out = append(out, search{BranchBound, FamilyDAG})
 	}
-	switch ResolveFamily(app, obj, FamilyAuto) {
-	case FamilyForest:
-		if n <= 5 || (n == 6 && !onePortPeriod) {
-			methods = append(methods, BranchBound)
-		}
-	case FamilyDAG:
-		if n <= 4 || (n == 5 && m == plan.Overlap) {
-			methods = append(methods, BranchBound)
-		}
-	}
-	return methods
+	return out
 }
 
 // valueFirstSizes is the instance-size cycle of the corpus: mostly small,
@@ -155,15 +156,15 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 		sharedRef, shared1, shared4 := orchestrate.NewMemo(0), orchestrate.NewMemo(0), orchestrate.NewMemo(0)
 		for _, m := range plan.Models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-				for _, method := range valueFirstMethods(app, m, obj) {
+				for _, how := range valueFirstSearches(app, m, obj) {
 					for _, mode := range []memoMode{memoOff, memoPerSolve, memoShared} {
-						name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s memo=%d", i, n, i%2 == 1, method, m, obj, mode)
+						name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s memo=%d", i, n, i%2 == 1, how, m, obj, mode)
 						var ref outcome
 						withEvaluate(eagerEvaluate, func() {
-							ref = runValueFirstCase(t, app, m, obj, method, 1, mode, sharedRef)
+							ref = runValueFirstCase(t, app, m, obj, how, 1, mode, sharedRef)
 						})
-						got1 := runValueFirstCase(t, app, m, obj, method, 1, mode, shared1)
-						got4 := runValueFirstCase(t, app, m, obj, method, 4, mode, shared4)
+						got1 := runValueFirstCase(t, app, m, obj, how, 1, mode, shared1)
+						got4 := runValueFirstCase(t, app, m, obj, how, 4, mode, shared4)
 						solves += 3
 						if got1.print != ref.print {
 							t.Fatalf("%s: value-first diverged from the eager reference:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got1.print)
@@ -190,7 +191,7 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 // materialise.
 func TestInvalidMaterialisationIsSkipped(t *testing.T) {
 	app := gen.App(gen.NewRand(31), 4, gen.Mixed)
-	opts := Options{Method: ExactForest, Orch: smallOrch(), Workers: 1, NoMemo: true}
+	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, NoMemo: true}
 	honest := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
 
 	// Unit level: an offered candidate that claims more than its schedule
@@ -209,9 +210,10 @@ func TestInvalidMaterialisationIsSkipped(t *testing.T) {
 		t.Fatalf("honest candidate refused after a lying one")
 	}
 
-	// Solver level: make the optimal graph's score lie. The enumeration
-	// must skip it and return the best of the remaining forests, which is
-	// what an enumeration that never sees the optimal graph returns.
+	// Solver level: make the optimal graph's score lie. The search (its
+	// seeding climbs included) must skip it and return the best of the
+	// remaining forests, which is what a search that never sees the
+	// optimal graph returns.
 	var without Solution
 	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options) (scored, error) {
 		if eg.String() == honest.Graph.String() {

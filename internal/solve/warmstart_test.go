@@ -89,7 +89,7 @@ func TestIncumbentWarmStartPrunesHarder(t *testing.T) {
 func TestIncumbentIgnoredByOtherMethods(t *testing.T) {
 	app := gen.App(gen.NewRand(45), 4, gen.Mixed)
 	bogus := rat.New(1, 1000)
-	for _, method := range []Method{ExactChain, ExactForest, ExactDAG, GreedyChain, HillClimb} {
+	for _, method := range []Method{GreedyChain, HillClimb} {
 		plainOpts := Options{Method: method, Workers: 1}
 		seeded := plainOpts
 		seeded.Incumbent = &bogus

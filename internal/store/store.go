@@ -225,8 +225,8 @@ func encodeEffort(e *solve.Effort) *effortJSON {
 }
 
 // decodeEffort maps the JSON form back; an unparseable method or family
-// name (a future format) yields nil — the effort degrades, the plan
-// stays servable.
+// name (a future format, or a method since retired: the blind exact-*
+// enumerations) yields nil — the effort degrades, the plan stays servable.
 func decodeEffort(d *effortJSON) *solve.Effort {
 	if d == nil {
 		return nil

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/canon"
@@ -276,5 +278,50 @@ func TestFlushAndOpenValidation(t *testing.T) {
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
+	}
+}
+
+// TestEntryOfRetiredMethodLoadsWithoutEffort: testdata holds an entry the
+// PR 16 build persisted for a default (auto) request on a 4-service
+// instance, whose effort record names the method that build resolved auto
+// to — "exact-forest", since retired. The plan must load as it was
+// written; only the effort record degrades to nil.
+func TestEntryOfRetiredMethodLoadsWithoutEffort(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "pr16_auto_exact_forest.plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"method": "exact-forest"`)) {
+		t.Fatal("fixture no longer names the retired method")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "entry"+suffix), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Entry
+	if err := s.Load(func(e Entry) { got = append(got, e) }); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); len(got) != 1 || st.Loaded != 1 || st.Skipped != 0 || st.Quarantined != 0 {
+		t.Fatalf("loaded %d entries, stats %+v", len(got), st)
+	}
+	e := got[0]
+	if e.Effort != nil {
+		t.Errorf("effort of a retired method decoded to %+v, want nil", e.Effort)
+	}
+	if !strings.HasSuffix(e.Key, "|OVERLAP|period|auto|auto|0|0|0") || e.Solution.Value.String() != "16/5" || !e.Solution.Exact {
+		t.Errorf("entry: key %q value %s exact %v", e.Key, e.Solution.Value, e.Solution.Exact)
+	}
+	// Everything but the effort record re-encodes to the stored bytes.
+	again, err := Encode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := data[:bytes.Index(data, []byte(",\n  \"effort\""))]; !bytes.HasPrefix(again, want) {
+		t.Error("the loaded plan does not re-encode to the bytes it was loaded from")
 	}
 }
