@@ -140,21 +140,37 @@ func (g *Graph) Leaves() []int {
 	return out
 }
 
+// Scratch is caller-owned working storage for TopoSortInto and
+// AncestorsInto; the zero value is ready. A search that analyses one graph
+// per node keeps a Scratch per goroutine, and after the first call at a
+// graph size the analyses allocate nothing. Results are owned by the
+// Scratch and valid until its next use.
+type Scratch struct {
+	indeg    []int
+	frontier intHeap
+	order    []int
+	anc      []*bitset.Set
+}
+
 // TopoSort returns a topological order of the nodes (Kahn's algorithm with
 // a deterministic smallest-node-first tie break), or ErrCycle.
-func (g *Graph) TopoSort() ([]int, error) {
-	indeg := make([]int, g.n)
+func (g *Graph) TopoSort() ([]int, error) { return g.TopoSortInto(new(Scratch)) }
+
+// TopoSortInto is TopoSort on caller-owned storage.
+func (g *Graph) TopoSortInto(s *Scratch) ([]int, error) {
+	if s.order == nil || cap(s.order) < g.n {
+		s.indeg, s.order = make([]int, g.n), make([]int, 0, g.n)
+	}
+	indeg, order := s.indeg[:g.n], s.order[:0]
+	// A sorted frontier keeps the order deterministic across runs.
+	frontier := &s.frontier
+	frontier.a = frontier.a[:0]
 	for v := 0; v < g.n; v++ {
 		indeg[v] = len(g.pred[v])
-	}
-	// A sorted frontier keeps the order deterministic across runs.
-	frontier := &intHeap{}
-	for v := 0; v < g.n; v++ {
 		if indeg[v] == 0 {
 			frontier.push(v)
 		}
 	}
-	order := make([]int, 0, g.n)
 	for frontier.len() > 0 {
 		v := frontier.pop()
 		order = append(order, v)
@@ -179,21 +195,29 @@ func (g *Graph) IsAcyclic() bool {
 
 // Ancestors returns, for every node, the set of its strict ancestors
 // (preds, preds of preds, ...). Returns ErrCycle on cyclic graphs.
-func (g *Graph) Ancestors() ([]*bitset.Set, error) {
-	order, err := g.TopoSort()
+func (g *Graph) Ancestors() ([]*bitset.Set, error) { return g.AncestorsInto(new(Scratch)) }
+
+// AncestorsInto is Ancestors on caller-owned storage.
+func (g *Graph) AncestorsInto(s *Scratch) ([]*bitset.Set, error) {
+	order, err := g.TopoSortInto(s)
 	if err != nil {
 		return nil, err
 	}
-	anc := make([]*bitset.Set, g.n)
-	for _, v := range order {
-		s := bitset.New(g.n)
-		for _, p := range g.pred[v] {
-			s.Add(p)
-			s.UnionWith(anc[p])
+	if len(s.anc) != g.n {
+		s.anc = make([]*bitset.Set, g.n)
+		for v := range s.anc {
+			s.anc[v] = bitset.New(g.n)
 		}
-		anc[v] = s
 	}
-	return anc, nil
+	for _, v := range order {
+		a := s.anc[v]
+		a.Clear()
+		for _, p := range g.pred[v] {
+			a.Add(p)
+			a.UnionWith(s.anc[p])
+		}
+	}
+	return s.anc, nil
 }
 
 // Descendants returns, for every node, the set of its strict descendants.

@@ -358,3 +358,41 @@ func BenchmarkAncestors(b *testing.B) {
 		}
 	}
 }
+
+// TestScratchReuseMatchesFresh: TopoSortInto and AncestorsInto on one
+// Scratch carried across graphs of changing size and shape — cyclic ones
+// included — answer exactly as the allocating forms do, and a warm Scratch
+// allocates nothing.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var s Scratch
+	for trial := 0; trial < 300; trial++ {
+		g := randomDAG(rng, rng.Intn(9), 0.4)
+		if g.N() > 1 && trial%5 == 0 {
+			order, _ := g.TopoSort()
+			g.AddEdge(order[len(order)-1], order[0]) // usually closes a cycle
+		}
+		want, wantErr := g.TopoSort()
+		got, err := g.TopoSortInto(&s)
+		if err != wantErr || !reflect.DeepEqual(append([]int{}, got...), append([]int{}, want...)) {
+			t.Fatalf("trial %d: TopoSortInto = %v, %v; TopoSort = %v, %v", trial, got, err, want, wantErr)
+		}
+		wantAnc, wantErr := g.Ancestors()
+		gotAnc, err := g.AncestorsInto(&s)
+		if err != wantErr || len(gotAnc) != len(wantAnc) {
+			t.Fatalf("trial %d: AncestorsInto error %v / %d sets, Ancestors %v / %d", trial, err, len(gotAnc), wantErr, len(wantAnc))
+		}
+		for v := range wantAnc {
+			if !gotAnc[v].Equal(wantAnc[v]) {
+				t.Fatalf("trial %d: ancestors of %d = %s, want %s", trial, v, gotAnc[v], wantAnc[v])
+			}
+		}
+	}
+	g := randomDAG(rng, 8, 0.4)
+	if _, err := g.AncestorsInto(&s); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.AncestorsInto(&s) }); allocs != 0 {
+		t.Fatalf("AncestorsInto on a warm Scratch allocated %.1f times, want 0", allocs)
+	}
+}

@@ -44,6 +44,53 @@ type Edge struct {
 	Tokens   int
 }
 
+// weightAt returns the edge's weight at period lambda, delay − lambda·tokens
+// (the delay itself on a zero-token edge): what the constraint adds to
+// begin(From) in the cyclic schedule of that period.
+func (e *Edge) weightAt(lambda rat.Rat) rat.Rat {
+	if e.Tokens == 0 {
+		return e.Delay
+	}
+	return e.Delay.Sub(lambda.MulInt(int64(e.Tokens)))
+}
+
+// appendWeights appends the weight at lambda of every edge to w. Weights are
+// invariant across the rounds of a relaxation, so PotentialsInto computes
+// them once per call instead of once per edge per round.
+func appendWeights(w []rat.Rat, edges []Edge, lambda rat.Rat) []rat.Rat {
+	for i := range edges {
+		w = append(w, edges[i].weightAt(lambda))
+	}
+	return w
+}
+
+// relax runs one longest-path round over edges, w their weights, and reports
+// whether any potential rose.
+func relax(pi []rat.Rat, edges []Edge, w []rat.Rat) bool {
+	changed := false
+	for i := range edges {
+		e := &edges[i]
+		if bound := pi[e.From].Add(w[i]); bound.Greater(pi[e.To]) {
+			pi[e.To] = bound
+			changed = true
+		}
+	}
+	return changed
+}
+
+// zeroed returns buf resized to n zero potentials, reallocated only when its
+// capacity is too small.
+func zeroed(buf []rat.Rat, n int) []rat.Rat {
+	if cap(buf) < n {
+		return make([]rat.Rat, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = rat.Zero
+	}
+	return buf
+}
+
 // Graph is a timed event graph. Parallel edges and self-loops are allowed
 // (a self-loop with one token encodes "the operation must fit in the
 // period"). A Graph is not safe for concurrent use: besides the edge
@@ -58,7 +105,8 @@ type Graph struct {
 
 	scratch howardScratch
 	tarjan  sccScratch
-	color   []int // checkZeroTokenAcyclic working state, reused across calls
+	color   []int     // checkZeroTokenAcyclic working state, reused across calls
+	w       []rat.Rat // PotentialsInto's edge weights at the query period, reused across calls
 }
 
 // New returns an empty event graph with n operation nodes.
@@ -438,7 +486,7 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 					e := g.edges[s.policy[u]]
 					s.etaSet[u] = true
 					s.eta[u] = ratio
-					s.val[u] = e.Delay.Sub(ratio.MulInt(int64(e.Tokens))).Add(s.val[e.To])
+					s.val[u] = e.weightAt(ratio).Add(s.val[e.To])
 				}
 			}
 			// Unwind the tail: nodes leading into the (now evaluated) cycle.
@@ -448,7 +496,7 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 					e := g.edges[s.policy[u]]
 					s.etaSet[u] = true
 					s.eta[u] = s.eta[e.To]
-					s.val[u] = e.Delay.Sub(s.eta[u].MulInt(int64(e.Tokens))).Add(s.val[e.To])
+					s.val[u] = e.weightAt(s.eta[u]).Add(s.val[e.To])
 				}
 				s.state[u] = 2
 			}
@@ -479,7 +527,7 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 			if !s.eta[e.To].Equal(s.eta[e.From]) {
 				continue
 			}
-			cand := e.Delay.Sub(s.eta[e.From].MulInt(int64(e.Tokens))).Add(s.val[e.To])
+			cand := e.weightAt(s.eta[e.From]).Add(s.val[e.To])
 			if cand.Greater(s.val[e.From]) {
 				s.policy[e.From] = ei
 				changed = true
@@ -531,26 +579,11 @@ func (g *Graph) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, error)
 	if err := g.checkZeroTokenAcyclic(); err != nil {
 		return buf, err
 	}
-	pi := buf
-	if cap(pi) < g.n {
-		pi = make([]rat.Rat, g.n)
-	} else {
-		pi = pi[:g.n]
-		for i := range pi {
-			pi[i] = rat.Zero
-		}
-	}
+	pi := zeroed(buf, g.n)
+	g.w = appendWeights(g.w[:0], g.edges, lambda)
 	// Bellman-Ford longest path; n rounds suffice when no positive cycle.
 	for round := 0; round <= g.n; round++ {
-		changed := false
-		for _, e := range g.edges {
-			bound := pi[e.From].Add(e.Delay).Sub(lambda.MulInt(int64(e.Tokens)))
-			if bound.Greater(pi[e.To]) {
-				pi[e.To] = bound
-				changed = true
-			}
-		}
-		if !changed {
+		if !relax(pi, g.edges, g.w) {
 			return pi, nil
 		}
 	}

@@ -55,6 +55,7 @@ type Segmented struct {
 
 	fpi []float64 // float relaxation scratch
 	pi  []rat.Rat // exact fallback scratch
+	w   []rat.Rat // exact edge weights at the query period, segment after segment
 
 	edgesBuilt int64
 }
@@ -236,26 +237,20 @@ func (s *Segmented) FeasibleAt(lambda rat.Rat) (feasible, fellBack bool) {
 // package comment on why the relaxed bounds don't want it). The buffer is
 // retained on s for reuse when the caller passes s.pi back.
 func (s *Segmented) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, error) {
-	pi := buf
-	if cap(pi) < s.n {
-		pi = make([]rat.Rat, s.n)
-	} else {
-		pi = pi[:s.n]
-		for i := range pi {
-			pi[i] = rat.Zero
-		}
-	}
+	pi := zeroed(buf, s.n)
 	s.pi = pi
+	s.w = s.w[:0]
+	for i := range s.segs {
+		s.w = appendWeights(s.w, s.segs[i].edges, lambda)
+	}
 	for round := 0; round <= s.n; round++ {
-		changed := false
+		changed, at := false, 0
 		for i := range s.segs {
-			for _, e := range s.segs[i].edges {
-				bound := pi[e.From].Add(e.Delay).Sub(lambda.MulInt(int64(e.Tokens)))
-				if bound.Greater(pi[e.To]) {
-					pi[e.To] = bound
-					changed = true
-				}
+			edges := s.segs[i].edges
+			if relax(pi, edges, s.w[at:at+len(edges)]) {
+				changed = true
 			}
+			at += len(edges)
 		}
 		if !changed {
 			return pi, nil

@@ -2,6 +2,7 @@ package rat
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 	"testing"
@@ -75,5 +76,51 @@ func FuzzParse(f *testing.F) {
 		if got.String() != stringBig(want) {
 			t.Fatalf("Parse(%q).String() = %q, math/big rendering %q", s, got.String(), stringBig(want))
 		}
+	})
+}
+
+// FuzzArith pins the int64 kernel to math/big on int64 quadruples an/ad,
+// bn/bd: every operation returns the math/big value in canonical form —
+// small exactly when it fits, never MinInt64 — and Interval is the reference
+// enclosure of every operand and result.
+func FuzzArith(f *testing.F) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	for _, q := range [][4]int64{
+		{-1 << 62, 1, 2, 1}, {-1 << 62, 1, -1 << 62, 1}, // the −2^63 product and sum
+		{maxI, 1, maxI, 1}, {-maxI, 1, maxI, 1}, {maxI, 1, 1, maxI}, {minI, 1, -1, 1}, {1, minI, minI, 3},
+		{1 << 31, 1, 1 << 31, 1}, {1 << 32, 1, 1 << 31, 1}, {1 << 31, 3, 1 << 32, 5},
+		{1<<53 + 1, 1, 1, 1<<53 - 1}, {1<<53 - 1, 1 << 53, 1 << 53, 1<<53 + 1}, {-(1 << 53), 1<<53 - 1, 1, 1 << 53},
+		{41, 1, 7, 1}, {1, 3, 1, 3}, {1, 3, -1, 3}, {4, 1, 23, 3}, {1, 3, 1, 6}, {23, 3, 5, 7}, {5, 12, 7, 18},
+		{9999, 10000, 10000, 9999}, {0, 5, 0, -7}, {-7, 2, 7, 2},
+	} {
+		f.Add(q[0], q[1], q[2], q[3])
+	}
+	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
+		if ad == 0 || bd == 0 {
+			return
+		}
+		a, b := New(an, ad), New(bn, bd)
+		ra, rb := new(big.Rat).SetFrac(big.NewInt(an), big.NewInt(ad)), new(big.Rat).SetFrac(big.NewInt(bn), big.NewInt(bd))
+		check := func(what string, got Rat, want *big.Rat) {
+			t.Helper()
+			checkRep(t, what, got)
+			if got.big().Cmp(want) != 0 {
+				t.Fatalf("%s(%s, %s) = %s, math/big %s", what, a, b, got, want.RatString())
+			}
+			checkInterval(t, got)
+		}
+		check("a", a, ra)
+		check("b", b, rb)
+		check("Add", a.Add(b), new(big.Rat).Add(ra, rb))
+		check("Sub", a.Sub(b), new(big.Rat).Sub(ra, rb))
+		check("Mul", a.Mul(b), new(big.Rat).Mul(ra, rb))
+		if !b.IsZero() {
+			check("Div", a.Div(b), new(big.Rat).Quo(ra, rb))
+		}
+		if got, want := a.Cmp(b), ra.Cmp(rb); got != want {
+			t.Fatalf("Cmp(%s, %s) = %d, math/big %d", a, b, got, want)
+		}
+		floor := new(big.Int).Div(ra.Num(), ra.Denom()) // Euclidean; the denominator is positive, so this is floor
+		check("Floor", a.Floor(), new(big.Rat).SetInt(floor))
 	})
 }

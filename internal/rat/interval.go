@@ -19,10 +19,25 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Interval returns a certified enclosure of r. Float64 rounds to nearest,
-// so the loops below run at most one step in practice; they are exact-
-// comparison-guarded, never trusted.
+// Interval returns the tightest certified enclosure of r. When numerator and
+// denominator are exact in float64 (magnitude ≤ 2^53) the quotient f is
+// correctly rounded and the residual n − f·d, one FMA, is exact, so its sign
+// says on which side of r the quotient fell — no exact comparison and no
+// allocation. Everything else steps outward from Float64 under exact
+// comparisons, at most one step in practice, never trusted.
 func (r Rat) Interval() Interval {
+	const exact = 1 << 53
+	if n, d, ok := r.small(); ok && -exact <= n && n <= exact && d <= exact {
+		fn, fd := float64(n), float64(d)
+		f := fn / fd
+		switch res := math.FMA(-f, fd, fn); {
+		case res > 0:
+			return Interval{f, math.Nextafter(f, math.Inf(1))}
+		case res < 0:
+			return Interval{math.Nextafter(f, math.Inf(-1)), f}
+		}
+		return Interval{f, f}
+	}
 	f := r.Float64()
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return Interval{math.Inf(-1), math.Inf(1)}

@@ -27,6 +27,73 @@ func randRat(rng *rand.Rand) Rat {
 	}
 }
 
+// intervalRef is Interval as it was before the FMA-residual path: step
+// outward from Float64 under exact comparisons (two big.Rats per step). It
+// is the oracle the fast path must equal, endpoint for endpoint.
+func intervalRef(r Rat) Interval {
+	f := r.Float64()
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return Interval{math.Inf(-1), math.Inf(1)}
+	}
+	lo := f
+	for !math.IsInf(lo, -1) && FromFloat(lo).Greater(r) {
+		lo = math.Nextafter(lo, math.Inf(-1))
+	}
+	hi := f
+	for !math.IsInf(hi, 1) && FromFloat(hi).Less(r) {
+		hi = math.Nextafter(hi, math.Inf(1))
+	}
+	return Interval{lo, hi}
+}
+
+// checkInterval fails unless r.Interval() is the reference enclosure and
+// exactly encloses r.
+func checkInterval(t *testing.T, r Rat) {
+	t.Helper()
+	iv := r.Interval()
+	if ref := intervalRef(r); iv != ref {
+		t.Fatalf("Interval(%s) = [%v, %v], reference loop [%v, %v]", r, iv.Lo, iv.Hi, ref.Lo, ref.Hi)
+	}
+	if !math.IsInf(iv.Lo, -1) && FromFloat(iv.Lo).Greater(r) {
+		t.Fatalf("Interval(%s).Lo = %v > value", r, iv.Lo)
+	}
+	if !math.IsInf(iv.Hi, 1) && FromFloat(iv.Hi).Less(r) {
+		t.Fatalf("Interval(%s).Hi = %v < value", r, iv.Hi)
+	}
+}
+
+// TestIntervalMatchesReference pins the allocation-free path (and its 2^53
+// precondition, from both sides) to the reference loop.
+func TestIntervalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		checkInterval(t, randRat(rng))
+		checkInterval(t, New(rng.Int63n(1<<54)-(1<<53), 1+rng.Int63n(1<<uint(1+rng.Intn(54)))))
+	}
+	for _, n := range edgeInts {
+		for _, d := range edgeInts {
+			if d != 0 {
+				checkInterval(t, New(n, d))
+			}
+		}
+	}
+}
+
+// TestIntervalAllocBudget: enclosing a rational whose numerator and
+// denominator are exact floats — every cost, selectivity, period and bound
+// the searches enclose — allocates nothing.
+func TestIntervalAllocBudget(t *testing.T) {
+	rs := []Rat{Zero, {}, New(23, 3), New(-9999, 10000), New(1<<53, 1<<53-1), New(-(1<<53 - 1), 1<<53)}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, r := range rs {
+			sinkIv = r.Interval()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Interval allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestIntervalEnclosure is the certification property: for every rational,
 // the returned endpoints exactly enclose it.
 func TestIntervalEnclosure(t *testing.T) {

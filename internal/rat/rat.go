@@ -61,8 +61,7 @@ func New(num, den int64) Rat {
 	if den < 0 {
 		num, den = -num, -den
 	}
-	g := gcd64(abs64(num), den)
-	if g > 1 {
+	if g := int64(gcd64(absU64(num), uint64(den))); g > 1 {
 		num /= g
 		den /= g
 	}
@@ -70,7 +69,12 @@ func New(num, den int64) Rat {
 }
 
 // I returns the rational n/1.
-func I(n int64) Rat { return Rat{num: n, den: 1} }
+func I(n int64) Rat {
+	if n == math.MinInt64 {
+		return New(n, 1)
+	}
+	return Rat{num: n, den: 1}
+}
 
 // FromBig returns a Rat equal to r. The argument is copied; later mutation
 // of r does not affect the result.
@@ -144,18 +148,51 @@ func (r Rat) Add(o Rat) Rat {
 	rn, rd, rok := r.small()
 	on, od, ook := o.small()
 	if rok && ook {
-		// r + o = (rn*od + on*rd) / (rd*od), computed with overflow checks.
-		if x, ok := mul64(rn, od); ok {
-			if y, ok := mul64(on, rd); ok {
-				if s, ok := add64(x, y); ok {
-					if d, ok := mul64(rd, od); ok {
-						return New(s, d)
-					}
+		switch {
+		case rn == 0:
+			return Rat{num: on, den: od}
+		case on == 0:
+			return Rat{num: rn, den: rd}
+		case rd == od:
+			if s, ok := add64(rn, on); ok {
+				if rd == 1 {
+					return Rat{num: s, den: 1}
 				}
+				return New(s, rd)
+			}
+		default:
+			if n, d, ok := addFrac(rn, rd, on, od); ok {
+				return Rat{num: n, den: d}
 			}
 		}
 	}
 	return fromBigRat(new(big.Rat).Add(r.big(), o.big()))
+}
+
+// addFrac adds the reduced fractions rn/rd and on/od, rd != od, in int64
+// (Knuth 4.5.1): with g = gcd(rd, od) and t = rn·(od/g) + on·(rd/g), only
+// gcd(t, g) can still divide numerator and denominator — nothing at all when
+// g == 1 (an integer plus a fraction, coprime denominators). t is never 0:
+// opposite reduced fractions have equal denominators.
+func addFrac(rn, rd, on, od int64) (num, den int64, ok bool) {
+	g := int64(gcd64(uint64(rd), uint64(od)))
+	rdg, odg := rd, od
+	if g > 1 {
+		rdg, odg = quo(rd, g), quo(od, g)
+	}
+	x, ok1 := mul64(rn, odg)
+	y, ok2 := mul64(on, rdg)
+	t, ok3 := add64(x, y)
+	if !(ok1 && ok2 && ok3) {
+		return 0, 0, false
+	}
+	if g > 1 {
+		if g2 := int64(gcd64(absU64(t), uint64(g))); g2 > 1 {
+			t, od = quo(t, g2), quo(od, g2)
+		}
+	}
+	den, ok = mul64(rdg, od)
+	return t, den, ok
 }
 
 // Sub returns r - o.
@@ -163,7 +200,7 @@ func (r Rat) Sub(o Rat) Rat { return r.Add(o.Neg()) }
 
 // Neg returns -r.
 func (r Rat) Neg() Rat {
-	if n, d, ok := r.small(); ok && n != math.MinInt64 {
+	if n, d, ok := r.small(); ok {
 		return Rat{num: -n, den: d}
 	}
 	return fromBigRat(new(big.Rat).Neg(r.big()))
@@ -174,14 +211,22 @@ func (r Rat) Mul(o Rat) Rat {
 	rn, rd, rok := r.small()
 	on, od, ook := o.small()
 	if rok && ook {
-		// Cross-reduce first so intermediate products stay small.
-		g1 := gcd64(abs64(rn), od)
-		g2 := gcd64(abs64(on), rd)
-		a, b := rn/g1, on/g2
-		c, d := rd/g2, od/g1
-		if n, ok := mul64(a, b); ok {
-			if dd, ok := mul64(c, d); ok {
-				return Rat{num: n, den: dd} // already in lowest terms
+		if rd == 1 && od == 1 {
+			if n, ok := mul64(rn, on); ok {
+				return Rat{num: n, den: 1}
+			}
+		} else {
+			// Cross-reduce first: the products are then in lowest terms.
+			if g := int64(gcd64(absU64(rn), uint64(od))); g > 1 {
+				rn, od = quo(rn, g), quo(od, g)
+			}
+			if g := int64(gcd64(absU64(on), uint64(rd))); g > 1 {
+				on, rd = quo(on, g), quo(rd, g)
+			}
+			if n, ok := mul64(rn, on); ok {
+				if d, ok := mul64(rd, od); ok {
+					return Rat{num: n, den: d}
+				}
 			}
 		}
 	}
@@ -201,7 +246,7 @@ func (r Rat) Inv() Rat {
 	if r.IsZero() {
 		panic("rat: inverse of zero")
 	}
-	if n, d, ok := r.small(); ok && n != math.MinInt64 {
+	if n, d, ok := r.small(); ok {
 		if n < 0 {
 			return Rat{num: -d, den: -n}
 		}
@@ -247,14 +292,7 @@ func (r Rat) Sign() int {
 	if r.b != nil {
 		return r.b.Sign()
 	}
-	switch {
-	case r.num > 0:
-		return 1
-	case r.num < 0:
-		return -1
-	default:
-		return 0
-	}
+	return cmpInt(r.num, 0)
 }
 
 // IsZero reports whether r == 0.
@@ -274,6 +312,9 @@ func (r Rat) Cmp(o Rat) int {
 	rn, rd, rok := r.small()
 	on, od, ook := o.small()
 	if rok && ook {
+		if rd == od {
+			return cmpInt(rn, on)
+		}
 		// Compare rn/rd and on/od via 128-bit cross multiplication.
 		return cmpCross(rn, rd, on, od)
 	}
@@ -515,54 +556,56 @@ func (r *Rat) UnmarshalJSON(data []byte) error {
 
 // --- int64 helpers ---
 
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x // caller guarantees x != MinInt64
-	}
-	return x
-}
-
-// gcd64 returns the greatest common divisor of non-negative a and b
-// (gcd(0, b) == b).
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
+// gcd64 returns the greatest common divisor of a and b (gcd(0, b) == b).
+// Either operand 1 answers at once — multiplications by ±1 and sums with an
+// integer — and Euclid runs in 32-bit divisions as soon as both operands
+// fit, which they do from the start for the denominators the searches
+// produce (a binary GCD measured slower on this code's operands, DESIGN §2a).
+func gcd64(a, b uint64) uint64 {
+	if a == 1 || b == 1 {
 		return 1
+	}
+	for b != 0 {
+		if a|b <= math.MaxUint32 {
+			x, y := uint32(a), uint32(b)
+			for y != 0 {
+				x, y = y, x%y
+			}
+			return uint64(x)
+		}
+		a, b = b, a%b
 	}
 	return a
 }
 
-// add64 returns a+b and whether it did not overflow.
-func add64(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
-		return 0, false
+// quo returns a/b for b > 0, in a 32-bit division when both operands fit
+// (a negative a does not).
+func quo(a, b int64) int64 {
+	if uint64(a)|uint64(b) <= math.MaxUint32 {
+		return int64(uint32(a) / uint32(b))
 	}
-	return s, true
+	return a / b
 }
 
-// mul64 returns a*b and whether it did not overflow.
+// add64 returns a+b and whether it is a small Rat's numerator: no overflow
+// (the operands share a sign the sum lacks) and not MinInt64.
+func add64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a^s)&(b^s) >= 0 && s != math.MinInt64
+}
+
+// mul64 returns a*b and whether it is a small Rat's field: |a·b| < 2^63,
+// checked on the 128-bit product of the magnitudes, so MinInt64 is excluded.
 func mul64(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if a == math.MinInt64 || b == math.MinInt64 {
-		return 0, false
-	}
-	c := a * b
-	if c/b != a {
-		return 0, false
-	}
-	return c, true
+	hi, lo := bits.Mul64(absU64(a), absU64(b))
+	return a * b, hi == 0 && lo <= math.MaxInt64
 }
 
 // cmpCross compares a/b and c/d (b, d > 0) exactly using 128-bit magnitude
 // products, avoiding both overflow and allocation.
 func cmpCross(a, b, c, d int64) int {
 	// Signs first: a/b sign is sign(a); c/d sign is sign(c).
-	sa, sc := sign64(a), sign64(c)
+	sa, sc := cmpInt(a, 0), cmpInt(c, 0)
 	if sa != sc {
 		if sa < sc {
 			return -1
@@ -573,8 +616,8 @@ func cmpCross(a, b, c, d int64) int {
 		return 0
 	}
 	// Same nonzero sign: compare |a|*d vs |c|*b, flip if negative.
-	hi1, lo1 := mulUint128(absU64(a), uint64(d))
-	hi2, lo2 := mulUint128(absU64(c), uint64(b))
+	hi1, lo1 := bits.Mul64(absU64(a), uint64(d))
+	hi2, lo2 := bits.Mul64(absU64(c), uint64(b))
 	cmp := cmpUint128(hi1, lo1, hi2, lo2)
 	if sa < 0 {
 		return -cmp
@@ -582,27 +625,24 @@ func cmpCross(a, b, c, d int64) int {
 	return cmp
 }
 
-func sign64(x int64) int {
+// cmpInt compares two integers: -1, 0 or +1.
+func cmpInt(a, b int64) int {
 	switch {
-	case x > 0:
+	case a > b:
 		return 1
-	case x < 0:
+	case a < b:
 		return -1
 	default:
 		return 0
 	}
 }
 
+// absU64 returns |x|; MinInt64 wraps to itself and converts to 2^63.
 func absU64(x int64) uint64 {
 	if x < 0 {
-		return uint64(-(x + 1)) + 1 // handles MinInt64
+		return uint64(-x)
 	}
 	return uint64(x)
-}
-
-// mulUint128 returns the 128-bit product of a and b as (hi, lo).
-func mulUint128(a, b uint64) (hi, lo uint64) {
-	return bits.Mul64(a, b)
 }
 
 func cmpUint128(h1, l1, h2, l2 uint64) int {

@@ -469,21 +469,79 @@ func TestQuickOrderingTotalAndConsistent(t *testing.T) {
 	}
 }
 
+// checkRep fails unless r is in canonical form: a small Rat has den > 0,
+// gcd(|num|, den) == 1 and never carries MinInt64 (its magnitude would
+// overflow in the next operation); anything else is big, and a big Rat holds
+// only values that do not fit the small form.
+func checkRep(t *testing.T, what string, r Rat) {
+	t.Helper()
+	if r.b != nil {
+		if n, d := r.b.Num(), r.b.Denom(); n.IsInt64() && d.IsInt64() && n.Int64() != math.MinInt64 {
+			t.Fatalf("%s: %s fits int64 but is held big", what, r.b.RatString())
+		}
+		return
+	}
+	n, d, _ := r.small()
+	if d <= 0 || n == math.MinInt64 {
+		t.Fatalf("%s: small rat %d/%d outside the representation", what, n, d)
+	}
+	if g := gcd64(absU64(n), uint64(d)); g != 1 {
+		t.Fatalf("%s: unnormalized small rat %d/%d (gcd %d)", what, n, d, g)
+	}
+}
+
+// edgeInts are the int64 operands around which the small representation
+// ends: products and sums of these sit on either side of ±2^63.
+var edgeInts = []int64{
+	0, 1, -1, 2, -2, 3, 6, 1 << 31, -(1 << 31), 1<<31 + 1, 1 << 32, 1<<53 - 1, 1 << 53, 1<<53 + 1,
+	1 << 62, -(1 << 62), 1<<62 + 1, math.MaxInt64, -math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 2,
+}
+
 func TestQuickNormalizationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
-		r := genRat(rng).Mul(genRat(rng)).Add(genRat(rng))
-		if n, d, ok := r.small(); ok {
-			if d <= 0 {
-				t.Fatalf("non-positive small denominator in %v", r)
+		checkRep(t, "random", genRat(rng).Mul(genRat(rng)).Add(genRat(rng)))
+	}
+	// Operands at the int64 edges, every constructor and operation.
+	var edges []Rat
+	for _, n := range edgeInts {
+		edges = append(edges, I(n))
+		for _, d := range edgeInts {
+			if d != 0 {
+				edges = append(edges, New(n, d))
 			}
-			if g := gcd64(abs64(n), d); n != math.MinInt64 && g != 1 {
-				t.Fatalf("unnormalized small rat %d/%d (gcd %d)", n, d, g)
-			}
-		} else if r.b == nil {
-			t.Fatal("neither small nor big")
 		}
 	}
+	for _, a := range edges {
+		checkRep(t, "New", a)
+		checkRep(t, "Neg", a.Neg())
+		checkRep(t, "Floor", a.Floor())
+		for _, b := range edges {
+			checkRep(t, "Add", a.Add(b))
+			checkRep(t, "Sub", a.Sub(b))
+			checkRep(t, "Mul", a.Mul(b))
+			if !b.IsZero() {
+				checkRep(t, "Div", a.Div(b))
+			}
+		}
+	}
+}
+
+// TestMulMinInt64Product is the regression for a wrong sign: mul64 once
+// accepted a product of exactly −2^63, so Mul handed out a small Rat whose
+// numerator's magnitude overflowed in the next operation — this expression
+// printed 4611686018427387904/-3 and compared positive.
+func TestMulMinInt64Product(t *testing.T) {
+	p := New(-1<<62, 1).Mul(New(2, 1))
+	checkRep(t, "-2^62 * 2", p)
+	r := p.Mul(New(1, 6))
+	checkRep(t, "-2^63 / 6", r)
+	mustEq(t, r, "-4611686018427387904/3")
+	if r.Sign() != -1 || r.Cmp(Zero) != -1 {
+		t.Fatalf("-2^63/6: Sign %d, Cmp(Zero) %d, want -1, -1", r.Sign(), r.Cmp(Zero))
+	}
+	checkRep(t, "-2^62 + -2^62", New(-1<<62, 1).Add(New(-1<<62, 1)))
+	checkRep(t, "I(MinInt64)", I(math.MinInt64))
 }
 
 func TestMul64Edges(t *testing.T) {
@@ -516,24 +574,48 @@ func TestAdd64Edges(t *testing.T) {
 	}
 }
 
-func BenchmarkAddSmall(b *testing.B) {
-	x, y := New(1, 3), New(1, 6)
-	for i := 0; i < b.N; i++ {
-		x = x.Add(y).Sub(y)
-	}
-}
+var (
+	sinkRat Rat
+	sinkInt int
+	sinkIv  Interval
+)
 
-func BenchmarkMulSmall(b *testing.B) {
-	x, y := New(9999, 10000), New(10000, 9999)
-	for i := 0; i < b.N; i++ {
-		x = x.Mul(y)
-	}
-}
-
-func BenchmarkCmpSmall(b *testing.B) {
-	x, y := New(math.MaxInt64-1, 3), New(math.MaxInt64-2, 3)
-	for i := 0; i < b.N; i++ {
-		_ = x.Cmp(y)
+// BenchmarkSmallOps times the int64 kernel on the operand shapes the plan
+// searches produce (measured mix on plan-cold, DESIGN §2a): every case runs
+// on fixed, bounded operands — nothing grows with b.N, nothing leaves the
+// small representation — and must not allocate.
+func BenchmarkSmallOps(b *testing.B) {
+	i41, i7, third, sixth := I(41), I(7), New(1, 3), New(1, 6)
+	sel, cost, f57, f512, f718 := New(9999, 10000), New(23, 3), New(5, 7), New(5, 12), New(7, 18)
+	wide5, wide7 := New(math.MaxInt64-1, 5), New(math.MaxInt64-2, 7)
+	for _, bc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Add/zero", func() { sinkRat = Zero.Add(cost) }},
+		{"Add/int+int", func() { sinkRat = i41.Add(i7) }},
+		{"Add/equal-den", func() { sinkRat = third.Add(third) }},
+		{"Add/int+frac", func() { sinkRat = i41.Add(cost) }},
+		{"Add/nested-den", func() { sinkRat = third.Add(sixth) }},
+		{"Add/coprime-den", func() { sinkRat = cost.Add(f57) }},
+		{"Add/general", func() { sinkRat = f512.Add(f718) }},
+		{"Mul/int*int", func() { sinkRat = i41.Mul(i7) }},
+		{"Mul/by-one", func() { sinkRat = sel.Mul(One) }},
+		{"Mul/frac*frac", func() { sinkRat = sel.Mul(cost) }},
+		{"Cmp/equal-den", func() { sinkInt = third.Cmp(cost) }},
+		{"Cmp/unequal-den", func() { sinkInt = sel.Cmp(cost) }},
+		{"Cmp/128-bit", func() { sinkInt = wide5.Cmp(wide7) }},
+		{"Interval", func() { sinkIv = sel.Interval() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if allocs := testing.AllocsPerRun(100, bc.op); allocs != 0 {
+				b.Fatalf("%s allocated %.1f times per operation, want 0", bc.name, allocs)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.op()
+			}
+		})
 	}
 }
 
@@ -546,7 +628,8 @@ func BenchmarkCmpSmall(b *testing.B) {
 func TestCmpFastPathAllocFree(t *testing.T) {
 	pairs := [][2]Rat{
 		{New(23, 3), New(7, 1)},
-		{New(math.MaxInt64-1, 3), New(math.MaxInt64-2, 3)}, // 128-bit cross products
+		{New(math.MaxInt64-1, 3), New(math.MaxInt64-2, 3)}, // equal denominators: numerators decide
+		{New(math.MaxInt64-1, 5), New(math.MaxInt64-2, 7)}, // 128-bit cross products
 		{New(-9999, 10000), New(9999, 10000)},
 		{Zero, Rat{}}, // the uninitialized zero value normalizes without allocating
 	}

@@ -152,12 +152,14 @@ func (in *incumbent) prunes(c *incumbentCache, bound rat.Rat) bool {
 }
 
 // bnbShard is one shard's outcome plus its local search counters, its
-// cached view of the shared incumbent and its cancellation probe.
+// cached view of the shared incumbent, its cancellation probe and the
+// scratch its partial bounds are computed on.
 type bnbShard struct {
 	shardResult
 	stats Stats
 	cache incumbentCache
 	cc    cancelCheck
+	bound *boundScratch
 }
 
 // prunes applies both pruning rules to one subtree bound. Against the
@@ -399,16 +401,16 @@ func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Opti
 	inc := &incumbent{}
 	seedIncumbent(inc, app, m, obj, opts)
 	prefixes := forestPrefixes(n, 2)
+	tables := newBoundTables(app, m, obj, nil, nil)
 	shards := par.Map(opts.Workers, len(prefixes), func(i int) bnbShard {
 		parent := make([]int, n)
 		for v := range parent {
 			parent[v] = -1
 		}
 		copy(parent, prefixes[i])
-		var sh bnbShard
-		sh.cc = cancelCheck{ctx: opts.Ctx}
+		sh := bnbShard{cc: cancelCheck{ctx: opts.Ctx}, bound: newBoundScratch(tables)}
 		sh.stats.Expanded++
-		if sh.prunes(inc, forestPartialBound(app, m, obj, parent, len(prefixes[i]))) {
+		if sh.prunes(inc, sh.bound.forest(parent, len(prefixes[i]))) {
 			sh.stats.Pruned++
 			return sh
 		}
@@ -444,7 +446,7 @@ func bnbForestRec(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 	}
 	descend := func() {
 		sh.stats.Expanded++
-		if sh.prunes(inc, forestPartialBound(app, m, obj, parent, v+1)) {
+		if sh.prunes(inc, sh.bound.forest(parent, v+1)) {
 			sh.stats.Pruned++
 			return
 		}
@@ -497,9 +499,9 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 		depth = len(pairs)
 	}
 	prefixes := dagPrefixes(n, depth)
+	tables := newBoundTables(app, m, obj, precClosure, pairs)
 	shards := par.Map(opts.Workers, len(prefixes), func(i int) bnbShard {
-		var sh bnbShard
-		sh.cc = cancelCheck{ctx: opts.Ctx}
+		sh := bnbShard{cc: cancelCheck{ctx: opts.Ctx}, bound: newBoundScratch(tables)}
 		g := dag.New(n)
 		for _, e := range prefixes[i] {
 			if precClosure.HasEdge(e[1], e[0]) {
@@ -508,12 +510,12 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 			}
 			g.AddEdge(e[0], e[1])
 		}
-		if !g.IsAcyclic() {
+		if !sh.bound.acyclic(g) {
 			sh.stats.Pruned++
 			return sh
 		}
 		sh.stats.Expanded++
-		if sh.prunes(inc, dagPartialBound(app, m, obj, g, precClosure, pairs, depth)) {
+		if sh.prunes(inc, sh.bound.dag(g, depth)) {
 			sh.stats.Pruned++
 			return sh
 		}
@@ -547,7 +549,7 @@ func bnbDAGRec(app *workflow.App, m plan.Model, obj Objective, opts Options, inc
 	}
 	descend := func() {
 		sh.stats.Expanded++
-		if sh.prunes(inc, dagPartialBound(app, m, obj, g, precClosure, pairs, i+1)) {
+		if sh.prunes(inc, sh.bound.dag(g, i+1)) {
 			sh.stats.Pruned++
 			return
 		}
@@ -559,7 +561,7 @@ func bnbDAGRec(app *workflow.App, m plan.Model, obj Objective, opts Options, inc
 			return // reversing a precedence path invalidates every completion
 		}
 		g.AddEdge(a, b)
-		if g.IsAcyclic() {
+		if sh.bound.acyclic(g) {
 			descend()
 		} else {
 			sh.stats.Pruned++ // every completion keeps the cycle

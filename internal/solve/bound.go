@@ -57,25 +57,96 @@ func cexecUnit(app *workflow.App, m plan.Model, v, k int) rat.Rat {
 	return rat.One.Add(app.Cost(v)).Add(sK)
 }
 
+// --- per-solve tables, per-shard scratch ---
+
+// boundTables are the constants of one solve the partial bounds read: built
+// once by newBoundTables, shared read-only by every shard.
+type boundTables struct {
+	n      int
+	m      plan.Model
+	obj    Objective
+	sel    []rat.Rat // selectivities
+	cost   []rat.Rat
+	shrink []rat.Rat // shrinkFactor
+	cexec  []rat.Rat // cexecUnit of v with k decided consumers at [v*n+k]
+	tail   []rat.Rat // computation plus one output copy per unit volume: max(c, σ) for the OVERLAP period, c+σ otherwise
+	mand   []bool    // mand[u*n+v]: precedence puts u before v in every valid completion
+	after  []bool    // after[v]: v has a precedence predecessor
+	before []bool    // before[v]: v has a precedence successor
+	pairs  [][2]int  // DAG enumeration order
+}
+
+// newBoundTables builds the tables; prec is the transitive closure of the
+// application's precedence constraints (nil or edgeless means unconstrained)
+// and pairs the DAG search's pair order (nil for forests).
+func newBoundTables(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, pairs [][2]int) *boundTables {
+	n := app.N()
+	t := &boundTables{n: n, m: m, obj: obj, pairs: pairs}
+	rats := make([]rat.Rat, (4+n)*n)
+	t.sel, t.cost, t.shrink, t.tail, t.cexec = rats[:n], rats[n:2*n], rats[2*n:3*n], rats[3*n:4*n], rats[4*n:]
+	for v := 0; v < n; v++ {
+		t.sel[v], t.cost[v], t.shrink[v] = app.Selectivity(v), app.Cost(v), shrinkFactor(app, v)
+		if obj == PeriodObjective && m == plan.Overlap {
+			t.tail[v] = rat.Max(t.cost[v], t.sel[v])
+		} else {
+			t.tail[v] = t.cost[v].Add(t.sel[v])
+		}
+		for k := 0; k < n; k++ {
+			t.cexec[v*n+k] = cexecUnit(app, m, v, k)
+		}
+	}
+	flags := make([]bool, (n+2)*n)
+	t.mand, t.after, t.before = flags[:n*n], flags[n*n:n*n+n], flags[n*n+n:]
+	if prec != nil {
+		for _, e := range prec.Edges() {
+			t.mand[e[0]*n+e[1]], t.before[e[0]], t.after[e[1]] = true, true, true
+		}
+	}
+	return t
+}
+
+// boundScratch is one shard's working storage for the partial bounds, sized
+// once: a bound computed on a warm scratch allocates nothing.
+type boundScratch struct {
+	*boundTables
+	anc     []uint64 // forests: decided ancestor chain of each node
+	fixed   []bool   // forests: the chain ends at a decided root
+	open    []bool   // DAGs: touched by an undecided pair
+	kids    []int
+	minProd []rat.Rat // smallest reachable input product
+	minOut  []rat.Rat // minProd times the node's selectivity
+	done    []rat.Rat
+	graph   dag.Scratch
+}
+
+func newBoundScratch(t *boundTables) *boundScratch {
+	n := t.n
+	rats, flags := make([]rat.Rat, 3*n), make([]bool, 2*n)
+	return &boundScratch{boundTables: t, anc: make([]uint64, n), kids: make([]int, n),
+		fixed: flags[:n], open: flags[n:], minProd: rats[:n], minOut: rats[n : 2*n], done: rats[2*n:]}
+}
+
+// acyclic is g.IsAcyclic on the shard's storage.
+func (b *boundScratch) acyclic(g *dag.Graph) bool {
+	_, err := g.TopoSortInto(&b.graph)
+	return err == nil
+}
+
 // --- forests ---
 
-// forestPartialBound bounds the objective of every forest that completes the
-// partial parent assignment: nodes 0..decided-1 carry their final parent
-// (-1 = permanent root), nodes decided.. must still be -1 (free). The bound
-// is exact-per-chain where possible: a decided node whose ancestor chain
-// ends at a decided root keeps its input product forever, while chains
-// ending at a free node may still gain every remaining shrinking service as
-// an ancestor.
-func forestPartialBound(app *workflow.App, m plan.Model, obj Objective, parent []int, decided int) rat.Rat {
-	n := app.N()
-	if n == 0 {
-		return rat.Zero
+// forest bounds the objective of every forest that completes the partial
+// parent assignment: nodes 0..decided-1 carry their final parent (-1 =
+// permanent root), nodes decided.. must still be -1 (free). The bound is
+// exact-per-chain where possible: a decided node whose ancestor chain ends at
+// a decided root keeps its input product forever, while chains ending at a
+// free node may still gain every remaining shrinking service as an ancestor.
+func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
+	n, anc, fixed, kids, minProd := b.n, b.anc, b.fixed, b.kids, b.minProd
+	for v := range kids {
+		kids[v] = 0
 	}
 	// anc[v]: bitmask of v's decided ancestor chain; fixed[v]: the chain
 	// ends at a decided root, so no completion can extend it.
-	anc := make([]uint64, n)
-	fixed := make([]bool, n)
-	kids := make([]int, n)
 	for v := 0; v < n; v++ {
 		var mask uint64
 		u := v
@@ -90,31 +161,24 @@ func forestPartialBound(app *workflow.App, m plan.Model, obj Objective, parent [
 		}
 	}
 	// minProd[v]: the smallest input product v can reach in any completion.
-	minProd := make([]rat.Rat, n)
 	for v := 0; v < n; v++ {
 		p := rat.One
 		for u := 0; u < n; u++ {
-			if anc[v]&(1<<uint(u)) != 0 {
-				p = p.Mul(app.Selectivity(u))
-			}
-		}
-		chain := anc[v]
-		if !fixed[v] {
-			// Any service that is neither v, an ancestor of v, nor a decided
-			// descendant of v (v on its chain) may still end up above v.
-			for u := 0; u < n; u++ {
-				if u == v || chain&(1<<uint(u)) != 0 || anc[u]&(1<<uint(v)) != 0 {
-					continue
-				}
-				p = p.Mul(shrinkFactor(app, u))
+			switch {
+			case anc[v]&(1<<uint(u)) != 0:
+				p = p.Mul(b.sel[u])
+			case !fixed[v] && u != v && anc[u]&(1<<uint(v)) == 0:
+				// Any service that is neither v, an ancestor of v, nor a decided
+				// descendant of v (v on its chain) may still end up above v.
+				p = p.Mul(b.shrink[u])
 			}
 		}
 		minProd[v] = p
 	}
-	if obj == PeriodObjective {
-		bound := rat.Zero
+	bound := rat.Zero
+	if b.obj == PeriodObjective {
 		for v := 0; v < n; v++ {
-			bound = rat.Max(bound, minProd[v].Mul(cexecUnit(app, m, v, kids[v])))
+			bound = rat.Max(bound, minProd[v].Mul(b.cexec[v*n+kids[v]]))
 		}
 		return bound
 	}
@@ -122,79 +186,59 @@ func forestPartialBound(app *workflow.App, m plan.Model, obj Objective, parent [
 	// each traversed communication at its smallest possible volume, plus the
 	// unit input communication. Services inserted above a free chain top
 	// only lengthen the path, so the partial chain is a valid witness.
-	best := rat.Zero
 	for v := 0; v < n; v++ {
 		t := rat.One
-		u := v
-		for {
-			t = t.Add(minProd[u].Mul(app.Cost(u).Add(app.Selectivity(u))))
-			if parent[u] < 0 {
-				break
-			}
-			u = parent[u]
+		for u := v; u >= 0; u = parent[u] {
+			t = t.Add(minProd[u].Mul(b.tail[u]))
 		}
-		best = rat.Max(best, t)
+		bound = rat.Max(bound, t)
 	}
-	return best
+	return bound
 }
 
 // --- DAGs ---
 
-// dagPartialBound bounds the objective of every DAG that completes the
-// first `decided` orientations of pairs on the (acyclic) partial graph g:
-// the remaining pairs may each stay absent or add one edge in either
-// direction. Only nodes touched by an undecided pair ("open") can gain
-// predecessors, successors or ancestors.
+// dag bounds the objective of every DAG that completes the first `decided`
+// orientations of pairs on the (acyclic) partial graph g: the remaining
+// pairs may each stay absent or add one edge in either direction. Only nodes
+// touched by an undecided pair ("open") can gain predecessors, successors or
+// ancestors.
 //
-// prec is the transitive closure of the application's precedence
-// constraints (nil or edgeless means unconstrained). A valid completion
-// must contain every precedence edge in its own closure, so a precedence
-// predecessor u of v is an ancestor of v in EVERY valid completion: its
-// selectivity enters v's input product exactly — growth (σ > 1)
-// included, where the optional-ancestor worst case must clamp to 1 — and
-// precedence descendants of v can never feed or precede v. This is what
-// lets the last-position floor below recover the chain family's exact
-// floor when precedence is a total order.
-func dagPartialBound(app *workflow.App, m plan.Model, obj Objective, g *dag.Graph, prec *dag.Graph, pairs [][2]int, decided int) rat.Rat {
-	n := app.N()
-	if n == 0 {
-		return rat.Zero
-	}
-	anc, err := g.Ancestors()
+// A valid completion must contain every precedence edge in its own closure,
+// so a precedence predecessor u of v (mand) is an ancestor of v in EVERY
+// valid completion: its selectivity enters v's input product exactly —
+// growth (σ > 1) included, where the optional-ancestor worst case must clamp
+// to 1 — and precedence descendants of v can never feed or precede v. This
+// is what lets the last-position floor below recover the chain family's
+// exact floor when precedence is a total order.
+func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
+	n, open, minProd, minOut := b.n, b.open, b.minProd, b.minOut
+	anc, err := g.AncestorsInto(&b.graph)
 	if err != nil {
 		return rat.Zero // cyclic partial graph: the caller prunes it outright
 	}
-	constrained := prec != nil && prec.EdgeCount() > 0
 	// mandated(u, v): u precedes v in every valid completion.
-	mandated := func(u, v int) bool {
-		return constrained && prec.HasEdge(u, v)
+	mandated := func(u, v int) bool { return b.mand[u*n+v] }
+	for v := range open {
+		open[v] = false
 	}
-	open := make([]bool, n)
-	for i := decided; i < len(pairs); i++ {
-		open[pairs[i][0]] = true
-		open[pairs[i][1]] = true
+	for _, p := range b.pairs[decided:] {
+		open[p[0]], open[p[1]] = true, true
 	}
 	// minProd[v]: smallest reachable input product. Decided and
 	// precedence-mandated ancestors contribute their exact selectivity;
 	// the ancestor set is final once neither v nor any of its ancestors is
 	// open; otherwise every service that may still move above v — not a
 	// decided or mandated descendant — contributes its worst case.
-	minProd := make([]rat.Rat, n)
-	minOut := make([]rat.Rat, n)
 	for v := 0; v < n; v++ {
 		p := rat.One
 		grows := open[v]
-		anc[v].ForEach(func(u int) {
-			p = p.Mul(app.Selectivity(u))
-			if open[u] {
-				grows = true
-			}
-		})
-		if constrained {
-			for _, u := range prec.Pred(v) { // closure: preds = all mandated ancestors
-				if !anc[v].Has(u) {
-					p = p.Mul(app.Selectivity(u))
-				}
+		for u := 0; u < n; u++ {
+			if anc[v].Has(u) {
+				p = p.Mul(b.sel[u])
+				grows = grows || open[u]
+			} else if mandated(u, v) {
+				p = p.Mul(b.sel[u])
 			}
 		}
 		if grows {
@@ -203,128 +247,101 @@ func dagPartialBound(app *workflow.App, m plan.Model, obj Objective, g *dag.Grap
 					mandated(u, v) || mandated(v, u) {
 					continue
 				}
-				p = p.Mul(shrinkFactor(app, u))
+				p = p.Mul(b.shrink[u])
 			}
 		}
 		minProd[v] = p
-		minOut[v] = p.Mul(app.Selectivity(v))
+		minOut[v] = p.Mul(b.sel[v])
 	}
-	if obj == PeriodObjective {
-		bound := rat.Zero
-		for v := 0; v < n; v++ {
-			// Cin: decided predecessors stay and new ones only add volume. A
-			// node with no predecessors yet either remains an entry (volume
-			// 1) or gains one with at least the smallest producible volume.
-			var cin rat.Rat
-			if preds := g.Pred(v); len(preds) > 0 {
-				cin = rat.Zero
-				for _, p := range preds {
-					cin = cin.Add(minOut[p])
-				}
-			} else if !open[v] {
-				cin = rat.One
-			} else {
-				cin = rat.One
-				for u := 0; u < n; u++ {
-					// Decided or mandated descendants cannot feed v.
-					if u == v || anc[u].Has(v) || mandated(v, u) {
-						continue
-					}
-					cin = rat.Min(cin, minOut[u])
-				}
+	bound := rat.Zero
+	if b.obj == LatencyObjective {
+		// Longest path over the decided edges with minimal volumes; every
+		// node still pays its input (≥ the unit entry communication somewhere
+		// upstream), its computation and one outgoing copy.
+		topo, _ := g.TopoSortInto(&b.graph) // acyclic: AncestorsInto succeeded
+		for _, v := range topo {
+			start := rat.One
+			for _, p := range g.Pred(v) {
+				start = rat.Max(start, b.done[p].Add(minOut[p]))
 			}
-			ccomp := minProd[v].Mul(app.Cost(v))
-			k := g.OutDegree(v)
-			if k < 1 {
-				k = 1
-			}
-			cout := minOut[v].MulInt(int64(k))
-			var cexec rat.Rat
-			if m == plan.Overlap {
-				cexec = rat.MaxOf(cin, ccomp, cout)
-			} else {
-				cexec = cin.Add(ccomp).Add(cout)
-			}
-			bound = rat.Max(bound, cexec)
-		}
-		// Source floor — every completion is acyclic, so its topological
-		// first node has NO predecessors: it runs on input product exactly
-		// 1, not the shrunk minProd the per-node terms use. Only a node
-		// without decided predecessors — and without precedence
-		// predecessors, which force a predecessor in every valid
-		// completion — can end up there, edges only get added (its final
-		// out-degree ≥ the decided one, and cexecUnit is monotone in k),
-		// so the minimum unit-volume Cexec over those candidates bounds
-		// every completion. On shrinking workloads with most pairs still
-		// open the per-node terms collapse toward the full shrink product
-		// and this floor is the binding part.
-		var src rat.Rat
-		haveSrc := false
-		for v := 0; v < n; v++ {
-			if len(g.Pred(v)) > 0 || (constrained && len(prec.Pred(v)) > 0) {
-				continue
-			}
-			t := cexecUnit(app, m, v, g.OutDegree(v))
-			if !haveSrc || t.Less(src) {
-				src, haveSrc = t, true
-			}
-		}
-		if haveSrc {
-			bound = rat.Max(bound, src)
-		}
-		// Last-position floor — the mirror of the source floor at the
-		// other end of the topological order: every completion has a last
-		// node, which can only be a node without decided successors and
-		// without precedence successors, and that node pays at least its
-		// computation and one output copy on its smallest reachable input
-		// product. The unit term deliberately omits the Cin component:
-		// with several predecessors, Cin sums pred out-volumes while
-		// minProd multiplies ancestor selectivities, and a product of
-		// expanding branches can exceed the sum — including Cin here would
-		// overshoot. The floor's strength comes from minProd's
-		// precedence-exact products: under a total-order precedence the
-		// (unique) candidate carries every other selectivity exactly,
-		// growth included — the chain family's exact last-position floor.
-		var last rat.Rat
-		haveLast := false
-		for v := 0; v < n; v++ {
-			if g.OutDegree(v) > 0 || (constrained && len(prec.Succ(v)) > 0) {
-				continue
-			}
-			var unit rat.Rat
-			if m == plan.Overlap {
-				unit = rat.Max(app.Cost(v), app.Selectivity(v))
-			} else {
-				unit = app.Cost(v).Add(app.Selectivity(v))
-			}
-			t := minProd[v].Mul(unit)
-			if !haveLast || t.Less(last) {
-				last, haveLast = t, true
-			}
-		}
-		if haveLast {
-			bound = rat.Max(bound, last)
+			b.done[v] = start.Add(minProd[v].Mul(b.cost[v]))
+			bound = rat.Max(bound, b.done[v].Add(minOut[v]))
 		}
 		return bound
 	}
-	// Latency: longest path over the decided edges with minimal volumes;
-	// every node still pays its input (≥ the unit entry communication
-	// somewhere upstream), its computation and one outgoing copy.
-	topo, err := g.TopoSort()
-	if err != nil {
-		return rat.Zero
-	}
-	done := make([]rat.Rat, n)
-	best := rat.Zero
-	for _, v := range topo {
-		start := rat.One
-		for _, p := range g.Pred(v) {
-			start = rat.Max(start, done[p].Add(minOut[p]))
+	for v := 0; v < n; v++ {
+		// Cin: decided predecessors stay and new ones only add volume. A
+		// node with no predecessors yet either remains an entry (volume
+		// 1) or gains one with at least the smallest producible volume.
+		cin := rat.One
+		if preds := g.Pred(v); len(preds) > 0 {
+			cin = rat.Zero
+			for _, p := range preds {
+				cin = cin.Add(minOut[p])
+			}
+		} else if open[v] {
+			for u := 0; u < n; u++ {
+				// Decided or mandated descendants cannot feed v.
+				if u == v || anc[u].Has(v) || mandated(v, u) {
+					continue
+				}
+				cin = rat.Min(cin, minOut[u])
+			}
 		}
-		done[v] = start.Add(minProd[v].Mul(app.Cost(v)))
-		best = rat.Max(best, done[v].Add(minOut[v]))
+		ccomp := minProd[v].Mul(b.cost[v])
+		cout := minOut[v].MulInt(int64(max(1, g.OutDegree(v))))
+		if b.m == plan.Overlap {
+			bound = rat.MaxOf(bound, cin, ccomp, cout)
+		} else {
+			bound = rat.Max(bound, cin.Add(ccomp).Add(cout))
+		}
 	}
-	return best
+	// Source floor — every completion is acyclic, so its topological
+	// first node has NO predecessors: it runs on input product exactly
+	// 1, not the shrunk minProd the per-node terms use. Only a node
+	// without decided predecessors — and without precedence
+	// predecessors, which force a predecessor in every valid
+	// completion — can end up there, edges only get added (its final
+	// out-degree ≥ the decided one, and cexecUnit is monotone in k),
+	// so the minimum unit-volume Cexec over those candidates bounds
+	// every completion. On shrinking workloads with most pairs still
+	// open the per-node terms collapse toward the full shrink product
+	// and this floor is the binding part.
+	//
+	// Last-position floor — the mirror at the other end of the
+	// topological order: every completion has a last node, which can only
+	// be a node without decided successors and without precedence
+	// successors, and that node pays at least its computation and one
+	// output copy (tail) on its smallest reachable input product. The unit
+	// term deliberately omits the Cin component: with several
+	// predecessors, Cin sums pred out-volumes while minProd multiplies
+	// ancestor selectivities, and a product of expanding branches can
+	// exceed the sum — including Cin here would overshoot. The floor's
+	// strength comes from minProd's precedence-exact products: under a
+	// total-order precedence the (unique) candidate carries every other
+	// selectivity exactly, growth included — the chain family's exact
+	// last-position floor.
+	var src, last rat.Rat
+	haveSrc, haveLast := false, false
+	for v := 0; v < n; v++ {
+		if len(g.Pred(v)) == 0 && !b.after[v] {
+			if t := b.cexec[v*n+g.OutDegree(v)]; !haveSrc || t.Less(src) {
+				src, haveSrc = t, true
+			}
+		}
+		if g.OutDegree(v) == 0 && !b.before[v] {
+			if t := minProd[v].Mul(b.tail[v]); !haveLast || t.Less(last) {
+				last, haveLast = t, true
+			}
+		}
+	}
+	if haveSrc {
+		bound = rat.Max(bound, src)
+	}
+	if haveLast {
+		bound = rat.Max(bound, last)
+	}
+	return bound
 }
 
 // --- chains ---
