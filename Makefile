@@ -54,11 +54,13 @@ test-race:
 # folds and a quiet controller pass allocate nothing on a warm program) and
 # the exact inner loop: enclosing a float-exact rational, a relaxation on a
 # warm Graph or Segmented, and a branch-and-bound partial bound on a warm
-# shard scratch allocate nothing.
+# shard scratch allocate nothing; building a candidate (FromGraph +
+# Weighted) stays inside a budget that does not grow with n, and the Kahn
+# pass + ancestor sets on a warm dag.Scratch allocate nothing.
 # Must run unraced — the guards self-skip under -race because
 # instrumentation inflates the counts.
 test-alloc:
-	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/ ./internal/exec/ ./internal/rat/ ./internal/eventgraph/ ./internal/solve/
+	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/ ./internal/exec/ ./internal/rat/ ./internal/eventgraph/ ./internal/solve/ ./internal/plan/ ./internal/dag/
 
 # One pass over every go-test benchmark: the experiments E1-E12, the
 # component benchmarks, BranchBoundChain12 and the executor's round
@@ -113,12 +115,14 @@ smoke-exec:
 # Short coverage-guided fuzz smokes (the corpus seeds also run as regular
 # unit tests under `test`): the operation-list JSON codec, the plan-request
 # decoder against its two-step oracle, rat.Parse's int64 fast path against
-# the math/big path, and the int64 arithmetic kernel against math/big
-# (values, canonical form, Interval against its reference loop).
+# the math/big path, the int64 arithmetic kernel against math/big
+# (values, canonical form, Interval against its reference loop), and the
+# candidate builder (FromGraph + Weighted) against the one it replaced.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime 30s ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime 15s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/rat/
 	$(GO) test -run '^$$' -fuzz FuzzArith -fuzztime 15s ./internal/rat/
+	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime 15s ./internal/plan/
 
 check: vet build test-short test-race test-alloc bench-smoke

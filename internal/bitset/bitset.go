@@ -26,6 +26,21 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewSets returns k empty sets over the universe [0, n) in three
+// allocations, however large k is: the sets' words share one backing array.
+func NewSets(k, n int) []*Set {
+	if n < 0 {
+		panic("bitset: negative size")
+	}
+	w := (n + wordBits - 1) / wordBits
+	words, sets, out := make([]uint64, k*w), make([]Set, k), make([]*Set, k)
+	for i := range sets {
+		sets[i] = Set{n: n, words: words[i*w : (i+1)*w : (i+1)*w]}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Len returns the universe size the set was created with.
 func (s *Set) Len() int { return s.n }
 

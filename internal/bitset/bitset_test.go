@@ -39,6 +39,17 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
+// TestNewSetsIndependent: sets sharing one backing array behave as separate
+// sets, Fill included (it must not spill into a neighbour's words).
+func TestNewSetsIndependent(t *testing.T) {
+	sets := NewSets(3, 70)
+	sets[1].Fill()
+	sets[0].Add(69)
+	if sets[0].Count() != 1 || sets[1].Count() != 70 || !sets[2].IsEmpty() {
+		t.Fatalf("counts %d, %d, %d; want 1, 70, 0", sets[0].Count(), sets[1].Count(), sets[2].Count())
+	}
+}
+
 func TestFillTrims(t *testing.T) {
 	s := New(70)
 	s.Fill()

@@ -20,13 +20,13 @@ import (
 // contains a directed cycle.
 var ErrCycle = errors.New("dag: graph contains a cycle")
 
-// Graph is a directed graph over nodes 0..N-1 with O(1) edge lookup and
-// sorted adjacency lists.
+// Graph is a directed graph over nodes 0..N-1 with sorted adjacency lists;
+// edge lookup is a binary search in the source's successors.
 type Graph struct {
 	n    int
+	m    int // edge count
 	succ [][]int
 	pred [][]int
-	has  map[[2]int]bool
 }
 
 // New returns an empty graph with n nodes.
@@ -34,12 +34,8 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("dag: negative node count")
 	}
-	return &Graph{
-		n:    n,
-		succ: make([][]int, n),
-		pred: make([][]int, n),
-		has:  make(map[[2]int]bool),
-	}
+	adj := make([][]int, 2*n)
+	return &Graph{n: n, succ: adj[:n:n], pred: adj[n:]}
 }
 
 // N returns the number of nodes.
@@ -60,26 +56,33 @@ func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("dag: self-loop on node %d", u))
 	}
-	if g.has[[2]int{u, v}] {
+	if g.HasEdge(u, v) {
 		return
 	}
-	g.has[[2]int{u, v}] = true
+	g.m++
 	g.succ[u] = insertSorted(g.succ[u], v)
 	g.pred[v] = insertSorted(g.pred[v], u)
 }
 
 // RemoveEdge deletes the edge u->v if present.
 func (g *Graph) RemoveEdge(u, v int) {
-	if !g.has[[2]int{u, v}] {
+	if !g.HasEdge(u, v) {
 		return
 	}
-	delete(g.has, [2]int{u, v})
+	g.m--
 	g.succ[u] = removeSorted(g.succ[u], v)
 	g.pred[v] = removeSorted(g.pred[v], u)
 }
 
 // HasEdge reports whether the edge u->v is present.
-func (g *Graph) HasEdge(u, v int) bool { return g.has[[2]int{u, v}] }
+func (g *Graph) HasEdge(u, v int) bool {
+	if u < 0 || u >= g.n {
+		return false
+	}
+	s := g.succ[u]
+	i := sort.SearchInts(s, v)
+	return i < len(s) && s[i] == v
+}
 
 // Succ returns the sorted direct successors of v. The returned slice is
 // owned by the graph and must not be modified.
@@ -96,11 +99,11 @@ func (g *Graph) OutDegree(v int) int { g.checkNode(v); return len(g.succ[v]) }
 func (g *Graph) InDegree(v int) int { g.checkNode(v); return len(g.pred[v]) }
 
 // EdgeCount returns the number of edges.
-func (g *Graph) EdgeCount() int { return len(g.has) }
+func (g *Graph) EdgeCount() int { return g.m }
 
 // Edges returns all edges as [2]int{u, v} pairs in lexicographic order.
 func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, len(g.has))
+	out := make([][2]int, 0, g.m)
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.succ[u] {
 			out = append(out, [2]int{u, v})
@@ -109,11 +112,20 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Clone returns an independent copy of g.
+// Clone returns an independent copy of g. Both adjacency directions share
+// one backing array; every list is capped at its length, so a later AddEdge
+// on either graph reallocates that list instead of writing into a neighbour.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for e := range g.has {
-		c.AddEdge(e[0], e[1])
+	c.m = g.m
+	back := make([]int, 0, 2*g.m)
+	for v := 0; v < g.n; v++ {
+		at := len(back)
+		back = append(back, g.succ[v]...)
+		c.succ[v] = back[at:len(back):len(back)]
+		at = len(back)
+		back = append(back, g.pred[v]...)
+		c.pred[v] = back[at:len(back):len(back)]
 	}
 	return c
 }
@@ -159,7 +171,8 @@ func (g *Graph) TopoSort() ([]int, error) { return g.TopoSortInto(new(Scratch)) 
 // TopoSortInto is TopoSort on caller-owned storage.
 func (g *Graph) TopoSortInto(s *Scratch) ([]int, error) {
 	if s.order == nil || cap(s.order) < g.n {
-		s.indeg, s.order = make([]int, g.n), make([]int, 0, g.n)
+		buf := make([]int, 3*g.n)
+		s.indeg, s.order, s.frontier.a = buf[:g.n], buf[g.n:g.n:2*g.n], buf[2*g.n:2*g.n]
 	}
 	indeg, order := s.indeg[:g.n], s.order[:0]
 	// A sorted frontier keeps the order deterministic across runs.
@@ -195,19 +208,21 @@ func (g *Graph) IsAcyclic() bool {
 
 // Ancestors returns, for every node, the set of its strict ancestors
 // (preds, preds of preds, ...). Returns ErrCycle on cyclic graphs.
-func (g *Graph) Ancestors() ([]*bitset.Set, error) { return g.AncestorsInto(new(Scratch)) }
+func (g *Graph) Ancestors() ([]*bitset.Set, error) {
+	_, anc, err := g.AncestorsInto(new(Scratch))
+	return anc, err
+}
 
-// AncestorsInto is Ancestors on caller-owned storage.
-func (g *Graph) AncestorsInto(s *Scratch) ([]*bitset.Set, error) {
-	order, err := g.TopoSortInto(s)
+// AncestorsInto is Ancestors on caller-owned storage, plus the topological
+// order (TopoSortInto's) it computed the sets in: one Kahn pass answers
+// both.
+func (g *Graph) AncestorsInto(s *Scratch) (order []int, anc []*bitset.Set, err error) {
+	order, err = g.TopoSortInto(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(s.anc) != g.n {
-		s.anc = make([]*bitset.Set, g.n)
-		for v := range s.anc {
-			s.anc[v] = bitset.New(g.n)
-		}
+		s.anc = bitset.NewSets(g.n, g.n)
 	}
 	for _, v := range order {
 		a := s.anc[v]
@@ -217,7 +232,7 @@ func (g *Graph) AncestorsInto(s *Scratch) ([]*bitset.Set, error) {
 			a.UnionWith(s.anc[p])
 		}
 	}
-	return s.anc, nil
+	return order, s.anc, nil
 }
 
 // Descendants returns, for every node, the set of its strict descendants.
@@ -227,15 +242,13 @@ func (g *Graph) Descendants() ([]*bitset.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	desc := make([]*bitset.Set, g.n)
+	desc := bitset.NewSets(g.n, g.n)
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		s := bitset.New(g.n)
 		for _, w := range g.succ[v] {
-			s.Add(w)
-			s.UnionWith(desc[w])
+			desc[v].Add(w)
+			desc[v].UnionWith(desc[w])
 		}
-		desc[v] = s
 	}
 	return desc, nil
 }

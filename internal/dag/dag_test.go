@@ -238,6 +238,12 @@ func TestCloneIndependence(t *testing.T) {
 	if !reflect.DeepEqual(g.Edges(), diamond().Edges()) {
 		t.Fatal("original mutated")
 	}
+	// The clone's lists share one backing array: growing one must not
+	// overwrite its neighbour.
+	want := [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}}
+	if !reflect.DeepEqual(c.Edges(), want) || !reflect.DeepEqual(c.Pred(2), []int{0, 1}) || c.EdgeCount() != 5 {
+		t.Fatalf("clone edges %v, preds of 2 %v", c.Edges(), c.Pred(2))
+	}
 }
 
 // randomDAG builds a DAG by only adding forward edges under a random
@@ -361,8 +367,7 @@ func BenchmarkAncestors(b *testing.B) {
 
 // TestScratchReuseMatchesFresh: TopoSortInto and AncestorsInto on one
 // Scratch carried across graphs of changing size and shape — cyclic ones
-// included — answer exactly as the allocating forms do, and a warm Scratch
-// allocates nothing.
+// included — answer exactly as the allocating forms do.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var s Scratch
@@ -378,9 +383,12 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("trial %d: TopoSortInto = %v, %v; TopoSort = %v, %v", trial, got, err, want, wantErr)
 		}
 		wantAnc, wantErr := g.Ancestors()
-		gotAnc, err := g.AncestorsInto(&s)
+		gotOrder, gotAnc, err := g.AncestorsInto(&s)
 		if err != wantErr || len(gotAnc) != len(wantAnc) {
 			t.Fatalf("trial %d: AncestorsInto error %v / %d sets, Ancestors %v / %d", trial, err, len(gotAnc), wantErr, len(wantAnc))
+		}
+		if !reflect.DeepEqual(append([]int{}, gotOrder...), append([]int{}, want...)) {
+			t.Fatalf("trial %d: AncestorsInto order %v, TopoSort %v", trial, gotOrder, want)
 		}
 		for v := range wantAnc {
 			if !gotAnc[v].Equal(wantAnc[v]) {
@@ -388,8 +396,14 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	g := randomDAG(rng, 8, 0.4)
-	if _, err := g.AncestorsInto(&s); err != nil {
+}
+
+// TestScratchAllocBudget: one Kahn pass plus the ancestor sets on a warm
+// Scratch — the partial bounds' per-node step — allocate nothing.
+func TestScratchAllocBudget(t *testing.T) {
+	var s Scratch
+	g := randomDAG(rand.New(rand.NewSource(13)), 8, 0.4)
+	if _, _, err := g.AncestorsInto(&s); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { g.AncestorsInto(&s) }); allocs != 0 {

@@ -46,36 +46,13 @@ type Edge struct {
 
 // weightAt returns the edge's weight at period lambda, delay − lambda·tokens
 // (the delay itself on a zero-token edge): what the constraint adds to
-// begin(From) in the cyclic schedule of that period.
+// begin(From) in the cyclic schedule of that period. It is invariant across
+// the passes of a relaxation, so one is computed per edge per query.
 func (e *Edge) weightAt(lambda rat.Rat) rat.Rat {
 	if e.Tokens == 0 {
 		return e.Delay
 	}
 	return e.Delay.Sub(lambda.MulInt(int64(e.Tokens)))
-}
-
-// appendWeights appends the weight at lambda of every edge to w. Weights are
-// invariant across the rounds of a relaxation, so PotentialsInto computes
-// them once per call instead of once per edge per round.
-func appendWeights(w []rat.Rat, edges []Edge, lambda rat.Rat) []rat.Rat {
-	for i := range edges {
-		w = append(w, edges[i].weightAt(lambda))
-	}
-	return w
-}
-
-// relax runs one longest-path round over edges, w their weights, and reports
-// whether any potential rose.
-func relax(pi []rat.Rat, edges []Edge, w []rat.Rat) bool {
-	changed := false
-	for i := range edges {
-		e := &edges[i]
-		if bound := pi[e.From].Add(w[i]); bound.Greater(pi[e.To]) {
-			pi[e.To] = bound
-			changed = true
-		}
-	}
-	return changed
 }
 
 // zeroed returns buf resized to n zero potentials, reallocated only when its
@@ -100,21 +77,35 @@ func zeroed(buf []rat.Rat, n int) []rat.Rat {
 type Graph struct {
 	n     int
 	edges []Edge
-	out   [][]int // edge indices by source node
-	in    [][]int // edge indices by target node
+
+	// Out-adjacency, built on the first analysis after a change together
+	// with the zero-token DFS (analysed): the edge indices leaving v are
+	// adj[start[v]:start[v+1]], in insertion order. Both are views of idx.
+	idx      []int
+	start    []int
+	adj      []int
+	analysed bool
 
 	scratch howardScratch
 	tarjan  sccScratch
-	color   []int     // checkZeroTokenAcyclic working state, reused across calls
+	dfs     dfsScratch
 	w       []rat.Rat // PotentialsInto's edge weights at the query period, reused across calls
+}
+
+// dfsScratch is the zero-token depth-first search's working state and
+// output, reused across calls.
+type dfsScratch struct {
+	color            []uint8 // 0 white, 1 grey, 2 black; then potentials' dirty marks
+	pos              []int   // positive-delay edges on the search path down to each grey node
+	post             []int   // finishing order; reversed, a topological order of the zero-token edges
+	cyclic, positive bool
 }
 
 // New returns an empty event graph with n operation nodes.
 func New(n int) *Graph {
-	if n < 0 {
-		panic("eventgraph: negative node count")
-	}
-	return &Graph{n: n, out: make([][]int, n), in: make([][]int, n)}
+	g := &Graph{}
+	g.Reset(n)
+	return g
 }
 
 // Reset empties the graph and resizes it to n operation nodes, keeping the
@@ -125,18 +116,7 @@ func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic("eventgraph: negative node count")
 	}
-	g.edges = g.edges[:0]
-	if cap(g.out) < n {
-		g.out = make([][]int, n)
-		g.in = make([][]int, n)
-	}
-	g.out = g.out[:n]
-	g.in = g.in[:n]
-	for v := 0; v < n; v++ {
-		g.out[v] = g.out[v][:0]
-		g.in[v] = g.in[v][:0]
-	}
-	g.n = n
+	g.n, g.edges, g.analysed = n, g.edges[:0], false
 }
 
 // N returns the number of nodes.
@@ -157,49 +137,109 @@ func (g *Graph) AddEdge(from, to int, delay rat.Rat, tokens int) {
 	if tokens < 0 {
 		panic(fmt.Sprintf("eventgraph: negative token count %d", tokens))
 	}
-	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{From: from, To: to, Delay: delay, Tokens: tokens})
-	g.out[from] = append(g.out[from], idx)
-	g.in[to] = append(g.in[to], idx)
+	g.analysed = false
 }
+
+// index builds the out-adjacency of the current edges by a counting sort on
+// the source — stable, so every node lists its edges in insertion order —
+// into storage reused across calls.
+func (g *Graph) index() {
+	if need := g.n + 1 + len(g.edges); cap(g.idx) < need {
+		g.idx = make([]int, need)
+	}
+	start, adj := g.idx[:g.n+1], g.idx[g.n+1:g.n+1+len(g.edges)]
+	for v := range start {
+		start[v] = 0
+	}
+	for i := range g.edges {
+		start[g.edges[i].From+1]++
+	}
+	for v := 0; v < g.n; v++ {
+		start[v+1] += start[v]
+	}
+	// Filling advances start[v] to the end of v's run; shift back after.
+	for i := range g.edges {
+		from := g.edges[i].From
+		adj[start[from]] = i
+		start[from]++
+	}
+	copy(start[1:], start[:g.n])
+	start[0] = 0
+	g.start, g.adj = start, adj
+}
+
+// out returns the indices of the edges leaving v; the graph must be analysed.
+func (g *Graph) out(v int) []int { return g.adj[g.start[v]:g.start[v+1]] }
 
 // checkZeroTokenAcyclic verifies that the subgraph of zero-token edges is
 // acyclic; otherwise the system deadlocks.
 func (g *Graph) checkZeroTokenAcyclic() error {
-	if cap(g.color) < g.n {
-		g.color = make([]int, g.n)
-	}
-	g.color = g.color[:g.n] // 0 white, 1 grey, 2 black
-	for i := range g.color {
-		g.color[i] = 0
-	}
-	for v := 0; v < g.n; v++ {
-		if g.color[v] == 0 && !g.zeroTokenVisit(v) {
-			return ErrZeroTokenCycle
-		}
+	if cyclic, _ := g.zeroTokenDFS(); cyclic {
+		return ErrZeroTokenCycle
 	}
 	return nil
 }
 
-// zeroTokenVisit is the depth-first step of checkZeroTokenAcyclic: false
-// when a zero-token cycle is reachable from v.
-func (g *Graph) zeroTokenVisit(v int) bool {
-	g.color[v] = 1
-	for _, ei := range g.out[v] {
+// zeroTokenDFS runs a depth-first search over the zero-token edges,
+// recording its finishing order in g.dfs.post. It reports whether it closed
+// a zero-token cycle and whether a cycle it closed carries positive delay —
+// a positive cycle at every period, so the search stops there. Every
+// analysis starts here, so this is also where the adjacency is indexed;
+// both depend on the edges alone and are reused until the graph changes.
+func (g *Graph) zeroTokenDFS() (cyclic, positive bool) {
+	d := &g.dfs
+	if g.analysed {
+		return d.cyclic, d.positive
+	}
+	g.index()
+	if cap(d.color) < g.n {
+		ints := make([]int, 2*g.n)
+		d.color, d.pos, d.post = make([]uint8, g.n), ints[:g.n:g.n], ints[g.n:g.n]
+	}
+	d.color, d.pos, d.post = d.color[:g.n], d.pos[:g.n], d.post[:0]
+	d.cyclic, d.positive, g.analysed = false, false, true
+	for i := range d.color {
+		d.color[i] = 0
+	}
+	for v := 0; v < g.n && !d.positive; v++ {
+		if d.color[v] == 0 {
+			d.positive = !g.zeroTokenVisit(v, 0)
+		}
+	}
+	return d.cyclic, d.positive
+}
+
+// zeroTokenVisit is the depth-first step of zeroTokenDFS, pos the number of
+// positive-delay edges on the search path down to v: false when it closes
+// a zero-token cycle with positive delay.
+func (g *Graph) zeroTokenVisit(v, pos int) bool {
+	d := &g.dfs
+	d.color[v], d.pos[v] = 1, pos
+	for _, ei := range g.out(v) {
 		e := &g.edges[ei]
 		if e.Tokens != 0 {
 			continue
 		}
-		switch g.color[e.To] {
+		p := pos
+		if e.Delay.Sign() > 0 {
+			p++
+		}
+		switch d.color[e.To] {
 		case 1:
-			return false
+			// The cycle e.To … v → e.To holds p − pos[e.To] positive delays.
+			d.cyclic = true
+			if p > d.pos[e.To] {
+				return false
+			}
 		case 0:
-			if !g.zeroTokenVisit(e.To) {
+			if !g.zeroTokenVisit(e.To, p) {
 				return false
 			}
 		}
 	}
-	g.color[v] = 2
+	d.color[v] = 2
+	d.post = append(d.post, v)
 	return true
 }
 
@@ -224,10 +264,11 @@ func (t *sccScratch) comp(c int) []int { return t.nodes[t.start[c]:t.start[c+1]]
 // components in reverse topological order.
 func (g *Graph) sccs() int {
 	t := &g.tarjan
-	if cap(t.index) < g.n {
-		t.index = make([]int, g.n)
-		t.low = make([]int, g.n)
-		t.onStack = make([]bool, g.n)
+	if n := g.n; cap(t.index) < n {
+		ints := make([]int, 5*n+1)
+		t.index, t.low = ints[:n:n], ints[n:2*n:2*n]
+		t.stack, t.nodes, t.start = ints[2*n:2*n:3*n], ints[3*n:3*n:4*n], ints[4*n:4*n]
+		t.onStack = make([]bool, n)
 	}
 	t.index, t.low, t.onStack = t.index[:g.n], t.low[:g.n], t.onStack[:g.n]
 	for i := range t.index {
@@ -251,7 +292,7 @@ func (g *Graph) strongConnect(v int) {
 	t.counter++
 	t.stack = append(t.stack, v)
 	t.onStack[v] = true
-	for _, ei := range g.out[v] {
+	for _, ei := range g.out(v) {
 		w := g.edges[ei].To
 		if t.index[w] == -1 {
 			g.strongConnect(w)
@@ -350,14 +391,11 @@ type howardScratch struct {
 
 func (s *howardScratch) resize(n int) {
 	if cap(s.inComp) < n {
-		s.inComp = make([]bool, n)
-		s.hasOut = make([]bool, n)
-		s.policy = make([]int, n)
-		s.etaSet = make([]bool, n)
-		s.eta = make([]rat.Rat, n)
-		s.val = make([]rat.Rat, n)
-		s.cycAt = make([]int, n)
-		s.cycLen = make([]int, n)
+		bools, ints, rats := make([]bool, 3*n), make([]int, 5*n), make([]rat.Rat, 2*n)
+		s.inComp, s.hasOut, s.etaSet = bools[:n:n], bools[n:2*n:2*n], bools[2*n:]
+		s.policy, s.cycAt, s.cycLen = ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n]
+		s.cycBuf, s.stack = ints[3*n:3*n:4*n], ints[4*n:4*n]
+		s.eta, s.val = rats[:n:n], rats[n:]
 		s.state = make([]uint8, n)
 	}
 	s.inComp = s.inComp[:n]
@@ -406,7 +444,7 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 		}
 	}()
 	for _, v := range comp {
-		for _, ei := range g.out[v] {
+		for _, ei := range g.out(v) {
 			if s.inComp[g.edges[ei].To] {
 				s.local = append(s.local, ei)
 				s.hasOut[v] = true
@@ -429,7 +467,7 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 
 	// policy[v] = chosen out-edge index (into g.edges).
 	for _, v := range comp {
-		for _, ei := range g.out[v] {
+		for _, ei := range g.out(v) {
 			if s.inComp[g.edges[ei].To] {
 				s.policy[v] = ei
 				break
@@ -576,18 +614,67 @@ func (g *Graph) Potentials(lambda rat.Rat) ([]rat.Rat, error) {
 // working buffer with unspecified contents — callers keep it for the next
 // call instead of dropping the allocation.
 func (g *Graph) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, error) {
-	if err := g.checkZeroTokenAcyclic(); err != nil {
-		return buf, err
-	}
+	pi, _, err := g.potentials(buf, lambda, true)
+	return pi, err
+}
+
+// potentials is the longest-path relaxation behind both PotentialsInto,
+// reporting the number of passes it ran. Sources are relaxed in the reverse
+// finishing order of the zero-token DFS, a topological order of the
+// zero-token edges when they are acyclic: then one pass is the fixpoint of
+// a graph without token edges, and otherwise passes repeat until one
+// changes nothing (n + 1 changing passes mean a positive cycle). The least
+// fixpoint is unique and rationals are canonical, so the order changes how
+// many passes reach it, never the potentials. A zero-token cycle is
+// ErrZeroTokenCycle when deadlock is set; otherwise one with positive delay
+// is ErrInfeasible at once and zero-delay ones are left to the passes.
+func (g *Graph) potentials(buf []rat.Rat, lambda rat.Rat, deadlock bool) ([]rat.Rat, int, error) {
 	pi := zeroed(buf, g.n)
-	g.w = appendWeights(g.w[:0], g.edges, lambda)
-	// Bellman-Ford longest path; n rounds suffice when no positive cycle.
-	for round := 0; round <= g.n; round++ {
-		if !relax(pi, g.edges, g.w) {
-			return pi, nil
+	cyclic, positive := g.zeroTokenDFS()
+	switch {
+	case cyclic && deadlock:
+		return pi, 0, ErrZeroTokenCycle
+	case positive:
+		return pi, 0, ErrInfeasible
+	}
+	tokens := false
+	if cap(g.w) < len(g.edges) {
+		g.w = make([]rat.Rat, 0, len(g.edges))
+	}
+	g.w = g.w[:0]
+	for i := range g.edges {
+		g.w = append(g.w, g.edges[i].weightAt(lambda))
+		tokens = tokens || g.edges[i].Tokens != 0
+	}
+	// A source whose potential did not rise since it was last relaxed
+	// cannot raise anything: only dirty sources are relaxed, which leaves
+	// every pass's outcome — and so the pass count — as a full pass's.
+	post, dirty := g.dfs.post, g.dfs.color
+	for v := range dirty {
+		dirty[v] = 1
+	}
+	for pass := 1; pass <= g.n+1; pass++ {
+		changed := false
+		for i := len(post) - 1; i >= 0; i-- {
+			u := post[i]
+			if dirty[u] == 0 {
+				continue
+			}
+			dirty[u] = 0
+			for _, ei := range g.out(u) {
+				to := g.edges[ei].To
+				if bound := pi[u].Add(g.w[ei]); bound.Greater(pi[to]) {
+					pi[to] = bound
+					dirty[to] = 1
+					changed = true
+				}
+			}
+		}
+		if !changed || !(tokens || cyclic) {
+			return pi, pass, nil
 		}
 	}
-	return pi, ErrInfeasible
+	return pi, g.n + 1, ErrInfeasible
 }
 
 // FeasiblePeriod reports whether the given period admits a schedule.
@@ -609,7 +696,7 @@ func (g *Graph) BruteForceMCR() (MCRResult, error) {
 	var path []int // edge indices
 	var dfs func(start, v int, sumD rat.Rat, sumH int)
 	dfs = func(start, v int, sumD rat.Rat, sumH int) {
-		for _, ei := range g.out[v] {
+		for _, ei := range g.out(v) {
 			e := g.edges[ei]
 			// Only consider cycles whose smallest node is start, to avoid
 			// revisiting each cycle once per rotation.

@@ -9,13 +9,17 @@ import (
 	"repro/internal/rat"
 )
 
-// Differential tests for the weight hoist: PotentialsInto (both forms) and
+// Differential tests for the relaxation: PotentialsInto (both forms) and
 // Howard's value updates compute an edge's weight delay − λ·tokens once and
 // add it, where they used to evaluate (π(from) + delay) − λ·tokens for every
-// edge in every round. Exact rationals are associative, so nothing may move.
+// edge in every round; and PotentialsInto relaxes sources in topological
+// order of the zero-token edges, where it used to relax edges in insertion
+// order. Exact rationals are associative and the least fixpoint is unique,
+// so nothing may move but the number of passes.
 
-// potentialsRef is the relaxation as it was before the hoist, the per-round
-// formula over a flat edge list. Callers add the zero-token pre-check.
+// potentialsRef is the relaxation as it was before both changes, the
+// per-round formula over a flat edge list in insertion order. Callers add
+// the zero-token pre-check.
 func potentialsRef(n int, edges []Edge, lambda rat.Rat) ([]rat.Rat, error) {
 	pi := make([]rat.Rat, n)
 	for i := range pi {
@@ -80,12 +84,35 @@ func hoistLambdas(rng *rand.Rand, g *Graph) []rat.Rat {
 	return ls
 }
 
+// zeroTokenDAG draws an event graph whose edges all carry no token and go
+// forward in a random node order: a DAG, the latency graphs' shape.
+func zeroTokenDAG(rng *rand.Rand) *Graph {
+	n := 2 + rng.Intn(9)
+	g := New(n)
+	perm := rng.Perm(n)
+	for i := rng.Intn(3 * n); i > 0; i-- {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		g.AddEdge(perm[a], perm[b], rat.New(rng.Int63n(60), 1+rng.Int63n(12)), 0)
+	}
+	return g
+}
+
 func TestPotentialsMatchPerRoundFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	feasible, infeasible, deadlock := 0, 0, 0
+	feasible, infeasible, deadlock, dags := 0, 0, 0, 0
 	var buf []rat.Rat
-	for trial := 0; trial < 600; trial++ {
+	for trial := 0; trial < 800; trial++ {
 		g := hoistGraph(rng)
+		if trial%4 == 3 {
+			g = zeroTokenDAG(rng)
+			dags++
+		}
 		for _, lambda := range hoistLambdas(rng, g) {
 			want, wantErr := []rat.Rat(nil), g.checkZeroTokenAcyclic()
 			if wantErr == nil {
@@ -109,28 +136,81 @@ func TestPotentialsMatchPerRoundFormula(t *testing.T) {
 			}
 		}
 	}
-	if feasible == 0 || infeasible == 0 || deadlock == 0 {
-		t.Fatalf("corpus misses a case: %d feasible, %d infeasible, %d deadlocked", feasible, infeasible, deadlock)
+	if feasible == 0 || infeasible == 0 || deadlock == 0 || dags == 0 {
+		t.Fatalf("corpus misses a case: %d feasible, %d infeasible, %d deadlocked, %d zero-token DAGs", feasible, infeasible, deadlock, dags)
 	}
 }
 
+// TestZeroTokenDAGOnePass: without token edges the topological order makes
+// the first pass the fixpoint — no confirming pass, on a Graph and on a
+// Segmented holding the same edges spread over its segments.
+func TestZeroTokenDAGOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 300; trial++ {
+		g := zeroTokenDAG(rng)
+		s := NewSegmented(g.n, 1+rng.Intn(3))
+		for i := range s.segs {
+			s.BeginSegment(i)
+			for j := i; j < len(g.edges); j += len(s.segs) {
+				e := g.edges[j]
+				s.AddEdge(e.From, e.To, e.Delay, e.Tokens)
+			}
+		}
+		lambda := rat.New(rng.Int63n(50), 1+rng.Int63n(5))
+		want, _ := potentialsRef(g.n, g.edges, lambda)
+		for name, run := range map[string]func() ([]rat.Rat, int, error){
+			"Graph":     func() ([]rat.Rat, int, error) { return g.potentials(nil, lambda, true) },
+			"Segmented": func() ([]rat.Rat, int, error) { return s.potentials(nil, lambda) },
+		} {
+			got, passes, err := run()
+			if err != nil || passes != 1 || !sameRats(got, want) {
+				t.Fatalf("trial %d %s: %d passes, err %v, potentials %v; want 1 pass, %v", trial, name, passes, err, got, want)
+			}
+		}
+	}
+}
+
+// TestSegmentedPotentialsMatchPerRoundFormula holds the segmented relaxation
+// to the reference on multi-token edges, on λ below, at and above the
+// maximum cycle ratio, and on zero-token cycles — the relaxed bound graphs'
+// deadlocks, which are no error here: zero delay converges, positive delay
+// is infeasible at once (the reference: after n + 1 rounds).
 func TestSegmentedPotentialsMatchPerRoundFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	feasible, infeasible := 0, 0
-	for trial := 0; trial < 600; trial++ {
+	feasible, infeasible, zeroCycles, positiveCycles := 0, 0, 0, 0
+	for trial := 0; trial < 800; trial++ {
 		s := randSegmented(rng)
 		// Multi-token edges too: the generator's own carry at most one.
 		s.BeginSegment(rng.Intn(len(s.segs)))
 		for i := rng.Intn(6); i > 0; i-- {
 			s.AddEdge(rng.Intn(s.n), rng.Intn(s.n), rat.New(rng.Int63n(60), 1+rng.Int63n(12)), 1+rng.Intn(4))
 		}
-		var flat []Edge
-		for i := range s.segs {
-			flat = append(flat, s.segs[i].edges...)
+		if trial%3 == 2 {
+			// Close a zero-token cycle through k nodes; one in two carries
+			// a positive delay.
+			positive := rng.Intn(2) == 0
+			perm := rng.Perm(s.n)[:1+rng.Intn(s.n)]
+			for i, from := range perm {
+				delay := rat.Zero
+				if positive && i == 0 {
+					delay = rat.New(1+rng.Int63n(9), 1+rng.Int63n(4))
+				}
+				s.AddEdge(from, perm[(i+1)%len(perm)], delay, 0)
+			}
+			if positive {
+				positiveCycles++
+			} else {
+				zeroCycles++
+			}
 		}
-		for q := 0; q < 6; q++ {
-			lambda := rat.New(rng.Int63n(300), 1+rng.Int63n(9))
-			want, wantErr := potentialsRef(s.n, flat, lambda)
+		g := New(s.n) // the same edges, flat
+		for i := range s.segs {
+			for _, e := range s.segs[i].edges {
+				g.AddEdge(e.From, e.To, e.Delay, e.Tokens)
+			}
+		}
+		for _, lambda := range hoistLambdas(rng, g) {
+			want, wantErr := potentialsRef(s.n, g.edges, lambda)
 			got, err := s.PotentialsInto(s.pi, lambda)
 			if err != wantErr {
 				t.Fatalf("trial %d λ=%s: error %v, per-round formula %v", trial, lambda, err, wantErr)
@@ -145,8 +225,9 @@ func TestSegmentedPotentialsMatchPerRoundFormula(t *testing.T) {
 			}
 		}
 	}
-	if feasible == 0 || infeasible == 0 {
-		t.Fatalf("corpus misses a case: %d feasible, %d infeasible", feasible, infeasible)
+	if feasible == 0 || infeasible == 0 || zeroCycles == 0 || positiveCycles == 0 {
+		t.Fatalf("corpus misses a case: %d feasible, %d infeasible, %d zero-delay and %d positive zero-token cycles",
+			feasible, infeasible, zeroCycles, positiveCycles)
 	}
 }
 

@@ -19,10 +19,10 @@ package eventgraph
 // never decides against the exact answer — TestSegmentedFilterAgreement
 // pins it.
 //
-// Unlike Graph.PotentialsInto there is no zero-token-acyclic pre-check:
+// Unlike Graph.PotentialsInto a zero-token cycle is no error of its own:
 // the relaxed bounds only need admissible answers, a zero-delay deadlock
-// cycle simply reports feasible (no prune), and a positive-delay one
-// diverges into ErrInfeasible at the round cutoff.
+// cycle simply reports feasible (no prune), and a positive-delay one is
+// ErrInfeasible — found by the ordering DFS, before any relaxation pass.
 
 import (
 	"fmt"
@@ -53,9 +53,9 @@ type Segmented struct {
 	segs []segment
 	cur  int
 
-	fpi []float64 // float relaxation scratch
-	pi  []rat.Rat // exact fallback scratch
-	w   []rat.Rat // exact edge weights at the query period, segment after segment
+	fpi  []float64 // float relaxation scratch
+	pi   []rat.Rat // exact fallback scratch
+	flat Graph     // exact fallback: every segment's edges, rebuilt per query
 
 	edgesBuilt int64
 }
@@ -232,31 +232,26 @@ func (s *Segmented) FeasibleAt(lambda rat.Rat) (feasible, fellBack bool) {
 	return err == nil, true
 }
 
-// PotentialsInto is the exact longest-path relaxation over all segments,
-// Graph.PotentialsInto minus the zero-token deadlock pre-check (see the
-// package comment on why the relaxed bounds don't want it). The buffer is
-// retained on s for reuse when the caller passes s.pi back.
+// PotentialsInto is the exact longest-path relaxation over all segments:
+// Graph's relaxation on a reused flat copy of the segments, minus the
+// zero-token deadlock error (see the package comment on why the relaxed
+// bounds don't want it). The buffer is retained on s for reuse when the
+// caller passes s.pi back.
 func (s *Segmented) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, error) {
-	pi := zeroed(buf, s.n)
-	s.pi = pi
-	s.w = s.w[:0]
+	pi, _, err := s.potentials(buf, lambda)
+	return pi, err
+}
+
+// potentials is PotentialsInto reporting the number of relaxation passes.
+func (s *Segmented) potentials(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, int, error) {
+	g := &s.flat
+	g.Reset(s.n)
 	for i := range s.segs {
-		s.w = appendWeights(s.w, s.segs[i].edges, lambda)
+		g.edges = append(g.edges, s.segs[i].edges...) // validated by AddEdge
 	}
-	for round := 0; round <= s.n; round++ {
-		changed, at := false, 0
-		for i := range s.segs {
-			edges := s.segs[i].edges
-			if relax(pi, edges, s.w[at:at+len(edges)]) {
-				changed = true
-			}
-			at += len(edges)
-		}
-		if !changed {
-			return pi, nil
-		}
-	}
-	return pi, ErrInfeasible
+	pi, passes, err := g.potentials(buf, lambda, false)
+	s.pi = pi
+	return pi, passes, err
 }
 
 // LatencyExceeds decides "is the least fixpoint's score strictly above

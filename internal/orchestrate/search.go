@@ -41,7 +41,6 @@ package orchestrate
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -141,14 +140,11 @@ func (in *searchIncumbent) load(gen *uint64, ok *bool, val *rat.Rat) {
 }
 
 // slotRef is one permutable server side; side aliases the search Orders'
-// slice, so permuting it permutes the orders in place. nat is the slot's
-// index in the natural (forEachOrders) enumeration order, the anchor of
-// the rank tie-break after most-constrained-first reordering.
+// slice, so permuting it permutes the orders in place.
 type slotRef struct {
 	server int
 	out    bool
 	side   []int
-	nat    int
 }
 
 // collectSlots lists the permutable sides of o in the enumeration order of
@@ -158,141 +154,13 @@ func collectSlots(o Orders) []slotRef {
 	var slots []slotRef
 	for v := range o.In {
 		if len(o.In[v]) > 1 {
-			slots = append(slots, slotRef{server: v, out: false, side: o.In[v], nat: len(slots)})
+			slots = append(slots, slotRef{server: v, out: false, side: o.In[v]})
 		}
 		if len(o.Out[v]) > 1 {
-			slots = append(slots, slotRef{server: v, out: true, side: o.Out[v], nat: len(slots)})
+			slots = append(slots, slotRef{server: v, out: true, side: o.Out[v]})
 		}
 	}
 	return slots
-}
-
-// sortSlots reorders the decision nesting most-constrained-first: the
-// largest sides outermost, so the admissible bound sees the most committed
-// exact chains earliest and one successful prune cuts the biggest subtree.
-// The sort is stable on the natural order and reports whether anything
-// moved — the unmoved case keeps the PR 5 fast path (floor early-exit,
-// rank-free shard-order reduction) verbatim.
-func sortSlots(slots []slotRef) bool {
-	sort.SliceStable(slots, func(a, b int) bool {
-		return len(slots[a].side) > len(slots[b].side)
-	})
-	for i := range slots {
-		if slots[i].nat != i {
-			return true
-		}
-	}
-	return false
-}
-
-// reorderMinCombos gates the most-constrained-first nesting by order-space
-// size. Reordering trades the natural nesting's floor early-exit (stop at
-// the first floor-achieving leaf — serial order makes it the canonical
-// winner) for earlier bound prunes plus rank bookkeeping; on small spaces
-// the bound fires too low to recoup that, and the solve-suite instances
-// measurably regress. Above the threshold one outermost prune removes
-// (combos / |side₀|!) leaves and the trade wins.
-const reorderMinCombos = 1024
-
-// shouldReorder reports whether runOrderShard nests the slots
-// most-constrained-first. A pure function of the static slot sizes, so the
-// shard-prefix layout and every shard agree without coordination. It never
-// mutates slots.
-func shouldReorder(slots []slotRef) bool {
-	outOfOrder := false
-	for i := 0; i+1 < len(slots); i++ {
-		if len(slots[i+1].side) > len(slots[i].side) {
-			outOfOrder = true
-			break
-		}
-	}
-	if !outOfOrder {
-		return false
-	}
-	combos := int64(1)
-	for i := range slots {
-		combos *= fact64(len(slots[i].side))
-		if combos >= reorderMinCombos {
-			return true
-		}
-	}
-	return false
-}
-
-// slotRanker assigns every complete assignment its serial rank in the
-// NATURAL enumeration order. With the slots reordered, the first candidate
-// reached at the final value is no longer the one the flat serial scan
-// keeps — the rank restores it: among equal-valued candidates the search
-// keeps the minimum natural rank, which is exactly the serial-first
-// achiever, so Results stay bit-identical to the natural nesting.
-type slotRanker struct {
-	natural [][]int // natural side contents, indexed by natural slot index
-	weight  []int64 // Π of factorials of later slots, natural order
-	work    []int   // permRank scratch
-}
-
-// newSlotRanker snapshots the sides; the slots must still hold their
-// natural contents and order (call before sortSlots and prefix application).
-func newSlotRanker(slots []slotRef) *slotRanker {
-	r := &slotRanker{
-		natural: make([][]int, len(slots)),
-		weight:  make([]int64, len(slots)),
-	}
-	w := int64(1)
-	maxSide := 0
-	for i := len(slots) - 1; i >= 0; i-- {
-		r.natural[i] = append([]int(nil), slots[i].side...)
-		r.weight[i] = w
-		w *= fact64(len(slots[i].side))
-		if len(slots[i].side) > maxSide {
-			maxSide = len(slots[i].side)
-		}
-	}
-	r.work = make([]int, maxSide)
-	return r
-}
-
-// rank returns the natural serial rank of the assignment the slots
-// currently hold: mixed radix over the slots in natural order, each digit
-// the side's position in permute's swap enumeration. The total fits int64:
-// the product of all side factorials is the combination count, which passed
-// the MaxExhaustive gate.
-func (r *slotRanker) rank(slots []slotRef) int64 {
-	total := int64(0)
-	for i := range slots {
-		total += r.weight[slots[i].nat] * permRank(r.natural[slots[i].nat], slots[i].side, r.work)
-	}
-	return total
-}
-
-// permRank is the 0-based position of target within permute's enumeration
-// of natural: at step k permute swaps position k with each i ≥ k in turn,
-// so the digit of step k is where target[k] sits in the working array,
-// weighted by (m-1-k)!.
-func permRank(natural, target, work []int) int64 {
-	m := len(natural)
-	work = work[:m]
-	copy(work, natural)
-	rank := int64(0)
-	f := fact64(m)
-	for k := 0; k < m; k++ {
-		f /= int64(m - k) // (m-1-k)! for this step
-		idx := k
-		for work[idx] != target[k] {
-			idx++
-		}
-		rank += int64(idx-k) * f
-		work[k], work[idx] = work[idx], work[k]
-	}
-	return rank
-}
-
-func fact64(n int) int64 {
-	f := int64(1)
-	for i := 2; i <= n; i++ {
-		f *= int64(i)
-	}
-	return f
 }
 
 // suffixCombos returns, per slot, the number of order combinations of the
@@ -368,13 +236,10 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// orderShardResult is one shard's outcome. rank is the kept candidate's
-// natural serial rank, meaningful only when the slots were reordered (the
-// natural nesting keeps shard-order reduction instead).
+// orderShardResult is one shard's outcome.
 type orderShardResult struct {
 	orders Orders // the kept candidate's orders (shard-owned copy)
 	val    rat.Rat
-	rank   int64
 	found  bool
 	stats  Stats
 }
@@ -433,14 +298,7 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, newEval func() order
 	if minShards == 1 {
 		workers = 1
 	}
-	// Shard prefixes are laid out over the SORTED slot sequence — the same
-	// ordering every shard recomputes locally (the heuristic is a pure
-	// function of static plan data, so all shards agree).
 	probe := collectSlots(DefaultOrders(w))
-	reordered := shouldReorder(probe)
-	if reordered {
-		sortSlots(probe)
-	}
 	sizes := make([]int, len(probe))
 	for i, s := range probe {
 		sizes[i] = len(s.side)
@@ -457,11 +315,8 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, newEval func() order
 		if !sh.found {
 			continue
 		}
-		// Natural nesting: first strictly-best in shard order (= serial
-		// order). Reordered nesting: minimum (value, natural rank) — the
-		// rank restores the serial-first winner among ties.
-		if !best.found || sh.val.Less(best.val) ||
-			(reordered && sh.val.Equal(best.val) && sh.rank < best.rank) {
+		// First strictly-best in shard order (= serial order).
+		if !best.found || sh.val.Less(best.val) {
 			best = sh
 		}
 	}
@@ -480,14 +335,6 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, newEval func() order
 func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *searchIncumbent) orderShardResult {
 	orders := DefaultOrders(w)
 	slots := collectSlots(orders)
-	// The ranker snapshot and the sort only happen when the gate fires —
-	// the natural nesting pays nothing.
-	var ranker *slotRanker
-	reordered := shouldReorder(slots)
-	if reordered {
-		ranker = newSlotRanker(slots) // natural contents, before sorting
-		sortSlots(slots)
-	}
 	suffix := suffixCombos(slots, 1<<30)
 	floor := eval.floor()
 
@@ -569,32 +416,16 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 		return rat.Rat{}, false
 	}
 
-	// atFloor reports the shard's kept candidate already sits on the static
-	// floor: no value can improve, only a smaller natural rank can replace
-	// it. In the reordered nesting this powers rank pruning — the natural
-	// fast path keeps the outright stop instead.
-	atFloor := func() bool { return r.found && !r.val.Greater(floor) }
-
-	// curRank is the rank contribution of the slots decided so far (exact
-	// natural rank at a leaf, since open slots can always still reach their
-	// digit-0 natural arrangement); meaningful only when reordered.
 	stopped := false
-	var rec func(si int, curRank int64)
-	rec = func(si int, curRank int64) {
+	var rec func(si int)
+	rec = func(si int) {
 		if si == len(slots) {
-			if reordered && atFloor() && curRank >= r.rank {
-				// Value can't improve and the rank doesn't either: skip
-				// the evaluation outright.
-				return
-			}
 			r.stats.Evaluated++
 			val, err := eval.value(orders)
 			if err != nil {
 				return
 			}
-			improved := !r.found || val.Less(r.val)
-			tied := reordered && !improved && r.found && val.Equal(r.val) && curRank < r.rank
-			if !improved && !tied {
+			if r.found && !val.Less(r.val) {
 				return
 			}
 			// A candidate strictly above the shared incumbent can
@@ -609,14 +440,11 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 				return
 			}
 			r.orders.set(orders)
-			r.val, r.rank, r.found = val, curRank, true
+			r.val, r.found = val, true
 			inc.offer(val)
-			if !reordered && !r.val.Greater(floor) {
+			if !r.val.Greater(floor) {
 				// Early exit: every remaining candidate is ≥ the static
-				// floor = the shard's best; ties never replace it under
-				// the natural nesting. A reordered nesting keeps going —
-				// a later candidate at the floor may hold a smaller
-				// natural rank — but prunes by rank instead.
+				// floor = the shard's best, and ties never replace it.
 				stopped = true
 			}
 			return
@@ -627,18 +455,6 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 		}
 		permute(slots[si].side, resume, func() bool {
 			setDecided(si, true)
-			next := curRank
-			if reordered {
-				nat := slots[si].nat
-				next += ranker.weight[nat] * permRank(ranker.natural[nat], slots[si].side, ranker.work)
-				if atFloor() && next >= r.rank {
-					// Every completion of this subtree ranks at least next:
-					// with the value pinned to the floor, none can replace
-					// the kept candidate.
-					setDecided(si, false)
-					return true
-				}
-			}
 			prune := false
 			if patchGate(si) {
 				eval.patch(slots[si].server, orders, decIn, decOut)
@@ -651,7 +467,7 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 				}
 			}
 			if !prune {
-				rec(si+1, next)
+				rec(si + 1)
 			}
 			setDecided(si, false)
 			if patchGate(si) {
@@ -675,14 +491,7 @@ func runOrderShard(w *plan.Weighted, eval orderEval, prefix shardPrefix, inc *se
 			}
 		}
 	}
-	baseRank := int64(0)
-	if reordered {
-		for i := 0; i < fixed; i++ {
-			nat := slots[i].nat
-			baseRank += ranker.weight[nat] * permRank(ranker.natural[nat], slots[i].side, ranker.work)
-		}
-	}
-	rec(fixed, baseRank)
+	rec(fixed)
 	return r
 }
 

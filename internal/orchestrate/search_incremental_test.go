@@ -1,100 +1,14 @@
 package orchestrate
 
-// The inner-loop speed suite: the natural-rank tie-break that keeps the
-// most-constrained-first slot nesting bit-identical to the serial flat
-// enumeration, and the incremental (segmented, float-gated) bound protocol
-// against its from-scratch reference.
+// The incremental (segmented, float-gated) bound protocol against its
+// from-scratch reference.
 
 import (
 	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/plan"
 	"repro/internal/rat"
 )
-
-// TestSlotRankMatchesEnumerationOrder pins the rank arithmetic: walking the
-// natural nesting (slot 0 outermost, permute's swap order within each side)
-// must visit assignments in exactly increasing slotRanker rank.
-func TestSlotRankMatchesEnumerationOrder(t *testing.T) {
-	for pi, w := range searchTestPlans(t, 720) {
-		orders := DefaultOrders(w)
-		slots := collectSlots(orders)
-		if len(slots) == 0 {
-			continue
-		}
-		ranker := newSlotRanker(slots)
-		serial := int64(0)
-		var rec func(si int)
-		rec = func(si int) {
-			if si == len(slots) {
-				if got := ranker.rank(slots); got != serial {
-					t.Fatalf("plan %d assignment %d: rank = %d", pi, serial, got)
-				}
-				serial++
-				return
-			}
-			permute(slots[si].side, 0, func() bool {
-				rec(si + 1)
-				return true
-			})
-		}
-		rec(0)
-	}
-}
-
-// reorderingTestPlans filters random plans down to those that pass the
-// shouldReorder gate (out-of-order slot sizes AND an order space of at
-// least reorderMinCombos), so the rank tie-break path is exercised rather
-// than the natural fast path.
-func reorderingTestPlans(t *testing.T, maxCombos int) []*plan.Weighted {
-	t.Helper()
-	var plans []*plan.Weighted
-	for seed := int64(0); seed < 200 && len(plans) < 3; seed++ {
-		rng := gen.NewRand(seed)
-		w := gen.Weighted(rng, 6+rng.Intn(3), 0.7)
-		if c := OrderCombinations(w, maxCombos); c < reorderMinCombos || c > maxCombos {
-			continue
-		}
-		if shouldReorder(collectSlots(DefaultOrders(w))) {
-			plans = append(plans, w)
-		}
-	}
-	if len(plans) == 0 {
-		t.Fatal("no reordering plans found: the probe degenerated")
-	}
-	return plans
-}
-
-// TestReorderedSearchMatchesFlatEnumeration is the tie-break equivalence on
-// plans where the slot nesting IS reordered: the search must still return
-// the bit-identical Result the serial flat product scan keeps, at every
-// entry point and worker count.
-func TestReorderedSearchMatchesFlatEnumeration(t *testing.T) {
-	for pi, w := range reorderingTestPlans(t, 8192) {
-		for _, c := range searchCases() {
-			want, ok := naiveBest(w, c)
-			for _, workers := range []int{1, 3} {
-				res, err := c.run(w, Options{Workers: workers})
-				if !ok {
-					if err == nil {
-						t.Fatalf("plan %d %s: naive found nothing but search returned %s", pi, c.name, res.Value)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("plan %d %s workers %d: %v", pi, c.name, workers, err)
-				}
-				if !res.Value.Equal(c.val(want)) {
-					t.Fatalf("plan %d %s workers %d: value %s != flat enumeration %s", pi, c.name, workers, res.Value, c.val(want))
-				}
-				if !listsIdentical(res.List, want) {
-					t.Fatalf("plan %d %s workers %d: schedule differs from the flat enumeration's winner", pi, c.name, workers)
-				}
-			}
-		}
-	}
-}
 
 // TestIncrementalBoundMatchesRebuild pins the incremental protocol at the
 // evaluator level, replaying the partial assignments the search visits:

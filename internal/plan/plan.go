@@ -10,6 +10,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -109,48 +110,58 @@ func Build(app *workflow.App, edges [][2]int) (*ExecGraph, error) {
 	return FromGraph(app, g)
 }
 
+// The two ways a candidate graph fails; the searches reject many, so these
+// cost no allocation.
+var (
+	errCyclic     = errors.New("plan: execution graph is cyclic")
+	errPrecedence = errors.New("plan: execution graph does not honor the precedence constraints")
+)
+
 // FromGraph constructs an execution graph from an already-built DAG. The
-// graph is cloned; the caller keeps ownership of g.
+// graph is cloned; the caller keeps ownership of g. One Kahn pass yields the
+// topological order and the ancestor sets; the precedence constraints are
+// checked against those sets (u→v is honoured iff u is an ancestor of v)
+// before anything is cloned, and every derived vector is sized once.
 func FromGraph(app *workflow.App, g *dag.Graph) (*ExecGraph, error) {
-	if g.N() != app.N() {
-		return nil, fmt.Errorf("plan: graph has %d nodes, application has %d services", g.N(), app.N())
-	}
-	eg := &ExecGraph{app: app, g: g.Clone()}
-	topo, err := eg.g.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("plan: execution graph is cyclic")
-	}
-	eg.topo = topo
-	ok, err := eg.g.ClosureContains(app.Precedence())
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("plan: execution graph does not honor the precedence constraints")
-	}
-	eg.anc, err = eg.g.Ancestors()
-	if err != nil {
-		return nil, err
-	}
 	n := app.N()
-	eg.inProd = make([]rat.Rat, n)
-	eg.outSize = make([]rat.Rat, n)
+	if g.N() != n {
+		return nil, fmt.Errorf("plan: graph has %d nodes, application has %d services", g.N(), n)
+	}
+	var s dag.Scratch
+	topo, anc, err := g.AncestorsInto(&s)
+	if err != nil {
+		return nil, errCyclic
+	}
+	prec := app.Precedence()
+	for u := 0; u < n; u++ {
+		for _, v := range prec.Succ(u) {
+			if !anc[v].Has(u) {
+				return nil, errPrecedence
+			}
+		}
+	}
+	eg := &ExecGraph{app: app, g: g.Clone(), topo: topo, anc: anc}
+	rats := make([]rat.Rat, 2*n)
+	eg.inProd, eg.outSize = rats[:n:n], rats[n:]
 	for _, v := range topo {
 		p := rat.One
 		// Multiplying along one incoming path would double-count shared
 		// ancestors; the paper defines inProd over the ancestor *set*.
-		eg.anc[v].ForEach(func(u int) { p = p.Mul(app.Selectivity(u)) })
+		anc[v].ForEach(func(u int) { p = p.Mul(app.Selectivity(u)) })
 		eg.inProd[v] = p
 		eg.outSize[v] = p.Mul(app.Selectivity(v))
 	}
 	// Deterministic edge order: input comms, service comms, output comms.
+	eg.edges = make([]Edge, 0, 2*n+eg.g.EdgeCount())
 	for v := 0; v < n; v++ {
 		if eg.g.InDegree(v) == 0 {
 			eg.edges = append(eg.edges, Edge{In, v})
 		}
 	}
-	for _, e := range eg.g.Edges() {
-		eg.edges = append(eg.edges, Edge{e[0], e[1]})
+	for u := 0; u < n; u++ {
+		for _, v := range eg.g.Succ(u) {
+			eg.edges = append(eg.edges, Edge{u, v})
+		}
 	}
 	for v := 0; v < n; v++ {
 		if eg.g.OutDegree(v) == 0 {

@@ -106,24 +106,42 @@ func MustNewWeighted(names []string, comp []rat.Rat, edges []Edge, vols []rat.Ra
 }
 
 // Weighted lowers the execution graph to its scheduling-level view, with
-// Ccomp as node weights and CommSize as edge volumes.
+// Ccomp as node weights and CommSize as edge volumes. It shares the graph's
+// (immutable) edge list and topological order and builds the per-node index
+// lists on one backing slice: FromGraph already validated everything
+// NewWeighted would check.
 func (eg *ExecGraph) Weighted() *Weighted {
-	n := eg.N()
-	comp := make([]rat.Rat, n)
-	names := make([]string, n)
+	n, edges := eg.N(), eg.edges
+	rats := make([]rat.Rat, n+len(edges))
+	w := &Weighted{
+		names: make([]string, n),
+		comp:  rats[:n:n],
+		edges: edges,
+		vol:   rats[n:],
+		topo:  eg.topo,
+	}
 	for v := 0; v < n; v++ {
-		comp[v] = eg.Ccomp(v)
-		names[v] = eg.app.Name(v)
+		w.names[v] = eg.app.Name(v)
+		w.comp[v] = eg.Ccomp(v)
 	}
-	edges := eg.Edges()
-	vols := make([]rat.Rat, len(edges))
+	// Every edge is listed once per real endpoint: In and Out comms once,
+	// service comms twice. Entry and exit nodes hold their one virtual comm.
+	lists := make([][]int, 2*n)
+	w.inEdges, w.outEdges = lists[:n:n], lists[n:]
+	back := make([]int, len(edges)+eg.g.EdgeCount())
+	for v := 0; v < n; v++ {
+		in, out := max(eg.g.InDegree(v), 1), max(eg.g.OutDegree(v), 1)
+		w.inEdges[v], w.outEdges[v] = back[:0:in], back[in:in:in+out]
+		back = back[in+out:]
+	}
 	for i, e := range edges {
-		vols[i] = eg.CommSize(e)
-	}
-	w, err := NewWeighted(names, comp, edges, vols)
-	if err != nil {
-		// Construction from a valid ExecGraph cannot fail.
-		panic(fmt.Sprintf("plan: internal error lowering execution graph: %v", err))
+		w.vol[i] = eg.CommSize(e)
+		if e.From != In {
+			w.outEdges[e.From] = append(w.outEdges[e.From], i)
+		}
+		if e.To != Out {
+			w.inEdges[e.To] = append(w.inEdges[e.To], i)
+		}
 	}
 	return w
 }

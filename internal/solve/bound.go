@@ -213,7 +213,7 @@ func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
 // exact floor when precedence is a total order.
 func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	n, open, minProd, minOut := b.n, b.open, b.minProd, b.minOut
-	anc, err := g.AncestorsInto(&b.graph)
+	topo, anc, err := g.AncestorsInto(&b.graph)
 	if err != nil {
 		return rat.Zero // cyclic partial graph: the caller prunes it outright
 	}
@@ -258,7 +258,6 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 		// Longest path over the decided edges with minimal volumes; every
 		// node still pays its input (≥ the unit entry communication somewhere
 		// upstream), its computation and one outgoing copy.
-		topo, _ := g.TopoSortInto(&b.graph) // acyclic: AncestorsInto succeeded
 		for _, v := range topo {
 			start := rat.One
 			for _, p := range g.Pred(v) {
