@@ -26,9 +26,9 @@ test-short:
 
 # Concurrency soundness of the worker-pool search layer and the planning
 # service: full race runs of the pool, the sharded solvers (including the
-# branch-and-bound shared incumbent and context cancellation), the sharded
-# orchestration order search (shared incumbent + per-shard scratch) and
-# its event-graph engine, the plan cache's singleflight, the service's
+# branch-and-bound shared incumbent and context cancellation), the
+# orchestration order search and its event-graph engine under those
+# concurrent solves, the plan cache's singleflight, the service's
 # exactly-one-solve / restart / subscription / backpressure suites, the
 # persistent store, the cluster router with its circuit breakers (and
 # the replication chaos suite: each replica killed in turn under seeded
@@ -44,19 +44,19 @@ test-race:
 	$(GO) test -race -run TestAllWorkersPreservesOrderAndResults ./internal/experiments/
 
 # Allocation-regression guards: the orchestration inner loop
-# (AllocsPerRun budgets for the patch+bound cycle, repeat bound queries,
-# the zero-alloc value path and ratio-only MCR, and the value-first
+# (AllocsPerRun budgets: the zero-alloc value path, prefix bound and
+# ratio-only MCR on a warm evaluator, and the value-first
 # candidate path — scoring a candidate graph builds no operation list),
 # validating a valid operation list (no labels formatted off the error
 # path), the service cache-hit path (tracing spans must add zero
 # allocations when disabled; a whole HTTP hit through Handler.ServeHTTP
 # stays inside its pinned budget), the executor's round (kernel, estimator
 # folds and a quiet controller pass allocate nothing on a warm program) and
-# the exact inner loop: enclosing a float-exact rational, a relaxation on a
-# warm Graph or Segmented, and a branch-and-bound partial bound on a warm
-# shard scratch allocate nothing; building a candidate (FromGraph +
-# Weighted) stays inside a budget that does not grow with n, and the Kahn
-# pass + ancestor sets on a warm dag.Scratch allocate nothing.
+# the exact inner loop: a relaxation on a warm Graph and a branch-and-bound
+# partial bound on a warm shard scratch allocate nothing; building a
+# candidate (FromGraph + Weighted) stays inside a budget that does not grow
+# with n, and the Kahn pass + ancestor sets on a warm dag.Scratch allocate
+# nothing.
 # Must run unraced — the guards self-skip under -race because
 # instrumentation inflates the counts.
 test-alloc:
@@ -116,13 +116,15 @@ smoke-exec:
 # unit tests under `test`): the operation-list JSON codec, the plan-request
 # decoder against its two-step oracle, rat.Parse's int64 fast path against
 # the math/big path, the int64 arithmetic kernel against math/big
-# (values, canonical form, Interval against its reference loop), and the
-# candidate builder (FromGraph + Weighted) against the one it replaced.
+# (values, canonical form), the candidate builder (FromGraph + Weighted)
+# against the one it replaced, and the plan-store entry codec (never
+# panics; an accepted entry re-encodes stably).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime 30s ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime 15s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/rat/
 	$(GO) test -run '^$$' -fuzz FuzzArith -fuzztime 15s ./internal/rat/
 	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime 15s ./internal/plan/
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/store/
 
 check: vet build test-short test-race test-alloc bench-smoke

@@ -162,8 +162,8 @@ func BenchmarkSelfTimedSimulation(b *testing.B) {
 // BenchmarkBranchBoundChain12 times the scale payoff of the exact search:
 // certifying the chain optimum at n=12, whose 12! candidates no blind
 // enumeration finishes. (Everything timed end to end or per layer — cold
-// plan search, the two order searches, serial against sharded — is the
-// repository benchmark's, bench/.)
+// plan search, the two order searches — is the repository benchmark's,
+// bench/.)
 func BenchmarkBranchBoundChain12(b *testing.B) {
 	app := gen.App(gen.NewRand(42), 12, gen.Filtering)
 	opts := solve.Options{

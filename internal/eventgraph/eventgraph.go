@@ -95,10 +95,9 @@ type Graph struct {
 // dfsScratch is the zero-token depth-first search's working state and
 // output, reused across calls.
 type dfsScratch struct {
-	color            []uint8 // 0 white, 1 grey, 2 black; then potentials' dirty marks
-	pos              []int   // positive-delay edges on the search path down to each grey node
-	post             []int   // finishing order; reversed, a topological order of the zero-token edges
-	cyclic, positive bool
+	color  []uint8 // 0 white, 1 grey, 2 black; then potentials' dirty marks
+	post   []int   // finishing order; reversed, a topological order of the zero-token edges
+	cyclic bool
 }
 
 // New returns an empty event graph with n operation nodes.
@@ -175,65 +174,54 @@ func (g *Graph) out(v int) []int { return g.adj[g.start[v]:g.start[v+1]] }
 // checkZeroTokenAcyclic verifies that the subgraph of zero-token edges is
 // acyclic; otherwise the system deadlocks.
 func (g *Graph) checkZeroTokenAcyclic() error {
-	if cyclic, _ := g.zeroTokenDFS(); cyclic {
+	if g.zeroTokenCyclic() {
 		return ErrZeroTokenCycle
 	}
 	return nil
 }
 
-// zeroTokenDFS runs a depth-first search over the zero-token edges,
-// recording its finishing order in g.dfs.post. It reports whether it closed
-// a zero-token cycle and whether a cycle it closed carries positive delay —
-// a positive cycle at every period, so the search stops there. Every
+// zeroTokenCyclic runs a depth-first search over the zero-token edges,
+// recording its finishing order in g.dfs.post, and reports whether it
+// closed a zero-token cycle — a deadlock, so the search stops there. Every
 // analysis starts here, so this is also where the adjacency is indexed;
 // both depend on the edges alone and are reused until the graph changes.
-func (g *Graph) zeroTokenDFS() (cyclic, positive bool) {
+func (g *Graph) zeroTokenCyclic() bool {
 	d := &g.dfs
 	if g.analysed {
-		return d.cyclic, d.positive
+		return d.cyclic
 	}
 	g.index()
 	if cap(d.color) < g.n {
-		ints := make([]int, 2*g.n)
-		d.color, d.pos, d.post = make([]uint8, g.n), ints[:g.n:g.n], ints[g.n:g.n]
+		d.color, d.post = make([]uint8, g.n), make([]int, 0, g.n)
 	}
-	d.color, d.pos, d.post = d.color[:g.n], d.pos[:g.n], d.post[:0]
-	d.cyclic, d.positive, g.analysed = false, false, true
+	d.color, d.post = d.color[:g.n], d.post[:0]
+	d.cyclic, g.analysed = false, true
 	for i := range d.color {
 		d.color[i] = 0
 	}
-	for v := 0; v < g.n && !d.positive; v++ {
+	for v := 0; v < g.n && !d.cyclic; v++ {
 		if d.color[v] == 0 {
-			d.positive = !g.zeroTokenVisit(v, 0)
+			d.cyclic = !g.zeroTokenVisit(v)
 		}
 	}
-	return d.cyclic, d.positive
+	return d.cyclic
 }
 
-// zeroTokenVisit is the depth-first step of zeroTokenDFS, pos the number of
-// positive-delay edges on the search path down to v: false when it closes
-// a zero-token cycle with positive delay.
-func (g *Graph) zeroTokenVisit(v, pos int) bool {
+// zeroTokenVisit is the depth-first step of zeroTokenCyclic: false when it
+// closes a zero-token cycle.
+func (g *Graph) zeroTokenVisit(v int) bool {
 	d := &g.dfs
-	d.color[v], d.pos[v] = 1, pos
+	d.color[v] = 1
 	for _, ei := range g.out(v) {
 		e := &g.edges[ei]
 		if e.Tokens != 0 {
 			continue
 		}
-		p := pos
-		if e.Delay.Sign() > 0 {
-			p++
-		}
 		switch d.color[e.To] {
 		case 1:
-			// The cycle e.To … v → e.To holds p − pos[e.To] positive delays.
-			d.cyclic = true
-			if p > d.pos[e.To] {
-				return false
-			}
+			return false
 		case 0:
-			if !g.zeroTokenVisit(e.To, p) {
+			if !g.zeroTokenVisit(e.To) {
 				return false
 			}
 		}
@@ -614,28 +602,22 @@ func (g *Graph) Potentials(lambda rat.Rat) ([]rat.Rat, error) {
 // working buffer with unspecified contents — callers keep it for the next
 // call instead of dropping the allocation.
 func (g *Graph) PotentialsInto(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, error) {
-	pi, _, err := g.potentials(buf, lambda, true)
+	pi, _, err := g.potentials(buf, lambda)
 	return pi, err
 }
 
-// potentials is the longest-path relaxation behind both PotentialsInto,
+// potentials is the longest-path relaxation behind PotentialsInto,
 // reporting the number of passes it ran. Sources are relaxed in the reverse
 // finishing order of the zero-token DFS, a topological order of the
-// zero-token edges when they are acyclic: then one pass is the fixpoint of
-// a graph without token edges, and otherwise passes repeat until one
-// changes nothing (n + 1 changing passes mean a positive cycle). The least
-// fixpoint is unique and rationals are canonical, so the order changes how
-// many passes reach it, never the potentials. A zero-token cycle is
-// ErrZeroTokenCycle when deadlock is set; otherwise one with positive delay
-// is ErrInfeasible at once and zero-delay ones are left to the passes.
-func (g *Graph) potentials(buf []rat.Rat, lambda rat.Rat, deadlock bool) ([]rat.Rat, int, error) {
+// zero-token edges: one pass is the fixpoint of a graph without token
+// edges, and otherwise passes repeat until one changes nothing (n + 1
+// changing passes mean a positive cycle). The least fixpoint is unique and
+// rationals are canonical, so the order changes how many passes reach it,
+// never the potentials.
+func (g *Graph) potentials(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, int, error) {
 	pi := zeroed(buf, g.n)
-	cyclic, positive := g.zeroTokenDFS()
-	switch {
-	case cyclic && deadlock:
+	if g.zeroTokenCyclic() {
 		return pi, 0, ErrZeroTokenCycle
-	case positive:
-		return pi, 0, ErrInfeasible
 	}
 	tokens := false
 	if cap(g.w) < len(g.edges) {
@@ -670,7 +652,7 @@ func (g *Graph) potentials(buf []rat.Rat, lambda rat.Rat, deadlock bool) ([]rat.
 				}
 			}
 		}
-		if !changed || !(tokens || cyclic) {
+		if !changed || !tokens {
 			return pi, pass, nil
 		}
 	}

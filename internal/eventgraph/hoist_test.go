@@ -9,8 +9,7 @@ import (
 	"repro/internal/rat"
 )
 
-// Differential tests for the relaxation: PotentialsInto (both forms) and
-// Howard's value updates compute an edge's weight delay − λ·tokens once and
+// Differential tests for the relaxation: PotentialsInto and Howard's value updates compute an edge's weight delay − λ·tokens once and
 // add it, where they used to evaluate (π(from) + delay) − λ·tokens for every
 // edge in every round; and PotentialsInto relaxes sources in topological
 // order of the zero-token edges, where it used to relax edges in insertion
@@ -142,92 +141,17 @@ func TestPotentialsMatchPerRoundFormula(t *testing.T) {
 }
 
 // TestZeroTokenDAGOnePass: without token edges the topological order makes
-// the first pass the fixpoint — no confirming pass, on a Graph and on a
-// Segmented holding the same edges spread over its segments.
+// the first pass the fixpoint — no confirming pass.
 func TestZeroTokenDAGOnePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 300; trial++ {
 		g := zeroTokenDAG(rng)
-		s := NewSegmented(g.n, 1+rng.Intn(3))
-		for i := range s.segs {
-			s.BeginSegment(i)
-			for j := i; j < len(g.edges); j += len(s.segs) {
-				e := g.edges[j]
-				s.AddEdge(e.From, e.To, e.Delay, e.Tokens)
-			}
-		}
 		lambda := rat.New(rng.Int63n(50), 1+rng.Int63n(5))
 		want, _ := potentialsRef(g.n, g.edges, lambda)
-		for name, run := range map[string]func() ([]rat.Rat, int, error){
-			"Graph":     func() ([]rat.Rat, int, error) { return g.potentials(nil, lambda, true) },
-			"Segmented": func() ([]rat.Rat, int, error) { return s.potentials(nil, lambda) },
-		} {
-			got, passes, err := run()
-			if err != nil || passes != 1 || !sameRats(got, want) {
-				t.Fatalf("trial %d %s: %d passes, err %v, potentials %v; want 1 pass, %v", trial, name, passes, err, got, want)
-			}
+		got, passes, err := g.potentials(nil, lambda)
+		if err != nil || passes != 1 || !sameRats(got, want) {
+			t.Fatalf("trial %d: %d passes, err %v, potentials %v; want 1 pass, %v", trial, passes, err, got, want)
 		}
-	}
-}
-
-// TestSegmentedPotentialsMatchPerRoundFormula holds the segmented relaxation
-// to the reference on multi-token edges, on λ below, at and above the
-// maximum cycle ratio, and on zero-token cycles — the relaxed bound graphs'
-// deadlocks, which are no error here: zero delay converges, positive delay
-// is infeasible at once (the reference: after n + 1 rounds).
-func TestSegmentedPotentialsMatchPerRoundFormula(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	feasible, infeasible, zeroCycles, positiveCycles := 0, 0, 0, 0
-	for trial := 0; trial < 800; trial++ {
-		s := randSegmented(rng)
-		// Multi-token edges too: the generator's own carry at most one.
-		s.BeginSegment(rng.Intn(len(s.segs)))
-		for i := rng.Intn(6); i > 0; i-- {
-			s.AddEdge(rng.Intn(s.n), rng.Intn(s.n), rat.New(rng.Int63n(60), 1+rng.Int63n(12)), 1+rng.Intn(4))
-		}
-		if trial%3 == 2 {
-			// Close a zero-token cycle through k nodes; one in two carries
-			// a positive delay.
-			positive := rng.Intn(2) == 0
-			perm := rng.Perm(s.n)[:1+rng.Intn(s.n)]
-			for i, from := range perm {
-				delay := rat.Zero
-				if positive && i == 0 {
-					delay = rat.New(1+rng.Int63n(9), 1+rng.Int63n(4))
-				}
-				s.AddEdge(from, perm[(i+1)%len(perm)], delay, 0)
-			}
-			if positive {
-				positiveCycles++
-			} else {
-				zeroCycles++
-			}
-		}
-		g := New(s.n) // the same edges, flat
-		for i := range s.segs {
-			for _, e := range s.segs[i].edges {
-				g.AddEdge(e.From, e.To, e.Delay, e.Tokens)
-			}
-		}
-		for _, lambda := range hoistLambdas(rng, g) {
-			want, wantErr := potentialsRef(s.n, g.edges, lambda)
-			got, err := s.PotentialsInto(s.pi, lambda)
-			if err != wantErr {
-				t.Fatalf("trial %d λ=%s: error %v, per-round formula %v", trial, lambda, err, wantErr)
-			}
-			if err != nil {
-				infeasible++
-				continue
-			}
-			feasible++
-			if !sameRats(got, want) {
-				t.Fatalf("trial %d λ=%s: potentials %v, per-round formula %v", trial, lambda, got, want)
-			}
-		}
-	}
-	if feasible == 0 || infeasible == 0 || zeroCycles == 0 || positiveCycles == 0 {
-		t.Fatalf("corpus misses a case: %d feasible, %d infeasible, %d zero-delay and %d positive zero-token cycles",
-			feasible, infeasible, zeroCycles, positiveCycles)
 	}
 }
 
@@ -278,20 +202,18 @@ func TestMCRUnmovedByHoist(t *testing.T) {
 
 // TestPotentialsIntoAllocBudget: once the weight vector and the caller's
 // begin-time buffer have grown to the graph's size, a relaxation allocates
-// nothing — on a Graph and on a Segmented, feasible or not.
+// nothing, feasible or not.
 func TestPotentialsIntoAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	g := hoistGraph(rng)
 	for g.checkZeroTokenAcyclic() != nil {
 		g = hoistGraph(rng)
 	}
-	s := randSegmented(rng)
 	lambdas := []rat.Rat{rat.New(997, 3), rat.New(1, 7)} // a converging and a diverging relaxation
 	var buf []rat.Rat
 	run := func() {
 		for _, l := range lambdas {
 			buf, _ = g.PotentialsInto(buf, l)
-			s.PotentialsInto(s.pi, l)
 		}
 	}
 	run()

@@ -69,7 +69,6 @@ func AllWorkers(budget, workers int) []Report {
 		func() Report { return e16CacheAmortization(budget, 1) },
 		func() Report { return e17StoreCluster(budget, 1) },
 		func() Report { return E18OrderPruning(budget) },
-		func() Report { return E19IncrementalBound(budget) },
 		func() Report { return E20DataPlane(budget) },
 	}
 	return par.Map(workers, len(runs), func(i int) Report { return runs[i]() })

@@ -57,7 +57,7 @@ func E18OrderPruning(budget int) Report {
 		w := mkPlan(c.seed, c.small)
 		combos := orchestrate.OrderCombinations(w, 1<<30)
 		var st orchestrate.Stats
-		opts := orchestrate.Options{Stats: &st, Workers: 1}
+		opts := orchestrate.Options{Stats: &st}
 		var res orchestrate.Result
 		var err error
 		if c.kind == "period" {
@@ -110,7 +110,7 @@ func E18OrderPruning(budget int) Report {
 			return fail("E18", "orchestration order-search pruning", err)
 		}
 		var st orchestrate.Stats
-		exact, err := orchestrate.InOrderPeriod(w, orchestrate.Options{Stats: &st, Workers: 1})
+		exact, err := orchestrate.InOrderPeriod(w, orchestrate.Options{Stats: &st})
 		if err != nil {
 			return fail("E18", "orchestration order-search pruning", err)
 		}
@@ -125,96 +125,8 @@ func E18OrderPruning(budget int) Report {
 		ID: "E18", Title: "Orchestration fast path: order-prefix pruning and the exhaustive-cap raise", Table: tab, OK: ok,
 		Notes: []string{
 			"'combinations' is the flat per-server order product (Π ins!·outs!) the pre-fast-path search scored one by one; 'evaluated' counts complete assignments the pruned search still scored after bound pruning and the static-floor early exit.",
-			"Search equivalence (bit-identical schedules vs the flat enumeration, across worker counts) is pinned by internal/orchestrate's fast-path suite; this experiment records the effort reduction.",
+			"Search equivalence (bit-identical schedules vs the flat enumeration) is pinned by internal/orchestrate's search suite; this experiment records the effort reduction.",
 			"The sweep bins random DAG plans by order-space size: plans in the (4096, 65536] band were searched heuristically before the cap raise and exactly after it — the 'promoted' rows verify heuristic -> exact on two of them, with the exact value never worse.",
-			"Counters come from Workers: 1 runs; parallel runs return the identical Result but timing-dependent counters.",
-		},
-	}
-}
-
-// E19IncrementalBound measures the PR-6 inner-loop changes: how much
-// relaxed-graph rebuild work the one-segment patching avoids against the
-// from-scratch rebuilds it replaced, and how often the certified float
-// pre-filter decides a bound query without falling back to exact rational
-// arithmetic. 'edges built' counts relaxed-graph edges the incremental
-// path actually constructed (full prepares + one-segment patches);
-// 'edges flat' what per-query from-scratch rebuilds would have built.
-// Both paths return bit-identical Results (pinned by the orchestrate
-// equivalence suite); this experiment records the effort reduction.
-func E19IncrementalBound(budget int) Report {
-	tab := texttab.New("instance", "search", "edges built", "edges flat", "rebuild avoided", "float-certified", "exact fallback", "fallback rate", "exact")
-	ok := true
-
-	mkPlan := func(seed int64, small bool) *plan.Weighted {
-		rng := gen.NewRand(seed)
-		if small {
-			return gen.DAGPlan(rng, gen.App(rng, 3+rng.Intn(4), gen.Mixed), 0.6).Weighted()
-		}
-		return gen.DAGPlan(rng, gen.App(rng, 6+rng.Intn(3), gen.Mixed), 0.5).Weighted()
-	}
-	type icase struct {
-		name  string
-		seed  int64
-		small bool
-		kind  string // "period" or "latency"
-	}
-	cases := []icase{
-		{"dag-a", 2, true, "period"},
-		{"dag-c", 42, false, "period"},
-		{"dag-c", 42, false, "latency"},
-	}
-	if budget > 1 {
-		cases = append(cases,
-			icase{"dag-d", 44, false, "period"},
-			icase{"dag-d", 44, false, "latency"},
-			icase{"dag-e", 55, false, "period"},
-		)
-	}
-	var totBuilt, totFlat, totCert, totFall int64
-	for _, c := range cases {
-		w := mkPlan(c.seed, c.small)
-		var st orchestrate.Stats
-		opts := orchestrate.Options{Stats: &st, Workers: 1}
-		var res orchestrate.Result
-		var err error
-		if c.kind == "period" {
-			res, err = orchestrate.InOrderPeriod(w, opts)
-		} else {
-			res, err = orchestrate.OnePortLatency(w, opts)
-		}
-		if err != nil {
-			return fail("E19", "incremental bound + float pre-filter", err)
-		}
-		totBuilt += st.BoundEdgesBuilt
-		totFlat += st.BoundEdgesFlat
-		totCert += st.FilterCertified
-		totFall += st.FilterFallback
-		avoided, fallback := "-", "-"
-		rowOK := res.Exact
-		if st.BoundEdgesFlat > 0 {
-			avoided = fmt.Sprintf("%.1f%%", 100*(1-float64(st.BoundEdgesBuilt)/float64(st.BoundEdgesFlat)))
-		}
-		if q := st.FilterCertified + st.FilterFallback; q > 0 {
-			fallback = fmt.Sprintf("%.1f%%", 100*float64(st.FilterFallback)/float64(q))
-		}
-		ok = ok && rowOK
-		tab.Row(c.name, c.kind, st.BoundEdgesBuilt, st.BoundEdgesFlat, avoided,
-			st.FilterCertified, st.FilterFallback, fallback, mark(rowOK))
-	}
-	totalOK := totFlat > 0 && totBuilt < totFlat && totCert+totFall > 0
-	ok = ok && totalOK
-	tab.Row("total", "-", totBuilt, totFlat,
-		fmt.Sprintf("%.1f%%", 100*(1-float64(totBuilt)/float64(totFlat))),
-		totCert, totFall,
-		fmt.Sprintf("%.1f%%", 100*float64(totFall)/float64(totCert+totFall)), mark(totalOK))
-
-	return Report{
-		ID: "E19", Title: "Incremental relaxed-graph patching and the certified float pre-filter", Table: tab, OK: ok,
-		Notes: []string{
-			"'rebuild avoided' = 1 − built/flat: the fraction of relaxed-graph edge construction the one-segment patching saves versus rebuilding the whole graph on every bound query (the pre-PR-6 path). A row can go negative when pruning kills the search after few queries — the per-shard prepare then dominates — but the aggregate must come out ahead, and does.",
-			"'fallback rate' = exact / (certified + exact): bound feasibility queries the one-sided float run could not certify and that re-ran under exact rational arithmetic. Infeasibility is never float-certified, so the filter is sound by construction.",
-			"Both figures leave the Results bit-identical — the orchestrate suite pins incremental == from-scratch and filtered == unfiltered across worker counts; only the work, not the answer, changes.",
-			"Counters come from Workers: 1 runs; parallel runs return the identical Result but timing-dependent counters.",
 		},
 	}
 }

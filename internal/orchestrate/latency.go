@@ -39,22 +39,14 @@ func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 // reused event graph and begin-time buffer; OnePortLatencyWithOrders
 // materializes the winning orders once the search is over.
 type onePortEval struct {
-	w     *plan.Weighted
-	g     *eventgraph.Graph
-	seg   *eventgraph.Segmented // incremental bound graph, one segment per server
-	st    *Stats
-	terms []eventgraph.LatencyTerm // latency score terms: comm-op end times
-	pi    []rat.Rat
-	fl    rat.Rat
+	w  *plan.Weighted
+	g  *eventgraph.Graph
+	pi []rat.Rat
+	fl rat.Rat
 }
 
 func newOnePortEval(w *plan.Weighted) orderEval {
-	e := &onePortEval{w: w, g: eventgraph.New(opCount(w)), fl: w.LatencyPathBound()}
-	e.terms = make([]eventgraph.LatencyTerm, len(w.Edges()))
-	for ei := range w.Edges() {
-		e.terms[ei] = eventgraph.NewLatencyTerm(commOp(w, ei), w.Vol(ei))
-	}
-	return e
+	return &onePortEval{w: w, g: eventgraph.New(opCount(w)), fl: w.LatencyPathBound()}
 }
 
 func (e *onePortEval) floor() rat.Rat { return e.fl }
@@ -70,89 +62,44 @@ func (e *onePortEval) build(o Orders, decidedIn, decidedOut []bool) {
 	for v := 0; v < e.w.N(); v++ {
 		din := decidedIn == nil || decidedIn[v]
 		dout := decidedOut == nil || decidedOut[v]
-		e.serverEdges(e.g, v, o, din, dout)
+		e.serverEdges(v, o, din, dout)
 	}
 }
 
-// serverEdges emits server v's one-port precedence constraints (see build)
-// into sink.
-func (e *onePortEval) serverEdges(sink edgeSink, v int, o Orders, din, dout bool) {
-	w := e.w
+// serverEdges adds server v's one-port precedence constraints (see build)
+// to the scratch graph.
+func (e *onePortEval) serverEdges(v int, o Orders, din, dout bool) {
+	w, g := e.w, e.g
 	calc := calcOp(v)
 	if din {
 		prev := -1
 		for _, ei := range o.In[v] {
 			op := commOp(w, ei)
 			if prev >= 0 {
-				sink.AddEdge(prev, op, opDur(w, prev), 0)
+				g.AddEdge(prev, op, opDur(w, prev), 0)
 			}
 			prev = op
 		}
 		if prev >= 0 {
-			sink.AddEdge(prev, calc, opDur(w, prev), 0)
+			g.AddEdge(prev, calc, opDur(w, prev), 0)
 		}
 	} else {
 		for _, ei := range o.In[v] {
-			sink.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
+			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
 		}
 	}
 	if dout {
 		prev := calc
 		for _, ei := range o.Out[v] {
 			op := commOp(w, ei)
-			sink.AddEdge(prev, op, opDur(w, prev), 0)
+			g.AddEdge(prev, op, opDur(w, prev), 0)
 			prev = op
 		}
 	} else {
 		for _, ei := range o.Out[v] {
-			sink.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
+			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
 		}
 	}
-}
-
-// prepare builds the segmented bound graph — one segment per server — for
-// the current decided state; patch rebuilds one server's segment in place.
-func (e *onePortEval) prepare(o Orders, decidedIn, decidedOut []bool, st *Stats) {
-	e.st = st
-	if e.seg == nil {
-		e.seg = eventgraph.NewSegmented(opCount(e.w), e.w.N())
-	} else {
-		e.seg.Reset(opCount(e.w), e.w.N())
-	}
-	before := e.seg.EdgesBuilt()
-	for v := 0; v < e.w.N(); v++ {
-		e.seg.BeginSegment(v)
-		e.serverEdges(e.seg, v, o, decidedIn[v], decidedOut[v])
-	}
-	if st != nil {
-		st.BoundEdgesBuilt += e.seg.EdgesBuilt() - before
-	}
-}
-
-func (e *onePortEval) patch(v int, o Orders, decidedIn, decidedOut []bool) {
-	before := e.seg.EdgesBuilt()
-	e.seg.BeginSegment(v)
-	e.serverEdges(e.seg, v, o, decidedIn[v], decidedOut[v])
-	if e.st != nil {
-		e.st.BoundEdgesBuilt += e.seg.EdgesBuilt() - before
-	}
-}
-
-// exceedsIncremental answers exceeds against the patched graph through the
-// certified float pre-filter: LatencyExceeds decides "relaxed latency
-// strictly above limit or deadlocked" with interval endpoints first, exact
-// arithmetic only when they cannot separate.
-func (e *onePortEval) exceedsIncremental(limit rat.Rat) bool {
-	exceeds, fellBack := e.seg.LatencyExceeds(rat.One, limit, e.terms)
-	if e.st != nil {
-		e.st.BoundEdgesFlat += int64(e.seg.TotalEdges())
-		if fellBack {
-			e.st.FilterFallback++
-		} else {
-			e.st.FilterCertified++
-		}
-	}
-	return exceeds
 }
 
 // latency runs the longest-path relaxation on the current scratch graph
@@ -203,7 +150,7 @@ func OnePortLatency(w *plan.Weighted, opts Options) (Result, error) {
 }
 
 func scoreOnePortLatency(w *plan.Weighted, opts Options) (Score, error) {
-	return searchOrders(w, opts, func() orderEval { return newOnePortEval(w) },
+	return searchOrders(w, opts, newOnePortEval(w),
 		w.LatencyPathBound(), onePortPaths)
 }
 

@@ -57,20 +57,13 @@ type Options struct {
 	RandomSamples int
 	// Seed drives the random sampling. The default 0 is a valid seed.
 	Seed int64
-	// Workers bounds the goroutines of the exhaustive order search:
-	// values > 1 shard the order space over the internal/par pool, while
-	// 0 and 1 (the zero default) run serially. The default is serial —
-	// unlike solve.Options.Workers — because order searches usually run
-	// inside plan-level search shards that already own the pool (one
-	// pool, never nested); the solve layer passes its worker budget down
-	// only for single-graph evaluations, where the pool is otherwise
-	// idle. Every value returns the bit-identical Result.
+	// Workers is inert: the order search is serial, and nothing reads the
+	// field. It remains only because bench/plancold.go:307,458,462 sets it
+	// and bench/ is not edited outside a benchmark change.
 	Workers int
 	// Stats, when non-nil, receives the pruned-search counters of the
-	// exhaustive path. The Result is identical for every worker count,
-	// but the counters are not: with Workers > 1 the shared pruning
-	// threshold evolves with goroutine timing. Run with Workers 0/1 for
-	// reproducible counts.
+	// exhaustive path (zeroed on the heuristic path). The search is serial,
+	// so the counters of one plan and Options are always reproducible.
 	Stats *Stats
 }
 
@@ -379,36 +372,6 @@ func factorialCapped(n, limit int) int {
 		}
 	}
 	return f
-}
-
-// forEachOrders enumerates every order combination, invoking fn with a
-// reused Orders value (fn must not retain it). fn returns false to stop.
-func forEachOrders(w *plan.Weighted, fn func(Orders) bool) {
-	orders := DefaultOrders(w)
-	// Collect the permutable slots: one per server side with ≥ 2 comms.
-	type slot struct{ s []int }
-	var slots []slot
-	for v := 0; v < w.N(); v++ {
-		if len(orders.In[v]) > 1 {
-			slots = append(slots, slot{orders.In[v]})
-		}
-		if len(orders.Out[v]) > 1 {
-			slots = append(slots, slot{orders.Out[v]})
-		}
-	}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(slots) {
-			return fn(orders)
-		}
-		cont := true
-		permute(slots[i].s, 0, func() bool {
-			cont = rec(i + 1)
-			return cont
-		})
-		return cont
-	}
-	rec(0)
 }
 
 // permute enumerates permutations of s[k:] in place (Heap-style recursion),

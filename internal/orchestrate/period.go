@@ -192,14 +192,6 @@ func graphLambda(g *eventgraph.Graph) (rat.Rat, error) {
 	}
 }
 
-// edgeSink receives the constraint edges an evaluator emits; satisfied by
-// both the flat *eventgraph.Graph and the incremental *eventgraph.Segmented
-// (after BeginSegment), so one per-server emitter feeds both the
-// from-scratch build and the one-segment patch.
-type edgeSink interface {
-	AddEdge(from, to int, delay rat.Rat, tokens int)
-}
-
 // inOrderEval is the INORDER order-search evaluator: the value of an
 // assignment is the maximum cycle ratio of its event graph, computed on a
 // reused graph; InOrderPeriodWithOrders materializes the winning orders
@@ -207,8 +199,6 @@ type edgeSink interface {
 type inOrderEval struct {
 	w     *plan.Weighted
 	g     *eventgraph.Graph
-	seg   *eventgraph.Segmented // incremental bound graph, one segment per server
-	st    *Stats
 	pi    []rat.Rat
 	cexec []rat.Rat // per-server one-port execution time (Cin+comp+Cout)
 	fl    rat.Rat
@@ -249,13 +239,14 @@ func (e *inOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 	for v := 0; v < e.w.N(); v++ {
 		din := decidedIn == nil || decidedIn[v]
 		dout := decidedOut == nil || decidedOut[v]
-		e.serverEdges(e.g, v, o, din, dout)
+		e.serverEdges(v, o, din, dout)
 	}
 }
 
-// serverEdges emits server v's INORDER constraints (see build) into sink.
-func (e *inOrderEval) serverEdges(sink edgeSink, v int, o Orders, din, dout bool) {
-	w := e.w
+// serverEdges adds server v's INORDER constraints (see build) to the
+// scratch graph.
+func (e *inOrderEval) serverEdges(v int, o Orders, din, dout bool) {
+	w, g := e.w, e.g
 	calc := calcOp(v)
 	ins, outs := o.In[v], o.Out[v]
 	first := calc
@@ -264,17 +255,17 @@ func (e *inOrderEval) serverEdges(sink edgeSink, v int, o Orders, din, dout bool
 		for _, ei := range ins {
 			op := commOp(w, ei)
 			if prev >= 0 {
-				sink.AddEdge(prev, op, opDur(w, prev), 0)
+				g.AddEdge(prev, op, opDur(w, prev), 0)
 			}
 			prev = op
 		}
 		if prev >= 0 {
-			sink.AddEdge(prev, calc, opDur(w, prev), 0)
+			g.AddEdge(prev, calc, opDur(w, prev), 0)
 			first = commOp(w, ins[0])
 		}
 	} else {
 		for _, ei := range ins {
-			sink.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
+			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
 		}
 	}
 	last := calc
@@ -282,82 +273,36 @@ func (e *inOrderEval) serverEdges(sink edgeSink, v int, o Orders, din, dout bool
 		prev := calc
 		for _, ei := range outs {
 			op := commOp(w, ei)
-			sink.AddEdge(prev, op, opDur(w, prev), 0)
+			g.AddEdge(prev, op, opDur(w, prev), 0)
 			prev = op
 		}
 		last = prev
 	} else {
 		for _, ei := range outs {
-			sink.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
+			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
 		}
 	}
 	// Wrap edges (one token): every possible last op to every possible
 	// first op of the next data set.
 	switch {
 	case dout && din:
-		sink.AddEdge(last, first, opDur(w, last), 1)
+		g.AddEdge(last, first, opDur(w, last), 1)
 	case dout:
 		for _, fi := range ins {
-			sink.AddEdge(last, commOp(w, fi), opDur(w, last), 1)
+			g.AddEdge(last, commOp(w, fi), opDur(w, last), 1)
 		}
 	case din:
 		for _, li := range outs {
-			sink.AddEdge(commOp(w, li), first, w.Vol(li), 1)
+			g.AddEdge(commOp(w, li), first, w.Vol(li), 1)
 		}
 	default:
 		for _, li := range outs {
 			for _, fi := range ins {
-				sink.AddEdge(commOp(w, li), commOp(w, fi), w.Vol(li), 1)
+				g.AddEdge(commOp(w, li), commOp(w, fi), w.Vol(li), 1)
 			}
 		}
 	}
-	sink.AddEdge(calc, calc, e.cexec[v], 1)
-}
-
-// prepare builds the segmented bound graph — one segment per server — for
-// the current decided state; patch rebuilds one server's segment in place.
-func (e *inOrderEval) prepare(o Orders, decidedIn, decidedOut []bool, st *Stats) {
-	e.st = st
-	if e.seg == nil {
-		e.seg = eventgraph.NewSegmented(opCount(e.w), e.w.N())
-	} else {
-		e.seg.Reset(opCount(e.w), e.w.N())
-	}
-	before := e.seg.EdgesBuilt()
-	for v := 0; v < e.w.N(); v++ {
-		e.seg.BeginSegment(v)
-		e.serverEdges(e.seg, v, o, decidedIn[v], decidedOut[v])
-	}
-	if st != nil {
-		st.BoundEdgesBuilt += e.seg.EdgesBuilt() - before
-	}
-}
-
-func (e *inOrderEval) patch(v int, o Orders, decidedIn, decidedOut []bool) {
-	before := e.seg.EdgesBuilt()
-	e.seg.BeginSegment(v)
-	e.serverEdges(e.seg, v, o, decidedIn[v], decidedOut[v])
-	if e.st != nil {
-		e.st.BoundEdgesBuilt += e.seg.EdgesBuilt() - before
-	}
-}
-
-// exceedsIncremental answers exceeds against the patched graph, certified
-// float pre-filter first. It never prunes where exceeds would not: the
-// segmented relaxation decides feasibility identically except for the
-// zero-token deadlock pre-check, whose absence only reports feasible more
-// often (a weaker, still admissible bound).
-func (e *inOrderEval) exceedsIncremental(limit rat.Rat) bool {
-	feasible, fellBack := e.seg.FeasibleAt(limit)
-	if e.st != nil {
-		e.st.BoundEdgesFlat += int64(e.seg.TotalEdges())
-		if fellBack {
-			e.st.FilterFallback++
-		} else {
-			e.st.FilterCertified++
-		}
-	}
-	return !feasible
+	g.AddEdge(calc, calc, e.cexec[v], 1)
 }
 
 func (e *inOrderEval) value(o Orders) (rat.Rat, error) {
@@ -392,7 +337,7 @@ func InOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
 }
 
 func scoreInOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
-	return searchOrders(w, opts, func() orderEval { return newInOrderEval(w) },
+	return searchOrders(w, opts, newInOrderEval(w),
 		w.PeriodLowerBound(plan.InOrder), inOrderCycle)
 }
 
@@ -522,9 +467,7 @@ func OutOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 // winning orders once the search is over.
 type outOrderEval struct {
 	ino     *inOrderEval
-	g       *eventgraph.Graph     // pipelined-template scratch
-	seg     *eventgraph.Segmented // incremental bound graph: per-server + static segment
-	st      *Stats
+	g       *eventgraph.Graph // pipelined-template scratch
 	pi      []rat.Rat
 	gen     []int
 	commGen []int
@@ -557,32 +500,27 @@ func (e *outOrderEval) floor() rat.Rat { return e.fl }
 func (e *outOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 	w := e.ino.w
 	e.g.Reset(opCount(w))
-	e.staticEdges(e.g)
+	// Data precedence: calc(u) → comm carries no tokens (same stage);
+	// comm → calc(v) carries the stage difference ≥ 1.
+	for ei, ed := range w.Edges() {
+		if ed.From >= 0 {
+			e.g.AddEdge(calcOp(ed.From), commOp(w, ei), w.Comp(ed.From), 0)
+		}
+		if ed.To >= 0 {
+			e.g.AddEdge(commOp(w, ei), calcOp(ed.To), w.Vol(ei), e.commGen[ei]-e.gen[ed.To])
+		}
+	}
 	for v := 0; v < w.N(); v++ {
 		din := decidedIn == nil || decidedIn[v]
 		dout := decidedOut == nil || decidedOut[v]
-		e.residueEdges(e.g, v, o, din, dout)
+		e.residueEdges(v, o, din, dout)
 	}
 }
 
-// staticEdges emits the order-independent data-precedence edges in shifted
-// time: calc(u) → comm carries no tokens (same stage); comm → calc(v)
-// carries the stage difference ≥ 1.
-func (e *outOrderEval) staticEdges(sink edgeSink) {
-	w := e.ino.w
-	for ei, ed := range w.Edges() {
-		if ed.From >= 0 {
-			sink.AddEdge(calcOp(ed.From), commOp(w, ei), w.Comp(ed.From), 0)
-		}
-		if ed.To >= 0 {
-			sink.AddEdge(commOp(w, ei), calcOp(ed.To), w.Vol(ei), e.commGen[ei]-e.gen[ed.To])
-		}
-	}
-}
-
-// residueEdges emits server v's residue-cycle constraints (see build).
-func (e *outOrderEval) residueEdges(sink edgeSink, v int, o Orders, din, dout bool) {
-	w := e.ino.w
+// residueEdges adds server v's residue-cycle constraints (see build) to the
+// pipelined scratch graph.
+func (e *outOrderEval) residueEdges(v int, o Orders, din, dout bool) {
+	w, g := e.ino.w, e.g
 	calc := calcOp(v)
 	ins, outs := o.In[v], o.Out[v]
 	firstOut := -1
@@ -593,15 +531,15 @@ func (e *outOrderEval) residueEdges(sink edgeSink, v int, o Orders, din, dout bo
 			for _, ei := range outs {
 				op := commOp(w, ei)
 				if prev >= 0 {
-					sink.AddEdge(prev, op, opDur(w, prev), 0)
+					g.AddEdge(prev, op, opDur(w, prev), 0)
 				}
 				prev = op
 			}
-			sink.AddEdge(prev, calc, opDur(w, prev), 1)
+			g.AddEdge(prev, calc, opDur(w, prev), 1)
 		}
 	} else {
 		for _, ei := range outs {
-			sink.AddEdge(commOp(w, ei), calc, w.Vol(ei), 1)
+			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 1)
 		}
 	}
 	// wrapTo closes the residue cycle from the last in-side operation
@@ -610,12 +548,12 @@ func (e *outOrderEval) residueEdges(sink edgeSink, v int, o Orders, din, dout bo
 	wrapTo := func(from int, delay rat.Rat) {
 		switch {
 		case firstOut >= 0:
-			sink.AddEdge(from, firstOut, delay, 0)
+			g.AddEdge(from, firstOut, delay, 0)
 		case dout: // no out-comms: the residue wraps straight to calc
-			sink.AddEdge(from, calc, delay, 0)
+			g.AddEdge(from, calc, delay, 0)
 		default:
 			for _, ei := range outs {
-				sink.AddEdge(from, commOp(w, ei), delay, 0)
+				g.AddEdge(from, commOp(w, ei), delay, 0)
 			}
 		}
 	}
@@ -623,69 +561,17 @@ func (e *outOrderEval) residueEdges(sink edgeSink, v int, o Orders, din, dout bo
 		prev := calc
 		for _, ei := range ins {
 			op := commOp(w, ei)
-			sink.AddEdge(prev, op, opDur(w, prev), 0)
+			g.AddEdge(prev, op, opDur(w, prev), 0)
 			prev = op
 		}
 		wrapTo(prev, opDur(w, prev))
 	} else {
 		for _, ei := range ins {
-			sink.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
+			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
 			wrapTo(commOp(w, ei), w.Vol(ei))
 		}
 	}
-	sink.AddEdge(calc, calc, e.ino.cexec[v], 1)
-}
-
-// prepare/patch/exceedsIncremental: the OUTORDER bound needs BOTH templates
-// infeasible (value is their minimum), so the evaluator drives two
-// segmented graphs — the embedded INORDER one and its own pipelined one,
-// whose segment w.N() holds the static data-precedence edges built once per
-// prepare.
-func (e *outOrderEval) prepare(o Orders, decidedIn, decidedOut []bool, st *Stats) {
-	e.ino.prepare(o, decidedIn, decidedOut, st)
-	w := e.ino.w
-	e.st = st
-	if e.seg == nil {
-		e.seg = eventgraph.NewSegmented(opCount(w), w.N()+1)
-	} else {
-		e.seg.Reset(opCount(w), w.N()+1)
-	}
-	before := e.seg.EdgesBuilt()
-	e.seg.BeginSegment(w.N())
-	e.staticEdges(e.seg)
-	for v := 0; v < w.N(); v++ {
-		e.seg.BeginSegment(v)
-		e.residueEdges(e.seg, v, o, decidedIn[v], decidedOut[v])
-	}
-	if st != nil {
-		st.BoundEdgesBuilt += e.seg.EdgesBuilt() - before
-	}
-}
-
-func (e *outOrderEval) patch(v int, o Orders, decidedIn, decidedOut []bool) {
-	e.ino.patch(v, o, decidedIn, decidedOut)
-	before := e.seg.EdgesBuilt()
-	e.seg.BeginSegment(v)
-	e.residueEdges(e.seg, v, o, decidedIn[v], decidedOut[v])
-	if e.st != nil {
-		e.st.BoundEdgesBuilt += e.seg.EdgesBuilt() - before
-	}
-}
-
-func (e *outOrderEval) exceedsIncremental(limit rat.Rat) bool {
-	if !e.ino.exceedsIncremental(limit) {
-		return false
-	}
-	feasible, fellBack := e.seg.FeasibleAt(limit)
-	if e.st != nil {
-		e.st.BoundEdgesFlat += int64(e.seg.TotalEdges())
-		if fellBack {
-			e.st.FilterFallback++
-		} else {
-			e.st.FilterCertified++
-		}
-	}
-	return !feasible
+	g.AddEdge(calc, calc, e.ino.cexec[v], 1)
 }
 
 func (e *outOrderEval) value(o Orders) (rat.Rat, error) {
@@ -729,7 +615,7 @@ func OutOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
 }
 
 func scoreOutOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
-	return searchOrders(w, opts, func() orderEval { return newOutOrderEval(w) },
+	return searchOrders(w, opts, newOutOrderEval(w),
 		w.PeriodLowerBound(plan.OutOrder), outOrderCycle)
 }
 

@@ -1,7 +1,6 @@
 package orchestrate
 
-// The order-search fast-path suite: equivalence with the pre-fast-path
-// flat enumeration, bit-identical results across worker counts, bound
+// The order-search suite: equivalence with the flat enumeration, bound
 // admissibility on partial assignments, and the search counters.
 
 import (
@@ -43,6 +42,27 @@ func searchCases() []searchCase {
 			val:  func(l *oplist.List) rat.Rat { return l.Latency() },
 		},
 	}
+}
+
+// forEachOrders is the flat enumeration: every order combination, slot by
+// slot in collectSlots order, invoking fn with a reused Orders value (fn
+// must not retain it). fn returns false to stop.
+func forEachOrders(w *plan.Weighted, fn func(Orders) bool) {
+	orders := DefaultOrders(w)
+	slots := collectSlots(orders)
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(slots) {
+			return fn(orders)
+		}
+		cont := true
+		permute(slots[i].side, 0, func() bool {
+			cont = rec(i + 1)
+			return cont
+		})
+		return cont
+	}
+	rec(0)
 }
 
 // naiveBest is the pre-fast-path reference: score every order assignment
@@ -109,8 +129,8 @@ func searchTestPlans(t *testing.T, maxCombos int) []*plan.Weighted {
 	return plans
 }
 
-// TestPrunedSearchMatchesFlatEnumeration pins the tentpole equivalence:
-// the pruned + sharded exhaustive search returns the bit-identical Result
+// TestPrunedSearchMatchesFlatEnumeration pins the search's equivalence:
+// the pruned exhaustive search returns the bit-identical Result
 // (value, schedule, Exact) the pre-fast-path flat product scan kept, on
 // every entry point.
 func TestPrunedSearchMatchesFlatEnumeration(t *testing.T) {
@@ -140,46 +160,11 @@ func TestPrunedSearchMatchesFlatEnumeration(t *testing.T) {
 	}
 }
 
-// TestSearchWorkerDeterminism pins the sharding invariant: every worker
-// count returns the bit-identical Result — value, Exact, full operation
-// list and Bottleneck — including the serial single-shard special case.
-func TestSearchWorkerDeterminism(t *testing.T) {
-	for pi, w := range searchTestPlans(t, 2000) {
-		for _, c := range searchCases() {
-			base, baseErr := c.run(w, Options{Workers: 1})
-			for _, workers := range []int{0, 2, 3, 8} {
-				res, err := c.run(w, Options{Workers: workers})
-				if (err == nil) != (baseErr == nil) {
-					t.Fatalf("plan %d %s workers %d: error mismatch (%v vs %v)", pi, c.name, workers, err, baseErr)
-				}
-				if err != nil {
-					continue
-				}
-				if !res.Value.Equal(base.Value) || res.Exact != base.Exact {
-					t.Fatalf("plan %d %s workers %d: (%s, %v) != serial (%s, %v)",
-						pi, c.name, workers, res.Value, res.Exact, base.Value, base.Exact)
-				}
-				if !listsIdentical(res.List, base.List) {
-					t.Fatalf("plan %d %s workers %d: schedule differs from serial", pi, c.name, workers)
-				}
-				if len(res.Bottleneck) != len(base.Bottleneck) {
-					t.Fatalf("plan %d %s workers %d: bottleneck %v != %v", pi, c.name, workers, res.Bottleneck, base.Bottleneck)
-				}
-				for i := range res.Bottleneck {
-					if res.Bottleneck[i] != base.Bottleneck[i] {
-						t.Fatalf("plan %d %s workers %d: bottleneck %v != %v", pi, c.name, workers, res.Bottleneck, base.Bottleneck)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPrefixBoundAdmissible checks the pruning bounds against ground
 // truth: whenever exceeds(partial, limit) claims every completion lies
 // strictly above limit, no completion's true value may be ≤ limit. The
 // partial assignments replayed here are exactly the ones the search
-// visits: the first k slots fixed (in shard-prefix order), the rest open.
+// visits: the first k slots fixed (in enumeration order), the rest open.
 func TestPrefixBoundAdmissible(t *testing.T) {
 	evals := []struct {
 		name string
@@ -268,7 +253,7 @@ func TestSearchStatsAndPruning(t *testing.T) {
 		t.Fatalf("probe instance degenerated: %d combinations", combos)
 	}
 	var st Stats
-	res, err := InOrderPeriod(w, Options{Stats: &st, Workers: 1})
+	res, err := InOrderPeriod(w, Options{Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +279,7 @@ func TestSearchStatsAndPruning(t *testing.T) {
 	app = gen.App(rng, 3+rng.Intn(4), gen.Mixed)
 	fw := gen.DAGPlan(rng, app, 0.6).Weighted()
 	var fst Stats
-	fres, err := OutOrderPeriod(fw, Options{Stats: &fst, Workers: 1})
+	fres, err := OutOrderPeriod(fw, Options{Stats: &fst})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,16 +17,12 @@
 //     strict-improvement comparison, so the winner is the one a serial scan
 //     of the shards would keep, regardless of goroutine interleaving;
 //   - shard partitions never change the reduced result: shards are
-//     contiguous ranges of the serial scan order, so any partition — the
-//     searches use fixed shard counts when parallel, and the orchestrate
-//     order search collapses to a single shard when serial — reduces to
-//     the same winner the unsharded serial scan would keep.
+//     contiguous ranges of the serial scan order, so any partition reduces
+//     to the same winner the unsharded serial scan would keep.
 //
 // Exactly one layer fans out at a time (one pool, never nested): whoever
-// owns the top level — the experiment harness, a plan-level search, the
-// planning service's intake queue, or an orchestration-level order search
-// running under a serial plan search — runs everything beneath it
-// serially.
+// owns the top level — the experiment harness, a plan-level search or the
+// planning service's intake queue — runs everything beneath it serially.
 package par
 
 import (

@@ -577,7 +577,6 @@ func TestAdd64Edges(t *testing.T) {
 var (
 	sinkRat Rat
 	sinkInt int
-	sinkIv  Interval
 )
 
 // BenchmarkSmallOps times the int64 kernel on the operand shapes the plan
@@ -605,7 +604,6 @@ func BenchmarkSmallOps(b *testing.B) {
 		{"Cmp/equal-den", func() { sinkInt = third.Cmp(cost) }},
 		{"Cmp/unequal-den", func() { sinkInt = sel.Cmp(cost) }},
 		{"Cmp/128-bit", func() { sinkInt = wide5.Cmp(wide7) }},
-		{"Interval", func() { sinkIv = sel.Interval() }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			if allocs := testing.AllocsPerRun(100, bc.op); allocs != 0 {

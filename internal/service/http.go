@@ -347,15 +347,11 @@ type explainSolverJSON struct {
 }
 
 type explainOrchJSON struct {
-	Orchestrations  int64 `json:"orchestrations"`
-	MemoHits        int64 `json:"memo_hits"`
-	Prefixes        int64 `json:"prefixes"`
-	Pruned          int64 `json:"pruned"`
-	Evaluated       int64 `json:"evaluated"`
-	BoundEdgesBuilt int64 `json:"bound_edges_built"`
-	BoundEdgesFlat  int64 `json:"bound_edges_flat"`
-	FilterCertified int64 `json:"filter_certified"`
-	FilterFallback  int64 `json:"filter_fallback"`
+	Orchestrations int64 `json:"orchestrations"`
+	MemoHits       int64 `json:"memo_hits"`
+	Prefixes       int64 `json:"prefixes"`
+	Pruned         int64 `json:"pruned"`
+	Evaluated      int64 `json:"evaluated"`
 }
 
 type explainTimingsJSON struct {
@@ -393,15 +389,11 @@ func explainResponse(e Explain) explainJSON {
 			Evaluated: ef.Search.Evaluated,
 		}
 		out.Orch = &explainOrchJSON{
-			Orchestrations:  ef.Evals,
-			MemoHits:        ef.MemoHits,
-			Prefixes:        ef.Orch.Prefixes,
-			Pruned:          ef.Orch.Pruned,
-			Evaluated:       ef.Orch.Evaluated,
-			BoundEdgesBuilt: ef.Orch.BoundEdgesBuilt,
-			BoundEdgesFlat:  ef.Orch.BoundEdgesFlat,
-			FilterCertified: ef.Orch.FilterCertified,
-			FilterFallback:  ef.Orch.FilterFallback,
+			Orchestrations: ef.Evals,
+			MemoHits:       ef.MemoHits,
+			Prefixes:       ef.Orch.Prefixes,
+			Pruned:         ef.Orch.Pruned,
+			Evaluated:      ef.Orch.Evaluated,
 		}
 		out.Timings = &explainTimingsJSON{
 			QueueSeconds: float64(ef.QueueNanos) / 1e9,

@@ -167,13 +167,10 @@ type Request struct {
 
 // solveOptions builds the solver options of a request. Workers is pinned
 // to 1: the request already runs on a pool worker (one pool, never
-// nested). orchWorkers is the worker budget the orchestration layer's
-// order search may borrow — Server.orchWorkers decides when that is safe.
-// ctx bounds the search (nil: unbounded) — it can only abort the solve
-// with an error, never change its result, so neither it nor orchWorkers
-// is part of the cache key (orchestration Results are identical for every
-// worker count).
-func (r Request) solveOptions(ctx context.Context, orchWorkers int) solve.Options {
+// nested). ctx bounds the search (nil: unbounded) — it can only abort the
+// solve with an error, never change its result, so it is not part of the
+// cache key.
+func (r Request) solveOptions(ctx context.Context) solve.Options {
 	return solve.Options{
 		Method:    r.Method,
 		Family:    r.Family,
@@ -181,7 +178,6 @@ func (r Request) solveOptions(ctx context.Context, orchWorkers int) solve.Option
 		Seed:      r.Seed,
 		Restarts:  r.Restarts,
 		Workers:   1,
-		Orch:      orchestrate.Options{Workers: orchWorkers},
 		Ctx:       ctx,
 	}
 }
@@ -385,22 +381,6 @@ type Server struct {
 	explain  *explainCache
 	version  string
 	revision string
-}
-
-// orchWorkers is the worker budget one inner solve may hand down to the
-// orchestration layer's order search. Inner solves always run plan-level
-// Workers: 1 on their pool worker; on a single-worker server the rest of
-// the machine is idle for the duration of that solve, so the sharded
-// order search of internal/orchestrate borrows the whole CPU budget —
-// still exactly one level of fan-out at any time (one pool, never
-// nested). A wider intake pool serves concurrent requests instead, and
-// orchestration stays serial. Either way the response bytes are
-// identical: orchestration Results do not depend on the worker count.
-func (s *Server) orchWorkers() int {
-	if s.cfg.Workers == 1 {
-		return par.Workers(0)
-	}
-	return 1
 }
 
 // New starts a server: Config.Workers goroutines begin draining the intake
@@ -657,7 +637,7 @@ retry:
 			queued := time.Since(submitted)
 			s.solves.Add(1)
 			start := time.Now()
-			opts := req.solveOptions(ctx, s.orchWorkers())
+			opts := req.solveOptions(ctx)
 			opts.Incumbent = incumbent
 			// Every pool solve shares the server memo: identical weighted
 			// subgraphs reached by different requests cost one
@@ -917,10 +897,8 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 		if eg, err := remapGraph(oldInst.App(), newInst.App(), oldResp.Solution.Graph); err == nil {
 			if familyMember(eg, req, newInst.App()) {
 				// This re-evaluation runs on the request goroutine, off
-				// the intake pool — the pool worker may be mid-solve with
-				// the borrowed orchestration budget, so the budget here is
-				// pinned serial (one layer of fan-out at a time).
-				reOpts := req.solveOptions(ctx, 1)
+				// the intake pool, and serially like every orchestration.
+				reOpts := req.solveOptions(ctx)
 				reOpts.Memo = s.memo
 				if re, err := solve.Reevaluate(eg, req.Model, req.Objective, reOpts); err == nil {
 					v := re.Value

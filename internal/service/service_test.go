@@ -37,9 +37,9 @@ func directSolve(t *testing.T, req Request) solve.Solution {
 	}
 	var sol solve.Solution
 	if req.Objective == solve.PeriodObjective {
-		sol, err = solve.MinPeriod(inst.App(), req.Model, req.solveOptions(nil, 1))
+		sol, err = solve.MinPeriod(inst.App(), req.Model, req.solveOptions(nil))
 	} else {
-		sol, err = solve.MinLatency(inst.App(), req.Model, req.solveOptions(nil, 1))
+		sol, err = solve.MinLatency(inst.App(), req.Model, req.solveOptions(nil))
 	}
 	if err != nil {
 		t.Fatal(err)

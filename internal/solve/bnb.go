@@ -381,7 +381,7 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 		return Solution{}, err
 	}
 	// Optimal among chains, not globally.
-	return solveGraph(eg, m, obj, opts.orchWide())
+	return solveGraph(eg, m, obj, opts)
 }
 
 // --- forests ---

@@ -6,7 +6,7 @@ package solve
 // The paper's central claim is quantitative — pruned branch-and-bound and
 // relaxed-event-graph bounds make the NP-hard mapping tractable — and the
 // evidence is counters: nodes expanded versus pruned, candidate graphs
-// orchestrated, memo hits, bound-patching and pre-filter effectiveness.
+// orchestrated, memo hits, order-search prefixes bounded and pruned.
 // The solvers already produce all of them; this file is the plumbing that
 // keeps them attached to the solve that produced them instead of being
 // dropped on the service floor. Everything here is observational: a probe
@@ -26,9 +26,9 @@ import (
 // EvalProbe observes every candidate orchestration of one solve: how many
 // graphs were scored, how many were served by the orchestration memo, the
 // orchestration wall time, and the aggregated orchestration-search
-// counters (order-search prefixes/pruned, incremental-bound edge savings,
-// float pre-filter certifications). Safe for concurrent use — the
-// parallel searches score candidates from many goroutines.
+// counters (order-search prefixes, pruned and evaluated). Safe for
+// concurrent use — the parallel searches score candidates from many
+// goroutines.
 type EvalProbe struct {
 	evals     atomic.Int64
 	memoHits  atomic.Int64
@@ -71,10 +71,6 @@ func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts
 	p.orch.Prefixes += st.Prefixes
 	p.orch.Pruned += st.Pruned
 	p.orch.Evaluated += st.Evaluated
-	p.orch.BoundEdgesBuilt += st.BoundEdgesBuilt
-	p.orch.BoundEdgesFlat += st.BoundEdgesFlat
-	p.orch.FilterCertified += st.FilterCertified
-	p.orch.FilterFallback += st.FilterFallback
 	p.mu.Unlock()
 	return res, err
 }

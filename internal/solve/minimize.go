@@ -88,7 +88,7 @@ func MinLatency(app *workflow.App, m plan.Model, opts Options) (Solution, error)
 // on an instance whose costs or selectivities drifted yields a certified
 // achievable objective to seed the branch-and-bound incumbent with.
 func Reevaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	return solveGraph(eg, m, obj, opts.withDefaults().orchWide())
+	return solveGraph(eg, m, obj, opts.withDefaults())
 }
 
 func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
@@ -158,7 +158,7 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 		return Solution{}, err
 	}
 	// Optimal among chains (Prop. 8 / Prop. 16), not globally.
-	return solveGraph(eg, m, obj, opts.orchWide())
+	return solveGraph(eg, m, obj, opts)
 }
 
 // shardResult is one enumeration shard's outcome: its best solution (nil
@@ -552,31 +552,26 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	// The period is only ever compared against the bound, so it is scored
 	// and never materialised; the latency schedule is materialised when it
 	// improves the shard's best.
-	tryIntoWith := func(r *shardResult, eg *plan.ExecGraph, o Options) {
+	tryInto := func(r *shardResult, eg *plan.ExecGraph) {
 		w := eg.Weighted()
-		per, _, err := orchestrate.ScorePeriod(o.Memo, w, m, o.Orch)
+		per, _, err := orchestrate.ScorePeriod(opts.Memo, w, m, opts.Orch)
 		if err != nil || per.Value.Greater(periodBound) {
 			return
 		}
-		lat, _, err := orchestrate.ScoreLatency(o.Memo, w, m, o.Orch)
+		lat, _, err := orchestrate.ScoreLatency(opts.Memo, w, m, opts.Orch)
 		if err != nil {
 			return
 		}
-		r.offer(scored{eg: eg, w: w, Score: lat}, o)
+		r.offer(scored{eg: eg, w: w, Score: lat}, opts)
 	}
-	// The structured-candidate scan below runs on the calling goroutine
-	// with the pool idle, so its orchestrations borrow the solve's worker
-	// budget; the forest enumeration holds the pool itself and keeps its
-	// inner orchestrations serial.
-	wide := opts.orchWide()
-	tryGraph := func(eg *plan.ExecGraph) { tryIntoWith(&best, eg, wide) }
+	tryGraph := func(eg *plan.ExecGraph) { tryInto(&best, eg) }
 	if n <= maxN(opts, 6) {
 		// Same sharding as the forest branch-and-bound: each worker scans
 		// the completions of a two-node prefix for the best bound-respecting
 		// latency; the shard winners reduce in serial prefix order.
 		best.sol, _ = reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
 			if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {
-				tryIntoWith(r, eg, opts)
+				tryInto(r, eg)
 			}
 		}))
 	} else {

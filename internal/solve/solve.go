@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/orchestrate"
-	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -243,20 +242,6 @@ func (o Options) withDefaults() Options {
 	// 4096 unless explicitly requested.
 	if o.Orch.MaxExhaustive == 0 {
 		o.Orch.MaxExhaustive = 4096
-	}
-	return o
-}
-
-// orchWide returns the options for a single-graph orchestration that runs
-// while the plan-level search is not fanned out (the greedy chain, warm
-// restarts, the post-reduction winner of a chain search): the pool is idle
-// at that moment, so the order search borrows the solve's whole worker
-// budget. Everything evaluated INSIDE plan-level shards keeps the zero
-// value — serial orchestration — so the two levels never stack goroutines
-// (one pool, never nested).
-func (o Options) orchWide() Options {
-	if o.Orch.Workers == 0 {
-		o.Orch.Workers = par.Workers(o.Workers)
 	}
 	return o
 }

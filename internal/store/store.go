@@ -175,7 +175,9 @@ type entryJSON struct {
 
 // effortJSON serializes solve.Effort with the method and family as their
 // canonical names, so entry files stay greppable and enum renumbering
-// cannot corrupt stored records.
+// cannot corrupt stored records. Entries written by older builds may also
+// carry bound_edges_built/_flat and filter_certified/_fallback, counters of
+// a bound and pre-filter since deleted: decoding ignores them.
 type effortJSON struct {
 	Method   string `json:"method"`
 	Family   string `json:"family"`
@@ -183,19 +185,15 @@ type effortJSON struct {
 	Pruned   int64  `json:"pruned"`
 	// Evaluated counts complete graphs scored by the branch-and-bound
 	// search; Evals every candidate orchestration of the solve.
-	Evaluated       int64 `json:"evaluated"`
-	Evals           int64 `json:"orchestrations"`
-	MemoHits        int64 `json:"memo_hits"`
-	OrchPrefixes    int64 `json:"orch_prefixes"`
-	OrchPruned      int64 `json:"orch_pruned"`
-	OrchEvaluated   int64 `json:"orch_evaluated"`
-	BoundEdgesBuilt int64 `json:"bound_edges_built"`
-	BoundEdgesFlat  int64 `json:"bound_edges_flat"`
-	FilterCertified int64 `json:"filter_certified"`
-	FilterFallback  int64 `json:"filter_fallback"`
-	QueueNanos      int64 `json:"queue_nanos"`
-	SolveNanos      int64 `json:"solve_nanos"`
-	OrchNanos       int64 `json:"orch_nanos"`
+	Evaluated     int64 `json:"evaluated"`
+	Evals         int64 `json:"orchestrations"`
+	MemoHits      int64 `json:"memo_hits"`
+	OrchPrefixes  int64 `json:"orch_prefixes"`
+	OrchPruned    int64 `json:"orch_pruned"`
+	OrchEvaluated int64 `json:"orch_evaluated"`
+	QueueNanos    int64 `json:"queue_nanos"`
+	SolveNanos    int64 `json:"solve_nanos"`
+	OrchNanos     int64 `json:"orch_nanos"`
 }
 
 // encodeEffort maps solve.Effort to its JSON form (nil passes through).
@@ -204,23 +202,19 @@ func encodeEffort(e *solve.Effort) *effortJSON {
 		return nil
 	}
 	return &effortJSON{
-		Method:          e.Method.String(),
-		Family:          e.Family.String(),
-		Expanded:        e.Search.Expanded,
-		Pruned:          e.Search.Pruned,
-		Evaluated:       e.Search.Evaluated,
-		Evals:           e.Evals,
-		MemoHits:        e.MemoHits,
-		OrchPrefixes:    e.Orch.Prefixes,
-		OrchPruned:      e.Orch.Pruned,
-		OrchEvaluated:   e.Orch.Evaluated,
-		BoundEdgesBuilt: e.Orch.BoundEdgesBuilt,
-		BoundEdgesFlat:  e.Orch.BoundEdgesFlat,
-		FilterCertified: e.Orch.FilterCertified,
-		FilterFallback:  e.Orch.FilterFallback,
-		QueueNanos:      e.QueueNanos,
-		SolveNanos:      e.SolveNanos,
-		OrchNanos:       e.OrchNanos,
+		Method:        e.Method.String(),
+		Family:        e.Family.String(),
+		Expanded:      e.Search.Expanded,
+		Pruned:        e.Search.Pruned,
+		Evaluated:     e.Search.Evaluated,
+		Evals:         e.Evals,
+		MemoHits:      e.MemoHits,
+		OrchPrefixes:  e.Orch.Prefixes,
+		OrchPruned:    e.Orch.Pruned,
+		OrchEvaluated: e.Orch.Evaluated,
+		QueueNanos:    e.QueueNanos,
+		SolveNanos:    e.SolveNanos,
+		OrchNanos:     e.OrchNanos,
 	}
 }
 
@@ -240,18 +234,10 @@ func decodeEffort(d *effortJSON) *solve.Effort {
 		return nil
 	}
 	return &solve.Effort{
-		Method: method,
-		Family: family,
-		Search: solve.Stats{Expanded: d.Expanded, Pruned: d.Pruned, Evaluated: d.Evaluated},
-		Orch: orchestrate.Stats{
-			Prefixes:        d.OrchPrefixes,
-			Pruned:          d.OrchPruned,
-			Evaluated:       d.OrchEvaluated,
-			BoundEdgesBuilt: d.BoundEdgesBuilt,
-			BoundEdgesFlat:  d.BoundEdgesFlat,
-			FilterCertified: d.FilterCertified,
-			FilterFallback:  d.FilterFallback,
-		},
+		Method:     method,
+		Family:     family,
+		Search:     solve.Stats{Expanded: d.Expanded, Pruned: d.Pruned, Evaluated: d.Evaluated},
+		Orch:       orchestrate.Stats{Prefixes: d.OrchPrefixes, Pruned: d.OrchPruned, Evaluated: d.OrchEvaluated},
 		Evals:      d.Evals,
 		MemoHits:   d.MemoHits,
 		QueueNanos: d.QueueNanos,

@@ -15,7 +15,7 @@ import (
 	"repro/internal/workflow"
 )
 
-func solvedEntry(t *testing.T, name string) Entry {
+func solvedEntry(t testing.TB, name string) Entry {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
 	if err != nil {
@@ -323,5 +323,62 @@ func TestEntryOfRetiredMethodLoadsWithoutEffort(t *testing.T) {
 	}
 	if want := data[:bytes.Index(data, []byte(",\n  \"effort\""))]; !bytes.HasPrefix(again, want) {
 		t.Error("the loaded plan does not re-encode to the bytes it was loaded from")
+	}
+}
+
+// TestEntryWithBoundCountersLoads: testdata holds an entry the build before
+// the order search lost its segmented bound and float pre-filter persisted
+// for a default (auto) INORDER period request on a 5-service instance with
+// precedence. Its effort record carries the four counters of those
+// mechanisms (bound_edges_*, filter_*). The entry must load, hold the
+// Solution a solve by this build returns, keep every other effort counter —
+// they match this build's own solve — and re-encode to the stored bytes
+// minus the four dropped counters.
+func TestEntryWithBoundCountersLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "auto_dag_bound_counters.plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	dropped := 0
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if bytes.Contains(line, []byte(`"bound_edges_`)) || bytes.Contains(line, []byte(`"filter_`)) {
+			dropped++
+			continue
+		}
+		want = append(want, line...)
+	}
+	if dropped != 4 || !bytes.Contains(data, []byte(`"filter_certified": 65`)) {
+		t.Fatal("fixture no longer carries the four bound counters")
+	}
+	e, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(e.Key, "|INORDER|period|auto|auto|0|0|0") || e.Effort == nil {
+		t.Fatalf("entry: key %q effort %+v", e.Key, e.Effort)
+	}
+	again, err := Encode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Errorf("re-encoded entry differs from the stored one minus the bound counters:\n%s", again)
+	}
+
+	probe := &solve.EvalProbe{}
+	var st solve.Stats
+	sol, err := solve.MinPeriod(e.Instance.App(), plan.InOrder, solve.Options{Workers: 1, Stats: &st, Probe: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Encode(Entry{Key: e.Key, Instance: e.Instance, Solution: sol, Effort: e.Effort}); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("this build's Solution differs from the stored one (%v)", err)
+	}
+	ef := e.Effort
+	if ef.Method != solve.BranchBound || ef.Family != solve.FamilyDAG || ef.Search != st ||
+		ef.Orch != probe.Orch() || ef.Evals != probe.Evals() || ef.MemoHits != probe.MemoHits() {
+		t.Errorf("stored effort %+v, this build's solve: %+v, orch %+v, %d evals, %d memo hits",
+			*ef, st, probe.Orch(), probe.Evals(), probe.MemoHits())
 	}
 }
