@@ -369,13 +369,19 @@ type howardScratch struct {
 	etaSet []bool
 	eta    []rat.Rat
 	val    []rat.Rat
-	cycAt  []int // anchor nodes: offset of the node's policy cycle in cycBuf, else -1
+	cycAt  []int // entry nodes: offset of the node's policy cycle in cycBuf, else -1
 	cycLen []int
 	cycBuf []int // edge indices of the current policy's cycles, back to back
 	state  []uint8
 	local  []int // edge indices internal to the component
 	stack  []int
+	iters  int // most policy iterations one component took in the last MCR query
 }
+
+// maxIters guards Howard's policy iteration against a bug: with canonical
+// cycle anchors it converges, in a handful of iterations on the event graphs
+// the orchestrators build, so reaching the cap is an internal error.
+const maxIters = 100000
 
 func (s *howardScratch) resize(n int) {
 	if cap(s.inComp) < n {
@@ -407,6 +413,7 @@ func (s *howardScratch) resize(n int) {
 	}
 	s.local = s.local[:0]
 	s.stack = s.stack[:0]
+	s.iters = 0
 }
 
 // howardSCC runs Howard's policy iteration (maximum version) on one
@@ -490,25 +497,34 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 					i--
 				}
 				cycNodes := s.stack[i:]
-				sumD, sumH := rat.Zero, 0
-				for _, u := range cycNodes {
+				sumD, sumH, low := rat.Zero, 0, 0
+				for j, u := range cycNodes {
 					e := g.edges[s.policy[u]]
 					sumD = sumD.Add(e.Delay)
 					sumH += e.Tokens
 					s.cycBuf = append(s.cycBuf, s.policy[u])
+					if u < cycNodes[low] {
+						low = j
+					}
 				}
 				if sumH == 0 {
 					return ErrZeroTokenCycle
 				}
 				ratio := sumD.Div(rat.I(int64(sumH)))
-				// Values around the cycle: anchor v at 0 and walk the cycle
-				// list backwards so each node's successor value is known.
-				s.etaSet[v] = true
-				s.eta[v] = ratio
-				s.val[v] = rat.Zero
+				// Values around the cycle: anchor the cycle's lowest node id at
+				// 0, whichever node the walk entered by, so a cycle the policy
+				// keeps keeps its values. (Anchored at the entry node, an
+				// unchanged cycle is re-valued whenever the walk enters it
+				// elsewhere, and the iteration can cycle without end.) Walk
+				// backwards from the anchor so each successor value is known.
 				s.cycAt[v], s.cycLen[v] = at, len(cycNodes)
-				for j := len(cycNodes) - 1; j >= 1; j-- {
-					u := cycNodes[j]
+				k := len(cycNodes)
+				anchor := cycNodes[low]
+				s.etaSet[anchor] = true
+				s.eta[anchor] = ratio
+				s.val[anchor] = rat.Zero
+				for t := 1; t < k; t++ {
+					u := cycNodes[(low-t+k)%k]
 					e := g.edges[s.policy[u]]
 					s.etaSet[u] = true
 					s.eta[u] = ratio
@@ -530,8 +546,8 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 		return nil
 	}
 
-	const maxIters = 100000
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 1; iter <= maxIters; iter++ {
+		s.iters = max(s.iters, iter)
 		if err := evaluate(); err != nil {
 			return MCRResult{}, false, err
 		}
@@ -579,7 +595,7 @@ func (g *Graph) howardSCC(comp []int, wantCycle bool) (MCRResult, bool, error) {
 			return best, true, nil
 		}
 	}
-	return MCRResult{}, false, fmt.Errorf("eventgraph: Howard iteration did not converge")
+	return MCRResult{}, false, fmt.Errorf("eventgraph: internal error: Howard iteration did not converge in %d iterations", maxIters)
 }
 
 // Potentials returns the earliest begin times for the cyclic schedule of
