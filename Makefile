@@ -117,8 +117,9 @@ smoke-exec:
 # decoder against its two-step oracle, rat.Parse's int64 fast path against
 # the math/big path, the int64 arithmetic kernel against math/big
 # (values, canonical form), the candidate builder (FromGraph + Weighted)
-# against the one it replaced, and the plan-store entry codec (never
-# panics; an accepted entry re-encodes stably).
+# against the one it replaced, the plan-store entry codec (never panics;
+# an accepted entry re-encodes stably), and Score.Materialise (total on
+# what the scoring forms produce).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime 30s ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime 15s ./internal/service/
@@ -126,5 +127,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzArith -fuzztime 15s ./internal/rat/
 	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime 15s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime 15s ./internal/orchestrate/
 
 check: vet build test-short test-race test-alloc bench-smoke

@@ -379,8 +379,9 @@ type howardScratch struct {
 }
 
 // maxIters guards Howard's policy iteration against a bug: with canonical
-// cycle anchors it converges, in a handful of iterations on the event graphs
-// the orchestrators build, so reaching the cap is an internal error.
+// cycle anchors it converges — in tens of iterations per component on the
+// event graphs the orchestrators build (TestHowardCertificateOnPlanGraphs)
+// — so reaching the cap is an internal error.
 const maxIters = 100000
 
 func (s *howardScratch) resize(n int) {

@@ -14,8 +14,8 @@ package orchestrate
 //
 // Entries hold Scores (score.go), not schedules: value, bound, exactness
 // and the winning per-server orders — a few small integer slices. The
-// operation list is rebuilt by Score.Materialise for the candidates a
-// search keeps, so the memo costs the garbage collector almost nothing
+// operation list is rebuilt by Score.Materialise for the one candidate a
+// search returns, so the memo costs the garbage collector almost nothing
 // however many candidate graphs pass through it.
 //
 // The key serializes the problem exactly — no hashing, so collisions are

@@ -25,7 +25,7 @@
 // and the winning orders without building a schedule, and
 // Score.Materialise, which rebuilds, validates and explains the schedule
 // of a score (score.go). Plan-level searches score every candidate graph
-// and materialise only the ones they keep.
+// and materialise only the one they return.
 package orchestrate
 
 import (

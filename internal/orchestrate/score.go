@@ -59,10 +59,11 @@ type Score struct {
 
 // Materialise builds, validates and explains the schedule a score stands
 // for. w must be the weighted plan that was scored (or an identical one —
-// a memoized score serves every plan with the same memo key). It fails when
-// the rebuilt list violates the model's constraints or does not reach the
-// scored value; plan searches skip such a candidate exactly as they skip
-// one whose scoring failed.
+// a memoized score serves every plan with the same memo key). It is total
+// on a score the scoring forms produced for w (FuzzScoreMaterialise); it
+// fails only on a foreign score, when the rebuilt list violates the model's
+// constraints or does not reach the scored value, and plan searches return
+// that failure as an internal error.
 func (s Score) Materialise(w *plan.Weighted) (Result, error) {
 	res := Result{LowerBound: s.LowerBound, Exact: s.Exact}
 	var err error

@@ -90,8 +90,8 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 	}
 }
 
-// TestMaterialiseRefusesForeignScore pins the safety net behind "a kept
-// candidate has been validated": a score whose value its schedule does not
+// TestMaterialiseRefusesForeignScore pins the safety net behind "a returned
+// schedule reaches its score": a score whose value its schedule does not
 // reach, or whose orders deadlock the plan, never becomes a Result.
 func TestMaterialiseRefusesForeignScore(t *testing.T) {
 	w := gen.DAGPlan(gen.NewRand(4), gen.App(gen.NewRand(4), 5, gen.Mixed), 0.6).Weighted()
@@ -128,4 +128,53 @@ func TestMaterialiseRefusesForeignScore(t *testing.T) {
 	if _, err := deadlock.Materialise(w); err == nil {
 		t.Fatal("deadlocking orders materialised")
 	}
+}
+
+// FuzzScoreMaterialise checks that Materialise is total on the scores the
+// scoring forms produce: on gen instances of up to 8 services, random DAG
+// plans, the three models and both objectives, under a plan search's
+// options (or smallSearch's, for the heuristic order path), every score
+// rebuilds into a schedule that reaches it and passes its model's
+// validator. The plan searches materialise only their winner and return a
+// failure as an internal error, so this is the property they stand on.
+func FuzzScoreMaterialise(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed), uint8(36*seed), seed%2 == 1, seed%4 == 3)
+	}
+	scorers := []struct {
+		obj   string
+		score func(*Memo, *plan.Weighted, plan.Model, Options) (Score, bool, error)
+	}{{"period", ScorePeriod}, {"latency", ScoreLatency}}
+	f.Fuzz(func(t *testing.T, seed int64, size, density uint8, prec, heuristic bool) {
+		n := 2 + int(size)%7
+		rng := gen.NewRand(seed)
+		app := gen.App(rng, n, gen.Mixed)
+		if prec {
+			app = gen.AppWithPrecedence(rng, n, gen.Mixed, 0.3)
+		}
+		eg := gen.DAGPlan(rng, app, float64(density)/255)
+		w := eg.Weighted()
+		opts := Options{MaxExhaustive: 4096, RandomSamples: -1} // what package solve scores candidates with
+		if heuristic {
+			opts = smallSearch()
+		}
+		for _, m := range plan.Models {
+			for _, sc := range scorers {
+				s, _, err := sc.score(nil, w, m, opts)
+				if err != nil {
+					continue // nothing scored, nothing to materialise
+				}
+				res, err := s.Materialise(w)
+				if err != nil {
+					t.Fatalf("%s %s/%s: materialise: %v", eg, m, sc.obj, err)
+				}
+				if !res.Value.Equal(s.Value) {
+					t.Fatalf("%s %s/%s: materialised %s, scored %s", eg, m, sc.obj, res.Value, s.Value)
+				}
+				if err := res.List.Validate(m); err != nil {
+					t.Fatalf("%s %s/%s: schedule invalid: %v", eg, m, sc.obj, err)
+				}
+			}
+		}
+	})
 }

@@ -170,15 +170,15 @@ type bnbShard struct {
 // incumbent the comparison stays strict so the result cannot depend on
 // when other workers improve it.
 func (sh *bnbShard) prunes(inc *incumbent, bound rat.Rat) bool {
-	if sh.sol.Graph != nil && !bound.Less(sh.sol.Value) {
+	if sh.ok && !bound.Less(sh.best.Value) {
 		return true
 	}
 	return inc.prunes(&sh.cache, bound)
 }
 
-// reduceBnBShards folds shard outcomes in shard order (like reduceShards)
-// and accumulates the counters into opts.Stats when requested.
-func reduceBnBShards(shards []bnbShard, opts Options) (Solution, error) {
+// reduceBnBShards reduces shard outcomes with reduceShards and accumulates
+// the counters into opts.Stats when requested.
+func reduceBnBShards(shards []bnbShard, opts Options, noPlan string) (Solution, error) {
 	results := make([]shardResult, len(shards))
 	var total Stats
 	for i, sh := range shards {
@@ -188,7 +188,7 @@ func reduceBnBShards(shards []bnbShard, opts Options) (Solution, error) {
 	if opts.Stats != nil {
 		*opts.Stats = total
 	}
-	return reduceShards(results)
+	return reduceShards(results, opts, noPlan)
 }
 
 // ResolveFamily resolves FamilyAuto to the structural family the
@@ -229,12 +229,12 @@ func branchBound(app *workflow.App, m plan.Model, obj Objective, opts Options) (
 // seedIncumbent primes the pruning threshold with fast in-family solutions:
 // the greedy chain (a chain is a forest is a DAG) and the hill climb, both
 // orchestrated with the same options as the search so their values are
-// comparable, and both materialised — a seed prunes from the root, so it
-// must be the value of a validated schedule, not only a score — plus the
-// caller's warm-start value (Options.Incumbent), the
-// re-evaluated cached plan of the planning service's drift re-planning.
-// Seeds only feed pruning — the search returns the first enumerated graph
-// reaching the optimum, never the seed itself.
+// comparable, and each solved the way a search is — scores compared, the
+// one winner materialised — so a seed that prunes from the root is the
+// value of a validated schedule; plus the caller's warm-start value
+// (Options.Incumbent), the re-evaluated cached plan of the planning
+// service's drift re-planning. Seeds only feed pruning — the search returns
+// the first enumerated graph reaching the optimum, never the seed itself.
 func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objective, opts Options) {
 	if opts.Incumbent != nil {
 		inc.offer(*opts.Incumbent)
@@ -417,12 +417,9 @@ func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Opti
 		bnbForestRec(app, m, obj, opts, inc, parent, len(prefixes[i]), &sh)
 		return sh
 	})
-	sol, firstErr := reduceBnBShards(shards, opts)
-	if err := ctxErr(opts.Ctx); err != nil {
+	sol, err := reduceBnBShards(shards, opts, "forest branch-and-bound found no plan")
+	if err != nil {
 		return Solution{}, err
-	}
-	if sol.Graph == nil {
-		return Solution{}, fmt.Errorf("solve: forest branch-and-bound found no plan: %v", firstErr)
 	}
 	sol.Exact = obj == PeriodObjective && sol.Sched.Exact && m != plan.OutOrder
 	return sol, nil
@@ -440,7 +437,7 @@ func bnbForestRec(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 	if v == n {
 		sh.stats.Evaluated++
 		if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil && sh.try(eg, m, obj, opts) {
-			inc.offer(sh.sol.Value)
+			inc.offer(sh.best.Value)
 		}
 		return
 	}
@@ -522,12 +519,9 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 		bnbDAGRec(app, m, obj, opts, inc, g, precClosure, pairs, depth, &sh)
 		return sh
 	})
-	sol, firstErr := reduceBnBShards(shards, opts)
-	if err := ctxErr(opts.Ctx); err != nil {
+	sol, err := reduceBnBShards(shards, opts, "DAG branch-and-bound found no plan")
+	if err != nil {
 		return Solution{}, err
-	}
-	if sol.Graph == nil {
-		return Solution{}, fmt.Errorf("solve: DAG branch-and-bound found no plan: %v", firstErr)
 	}
 	sol.Exact = sol.Sched.Exact && exactOrchestration(m, obj)
 	return sol, nil
@@ -543,7 +537,7 @@ func bnbDAGRec(app *workflow.App, m plan.Model, obj Objective, opts Options, inc
 		sh.stats.Evaluated++
 		// A graph FromGraph rejects violates the precedence constraints.
 		if eg, err := plan.FromGraph(app, g); err == nil && sh.try(eg, m, obj, opts) {
-			inc.offer(sh.sol.Value)
+			inc.offer(sh.best.Value)
 		}
 		return
 	}

@@ -40,7 +40,7 @@ type EvalProbe struct {
 
 // evaluate is the probe-instrumented scoring of the package evaluate
 // chokepoint: same memo discipline, same Score, plus accounting
-// (materialising a kept candidate adds only to the orchestration time). The
+// (materialising the winner adds only to the orchestration time). The
 // orchestration counters are collected into a probe-local Stats per call
 // (the orchestrate layer overwrites rather than accumulates its Stats
 // target) and merged, so concurrent evaluations never share a Stats

@@ -15,8 +15,8 @@ import (
 )
 
 // The plan searches are value-first (see the package documentation):
-// evaluate scores a candidate, shardResult.offer materialises the ones a
-// shard keeps.
+// evaluate scores a candidate, shards keep scores, and the reduction
+// materialises the one winner.
 
 // scored is a candidate execution graph with its orchestration score.
 type scored struct {
@@ -48,8 +48,10 @@ func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Option
 }
 
 // materialise turns a scored candidate into a Solution: the schedule is
-// rebuilt from the score, validated and explained.
-func (c scored) materialise(opts Options) (Solution, error) {
+// rebuilt from the score, validated and explained. Like evaluate, it is a
+// variable only so that a test (TestMaterialiseOncePerSolve) can count the
+// schedules a solve builds; nothing else assigns it.
+var materialise = func(c scored, opts Options) (Solution, error) {
 	if p := opts.Probe; p != nil {
 		defer func(start time.Time) { p.orchNanos.Add(int64(time.Since(start))) }(time.Now())
 	}
@@ -68,7 +70,7 @@ func solveGraph(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (
 	if err != nil {
 		return Solution{}, err
 	}
-	return c.materialise(opts)
+	return materialise(c, opts)
 }
 
 // MinPeriod solves MINPERIOD for the application under model m.
@@ -161,12 +163,13 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 	return solveGraph(eg, m, obj, opts)
 }
 
-// shardResult is one enumeration shard's outcome: its best solution (nil
-// graph when the shard was infeasible) and the first evaluation error it
+// shardResult is one enumeration shard's outcome: its best scored candidate
+// (ok false when the shard kept none) and the first evaluation error it
 // hit.
 type shardResult struct {
-	sol Solution
-	err error
+	best scored
+	ok   bool
+	err  error
 }
 
 // fail records the shard's first error.
@@ -183,24 +186,35 @@ func (r *shardResult) try(eg *plan.ExecGraph, m plan.Model, obj Objective, opts 
 		r.fail(err)
 		return false
 	}
-	return r.offer(c, opts)
+	return r.offer(c)
 }
 
-// offer keeps c when it strictly improves the shard's best, materialising
-// it first; it reports whether c was kept. A candidate that does not
-// improve is dropped unmaterialised, one whose materialisation fails is
-// skipped with its error recorded.
-func (r *shardResult) offer(c scored, opts Options) bool {
-	if r.sol.Graph != nil && !c.Value.Less(r.sol.Value) {
+// offer keeps c when it strictly improves the shard's best and reports
+// whether it did.
+func (r *shardResult) offer(c scored) bool {
+	if r.ok && !c.Value.Less(r.best.Value) {
 		return false
 	}
-	sol, err := c.materialise(opts)
-	if err != nil {
-		r.fail(err)
-		return false
-	}
-	r.sol = sol
+	r.best, r.ok = c, true
 	return true
+}
+
+// solution materialises the kept candidate, the one schedule a search
+// builds. A done ctx wins over any outcome; with no candidate kept, the
+// error is "solve: <noPlan>" plus the first evaluation error. Materialise
+// is total on a Score the scoring produced, so its failure is returned as
+// the internal error it is.
+func (r *shardResult) solution(opts Options, noPlan string) (Solution, error) {
+	if err := ctxErr(opts.Ctx); err != nil {
+		return Solution{}, err
+	}
+	if !r.ok {
+		if r.err != nil {
+			return Solution{}, fmt.Errorf("solve: %s: %v", noPlan, r.err)
+		}
+		return Solution{}, fmt.Errorf("solve: %s", noPlan)
+	}
+	return materialise(r.best, opts)
 }
 
 // forestShards runs the sharded forest enumeration on the worker pool:
@@ -231,23 +245,18 @@ func forestShards(n, workers int, ctx context.Context, try func(parent []int, r 
 }
 
 // reduceShards folds shard results in shard order, keeping the first
-// strictly-best solution and the first error — exactly what the serial
-// enumeration would have kept.
-func reduceShards(shards []shardResult) (Solution, error) {
-	var sol Solution
-	var firstErr error
+// strictly-best candidate and the first error — exactly what the serial
+// enumeration would have kept — and materialises that one winner (see
+// solution).
+func reduceShards(shards []shardResult, opts Options, noPlan string) (Solution, error) {
+	var win shardResult
 	for _, r := range shards {
-		if firstErr == nil {
-			firstErr = r.err
-		}
-		if r.sol.Graph == nil {
-			continue
-		}
-		if sol.Graph == nil || r.sol.Value.Less(sol.Value) {
-			sol = r.sol
+		win.fail(r.err)
+		if r.ok {
+			win.offer(r.best)
 		}
 	}
-	return sol, firstErr
+	return win.solution(opts, noPlan)
 }
 
 // exactOrchestration reports whether the orchestration layer explores the
@@ -335,17 +344,7 @@ func hillClimbForest(app *workflow.App, m plan.Model, obj Objective, opts Option
 	shards := par.Map(opts.Workers, len(seeds), func(i int) shardResult {
 		return climbForestFrom(app, m, obj, opts, seeds[i], climbBudget(n, len(seeds)), climbRand(opts.Seed, i))
 	})
-	best, firstErr := reduceShards(shards)
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Solution{}, err
-	}
-	if best.Graph == nil {
-		if firstErr != nil {
-			return Solution{}, fmt.Errorf("solve: hill climbing found no feasible plan: %v", firstErr)
-		}
-		return Solution{}, fmt.Errorf("solve: hill climbing found no feasible plan")
-	}
-	return best, nil
+	return reduceShards(shards, opts, "hill climbing found no feasible plan")
 }
 
 // climbForestFrom runs one hill climb over forest parent vectors from the
@@ -357,7 +356,7 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 	n := app.N()
 	var r shardResult
 	// tryParent spends one evaluation on the forest and reports whether it
-	// became the climb's best (r.sol is the climb's current point: only
+	// became the climb's best (r.best is the climb's current point: only
 	// strict improvements are ever accepted).
 	tryParent := func(parent []int) bool {
 		budget--
@@ -411,7 +410,7 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 				}
 				eval.Move(v, p)
 				cur[v] = p
-				if !eval.Bound(m, obj).Less(r.sol.Value) {
+				if !eval.Bound(m, obj).Less(r.best.Value) {
 					// The incremental bound already reaches the current
 					// value, so orchestration cannot return a strict
 					// improvement: reject the move without spending budget.
@@ -459,14 +458,7 @@ func hillClimbDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) 
 	shards := par.Map(opts.Workers, len(starts), func(i int) shardResult {
 		return climbDAGFrom(app, m, obj, opts, starts[i], climbBudget(app.N(), len(starts)))
 	})
-	best, firstErr := reduceShards(shards)
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Solution{}, err
-	}
-	if best.Graph == nil {
-		return Solution{}, fmt.Errorf("solve: hill climbing found no feasible plan: %v", firstErr)
-	}
-	return best, nil
+	return reduceShards(shards, opts, "hill climbing found no feasible plan")
 }
 
 // climbDAGFrom runs one hill climb over DAG edge sets from the given start
@@ -475,7 +467,7 @@ func hillClimbDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) 
 // rejected before orchestration, without charging the budget.
 func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, cur *dag.Graph, budget int) shardResult {
 	n := app.N()
-	// r.sol is the climb's current point: only strict improvements are ever
+	// r.best is the climb's current point: only strict improvements are ever
 	// accepted, so the shard's best and the current graph coincide.
 	var r shardResult
 	start, err := plan.FromGraph(app, cur)
@@ -512,7 +504,7 @@ func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 					undo() // move violates the precedence constraints
 					continue
 				}
-				if !graphBound(eg, m, obj).Less(r.sol.Value) {
+				if !graphBound(eg, m, obj).Less(r.best.Value) {
 					undo() // cannot be a strict improvement; skip orchestration
 					continue
 				}
@@ -549,9 +541,9 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	opts = opts.withDefaults()
 	n := app.N()
 	var best shardResult
-	// The period is only ever compared against the bound, so it is scored
-	// and never materialised; the latency schedule is materialised when it
-	// improves the shard's best.
+	// Only scores are compared — the period against the bound, the latency
+	// against the best — and the one winning latency schedule is
+	// materialised at the end.
 	tryInto := func(r *shardResult, eg *plan.ExecGraph) {
 		w := eg.Weighted()
 		per, _, err := orchestrate.ScorePeriod(opts.Memo, w, m, opts.Orch)
@@ -562,18 +554,22 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 		if err != nil {
 			return
 		}
-		r.offer(scored{eg: eg, w: w, Score: lat}, opts)
+		r.offer(scored{eg: eg, w: w, Score: lat})
 	}
 	tryGraph := func(eg *plan.ExecGraph) { tryInto(&best, eg) }
 	if n <= maxN(opts, 6) {
 		// Same sharding as the forest branch-and-bound: each worker scans
 		// the completions of a two-node prefix for the best bound-respecting
-		// latency; the shard winners reduce in serial prefix order.
-		best.sol, _ = reduceShards(forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
+		// latency; the shard winners are offered in serial prefix order.
+		for _, r := range forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
 			if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {
 				tryInto(r, eg)
 			}
-		}))
+		}) {
+			if r.ok {
+				best.offer(r.best)
+			}
+		}
 	} else {
 		// Structured candidates: parallel, both greedy chains, and greedy
 		// chains split into k parallel sub-chains.
@@ -597,8 +593,5 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 			}
 		}
 	}
-	if best.sol.Graph == nil {
-		return Solution{}, fmt.Errorf("solve: no plan meets period bound %s under %s", periodBound, m)
-	}
-	return best.sol, nil
+	return best.solution(opts, fmt.Sprintf("no plan meets period bound %s under %s", periodBound, m))
 }

@@ -26,14 +26,13 @@
 //
 // A search only compares objective values, so every method scores its
 // candidate graphs (orchestrate.ScorePeriod / ScoreLatency: the full
-// schedule search, but no operation list) and materialises — rebuilds the
-// list, runs the Appendix-A validator, labels the bottleneck — only a
-// candidate that strictly improves its shard's best. A candidate the
-// search keeps has been materialised and validated; a candidate it drops
-// never needed to be. A failed materialisation skips the candidate like a
-// failed scoring, so the returned Solution is the one an
+// schedule search, but no operation list), its shards keep scores, and the
+// reduction materialises — rebuilds the list, runs the Appendix-A
+// validator, labels the bottleneck — the one winner. Materialise is total
+// on a Score the scoring produced, so the returned Solution is the one an
 // orchestrate-everything search returns (minimize.go; pinned by
-// valuefirst_test.go).
+// valuefirst_test.go), and a failure on the winner is an internal error,
+// returned, never skipped.
 //
 // # Parallel search
 //

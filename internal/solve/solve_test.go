@@ -1,6 +1,8 @@
 package solve
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/gen"
@@ -395,5 +397,28 @@ func TestMinLatencyHillClimbBeatsOrMatchesParallel(t *testing.T) {
 	}
 	if sol.Value.Greater(base.Value) {
 		t.Fatalf("hill climb %s worse than its parallel seed %s", sol.Value, base.Value)
+	}
+}
+
+// TestMinPeriodKeepsHowardCyclingCandidate pins an 8-service INORDER
+// instance (the canonical form of a plan-cold draw) whose best graph found
+// by the climb is 297/50. Its schedule's event graph made Howard's policy
+// iteration cycle until its cap while the MCR anchored cycles at the walk's
+// entry node; the search then dropped the graph and answered 603/100.
+func TestMinPeriodKeepsHowardCyclingCandidate(t *testing.T) {
+	data, err := os.ReadFile("testdata/inorder8_howard_cycling.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var app workflow.App
+	if err := json.Unmarshal(data, &app); err != nil {
+		t.Fatal(err)
+	}
+	sol := solveOnce(t, &app, plan.InOrder, PeriodObjective, Options{Workers: 1})
+	if want := rat.New(297, 50); !sol.Value.Equal(want) {
+		t.Fatalf("MinPeriod = %s on %s, want %s", sol.Value, sol.Graph, want)
+	}
+	if err := sol.Sched.List.Validate(plan.InOrder); err != nil {
+		t.Fatal(err)
 	}
 }

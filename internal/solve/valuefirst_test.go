@@ -1,18 +1,21 @@
 package solve
 
 // The value-first differential suite. The plan searches score every
-// candidate graph and materialise only the ones they keep; the reference
+// candidate graph and materialise only the one they return; the reference
 // kept here is the evaluation they replaced — materialise and validate
 // EVERY candidate, fail the candidate when that fails — plugged into the
 // same solvers through the evaluate seam. Over a seeded corpus the two must
 // return the identical Solution for every method, family, model, objective,
 // worker count and memo mode, and do the identical search (same counters
-// at Workers 1).
+// at Workers 1). The eager side must also never fail a materialisation: the
+// searches rely on Materialise being total on what the scoring produced.
 
 import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -22,6 +25,12 @@ import (
 	"repro/internal/workflow"
 )
 
+// eagerFailures records the materialisations eagerEvaluate saw fail.
+var eagerFailures struct {
+	sync.Mutex
+	errs []string
+}
+
 // eagerEvaluate is the pre-value-first evaluation: the candidate is fully
 // orchestrated — scored, its list rebuilt, validated and explained — before
 // the search sees its value.
@@ -30,7 +39,10 @@ func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options
 	if err != nil {
 		return c, err
 	}
-	if _, err := c.materialise(opts); err != nil {
+	if _, err := materialise(c, opts); err != nil {
+		eagerFailures.Lock()
+		eagerFailures.errs = append(eagerFailures.errs, fmt.Sprintf("%s/%s/%s: %v", eg, m, obj, err))
+		eagerFailures.Unlock()
 		return c, err
 	}
 	return c, nil
@@ -143,6 +155,7 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 		instances = 30 // sizes 3..7 and both precedence kinds once over
 	}
 	solves := 0
+	eagerFailures.errs = nil
 	for i := 0; i < instances; i++ {
 		rng := gen.NewRand(int64(9000 + i))
 		n := valueFirstSizes[(i/2)%len(valueFirstSizes)] // free and precedence-constrained alternating
@@ -182,58 +195,80 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 			}
 		}
 	}
+	if errs := eagerFailures.errs; len(errs) > 0 {
+		t.Fatalf("the eager reference failed %d materialisations; first: %s", len(errs), errs[0])
+	}
 	t.Logf("%d instances, %d solves", instances, solves)
 }
 
-// TestInvalidMaterialisationIsSkipped pins the other half of the
-// invariant: a candidate whose materialisation fails is skipped, never
-// returned, and the search goes on to the best candidate that does
-// materialise.
-func TestInvalidMaterialisationIsSkipped(t *testing.T) {
+// TestLyingWinnerIsAnError pins what a search does when the one schedule
+// it builds does not reach the score it kept. Materialise is total on the
+// scores the scoring produces, so such a winner is an internal error: it is
+// returned, never skipped in favour of a runner-up.
+func TestLyingWinnerIsAnError(t *testing.T) {
 	app := gen.App(gen.NewRand(31), 4, gen.Mixed)
 	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, NoMemo: true}
 	honest := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
+	const lie = "materialised schedule reaches"
 
-	// Unit level: an offered candidate that claims more than its schedule
-	// reaches is refused and leaves the shard untouched.
+	// Unit level: a shard keeps scores, so a lying candidate that scores
+	// best is kept, and materialising it is where the lie surfaces.
 	c, err := scoreCandidate(honest.Graph, plan.InOrder, PeriodObjective, opts.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r shardResult
 	lying := c
 	lying.Value = c.Value.Mul(rat.New(1, 2))
-	if r.offer(lying, opts) || r.sol.Graph != nil || r.err == nil {
-		t.Fatalf("lying candidate kept: sol=%v err=%v", r.sol.Graph, r.err)
+	var r shardResult
+	if !r.offer(c) || !r.offer(lying) {
+		t.Fatal("a strictly better score was refused")
 	}
-	if !r.offer(c, opts) || !r.sol.Value.Equal(honest.Value) {
-		t.Fatalf("honest candidate refused after a lying one")
+	if _, err := r.solution(opts, "no plan"); err == nil || !strings.Contains(err.Error(), lie) {
+		t.Fatalf("lying winner: err = %v, want %q", err, lie)
 	}
 
-	// Solver level: make the optimal graph's score lie. The search (its
-	// seeding climbs included) must skip it and return the best of the
-	// remaining forests, which is what a search that never sees the
-	// optimal graph returns.
-	var without Solution
-	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options) (scored, error) {
-		if eg.String() == honest.Graph.String() {
-			return scored{}, fmt.Errorf("excluded")
-		}
-		return scoreCandidate(eg, m, obj, o)
-	}, func() { without = solveOnce(t, app, plan.InOrder, PeriodObjective, opts) })
-	var skipped Solution
+	// Solver level: make the optimal graph's score lie. The search reaches
+	// it, keeps it as its winner, and must return the error.
 	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options) (scored, error) {
 		c, err := scoreCandidate(eg, m, obj, o)
 		if err == nil && eg.String() == honest.Graph.String() {
 			c.Value = c.Value.Mul(rat.New(1, 2))
 		}
 		return c, err
-	}, func() { skipped = solveOnce(t, app, plan.InOrder, PeriodObjective, opts) })
-	if skipped.Graph.String() == honest.Graph.String() {
-		t.Fatal("the candidate with the invalid materialisation was returned")
+	}, func() { _, err = MinPeriod(app, plan.InOrder, opts) })
+	if err == nil || !strings.Contains(err.Error(), lie) {
+		t.Fatalf("search with a lying winner: err = %v, want %q", err, lie)
 	}
-	if describeSolution(skipped) != describeSolution(without) {
-		t.Fatalf("skipping an invalid materialisation changed the rest of the search:\n--- graph excluded ---\n%s\n--- materialisation invalid ---\n%s",
-			describeSolution(without), describeSolution(skipped))
+}
+
+// TestMaterialiseOncePerSolve counts the schedules a solve builds. A hill
+// climb materialises its one winner; branch-and-bound at most three: the
+// greedy-chain seed, the climb seed and the winner.
+func TestMaterialiseOncePerSolve(t *testing.T) {
+	var count atomic.Int64
+	saved := materialise
+	materialise = func(c scored, opts Options) (Solution, error) {
+		count.Add(1)
+		return saved(c, opts)
+	}
+	defer func() { materialise = saved }()
+	for i, app := range []*workflow.App{
+		gen.App(gen.NewRand(41), 5, gen.Mixed),
+		gen.AppWithPrecedence(gen.NewRand(42), 5, gen.Mixed, 0.3),
+	} {
+		for _, m := range plan.Models {
+			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+				for _, c := range []struct {
+					method Method
+					most   int64
+				}{{HillClimb, 1}, {BranchBound, 3}} {
+					count.Store(0)
+					solveOnce(t, app, m, obj, Options{Method: c.method, Orch: smallOrch(), Workers: 2})
+					if got := count.Load(); got < 1 || got > c.most {
+						t.Errorf("instance %d %s/%s %s: %d materialisations, want 1..%d", i, m, obj, c.method, got, c.most)
+					}
+				}
+			}
+		}
 	}
 }
