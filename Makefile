@@ -1,6 +1,9 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs `make check`.
+# Developer entry points. CI (.github/workflows/ci.yml) runs
+# `make vet build test-race test test-alloc bench-smoke`, the four smoke-*
+# targets and `make fuzz`, so every package list below exists once.
 
 GO ?= go
+FUZZTIME ?= 15s
 
 .PHONY: build bins test test-short test-race test-alloc bench bench-smoke bench-paired fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
 
@@ -119,14 +122,14 @@ smoke-exec:
 # (values, canonical form), the candidate builder (FromGraph + Weighted)
 # against the one it replaced, the plan-store entry codec (never panics;
 # an accepted entry re-encodes stably), and Score.Materialise (total on
-# what the scoring forms produce).
+# what the scoring forms produce). FUZZTIME bounds each target.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime 30s ./internal/oplist/
-	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime 15s ./internal/service/
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/rat/
-	$(GO) test -run '^$$' -fuzz FuzzArith -fuzztime 15s ./internal/rat/
-	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime 15s ./internal/plan/
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime 15s ./internal/orchestrate/
+	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
+	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/rat/
+	$(GO) test -run '^$$' -fuzz FuzzArith -fuzztime $(FUZZTIME) ./internal/rat/
+	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime $(FUZZTIME) ./internal/plan/
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime $(FUZZTIME) ./internal/orchestrate/
 
 check: vet build test-short test-race test-alloc bench-smoke

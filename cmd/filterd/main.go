@@ -54,9 +54,10 @@
 //	GET   /v1/healthz          liveness: status, version, VCS revision
 //	GET   /v1/stats            JSON counters (compat)
 //	GET   /metrics             Prometheus text format: request latency, per-phase and solver
-//	                           wall time, search-effort totals, cache/memo hit rates, queue
-//	                           depth and shed counts — plus, in router mode, per-peer
-//	                           forward, failover and circuit-breaker state
+//	                           wall time, search-effort totals (orchestration-memo hits of
+//	                           each solve included), plan-cache hit rates, queue depth and
+//	                           shed counts — plus, in router mode, per-peer forward,
+//	                           failover and circuit-breaker state
 //	GET   /debug/requests      the most recent request spans (bounded ring; empty when
 //	                           -trace-requests is 0)
 //

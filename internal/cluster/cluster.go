@@ -320,12 +320,15 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the health loop, aborting any probe still in flight.
-// In-flight requests finish on their own.
+// Close stops the health loop, aborting any probe still in flight, and
+// closes the idle keep-alive connections to the peers (the probe client
+// shares the forward client's transport), whose read and write loops would
+// otherwise outlive the router. In-flight requests finish on their own.
 func (rt *Router) Close() {
 	close(rt.stop)
 	rt.baseCancel()
 	rt.healthWg.Wait()
+	rt.client.CloseIdleConnections()
 }
 
 // healthLoop probes every peer's /v1/stats on the configured period. The

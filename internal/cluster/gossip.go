@@ -207,10 +207,13 @@ func (g *Gossip) Start() {
 	}()
 }
 
-// Close stops the loop. In-flight exchanges finish on their own timeout.
+// Close stops the loop and closes the idle keep-alive connections to the
+// peers, whose read and write loops would otherwise outlive the agent.
+// In-flight exchanges finish on their own timeout.
 func (g *Gossip) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
+	g.client.CloseIdleConnections()
 }
 
 // Stats snapshots the agent's counters.

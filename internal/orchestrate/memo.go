@@ -1,16 +1,15 @@
 package orchestrate
 
-// Solve-level and service-wide orchestration memoization.
+// Solve-level orchestration memoization.
 //
-// Plan-level searches reach the same weighted candidate graph many times —
+// A plan-level search reaches the same weighted candidate graph many times —
 // hill-climb restarts revisit forests, branch-and-bound re-evaluates the
 // graphs its incumbent seeding already orchestrated, different shards meet
-// at symmetric candidates — and a long-running service sees the same
-// subgraphs across requests that share structure. Orchestration is
-// deterministic for a fixed weighted plan and options (every worker count
-// returns the bit-identical Score), so a fingerprint-keyed memo can return
-// the first computation's Score for all of them without touching the
-// determinism invariant: a hit is indistinguishable from recomputing.
+// at symmetric candidates. Orchestration is deterministic for a fixed
+// weighted plan and options (every worker count returns the bit-identical
+// Score), so a fingerprint-keyed memo can return the first computation's
+// Score for all of them without touching the determinism invariant: a hit
+// is indistinguishable from recomputing.
 //
 // Entries hold Scores (score.go), not schedules: value, bound, exactness
 // and the winning per-server orders — a few small integer slices. The
@@ -24,122 +23,60 @@ package orchestrate
 // weighted plan including names (a materialised schedule's bottleneck
 // labels mention them).
 //
-// The memo is a bounded LRU (least-recently-used completed entry evicted
-// first), not an insert-until-full map: a per-solve memo never notices the
-// difference, but a service-wide memo lives for days and must keep the
-// subgraphs current requests actually share rather than whatever the first
-// 4096 solves happened to touch.
+// A memo lives for one solve, so it never evicts: it stops inserting at a
+// fixed bound. It is not shared across solves: almost every hit comes from
+// inside one solve, and a shared memo would make a solve's orchestration
+// counters depend on what the process solved before.
 
 import (
-	"container/list"
-	"fmt"
 	"strconv"
 	"sync"
 
 	"repro/internal/plan"
 )
 
-// Memo caches orchestration Scores across candidate evaluations — of one
-// plan-level solve, or of every solve in a service when shared wider. It
-// is safe for concurrent use; entries are immutable once stored (callers
+// Memo caches orchestration Scores across the candidate evaluations of one
+// plan-level solve. It is safe for concurrent use (the parallel searches
+// score from many goroutines); entries are immutable once stored (callers
 // must not mutate a memoized Score's Orders). Errors are cached too: an
-// infeasible weighted plan is infeasible on every shard and in every
-// request.
+// infeasible weighted plan is infeasible on every shard.
 type Memo struct {
-	mu        sync.Mutex
-	entries   map[string]*memoEntry
-	lru       *list.List // *memoEntry, most recently used at the front
-	max       int
-	hits      int64
-	misses    int64
-	evictions int64
+	mu      sync.Mutex
+	entries map[string]memoEntry
 }
 
 type memoEntry struct {
-	key  string
-	res  Score
-	err  error
-	elem *list.Element
+	res Score
+	err error
 }
 
-// defaultMemoEntries bounds a zero-configured memo. A solve call touches
-// at most its evaluation budget's worth of distinct graphs, so this is
-// generous; a service-wide memo under steady load converges to its hottest
-// working set instead.
-const defaultMemoEntries = 4096
+// memoEntries bounds a memo. A solve scores at most its evaluation
+// budget's worth of distinct graphs, so the bound is generous; it only
+// caps the memory of a pathological search.
+const memoEntries = 4096
 
-// NewMemo returns a memo holding at most max entries (max <= 0: a default
-// of 4096), evicting least-recently-used first.
-func NewMemo(max int) *Memo {
-	if max <= 0 {
-		max = defaultMemoEntries
-	}
-	return &Memo{entries: make(map[string]*memoEntry), lru: list.New(), max: max}
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{entries: make(map[string]memoEntry)}
 }
 
-// lookup returns the cached outcome for key, refreshing its recency.
+// lookup returns the cached outcome for key.
 func (m *Memo) lookup(key string) (Score, error, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	e, ok := m.entries[key]
-	if !ok {
-		m.misses++
-		return Score{}, nil, false
-	}
-	m.hits++
-	m.lru.MoveToFront(e.elem)
-	return e.res, e.err, true
+	m.mu.Unlock()
+	return e.res, e.err, ok
 }
 
-// store records an outcome, first writer wins (concurrent solvers of the
-// same key computed the bit-identical Score, so which one lands is
-// immaterial; keeping the first preserves its recency position). The
-// least-recently-used entry is evicted when the memo is over capacity.
+// store records an outcome unless the memo is full. The first writer wins:
+// concurrent solvers of the same key computed the bit-identical Score, so
+// which one lands is immaterial.
 func (m *Memo) store(key string, res Score, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.entries[key]; ok {
-		return
+	if _, ok := m.entries[key]; !ok && len(m.entries) < memoEntries {
+		m.entries[key] = memoEntry{res: res, err: err}
 	}
-	e := &memoEntry{key: key, res: res, err: err}
-	e.elem = m.lru.PushFront(e)
-	m.entries[key] = e
-	for m.lru.Len() > m.max {
-		oldest := m.lru.Back()
-		ev := oldest.Value.(*memoEntry)
-		m.lru.Remove(oldest)
-		delete(m.entries, ev.key)
-		m.evictions++
-	}
-}
-
-// Hits returns the number of lookups served from the memo.
-func (m *Memo) Hits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits
-}
-
-// Misses returns the number of lookups that fell through to a fresh
-// orchestration.
-func (m *Memo) Misses() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.misses
-}
-
-// Evictions returns the number of entries dropped by the capacity bound.
-func (m *Memo) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evictions
-}
-
-// Len returns the number of cached outcomes.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.Len()
 }
 
 // memoKey serializes one orchestration problem exactly. kind distinguishes
@@ -176,11 +113,4 @@ func memoKey(kind byte, m plan.Model, opts Options, w *plan.Weighted) string {
 		b = w.Vol(ei).Append(b)
 	}
 	return string(b)
-}
-
-// String renders the memo counters for stats reporting.
-func (m *Memo) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("memo{hits: %d, misses: %d, entries: %d, evictions: %d}", m.hits, m.misses, m.lru.Len(), m.evictions)
 }

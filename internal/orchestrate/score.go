@@ -187,25 +187,15 @@ func ScoreLatency(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (s S
 	return scoreMemo(memo, 'l', w, m, opts, scoreLatency)
 }
 
-// Period orchestrates w for the period objective under model m.
+// Period orchestrates w for the period objective under model m: it scores,
+// then rebuilds the schedule from the score.
 func Period(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	return PeriodMemo(nil, w, m, opts)
+	s, err := scorePeriod(w, m, opts)
+	return materialised(s, err, w)
 }
 
 // Latency orchestrates w for the latency objective under model m.
 func Latency(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	return LatencyMemo(nil, w, m, opts)
-}
-
-// PeriodMemo is Period with the scoring half served through memo (nil: a
-// direct call); the schedule is always rebuilt from the score.
-func PeriodMemo(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	s, _, err := ScorePeriod(memo, w, m, opts)
-	return materialised(s, err, w)
-}
-
-// LatencyMemo is Latency through a memo; see PeriodMemo.
-func LatencyMemo(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	s, _, err := ScoreLatency(memo, w, m, opts)
+	s, err := scoreLatency(w, m, opts)
 	return materialised(s, err, w)
 }

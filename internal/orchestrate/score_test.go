@@ -3,9 +3,11 @@ package orchestrate
 // The score/materialise suite: a score carries the value of the schedule
 // Materialise later rebuilds, every rebuilt schedule passes the Appendix-A
 // validator of its model, a memoized score materialises to the same
-// schedule, and a score that does not describe its plan is refused.
+// schedule, the memo key keeps problems apart, and a score that does not
+// describe its plan is refused.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,7 +51,7 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 		{"latency", ScoreLatency, func(r Result) rat.Rat { return r.List.Latency() }},
 	}
 	for i, w := range scoreCorpus() {
-		memo := NewMemo(0) // per plan: the corpus repeats some shapes
+		memo := NewMemo() // per plan: the corpus repeats some shapes
 		for _, m := range plan.Models {
 			for _, obj := range objectives {
 				s, hit, err := obj.score(memo, w, m, smallSearch())
@@ -87,6 +89,44 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMemoKeySeparatesProblems guards the memo key: one memo scores the same
+// weighted plan under two models and both objectives, and each result must
+// be the Score a memo-less call returns — a key that conflated models or
+// objectives would serve the first problem's Score to the next.
+func TestMemoKeySeparatesProblems(t *testing.T) {
+	w := gen.DAGPlan(gen.NewRand(4), gen.App(gen.NewRand(4), 5, gen.Mixed), 0.6).Weighted()
+	problems := []struct {
+		name  string
+		m     plan.Model
+		score func(*Memo, *plan.Weighted, plan.Model, Options) (Score, bool, error)
+	}{
+		{"inorder period", plan.InOrder, ScorePeriod},
+		{"overlap period", plan.Overlap, ScorePeriod},
+		{"inorder latency", plan.InOrder, ScoreLatency},
+	}
+	memo := NewMemo()
+	var values []rat.Rat
+	for _, p := range problems {
+		want, _, err := p.score(nil, w, p.m, smallSearch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, hit, err := p.score(memo, w, p.m, smallSearch())
+		if err != nil || hit {
+			t.Fatalf("%s: first memoized scoring: hit=%v err=%v", p.name, hit, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memoized score %+v, memo-less %+v", p.name, got, want)
+		}
+		for i, v := range values {
+			if v.Equal(want.Value) {
+				t.Fatalf("%s and %s score the same value %s: the plan does not separate them", problems[i].name, p.name, v)
+			}
+		}
+		values = append(values, want.Value)
 	}
 }
 

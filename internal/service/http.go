@@ -297,11 +297,9 @@ type statsJSON struct {
 	Subscribers     int   `json:"subscribers"`
 	EventsPublished int64 `json:"events_published"`
 	EventsDropped   int64 `json:"events_dropped"`
-	// Service-wide orchestration memo counters (Config.MemoSize).
-	MemoHits      int64 `json:"memo_hits"`
-	MemoMisses    int64 `json:"memo_misses"`
-	MemoLen       int   `json:"memo_len"`
-	MemoEvictions int64 `json:"memo_evictions"`
+	// Orchestration-memo hits and misses summed over executed solves.
+	MemoHits   int64 `json:"memo_hits"`
+	MemoMisses int64 `json:"memo_misses"`
 	// Solver search-effort totals (branch-and-bound counters summed over
 	// every executed solve) and build identity.
 	SolverExpanded  int64  `json:"solver_nodes_expanded"`
@@ -731,8 +729,6 @@ func Handler(s *Server) http.Handler {
 			EventsDropped:    st.EventsDropped,
 			MemoHits:         st.MemoHits,
 			MemoMisses:       st.MemoMisses,
-			MemoLen:          st.MemoLen,
-			MemoEvictions:    st.MemoEvictions,
 			Shed:             st.Shed,
 			Pending:          st.Pending,
 			MaxPending:       st.MaxPending,

@@ -5,9 +5,9 @@ package service
 // counters of /v1/stats stay for compatibility; this is the layer
 // collectors scrape. Hot-path instruments (request latency, solver wall
 // time) are real histograms updated inline; everything already tracked
-// by an existing counter — cache, memo, store, subscription stats — is
-// published as a callback read at scrape time, so there is exactly one
-// source of truth per number.
+// by an existing counter — plan cache, solver effort and orchestration-memo
+// totals, store, subscription stats — is published as a callback read at
+// scrape time, so there is exactly one source of truth per number.
 
 import "repro/internal/metrics"
 
@@ -37,8 +37,9 @@ func (s *Server) initMetrics() {
 	s.mPhaseOrch = phases.With("orchestrate")
 	s.mPhaseStore = phases.With("store")
 
-	// Solver search-effort totals: the branch-and-bound evidence counters,
-	// summed across every executed solve.
+	// Solver search-effort totals, summed across every executed solve: the
+	// branch-and-bound evidence counters, and how many candidate
+	// orchestrations each solve's own memo served rather than computed.
 	m.CounterFunc("filterd_solver_nodes_expanded_total",
 		"Branch-and-bound partial assignments whose bound was computed, summed over all solves.",
 		func() float64 { return float64(s.nodesExpanded.Load()) })
@@ -48,6 +49,12 @@ func (s *Server) initMetrics() {
 	m.CounterFunc("filterd_solver_candidates_evaluated_total",
 		"Complete candidate graphs whose objective was computed, summed over all solves.",
 		func() float64 { return float64(s.candEvaluated.Load()) })
+	m.CounterFunc("filterd_memo_hits_total",
+		"Candidate orchestrations served by their solve's memo, summed over all solves.",
+		func() float64 { return float64(s.memoHits.Load()) })
+	m.CounterFunc("filterd_memo_misses_total",
+		"Candidate orchestrations computed because their solve's memo had no entry, summed over all solves.",
+		func() float64 { return float64(s.memoMisses.Load()) })
 
 	// Build identity as the Prometheus build-info convention: a constant-1
 	// gauge whose labels carry the version and VCS revision.
@@ -101,13 +108,6 @@ func (s *Server) initMetrics() {
 	m.GaugeFunc("filterd_plancache_inflight",
 		"Solves currently running under the cache's singleflight.",
 		func() float64 { return float64(s.cache.Stats().InFlight) })
-
-	m.CounterFunc("filterd_memo_hits_total",
-		"Service-wide orchestration-memo hits.", func() float64 { return float64(s.memo.Hits()) })
-	m.CounterFunc("filterd_memo_misses_total",
-		"Service-wide orchestration-memo misses.", func() float64 { return float64(s.memo.Misses()) })
-	m.GaugeFunc("filterd_memo_entries",
-		"Orchestration-memo entries.", func() float64 { return float64(s.memo.Len()) })
 
 	m.GaugeFunc("filterd_subscribers",
 		"Open drift-subscription streams.", func() float64 { return float64(s.hub.subscribers()) })

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/solve"
@@ -247,8 +248,62 @@ func TestExplainAcrossServePaths(t *testing.T) {
 	}
 }
 
-// TestSolverStatsSurfaced pins satellite 1: the branch-and-bound search
-// counters reach /v1/stats instead of being dropped on the floor.
+// TestExplainEffortIndependentOfHistory pins the other half of the
+// /v1/explain contract: a solve's orchestration counters depend on its
+// request alone, not on what the process solved before. The two requests
+// differ only in Restarts — different cache keys over the same weighted
+// graphs — and the second reports what a fresh server and a direct serial
+// solve report for it.
+func TestExplainEffortIndependentOfHistory(t *testing.T) {
+	instance := readTestdata(t, "mixed6.json")
+	orchestration := func(ts *httptest.Server, restarts int) explainOrchJSON {
+		t.Helper()
+		body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "forest", "restarts": %d}`, instance, restarts)
+		var out planResponseJSON
+		if resp := doJSON(t, "POST", ts.URL+"/v1/plan", body, &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan status %d", resp.StatusCode)
+		}
+		var doc struct {
+			Orch *explainOrchJSON `json:"orchestration"`
+		}
+		doJSON(t, "GET", ts.URL+"/v1/explain/"+out.Hash, nil, &doc)
+		if doc.Orch == nil || doc.Orch.Orchestrations == 0 {
+			t.Fatalf("restarts %d: no orchestration counters: %+v", restarts, doc.Orch)
+		}
+		return *doc.Orch
+	}
+	_, ts := newTestAPI(t)
+	orchestration(ts, 2)
+	got := orchestration(ts, 3)
+	_, fresh := newTestAPI(t)
+	if want := orchestration(fresh, 3); got != want {
+		t.Fatalf("after another request: %+v, on a fresh server: %+v", got, want)
+	}
+
+	var app workflow.App
+	if err := json.Unmarshal(instance, &app); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{App: &app, Model: plan.InOrder, Method: solve.BranchBound, Family: solve.FamilyForest, Restarts: 3}
+	inst, err := canon.Canonicalize(req.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &solve.EvalProbe{}
+	opts := req.solveOptions(nil)
+	opts.Probe = probe
+	if _, err := solve.MinPeriod(inst.App(), req.Model, opts); err != nil {
+		t.Fatal(err)
+	}
+	o := probe.Orch()
+	direct := explainOrchJSON{Orchestrations: probe.Evals(), MemoHits: probe.MemoHits(), Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated}
+	if got != direct {
+		t.Fatalf("served: %+v, direct solve: %+v", got, direct)
+	}
+}
+
+// TestSolverStatsSurfaced pins that the branch-and-bound search counters
+// reach /v1/stats.
 func TestSolverStatsSurfaced(t *testing.T) {
 	_, ts := newTestAPI(t)
 	instance := readTestdata(t, "mixed6.json")

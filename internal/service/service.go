@@ -45,7 +45,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/orchestrate"
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/plancache"
@@ -84,15 +83,6 @@ type Config struct {
 	// instances are forgotten when the bound is hit; a drift against a
 	// forgotten hash fails and the client re-submits the instance.
 	RegistrySize int
-	// MemoSize bounds the service-wide orchestration memo (default 4096
-	// entries, least-recently-used evicted first): every solve on the pool
-	// shares one memo, so requests whose plan searches orchestrate the
-	// same weighted subgraphs — drifted variants, batch siblings, symmetric
-	// candidates — amortize each other across request boundaries. Sharing
-	// is invisible in the responses: the memo key pins every Result-
-	// affecting parameter and orchestration is deterministic, so a hit is
-	// bit-identical to recomputing.
-	MemoSize int
 	// MaxPending is the load-shedding watermark: the most admitted-but-
 	// unfinished solves (queued, waiting for a queue slot, or running) the
 	// server holds before shedding. An admission beyond it fails
@@ -140,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RegistrySize <= 0 {
 		c.RegistrySize = 1024
-	}
-	if c.MemoSize <= 0 {
-		c.MemoSize = 4096
 	}
 	if c.ExplainSize <= 0 {
 		c.ExplainSize = 1024
@@ -258,12 +245,11 @@ type Stats struct {
 	Subscribers     int
 	EventsPublished int64
 	EventsDropped   int64
-	// MemoHits/MemoMisses/MemoLen/MemoEvictions are the service-wide
-	// orchestration memo counters (Config.MemoSize).
-	MemoHits      int64
-	MemoMisses    int64
-	MemoLen       int
-	MemoEvictions int64
+	// MemoHits/MemoMisses split the candidate orchestrations of every
+	// executed solve into those its per-solve orchestration memo served and
+	// those it computed.
+	MemoHits   int64
+	MemoMisses int64
 	// SolverExpanded/SolverPruned/SolverEvaluated total the branch-and-
 	// bound search counters across every solve executed on the pool — the
 	// running evidence for the paper's tractability claim, previously
@@ -324,9 +310,6 @@ type Server struct {
 	// targets of drift updates. Bounded LRU (Config.RegistrySize) so a
 	// stream of distinct instances cannot grow the daemon without limit.
 	registry *plancache.Cache[*canon.Instance]
-	// memo is the service-wide orchestration memo every pool solve shares
-	// (Config.MemoSize).
-	memo *orchestrate.Memo
 
 	wg sync.WaitGroup
 
@@ -358,10 +341,13 @@ type Server struct {
 	mPhaseStore   *metrics.Histogram
 
 	// Solver search-effort totals across every executed solve, mirrored
-	// onto /metrics and /v1/stats (satellite: B&B counters were dropped).
+	// onto /metrics and /v1/stats: the branch-and-bound counters and the
+	// orchestration-memo split of the candidate orchestrations.
 	nodesExpanded atomic.Int64
 	nodesPruned   atomic.Int64
 	candEvaluated atomic.Int64
+	memoHits      atomic.Int64
+	memoMisses    atomic.Int64
 
 	// Replica-sync counters (sync.go): the /v1/sync merge traffic of the
 	// anti-entropy loop.
@@ -403,7 +389,6 @@ func New(cfg Config) *Server {
 		cache:    plancache.New[*cacheEntry](cfg.CacheSize),
 		queue:    make(chan task, cfg.QueueSize),
 		registry: plancache.New[*canon.Instance](cfg.RegistrySize),
-		memo:     orchestrate.NewMemo(cfg.MemoSize),
 		closing:  make(chan struct{}),
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
@@ -639,14 +624,11 @@ retry:
 			start := time.Now()
 			opts := req.solveOptions(ctx)
 			opts.Incumbent = incumbent
-			// Every pool solve shares the server memo: identical weighted
-			// subgraphs reached by different requests cost one
-			// orchestration.
-			opts.Memo = s.memo
 			// Introspection: the branch-and-bound counters and the
 			// orchestration probe. Both are observational — the service
-			// pins Workers: 1, so the counts are deterministic per request
-			// (the /v1/explain contract).
+			// pins Workers: 1 and every solve has its own orchestration
+			// memo, so the counts are a function of the request alone (the
+			// /v1/explain contract).
 			var stats solve.Stats
 			probe := &solve.EvalProbe{}
 			opts.Stats = &stats
@@ -662,6 +644,8 @@ retry:
 			s.mPhaseSolve.Observe(solveDur.Seconds())
 			orchDur := time.Duration(probe.OrchNanos())
 			s.mPhaseOrch.Observe(orchDur.Seconds())
+			s.memoHits.Add(probe.MemoHits())
+			s.memoMisses.Add(probe.Evals() - probe.MemoHits())
 			span.Observe(obs.PhaseQueue, queued)
 			span.Observe(obs.PhaseSolve, solveDur)
 			span.Observe(obs.PhaseOrchestrate, orchDur)
@@ -898,9 +882,7 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 			if familyMember(eg, req, newInst.App()) {
 				// This re-evaluation runs on the request goroutine, off
 				// the intake pool, and serially like every orchestration.
-				reOpts := req.solveOptions(ctx)
-				reOpts.Memo = s.memo
-				if re, err := solve.Reevaluate(eg, req.Model, req.Objective, reOpts); err == nil {
+				if re, err := solve.Reevaluate(eg, req.Model, req.Objective, req.solveOptions(ctx)); err == nil {
 					v := re.Value
 					incumbent = &v
 					report.WarmStart = true
@@ -951,10 +933,8 @@ func (s *Server) Stats() Stats {
 		Subscribers:     s.hub.subscribers(),
 		EventsPublished: s.hub.published.Load(),
 		EventsDropped:   s.hub.dropped.Load(),
-		MemoHits:        s.memo.Hits(),
-		MemoMisses:      s.memo.Misses(),
-		MemoLen:         s.memo.Len(),
-		MemoEvictions:   s.memo.Evictions(),
+		MemoHits:        s.memoHits.Load(),
+		MemoMisses:      s.memoMisses.Load(),
 		SolverExpanded:  s.nodesExpanded.Load(),
 		SolverPruned:    s.nodesPruned.Load(),
 		SolverEvaluated: s.candEvaluated.Load(),

@@ -3,8 +3,10 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/canon"
 	"repro/internal/gen"
@@ -389,6 +391,40 @@ func TestRegistryBounded(t *testing.T) {
 	}
 	if _, ok := s.Instance(hashes[2]); !ok {
 		t.Error("newest instance missing from the registry")
+	}
+}
+
+// TestCloseLeavesNoGoroutine: a server that solved, batched, drifted and
+// held an open subscription leaves no goroutine behind once Close returns.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(Config{Workers: 2})
+	app := gen.App(gen.NewRand(13), 4, gen.Mixed)
+	resp, err := s.Plan(Request{App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PlanBatch([]Request{{App: app, Model: plan.InOrder}, {App: app, Model: plan.OutOrder}})
+	s.Subscribe(resp.Hash)
+	cost := resp.Instance.App().Cost(0).AddInt(1)
+	if _, err := s.Drift(resp.Hash, []Update{{Service: resp.Instance.App().Name(0), Cost: &cost}}, Request{}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	goroutinesBackTo(t, base)
+}
+
+// goroutinesBackTo polls runtime.NumGoroutine until it is back at base,
+// failing with every goroutine's stack once the deadline passes.
+func goroutinesBackTo(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
 	}
 }
 

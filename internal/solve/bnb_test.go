@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/gen"
-	"repro/internal/orchestrate"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -17,11 +16,10 @@ import (
 // agreeWithOracle holds the exact search to the oracle (oracle_test.go) on
 // one instance, family, model and objective: every way of asking for the
 // family's optimum — by name, and through Auto where Auto resolves to this
-// family — at every worker count and memo mode returns the oracle's
-// Solution bit for bit: value, Exact, graph and operation list. who names
-// the instance in a failure, shared is its "service-wide" memo. It returns
-// the number of solves.
-func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, obj Objective, family Family, shared *orchestrate.Memo) int {
+// family — at every worker count, with the memo on and off, returns the
+// oracle's Solution bit for bit: value, Exact, graph and operation list.
+// who names the instance in a failure. It returns the number of solves.
+func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, obj Objective, family Family) int {
 	t.Helper()
 	want := describeSolution(oracleSolve(t, app, m, obj, family))
 	asks := []Options{{Method: BranchBound, Family: family}}
@@ -31,17 +29,13 @@ func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, 
 	solves := 0
 	for _, ask := range asks {
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []memoMode{memoOff, memoPerSolve, memoShared} {
+			for _, noMemo := range []bool{true, false} {
 				opts := ask
-				opts.Orch, opts.Restarts, opts.Workers = smallOrch(), 1, workers
-				opts.NoMemo = mode == memoOff
-				if mode == memoShared {
-					opts.Memo = shared
-				}
+				opts.Orch, opts.Restarts, opts.Workers, opts.noMemo = smallOrch(), 1, workers, noMemo
 				solves++
 				if got := describeSolution(solveOnce(t, app, m, obj, opts)); got != want {
-					t.Fatalf("%s %s/%s method=%s family=%s workers=%d memo=%d diverged from the blind oracle over %ss:\n--- oracle ---\n%s\n--- search ---\n%s",
-						who, m, obj, ask.Method, ask.Family, workers, mode, family, want, got)
+					t.Fatalf("%s %s/%s method=%s family=%s workers=%d noMemo=%v diverged from the blind oracle over %ss:\n--- oracle ---\n%s\n--- search ---\n%s",
+						who, m, obj, ask.Method, ask.Family, workers, noMemo, family, want, got)
 				}
 			}
 		}
@@ -89,11 +83,10 @@ func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 	rows = append(rows, row{"dag/precedence", FamilyDAG,
 		gen.AppWithPrecedence(gen.NewRand(8), 4, gen.Filtering, 0.3), []plan.Model{plan.Overlap, plan.InOrder}})
 	for _, r := range rows {
-		shared := orchestrate.NewMemo(0)
 		for _, m := range r.models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 				t.Run(fmt.Sprintf("%s/%s/%s", r.name, m, obj), func(t *testing.T) {
-					agreeWithOracle(t, r.name, r.app, m, obj, r.family, shared)
+					agreeWithOracle(t, r.name, r.app, m, obj, r.family)
 				})
 			}
 		}
@@ -134,12 +127,11 @@ func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyChain, FamilyForest, FamilyDAG}
 				}
 				instances++
-				shared := orchestrate.NewMemo(0)
 				for _, family := range families {
 					for _, m := range plan.Models {
 						for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 							if !oracleTooSlow(family, app, m, obj) {
-								solves += agreeWithOracle(t, who, app, m, obj, family, shared)
+								solves += agreeWithOracle(t, who, app, m, obj, family)
 							}
 						}
 					}

@@ -56,9 +56,9 @@ func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts
 		err error
 	)
 	if obj == PeriodObjective {
-		res, hit, err = orchestrate.ScorePeriod(opts.Memo, w, m, o)
+		res, hit, err = orchestrate.ScorePeriod(opts.memo, w, m, o)
 	} else {
-		res, hit, err = orchestrate.ScoreLatency(opts.Memo, w, m, o)
+		res, hit, err = orchestrate.ScoreLatency(opts.memo, w, m, o)
 	}
 	d := time.Since(start)
 	p.evals.Add(1)

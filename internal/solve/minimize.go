@@ -40,9 +40,9 @@ func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Option
 	case opts.Probe != nil:
 		c.Score, err = opts.Probe.evaluate(c.w, m, obj, opts)
 	case obj == PeriodObjective:
-		c.Score, _, err = orchestrate.ScorePeriod(opts.Memo, c.w, m, opts.Orch)
+		c.Score, _, err = orchestrate.ScorePeriod(opts.memo, c.w, m, opts.Orch)
 	default:
-		c.Score, _, err = orchestrate.ScoreLatency(opts.Memo, c.w, m, opts.Orch)
+		c.Score, _, err = orchestrate.ScoreLatency(opts.memo, c.w, m, opts.Orch)
 	}
 	return c, err
 }
@@ -108,8 +108,8 @@ func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 	// hill-climb seeds/restarts converging on the same forests, and
 	// branch-and-bound re-reaching the graphs its incumbent seeding (greedy
 	// chain + hill climb, sharing this memo) already orchestrated.
-	if opts.Memo == nil && !opts.NoMemo && (method == HillClimb || method == BranchBound) {
-		opts.Memo = orchestrate.NewMemo(0)
+	if !opts.noMemo && (method == HillClimb || method == BranchBound) {
+		opts.memo = orchestrate.NewMemo()
 	}
 	switch method {
 	case GreedyChain:
@@ -546,11 +546,11 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	// materialised at the end.
 	tryInto := func(r *shardResult, eg *plan.ExecGraph) {
 		w := eg.Weighted()
-		per, _, err := orchestrate.ScorePeriod(opts.Memo, w, m, opts.Orch)
+		per, _, err := orchestrate.ScorePeriod(nil, w, m, opts.Orch)
 		if err != nil || per.Value.Greater(periodBound) {
 			return
 		}
-		lat, _, err := orchestrate.ScoreLatency(opts.Memo, w, m, opts.Orch)
+		lat, _, err := orchestrate.ScoreLatency(nil, w, m, opts.Orch)
 		if err != nil {
 			return
 		}

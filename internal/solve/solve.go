@@ -34,6 +34,16 @@
 // valuefirst_test.go), and a failure on the winner is an internal error,
 // returned, never skipped.
 //
+// # One memo per solve
+//
+// HillClimb and BranchBound score through an orchestration memo that lives
+// for the one solve (orchestrate.Memo): a graph its shards, restarts and
+// incumbent seeding reach again is scored once. No memo outlives its
+// solve, so the Solution — and, at Workers 1, every search counter and
+// memo hit an EvalProbe records — depends on the call alone, never on what
+// the process solved before. GreedyChain, Reevaluate and BiCriteria score
+// without one.
+//
 // # Parallel search
 //
 // The branch-and-bound searches and the hill-climbing restarts run on the
@@ -141,21 +151,6 @@ type Options struct {
 	// counters are not: with Workers > 1 the pruning threshold evolves
 	// with goroutine timing. Use Workers: 1 for reproducible counts.
 	Stats *Stats
-	// Memo, when non-nil, is the orchestration memo shared by every
-	// candidate evaluation of this solve: identical weighted candidate
-	// graphs reached from different shards, restarts or search phases
-	// (incumbent seeding included) are scored once and share the Score.
-	// When nil, minimize creates one per call for the methods whose
-	// searches revisit graphs by construction, HillClimb and BranchBound.
-	// Orchestration is deterministic for a fixed weighted plan and
-	// options, so a memo hit is bit-identical to recomputing and the
-	// returned Solution never depends on it (pinned by
-	// TestMemoDoesNotChangeSolutions).
-	Memo *orchestrate.Memo
-	// NoMemo disables the per-solve orchestration memo; the determinism
-	// suite uses it to pin memoized and memo-less searches to the
-	// identical Solution.
-	NoMemo bool
 	// Seed drives the randomized restarts of HillClimb.
 	Seed int64
 	// Restarts is the number of random restarts for HillClimb (default 3).
@@ -179,6 +174,15 @@ type Options struct {
 	// graphs are searched or what Solution is returned, and it is excluded
 	// from every cache and memo key.
 	Probe *EvalProbe
+
+	// memo is the orchestration memo of one solve, shared by every
+	// candidate evaluation in it (see "One memo per solve" in the package
+	// documentation); only minimize sets it. A hit is bit-identical to
+	// recomputing, so the Solution never depends on it.
+	memo *orchestrate.Memo
+	// noMemo makes minimize create no memo: the memo-less reference of the
+	// package's determinism suites (TestMemoDoesNotChangeSolutions).
+	noMemo bool
 }
 
 // ctxErr converts a done context into the search abort error (nil context

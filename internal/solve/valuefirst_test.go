@@ -6,7 +6,7 @@ package solve
 // EVERY candidate, fail the candidate when that fails — plugged into the
 // same solvers through the evaluate seam. Over a seeded corpus the two must
 // return the identical Solution for every method, family, model, objective,
-// worker count and memo mode, and do the identical search (same counters
+// worker count and memo on or off, and do the identical search (same counters
 // at Workers 1). The eager side must also never fail a materialisation: the
 // searches rely on Materialise being total on what the scoring produced.
 
@@ -76,15 +76,6 @@ type outcome struct {
 	evals  int64
 }
 
-// memoMode is how a solve of the suite gets its orchestration memo.
-type memoMode int
-
-const (
-	memoOff memoMode = iota
-	memoPerSolve
-	memoShared
-)
-
 // search is one way to ask for a plan: a method, and for BranchBound the
 // structural family.
 type search struct {
@@ -94,17 +85,11 @@ type search struct {
 
 func (s search) String() string { return s.method.String() + "/" + s.family.String() }
 
-func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, how search, workers int, mode memoMode, shared *orchestrate.Memo) outcome {
+func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, how search, workers int, noMemo bool) outcome {
 	t.Helper()
 	var out outcome
 	probe := &EvalProbe{}
-	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Stats: &out.search, Probe: probe}
-	switch mode {
-	case memoOff:
-		opts.NoMemo = true
-	case memoShared:
-		opts.Memo = shared
-	}
+	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Stats: &out.search, Probe: probe, noMemo: noMemo}
 	sol, err := minimize(app, m, obj, opts)
 	out.orch, out.evals = probe.Orch(), probe.Evals()
 	if err != nil {
@@ -165,19 +150,17 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 		} else {
 			app = gen.AppWithPrecedence(rng, n, gen.Mixed, 0.3)
 		}
-		// One "service-wide" memo per side, fed the same sequence of solves.
-		sharedRef, shared1, shared4 := orchestrate.NewMemo(0), orchestrate.NewMemo(0), orchestrate.NewMemo(0)
 		for _, m := range plan.Models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 				for _, how := range valueFirstSearches(app, m, obj) {
-					for _, mode := range []memoMode{memoOff, memoPerSolve, memoShared} {
-						name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s memo=%d", i, n, i%2 == 1, how, m, obj, mode)
+					for _, noMemo := range []bool{true, false} {
+						name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s noMemo=%v", i, n, i%2 == 1, how, m, obj, noMemo)
 						var ref outcome
 						withEvaluate(eagerEvaluate, func() {
-							ref = runValueFirstCase(t, app, m, obj, how, 1, mode, sharedRef)
+							ref = runValueFirstCase(t, app, m, obj, how, 1, noMemo)
 						})
-						got1 := runValueFirstCase(t, app, m, obj, how, 1, mode, shared1)
-						got4 := runValueFirstCase(t, app, m, obj, how, 4, mode, shared4)
+						got1 := runValueFirstCase(t, app, m, obj, how, 1, noMemo)
+						got4 := runValueFirstCase(t, app, m, obj, how, 4, noMemo)
 						solves += 3
 						if got1.print != ref.print {
 							t.Fatalf("%s: value-first diverged from the eager reference:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got1.print)
@@ -207,7 +190,7 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 // returned, never skipped in favour of a runner-up.
 func TestLyingWinnerIsAnError(t *testing.T) {
 	app := gen.App(gen.NewRand(31), 4, gen.Mixed)
-	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, NoMemo: true}
+	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, noMemo: true}
 	honest := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
 	const lie = "materialised schedule reaches"
 
