@@ -56,10 +56,11 @@ test-race:
 # stays inside its pinned budget), the executor's round (kernel, estimator
 # folds and a quiet controller pass allocate nothing on a warm program) and
 # the exact inner loop: a relaxation on a warm Graph and a branch-and-bound
-# partial bound on a warm shard scratch allocate nothing; building a
-# candidate (FromGraph + Weighted) stays inside a budget that does not grow
-# with n, and the Kahn pass + ancestor sets on a warm dag.Scratch allocate
-# nothing.
+# partial bound on a warm shard scratch allocate nothing, and so do the
+# hill climb's move check and an accepted move on a warm forest evaluator;
+# building a candidate (FromGraph + Weighted) stays inside a budget that
+# does not grow with n, and the Kahn pass + ancestor sets on a warm
+# dag.Scratch allocate nothing.
 # Must run unraced — the guards self-skip under -race because
 # instrumentation inflates the counts.
 test-alloc:

@@ -57,6 +57,23 @@ func cexecUnit(app *workflow.App, m plan.Model, v, k int) rat.Rat {
 	return rat.One.Add(app.Cost(v)).Add(sK)
 }
 
+// unitTables are the per-unit-volume costs of one solve under one model,
+// read by the partial bounds and the hill climb's move filter: cexecUnit of
+// v with k consumers at cexec[v*n+k], and cs[v] = c+σ.
+type unitTables struct{ cexec, cs []rat.Rat }
+
+func unitCosts(app *workflow.App, m plan.Model) unitTables {
+	n := app.N()
+	u := unitTables{cexec: make([]rat.Rat, n*n), cs: make([]rat.Rat, n)}
+	for v := 0; v < n; v++ {
+		u.cs[v] = app.Cost(v).Add(app.Selectivity(v))
+		for k := 0; k < n; k++ {
+			u.cexec[v*n+k] = cexecUnit(app, m, v, k)
+		}
+	}
+	return u
+}
+
 // --- per-solve tables, per-shard scratch ---
 
 // boundTables are the constants of one solve the partial bounds read: built
@@ -82,17 +99,14 @@ type boundTables struct {
 func newBoundTables(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, pairs [][2]int) *boundTables {
 	n := app.N()
 	t := &boundTables{n: n, m: m, obj: obj, pairs: pairs}
-	rats := make([]rat.Rat, (4+n)*n)
-	t.sel, t.cost, t.shrink, t.tail, t.cexec = rats[:n], rats[n:2*n], rats[2*n:3*n], rats[3*n:4*n], rats[4*n:]
+	u := unitCosts(app, m)
+	t.cexec, t.tail = u.cexec, u.cs
+	rats := make([]rat.Rat, 3*n)
+	t.sel, t.cost, t.shrink = rats[:n], rats[n:2*n], rats[2*n:]
 	for v := 0; v < n; v++ {
 		t.sel[v], t.cost[v], t.shrink[v] = app.Selectivity(v), app.Cost(v), shrinkFactor(app, v)
 		if obj == PeriodObjective && m == plan.Overlap {
 			t.tail[v] = rat.Max(t.cost[v], t.sel[v])
-		} else {
-			t.tail[v] = t.cost[v].Add(t.sel[v])
-		}
-		for k := 0; k < n; k++ {
-			t.cexec[v*n+k] = cexecUnit(app, m, v, k)
 		}
 	}
 	flags := make([]bool, (n+2)*n)

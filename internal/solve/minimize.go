@@ -341,20 +341,21 @@ func hillClimbForest(app *workflow.App, m plan.Model, obj Objective, opts Option
 		seeds = append(seeds, p)
 	}
 
+	costs := unitCosts(app, m)
 	shards := par.Map(opts.Workers, len(seeds), func(i int) shardResult {
-		return climbForestFrom(app, m, obj, opts, seeds[i], climbBudget(n, len(seeds)), climbRand(opts.Seed, i))
+		return climbForestFrom(app, m, obj, opts, costs, seeds[i], climbBudget(n, len(seeds)), i)
 	})
 	return reduceShards(shards, opts, "hill climbing found no feasible plan")
 }
 
-// climbForestFrom runs one hill climb over forest parent vectors from the
-// given start, spending at most budget orchestrations. Moves are evaluated
-// incrementally: a forestEval recomputes only the touched subtree's volumes
-// and orchestration is skipped (without charging the budget) whenever the
-// moved forest's lower bound already rules out a strict improvement.
-func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, seed []int, budget int, rng *rand.Rand) shardResult {
+// climbForestFrom runs restart i of the hill climb over forest parent
+// vectors from the given start, spending at most budget orchestrations. A
+// move is not orchestrated (nor charged) when forestEval.reaches finds that
+// its lower bound already rules out a strict improvement.
+func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, seed []int, budget, i int) shardResult {
 	n := app.N()
 	var r shardResult
+	var rng *rand.Rand // drawn from only when parents are sampled
 	// tryParent spends one evaluation on the forest and reports whether it
 	// became the climb's best (r.best is the climb's current point: only
 	// strict improvements are ever accepted).
@@ -367,13 +368,13 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 		}
 		return r.try(eg, m, obj, opts)
 	}
-	// candidateParents returns the parents to try for node v: all of them
-	// on small instances, a random sample above.
+	// candidateParents returns the parents to try for node v, in one reused
+	// slice: all of them on small instances, a random sample above.
+	const sampleLimit = 12
+	parents := make([]int, 0, sampleLimit)
 	candidateParents := func(v int) []int {
-		const sampleLimit = 12
+		out := append(parents[:0], -1)
 		if n <= sampleLimit {
-			out := make([]int, 0, n)
-			out = append(out, -1)
 			for p := 0; p < n; p++ {
 				if p != v {
 					out = append(out, p)
@@ -381,7 +382,9 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 			}
 			return out
 		}
-		out := []int{-1}
+		if rng == nil {
+			rng = climbRand(opts.Seed, i)
+		}
 		for len(out) < sampleLimit {
 			p := rng.Intn(n)
 			if p != v {
@@ -395,34 +398,28 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 	if !tryParent(cur) {
 		return r
 	}
-	eval := newForestEval(app, cur)
+	eval := newForestEval(app, costs, obj, cur)
 	cc := cancelCheck{ctx: opts.Ctx}
 	for improved := true; improved && budget > 0 && !cc.stop(); {
 		improved = false
 		for v := 0; v < n && budget > 0 && !cc.stop(); v++ {
 			old := cur[v]
 			for _, p := range candidateParents(v) {
-				if p == old {
+				if p == old || (p >= 0 && parentChainReaches(cur, p, v)) {
 					continue
 				}
-				if p >= 0 && eval.CreatesCycle(v, p) {
+				// The moved forest's bound already reaches the current value,
+				// so orchestration cannot return a strict improvement: reject
+				// the move without spending budget.
+				if eval.reaches(v, p, r.best.Value) {
 					continue
 				}
-				eval.Move(v, p)
 				cur[v] = p
-				if !eval.Bound(m, obj).Less(r.best.Value) {
-					// The incremental bound already reaches the current
-					// value, so orchestration cannot return a strict
-					// improvement: reject the move without spending budget.
-					eval.Move(v, old)
-					cur[v] = old
-					continue
-				}
 				if tryParent(cur) {
+					eval.Move(v, p)
 					old = p
 					improved = true
 				} else {
-					eval.Move(v, old)
 					cur[v] = old
 				}
 				if budget <= 0 {
