@@ -57,7 +57,8 @@ test-race:
 # folds and a quiet controller pass allocate nothing on a warm program) and
 # the exact inner loop: a relaxation on a warm Graph and a branch-and-bound
 # partial bound on a warm shard scratch allocate nothing, and so do the
-# hill climb's move check and an accepted move on a warm forest evaluator;
+# hill climbs' move check and an accepted move on a warm evaluator, for a
+# forest re-parent and for a DAG edge toggle;
 # building a candidate (FromGraph + Weighted) stays inside a budget that
 # does not grow with n, and the Kahn pass + ancestor sets on a warm
 # dag.Scratch allocate nothing.

@@ -20,9 +20,10 @@
 //
 // The bnb method (alias branch-bound) is the exact search, and what auto
 // runs on small instances: it constructs execution graphs incrementally,
-// bounds every partial graph from below (PeriodLowerBound and its latency
-// analogue on partial structures) and prunes subtrees that cannot beat the
-// incumbent seeded by the greedy and hill-climbing solutions. It accepts
+// bounds every partial graph from below (the per-server Cexec maximum and
+// the heaviest path, taken on partial structures) and prunes subtrees that
+// cannot beat the incumbent seeded by the greedy and hill-climbing
+// solutions. It accepts
 // chains to n=12, forests to n=7 and DAGs to n=5 and, asked for by name,
 // reports the search effort as nodes expanded / candidates evaluated /
 // subtrees pruned. -family restricts the searched structural family: the

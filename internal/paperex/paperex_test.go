@@ -12,14 +12,15 @@ func TestFig1Invariants(t *testing.T) {
 	if eg.N() != 5 || eg.Graph().EdgeCount() != 5 {
 		t.Fatal("Fig1 shape wrong")
 	}
-	if !eg.PeriodLowerBound(plan.Overlap).Equal(rat.I(4)) {
-		t.Fatalf("overlap bound = %s", eg.PeriodLowerBound(plan.Overlap))
+	w := eg.Weighted()
+	if !w.PeriodLowerBound(plan.Overlap).Equal(rat.I(4)) {
+		t.Fatalf("overlap bound = %s", w.PeriodLowerBound(plan.Overlap))
 	}
-	if !eg.PeriodLowerBound(plan.InOrder).Equal(rat.I(7)) {
-		t.Fatalf("one-port bound = %s", eg.PeriodLowerBound(plan.InOrder))
+	if !w.PeriodLowerBound(plan.InOrder).Equal(rat.I(7)) {
+		t.Fatalf("one-port bound = %s", w.PeriodLowerBound(plan.InOrder))
 	}
-	if !eg.LatencyPathBound().Equal(rat.I(21)) {
-		t.Fatalf("latency bound = %s", eg.LatencyPathBound())
+	if !w.LatencyPathBound().Equal(rat.I(21)) {
+		t.Fatalf("latency bound = %s", w.LatencyPathBound())
 	}
 }
 
@@ -33,12 +34,13 @@ func TestB1ChainFanBlowsUpWithCommunication(t *testing.T) {
 	}
 	// With communication, C2's outgoing volume wrecks the period:
 	// Cout(C2) = 200·(9999/10000)² = 199.960002 > 100.
+	w := chain.Weighted()
 	want := rat.I(200).Mul(rat.New(9999, 10000).PowInt(2))
-	if !chain.Cout(1).Equal(want) {
-		t.Fatalf("Cout(C2) = %s, want %s", chain.Cout(1), want)
+	if !w.Cout(1).Equal(want) {
+		t.Fatalf("Cout(C2) = %s, want %s", w.Cout(1), want)
 	}
-	if !chain.PeriodLowerBound(plan.Overlap).Equal(want) {
-		t.Fatalf("overlap bound = %s", chain.PeriodLowerBound(plan.Overlap))
+	if !w.PeriodLowerBound(plan.Overlap).Equal(want) {
+		t.Fatalf("overlap bound = %s", w.PeriodLowerBound(plan.Overlap))
 	}
 }
 
@@ -51,37 +53,39 @@ func TestB1OptimalGraphAchieves100(t *testing.T) {
 	if !opt.Ccomp(2).Equal(rat.I(100)) {
 		t.Fatalf("Ccomp(C3) = %s", opt.Ccomp(2))
 	}
+	w := opt.Weighted()
 	// Cout(C1) = 100·(9999/10000) = 99.99 < 100.
-	if !opt.Cout(0).Equal(rat.New(9999, 100)) {
-		t.Fatalf("Cout(C1) = %s", opt.Cout(0))
+	if !w.Cout(0).Equal(rat.New(9999, 100)) {
+		t.Fatalf("Cout(C1) = %s", w.Cout(0))
 	}
-	if !opt.PeriodLowerBound(plan.Overlap).Equal(rat.I(100)) {
-		t.Fatalf("overlap bound = %s", opt.PeriodLowerBound(plan.Overlap))
+	if !w.PeriodLowerBound(plan.Overlap).Equal(rat.I(100)) {
+		t.Fatalf("overlap bound = %s", w.PeriodLowerBound(plan.Overlap))
 	}
 }
 
 func TestB2GraphCostStructure(t *testing.T) {
 	eg := B2Graph()
+	w := eg.Weighted()
 	// Every right-side service receives 1+2+3 = 6, computes 6, sends 6.
 	for j := 6; j < 12; j++ {
-		if !eg.Cin(j).Equal(rat.I(6)) {
-			t.Fatalf("Cin(C%d) = %s", j+1, eg.Cin(j))
+		if !w.Cin(j).Equal(rat.I(6)) {
+			t.Fatalf("Cin(C%d) = %s", j+1, w.Cin(j))
 		}
 		if !eg.Ccomp(j).Equal(rat.I(6)) {
 			t.Fatalf("Ccomp(C%d) = %s", j+1, eg.Ccomp(j))
 		}
-		if !eg.Cout(j).Equal(rat.I(6)) {
-			t.Fatalf("Cout(C%d) = %s", j+1, eg.Cout(j))
+		if !w.Cout(j).Equal(rat.I(6)) {
+			t.Fatalf("Cout(C%d) = %s", j+1, w.Cout(j))
 		}
 	}
 	// Every left-side service sends a total volume of 6.
 	for i := 0; i < 6; i++ {
-		if !eg.Cout(i).Equal(rat.I(6)) {
-			t.Fatalf("Cout(C%d) = %s", i+1, eg.Cout(i))
+		if !w.Cout(i).Equal(rat.I(6)) {
+			t.Fatalf("Cout(C%d) = %s", i+1, w.Cout(i))
 		}
 	}
-	if !eg.PeriodLowerBound(plan.Overlap).Equal(rat.I(6)) {
-		t.Fatalf("overlap bound = %s", eg.PeriodLowerBound(plan.Overlap))
+	if !w.PeriodLowerBound(plan.Overlap).Equal(rat.I(6)) {
+		t.Fatalf("overlap bound = %s", w.PeriodLowerBound(plan.Overlap))
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package plan implements execution graphs, the first half of a plan in the
 // paper's sense: a DAG over services whose transitive closure contains the
 // application's precedence constraints, annotated with the derived volumes
-// and costs (inProd, outSize, Cin, Ccomp, Cout, Cexec) that every scheduling
-// decision is based on.
+// (inProd, outSize) that every scheduling decision is based on. The
+// per-server costs (Cin, Ccomp, Cout, Cexec) and the two lower bounds are
+// read from the graph's scheduling-level lowering, Weighted.
 //
 // Entry services receive their input (volume δ0 = 1) from a private input
 // node; exit services send their output to a private output node. These
@@ -217,87 +218,9 @@ func (eg *ExecGraph) CommSize(e Edge) rat.Rat {
 	return eg.outSize[e.From]
 }
 
-// Cin returns the total incoming communication volume of service v
-// (lower bound on its receive time).
-func (eg *ExecGraph) Cin(v int) rat.Rat {
-	preds := eg.g.Pred(v)
-	if len(preds) == 0 {
-		return rat.One // input node sends δ0 = 1
-	}
-	s := rat.Zero
-	for _, p := range preds {
-		s = s.Add(eg.outSize[p])
-	}
-	return s
-}
-
 // Ccomp returns the computation time of service v: InProd(v)·c_v.
 func (eg *ExecGraph) Ccomp(v int) rat.Rat {
 	return eg.inProd[v].Mul(eg.app.Cost(v))
-}
-
-// Cout returns the total outgoing communication volume of v: one copy of
-// OutSize(v) per successor, or one copy to the output node for exit
-// services.
-func (eg *ExecGraph) Cout(v int) rat.Rat {
-	k := eg.g.OutDegree(v)
-	if k == 0 {
-		k = 1
-	}
-	return eg.outSize[v].MulInt(int64(k))
-}
-
-// Cexec returns the per-service period lower bound under the given model:
-// max{Cin, Ccomp, Cout} with overlap, Cin+Ccomp+Cout without.
-func (eg *ExecGraph) Cexec(v int, m Model) rat.Rat {
-	cin, ccomp, cout := eg.Cin(v), eg.Ccomp(v), eg.Cout(v)
-	if m == Overlap {
-		return rat.MaxOf(cin, ccomp, cout)
-	}
-	return cin.Add(ccomp).Add(cout)
-}
-
-// PeriodLowerBound returns max_v Cexec(v, m); the OVERLAP bound is always
-// achievable (Theorem 1), the one-port bounds are not (paper §2.3).
-func (eg *ExecGraph) PeriodLowerBound(m Model) rat.Rat {
-	if eg.N() == 0 {
-		return rat.Zero
-	}
-	bound := rat.Zero
-	for v := 0; v < eg.N(); v++ {
-		bound = rat.Max(bound, eg.Cexec(v, m))
-	}
-	return bound
-}
-
-// LatencyPathBound returns the longest-path latency lower bound: the
-// heaviest in-to-out path counting each computation and one copy of each
-// traversed communication. With one-port communications and a single path
-// this is exact; with branching it remains a valid lower bound for every
-// model.
-func (eg *ExecGraph) LatencyPathBound() rat.Rat {
-	if eg.N() == 0 {
-		return rat.Zero
-	}
-	// done[v] = earliest completion of v's computation along the heaviest
-	// path; result adds the exit communication.
-	done := make([]rat.Rat, eg.N())
-	best := rat.Zero
-	for _, v := range eg.topo {
-		start := rat.One // in-comm from the input node
-		for _, p := range eg.g.Pred(v) {
-			t := done[p].Add(eg.outSize[p])
-			start = rat.Max(start, t)
-		}
-		if eg.g.InDegree(v) == 0 {
-			start = rat.One
-		}
-		done[v] = start.Add(eg.Ccomp(v))
-		if eg.g.OutDegree(v) == 0 {
-			best = rat.Max(best, done[v].Add(eg.outSize[v]))
-		}
-	}
-	return best
 }
 
 // IsForest reports whether the execution graph is a forest (every service
@@ -325,14 +248,14 @@ func (eg *ExecGraph) String() string {
 }
 
 // Describe renders a per-service cost table (Cin, Ccomp, Cout, Cexec for
-// both model families), for diagnostics and the CLI.
+// both model families, read from Weighted), for diagnostics and the CLI.
 func (eg *ExecGraph) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s %14s %14s\n", "service", "Cin", "Ccomp", "Cout", "Cexec(ovl)", "Cexec(1port)")
+	w := eg.Weighted()
 	for v := 0; v < eg.N(); v++ {
 		fmt.Fprintf(&b, "%-10s %12s %12s %12s %14s %14s\n",
-			eg.app.Name(v), eg.Cin(v), eg.Ccomp(v), eg.Cout(v),
-			eg.Cexec(v, Overlap), eg.Cexec(v, InOrder))
+			w.Name(v), w.Cin(v), w.Comp(v), w.Cout(v), w.Cexec(v, Overlap), w.Cexec(v, InOrder))
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,6 +18,7 @@ func fig1() *ExecGraph {
 
 func TestFig1DerivedQuantities(t *testing.T) {
 	eg := fig1()
+	w := eg.Weighted()
 	for v := 0; v < 5; v++ {
 		if !eg.InProd(v).Equal(rat.One) || !eg.OutSize(v).Equal(rat.One) {
 			t.Fatalf("service %d: inProd=%s outSize=%s, want 1", v, eg.InProd(v), eg.OutSize(v))
@@ -26,26 +28,26 @@ func TestFig1DerivedQuantities(t *testing.T) {
 		}
 	}
 	// C1 (index 0): one input comm, two successors.
-	if !eg.Cin(0).Equal(rat.One) || !eg.Cout(0).Equal(rat.Two) {
-		t.Fatalf("C1: Cin=%s Cout=%s", eg.Cin(0), eg.Cout(0))
+	if !w.Cin(0).Equal(rat.One) || !w.Cout(0).Equal(rat.Two) {
+		t.Fatalf("C1: Cin=%s Cout=%s", w.Cin(0), w.Cout(0))
 	}
 	// C5 (index 4): two predecessors, exit node.
-	if !eg.Cin(4).Equal(rat.Two) || !eg.Cout(4).Equal(rat.One) {
-		t.Fatalf("C5: Cin=%s Cout=%s", eg.Cin(4), eg.Cout(4))
+	if !w.Cin(4).Equal(rat.Two) || !w.Cout(4).Equal(rat.One) {
+		t.Fatalf("C5: Cin=%s Cout=%s", w.Cin(4), w.Cout(4))
 	}
 	// Period lower bounds: 4 with overlap, 7 without (paper §2.3).
-	if !eg.PeriodLowerBound(Overlap).Equal(rat.I(4)) {
-		t.Fatalf("overlap bound = %s", eg.PeriodLowerBound(Overlap))
+	if !w.PeriodLowerBound(Overlap).Equal(rat.I(4)) {
+		t.Fatalf("overlap bound = %s", w.PeriodLowerBound(Overlap))
 	}
-	if !eg.PeriodLowerBound(InOrder).Equal(rat.I(7)) {
-		t.Fatalf("one-port bound = %s", eg.PeriodLowerBound(InOrder))
+	if !w.PeriodLowerBound(InOrder).Equal(rat.I(7)) {
+		t.Fatalf("one-port bound = %s", w.PeriodLowerBound(InOrder))
 	}
-	if !eg.PeriodLowerBound(OutOrder).Equal(rat.I(7)) {
-		t.Fatalf("out-order bound = %s", eg.PeriodLowerBound(OutOrder))
+	if !w.PeriodLowerBound(OutOrder).Equal(rat.I(7)) {
+		t.Fatalf("out-order bound = %s", w.PeriodLowerBound(OutOrder))
 	}
 	// The longest path gives exactly the optimal latency 21 here.
-	if !eg.LatencyPathBound().Equal(rat.I(21)) {
-		t.Fatalf("latency path bound = %s", eg.LatencyPathBound())
+	if !w.LatencyPathBound().Equal(rat.I(21)) {
+		t.Fatalf("latency path bound = %s", w.LatencyPathBound())
 	}
 }
 
@@ -96,8 +98,8 @@ func TestDiamondAncestorProductCountsOnce(t *testing.T) {
 		t.Fatalf("inProd(D) = %s, want 1/2", eg.InProd(3))
 	}
 	// D receives from both B and C, each sending 1/2.
-	if !eg.Cin(3).Equal(rat.One) {
-		t.Fatalf("Cin(D) = %s", eg.Cin(3))
+	if cin := eg.Weighted().Cin(3); !cin.Equal(rat.One) {
+		t.Fatalf("Cin(D) = %s", cin)
 	}
 }
 
@@ -217,32 +219,43 @@ func TestStringAndDescribe(t *testing.T) {
 	}
 }
 
-func TestWeightedLoweringMatchesExecGraph(t *testing.T) {
-	eg := fig1()
+// loweringAgrees reports whether eg's Weighted lowering carries the graph's
+// own quantities: Ccomp as node weights, every communication of Edges in
+// order with its CommSize as volume, each listed at its real endpoints, and
+// the graph's topological order.
+func loweringAgrees(eg *ExecGraph) bool {
 	w := eg.Weighted()
-	if w.N() != eg.N() {
-		t.Fatal("node count mismatch")
+	if w.N() != eg.N() || len(w.Edges()) != len(eg.Edges()) || !reflect.DeepEqual(w.Topo(), eg.Topo()) {
+		return false
 	}
 	for v := 0; v < eg.N(); v++ {
-		if !w.Comp(v).Equal(eg.Ccomp(v)) {
-			t.Fatalf("comp(%d) mismatch", v)
-		}
-		if !w.Cin(v).Equal(eg.Cin(v)) || !w.Cout(v).Equal(eg.Cout(v)) {
-			t.Fatalf("Cin/Cout(%d) mismatch", v)
-		}
-		for _, m := range Models {
-			if !w.Cexec(v, m).Equal(eg.Cexec(v, m)) {
-				t.Fatalf("Cexec(%d, %s) mismatch", v, m)
-			}
+		if !w.Comp(v).Equal(eg.Ccomp(v)) || w.Name(v) != eg.App().Name(v) {
+			return false
 		}
 	}
-	for _, m := range Models {
-		if !w.PeriodLowerBound(m).Equal(eg.PeriodLowerBound(m)) {
-			t.Fatalf("period bound mismatch under %s", m)
+	ins, outs := make([]int, eg.N()), make([]int, eg.N())
+	for i, e := range eg.Edges() {
+		if w.Edge(i) != e || !w.Vol(i).Equal(eg.CommSize(e)) {
+			return false
+		}
+		if e.From != In {
+			outs[e.From]++
+		}
+		if e.To != Out {
+			ins[e.To]++
 		}
 	}
-	if !w.LatencyPathBound().Equal(eg.LatencyPathBound()) {
-		t.Fatal("latency bound mismatch")
+	for v := 0; v < eg.N(); v++ {
+		if len(w.InEdges(v)) != ins[v] || len(w.OutEdges(v)) != outs[v] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestWeightedLoweringMatchesExecGraph(t *testing.T) {
+	if !loweringAgrees(fig1()) {
+		t.Fatal("Fig-1 lowering does not carry the execution graph's quantities")
 	}
 }
 

@@ -277,6 +277,7 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 	} else {
 		inc.offer(ChainLatencyValue(app, GreedyLatencyChainOrder(app)))
 	}
+	costs := unitCosts(app, m)
 	type cand struct {
 		order []int
 		val   rat.Rat
@@ -296,7 +297,7 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 		// the running objective and the data volume leaving the prefix.
 		place := func(prefixObj, inProd rat.Rat, s int) (rat.Rat, rat.Rat) {
 			if obj == PeriodObjective {
-				nextObj := rat.Max(prefixObj, inProd.Mul(cexecUnit(app, m, s, 1)))
+				nextObj := rat.Max(prefixObj, inProd.Mul(costs.unit(s, 1)))
 				return nextObj, inProd.Mul(app.Selectivity(s))
 			}
 			nextProd := inProd.Mul(app.Selectivity(s))
@@ -333,7 +334,7 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 				order[k], order[i] = order[i], order[k]
 				nextObj, nextProd := place(prefixObj, inProd, order[k])
 				st.Expanded++
-				if prunes(chainCompletionBound(app, m, obj, nextObj, nextProd, order[k+1:])) {
+				if prunes(chainCompletionBound(app, costs, obj, nextObj, nextProd, order[k+1:])) {
 					st.Pruned++
 				} else {
 					rec(k+1, nextObj, nextProd)
@@ -348,7 +349,7 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 		}
 		firstObj, firstProd := place(startObj, rat.One, order[0])
 		st.Expanded++
-		if prunes(chainCompletionBound(app, m, obj, firstObj, firstProd, order[1:])) {
+		if prunes(chainCompletionBound(app, costs, obj, firstObj, firstProd, order[1:])) {
 			st.Pruned++
 		} else {
 			rec(1, firstObj, firstProd)

@@ -376,9 +376,10 @@ func TestDAGSourceFloorBinds(t *testing.T) {
 	g := dag.New(n)
 	for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
 		// Fully open: every node is a source candidate with out-degree 0.
-		floor := cexecUnit(app, m, 0, 0)
+		units := unitCosts(app, m)
+		floor := units.unit(0, 0)
 		for v := 1; v < n; v++ {
-			if u := cexecUnit(app, m, v, 0); u.Less(floor) {
+			if u := units.unit(v, 0); u.Less(floor) {
 				floor = u
 			}
 		}
@@ -398,9 +399,10 @@ func TestDAGSourceFloorBinds(t *testing.T) {
 	// removes its head from the candidate set.
 	g.AddEdge(0, 1)
 	got := dagPartialBound(app, plan.InOrder, PeriodObjective, g, nil, pairs, 1)
-	floor := cexecUnit(app, plan.InOrder, 0, 1)
+	units := unitCosts(app, plan.InOrder)
+	floor := units.unit(0, 1)
 	for _, v := range []int{2, 3} {
-		if u := cexecUnit(app, plan.InOrder, v, 0); u.Less(floor) {
+		if u := units.unit(v, 0); u.Less(floor) {
 			floor = u
 		}
 	}
@@ -519,14 +521,14 @@ func TestDAGPrecedenceLastFloorExactOnTotalOrder(t *testing.T) {
 // from-scratch counterpart of the prefix state branchBoundChain maintains
 // incrementally before calling chainCompletionBound.
 func chainPrefixBound(app *workflow.App, m plan.Model, obj Objective, order []int, k int) rat.Rat {
-	inProd := rat.One
+	inProd, units := rat.One, unitCosts(app, m)
 	var prefixObj rat.Rat
 	if obj == LatencyObjective {
 		prefixObj = rat.One
 	}
 	for _, s := range order[:k] {
 		if obj == PeriodObjective {
-			prefixObj = rat.Max(prefixObj, inProd.Mul(cexecUnit(app, m, s, 1)))
+			prefixObj = rat.Max(prefixObj, inProd.Mul(units.unit(s, 1)))
 			inProd = inProd.Mul(app.Selectivity(s))
 		} else {
 			prefixObj = prefixObj.Add(inProd.Mul(app.Cost(s)))
@@ -534,7 +536,7 @@ func chainPrefixBound(app *workflow.App, m plan.Model, obj Objective, order []in
 			prefixObj = prefixObj.Add(inProd)
 		}
 	}
-	return chainCompletionBound(app, m, obj, prefixObj, inProd, order[k:])
+	return chainCompletionBound(app, units, obj, prefixObj, inProd, order[k:])
 }
 
 // parentVector extracts the forest parent assignment of an execution graph.

@@ -13,8 +13,9 @@ package solve
 // Admissibility is what makes pruning safe: a subtree is discarded only
 // when its bound strictly exceeds the incumbent, so a subtree containing an
 // optimal graph (bound ≤ optimum ≤ incumbent) is never cut. The bounds
-// build on the same per-server quantities as plan.PeriodLowerBound and
-// plan.LatencyPathBound, with the undecided part replaced by its best case:
+// build on the same per-server quantities as the complete-graph bounds
+// (plan.Weighted's PeriodLowerBound and LatencyPathBound, and the climbs'
+// graphEval), with the undecided part replaced by its best case:
 //
 //   - a node's input product can only shrink by the selectivities < 1 of
 //     services that may still become ancestors (never by current
@@ -42,50 +43,50 @@ func shrinkFactor(app *workflow.App, u int) rat.Rat {
 	return rat.One
 }
 
-// cexecUnit returns the per-unit-volume Cexec of service v under model m
-// given k decided consumers: scaling it by the service's input product gives
-// the per-server period bound (Cin = inProd, Ccomp = inProd·c, Cout =
-// inProd·σ·max(1,k) on forests and chains).
-func cexecUnit(app *workflow.App, m plan.Model, v, k int) rat.Rat {
-	if k < 1 {
-		k = 1
-	}
-	sK := app.Selectivity(v).MulInt(int64(k))
-	if m == plan.Overlap {
-		return rat.MaxOf(rat.One, app.Cost(v), sK)
-	}
-	return rat.One.Add(app.Cost(v)).Add(sK)
-}
-
 // unitTables are the per-unit-volume costs of one solve under one model,
-// read by the partial bounds and the hill climb's move filter: cexecUnit of
-// v with k consumers at cexec[v*n+k], and cs[v] = c+σ.
-type unitTables struct{ cexec, cs []rat.Rat }
+// read by the partial bounds, the chain search and the hill climbs' move
+// filter: unit(v, k) is the Cexec of service v with 0 ≤ k ≤ n consumers on
+// input product 1 (Cin = 1, Ccomp = c, Cout = σ·max(1,k), combined by max
+// under OVERLAP and summed otherwise), so scaling it by a service's input
+// product gives its per-server period bound on forests and chains; cs[v] =
+// c+σ.
+type unitTables struct {
+	m         plan.Model
+	cexec, cs []rat.Rat
+}
 
 func unitCosts(app *workflow.App, m plan.Model) unitTables {
 	n := app.N()
-	u := unitTables{cexec: make([]rat.Rat, n*n), cs: make([]rat.Rat, n)}
+	u := unitTables{m: m, cexec: make([]rat.Rat, n*(n+1)), cs: make([]rat.Rat, n)}
 	for v := 0; v < n; v++ {
-		u.cs[v] = app.Cost(v).Add(app.Selectivity(v))
-		for k := 0; k < n; k++ {
-			u.cexec[v*n+k] = cexecUnit(app, m, v, k)
+		c, s := app.Cost(v), app.Selectivity(v)
+		u.cs[v] = c.Add(s)
+		for k := 0; k <= n; k++ {
+			sK := s.MulInt(int64(max(1, k)))
+			if m == plan.Overlap {
+				u.cexec[v*(n+1)+k] = rat.MaxOf(rat.One, c, sK)
+			} else {
+				u.cexec[v*(n+1)+k] = rat.One.Add(c).Add(sK)
+			}
 		}
 	}
 	return u
 }
+
+// unit returns the unit-volume Cexec of v with k consumers.
+func (u unitTables) unit(v, k int) rat.Rat { return u.cexec[v*(len(u.cs)+1)+k] }
 
 // --- per-solve tables, per-shard scratch ---
 
 // boundTables are the constants of one solve the partial bounds read: built
 // once by newBoundTables, shared read-only by every shard.
 type boundTables struct {
+	unitTables
 	n      int
-	m      plan.Model
 	obj    Objective
 	sel    []rat.Rat // selectivities
 	cost   []rat.Rat
 	shrink []rat.Rat // shrinkFactor
-	cexec  []rat.Rat // cexecUnit of v with k decided consumers at [v*n+k]
 	tail   []rat.Rat // computation plus one output copy per unit volume: max(c, σ) for the OVERLAP period, c+σ otherwise
 	mand   []bool    // mand[u*n+v]: precedence puts u before v in every valid completion
 	after  []bool    // after[v]: v has a precedence predecessor
@@ -98,9 +99,8 @@ type boundTables struct {
 // and pairs the DAG search's pair order (nil for forests).
 func newBoundTables(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, pairs [][2]int) *boundTables {
 	n := app.N()
-	t := &boundTables{n: n, m: m, obj: obj, pairs: pairs}
-	u := unitCosts(app, m)
-	t.cexec, t.tail = u.cexec, u.cs
+	t := &boundTables{unitTables: unitCosts(app, m), n: n, obj: obj, pairs: pairs}
+	t.tail = append([]rat.Rat(nil), t.cs...)
 	rats := make([]rat.Rat, 3*n)
 	t.sel, t.cost, t.shrink = rats[:n], rats[n:2*n], rats[2*n:]
 	for v := 0; v < n; v++ {
@@ -192,7 +192,7 @@ func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
 	bound := rat.Zero
 	if b.obj == PeriodObjective {
 		for v := 0; v < n; v++ {
-			bound = rat.Max(bound, minProd[v].Mul(b.cexec[v*n+kids[v]]))
+			bound = rat.Max(bound, minProd[v].Mul(b.unit(v, kids[v])))
 		}
 		return bound
 	}
@@ -315,7 +315,7 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	// without decided predecessors — and without precedence
 	// predecessors, which force a predecessor in every valid
 	// completion — can end up there, edges only get added (its final
-	// out-degree ≥ the decided one, and cexecUnit is monotone in k),
+	// out-degree ≥ the decided one, and the unit Cexec is monotone in k),
 	// so the minimum unit-volume Cexec over those candidates bounds
 	// every completion. On shrinking workloads with most pairs still
 	// open the per-node terms collapse toward the full shrink product
@@ -338,7 +338,7 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	haveSrc, haveLast := false, false
 	for v := 0; v < n; v++ {
 		if len(g.Pred(v)) == 0 && !b.after[v] {
-			if t := b.cexec[v*n+g.OutDegree(v)]; !haveSrc || t.Less(src) {
+			if t := b.unit(v, g.OutDegree(v)); !haveSrc || t.Less(src) {
 				src, haveSrc = t, true
 			}
 		}
@@ -362,7 +362,8 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 // chainCompletionBound bounds every chain extending an exact prefix state:
 // prefixObj is the objective accumulated over the placed prefix (the max
 // per-server Cexec for MINPERIOD, the running latency for MINLATENCY),
-// inProd the data volume leaving the prefix, rest the unplaced services.
+// inProd the data volume leaving the prefix, rest the unplaced services, u
+// the solve's unit tables.
 //
 // Both objectives use the same dominance argument over the suffix. A
 // service placed with k other rest services before it keeps an input
@@ -379,7 +380,7 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 //     largest weights take the most-shrunk positions, so pairing the t-th
 //     largest weight with the product of the r-t smallest factors bounds
 //     the total from below.
-func chainCompletionBound(app *workflow.App, m plan.Model, obj Objective, prefixObj, inProd rat.Rat, rest []int) rat.Rat {
+func chainCompletionBound(app *workflow.App, u unitTables, obj Objective, prefixObj, inProd rat.Rat, rest []int) rat.Rat {
 	r := len(rest)
 	if r == 0 {
 		return prefixObj
@@ -399,9 +400,9 @@ func chainCompletionBound(app *workflow.App, m plan.Model, obj Objective, prefix
 	weights := make([]rat.Rat, r)
 	for i, s := range rest {
 		if obj == PeriodObjective {
-			weights[i] = cexecUnit(app, m, s, 1)
+			weights[i] = u.unit(s, 1)
 		} else {
-			weights[i] = app.Cost(s).Add(app.Selectivity(s))
+			weights[i] = u.cs[s]
 		}
 	}
 	sortRats(weights)
@@ -424,7 +425,7 @@ func chainCompletionBound(app *workflow.App, m plan.Model, obj Objective, prefix
 		suf := rat.One
 		var last rat.Rat
 		for i := r - 1; i >= 0; i-- {
-			v := pre[i].Mul(suf).Mul(cexecUnit(app, m, rest[i], 1))
+			v := pre[i].Mul(suf).Mul(u.unit(rest[i], 1))
 			if i == r-1 || v.Less(last) {
 				last = v
 			}

@@ -70,9 +70,9 @@ func forestPartialBoundRef(app *workflow.App, m plan.Model, obj Objective, paren
 		minProd[v] = p
 	}
 	if obj == PeriodObjective {
-		bound := rat.Zero
+		bound, units := rat.Zero, unitCosts(app, m)
 		for v := 0; v < n; v++ {
-			bound = rat.Max(bound, minProd[v].Mul(cexecUnit(app, m, v, kids[v])))
+			bound = rat.Max(bound, minProd[v].Mul(units.unit(v, kids[v])))
 		}
 		return bound
 	}
@@ -209,18 +209,18 @@ func dagPartialBoundRef(app *workflow.App, m plan.Model, obj Objective, g *dag.G
 		// without decided predecessors — and without precedence
 		// predecessors, which force a predecessor in every valid
 		// completion — can end up there, edges only get added (its final
-		// out-degree ≥ the decided one, and cexecUnit is monotone in k),
+		// out-degree ≥ the decided one, and the unit Cexec is monotone in k),
 		// so the minimum unit-volume Cexec over those candidates bounds
 		// every completion. On shrinking workloads with most pairs still
 		// open the per-node terms collapse toward the full shrink product
 		// and this floor is the binding part.
 		var src rat.Rat
-		haveSrc := false
+		haveSrc, units := false, unitCosts(app, m)
 		for v := 0; v < n; v++ {
 			if len(g.Pred(v)) > 0 || (constrained && len(prec.Pred(v)) > 0) {
 				continue
 			}
-			t := cexecUnit(app, m, v, g.OutDegree(v))
+			t := units.unit(v, g.OutDegree(v))
 			if !haveSrc || t.Less(src) {
 				src, haveSrc = t, true
 			}

@@ -1,12 +1,14 @@
 package solve
 
-// The forest hill climb above the answer-stream corpus: the corpus of
-// TestAnswerStreamDigest stops at 6 services, below the exact caps, so the
-// climb at the sizes the planning service sends it (8 services, and 14 —
-// past the 12-node threshold where candidate parents are sampled) is pinned
-// here. One digest covers the answers and, at Workers 1, the search effort
-// (orchestrations, memo hits, order-search counters): a change to the
-// climb's move filter must move neither.
+// The hill climbs above the answer-stream corpus: the corpus of
+// TestAnswerStreamDigest stops at 6 services (5 with precedence), below the
+// exact caps, so the climbs at the sizes the planning service sends them are
+// pinned here. The forest climb runs at 8 services and at 14, past the
+// 12-node threshold where candidate parents are sampled; the DAG climb runs
+// on precedence instances of 6 to 8 services. Each digest is a pair, like
+// TestAnswerStreamDigest's: the answers, and at Workers 1 the search effort
+// (orchestrations, memo hits, order-search counters). A change to a climb's
+// move filter must move neither.
 
 import (
 	"crypto/sha256"
@@ -16,52 +18,103 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/plan"
+	"repro/internal/workflow"
 )
 
-// The committed digests, recorded by this test at commit f58d26b.
+// The committed digests, recorded by these tests at commit 3ac4fd7.
 const (
-	climbDigestFull  = "1bd3fa34ca4eefd8d53664cb517b9770b680dcab4ec4cf0912f57028e1f4fae5"
-	climbDigestShort = "791b9d0d23d332f6cd0e39c479049954ad077e404c5c3b96494fff84972540c6"
+	climbAnswerFull     = "bd988a2c3f70f2a2f137e2083e91f1f05ae4a70f7a34d08d1b3581107ff6ba9e"
+	climbEffortFull     = "1739d0205f14d42a9dc9fad676c8b7f56c96af8e9d01d4409ea9b8647fa6ac00"
+	climbAnswerShort    = "707b85cacccb7710c1153ea10666d149ae9d5d09996e8433475bfa3279b6d5e6"
+	climbEffortShort    = "f652b53215753f9cc36f8c8f32371ce0235d7a4b7448706ce2e1f01e03260f23"
+	climbDAGAnswerFull  = "35df0be2c831e2f241d07349a769861a8b1320ddcbb931ad33b7d4b34a560cec"
+	climbDAGEffortFull  = "2ddbecd4454b7b1e45c781ac16deb2e047c56c52e58f128aa2cfc2eb88246fc8"
+	climbDAGAnswerShort = "d27338fe9804baa2492dfb774d0b3f62ad2bf7349a41c3f5dcf9fea192ab4f75"
+	climbDAGEffortShort = "e12dfba96c6a9c8c7938262ff2a79e49c4306e71dd9204c4d2eff20bcd8547ff"
 )
 
-func TestClimbDigest(t *testing.T) {
-	sizes := []int{8, 14}
-	if testing.Short() {
-		sizes = sizes[:1]
-	}
-	h := sha256.New()
-	for _, n := range sizes {
-		for i := 0; i < 6; i++ {
-			p := []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}[i%3]
-			app := gen.App(gen.NewRand(int64(200+10*i+n)), n, p)
-			for _, m := range plan.Models {
-				for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-					for _, workers := range []int{1, 4} {
-						probe := &EvalProbe{}
-						opts := Options{Method: HillClimb, Seed: int64(n + i), Workers: workers, Probe: probe}
-						var sol Solution
-						var err error
-						if obj == PeriodObjective {
-							sol, err = MinPeriod(app, m, opts)
-						} else {
-							sol, err = MinLatency(app, m, opts)
-						}
-						fmt.Fprintf(h, "n%d #%d %s %s %s w%d: ", n, i, p, m, obj, workers)
-						writeAnswer(t, h, sol, err)
-						if workers == 1 {
-							o := probe.Orch()
-							fmt.Fprintf(h, "effort %d %d %d %d %d\n", probe.Evals(), probe.MemoHits(), o.Prefixes, o.Pruned, o.Evaluated)
-						}
+// climbInstance is one digest instance and the climb seed it is solved with.
+type climbInstance struct {
+	label string
+	app   *workflow.App
+	seed  int64
+}
+
+// checkClimbDigest hill-climbs every instance × model × objective × Workers
+// {1, 4} and compares the answer and Workers-1 effort digests with the
+// committed pair.
+func checkClimbDigest(t *testing.T, insts []climbInstance, wantAnswers, wantEffort string) {
+	answers, effort := sha256.New(), sha256.New()
+	for _, in := range insts {
+		for _, m := range plan.Models {
+			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+				for _, workers := range []int{1, 4} {
+					probe := &EvalProbe{}
+					opts := Options{Method: HillClimb, Seed: in.seed, Workers: workers, Probe: probe}
+					var sol Solution
+					var err error
+					if obj == PeriodObjective {
+						sol, err = MinPeriod(in.app, m, opts)
+					} else {
+						sol, err = MinLatency(in.app, m, opts)
+					}
+					fmt.Fprintf(answers, "%s %s %s w%d: ", in.label, m, obj, workers)
+					writeAnswer(t, answers, sol, err)
+					if workers == 1 {
+						o := probe.Orch()
+						fmt.Fprintf(effort, "%s %s %s: %d %d %d %d %d\n", in.label, m, obj,
+							probe.Evals(), probe.MemoHits(), o.Prefixes, o.Pruned, o.Evaluated)
 					}
 				}
 			}
 		}
 	}
-	want := climbDigestFull
+	if got := hex.EncodeToString(answers.Sum(nil)); got != wantAnswers {
+		t.Errorf("answer digest %s, committed %s", got, wantAnswers)
+	}
+	if got := hex.EncodeToString(effort.Sum(nil)); got != wantEffort {
+		t.Errorf("effort digest %s, committed %s", got, wantEffort)
+	}
+}
+
+// TestClimbDigest pins the forest climb: six instances per size, two of
+// each profile.
+func TestClimbDigest(t *testing.T) {
+	sizes := []int{8, 14}
+	wantAnswers, wantEffort := climbAnswerFull, climbEffortFull
 	if testing.Short() {
-		want = climbDigestShort
+		sizes = sizes[:1]
+		wantAnswers, wantEffort = climbAnswerShort, climbEffortShort
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Errorf("climb digest %s, committed %s", got, want)
+	var insts []climbInstance
+	for _, n := range sizes {
+		for i := 0; i < 6; i++ {
+			p := []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}[i%3]
+			insts = append(insts, climbInstance{fmt.Sprintf("n%d #%d %s", n, i, p),
+				gen.App(gen.NewRand(int64(200+10*i+n)), n, p), int64(n + i)})
+		}
 	}
+	checkClimbDigest(t, insts, wantAnswers, wantEffort)
+}
+
+// TestClimbDAGDigest pins the DAG climb: one precedence instance (density
+// 0.3) per size and profile.
+func TestClimbDAGDigest(t *testing.T) {
+	sizes := []int{6, 7, 8}
+	wantAnswers, wantEffort := climbDAGAnswerFull, climbDAGEffortFull
+	if testing.Short() {
+		sizes = sizes[:1]
+		wantAnswers, wantEffort = climbDAGAnswerShort, climbDAGEffortShort
+	}
+	var insts []climbInstance
+	for _, n := range sizes {
+		for i, p := range []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding} {
+			app := gen.AppWithPrecedence(gen.NewRand(int64(500+10*i+n)), n, p, 0.3)
+			if !app.HasPrecedence() {
+				t.Fatalf("prec n%d %s drew no precedence edge: the forest climb would run", n, p)
+			}
+			insts = append(insts, climbInstance{fmt.Sprintf("prec n%d %s", n, p), app, int64(n + i)})
+		}
+	}
+	checkClimbDigest(t, insts, wantAnswers, wantEffort)
 }
