@@ -123,8 +123,10 @@ smoke-exec:
 # the math/big path, the int64 arithmetic kernel against math/big
 # (values, canonical form), the candidate builder (FromGraph + Weighted)
 # against the one it replaced, the plan-store entry codec (never panics;
-# an accepted entry re-encodes stably), and Score.Materialise (total on
-# what the scoring forms produce). FUZZTIME bounds each target.
+# an accepted entry re-encodes stably), Score.Materialise (total on
+# what the scoring forms produce), and the /v1/sync import (never panics;
+# a rejected item changes nothing but its counter; an accepted instance
+# re-canonicalises to its claimed hash). FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -133,5 +135,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime $(FUZZTIME) ./internal/orchestrate/
+	$(GO) test -run '^$$' -fuzz FuzzSyncImport -fuzztime $(FUZZTIME) ./internal/service/
 
 check: vet build test-short test-race test-alloc bench-smoke

@@ -51,13 +51,14 @@
 //	GET   /v1/subscribe/{hash} server-sent events: one "replan" event per objective change
 //	GET   /v1/explain/{hash}   provenance of the last serve: method, family, source
 //	                           (cache|store|solve|failover), search-effort counters, timings
-//	GET   /v1/healthz          liveness: status, version, VCS revision
-//	GET   /v1/stats            JSON counters (compat)
-//	GET   /metrics             Prometheus text format: request latency, per-phase and solver
-//	                           wall time, search-effort totals (orchestration-memo hits of
-//	                           each solve included), plan-cache hit rates, queue depth and
-//	                           shed counts — plus, in router mode, per-peer forward,
-//	                           failover and circuit-breaker state
+//	GET   /v1/healthz          liveness: status, version, VCS revision (the router's
+//	                           health loop probes it on every peer)
+//	GET   /metrics             every counter, Prometheus text format: request latency,
+//	                           per-phase and solver wall time, search-effort totals
+//	                           (orchestration-memo hits of each solve included), plan-cache
+//	                           hit rates and capacity, registered instances, queue depth and
+//	                           shed counts, store and sync traffic — plus, in router mode,
+//	                           per-peer forward, failover and circuit-breaker state
 //	GET   /debug/requests      the most recent request spans (bounded ring; empty when
 //	                           -trace-requests is 0)
 //

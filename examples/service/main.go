@@ -5,8 +5,8 @@
 // the service over its persistent store and get the same answer warm,
 // follow one request ID from the response header through the span ring
 // (/debug/requests) to the plan's provenance record (/v1/explain), and
-// read the counters — JSON via /v1/stats and Prometheus text via
-// /metrics (what a collector scrapes). Then replication (DESIGN.md §4–5):
+// read the counters off /metrics, the Prometheus text a collector
+// scrapes. Then replication (DESIGN.md §4–5):
 // a two-owner cluster router loses its preferred owner mid-traffic and
 // the co-owner serves the identical answer — zero 5xx, with the loss
 // visible on the under-replicated gauge. The finale closes the loop with
@@ -188,15 +188,7 @@ func main() {
 	fmt.Printf("  search effort: %v nodes expanded, %v pruned, %v candidates evaluated\n",
 		solver["expanded"], solver["pruned"], solver["evaluated"])
 
-	fmt.Println("== GET /v1/stats ==")
-	stats := get(ts.URL + "/v1/stats")
-	fmt.Printf("  %v plan requests, %v solves, %v hits, %v coalesced, %v instances registered\n",
-		stats["plan_requests"], stats["solves"], stats["cache_hits"],
-		stats["cache_coalesced"], stats["registered_instances"])
-	fmt.Printf("  persistent: %v (%v writes), %v events published\n",
-		stats["persistent"], stats["store_writes"], stats["events_published"])
-
-	fmt.Println("== GET /metrics: the same story in Prometheus text format ==")
+	fmt.Println("== GET /metrics: the counters, in Prometheus text format ==")
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		log.Fatal(err)
@@ -210,10 +202,12 @@ func main() {
 		// there it also exposes per-peer breaker state and failovers).
 		for _, prefix := range []string{
 			"filterd_plan_requests_total", "filterd_solves_total",
-			"filterd_plancache_hits_total", "filterd_queue_depth",
+			"filterd_plancache_hits_total", "filterd_plancache_coalesced_total",
+			"filterd_registered_instances", "filterd_store_writes_total",
+			"filterd_subscribe_events_total", "filterd_queue_depth",
 			"filterd_shed_total", "filterd_solve_seconds_count",
 		} {
-			if strings.HasPrefix(line, prefix) {
+			if strings.HasPrefix(line, prefix+" ") {
 				fmt.Printf("  %s\n", line)
 			}
 		}
@@ -278,7 +272,8 @@ func main() {
 
 	// The router's availability census notices the loss: once the dead
 	// owner's breaker opens, shards with fewer than R live owners show up
-	// in the under-replicated gauge (also on /v1/stats and /metrics).
+	// in the under-replicated gauge (filterd_router_underreplicated_shards
+	// on /metrics).
 	for deadline := time.Now().Add(5 * time.Second); router.Stats().UnderReplicated == 0 && time.Now().Before(deadline); {
 		time.Sleep(50 * time.Millisecond)
 	}

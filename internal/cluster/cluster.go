@@ -100,8 +100,9 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// ForwardRetries bounds re-attempts of one idempotent forward after
 	// its first try (default 2; negative disables retries). PATCH
-	// forwards never retry. RetryBackoff is the first inter-attempt
-	// sleep, doubling per attempt (default 50ms).
+	// forwards never retry. RetryBackoff is the base of the delay ladder
+	// between attempts (resilience.Backoff: doubling, jittered; default
+	// 50ms).
 	ForwardRetries int
 	RetryBackoff   time.Duration
 	// BatchFanout bounds the concurrently routed items of one batch
@@ -310,7 +311,6 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("PATCH /v1/instance/{hash}", rt.handleByHashPath)
 	rt.mux.HandleFunc("GET /v1/subscribe/{hash}", rt.handleByHashPath)
 	rt.mux.HandleFunc("GET /v1/explain/{hash}", rt.handleByHashPath)
-	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	rt.mux.Handle("GET /metrics", rt.metrics.Handler())
 	rt.mux.Handle("GET /debug/requests", rt.tracer.Handler())
@@ -331,14 +331,14 @@ func (rt *Router) Close() {
 	rt.client.CloseIdleConnections()
 }
 
-// healthLoop probes every peer's /v1/stats on the configured period. The
-// probes of one pass run concurrently, each bounded by ProbeTimeout, so a
-// pass costs one probe's worth of wall time however many peers are dead —
-// with serial unbounded probes, two hung peers would stall the pass past
-// the interval and starve recovery detection for the healthy ones. Probe
-// outcomes feed the breakers: success closes (heals) a peer, failure
-// extends a dead peer's isolation without waiting for a request to trip
-// over it.
+// healthLoop probes every peer's /v1/healthz (liveness, no counter
+// snapshot) on the configured period. The probes of one pass run
+// concurrently, each bounded by ProbeTimeout, so a pass costs one probe's
+// worth of wall time however many peers are dead — with serial unbounded
+// probes, two hung peers would stall the pass past the interval and
+// starve recovery detection for the healthy ones. Probe outcomes feed the
+// breakers: success closes (heals) a peer, failure extends a dead peer's
+// isolation without waiting for a request to trip over it.
 func (rt *Router) healthLoop() {
 	defer rt.healthWg.Done()
 	ticker := time.NewTicker(rt.cfg.HealthInterval)
@@ -352,7 +352,7 @@ func (rt *Router) healthLoop() {
 				ctx, cancel := context.WithTimeout(rt.baseCtx, rt.cfg.ProbeTimeout)
 				defer cancel()
 				ok := false
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/v1/stats", nil)
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/v1/healthz", nil)
 				if err == nil {
 					resp, derr := rt.probe.Do(req)
 					if derr == nil {
@@ -434,33 +434,29 @@ func (rt *Router) Stats() Stats {
 			st.PeersUp++
 		}
 	}
-	// Owner availability is a function of shard mod len(peers) alone, so
-	// counting the distinct residues under-replicated covers every shard.
-	n := len(rt.peers)
-	residues := n
-	if st.Shards < residues {
-		residues = st.Shards
+	for _, count := range rt.census()[:rt.cfg.Replicas] {
+		st.UnderReplicated += count
 	}
-	shardsPerResidue := st.Shards / n
-	for res := 0; res < residues; res++ {
+	return st
+}
+
+// census counts the shards by their currently available owners: entry f
+// is the number of shards with exactly f. Owner availability is a
+// function of shard mod len(peers) alone, so one pass over the residues
+// covers every shard.
+func (rt *Router) census() []int {
+	shards, n := 1<<rt.cfg.ShardBits, len(rt.peers)
+	byFactor := make([]int, rt.cfg.Replicas+1)
+	for res := 0; res < min(n, shards); res++ {
 		up := 0
 		for _, p := range rt.ownersOf(res) {
 			if p.available() {
 				up++
 			}
 		}
-		if up < rt.cfg.Replicas {
-			count := shardsPerResidue
-			if res < st.Shards%n {
-				count++
-			}
-			if st.Shards < n {
-				count = 1
-			}
-			st.UnderReplicated += count
-		}
+		byFactor[up] += (shards - res + n - 1) / n // shards ≡ res mod n
 	}
-	return st
+	return byFactor
 }
 
 // Metrics returns the router's registry (shared with the embedded
@@ -627,60 +623,10 @@ func (rt *Router) handleByHashPath(w http.ResponseWriter, r *http.Request) {
 	rt.route(w, r, r.PathValue("hash"), r.URL.Path, body)
 }
 
-// handleStats serves the router's own counters plus per-peer health (the
-// replicas' solver counters live on the replicas).
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := rt.Stats()
-	type peerJSON struct {
-		URL     string `json:"url"`
-		Up      bool   `json:"up"`
-		Breaker string `json:"breaker"`
-		Opens   int64  `json:"breaker_opens"`
-	}
-	out := struct {
-		Role             string     `json:"role"`
-		Version          string     `json:"version"`
-		Revision         string     `json:"revision"`
-		Shards           int        `json:"shards"`
-		Replicas         int        `json:"replicas"`
-		UnderReplicated  int        `json:"under_replicated_shards"`
-		Forwarded        int64      `json:"forwarded"`
-		LocalServed      int64      `json:"local_served"`
-		Failovers        int64      `json:"failovers"`
-		Retries          int64      `json:"retries"`
-		ReplicaFailovers int64      `json:"replica_failovers"`
-		FanoutWrites     int64      `json:"fanout_writes"`
-		FanoutErrors     int64      `json:"fanout_errors"`
-		Peers            []peerJSON `json:"peers"`
-	}{
-		Role:             "router",
-		Version:          rt.version,
-		Revision:         rt.revision,
-		Shards:           st.Shards,
-		Replicas:         st.Replicas,
-		UnderReplicated:  st.UnderReplicated,
-		Forwarded:        st.Forwarded,
-		LocalServed:      st.LocalServed,
-		Failovers:        st.Failovers,
-		Retries:          st.Retries,
-		ReplicaFailovers: st.ReplicaFailovers,
-		FanoutWrites:     st.FanoutWrites,
-		FanoutErrors:     st.FanoutErrors,
-	}
-	for _, p := range rt.peers {
-		out.Peers = append(out.Peers, peerJSON{
-			URL:     p.url,
-			Up:      p.available(),
-			Breaker: p.breaker.State().String(),
-			Opens:   p.breaker.Opens(),
-		})
-	}
-	service.WriteJSON(w, http.StatusOK, out)
-}
-
 // handleHealthz answers liveness from the router itself — no peer I/O, so
 // a load balancer probing it learns whether THIS process is up, not
-// whether the cluster behind it is healthy (that story is /v1/stats).
+// whether the cluster behind it is healthy (that story is /metrics: the
+// peers-up, breaker and under-replication families).
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, struct {
 		Status   string `json:"status"`
@@ -946,7 +892,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, p *peer, path 
 		committed = true
 		return nil
 	}
-	resilience.Retry(r.Context(), attempts, rt.cfg.RetryBackoff, op)
+	resilience.Retry(r.Context(), attempts, resilience.Backoff{Base: rt.cfg.RetryBackoff}, op)
 	return committed
 }
 

@@ -17,27 +17,6 @@ import (
 	"time"
 )
 
-// statsDoc is the slice of /v1/stats the gossip tests read.
-type statsDoc struct {
-	Registered   int   `json:"registered_instances"`
-	SyncInstance int64 `json:"sync_instances"`
-	SyncEntries  int64 `json:"sync_entries"`
-}
-
-func replicaStats(t *testing.T, rep *replica) statsDoc {
-	t.Helper()
-	resp, err := http.Get(rep.ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc statsDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
 // TestGossipConvergesReplicas: two replicas solve different instances;
 // one RunOnce from a single agent converges both directions (push-pull),
 // and a second round moves nothing.
@@ -66,8 +45,8 @@ func TestGossipConvergesReplicas(t *testing.T) {
 	if len(db.Hashes) != 2 || len(db.Keys) != 2 {
 		t.Fatalf("b digest %+v, want 2 hashes / 2 keys", db)
 	}
-	if replicaStats(t, b).Registered != 2 {
-		t.Error("b /v1/stats does not report both instances registered")
+	if reg := scrapeFamilies(t, b.ts.URL)["filterd_registered_instances"]; reg != 2 {
+		t.Errorf("b /metrics reports %v instances registered, want both", reg)
 	}
 
 	st := g.Stats()

@@ -19,12 +19,12 @@ import (
 	"repro/internal/service"
 )
 
-// fakePeer is a replica stub: /v1/stats always healthy, /v1/plan under
+// fakePeer is a replica stub: /v1/healthz always healthy, /v1/plan under
 // test control.
 func fakePeer(t *testing.T, plan http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("{}"))
 	})
 	mux.HandleFunc("POST /v1/plan", plan)
@@ -159,7 +159,7 @@ func TestMidBodyPeerDeathFailsOver(t *testing.T) {
 func TestHealthProbesConcurrentAndCapped(t *testing.T) {
 	var cur, max atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		c := cur.Add(1)
 		for {
 			m := max.Load()
@@ -227,7 +227,7 @@ func TestBreakerIsolatesFlappingPeer(t *testing.T) {
 		hits.Add(1)
 		panic(http.ErrAbortHandler)
 	})
-	peer := httptest.NewServer(mux) // GET /v1/stats: 404
+	peer := httptest.NewServer(mux) // GET /v1/healthz: 404
 	t.Cleanup(peer.Close)
 	rt := newRouter(t, Config{
 		Peers: []string{peer.URL}, HealthInterval: time.Hour,
@@ -291,25 +291,6 @@ func TestBreakerIsolatesFlappingPeer(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-
-	// JSON stats mirror the breaker for humans.
-	sresp, err := http.Get(gw.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var st struct {
-		Peers []struct {
-			Up      bool   `json:"up"`
-			Breaker string `json:"breaker"`
-		} `json:"peers"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Peers) != 1 || st.Peers[0].Up || st.Peers[0].Breaker != "open" {
-		t.Errorf("stats peers %+v, want one open breaker", st.Peers)
 	}
 }
 

@@ -1,9 +1,11 @@
 package cluster
 
 // The router's Prometheus families (DESIGN.md §5), served at GET /metrics
-// alongside the JSON /v1/stats. Per-peer counters are labeled by the
-// peer's base URL; breaker positions are mirrored into gauges at scrape
-// time so the breaker itself stays the single source of truth.
+// — the router's only counters surface: every Stats field has a family
+// here (a per-peer counter sums to its Stats total; TestRouterMetricsCoverStats
+// pins the mapping). Per-peer counters are labeled by the peer's base URL;
+// breaker positions are mirrored into gauges at scrape time so the breaker
+// itself stays the single source of truth.
 
 import "strconv"
 
@@ -56,22 +58,8 @@ func (rt *Router) initMetrics() {
 			rt.mBreakerState.With(p.url).Set(float64(p.breaker.State()))
 			rt.mBreakerOpens.With(p.url).Set(p.breaker.Opens())
 		}
-		// Per-shard replication factor, summarized as shard counts per
-		// available-owner count (owner availability depends only on
-		// shard mod len(peers), so the residues cover every shard).
-		shards := 1 << rt.cfg.ShardBits
-		byFactor := make(map[int]int, rt.cfg.Replicas+1)
-		for shard := 0; shard < shards; shard++ {
-			up := 0
-			for _, p := range rt.ownersOf(shard) {
-				if p.available() {
-					up++
-				}
-			}
-			byFactor[up]++
-		}
-		for f := 0; f <= rt.cfg.Replicas; f++ {
-			rt.mShardReplicas.With(strconv.Itoa(f)).Set(float64(byFactor[f]))
+		for f, count := range rt.census() {
+			rt.mShardReplicas.With(strconv.Itoa(f)).Set(float64(count))
 		}
 	})
 }

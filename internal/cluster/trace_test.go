@@ -276,7 +276,8 @@ func TestExplainRoutedToOwner(t *testing.T) {
 
 // TestRouterHealthzAndDebug covers the router's own observability
 // endpoints: /v1/healthz answers without peer I/O, /debug/requests serves
-// the router's ring, and /v1/stats carries the build identity.
+// the router's ring, and /v1/stats is gone (/metrics is the one
+// counters surface).
 func TestRouterHealthzAndDebug(t *testing.T) {
 	gw, _, _, _ := newTracedCluster(t, 2)
 
@@ -316,15 +317,8 @@ func TestRouterHealthzAndDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st struct {
-		Role    string `json:"role"`
-		Version string `json:"version"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
 	sresp.Body.Close()
-	if st.Role != "router" || st.Version == "" {
-		t.Fatalf("router stats %+v", st)
+	if sresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("router GET /v1/stats: status %d, want 404", sresp.StatusCode)
 	}
 }

@@ -21,12 +21,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/rat"
+	"repro/internal/resilience"
 	"repro/internal/workflow"
 )
 
@@ -166,25 +166,18 @@ func (c *Client) Subscribe(ctx context.Context, hash string) (<-chan Replan, err
 	return out, nil
 }
 
-// subscribeBackoff is the reconnect delay ladder of the SSE consumer.
-var subscribeBackoff = []time.Duration{
-	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
-	time.Second, 2 * time.Second,
-}
-
 func (c *Client) subscribeLoop(ctx context.Context, hash string, out chan<- Replan) {
 	defer close(out)
 	logger := c.logger()
 	lastID := uint64(0)
 	seen := false
-	attempt := 0
-	for ctx.Err() == nil {
+	reconnect := resilience.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second}
+	for attempt := 0; ctx.Err() == nil; attempt++ {
 		err := c.consumeStream(ctx, hash, &lastID, &seen, out)
 		if ctx.Err() != nil {
 			return
 		}
-		d := subscribeBackoff[min(attempt, len(subscribeBackoff)-1)]
-		attempt++
+		d := reconnect.Delay(attempt)
 		logger.Warn("exec.subscribe.reconnect", "hash", hash, "err", err, "backoff", d)
 		select {
 		case <-ctx.Done():
@@ -308,25 +301,17 @@ const (
 	maxRetryWait = 5 * time.Second
 )
 
-// busySeq spreads the jitter of concurrent backoffs (see retryWait).
-var busySeq atomic.Int64
+// busyBackoff is the ladder of the 429/503 waits.
+var busyBackoff = resilience.Backoff{Base: 100 * time.Millisecond, Max: maxRetryWait}
 
 // retryWait resolves one 429/503 backoff: the server's Retry-After
-// seconds when parseable, otherwise a doubling ladder from 100ms; capped
-// at maxRetryWait; plus a small deterministic jitter stepped per backoff
-// process-wide, so the coordinated clients released by one shed burst do
-// not re-converge on the same instant.
+// seconds when parseable (capped at maxRetryWait, plus the ladder's
+// jitter), otherwise busyBackoff's step for this attempt.
 func retryWait(header string, attempt int) time.Duration {
-	d := (100 * time.Millisecond) << attempt
-	if header != "" {
-		if secs, err := strconv.Atoi(strings.TrimSpace(header)); err == nil && secs >= 0 {
-			d = time.Duration(secs) * time.Second
-		}
+	if secs, err := strconv.Atoi(strings.TrimSpace(header)); err == nil && secs >= 0 {
+		return time.Duration(min(secs, int(maxRetryWait/time.Second)))*time.Second + busyBackoff.Jitter()
 	}
-	if d > maxRetryWait {
-		d = maxRetryWait
-	}
-	return d + time.Duration(busySeq.Add(1)*37%100)*time.Millisecond
+	return busyBackoff.Delay(attempt)
 }
 
 // do executes one JSON request/response round trip. A 429 or 503 answer

@@ -2,12 +2,12 @@
 // planning service: counters, gauges and histograms rendered in the
 // Prometheus text exposition format (version 0.0.4) at GET /metrics.
 //
-// filterd and the cluster router are the intended users (DESIGN.md §4):
-// the ad-hoc JSON counters of /v1/stats stay for compatibility, but the
-// operational surface — request latency per route, solver wall time,
-// cache and memo hit rates, queue depth, breaker state, per-peer
-// forward/failover counts — lives here, scrapeable by any Prometheus-
-// compatible collector without adding a dependency to the module.
+// filterd and the cluster router are the intended users (DESIGN.md §4),
+// and /metrics is their one counters surface: request latency per route,
+// solver wall time, cache and memo hit rates, queue depth, breaker state,
+// per-peer forward/failover counts — every number the Go Stats snapshots
+// report lives here, scrapeable by any Prometheus-compatible collector
+// without adding a dependency to the module.
 //
 // Concurrency: instrument methods (Add, Inc, Set, Observe) are lock-free
 // atomics, safe on request hot paths; registration and scraping take the

@@ -13,11 +13,15 @@
 // answer, never what the answer is.
 //
 // Retry bounds re-attempts of idempotent operations: a fixed number of
-// tries with doubling backoff, aborted early by context death or a
+// tries spaced by the Backoff ladder, aborted early by context death or a
 // Permanent error. Planning forwards are idempotent by the determinism
 // invariant (the same request always has the same answer), so a retry
 // can never produce a different response — it only rides out transient
 // transport noise.
+//
+// Backoff is the module's one delay ladder and its one jitter source:
+// the router's forward retries (Retry), internal/exec's 429/503 wait and
+// its SSE reconnect loop all read it.
 package resilience
 
 import (
@@ -25,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -224,12 +229,41 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &p)
 }
 
-// Retry runs op up to attempts times (minimum 1), sleeping backoff
-// before the first re-attempt and doubling it after each, until op
-// succeeds, returns a Permanent error, or ctx dies (a nil ctx never
-// dies). It returns nil on success and the last error otherwise,
-// unwrapped of the Permanent marker.
-func Retry(ctx context.Context, attempts int, backoff time.Duration, op func() error) error {
+// Backoff is a doubling delay ladder: Base before the first re-attempt,
+// doubling per attempt, capped at Max (0: uncapped — the caller bounds
+// the attempts), plus Jitter.
+type Backoff struct {
+	Base, Max time.Duration
+}
+
+// jitterSeq steps Jitter process-wide.
+var jitterSeq atomic.Int64
+
+// Jitter is a deterministic spread in [0, Base), stepped per call
+// process-wide, so the clients one burst released (a shed, a dead peer)
+// do not re-converge on the same instant.
+func (b Backoff) Jitter() time.Duration {
+	return b.Base * time.Duration(jitterSeq.Add(1)*37%100) / 100
+}
+
+// Delay is the wait before re-attempt attempt (0-based): Base·2^attempt,
+// capped at Max, plus Jitter.
+func (b Backoff) Delay(attempt int) time.Duration {
+	d := b.Base
+	for ; attempt > 0 && (b.Max <= 0 || d < b.Max); attempt-- {
+		d *= 2
+	}
+	if b.Max > 0 && d > b.Max {
+		d = b.Max
+	}
+	return d + b.Jitter()
+}
+
+// Retry runs op up to attempts times (minimum 1), sleeping
+// backoff.Delay between attempts, until op succeeds, returns a Permanent
+// error, or ctx dies (a nil ctx never dies). It returns nil on success
+// and the last error otherwise, unwrapped of the Permanent marker.
+func Retry(ctx context.Context, attempts int, backoff Backoff, op func() error) error {
 	if attempts < 1 {
 		attempts = 1
 	}
@@ -240,14 +274,13 @@ func Retry(ctx context.Context, attempts int, backoff time.Duration, op func() e
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			t := time.NewTimer(backoff)
+			t := time.NewTimer(backoff.Delay(i - 1))
 			select {
 			case <-t.C:
 			case <-done:
 				t.Stop()
 				return ctx.Err()
 			}
-			backoff *= 2
 		}
 		if err = op(); err == nil {
 			return nil

@@ -194,7 +194,7 @@ func TestBreakerHalfOpenProbeRace(t *testing.T) {
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), 3, time.Microsecond, func() error {
+	err := Retry(context.Background(), 3, Backoff{Base: time.Microsecond}, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -209,7 +209,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 func TestRetryExhaustsAttempts(t *testing.T) {
 	calls := 0
 	wantErr := errors.New("still down")
-	err := Retry(context.Background(), 3, time.Microsecond, func() error {
+	err := Retry(context.Background(), 3, Backoff{Base: time.Microsecond}, func() error {
 		calls++
 		return fmt.Errorf("attempt %d: %w", calls, wantErr)
 	})
@@ -221,7 +221,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 func TestRetryStopsOnPermanent(t *testing.T) {
 	calls := 0
 	inner := errors.New("bad request")
-	err := Retry(context.Background(), 5, time.Microsecond, func() error {
+	err := Retry(context.Background(), 5, Backoff{Base: time.Microsecond}, func() error {
 		calls++
 		return Permanent(inner)
 	})
@@ -237,7 +237,7 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 func TestRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Retry(ctx, 10, time.Hour, func() error {
+	err := Retry(ctx, 10, Backoff{Base: time.Hour}, func() error {
 		calls++
 		cancel() // die while backing off
 		return errors.New("transient")
@@ -247,5 +247,26 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
+	}
+}
+
+// TestBackoffLadder: the delay doubles from Base per attempt, stops at
+// Max, and the jitter adds strictly less than one Base.
+func TestBackoffLadder(t *testing.T) {
+	b := Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second}
+	for attempt, want := range []time.Duration{
+		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
+		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
+	} {
+		if got := b.Delay(attempt); got < want || got >= want+b.Base {
+			t.Errorf("Delay(%d) = %v, want [%v, %v)", attempt, got, want, want+b.Base)
+		}
+	}
+	if got := b.Delay(1 << 20); got < b.Max || got >= b.Max+b.Base {
+		t.Errorf("Delay far past the cap = %v, want [%v, %v)", got, b.Max, b.Max+b.Base)
+	}
+	uncapped := Backoff{Base: time.Millisecond}
+	if got := uncapped.Delay(10); got < 1024*time.Millisecond || got >= 1025*time.Millisecond {
+		t.Errorf("uncapped Delay(10) = %v, want [1.024s, 1.025s)", got)
 	}
 }

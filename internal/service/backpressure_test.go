@@ -7,7 +7,6 @@ package service
 // the queue and shed counters.
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -213,22 +212,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The JSON stats stay as the compatibility surface, now with the
-	// backpressure counters.
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var st struct {
-		Shed       *int64 `json:"shed"`
-		MaxPending *int   `json:"max_pending"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Shed == nil || st.MaxPending == nil || *st.MaxPending <= 0 {
-		t.Errorf("stats missing backpressure counters: %+v", st)
+	// The backpressure watermark is a positive gauge.
+	if m := scrapeMetrics(t, ts.URL); m["filterd_max_pending"] <= 0 {
+		t.Errorf("filterd_max_pending = %v, want > 0", m["filterd_max_pending"])
 	}
 }
 

@@ -14,8 +14,7 @@ package service
 //	GET   /v1/subscribe/{hash} server-sent re-plan events for a registered instance
 //	GET   /v1/explain/{hash}  provenance of the last serve: source, solver counters, timings
 //	GET   /v1/healthz         liveness plus build identity
-//	GET   /v1/stats           cache/queue/solve/store/subscription counters (JSON)
-//	GET   /metrics            Prometheus text format (internal/metrics)
+//	GET   /metrics            every counter and gauge, Prometheus text format (internal/metrics)
 //	GET   /debug/requests     recent request spans (internal/obs ring)
 //
 // Every handler runs under the request's context: a client that
@@ -258,55 +257,6 @@ type driftResponseJSON struct {
 	WarmStart bool            `json:"warm_start"`
 	Incumbent *rat.Rat        `json:"incumbent,omitempty"`
 	Plan      json.RawMessage `json:"plan"`
-}
-
-type statsJSON struct {
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheCoalesced int64 `json:"cache_coalesced"`
-	CacheEvictions int64 `json:"cache_evictions"`
-	CacheSeeded    int64 `json:"cache_seeded"`
-	CacheLen       int   `json:"cache_len"`
-	CacheCap       int   `json:"cache_cap"`
-	InFlight       int   `json:"in_flight"`
-	PlanRequests   int64 `json:"plan_requests"`
-	DriftRequests  int64 `json:"drift_requests"`
-	Rejected       int64 `json:"rejected"`
-	Solves         int64 `json:"solves"`
-	Registered     int   `json:"registered_instances"`
-	QueueDepth     int   `json:"queue_depth"`
-	Workers        int   `json:"workers"`
-	// Backpressure counters (Config.MaxPending watermark).
-	Shed       int64 `json:"shed"`
-	Pending    int   `json:"pending"`
-	MaxPending int   `json:"max_pending"`
-	// Persistence (internal/store) and drift-subscription counters.
-	Persistent       bool  `json:"persistent"`
-	StoreWrites      int64 `json:"store_writes,omitempty"`
-	StoreLoaded      int64 `json:"store_loaded,omitempty"`
-	StoreSkipped     int64 `json:"store_skipped,omitempty"`
-	StoreQuarantined int64 `json:"store_quarantined,omitempty"`
-	// Replica-sync counters (/v1/sync, the anti-entropy merge traffic).
-	SyncInstances   int64 `json:"sync_instances"`
-	SyncEntries     int64 `json:"sync_entries"`
-	SyncDuplicates  int64 `json:"sync_duplicates"`
-	SyncRejected    int64 `json:"sync_rejected"`
-	SyncConflicts   int64 `json:"sync_conflicts"`
-	SyncBytesIn     int64 `json:"sync_bytes_in"`
-	SyncBytesOut    int64 `json:"sync_bytes_out"`
-	Subscribers     int   `json:"subscribers"`
-	EventsPublished int64 `json:"events_published"`
-	EventsDropped   int64 `json:"events_dropped"`
-	// Orchestration-memo hits and misses summed over executed solves.
-	MemoHits   int64 `json:"memo_hits"`
-	MemoMisses int64 `json:"memo_misses"`
-	// Solver search-effort totals (branch-and-bound counters summed over
-	// every executed solve) and build identity.
-	SolverExpanded  int64  `json:"solver_nodes_expanded"`
-	SolverPruned    int64  `json:"solver_nodes_pruned"`
-	SolverEvaluated int64  `json:"solver_candidates_evaluated"`
-	Version         string `json:"version"`
-	Revision        string `json:"revision"`
 }
 
 // healthzJSON is the GET /v1/healthz liveness document.
@@ -694,52 +644,6 @@ func Handler(s *Server) http.Handler {
 	// The span ring: always mounted (it answers "enabled": false when
 	// tracing is off), so probing the endpoint needs no special-casing.
 	mux.Handle("GET /debug/requests", s.tracer.Handler())
-
-	mux.HandleFunc("GET /v1/stats", s.instrument("stats", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
-		WriteJSON(w, http.StatusOK, statsJSON{
-			CacheHits:        st.Cache.Hits,
-			CacheMisses:      st.Cache.Misses,
-			CacheCoalesced:   st.Cache.Coalesced,
-			CacheEvictions:   st.Cache.Evictions,
-			CacheLen:         st.Cache.Len,
-			CacheCap:         st.Cache.Cap,
-			InFlight:         st.Cache.InFlight,
-			PlanRequests:     st.PlanRequests,
-			DriftRequests:    st.DriftRequests,
-			Rejected:         st.Rejected,
-			Solves:           st.Solves,
-			Registered:       st.Registered,
-			QueueDepth:       st.QueueDepth,
-			Workers:          st.Workers,
-			Persistent:       st.Persistent,
-			StoreWrites:      st.Store.Writes,
-			StoreLoaded:      st.Store.Loaded,
-			StoreSkipped:     st.Store.Skipped,
-			StoreQuarantined: st.Store.Quarantined,
-			SyncInstances:    st.Sync.AcceptedInstances,
-			SyncEntries:      st.Sync.AcceptedEntries,
-			SyncDuplicates:   st.Sync.Duplicates,
-			SyncRejected:     st.Sync.Rejected,
-			SyncConflicts:    st.Sync.Conflicts,
-			SyncBytesIn:      st.Sync.BytesIn,
-			SyncBytesOut:     st.Sync.BytesOut,
-			Subscribers:      st.Subscribers,
-			EventsPublished:  st.EventsPublished,
-			EventsDropped:    st.EventsDropped,
-			MemoHits:         st.MemoHits,
-			MemoMisses:       st.MemoMisses,
-			Shed:             st.Shed,
-			Pending:          st.Pending,
-			MaxPending:       st.MaxPending,
-			CacheSeeded:      st.Cache.Seeded,
-			SolverExpanded:   st.SolverExpanded,
-			SolverPruned:     st.SolverPruned,
-			SolverEvaluated:  st.SolverEvaluated,
-			Version:          st.Version,
-			Revision:         st.Revision,
-		})
-	}))
 
 	// The middleware is the request-ID and span boundary: it echoes
 	// X-Filterd-Request-Id before any handler runs (so sheds, errors and

@@ -167,13 +167,13 @@ func TestHTTPBatchAndStats(t *testing.T) {
 		t.Error("empty-instance item succeeded")
 	}
 
-	var st statsJSON
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &st)
-	if st.Solves != 1 {
-		t.Errorf("solves = %d, want 1 (duplicates coalesce)", st.Solves)
+	m := scrapeMetrics(t, ts.URL)
+	if m["filterd_solves_total"] != 1 {
+		t.Errorf("solves = %v, want 1 (duplicates coalesce)", m["filterd_solves_total"])
 	}
-	if st.PlanRequests != 3 || st.Rejected != 1 || st.Registered != 1 {
-		t.Errorf("stats = %+v", st)
+	if m["filterd_plan_requests_total"] != 3 || m["filterd_rejected_total"] != 1 || m["filterd_registered_instances"] != 1 {
+		t.Errorf("plan requests %v, rejected %v, registered %v; want 3, 1, 1", m["filterd_plan_requests_total"],
+			m["filterd_rejected_total"], m["filterd_registered_instances"])
 	}
 }
 

@@ -1,13 +1,14 @@
 package service
 
 // Operational metrics of the planning service (DESIGN.md §4): the
-// Prometheus-text surface served at GET /metrics by Handler. The JSON
-// counters of /v1/stats stay for compatibility; this is the layer
-// collectors scrape. Hot-path instruments (request latency, solver wall
-// time) are real histograms updated inline; everything already tracked
-// by an existing counter — plan cache, solver effort and orchestration-memo
-// totals, store, subscription stats — is published as a callback read at
-// scrape time, so there is exactly one source of truth per number.
+// Prometheus-text surface served at GET /metrics by Handler, and the only
+// counters surface of the HTTP API — every number Stats reports has a
+// family here (TestMetricsCoverStats pins the mapping). Hot-path
+// instruments (request latency, solver wall time) are real histograms
+// updated inline; everything already tracked by an existing counter —
+// plan cache, registry, solver effort and orchestration-memo totals,
+// store, subscription stats — is published as a callback read at scrape
+// time, so there is exactly one source of truth per number.
 
 import "repro/internal/metrics"
 
@@ -105,6 +106,11 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().Seeded) })
 	m.GaugeFunc("filterd_plancache_entries",
 		"Completed plan-cache entries.", func() float64 { return float64(s.cache.Stats().Len) })
+	m.GaugeFunc("filterd_plancache_capacity",
+		"Plan-cache capacity bound (completed entries).", func() float64 { return float64(s.cache.Stats().Cap) })
+	m.GaugeFunc("filterd_registered_instances",
+		"Registered drift-target instances (bounded by the registry size).",
+		func() float64 { return float64(s.registry.Stats().Len) })
 	m.GaugeFunc("filterd_plancache_inflight",
 		"Solves currently running under the cache's singleflight.",
 		func() float64 { return float64(s.cache.Stats().InFlight) })
@@ -124,6 +130,12 @@ func (s *Server) initMetrics() {
 		m.CounterFunc("filterd_store_write_errors_total",
 			"Failed persistence attempts (requests unaffected).",
 			func() float64 { return float64(s.cfg.Store.Stats().WriteErrors) })
+		m.CounterFunc("filterd_store_loaded_total",
+			"Entries warm-loaded from the store at startup.",
+			func() float64 { return float64(s.cfg.Store.Stats().Loaded) })
+		m.CounterFunc("filterd_store_skipped_total",
+			"Entry files the warm-load rejected (wrong version, hash mismatch, decode error).",
+			func() float64 { return float64(s.cfg.Store.Stats().Skipped) })
 		m.CounterFunc("filterd_store_quarantined_total",
 			"Corrupt entry files renamed .bad at warm-load instead of aborting startup.",
 			func() float64 { return float64(s.cfg.Store.Stats().Quarantined) })

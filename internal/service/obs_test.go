@@ -115,7 +115,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(Handler(s))
 	t.Cleanup(ts.Close)
 
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, nil)
+	doJSON(t, "GET", ts.URL+"/v1/healthz", nil, nil)
 	var doc struct {
 		Enabled bool           `json:"enabled"`
 		Spans   []obs.SpanView `json:"spans"`
@@ -124,7 +124,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 	if !doc.Enabled || len(doc.Spans) == 0 {
 		t.Fatalf("debug document %+v", doc)
 	}
-	if doc.Spans[0].Route != "GET /v1/stats" {
+	if doc.Spans[0].Route != "GET /v1/healthz" {
 		t.Fatalf("first span route %q", doc.Spans[0].Route)
 	}
 }
@@ -303,7 +303,7 @@ func TestExplainEffortIndependentOfHistory(t *testing.T) {
 }
 
 // TestSolverStatsSurfaced pins that the branch-and-bound search counters
-// reach /v1/stats.
+// reach /metrics.
 func TestSolverStatsSurfaced(t *testing.T) {
 	_, ts := newTestAPI(t)
 	instance := readTestdata(t, "mixed6.json")
@@ -312,18 +312,10 @@ func TestSolverStatsSurfaced(t *testing.T) {
 		t.Fatalf("plan status %d", resp.StatusCode)
 	}
 
-	var st struct {
-		Expanded  int64  `json:"solver_nodes_expanded"`
-		Pruned    int64  `json:"solver_nodes_pruned"`
-		Evaluated int64  `json:"solver_candidates_evaluated"`
-		Version   string `json:"version"`
-	}
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &st)
-	if st.Expanded == 0 || st.Evaluated == 0 {
-		t.Fatalf("solver counters not surfaced: %+v", st)
-	}
-	if st.Version == "" {
-		t.Fatal("stats has no version")
+	m := scrapeMetrics(t, ts.URL)
+	if m["filterd_solver_nodes_expanded_total"] == 0 || m["filterd_solver_candidates_evaluated_total"] == 0 {
+		t.Fatalf("solver counters not surfaced: expanded %v, evaluated %v",
+			m["filterd_solver_nodes_expanded_total"], m["filterd_solver_candidates_evaluated_total"])
 	}
 }
 

@@ -340,8 +340,8 @@ type Server struct {
 	mPhaseOrch    *metrics.Histogram
 	mPhaseStore   *metrics.Histogram
 
-	// Solver search-effort totals across every executed solve, mirrored
-	// onto /metrics and /v1/stats: the branch-and-bound counters and the
+	// Solver search-effort totals across every executed solve, read by
+	// Stats and /metrics: the branch-and-bound counters and the
 	// orchestration-memo split of the candidate orchestrations.
 	nodesExpanded atomic.Int64
 	nodesPruned   atomic.Int64

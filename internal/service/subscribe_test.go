@@ -156,9 +156,9 @@ func TestHTTPSubscribeStreamsReplanEvent(t *testing.T) {
 
 // TestSlowSubscriberDropsAreCountedAndFlagged pins the slow-consumer
 // contract: a subscriber that stops draining loses exactly the events
-// beyond its buffer, the hub counts them (surfaced as events_dropped in
-// /v1/stats), and the subscription's lag counter hands the same number to
-// the consumer — silently missing a re-plan is impossible.
+// beyond its buffer, the hub counts them (filterd_subscribe_dropped_total
+// on /metrics), and the subscription's lag counter hands the same number
+// to the consumer — silently missing a re-plan is impossible.
 func TestSlowSubscriberDropsAreCountedAndFlagged(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	sub, cancel := s.Subscribe("h")

@@ -8,14 +8,18 @@ package service
 
 import (
 	"encoding/json"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/gen"
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/rat"
 	"repro/internal/solve"
+	"repro/internal/workflow"
 )
 
 // exchangeBothWays emulates one full push-pull gossip round from a to b:
@@ -233,4 +237,94 @@ func TestImportCountsDuplicatesAndConflicts(t *testing.T) {
 	if got.Outcome != plancache.Hit || !got.Solution.Value.Equal(planned.Solution.Value) {
 		t.Errorf("local entry lost to the conflicting import: %s/%s", got.Outcome, got.Solution.Value)
 	}
+}
+
+// FuzzSyncImport fuzzes the /v1/sync import boundary (ImportInstance when
+// entry is false, ImportEntry otherwise). Properties: an import never
+// panics; a rejected item moves only the rejected counter (and the
+// received-bytes counter, which counts every entry on the wire) and
+// leaves registry and cache as they were; an accepted instance
+// re-canonicalises to its claimed hash and is registered under it.
+func FuzzSyncImport(f *testing.F) {
+	src := New(Config{Workers: 1})
+	f.Cleanup(src.Close)
+	planned, err := src.Plan(Request{App: gen.App(gen.NewRand(6), 5, gen.Mixed), Model: plan.Overlap, Objective: solve.PeriodObjective})
+	if err != nil {
+		f.Fatal(err)
+	}
+	inst := src.ExportInstances([]string{planned.Hash})[0]
+	entry := src.ExportEntries([]string{planned.Key})[0]
+	var doc map[string]any
+	if err := json.Unmarshal(entry, &doc); err != nil {
+		f.Fatal(err)
+	}
+	doc["hash"] = strings.Repeat("0", 64)
+	mismatched, err := json.Marshal(doc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The rejected copies come first: on a replica that does not hold the
+	// item yet, a rejection that leaked state would show in the digest.
+	f.Add(false, inst.Hash, []byte(inst.Instance[:len(inst.Instance)/2]))
+	f.Add(false, strings.Repeat("0", 64), []byte(inst.Instance))
+	f.Add(false, inst.Hash, []byte(inst.Instance))
+	f.Add(true, "", []byte(entry[:len(entry)/2]))
+	f.Add(true, "", mismatched)
+	f.Add(true, "", []byte(entry))
+
+	// One receiving replica per fuzz process, already holding a plan of
+	// its own, so duplicates and conflicts are reachable too.
+	s := New(Config{Workers: 1})
+	f.Cleanup(s.Close)
+	if _, err := s.Plan(Request{App: gen.App(gen.NewRand(7), 4, gen.Filtering), Model: plan.InOrder, Objective: solve.PeriodObjective}); err != nil {
+		f.Fatal(err)
+	}
+	// state is what a rejected import must leave alone: every counter
+	// but the rejected and received-bytes ones, plus both digests.
+	state := func() (Stats, SyncDigest) {
+		st := s.Stats()
+		st.Sync.Rejected, st.Sync.BytesIn = 0, 0
+		return st, s.SyncDigest()
+	}
+
+	f.Fuzz(func(t *testing.T, isEntry bool, hash string, data []byte) {
+		before, digest := state()
+		rejected := s.SyncStats().Rejected
+		var err error
+		if isEntry {
+			err = s.ImportEntry(data)
+		} else {
+			err = s.ImportInstance(SyncInstance{Hash: hash, Instance: data})
+		}
+		if err != nil && s.SyncStats().Conflicts != before.Sync.Conflicts {
+			return // a conflict: counted on its own counter, local entry kept
+		}
+		if err != nil {
+			after, afterDigest := state()
+			if got := s.SyncStats().Rejected; got != rejected+1 {
+				t.Fatalf("rejected import moved the rejected counter %d -> %d", rejected, got)
+			}
+			if !reflect.DeepEqual(before, after) || !reflect.DeepEqual(digest, afterDigest) {
+				t.Fatalf("rejected import (%v) changed state:\n%+v %+v\nvs\n%+v %+v", err, before, digest, after, afterDigest)
+			}
+			return
+		}
+		if isEntry {
+			return
+		}
+		app := new(workflow.App)
+		if err := json.Unmarshal(data, app); err != nil {
+			t.Fatalf("accepted instance does not decode: %v", err)
+		}
+		ci, err := canon.Canonicalize(app)
+		if err != nil {
+			t.Fatalf("accepted instance does not canonicalise: %v", err)
+		}
+		if hash != "" && ci.Hash() != hash {
+			t.Fatalf("accepted instance claimed %s, re-canonicalises to %s", hash, ci.Hash())
+		}
+		if _, ok := s.registry.Peek(ci.Hash()); !ok {
+			t.Fatalf("accepted instance %s not registered", ci.Hash())
+		}
+	})
 }

@@ -8,9 +8,9 @@
 # filterplan CLI, the router's under-replicated gauge rising on the kill
 # and healing on the restore, and the restarted replica — which lost all
 # in-memory state — re-learning every planned instance from its
-# co-replicas via anti-entropy alone (/v1/stats registered_instances).
-# No dependencies beyond a POSIX shell and curl (JSON picked apart with
-# sed so CI images without jq work too).
+# co-replicas via anti-entropy alone (filterd_registered_instances on
+# its /metrics). No dependencies beyond a POSIX shell, awk and curl (JSON
+# picked apart with sed so CI images without jq work too).
 set -eu
 
 BASE="${FILTERD_CHAOS_PORT:-18440}"
@@ -53,7 +53,7 @@ ROUTER_PID=$!
 
 wait_up() {
     i=0
-    until curl -sf "http://127.0.0.1:$1/v1/stats" >/dev/null 2>&1; do
+    until curl -sf "http://127.0.0.1:$1/v1/healthz" >/dev/null 2>&1; do
         i=$((i + 1))
         if [ "$i" -gt 50 ]; then
             echo "smoke-chaos: daemon did not come up on port $1" >&2
@@ -93,10 +93,13 @@ hit() {
     [ "$value" = "$2" ] || { echo "smoke-chaos: value $value != CLI $2 during $3" >&2; exit 1; }
 }
 
-# router_stat FIELD: one integer counter off the router's /v1/stats.
-router_stat() {
-    curl -sf "http://127.0.0.1:$ROUTER_PORT/v1/stats" \
-        | sed -n "s/.*\"$1\": \([0-9]*\).*/\1/p" | head -1
+# metric NAME [PORT]: one family off /metrics (default port: the router),
+# summed over its label sets; NAME may pin labels, as in
+# 'filterd_sync_accepted_total{kind="instances"}'. Absent reads 0.
+metric() {
+    curl -sf "http://127.0.0.1:${2:-$ROUTER_PORT}/metrics" | awk -v n="$1" '
+        index($0, n) == 1 && substr($0, length(n) + 1) ~ /^[ {]/ { s += $NF }
+        END { printf "%d\n", s }'
 }
 
 # Warm traffic: both instances through the router, several rounds, under
@@ -134,12 +137,12 @@ done
 # The router must notice the loss: some shards below R.
 i=0
 while :; do
-    UNDER=$(router_stat under_replicated_shards)
+    UNDER=$(metric filterd_router_underreplicated_shards)
     [ -n "$UNDER" ] && [ "$UNDER" -gt 0 ] && break
     i=$((i + 1))
     if [ "$i" -gt 50 ]; then
         echo "smoke-chaos: under-replication never observed" >&2
-        curl -sf "http://127.0.0.1:$ROUTER_PORT/v1/stats" >&2 || true
+        curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics" | grep '^filterd_router_' >&2 || true
         exit 1
     fi
     hit "$REQ_A" "$CLI_A" "under-replication poll $i"
@@ -159,11 +162,11 @@ wait_up "$VICTIM_PORT"
 # Heal: the health loop probes the replica back and the gauge returns to
 # zero (breaker cooldown + probe period bound the wait).
 i=0
-until [ "$(router_stat under_replicated_shards)" = 0 ]; do
+until [ "$(metric filterd_router_underreplicated_shards)" = 0 ]; do
     i=$((i + 1))
     if [ "$i" -gt 150 ]; then
         echo "smoke-chaos: cluster did not re-heal after the restart" >&2
-        curl -sf "http://127.0.0.1:$ROUTER_PORT/v1/stats" >&2 || true
+        curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics" | grep '^filterd_router_' >&2 || true
         exit 1
     fi
     sleep 0.2
@@ -174,8 +177,7 @@ echo "smoke-chaos: cluster re-healed to full replication"
 # re-fill to both planned instances by gossip alone.
 i=0
 while :; do
-    REG=$(curl -sf "http://127.0.0.1:$VICTIM_PORT/v1/stats" \
-        | sed -n 's/.*"registered_instances": \([0-9]*\).*/\1/p' | head -1)
+    REG=$(metric filterd_registered_instances "$VICTIM_PORT")
     [ -n "$REG" ] && [ "$REG" -ge 2 ] && break
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
@@ -194,10 +196,9 @@ while [ "$i" -lt 4 ]; do
     i=$((i + 1))
 done
 
-# The gossip wire moved real bytes: a surviving replica reports sync
-# traffic on /v1/stats.
-SYNCED=$(curl -sf "http://127.0.0.1:$VICTIM_PORT/v1/stats" \
-    | sed -n 's/.*"sync_instances": \([0-9]*\).*/\1/p' | head -1)
+# The gossip wire moved real instances: the restarted replica counts
+# them on its /metrics.
+SYNCED=$(metric 'filterd_sync_accepted_total{kind="instances"}' "$VICTIM_PORT")
 [ -n "$SYNCED" ] && [ "$SYNCED" -ge 1 ] \
     || { echo "smoke-chaos: restarted replica accepted no synced instances" >&2; exit 1; }
 

@@ -9,7 +9,7 @@
 # Observability: a client-chosen X-Filterd-Request-Id must round-trip on
 # the routed AND the failover response, and /v1/explain's nodes-expanded
 # counter must agree with the filterplan CLI's own bnb search report.
-# No dependencies beyond a POSIX shell and curl (JSON and headers are
+# No dependencies beyond a POSIX shell, awk and curl (JSON and headers are
 # picked apart with sed so CI images without jq work too).
 set -eu
 
@@ -43,7 +43,7 @@ ROUTER_PID=$!
 
 wait_up() {
     i=0
-    until curl -sf "http://127.0.0.1:$1/v1/stats" >/dev/null 2>&1; do
+    until curl -sf "http://127.0.0.1:$1/v1/healthz" >/dev/null 2>&1; do
         i=$((i + 1))
         if [ "$i" -gt 50 ]; then
             echo "smoke-cluster: daemon did not come up on port $1" >&2
@@ -55,6 +55,15 @@ wait_up() {
 wait_up "$REP1_PORT"
 wait_up "$REP2_PORT"
 wait_up "$ROUTER_PORT"
+
+# metric NAME [PORT]: one family off /metrics (default port: the router),
+# summed over its label sets; NAME may pin labels, as in
+# 'filterd_sync_accepted_total{kind="instances"}'. Absent reads 0.
+metric() {
+    curl -sf "http://127.0.0.1:${2:-$ROUTER_PORT}/metrics" | awk -v n="$1" '
+        index($0, n) == 1 && substr($0, length(n) + 1) ~ /^[ {]/ { s += $NF }
+        END { printf "%d\n", s }'
+}
 
 REQUEST="{\"instance\": $(cat testdata/webquery8.json), \"model\": \"$MODEL\", \"objective\": \"period\"}"
 HDRS="$BIN/headers.txt"
@@ -94,8 +103,7 @@ FAILOVER_VALUE=$(curl -sf -D "$HDRS" -H "X-Filterd-Request-Id: $RID2" \
 SERVED_BY2=$(tr -d '\r' <"$HDRS" | sed -n 's/^X-Filterd-Served-By: //p' | head -1)
 ECHOED_RID2=$(tr -d '\r' <"$HDRS" | sed -n 's/^X-Filterd-Request-Id: //p' | head -1)
 [ "$ECHOED_RID2" = "$RID2" ] || { echo "smoke-cluster: request id not echoed on failover response (got '$ECHOED_RID2')" >&2; exit 1; }
-FAILOVERS=$(curl -sf "http://127.0.0.1:$ROUTER_PORT/v1/stats" \
-    | sed -n 's/.*"failovers": \([0-9]*\).*/\1/p' | head -1)
+FAILOVERS=$(metric filterd_router_failovers_total)
 
 echo "smoke-cluster: failover value=$FAILOVER_VALUE served-by=$SERVED_BY2 failovers=$FAILOVERS"
 [ "$FAILOVER_VALUE" = "$CLI_VALUE" ] || { echo "smoke-cluster: failover answer disagrees" >&2; exit 1; }
