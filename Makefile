@@ -38,9 +38,10 @@ test-short:
 # faults), the gossip agent, the deterministic fault injector, the
 # metrics registry, the data-plane executor (word kernel against its
 # per-tuple oracles, pipelined stage network + closed re-plan loop against
-# an in-process filterd) and its stream substrate, plus one race pass of the concurrent experiment harness
-# (the rest of internal/experiments runs race+short — its full sweep is
-# covered unraced by `test`).
+# an in-process filterd) and its stream substrate, plus one race pass of
+# the concurrent experiment harness at budget 1 (E1–E15, E18, E20; the
+# rest of internal/experiments runs race+short — its budget-2 comparison
+# with EXPERIMENTS.md runs unraced under `test`).
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/par/ ./internal/solve/ ./internal/orchestrate/ ./internal/eventgraph/ ./internal/plancache/ ./internal/service/ ./internal/store/ ./internal/cluster/ ./internal/resilience/ ./internal/metrics/ ./internal/exec/ ./internal/sim/ ./internal/faults/

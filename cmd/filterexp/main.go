@@ -2,8 +2,10 @@
 // paper's worked example, the three counter-examples, the polynomial
 // special cases, the structural theorem, the NP-hardness gadgets, the
 // simulation studies, and the branch-and-bound pruning study (E15: nodes
-// expanded vs full enumeration per structural family). The tables it
-// prints are the source of EXPERIMENTS.md.
+// expanded vs full enumeration per structural family). No report carries
+// a wall-clock number, so the output is deterministic: from its first
+// "### " heading on, EXPERIMENTS.md is exactly `filterexp -md -budget 2`
+// (internal/experiments' TestExperimentsMatchRecord enforces it).
 //
 // Usage:
 //
@@ -46,23 +48,13 @@ func main() {
 		if len(want) > 0 && !want[r.ID] {
 			continue
 		}
-		status := "reproduced"
 		if !r.OK {
-			status = "FAILED"
 			failures++
 		}
 		if *markdown {
-			fmt.Printf("### %s — %s (%s)\n\n%s\n", r.ID, r.Title, status, r.Table.Markdown())
-			for _, n := range r.Notes {
-				fmt.Printf("> %s\n", n)
-			}
-			fmt.Println()
+			fmt.Print(r.Markdown())
 		} else {
-			fmt.Printf("=== %s — %s [%s]\n%s", r.ID, r.Title, status, r.Table.String())
-			for _, n := range r.Notes {
-				fmt.Printf("  note: %s\n", n)
-			}
-			fmt.Println()
+			fmt.Print(r.String())
 		}
 	}
 	if failures > 0 {

@@ -51,7 +51,7 @@ func TestRouterCloseLeavesNoGoroutine(t *testing.T) {
 	dead.Close() // a peer that refuses connections: forwards fail over
 
 	base := runtime.NumGoroutine()
-	rt, err := New(Config{Peers: []string{a.ts.URL, b.ts.URL, deadURL}, Local: local, Replicas: 1, HealthInterval: time.Millisecond})
+	rt, err := New(Config{Peers: []string{a.ts.URL, b.ts.URL, deadURL}, Local: local, Replicas: 1, HealthInterval: time.Millisecond, ProbeTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

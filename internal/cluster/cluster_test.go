@@ -92,7 +92,7 @@ func TestRoutedBitIdenticalToDirectSolve(t *testing.T) {
 	_, gw, _ := newCluster(t, 2)
 	standalone := newReplica(t)
 
-	for _, name := range []string{"mixed6.json", "webquery8.json"} {
+	for _, name := range []string{"mixed6.json", "webquery8.json", "expanding12.json"} {
 		instance := readTestdata(t, name)
 		body := fmt.Sprintf(`{"instance": %s, "model": "overlap", "objective": "period"}`, instance)
 

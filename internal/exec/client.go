@@ -27,6 +27,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/resilience"
+	"repro/internal/service"
 	"repro/internal/workflow"
 )
 
@@ -148,7 +149,7 @@ func (c *Client) Drift(ctx context.Context, hash string, app *workflow.App, upda
 	if err := c.do(ctx, http.MethodPatch, "/v1/instance/"+hash, body, requestID, &wire); err != nil {
 		return Plan{}, err
 	}
-	drifted, err := applyUpdates(app, updates)
+	drifted, err := service.ApplyUpdates(app, updates)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -430,25 +431,4 @@ func remapApp(src *workflow.App, order []string) (*workflow.App, error) {
 		prec = append(prec, [2]int{newIdx[src.Name(e[0])], newIdx[src.Name(e[1])]})
 	}
 	return workflow.New(services, prec)
-}
-
-// applyUpdates clones app with the drift updates applied.
-func applyUpdates(app *workflow.App, updates []Update) (*workflow.App, error) {
-	services := make([]workflow.Service, app.N())
-	for i := 0; i < app.N(); i++ {
-		services[i] = app.Service(i)
-	}
-	for _, u := range updates {
-		v := app.IndexOf(u.Service)
-		if v < 0 {
-			return nil, fmt.Errorf("exec: update names unknown service %q", u.Service)
-		}
-		if u.Cost != nil {
-			services[v].Cost = *u.Cost
-		}
-		if u.Selectivity != nil {
-			services[v].Selectivity = *u.Selectivity
-		}
-	}
-	return workflow.New(services, app.Precedence().Edges())
 }

@@ -34,12 +34,9 @@ type Plan struct {
 }
 
 // Update is one measured drift: empirical values for a named service.
-// Nil fields are unchanged.
-type Update struct {
-	Service     string
-	Cost        *rat.Rat
-	Selectivity *rat.Rat
-}
+// Nil fields are unchanged. It is the service's drift delta, so Local
+// hands the executor's updates to the server as they are.
+type Update = service.Update
 
 // Replan is one external re-plan notification delivered by Subscribe:
 // the subscribed hash was PATCHed into NewHash. App is the drifted
@@ -94,11 +91,7 @@ func (l *Local) Plan(ctx context.Context, app *workflow.App, requestID string) (
 
 // Drift implements Planner.
 func (l *Local) Drift(ctx context.Context, hash string, app *workflow.App, updates []Update, requestID string) (Plan, error) {
-	ups := make([]service.Update, len(updates))
-	for i, u := range updates {
-		ups[i] = service.Update{Service: u.Service, Cost: u.Cost, Selectivity: u.Selectivity}
-	}
-	report, err := l.Server.DriftContext(ctx, hash, ups, l.Params)
+	report, err := l.Server.DriftContext(ctx, hash, updates, l.Params)
 	if err != nil {
 		return Plan{}, err
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/plan"
 	"repro/internal/rat"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/workflow"
 )
@@ -82,7 +83,7 @@ func (s *scriptPlanner) Drift(_ context.Context, _ string, app *workflow.App, up
 	if s.driftErr != nil {
 		return Plan{}, s.driftErr
 	}
-	drifted, err := applyUpdates(app, updates)
+	drifted, err := service.ApplyUpdates(app, updates)
 	if err != nil {
 		return Plan{}, err
 	}

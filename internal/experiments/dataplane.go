@@ -134,7 +134,7 @@ func E20DataPlane(budget int) Report {
 			"The re-plan phase injects a 4x cost drift on S1: per-tuple cost measurement is exact, so the controller fires deterministically at the first round boundary where S1 clears the min-samples gate (tuple 1024 — S1 is not first in the plan, so it needs a second window of survivors), PATCHes once, and hot-swaps.",
 			"'swapped == direct solve' re-plans the PATCHed instance directly and requires the same plan hash and objective value the executor ended on — the closed loop lands exactly where a from-scratch plan of measured reality lands.",
 			"Fixed seed: every row is bit-reproducible across runs and -workers settings.",
-			"Tuples/s is wall-clock and therefore not a row here; the repository benchmark's `exec-stream` workload measures it (bench/README.md): 29.6 M tuples/s end to end on the 2-CPU sandbox — 38 ns/tuple serial, 119 ns/tuple pipelined — since the executor compiles each adopted plan into a stage program and runs it 64 tuples at a time (DESIGN §8), from 1.51 M tuples/s (650 / 1730 ns/tuple) with the per-tuple loops.",
+			"Tuples/s is wall-clock and therefore not a row here; the repository benchmark's `exec-stream` workload measures it (bench/README.md).",
 		},
 	}
 }

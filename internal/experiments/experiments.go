@@ -2,13 +2,16 @@
 // (the §2.3 worked example, the three counter-examples of Appendix B, the
 // polynomial special cases, the structural theorem, and the NP-hardness
 // gadgets) plus the simulation studies its framework implies (heuristic
-// quality, model gaps, self-timed convergence). cmd/filterexp renders the
-// reports; the root benchmarks time each experiment; EXPERIMENTS.md records
-// paper-vs-measured values produced here.
+// quality, model gaps, self-timed convergence). Every report is a pure
+// function of its seeds: no wall-clock number appears in one (those are
+// the repository benchmark's, bench/), so EXPERIMENTS.md is the budget-2
+// rendering byte for byte, and TestExperimentsMatchRecord holds it there.
+// cmd/filterexp prints the reports; the root benchmarks time E1–E12.
 package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/gen"
 	"repro/internal/orchestrate"
@@ -33,6 +36,36 @@ type Report struct {
 	OK bool
 }
 
+// Markdown renders r as one EXPERIMENTS.md section: a "### " heading with
+// the verdict, the table, the notes as quoted lines, and a blank line.
+func (r Report) Markdown() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "### %s — %s (%s)\n\n%s\n", r.ID, r.Title, r.status(), r.Table.Markdown())
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "> %s\n", n)
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
+
+// String renders r as aligned text for a terminal.
+func (r Report) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== %s — %s [%s]\n%s", r.ID, r.Title, r.status(), r.Table.String())
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "  note: %s\n", n)
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
+
+func (r Report) status() string {
+	if r.OK {
+		return "reproduced"
+	}
+	return "FAILED"
+}
+
 // All runs every experiment on the shared worker pool with the default
 // worker count (runtime.NumCPU) and returns the reports in experiment
 // order. Budget scales the expensive sweeps (1 = fast smoke run, 2 = the
@@ -47,8 +80,7 @@ func All(budget int) []Report {
 // serially (Workers: 1), so workers = 1 is end-to-end serial and larger
 // counts never nest pools or oversubscribe the CPUs. The experiments are
 // mutually independent and deterministic, so report order, verdicts and
-// measured values do not depend on the worker count (the one exception is
-// E13's informational wall-time column, which reports real elapsed time).
+// measured values do not depend on the worker count.
 func AllWorkers(budget, workers int) []Report {
 	runs := []func() Report{
 		E1Fig1,
@@ -66,8 +98,6 @@ func AllWorkers(budget, workers int) []Report {
 		func() Report { return e13Scaling(budget, 1) },
 		func() Report { return e14BiCriteria(budget, 1) },
 		func() Report { return E15Pruning(budget) },
-		func() Report { return e16CacheAmortization(budget, 1) },
-		func() Report { return e17StoreCluster(budget, 1) },
 		func() Report { return E18OrderPruning(budget) },
 		func() Report { return E20DataPlane(budget) },
 	}

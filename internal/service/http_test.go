@@ -61,6 +61,15 @@ func readTestdata(t testing.TB, name string) []byte {
 	return data
 }
 
+func testdataApp(t testing.TB, name string) *workflow.App {
+	t.Helper()
+	app := new(workflow.App)
+	if err := app.UnmarshalJSON(readTestdata(t, name)); err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
 // TestHTTPPlanMatchesCLIAnswer drives POST /v1/plan with the shipped
 // webquery8 instance and checks the wire answer — value AND the oplist
 // schedule — against the direct solver call the filterplan CLI makes.

@@ -52,6 +52,7 @@ func TestRestartServesWarmBitIdenticalResponses(t *testing.T) {
 		{string(readTestdata(t, "mixed6.json")), `, "model": "overlap", "objective": "period"`},
 		{string(readTestdata(t, "mixed6.json")), `, "model": "inorder", "objective": "period", "method": "bnb"`},
 		{string(readTestdata(t, "webquery8.json")), `, "model": "overlap", "objective": "latency"`},
+		{string(readTestdata(t, "expanding12.json")), `, "model": "overlap", "objective": "period"`},
 	}
 
 	s1, ts1 := open()

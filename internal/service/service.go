@@ -764,9 +764,10 @@ func (s *Server) PlanBatchContext(ctx context.Context, reqs []Request) []BatchRe
 	return out
 }
 
-// applyUpdates builds the drifted application: the canonical app of inst
-// with the updated costs/selectivities, precedence unchanged.
-func applyUpdates(app *workflow.App, updates []Update) (*workflow.App, error) {
+// ApplyUpdates builds the drifted application: app with the updated
+// costs/selectivities, precedence unchanged. It rejects an empty update
+// list, an unknown service name and an update that changes nothing.
+func ApplyUpdates(app *workflow.App, updates []Update) (*workflow.App, error) {
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("service: drift request has no updates")
 	}
@@ -849,7 +850,7 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 		return DriftReport{}, err
 	}
 
-	newApp, err := applyUpdates(oldInst.App(), updates)
+	newApp, err := ApplyUpdates(oldInst.App(), updates)
 	if err != nil {
 		s.rejected.Add(1)
 		return DriftReport{}, err

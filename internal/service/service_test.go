@@ -90,6 +90,9 @@ func TestPlanMatchesDirectSolve(t *testing.T) {
 		{App: gen.App(gen.NewRand(2), 4, gen.Filtering), Model: plan.InOrder, Objective: solve.LatencyObjective},
 		{App: gen.AppWithPrecedence(gen.NewRand(3), 4, gen.Filtering, 0.3), Model: plan.InOrder, Objective: solve.PeriodObjective},
 		{App: gen.App(gen.NewRand(4), 6, gen.Mixed), Model: plan.Overlap, Objective: solve.PeriodObjective, Method: solve.BranchBound},
+		{App: testdataApp(t, "mixed6.json"), Model: plan.Overlap, Objective: solve.PeriodObjective},
+		{App: testdataApp(t, "webquery8.json"), Model: plan.Overlap, Objective: solve.PeriodObjective},
+		{App: testdataApp(t, "expanding12.json"), Model: plan.Overlap, Objective: solve.PeriodObjective},
 	}
 	for i, req := range cases {
 		want := fingerprint(t, directSolve(t, req))

@@ -11,7 +11,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/solve"
-	"repro/internal/workflow"
 )
 
 // driftByOne returns a registered instance's hash plus an update that
@@ -19,11 +18,7 @@ import (
 // 99, far above the instance's optimum).
 func planAndTarget(t *testing.T, s *Server) (string, string, Response) {
 	t.Helper()
-	app := new(workflow.App)
-	if err := app.UnmarshalJSON(readTestdata(t, "mixed6.json")); err != nil {
-		t.Fatal(err)
-	}
-	req := Request{App: app, Model: plan.Overlap, Objective: solve.PeriodObjective}
+	req := Request{App: testdataApp(t, "mixed6.json"), Model: plan.Overlap, Objective: solve.PeriodObjective}
 	resp, err := s.Plan(req)
 	if err != nil {
 		t.Fatal(err)
