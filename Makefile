@@ -127,7 +127,10 @@ smoke-exec:
 # an accepted entry re-encodes stably), Score.Materialise (total on
 # what the scoring forms produce), and the /v1/sync import (never panics;
 # a rejected item changes nothing but its counter; an accepted instance
-# re-canonicalises to its claimed hash). FUZZTIME bounds each target.
+# re-canonicalises to its claimed hash), and the PATCH /v1/instance/{hash}
+# handler (never a 5xx; a failed PATCH changes no cache, registry or event
+# state; a 200 only for updates ApplyUpdates accepts). FUZZTIME bounds
+# each target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -137,5 +140,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime $(FUZZTIME) ./internal/orchestrate/
 	$(GO) test -run '^$$' -fuzz FuzzSyncImport -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzDriftRequest -fuzztime $(FUZZTIME) ./internal/service/
 
 check: vet build test-short test-race test-alloc bench-smoke

@@ -10,6 +10,9 @@
 // via PATCH /v1/instance/{hash}, external re-plans via the SSE subscribe
 // stream with Last-Event-ID resume; without -url an in-process planning
 // service is embedded, so the full closed loop runs in one process.
+// Both modes resolve -model, -objective, -method and -family with the
+// service's own resolver (service.Params.Request) before the mode is
+// chosen, so a bad name fails at start-up with the same error either way.
 //
 // Drift is injected with -drift / -drift-cost: the declared instance is
 // planned as-is, but the stream behaves per the overridden truth, so the
@@ -36,7 +39,6 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/cliopt"
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -90,11 +92,20 @@ func main() {
 		fatal(err)
 	}
 
-	planner, cleanup, err := buildPlanner(*url, *model, *obj, *method, *family, *seed)
+	// Resolved before the mode is chosen, so both modes reject a bad name.
+	wire := service.Params{Model: *model, Objective: *obj, Method: *method, Family: *family, Seed: *seed}
+	params, err := wire.Request(nil)
 	if err != nil {
 		fatal(err)
 	}
-	defer cleanup()
+	var planner exec.Planner
+	if *url != "" {
+		planner = &exec.Client{BaseURL: strings.TrimRight(*url, "/"), Params: wire}
+	} else {
+		srv := service.New(service.Config{})
+		defer srv.Close()
+		planner = &exec.Local{Server: srv, Params: params}
+	}
 
 	reg := metrics.New()
 	ex, err := exec.New(exec.Config{
@@ -145,47 +156,6 @@ func main() {
 		return
 	}
 	printReport(report)
-}
-
-// buildPlanner wires either the HTTP client (with -url) or an embedded
-// in-process planning service.
-func buildPlanner(url, model, objective, method, family string, seed int64) (exec.Planner, func(), error) {
-	if url != "" {
-		return &exec.Client{
-			BaseURL: strings.TrimRight(url, "/"),
-			Params: exec.ClientParams{
-				Model:     model,
-				Objective: objective,
-				Method:    method,
-				Family:    family,
-				Seed:      seed,
-			},
-		}, func() {}, nil
-	}
-	params := service.Request{Seed: seed}
-	var err error
-	if model != "" {
-		if params.Model, err = cliopt.Model(model); err != nil {
-			return nil, nil, err
-		}
-	}
-	if objective != "" {
-		if params.Objective, err = cliopt.Objective(objective); err != nil {
-			return nil, nil, err
-		}
-	}
-	if method != "" {
-		if params.Method, err = cliopt.Method(method); err != nil {
-			return nil, nil, err
-		}
-	}
-	if family != "" {
-		if params.Family, err = cliopt.Family(family); err != nil {
-			return nil, nil, err
-		}
-	}
-	srv := service.New(service.Config{})
-	return &exec.Local{Server: srv, Params: params}, srv.Close, nil
 }
 
 // parseTruth decodes the -drift / -drift-cost assignment lists.

@@ -296,7 +296,7 @@ func main() {
 	ex, err := exec.New(exec.Config{
 		App: &app,
 		Planner: &exec.Client{BaseURL: ts.URL,
-			Params: exec.ClientParams{Model: "inorder", Objective: "period"}},
+			Params: service.Params{Model: "inorder", Objective: "period"}},
 		Seed:    1,
 		Workers: 4,
 		Truth:   map[string]exec.Truth{"C3": {Cost: &trueCost}},

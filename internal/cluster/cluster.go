@@ -493,7 +493,7 @@ func instanceOfPlanBody(body []byte) (*canon.Instance, error) {
 func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	inst, err := instanceOfPlanBody(body)
@@ -535,15 +535,12 @@ func (rt *Router) routeItem(r *http.Request, body []byte) routedResponse {
 	return routedResponse{status: rec.Code, body: rec.Body.Bytes()}
 }
 
-// batchJSON mirrors the service's wire format closely enough to split a
-// batch into per-item routed plan requests and reassemble the answers.
+// batchJSON is the router's split view of a POST /v1/batch body: each
+// item stays raw bytes and is routed as one plan request body (the
+// service's own batch document decodes items in place). The answer is
+// reassembled as a service.BatchResponse.
 type batchJSON struct {
 	Requests []json.RawMessage `json:"requests"`
-}
-
-type batchItemJSON struct {
-	Error string          `json:"error,omitempty"`
-	Plan  json.RawMessage `json:"plan,omitempty"`
 }
 
 // handleBatch fans the items out to their owners and reassembles the
@@ -555,16 +552,16 @@ type batchItemJSON struct {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var doc batchJSON
 	if err := json.Unmarshal(body, &doc); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: parsing request body: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: parsing request body: %w", err))
 		return
 	}
 	if len(doc.Requests) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: batch has no requests"))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: batch has no requests"))
 		return
 	}
 	answers := make([]routedResponse, len(doc.Requests))
@@ -589,21 +586,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	out := struct {
-		Results []batchItemJSON `json:"results"`
-	}{Results: make([]batchItemJSON, len(answers))}
+	out := service.BatchResponse{Results: make([]service.BatchItem, len(answers))}
 	for i, a := range answers {
 		if a.status == http.StatusOK {
-			out.Results[i] = batchItemJSON{Plan: json.RawMessage(a.body)}
+			out.Results[i] = service.BatchItem{Plan: a.body}
 			continue
 		}
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e service.ErrorBody
 		if err := json.Unmarshal(a.body, &e); err != nil || e.Error == "" {
 			e.Error = fmt.Sprintf("cluster: item failed with status %d", a.status)
 		}
-		out.Results[i] = batchItemJSON{Error: e.Error}
+		out.Results[i] = service.BatchItem{Error: e.Error}
 	}
 	service.WriteJSON(w, http.StatusOK, out)
 }
@@ -616,7 +609,7 @@ func (rt *Router) handleByHashPath(w http.ResponseWriter, r *http.Request) {
 		var err error
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			service.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -628,12 +621,7 @@ func (rt *Router) handleByHashPath(w http.ResponseWriter, r *http.Request) {
 // whether the cluster behind it is healthy (that story is /metrics: the
 // peers-up, breaker and under-replication families).
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	service.WriteJSON(w, http.StatusOK, struct {
-		Status   string `json:"status"`
-		Role     string `json:"role"`
-		Version  string `json:"version"`
-		Revision string `json:"revision"`
-	}{Status: "ok", Role: "router", Version: rt.version, Revision: rt.revision})
+	service.WriteJSON(w, http.StatusOK, service.Healthz{Status: "ok", Role: "router", Version: rt.version, Revision: rt.revision})
 }
 
 // route forwards one request to the owners of hash in preference order,
@@ -934,8 +922,4 @@ func flushingCopy(w http.ResponseWriter, src io.Reader) {
 			return
 		}
 	}
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	service.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -285,11 +285,7 @@ func TestRouterHealthzAndDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hz struct {
-		Status  string `json:"status"`
-		Role    string `json:"role"`
-		Version string `json:"version"`
-	}
+	var hz service.Healthz
 	if err := json.NewDecoder(hresp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +316,33 @@ func TestRouterHealthzAndDebug(t *testing.T) {
 	sresp.Body.Close()
 	if sresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("router GET /v1/stats: status %d, want 404", sresp.StatusCode)
+	}
+}
+
+// TestRouterErrorBodiesCarryRequestID holds the router's own 400s to the
+// error document every replica answers with: the body repeats the
+// response's X-Filterd-Request-Id, whether the client chose the id or the
+// router minted it.
+func TestRouterErrorBodiesCarryRequestID(t *testing.T) {
+	gw, _, _, _ := newTracedCluster(t, 1)
+	for _, tc := range []struct{ name, body, id string }{
+		{"malformed batch, client id", `{{{`, "router-error-1"},
+		{"malformed batch, minted id", `{"requests": 5}`, ""},
+		{"empty batch", `{"requests": []}`, "router-error-2"},
+	} {
+		resp := postWithID(t, gw.URL+"/v1/batch", tc.body, tc.id)
+		var doc service.ErrorBody
+		err := json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", tc.name, err)
+		}
+		header := resp.Header.Get(obs.HeaderRequestID)
+		if resp.StatusCode != http.StatusBadRequest || doc.Error == "" {
+			t.Errorf("%s: status %d, body %+v; want 400 with an error text", tc.name, resp.StatusCode, doc)
+		}
+		if header == "" || doc.RequestID != header || (tc.id != "" && header != tc.id) {
+			t.Errorf("%s: body request_id %q, header %q, sent %q", tc.name, doc.RequestID, header, tc.id)
+		}
 	}
 }

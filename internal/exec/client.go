@@ -25,24 +25,10 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/rat"
 	"repro/internal/resilience"
 	"repro/internal/service"
 	"repro/internal/workflow"
 )
-
-// ClientParams are the solve parameters sent with every plan and drift
-// request, in the HTTP API's vocabulary (cliopt names; empty strings mean
-// the service defaults).
-type ClientParams struct {
-	Model     string `json:"model,omitempty"`
-	Objective string `json:"objective,omitempty"`
-	Method    string `json:"method,omitempty"`
-	Family    string `json:"family,omitempty"`
-	MaxExactN int    `json:"max_exact_n,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	Restarts  int    `json:"restarts,omitempty"`
-}
 
 // Client implements Planner over HTTP against a filterd (or cluster
 // router) base URL.
@@ -53,7 +39,7 @@ type Client struct {
 	// client without a global timeout (streams outlive any sane one).
 	HTTPClient *http.Client
 	// Params are the solve parameters of every request.
-	Params ClientParams
+	Params service.Params
 	// Logger, when non-nil, receives reconnect and parse warnings.
 	Logger *slog.Logger
 }
@@ -72,49 +58,13 @@ func (c *Client) logger() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// planWireResponse mirrors the service's plan response document.
-type planWireResponse struct {
-	Hash     string          `json:"hash"`
-	Value    rat.Rat         `json:"value"`
-	Period   rat.Rat         `json:"period"`
-	Graph    planWireGraph   `json:"graph"`
-	Schedule json.RawMessage `json:"schedule"`
-}
-
-type planWireGraph struct {
-	Services []string    `json:"services"`
-	Edges    [][2]string `json:"edges"`
-}
-
-// driftWireResponse mirrors the service's drift response document.
-type driftWireResponse struct {
-	OldHash  string           `json:"old_hash"`
-	NewHash  string           `json:"new_hash"`
-	OldValue rat.Rat          `json:"old_value"`
-	NewValue rat.Rat          `json:"new_value"`
-	Plan     planWireResponse `json:"plan"`
-}
-
-// eventWire mirrors the SSE replan payload.
-type eventWire struct {
-	Hash     string          `json:"hash"`
-	NewHash  string          `json:"new_hash"`
-	OldValue rat.Rat         `json:"old_value"`
-	NewValue rat.Rat         `json:"new_value"`
-	Instance json.RawMessage `json:"instance"`
-}
-
 // Plan implements Planner: POST /v1/plan.
 func (c *Client) Plan(ctx context.Context, app *workflow.App, requestID string) (Plan, error) {
-	inst, err := json.Marshal(app)
-	if err != nil {
-		return Plan{}, fmt.Errorf("exec: encoding instance: %w", err)
-	}
 	body := struct {
-		Instance json.RawMessage `json:"instance"`
-		ClientParams
-	}{Instance: inst, ClientParams: c.Params}
-	var wire planWireResponse
+		Instance *workflow.App `json:"instance"`
+		service.Params
+	}{Instance: app, Params: c.Params}
+	var wire service.PlanResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/plan", body, requestID, &wire); err != nil {
 		return Plan{}, err
 	}
@@ -126,34 +76,20 @@ func (c *Client) Plan(ctx context.Context, app *workflow.App, requestID string) 
 // the same values the service declared, since a drift PATCH is exactly
 // "replace these services' declared values with these".
 func (c *Client) Drift(ctx context.Context, hash string, app *workflow.App, updates []Update, requestID string) (Plan, error) {
-	type updateWire struct {
-		Service     string `json:"service"`
-		Cost        string `json:"cost,omitempty"`
-		Selectivity string `json:"selectivity,omitempty"`
-	}
-	ups := make([]updateWire, len(updates))
-	for i, u := range updates {
-		ups[i].Service = u.Service
-		if u.Cost != nil {
-			ups[i].Cost = u.Cost.String()
-		}
-		if u.Selectivity != nil {
-			ups[i].Selectivity = u.Selectivity.String()
-		}
-	}
-	body := struct {
-		Updates []updateWire `json:"updates"`
-		ClientParams
-	}{Updates: ups, ClientParams: c.Params}
-	var wire driftWireResponse
-	if err := c.do(ctx, http.MethodPatch, "/v1/instance/"+hash, body, requestID, &wire); err != nil {
+	body := service.DriftRequest{Updates: updates, Params: c.Params}
+	var resp service.DriftResponse
+	if err := c.do(ctx, http.MethodPatch, "/v1/instance/"+hash, body, requestID, &resp); err != nil {
 		return Plan{}, err
+	}
+	var wire service.PlanResponse
+	if err := json.Unmarshal(resp.Plan, &wire); err != nil {
+		return Plan{}, fmt.Errorf("exec: decoding drift plan: %w", err)
 	}
 	drifted, err := service.ApplyUpdates(app, updates)
 	if err != nil {
 		return Plan{}, err
 	}
-	return c.assemble(wire.Plan, drifted)
+	return c.assemble(wire, drifted)
 }
 
 // Subscribe implements Planner: a self-healing SSE consumer of
@@ -219,24 +155,11 @@ func (c *Client) consumeStream(ctx context.Context, hash string, lastID *uint64,
 		defer func() { id, event = 0, ""; data.Reset() }()
 		switch event {
 		case "replan":
-			var wire eventWire
-			if err := json.Unmarshal(data.Bytes(), &wire); err != nil {
+			var rp Replan
+			if err := json.Unmarshal(data.Bytes(), &rp); err != nil {
 				return fmt.Errorf("exec: decoding replan event: %w", err)
 			}
-			rp := Replan{
-				ID:       id,
-				Hash:     wire.Hash,
-				NewHash:  wire.NewHash,
-				OldValue: wire.OldValue,
-				NewValue: wire.NewValue,
-			}
-			if len(wire.Instance) > 0 {
-				var app workflow.App
-				if err := json.Unmarshal(wire.Instance, &app); err != nil {
-					return fmt.Errorf("exec: decoding replan instance: %w", err)
-				}
-				rp.App = &app
-			}
+			rp.ID = id
 			select {
 			case out <- rp:
 			case <-ctx.Done():
@@ -372,7 +295,7 @@ func (c *Client) do(ctx context.Context, method, path string, body any, requestI
 // the executor's Plan: the canonical service order and execution graph
 // arrive as names, the declared values come from src (the same values the
 // service canonicalized — canonicalization permutes, it never rewrites).
-func (c *Client) assemble(wire planWireResponse, src *workflow.App) (Plan, error) {
+func (c *Client) assemble(wire service.PlanResponse, src *workflow.App) (Plan, error) {
 	app, err := remapApp(src, wire.Graph.Services)
 	if err != nil {
 		return Plan{}, err

@@ -442,13 +442,13 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 			if ev.NewHash == e.plan.Hash {
 				continue // own PATCH echo
 			}
-			if ev.App == nil {
+			if ev.NewApp == nil {
 				logger.Warn("exec.replan.skipped", "new_hash", ev.NewHash, "reason", "event carried no instance")
 				continue
 			}
 			span := e.span("exec.replan", e.cfg.RequestID)
 			t0 := time.Now()
-			p, err := e.cfg.Planner.Plan(ctx, ev.App, e.cfg.RequestID)
+			p, err := e.cfg.Planner.Plan(ctx, ev.NewApp, e.cfg.RequestID)
 			if err != nil {
 				logger.Warn("exec.replan.failed", "new_hash", ev.NewHash, "err", err)
 				span.SetError(err.Error())

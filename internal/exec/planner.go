@@ -39,17 +39,11 @@ type Plan struct {
 type Update = service.Update
 
 // Replan is one external re-plan notification delivered by Subscribe:
-// the subscribed hash was PATCHed into NewHash. App is the drifted
+// the subscribed hash was PATCHed into NewHash. NewApp is the drifted
 // instance when the event carried it (planning it is a cache hit on the
-// service), nil otherwise.
-type Replan struct {
-	ID       uint64
-	Hash     string
-	NewHash  string
-	OldValue rat.Rat
-	NewValue rat.Rat
-	App      *workflow.App
-}
+// service), nil otherwise. It is the service's event, as the SSE stream
+// carries it.
+type Replan = service.Event
 
 // Planner is the executor's control-plane client.
 type Planner interface {
@@ -111,14 +105,7 @@ func (l *Local) Subscribe(ctx context.Context, hash string) (<-chan Replan, erro
 				return
 			case ev := <-sub.Events():
 				select {
-				case out <- Replan{
-					ID:       ev.ID,
-					Hash:     ev.Hash,
-					NewHash:  ev.NewHash,
-					OldValue: ev.OldValue,
-					NewValue: ev.NewValue,
-					App:      ev.NewApp,
-				}:
+				case out <- ev:
 				case <-ctx.Done():
 					return
 				}

@@ -413,10 +413,10 @@ func TestFoldEqualsPerSampleLoop(t *testing.T) {
 
 // warmProgram compiles a generated n-service filtering instance (the
 // benchmark's kind) on a seeded random DAG and runs it once.
-func warmProgram(tb testing.TB, n, workers int) (*Executor, *program) {
+func warmProgram(tb testing.TB, n, workers int, pred Predicate) (*Executor, *program) {
 	tb.Helper()
 	app := gen.App(gen.NewRand(int64(n)), n, gen.Filtering)
-	ex, err := New(Config{App: app, Planner: &scriptPlanner{}, Seed: 1, Workers: workers, Threshold: neverDrift()})
+	ex, err := New(Config{App: app, Planner: &scriptPlanner{}, Seed: 1, Workers: workers, Threshold: neverDrift(), Predicate: pred})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestRunRoundAllocBudget(t *testing.T) {
 	}
 	ctx, logger := context.Background(), slog.New(slog.DiscardHandler)
 	for _, n := range []int{8, 16} {
-		ex, prog := warmProgram(t, n, 1)
+		ex, prog := warmProgram(t, n, 1, nil)
 		report := &Report{}
 		first := uint64(DefaultWindow)
 		if got := testing.AllocsPerRun(100, func() {
@@ -516,36 +516,55 @@ func TestRunLeavesNoStageGoroutine(t *testing.T) {
 	}
 }
 
+// spinPredicate passes every tuple after a 1 µs CPU spin: a stand-in for
+// a user predicate with real per-tuple work, the case the pipelined driver
+// is kept for (one stage per goroutine overlaps the spins).
+func spinPredicate(string, uint64) bool {
+	for start := time.Now(); time.Since(start) < time.Microsecond; {
+	}
+	return true
+}
+
 // BenchmarkExecRound measures the data plane alone: rounds of
-// DefaultWindow tuples through a warm program, serial and pipelined.
+// DefaultWindow tuples through a warm program, serial and pipelined, on
+// the synthetic verdicts and on a 1 µs Predicate.
 func BenchmarkExecRound(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"pipelined", 2}} {
-		for _, n := range []int{8, 16} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				ex, prog := warmProgram(b, n, mode.workers)
-				var evalsBefore uint64
-				for _, est := range ex.estimators {
-					evalsBefore += est.in
-				}
-				first := uint64(DefaultWindow)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					prog.run(round{first: first, n: DefaultWindow})
-					first += DefaultWindow
-				}
-				b.StopTimer()
-				var evals uint64
-				for _, est := range ex.estimators {
-					evals += est.in
-				}
-				tuples := float64(b.N) * DefaultWindow
-				b.ReportMetric(float64(evals-evalsBefore)/tuples, "evals/tuple")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
-			})
+	for _, verdicts := range []struct {
+		name string
+		pred Predicate
+	}{{"synthetic", nil}, {"predicate", spinPredicate}} {
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"pipelined", 2}} {
+			for _, n := range []int{8, 16} {
+				b.Run(fmt.Sprintf("%s/%s/n=%d", verdicts.name, mode.name, n), func(b *testing.B) {
+					benchRounds(b, n, mode.workers, verdicts.pred)
+				})
+			}
 		}
 	}
+}
+
+func benchRounds(b *testing.B, n, workers int, pred Predicate) {
+	ex, prog := warmProgram(b, n, workers, pred)
+	var evalsBefore uint64
+	for _, est := range ex.estimators {
+		evalsBefore += est.in
+	}
+	first := uint64(DefaultWindow)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog.run(round{first: first, n: DefaultWindow})
+		first += DefaultWindow
+	}
+	b.StopTimer()
+	var evals uint64
+	for _, est := range ex.estimators {
+		evals += est.in
+	}
+	tuples := float64(b.N) * DefaultWindow
+	b.ReportMetric(float64(evals-evalsBefore)/tuples, "evals/tuple")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
 }

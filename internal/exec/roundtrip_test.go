@@ -77,7 +77,7 @@ func countReplanEvents(t *testing.T, baseURL, hash string) (count func() int, st
 // to planning the drifted instance directly — with no tuple loss.
 func TestRoundTripControllerDrift(t *testing.T) {
 	_, ts := newFilterd(t)
-	client := &Client{BaseURL: ts.URL, Params: ClientParams{Model: "overlap", Objective: "period"}}
+	client := &Client{BaseURL: ts.URL, Params: service.Params{Model: "overlap", Objective: "period"}}
 	ctx := context.Background()
 
 	// The declared instance plans around cost ~1 services; the stream
@@ -181,7 +181,7 @@ func TestRoundTripControllerDrift(t *testing.T) {
 // SSE subscription mid-run and is adopted at a round boundary.
 func TestRoundTripExternalReplanAdoption(t *testing.T) {
 	_, ts := newFilterd(t)
-	client := &Client{BaseURL: ts.URL, Params: ClientParams{Model: "overlap", Objective: "period"}}
+	client := &Client{BaseURL: ts.URL, Params: service.Params{Model: "overlap", Objective: "period"}}
 	ctx := context.Background()
 
 	app, err := workflow.New([]workflow.Service{

@@ -19,7 +19,7 @@ func twoStepDecode(body []byte) (Request, error) {
 	// Named as the shipped document so type-mismatch errors read the same.
 	type planRequestJSON struct {
 		Instance json.RawMessage `json:"instance"`
-		planParamsJSON
+		Params
 	}
 	var doc planRequestJSON
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&doc); err != nil {
@@ -32,7 +32,7 @@ func twoStepDecode(body []byte) (Request, error) {
 	if err := json.Unmarshal(doc.Instance, &app); err != nil {
 		return Request{}, fmt.Errorf("service: parsing instance: %w", err)
 	}
-	return doc.planParamsJSON.request(&app)
+	return doc.Params.Request(&app)
 }
 
 // agreeWithTwoStep checks one body: same accept/reject and error text, and

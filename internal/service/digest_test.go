@@ -55,7 +55,7 @@ func TestServedBodyDigest(t *testing.T) {
 					return out
 				}
 				miss := served("POST", "/v1/plan", planDoc)
-				var doc planResponseJSON
+				var doc PlanResponse
 				if err := json.Unmarshal([]byte(miss), &doc); err != nil {
 					t.Fatal(err)
 				}

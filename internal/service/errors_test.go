@@ -1,10 +1,35 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
+
+type patchCase struct {
+	name, body string
+	wantStatus int
+}
+
+// patchErrorCases are the malformed PATCH /v1/instance/{hash} bodies
+// against a registered instance whose first service is target, each with
+// the status it fails with.
+func patchErrorCases(target string) []patchCase {
+	return []patchCase{
+		{"not JSON", `{{{`, http.StatusBadRequest},
+		{"truncated JSON", `{"updates": [{"service":`, http.StatusBadRequest},
+		{"bad cost rational", fmt.Sprintf(`{"updates": [{"service": %q, "cost": "7/0"}]}`, target), http.StatusBadRequest},
+		{"empty cost", fmt.Sprintf(`{"updates": [{"service": %q, "cost": ""}]}`, target), http.StatusBadRequest},
+		{"bad selectivity rational", fmt.Sprintf(`{"updates": [{"service": %q, "selectivity": "x"}]}`, target), http.StatusBadRequest},
+		{"unknown model", fmt.Sprintf(`{"model": "bogus", "updates": [{"service": %q, "cost": "2"}]}`, target), http.StatusBadRequest},
+		{"no updates", `{"updates": []}`, http.StatusUnprocessableEntity},
+		{"unknown service", `{"updates": [{"service": "nope", "cost": "2"}]}`, http.StatusUnprocessableEntity},
+		{"update changes nothing", fmt.Sprintf(`{"updates": [{"service": %q}]}`, target), http.StatusUnprocessableEntity},
+	}
+}
 
 // TestHTTPPatchErrorPaths sweeps the PATCH /v1/instance/{hash} failure
 // modes: every malformed body fails with the right status, fails cleanly
@@ -15,19 +40,7 @@ func TestHTTPPatchErrorPaths(t *testing.T) {
 	hash, target, _ := planAndTarget(t, s)
 	before := s.Stats()
 
-	cases := []struct {
-		name, body string
-		wantStatus int
-	}{
-		{"not JSON", `{{{`, http.StatusBadRequest},
-		{"truncated JSON", `{"updates": [{"service":`, http.StatusBadRequest},
-		{"bad cost rational", fmt.Sprintf(`{"updates": [{"service": %q, "cost": "7/0"}]}`, target), http.StatusBadRequest},
-		{"bad selectivity rational", fmt.Sprintf(`{"updates": [{"service": %q, "selectivity": "x"}]}`, target), http.StatusBadRequest},
-		{"unknown model", fmt.Sprintf(`{"model": "bogus", "updates": [{"service": %q, "cost": "2"}]}`, target), http.StatusBadRequest},
-		{"no updates", `{"updates": []}`, http.StatusUnprocessableEntity},
-		{"unknown service", `{"updates": [{"service": "nope", "cost": "2"}]}`, http.StatusUnprocessableEntity},
-		{"update changes nothing", fmt.Sprintf(`{"updates": [{"service": %q}]}`, target), http.StatusUnprocessableEntity},
-	}
+	cases := patchErrorCases(target)
 	for _, tc := range cases {
 		resp := doJSON(t, "PATCH", ts.URL+"/v1/instance/"+hash, tc.body, nil)
 		resp.Body.Close()
@@ -60,4 +73,63 @@ func TestHTTPPatchErrorPaths(t *testing.T) {
 	if ok.StatusCode != http.StatusOK {
 		t.Errorf("valid PATCH after the sweep: status %d", ok.StatusCode)
 	}
+	// Costs and selectivities take bare JSON numbers, as in the instance
+	// document.
+	bare := doJSON(t, "PATCH", ts.URL+"/v1/instance/"+hash,
+		fmt.Sprintf(`{"updates": [{"service": %q, "cost": 6, "selectivity": 0.5}]}`, target), nil)
+	bare.Body.Close()
+	if bare.StatusCode != http.StatusOK {
+		t.Errorf("PATCH with bare numbers: status %d", bare.StatusCode)
+	}
+}
+
+// FuzzDriftRequest sends fuzzed bodies to PATCH /v1/instance/{hash} on a
+// registered instance. Properties: no body gets a 5xx; a non-200 leaves
+// the cache length, the registered count and the published events as
+// they were; a 200 only answers a body whose updates ApplyUpdates accepts.
+func FuzzDriftRequest(f *testing.F) {
+	s := New(Config{Workers: 1})
+	f.Cleanup(s.Close)
+	hash, target, planned := planAndTarget(f, s)
+	for _, tc := range patchErrorCases(target) {
+		f.Add(tc.body)
+	}
+	f.Add(fmt.Sprintf(`{"model": "overlap", "objective": "period", "updates": [{"service": %q, "cost": "5"}]}`, target))
+	f.Add(fmt.Sprintf(`{"updates": [{"service": %q, "cost": 7, "selectivity": 0.5}]}`, target))
+	f.Add(fmt.Sprintf(`{"updates": [{"service": %q, "cost": null, "selectivity": "1/3"}]}`, target))
+	f.Add(fmt.Sprintf(`{"updates": [{"service": %q, "cost": "3"}]} trailing`, target))
+	h := Handler(s)
+
+	f.Fuzz(func(t *testing.T, body string) {
+		// The handler's framing: the first JSON value, trailing bytes
+		// ignored. Restarts multiply the hill climb's work without bound;
+		// past a few the body exercises the solver, not the handler.
+		var doc DriftRequest
+		decodeErr := json.NewDecoder(strings.NewReader(body)).Decode(&doc)
+		if doc.Restarts > 4 {
+			t.Skip()
+		}
+		before := s.Stats()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPatch, "/v1/instance/"+hash, strings.NewReader(body)))
+		after := s.Stats()
+		if rec.Code >= 500 {
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			if after.Cache.Len != before.Cache.Len || after.Registered != before.Registered ||
+				after.EventsPublished != before.EventsPublished {
+				t.Fatalf("body %q: status %d changed state: cache %d -> %d, registered %d -> %d, events %d -> %d",
+					body, rec.Code, before.Cache.Len, after.Cache.Len, before.Registered, after.Registered,
+					before.EventsPublished, after.EventsPublished)
+			}
+			return
+		}
+		if decodeErr != nil {
+			t.Fatalf("body %q: 200 for a body that does not decode: %v", body, decodeErr)
+		}
+		if _, err := ApplyUpdates(planned.Instance.App(), doc.Updates); err != nil {
+			t.Fatalf("body %q: 200 for updates ApplyUpdates rejects: %v", body, err)
+		}
+	})
 }

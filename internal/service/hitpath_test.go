@@ -41,21 +41,21 @@ func referenceEncode(t *testing.T, v any) string {
 // referencePlan is the reference struct encoder of a plan answer: built from
 // the public fields of an in-process Response, as every response was before
 // cache entries owned their bytes.
-func referencePlan(t *testing.T, resp Response, req Request, outcome plancache.Outcome) planResponseJSON {
+func referencePlan(t *testing.T, resp Response, req Request, outcome plancache.Outcome) PlanResponse {
 	t.Helper()
 	sched, err := json.Marshal(resp.Solution.Sched.List)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app := resp.Instance.App()
-	g := graphJSON{Services: make([]string, app.N())}
+	g := PlanGraph{Services: make([]string, app.N())}
 	for i := 0; i < app.N(); i++ {
 		g.Services[i] = app.Name(i)
 	}
 	for _, e := range resp.Solution.Graph.Graph().Edges() {
 		g.Edges = append(g.Edges, [2]string{app.Name(e[0]), app.Name(e[1])})
 	}
-	return planResponseJSON{
+	return PlanResponse{
 		Hash:      resp.Hash,
 		Cached:    outcome == plancache.Hit,
 		Outcome:   outcome.String(),
@@ -72,18 +72,18 @@ func referencePlan(t *testing.T, resp Response, req Request, outcome plancache.O
 
 // The reference batch and drift documents embed the plan as a struct.
 type referenceBatchItem struct {
-	Error string            `json:"error,omitempty"`
-	Plan  *planResponseJSON `json:"plan,omitempty"`
+	Error string        `json:"error,omitempty"`
+	Plan  *PlanResponse `json:"plan,omitempty"`
 }
 
 type referenceDrift struct {
-	OldHash   string           `json:"old_hash"`
-	NewHash   string           `json:"new_hash"`
-	OldValue  string           `json:"old_value"`
-	NewValue  string           `json:"new_value"`
-	WarmStart bool             `json:"warm_start"`
-	Incumbent *string          `json:"incumbent,omitempty"`
-	Plan      planResponseJSON `json:"plan"`
+	OldHash   string       `json:"old_hash"`
+	NewHash   string       `json:"new_hash"`
+	OldValue  string       `json:"old_value"`
+	NewValue  string       `json:"new_value"`
+	WarmStart bool         `json:"warm_start"`
+	Incumbent *string      `json:"incumbent,omitempty"`
+	Plan      PlanResponse `json:"plan"`
 }
 
 // send issues one request and returns status and raw body.

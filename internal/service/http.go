@@ -6,7 +6,8 @@ package service
 // files filterplan -in reads), schedules are oplist.List JSON (the same
 // exact-rational operation lists the library emits everywhere else), and
 // the option vocabulary is the shared cliopt one, so every name accepted
-// on a CLI flag is accepted in a request body.
+// on a CLI flag is accepted in a request body. The documents themselves
+// are declared once, in wire.go.
 //
 //	POST  /v1/plan            plan one instance
 //	POST  /v1/batch           plan many instances in one request
@@ -32,18 +33,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/cliopt"
 	"repro/internal/obs"
 	"repro/internal/plancache"
-	"repro/internal/rat"
-	"repro/internal/workflow"
 )
 
 // maxBodyBytes bounds request bodies (instances are small; 4 MiB is
@@ -71,114 +68,6 @@ func errStatus(err error, fallback int) int {
 	return fallback
 }
 
-// planParamsJSON are the solve parameters shared by plan, batch items and
-// drift requests. Empty strings mean the defaults.
-type planParamsJSON struct {
-	Model     string `json:"model,omitempty"`
-	Objective string `json:"objective,omitempty"`
-	Method    string `json:"method,omitempty"`
-	Family    string `json:"family,omitempty"`
-	MaxExactN int    `json:"max_exact_n,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	Restarts  int    `json:"restarts,omitempty"`
-}
-
-// request resolves the wire parameters into a Request for app.
-func (p planParamsJSON) request(app *workflow.App) (Request, error) {
-	req := Request{App: app, MaxExactN: p.MaxExactN, Seed: p.Seed, Restarts: p.Restarts}
-	var err error
-	if p.Model != "" {
-		if req.Model, err = cliopt.Model(p.Model); err != nil {
-			return req, err
-		}
-	}
-	if p.Objective != "" {
-		if req.Objective, err = cliopt.Objective(p.Objective); err != nil {
-			return req, err
-		}
-	}
-	if p.Method != "" {
-		if req.Method, err = cliopt.Method(p.Method); err != nil {
-			return req, err
-		}
-	}
-	if p.Family != "" {
-		if req.Family, err = cliopt.Family(p.Family); err != nil {
-			return req, err
-		}
-	}
-	return req, nil
-}
-
-type planRequestJSON struct {
-	// Instance is a workflow.App JSON document — identical to the
-	// filterplan -in file format.
-	Instance instanceJSON `json:"instance"`
-	planParamsJSON
-}
-
-// instanceJSON decodes the instance member in place, in the one pass over
-// the body, keeping the application's verdict instead of failing the
-// surrounding decode: requests are judged body syntax first, then missing
-// instance, then instance, and a repeated member overrides an earlier one.
-type instanceJSON struct {
-	app     workflow.App
-	err     error
-	present bool
-}
-
-func (i *instanceJSON) UnmarshalJSON(data []byte) error {
-	i.present = true
-	i.err = i.app.UnmarshalJSON(data)
-	return nil
-}
-
-// request resolves one decoded wire request into a service Request.
-func (doc *planRequestJSON) request() (Request, error) {
-	if !doc.Instance.present {
-		return Request{}, fmt.Errorf("service: request has no instance")
-	}
-	if doc.Instance.err != nil {
-		return Request{}, fmt.Errorf("service: parsing instance: %w", doc.Instance.err)
-	}
-	return doc.planParamsJSON.request(&doc.Instance.app)
-}
-
-// DecodePlanRequest reads one POST /v1/plan body: the first JSON value of
-// r, unknown members ignored, the rest left unread. The cluster router
-// calls it on the bodies it forwards, so router and replica accept and
-// reject the same ones.
-func DecodePlanRequest(r io.Reader) (Request, error) {
-	var doc planRequestJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return Request{}, fmt.Errorf("service: parsing request body: %w", err)
-	}
-	return doc.request()
-}
-
-type graphJSON struct {
-	// Services lists the canonical service order; Edges the execution
-	// graph over service names.
-	Services []string    `json:"services"`
-	Edges    [][2]string `json:"edges"`
-}
-
-type planResponseJSON struct {
-	Hash      string    `json:"hash"`
-	Cached    bool      `json:"cached"`
-	Outcome   string    `json:"outcome"` // miss, hit or coalesced
-	Model     string    `json:"model"`
-	Objective string    `json:"objective"`
-	Value     rat.Rat   `json:"value"`
-	Exact     bool      `json:"exact"`
-	Period    rat.Rat   `json:"period"`
-	Latency   rat.Rat   `json:"latency"`
-	Graph     graphJSON `json:"graph"`
-	// Schedule is the operation list in the oplist JSON codec (exact
-	// rational begin/end times, communications keyed by endpoint names).
-	Schedule json.RawMessage `json:"schedule"`
-}
-
 // body returns the encoded POST /v1/plan answer of resp: the bytes its
 // cache entry owns for resp.Outcome, encoded on first use.
 func (resp Response) body(req Request) ([]byte, error) {
@@ -195,7 +84,7 @@ func (e *cacheEntry) encode(outcome plancache.Outcome, req Request) ([]byte, err
 		return nil, fmt.Errorf("service: encoding schedule: %w", err)
 	}
 	app := e.inst.App()
-	g := graphJSON{Services: make([]string, app.N())}
+	g := PlanGraph{Services: make([]string, app.N())}
 	for i := 0; i < app.N(); i++ {
 		g.Services[i] = app.Name(i)
 	}
@@ -203,7 +92,7 @@ func (e *cacheEntry) encode(outcome plancache.Outcome, req Request) ([]byte, err
 		g.Edges = append(g.Edges, [2]string{app.Name(edge[0]), app.Name(edge[1])})
 	}
 	var buf bytes.Buffer
-	err = encodeJSON(&buf, planResponseJSON{
+	err = encodeJSON(&buf, PlanResponse{
 		Hash:    e.inst.Hash(),
 		Cached:  outcome == plancache.Hit,
 		Outcome: outcome.String(),
@@ -224,165 +113,11 @@ func (e *cacheEntry) encode(outcome plancache.Outcome, req Request) ([]byte, err
 	return buf.Bytes(), nil
 }
 
-type batchRequestJSON struct {
-	Requests []planRequestJSON `json:"requests"`
-}
-
-// Batch items and drift answers embed the bytes Response.body returns.
-type batchItemJSON struct {
-	Error string          `json:"error,omitempty"`
-	Plan  json.RawMessage `json:"plan,omitempty"`
-}
-
-type batchResponseJSON struct {
-	Results []batchItemJSON `json:"results"`
-}
-
-type driftUpdateJSON struct {
-	Service     string `json:"service"`
-	Cost        string `json:"cost,omitempty"`
-	Selectivity string `json:"selectivity,omitempty"`
-}
-
-type driftRequestJSON struct {
-	Updates []driftUpdateJSON `json:"updates"`
-	planParamsJSON
-}
-
-type driftResponseJSON struct {
-	OldHash   string          `json:"old_hash"`
-	NewHash   string          `json:"new_hash"`
-	OldValue  rat.Rat         `json:"old_value"`
-	NewValue  rat.Rat         `json:"new_value"`
-	WarmStart bool            `json:"warm_start"`
-	Incumbent *rat.Rat        `json:"incumbent,omitempty"`
-	Plan      json.RawMessage `json:"plan"`
-}
-
-// healthzJSON is the GET /v1/healthz liveness document.
-type healthzJSON struct {
-	Status   string `json:"status"`
-	Version  string `json:"version"`
-	Revision string `json:"revision"`
-}
-
-// explainJSON renders one provenance record (GET /v1/explain/{hash}).
-type explainJSON struct {
-	Hash      string `json:"hash"`
-	Key       string `json:"key"`
-	RequestID string `json:"request_id,omitempty"`
-	Model     string `json:"model"`
-	Objective string `json:"objective"`
-	// Method and Family are the RESOLVED strategy when the effort record
-	// exists (what the solver actually searched), the requested one
-	// otherwise.
-	Method  string              `json:"method"`
-	Family  string              `json:"family"`
-	Source  string              `json:"source"`  // cache | store | solve | failover
-	Outcome string              `json:"outcome"` // miss | hit | coalesced
-	Value   rat.Rat             `json:"value"`
-	Exact   bool                `json:"exact"`
-	Served  time.Time           `json:"served"`
-	Solver  *explainSolverJSON  `json:"solver,omitempty"`
-	Orch    *explainOrchJSON    `json:"orchestration,omitempty"`
-	Timings *explainTimingsJSON `json:"timings,omitempty"`
-}
-
-type explainSolverJSON struct {
-	Expanded  int64 `json:"expanded"`
-	Pruned    int64 `json:"pruned"`
-	Evaluated int64 `json:"evaluated"`
-}
-
-type explainOrchJSON struct {
-	Orchestrations int64 `json:"orchestrations"`
-	MemoHits       int64 `json:"memo_hits"`
-	Prefixes       int64 `json:"prefixes"`
-	Pruned         int64 `json:"pruned"`
-	Evaluated      int64 `json:"evaluated"`
-}
-
-type explainTimingsJSON struct {
-	QueueSeconds float64 `json:"queue_seconds"`
-	SolveSeconds float64 `json:"solve_seconds"`
-	OrchSeconds  float64 `json:"orchestrate_seconds"`
-}
-
-// explainResponse renders a provenance record. The solver, orchestration
-// and timing blocks come from the effort record of the producing solve —
-// identical whether this serve solved, hit the cache, or warm-loaded the
-// plan (the /v1/explain determinism contract); they are absent only for
-// plans persisted before effort records existed.
-func explainResponse(e Explain) explainJSON {
-	out := explainJSON{
-		Hash:      e.Hash,
-		Key:       e.Key,
-		RequestID: e.RequestID,
-		Model:     strings.ToLower(e.Model.String()),
-		Objective: e.Objective.String(),
-		Method:    e.Method.String(),
-		Family:    e.Family.String(),
-		Source:    e.Source,
-		Outcome:   e.Outcome,
-		Value:     e.Value,
-		Exact:     e.Exact,
-		Served:    e.Served,
-	}
-	if ef := e.Effort; ef != nil {
-		out.Method = ef.Method.String()
-		out.Family = ef.Family.String()
-		out.Solver = &explainSolverJSON{
-			Expanded:  ef.Search.Expanded,
-			Pruned:    ef.Search.Pruned,
-			Evaluated: ef.Search.Evaluated,
-		}
-		out.Orch = &explainOrchJSON{
-			Orchestrations: ef.Evals,
-			MemoHits:       ef.MemoHits,
-			Prefixes:       ef.Orch.Prefixes,
-			Pruned:         ef.Orch.Pruned,
-			Evaluated:      ef.Orch.Evaluated,
-		}
-		out.Timings = &explainTimingsJSON{
-			QueueSeconds: float64(ef.QueueNanos) / 1e9,
-			SolveSeconds: float64(ef.SolveNanos) / 1e9,
-			OrchSeconds:  float64(ef.OrchNanos) / 1e9,
-		}
-	}
-	return out
-}
-
-// eventJSON is the SSE payload of one re-plan notification. Instance is
-// the drifted application document (the filterplan -in format), so a
-// subscriber — e.g. the stream executor reacting to a PATCH it did not
-// issue itself — can POST it to /v1/plan (a cache hit) and obtain the
-// re-planned schedule without knowing the updates.
-type eventJSON struct {
-	Hash     string          `json:"hash"`
-	NewHash  string          `json:"new_hash"`
-	OldValue rat.Rat         `json:"old_value"`
-	NewValue rat.Rat         `json:"new_value"`
-	Instance json.RawMessage `json:"instance,omitempty"`
-}
-
 // encodeEvent renders one hub event as an SSE frame: the per-hash event ID
 // (the client echoes it as Last-Event-ID on reconnect) plus the replan
 // payload.
 func encodeEvent(ev Event) ([]byte, error) {
-	doc := eventJSON{
-		Hash:     ev.Hash,
-		NewHash:  ev.NewHash,
-		OldValue: ev.OldValue,
-		NewValue: ev.NewValue,
-	}
-	if ev.NewApp != nil {
-		inst, err := json.Marshal(ev.NewApp)
-		if err != nil {
-			return nil, err
-		}
-		doc.Instance = inst
-	}
-	data, err := json.Marshal(doc)
+	data, err := json.Marshal(ev)
 	if err != nil {
 		return nil, err
 	}
@@ -416,17 +151,17 @@ func Handler(s *Server) http.Handler {
 	mux.HandleFunc("POST /v1/plan", s.instrument("plan", func(w http.ResponseWriter, r *http.Request) {
 		req, err := DecodePlanRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		resp, err := s.PlanContext(r.Context(), req)
 		if err != nil {
-			httpError(w, errStatus(err, http.StatusUnprocessableEntity), err)
+			WriteError(w, errStatus(err, http.StatusUnprocessableEntity), err)
 			return
 		}
 		body, err := resp.body(req)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeBody(w, http.StatusOK, body)
@@ -438,7 +173,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		if len(doc.Requests) == 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("service: batch has no requests"))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: batch has no requests"))
 			return
 		}
 		// Decode every item first so a malformed item fails fast without
@@ -453,25 +188,25 @@ func Handler(s *Server) http.Handler {
 			}
 		}
 		results := s.PlanBatchContext(r.Context(), valid)
-		out := batchResponseJSON{Results: make([]batchItemJSON, len(doc.Requests))}
+		out := BatchResponse{Results: make([]BatchItem, len(doc.Requests))}
 		vi := 0
 		for i := range doc.Requests {
 			if decodeErrs[i] != nil {
-				out.Results[i] = batchItemJSON{Error: decodeErrs[i].Error()}
+				out.Results[i] = BatchItem{Error: decodeErrs[i].Error()}
 				continue
 			}
 			res := results[vi]
 			vi++
 			if res.Err != nil {
-				out.Results[i] = batchItemJSON{Error: res.Err.Error()}
+				out.Results[i] = BatchItem{Error: res.Err.Error()}
 				continue
 			}
 			plan, err := res.Response.body(reqs[i])
 			if err != nil {
-				out.Results[i] = batchItemJSON{Error: err.Error()}
+				out.Results[i] = BatchItem{Error: err.Error()}
 				continue
 			}
-			out.Results[i] = batchItemJSON{Plan: plan}
+			out.Results[i] = BatchItem{Plan: plan}
 		}
 		WriteJSON(w, http.StatusOK, out)
 	}))
@@ -479,49 +214,29 @@ func Handler(s *Server) http.Handler {
 	mux.HandleFunc("PATCH /v1/instance/{hash}", s.instrument("drift", func(w http.ResponseWriter, r *http.Request) {
 		hash := r.PathValue("hash")
 		if _, ok := s.Instance(hash); !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("service: no registered instance with hash %s", hash))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("service: no registered instance with hash %s", hash))
 			return
 		}
-		var doc driftRequestJSON
+		var doc DriftRequest
 		if !decodeBody(w, r, &doc) {
 			return
 		}
-		updates := make([]Update, len(doc.Updates))
-		for i, u := range doc.Updates {
-			updates[i].Service = u.Service
-			if u.Cost != "" {
-				c, err := rat.Parse(u.Cost)
-				if err != nil {
-					httpError(w, http.StatusBadRequest, fmt.Errorf("service: update %d cost: %w", i, err))
-					return
-				}
-				updates[i].Cost = &c
-			}
-			if u.Selectivity != "" {
-				sel, err := rat.Parse(u.Selectivity)
-				if err != nil {
-					httpError(w, http.StatusBadRequest, fmt.Errorf("service: update %d selectivity: %w", i, err))
-					return
-				}
-				updates[i].Selectivity = &sel
-			}
-		}
-		params, err := doc.planParamsJSON.request(nil)
+		params, err := doc.Params.Request(nil)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		report, err := s.DriftContext(r.Context(), hash, updates, params)
+		report, err := s.DriftContext(r.Context(), hash, doc.Updates, params)
 		if err != nil {
-			httpError(w, errStatus(err, http.StatusUnprocessableEntity), err)
+			WriteError(w, errStatus(err, http.StatusUnprocessableEntity), err)
 			return
 		}
 		plan, err := report.Response.body(params)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		out := driftResponseJSON{
+		out := DriftResponse{
 			OldHash:   report.OldHash,
 			NewHash:   report.NewHash,
 			OldValue:  report.OldValue,
@@ -539,12 +254,12 @@ func Handler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/subscribe/{hash}", s.instrument("subscribe", func(w http.ResponseWriter, r *http.Request) {
 		hash := r.PathValue("hash")
 		if _, ok := s.Instance(hash); !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("service: no registered instance with hash %s", hash))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("service: no registered instance with hash %s", hash))
 			return
 		}
 		fl, ok := w.(http.Flusher)
 		if !ok {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("service: streaming unsupported by this server"))
+			WriteError(w, http.StatusInternalServerError, fmt.Errorf("service: streaming unsupported by this server"))
 			return
 		}
 		// Last-Event-ID (the SSE resume convention) replays the retained
@@ -556,7 +271,7 @@ func Handler(s *Server) http.Handler {
 		if lastID := r.Header.Get("Last-Event-ID"); lastID != "" {
 			id, err := strconv.ParseUint(lastID, 10, 64)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("service: parsing Last-Event-ID: %w", err))
+				WriteError(w, http.StatusBadRequest, fmt.Errorf("service: parsing Last-Event-ID: %w", err))
 				return
 			}
 			sinceID = id
@@ -617,14 +332,14 @@ func Handler(s *Server) http.Handler {
 		hash := r.PathValue("hash")
 		e, ok := s.Explain(hash)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("service: no explain record for hash %s", hash))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("service: no explain record for hash %s", hash))
 			return
 		}
 		WriteJSON(w, http.StatusOK, explainResponse(e))
 	}))
 
 	mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, healthzJSON{Status: "ok", Version: s.version, Revision: s.revision})
+		WriteJSON(w, http.StatusOK, Healthz{Status: "ok", Version: s.version, Revision: s.revision})
 	}))
 
 	// Replica synchronization (sync.go): GET answers the digest, POST one
@@ -655,7 +370,7 @@ func Handler(s *Server) http.Handler {
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("service: parsing request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("service: parsing request body: %w", err))
 		return false
 	}
 	return true
@@ -678,7 +393,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	if err := encodeJSON(&buf, v); err != nil {
 		slog.Warn("service: encoding response failed",
 			"request_id", w.Header().Get(obs.HeaderRequestID), "err", err)
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("service: encoding response: %w", err))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("service: encoding response: %w", err))
 		return
 	}
 	writeBody(w, code, buf.Bytes())
@@ -698,15 +413,15 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 // solves, so one second is a reasonable first backoff.
 const retryAfterSeconds = "1"
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// WriteError answers err as an ErrorBody — the one error writer of the
+// API, exported for the cluster router's own errors. 429 and 503 carry
+// Retry-After.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	// The id repeats in the body for support correlation: error reports
 	// usually quote the body, not the headers. obs.Middleware set the
 	// header before any handler ran; "" only for un-middlewared embeds.
-	WriteJSON(w, code, map[string]string{
-		"error":      err.Error(),
-		"request_id": w.Header().Get(obs.HeaderRequestID),
-	})
+	WriteJSON(w, code, ErrorBody{Error: err.Error(), RequestID: w.Header().Get(obs.HeaderRequestID)})
 }

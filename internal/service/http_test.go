@@ -77,7 +77,7 @@ func TestHTTPPlanMatchesCLIAnswer(t *testing.T) {
 	_, ts := newTestAPI(t)
 	instance := readTestdata(t, "webquery8.json")
 
-	var out planResponseJSON
+	var out PlanResponse
 	resp := doJSON(t, "POST", ts.URL+"/v1/plan",
 		fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period"}`, instance), &out)
 	if resp.StatusCode != http.StatusOK {
@@ -117,7 +117,7 @@ func TestHTTPPlanMatchesCLIAnswer(t *testing.T) {
 	}
 
 	// Second request: served from cache.
-	var again planResponseJSON
+	var again PlanResponse
 	doJSON(t, "POST", ts.URL+"/v1/plan",
 		fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period"}`, instance), &again)
 	if !again.Cached || again.Outcome != "hit" {
@@ -130,9 +130,9 @@ func TestHTTPPlanMatchesCLIAnswer(t *testing.T) {
 
 // decodePlan decodes the plan document a batch item or a drift answer
 // embeds.
-func decodePlan(t *testing.T, raw json.RawMessage) planResponseJSON {
+func decodePlan(t *testing.T, raw json.RawMessage) PlanResponse {
 	t.Helper()
-	var out planResponseJSON
+	var out PlanResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("decoding embedded plan: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestHTTPBatchAndStats(t *testing.T) {
 
 	item := fmt.Sprintf(`{"instance": %s, "model": "overlap", "objective": "period"}`, instance)
 	body := fmt.Sprintf(`{"requests": [%s, %s, {"instance": {"services": []}}]}`, item, item)
-	var out batchResponseJSON
+	var out BatchResponse
 	resp := doJSON(t, "POST", ts.URL+"/v1/batch", body, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -192,7 +192,7 @@ func TestHTTPDrift(t *testing.T) {
 	_, ts := newTestAPI(t)
 	instance := readTestdata(t, "mixed6.json")
 
-	var first planResponseJSON
+	var first PlanResponse
 	doJSON(t, "POST", ts.URL+"/v1/plan",
 		fmt.Sprintf(`{"instance": %s, "model": "overlap", "objective": "period", "method": "bnb"}`, instance), &first)
 	if first.Hash == "" {
@@ -200,7 +200,7 @@ func TestHTTPDrift(t *testing.T) {
 	}
 
 	target := first.Graph.Services[0]
-	var drift driftResponseJSON
+	var drift DriftResponse
 	resp := doJSON(t, "PATCH", ts.URL+"/v1/instance/"+first.Hash,
 		fmt.Sprintf(`{"model": "overlap", "objective": "period", "method": "bnb",
 		              "updates": [{"service": %q, "cost": "7/2"}]}`, target), &drift)
@@ -270,7 +270,7 @@ func TestHTTPPlanGraphNamesMatchInstance(t *testing.T) {
 	if err := json.Unmarshal(instance, &app); err != nil {
 		t.Fatal(err)
 	}
-	var out planResponseJSON
+	var out PlanResponse
 	doJSON(t, "POST", ts.URL+"/v1/plan", fmt.Sprintf(`{"instance": %s}`, instance), &out)
 	if len(out.Graph.Services) != app.N() {
 		t.Fatalf("%d services on the wire, want %d", len(out.Graph.Services), app.N())

@@ -159,7 +159,7 @@ func TestMetricsCoverStats(t *testing.T) {
 	}
 	stats := s.Stats()
 	scraped := scrapeMetrics(t, ts.URL)
-	var hz healthzJSON
+	var hz Healthz
 	doJSON(t, "GET", ts.URL+"/v1/healthz", nil, &hz)
 	buildInfo := fmt.Sprintf(`filterd_build_info{version=%q,revision=%q}`, stats.Version, stats.Revision)
 

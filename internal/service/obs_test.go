@@ -29,7 +29,7 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 	instance := readTestdata(t, "webquery8.json")
 
 	// Success: generated ID echoed on the header.
-	var out planResponseJSON
+	var out PlanResponse
 	resp := doJSON(t, "POST", ts.URL+"/v1/plan",
 		fmt.Sprintf(`{"instance": %s, "model": "inorder"}`, instance), &out)
 	if resp.StatusCode != http.StatusOK {
@@ -186,7 +186,7 @@ func TestExplainAcrossServePaths(t *testing.T) {
 		t.Fatalf("unknown hash status %d, want 404", resp.StatusCode)
 	}
 
-	var out planResponseJSON
+	var out PlanResponse
 	if resp := doJSON(t, "POST", ts.URL+"/v1/plan", body, &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan status %d", resp.StatusCode)
 	}
@@ -226,7 +226,7 @@ func TestExplainAcrossServePaths(t *testing.T) {
 	// Warm restart: a fresh process serves from the store, and the
 	// persisted effort replays the same counters.
 	_, ts2 := boot()
-	var restarted planResponseJSON
+	var restarted PlanResponse
 	doJSON(t, "POST", ts2.URL+"/v1/plan", body, &restarted)
 	if restarted.Hash != out.Hash {
 		t.Fatalf("restart hash %s != %s", restarted.Hash, out.Hash)
@@ -259,7 +259,7 @@ func TestExplainEffortIndependentOfHistory(t *testing.T) {
 	orchestration := func(ts *httptest.Server, restarts int) explainOrchJSON {
 		t.Helper()
 		body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "forest", "restarts": %d}`, instance, restarts)
-		var out planResponseJSON
+		var out PlanResponse
 		if resp := doJSON(t, "POST", ts.URL+"/v1/plan", body, &out); resp.StatusCode != http.StatusOK {
 			t.Fatalf("plan status %d", resp.StatusCode)
 		}

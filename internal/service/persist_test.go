@@ -98,7 +98,7 @@ func TestRestartServesWarmBitIdenticalResponses(t *testing.T) {
 
 	// The drift registry was warm-loaded too: a PATCH against a
 	// pre-restart hash succeeds without re-submitting the instance.
-	var first planResponseJSON
+	var first PlanResponse
 	doJSON(t, "POST", ts2.URL+"/v1/plan",
 		fmt.Sprintf(`{"instance": %s, "model": "overlap", "objective": "period"}`, requests[0].instance), &first)
 	target := first.Graph.Services[0]

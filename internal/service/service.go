@@ -189,11 +189,13 @@ type Response struct {
 }
 
 // Update is one drift delta: new cost and/or selectivity for a named
-// service. Nil fields keep the current value.
+// service. Nil fields keep the current value. It is also the wire form of
+// one PATCH /v1/instance/{hash} update (wire.go), whose values are rationals
+// in the instance document's spelling.
 type Update struct {
-	Service     string
-	Cost        *rat.Rat
-	Selectivity *rat.Rat
+	Service     string   `json:"service"`
+	Cost        *rat.Rat `json:"cost,omitempty"`
+	Selectivity *rat.Rat `json:"selectivity,omitempty"`
 }
 
 // DriftReport describes one drift re-planning round trip.

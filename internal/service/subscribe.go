@@ -30,13 +30,16 @@ import (
 // canonical application), so a consumer can re-plan it — e.g. the stream
 // executor fetching the new schedule after an externally triggered PATCH —
 // without re-deriving the updates.
+//
+// The JSON form is the data line of the SSE replan frame (wire.go); the ID
+// travels on the frame's id line instead.
 type Event struct {
-	ID       uint64
-	Hash     string
-	NewHash  string
-	OldValue rat.Rat
-	NewValue rat.Rat
-	NewApp   *workflow.App
+	ID       uint64        `json:"-"`
+	Hash     string        `json:"hash"`
+	NewHash  string        `json:"new_hash"`
+	OldValue rat.Rat       `json:"old_value"`
+	NewValue rat.Rat       `json:"new_value"`
+	NewApp   *workflow.App `json:"instance,omitempty"`
 }
 
 // subscriberBuffer bounds each subscription's undelivered events. Drift

@@ -16,7 +16,7 @@ import (
 // driftByOne returns a registered instance's hash plus an update that
 // provably changes the OVERLAP period (the first service's cost jumps to
 // 99, far above the instance's optimum).
-func planAndTarget(t *testing.T, s *Server) (string, string, Response) {
+func planAndTarget(t testing.TB, s *Server) (string, string, Response) {
 	t.Helper()
 	req := Request{App: testdataApp(t, "mixed6.json"), Model: plan.Overlap, Objective: solve.PeriodObjective}
 	resp, err := s.Plan(req)
@@ -120,7 +120,7 @@ func TestHTTPSubscribeStreamsReplanEvent(t *testing.T) {
 		t.Fatalf("stream preamble %q, %v", line, err)
 	}
 
-	var drift driftResponseJSON
+	var drift DriftResponse
 	patchResp := doJSON(t, "PATCH", ts.URL+"/v1/instance/"+hash,
 		fmt.Sprintf(`{"model": "overlap", "objective": "period", "updates": [{"service": %q, "cost": "99"}]}`, target), &drift)
 	if patchResp.StatusCode != http.StatusOK {
@@ -139,7 +139,7 @@ func TestHTTPSubscribeStreamsReplanEvent(t *testing.T) {
 			break
 		}
 	}
-	var ev eventJSON
+	var ev Event
 	if err := json.Unmarshal([]byte(data), &ev); err != nil {
 		t.Fatalf("event payload %q: %v", data, err)
 	}
@@ -326,7 +326,7 @@ func TestHTTPSubscribeResumesFromLastEventID(t *testing.T) {
 	if line, _ := r.ReadString('\n'); !strings.HasPrefix(line, ": subscribed") {
 		t.Fatalf("stream preamble %q", line)
 	}
-	var first driftResponseJSON
+	var first DriftResponse
 	doJSON(t, "PATCH", ts.URL+"/v1/instance/"+hash,
 		fmt.Sprintf(`{"model": "overlap", "objective": "period", "updates": [{"service": %q, "cost": "99"}]}`, target), &first)
 	id, _ := readFrame(r)
@@ -335,7 +335,7 @@ func TestHTTPSubscribeResumesFromLastEventID(t *testing.T) {
 	}
 	resp.Body.Close() // disconnect; the next drift is missed
 
-	var second driftResponseJSON
+	var second DriftResponse
 	doJSON(t, "PATCH", ts.URL+"/v1/instance/"+hash,
 		fmt.Sprintf(`{"model": "overlap", "objective": "period", "updates": [{"service": %q, "cost": "999"}]}`, target), &second)
 	if second.NewValue.Equal(first.NewValue) {
@@ -356,14 +356,14 @@ func TestHTTPSubscribeResumesFromLastEventID(t *testing.T) {
 		t.Fatalf("resume preamble %q", line)
 	}
 	id, data := readFrame(r2)
-	var ev eventJSON
+	var ev Event
 	if err := json.Unmarshal([]byte(data), &ev); err != nil {
 		t.Fatalf("replayed payload %q: %v", data, err)
 	}
 	if id != "2" || ev.NewHash != second.NewHash || !ev.NewValue.Equal(second.NewValue) {
 		t.Fatalf("replayed frame id %q event %+v, want id 2 matching %+v", id, ev, second)
 	}
-	if len(ev.Instance) == 0 {
+	if ev.NewApp == nil {
 		t.Fatal("replayed event lost its instance document")
 	}
 
