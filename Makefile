@@ -69,9 +69,12 @@ test-alloc:
 	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/ ./internal/exec/ ./internal/rat/ ./internal/eventgraph/ ./internal/solve/ ./internal/plan/ ./internal/dag/
 
 # One pass over every go-test benchmark: the experiments E1-E12, the
-# component benchmarks, BranchBoundChain12 and the executor's round
-# (BenchmarkExecRound: ns/tuple and evaluations/tuple, serial and
-# pipelined). End-to-end and per-layer numbers are bench/'s (bench-paired).
+# component benchmarks, BranchBoundChain12, the branch-and-bound partial
+# bounds (BenchmarkPartialBound: ns/node and allocs/node over the whole
+# forest n = 7 and DAG n = 5 search trees on a warm scratch) and the
+# executor's round (BenchmarkExecRound: ns/tuple and evaluations/tuple,
+# serial and pipelined). End-to-end and per-layer numbers are bench/'s
+# (bench-paired).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

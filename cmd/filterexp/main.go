@@ -11,7 +11,8 @@
 //
 //	filterexp [-exp E1,E4] [-md] [-budget N] [-workers N]
 //
-// -exp selects a comma-separated subset of experiment IDs (default: all);
+// -exp selects a comma-separated subset of experiment IDs (default: all;
+// an ID no experiment has is an error, exit status 2);
 // -md emits Markdown tables instead of aligned text; -budget scales the
 // random sweeps (1 = smoke run, 2 = the configuration recorded in
 // EXPERIMENTS.md); -workers bounds the worker pool the experiments run on
@@ -22,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -36,18 +38,13 @@ func main() {
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*expFilter, ",") {
-		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
-			want[id] = true
-		}
+	reports, err := selectReports(experiments.AllWorkers(*budget, *workers), *expFilter)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "filterexp: %v\n", err)
+		os.Exit(2)
 	}
-
 	failures := 0
-	for _, r := range experiments.AllWorkers(*budget, *workers) {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
+	for _, r := range reports {
 		if !r.OK {
 			failures++
 		}
@@ -61,4 +58,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "filterexp: %d experiment(s) failed to reproduce\n", failures)
 		os.Exit(1)
 	}
+}
+
+// selectReports keeps the reports whose IDs the comma-separated filter
+// names (all of them for an empty filter), in report order; an ID that
+// matches no report is an error naming every such ID.
+func selectReports(all []experiments.Report, filter string) ([]experiments.Report, error) {
+	var ids []string
+	for _, id := range strings.Split(filter, ",") {
+		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" && !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return all, nil
+	}
+	var kept []experiments.Report
+	for _, r := range all {
+		if slices.Contains(ids, r.ID) {
+			kept = append(kept, r)
+		}
+	}
+	var unknown []string
+	for _, id := range ids {
+		if !slices.ContainsFunc(kept, func(r experiments.Report) bool { return r.ID == id }) {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment ID(s): %s", strings.Join(unknown, ","))
+	}
+	return kept, nil
 }

@@ -28,9 +28,9 @@
 //	// sol.Graph is the execution graph, sol.Sched.List the schedule.
 //
 // For serving plans at scale there is a long-running planning service:
-// cmd/filterd exposes plan/batch/drift/stats over HTTP with canonical
-// instance hashing and a singleflight plan cache, so repeated and
-// slowly-drifting instances amortize the NP-hard search.
+// cmd/filterd exposes plan/batch/drift over HTTP, with its counters on
+// /metrics, canonical instance hashing and a singleflight plan cache, so
+// repeated and slowly-drifting instances amortize the NP-hard search.
 //
 // See examples/ for complete programs (examples/quickstart for the
 // library, examples/service for the filterd HTTP API end to end) and

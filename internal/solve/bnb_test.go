@@ -2,6 +2,7 @@ package solve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
@@ -199,6 +200,7 @@ func TestAutoBandRoutesRaisedMaxExactNToBranchBound(t *testing.T) {
 		{"raised, dag", free(6), LatencyObjective, 6, BranchBound},
 		{"lowered, n<=MaxExactN", free(3), PeriodObjective, 3, BranchBound},
 		{"lowered, n>MaxExactN", free(4), PeriodObjective, 3, HillClimb},
+		{"raised past the mask width", free(65), PeriodObjective, 100, HillClimb},
 	}
 	for _, tc := range cases {
 		got := ResolveMethod(tc.app, tc.obj, Options{MaxExactN: tc.maxExactN})
@@ -246,6 +248,15 @@ func TestBranchBoundGuards(t *testing.T) {
 		opts := Options{Method: BranchBound, Family: fam}
 		if _, err := MinPeriod(big, plan.Overlap, opts); err == nil {
 			t.Errorf("family %s must reject n=16", fam)
+		}
+	}
+	// The partial bounds keep node sets in uint64 masks: MaxExactN cannot
+	// raise a cap past 64 services, so n = 65 is "too large", not a search.
+	wide := gen.App(gen.NewRand(1), 65, gen.Filtering)
+	for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+		_, err := minimize(wide, plan.Overlap, obj, Options{Method: BranchBound, MaxExactN: 100})
+		if err == nil || !strings.Contains(err.Error(), "65 services too large") || !strings.Contains(err.Error(), "(max 64)") {
+			t.Errorf("%v: n=65 with MaxExactN 100: err %v, want the too-large error", obj, err)
 		}
 	}
 	withPrec := gen.AppWithPrecedence(gen.NewRand(8), 4, gen.Filtering, 0.3)

@@ -26,8 +26,17 @@ package solve
 //
 // The admissibility of every bound against the completed graphs is pinned
 // by TestPartialBoundsAdmissible.
+//
+// A bound costs O(n) rat operations per node. Node sets — decided
+// ancestors and descendants, precedence predecessors and successors, the
+// nodes still open — are uint64 masks, and a node's smallest reachable
+// input product (Π σ over its fixed ancestors, times Π shrink over the
+// services that may still move above it) is two subsetProducts reads and
+// one Mul. The masks cap the exact searches at maxMaskN services.
 
 import (
+	"math/bits"
+
 	"repro/internal/dag"
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -78,20 +87,58 @@ func (u unitTables) unit(v, k int) rat.Rat { return u.cexec[v*(len(u.cs)+1)+k] }
 
 // --- per-solve tables, per-shard scratch ---
 
+// maxMaskN is the largest instance the partial bounds can represent: they
+// keep node sets as uint64 masks, so maxN clamps every exact-search cap to it.
+const maxMaskN = 64
+
+// subsetProducts tabulates a per-service factor's product over every subset
+// of each 8-service chunk of a node mask: chunk c holds 2^min(8, n-8c)
+// products, so the product over any mask costs one table read and one Mul
+// per non-empty chunk after the first. Exact Rats are canonical, so the
+// grouping gives the same value in the same form as a left-to-right loop.
+type subsetProducts [][]rat.Rat
+
+func newSubsetProducts(f []rat.Rat) subsetProducts {
+	t := make(subsetProducts, max(1, (len(f)+7)/8)) // n = 0: one table, {1}
+	for c := range t {
+		tab := make([]rat.Rat, 1<<min(8, len(f)-8*c))
+		tab[0] = rat.One
+		for s := 1; s < len(tab); s++ {
+			tab[s] = tab[s&(s-1)].Mul(f[8*c+bits.TrailingZeros(uint(s))])
+		}
+		t[c] = tab
+	}
+	return t
+}
+
+// of returns the product of the factors of the services in mask.
+func (t subsetProducts) of(mask uint64) rat.Rat {
+	p := t[0][mask&0xff]
+	for c := 1; c < len(t); c++ {
+		if s := mask >> (8 * c) & 0xff; s != 0 {
+			p = p.Mul(t[c][s])
+		}
+	}
+	return p
+}
+
 // boundTables are the constants of one solve the partial bounds read: built
-// once by newBoundTables, shared read-only by every shard.
+// once by newBoundTables, shared read-only by every shard. Node sets are
+// uint64 masks (bit u = service u), and the input products the bounds need
+// are subset products of the selectivities and shrink factors.
 type boundTables struct {
 	unitTables
-	n      int
-	obj    Objective
-	sel    []rat.Rat // selectivities
-	cost   []rat.Rat
-	shrink []rat.Rat // shrinkFactor
-	tail   []rat.Rat // computation plus one output copy per unit volume: max(c, σ) for the OVERLAP period, c+σ otherwise
-	mand   []bool    // mand[u*n+v]: precedence puts u before v in every valid completion
-	after  []bool    // after[v]: v has a precedence predecessor
-	before []bool    // before[v]: v has a precedence successor
-	pairs  [][2]int  // DAG enumeration order
+	n          int
+	every      uint64 // the mask of all n nodes
+	obj        Objective
+	sel        []rat.Rat // selectivities
+	cost       []rat.Rat
+	tail       []rat.Rat // computation plus one output copy per unit volume: max(c, σ) for the OVERLAP period, c+σ otherwise
+	selProd    subsetProducts
+	shrinkProd subsetProducts // of shrinkFactor
+	mandPred   []uint64       // mandPred[v]: the services precedence puts before v in every valid completion
+	mandSucc   []uint64       // mandSucc[v]: the services precedence puts after v
+	openAt     []uint64       // openAt[d]: the nodes touched by the undecided pairs[d:]
 }
 
 // newBoundTables builds the tables; prec is the transitive closure of the
@@ -99,51 +146,79 @@ type boundTables struct {
 // and pairs the DAG search's pair order (nil for forests).
 func newBoundTables(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, pairs [][2]int) *boundTables {
 	n := app.N()
-	t := &boundTables{unitTables: unitCosts(app, m), n: n, obj: obj, pairs: pairs}
+	t := &boundTables{unitTables: unitCosts(app, m), n: n, every: 1<<uint(n) - 1, obj: obj}
 	t.tail = append([]rat.Rat(nil), t.cs...)
 	rats := make([]rat.Rat, 3*n)
-	t.sel, t.cost, t.shrink = rats[:n], rats[n:2*n], rats[2*n:]
+	shrink := rats[2*n:]
+	t.sel, t.cost = rats[:n], rats[n:2*n]
 	for v := 0; v < n; v++ {
-		t.sel[v], t.cost[v], t.shrink[v] = app.Selectivity(v), app.Cost(v), shrinkFactor(app, v)
+		t.sel[v], t.cost[v], shrink[v] = app.Selectivity(v), app.Cost(v), shrinkFactor(app, v)
 		if obj == PeriodObjective && m == plan.Overlap {
 			t.tail[v] = rat.Max(t.cost[v], t.sel[v])
 		}
 	}
-	flags := make([]bool, (n+2)*n)
-	t.mand, t.after, t.before = flags[:n*n], flags[n*n:n*n+n], flags[n*n+n:]
+	t.selProd, t.shrinkProd = newSubsetProducts(t.sel), newSubsetProducts(shrink)
+	masks := make([]uint64, 2*n+len(pairs)+1)
+	t.mandPred, t.mandSucc, t.openAt = masks[:n], masks[n:2*n], masks[2*n:]
 	if prec != nil {
 		for _, e := range prec.Edges() {
-			t.mand[e[0]*n+e[1]], t.before[e[0]], t.after[e[1]] = true, true, true
+			t.mandPred[e[1]] |= 1 << uint(e[0])
+			t.mandSucc[e[0]] |= 1 << uint(e[1])
 		}
+	}
+	for d := len(pairs) - 1; d >= 0; d-- {
+		t.openAt[d] = t.openAt[d+1] | 1<<uint(pairs[d][0]) | 1<<uint(pairs[d][1])
 	}
 	return t
 }
 
 // boundScratch is one shard's working storage for the partial bounds, sized
-// once: a bound computed on a warm scratch allocates nothing.
+// once: a bound computed on a warm scratch allocates nothing. anc and desc
+// hold each node's ancestor and descendant masks in the decided graph: the
+// forest bound walks them off the parent chains; on DAGs, acyclic's Kahn
+// pass builds anc and order, and the bound builds desc in reverse order.
 type boundScratch struct {
 	*boundTables
-	anc     []uint64 // forests: decided ancestor chain of each node
-	fixed   []bool   // forests: the chain ends at a decided root
-	open    []bool   // DAGs: touched by an undecided pair
-	kids    []int
-	minProd []rat.Rat // smallest reachable input product
-	minOut  []rat.Rat // minProd times the node's selectivity
-	done    []rat.Rat
-	graph   dag.Scratch
+	anc, desc []uint64
+	kids      []int     // forests: decided children
+	indeg     []int     // DAGs: Kahn in-degrees
+	order     []int     // DAGs: topological order
+	minProd   []rat.Rat // smallest reachable input product
+	minOut    []rat.Rat // minProd times the node's selectivity
+	done      []rat.Rat
 }
 
 func newBoundScratch(t *boundTables) *boundScratch {
 	n := t.n
-	rats, flags := make([]rat.Rat, 3*n), make([]bool, 2*n)
-	return &boundScratch{boundTables: t, anc: make([]uint64, n), kids: make([]int, n),
-		fixed: flags[:n], open: flags[n:], minProd: rats[:n], minOut: rats[n : 2*n], done: rats[2*n:]}
+	rats, masks, ints := make([]rat.Rat, 3*n), make([]uint64, 2*n), make([]int, 3*n)
+	return &boundScratch{boundTables: t, anc: masks[:n], desc: masks[n:], kids: ints[:n], indeg: ints[n : 2*n],
+		order: ints[2*n:], minProd: rats[:n], minOut: rats[n : 2*n], done: rats[2*n:]}
 }
 
-// acyclic is g.IsAcyclic on the shard's storage.
+// acyclic is g.IsAcyclic on the shard's storage: one Kahn pass (smallest
+// ready node first) that also leaves g's topological order in order and
+// its ancestor masks in anc.
 func (b *boundScratch) acyclic(g *dag.Graph) bool {
-	_, err := g.TopoSortInto(&b.graph)
-	return err == nil
+	var ready uint64
+	for v := 0; v < b.n; v++ {
+		b.anc[v], b.indeg[v] = 0, len(g.Pred(v))
+		if b.indeg[v] == 0 {
+			ready |= 1 << uint(v)
+		}
+	}
+	order := b.order[:0]
+	for ready != 0 {
+		v := bits.TrailingZeros64(ready)
+		ready &^= 1 << uint(v)
+		order = append(order, v)
+		for _, w := range g.Succ(v) {
+			b.anc[w] |= b.anc[v] | 1<<uint(v)
+			if b.indeg[w]--; b.indeg[w] == 0 {
+				ready |= 1 << uint(w)
+			}
+		}
+	}
+	return len(order) == b.n
 }
 
 // --- forests ---
@@ -155,39 +230,37 @@ func (b *boundScratch) acyclic(g *dag.Graph) bool {
 // a decided root keeps its input product forever, while chains ending at a
 // free node may still gain every remaining shrinking service as an ancestor.
 func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
-	n, anc, fixed, kids, minProd := b.n, b.anc, b.fixed, b.kids, b.minProd
+	n, anc, desc, kids, minProd := b.n, b.anc, b.desc, b.kids, b.minProd
 	for v := range kids {
-		kids[v] = 0
+		kids[v], desc[v] = 0, 0
 	}
-	// anc[v]: bitmask of v's decided ancestor chain; fixed[v]: the chain
-	// ends at a decided root, so no completion can extend it.
+	// anc[v]: v's decided ancestor chain, desc its mirror; fixed: the nodes
+	// whose chain ends at a decided root, so no completion can extend it.
+	var fixed uint64
 	for v := 0; v < n; v++ {
 		var mask uint64
 		u := v
 		for parent[u] >= 0 {
 			u = parent[u]
 			mask |= 1 << uint(u)
+			desc[u] |= 1 << uint(v)
 		}
 		anc[v] = mask
-		fixed[v] = u < decided
+		if u < decided {
+			fixed |= 1 << uint(v)
+		}
 		if p := parent[v]; p >= 0 {
 			kids[p]++
 		}
 	}
 	// minProd[v]: the smallest input product v can reach in any completion.
+	// Any service that is neither v, an ancestor of v, nor a decided
+	// descendant of v (v on its chain) may still end up above an unfixed v.
 	for v := 0; v < n; v++ {
-		p := rat.One
-		for u := 0; u < n; u++ {
-			switch {
-			case anc[v]&(1<<uint(u)) != 0:
-				p = p.Mul(b.sel[u])
-			case !fixed[v] && u != v && anc[u]&(1<<uint(v)) == 0:
-				// Any service that is neither v, an ancestor of v, nor a decided
-				// descendant of v (v on its chain) may still end up above v.
-				p = p.Mul(b.shrink[u])
-			}
+		minProd[v] = b.selProd.of(anc[v])
+		if fixed&(1<<uint(v)) == 0 {
+			minProd[v] = minProd[v].Mul(b.shrinkProd.of(b.every &^ (anc[v] | desc[v] | 1<<uint(v))))
 		}
-		minProd[v] = p
 	}
 	bound := rat.Zero
 	if b.obj == PeriodObjective {
@@ -226,43 +299,28 @@ func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
 // is what lets the last-position floor below recover the chain family's
 // exact floor when precedence is a total order.
 func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
-	n, open, minProd, minOut := b.n, b.open, b.minProd, b.minOut
-	topo, anc, err := g.AncestorsInto(&b.graph)
-	if err != nil {
+	n, anc, desc, minProd, minOut := b.n, b.anc, b.desc, b.minProd, b.minOut
+	if !b.acyclic(g) {
 		return rat.Zero // cyclic partial graph: the caller prunes it outright
 	}
-	// mandated(u, v): u precedes v in every valid completion.
-	mandated := func(u, v int) bool { return b.mand[u*n+v] }
-	for v := range open {
-		open[v] = false
+	for i := n - 1; i >= 0; i-- {
+		v := b.order[i]
+		desc[v] = 0
+		for _, w := range g.Succ(v) {
+			desc[v] |= desc[w] | 1<<uint(w)
+		}
 	}
-	for _, p := range b.pairs[decided:] {
-		open[p[0]], open[p[1]] = true, true
-	}
+	open := b.openAt[decided]
 	// minProd[v]: smallest reachable input product. Decided and
 	// precedence-mandated ancestors contribute their exact selectivity;
 	// the ancestor set is final once neither v nor any of its ancestors is
 	// open; otherwise every service that may still move above v — not a
 	// decided or mandated descendant — contributes its worst case.
 	for v := 0; v < n; v++ {
-		p := rat.One
-		grows := open[v]
-		for u := 0; u < n; u++ {
-			if anc[v].Has(u) {
-				p = p.Mul(b.sel[u])
-				grows = grows || open[u]
-			} else if mandated(u, v) {
-				p = p.Mul(b.sel[u])
-			}
-		}
-		if grows {
-			for u := 0; u < n; u++ {
-				if u == v || anc[v].Has(u) || anc[u].Has(v) ||
-					mandated(u, v) || mandated(v, u) {
-					continue
-				}
-				p = p.Mul(b.shrink[u])
-			}
+		above := anc[v] | b.mandPred[v]
+		p := b.selProd.of(above)
+		if open&(anc[v]|1<<uint(v)) != 0 {
+			p = p.Mul(b.shrinkProd.of(b.every &^ (above | desc[v] | b.mandSucc[v] | 1<<uint(v))))
 		}
 		minProd[v] = p
 		minOut[v] = p.Mul(b.sel[v])
@@ -271,14 +329,15 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	if b.obj == LatencyObjective {
 		// Longest path over the decided edges with minimal volumes; every
 		// node still pays its input (≥ the unit entry communication somewhere
-		// upstream), its computation and one outgoing copy.
-		for _, v := range topo {
+		// upstream), its computation and one outgoing copy. done[v] ends
+		// after that copy.
+		for _, v := range b.order {
 			start := rat.One
 			for _, p := range g.Pred(v) {
-				start = rat.Max(start, b.done[p].Add(minOut[p]))
+				start = rat.Max(start, b.done[p])
 			}
-			b.done[v] = start.Add(minProd[v].Mul(b.cost[v]))
-			bound = rat.Max(bound, b.done[v].Add(minOut[v]))
+			b.done[v] = start.Add(minProd[v].Mul(b.cost[v])).Add(minOut[v])
+			bound = rat.Max(bound, b.done[v])
 		}
 		return bound
 	}
@@ -292,13 +351,10 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 			for _, p := range preds {
 				cin = cin.Add(minOut[p])
 			}
-		} else if open[v] {
-			for u := 0; u < n; u++ {
-				// Decided or mandated descendants cannot feed v.
-				if u == v || anc[u].Has(v) || mandated(v, u) {
-					continue
-				}
-				cin = rat.Min(cin, minOut[u])
+		} else if open&(1<<uint(v)) != 0 {
+			// Decided or mandated descendants cannot feed v.
+			for feed := b.every &^ (desc[v] | b.mandSucc[v] | 1<<uint(v)); feed != 0; feed &= feed - 1 {
+				cin = rat.Min(cin, minOut[bits.TrailingZeros64(feed)])
 			}
 		}
 		ccomp := minProd[v].Mul(b.cost[v])
@@ -337,12 +393,12 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	var src, last rat.Rat
 	haveSrc, haveLast := false, false
 	for v := 0; v < n; v++ {
-		if len(g.Pred(v)) == 0 && !b.after[v] {
+		if len(g.Pred(v)) == 0 && b.mandPred[v] == 0 {
 			if t := b.unit(v, g.OutDegree(v)); !haveSrc || t.Less(src) {
 				src, haveSrc = t, true
 			}
 		}
-		if g.OutDegree(v) == 0 && !b.before[v] {
+		if g.OutDegree(v) == 0 && b.mandSucc[v] == 0 {
 			if t := minProd[v].Mul(b.tail[v]); !haveLast || t.Less(last) {
 				last, haveLast = t, true
 			}

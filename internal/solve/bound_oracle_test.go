@@ -8,6 +8,7 @@ package solve
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/dag"
@@ -302,6 +303,59 @@ func sameBound(t *testing.T, what string, got, want rat.Rat) {
 	}
 }
 
+// walkForestTree visits every partial parent assignment of the forest
+// search on n nodes, in bnbForestRec's depth-first order without pruning:
+// visit(parent, v) sees nodes 0..v-1 decided.
+func walkForestTree(n int, visit func(parent []int, v int)) {
+	parent := make([]int, n)
+	for v := range parent {
+		parent[v] = -1
+	}
+	var walk func(v int)
+	walk = func(v int) {
+		visit(parent, v)
+		if v == n {
+			return
+		}
+		for p := -1; p < n; p++ {
+			if p == v || (p >= 0 && parentChainReaches(parent, p, v)) {
+				continue
+			}
+			parent[v] = p
+			walk(v + 1)
+		}
+		parent[v] = -1
+	}
+	walk(0)
+}
+
+// walkDAGTree visits every partial orientation of the DAG search, in
+// bnbDAGRec's depth-first order without pruning (no edge, then each
+// direction that reverses no precedence path and passes acyclic):
+// visit(g, i) sees pairs[:i] decided.
+func walkDAGTree(prec *dag.Graph, pairs [][2]int, acyclic func(*dag.Graph) bool, visit func(g *dag.Graph, i int)) {
+	g := dag.New(prec.N())
+	var walk func(i int)
+	walk = func(i int) {
+		visit(g, i)
+		if i == len(pairs) {
+			return
+		}
+		walk(i + 1)
+		for _, e := range [][2]int{pairs[i], {pairs[i][1], pairs[i][0]}} {
+			if prec.HasEdge(e[1], e[0]) {
+				continue
+			}
+			g.AddEdge(e[0], e[1])
+			if acyclic(g) {
+				walk(i + 1)
+			}
+			g.RemoveEdge(e[0], e[1])
+		}
+	}
+	walk(0)
+}
+
 // TestScratchBoundsMatchAllocatingReference walks the complete branching
 // tree of the forest and DAG searches — every partial decision any pruned
 // run can expand, in the searches' own depth-first order, so each bound is
@@ -325,28 +379,11 @@ func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 				for _, m := range plan.Models {
 					for _, obj := range objectives {
 						b := newBoundScratch(newBoundTables(app, m, obj, nil, nil))
-						parent := make([]int, n)
-						for v := range parent {
-							parent[v] = -1
-						}
-						var walk func(v int)
-						walk = func(v int) {
+						walkForestTree(n, func(parent []int, v int) {
 							nodes++
 							sameBound(t, fmt.Sprintf("seed %d %s %s/%s forest %v decided %d", seed, profile, m, obj, parent, v),
 								b.forest(parent, v), forestPartialBoundRef(app, m, obj, parent, v))
-							if v == n {
-								return
-							}
-							for p := -1; p < n; p++ {
-								if p == v || (p >= 0 && parentChainReaches(parent, p, v)) {
-									continue
-								}
-								parent[v] = p
-								walk(v + 1)
-							}
-							parent[v] = -1
-						}
-						walk(0)
+						})
 					}
 				}
 			}
@@ -362,30 +399,18 @@ func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 				for _, m := range plan.Models {
 					for _, obj := range objectives {
 						b := newBoundScratch(newBoundTables(app, m, obj, prec, pairs))
-						g := dag.New(n)
-						var walk func(i int)
-						walk = func(i int) {
+						acyclic := func(g *dag.Graph) bool {
+							acyclic := b.acyclic(g)
+							if acyclic != g.IsAcyclic() {
+								t.Fatalf("scratch acyclicity %v disagrees with IsAcyclic on %v", acyclic, g.Edges())
+							}
+							return acyclic
+						}
+						walkDAGTree(prec, pairs, acyclic, func(g *dag.Graph, i int) {
 							nodes++
 							sameBound(t, fmt.Sprintf("seed %d %s %s/%s DAG %v decided %d", seed, profile, m, obj, g.Edges(), i),
 								b.dag(g, i), dagPartialBoundRef(app, m, obj, g, prec, pairs, i))
-							if i == len(pairs) {
-								return
-							}
-							walk(i + 1)
-							for _, e := range [][2]int{pairs[i], {pairs[i][1], pairs[i][0]}} {
-								if prec.HasEdge(e[1], e[0]) {
-									continue
-								}
-								g.AddEdge(e[0], e[1])
-								if acyclic := b.acyclic(g); acyclic != g.IsAcyclic() {
-									t.Fatalf("scratch acyclicity %v disagrees with IsAcyclic on %v", acyclic, g.Edges())
-								} else if acyclic {
-									walk(i + 1)
-								}
-								g.RemoveEdge(e[0], e[1])
-							}
-						}
-						walk(0)
+						})
 					}
 				}
 			}
@@ -419,11 +444,100 @@ func TestPartialBoundAllocBudget(t *testing.T) {
 				b.forest(parent, 4)
 				b.acyclic(g)
 				b.dag(g, len(pairs)/2)
+				b.selProd.of(b.every)
 			}
 			run()
 			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 				t.Errorf("%s/%s: partial bounds on a warm scratch allocated %.1f times per run, want 0", m, obj, allocs)
 			}
+		}
+	}
+}
+
+// TestSubsetProducts holds the chunked subset-product table to a naive
+// left-to-right product over every mask — equal Rats in equal form — at
+// sizes around the 8-service chunk edges, with growth (σ > 1), σ = 0 and
+// products that leave int64.
+func TestSubsetProducts(t *testing.T) {
+	factors := []rat.Rat{rat.New(3, 2), rat.New(999999937, 1000000007), rat.I(7), rat.New(1, 3), rat.New(2, 5)}
+	for _, n := range []int{0, 1, 7, 8, 9, 16, 17} {
+		f := make([]rat.Rat, n)
+		for i := range f {
+			f[i] = factors[i%len(factors)]
+		}
+		if n > 12 {
+			f[12] = rat.Zero
+		}
+		tab := newSubsetProducts(f)
+		for mask := uint64(0); mask < 1<<uint(n); mask++ {
+			want := rat.One
+			for u := 0; u < n; u++ {
+				if mask&(1<<uint(u)) != 0 {
+					want = want.Mul(f[u])
+				}
+			}
+			if got := tab.of(mask); !got.Equal(want) || got.String() != want.String() {
+				t.Fatalf("n=%d mask %b: table product %s, naive product %s", n, mask, got, want)
+			}
+		}
+	}
+}
+
+// boundSink keeps BenchmarkPartialBound's bounds live.
+var boundSink rat.Rat
+
+// BenchmarkPartialBound bounds every partial decision of the forest search
+// at n = 7 and of the DAG search at n = 5 (without and with precedence), in
+// the searches' depth-first order on one warm scratch — no pruning, so the
+// whole branching tree — and reports ns/node and allocs/node (OVERLAP, both
+// objectives).
+func BenchmarkPartialBound(b *testing.B) {
+	rng := gen.NewRand(36)
+	forestApp := gen.App(rng, 7, gen.Mixed)
+	dagApps := []struct {
+		name string
+		app  *workflow.App
+	}{{"dag-n5", gen.App(rng, 5, gen.Mixed)}, {"dag-n5-prec", gen.AppWithPrecedence(rng, 5, gen.Mixed, 0.4)}}
+	// bench times walk, which bounds every node it visits and counts it.
+	bench := func(b *testing.B, nodes *int, walk func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			walk()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(*nodes), "ns/node")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(*nodes), "allocs/node")
+	}
+	for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+		b.Run("forest-n7/"+obj.String(), func(b *testing.B) {
+			sc := newBoundScratch(newBoundTables(forestApp, plan.Overlap, obj, nil, nil))
+			nodes := 0
+			bench(b, &nodes, func() {
+				walkForestTree(forestApp.N(), func(parent []int, v int) {
+					nodes++
+					boundSink = sc.forest(parent, v)
+				})
+			})
+		})
+		for _, d := range dagApps {
+			b.Run(d.name+"/"+obj.String(), func(b *testing.B) {
+				prec, err := d.app.Precedence().TransitiveClosure()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pairs := nodePairs(d.app.N())
+				sc := newBoundScratch(newBoundTables(d.app, plan.Overlap, obj, prec, pairs))
+				nodes := 0
+				bench(b, &nodes, func() {
+					walkDAGTree(prec, pairs, sc.acyclic, func(g *dag.Graph, i int) {
+						nodes++
+						boundSink = sc.dag(g, i)
+					})
+				})
+			})
 		}
 	}
 }

@@ -137,9 +137,11 @@ func autoMethod(app *workflow.App, obj Objective, opts Options) Method {
 	return HillClimb
 }
 
+// maxN is an exact search's size cap: def, or opts.MaxExactN when set, but
+// never above the maxMaskN services the partial bounds' masks can hold.
 func maxN(opts Options, def int) int {
 	if opts.MaxExactN > 0 {
-		return opts.MaxExactN
+		return min(opts.MaxExactN, maxMaskN)
 	}
 	return def
 }

@@ -126,8 +126,8 @@ type Options struct {
 	Orch orchestrate.Options
 	// MaxExactN, when positive, replaces the instance-size cap of the
 	// exact search for every family (defaults: 12 services for chains, 7
-	// for forests, 5 for DAGs): BranchBound rejects larger instances, and
-	// Auto picks HillClimb for them.
+	// for forests, 5 for DAGs; never above 64): BranchBound rejects larger
+	// instances, and Auto picks HillClimb for them.
 	MaxExactN int
 	// Family picks the structural family searched by BranchBound
 	// (default FamilyAuto: forests for MINPERIOD without precedence
