@@ -15,6 +15,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/solve"
+	"repro/internal/workflow"
 )
 
 func benchReport(b *testing.B, run func() experiments.Report) {
@@ -159,24 +160,42 @@ func BenchmarkSelfTimedSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkBranchBoundChain12 times the scale payoff of the exact search:
-// certifying the chain optimum at n=12, whose 12! candidates no blind
-// enumeration finishes. (Everything timed end to end or per layer — cold
-// plan search, the two order searches — is the repository benchmark's,
-// bench/.)
-func BenchmarkBranchBoundChain12(b *testing.B) {
-	app := gen.App(gen.NewRand(42), 12, gen.Filtering)
-	opts := solve.Options{
-		Method:  solve.BranchBound,
-		Family:  solve.FamilyChain,
-		Workers: 1,
-		Orch:    orchestrate.Options{MaxExhaustive: 64},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve.MinPeriod(app, plan.InOrder, opts); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkBranchBound times the exact search per expanded node, one
+// family per sub-benchmark at its size cap: chains at n = 12 (12!
+// candidates, which no blind enumeration finishes), forests at n = 7 and
+// DAGs at n = 5, without and with precedence. ns/node is the whole solve
+// (incumbent seeding and orchestration included) over Options.Stats'
+// Expanded. (Everything timed end to end or per layer — cold plan search,
+// the two order searches — is the repository benchmark's, bench/.)
+func BenchmarkBranchBound(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		family solve.Family
+		app    *workflow.App
+	}{
+		{"chain-n12", solve.FamilyChain, gen.App(gen.NewRand(42), 12, gen.Filtering)},
+		{"forest-n7", solve.FamilyForest, gen.App(gen.NewRand(7), 7, gen.Filtering)},
+		{"dag-n5", solve.FamilyDAG, gen.App(gen.NewRand(5), 5, gen.Mixed)},
+		{"dag-n5-prec", solve.FamilyDAG, gen.AppWithPrecedence(gen.NewRand(5), 5, gen.Mixed, 0.4)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var st solve.Stats
+			opts := solve.Options{
+				Method:  solve.BranchBound,
+				Family:  c.family,
+				Workers: 1,
+				Orch:    orchestrate.Options{MaxExhaustive: 64},
+				Stats:   &st,
+			}
+			var nodes int64
+			for b.Loop() {
+				if _, err := solve.MinPeriod(c.app, plan.InOrder, opts); err != nil {
+					b.Fatal(err)
+				}
+				nodes += st.Expanded
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+		})
 	}
 }
 

@@ -11,15 +11,13 @@ import (
 	"repro/internal/texttab"
 )
 
-// E13Scaling runs the production path (hill-climbing plan search plus
+// e13Scaling runs the production path (hill-climbing plan search plus
 // heuristic orchestration, all schedules fully validated) at growing
 // instance sizes and reports how far its periods stay from the per-model
-// lower bounds; its wall-clock cost is the repository benchmark's. The paper gives no algorithms beyond the polynomial special
-// cases; this experiment characterizes the heuristics a user of this
-// library actually runs.
-func E13Scaling(budget int) Report { return e13Scaling(budget, 0) }
-
-// e13Scaling bounds the inner plan searches to solverWorkers (1 under the
+// lower bounds; its wall-clock cost is the repository benchmark's. The
+// paper gives no algorithms beyond the polynomial special cases; this
+// experiment characterizes the heuristics a user of this library actually
+// runs. The inner plan searches are bounded to solverWorkers (1 under the
 // parallel harness, which owns the parallelism budget).
 func e13Scaling(budget, solverWorkers int) Report {
 	sizes := []int{10, 20, 40}
@@ -57,13 +55,11 @@ func e13Scaling(budget, solverWorkers int) Report {
 	}
 }
 
-// E14BiCriteria traces the period/latency trade-off frontier the paper's
+// e14BiCriteria traces the period/latency trade-off frontier the paper's
 // conclusion poses as future work: minimal achievable latency under a
-// sweep of period bounds, on a fixed filtering workload under INORDER.
-func E14BiCriteria(budget int) Report { return e14BiCriteria(budget, 0) }
-
-// e14BiCriteria bounds the inner plan searches to solverWorkers (1 under
-// the parallel harness, which owns the parallelism budget).
+// sweep of period bounds, on a fixed filtering workload under INORDER. The
+// inner plan searches are bounded to solverWorkers (1 under the parallel
+// harness, which owns the parallelism budget).
 func e14BiCriteria(budget, solverWorkers int) Report {
 	app := gen.App(gen.NewRand(77), 6, gen.Filtering)
 	opts := solve.Options{Orch: orchestrate.Options{MaxExhaustive: 128}, Workers: solverWorkers}

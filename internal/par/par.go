@@ -1,8 +1,8 @@
 // Package par is the shared parallel-search layer of the repository: a
-// bounded worker pool plus deterministic best-result reduction, used by the
-// exact searches and hill-climbing restarts of package solve, by the
-// order-search sharding of package orchestrate, and by the experiment
-// harness.
+// bounded worker pool, used by the exact search and hill-climbing restarts
+// of package solve, by the planning service's solve workers and by the
+// experiment harness. Reductions live with their searches (package solve's
+// reduce folds its shards' winners), under the contract below.
 //
 // Every optimization problem of the paper is NP-hard (Theorems 2 and 4), so
 // the hot paths of this repository are exhaustive enumerations and
@@ -81,41 +81,4 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	Run(workers, n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// Candidate is one shard's best result in a Best reduction.
-type Candidate[T any] struct {
-	// Value is the shard's winner; meaningful only when OK is true.
-	Value T
-	// OK is false when the shard produced no feasible candidate.
-	OK bool
-}
-
-// Best reduces per-shard candidates to the overall winner with canonical
-// tie-breaking: candidates are scanned in shard-index order and the current
-// winner is replaced only on strict improvement (less returns true). This
-// reproduces exactly what a serial scan of the concatenated shards keeps,
-// so parallel and serial searches agree even when distinct shards tie on
-// the objective. The boolean result is false when no shard had a candidate.
-func Best[T any](cands []Candidate[T], less func(a, b T) bool) (T, bool) {
-	var best T
-	found := false
-	for _, c := range cands {
-		if !c.OK {
-			continue
-		}
-		if !found || less(c.Value, best) {
-			best = c.Value
-			found = true
-		}
-	}
-	return best, found
-}
-
-// MapBest shards a search into n independent pieces, evaluates them on the
-// pool and returns the deterministic winner: shard(i) computes the i-th
-// shard's local best (returning OK=false for infeasible shards) and less
-// orders candidates. It is the one-call form of Map followed by Best.
-func MapBest[T any](workers, n int, shard func(i int) Candidate[T], less func(a, b T) bool) (T, bool) {
-	return Best(Map(workers, n, shard), less)
 }

@@ -49,57 +49,9 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-func TestBestCanonicalTieBreaking(t *testing.T) {
-	type cand struct{ val, shard int }
-	less := func(a, b cand) bool { return a.val < b.val }
-	cands := []Candidate[cand]{
-		{Value: cand{5, 0}, OK: true},
-		{OK: false},
-		{Value: cand{3, 2}, OK: true},
-		{Value: cand{3, 3}, OK: true}, // ties shard 2: must lose
-		{Value: cand{4, 4}, OK: true},
-	}
-	best, ok := Best(cands, less)
-	if !ok || best.val != 3 || best.shard != 2 {
-		t.Fatalf("Best = %+v, %v; want value 3 from shard 2", best, ok)
-	}
-	if _, ok := Best(nil, less); ok {
-		t.Fatal("empty reduction reported a winner")
-	}
-	if _, ok := Best([]Candidate[cand]{{OK: false}}, less); ok {
-		t.Fatal("all-infeasible reduction reported a winner")
-	}
-}
-
-func TestMapBestMatchesSerial(t *testing.T) {
-	// Each shard minimizes a bumpy function over its own range; the global
-	// winner must be identical for every worker count.
-	shard := func(i int) Candidate[int] {
-		if i%5 == 3 {
-			return Candidate[int]{} // infeasible shard
-		}
-		best := 1 << 30
-		for x := i * 100; x < (i+1)*100; x++ {
-			v := (x*7919)%2048 + i
-			if v < best {
-				best = v
-			}
-		}
-		return Candidate[int]{Value: best, OK: true}
-	}
-	less := func(a, b int) bool { return a < b }
-	want, wantOK := MapBest(1, 40, shard, less)
-	for _, workers := range []int{2, 4, 13} {
-		got, ok := MapBest(workers, 40, shard, less)
-		if ok != wantOK || got != want {
-			t.Fatalf("workers=%d: MapBest = %d,%v want %d,%v", workers, got, ok, want, wantOK)
-		}
-	}
-}
-
 // TestPoolHammer drives many overlapping pools from concurrent goroutines so
-// `go test -race` exercises the handout counter, result slices and the
-// reduction under real contention.
+// `go test -race` exercises the handout counter and the result slices under
+// real contention.
 func TestPoolHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -114,22 +66,6 @@ func TestPoolHammer(t *testing.T) {
 						t.Errorf("goroutine %d: res[%d] = %d", g, i, v)
 						return
 					}
-				}
-				best, ok := MapBest(3, n, func(i int) Candidate[int] {
-					return Candidate[int]{Value: (i*31 + g) % 97, OK: i%7 != 0}
-				}, func(a, b int) bool { return a < b })
-				want, wantOK := 1<<30, false
-				for i := 0; i < n; i++ {
-					if i%7 == 0 {
-						continue
-					}
-					if v := (i*31 + g) % 97; v < want {
-						want, wantOK = v, true
-					}
-				}
-				if ok != wantOK || (ok && best != want) {
-					t.Errorf("goroutine %d: best = %d,%v want %d,%v", g, best, ok, want, wantOK)
-					return
 				}
 			}
 		}(g)

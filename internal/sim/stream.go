@@ -9,7 +9,7 @@ package sim
 // worker counts — rests on one property: a service's verdict on a tuple is
 // a pure function of (seed, service name, tuple ID), independent of
 // goroutine interleaving, stage wiring, or which plan is currently
-// executing. Bernoulli provides that function; ReferenceStream executes a
+// executing. Verdict provides that function; ReferenceStream executes a
 // whole stream with it serially, one tuple at a time through the execution
 // graph, so the pipelined executor has an independent oracle for its
 // counters.
@@ -23,10 +23,10 @@ import (
 )
 
 // Threshold converts a selectivity into the acceptance threshold of
-// Bernoulli: floor(sel·2^64), computed exactly. A 64-bit hash drawn
+// Verdict: floor(sel·2^64), computed exactly. A 64-bit hash drawn
 // uniformly is below the threshold with probability sel (up to the 2^-64
 // grid). Selectivities ≤ 0 map to 0 (never pass), ≥ 1 to the maximum
-// (Bernoulli special-cases them to always pass).
+// (Verdict special-cases it to always pass).
 func Threshold(sel rat.Rat) uint64 {
 	if sel.Sign() <= 0 {
 		return 0
@@ -50,13 +50,6 @@ func Verdict(seed uint64, name string, tuple uint64, threshold uint64) bool {
 		return true
 	}
 	return TupleHash(seed, name, tuple) < threshold
-}
-
-// Bernoulli is Verdict with the threshold computed on the spot: the
-// deterministic filtering verdict of one service on one tuple. Hot loops
-// should precompute Threshold once per service instead.
-func Bernoulli(seed uint64, name string, tuple uint64, sel rat.Rat) bool {
-	return Verdict(seed, name, tuple, Threshold(sel))
 }
 
 // TupleHash is the pinned 64-bit hash behind Verdict: an FNV-1a pass over
@@ -118,7 +111,7 @@ func (c StreamCounts) Sel(name string) (rat.Rat, bool) {
 
 // ReferenceStream executes tuples [first, first+n) serially through the
 // execution graph: tuple t reaches service v iff every ancestor of v
-// passed t, v's own verdict is Bernoulli under truth (the service's true
+// passed t, v's own Verdict uses the threshold of truth (the service's true
 // selectivity; missing entries default to the declared one), and t is
 // emitted iff it stays alive through every exit. This is the oracle the
 // concurrent executor's counters are compared against — same verdict

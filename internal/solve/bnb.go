@@ -1,39 +1,59 @@
 package solve
 
-// The exact search: branch-and-bound over chains, forests and DAGs.
+// The exact search: one branch-and-bound driver over the decision trees of
+// chains, forests and DAGs.
 //
 // A blind enumeration orchestrates every member of a structural family and
 // keeps the first strictly best (the test suite's oracle, oracle_test.go,
-// is exactly that). The searches here visit the same families in the same
-// order but compute an admissible lower bound (bound.go) on every partial
-// decision and discard any subtree whose bound strictly exceeds the shared
+// is exactly that). The search here visits the same families in the same
+// order but computes an admissible lower bound (bound.go) on every partial
+// decision and discards any subtree whose bound strictly exceeds the shared
 // incumbent — the best objective value any worker has proved achievable so
 // far. The incumbent is seeded with the greedy-chain and hill-climbing
 // solutions before the first expansion, so pruning bites from the root of
-// the branching tree, and the searches return the blind enumeration's
+// the branching tree, and the search returns the blind enumeration's
 // Solution at a fraction of the evaluations (experiment E15 quantifies the
 // reduction; the differential suite in bnb_test.go pins the identity).
 //
+// # One driver, three trees
+//
+// A family is only its decision tree (a tree): how many decisions lead to
+// a leaf, how many choices each has — chains place one of the n−k
+// remaining services at position k, forests give node v one of n+1
+// parents (none, or a node), DAGs orient node pair k one of 3 ways (no
+// edge, u→v, v→u) — and, per shard, how a choice is applied and undone,
+// the partial bound and the leaf's score. The driver, branchAndBound, owns
+// the rest: the shards, both pruning rules, the Expanded/Pruned/Evaluated
+// counters, the cancellation probe, the leaf dispatch and the reduction.
+// A choice that is not a member of the family (a forest parent that
+// closes a cycle) is skipped uncounted, like a child the tree never had;
+// a choice that is a member but dooms every completion (a DAG edge that
+// closes a cycle or reverses a precedence path) is a cut subtree and
+// counts one Pruned, as a bound cut does. BiCriteria's forest scan walks
+// the forest tree through the same driver with no bound.
+//
 // # Determinism
 //
-// The top of the branching tree is sharded over the par pool (chains by
-// first service, forests by the first two parent assignments, DAGs by the
-// first pair orientations) and per-shard winners reduce in shard
-// order. The shared incumbent makes the SET of
-// expanded nodes depend on worker interleaving, but not the returned
-// Solution, because pruning follows two rules: against the shared incumbent
-// the test is STRICT (bound > incumbent), and ties are cut only against the
-// shard's own best-so-far, which evolves independently of the other
-// workers. The bounds are admissible and the incumbent never drops below
-// the family optimum, so in every interleaving each shard evaluates — and
-// reports — the first graph of its serial enumeration order that reaches
-// the shard's minimum value. The shard-order reduction then returns the
-// identical Solution — the same one the blind enumeration returns — for
-// every worker count. Only the Stats counters vary with the interleaving
-// (run with Workers: 1 for reproducible counts).
+// The top of the tree is sharded over the par pool: shard i is the i-th
+// combination of choices for the first split decisions (chains by first
+// service, forests by the first two parents, DAGs by the first three pair
+// orientations), and per-shard winners reduce in shard order. The shared
+// incumbent makes the SET of expanded nodes depend on worker interleaving,
+// but not the returned Solution, because pruning follows two rules: against
+// the shared incumbent the test is STRICT (bound > incumbent), and ties
+// are cut only against the shard's own best-so-far, which evolves
+// independently of the other workers. The bounds are admissible and the
+// incumbent never drops below the family optimum, so in every
+// interleaving each shard evaluates — and reports — the first graph of its
+// serial enumeration order that reaches the shard's minimum value. The
+// shard-order reduction then returns the identical Solution — the same one
+// the blind enumeration returns — for every worker count. Only the Stats
+// counters vary with the interleaving (run with Workers: 1 for
+// reproducible counts).
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -97,12 +117,6 @@ type Stats struct {
 	Evaluated int64
 }
 
-func (s *Stats) add(o Stats) {
-	s.Expanded += o.Expanded
-	s.Pruned += o.Pruned
-	s.Evaluated += o.Evaluated
-}
-
 // incumbent is the shared pruning threshold of one branch-and-bound run:
 // the best objective value proved achievable so far, monotonically
 // non-increasing. Workers read it on every expansion — through a
@@ -141,7 +155,7 @@ type incumbentCache struct {
 // still contain the graph the serial enumeration would return for that
 // value, and cutting it would make the result depend on worker
 // interleaving. Ties are cut by the shard-LOCAL rule instead (see
-// bnbShard.prunes), which is interleaving-independent.
+// shard.prunes), which is interleaving-independent.
 func (in *incumbent) prunes(c *incumbentCache, bound rat.Rat) bool {
 	if g := in.gen.Load(); g != c.gen {
 		in.mu.Lock()
@@ -149,46 +163,6 @@ func (in *incumbent) prunes(c *incumbentCache, bound rat.Rat) bool {
 		in.mu.Unlock()
 	}
 	return c.ok && bound.Greater(c.val)
-}
-
-// bnbShard is one shard's outcome plus its local search counters, its
-// cached view of the shared incumbent, its cancellation probe and the
-// scratch its partial bounds are computed on.
-type bnbShard struct {
-	shardResult
-	stats Stats
-	cache incumbentCache
-	cc    cancelCheck
-	bound *boundScratch
-}
-
-// prunes applies both pruning rules to one subtree bound. Against the
-// shard's OWN best the comparison may include ties — the shard already
-// holds its serial-first graph for that value, so cutting later ties
-// changes nothing it reports and collapses the plateaus of equal-valued
-// completions that dominate filtering instances. Against the shared
-// incumbent the comparison stays strict so the result cannot depend on
-// when other workers improve it.
-func (sh *bnbShard) prunes(inc *incumbent, bound rat.Rat) bool {
-	if sh.ok && !bound.Less(sh.best.Value) {
-		return true
-	}
-	return inc.prunes(&sh.cache, bound)
-}
-
-// reduceBnBShards reduces shard outcomes with reduceShards and accumulates
-// the counters into opts.Stats when requested.
-func reduceBnBShards(shards []bnbShard, opts Options, noPlan string) (Solution, error) {
-	results := make([]shardResult, len(shards))
-	var total Stats
-	for i, sh := range shards {
-		results[i] = sh.shardResult
-		total.add(sh.stats)
-	}
-	if opts.Stats != nil {
-		*opts.Stats = total
-	}
-	return reduceShards(results, opts, noPlan)
 }
 
 // ResolveFamily resolves FamilyAuto to the structural family the
@@ -254,12 +228,156 @@ func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objectiv
 	}
 }
 
+// --- the driver ---
+
+// step is a tree's verdict on one choice.
+type step uint8
+
+const (
+	stepOK   step = iota // applied: bound it and search below
+	stepSkip             // not a member of the family: nothing to count
+	stepCut              // every completion is infeasible: one Pruned
+)
+
+// tree is one family's decision tree: depth decisions lead to a leaf,
+// decision k has children[k] choices, and the first split decisions shard
+// the search. walk builds one shard's private decision state.
+type tree[T any] struct {
+	depth, split int
+	children     []int
+	walk         func() walker[T]
+}
+
+// walker is one shard's decision state. apply takes choice c at decision k
+// (decisions 0..k-1 taken) and changes nothing unless it returns stepOK;
+// undo reverts an applied choice. bound(k) bounds every completion of the
+// first k decisions from below (nil: the search never prunes). leaf scores
+// the complete decision into r and reports whether r's best improved.
+type walker[T any] struct {
+	apply func(k, c int) step
+	undo  func(k, c int)
+	bound func(k int) rat.Rat
+	leaf  func(r *result[T]) bool
+}
+
+// shard is one shard's search: its walker, its outcome, its counters, its
+// cached view of the shared incumbent and its cancellation probe.
+type shard[T any] struct {
+	walker[T]
+	*result[T]
+	t     *tree[T]
+	inc   *incumbent
+	stats Stats
+	cache incumbentCache
+	cc    cancelCheck
+}
+
+// branchAndBound searches t on the par pool, pruning against inc, and
+// returns the first strictly best leaf of the serial order — see the file
+// comment. The counters go to opts.Stats when it is set; noPlan words the
+// error when no leaf was kept.
+func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan string) (T, error) {
+	t.split = min(t.split, t.depth)
+	n := 1
+	for _, c := range t.children[:t.split] {
+		n *= c
+	}
+	// A shard hands its walker back as it found it, so the shards one
+	// worker runs share one walker.
+	walkers := sync.Pool{New: func() any { w := t.walk(); return &w }}
+	results := make([]result[T], n)
+	stats := par.Map(opts.Workers, n, func(i int) Stats {
+		w := walkers.Get().(*walker[T])
+		defer walkers.Put(w)
+		sh := shard[T]{walker: *w, result: &results[i], t: &t, inc: inc, cc: cancelCheck{ctx: opts.Ctx}}
+		sh.replay(0, i, n)
+		return sh.stats
+	})
+	if opts.Stats != nil {
+		*opts.Stats = Stats{}
+		for _, st := range stats {
+			opts.Stats.Expanded += st.Expanded
+			opts.Stats.Pruned += st.Pruned
+			opts.Stats.Evaluated += st.Evaluated
+		}
+	}
+	return reduce(results, opts, noPlan)
+}
+
+// replay takes shard i's choices for the first split decisions — the
+// digits of i in the mixed radix of their child counts, most significant
+// first; stride is the number of shards sharing the choices taken so far —
+// searches below them and undoes them. A skipped choice leaves the shard
+// empty; a cut one counts one Pruned.
+func (sh *shard[T]) replay(k, i, stride int) {
+	if k == sh.t.split {
+		sh.descend(k)
+		return
+	}
+	stride /= sh.t.children[k]
+	c := i / stride % sh.t.children[k]
+	switch sh.apply(k, c) {
+	case stepSkip:
+		return
+	case stepCut:
+		sh.stats.Pruned++
+		return
+	}
+	sh.replay(k+1, i, stride)
+	sh.undo(k, c)
+}
+
+// descend expands the node k decisions deep: it is bounded, and searched
+// unless the bound prunes it.
+func (sh *shard[T]) descend(k int) {
+	sh.stats.Expanded++
+	if sh.bound != nil && sh.prunes(sh.bound(k)) {
+		sh.stats.Pruned++
+		return
+	}
+	if sh.cc.stop() {
+		return
+	}
+	if k == sh.t.depth {
+		sh.stats.Evaluated++
+		if sh.leaf(sh.result) {
+			sh.inc.offer(sh.val)
+		}
+		return
+	}
+	for c := range sh.t.children[k] {
+		switch sh.apply(k, c) {
+		case stepSkip:
+			continue
+		case stepCut:
+			sh.stats.Pruned++
+			continue
+		}
+		sh.descend(k + 1)
+		sh.undo(k, c)
+	}
+}
+
+// prunes applies both pruning rules to one subtree bound. Against the
+// shard's OWN best the comparison may include ties — the shard already
+// holds its serial-first leaf for that value, so cutting later ties
+// changes nothing it reports and collapses the plateaus of equal-valued
+// completions that dominate filtering instances. Against the shared
+// incumbent the comparison stays strict so the result cannot depend on
+// when other workers improve it.
+func (sh *shard[T]) prunes(bound rat.Rat) bool {
+	if sh.ok && !bound.Less(sh.val) {
+		return true
+	}
+	return sh.inc.prunes(&sh.cache, bound)
+}
+
 // --- chains ---
 
 // branchBoundChain proves optimality among all n! chains: it places
 // services position by position and cuts every prefix whose completion
-// bound exceeds the incumbent. Candidate evaluation is the
-// closed chain formula; only the winner is orchestrated.
+// bound exceeds the incumbent. Candidate evaluation is the closed chain
+// formula; only the winner is orchestrated.
 func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	if app.HasPrecedence() {
 		return Solution{}, fmt.Errorf("solve: chain branch-and-bound requires no precedence constraints")
@@ -277,112 +395,64 @@ func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Optio
 	} else {
 		inc.offer(ChainLatencyValue(app, GreedyLatencyChainOrder(app)))
 	}
-	costs := unitCosts(app, m)
-	type cand struct {
-		order []int
-		val   rat.Rat
-		found bool
-		stats Stats
-	}
-	shards := par.Map(opts.Workers, n, func(i int) cand {
-		order := make([]int, n)
-		for j := range order {
-			order[j] = j
-		}
-		order[0], order[i] = order[i], order[0]
-		var best cand
-		st := &best.stats
-
-		// place computes the exact prefix state after appending service s:
-		// the running objective and the data volume leaving the prefix.
-		place := func(prefixObj, inProd rat.Rat, s int) (rat.Rat, rat.Rat) {
-			if obj == PeriodObjective {
-				nextObj := rat.Max(prefixObj, inProd.Mul(costs.unit(s, 1)))
-				return nextObj, inProd.Mul(app.Selectivity(s))
-			}
-			nextProd := inProd.Mul(app.Selectivity(s))
-			return prefixObj.Add(inProd.Mul(app.Cost(s))).Add(nextProd), nextProd
-		}
-
-		// prunes combines the shard-local (ties allowed) and shared
-		// (strict) rules, as bnbShard.prunes does for the graph searches.
-		var cache incumbentCache
-		prunes := func(bound rat.Rat) bool {
-			if best.found && !bound.Less(best.val) {
-				return true
-			}
-			return inc.prunes(&cache, bound)
-		}
-
-		cc := cancelCheck{ctx: opts.Ctx}
-		var rec func(k int, prefixObj, inProd rat.Rat)
-		rec = func(k int, prefixObj, inProd rat.Rat) {
-			if cc.stop() {
-				return
-			}
-			if k == n {
-				st.Evaluated++
-				if !best.found || prefixObj.Less(best.val) {
-					best.order = append(best.order[:0], order...)
-					best.val = prefixObj
-					best.found = true
-					inc.offer(prefixObj)
-				}
-				return
-			}
-			for i := k; i < n; i++ {
-				order[k], order[i] = order[i], order[k]
-				nextObj, nextProd := place(prefixObj, inProd, order[k])
-				st.Expanded++
-				if prunes(chainCompletionBound(app, costs, obj, nextObj, nextProd, order[k+1:])) {
-					st.Pruned++
-				} else {
-					rec(k+1, nextObj, nextProd)
-				}
-				order[k], order[i] = order[i], order[k]
-			}
-		}
-
-		startObj := rat.Zero
-		if obj == LatencyObjective {
-			startObj = rat.One // the unit input communication
-		}
-		firstObj, firstProd := place(startObj, rat.One, order[0])
-		st.Expanded++
-		if prunes(chainCompletionBound(app, costs, obj, firstObj, firstProd, order[1:])) {
-			st.Pruned++
-		} else {
-			rec(1, firstObj, firstProd)
-		}
-		return best
-	})
-	var winner cand
-	var total Stats
-	for _, sh := range shards {
-		total.add(sh.stats)
-		if !sh.found {
-			continue
-		}
-		if !winner.found || sh.val.Less(winner.val) {
-			winner = sh
-			winner.found = true
-		}
-	}
-	if opts.Stats != nil {
-		*opts.Stats = total
-	}
-	if err := ctxErr(opts.Ctx); err != nil {
+	order, err := branchAndBound(chainTree(app, m, obj, keepOrder), inc, opts, "chain branch-and-bound found no plan")
+	if err != nil {
 		return Solution{}, err
 	}
-	if !winner.found {
-		return Solution{}, fmt.Errorf("solve: chain branch-and-bound found no plan")
-	}
-	eg, err := plan.ChainFromOrder(app, winner.order)
+	eg, err := plan.ChainFromOrder(app, order)
 	if err != nil {
 		return Solution{}, err
 	}
 	// Optimal among chains, not globally.
 	return solveGraph(eg, m, obj, opts)
+}
+
+// keepOrder is the chain search's leaf: it keeps a copy of the order when
+// its closed-form value improves r.
+func keepOrder(order []int, val rat.Rat, r *result[[]int]) bool {
+	return r.improves(val) && r.offer(append(r.best[:0], order...), val)
+}
+
+// chainTree is the chain family's tree: decision k swaps one of the
+// services order[k:] into position k. The walker keeps the exact prefix
+// state per depth — the running objective and the data volume leaving the
+// prefix — and hands leaf the order with its closed-form value.
+func chainTree(app *workflow.App, m plan.Model, obj Objective, leaf func(order []int, val rat.Rat, r *result[[]int]) bool) tree[[]int] {
+	n := app.N()
+	costs := unitCosts(app, m)
+	children := make([]int, n)
+	for k := range children {
+		children[k] = n - k
+	}
+	return tree[[]int]{depth: n, split: 1, children: children, walk: func() walker[[]int] {
+		order := make([]int, n)
+		for j := range order {
+			order[j] = j
+		}
+		objAt, prodAt := make([]rat.Rat, n+1), make([]rat.Rat, n+1)
+		prodAt[0] = rat.One
+		if obj == LatencyObjective {
+			objAt[0] = rat.One // the unit input communication
+		}
+		return walker[[]int]{
+			apply: func(k, c int) step {
+				order[k], order[k+c] = order[k+c], order[k]
+				s, in := order[k], prodAt[k]
+				prodAt[k+1] = in.Mul(app.Selectivity(s))
+				if obj == PeriodObjective {
+					objAt[k+1] = rat.Max(objAt[k], in.Mul(costs.unit(s, 1)))
+				} else {
+					objAt[k+1] = objAt[k].Add(in.Mul(app.Cost(s))).Add(prodAt[k+1])
+				}
+				return stepOK
+			},
+			undo: func(k, c int) { order[k], order[k+c] = order[k+c], order[k] },
+			bound: func(k int) rat.Rat {
+				return chainCompletionBound(app, costs, obj, objAt[k], prodAt[k], order[k:])
+			},
+			leaf: func(r *result[[]int]) bool { return leaf(order, objAt[n], r) },
+		}
+	}}
 }
 
 // --- forests ---
@@ -399,67 +469,54 @@ func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Opti
 	if n > maxN(opts, bnbMaxForestN) {
 		return Solution{}, fmt.Errorf("solve: %d services too large for forest branch-and-bound (max %d)", n, maxN(opts, bnbMaxForestN))
 	}
+	tr := forestTree(app, newBoundTables(app, m, obj, nil, nil), func(eg *plan.ExecGraph, r *shardResult) bool {
+		return offerGraph(r, eg, m, obj, opts)
+	})
+	sol, err := searchGraphs(tr, app, m, obj, opts, "forest branch-and-bound found no plan")
+	sol.Exact = obj == PeriodObjective && sol.Sched.Exact && m != plan.OutOrder
+	return sol, err
+}
+
+// searchGraphs runs a graph family's tree from the seeded incumbent and
+// materialises the winner.
+func searchGraphs(tr tree[scored], app *workflow.App, m plan.Model, obj Objective, opts Options, noPlan string) (Solution, error) {
 	inc := &incumbent{}
 	seedIncumbent(inc, app, m, obj, opts)
-	prefixes := forestPrefixes(n, 2)
-	tables := newBoundTables(app, m, obj, nil, nil)
-	shards := par.Map(opts.Workers, len(prefixes), func(i int) bnbShard {
-		parent := make([]int, n)
-		for v := range parent {
-			parent[v] = -1
-		}
-		copy(parent, prefixes[i])
-		sh := bnbShard{cc: cancelCheck{ctx: opts.Ctx}, bound: newBoundScratch(tables)}
-		sh.stats.Expanded++
-		if sh.prunes(inc, sh.bound.forest(parent, len(prefixes[i]))) {
-			sh.stats.Pruned++
-			return sh
-		}
-		bnbForestRec(app, m, obj, opts, inc, parent, len(prefixes[i]), &sh)
-		return sh
-	})
-	sol, err := reduceBnBShards(shards, opts, "forest branch-and-bound found no plan")
+	c, err := branchAndBound(tr, inc, opts, noPlan)
 	if err != nil {
 		return Solution{}, err
 	}
-	sol.Exact = obj == PeriodObjective && sol.Sched.Exact && m != plan.OutOrder
-	return sol, nil
+	return materialise(c, opts)
 }
 
-// bnbForestRec extends the partial assignment at node v in the serial
-// enumeration order (root first, then each non-cyclic parent), bounding
-// every extension before descending and orchestrating only surviving
-// complete forests.
-func bnbForestRec(app *workflow.App, m plan.Model, obj Objective, opts Options, inc *incumbent, parent []int, v int, sh *bnbShard) {
-	if sh.cc.stop() {
-		return
-	}
-	n := len(parent)
-	if v == n {
-		sh.stats.Evaluated++
-		if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil && sh.try(eg, m, obj, opts) {
-			inc.offer(sh.best.Value)
+// forestTree is the forest family's tree over parent vectors: decision v
+// makes node v a root (choice 0) or hangs it under node c-1, skipping the
+// parents that would close a cycle, and hands leaf each forest's plan.
+// tables feeds the partial bound; nil means a search that never prunes.
+func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecGraph, r *shardResult) bool) tree[scored] {
+	n := app.N()
+	return tree[scored]{depth: n, split: 2, children: slices.Repeat([]int{n + 1}, n), walk: func() walker[scored] {
+		parent := slices.Repeat([]int{-1}, n)
+		w := walker[scored]{
+			apply: func(v, c int) step {
+				if p := c - 1; p == v || parentChainReaches(parent, p, v) {
+					return stepSkip
+				}
+				parent[v] = c - 1
+				return stepOK
+			},
+			undo: func(v, _ int) { parent[v] = -1 },
+			leaf: func(r *shardResult) bool {
+				eg, err := plan.FromGraph(app, forestGraph(parent))
+				return err == nil && leaf(eg, r)
+			},
 		}
-		return
-	}
-	descend := func() {
-		sh.stats.Expanded++
-		if sh.prunes(inc, sh.bound.forest(parent, v+1)) {
-			sh.stats.Pruned++
-			return
+		if tables != nil {
+			b := newBoundScratch(tables)
+			w.bound = func(k int) rat.Rat { return b.forest(parent, k) }
 		}
-		bnbForestRec(app, m, obj, opts, inc, parent, v+1, sh)
-	}
-	parent[v] = -1
-	descend()
-	for p := 0; p < n; p++ {
-		if p == v || parentChainReaches(parent, p, v) {
-			continue
-		}
-		parent[v] = p
-		descend()
-	}
-	parent[v] = -1
+		return w
+	}}
 }
 
 // parentChainReaches reports whether following parent pointers from p
@@ -485,86 +542,62 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 	if n > maxN(opts, bnbMaxDAGN) {
 		return Solution{}, fmt.Errorf("solve: %d services too large for DAG branch-and-bound (max %d)", n, maxN(opts, bnbMaxDAGN))
 	}
-	inc := &incumbent{}
-	seedIncumbent(inc, app, m, obj, opts)
 	precClosure, err := app.Precedence().TransitiveClosure()
 	if err != nil {
 		return Solution{}, err
 	}
-	pairs := nodePairs(n)
-	depth := 3
-	if depth > len(pairs) {
-		depth = len(pairs)
-	}
-	prefixes := dagPrefixes(n, depth)
-	tables := newBoundTables(app, m, obj, precClosure, pairs)
-	shards := par.Map(opts.Workers, len(prefixes), func(i int) bnbShard {
-		sh := bnbShard{cc: cancelCheck{ctx: opts.Ctx}, bound: newBoundScratch(tables)}
-		g := dag.New(n)
-		for _, e := range prefixes[i] {
-			if precClosure.HasEdge(e[1], e[0]) {
-				sh.stats.Pruned++
-				return sh // the shard's edge reverses a precedence path
-			}
-			g.AddEdge(e[0], e[1])
-		}
-		if !sh.bound.acyclic(g) {
-			sh.stats.Pruned++
-			return sh
-		}
-		sh.stats.Expanded++
-		if sh.prunes(inc, sh.bound.dag(g, depth)) {
-			sh.stats.Pruned++
-			return sh
-		}
-		bnbDAGRec(app, m, obj, opts, inc, g, precClosure, pairs, depth, &sh)
-		return sh
+	tr := dagTree(app, m, obj, precClosure, func(eg *plan.ExecGraph, r *shardResult) bool {
+		return offerGraph(r, eg, m, obj, opts)
 	})
-	sol, err := reduceBnBShards(shards, opts, "DAG branch-and-bound found no plan")
-	if err != nil {
-		return Solution{}, err
-	}
+	sol, err := searchGraphs(tr, app, m, obj, opts, "DAG branch-and-bound found no plan")
 	sol.Exact = sol.Sched.Exact && exactOrchestration(m, obj)
-	return sol, nil
+	return sol, err
 }
 
-// bnbDAGRec decides pair i in the serial enumeration order (no edge, then
-// u→v, then v→u), cutting infeasible orientations and bounded subtrees.
-func bnbDAGRec(app *workflow.App, m plan.Model, obj Objective, opts Options, inc *incumbent, g *dag.Graph, precClosure *dag.Graph, pairs [][2]int, i int, sh *bnbShard) {
-	if sh.cc.stop() {
-		return
-	}
-	if i == len(pairs) {
-		sh.stats.Evaluated++
-		// A graph FromGraph rejects violates the precedence constraints.
-		if eg, err := plan.FromGraph(app, g); err == nil && sh.try(eg, m, obj, opts) {
-			inc.offer(sh.best.Value)
+// dagTree is the DAG family's tree: decision k gives pair k (nodePairs
+// order) no edge, then u→v, then v→u, cutting an edge that reverses a path
+// of prec (the precedence closure) or closes a cycle. A leaf FromGraph
+// rejects misses a precedence constraint and never reaches leaf.
+func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(eg *plan.ExecGraph, r *shardResult) bool) tree[scored] {
+	n := app.N()
+	pairs := nodePairs(n)
+	tables := newBoundTables(app, m, obj, prec, pairs)
+	// edge is choice c > 0's edge for pair k.
+	edge := func(k, c int) (int, int) {
+		if c == 1 {
+			return pairs[k][0], pairs[k][1]
 		}
-		return
+		return pairs[k][1], pairs[k][0]
 	}
-	descend := func() {
-		sh.stats.Expanded++
-		if sh.prunes(inc, sh.bound.dag(g, i+1)) {
-			sh.stats.Pruned++
-			return
+	return tree[scored]{depth: len(pairs), split: 3, children: slices.Repeat([]int{3}, len(pairs)), walk: func() walker[scored] {
+		g := dag.New(n)
+		b := newBoundScratch(tables)
+		return walker[scored]{
+			apply: func(k, c int) step {
+				if c == 0 {
+					return stepOK
+				}
+				u, v := edge(k, c)
+				if prec.HasEdge(v, u) {
+					return stepCut
+				}
+				g.AddEdge(u, v)
+				if !b.acyclic(g) {
+					g.RemoveEdge(u, v)
+					return stepCut
+				}
+				return stepOK
+			},
+			undo: func(k, c int) {
+				if c != 0 {
+					g.RemoveEdge(edge(k, c))
+				}
+			},
+			bound: func(k int) rat.Rat { return b.dag(g, k) },
+			leaf: func(r *shardResult) bool {
+				eg, err := plan.FromGraph(app, g)
+				return err == nil && leaf(eg, r)
+			},
 		}
-		bnbDAGRec(app, m, obj, opts, inc, g, precClosure, pairs, i+1, sh)
-	}
-	withEdge := func(a, b int) {
-		if precClosure.HasEdge(b, a) {
-			sh.stats.Pruned++
-			return // reversing a precedence path invalidates every completion
-		}
-		g.AddEdge(a, b)
-		if sh.bound.acyclic(g) {
-			descend()
-		} else {
-			sh.stats.Pruned++ // every completion keeps the cycle
-		}
-		g.RemoveEdge(a, b)
-	}
-	u, v := pairs[i][0], pairs[i][1]
-	descend()
-	withEdge(u, v)
-	withEdge(v, u)
+	}}
 }

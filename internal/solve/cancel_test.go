@@ -69,9 +69,9 @@ func TestDeadlineExceededIsReported(t *testing.T) {
 // context probes and checks both that the search aborts with the context
 // error and that it expanded far less of the tree than the uncanceled run —
 // i.e. cancellation actually stops the expansion loop, not just the final
-// return. The chain search probes in its own closed-form recursion; the
-// forest search (the one the service runs on its pool for default
-// requests) in its seeding climbs and its shards.
+// return. Every family probes in the driver's shards; the forest search
+// (the one the service runs on its pool for default requests) also in its
+// seeding climbs.
 func TestMidSearchCancellationStopsBranchBound(t *testing.T) {
 	for _, tc := range []struct {
 		family  Family

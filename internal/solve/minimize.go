@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -165,100 +164,88 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 	return solveGraph(eg, m, obj, opts)
 }
 
-// shardResult is one enumeration shard's outcome: its best scored candidate
-// (ok false when the shard kept none) and the first evaluation error it
-// hit.
-type shardResult struct {
-	best scored
+// result is one shard's outcome: its best candidate (ok false when the
+// shard kept none), that candidate's objective value, and the first
+// evaluation error the shard hit.
+type result[T any] struct {
+	best T
+	val  rat.Rat
 	ok   bool
 	err  error
 }
 
+// shardResult is the outcome of a graph search's shard: scored candidates.
+type shardResult = result[scored]
+
 // fail records the shard's first error.
-func (r *shardResult) fail(err error) {
+func (r *result[T]) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 }
 
-// try scores one candidate graph and offers it to the shard.
-func (r *shardResult) try(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) bool {
+// improves reports whether a candidate of value v would replace the
+// shard's best: only strict improvements do.
+func (r *result[T]) improves(v rat.Rat) bool {
+	return !r.ok || v.Less(r.val)
+}
+
+// offer keeps c, of value v, when it improves the shard's best and reports
+// whether it did.
+func (r *result[T]) offer(c T, v rat.Rat) bool {
+	if !r.improves(v) {
+		return false
+	}
+	r.best, r.val, r.ok = c, v, true
+	return true
+}
+
+// offerGraph scores one candidate graph and offers it to r.
+func offerGraph(r *shardResult, eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) bool {
 	c, err := evaluate(eg, m, obj, opts)
 	if err != nil {
 		r.fail(err)
 		return false
 	}
-	return r.offer(c)
+	return r.offer(c, c.Value)
 }
 
-// offer keeps c when it strictly improves the shard's best and reports
-// whether it did.
-func (r *shardResult) offer(c scored) bool {
-	if r.ok && !c.Value.Less(r.best.Value) {
-		return false
-	}
-	r.best, r.ok = c, true
-	return true
-}
-
-// solution materialises the kept candidate, the one schedule a search
-// builds. A done ctx wins over any outcome; with no candidate kept, the
-// error is "solve: <noPlan>" plus the first evaluation error. Materialise
-// is total on a Score the scoring produced, so its failure is returned as
-// the internal error it is.
-func (r *shardResult) solution(opts Options, noPlan string) (Solution, error) {
-	if err := ctxErr(opts.Ctx); err != nil {
-		return Solution{}, err
-	}
-	if !r.ok {
-		if r.err != nil {
-			return Solution{}, fmt.Errorf("solve: %s: %v", noPlan, r.err)
-		}
-		return Solution{}, fmt.Errorf("solve: %s", noPlan)
-	}
-	return materialise(r.best, opts)
-}
-
-// forestShards runs the sharded forest enumeration on the worker pool:
-// forests are partitioned by the parent assignment of the first two nodes,
-// try sees every complete parent vector of its shard together with the
-// shard's accumulator, and the per-shard results come back in serial
-// prefix order (ready for reduceShards). A done ctx stops every shard at
-// its next probe (the caller detects the abort via ctxErr).
-func forestShards(n, workers int, ctx context.Context, try func(parent []int, r *shardResult)) []shardResult {
-	prefixes := forestPrefixes(n, 2)
-	return par.Map(workers, len(prefixes), func(i int) shardResult {
-		parent := make([]int, n)
-		for v := range parent {
-			parent[v] = -1
-		}
-		copy(parent, prefixes[i])
-		var r shardResult
-		cc := cancelCheck{ctx: ctx}
-		forEachForestFrom(parent, len(prefixes[i]), func(parent []int) bool {
-			if cc.stop() {
-				return false
-			}
-			try(parent, &r)
-			return true
-		})
-		return r
-	})
-}
-
-// reduceShards folds shard results in shard order, keeping the first
+// reduce folds shard results in shard order, keeping the first
 // strictly-best candidate and the first error — exactly what the serial
-// enumeration would have kept — and materialises that one winner (see
-// solution).
-func reduceShards(shards []shardResult, opts Options, noPlan string) (Solution, error) {
-	var win shardResult
+// enumeration would have kept. A done ctx wins over any outcome; with no
+// candidate kept, the error is "solve: <noPlan>" plus the first evaluation
+// error.
+func reduce[T any](shards []result[T], opts Options, noPlan string) (T, error) {
+	var win result[T]
 	for _, r := range shards {
 		win.fail(r.err)
 		if r.ok {
-			win.offer(r.best)
+			win.offer(r.best, r.val)
 		}
 	}
-	return win.solution(opts, noPlan)
+	var none T
+	if err := ctxErr(opts.Ctx); err != nil {
+		return none, err
+	}
+	if !win.ok {
+		if win.err != nil {
+			return none, fmt.Errorf("solve: %s: %v", noPlan, win.err)
+		}
+		return none, fmt.Errorf("solve: %s", noPlan)
+	}
+	return win.best, nil
+}
+
+// reduceShards reduces a graph search's shards (see reduce) and
+// materialises the winner, the one schedule a search builds. Materialise
+// is total on a Score the scoring produced, so its failure is returned as
+// the internal error it is.
+func reduceShards(shards []shardResult, opts Options, noPlan string) (Solution, error) {
+	c, err := reduce(shards, opts, noPlan)
+	if err != nil {
+		return Solution{}, err
+	}
+	return materialise(c, opts)
 }
 
 // exactOrchestration reports whether the orchestration layer explores the
@@ -455,7 +442,7 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 		r.fail(err)
 		return r
 	}
-	if !r.try(eg, m, obj, opts) {
+	if !offerGraph(&r, eg, m, obj, opts) {
 		return r
 	}
 	e := newGraphEval(app, costs, obj, g)
@@ -465,7 +452,7 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 			budget--
 			if eg, err := e.candidate(v, a, b); err != nil {
 				r.fail(err)
-			} else if r.try(eg, m, obj, opts) {
+			} else if offerGraph(&r, eg, m, obj, opts) {
 				e.Move(v, a, b)
 				improved = true
 			}
@@ -491,59 +478,51 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 		return Solution{}, fmt.Errorf("solve: BiCriteria requires no precedence constraints")
 	}
 	opts = opts.withDefaults()
+	opts.Stats = nil // a scan, not a branch-and-bound: no search counters
 	n := app.N()
-	var best shardResult
+	noPlan := fmt.Sprintf("no plan meets period bound %s under %s", periodBound, m)
 	// Only scores are compared — the period against the bound, the latency
 	// against the best — and the one winning latency schedule is
 	// materialised at the end.
-	tryInto := func(r *shardResult, eg *plan.ExecGraph) {
+	tryGraph := func(eg *plan.ExecGraph, r *shardResult) bool {
 		w := eg.Weighted()
 		per, _, err := orchestrate.ScorePeriod(nil, w, m, opts.Orch)
 		if err != nil || per.Value.Greater(periodBound) {
-			return
+			return false
 		}
 		lat, _, err := orchestrate.ScoreLatency(nil, w, m, opts.Orch)
-		if err != nil {
-			return
-		}
-		r.offer(scored{eg: eg, w: w, Score: lat})
+		return err == nil && r.offer(scored{eg: eg, w: w, Score: lat}, lat.Value)
 	}
-	tryGraph := func(eg *plan.ExecGraph) { tryInto(&best, eg) }
 	if n <= maxN(opts, 6) {
-		// Same sharding as the forest branch-and-bound: each worker scans
-		// the completions of a two-node prefix for the best bound-respecting
-		// latency; the shard winners are offered in serial prefix order.
-		for _, r := range forestShards(n, opts.Workers, opts.Ctx, func(parent []int, r *shardResult) {
-			if eg, err := plan.FromGraph(app, forestGraph(parent)); err == nil {
-				tryInto(r, eg)
-			}
-		}) {
-			if r.ok {
-				best.offer(r.best)
-			}
+		// The forest branch-and-bound's tree and shards, with no bound:
+		// every forest's plan is scored.
+		c, err := branchAndBound(forestTree(app, nil, tryGraph), &incumbent{}, opts, noPlan)
+		if err != nil {
+			return Solution{}, err
 		}
-	} else {
-		// Structured candidates: parallel, both greedy chains, and greedy
-		// chains split into k parallel sub-chains.
-		if eg, err := plan.Parallel(app); err == nil {
-			tryGraph(eg)
+		return materialise(c, opts)
+	}
+	// Structured candidates: parallel, both greedy chains, and greedy
+	// chains split into k parallel sub-chains.
+	var best shardResult
+	if eg, err := plan.Parallel(app); err == nil {
+		tryGraph(eg, &best)
+	}
+	for _, order := range [][]int{GreedyChainOrder(app, m), GreedyLatencyChainOrder(app)} {
+		if eg, err := plan.ChainFromOrder(app, order); err == nil {
+			tryGraph(eg, &best)
 		}
-		for _, order := range [][]int{GreedyChainOrder(app, m), GreedyLatencyChainOrder(app)} {
-			if eg, err := plan.ChainFromOrder(app, order); err == nil {
-				tryGraph(eg)
+		for k := 2; k <= 4 && k <= n; k++ {
+			var edges [][2]int
+			for i := 0; i < n; i++ {
+				if i >= k {
+					edges = append(edges, [2]int{order[i-k], order[i]})
+				}
 			}
-			for k := 2; k <= 4 && k <= n; k++ {
-				var edges [][2]int
-				for i := 0; i < n; i++ {
-					if i >= k {
-						edges = append(edges, [2]int{order[i-k], order[i]})
-					}
-				}
-				if eg, err := plan.Build(app, edges); err == nil {
-					tryGraph(eg)
-				}
+			if eg, err := plan.Build(app, edges); err == nil {
+				tryGraph(eg, &best)
 			}
 		}
 	}
-	return best.solution(opts, fmt.Sprintf("no plan meets period bound %s under %s", periodBound, m))
+	return reduceShards([]shardResult{best}, opts, noPlan)
 }

@@ -44,7 +44,25 @@ func forEachForest(n int, fn func(parent []int)) {
 	for i := range parent {
 		parent[i] = -1
 	}
-	forEachForestFrom(parent, 0, func(p []int) bool { fn(p); return true })
+	var rec func(v int)
+	rec = func(v int) {
+		if v == n {
+			fn(parent)
+			return
+		}
+		for p := -1; p < n; p++ {
+			cycle := false
+			for a := p; a != -1 && !cycle; a = parent[a] {
+				cycle = a == v
+			}
+			if !cycle {
+				parent[v] = p
+				rec(v + 1)
+			}
+		}
+		parent[v] = -1
+	}
+	rec(0)
 }
 
 // forEachDAG visits every labeled DAG on n nodes: each node pair, in

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/plan"
+	"repro/internal/rat"
 	"repro/internal/workflow"
 )
 
@@ -116,78 +117,67 @@ func TestBiCriteriaParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestForestShardsPartitionSerialEnumeration pins the shard construction
-// to the serial reference: concatenating the completions of every prefix
-// (in prefix order) must reproduce the oracle's forEachForest sequence
-// exactly — same forests, same order, no drops, no duplicates.
-func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
-	const n = 5
-	var serial [][]int
-	forEachForest(n, func(parent []int) {
-		serial = append(serial, append([]int(nil), parent...))
-	})
-	var sharded [][]int
-	for _, prefix := range forestPrefixes(n, 2) {
-		parent := make([]int, n)
-		for v := range parent {
-			parent[v] = -1
-		}
-		copy(parent, prefix)
-		forEachForestFrom(parent, len(prefix), func(parent []int) bool {
-			sharded = append(sharded, append([]int(nil), parent...))
-			return true
-		})
+// The ShardsPartitionSerialEnumeration tests pin each shipped decision tree
+// to its blind oracle. The driver walks the tree at Workers 1, so the
+// shards run in order, and no leaf is ever kept, so no bound can prune: the
+// leaves must then be the oracle's family in the oracle's order, with no
+// drops and no duplicates.
+
+// checkLeaves fails unless the tree's leaves got match the oracle's want
+// one for one.
+func checkLeaves(t *testing.T, family string, want, got []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: the tree reaches %d leaves, the oracle %d", family, len(got), len(want))
 	}
-	if len(serial) != len(sharded) {
-		t.Fatalf("serial enumerates %d forests, shards %d", len(serial), len(sharded))
-	}
-	for i := range serial {
-		for v := range serial[i] {
-			if serial[i][v] != sharded[i][v] {
-				t.Fatalf("forest %d differs: serial %v, sharded %v", i, serial[i], sharded[i])
-			}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s leaf %d: tree %s, oracle %s", family, i, got[i], want[i])
 		}
 	}
 }
 
-// TestDAGShardsPartitionSerialEnumeration is the same pin for the DAG
-// space: prefix completions in prefix order reproduce the oracle's
-// forEachDAG exactly.
+func TestChainShardsPartitionSerialEnumeration(t *testing.T) {
+	var want, got []string
+	app := gen.App(gen.NewRand(1), 5, gen.Mixed)
+	forEachChain(5, func(order []int) { want = append(want, fmt.Sprint(order)) })
+	branchAndBound(chainTree(app, plan.Overlap, PeriodObjective, func(order []int, _ rat.Rat, _ *result[[]int]) bool {
+		got = append(got, fmt.Sprint(order))
+		return false
+	}), &incumbent{}, Options{Workers: 1}, "")
+	checkLeaves(t, "chain", want, got)
+}
+
+func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
+	var want, got []string
+	app := gen.App(gen.NewRand(1), 5, gen.Mixed)
+	forEachForest(5, func(parent []int) { want = append(want, fmt.Sprint(forestGraph(parent).Edges())) })
+	branchAndBound(forestTree(app, nil, func(eg *plan.ExecGraph, _ *shardResult) bool {
+		got = append(got, fmt.Sprint(eg.Graph().Edges()))
+		return false
+	}), &incumbent{}, Options{Workers: 1}, "")
+	checkLeaves(t, "forest", want, got)
+}
+
+// The oracle's DAGs count as FromGraph accepts them, the filter of the
+// trees' leaf step, so the DAG tree's cuts must never drop a valid plan.
 func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
-	const n = 4
-	encode := func(g *dag.Graph) string {
-		s := ""
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if g.HasEdge(u, v) {
-					s += fmt.Sprintf("%d>%d;", u, v)
-				}
+	for _, app := range []*workflow.App{gen.App(gen.NewRand(2), 4, gen.Mixed), gen.AppWithPrecedence(gen.NewRand(8), 4, gen.Filtering, 0.3)} {
+		prec, err := app.Precedence().TransitiveClosure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got []string
+		forEachDAG(4, func(g *dag.Graph) {
+			if _, err := plan.FromGraph(app, g); err == nil {
+				want = append(want, fmt.Sprint(g.Edges()))
 			}
-		}
-		return s
-	}
-	var serial []string
-	forEachDAG(n, func(g *dag.Graph) {
-		serial = append(serial, encode(g))
-	})
-	pairs := nodePairs(n)
-	var sharded []string
-	for _, prefix := range dagPrefixes(n, 3) {
-		g := dag.New(n)
-		for _, e := range prefix {
-			g.AddEdge(e[0], e[1])
-		}
-		forEachDAGFrom(g, pairs, 3, func(g *dag.Graph) {
-			sharded = append(sharded, encode(g))
 		})
-	}
-	if len(serial) != len(sharded) {
-		t.Fatalf("serial enumerates %d DAGs, shards %d", len(serial), len(sharded))
-	}
-	for i := range serial {
-		if serial[i] != sharded[i] {
-			t.Fatalf("DAG %d differs: serial %q, sharded %q", i, serial[i], sharded[i])
-		}
+		branchAndBound(dagTree(app, plan.Overlap, PeriodObjective, prec, func(eg *plan.ExecGraph, _ *shardResult) bool {
+			got = append(got, fmt.Sprint(eg.Graph().Edges()))
+			return false
+		}), &incumbent{}, Options{Workers: 1}, "")
+		checkLeaves(t, fmt.Sprintf("DAG (precedence %v)", app.HasPrecedence()), want, got)
 	}
 }
 

@@ -375,77 +375,6 @@ func ChainLatencyValue(app *workflow.App, order []int) rat.Rat {
 
 // --- enumeration of structural families ---
 
-// forEachForestFrom continues the forest enumeration with nodes 0..from-1
-// already assigned in parent (the remaining entries must be -1), visiting
-// completions in the serial enumeration order.
-func forEachForestFrom(parent []int, from int, fn func(parent []int) bool) bool {
-	return forEachForestPartial(parent, from, len(parent), fn)
-}
-
-// forEachForestPartial enumerates every cycle-free assignment of parents to
-// nodes from..upto-1 (nodes 0..from-1 fixed in parent, nodes upto.. left
-// at -1), in the serial enumeration order. It is the single source of
-// truth for the enumeration order and the cycle rule: both the shard
-// completions and the shard-prefix construction go through it, so they can
-// never drift apart.
-func forEachForestPartial(parent []int, from, upto int, fn func(parent []int) bool) bool {
-	n := len(parent)
-	var rec func(v int) bool
-	rec = func(v int) bool {
-		if v == upto {
-			return fn(parent)
-		}
-		parent[v] = -1
-		if !rec(v + 1) {
-			return false
-		}
-		for p := 0; p < n; p++ {
-			if p == v {
-				continue
-			}
-			// Reject if choosing p as v's parent closes a cycle: walk p's
-			// ancestor chain (unassigned nodes still have parent -1).
-			cyc := false
-			for a := p; a != -1; a = parent[a] {
-				if a == v {
-					cyc = true
-					break
-				}
-			}
-			if cyc {
-				continue
-			}
-			parent[v] = p
-			if !rec(v + 1) {
-				return false
-			}
-		}
-		parent[v] = -1
-		return true
-	}
-	return rec(from)
-}
-
-// forestPrefixes returns every cycle-free parent assignment of nodes
-// 0..depth-1, in the order the serial enumeration first reaches them. The
-// prefixes are the shards of the parallel forest search: completing each
-// prefix with forEachForestFrom partitions the whole forest space.
-func forestPrefixes(n, depth int) [][]int {
-	if depth > n {
-		depth = n
-	}
-	var out [][]int
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	forEachForestPartial(parent, 0, depth, func(parent []int) bool {
-		out = append(out, append([]int(nil), parent[:depth]...))
-		return true
-	})
-	return out
-}
-
 // forestGraph converts a parent vector into a DAG.
 func forestGraph(parent []int) *dag.Graph {
 	g := dag.New(len(parent))
@@ -466,27 +395,4 @@ func nodePairs(n int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// dagPrefixes returns every orientation assignment of the first depth pairs
-// as edge lists, in the serial enumeration order. The prefixes shard the
-// DAG space into 3^depth pieces for the parallel search.
-func dagPrefixes(n, depth int) [][][2]int {
-	pairs := nodePairs(n)
-	if depth > len(pairs) {
-		depth = len(pairs)
-	}
-	out := [][][2]int{nil}
-	for i := 0; i < depth; i++ {
-		next := make([][][2]int, 0, 3*len(out))
-		for _, prefix := range out {
-			u, v := pairs[i][0], pairs[i][1]
-			next = append(next,
-				prefix,
-				append(append([][2]int(nil), prefix...), [2]int{u, v}),
-				append(append([][2]int(nil), prefix...), [2]int{v, u}))
-		}
-		out = next
-	}
-	return out
 }

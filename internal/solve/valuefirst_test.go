@@ -203,10 +203,10 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 	lying := c
 	lying.Value = c.Value.Mul(rat.New(1, 2))
 	var r shardResult
-	if !r.offer(c) || !r.offer(lying) {
+	if !r.offer(c, c.Value) || !r.offer(lying, lying.Value) {
 		t.Fatal("a strictly better score was refused")
 	}
-	if _, err := r.solution(opts, "no plan"); err == nil || !strings.Contains(err.Error(), lie) {
+	if _, err := reduceShards([]shardResult{r}, opts, "no plan"); err == nil || !strings.Contains(err.Error(), lie) {
 		t.Fatalf("lying winner: err = %v, want %q", err, lie)
 	}
 
