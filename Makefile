@@ -1,6 +1,16 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs
 # `make vet build test-race test test-alloc bench-smoke`, the four smoke-*
 # targets and `make fuzz`, so every package list below exists once.
+#
+# The reachability gate needs no target of its own: TestShippedCodeIsReachable
+# (deadcode_test.go, root package) runs in every `go test` above, -short
+# included, in about 3 s. It type-checks the module and bench/ and fails
+# with one line per internal/ declaration no shipped code reaches, as
+# `file:line: pkg.Name has no shipped caller` (pkg.Type.Method for a
+# method). Delete what it lists, move a reference implementation into the
+# _test.go file that uses it, or give shared test support an entry, with its
+# reason, in the test's unreachableAllowed; an entry that gains a caller or
+# stops existing fails the gate too.
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -133,7 +143,9 @@ smoke-exec:
 # (values, canonical form), the candidate builder (FromGraph + Weighted)
 # against the one it replaced, the plan-store entry codec (never panics;
 # an accepted entry re-encodes stably), Score.Materialise (total on
-# what the scoring forms produce), and the /v1/sync import (never panics;
+# what the scoring forms produce), the canonical hash (unchanged by a
+# service permutation, unreduced rationals and implied precedence edges;
+# changed by one cost or one name), and the /v1/sync import (never panics;
 # a rejected item changes nothing but its counter; an accepted instance
 # re-canonicalises to its claimed hash), and the PATCH /v1/instance/{hash}
 # handler (never a 5xx; a failed PATCH changes no cache, registry or event
@@ -149,5 +161,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime $(FUZZTIME) ./internal/orchestrate/
 	$(GO) test -run '^$$' -fuzz FuzzSyncImport -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzDriftRequest -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME) ./internal/canon/
 
 check: vet build test-short test-race test-alloc bench-smoke

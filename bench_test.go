@@ -60,7 +60,7 @@ func BenchmarkE8TreeLatency(b *testing.B) {
 }
 
 func BenchmarkE9ForestStructure(b *testing.B) {
-	benchReport(b, func() experiments.Report { return experiments.E9ForestStructure(1) })
+	benchReport(b, func() experiments.Report { return experiments.E9ForestStructure(1, 0) })
 }
 
 func BenchmarkE10Reductions(b *testing.B) {
@@ -68,7 +68,7 @@ func BenchmarkE10Reductions(b *testing.B) {
 }
 
 func BenchmarkE11HeuristicQuality(b *testing.B) {
-	benchReport(b, func() experiments.Report { return experiments.E11HeuristicQuality(1) })
+	benchReport(b, func() experiments.Report { return experiments.E11HeuristicQuality(1, 0) })
 }
 
 func BenchmarkE12ModelGaps(b *testing.B) {

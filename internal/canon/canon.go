@@ -39,11 +39,10 @@ import (
 // changes so stale cache keys cannot alias new ones.
 const hashVersion = "filtering-instance/v1"
 
-// Instance is a canonicalized workflow instance: the canonical application,
-// the permutation that produced it, and its content hash.
+// Instance is a canonicalized workflow instance: the canonical application
+// and its content hash.
 type Instance struct {
 	app  *workflow.App
-	perm []int // perm[originalIndex] = canonicalIndex
 	hash string
 }
 
@@ -106,7 +105,7 @@ func Canonicalize(app *workflow.App) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("canon: rebuilding canonical app: %w", err)
 	}
-	return &Instance{app: canonApp, perm: perm, hash: contentHash(canonApp, edges)}, nil
+	return &Instance{app: canonApp, hash: contentHash(canonApp, edges)}, nil
 }
 
 // contentHash serializes the canonical form unambiguously and hashes it.
@@ -146,9 +145,3 @@ func (in *Instance) App() *workflow.App { return in.app }
 
 // Hash returns the hex SHA-256 content hash of the canonical form.
 func (in *Instance) Hash() string { return in.hash }
-
-// N returns the number of services.
-func (in *Instance) N() int { return in.app.N() }
-
-// CanonicalIndex maps an original service index to its canonical index.
-func (in *Instance) CanonicalIndex(original int) int { return in.perm[original] }

@@ -57,7 +57,8 @@ func TestHashHexShape(t *testing.T) {
 }
 
 // TestServicePermutationInvariance: listing the same services in any order
-// yields the same canonical app and hash; the permutation maps back.
+// yields the same canonical app and hash, and every name keeps its cost and
+// selectivity (names are identity).
 func TestServicePermutationInvariance(t *testing.T) {
 	services := []workflow.Service{
 		{Name: "X", Cost: rat.I(3), Selectivity: rat.New(1, 3)},
@@ -75,9 +76,14 @@ func TestServicePermutationInvariance(t *testing.T) {
 		t.Fatalf("permuted listings hash differently: %s vs %s", a.Hash(), b.Hash())
 	}
 	for i := 0; i < orig.N(); i++ {
-		name := orig.Name(i)
-		if got := a.App().Name(a.CanonicalIndex(i)); got != name {
-			t.Errorf("CanonicalIndex broke name identity: %s → %s", name, got)
+		want := orig.Service(i)
+		j := a.App().IndexOf(want.Name)
+		if j < 0 {
+			t.Fatalf("canonical app lost service %s", want.Name)
+		}
+		if got := a.App().Service(j); !got.Cost.Equal(want.Cost) || !got.Selectivity.Equal(want.Selectivity) {
+			t.Errorf("canonicalization broke name identity: %s is %s/%s, want %s/%s",
+				want.Name, got.Cost, got.Selectivity, want.Cost, want.Selectivity)
 		}
 	}
 }
@@ -175,9 +181,9 @@ func TestCanonicalizeIsIdempotent(t *testing.T) {
 	if once.Hash() != twice.Hash() {
 		t.Fatalf("canonicalization not idempotent: %s vs %s", once.Hash(), twice.Hash())
 	}
-	for i := 0; i < twice.N(); i++ {
-		if p := twice.CanonicalIndex(i); p != i {
-			t.Fatalf("canonical app re-permuted: perm[%d] = %d", i, p)
+	for i := 0; i < twice.App().N(); i++ {
+		if a, b := once.App().Name(i), twice.App().Name(i); a != b {
+			t.Fatalf("canonical app re-permuted: position %d holds %s, then %s", i, a, b)
 		}
 	}
 }

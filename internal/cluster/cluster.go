@@ -396,11 +396,6 @@ func (rt *Router) shardOf(hash string) (int, error) {
 	return int(v >> (32 - rt.cfg.ShardBits)), nil
 }
 
-// ownerOf resolves a shard's preferred (primary) owner.
-func (rt *Router) ownerOf(shard int) *peer {
-	return rt.peers[shard%len(rt.peers)]
-}
-
 // ownersOf resolves a shard's R owners in preference order: the primary
 // first, then its successors around the peer ring. Every owner holds the
 // shard's state (writes fan out, the anti-entropy loop converges the
@@ -458,10 +453,6 @@ func (rt *Router) census() []int {
 	}
 	return byFactor
 }
-
-// Metrics returns the router's registry (shared with the embedded
-// service when cmd/filterd wired one registry through both).
-func (rt *Router) Metrics() *metrics.Registry { return rt.metrics }
 
 // maxBodyBytes mirrors the service's request-body bound; maxRespBytes
 // bounds a buffered forward response (a plan answer is far smaller — the

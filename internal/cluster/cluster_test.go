@@ -179,7 +179,7 @@ func TestShardingIsDeterministicAndCovering(t *testing.T) {
 		if s1 != s2 {
 			t.Fatalf("hash %s: shard %d then %d", hash, s1, s2)
 		}
-		owners[rt.ownerOf(s1).url] = true
+		owners[rt.ownersOf(s1)[0].url] = true
 	}
 	if len(owners) != 2 {
 		t.Errorf("64 spread hashes landed on %d of 2 peers", len(owners))

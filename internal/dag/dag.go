@@ -141,17 +141,6 @@ func (g *Graph) Roots() []int {
 	return out
 }
 
-// Leaves returns the nodes with no successors, in increasing order.
-func (g *Graph) Leaves() []int {
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if len(g.succ[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Scratch is caller-owned working storage for TopoSortInto and
 // AncestorsInto; the zero value is ready. A search that analyses one graph
 // per node keeps a Scratch per goroutine, and after the first call at a
@@ -206,16 +195,10 @@ func (g *Graph) IsAcyclic() bool {
 	return err == nil
 }
 
-// Ancestors returns, for every node, the set of its strict ancestors
-// (preds, preds of preds, ...). Returns ErrCycle on cyclic graphs.
-func (g *Graph) Ancestors() ([]*bitset.Set, error) {
-	_, anc, err := g.AncestorsInto(new(Scratch))
-	return anc, err
-}
-
-// AncestorsInto is Ancestors on caller-owned storage, plus the topological
-// order (TopoSortInto's) it computed the sets in: one Kahn pass answers
-// both.
+// AncestorsInto returns, for every node, the set of its strict ancestors
+// (preds, preds of preds, ...), plus the topological order (TopoSortInto's)
+// it computed the sets in: one Kahn pass answers both. The sets live in s.
+// Returns ErrCycle on cyclic graphs.
 func (g *Graph) AncestorsInto(s *Scratch) (order []int, anc []*bitset.Set, err error) {
 	order, err = g.TopoSortInto(s)
 	if err != nil {
@@ -293,25 +276,6 @@ func (g *Graph) TransitiveReduction() (*Graph, error) {
 	return r, nil
 }
 
-// ClosureContains reports whether every edge of h is implied by g, i.e.
-// h's edges are a subset of g's transitive closure. Both graphs must have
-// the same node count; g must be a DAG.
-func (g *Graph) ClosureContains(h *Graph) (bool, error) {
-	if g.n != h.n {
-		return false, fmt.Errorf("dag: node count mismatch %d != %d", g.n, h.n)
-	}
-	desc, err := g.Descendants()
-	if err != nil {
-		return false, err
-	}
-	for _, e := range h.Edges() {
-		if !desc[e[0]].Has(e[1]) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // IsForest reports whether every node has at most one direct predecessor
 // and the graph is acyclic: a forest of out-trees, the structure Prop. 4 of
 // the paper proves sufficient for optimal MINPERIOD plans.
@@ -354,30 +318,6 @@ func (g *Graph) IsChain() bool {
 		}
 	}
 	return seen == g.n
-}
-
-// IsTree reports whether g is a single out-tree covering all nodes.
-func (g *Graph) IsTree() bool {
-	return g.IsForest() && len(g.Roots()) == 1 && g.EdgeCount() == g.n-1
-}
-
-// ChainOrder returns the node order along the chain, or an error if the
-// graph is not a chain.
-func (g *Graph) ChainOrder() ([]int, error) {
-	if !g.IsChain() {
-		return nil, errors.New("dag: graph is not a chain")
-	}
-	if g.n == 0 {
-		return nil, nil
-	}
-	order := make([]int, 0, g.n)
-	v := g.Roots()[0]
-	order = append(order, v)
-	for len(g.succ[v]) == 1 {
-		v = g.succ[v][0]
-		order = append(order, v)
-	}
-	return order, nil
 }
 
 // --- helpers ---

@@ -118,9 +118,6 @@ func (g *Graph) Reset(n int) {
 	g.n, g.edges, g.analysed = n, g.edges[:0], false
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
 // Edges returns all edges; the slice is owned by the graph.
 func (g *Graph) Edges() []Edge { return g.edges }
 
@@ -674,64 +671,4 @@ func (g *Graph) potentials(buf []rat.Rat, lambda rat.Rat) ([]rat.Rat, int, error
 		}
 	}
 	return pi, g.n + 1, ErrInfeasible
-}
-
-// FeasiblePeriod reports whether the given period admits a schedule.
-func (g *Graph) FeasiblePeriod(lambda rat.Rat) bool {
-	_, err := g.Potentials(lambda)
-	return err == nil
-}
-
-// BruteForceMCR enumerates all simple cycles (Johnson-style DFS) and
-// returns the maximum ratio; exponential, used to cross-check Howard in
-// tests and usable on small graphs. Self-loops count as simple cycles.
-func (g *Graph) BruteForceMCR() (MCRResult, error) {
-	if err := g.checkZeroTokenAcyclic(); err != nil {
-		return MCRResult{}, err
-	}
-	best := MCRResult{}
-	found := false
-	onPath := make([]bool, g.n)
-	var path []int // edge indices
-	var dfs func(start, v int, sumD rat.Rat, sumH int)
-	dfs = func(start, v int, sumD rat.Rat, sumH int) {
-		for _, ei := range g.out(v) {
-			e := g.edges[ei]
-			// Only consider cycles whose smallest node is start, to avoid
-			// revisiting each cycle once per rotation.
-			if e.To < start {
-				continue
-			}
-			if e.To == start {
-				d := sumD.Add(e.Delay)
-				h := sumH + e.Tokens
-				if h > 0 {
-					ratio := d.Div(rat.I(int64(h)))
-					if !found || ratio.Greater(best.Ratio) {
-						cyc := append(append([]int(nil), path...), ei)
-						best = MCRResult{Ratio: ratio, CriticalCycle: cyc}
-						found = true
-					}
-				}
-				continue
-			}
-			if onPath[e.To] {
-				continue
-			}
-			onPath[e.To] = true
-			path = append(path, ei)
-			dfs(start, e.To, sumD.Add(e.Delay), sumH+e.Tokens)
-			path = path[:len(path)-1]
-			onPath[e.To] = false
-		}
-	}
-	for v := 0; v < g.n; v++ {
-		onPath[v] = true
-		dfs(v, v, rat.Zero, 0)
-		onPath[v] = false
-	}
-	if !found {
-		return MCRResult{}, ErrNoCycle
-	}
-	return best, nil
 }

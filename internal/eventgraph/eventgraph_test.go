@@ -34,7 +34,7 @@ func TestTwoNodeCycle(t *testing.T) {
 	if _, err := g.Potentials(rat.New(49, 10)); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("λ=4.9 must be infeasible, got %v", err)
 	}
-	if !g.FeasiblePeriod(rat.I(6)) || g.FeasiblePeriod(rat.I(4)) {
+	if !feasiblePeriod(g, rat.I(6)) || feasiblePeriod(g, rat.I(4)) {
 		t.Fatal("FeasiblePeriod wrong")
 	}
 }
@@ -126,7 +126,7 @@ func TestAcyclicGraph(t *testing.T) {
 	if !pi[2].Equal(rat.I(12)) {
 		t.Fatalf("potentials = %v", pi)
 	}
-	if _, err := g.BruteForceMCR(); !errors.Is(err, ErrNoCycle) {
+	if _, err := bruteForceMCR(g); !errors.Is(err, ErrNoCycle) {
 		t.Fatalf("brute err = %v", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestQuickHowardMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomEventGraph(rng, 2+rng.Intn(6))
 		howard, err1 := g.MaximumCycleRatio()
-		brute, err2 := g.BruteForceMCR()
+		brute, err2 := bruteForceMCR(g)
 		if err1 != nil || err2 != nil {
 			return errors.Is(err1, ErrNoCycle) && errors.Is(err2, ErrNoCycle)
 		}
@@ -269,13 +269,13 @@ func TestQuickMCRIsExactFeasibilityThreshold(t *testing.T) {
 		g := randomEventGraph(rng, 2+rng.Intn(5))
 		res, err := g.MaximumCycleRatio()
 		if errors.Is(err, ErrNoCycle) {
-			return g.FeasiblePeriod(rat.Zero)
+			return feasiblePeriod(g, rat.Zero)
 		}
 		if err != nil {
 			return false
 		}
 		eps := rat.New(1, 1000)
-		return g.FeasiblePeriod(res.Ratio) && !g.FeasiblePeriod(res.Ratio.Sub(eps))
+		return feasiblePeriod(g, res.Ratio) && !feasiblePeriod(g, res.Ratio.Sub(eps))
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
@@ -388,4 +388,65 @@ func TestPotentialsIntoReusesBuffer(t *testing.T) {
 	if back == nil {
 		t.Fatal("error path dropped the buffer")
 	}
+}
+
+// feasiblePeriod reports whether the given period admits a schedule.
+func feasiblePeriod(g *Graph, lambda rat.Rat) bool {
+	_, err := g.Potentials(lambda)
+	return err == nil
+}
+
+// bruteForceMCR enumerates all simple cycles (Johnson-style DFS) and
+// returns the maximum ratio: the exponential reference Howard's
+// MaximumCycleRatio is cross-checked against. Self-loops count as simple
+// cycles.
+func bruteForceMCR(g *Graph) (MCRResult, error) {
+	if err := g.checkZeroTokenAcyclic(); err != nil {
+		return MCRResult{}, err
+	}
+	best := MCRResult{}
+	found := false
+	onPath := make([]bool, g.n)
+	var path []int // edge indices
+	var dfs func(start, v int, sumD rat.Rat, sumH int)
+	dfs = func(start, v int, sumD rat.Rat, sumH int) {
+		for _, ei := range g.out(v) {
+			e := g.edges[ei]
+			// Only consider cycles whose smallest node is start, to avoid
+			// revisiting each cycle once per rotation.
+			if e.To < start {
+				continue
+			}
+			if e.To == start {
+				d := sumD.Add(e.Delay)
+				h := sumH + e.Tokens
+				if h > 0 {
+					ratio := d.Div(rat.I(int64(h)))
+					if !found || ratio.Greater(best.Ratio) {
+						cyc := append(append([]int(nil), path...), ei)
+						best = MCRResult{Ratio: ratio, CriticalCycle: cyc}
+						found = true
+					}
+				}
+				continue
+			}
+			if onPath[e.To] {
+				continue
+			}
+			onPath[e.To] = true
+			path = append(path, ei)
+			dfs(start, e.To, sumD.Add(e.Delay), sumH+e.Tokens)
+			path = path[:len(path)-1]
+			onPath[e.To] = false
+		}
+	}
+	for v := 0; v < g.n; v++ {
+		onPath[v] = true
+		dfs(v, v, rat.Zero, 0)
+		onPath[v] = false
+	}
+	if !found {
+		return MCRResult{}, ErrNoCycle
+	}
+	return best, nil
 }

@@ -83,7 +83,7 @@ func TestHowardConvergesOnCyclingInOrderGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brute, err := g.BruteForceMCR()
+	brute, err := bruteForceMCR(g)
 	if err != nil {
 		t.Fatal(err)
 	}

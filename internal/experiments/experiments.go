@@ -66,19 +66,14 @@ func (r Report) status() string {
 	return "FAILED"
 }
 
-// All runs every experiment on the shared worker pool with the default
-// worker count (runtime.NumCPU) and returns the reports in experiment
-// order. Budget scales the expensive sweeps (1 = fast smoke run, 2 = the
-// full EXPERIMENTS.md configuration).
-func All(budget int) []Report {
-	return AllWorkers(budget, 0)
-}
-
-// AllWorkers is All with an explicit worker bound (0 = runtime.NumCPU(),
-// 1 = serial). The bound is the harness's whole parallelism budget: the
-// experiments fan out across the pool while their inner plan searches run
-// serially (Workers: 1), so workers = 1 is end-to-end serial and larger
-// counts never nest pools or oversubscribe the CPUs. The experiments are
+// AllWorkers runs every experiment on the shared worker pool and returns
+// the reports in experiment order. Budget scales the expensive sweeps
+// (1 = fast smoke run, 2 = the full EXPERIMENTS.md configuration); workers
+// bounds the pool (0 = runtime.NumCPU(), 1 = serial). The bound is the
+// harness's whole parallelism budget: the experiments fan out across the
+// pool while their inner plan searches run serially (Workers: 1), so
+// workers = 1 is end-to-end serial and larger counts never nest pools or
+// oversubscribe the CPUs. The experiments are
 // mutually independent and deterministic, so report order, verdicts and
 // measured values do not depend on the worker count.
 func AllWorkers(budget, workers int) []Report {
@@ -91,9 +86,9 @@ func AllWorkers(budget, workers int) []Report {
 		func() Report { return E6ChainPeriodGreedy(budget) },
 		func() Report { return E7ChainLatencyGreedy(budget) },
 		func() Report { return E8TreeLatency(budget) },
-		func() Report { return e9ForestStructure(budget, 1) },
+		func() Report { return E9ForestStructure(budget, 1) },
 		E10Reductions,
-		func() Report { return e11HeuristicQuality(budget, 1) },
+		func() Report { return E11HeuristicQuality(budget, 1) },
 		func() Report { return E12ModelGaps(budget) },
 		func() Report { return e13Scaling(budget, 1) },
 		func() Report { return e14BiCriteria(budget, 1) },
@@ -102,19 +97,6 @@ func AllWorkers(budget, workers int) []Report {
 		func() Report { return E20DataPlane(budget) },
 	}
 	return par.Map(workers, len(runs), func(i int) Report { return runs[i]() })
-}
-
-// Smoke runs only the fixed, fast experiments (the worked example, the
-// three counter-examples and the NP-hardness gadgets — no random sweeps):
-// the sub-second subset that `go test -short` exercises.
-func Smoke() []Report {
-	return []Report{
-		E1Fig1(),
-		E2ChainVsForest(),
-		E3MultiportLatency(),
-		E4MultiportPeriod(),
-		E10Reductions(),
-	}
 }
 
 // E1Fig1 reproduces the §2.3 worked example: optimal period per model and
@@ -364,12 +346,10 @@ func E8TreeLatency(budget int) Report {
 }
 
 // E9ForestStructure verifies Prop. 4: the forest-restricted optimum equals
-// the unrestricted (DAG) optimum for MINPERIOD without precedence.
-func E9ForestStructure(budget int) Report { return e9ForestStructure(budget, 0) }
-
-// e9ForestStructure bounds the inner plan searches to solverWorkers
-// (1 under the parallel harness, which owns the parallelism budget).
-func e9ForestStructure(budget, solverWorkers int) Report {
+// the unrestricted (DAG) optimum for MINPERIOD without precedence. The
+// inner plan searches run on solverWorkers (1 under the parallel harness,
+// which owns the parallelism budget).
+func E9ForestStructure(budget, solverWorkers int) Report {
 	trials := 4 * budget
 	matches := map[plan.Model]int{}
 	models := []plan.Model{plan.Overlap, plan.InOrder}

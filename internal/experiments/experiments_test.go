@@ -53,13 +53,13 @@ func recordSections(t *testing.T) (map[string]string, string) {
 // first "### " heading to the end the file must equal the budget-2
 // rendering byte for byte, and every paper claim must reproduce (the
 // Prop 17 discrepancy is recorded in notes, not in OK). Under -short only
-// the fixed sub-second Smoke experiments run, each compared with its own
+// the fixed sub-second smoke experiments run, each compared with its own
 // section of the file.
 func TestExperimentsMatchRecord(t *testing.T) {
 	sections, tail := recordSections(t)
-	reports := Smoke()
+	reports := smoke()
 	if !testing.Short() {
-		reports = All(2)
+		reports = AllWorkers(2, 0)
 	}
 	var rendered strings.Builder
 	for _, r := range reports {
@@ -84,7 +84,20 @@ func TestExperimentsMatchRecord(t *testing.T) {
 // `go test -short` verifies the paper's worked example, counter-examples
 // and gadgets end to end.
 func TestSmokeExperimentsPass(t *testing.T) {
-	checkReports(t, Smoke())
+	checkReports(t, smoke())
+}
+
+// smoke runs only the fixed, fast experiments (the worked example, the
+// three counter-examples and the NP-hardness gadgets — no random sweeps):
+// the sub-second subset that `go test -short` exercises.
+func smoke() []Report {
+	return []Report{
+		E1Fig1(),
+		E2ChainVsForest(),
+		E3MultiportLatency(),
+		E4MultiportPeriod(),
+		E10Reductions(),
+	}
 }
 
 // TestAllWorkersPreservesOrderAndResults runs the harness with a forced

@@ -170,12 +170,10 @@ func lamMatches(r reduction.RN3DM, lam1, lam2 []int) bool {
 }
 
 // E11HeuristicQuality compares the polynomial/heuristic solvers against the
-// exact forest optimum for MINPERIOD on random instances.
-func E11HeuristicQuality(budget int) Report { return e11HeuristicQuality(budget, 0) }
-
-// e11HeuristicQuality bounds the inner plan searches to solverWorkers
-// (1 under the parallel harness, which owns the parallelism budget).
-func e11HeuristicQuality(budget, solverWorkers int) Report {
+// exact forest optimum for MINPERIOD on random instances. The inner plan
+// searches run on solverWorkers (1 under the parallel harness, which owns
+// the parallelism budget).
+func E11HeuristicQuality(budget, solverWorkers int) Report {
 	trials := 6 * budget
 	n := 5
 	opts := solve.Options{Orch: orchestrate.Options{MaxExhaustive: 128}, Workers: solverWorkers}

@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -47,7 +46,7 @@ const (
 	Delay
 )
 
-// String names the action for counters and logs.
+// String names the action for logs.
 func (a Action) String() string {
 	switch a {
 	case None:
@@ -84,15 +83,6 @@ type Config struct {
 	MaxDelay time.Duration
 }
 
-// Stats counts injected faults since creation.
-type Stats struct {
-	Calls     int64
-	Drops     int64
-	Errors    int64
-	Truncates int64
-	Delays    int64
-}
-
 // Injector is a seeded fault source. Create with New; all methods are
 // safe for concurrent use.
 type Injector struct {
@@ -100,12 +90,6 @@ type Injector struct {
 
 	mu      sync.Mutex
 	streams map[string]*uint64 // per-stream call counters
-
-	calls     atomic.Int64
-	drops     atomic.Int64
-	errors    atomic.Int64
-	truncates atomic.Int64
-	delays    atomic.Int64
 
 	// down marks targets (peer base URLs) whose every operation drops —
 	// the "kill this replica" switch of the in-process suites, flipped
@@ -159,23 +143,18 @@ func (in *Injector) next(stream string) uint64 {
 // Delay.
 func (in *Injector) Decide(stream string) (Action, time.Duration) {
 	n := in.next(stream)
-	in.calls.Add(1)
 	r := splitmix64(uint64(in.cfg.Seed) ^ hashStream(stream) ^ (n * 0x9e3779b97f4a7c15))
 	pick := func(rate int, shift uint) bool {
 		return rate > 0 && (r>>shift)%uint64(rate) == 0
 	}
 	switch {
 	case pick(in.cfg.Drop, 0):
-		in.drops.Add(1)
 		return Drop, 0
 	case pick(in.cfg.Err, 13):
-		in.errors.Add(1)
 		return Error, 0
 	case pick(in.cfg.Truncate, 26):
-		in.truncates.Add(1)
 		return Truncate, 0
 	case pick(in.cfg.Delay, 39):
-		in.delays.Add(1)
 		// A deterministic fraction of MaxDelay in [1/8, 1].
 		frac := 1 + (r>>52)%8
 		return Delay, in.cfg.MaxDelay * time.Duration(frac) / 8
@@ -208,28 +187,10 @@ func (in *Injector) isDown(stream string) bool {
 	return dead
 }
 
-// Stats snapshots the injected-fault counters.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Calls:     in.calls.Load(),
-		Drops:     in.drops.Load(),
-		Errors:    in.errors.Load(),
-		Truncates: in.truncates.Load(),
-		Delays:    in.delays.Load(),
-	}
-}
-
 // errInjected marks a fault-injected transport failure.
 type errInjected struct{ what string }
 
 func (e *errInjected) Error() string { return "faults: injected " + e.what }
-
-// IsInjected reports whether err came from this package — so suites can
-// tell injected noise from real bugs.
-func IsInjected(err error) bool {
-	_, ok := err.(*errInjected)
-	return ok
-}
 
 // roundTripper wraps a base transport with the injector's schedule. The
 // stream of a request is its scheme://host, so each peer has its own
@@ -251,7 +212,6 @@ func (in *Injector) RoundTripper(base http.RoundTripper) http.RoundTripper {
 func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	stream := req.URL.Scheme + "://" + req.URL.Host
 	if rt.in.isDown(stream) {
-		rt.in.drops.Add(1)
 		return nil, &errInjected{what: "drop (target down): " + stream}
 	}
 	action, pause := rt.in.Decide(stream)

@@ -165,16 +165,6 @@ func ForestPlan(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
 	return eg
 }
 
-// ChainPlan builds the chain execution graph visiting services in a random
-// order. Requires an application without precedence constraints.
-func ChainPlan(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
-	eg, err := plan.ChainFromOrder(app, rng.Perm(app.N()))
-	if err != nil {
-		panic(fmt.Sprintf("gen: invalid chain plan: %v", err))
-	}
-	return eg
-}
-
 // Weighted builds a random raw weighted plan (traditional workflow): a
 // layered DAG with explicit volumes, n nodes total.
 func Weighted(rng *rand.Rand, n int, density float64) *plan.Weighted {

@@ -104,9 +104,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // child is one labeled series of a family.
 type child struct {
 	values []string // label values, aligned with family.labels

@@ -93,8 +93,8 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count() = %d", h.Count())
+	if n := h.count.Load(); n != 5 {
+		t.Errorf("count = %d", n)
 	}
 }
 

@@ -46,8 +46,8 @@ func TestConflictErrorsNameOperations(t *testing.T) {
 	l := New(w, rat.I(100))
 	l.SetCalc(0, rat.One)
 	l.SetComm(0, rat.Zero)
-	l.SetComm(1, rat.Two)
-	l.SetComm(2, rat.Two)
+	l.SetComm(1, rat.I(2))
+	l.SetComm(2, rat.I(2))
 	l.SetCalc(1, rat.I(3))
 	l.SetCalc(2, rat.I(3))
 	l.SetComm(3, rat.I(4))

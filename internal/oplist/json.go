@@ -116,34 +116,3 @@ func LoadList(w *plan.Weighted, data []byte) (*List, error) {
 	}
 	return l, nil
 }
-
-// Shift translates every begin/end time by delta (λ unchanged). Uniform
-// shifts preserve validity under every model as long as no time becomes
-// negative.
-func (l *List) Shift(delta rat.Rat) {
-	for v := range l.calcBegin {
-		l.calcBegin[v] = l.calcBegin[v].Add(delta)
-	}
-	for i := range l.commBegin {
-		l.commBegin[i] = l.commBegin[i].Add(delta)
-		l.commEnd[i] = l.commEnd[i].Add(delta)
-	}
-}
-
-// Canonicalize shifts the schedule so the earliest operation begins at
-// exactly 0.
-func (l *List) Canonicalize() {
-	min := l.calcBegin[0]
-	set := false
-	for _, b := range l.calcBegin {
-		if !set || b.Less(min) {
-			min, set = b, true
-		}
-	}
-	for _, b := range l.commBegin {
-		if b.Less(min) {
-			min = b
-		}
-	}
-	l.Shift(min.Neg())
-}

@@ -103,26 +103,3 @@ func TestLoadListWrongPlan(t *testing.T) {
 		t.Fatal("loading a Fig1 schedule into a different plan must fail")
 	}
 }
-
-func TestShiftAndCanonicalize(t *testing.T) {
-	l := fig1Latency(t)
-	l.Shift(rat.I(3))
-	if !l.CalcBegin(0).Equal(rat.I(4)) {
-		t.Fatalf("shifted calc = %s", l.CalcBegin(0))
-	}
-	for _, m := range plan.Models {
-		if err := l.Validate(m); err != nil {
-			t.Fatalf("shifted list invalid under %s: %v", m, err)
-		}
-	}
-	l.Canonicalize()
-	// The input comm originally began at 0; after canonicalization it must
-	// again.
-	idx := l.Plan().EdgeIndex(plan.Edge{From: plan.In, To: 0})
-	if !l.CommBegin(idx).Equal(rat.Zero) {
-		t.Fatalf("canonicalized input comm begins at %s", l.CommBegin(idx))
-	}
-	if err := l.Validate(plan.InOrder); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -86,31 +86,11 @@ func (l *List) SetCommStretched(idx int, begin, end rat.Rat) {
 	l.commEnd[idx] = end
 }
 
-// SetCommByEdge is SetComm addressed by edge value.
-func (l *List) SetCommByEdge(e plan.Edge, begin rat.Rat) error {
-	idx := l.w.EdgeIndex(e)
-	if idx < 0 {
-		return fmt.Errorf("oplist: edge %s not in plan", e)
-	}
-	l.SetComm(idx, begin)
-	return nil
-}
-
 // CommBegin returns the begin time of the idx-th communication.
 func (l *List) CommBegin(idx int) rat.Rat { return l.commBegin[idx] }
 
 // CommEnd returns the end time of the idx-th communication.
 func (l *List) CommEnd(idx int) rat.Rat { return l.commEnd[idx] }
-
-// Clone returns an independent copy of the list (sharing the immutable
-// plan).
-func (l *List) Clone() *List {
-	c := New(l.w, l.lambda)
-	copy(c.calcBegin, l.calcBegin)
-	copy(c.commBegin, l.commBegin)
-	copy(c.commEnd, l.commEnd)
-	return c
-}
 
 // Period returns λ.
 func (l *List) Period() rat.Rat { return l.lambda }
@@ -398,22 +378,4 @@ func (l *List) checkCapacity(v int, edgeIdxs []int, dir string) error {
 		}
 	}
 	return nil
-}
-
-// BestValidPeriod returns the smallest period among the candidate λ values
-// for which this schedule's op times are valid under model m, or an error
-// if none is. It re-validates the same begin times at each candidate, which
-// is how the paper reuses one operation list across models in §2.3.
-func (l *List) BestValidPeriod(m plan.Model, candidates []rat.Rat) (rat.Rat, error) {
-	sorted := append([]rat.Rat(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	saved := l.lambda
-	defer func() { l.lambda = saved }()
-	for _, c := range sorted {
-		l.lambda = c
-		if l.Validate(m) == nil {
-			return c, nil
-		}
-	}
-	return rat.Zero, fmt.Errorf("oplist: no candidate period is valid under %s", m)
 }

@@ -7,6 +7,7 @@ package orchestrate
 // describe its plan is refused.
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/plan"
 	"repro/internal/rat"
+	"repro/internal/workflow"
 )
 
 // scoreCorpus yields weighted plans of every shape the scoring forms
@@ -28,7 +30,7 @@ func scoreCorpus() []*plan.Weighted {
 		app := gen.App(rng, n, gen.Mixed)
 		plans = append(plans,
 			gen.ForestPlan(rng, app).Weighted(),
-			gen.ChainPlan(rng, app).Weighted(),
+			randomChain(rng, app).Weighted(),
 			gen.DAGPlan(rng, app, 0.4).Weighted(),
 			gen.DAGPlan(rng, gen.AppWithPrecedence(rng, n, gen.Mixed, 0.3), 0.3).Weighted(),
 			gen.Weighted(rng, n, 0.5))
@@ -38,6 +40,16 @@ func scoreCorpus() []*plan.Weighted {
 
 // smallSearch keeps the exhaustive budget low so part of the corpus takes
 // the heuristic path.
+// randomChain is the chain execution graph visiting app's services in a
+// random order; app has no precedence constraints.
+func randomChain(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
+	eg, err := plan.ChainFromOrder(app, rng.Perm(app.N()))
+	if err != nil {
+		panic(err)
+	}
+	return eg
+}
+
 func smallSearch() Options { return Options{MaxExhaustive: 64, LocalSearchPasses: 2, RandomSamples: 8} }
 
 func TestScoreValueIsMaterialisedValue(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bitset"
 	"repro/internal/dag"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -88,7 +87,6 @@ type ExecGraph struct {
 	app     *workflow.App
 	g       *dag.Graph
 	topo    []int
-	anc     []*bitset.Set
 	inProd  []rat.Rat // Π σ over strict ancestors
 	outSize []rat.Rat // inProd·σ
 	edges   []Edge    // all comms incl. virtual, deterministic order
@@ -141,7 +139,7 @@ func FromGraph(app *workflow.App, g *dag.Graph) (*ExecGraph, error) {
 			}
 		}
 	}
-	eg := &ExecGraph{app: app, g: g.Clone(), topo: topo, anc: anc}
+	eg := &ExecGraph{app: app, g: g.Clone(), topo: topo}
 	rats := make([]rat.Rat, 2*n)
 	eg.inProd, eg.outSize = rats[:n:n], rats[n:]
 	for _, v := range topo {
@@ -181,9 +179,6 @@ func MustBuild(app *workflow.App, edges [][2]int) *ExecGraph {
 	return eg
 }
 
-// App returns the underlying application.
-func (eg *ExecGraph) App() *workflow.App { return eg.app }
-
 // Graph returns the service-to-service DAG. The caller must not modify it.
 func (eg *ExecGraph) Graph() *dag.Graph { return eg.g }
 
@@ -193,24 +188,8 @@ func (eg *ExecGraph) N() int { return eg.app.N() }
 // Topo returns a topological order of the services.
 func (eg *ExecGraph) Topo() []int { return eg.topo }
 
-// Ancestors returns the strict ancestor set of service v.
-func (eg *ExecGraph) Ancestors(v int) *bitset.Set { return eg.anc[v] }
-
-// InProd returns Π σ over the strict ancestors of v: the size of the data
-// set v receives (per predecessor path merge, as the paper assumes
-// independent selectivities and free joins).
-func (eg *ExecGraph) InProd(v int) rat.Rat { return eg.inProd[v] }
-
-// OutSize returns InProd(v)·σ_v: the volume v sends to each successor.
-func (eg *ExecGraph) OutSize(v int) rat.Rat { return eg.outSize[v] }
-
-// Edges returns every communication of the plan, including the virtual
-// input and output communications, in a deterministic order. The returned
-// slice is owned by the graph and must not be modified.
-func (eg *ExecGraph) Edges() []Edge { return eg.edges }
-
 // CommSize returns the data volume of edge e: δ0 = 1 for input comms, the
-// sender's OutSize otherwise.
+// sender's outSize otherwise.
 func (eg *ExecGraph) CommSize(e Edge) rat.Rat {
 	if e.From == In {
 		return rat.One
@@ -218,7 +197,7 @@ func (eg *ExecGraph) CommSize(e Edge) rat.Rat {
 	return eg.outSize[e.From]
 }
 
-// Ccomp returns the computation time of service v: InProd(v)·c_v.
+// Ccomp returns the computation time of service v: inProd[v]·c_v.
 func (eg *ExecGraph) Ccomp(v int) rat.Rat {
 	return eg.inProd[v].Mul(eg.app.Cost(v))
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/rat"
 	"repro/internal/workflow"
 )
@@ -20,19 +21,19 @@ func TestFig1DerivedQuantities(t *testing.T) {
 	eg := fig1()
 	w := eg.Weighted()
 	for v := 0; v < 5; v++ {
-		if !eg.InProd(v).Equal(rat.One) || !eg.OutSize(v).Equal(rat.One) {
-			t.Fatalf("service %d: inProd=%s outSize=%s, want 1", v, eg.InProd(v), eg.OutSize(v))
+		if !eg.inProd[v].Equal(rat.One) || !eg.outSize[v].Equal(rat.One) {
+			t.Fatalf("service %d: inProd=%s outSize=%s, want 1", v, eg.inProd[v], eg.outSize[v])
 		}
 		if !eg.Ccomp(v).Equal(rat.I(4)) {
 			t.Fatalf("Ccomp(%d) = %s", v, eg.Ccomp(v))
 		}
 	}
 	// C1 (index 0): one input comm, two successors.
-	if !w.Cin(0).Equal(rat.One) || !w.Cout(0).Equal(rat.Two) {
+	if !w.Cin(0).Equal(rat.One) || !w.Cout(0).Equal(rat.I(2)) {
 		t.Fatalf("C1: Cin=%s Cout=%s", w.Cin(0), w.Cout(0))
 	}
 	// C5 (index 4): two predecessors, exit node.
-	if !w.Cin(4).Equal(rat.Two) || !w.Cout(4).Equal(rat.One) {
+	if !w.Cin(4).Equal(rat.I(2)) || !w.Cout(4).Equal(rat.One) {
 		t.Fatalf("C5: Cin=%s Cout=%s", w.Cin(4), w.Cout(4))
 	}
 	// Period lower bounds: 4 with overlap, 7 without (paper §2.3).
@@ -52,13 +53,15 @@ func TestFig1DerivedQuantities(t *testing.T) {
 }
 
 func TestFig1Ancestors(t *testing.T) {
-	eg := fig1()
-	if eg.Ancestors(0).Count() != 0 {
-		t.Fatal("C1 has no ancestors")
+	_, anc, err := fig1().Graph().AncestorsInto(new(dag.Scratch))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := eg.Ancestors(4).Elements()
-	if len(got) != 4 { // C1..C4
-		t.Fatalf("ancestors of C5 = %v", got)
+	if got := anc[0].String(); got != "{}" {
+		t.Fatalf("C1 has no ancestors, got %s", got)
+	}
+	if got := anc[4].String(); got != "{0, 1, 2, 3}" { // C1..C4
+		t.Fatalf("ancestors of C5 = %s", got)
 	}
 }
 
@@ -70,14 +73,14 @@ func TestSelectivityProducts(t *testing.T) {
 		{Cost: rat.I(2), Selectivity: rat.One},
 	}, nil)
 	eg := MustBuild(app, [][2]int{{0, 1}, {1, 2}})
-	if !eg.InProd(1).Equal(rat.New(1, 2)) {
-		t.Fatalf("inProd(B) = %s", eg.InProd(1))
+	if !eg.inProd[1].Equal(rat.New(1, 2)) {
+		t.Fatalf("inProd(B) = %s", eg.inProd[1])
 	}
-	if !eg.InProd(2).Equal(rat.New(3, 2)) {
-		t.Fatalf("inProd(C) = %s", eg.InProd(2))
+	if !eg.inProd[2].Equal(rat.New(3, 2)) {
+		t.Fatalf("inProd(C) = %s", eg.inProd[2])
 	}
-	if !eg.OutSize(1).Equal(rat.New(3, 2)) {
-		t.Fatalf("outSize(B) = %s", eg.OutSize(1))
+	if !eg.outSize[1].Equal(rat.New(3, 2)) {
+		t.Fatalf("outSize(B) = %s", eg.outSize[1])
 	}
 	if !eg.Ccomp(2).Equal(rat.I(3)) {
 		t.Fatalf("Ccomp(C) = %s", eg.Ccomp(2))
@@ -94,8 +97,8 @@ func TestDiamondAncestorProductCountsOnce(t *testing.T) {
 		{Cost: rat.One, Selectivity: rat.One},
 	}, nil)
 	eg := MustBuild(app, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	if !eg.InProd(3).Equal(rat.New(1, 2)) {
-		t.Fatalf("inProd(D) = %s, want 1/2", eg.InProd(3))
+	if !eg.inProd[3].Equal(rat.New(1, 2)) {
+		t.Fatalf("inProd(D) = %s, want 1/2", eg.inProd[3])
 	}
 	// D receives from both B and C, each sending 1/2.
 	if cin := eg.Weighted().Cin(3); !cin.Equal(rat.One) {
@@ -142,7 +145,7 @@ func TestBuildEnforcesPrecedence(t *testing.T) {
 
 func TestEdgesIncludeVirtualEndpoints(t *testing.T) {
 	eg := fig1()
-	edges := eg.Edges()
+	edges := eg.edges
 	var ins, outs, mids int
 	for _, e := range edges {
 		switch {
@@ -192,8 +195,8 @@ func TestChainFromOrderAndParallel(t *testing.T) {
 	if !chain.IsChain() {
 		t.Fatal("not a chain")
 	}
-	if !chain.InProd(1).Equal(rat.New(1, 4)) { // after C3 and C1
-		t.Fatalf("inProd = %s", chain.InProd(1))
+	if !chain.inProd[1].Equal(rat.New(1, 4)) { // after C3 and C1
+		t.Fatalf("inProd = %s", chain.inProd[1])
 	}
 	if _, err := ChainFromOrder(app, []int{0, 1}); err == nil {
 		t.Fatal("short order accepted")
@@ -225,16 +228,16 @@ func TestStringAndDescribe(t *testing.T) {
 // the graph's topological order.
 func loweringAgrees(eg *ExecGraph) bool {
 	w := eg.Weighted()
-	if w.N() != eg.N() || len(w.Edges()) != len(eg.Edges()) || !reflect.DeepEqual(w.Topo(), eg.Topo()) {
+	if w.N() != eg.N() || len(w.Edges()) != len(eg.edges) || !reflect.DeepEqual(w.Topo(), eg.Topo()) {
 		return false
 	}
 	for v := 0; v < eg.N(); v++ {
-		if !w.Comp(v).Equal(eg.Ccomp(v)) || w.Name(v) != eg.App().Name(v) {
+		if !w.Comp(v).Equal(eg.Ccomp(v)) || w.Name(v) != eg.app.Name(v) {
 			return false
 		}
 	}
 	ins, outs := make([]int, eg.N()), make([]int, eg.N())
-	for i, e := range eg.Edges() {
+	for i, e := range eg.edges {
 		if w.Edge(i) != e || !w.Vol(i).Equal(eg.CommSize(e)) {
 			return false
 		}
@@ -291,7 +294,7 @@ func TestNewWeightedValidation(t *testing.T) {
 }
 
 func TestWeightedAccessors(t *testing.T) {
-	w := MustNewWeighted([]string{"a", "b"}, []rat.Rat{rat.One, rat.Two},
+	w := MustNewWeighted([]string{"a", "b"}, []rat.Rat{rat.One, rat.I(2)},
 		[]Edge{{In, 0}, {0, 1}, {1, Out}},
 		[]rat.Rat{rat.One, rat.New(1, 2), rat.I(3)})
 	if w.Name(0) != "a" || w.Name(1) != "b" {

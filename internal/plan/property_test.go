@@ -62,10 +62,10 @@ func TestQuickInProdMatchesBruteForceAncestors(t *testing.T) {
 			for a := range anc {
 				prod = prod.Mul(app.Selectivity(a))
 			}
-			if !prod.Equal(eg.InProd(v)) {
+			if !prod.Equal(eg.inProd[v]) {
 				return false
 			}
-			if !eg.OutSize(v).Equal(prod.Mul(app.Selectivity(v))) {
+			if !eg.outSize[v].Equal(prod.Mul(app.Selectivity(v))) {
 				return false
 			}
 		}
@@ -96,7 +96,7 @@ func TestQuickCexecDecomposition(t *testing.T) {
 				entries = entries.Add(rat.One)
 			}
 			if eg.Graph().OutDegree(v) == 0 {
-				exitVol = exitVol.Add(eg.OutSize(v))
+				exitVol = exitVol.Add(eg.outSize[v])
 			}
 		}
 		return sumIn.Sub(entries).Equal(sumOut.Sub(exitVol))

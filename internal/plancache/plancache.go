@@ -198,21 +198,6 @@ func (c *Cache[V]) Peek(key string) (V, bool) {
 	return zero, false
 }
 
-// Remove drops key from the cache if present and completed (an in-flight
-// entry stays; its waiters hold it). It reports whether an entry was
-// removed.
-func (c *Cache[V]) Remove(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.elem == nil {
-		return false
-	}
-	c.lru.Remove(e.elem)
-	delete(c.entries, key)
-	return true
-}
-
 // evictLocked enforces the capacity bound on completed entries.
 func (c *Cache[V]) evictLocked() {
 	for c.lru.Len() > c.capacity {

@@ -149,20 +149,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New[int](2)
-	c.Do("k", func() (int, error) { return 1, nil })
-	if !c.Remove("k") {
-		t.Fatal("Remove found nothing")
-	}
-	if c.Remove("k") {
-		t.Fatal("double Remove succeeded")
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("removed key still cached")
-	}
-}
-
 // TestConcurrentMixedKeys hammers the cache with identical and distinct
 // keys from many goroutines (run under -race): per-key solve counts must
 // stay at one and every caller must see its key's value.

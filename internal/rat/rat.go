@@ -44,8 +44,6 @@ var (
 	Zero = Rat{num: 0, den: 1}
 	// One is the rational 1.
 	One = Rat{num: 1, den: 1}
-	// Two is the rational 2.
-	Two = Rat{num: 2, den: 1}
 )
 
 // New returns the rational num/den in lowest terms. It panics if den == 0;
@@ -74,22 +72,6 @@ func I(n int64) Rat {
 		return New(n, 1)
 	}
 	return Rat{num: n, den: 1}
-}
-
-// FromBig returns a Rat equal to r. The argument is copied; later mutation
-// of r does not affect the result.
-func FromBig(r *big.Rat) Rat {
-	return fromBigRat(new(big.Rat).Set(r))
-}
-
-// FromFloat returns the exact rational value of f (floats are binary
-// rationals). It panics if f is NaN or infinite.
-func FromFloat(f float64) Rat {
-	br := new(big.Rat).SetFloat64(f)
-	if br == nil {
-		panic(fmt.Sprintf("rat: FromFloat(%v): not finite", f))
-	}
-	return fromBigRat(br)
 }
 
 // fromBigRat normalizes ownership of br (the caller must not retain it) and
@@ -298,15 +280,6 @@ func (r Rat) Sign() int {
 // IsZero reports whether r == 0.
 func (r Rat) IsZero() bool { return r.Sign() == 0 }
 
-// IsInt reports whether r is an integer.
-func (r Rat) IsInt() bool {
-	if n, d, ok := r.small(); ok {
-		_ = n
-		return d == 1
-	}
-	return r.b.IsInt()
-}
-
 // Cmp compares r and o, returning -1 if r < o, 0 if r == o, +1 if r > o.
 func (r Rat) Cmp(o Rat) int {
 	rn, rd, rok := r.small()
@@ -361,24 +334,6 @@ func MaxOf(first Rat, rest ...Rat) Rat {
 	return m
 }
 
-// MinOf returns the minimum of one or more values.
-func MinOf(first Rat, rest ...Rat) Rat {
-	m := first
-	for _, v := range rest {
-		m = Min(m, v)
-	}
-	return m
-}
-
-// Sum returns the sum of vs (0 for an empty slice).
-func Sum(vs ...Rat) Rat {
-	s := Zero
-	for _, v := range vs {
-		s = s.Add(v)
-	}
-	return s
-}
-
 // Floor returns the greatest integer <= r, as a Rat.
 func (r Rat) Floor() Rat {
 	if n, d, ok := r.small(); ok {
@@ -395,9 +350,6 @@ func (r Rat) Floor() Rat {
 	}
 	return fromBigRat(new(big.Rat).SetInt(q))
 }
-
-// Ceil returns the least integer >= r, as a Rat.
-func (r Rat) Ceil() Rat { return r.Neg().Floor().Neg() }
 
 // Mod returns r modulo m, i.e. r - floor(r/m)*m, for m > 0.
 // The result lies in [0, m). It panics if m <= 0.

@@ -66,7 +66,7 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Fatal("zero value should equal 0")
 	}
 	mustEq(t, z.Add(One), "1")
-	mustEq(t, z.Mul(Two), "0")
+	mustEq(t, z.Mul(I(2)), "0")
 	if z.String() != "0" {
 		t.Fatalf("String() = %q", z.String())
 	}
@@ -105,19 +105,19 @@ func TestInvZeroPanics(t *testing.T) {
 }
 
 func TestPowInt(t *testing.T) {
-	mustEq(t, Two.PowInt(10), "1024")
-	mustEq(t, Two.PowInt(0), "1")
-	mustEq(t, Two.PowInt(-2), "1/4")
+	mustEq(t, I(2).PowInt(10), "1024")
+	mustEq(t, I(2).PowInt(0), "1")
+	mustEq(t, I(2).PowInt(-2), "1/4")
 	mustEq(t, New(3, 2).PowInt(3), "27/8")
 	mustEq(t, Zero.PowInt(5), "0")
 	// Deep power requiring big representation.
-	p := Two.PowInt(100)
+	p := I(2).PowInt(100)
 	want, _ := new(big.Rat).SetString("1267650600228229401496703205376")
 	if p.big().Cmp(want) != 0 {
 		t.Fatalf("2^100 = %s", p)
 	}
 	// And back down again: demotion must restore the fast path.
-	back := p.Mul(Two.PowInt(-99))
+	back := p.Mul(I(2).PowInt(-99))
 	mustEq(t, back, "2")
 	if back.b != nil {
 		t.Fatal("expected demotion to small representation")
@@ -137,7 +137,6 @@ func TestCmpAndOrderingHelpers(t *testing.T) {
 	}
 	mustEq(t, Min(a, b), "1/3")
 	mustEq(t, Max(a, b), "1/2")
-	mustEq(t, MinOf(b, a, One), "1/3")
 	mustEq(t, MaxOf(b, a, One), "1")
 }
 
@@ -175,20 +174,18 @@ func TestCmpLargeNoOverflow(t *testing.T) {
 
 func TestFloorCeilMod(t *testing.T) {
 	cases := []struct {
-		in, floor, ceil string
+		in, floor string
 	}{
-		{"7/2", "3", "4"},
-		{"-7/2", "-4", "-3"},
-		{"3", "3", "3"},
-		{"-3", "-3", "-3"},
-		{"0", "0", "0"},
-		{"1/1000", "0", "1"},
-		{"-1/1000", "-1", "0"},
+		{"7/2", "3"},
+		{"-7/2", "-4"},
+		{"3", "3"},
+		{"-3", "-3"},
+		{"0", "0"},
+		{"1/1000", "0"},
+		{"-1/1000", "-1"},
 	}
 	for _, c := range cases {
-		r := MustParse(c.in)
-		mustEq(t, r.Floor(), c.floor)
-		mustEq(t, r.Ceil(), c.ceil)
+		mustEq(t, MustParse(c.in).Floor(), c.floor)
 	}
 	mustEq(t, MustParse("22/3").Mod(MustParse("7/3")), "1/3")
 	mustEq(t, MustParse("-1/3").Mod(One), "2/3")
@@ -216,7 +213,7 @@ func TestModRange(t *testing.T) {
 		}
 		// r - got must be an integer multiple of m.
 		q := r.Sub(got).Div(m)
-		if !q.IsInt() {
+		if !q.Floor().Equal(q) {
 			t.Fatalf("Mod(%s, %s): quotient %s not integral", r, m, q)
 		}
 	}
@@ -277,22 +274,10 @@ func TestFloat64(t *testing.T) {
 	if got := New(1, 2).Float64(); got != 0.5 {
 		t.Fatalf("Float64 = %v", got)
 	}
-	big := Two.PowInt(80)
+	big := I(2).PowInt(80)
 	if got := big.Float64(); got != math.Exp2(80) {
 		t.Fatalf("big Float64 = %v", got)
 	}
-}
-
-func TestFromFloat(t *testing.T) {
-	mustEq(t, FromFloat(0.5), "1/2")
-	mustEq(t, FromFloat(-0.25), "-1/4")
-	mustEq(t, FromFloat(3), "3")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for NaN")
-		}
-	}()
-	FromFloat(math.NaN())
 }
 
 func TestNumDen64(t *testing.T) {
@@ -303,7 +288,7 @@ func TestNumDen64(t *testing.T) {
 	if d, ok := r.Den64(); !ok || d != 7 {
 		t.Fatalf("Den64 = %d, %v", d, ok)
 	}
-	huge := Two.PowInt(100)
+	huge := I(2).PowInt(100)
 	if _, ok := huge.Num64(); ok {
 		t.Fatal("huge numerator should not fit in int64")
 	}
@@ -313,7 +298,7 @@ func TestNumDen64(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	vals := []Rat{Zero, One, New(-23, 3), MustParse("9999/10000"), Two.PowInt(90)}
+	vals := []Rat{Zero, One, New(-23, 3), MustParse("9999/10000"), I(2).PowInt(90)}
 	for _, v := range vals {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -357,18 +342,6 @@ func TestTextMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	mustEq(t, Sum(), "0")
-	mustEq(t, Sum(New(1, 2), New(1, 3), New(1, 6)), "1")
-}
-
-func TestFromBigIndependence(t *testing.T) {
-	src := new(big.Rat).SetFrac64(1, 3)
-	r := FromBig(src)
-	src.SetFrac64(9, 1) // mutating the source must not affect r
-	mustEq(t, r, "1/3")
-}
-
 // --- property-based tests against the big.Rat reference implementation ---
 
 // genRat produces a mix of small and overflow-provoking rationals.
@@ -381,7 +354,7 @@ func genRat(rng *rand.Rand) Rat {
 	case 2: // near-overflow
 		return New(rng.Int63()-rng.Int63(), rng.Int63n(math.MaxInt64-1)+1)
 	default: // already big
-		return Two.PowInt(int(rng.Int63n(40)) + 60).Add(New(rng.Int63n(100), rng.Int63n(100)+1))
+		return I(2).PowInt(int(rng.Int63n(40)) + 60).Add(New(rng.Int63n(100), rng.Int63n(100)+1))
 	}
 }
 
@@ -648,7 +621,7 @@ func TestCmpFastPathAllocFree(t *testing.T) {
 // operand), which legitimately allocates the temporary big.Rat — the
 // guard above only pins the small-small fast path.
 func BenchmarkCmpMixed(b *testing.B) {
-	x := Two.PowInt(100)
+	x := I(2).PowInt(100)
 	y := New(1, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -657,7 +630,7 @@ func BenchmarkCmpMixed(b *testing.B) {
 }
 
 func BenchmarkAddBig(b *testing.B) {
-	x := Two.PowInt(100)
+	x := I(2).PowInt(100)
 	y := New(1, 3)
 	for i := 0; i < b.N; i++ {
 		_ = x.Add(y)

@@ -333,36 +333,6 @@ type TwoPartition struct {
 	X []int64
 }
 
-// Solve reports whether a subset sums to half the total, returning the
-// subset mask (exponential; for gadget checks).
-func (tp TwoPartition) Solve() ([]bool, bool) {
-	total := int64(0)
-	for _, x := range tp.X {
-		total += x
-	}
-	if total%2 != 0 {
-		return nil, false
-	}
-	half := total / 2
-	n := len(tp.X)
-	for mask := 0; mask < 1<<n; mask++ {
-		s := int64(0)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				s += tp.X[i]
-			}
-		}
-		if s == half {
-			out := make([]bool, n)
-			for i := 0; i < n; i++ {
-				out[i] = mask&(1<<i) != 0
-			}
-			return out, true
-		}
-	}
-	return nil, false
-}
-
 // ForestLatencyGadget is the Proposition 17 instance: n small services plus
 // a heavy terminal C_{n+1}; among forest-shaped plans, latency ≤ K is
 // achievable iff the 2-Partition instance is YES.
@@ -454,7 +424,8 @@ func (g *ForestLatencyGadget) SubsetPlan(subset []bool) (*plan.ExecGraph, error)
 // chain communication costs ≈1 time unit to save only O(x/A) computation,
 // so the empty chain is always optimal. The Prop. 17 proof evaluates chain
 // latency as Σ (selectivity products)·costs only, i.e. with free
-// communications; use SubsetLatencyNoComm for the proof's semantics.
+// communications; the package's tests check the gadget under those
+// semantics.
 func (g *ForestLatencyGadget) SubsetLatency(subset []bool) (rat.Rat, error) {
 	eg, err := g.SubsetPlan(subset)
 	if err != nil {
@@ -465,27 +436,4 @@ func (g *ForestLatencyGadget) SubsetLatency(subset []bool) (rat.Rat, error) {
 		return rat.Zero, err
 	}
 	return res.Value, nil
-}
-
-// SubsetLatencyNoComm evaluates the chain latency exactly as the Prop. 17
-// proof does: the sum over chain services of (product of upstream
-// selectivities)·cost, plus the terminal service's scaled cost — no
-// communication terms. The decision "min over subsets ≤ K" under this
-// semantics is equivalent to the 2-Partition instance.
-func (g *ForestLatencyGadget) SubsetLatencyNoComm(subset []bool) rat.Rat {
-	var chain []int
-	for i, in := range subset {
-		if in {
-			chain = append(chain, i)
-		}
-	}
-	sort.Ints(chain)
-	chain = append(chain, g.Terminal)
-	total := rat.Zero
-	prod := rat.One
-	for _, s := range chain {
-		total = total.Add(prod.Mul(g.App.Cost(s)))
-		prod = prod.Mul(g.App.Selectivity(s))
-	}
-	return total
 }

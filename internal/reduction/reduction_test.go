@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -364,10 +365,10 @@ func TestProp17GadgetConstruction(t *testing.T) {
 }
 
 func TestTwoPartitionSolve(t *testing.T) {
-	if _, ok := (TwoPartition{X: []int64{1, 2, 3, 4}}).Solve(); !ok {
+	if _, ok := (TwoPartition{X: []int64{1, 2, 3, 4}}).solve(); !ok {
 		t.Fatal("{1,2,3,4} is solvable (1+4 = 2+3)")
 	}
-	if sub, ok := (TwoPartition{X: []int64{2, 2, 2, 3, 5}}).Solve(); !ok {
+	if sub, ok := (TwoPartition{X: []int64{2, 2, 2, 3, 5}}).solve(); !ok {
 		t.Fatal("{2,2,2,3,5} is solvable")
 	} else {
 		s := int64(0)
@@ -380,10 +381,10 @@ func TestTwoPartitionSolve(t *testing.T) {
 			t.Fatalf("subset sums to %d, want 7", s)
 		}
 	}
-	if _, ok := (TwoPartition{X: []int64{1, 1, 4, 8}}).Solve(); ok {
+	if _, ok := (TwoPartition{X: []int64{1, 1, 4, 8}}).solve(); ok {
 		t.Fatal("{1,1,4,8} has no equal partition")
 	}
-	if _, ok := (TwoPartition{X: []int64{1, 1, 1}}).Solve(); ok {
+	if _, ok := (TwoPartition{X: []int64{1, 1, 1}}).solve(); ok {
 		t.Fatal("odd total cannot partition")
 	}
 }
@@ -432,11 +433,65 @@ func TestProp17DiscrepancyFinding(t *testing.T) {
 		// Proof's model: latency decreases monotonically with the subset
 		// sum, so the full chain is best and is below K for YES and NO
 		// alike.
-		if !g.SubsetLatencyNoComm(full).Less(g.SubsetLatencyNoComm(empty)) {
+		if !g.subsetLatencyNoComm(full).Less(g.subsetLatencyNoComm(empty)) {
 			t.Fatal("no-comm model: chaining no longer helps; discrepancy resolved?")
 		}
-		if !g.SubsetLatencyNoComm(full).Leq(g.K) {
+		if !g.subsetLatencyNoComm(full).Leq(g.K) {
 			t.Fatal("no-comm full chain above K; discrepancy resolved?")
 		}
 	}
+}
+
+// solve reports whether a subset sums to half the total, returning the
+// subset mask: the exponential reference the Prop. 17 gadget checks decide
+// 2-Partition instances with.
+func (tp TwoPartition) solve() ([]bool, bool) {
+	total := int64(0)
+	for _, x := range tp.X {
+		total += x
+	}
+	if total%2 != 0 {
+		return nil, false
+	}
+	half := total / 2
+	n := len(tp.X)
+	for mask := 0; mask < 1<<n; mask++ {
+		s := int64(0)
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				s += tp.X[i]
+			}
+		}
+		if s == half {
+			out := make([]bool, n)
+			for i := 0; i < n; i++ {
+				out[i] = mask&(1<<i) != 0
+			}
+			return out, true
+		}
+	}
+	return nil, false
+}
+
+// subsetLatencyNoComm evaluates the chain latency exactly as the Prop. 17
+// proof does: the sum over chain services of (product of upstream
+// selectivities)·cost, plus the terminal service's scaled cost — no
+// communication terms. The decision "min over subsets ≤ K" under this
+// semantics is equivalent to the 2-Partition instance.
+func (g *ForestLatencyGadget) subsetLatencyNoComm(subset []bool) rat.Rat {
+	var chain []int
+	for i, in := range subset {
+		if in {
+			chain = append(chain, i)
+		}
+	}
+	sort.Ints(chain)
+	chain = append(chain, g.Terminal)
+	total := rat.Zero
+	prod := rat.One
+	for _, s := range chain {
+		total = total.Add(prod.Mul(g.App.Cost(s)))
+		prod = prod.Mul(g.App.Selectivity(s))
+	}
+	return total
 }

@@ -223,12 +223,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
-}
-
 // Backoff is a doubling delay ladder: Base before the first re-attempt,
 // doubling per attempt, capped at Max (0: uncapped — the caller bounds
 // the attempts), plus Jitter.

@@ -229,8 +229,9 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 		t.Fatalf("permanent error retried %d times", calls)
 	}
 	// The marker is stripped: callers see the underlying error.
-	if !errors.Is(err, inner) || IsPermanent(err) {
-		t.Fatalf("err %v (permanent %v)", err, IsPermanent(err))
+	var p *permanentError
+	if !errors.Is(err, inner) || errors.As(err, &p) {
+		t.Fatalf("err %v (still marked permanent: %v)", err, p != nil)
 	}
 }
 

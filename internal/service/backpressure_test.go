@@ -7,6 +7,7 @@ package service
 // the queue and shed counters.
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -226,7 +227,7 @@ func TestShedBatchItemsFailAlone(t *testing.T) {
 	release := blockPool(t, s, 2)
 	defer release()
 
-	results := s.PlanBatch([]Request{{App: smallApp(t)}})
+	results := s.PlanBatchContext(context.Background(), []Request{{App: smallApp(t)}})
 	if len(results) != 1 {
 		t.Fatalf("%d results", len(results))
 	}

@@ -10,8 +10,6 @@ package service
 // store, subscription stats — is published as a callback read at scrape
 // time, so there is exactly one source of truth per number.
 
-import "repro/internal/metrics"
-
 // initMetrics registers the server's families into its registry. Called
 // once from New; a second server must use its own registry (names
 // register once).
@@ -168,7 +166,3 @@ func (s *Server) initMetrics() {
 		mSyncOut.Set(s.syncBytesOut.Load())
 	})
 }
-
-// Metrics returns the server's registry — cmd/filterd shares it with the
-// cluster router so one /metrics page covers the whole process.
-func (s *Server) Metrics() *metrics.Registry { return s.metrics }

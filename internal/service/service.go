@@ -737,21 +737,17 @@ retry:
 	}, nil
 }
 
-// BatchResult is one item of a PlanBatch answer.
+// BatchResult is one item of a PlanBatchContext answer.
 type BatchResult struct {
 	Response Response
 	Err      error
 }
 
-// PlanBatch submits every request concurrently (the pool bounds the actual
-// parallelism) and returns the results in request order. Identical
-// requests within one batch coalesce to a single solve.
-func (s *Server) PlanBatch(reqs []Request) []BatchResult {
-	return s.PlanBatchContext(context.Background(), reqs)
-}
-
-// PlanBatchContext is PlanBatch under one shared request context: a dead
-// client abandons every queued item and aborts the in-flight solves.
+// PlanBatchContext submits every request concurrently (the pool bounds the
+// actual parallelism) and returns the results in request order. Identical
+// requests within one batch coalesce to a single solve. The requests share
+// ctx: a dead client abandons every queued item and aborts the in-flight
+// solves.
 func (s *Server) PlanBatchContext(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -195,7 +196,7 @@ func TestPlanBatch(t *testing.T) {
 	reqB := Request{App: appB, Model: plan.Overlap, Objective: solve.PeriodObjective}
 	bad := Request{App: nil}
 
-	results := s.PlanBatch([]Request{reqA, reqB, reqA, bad, reqA})
+	results := s.PlanBatchContext(context.Background(), []Request{reqA, reqB, reqA, bad, reqA})
 	if len(results) != 5 {
 		t.Fatalf("%d results", len(results))
 	}
@@ -407,7 +408,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PlanBatch([]Request{{App: app, Model: plan.InOrder}, {App: app, Model: plan.OutOrder}})
+	s.PlanBatchContext(context.Background(), []Request{{App: app, Model: plan.InOrder}, {App: app, Model: plan.OutOrder}})
 	s.Subscribe(resp.Hash)
 	cost := resp.Instance.App().Cost(0).AddInt(1)
 	if _, err := s.Drift(resp.Hash, []Update{{Service: resp.Instance.App().Name(0), Cost: &cost}}, Request{}); err != nil {

@@ -76,30 +76,6 @@ func (t *Trace) ConvergedTo(period rat.Rat, maxK int) bool {
 	return false
 }
 
-// Utilization returns the busy fraction of server v between the completion
-// of data set `from` and the completion of the last data set: the total
-// operation time charged to v divided by the elapsed time.
-func (t *Trace) Utilization(v, from int) (rat.Rat, error) {
-	n := t.N()
-	if from < 0 || from >= n-1 {
-		return rat.Zero, fmt.Errorf("sim: from %d out of range", from)
-	}
-	elapsed := t.Done[n-1].Sub(t.Done[from])
-	if elapsed.Sign() <= 0 {
-		return rat.Zero, fmt.Errorf("sim: empty measurement window")
-	}
-	busy := rat.Zero
-	perSet := t.w.Comp(v)
-	for _, ei := range t.w.InEdges(v) {
-		perSet = perSet.Add(t.w.Vol(ei))
-	}
-	for _, ei := range t.w.OutEdges(v) {
-		perSet = perSet.Add(t.w.Vol(ei))
-	}
-	busy = perSet.MulInt(int64(n - 1 - from))
-	return busy.Div(elapsed), nil
-}
-
 // Replay executes a validated operation list for nData data sets: data set
 // n runs at the list's times shifted by n·λ. The resulting trace is exact
 // by construction; Replay exists so experiments can report operational

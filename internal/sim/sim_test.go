@@ -59,9 +59,6 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := tr.SteadyPeriod(0); err == nil {
 		t.Fatal("zero window must fail")
 	}
-	if _, err := tr.Utilization(0, 10); err == nil {
-		t.Fatal("bad from must fail")
-	}
 }
 
 // The self-timed INORDER execution must converge to the analytical period
@@ -175,32 +172,6 @@ func TestSelfTimedLatencyAtLeastPathBound(t *testing.T) {
 					seed, n, tr.Latency(n), w.LatencyPathBound())
 			}
 		}
-	}
-}
-
-func TestUtilizationBounds(t *testing.T) {
-	w := paperex.Fig1Graph().Weighted()
-	orders := orchestrate.DefaultOrders(w)
-	tr, err := SelfTimedInOrder(w, orders, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < w.N(); v++ {
-		u, err := tr.Utilization(v, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u.Sign() <= 0 || u.Greater(rat.One) {
-			t.Fatalf("utilization(%d) = %s out of (0,1]", v, u)
-		}
-	}
-	// The bottleneck server C1 (Cexec 7) runs at ~7/MCR once the transient
-	// has died out; allow a small tolerance for the residual transient.
-	analytic, _ := orchestrate.InOrderPeriodWithOrders(w, orders)
-	want := rat.I(7).Div(analytic.Lambda()).Float64()
-	u, _ := tr.Utilization(0, 60)
-	if got := u.Float64(); got < want-0.01 || got > want+0.01 {
-		t.Fatalf("C1 utilization = %v, want ≈ %v (period %s)", got, want, analytic.Lambda())
 	}
 }
 

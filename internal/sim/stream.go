@@ -99,16 +99,6 @@ type StreamCounts struct {
 	Emitted   uint64
 }
 
-// Sel returns the empirical selectivity Out/In of a service as an exact
-// rational, and false when the service evaluated no tuples.
-func (c StreamCounts) Sel(name string) (rat.Rat, bool) {
-	in := c.In[name]
-	if in == 0 {
-		return rat.Zero, false
-	}
-	return rat.I(int64(c.Out[name])).Div(rat.I(int64(in))), true
-}
-
 // ReferenceStream executes tuples [first, first+n) serially through the
 // execution graph: tuple t reaches service v iff every ancestor of v
 // passed t, v's own Verdict uses the threshold of truth (the service's true

@@ -117,7 +117,7 @@ func dagPartialBoundRef(app *workflow.App, m plan.Model, obj Objective, g *dag.G
 	if n == 0 {
 		return rat.Zero
 	}
-	anc, err := g.Ancestors()
+	_, anc, err := g.AncestorsInto(new(dag.Scratch))
 	if err != nil {
 		return rat.Zero // cyclic partial graph: the caller prunes it outright
 	}

@@ -102,9 +102,11 @@ func TestForestEvalMatchesFullRecomputation(t *testing.T) {
 			for _, eval := range evals {
 				eval.Move(v, a, b)
 				for u := 0; u < n; u++ {
-					if !eval.inProd[u].Equal(eg.InProd(u)) {
-						t.Fatalf("seed %d move %d: inProd(%d) incremental %s, full %s",
-							seed, move, u, eval.inProd[u], eg.InProd(u))
+					// gen's costs are positive, so equal computation
+					// times mean equal input products.
+					if got, want := eval.inProd[u].Mul(app.Cost(u)), eg.Ccomp(u); !got.Equal(want) {
+						t.Fatalf("seed %d move %d: inProd(%d)·c incremental %s, full %s",
+							seed, move, u, got, want)
 					}
 				}
 				if got, want := eval.bound(), weightedBound(eg, eval.m, eval.obj); !got.Equal(want) {

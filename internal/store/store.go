@@ -139,9 +139,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetHooks installs (or clears, with nil) the I/O fault hooks. Call
 // before the store is shared; the field is read unsynchronized on the
 // write path.
@@ -468,15 +465,6 @@ func Decode(data []byte) (Entry, error) {
 		},
 		Effort: decodeEffort(doc.Effort),
 	}, nil
-}
-
-// Len counts the entries currently on disk.
-func (s *Store) Len() (int, error) {
-	names, err := s.entryNames()
-	if err != nil {
-		return 0, err
-	}
-	return len(names), nil
 }
 
 // Flush forces directory metadata to disk (entry data is already fsynced

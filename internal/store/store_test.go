@@ -102,8 +102,8 @@ func TestPutReplacesSameKey(t *testing.T) {
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.Len(); err != nil || n != 1 {
-		t.Fatalf("Len = %d, %v; want 1", n, err)
+	if names, err := s.entryNames(); err != nil || len(names) != 1 {
+		t.Fatalf("entries on disk = %v, %v; want 1", names, err)
 	}
 }
 

@@ -3,9 +3,8 @@
 // constraints, to be mapped one-to-one onto a homogeneous platform.
 //
 // Everything is expressed in the paper's normalized units (input size
-// δ0 = 1, bandwidth b = 1, speed s = 1); Normalize converts a physical
-// description into this form and reports the factor with which computed
-// periods and latencies must be re-scaled.
+// δ0 = 1, bandwidth b = 1, speed s = 1): a cost is the service's time per
+// unit of input on a unit-speed server.
 package workflow
 
 import (
@@ -140,30 +139,6 @@ func (a *App) Precedence() *dag.Graph { return a.prec }
 // constraints (the paper's NP-hardness results hold even without them).
 func (a *App) HasPrecedence() bool { return a.prec.EdgeCount() > 0 }
 
-// Clone returns an independent copy.
-func (a *App) Clone() *App {
-	c := &App{services: a.Services(), prec: a.prec.Clone()}
-	return c
-}
-
-// Normalize converts a physical instance (input size delta0, link bandwidth
-// bw, server speed speed) into the paper's normalized form: each cost is
-// scaled as c ← c·bw/speed so that letting δ0 = b = s = 1 preserves all
-// relative durations. The returned scale is δ0/bw: multiply periods and
-// latencies computed on the normalized instance by it to recover physical
-// time units.
-func (a *App) Normalize(delta0, bw, speed rat.Rat) (*App, rat.Rat, error) {
-	if delta0.Sign() <= 0 || bw.Sign() <= 0 || speed.Sign() <= 0 {
-		return nil, rat.Zero, fmt.Errorf("workflow: delta0, bandwidth and speed must be positive")
-	}
-	c := a.Clone()
-	factor := bw.Div(speed)
-	for i := range c.services {
-		c.services[i].Cost = a.services[i].Cost.Mul(factor)
-	}
-	return c, delta0.Div(bw), nil
-}
-
 // --- JSON instance files ---
 
 type serviceJSON struct {
@@ -229,17 +204,4 @@ func Uniform(n int, cost, sel rat.Rat) *App {
 		services[i] = Service{Cost: cost, Selectivity: sel}
 	}
 	return MustNew(services, nil)
-}
-
-// FromCostsSels builds an application from parallel cost and selectivity
-// slices, without precedence constraints.
-func FromCostsSels(costs, sels []rat.Rat) (*App, error) {
-	if len(costs) != len(sels) {
-		return nil, fmt.Errorf("workflow: %d costs but %d selectivities", len(costs), len(sels))
-	}
-	services := make([]Service, len(costs))
-	for i := range services {
-		services[i] = Service{Cost: costs[i], Selectivity: sels[i]}
-	}
-	return New(services, nil)
 }

@@ -69,25 +69,6 @@ func TestUniformAndFromCostsSels(t *testing.T) {
 	if a.N() != 5 || !a.Cost(4).Equal(rat.I(4)) || a.HasPrecedence() {
 		t.Fatal("Uniform wrong")
 	}
-	b, err := FromCostsSels([]rat.Rat{rat.I(1), rat.I(2)}, []rat.Rat{rat.New(1, 2), rat.I(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.N() != 2 || !b.Selectivity(0).Equal(rat.New(1, 2)) {
-		t.Fatal("FromCostsSels wrong")
-	}
-	if _, err := FromCostsSels([]rat.Rat{rat.One}, nil); err == nil {
-		t.Fatal("length mismatch not rejected")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := Uniform(3, rat.I(1), rat.One)
-	c := a.Clone()
-	c.Precedence().AddEdge(0, 1)
-	if a.HasPrecedence() {
-		t.Fatal("clone shares precedence graph")
-	}
 }
 
 func TestServicesCopy(t *testing.T) {
@@ -159,27 +140,5 @@ func TestUnmarshalErrors(t *testing.T) {
 		if err := json.Unmarshal([]byte(doc), &a); err == nil {
 			t.Errorf("expected error for %s", doc)
 		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	a := Uniform(2, rat.I(10), rat.New(1, 2))
-	// δ0 = 4 MB, bandwidth 2 MB/s, speed 5 units/s.
-	norm, scale, err := a.Normalize(rat.I(4), rat.I(2), rat.I(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !norm.Cost(0).Equal(rat.I(4)) { // 10·2/5
-		t.Fatalf("normalized cost = %s", norm.Cost(0))
-	}
-	if !scale.Equal(rat.I(2)) { // δ0/b = 4/2
-		t.Fatalf("scale = %s", scale)
-	}
-	// Selectivities are ratios and must be untouched.
-	if !norm.Selectivity(0).Equal(rat.New(1, 2)) {
-		t.Fatal("selectivity changed")
-	}
-	if _, _, err := a.Normalize(rat.Zero, rat.One, rat.One); err == nil {
-		t.Fatal("zero delta0 not rejected")
 	}
 }
