@@ -109,9 +109,11 @@ func commOps(w *plan.Weighted, edges []int) []int {
 	return ops
 }
 
-// inOrderGraph and pipelinedGraph build the event graphs of package
-// orchestrate (buildInOrderGraph, buildPipelinedGraph) for fixed orders.
-// orchestrate imports this package, so they are restated here.
+// inOrderGraph and pipelinedGraph build the complete-assignment event
+// graphs of package orchestrate's INORDER and OUTORDER evaluators
+// (inOrderEval.build and outOrderEval.build with every side decided) for
+// fixed orders. orchestrate imports this package, so they are restated
+// here.
 func inOrderGraph(w *plan.Weighted, in, out [][]int) *Graph {
 	g := New(w.N() + len(w.Edges()))
 	for v := 0; v < w.N(); v++ {

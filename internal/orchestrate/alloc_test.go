@@ -140,17 +140,19 @@ func TestScoringAllocBudget(t *testing.T) {
 }
 
 // TestMaxCycleRatioAllocBudget pins the reused-graph MCR: once the scratch
-// has grown to the graph, a ratio-only query allocates nothing.
+// has grown to the graph, a ratio-only query on a warm INORDER evaluator's
+// complete graph allocates nothing.
 func TestMaxCycleRatioAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	w := gen.Weighted(gen.NewRand(5), 6, 0.6)
-	g := buildInOrderGraph(w, DefaultOrders(w))
-	if _, err := g.MaxCycleRatio(); err != nil {
+	e := newInOrderEval(w)
+	e.build(DefaultOrders(w), nil, nil)
+	if _, err := e.g.MaxCycleRatio(); err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(200, func() { g.MaxCycleRatio() }); got > 0 {
+	if got := testing.AllocsPerRun(200, func() { e.g.MaxCycleRatio() }); got > 0 {
 		t.Errorf("MaxCycleRatio on a warm graph: %.2f allocs/run, budget 0", got)
 	}
 }

@@ -14,14 +14,9 @@ import (
 // are the longest paths of the order-induced DAG. It fails when the orders
 // deadlock (cross-server circular wait).
 func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, error) {
-	g := eventgraph.New(opCount(w))
-	for v := 0; v < w.N(); v++ {
-		seq := serverSequence(w, orders, v)
-		for i := 0; i+1 < len(seq); i++ {
-			g.AddEdge(seq[i], seq[i+1], opDur(w, seq[i]), 0)
-		}
-	}
-	pi, err := g.Potentials(rat.One) // tokens are all 0: period-independent
+	e := newOnePortEval(w)
+	e.build(orders, nil, nil)
+	pi, err := e.g.Potentials(rat.One) // tokens are all 0: period-independent
 	if err != nil {
 		return nil, fmt.Errorf("orchestrate: orders deadlock: %w", err)
 	}
@@ -34,10 +29,11 @@ func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 	return l, nil
 }
 
-// onePortEval is the latency order-search evaluator: the value of an
-// assignment is the longest path of the order-induced DAG, computed on a
-// reused event graph and begin-time buffer; OnePortLatencyWithOrders
-// materializes the winning orders once the search is over.
+// onePortEval is the latency order-search evaluator and the one encoding of
+// the order-induced DAG: the value of an assignment is its longest path,
+// computed on a reused event graph and begin-time buffer;
+// OnePortLatencyWithOrders materializes the winning orders from the same
+// graph once the search is over.
 type onePortEval struct {
 	w  *plan.Weighted
 	g  *eventgraph.Graph
@@ -45,60 +41,19 @@ type onePortEval struct {
 	fl rat.Rat
 }
 
-func newOnePortEval(w *plan.Weighted) orderEval {
+func newOnePortEval(w *plan.Weighted) *onePortEval {
 	return &onePortEval{w: w, g: eventgraph.New(opCount(w)), fl: w.LatencyPathBound()}
 }
 
 func (e *onePortEval) floor() rat.Rat { return e.fl }
 
-// build fills the scratch graph with the one-port precedence constraints:
-// exact per-server chains for decided sides, and for open sides only the
-// constraints every permutation implies (each in-comm precedes the
-// computation by its own volume, the computation precedes each out-comm by
-// the computation time). With all sides decided the graph is exactly the
-// one OnePortLatencyWithOrders solves.
+// build fills the scratch graph with the one-port precedence constraints
+// of a partial assignment (nil decided flags: every side decided): one
+// chainEdges per server, exact on decided sides.
 func (e *onePortEval) build(o Orders, decidedIn, decidedOut []bool) {
 	e.g.Reset(opCount(e.w))
 	for v := 0; v < e.w.N(); v++ {
-		din := decidedIn == nil || decidedIn[v]
-		dout := decidedOut == nil || decidedOut[v]
-		e.serverEdges(v, o, din, dout)
-	}
-}
-
-// serverEdges adds server v's one-port precedence constraints (see build)
-// to the scratch graph.
-func (e *onePortEval) serverEdges(v int, o Orders, din, dout bool) {
-	w, g := e.w, e.g
-	calc := calcOp(v)
-	if din {
-		prev := -1
-		for _, ei := range o.In[v] {
-			op := commOp(w, ei)
-			if prev >= 0 {
-				g.AddEdge(prev, op, opDur(w, prev), 0)
-			}
-			prev = op
-		}
-		if prev >= 0 {
-			g.AddEdge(prev, calc, opDur(w, prev), 0)
-		}
-	} else {
-		for _, ei := range o.In[v] {
-			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
-		}
-	}
-	if dout {
-		prev := calc
-		for _, ei := range o.Out[v] {
-			op := commOp(w, ei)
-			g.AddEdge(prev, op, opDur(w, prev), 0)
-			prev = op
-		}
-	} else {
-		for _, ei := range o.Out[v] {
-			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
-		}
+		chainEdges(e.w, e.g, v, o, decided(decidedIn, v), decided(decidedOut, v))
 	}
 }
 

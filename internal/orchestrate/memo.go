@@ -89,9 +89,9 @@ func memoKey(kind byte, m plan.Model, opts Options, w *plan.Weighted) string {
 	b := make([]byte, 0, 64+16*w.N()+24*len(w.Edges()))
 	b = append(b, kind, '|')
 	b = strconv.AppendInt(b, int64(m), 10)
-	for _, f := range [...]int64{int64(opts.MaxExhaustive), int64(opts.LocalSearchPasses), int64(opts.RandomSamples), opts.Seed} {
+	for _, f := range [...]int{opts.MaxExhaustive, opts.LocalSearchPasses, opts.RandomSamples} {
 		b = append(b, '|')
-		b = strconv.AppendInt(b, f, 10)
+		b = strconv.AppendInt(b, int64(f), 10)
 	}
 	b = append(b, ';')
 	b = strconv.AppendInt(b, int64(w.N()), 10)

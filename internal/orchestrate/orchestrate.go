@@ -31,6 +31,7 @@ package orchestrate
 import (
 	"sort"
 
+	"repro/internal/eventgraph"
 	"repro/internal/oplist"
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -53,10 +54,9 @@ type Options struct {
 	// RandomSamples is the number of random order assignments the
 	// heuristic path additionally draws (the best one gets its own local
 	// search); deterministic seeds escape local optima this way.
-	// Defaults to 128; set negative to disable.
+	// Defaults to 128; set negative to disable. The samples are drawn from
+	// a fixed seed, so the search stays deterministic.
 	RandomSamples int
-	// Seed drives the random sampling. The default 0 is a valid seed.
-	Seed int64
 	// Workers is inert: the order search is serial, and nothing reads the
 	// field. It remains only because bench/plancold.go:307,458,462 sets it
 	// and bench/ is not edited outside a benchmark change.
@@ -155,19 +155,51 @@ func opDur(w *plan.Weighted, op int) rat.Rat {
 	return w.Vol(op - w.N())
 }
 
-// serverSequence returns server v's operations in per-data-set order:
-// in-comms (given order), computation, out-comms (given order).
-func serverSequence(w *plan.Weighted, orders Orders, v int) []int {
-	seq := make([]int, 0, len(orders.In[v])+1+len(orders.Out[v]))
-	for _, e := range orders.In[v] {
-		seq = append(seq, commOp(w, e))
+// chainEdges adds server v's one-port chain to g: in-comms (in order) →
+// calc → out-comms (in order), zero tokens, each edge carrying its source
+// operation's duration. An open side (din or dout false) contributes only
+// what every permutation implies: each in-comm precedes the calc by its own
+// volume, the calc precedes each out-comm by the computation time. It
+// returns the first and last operation of the chain, the calc standing in
+// for an open or empty side. The one-port latency graph is these chains
+// alone; INORDER adds the one-token wraps.
+func chainEdges(w *plan.Weighted, g *eventgraph.Graph, v int, o Orders, din, dout bool) (first, last int) {
+	calc := calcOp(v)
+	first, last = calc, calc
+	if din {
+		prev := -1
+		for _, ei := range o.In[v] {
+			op := commOp(w, ei)
+			if prev >= 0 {
+				g.AddEdge(prev, op, opDur(w, prev), 0)
+			} else {
+				first = op
+			}
+			prev = op
+		}
+		if prev >= 0 {
+			g.AddEdge(prev, calc, opDur(w, prev), 0)
+		}
+	} else {
+		for _, ei := range o.In[v] {
+			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
+		}
 	}
-	seq = append(seq, calcOp(v))
-	for _, e := range orders.Out[v] {
-		seq = append(seq, commOp(w, e))
+	for _, ei := range o.Out[v] {
+		if dout {
+			op := commOp(w, ei)
+			g.AddEdge(last, op, opDur(w, last), 0)
+			last = op
+		} else {
+			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
+		}
 	}
-	return seq
+	return first, last
 }
+
+// decided reports whether server v's side is decided under the search's
+// flags; nil flags mark every side decided (a complete assignment).
+func decided(flags []bool, v int) bool { return flags == nil || flags[v] }
 
 // listFromTimes assembles an operation list from per-operation begin times.
 func listFromTimes(w *plan.Weighted, lambda rat.Rat, begin []rat.Rat) *oplist.List {

@@ -412,20 +412,21 @@ func TestBottleneckDiagnostics(t *testing.T) {
 
 func TestRandomSamplesDeterministicAndOptional(t *testing.T) {
 	w := paperex.B2Graph().Weighted()
-	// Same seed: identical outcome.
-	a, err := OnePortLatency(w, Options{Seed: 5})
+	// Budget 1 takes the heuristic path, where the samples are drawn. They
+	// come from a fixed seed: identical outcome every run.
+	a, err := OnePortLatency(w, Options{MaxExhaustive: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := OnePortLatency(w, Options{Seed: 5})
+	b, err := OnePortLatency(w, Options{MaxExhaustive: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Value.Equal(b.Value) {
-		t.Fatalf("same seed, different results: %s vs %s", a.Value, b.Value)
+	if !a.Value.Equal(b.Value) || !listsIdentical(a.List, b.List) {
+		t.Fatalf("sampled search not deterministic: %s vs %s", a.Value, b.Value)
 	}
 	// Disabled sampling still returns a valid schedule.
-	c, err := OnePortLatency(w, Options{RandomSamples: -1})
+	c, err := OnePortLatency(w, Options{MaxExhaustive: 1, RandomSamples: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package orchestrate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/eventgraph"
@@ -54,48 +55,28 @@ func overlapPeriodList(w *plan.Weighted, lambda rat.Rat) (*oplist.List, error) {
 	return l, nil
 }
 
-// buildInOrderGraph encodes the INORDER semantics for fixed orders as a
-// timed event graph: per server, the chain in-comms → calc → out-comms with
-// zero tokens and a one-token wrap edge from the last operation back to the
-// first (constraint (1) of Appendix A). Communications appear in both
-// endpoint servers' chains, which realizes the synchronous rendezvous.
-func buildInOrderGraph(w *plan.Weighted, orders Orders) *eventgraph.Graph {
-	g := eventgraph.New(opCount(w))
-	for v := 0; v < w.N(); v++ {
-		seq := serverSequence(w, orders, v)
-		for i := 0; i+1 < len(seq); i++ {
-			g.AddEdge(seq[i], seq[i+1], opDur(w, seq[i]), 0)
-		}
-		last := seq[len(seq)-1]
-		g.AddEdge(last, seq[0], opDur(w, last), 1)
-	}
-	return g
-}
-
-// solvePeriodGraph computes the MCR of g and the earliest schedule at that
-// period, returning the operation list and the critical cycle as
-// human-readable operation labels.
-func solvePeriodGraph(w *plan.Weighted, g *eventgraph.Graph) (rat.Rat, *oplist.List, []string, error) {
-	res, err := g.MaximumCycleRatio()
-	lambda := rat.One
-	var critical []string
-	switch err {
-	case nil:
-		lambda = res.Ratio
-		if lambda.Sign() == 0 {
-			lambda = rat.One
-		}
-		critical = describeCycle(w, g, res.CriticalCycle)
-	case eventgraph.ErrNoCycle:
-		// No cyclic constraint: any period works; keep 1.
-	default:
-		return rat.Zero, nil, nil, err
+// solvePeriodGraph returns the earliest schedule of g at its period
+// (graphLambda).
+func solvePeriodGraph(w *plan.Weighted, g *eventgraph.Graph) (*oplist.List, error) {
+	lambda, err := graphLambda(g)
+	if err != nil {
+		return nil, err
 	}
 	pi, err := g.Potentials(lambda)
 	if err != nil {
-		return rat.Zero, nil, nil, err
+		return nil, err
 	}
-	return lambda, listFromTimes(w, lambda, pi), critical, nil
+	return listFromTimes(w, lambda, pi), nil
+}
+
+// bottleneck labels the critical cycle of g when its ratio is the
+// schedule period lambda, and returns nil otherwise.
+func bottleneck(w *plan.Weighted, g *eventgraph.Graph, lambda rat.Rat) []string {
+	res, err := g.MaximumCycleRatio()
+	if err != nil || !res.Ratio.Equal(lambda) {
+		return nil
+	}
+	return describeCycle(w, g, res.CriticalCycle)
 }
 
 // describeCycle renders the operations visited by a critical cycle.
@@ -133,14 +114,7 @@ func opLabel(w *plan.Weighted, op int) string {
 // InOrderPeriodWithOrders returns the optimal INORDER operation list for
 // the given fixed orders: the exact maximum-cycle-ratio period.
 func InOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, error) {
-	_, l, _, err := solvePeriodGraph(w, buildInOrderGraph(w, orders))
-	if err != nil {
-		return nil, err
-	}
-	if err := l.Validate(plan.InOrder); err != nil {
-		return nil, fmt.Errorf("orchestrate: INORDER construction invalid: %w", err)
-	}
-	return l, nil
+	return newInOrderEval(w).list(orders)
 }
 
 // extractOrders reads the per-server receive/send orders realized by an
@@ -166,17 +140,14 @@ func extractOrders(l *oplist.List) Orders {
 // when the schedule's period is not the cycle optimum for its own orders
 // (e.g. a schedule with deliberate slack).
 func InOrderBottleneck(l *oplist.List) []string {
-	g := buildInOrderGraph(l.Plan(), extractOrders(l))
-	res, err := g.MaximumCycleRatio()
-	if err != nil || !res.Ratio.Equal(l.Lambda()) {
-		return nil
-	}
-	return describeCycle(l.Plan(), g, res.CriticalCycle)
+	e := newInOrderEval(l.Plan())
+	e.build(extractOrders(l), nil, nil)
+	return bottleneck(l.Plan(), e.g, l.Lambda())
 }
 
-// graphLambda maps an MCR outcome to the schedule period the way
-// solvePeriodGraph does: the exact ratio (1 for degenerate all-zero
-// cycles), 1 when no cyclic constraint exists, and the error otherwise.
+// graphLambda is the one degenerate-period rule: the period of g is its
+// exact maximum cycle ratio, 1 when that ratio is 0 or g has no cycle (no
+// cyclic constraint: any period works), and the error otherwise.
 func graphLambda(g *eventgraph.Graph) (rat.Rat, error) {
 	ratio, err := g.MaxCycleRatio()
 	switch err {
@@ -192,10 +163,11 @@ func graphLambda(g *eventgraph.Graph) (rat.Rat, error) {
 	}
 }
 
-// inOrderEval is the INORDER order-search evaluator: the value of an
-// assignment is the maximum cycle ratio of its event graph, computed on a
-// reused graph; InOrderPeriodWithOrders materializes the winning orders
-// (potentials + validation) once the search is over.
+// inOrderEval is the INORDER order-search evaluator and the one encoding
+// of the INORDER event graph: the value of an assignment is the maximum
+// cycle ratio of its graph, computed on a reused graph, and list
+// materializes the winning orders (potentials + validation) from the same
+// graph once the search is over.
 type inOrderEval struct {
 	w     *plan.Weighted
 	g     *eventgraph.Graph
@@ -220,26 +192,21 @@ func newInOrderEval(w *plan.Weighted) *inOrderEval {
 func (e *inOrderEval) floor() rat.Rat { return e.fl }
 
 // build fills the scratch graph with the INORDER constraints of a partial
-// assignment. Decided sides contribute their exact chain and wrap edges
-// (with both sides decided the graph matches buildInOrderGraph plus the
-// dominated per-server self-loops); open sides contribute only constraints
-// every completion implies:
-//
-//   - each in-comm precedes the computation by at least its own volume,
-//     the computation precedes each out-comm by at least the computation
-//     time (zero tokens: sub-paths of the completed chain);
-//   - every possible last operation reaches every possible first operation
-//     of the next data set through the wrap (one token, at least the last
-//     operation's own duration);
-//   - the full server cycle carries one token and total delay Cexec
-//     whatever the orders — the calc self-loop keeps that per-server floor
-//     in every partial graph.
+// assignment (nil decided flags: every side decided). Per server, the
+// one-port chain (chainEdges) — exact on decided sides, only what every
+// completion implies on open ones — plus wrap edges: every possible last
+// operation reaches every possible first operation of the next data set
+// (one token, at least the last operation's own duration), which with both
+// sides decided is the single wrap of constraint (1) of Appendix A.
+// Communications appear in both endpoint servers' chains, which realizes
+// the synchronous rendezvous. A server with an open side also gets a calc
+// self-loop (one token, delay Cexec): its full cycle carries that floor
+// whatever the orders. Once both sides are decided the server cycle itself
+// carries it, so the self-loop is left out.
 func (e *inOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 	e.g.Reset(opCount(e.w))
 	for v := 0; v < e.w.N(); v++ {
-		din := decidedIn == nil || decidedIn[v]
-		dout := decidedOut == nil || decidedOut[v]
-		e.serverEdges(v, o, din, dout)
+		e.serverEdges(v, o, decided(decidedIn, v), decided(decidedOut, v))
 	}
 }
 
@@ -247,46 +214,12 @@ func (e *inOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 // scratch graph.
 func (e *inOrderEval) serverEdges(v int, o Orders, din, dout bool) {
 	w, g := e.w, e.g
-	calc := calcOp(v)
+	first, last := chainEdges(w, g, v, o, din, dout)
 	ins, outs := o.In[v], o.Out[v]
-	first := calc
-	if din {
-		prev := -1
-		for _, ei := range ins {
-			op := commOp(w, ei)
-			if prev >= 0 {
-				g.AddEdge(prev, op, opDur(w, prev), 0)
-			}
-			prev = op
-		}
-		if prev >= 0 {
-			g.AddEdge(prev, calc, opDur(w, prev), 0)
-			first = commOp(w, ins[0])
-		}
-	} else {
-		for _, ei := range ins {
-			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
-		}
-	}
-	last := calc
-	if dout {
-		prev := calc
-		for _, ei := range outs {
-			op := commOp(w, ei)
-			g.AddEdge(prev, op, opDur(w, prev), 0)
-			prev = op
-		}
-		last = prev
-	} else {
-		for _, ei := range outs {
-			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
-		}
-	}
-	// Wrap edges (one token): every possible last op to every possible
-	// first op of the next data set.
 	switch {
 	case dout && din:
 		g.AddEdge(last, first, opDur(w, last), 1)
+		return // the server cycle carries the Cexec floor: no self-loop
 	case dout:
 		for _, fi := range ins {
 			g.AddEdge(last, commOp(w, fi), opDur(w, last), 1)
@@ -302,12 +235,25 @@ func (e *inOrderEval) serverEdges(v int, o Orders, din, dout bool) {
 			}
 		}
 	}
-	g.AddEdge(calc, calc, e.cexec[v], 1)
+	g.AddEdge(calcOp(v), calcOp(v), e.cexec[v], 1)
 }
 
 func (e *inOrderEval) value(o Orders) (rat.Rat, error) {
 	e.build(o, nil, nil)
 	return graphLambda(e.g)
+}
+
+// list materializes the INORDER schedule of complete orders o.
+func (e *inOrderEval) list(o Orders) (*oplist.List, error) {
+	e.build(o, nil, nil)
+	l, err := solvePeriodGraph(e.w, e.g)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.Validate(plan.InOrder); err != nil {
+		return nil, fmt.Errorf("orchestrate: INORDER construction invalid: %w", err)
+	}
+	return l, nil
 }
 
 // exceeds prunes a partial assignment when even its relaxed event graph —
@@ -368,81 +314,28 @@ func generations(w *plan.Weighted) (gen []int, commGen []int) {
 	return gen, commGen
 }
 
-// buildPipelinedGraph encodes the software-pipelined OUTORDER template in
-// generation-shifted time: each operation is retimed by its pipeline stage
-// (μ = stage), so that on every server the cycle "out-comms, calc, in-comms"
-// carries exactly one token (between the last out-comm and the calc) while
-// data precedence edges carry the stage differences. Begin times recovered
-// by b = π + λ·(maxStage − μ) satisfy the original OUTORDER constraints.
-func buildPipelinedGraph(w *plan.Weighted, orders Orders) (*eventgraph.Graph, []int, int) {
-	gen, commGen := generations(w)
-	mu := make([]int, opCount(w))
-	maxMu := 0
-	for v := 0; v < w.N(); v++ {
-		mu[calcOp(v)] = gen[v]
-	}
-	for ei := range w.Edges() {
-		mu[commOp(w, ei)] = commGen[ei]
-	}
-	for _, m := range mu {
-		if m > maxMu {
-			maxMu = m
-		}
-	}
-	g := eventgraph.New(opCount(w))
-	// Per-server residue cycle: O_1..O_q, calc, I_1..I_p, wrap to O_1.
-	for v := 0; v < w.N(); v++ {
-		outs := orders.Out[v]
-		ins := orders.In[v]
-		seq := make([]int, 0, len(outs)+1+len(ins))
-		for _, e := range outs {
-			seq = append(seq, commOp(w, e))
-		}
-		seq = append(seq, calcOp(v))
-		for _, e := range ins {
-			seq = append(seq, commOp(w, e))
-		}
-		for i := 0; i+1 < len(seq); i++ {
-			tok := 0
-			if seq[i+1] == calcOp(v) {
-				tok = 1 // the single wrap token sits before the calc
-			}
-			g.AddEdge(seq[i], seq[i+1], opDur(w, seq[i]), tok)
-		}
-		last := seq[len(seq)-1]
-		g.AddEdge(last, seq[0], opDur(w, last), 0)
-	}
-	// Data precedence in shifted time: calc(u) → comm carries no tokens
-	// (same stage); comm → calc(v) carries the stage difference ≥ 1.
-	for ei, e := range w.Edges() {
-		if e.From >= 0 {
-			g.AddEdge(calcOp(e.From), commOp(w, ei), w.Comp(e.From), 0)
-		}
-		if e.To >= 0 {
-			g.AddEdge(commOp(w, ei), calcOp(e.To), w.Vol(ei), commGen[ei]-gen[e.To])
-		}
-	}
-	return g, mu, maxMu
-}
-
 // OutOrderPeriodWithOrders builds the pipelined OUTORDER schedule for fixed
 // orders and returns the better of it and the INORDER schedule (an INORDER
-// list is always OUTORDER-valid).
+// list is always OUTORDER-valid). The pipelined graph is solved in
+// generation-shifted time (see outOrderEval.build): begin times are
+// recovered by b = π + λ·(maxStage − stage).
 func OutOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, error) {
-	inorder, inErr := InOrderPeriodWithOrders(w, orders)
-
-	g, mu, maxMu := buildPipelinedGraph(w, orders)
-	lambda, shifted, _, err := solvePeriodGraph(w, g)
+	e := newOutOrderEval(w)
+	inorder, inErr := e.ino.list(orders)
+	e.build(orders, nil, nil)
+	shifted, err := solvePeriodGraph(w, e.g)
 	var pipelined *oplist.List
 	if err == nil {
+		lambda, maxStage := shifted.Lambda(), 0
+		for _, s := range slices.Concat(e.gen, e.commGen) {
+			maxStage = max(maxStage, s)
+		}
 		pipelined = oplist.New(w, lambda)
 		for v := 0; v < w.N(); v++ {
-			shift := lambda.MulInt(int64(maxMu - mu[calcOp(v)]))
-			pipelined.SetCalc(v, shifted.CalcBegin(v).Add(shift))
+			pipelined.SetCalc(v, shifted.CalcBegin(v).Add(lambda.MulInt(int64(maxStage-e.gen[v]))))
 		}
 		for ei := range w.Edges() {
-			shift := lambda.MulInt(int64(maxMu - mu[commOp(w, ei)]))
-			pipelined.SetComm(ei, shifted.CommBegin(ei).Add(shift))
+			pipelined.SetComm(ei, shifted.CommBegin(ei).Add(lambda.MulInt(int64(maxStage-e.commGen[ei]))))
 		}
 		if verr := pipelined.Validate(plan.OutOrder); verr != nil {
 			return nil, fmt.Errorf("orchestrate: pipelined construction invalid: %w", verr)
@@ -460,11 +353,12 @@ func OutOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 	}
 }
 
-// outOrderEval is the OUTORDER order-search evaluator: the value of an
-// assignment is the better of its INORDER period and its pipelined-
-// template period (an INORDER list is always OUTORDER-valid), each an MCR
-// on a reused event graph; OutOrderPeriodWithOrders materializes the
-// winning orders once the search is over.
+// outOrderEval is the OUTORDER order-search evaluator and the one encoding
+// of the pipelined template: the value of an assignment is the better of
+// its INORDER period and its pipelined-template period (an INORDER list is
+// always OUTORDER-valid), each an MCR on a reused event graph;
+// OutOrderPeriodWithOrders materializes the winning orders from the same
+// two graphs once the search is over.
 type outOrderEval struct {
 	ino     *inOrderEval
 	g       *eventgraph.Graph // pipelined-template scratch
@@ -486,20 +380,28 @@ func newOutOrderEval(w *plan.Weighted) *outOrderEval {
 
 func (e *outOrderEval) floor() rat.Rat { return e.fl }
 
-// build fills the pipelined scratch graph for a partial assignment. The
-// data-precedence edges (stage-shifted, cf. buildPipelinedGraph) do not
-// depend on the orders and are exact in every completion. Per server, the
-// residue cycle "out-comms, calc (one token before it), in-comms, wrap"
-// contributes its exact edges on decided sides; open sides contribute the
-// constraints every permutation implies: each out-comm reaches the calc
-// through the single wrap token carrying at least its own volume, the
-// calc precedes each in-comm by the computation time, each in-comm
-// reaches the first out-comm tokenlessly with at least its own volume —
-// and the full residue cycle carries one token and total delay Cexec
-// whatever the orders (the calc self-loop).
+// build fills the pipelined scratch graph for a partial assignment (nil
+// decided flags: every side decided). The software-pipelined template
+// (receive data set n while computing n−1 and sending n−2) is encoded in
+// generation-shifted time: each operation is retimed by its pipeline stage
+// (gen, commGen), so that on every server the residue cycle "out-comms,
+// calc (one token before it), in-comms, wrap" carries exactly one token
+// while data precedence carries the stage differences. Per server, the
+// residue cycle contributes its exact edges on decided sides; open sides
+// contribute the constraints every permutation implies: each out-comm
+// reaches the calc through the single wrap token carrying at least its own
+// volume, the calc precedes each in-comm by the computation time, each
+// in-comm reaches the first out-comm tokenlessly with at least its own
+// volume — and, while a side is open, a calc self-loop keeps the residue
+// cycle's floor (one token, total delay Cexec whatever the orders). The
+// data-precedence edges, emitted last, do not depend on the orders and are
+// exact in every completion.
 func (e *outOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 	w := e.ino.w
 	e.g.Reset(opCount(w))
+	for v := 0; v < w.N(); v++ {
+		e.residueEdges(v, o, decided(decidedIn, v), decided(decidedOut, v))
+	}
 	// Data precedence: calc(u) → comm carries no tokens (same stage);
 	// comm → calc(v) carries the stage difference ≥ 1.
 	for ei, ed := range w.Edges() {
@@ -509,11 +411,6 @@ func (e *outOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 		if ed.To >= 0 {
 			e.g.AddEdge(commOp(w, ei), calcOp(ed.To), w.Vol(ei), e.commGen[ei]-e.gen[ed.To])
 		}
-	}
-	for v := 0; v < w.N(); v++ {
-		din := decidedIn == nil || decidedIn[v]
-		dout := decidedOut == nil || decidedOut[v]
-		e.residueEdges(v, o, din, dout)
 	}
 }
 
@@ -571,7 +468,9 @@ func (e *outOrderEval) residueEdges(v int, o Orders, din, dout bool) {
 			wrapTo(commOp(w, ei), w.Vol(ei))
 		}
 	}
-	g.AddEdge(calc, calc, e.ino.cexec[v], 1)
+	if !din || !dout {
+		g.AddEdge(calc, calc, e.ino.cexec[v], 1)
+	}
 }
 
 func (e *outOrderEval) value(o Orders) (rat.Rat, error) {
@@ -625,14 +524,12 @@ func scoreOutOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
 // reports the cycle of whichever matches the schedule's period. Returns nil
 // when neither does.
 func OutOrderBottleneck(l *oplist.List) []string {
-	if labels := InOrderBottleneck(l); labels != nil {
+	w, o := l.Plan(), extractOrders(l)
+	e := newOutOrderEval(w)
+	e.ino.build(o, nil, nil)
+	if labels := bottleneck(w, e.ino.g, l.Lambda()); labels != nil {
 		return labels
 	}
-	w := l.Plan()
-	g, _, _ := buildPipelinedGraph(w, extractOrders(l))
-	res, err := g.MaximumCycleRatio()
-	if err != nil || !res.Ratio.Equal(l.Lambda()) {
-		return nil
-	}
-	return describeCycle(w, g, res.CriticalCycle)
+	e.build(o, nil, nil)
+	return bottleneck(w, e.g, l.Lambda())
 }

@@ -16,9 +16,11 @@ package orchestrate
 //     bottleneck labels.
 //
 // Period, Latency and every exported orchestrator are score → materialise,
-// so there is one code path: the value a search compared is by construction
-// the value of the schedule it later hands out (Materialise refuses a list
-// whose objective differs from its score).
+// so there is one code path, and the order-search models materialise from
+// the event graph their search evaluator builds (one encoding per model):
+// the value a search compared is by construction the value of the schedule
+// it later hands out (Materialise still refuses a list whose objective
+// differs from its score).
 
 import (
 	"fmt"

@@ -263,7 +263,7 @@ func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Scor
 	// Random restarts: sample order assignments, then climb from the best
 	// sample found.
 	if opts.RandomSamples > 0 {
-		rng := rand.New(rand.NewSource(opts.Seed))
+		rng := rand.New(rand.NewSource(0))
 		var bestSample Orders
 		var bestSampleVal rat.Rat
 		haveSample := false

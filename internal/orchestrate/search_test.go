@@ -165,6 +165,7 @@ func TestPrunedSearchMatchesFlatEnumeration(t *testing.T) {
 // strictly above limit, no completion's true value may be ≤ limit. The
 // partial assignments replayed here are exactly the ones the search
 // visits: the first k slots fixed (in enumeration order), the rest open.
+// At k = len(slots) the bound must also be tight.
 func TestPrefixBoundAdmissible(t *testing.T) {
 	evals := []struct {
 		name string
@@ -234,6 +235,14 @@ func TestPrefixBoundAdmissible(t *testing.T) {
 				if bound.exceeds(orders, decIn, decOut, bestVal) {
 					t.Fatalf("plan %d %s prefix %d: bound claims every completion > %s, but one achieves it",
 						pi, ev.name, k, bestVal)
+				}
+				// At a leaf every side is decided and the bound is the value
+				// itself: any limit below it is exceeded. This pins that the
+				// graph of a complete assignment (no per-server self-loops)
+				// loses no constraint.
+				if below := bestVal.Mul(rat.New(999, 1000)); k == len(slots) && bestVal.Sign() > 0 &&
+					!bound.exceeds(orders, decIn, decOut, below) {
+					t.Fatalf("plan %d %s: leaf bound admits %s below the value %s", pi, ev.name, below, bestVal)
 				}
 			}
 		}
