@@ -73,7 +73,9 @@ test-race:
 # the exact inner loop: a relaxation on a warm Graph and a branch-and-bound
 # partial bound on a warm shard scratch allocate nothing, and so do the
 # hill climbs' move check and an accepted move on a warm evaluator, for a
-# forest re-parent and for a DAG edge toggle;
+# forest re-parent and for a DAG edge toggle; an exhaustive order search
+# under a limit (INORDER period, one-port latency; at the optimum and in a
+# cut-off) allocates no more than the unlimited one on a warm evaluator;
 # building a candidate (FromGraph + Weighted) stays inside a budget that
 # does not grow with n, and the Kahn pass + ancestor sets on a warm
 # dag.Scratch allocate nothing.
@@ -86,10 +88,12 @@ test-alloc:
 # component benchmarks, BranchBound (ns per expanded node of the whole
 # exact solve at Workers 1: chain n = 12, forest n = 7, DAG n = 5 without
 # and with precedence), the branch-and-bound partial bounds (BenchmarkPartialBound: ns/node and allocs/node over the whole
-# forest n = 7 and DAG n = 5 search trees on a warm scratch) and the
-# executor's round (BenchmarkExecRound: ns/tuple and evaluations/tuple,
-# serial and pipelined). End-to-end and per-layer numbers are bench/'s
-# (bench-paired).
+# forest n = 7 and DAG n = 5 search trees on a warm scratch), the order
+# search's cut-off (BenchmarkScoreCutoff: ns/op of one one-port latency
+# scoring at n = 6, 7 with no limit and with the limit at 0.9 × the
+# optimum) and the executor's round (BenchmarkExecRound: ns/tuple and
+# evaluations/tuple, serial and pipelined). End-to-end and per-layer
+# numbers are bench/'s (bench-paired).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -123,9 +123,9 @@ func TestScoringAllocBudget(t *testing.T) {
 		budget float64
 		score  func() (Score, error)
 	}{
-		{"overlap-period/forest", 3, func() (Score, error) { return scorePeriod(forest, plan.Overlap, Options{}) }},
-		{"tree-latency/forest", 7, func() (Score, error) { return scoreLatency(forest, plan.InOrder, Options{}) }},
-		{"one-port-latency/dag", 49, func() (Score, error) { return scoreLatency(dagPlan, plan.InOrder, Options{}) }},
+		{"overlap-period/forest", 3, func() (Score, error) { return scorePeriod(forest, plan.Overlap, Options{}, NoLimit) }},
+		{"tree-latency/forest", 7, func() (Score, error) { return scoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
+		{"one-port-latency/dag", 49, func() (Score, error) { return scoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
 	}
 	for _, tc := range cases {
 		got := testing.AllocsPerRun(100, func() {
@@ -154,5 +154,54 @@ func TestMaxCycleRatioAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { e.g.MaxCycleRatio() }); got > 0 {
 		t.Errorf("MaxCycleRatio on a warm graph: %.2f allocs/run, budget 0", got)
+	}
+}
+
+// TestCutOffSearchAllocBudget pins the cut-off path of the exhaustive
+// order search: on a warm INORDER period evaluator and a warm one-port
+// latency evaluator, a search under a limit — at the optimum, where it
+// returns the optimum, and at 0.9 × it, where it ends in a cut-off —
+// allocates no more than the unlimited search, whose count (the orders,
+// slot and flag set-up plus one copy of the best orders per improvement)
+// stays within its budget: measured 34 on both, plus three.
+func TestCutOffSearchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	w := gen.Weighted(gen.NewRand(5), 6, 0.6)
+	opts := Options{MaxExhaustive: 4096}
+	for _, tc := range []struct {
+		name   string
+		eval   orderEval
+		budget float64
+	}{
+		{"inorder-period", newInOrderEval(w), 37},
+		{"oneport-latency", newOnePortEval(w), 37},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if c := orderCombinations(w, opts.MaxExhaustive); c > opts.MaxExhaustive || c < 4 {
+				t.Fatalf("%d order combinations: not an exhaustive search worth bounding", c)
+			}
+			s0, err := searchOrdersExhaustive(w, opts, tc.eval, NoLimit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := func(limit Limit) float64 {
+				return testing.AllocsPerRun(50, func() {
+					if _, err := searchOrdersExhaustive(w, opts, tc.eval, limit); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			unlimited := count(NoLimit)
+			if unlimited > tc.budget {
+				t.Errorf("unlimited search: %.0f allocs, budget %.0f", unlimited, tc.budget)
+			}
+			for _, limit := range []Limit{AtMost(s0.Value), AtMost(s0.Value.Mul(rat.New(9, 10)))} {
+				if got := count(limit); got > unlimited {
+					t.Errorf("search under %v: %.0f allocs, unlimited %.0f", limit.v, got, unlimited)
+				}
+			}
+		})
 	}
 }

@@ -100,13 +100,13 @@ func (e *onePortEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat.
 // combination count fits the exhaustive budget. Applies to both INORDER
 // and OUTORDER, which coincide for latency (paper §2.2).
 func OnePortLatency(w *plan.Weighted, opts Options) (Result, error) {
-	s, err := scoreOnePortLatency(w, opts)
+	s, err := scoreOnePortLatency(w, opts, NoLimit)
 	return materialised(s, err, w)
 }
 
-func scoreOnePortLatency(w *plan.Weighted, opts Options) (Score, error) {
+func scoreOnePortLatency(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
 	return searchOrders(w, opts, newOnePortEval(w),
-		w.LatencyPathBound(), onePortPaths)
+		w.LatencyPathBound(), onePortPaths, limit)
 }
 
 // OverlapLatencyShared builds the bandwidth-sharing multi-port schedule:
@@ -174,17 +174,28 @@ func sharedSweep(w *plan.Weighted, l *oplist.List) rat.Rat {
 // schedule and the best one-port schedule (one-port lists are OVERLAP-valid
 // as-is). Computing the true multi-port optimum is NP-hard (paper Prop. 11).
 func OverlapLatency(w *plan.Weighted, opts Options) (Result, error) {
-	s, err := scoreOverlapLatency(w, opts)
+	s, err := scoreOverlapLatency(w, opts, NoLimit)
 	return materialised(s, err, w)
 }
 
-func scoreOverlapLatency(w *plan.Weighted, opts Options) (Score, error) {
-	onePort, err := scoreOnePortLatency(w, opts)
+// scoreOverlapLatency sweeps the bandwidth-sharing schedule first, so the
+// one-port search only has to beat the better of it and the caller's
+// limit: a one-port optimum above the shared value loses to it anyway, and
+// ties go to the one-port schedule either way.
+func scoreOverlapLatency(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
 	shared := Score{Value: sharedSweep(w, nil), LowerBound: w.LatencyPathBound(), build: sharedBandwidth}
-	if err != nil || shared.Value.Less(onePort.Value) {
+	onePort, err := scoreOnePortLatency(w, opts, limit.Min(shared.Value))
+	switch {
+	case err == nil && !onePort.NotBelow():
+		if shared.Value.Less(onePort.Value) {
+			return shared, nil
+		}
+		return onePort, nil
+	case limit.excludes(shared.Value):
+		return cutOff(limit), nil
+	default:
 		return shared, nil
 	}
-	return onePort, nil
 }
 
 // TreeLatency computes the optimal one-port latency schedule for a

@@ -9,13 +9,22 @@ package orchestrate
 // weighted plan and options (every worker count returns the bit-identical
 // Score), so a fingerprint-keyed memo can return the first computation's
 // Score for all of them without touching the determinism invariant: a hit
-// is indistinguishable from recomputing.
+// holds the Score recomputing would return, or proves the caller's limit
+// out as recomputing would.
 //
 // Entries hold Scores (score.go), not schedules: value, bound, exactness
 // and the winning per-server orders — a few small integer slices. The
 // operation list is rebuilt by Score.Materialise for the one candidate a
 // search returns, so the memo costs the garbage collector almost nothing
 // however many candidate graphs pass through it.
+//
+// Cut-offs are memoized too. A scoring under a Limit L (score.go) that
+// ends not-below stores the fact "every schedule is above L" under the
+// problem's key: the fact serves a later scoring at any limit ≤ L, misses
+// at a higher limit or none, and gives way to a full Score or to a fact
+// at a higher limit. A full Score serves every limit (above it the caller
+// rejects it as it would a cut-off) and is never replaced. The limit is not
+// part of the key.
 //
 // The key serializes the problem exactly — no hashing, so collisions are
 // impossible: objective kind, model, the Options fields that can change
@@ -60,21 +69,32 @@ func NewMemo() *Memo {
 	return &Memo{entries: make(map[string]memoEntry)}
 }
 
-// lookup returns the cached outcome for key.
-func (m *Memo) lookup(key string) (Score, error, bool) {
+// lookup returns the cached outcome for key under limit: the stored
+// Score, or the cut-off at limit when a stored fact covers it.
+func (m *Memo) lookup(key string, limit Limit) (Score, error, bool) {
 	m.mu.Lock()
 	e, ok := m.entries[key]
 	m.mu.Unlock()
+	if ok && e.res.NotBelow() {
+		if !limit.ok || limit.v.Greater(e.res.Value) {
+			return Score{}, nil, false
+		}
+		return cutOff(limit), nil, true
+	}
 	return e.res, e.err, ok
 }
 
-// store records an outcome unless the memo is full. The first writer wins:
-// concurrent solvers of the same key computed the bit-identical Score, so
-// which one lands is immaterial.
+// store records an outcome unless the memo is full, replacing a fact with
+// a full Score or a higher fact and nothing else. Among full Scores the
+// first writer wins: concurrent solvers of the same key computed the
+// bit-identical Score, so which one lands is immaterial.
 func (m *Memo) store(key string, res Score, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.entries[key]; !ok && len(m.entries) < memoEntries {
+	old, ok := m.entries[key]
+	switch {
+	case !ok && len(m.entries) < memoEntries,
+		ok && old.res.NotBelow() && (!res.NotBelow() || res.Value.Greater(old.res.Value)):
 		m.entries[key] = memoEntry{res: res, err: err}
 	}
 }

@@ -278,13 +278,13 @@ func (e *inOrderEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat.
 // INORDER schedule family); the general problem is NP-hard (paper
 // Prop. 3).
 func InOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
-	s, err := scoreInOrderPeriod(w, opts)
+	s, err := scoreInOrderPeriod(w, opts, NoLimit)
 	return materialised(s, err, w)
 }
 
-func scoreInOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
+func scoreInOrderPeriod(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
 	return searchOrders(w, opts, newInOrderEval(w),
-		w.PeriodLowerBound(plan.InOrder), inOrderCycle)
+		w.PeriodLowerBound(plan.InOrder), inOrderCycle, limit)
 }
 
 // generations returns per-node pipeline stages: the hop-length of the
@@ -509,13 +509,13 @@ func (e *outOrderEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat
 // every conceivable OUTORDER schedule, so Exact refers to the family; the
 // general problem is NP-hard (paper Prop. 2).
 func OutOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
-	s, err := scoreOutOrderPeriod(w, opts)
+	s, err := scoreOutOrderPeriod(w, opts, NoLimit)
 	return materialised(s, err, w)
 }
 
-func scoreOutOrderPeriod(w *plan.Weighted, opts Options) (Score, error) {
+func scoreOutOrderPeriod(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
 	return searchOrders(w, opts, newOutOrderEval(w),
-		w.PeriodLowerBound(plan.OutOrder), outOrderCycle)
+		w.PeriodLowerBound(plan.OutOrder), outOrderCycle, limit)
 }
 
 // OutOrderBottleneck identifies the critical cycle of an OUTORDER schedule

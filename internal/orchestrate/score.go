@@ -40,7 +40,42 @@ const (
 	treeSchedule                        // Algorithm 1 on a forest
 	onePortPaths                        // one-port longest paths for fixed orders
 	sharedBandwidth                     // multi-port bandwidth-sharing latency
+	notBelow                            // a cut-off: every schedule is above Value
 )
+
+// Limit is a caller's acceptance limit: the value above which it rejects
+// whatever a scoring returns (a climb its current point, a
+// branch-and-bound leaf its shard's best and the shared incumbent). When
+// the optimum is at most the limit, a scoring is bit-identical to one
+// without it. Above it, the order searches stop as soon as they prove that
+// no order reaches the limit and return a not-below Score instead of their
+// optimum: the limit prunes from the first prefix, and a model floor above
+// it ends the search before it starts. The limit is not part of the memo
+// key (memo.go).
+type Limit struct {
+	v  rat.Rat
+	ok bool
+}
+
+// NoLimit asks for the Score whatever its value.
+var NoLimit Limit
+
+// AtMost is the limit v: the caller accepts values ≤ v only.
+func AtMost(v rat.Rat) Limit { return Limit{v: v, ok: true} }
+
+// Min returns the tighter of l and AtMost(v).
+func (l Limit) Min(v rat.Rat) Limit {
+	if l.ok && l.v.Leq(v) {
+		return l
+	}
+	return AtMost(v)
+}
+
+// excludes reports whether v is above the limit.
+func (l Limit) excludes(v rat.Rat) bool { return l.ok && v.Greater(l.v) }
+
+// cutOff is the not-below outcome under limit l.
+func cutOff(l Limit) Score { return Score{Value: l.v, build: notBelow} }
 
 // Score is an orchestration outcome without its schedule: what a plan
 // search compares (Value), reports (LowerBound, Exact) and needs to rebuild
@@ -58,6 +93,11 @@ type Score struct {
 	Orders Orders
 	build  construction
 }
+
+// NotBelow reports a cut-off: a scoring under a Limit proved that every
+// schedule of the plan is above it, and Value is that limit. There is no
+// schedule to materialise, and the caller rejects the candidate.
+func (s Score) NotBelow() bool { return s.build == notBelow }
 
 // Materialise builds, validates and explains the schedule a score stands
 // for. w must be the weighted plan that was scored (or an identical one —
@@ -96,6 +136,8 @@ func (s Score) Materialise(w *plan.Weighted) (Result, error) {
 		if res.List, err = OverlapLatencyShared(w); err == nil {
 			res.Value = res.List.Latency()
 		}
+	case notBelow:
+		err = fmt.Errorf("orchestrate: every schedule is above %s: a cut-off has no schedule", s.Value)
 	default:
 		err = fmt.Errorf("orchestrate: unknown construction %d", s.build)
 	}
@@ -127,15 +169,16 @@ func materialised(s Score, err error, w *plan.Weighted) (Result, error) {
 	return s.Materialise(w)
 }
 
-// scorePeriod dispatches to the model-specific period scoring form.
-func scorePeriod(w *plan.Weighted, m plan.Model, opts Options) (Score, error) {
+// scorePeriod dispatches to the model-specific period scoring form. Only
+// the order searches read the limit: Theorem 1 costs less than a cut-off.
+func scorePeriod(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Score, error) {
 	switch m {
 	case plan.Overlap:
 		return scoreOverlapPeriod(w), nil
 	case plan.InOrder:
-		return scoreInOrderPeriod(w, opts)
+		return scoreInOrderPeriod(w, opts, limit)
 	case plan.OutOrder:
-		return scoreOutOrderPeriod(w, opts)
+		return scoreOutOrderPeriod(w, opts, limit)
 	default:
 		return Score{}, fmt.Errorf("orchestrate: unknown model %v", m)
 	}
@@ -143,16 +186,16 @@ func scorePeriod(w *plan.Weighted, m plan.Model, opts Options) (Score, error) {
 
 // scoreLatency dispatches to the model-specific latency scoring form. For
 // forest-shaped plans the exact tree algorithm is used directly (one-port
-// communications are dominant on trees, paper Prop. 12).
-func scoreLatency(w *plan.Weighted, m plan.Model, opts Options) (Score, error) {
+// communications are dominant on trees, paper Prop. 12), whatever the limit.
+func scoreLatency(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Score, error) {
 	if isForestShaped(w) {
 		return scoreTreeLatency(w)
 	}
 	switch m {
 	case plan.Overlap:
-		return scoreOverlapLatency(w, opts)
+		return scoreOverlapLatency(w, opts, limit)
 	case plan.InOrder, plan.OutOrder:
-		return scoreOnePortLatency(w, opts)
+		return scoreOnePortLatency(w, opts, limit)
 	default:
 		return Score{}, fmt.Errorf("orchestrate: unknown model %v", m)
 	}
@@ -161,43 +204,49 @@ func scoreLatency(w *plan.Weighted, m plan.Model, opts Options) (Score, error) {
 // scoreMemo runs one scoring form through a memo: a nil memo is a direct
 // call, and a hit returns the Score of the first evaluation of an identical
 // weighted plan under identical options — bit-identical to recomputing,
-// since orchestration is deterministic. hit is observational only.
-func scoreMemo(memo *Memo, kind byte, w *plan.Weighted, m plan.Model, opts Options,
-	score func(*plan.Weighted, plan.Model, Options) (Score, error)) (s Score, hit bool, err error) {
+// since orchestration is deterministic — or a not-below fact that covers
+// limit (memo.go). hit is observational only.
+func scoreMemo(memo *Memo, kind byte, w *plan.Weighted, m plan.Model, opts Options, limit Limit,
+	score func(*plan.Weighted, plan.Model, Options, Limit) (Score, error)) (s Score, hit bool, err error) {
 	if memo == nil {
-		s, err = score(w, m, opts)
+		s, err = score(w, m, opts, limit)
 		return s, false, err
 	}
 	key := memoKey(kind, m, opts, w)
-	if s, err, ok := memo.lookup(key); ok {
+	if s, err, ok := memo.lookup(key, limit); ok {
 		return s, true, err
 	}
-	s, err = score(w, m, opts)
+	s, err = score(w, m, opts, limit)
 	memo.store(key, s, err)
 	return s, false, err
 }
 
 // ScorePeriod scores the best period schedule of w under model m without
 // building it, through memo when non-nil; hit reports a memo hit (the
-// introspection layer accounts memo effectiveness with it).
-func ScorePeriod(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (s Score, hit bool, err error) {
-	return scoreMemo(memo, 'p', w, m, opts, scorePeriod)
+// introspection layer accounts memo effectiveness with it). With the
+// optimum at most limit the Score is the one NoLimit gives. Otherwise it
+// is a not-below Score, or — where nothing proves the limit out cheaply
+// (Theorem 1, the tree algorithm, the heuristic order path above its
+// floor, a memoized Score) — the Score itself, above the limit: either
+// way the caller rejects it.
+func ScorePeriod(memo *Memo, w *plan.Weighted, m plan.Model, opts Options, limit Limit) (s Score, hit bool, err error) {
+	return scoreMemo(memo, 'p', w, m, opts, limit, scorePeriod)
 }
 
 // ScoreLatency is ScorePeriod for the latency objective.
-func ScoreLatency(memo *Memo, w *plan.Weighted, m plan.Model, opts Options) (s Score, hit bool, err error) {
-	return scoreMemo(memo, 'l', w, m, opts, scoreLatency)
+func ScoreLatency(memo *Memo, w *plan.Weighted, m plan.Model, opts Options, limit Limit) (s Score, hit bool, err error) {
+	return scoreMemo(memo, 'l', w, m, opts, limit, scoreLatency)
 }
 
 // Period orchestrates w for the period objective under model m: it scores,
 // then rebuilds the schedule from the score.
 func Period(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	s, err := scorePeriod(w, m, opts)
+	s, err := scorePeriod(w, m, opts, NoLimit)
 	return materialised(s, err, w)
 }
 
 // Latency orchestrates w for the latency objective under model m.
 func Latency(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	s, err := scoreLatency(w, m, opts)
+	s, err := scoreLatency(w, m, opts, NoLimit)
 	return materialised(s, err, w)
 }

@@ -7,6 +7,7 @@ package orchestrate
 // describe its plan is refused.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -53,7 +54,7 @@ func randomChain(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
 func smallSearch() Options { return Options{MaxExhaustive: 64, LocalSearchPasses: 2, RandomSamples: 8} }
 
 func TestScoreValueIsMaterialisedValue(t *testing.T) {
-	type scorer func(*Memo, *plan.Weighted, plan.Model, Options) (Score, bool, error)
+	type scorer func(*Memo, *plan.Weighted, plan.Model, Options, Limit) (Score, bool, error)
 	objectives := []struct {
 		name  string
 		score scorer
@@ -66,7 +67,7 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 		memo := NewMemo() // per plan: the corpus repeats some shapes
 		for _, m := range plan.Models {
 			for _, obj := range objectives {
-				s, hit, err := obj.score(memo, w, m, smallSearch())
+				s, hit, err := obj.score(memo, w, m, smallSearch(), NoLimit)
 				if err != nil {
 					t.Fatalf("plan %d %s/%s: score: %v", i, m, obj.name, err)
 				}
@@ -91,7 +92,7 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 					t.Fatalf("plan %d %s/%s: value %s below bound %s", i, m, obj.name, s.Value, s.LowerBound)
 				}
 				// A memo hit is the same score and the same schedule.
-				again, hit, err := obj.score(memo, w, m, smallSearch())
+				again, hit, err := obj.score(memo, w, m, smallSearch(), NoLimit)
 				if err != nil || !hit {
 					t.Fatalf("plan %d %s/%s: second scoring: hit=%v err=%v", i, m, obj.name, hit, err)
 				}
@@ -113,7 +114,7 @@ func TestMemoKeySeparatesProblems(t *testing.T) {
 	problems := []struct {
 		name  string
 		m     plan.Model
-		score func(*Memo, *plan.Weighted, plan.Model, Options) (Score, bool, error)
+		score func(*Memo, *plan.Weighted, plan.Model, Options, Limit) (Score, bool, error)
 	}{
 		{"inorder period", plan.InOrder, ScorePeriod},
 		{"overlap period", plan.Overlap, ScorePeriod},
@@ -122,11 +123,11 @@ func TestMemoKeySeparatesProblems(t *testing.T) {
 	memo := NewMemo()
 	var values []rat.Rat
 	for _, p := range problems {
-		want, _, err := p.score(nil, w, p.m, smallSearch())
+		want, _, err := p.score(nil, w, p.m, smallSearch(), NoLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, hit, err := p.score(memo, w, p.m, smallSearch())
+		got, hit, err := p.score(memo, w, p.m, smallSearch(), NoLimit)
 		if err != nil || hit {
 			t.Fatalf("%s: first memoized scoring: hit=%v err=%v", p.name, hit, err)
 		}
@@ -148,7 +149,7 @@ func TestMemoKeySeparatesProblems(t *testing.T) {
 func TestMaterialiseRefusesForeignScore(t *testing.T) {
 	w := gen.DAGPlan(gen.NewRand(4), gen.App(gen.NewRand(4), 5, gen.Mixed), 0.6).Weighted()
 	for _, m := range []plan.Model{plan.InOrder, plan.OutOrder} {
-		s, _, err := ScorePeriod(nil, w, m, Options{})
+		s, _, err := ScorePeriod(nil, w, m, Options{}, NoLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestMaterialiseRefusesForeignScore(t *testing.T) {
 			t.Fatalf("%s: halved value materialised: %v", m, err)
 		}
 	}
-	lat, _, err := ScoreLatency(nil, w, plan.InOrder, Options{})
+	lat, _, err := ScoreLatency(nil, w, plan.InOrder, Options{}, NoLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,15 +190,13 @@ func TestMaterialiseRefusesForeignScore(t *testing.T) {
 // rebuilds into a schedule that reaches it and passes its model's
 // validator. The plan searches materialise only their winner and return a
 // failure as an internal error, so this is the property they stand on.
+// Each score is also redone under a drawn limit (limitPct/128 × the value)
+// and held to checkLimited's dichotomy.
 func FuzzScoreMaterialise(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed), uint8(36*seed), seed%2 == 1, seed%4 == 3)
+		f.Add(seed, uint8(seed), uint8(36*seed), seed%2 == 1, seed%4 == 3, uint8(100+8*seed))
 	}
-	scorers := []struct {
-		obj   string
-		score func(*Memo, *plan.Weighted, plan.Model, Options) (Score, bool, error)
-	}{{"period", ScorePeriod}, {"latency", ScoreLatency}}
-	f.Fuzz(func(t *testing.T, seed int64, size, density uint8, prec, heuristic bool) {
+	f.Fuzz(func(t *testing.T, seed int64, size, density uint8, prec, heuristic bool, limitPct uint8) {
 		n := 2 + int(size)%7
 		rng := gen.NewRand(seed)
 		app := gen.App(rng, n, gen.Mixed)
@@ -212,7 +211,7 @@ func FuzzScoreMaterialise(f *testing.F) {
 		}
 		for _, m := range plan.Models {
 			for _, sc := range scorers {
-				s, _, err := sc.score(nil, w, m, opts)
+				s, _, err := sc.score(nil, w, m, opts, NoLimit)
 				if err != nil {
 					continue // nothing scored, nothing to materialise
 				}
@@ -226,6 +225,8 @@ func FuzzScoreMaterialise(f *testing.F) {
 				if err := res.List.Validate(m); err != nil {
 					t.Fatalf("%s %s/%s: schedule invalid: %v", eg, m, sc.obj, err)
 				}
+				limit := s.Value.Mul(rat.New(int64(limitPct), 128))
+				checkLimited(t, fmt.Sprintf("%s %s/%s", eg, m, sc.obj), w, m, sc, opts, s, limit)
 			}
 		}
 	})

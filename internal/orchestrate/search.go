@@ -16,6 +16,13 @@ package orchestrate
 // stops outright once the best reaches the model's static lower bound —
 // nothing can beat the floor.
 //
+// A caller's Limit (score.go) is the prune threshold until the first
+// complete assignment is kept, and an assignment above it is never kept:
+// the search returns the same optimum and orders when the optimum is
+// within the limit, and a not-below Score (a cut-off) when the bounds rule
+// every assignment out. A floor above the limit is a cut-off before any
+// search, on either path; the heuristic path is otherwise unlimited.
+//
 // The evaluator keeps a resettable event graph and a begin-time buffer;
 // complete assignments are scored with value() (no operation list), and a
 // candidate that improves the best only has its orders copied.
@@ -43,6 +50,9 @@ type Stats struct {
 	// Evaluated counts complete order assignments scored — the number the
 	// flat product enumeration would drive to OrderCombinations.
 	Evaluated int64
+	// CutOffs counts searches that ended not-below their Limit: 0 or 1 for
+	// one search, a sum once aggregated over a solve's candidates.
+	CutOffs int64
 	// BoundEdgesBuilt, BoundEdgesFlat, FilterCertified and FilterFallback
 	// are inert: nothing writes or reads them. They counted the work of an
 	// incremental bound and its float pre-filter, both gone, and remain
@@ -117,29 +127,39 @@ const boundMinSuffix = 4
 // exhaustively (pruned, see the file comment) when the combination count
 // fits the budget, otherwise seeds + adjacent-swap local search. bound is
 // the model's static lower bound and build the construction that
-// materialises the winning orders, both recorded in the returned Score.
-func searchOrders(w *plan.Weighted, opts Options, eval orderEval, bound rat.Rat, build construction) (Score, error) {
+// materialises the winning orders, both recorded in the returned Score; a
+// bound above limit is a cut-off before either path runs.
+func searchOrders(w *plan.Weighted, opts Options, eval orderEval, bound rat.Rat, build construction, limit Limit) (Score, error) {
 	opts = opts.withDefaults()
+	if limit.excludes(bound) {
+		if opts.Stats != nil {
+			*opts.Stats = Stats{CutOffs: 1}
+		}
+		return cutOff(limit), nil
+	}
 	var s Score
 	var err error
 	if orderCombinations(w, opts.MaxExhaustive) <= opts.MaxExhaustive {
-		s, err = searchOrdersExhaustive(w, opts, eval)
+		s, err = searchOrdersExhaustive(w, opts, eval, limit)
 	} else {
 		if opts.Stats != nil {
 			*opts.Stats = Stats{}
 		}
 		s, err = searchOrdersHeuristic(w, opts, eval)
 	}
-	s.LowerBound, s.build = bound, build
+	if !s.NotBelow() {
+		s.LowerBound, s.build = bound, build
+	}
 	return s, err
 }
 
 // searchOrdersExhaustive runs the pruned exact search. Exact is always true
 // on this path: pruning is admissible (it never cuts a candidate strictly
-// better than a value already proved achievable), so the minimum over the
-// searched family is preserved — and the returned orders are the ones the
-// flat enumeration would keep.
-func searchOrdersExhaustive(w *plan.Weighted, opts Options, eval orderEval) (Score, error) {
+// better than a value already proved achievable, nor one within limit), so
+// the minimum over the searched family is preserved — and the returned
+// orders are the ones the flat enumeration would keep. With no assignment
+// kept under a limit the outcome is a cut-off.
+func searchOrdersExhaustive(w *plan.Weighted, opts Options, eval orderEval, limit Limit) (Score, error) {
 	orders := DefaultOrders(w)
 	slots := collectSlots(orders)
 	suffix := suffixCombos(slots, 1<<30)
@@ -176,7 +196,7 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, eval orderEval) (Sco
 		if si == len(slots) {
 			st.Evaluated++
 			val, err := eval.value(orders)
-			if err != nil || (found && !val.Less(bestVal)) {
+			if err != nil || limit.excludes(val) || (found && !val.Less(bestVal)) {
 				return
 			}
 			best.set(orders)
@@ -188,11 +208,16 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, eval orderEval) (Sco
 		}
 		permute(slots[si].side, 0, func() bool {
 			setDecided(si, true)
-			// A subtree whose bound exceeds the best STRICTLY cannot hold a
-			// candidate the search would keep; one that ties is enumerated.
-			if found && suffix[si] >= boundMinSuffix {
+			// A subtree whose bound exceeds the best (before the first,
+			// the limit) STRICTLY cannot hold a candidate the search would
+			// keep; one that ties is enumerated.
+			if (found || limit.ok) && suffix[si] >= boundMinSuffix {
 				st.Prefixes++
-				if eval.exceeds(orders, decIn, decOut, bestVal) {
+				threshold := limit.v
+				if found {
+					threshold = bestVal
+				}
+				if eval.exceeds(orders, decIn, decOut, threshold) {
 					st.Pruned++
 				} else {
 					rec(si + 1)
@@ -205,10 +230,17 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, eval orderEval) (Sco
 		})
 	}
 	rec(0)
+	cut := !found && limit.ok
+	if cut {
+		st.CutOffs = 1
+	}
 	if opts.Stats != nil {
 		*opts.Stats = st
 	}
-	if !found {
+	switch {
+	case cut:
+		return cutOff(limit), nil
+	case !found:
 		return Score{}, fmt.Errorf("orchestrate: no feasible order assignment found")
 	}
 	return Score{Orders: best, Value: bestVal, Exact: true}, nil

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/canon"
+	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/solve"
@@ -296,9 +297,38 @@ func TestExplainEffortIndependentOfHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := probe.Orch()
-	direct := explainOrchJSON{Orchestrations: probe.Evals(), MemoHits: probe.MemoHits(), Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated}
+	direct := explainOrchJSON{Orchestrations: probe.Evals(), MemoHits: probe.MemoHits(), Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated, CutOffs: o.CutOffs}
 	if got != direct {
 		t.Fatalf("served: %+v, direct solve: %+v", got, direct)
+	}
+}
+
+// TestExplainShowsCutOffs pins where the order-search saving is reported:
+// the DAG climb on a precedence instance rejects many of the candidates it
+// scores, and /v1/explain's orchestration block counts the order searches
+// its limit cut off.
+func TestExplainShowsCutOffs(t *testing.T) {
+	_, ts := newTestAPI(t)
+	instance, err := json.Marshal(gen.AppWithPrecedence(gen.NewRand(502), 7, gen.Mixed, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "latency"}`, instance)
+	var out PlanResponse
+	if resp := doJSON(t, "POST", ts.URL+"/v1/plan", body, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan status %d", resp.StatusCode)
+	}
+	var doc struct {
+		Method string           `json:"method"`
+		Family string           `json:"family"`
+		Orch   *explainOrchJSON `json:"orchestration"`
+	}
+	doJSON(t, "GET", ts.URL+"/v1/explain/"+out.Hash, nil, &doc)
+	if doc.Method != "hill-climb" {
+		t.Fatalf("method %q, want the hill climb", doc.Method)
+	}
+	if doc.Orch == nil || doc.Orch.CutOffs == 0 || doc.Orch.CutOffs >= doc.Orch.Orchestrations {
+		t.Fatalf("implausible cut-off count: %+v", doc.Orch)
 	}
 }
 

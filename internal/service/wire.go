@@ -218,6 +218,7 @@ type explainOrchJSON struct {
 	Prefixes       int64 `json:"prefixes"`
 	Pruned         int64 `json:"pruned"`
 	Evaluated      int64 `json:"evaluated"`
+	CutOffs        int64 `json:"cutoffs"`
 }
 
 type explainTimingsJSON struct {
@@ -260,6 +261,7 @@ func explainResponse(e Explain) explainJSON {
 			Prefixes:       ef.Orch.Prefixes,
 			Pruned:         ef.Orch.Pruned,
 			Evaluated:      ef.Orch.Evaluated,
+			CutOffs:        ef.Orch.CutOffs,
 		}
 		out.Timings = &explainTimingsJSON{
 			QueueSeconds: float64(ef.QueueNanos) / 1e9,

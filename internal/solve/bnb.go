@@ -9,11 +9,14 @@ package solve
 // order but computes an admissible lower bound (bound.go) on every partial
 // decision and discards any subtree whose bound strictly exceeds the shared
 // incumbent — the best objective value any worker has proved achievable so
-// far. The incumbent is seeded with the greedy-chain and hill-climbing
-// solutions before the first expansion, so pruning bites from the root of
-// the branching tree, and the search returns the blind enumeration's
-// Solution at a fraction of the evaluations (experiment E15 quantifies the
-// reduction; the differential suite in bnb_test.go pins the identity).
+// far. The incumbent is seeded with the greedy-chain solution (and, from
+// six services up, the hill climb's) before the first expansion, so
+// pruning bites from the root of the branching tree, and the search
+// returns the blind enumeration's Solution at a fraction of the
+// evaluations (experiment E15 quantifies the reduction; the differential
+// suite in bnb_test.go pins the identity). A leaf is scored under the same
+// two rules as a bound (shard.limit), so a candidate that could neither
+// improve its shard nor win the reduction ends in an order-search cut-off.
 //
 // # One driver, three trees
 //
@@ -58,6 +61,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dag"
+	"repro/internal/orchestrate"
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -201,14 +205,15 @@ func branchBound(app *workflow.App, m plan.Model, obj Objective, opts Options) (
 }
 
 // seedIncumbent primes the pruning threshold with fast in-family solutions:
-// the greedy chain (a chain is a forest is a DAG) and the hill climb, both
-// orchestrated with the same options as the search so their values are
-// comparable, and each solved the way a search is — scores compared, the
-// one winner materialised — so a seed that prunes from the root is the
-// value of a validated schedule; plus the caller's warm-start value
-// (Options.Incumbent), the re-evaluated cached plan of the planning
-// service's drift re-planning. Seeds only feed pruning — the search returns
-// the first enumerated graph reaching the optimum, never the seed itself.
+// the greedy chain (a chain is a forest is a DAG) and, from six services
+// up, the hill climb, both orchestrated with the same options as the
+// search so their values are comparable, and each solved the way a search
+// is — scores compared, the one winner materialised — so a seed that
+// prunes from the root is the value of a validated schedule; plus the
+// caller's warm-start value (Options.Incumbent), the re-evaluated cached
+// plan of the planning service's drift re-planning. Seeds only feed
+// pruning — the search returns the first enumerated graph reaching the
+// optimum, never the seed itself.
 func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objective, opts Options) {
 	if opts.Incumbent != nil {
 		inc.offer(*opts.Incumbent)
@@ -218,15 +223,21 @@ func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objectiv
 			inc.offer(s.Value)
 		}
 	}
-	// Up to three services the whole family (at most 25 DAGs, 16 forests)
-	// is smaller than a climb's 400 + 40n evaluation budget: no climb seed.
-	if app.N() <= 3 {
+	// Below six services the climb costs more than it saves: its 400 + 40n
+	// evaluations buy a search that the greedy chain's seed and the leaf
+	// cut-offs already keep small. From six up (forests at n = 6, 7, DAGs
+	// under MaxExactN) it pays for itself in nodes expanded.
+	if app.N() < climbSeedMinN {
 		return
 	}
 	if s, err := hillClimb(app, m, obj, opts); err == nil {
 		inc.offer(s.Value)
 	}
 }
+
+// climbSeedMinN is the smallest instance seedIncumbent runs the hill climb
+// for.
+const climbSeedMinN = 6
 
 // --- the driver ---
 
@@ -252,12 +263,13 @@ type tree[T any] struct {
 // (decisions 0..k-1 taken) and changes nothing unless it returns stepOK;
 // undo reverts an applied choice. bound(k) bounds every completion of the
 // first k decisions from below (nil: the search never prunes). leaf scores
-// the complete decision into r and reports whether r's best improved.
+// the complete decision into r under the shard's acceptance limit (a
+// scoring above it may be cut off) and reports whether r's best improved.
 type walker[T any] struct {
 	apply func(k, c int) step
 	undo  func(k, c int)
 	bound func(k int) rat.Rat
-	leaf  func(r *result[T]) bool
+	leaf  func(r *result[T], limit orchestrate.Limit) bool
 }
 
 // shard is one shard's search: its walker, its outcome, its counters, its
@@ -340,7 +352,7 @@ func (sh *shard[T]) descend(k int) {
 	}
 	if k == sh.t.depth {
 		sh.stats.Evaluated++
-		if sh.leaf(sh.result) {
+		if sh.leaf(sh.result, sh.limit()) {
 			sh.inc.offer(sh.val)
 		}
 		return
@@ -370,6 +382,20 @@ func (sh *shard[T]) prunes(bound rat.Rat) bool {
 		return true
 	}
 	return sh.inc.prunes(&sh.cache, bound)
+}
+
+// limit is a leaf's acceptance limit, the two rules of prunes applied to
+// its value: the shard keeps only a value below its own best, and a value
+// above the cached shared incumbent cannot win the reduction (the
+// incumbent is achievable in the family, so the family optimum is at most
+// it). The cache is as fresh as the leaf's own bound test left it; with no
+// bound it is never read, and the limit is the shard's best alone.
+func (sh *shard[T]) limit() orchestrate.Limit {
+	l := sh.result.limit()
+	if sh.cache.ok {
+		l = l.Min(sh.cache.val)
+	}
+	return l
 }
 
 // --- chains ---
@@ -450,7 +476,7 @@ func chainTree(app *workflow.App, m plan.Model, obj Objective, leaf func(order [
 			bound: func(k int) rat.Rat {
 				return chainCompletionBound(app, costs, obj, objAt[k], prodAt[k], order[k:])
 			},
-			leaf: func(r *result[[]int]) bool { return leaf(order, objAt[n], r) },
+			leaf: func(r *result[[]int], _ orchestrate.Limit) bool { return leaf(order, objAt[n], r) },
 		}
 	}}
 }
@@ -469,8 +495,8 @@ func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Opti
 	if n > maxN(opts, bnbMaxForestN) {
 		return Solution{}, fmt.Errorf("solve: %d services too large for forest branch-and-bound (max %d)", n, maxN(opts, bnbMaxForestN))
 	}
-	tr := forestTree(app, newBoundTables(app, m, obj, nil, nil), func(eg *plan.ExecGraph, r *shardResult) bool {
-		return offerGraph(r, eg, m, obj, opts)
+	tr := forestTree(app, newBoundTables(app, m, obj, nil, nil), func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool {
+		return offerGraph(r, eg, m, obj, opts, limit)
 	})
 	sol, err := searchGraphs(tr, app, m, obj, opts, "forest branch-and-bound found no plan")
 	sol.Exact = obj == PeriodObjective && sol.Sched.Exact && m != plan.OutOrder
@@ -493,7 +519,7 @@ func searchGraphs(tr tree[scored], app *workflow.App, m plan.Model, obj Objectiv
 // makes node v a root (choice 0) or hangs it under node c-1, skipping the
 // parents that would close a cycle, and hands leaf each forest's plan.
 // tables feeds the partial bound; nil means a search that never prunes.
-func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecGraph, r *shardResult) bool) tree[scored] {
+func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree[scored] {
 	n := app.N()
 	return tree[scored]{depth: n, split: 2, children: slices.Repeat([]int{n + 1}, n), walk: func() walker[scored] {
 		parent := slices.Repeat([]int{-1}, n)
@@ -506,9 +532,9 @@ func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecG
 				return stepOK
 			},
 			undo: func(v, _ int) { parent[v] = -1 },
-			leaf: func(r *shardResult) bool {
+			leaf: func(r *shardResult, limit orchestrate.Limit) bool {
 				eg, err := plan.FromGraph(app, forestGraph(parent))
-				return err == nil && leaf(eg, r)
+				return err == nil && leaf(eg, r, limit)
 			},
 		}
 		if tables != nil {
@@ -546,8 +572,8 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 	if err != nil {
 		return Solution{}, err
 	}
-	tr := dagTree(app, m, obj, precClosure, func(eg *plan.ExecGraph, r *shardResult) bool {
-		return offerGraph(r, eg, m, obj, opts)
+	tr := dagTree(app, m, obj, precClosure, func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool {
+		return offerGraph(r, eg, m, obj, opts, limit)
 	})
 	sol, err := searchGraphs(tr, app, m, obj, opts, "DAG branch-and-bound found no plan")
 	sol.Exact = sol.Sched.Exact && exactOrchestration(m, obj)
@@ -558,7 +584,7 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 // order) no edge, then u→v, then v→u, cutting an edge that reverses a path
 // of prec (the precedence closure) or closes a cycle. A leaf FromGraph
 // rejects misses a precedence constraint and never reaches leaf.
-func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(eg *plan.ExecGraph, r *shardResult) bool) tree[scored] {
+func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree[scored] {
 	n := app.N()
 	pairs := nodePairs(n)
 	tables := newBoundTables(app, m, obj, prec, pairs)
@@ -594,9 +620,9 @@ func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, le
 				}
 			},
 			bound: func(k int) rat.Rat { return b.dag(g, k) },
-			leaf: func(r *shardResult) bool {
+			leaf: func(r *shardResult, limit orchestrate.Limit) bool {
 				eg, err := plan.FromGraph(app, g)
-				return err == nil && leaf(eg, r)
+				return err == nil && leaf(eg, r, limit)
 			},
 		}
 	}}

@@ -7,8 +7,8 @@ package solve
 // 12-node threshold where candidate parents are sampled; the DAG climb runs
 // on precedence instances of 6 to 8 services. Each digest is a pair, like
 // TestAnswerStreamDigest's: the answers, and at Workers 1 the search effort
-// (orchestrations, memo hits, order-search counters). A change to a climb's
-// move filter must move neither.
+// (orchestrations, memo hits, order-search counters and cut-offs). A change
+// to a climb's move filter must move neither.
 
 import (
 	"crypto/sha256"
@@ -21,16 +21,17 @@ import (
 	"repro/internal/workflow"
 )
 
-// The committed digests, recorded by these tests at commit 3ac4fd7.
+// The committed digests, recorded by these tests at commit 3ac4fd7; the
+// effort halves re-recorded when the order searches gained cut-offs.
 const (
 	climbAnswerFull     = "bd988a2c3f70f2a2f137e2083e91f1f05ae4a70f7a34d08d1b3581107ff6ba9e"
-	climbEffortFull     = "1739d0205f14d42a9dc9fad676c8b7f56c96af8e9d01d4409ea9b8647fa6ac00"
+	climbEffortFull     = "4fb7caf37225b37fe951daa8d57d51e36ed64060768dc7d08154031721ff51ae"
 	climbAnswerShort    = "707b85cacccb7710c1153ea10666d149ae9d5d09996e8433475bfa3279b6d5e6"
-	climbEffortShort    = "f652b53215753f9cc36f8c8f32371ce0235d7a4b7448706ce2e1f01e03260f23"
+	climbEffortShort    = "deab5b179393c62fb076ed33c03699737fe30f463fb241c936e62502ad0bdeae"
 	climbDAGAnswerFull  = "35df0be2c831e2f241d07349a769861a8b1320ddcbb931ad33b7d4b34a560cec"
-	climbDAGEffortFull  = "2ddbecd4454b7b1e45c781ac16deb2e047c56c52e58f128aa2cfc2eb88246fc8"
+	climbDAGEffortFull  = "fc635ae1ce662db76ae21fedbe1612624ba1d6c3de11bf6c4934307982c6dad7"
 	climbDAGAnswerShort = "d27338fe9804baa2492dfb774d0b3f62ad2bf7349a41c3f5dcf9fea192ab4f75"
-	climbDAGEffortShort = "e12dfba96c6a9c8c7938262ff2a79e49c4306e71dd9204c4d2eff20bcd8547ff"
+	climbDAGEffortShort = "83033e1cb582a59538dd8e74059dfbba6dfc4dbf95e54b00059fad869c797fee"
 )
 
 // climbInstance is one digest instance and the climb seed it is solved with.
@@ -62,8 +63,8 @@ func checkClimbDigest(t *testing.T, insts []climbInstance, wantAnswers, wantEffo
 					writeAnswer(t, answers, sol, err)
 					if workers == 1 {
 						o := probe.Orch()
-						fmt.Fprintf(effort, "%s %s %s: %d %d %d %d %d\n", in.label, m, obj,
-							probe.Evals(), probe.MemoHits(), o.Prefixes, o.Pruned, o.Evaluated)
+						fmt.Fprintf(effort, "%s %s %s: %d %d %d %d %d %d\n", in.label, m, obj,
+							probe.Evals(), probe.MemoHits(), o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
 					}
 				}
 			}

@@ -5,8 +5,9 @@ package solve
 // constants. The answer digest covers what a caller sees (value, graph,
 // schedule, Exact, bottleneck) and must not move unless a change means to
 // move an answer. The counter digest covers the search effort at Workers 1
-// (branch-and-bound and order-search counters): a change that prunes
-// differently but answers the same moves only this one, and says why.
+// (branch-and-bound and order-search counters, cut-offs included): a change
+// that prunes differently but answers the same moves only this one, and
+// says why.
 
 import (
 	"crypto/sha256"
@@ -21,12 +22,14 @@ import (
 	"repro/internal/workflow"
 )
 
-// The committed digests, recorded by this test at commit 9ebaeb6.
+// The committed digests, recorded by this test at commit 9ebaeb6; the
+// counter halves re-recorded when the order searches gained cut-offs and
+// the exact search lost its climb seed below six services.
 const (
 	answerDigestFull   = "75fe13a8215d91c28cb39489f7879fcfcc7f4d60bbb7048b78afecfa1c237685"
-	counterDigestFull  = "c513ea3d340717a30a1b25ebc65db9cc08a172c46da60c38b666dda161f2d07c"
+	counterDigestFull  = "81cc7c1dd102cff02b60038193cd2b19606984e4f49c09087f5949a7b49b3e90"
 	answerDigestShort  = "bc846e970773b47390ceef23af722f5d92a40a9314b18511ce8165e1ee6ffc22"
-	counterDigestShort = "d1d8bfa02be6a320fe98ea2d2c838f6d5d9c461b4d84bb7d305c440e66c7d8b0"
+	counterDigestShort = "19428583f5d34e90abcb401fc9df5e393bb03cccdd1b1353c4c2c86be3ee414d"
 )
 
 // digestCorpus draws, per selectivity profile, free instances of 4 to 6
@@ -94,8 +97,8 @@ func TestAnswerStreamDigest(t *testing.T) {
 						writeAnswer(t, answers, sol, err)
 						if workers == 1 {
 							o := probe.Orch()
-							fmt.Fprintf(counters, "%d %s/%s %s %s: %d %d %d %d %d %d\n", ai, c.method, c.family, m, obj,
-								st.Expanded, st.Pruned, st.Evaluated, o.Prefixes, o.Pruned, o.Evaluated)
+							fmt.Fprintf(counters, "%d %s/%s %s %s: %d %d %d %d %d %d %d\n", ai, c.method, c.family, m, obj,
+								st.Expanded, st.Pruned, st.Evaluated, o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
 						}
 					}
 				}

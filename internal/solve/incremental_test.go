@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/gen"
+	"repro/internal/orchestrate"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -234,7 +235,7 @@ func TestIncrementalFilterNeverSkipsImprovingMoves(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sched, err := evaluate(eg, m, obj, Options{Orch: smallOrch()})
+					sched, err := evaluate(eg, m, obj, Options{Orch: smallOrch()}, orchestrate.NoLimit)
 					if err != nil {
 						t.Fatal(err)
 					}

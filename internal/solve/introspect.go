@@ -26,7 +26,7 @@ import (
 // EvalProbe observes every candidate orchestration of one solve: how many
 // graphs were scored, how many were served by the orchestration memo, the
 // orchestration wall time, and the aggregated orchestration-search
-// counters (order-search prefixes, pruned and evaluated). Safe for
+// counters (order-search prefixes, pruned, evaluated and cut-offs). Safe for
 // concurrent use — the parallel searches score candidates from many
 // goroutines.
 type EvalProbe struct {
@@ -45,7 +45,7 @@ type EvalProbe struct {
 // (the orchestrate layer overwrites rather than accumulates its Stats
 // target) and merged, so concurrent evaluations never share a Stats
 // pointer.
-func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts Options) (orchestrate.Score, error) {
+func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (orchestrate.Score, error) {
 	var st orchestrate.Stats
 	o := opts.Orch
 	o.Stats = &st // excluded from the memo key, so hit behavior is unchanged
@@ -56,9 +56,9 @@ func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts
 		err error
 	)
 	if obj == PeriodObjective {
-		res, hit, err = orchestrate.ScorePeriod(opts.memo, w, m, o)
+		res, hit, err = orchestrate.ScorePeriod(opts.memo, w, m, o, limit)
 	} else {
-		res, hit, err = orchestrate.ScoreLatency(opts.memo, w, m, o)
+		res, hit, err = orchestrate.ScoreLatency(opts.memo, w, m, o, limit)
 	}
 	d := time.Since(start)
 	p.evals.Add(1)
@@ -71,6 +71,7 @@ func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts
 	p.orch.Prefixes += st.Prefixes
 	p.orch.Pruned += st.Pruned
 	p.orch.Evaluated += st.Evaluated
+	p.orch.CutOffs += st.CutOffs
 	p.mu.Unlock()
 	return res, err
 }

@@ -51,12 +51,12 @@ func TestMemoDoesNotChangeSolutions(t *testing.T) {
 	}
 }
 
-// TestMemoHitsAcrossSearchPhases pins the point of the memo: the
-// branch-and-bound search seeds its incumbent with greedy-chain and
-// hill-climb solutions whose graphs the enumeration then reaches again, so
-// the solve's memo must serve hits.
+// TestMemoHitsAcrossSearchPhases pins the point of the memo: from six
+// services up the branch-and-bound search seeds its incumbent with
+// greedy-chain and hill-climb solutions whose graphs the enumeration then
+// reaches again, so the solve's memo must serve hits.
 func TestMemoHitsAcrossSearchPhases(t *testing.T) {
-	app := gen.App(gen.NewRand(31), 5, gen.Mixed)
+	app := gen.App(gen.NewRand(31), climbSeedMinN, gen.Mixed)
 	probe := &EvalProbe{}
 	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Restarts: 2, Workers: 1, Probe: probe}
 	if _, err := MinPeriod(app, plan.InOrder, opts); err != nil {

@@ -31,17 +31,19 @@ var evaluate = scoreCandidate
 
 // scoreCandidate scores the objective on one candidate execution graph,
 // through the solve's orchestration memo when one is set: identical
-// weighted graphs reached anywhere in the search are scored once.
-func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (scored, error) {
+// weighted graphs reached anywhere in the search are scored once. limit is
+// the caller's acceptance limit (orchestrate.Limit): above it the score may
+// be a cut-off, which the caller rejects.
+func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (scored, error) {
 	c := scored{eg: eg, w: eg.Weighted()}
 	var err error
 	switch {
 	case opts.Probe != nil:
-		c.Score, err = opts.Probe.evaluate(c.w, m, obj, opts)
+		c.Score, err = opts.Probe.evaluate(c.w, m, obj, opts, limit)
 	case obj == PeriodObjective:
-		c.Score, _, err = orchestrate.ScorePeriod(opts.memo, c.w, m, opts.Orch)
+		c.Score, _, err = orchestrate.ScorePeriod(opts.memo, c.w, m, opts.Orch, limit)
 	default:
-		c.Score, _, err = orchestrate.ScoreLatency(opts.memo, c.w, m, opts.Orch)
+		c.Score, _, err = orchestrate.ScoreLatency(opts.memo, c.w, m, opts.Orch, limit)
 	}
 	return c, err
 }
@@ -65,7 +67,7 @@ var materialise = func(c scored, opts Options) (Solution, error) {
 // methods (greedy chain, the chain search's winner, Reevaluate) keep
 // whatever it gives.
 func solveGraph(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	c, err := evaluate(eg, m, obj, opts)
+	c, err := evaluate(eg, m, obj, opts, orchestrate.NoLimit)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -105,8 +107,9 @@ func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 	}
 	// The orchestration memo pays where a search revisits candidate graphs:
 	// hill-climb seeds/restarts converging on the same forests, and
-	// branch-and-bound re-reaching the graphs its incumbent seeding (greedy
-	// chain + hill climb, sharing this memo) already orchestrated.
+	// branch-and-bound re-reaching the graphs its incumbent seeding (the
+	// greedy chain, and from six services the hill climb, sharing this
+	// memo) already orchestrated or cut off.
 	if !opts.noMemo && (method == HillClimb || method == BranchBound) {
 		opts.memo = orchestrate.NewMemo()
 	}
@@ -190,6 +193,15 @@ func (r *result[T]) improves(v rat.Rat) bool {
 	return !r.ok || v.Less(r.val)
 }
 
+// limit is the acceptance limit of r's next offer: its best value, once it
+// has one (offer keeps strict improvements only).
+func (r *result[T]) limit() orchestrate.Limit {
+	if !r.ok {
+		return orchestrate.NoLimit
+	}
+	return orchestrate.AtMost(r.val)
+}
+
 // offer keeps c, of value v, when it improves the shard's best and reports
 // whether it did.
 func (r *result[T]) offer(c T, v rat.Rat) bool {
@@ -200,14 +212,15 @@ func (r *result[T]) offer(c T, v rat.Rat) bool {
 	return true
 }
 
-// offerGraph scores one candidate graph and offers it to r.
-func offerGraph(r *shardResult, eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) bool {
-	c, err := evaluate(eg, m, obj, opts)
+// offerGraph scores one candidate graph under limit and offers it to r; a
+// cut-off is a rejection.
+func offerGraph(r *shardResult, eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) bool {
+	c, err := evaluate(eg, m, obj, opts, limit)
 	if err != nil {
 		r.fail(err)
 		return false
 	}
-	return r.offer(c, c.Value)
+	return !c.NotBelow() && r.offer(c, c.Value)
 }
 
 // reduce folds shard results in shard order, keeping the first
@@ -430,7 +443,8 @@ func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 // improves nothing. moves offers node x's moves in order to try, which
 // skips without charge a move graphEval.reaches rules out (a cycle, a broken
 // precedence constraint, or a bound at the current value), orchestrates the
-// rest, keeps a strict improvement, and reports whether budget is left.
+// rest with the current value as the limit, keeps a strict improvement, and
+// reports whether budget is left.
 // r.best is the climb's current point: only strict improvements are ever
 // accepted.
 func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, g *dag.Graph, budget int,
@@ -442,7 +456,7 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 		r.fail(err)
 		return r
 	}
-	if !offerGraph(&r, eg, m, obj, opts) {
+	if !offerGraph(&r, eg, m, obj, opts, orchestrate.NoLimit) {
 		return r
 	}
 	e := newGraphEval(app, costs, obj, g)
@@ -452,7 +466,7 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 			budget--
 			if eg, err := e.candidate(v, a, b); err != nil {
 				r.fail(err)
-			} else if offerGraph(&r, eg, m, obj, opts) {
+			} else if offerGraph(&r, eg, m, obj, opts, r.limit()) {
 				e.Move(v, a, b)
 				improved = true
 			}
@@ -482,20 +496,21 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	n := app.N()
 	noPlan := fmt.Sprintf("no plan meets period bound %s under %s", periodBound, m)
 	// Only scores are compared — the period against the bound, the latency
-	// against the best — and the one winning latency schedule is
-	// materialised at the end.
-	tryGraph := func(eg *plan.ExecGraph, r *shardResult) bool {
+	// against the scan's best, each the limit of its scoring — and the one
+	// winning latency schedule is materialised at the end.
+	tryGraph := func(eg *plan.ExecGraph, r *shardResult, best orchestrate.Limit) bool {
 		w := eg.Weighted()
-		per, _, err := orchestrate.ScorePeriod(nil, w, m, opts.Orch)
-		if err != nil || per.Value.Greater(periodBound) {
+		per, _, err := orchestrate.ScorePeriod(nil, w, m, opts.Orch, orchestrate.AtMost(periodBound))
+		if err != nil || per.NotBelow() || per.Value.Greater(periodBound) {
 			return false
 		}
-		lat, _, err := orchestrate.ScoreLatency(nil, w, m, opts.Orch)
-		return err == nil && r.offer(scored{eg: eg, w: w, Score: lat}, lat.Value)
+		lat, _, err := orchestrate.ScoreLatency(nil, w, m, opts.Orch, best)
+		return err == nil && !lat.NotBelow() && r.offer(scored{eg: eg, w: w, Score: lat}, lat.Value)
 	}
 	if n <= maxN(opts, 6) {
 		// The forest branch-and-bound's tree and shards, with no bound:
-		// every forest's plan is scored.
+		// every forest's plan is scored, its latency against its shard's
+		// best (with no bound the shards never read the shared incumbent).
 		c, err := branchAndBound(forestTree(app, nil, tryGraph), &incumbent{}, opts, noPlan)
 		if err != nil {
 			return Solution{}, err
@@ -506,11 +521,11 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	// chains split into k parallel sub-chains.
 	var best shardResult
 	if eg, err := plan.Parallel(app); err == nil {
-		tryGraph(eg, &best)
+		tryGraph(eg, &best, best.limit())
 	}
 	for _, order := range [][]int{GreedyChainOrder(app, m), GreedyLatencyChainOrder(app)} {
 		if eg, err := plan.ChainFromOrder(app, order); err == nil {
-			tryGraph(eg, &best)
+			tryGraph(eg, &best, best.limit())
 		}
 		for k := 2; k <= 4 && k <= n; k++ {
 			var edges [][2]int
@@ -520,7 +535,7 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 				}
 			}
 			if eg, err := plan.Build(app, edges); err == nil {
-				tryGraph(eg, &best)
+				tryGraph(eg, &best, best.limit())
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/gen"
+	"repro/internal/orchestrate"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -152,7 +153,7 @@ func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
 	var want, got []string
 	app := gen.App(gen.NewRand(1), 5, gen.Mixed)
 	forEachForest(5, func(parent []int) { want = append(want, fmt.Sprint(forestGraph(parent).Edges())) })
-	branchAndBound(forestTree(app, nil, func(eg *plan.ExecGraph, _ *shardResult) bool {
+	branchAndBound(forestTree(app, nil, func(eg *plan.ExecGraph, _ *shardResult, _ orchestrate.Limit) bool {
 		got = append(got, fmt.Sprint(eg.Graph().Edges()))
 		return false
 	}), &incumbent{}, Options{Workers: 1}, "")
@@ -173,7 +174,7 @@ func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
 				want = append(want, fmt.Sprint(g.Edges()))
 			}
 		})
-		branchAndBound(dagTree(app, plan.Overlap, PeriodObjective, prec, func(eg *plan.ExecGraph, _ *shardResult) bool {
+		branchAndBound(dagTree(app, plan.Overlap, PeriodObjective, prec, func(eg *plan.ExecGraph, _ *shardResult, _ orchestrate.Limit) bool {
 			got = append(got, fmt.Sprint(eg.Graph().Edges()))
 			return false
 		}), &incumbent{}, Options{Workers: 1}, "")

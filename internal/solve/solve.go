@@ -32,7 +32,10 @@
 // on a Score the scoring produced, so the returned Solution is the one an
 // orchestrate-everything search returns (minimize.go; pinned by
 // valuefirst_test.go), and a failure on the winner is an internal error,
-// returned, never skipped.
+// returned, never skipped. Each candidate is scored under the value it
+// must reach to be kept — a climb's current value, a branch-and-bound
+// leaf's shard best and shared incumbent — and a scoring that proves every
+// schedule above it ends in a cut-off the search rejects (orchestrate.Limit).
 //
 // # One memo per solve
 //

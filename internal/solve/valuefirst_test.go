@@ -6,8 +6,11 @@ package solve
 // EVERY candidate, fail the candidate when that fails — plugged into the
 // same solvers through the evaluate seam. Over a seeded corpus the two must
 // return the identical Solution for every method, family, model, objective,
-// worker count and memo on or off, and do the identical search (same counters
-// at Workers 1). The eager side must also never fail a materialisation: the
+// worker count and memo on or off, and do the identical plan search (same
+// search counters and candidate evaluations at Workers 1). The order
+// searches inside differ by design: the reference scores with no limit, so
+// it never cuts a candidate off, and its orchestration counters are not
+// compared. The eager side must also never fail a materialisation: the
 // searches rely on Materialise being total on what the scoring produced.
 
 import (
@@ -32,10 +35,12 @@ var eagerFailures struct {
 }
 
 // eagerEvaluate is the pre-value-first evaluation: the candidate is fully
-// orchestrated — scored, its list rebuilt, validated and explained — before
-// the search sees its value.
-func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (scored, error) {
-	c, err := scoreCandidate(eg, m, obj, opts)
+// orchestrated — scored with no limit, its list rebuilt, validated and
+// explained — before the search sees its value. The caller's limit is
+// ignored, so no candidate is ever cut off: a shipped search that rejects
+// a cut-off must keep what this one keeps.
+func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, _ orchestrate.Limit) (scored, error) {
+	c, err := scoreCandidate(eg, m, obj, opts, orchestrate.NoLimit)
 	if err != nil {
 		return c, err
 	}
@@ -49,7 +54,7 @@ func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options
 }
 
 // withEvaluate runs fn with the package's evaluation replaced.
-func withEvaluate(eval func(*plan.ExecGraph, plan.Model, Objective, Options) (scored, error), fn func()) {
+func withEvaluate(eval func(*plan.ExecGraph, plan.Model, Objective, Options, orchestrate.Limit) (scored, error), fn func()) {
 	saved := evaluate
 	evaluate = eval
 	defer func() { evaluate = saved }()
@@ -168,10 +173,12 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 						if got4.print != ref.print {
 							t.Fatalf("%s: value-first at 4 workers diverged:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got4.print)
 						}
-						if got1.search != ref.search || got1.evals != ref.evals ||
-							got1.orch.Prefixes != ref.orch.Prefixes || got1.orch.Pruned != ref.orch.Pruned || got1.orch.Evaluated != ref.orch.Evaluated {
-							t.Fatalf("%s: search effort moved: eager %+v evals=%d orch=%+v, value-first %+v evals=%d orch=%+v",
-								name, ref.search, ref.evals, ref.orch, got1.search, got1.evals, got1.orch)
+						if got1.search != ref.search || got1.evals != ref.evals {
+							t.Fatalf("%s: search effort moved: eager %+v evals=%d, value-first %+v evals=%d",
+								name, ref.search, ref.evals, got1.search, got1.evals)
+						}
+						if ref.orch.CutOffs != 0 {
+							t.Fatalf("%s: the unlimited reference cut %d candidates off", name, ref.orch.CutOffs)
 						}
 					}
 				}
@@ -196,7 +203,7 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 
 	// Unit level: a shard keeps scores, so a lying candidate that scores
 	// best is kept, and materialising it is where the lie surfaces.
-	c, err := scoreCandidate(honest.Graph, plan.InOrder, PeriodObjective, opts.withDefaults())
+	c, err := scoreCandidate(honest.Graph, plan.InOrder, PeriodObjective, opts.withDefaults(), orchestrate.NoLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +219,8 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 
 	// Solver level: make the optimal graph's score lie. The search reaches
 	// it, keeps it as its winner, and must return the error.
-	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options) (scored, error) {
-		c, err := scoreCandidate(eg, m, obj, o)
+	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options, limit orchestrate.Limit) (scored, error) {
+		c, err := scoreCandidate(eg, m, obj, o, limit)
 		if err == nil && eg.String() == honest.Graph.String() {
 			c.Value = c.Value.Mul(rat.New(1, 2))
 		}
@@ -225,8 +232,9 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 }
 
 // TestMaterialiseOncePerSolve counts the schedules a solve builds. A hill
-// climb materialises its one winner; branch-and-bound at most three: the
-// greedy-chain seed, the climb seed and the winner.
+// climb materialises its one winner; branch-and-bound below six services
+// at most two: the greedy-chain seed and the winner (the climb seed, a
+// third, runs from six up).
 func TestMaterialiseOncePerSolve(t *testing.T) {
 	var count atomic.Int64
 	saved := materialise
@@ -244,7 +252,7 @@ func TestMaterialiseOncePerSolve(t *testing.T) {
 				for _, c := range []struct {
 					method Method
 					most   int64
-				}{{HillClimb, 1}, {BranchBound, 3}} {
+				}{{HillClimb, 1}, {BranchBound, 2}} {
 					count.Store(0)
 					solveOnce(t, app, m, obj, Options{Method: c.method, Orch: smallOrch(), Workers: 2})
 					if got := count.Load(); got < 1 || got > c.most {

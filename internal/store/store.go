@@ -188,6 +188,7 @@ type effortJSON struct {
 	OrchPrefixes  int64 `json:"orch_prefixes"`
 	OrchPruned    int64 `json:"orch_pruned"`
 	OrchEvaluated int64 `json:"orch_evaluated"`
+	OrchCutOffs   int64 `json:"orch_cutoffs,omitempty"`
 	QueueNanos    int64 `json:"queue_nanos"`
 	SolveNanos    int64 `json:"solve_nanos"`
 	OrchNanos     int64 `json:"orch_nanos"`
@@ -209,6 +210,7 @@ func encodeEffort(e *solve.Effort) *effortJSON {
 		OrchPrefixes:  e.Orch.Prefixes,
 		OrchPruned:    e.Orch.Pruned,
 		OrchEvaluated: e.Orch.Evaluated,
+		OrchCutOffs:   e.Orch.CutOffs,
 		QueueNanos:    e.QueueNanos,
 		SolveNanos:    e.SolveNanos,
 		OrchNanos:     e.OrchNanos,
@@ -234,7 +236,7 @@ func decodeEffort(d *effortJSON) *solve.Effort {
 		Method:     method,
 		Family:     family,
 		Search:     solve.Stats{Expanded: d.Expanded, Pruned: d.Pruned, Evaluated: d.Evaluated},
-		Orch:       orchestrate.Stats{Prefixes: d.OrchPrefixes, Pruned: d.OrchPruned, Evaluated: d.OrchEvaluated},
+		Orch:       orchestrate.Stats{Prefixes: d.OrchPrefixes, Pruned: d.OrchPruned, Evaluated: d.OrchEvaluated, CutOffs: d.OrchCutOffs},
 		Evals:      d.Evals,
 		MemoHits:   d.MemoHits,
 		QueueNanos: d.QueueNanos,

@@ -332,8 +332,9 @@ func TestEntryOfRetiredMethodLoadsWithoutEffort(t *testing.T) {
 // precedence. Its effort record carries the four counters of those
 // mechanisms (bound_edges_*, filter_*). The entry must load, hold the
 // Solution a solve by this build returns, keep every other effort counter —
-// they match this build's own solve — and re-encode to the stored bytes
-// minus the four dropped counters.
+// they match this build's own solve (they were brought up to date when the
+// exact search stopped seeding itself with a climb below six services) —
+// and re-encode to the stored bytes minus the four dropped counters.
 func TestEntryWithBoundCountersLoads(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "auto_dag_bound_counters.plan.json"))
 	if err != nil {
