@@ -2,15 +2,22 @@
 # `make vet build test-race test test-alloc bench-smoke`, the four smoke-*
 # targets and `make fuzz`, so every package list below exists once.
 #
-# The reachability gate needs no target of its own: TestShippedCodeIsReachable
-# (deadcode_test.go, root package) runs in every `go test` above, -short
-# included, in about 3 s. It type-checks the module and bench/ and fails
-# with one line per internal/ declaration no shipped code reaches, as
-# `file:line: pkg.Name has no shipped caller` (pkg.Type.Method for a
-# method). Delete what it lists, move a reference implementation into the
-# _test.go file that uses it, or give shared test support an entry, with its
-# reason, in the test's unreachableAllowed; an entry that gains a caller or
-# stops existing fails the gate too.
+# The two source gates need no target of their own: both live in
+# deadcode_test.go (root package) and run in every `go test` above, -short
+# included, in about 4 s each; both type-check the module and bench/.
+# - TestShippedCodeIsReachable fails with one line per internal/
+#   declaration no shipped code reaches, as `file:line: pkg.Name has no
+#   shipped caller` (pkg.Type.Method for a method). Delete what it lists,
+#   move a reference implementation into the _test.go file that uses it,
+#   or give shared test support an entry, with its reason, in
+#   unreachableAllowed.
+# - TestShippedKnobsHaveShippedSetters fails with one line per exported
+#   option field that shipped code builds but never sets (no json: tag, no
+#   write outside the struct's own defaulting), as `file:line:
+#   pkg.Type.Field has no shipped setter`. Make it a constant, or give it
+#   an entry, with its reason, in knobsAllowed.
+# An allowlist entry that gains a caller or setter, or stops existing,
+# fails its gate too.
 
 GO ?= go
 FUZZTIME ?= 15s

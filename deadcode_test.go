@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -41,13 +42,7 @@ var unreachableAllowed = map[string]string{
 // it, move it into the _test.go file that uses it, or, for shared test
 // support, add it to unreachableAllowed with its reason.
 func TestShippedCodeIsReachable(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs := map[string]*srcPackage{}
-	for _, m := range []struct{ dir, path string }{{".", "repro"}, {"bench", "repro/bench"}} {
-		if err := loadModule(fset, m.dir, m.path, pkgs); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fset, pkgs := loadShipped(t)
 	res, err := reachability(fset, pkgs)
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +55,20 @@ func TestShippedCodeIsReachable(t *testing.T) {
 			t.Errorf("%s:%d: %s has no shipped caller", d.file, d.line, d.name)
 		}
 	}
+}
+
+// loadShipped parses the module and the benchmark module (bench/, which
+// reaches the planner through a replace).
+func loadShipped(t *testing.T) (*token.FileSet, map[string]*srcPackage) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs := map[string]*srcPackage{}
+	for _, m := range []struct{ dir, path string }{{".", "repro"}, {"bench", "repro/bench"}} {
+		if err := loadModule(fset, m.dir, m.path, pkgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fset, pkgs
 }
 
 // srcPackage is one package's non-test files, parsed; types is filled in
@@ -140,6 +149,29 @@ func (im *sourceImporter) Import(path string) (*types.Package, error) {
 	return p.types, nil
 }
 
+// typeCheck type-checks every package of pkgs into one Info and returns it
+// with the packages' import paths, sorted.
+func typeCheck(fset *token.FileSet, pkgs map[string]*srcPackage) (*types.Info, []string, error) {
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}
+	im := &sourceImporter{fset: fset, pkgs: pkgs, info: info, std: importer.ForCompiler(fset, "source", nil)}
+	paths := make([]string, 0, len(pkgs))
+	for path := range pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := im.Import(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	return info, paths, nil
+}
+
 // decl is one top-level declared name; name is "pkg.Name" or
 // "pkg.Type.Method".
 type decl struct {
@@ -170,22 +202,9 @@ var stdlibCalled = map[string]bool{
 // functions, package-level vars with initialisers, methods named like a
 // method of an interface type the program mentions, and stdlibCalled.
 func reachability(fset *token.FileSet, pkgs map[string]*srcPackage) (*reachResult, error) {
-	info := &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
-	}
-	im := &sourceImporter{fset: fset, pkgs: pkgs, info: info, std: importer.ForCompiler(fset, "source", nil)}
-	paths := make([]string, 0, len(pkgs))
-	for path := range pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, err := im.Import(path); err != nil {
-			return nil, err
-		}
+	info, paths, err := typeCheck(fset, pkgs)
+	if err != nil {
+		return nil, err
 	}
 
 	decls := map[types.Object]*decl{}
@@ -480,6 +499,352 @@ func Kept() {}`,
 			}
 			if p := allowlistProblems(res, c.allow); len(p) != c.problems {
 				t.Errorf("allowlist problems %q, want %d", p, c.problems)
+			}
+		})
+	}
+}
+
+// knobsAllowed lists the option fields that no shipped code sets but that
+// stay, each with its reason. An entry that gains a setter or names no
+// field in scope fails the gate.
+var knobsAllowed = map[string]string{
+	"cluster.Config.BreakerCooldown":       "wall-clock seam the tests shorten, until ROADMAP 5d's injectable clock",
+	"cluster.Config.ProbeTimeout":          "wall-clock seam the tests shorten, until ROADMAP 5d's injectable clock",
+	"cluster.Config.RetryBackoff":          "wall-clock seam the tests shorten, until ROADMAP 5d's injectable clock",
+	"cluster.GossipConfig.BreakerCooldown": "wall-clock seam the tests shorten, until ROADMAP 5d's injectable clock",
+	"faults.Config.MaxDelay":               "wall-clock seam the tests shorten, until ROADMAP 5d's injectable clock",
+	"resilience.BreakerConfig.Now":         "wall-clock seam the tests shorten, until ROADMAP 5d's injectable clock",
+	"exec.Config.Predicate":                "test seam: deterministic verdicts the executor tests assert",
+}
+
+// TestShippedKnobsHaveShippedSetters is the gate that every option a
+// shipped caller can build is one some shipped caller sets: for each
+// exported field of an exported internal/ struct that shipped code outside
+// its package builds with a composite literal, it wants a json: tag (the
+// wire decoder sets it) or a shipped write of the field. Defaulting does not
+// count: a write inside the struct's package only counts from a function
+// whose receiver and parameters do not include the struct. A report reads
+// "file:line: pkg.Type.Field has no shipped setter": make it a constant, or
+// add it to knobsAllowed with its reason.
+func TestShippedKnobsHaveShippedSetters(t *testing.T) {
+	fset, pkgs := loadShipped(t)
+	unset, problems, err := knobGate(fset, pkgs, knobsAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+	for _, k := range unset {
+		t.Errorf("%s:%d: %s has no shipped setter", k.file, k.line, k.name)
+	}
+}
+
+// knob is one exported field of an exported internal/ struct; name is
+// "pkg.Type.Field".
+type knob struct {
+	name  string
+	file  string
+	line  int
+	set   bool         // carries a json: tag or has a counted write
+	owner *types.Named // the struct declaring the field
+}
+
+// knobGate type-checks pkgs and returns the in-scope knobs that have no
+// setter and are not in allow (sorted by file and line), plus one problem
+// per allow entry that names no in-scope knob or names one with a setter.
+func knobGate(fset *token.FileSet, pkgs map[string]*srcPackage, allow map[string]string) ([]*knob, []string, error) {
+	info, paths, err := typeCheck(fset, pkgs)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Every exported field of every exported internal/ struct.
+	knobs := map[*types.Var]*knob{}
+	for _, path := range paths {
+		if !strings.Contains("/"+path+"/", "/internal/") {
+			continue
+		}
+		for _, f := range pkgs[path].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if _, ok := ts.Type.(*ast.StructType); !ok || !ts.Name.IsExported() {
+					return false
+				}
+				named := info.Defs[ts.Name].Type().(*types.Named)
+				st := named.Underlying().(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					v := st.Field(i)
+					if !v.Exported() {
+						continue
+					}
+					_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+					pos := fset.Position(v.Pos())
+					knobs[v] = &knob{
+						name: named.Obj().Pkg().Name() + "." + ts.Name.Name + "." + v.Name(),
+						file: filepath.ToSlash(pos.Filename), line: pos.Line,
+						set: tagged, owner: named,
+					}
+				}
+				return false
+			})
+		}
+	}
+
+	// Walk every function and package-level declaration for composite
+	// literals (which put a struct in scope, and whose keys are writes) and
+	// for assignments, inc/dec and &x.F (writes).
+	inScope := map[*types.Named]bool{}
+	for _, path := range paths {
+		pkg := pkgs[path].types
+		for _, f := range pkgs[path].files {
+			for _, d := range f.Decls {
+				var sig *types.Signature
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					sig = info.Defs[fd.Name].Type().(*types.Signature)
+				}
+				write := func(e ast.Expr) {
+					sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+					if !ok || info.Selections[sel] == nil {
+						return
+					}
+					if v, ok := info.Selections[sel].Obj().(*types.Var); ok {
+						countWrite(knobs[v.Origin()], pkg, sig)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						named := structOf(info.Types[n].Type)
+						if named == nil {
+							return true
+						}
+						if named.Obj().Pkg() != pkg {
+							inScope[named] = true
+						}
+						for i, el := range n.Elts {
+							var field types.Object
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								field = info.Uses[kv.Key.(*ast.Ident)]
+							} else {
+								field = named.Underlying().(*types.Struct).Field(i)
+							}
+							if v, ok := field.(*types.Var); ok {
+								countWrite(knobs[v.Origin()], pkg, sig)
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							write(lhs)
+						}
+					case *ast.IncDecStmt:
+						write(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var unset []*knob
+	byName := map[string]*knob{}
+	for _, k := range knobs {
+		if !inScope[k.owner] {
+			continue
+		}
+		byName[k.name] = k
+		if _, ok := allow[k.name]; !k.set && !ok {
+			unset = append(unset, k)
+		}
+	}
+	sort.Slice(unset, func(i, j int) bool {
+		a, b := unset[i], unset[j]
+		if a.file != b.file {
+			return a.file < b.file
+		}
+		return a.line < b.line
+	})
+	var problems []string
+	for name := range allow {
+		switch k := byName[name]; {
+		case k == nil:
+			problems = append(problems, fmt.Sprintf("knob allowlist entry %s names no field in scope: drop it", name))
+		case k.set:
+			problems = append(problems, fmt.Sprintf("knob allowlist entry %s has a shipped setter: drop it", name))
+		}
+	}
+	sort.Strings(problems)
+	return unset, problems, nil
+}
+
+// countWrite marks k set unless the write is in k's own package, in a
+// function that takes k's struct as receiver or parameter (defaulting).
+func countWrite(k *knob, pkg *types.Package, sig *types.Signature) {
+	if k == nil || k.set {
+		return
+	}
+	if pkg == k.owner.Obj().Pkg() && sig != nil {
+		params := []*types.Var{}
+		if sig.Recv() != nil {
+			params = append(params, sig.Recv())
+		}
+		for i := 0; i < sig.Params().Len(); i++ {
+			params = append(params, sig.Params().At(i))
+		}
+		for _, p := range params {
+			if structOf(p.Type()) == k.owner {
+				return
+			}
+		}
+	}
+	k.set = true
+}
+
+// structOf returns the generic origin of the named struct type t is or
+// points to, or nil.
+func structOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return nil
+	}
+	if _, ok := n.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return n.Origin()
+}
+
+// TestKnobGate runs the knob gate over small module trees written to disk
+// (so the loader's _test.go skip is part of what is tested):
+// m/internal/a is the scanned package, m/cmd its shipped caller.
+func TestKnobGate(t *testing.T) {
+	const defaults = `package a
+type Config struct {
+	Size  int
+	Count int
+}
+func (c Config) withDefaults() Config {
+	if c.Size == 0 {
+		c.Size = 8
+	}
+	return c
+}
+func New(cfg Config) int {
+	cfg = cfg.withDefaults()
+	cfg.Count++
+	return cfg.Size + cfg.Count
+}`
+	cases := []struct {
+		name     string
+		files    map[string]string // path below the module root → source
+		allow    map[string]string
+		unset    []string
+		problems int
+	}{{
+		name: "a field set only from a _test.go file is reported",
+		files: map[string]string{
+			"internal/a/a.go":      `package a; type Config struct{ Size int }; func New(cfg Config) int { return cfg.Size }`,
+			"internal/a/a_test.go": `package a; var c = Config{Size: 2}`,
+			"cmd/main.go":          `package main; import "m/internal/a"; func main() { _ = a.New(a.Config{}) }`,
+		},
+		unset: []string{"a.Config.Size"},
+	}, {
+		name: "writes in withDefaults(c Config) and New(cfg Config) are defaulting",
+		files: map[string]string{
+			"internal/a/a.go": defaults,
+			"cmd/main.go":     `package main; import "m/internal/a"; func main() { _ = a.New(a.Config{}) }`,
+		},
+		unset: []string{"a.Config.Size", "a.Config.Count"},
+	}, {
+		name: "a keyed literal in another package clears the field",
+		files: map[string]string{
+			"internal/a/a.go": defaults,
+			"cmd/main.go":     `package main; import "m/internal/a"; func main() { _ = a.New(a.Config{Size: 3}) }`,
+		},
+		unset: []string{"a.Config.Count"},
+	}, {
+		name: "an assignment, inc/dec or &x.F in another package clears the field",
+		files: map[string]string{
+			"internal/a/a.go": defaults,
+			"cmd/main.go": `package main; import "m/internal/a"
+func main() {
+	var c a.Config
+	c.Size = 1
+	p := &c.Count
+	*p = 2
+	_ = a.New(c)
+}`,
+		},
+	}, {
+		name: "a non-defaulting write in the same package clears the field",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Request struct{ Size int }
+type Params struct {
+	Size int ` + "`json:\"size\"`" + `
+}
+func (p Params) Request() Request { return Request{Size: p.Size} }`,
+			"cmd/main.go": `package main; import "m/internal/a"; func main() { _ = a.Request{}; _ = a.Params{}.Request() }`,
+		},
+	}, {
+		name: "a json-tagged field clears, and a struct built only in its package is out of scope",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Config struct {
+	Name string ` + "`json:\"name\"`" + `
+}
+type Stats struct{ Count int }
+func Run(c Config) Stats { return Stats{} }`,
+			"cmd/main.go": `package main; import "m/internal/a"; func main() { _ = a.Run(a.Config{}) }`,
+		},
+	}, {
+		name: "allowlist entries naming a field with a setter, or no field, fail",
+		files: map[string]string{
+			"internal/a/a.go": defaults,
+			"cmd/main.go":     `package main; import "m/internal/a"; func main() { _ = a.New(a.Config{Size: 3}) }`,
+		},
+		allow:    map[string]string{"a.Config.Count": "seam", "a.Config.Size": "has a setter", "a.Config.Gone": "deleted"},
+		problems: 2,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for path, src := range c.files {
+				full := filepath.Join(dir, filepath.FromSlash(path))
+				if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fset := token.NewFileSet()
+			pkgs := map[string]*srcPackage{}
+			if err := loadModule(fset, dir, "m", pkgs); err != nil {
+				t.Fatal(err)
+			}
+			unset, problems, err := knobGate(fset, pkgs, c.allow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, k := range unset {
+				names = append(names, k.name)
+			}
+			if strings.Join(names, " ") != strings.Join(c.unset, " ") {
+				t.Errorf("unset = %v, want %v", names, c.unset)
+			}
+			if len(problems) != c.problems {
+				t.Errorf("allowlist problems %q, want %d", problems, c.problems)
 			}
 		})
 	}

@@ -65,6 +65,16 @@ import (
 	"repro/internal/service"
 )
 
+const (
+	// forwardRetries bounds re-attempts of one idempotent forward after
+	// its first try. PATCH forwards never retry.
+	forwardRetries = 2
+	// batchFanoutPerPeer bounds the concurrently routed items of one
+	// batch, per peer. Items beyond it queue behind the fan-out workers
+	// instead of each spawning a goroutine.
+	batchFanoutPerPeer = 4
+)
+
 // Config tunes a Router. Peers and Local are required.
 type Config struct {
 	// Peers are the replicas' base URLs (e.g. http://10.0.0.1:8080), in
@@ -92,23 +102,14 @@ type Config struct {
 	// itself capped at 1s) — a hung peer costs one bounded probe, not a
 	// stalled health pass.
 	ProbeTimeout time.Duration
-	// BreakerThreshold is K, the consecutive failures (forwards and
-	// probes combined) that open a peer's breaker; BreakerCooldown the
-	// Open → HalfOpen delay. Zero values take the resilience defaults
-	// (3 failures, 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// ForwardRetries bounds re-attempts of one idempotent forward after
-	// its first try (default 2; negative disables retries). PATCH
-	// forwards never retry. RetryBackoff is the base of the delay ladder
-	// between attempts (resilience.Backoff: doubling, jittered; default
+	// BreakerCooldown is the Open → HalfOpen delay of a peer's breaker
+	// (default 5s), which opens after resilience.Threshold consecutive
+	// failures, forwards and probes combined.
+	BreakerCooldown time.Duration
+	// RetryBackoff is the base of the delay ladder between the attempts
+	// of one forward (resilience.Backoff: doubling, jittered; default
 	// 50ms).
-	ForwardRetries int
-	RetryBackoff   time.Duration
-	// BatchFanout bounds the concurrently routed items of one batch
-	// (default 4 per peer). Items beyond it queue behind the fan-out
-	// workers instead of each spawning a goroutine.
-	BatchFanout int
+	RetryBackoff time.Duration
 	// Metrics receives the router's instrument families (default: a
 	// private registry). cmd/filterd passes the service's registry so
 	// one /metrics page covers the whole process.
@@ -245,17 +246,8 @@ func New(cfg Config) (*Router, error) {
 			cfg.ProbeTimeout = time.Second
 		}
 	}
-	switch {
-	case cfg.ForwardRetries == 0:
-		cfg.ForwardRetries = 2
-	case cfg.ForwardRetries < 0:
-		cfg.ForwardRetries = 0
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.BatchFanout <= 0 {
-		cfg.BatchFanout = 4 * len(cfg.Peers)
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -288,8 +280,7 @@ func New(cfg Config) (*Router, error) {
 		rt.peers = append(rt.peers, &peer{
 			url: u,
 			breaker: resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: cfg.BreakerThreshold,
-				Cooldown:  cfg.BreakerCooldown,
+				Cooldown: cfg.BreakerCooldown,
 				OnTransition: func(from, to resilience.State) {
 					// Opens isolate a peer — worth a warning; the rest
 					// (probe slots, recoveries) are informational.
@@ -537,9 +528,9 @@ type batchJSON struct {
 // handleBatch fans the items out to their owners and reassembles the
 // answers in item order — a batch spanning shards parallelizes across
 // replicas, which a single replica cannot do. The fan-out is bounded by
-// BatchFanout workers draining a shared index: a thousand-item batch
-// costs a handful of goroutines and at most BatchFanout concurrent
-// forwards, not a thousand of each.
+// batchFanoutPerPeer workers per peer draining a shared index: a
+// thousand-item batch costs a handful of goroutines and at most that many
+// concurrent forwards, not a thousand of each.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -556,7 +547,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	answers := make([]routedResponse, len(doc.Requests))
-	workers := rt.cfg.BatchFanout
+	workers := batchFanoutPerPeer * len(rt.peers)
 	if workers > len(doc.Requests) {
 		workers = len(doc.Requests)
 	}
@@ -734,7 +725,7 @@ var errBreakerOpen = fmt.Errorf("cluster: peer breaker open")
 // forward proxies the request to p, reporting whether a response was
 // committed to w; false means nothing was written and the caller can fail
 // over. Each attempt passes the peer's breaker gate, and idempotent
-// methods re-try transient failures up to ForwardRetries times (PATCH
+// methods re-try transient failures up to forwardRetries times (PATCH
 // never retries against the SAME peer — a replayed drift would publish
 // duplicate re-plan events there; determinism makes every other forward
 // safe to repeat, and the caller's owner list makes a DIFFERENT owner
@@ -759,7 +750,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, p *peer, path 
 	sse := strings.HasPrefix(path, "/v1/subscribe/")
 	attempts := 1
 	if r.Method != http.MethodPatch {
-		attempts += rt.cfg.ForwardRetries
+		attempts += forwardRetries
 	}
 	committed := false
 	attempt := 0

@@ -46,6 +46,9 @@ import (
 	"repro/internal/service"
 )
 
+// gossipTimeout bounds one exchange round trip.
+const gossipTimeout = 10 * time.Second
+
 // GossipConfig tunes a Gossip agent. Peers and Local are required.
 type GossipConfig struct {
 	// Peers are the co-replica base URLs to exchange with (this
@@ -55,13 +58,10 @@ type GossipConfig struct {
 	Local *service.Server
 	// Interval is the anti-entropy period (default 2s).
 	Interval time.Duration
-	// Timeout bounds one exchange round trip (default 10s).
-	Timeout time.Duration
-	// BreakerThreshold and BreakerCooldown tune the per-peer breakers
-	// (defaults from internal/resilience: 3 failures, 5s cooldown). The
-	// cooldown doubles as the loop's backoff against a dead peer.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is the Open → HalfOpen delay of the per-peer
+	// breakers (default 5s; they open after resilience.Threshold
+	// failures). It doubles as the loop's backoff against a dead peer.
+	BreakerCooldown time.Duration
 	// Client performs the exchanges (default http.Client).
 	Client *http.Client
 	// Metrics receives the gossip families (default: a private
@@ -126,9 +126,6 @@ func NewGossip(cfg GossipConfig) (*Gossip, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
@@ -145,8 +142,7 @@ func NewGossip(cfg GossipConfig) (*Gossip, error) {
 		g.peers = append(g.peers, &gossipPeer{
 			url: u,
 			breaker: resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: cfg.BreakerThreshold,
-				Cooldown:  cfg.BreakerCooldown,
+				Cooldown: cfg.BreakerCooldown,
 				OnTransition: func(from, to resilience.State) {
 					level := slog.LevelInfo
 					if to == resilience.Open {
@@ -305,7 +301,7 @@ func (g *Gossip) post(ctx context.Context, p *gossipPeer, req service.SyncReques
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding sync request: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, gossipTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/v1/sync", bytes.NewReader(body))
 	if err != nil {

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // TestGossipConvergesReplicas: two replicas solve different instances;
@@ -135,9 +137,9 @@ func TestGossipSpreadsPatchedDrift(t *testing.T) {
 	}
 }
 
-// TestGossipBreakerBacksOffDeadPeer: a dead peer fails one exchange,
-// opens its breaker, and subsequent rounds skip it entirely until the
-// cooldown; the agent never errors out.
+// TestGossipBreakerBacksOffDeadPeer: a dead peer fails
+// resilience.Threshold exchanges, opens its breaker, and subsequent rounds
+// skip it entirely until the cooldown; the agent never errors out.
 func TestGossipBreakerBacksOffDeadPeer(t *testing.T) {
 	a := newReplica(t)
 	dead := newReplica(t)
@@ -145,26 +147,25 @@ func TestGossipBreakerBacksOffDeadPeer(t *testing.T) {
 	dead.ts.Close()
 
 	g, err := NewGossip(GossipConfig{
-		Peers:            []string{deadURL},
-		Local:            a.srv,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
+		Peers:           []string{deadURL},
+		Local:           a.srv,
+		BreakerCooldown: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.RunOnce(context.Background())
-	g.RunOnce(context.Background())
-	g.RunOnce(context.Background())
+	for i := 0; i < resilience.Threshold+2; i++ {
+		g.RunOnce(context.Background())
+	}
 
 	st := g.Stats()
-	if st.Failures != 1 {
-		t.Errorf("failures %d, want exactly 1 before the breaker opens", st.Failures)
+	if st.Failures != resilience.Threshold {
+		t.Errorf("failures %d, want exactly %d before the breaker opens", st.Failures, resilience.Threshold)
 	}
 	if st.Skipped != 2 {
 		t.Errorf("skipped %d, want 2 breaker-rejected rounds", st.Skipped)
 	}
-	if st.Rounds != 3 {
+	if st.Rounds != resilience.Threshold+2 {
 		t.Errorf("rounds %d", st.Rounds)
 	}
 }

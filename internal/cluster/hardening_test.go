@@ -49,7 +49,7 @@ func newRouter(t *testing.T, cfg Config) *Router {
 }
 
 // TestBatchFanoutBounded: a 12-item batch against a single slow peer
-// keeps at most BatchFanout forwards in flight — the per-item-goroutine
+// keeps at most batchFanoutPerPeer forwards in flight — the per-item-goroutine
 // regression would show all 12 concurrently.
 func TestBatchFanoutBounded(t *testing.T) {
 	var cur, max atomic.Int64
@@ -67,7 +67,6 @@ func TestBatchFanoutBounded(t *testing.T) {
 	})
 	rt := newRouter(t, Config{
 		Peers: []string{peer.URL}, HealthInterval: time.Hour,
-		BatchFanout: 2, ForwardRetries: -1,
 	})
 	gw := httptest.NewServer(rt)
 	defer gw.Close()
@@ -102,8 +101,8 @@ func TestBatchFanoutBounded(t *testing.T) {
 			t.Fatalf("item %d failed: %q", i, res.Error)
 		}
 	}
-	if m := max.Load(); m > 2 {
-		t.Errorf("%d forwards in flight at once, fan-out bound is 2", m)
+	if m := max.Load(); m > batchFanoutPerPeer {
+		t.Errorf("%d forwards in flight at once, fan-out bound is %d", m, batchFanoutPerPeer)
 	}
 }
 
@@ -122,7 +121,7 @@ func TestMidBodyPeerDeathFailsOver(t *testing.T) {
 		panic(http.ErrAbortHandler)
 	})
 	rt := newRouter(t, Config{
-		Peers: []string{peer.URL}, HealthInterval: time.Hour, ForwardRetries: -1,
+		Peers: []string{peer.URL}, HealthInterval: time.Hour,
 	})
 	gw := httptest.NewServer(rt)
 	defer gw.Close()
@@ -231,7 +230,7 @@ func TestBreakerIsolatesFlappingPeer(t *testing.T) {
 	t.Cleanup(peer.Close)
 	rt := newRouter(t, Config{
 		Peers: []string{peer.URL}, HealthInterval: time.Hour,
-		BreakerThreshold: 3, ForwardRetries: 2, RetryBackoff: time.Millisecond,
+		RetryBackoff: time.Millisecond,
 	})
 	gw := httptest.NewServer(rt)
 	defer gw.Close()

@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // scrapeFamilies reads a /metrics page into family → value, summing each
@@ -59,7 +61,7 @@ func TestRouterMetricsCoverStats(t *testing.T) {
 	reps := []*replica{newReplica(t), newReplica(t)}
 	rt := newRouter(t, Config{
 		Peers: []string{reps[0].ts.URL, reps[1].ts.URL}, HealthInterval: time.Hour,
-		BreakerThreshold: 1, ForwardRetries: 1, RetryBackoff: time.Millisecond,
+		RetryBackoff: time.Millisecond,
 	})
 	gw := httptest.NewServer(rt)
 	defer gw.Close()
@@ -148,8 +150,10 @@ func TestRouterMetricsCoverStats(t *testing.T) {
 func TestCensusMatchesPerShardCount(t *testing.T) {
 	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
 	for _, bits := range []int{1, 3, 8} {
-		rt := newRouter(t, Config{Peers: peers, ShardBits: bits, Replicas: 2, HealthInterval: time.Hour, BreakerThreshold: 1})
-		rt.peers[1].breaker.Failure() // peer 1 open
+		rt := newRouter(t, Config{Peers: peers, ShardBits: bits, Replicas: 2, HealthInterval: time.Hour})
+		for i := 0; i < resilience.Threshold; i++ {
+			rt.peers[1].breaker.Failure() // peer 1 open
+		}
 		want := make([]int, rt.cfg.Replicas+1)
 		for shard := 0; shard < 1<<bits; shard++ {
 			up := 0

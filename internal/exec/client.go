@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,29 +32,12 @@ import (
 // Client implements Planner over HTTP against a filterd (or cluster
 // router) base URL.
 type Client struct {
-	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the service root, e.g. "http://127.0.0.1:8080". Requests
+	// go through http.DefaultClient, which has no global timeout:
+	// subscription streams outlive any sane one.
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient. Subscribe requires a
-	// client without a global timeout (streams outlive any sane one).
-	HTTPClient *http.Client
 	// Params are the solve parameters of every request.
 	Params service.Params
-	// Logger, when non-nil, receives reconnect and parse warnings.
-	Logger *slog.Logger
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-func (c *Client) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.New(slog.DiscardHandler)
 }
 
 // Plan implements Planner: POST /v1/plan.
@@ -105,21 +87,19 @@ func (c *Client) Subscribe(ctx context.Context, hash string) (<-chan Replan, err
 
 func (c *Client) subscribeLoop(ctx context.Context, hash string, out chan<- Replan) {
 	defer close(out)
-	logger := c.logger()
 	lastID := uint64(0)
 	seen := false
 	reconnect := resilience.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	for attempt := 0; ctx.Err() == nil; attempt++ {
-		err := c.consumeStream(ctx, hash, &lastID, &seen, out)
+		// Any end of the stream, error or not, reconnects from lastID.
+		c.consumeStream(ctx, hash, &lastID, &seen, out)
 		if ctx.Err() != nil {
 			return
 		}
-		d := reconnect.Delay(attempt)
-		logger.Warn("exec.subscribe.reconnect", "hash", hash, "err", err, "backoff", d)
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(d):
+		case <-time.After(reconnect.Delay(attempt)):
 		}
 	}
 }
@@ -136,7 +116,7 @@ func (c *Client) consumeStream(ctx context.Context, hash string, lastID *uint64,
 	if *seen {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastID, 10))
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -153,26 +133,24 @@ func (c *Client) consumeStream(ctx context.Context, hash string, lastID *uint64,
 	var data bytes.Buffer
 	dispatch := func() error {
 		defer func() { id, event = 0, ""; data.Reset() }()
-		switch event {
-		case "replan":
-			var rp Replan
-			if err := json.Unmarshal(data.Bytes(), &rp); err != nil {
-				return fmt.Errorf("exec: decoding replan event: %w", err)
-			}
-			rp.ID = id
-			select {
-			case out <- rp:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if id > 0 {
-				*lastID, *seen = id, true
-			}
-		case "lagged":
-			// Events were lost beyond the retained history. The next
-			// replan still carries the full drifted instance, so the
-			// executor converges on it; surface the gap for operators.
-			c.logger().Warn("exec.subscribe.lagged", "hash", hash, "data", data.String())
+		// A "lagged" event (events lost beyond the retained history) needs
+		// nothing: the next replan still carries the full drifted
+		// instance, so the executor converges on it.
+		if event != "replan" {
+			return nil
+		}
+		var rp Replan
+		if err := json.Unmarshal(data.Bytes(), &rp); err != nil {
+			return fmt.Errorf("exec: decoding replan event: %w", err)
+		}
+		rp.ID = id
+		select {
+		case out <- rp:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if id > 0 {
+			*lastID, *seen = id, true
 		}
 		return nil
 	}
@@ -256,7 +234,7 @@ func (c *Client) do(ctx context.Context, method, path string, body any, requestI
 		if requestID != "" {
 			req.Header.Set(obs.HeaderRequestID, requestID)
 		}
-		resp, err := c.http().Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return err
 		}
@@ -267,13 +245,10 @@ func (c *Client) do(ctx context.Context, method, path string, body any, requestI
 				return fmt.Errorf("%w: %s %s: status %d after %d backoffs: %s",
 					ErrUpstreamBusy, method, path, resp.StatusCode, attempt, strings.TrimSpace(string(b)))
 			}
-			d := retryWait(resp.Header.Get("Retry-After"), attempt)
-			c.logger().Warn("exec.backoff", "method", method, "path", path,
-				"status", resp.StatusCode, "wait", d, "request_id", requestID)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(d):
+			case <-time.After(retryWait(resp.Header.Get("Retry-After"), attempt)):
 			}
 			continue
 		}

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"time"
 
@@ -106,10 +105,6 @@ type Config struct {
 
 	// Metrics, when non-nil, receives the filterexec_* instruments.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, records a span per run and per re-plan.
-	Tracer *obs.Tracer
-	// Logger, when non-nil, receives structured progress events.
-	Logger *slog.Logger
 	// RequestID correlates the run's control-plane requests; generated
 	// when empty.
 	RequestID string
@@ -261,14 +256,6 @@ func New(cfg Config) (*Executor, error) {
 	return e, nil
 }
 
-// logger returns the configured logger or a discard-equivalent default.
-func (e *Executor) logger() *slog.Logger {
-	if e.cfg.Logger != nil {
-		return e.cfg.Logger
-	}
-	return slog.New(slog.DiscardHandler)
-}
-
 // Run plans the instance, executes nTuples through the planned graph in
 // Window-sized rounds, and returns the final report. Between rounds it
 // adopts externally triggered re-plans from the subscription stream and
@@ -276,21 +263,15 @@ func (e *Executor) logger() *slog.Logger {
 // boundary, never mid-tuple.
 func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 	start := time.Now()
-	span := e.span("exec.run", e.cfg.RequestID)
-	logger := e.logger()
 
 	p, err := e.cfg.Planner.Plan(ctx, e.cfg.App, e.cfg.RequestID)
 	if err != nil {
-		span.SetError(err.Error())
-		span.End(500)
 		return nil, fmt.Errorf("exec: initial plan: %w", err)
 	}
 	e.adopt(p)
 	// The stage network, if any, belongs to the run: whichever way Run
 	// returns, no stage goroutine of the then-current program outlives it.
 	defer func() { e.prog.stop() }()
-	span.SetHash(p.Hash, "")
-	logger.Info("exec.plan", "hash", p.Hash, "value", p.Value.String(), "period", p.Period.String())
 
 	// Subscription manager: one subscription per current hash, replaced
 	// on every hot swap so externally triggered re-plans against the
@@ -299,8 +280,6 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 	defer cancelSub()
 	events, err := e.cfg.Planner.Subscribe(subCtx, p.Hash)
 	if err != nil {
-		span.SetError(err.Error())
-		span.End(500)
 		return nil, fmt.Errorf("exec: subscribe %s: %w", p.Hash, err)
 	}
 	resubscribe := func() {
@@ -308,7 +287,6 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 		subCtx, cancelSub = context.WithCancel(ctx)
 		ev, serr := e.cfg.Planner.Subscribe(subCtx, e.plan.Hash)
 		if serr != nil {
-			logger.Warn("exec.subscribe", "hash", e.plan.Hash, "err", serr)
 			events = nil
 			return
 		}
@@ -324,8 +302,6 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 
 	for done := uint64(0); done < nTuples; {
 		if err := ctx.Err(); err != nil {
-			span.SetError(err.Error())
-			span.End(499)
 			return nil, err
 		}
 		n := uint64(e.cfg.Window)
@@ -346,13 +322,11 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 
 		// Round boundary: adopt external re-plans, then run the drift
 		// controller. Both may hot-swap the plan for the next round.
-		if swapped := e.adoptExternal(ctx, events, report, done, logger); swapped {
+		if swapped := e.adoptExternal(ctx, events, report, done); swapped {
 			resubscribe()
 		}
-		swapped, cerr := e.controller(ctx, report, done, logger)
+		swapped, cerr := e.controller(ctx, report, done)
 		if cerr != nil {
-			span.SetError(cerr.Error())
-			span.End(500)
 			return nil, cerr
 		}
 		if swapped {
@@ -374,8 +348,6 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 	report.Value = e.plan.Value
 	report.Period = e.plan.Period
 	if report.Schedule, err = json.Marshal(e.plan.Schedule); err != nil {
-		span.SetError(err.Error())
-		span.End(500)
 		return nil, fmt.Errorf("exec: encoding schedule: %w", err)
 	}
 	report.App = e.plan.App
@@ -387,22 +359,7 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 	if e.m != nil {
 		e.m.throughput.Set(report.Throughput)
 	}
-	span.SetHash(e.plan.Hash, "")
-	span.SetOutcome("completed", "exec")
-	span.End(200)
-	logger.Info("exec.done",
-		"tuples", report.Tuples, "emitted", report.Emitted,
-		"rounds", report.Rounds, "patches", report.Patches,
-		"replans", report.ReplanEvents, "hash", report.Hash)
 	return report, nil
-}
-
-// span starts a tracer span, tolerating a nil tracer.
-func (e *Executor) span(route, id string) *obs.Span {
-	if e.cfg.Tracer == nil {
-		return nil
-	}
-	return e.cfg.Tracer.Start(route, id)
 }
 
 // adopt makes p the current plan: the previous plan's stage network is
@@ -431,7 +388,7 @@ func (e *Executor) estimatorFor(name string) *estimator {
 // (a cache hit on the service) and hot-swapped in. The executor's own
 // PATCH echo — an event whose NewHash is already the active hash — is
 // ignored. Returns whether a swap happened.
-func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, report *Report, tuple uint64, logger *slog.Logger) bool {
+func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, report *Report, tuple uint64) bool {
 	swapped := false
 	for {
 		select {
@@ -443,22 +400,12 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 				continue // own PATCH echo
 			}
 			if ev.NewApp == nil {
-				logger.Warn("exec.replan.skipped", "new_hash", ev.NewHash, "reason", "event carried no instance")
-				continue
+				continue // an event that carried no instance
 			}
-			span := e.span("exec.replan", e.cfg.RequestID)
-			t0 := time.Now()
 			p, err := e.cfg.Planner.Plan(ctx, ev.NewApp, e.cfg.RequestID)
 			if err != nil {
-				logger.Warn("exec.replan.failed", "new_hash", ev.NewHash, "err", err)
-				span.SetError(err.Error())
-				span.End(500)
-				continue
+				continue // the next event or the controller tries again
 			}
-			span.Observe(obs.PhaseSolve, time.Since(t0))
-			span.SetHash(p.Hash, "")
-			span.SetOutcome("adopted", "subscribe")
-			span.End(200)
 			report.Episodes = append(report.Episodes, DriftEpisode{
 				Round:    report.Rounds,
 				Tuple:    tuple,
@@ -468,7 +415,6 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 				OldValue: ev.OldValue,
 				NewValue: ev.NewValue,
 			})
-			logger.Info("exec.swap", "source", "subscribe", "old_hash", e.plan.Hash, "new_hash", p.Hash)
 			e.adopt(p)
 			report.ReplanEvents++
 			report.Swaps++
@@ -491,7 +437,7 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 // values, so the controller stays quiet until the stream moves again.
 // Services are examined in name order — part of the determinism contract
 // — which the stage program keeps, so a quiet round allocates nothing.
-func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64, logger *slog.Logger) (bool, error) {
+func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64) (bool, error) {
 	app := e.plan.App
 	var updates []Update
 	for _, k := range e.prog.byName {
@@ -524,30 +470,20 @@ func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64,
 		return false, nil
 	}
 
-	span := e.span("exec.drift", e.cfg.RequestID)
-	t0 := time.Now()
 	p, err := e.cfg.Planner.Drift(ctx, e.plan.Hash, e.plan.App, updates, e.cfg.RequestID)
 	if err != nil {
-		span.SetError(err.Error())
 		if errors.Is(err, ErrUpstreamBusy) {
 			// The service shed the PATCH even after the client's bounded
 			// backoff. The estimators keep their samples, so the drift is
 			// still visible next measurement round — retry then rather
 			// than failing the whole run over load shedding.
-			span.End(503)
-			logger.Warn("exec.drift.deferred", "hash", e.plan.Hash, "err", err)
 			if e.m != nil {
 				e.m.driftDeferred.Inc()
 			}
 			return false, nil
 		}
-		span.End(500)
 		return false, fmt.Errorf("exec: drift patch on %s: %w", e.plan.Hash, err)
 	}
-	span.Observe(obs.PhaseSolve, time.Since(t0))
-	span.SetHash(p.Hash, "")
-	span.SetOutcome("patched", "controller")
-	span.End(200)
 
 	ep := DriftEpisode{
 		Round:    report.Rounds,
@@ -560,10 +496,6 @@ func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64,
 		NewValue: p.Value,
 	}
 	report.Episodes = append(report.Episodes, ep)
-	logger.Info("exec.swap", "source", "controller",
-		"old_hash", ep.OldHash, "new_hash", ep.NewHash,
-		"updates", len(updates),
-		"old_value", ep.OldValue.String(), "new_value", ep.NewValue.String())
 	e.adopt(p)
 	report.Patches++
 	report.Swaps++

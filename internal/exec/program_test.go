@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"math/rand"
 	"runtime"
@@ -437,7 +436,7 @@ func TestRunRoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	ctx, logger := context.Background(), slog.New(slog.DiscardHandler)
+	ctx := context.Background()
 	for _, n := range []int{8, 16} {
 		ex, prog := warmProgram(t, n, 1, nil)
 		report := &Report{}
@@ -445,7 +444,7 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() {
 			prog.run(round{first: first, n: DefaultWindow})
 			first += DefaultWindow
-			if swapped, err := ex.controller(ctx, report, first, logger); swapped || err != nil {
+			if swapped, err := ex.controller(ctx, report, first); swapped || err != nil {
 				t.Fatalf("n=%d: controller swapped=%t err=%v on a stream that follows its declaration", n, swapped, err)
 			}
 		}); got != 0 {

@@ -42,7 +42,7 @@ func E10Reductions() Report {
 		if err != nil {
 			return fail("E10", "reduction gadgets", err)
 		}
-		res, err := orchestrate.InOrderPeriod(gn.Graph.Weighted(), orchestrate.Options{MaxExhaustive: 1, LocalSearchPasses: 4})
+		res, err := orchestrate.InOrderPeriod(gn.Graph.Weighted(), orchestrate.Options{MaxExhaustive: 1})
 		if err != nil {
 			return fail("E10", "reduction gadgets", err)
 		}

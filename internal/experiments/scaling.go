@@ -33,7 +33,7 @@ func e13Scaling(budget, solverWorkers int) Report {
 				Method:   solve.HillClimb,
 				Restarts: 1,
 				Workers:  solverWorkers,
-				Orch:     orchestrate.Options{MaxExhaustive: 64, LocalSearchPasses: 2},
+				Orch:     orchestrate.Options{MaxExhaustive: 64},
 			})
 			if err != nil {
 				ok = false

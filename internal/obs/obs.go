@@ -141,7 +141,6 @@ type Span struct {
 	shard    int
 	owner    string
 	servedBy string
-	errMsg   string
 	phases   [phaseCount]time.Duration
 	// Solver effort of the serving solve (zero when served without one).
 	expanded, pruned, evals, memoHits int64
@@ -210,16 +209,6 @@ func (s *Span) SetSolver(expanded, pruned, evals, memoHits int64) {
 	s.mu.Unlock()
 }
 
-// SetError records the request's error message.
-func (s *Span) SetError(msg string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.errMsg = msg
-	s.mu.Unlock()
-}
-
 // Observe accumulates d into a phase timer (phases can be visited more
 // than once — e.g. the drift path solves twice).
 func (s *Span) Observe(p Phase, d time.Duration) {
@@ -274,7 +263,6 @@ type SpanView struct {
 	Shard           int                `json:"shard"`
 	Owner           string             `json:"owner,omitempty"`
 	ServedBy        string             `json:"served_by,omitempty"`
-	Error           string             `json:"error,omitempty"`
 	PhaseSeconds    map[string]float64 `json:"phase_seconds,omitempty"`
 	Solver          *SolverView        `json:"solver,omitempty"`
 }
@@ -296,7 +284,6 @@ func (s *Span) view() SpanView {
 		Shard:           s.shard,
 		Owner:           s.owner,
 		ServedBy:        s.servedBy,
-		Error:           s.errMsg,
 	}
 	for p := Phase(0); p < phaseCount; p++ {
 		if s.phases[p] > 0 {

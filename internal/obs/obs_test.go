@@ -89,7 +89,6 @@ func TestSpanAnnotations(t *testing.T) {
 	sp.Observe(PhaseCanon, 2*time.Millisecond)
 	sp.Observe(PhaseCanon, 3*time.Millisecond) // accumulates
 	sp.SetSolver(10, 4, 6, 2)
-	sp.SetError("boom")
 	sp.End(500)
 	v := tr.Snapshot()[0]
 	if v.Hash != "deadbeef" || v.Outcome != "hit" || v.Source != "cache" {
@@ -104,8 +103,8 @@ func TestSpanAnnotations(t *testing.T) {
 	if v.Solver == nil || v.Solver.Expanded != 10 || v.Solver.Pruned != 4 || v.Solver.Evals != 6 || v.Solver.MemoHits != 2 {
 		t.Errorf("solver view %+v", v.Solver)
 	}
-	if v.Error != "boom" || v.Status != 500 {
-		t.Errorf("error/status = %q/%d", v.Error, v.Status)
+	if v.Status != 500 {
+		t.Errorf("status = %d", v.Status)
 	}
 }
 
@@ -122,7 +121,6 @@ func TestNilSafety(t *testing.T) {
 	sp.SetServedBy("x")
 	sp.Observe(PhaseSolve, time.Millisecond)
 	sp.SetSolver(1, 2, 3, 4)
-	sp.SetError("e")
 	sp.End(200)
 
 	var tr *Tracer

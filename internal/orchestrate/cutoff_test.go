@@ -132,7 +132,7 @@ func ptr[T any](v T) *T { return &v }
 // plan of 6 and 7 services with no limit and with the limit at 0.9 × the
 // optimum, where the search ends in a cut-off.
 func BenchmarkScoreCutoff(b *testing.B) {
-	opts := Options{MaxExhaustive: 4096, RandomSamples: -1} // what package solve scores candidates with
+	opts := Options{MaxExhaustive: 4096} // what package solve scores candidates with
 	for _, n := range []int{6, 7} {
 		rng := gen.NewRand(int64(70 + n))
 		var w *plan.Weighted

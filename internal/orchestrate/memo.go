@@ -109,10 +109,8 @@ func memoKey(kind byte, m plan.Model, opts Options, w *plan.Weighted) string {
 	b := make([]byte, 0, 64+16*w.N()+24*len(w.Edges()))
 	b = append(b, kind, '|')
 	b = strconv.AppendInt(b, int64(m), 10)
-	for _, f := range [...]int{opts.MaxExhaustive, opts.LocalSearchPasses, opts.RandomSamples} {
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(f), 10)
-	}
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(opts.MaxExhaustive), 10)
 	b = append(b, ';')
 	b = strconv.AppendInt(b, int64(w.N()), 10)
 	for v := 0; v < w.N(); v++ {

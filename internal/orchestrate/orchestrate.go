@@ -43,20 +43,10 @@ type Options struct {
 	// exactly; above it the heuristic path is taken. The exhaustive path
 	// enumerates order prefixes with lower-bound pruning (search.go)
 	// rather than scoring the flat product, so the default affords 65536
-	// combinations — 16x the pre-fast-path default of 4096. The solve
-	// layer pins its inner searches back to 4096 (thousands of candidate
-	// graphs multiply whatever this costs); the raised default serves
-	// single-graph orchestrations.
+	// combinations for a single-graph orchestration. The solve layer pins
+	// its inner searches to 4096 (thousands of candidate graphs multiply
+	// whatever this costs).
 	MaxExhaustive int
-	// LocalSearchPasses bounds the hill-climbing passes of the heuristic
-	// path. Defaults to 8.
-	LocalSearchPasses int
-	// RandomSamples is the number of random order assignments the
-	// heuristic path additionally draws (the best one gets its own local
-	// search); deterministic seeds escape local optima this way.
-	// Defaults to 128; set negative to disable. The samples are drawn from
-	// a fixed seed, so the search stays deterministic.
-	RandomSamples int
 	// Workers is inert: the order search is serial, and nothing reads the
 	// field. It remains only because bench/plancold.go:307,458,462 sets it
 	// and bench/ is not edited outside a benchmark change.
@@ -70,12 +60,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxExhaustive == 0 {
 		o.MaxExhaustive = 65536
-	}
-	if o.LocalSearchPasses == 0 {
-		o.LocalSearchPasses = 8
-	}
-	if o.RandomSamples == 0 {
-		o.RandomSamples = 128
 	}
 	return o
 }

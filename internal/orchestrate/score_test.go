@@ -51,7 +51,7 @@ func randomChain(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
 	return eg
 }
 
-func smallSearch() Options { return Options{MaxExhaustive: 64, LocalSearchPasses: 2, RandomSamples: 8} }
+func smallSearch() Options { return Options{MaxExhaustive: 64} }
 
 func TestScoreValueIsMaterialisedValue(t *testing.T) {
 	type scorer func(*Memo, *plan.Weighted, plan.Model, Options, Limit) (Score, bool, error)
@@ -205,7 +205,7 @@ func FuzzScoreMaterialise(f *testing.F) {
 		}
 		eg := gen.DAGPlan(rng, app, float64(density)/255)
 		w := eg.Weighted()
-		opts := Options{MaxExhaustive: 4096, RandomSamples: -1} // what package solve scores candidates with
+		opts := Options{MaxExhaustive: 4096} // what package solve scores candidates with
 		if heuristic {
 			opts = smallSearch()
 		}

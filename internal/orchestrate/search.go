@@ -34,7 +34,6 @@ package orchestrate
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -145,7 +144,7 @@ func searchOrders(w *plan.Weighted, opts Options, eval orderEval, bound rat.Rat,
 		if opts.Stats != nil {
 			*opts.Stats = Stats{}
 		}
-		s, err = searchOrdersHeuristic(w, opts, eval)
+		s, err = searchOrdersHeuristic(w, eval)
 	}
 	if !s.NotBelow() {
 		s.LowerBound, s.build = bound, build
@@ -246,11 +245,14 @@ func searchOrdersExhaustive(w *plan.Weighted, opts Options, eval orderEval, limi
 	return Score{Orders: best, Value: bestVal, Exact: true}, nil
 }
 
+// localSearchPasses bounds the adjacent-swap climbing passes of the
+// heuristic path per seed.
+const localSearchPasses = 8
+
 // searchOrdersHeuristic runs the above-budget path: deterministic priority
-// seeds and random samples refined by adjacent-swap climbing. Candidates
-// are scored with value(); an improvement over the best so far has its
-// orders copied.
-func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Score, error) {
+// seeds refined by adjacent-swap climbing. Candidates are scored with
+// value(); an improvement over the best so far has its orders copied.
+func searchOrdersHeuristic(w *plan.Weighted, eval orderEval) (Score, error) {
 	var best Orders
 	var bestVal rat.Rat
 	found := false
@@ -267,7 +269,7 @@ func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Scor
 		}
 		consider(cur, val)
 		// Adjacent-swap hill climbing.
-		for pass := 0; pass < opts.LocalSearchPasses; pass++ {
+		for pass := 0; pass < localSearchPasses; pass++ {
 			improved := false
 			for v := 0; v < w.N(); v++ {
 				for _, side := range [][]int{cur.In[v], cur.Out[v]} {
@@ -291,36 +293,6 @@ func searchOrdersHeuristic(w *plan.Weighted, opts Options, eval orderEval) (Scor
 	}
 	for _, seed := range heuristicOrderSeeds(w) {
 		climb(seed.clone())
-	}
-	// Random restarts: sample order assignments, then climb from the best
-	// sample found.
-	if opts.RandomSamples > 0 {
-		rng := rand.New(rand.NewSource(0))
-		var bestSample Orders
-		var bestSampleVal rat.Rat
-		haveSample := false
-		for s := 0; s < opts.RandomSamples; s++ {
-			cand := DefaultOrders(w)
-			for v := 0; v < w.N(); v++ {
-				rng.Shuffle(len(cand.In[v]), func(i, j int) {
-					cand.In[v][i], cand.In[v][j] = cand.In[v][j], cand.In[v][i]
-				})
-				rng.Shuffle(len(cand.Out[v]), func(i, j int) {
-					cand.Out[v][i], cand.Out[v][j] = cand.Out[v][j], cand.Out[v][i]
-				})
-			}
-			val, err := eval.value(cand)
-			if err != nil {
-				continue
-			}
-			consider(cand, val)
-			if !haveSample || val.Less(bestSampleVal) {
-				bestSample, bestSampleVal, haveSample = cand.clone(), val, true
-			}
-		}
-		if haveSample {
-			climb(bestSample)
-		}
 	}
 	if !found {
 		return Score{}, fmt.Errorf("orchestrate: no feasible order assignment found")

@@ -305,7 +305,7 @@ func TestSearchStatsAndPruning(t *testing.T) {
 func TestHeuristicPathStatsReset(t *testing.T) {
 	w := paperex.B2Graph().Weighted()
 	st := Stats{Evaluated: 99}
-	res, err := InOrderPeriod(w, Options{MaxExhaustive: 1, LocalSearchPasses: 1, Stats: &st})
+	res, err := InOrderPeriod(w, Options{MaxExhaustive: 1, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}

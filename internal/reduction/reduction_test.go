@@ -137,7 +137,7 @@ func TestProp2NoInstanceStaysAboveK(t *testing.T) {
 	// Heuristic search (exhaustive would need (n+2)!² evaluations); by
 	// Prop 2 no operation list reaches K on a NO instance, so any valid
 	// result must be strictly above.
-	res, err := orchestrate.InOrderPeriod(w, orchestrate.Options{MaxExhaustive: 1, LocalSearchPasses: 4})
+	res, err := orchestrate.InOrderPeriod(w, orchestrate.Options{MaxExhaustive: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,11 @@ func (s State) String() string {
 	}
 }
 
+// Threshold is K: the consecutive failures that open a breaker.
+const Threshold = 3
+
 // BreakerConfig tunes a Breaker. The zero value requests defaults.
 type BreakerConfig struct {
-	// Threshold is K: consecutive failures that open the breaker
-	// (default 3).
-	Threshold int
 	// Cooldown is the Open → HalfOpen delay (default 5s).
 	Cooldown time.Duration
 	// Now is the clock (default time.Now) — injectable for tests.
@@ -88,9 +88,6 @@ type Breaker struct {
 
 // NewBreaker returns a Closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 3
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
@@ -160,7 +157,7 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case Closed:
 		b.failures++
-		if b.failures >= b.cfg.Threshold {
+		if b.failures >= Threshold {
 			b.openLocked()
 			opened = true
 		}

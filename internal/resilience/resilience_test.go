@@ -27,14 +27,21 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func newTestBreaker(k int, cooldown time.Duration) (*Breaker, *fakeClock) {
+func newTestBreaker(cooldown time.Duration) (*Breaker, *fakeClock) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	return NewBreaker(BreakerConfig{Threshold: k, Cooldown: cooldown, Now: clock.now}), clock
+	return NewBreaker(BreakerConfig{Cooldown: cooldown, Now: clock.now}), clock
+}
+
+// open fails b Threshold times in a row, which opens a Closed breaker.
+func open(b *Breaker) {
+	for i := 0; i < Threshold; i++ {
+		b.Failure()
+	}
 }
 
 func TestBreakerOpensAfterKConsecutiveFailures(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Minute)
-	for i := 0; i < 2; i++ {
+	b, _ := newTestBreaker(time.Minute)
+	for i := 0; i < Threshold-1; i++ {
 		b.Failure()
 		if got := b.State(); got != Closed {
 			t.Fatalf("after %d failures: state %v, want closed", i+1, got)
@@ -45,7 +52,7 @@ func TestBreakerOpensAfterKConsecutiveFailures(t *testing.T) {
 	}
 	b.Failure()
 	if got := b.State(); got != Open {
-		t.Fatalf("after 3 failures: state %v, want open", got)
+		t.Fatalf("after %d failures: state %v, want open", Threshold, got)
 	}
 	if b.Allow() {
 		t.Error("open breaker allowed a request before the cooldown")
@@ -56,24 +63,26 @@ func TestBreakerOpensAfterKConsecutiveFailures(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsTheStreak(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Minute)
-	b.Failure()
-	b.Failure()
+	b, _ := newTestBreaker(time.Minute)
+	for i := 0; i < Threshold-1; i++ {
+		b.Failure()
+	}
 	b.Success()
-	b.Failure()
-	b.Failure()
+	for i := 0; i < Threshold-1; i++ {
+		b.Failure()
+	}
 	if got := b.State(); got != Closed {
 		t.Fatalf("non-consecutive failures opened the breaker: %v", got)
 	}
 	b.Failure()
 	if got := b.State(); got != Open {
-		t.Fatalf("3 consecutive failures left state %v", got)
+		t.Fatalf("%d consecutive failures left state %v", Threshold, got)
 	}
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	b, clock := newTestBreaker(1, time.Minute)
-	b.Failure() // open
+	b, clock := newTestBreaker(time.Minute)
+	open(b)
 	if b.Allow() {
 		t.Fatal("open breaker allowed before cooldown")
 	}
@@ -97,8 +106,8 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 }
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
-	b, clock := newTestBreaker(1, time.Minute)
-	b.Failure()
+	b, clock := newTestBreaker(time.Minute)
+	open(b)
 	clock.advance(time.Minute)
 	if !b.Allow() {
 		t.Fatal("probe rejected")
@@ -128,7 +137,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 }
 
 func TestBreakerConcurrentUse(t *testing.T) {
-	b, _ := newTestBreaker(5, time.Millisecond)
+	b, _ := newTestBreaker(time.Millisecond)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -157,8 +166,8 @@ func TestBreakerConcurrentUse(t *testing.T) {
 // racers.
 func TestBreakerHalfOpenProbeRace(t *testing.T) {
 	for round := 0; round < 100; round++ {
-		b, clock := newTestBreaker(1, time.Minute)
-		b.Failure() // open
+		b, clock := newTestBreaker(time.Minute)
+		open(b)
 		clock.advance(time.Minute)
 
 		const racers = 8

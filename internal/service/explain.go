@@ -58,18 +58,16 @@ type Explain struct {
 	Served time.Time
 }
 
-// explainCache is the bounded, least-recently-served map of Explain
-// records.
+// explainCache is the bounded (explainSize), least-recently-served map of
+// Explain records.
 type explainCache struct {
 	mu      sync.Mutex
-	max     int
 	entries map[string]*list.Element // hash → element; Value is *Explain
 	lru     *list.List               // most recently served at the front
 }
 
-func newExplainCache(max int) *explainCache {
+func newExplainCache() *explainCache {
 	return &explainCache{
-		max:     max,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}
@@ -113,7 +111,7 @@ func (c *explainCache) record(hash, key, reqID string, req Request, outcome, sou
 		Served:    time.Now(),
 	}
 	c.entries[hash] = c.lru.PushFront(e)
-	for c.lru.Len() > c.max {
+	for c.lru.Len() > explainSize {
 		oldest := c.lru.Back()
 		ev := oldest.Value.(*Explain)
 		c.lru.Remove(oldest)

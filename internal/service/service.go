@@ -64,6 +64,17 @@ var ErrClosed = errors.New("service: server closed")
 // burst has passed).
 var ErrOverloaded = errors.New("service: overloaded")
 
+const (
+	// registrySize bounds the drift-target registry: the canonical
+	// instances drift updates may name. Least-recently-used instances are
+	// forgotten when the bound is hit; a drift against a forgotten hash
+	// fails and the client re-submits the instance.
+	registrySize = 1024
+	// explainSize bounds the per-hash plan-provenance records served at
+	// GET /v1/explain/{hash}, least-recently-served evicted first.
+	explainSize = 1024
+)
+
 // Config tunes a Server. The zero value requests defaults.
 type Config struct {
 	// Workers bounds the solver pool draining the intake queue
@@ -78,11 +89,6 @@ type Config struct {
 	// (default 64) — the exact methods refuse far earlier, but the bound
 	// keeps even heuristic requests from monopolizing a worker.
 	MaxServices int
-	// RegistrySize bounds the drift-target registry (default 1024): the
-	// canonical instances drift updates may name. Least-recently-used
-	// instances are forgotten when the bound is hit; a drift against a
-	// forgotten hash fails and the client re-submits the instance.
-	RegistrySize int
 	// MaxPending is the load-shedding watermark: the most admitted-but-
 	// unfinished solves (queued, waiting for a queue slot, or running) the
 	// server holds before shedding. An admission beyond it fails
@@ -112,10 +118,6 @@ type Config struct {
 	// (sheds, store-write failures, encode errors), request_id-correlated.
 	// nil discards them — embedded test servers stay silent by default.
 	Logger *slog.Logger
-	// ExplainSize bounds the per-hash plan-provenance records served at
-	// GET /v1/explain/{hash} (default 1024, least-recently-served evicted
-	// first).
-	ExplainSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -127,12 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxServices <= 0 {
 		c.MaxServices = 64
-	}
-	if c.RegistrySize <= 0 {
-		c.RegistrySize = 1024
-	}
-	if c.ExplainSize <= 0 {
-		c.ExplainSize = 1024
 	}
 	return c
 }
@@ -224,7 +220,7 @@ type Stats struct {
 	Rejected      int64
 	Solves        int64
 	// Registered counts the currently registered drift-target instances
-	// (bounded by Config.RegistrySize); QueueDepth the currently queued
+	// (bounded by registrySize); QueueDepth the currently queued
 	// solves; Workers the pool bound.
 	Registered int
 	QueueDepth int
@@ -309,7 +305,7 @@ type Server struct {
 	closing     chan struct{}
 	closingOnce sync.Once
 	// registry holds the canonical instances seen, keyed by hash — the
-	// targets of drift updates. Bounded LRU (Config.RegistrySize) so a
+	// targets of drift updates. Bounded LRU (registrySize) so a
 	// stream of distinct instances cannot grow the daemon without limit.
 	registry *plancache.Cache[*canon.Instance]
 
@@ -390,12 +386,12 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		cache:    plancache.New[*cacheEntry](cfg.CacheSize),
 		queue:    make(chan task, cfg.QueueSize),
-		registry: plancache.New[*canon.Instance](cfg.RegistrySize),
+		registry: plancache.New[*canon.Instance](registrySize),
 		closing:  make(chan struct{}),
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 		logger:   logger,
-		explain:  newExplainCache(cfg.ExplainSize),
+		explain:  newExplainCache(),
 	}
 	s.version, s.revision = obs.BuildInfo()
 	s.initMetrics()

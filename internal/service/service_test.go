@@ -363,7 +363,7 @@ func TestValidation(t *testing.T) {
 // TestConfigClamping: degenerate (negative) configuration values fall back
 // to the defaults instead of panicking at startup.
 func TestConfigClamping(t *testing.T) {
-	s := newTestServer(t, Config{Workers: -1, CacheSize: -1, QueueSize: -1, MaxServices: -1, RegistrySize: -1})
+	s := newTestServer(t, Config{Workers: -1, CacheSize: -1, QueueSize: -1, MaxServices: -1})
 	if _, err := s.Plan(Request{App: gen.App(gen.NewRand(20), 4, gen.Mixed)}); err != nil {
 		t.Fatal(err)
 	}
@@ -373,27 +373,27 @@ func TestConfigClamping(t *testing.T) {
 }
 
 // TestRegistryBounded: the drift-target registry is an LRU — old instances
-// fall out past RegistrySize and drifting against them fails cleanly.
+// fall out past registrySize and drifting against them fails cleanly.
 func TestRegistryBounded(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, RegistrySize: 2})
+	s := newTestServer(t, Config{Workers: 1})
 	var hashes []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < registrySize+1; i++ {
 		resp, err := s.Plan(Request{App: gen.App(gen.NewRand(int64(30+i)), 3, gen.Mixed)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hashes = append(hashes, resp.Hash)
 	}
-	if st := s.Stats(); st.Registered != 2 {
-		t.Fatalf("registered = %d, want 2", st.Registered)
+	if st := s.Stats(); st.Registered != registrySize {
+		t.Fatalf("registered = %d, want %d", st.Registered, registrySize)
 	}
 	if _, ok := s.Instance(hashes[0]); ok {
-		t.Error("oldest instance survived past RegistrySize")
+		t.Error("oldest instance survived past registrySize")
 	}
 	if _, err := s.Drift(hashes[0], []Update{{Service: "C1"}}, Request{}); err == nil {
 		t.Error("drift against an evicted instance succeeded")
 	}
-	if _, ok := s.Instance(hashes[2]); !ok {
+	if _, ok := s.Instance(hashes[registrySize]); !ok {
 		t.Error("newest instance missing from the registry")
 	}
 }

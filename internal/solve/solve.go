@@ -234,18 +234,10 @@ func (o Options) withDefaults() Options {
 	if o.Restarts == 0 {
 		o.Restarts = 3
 	}
-	// Plan search evaluates thousands of candidate graphs; the
-	// orchestration random-restart sampling is worth its cost only on a
-	// single graph, so the inner loop disables it unless explicitly
-	// requested.
-	if o.Orch.RandomSamples == 0 {
-		o.Orch.RandomSamples = -1
-	}
-	// Same multiplication argument for the exhaustive order-search cap:
-	// the orchestrate-level default (65536, raised by the pruned fast
-	// path) is for single-graph orchestrations; inside a plan search
-	// every candidate pays it, so the inner cap stays at the historical
-	// 4096 unless explicitly requested.
+	// Plan search evaluates thousands of candidate graphs and every one
+	// pays the exhaustive order-search cap, so the inner cap stays at 4096
+	// unless explicitly requested; the orchestrate-level default (65536)
+	// is for single-graph orchestrations.
 	if o.Orch.MaxExhaustive == 0 {
 		o.Orch.MaxExhaustive = 4096
 	}

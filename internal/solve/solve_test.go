@@ -13,7 +13,7 @@ import (
 )
 
 func smallOrch() orchestrate.Options {
-	return orchestrate.Options{MaxExhaustive: 256, LocalSearchPasses: 2}
+	return orchestrate.Options{MaxExhaustive: 256}
 }
 
 // --- E6/E7: the chain greedies match brute force over all n! chains ---
