@@ -30,12 +30,12 @@
 // GET /debug/requests, and the plan-provenance endpoint
 // GET /v1/explain/{hash}. Logs are structured (log/slog); -log-format
 // json emits one JSON object per line for collectors. -debug-addr
-// starts a second, private HTTP server with net/http/pprof and the span
-// ring, so profiling never has to share the public listener.
+// starts a second, private HTTP server with net/http/pprof, so profiling
+// never has to share the public listener.
 //
 // Usage:
 //
-//	filterd [-addr :8080] [-workers N] [-cache N] [-queue N] [-max-services N]
+//	filterd [-addr :8080] [-workers N] [-cache N] [-max-pending N] [-max-services N]
 //	        [-data-dir DIR] [-peers URL,URL,...] [-shard-bits B] [-replicas R]
 //	        [-sync-peers URL,URL,...] [-gossip-interval D]
 //	        [-fault-seed S] [-fault-drop N] [-fault-error N] [-fault-truncate N] [-fault-delay N]
@@ -56,9 +56,10 @@
 //	GET   /metrics             every counter, Prometheus text format: request latency,
 //	                           per-phase and solver wall time, search-effort totals
 //	                           (orchestration-memo hits of each solve included), plan-cache
-//	                           hit rates and capacity, registered instances, queue depth and
-//	                           shed counts, store and sync traffic — plus, in router mode,
-//	                           per-peer forward, failover and circuit-breaker state
+//	                           hit rates and capacity, registered instances, solves waiting
+//	                           for a slot and shed counts, store and sync traffic — plus,
+//	                           in router mode, per-peer forward, failover and
+//	                           circuit-breaker state
 //	GET   /debug/requests      the most recent request spans (bounded ring; empty when
 //	                           -trace-requests is 0)
 //
@@ -101,10 +102,9 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "solver pool size (0 = all CPUs; inner solves are serial — one pool, never nested)")
+		workers     = flag.Int("workers", 0, "solver slots: the most solves running at once (0 = all CPUs; inner solves are serial — one pool, never nested)")
 		cacheSize   = flag.Int("cache", 256, "plan cache capacity (completed entries)")
-		queueSize   = flag.Int("queue", 64, "intake queue buffer")
-		maxPending  = flag.Int("max-pending", 0, "load-shedding watermark: pending solves beyond it get 429 (0 = queue + 2*workers)")
+		maxPending  = flag.Int("max-pending", 0, "load-shedding watermark: admitted solves (waiting for a slot or running) beyond it get 429 (0 = 64 + 2*workers)")
 		maxServices = flag.Int("max-services", 64, "largest accepted instance")
 		dataDir     = flag.String("data-dir", "", "persistent plan store directory (empty: in-memory only)")
 		peers       = flag.String("peers", "", "comma-separated replica base URLs; when set, run as the cluster router")
@@ -120,7 +120,7 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
 		logFormat   = flag.String("log-format", "text", "log line format: text or json")
 		traceReqs   = flag.Int("trace-requests", 256, "request spans kept for GET /debug/requests (0 disables tracing)")
-		debugAddr   = flag.String("debug-addr", "", "private listen address for net/http/pprof and /debug/requests (empty: disabled)")
+		debugAddr   = flag.String("debug-addr", "", "private listen address for net/http/pprof (empty: disabled)")
 		showVersion = flag.Bool("version", false, "print version and VCS revision, then exit")
 	)
 	flag.Parse()
@@ -156,7 +156,6 @@ func main() {
 	srv := service.New(service.Config{
 		Workers:     *workers,
 		CacheSize:   *cacheSize,
-		QueueSize:   *queueSize,
 		MaxPending:  *maxPending,
 		MaxServices: *maxServices,
 		Store:       st,
@@ -248,7 +247,7 @@ func main() {
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = newDebugServer(*debugAddr, tracer)
+		debugSrv = newDebugServer(*debugAddr)
 		go func() {
 			if derr := debugSrv.ListenAndServe(); derr != nil && !errors.Is(derr, http.ErrServerClosed) {
 				logger.Error("debug server failed", "addr", *debugAddr, "err", derr)
@@ -284,7 +283,7 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight requests under a
-	// deadline, then stop the pool and flush the store.
+	// deadline, then wait for the admitted solves and flush the store.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
@@ -323,22 +322,21 @@ func newLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
-// newDebugServer builds the private observability listener: pprof (the
-// expensive, potentially sensitive profiling surface stays off the public
-// address) plus the same span ring the public /debug/requests serves.
-func newDebugServer(addr string, tracer *obs.Tracer) *http.Server {
+// newDebugServer builds the private profiling listener: pprof, the
+// expensive, potentially sensitive surface, stays off the public address
+// (the span ring is on the public handler at /debug/requests).
+func newDebugServer(addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/requests", tracer.Handler())
 	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 }
 
 // shutdown releases the daemon's moving parts in dependency order: debug
-// listener, router health loop, gossip loop, solver pool, then the store
+// listener, router health loop, gossip loop, admitted solves, then the store
 // flush (every entry is already on disk write-through; the flush forces
 // directory metadata out too).
 func shutdown(logger *slog.Logger, srv *service.Server, router *cluster.Router, gossip *cluster.Gossip, st *store.Store, debugSrv *http.Server) {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 	}
 	rng := gen.NewRand(*seed)
 	app := gen.AppWithPrecedence(rng, *n, p, *prec)
-	data, err := app.MarshalJSON()
+	data, err := json.MarshalIndent(app, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "filtergen:", err)
 		os.Exit(1)

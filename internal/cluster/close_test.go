@@ -30,10 +30,8 @@ func goroutinesBackTo(t *testing.T, base int) {
 	}
 }
 
-// serialReplica is newReplica with one pool worker. service.New creates
-// that worker's goroutine before it returns (a multi-worker pool spawns its
-// workers later, from that goroutine), so the count taken as the baseline
-// is already settled.
+// serialReplica is newReplica with one solver slot. service.New starts no
+// goroutine of its own, so the count taken as the baseline is settled.
 func serialReplica(t *testing.T) *replica {
 	t.Helper()
 	s := service.New(service.Config{Workers: 1})

@@ -85,8 +85,8 @@ const (
 	// whole service time; for a miss, the singleflight bookkeeping around
 	// the solve.
 	PhaseCache
-	// PhaseQueue is the wait between solve admission and a pool worker
-	// picking the solve up.
+	// PhaseQueue is the wait between solve admission and the solve taking
+	// a solver slot.
 	PhaseQueue
 	// PhaseSolve is the solver wall time (orchestration included).
 	PhaseSolve
@@ -122,7 +122,7 @@ func (p Phase) String() string {
 // Span is one request's trace record. Created by Middleware, carried in
 // the request context, annotated by the routing and serving layers, and
 // recorded into the creating Tracer's ring at End. All methods are safe
-// for concurrent use (batch fan-out and pool workers touch one span) and
+// for concurrent use (a batch's fan-out goroutines touch one span) and
 // are nil-receiver-safe no-ops, so annotation sites never branch on
 // whether tracing is attached.
 type Span struct {

@@ -44,7 +44,7 @@ func (l *List) MarshalJSON() ([]byte, error) {
 			End:   l.commEnd[idx],
 		})
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.Marshal(doc)
 }
 
 // LoadList reconstructs an operation list for plan w from data produced by

@@ -1,8 +1,8 @@
 // Package par is the shared parallel-search layer of the repository: a
 // bounded worker pool, used by the exact search and hill-climbing restarts
-// of package solve, by the planning service's solve workers and by the
-// experiment harness. Reductions live with their searches (package solve's
-// reduce folds its shards' winners), under the contract below.
+// of package solve and by the experiment harness. Reductions live with
+// their searches (package solve's reduce folds its shards' winners), under
+// the contract below.
 //
 // Every optimization problem of the paper is NP-hard (Theorems 2 and 4), so
 // the hot paths of this repository are exhaustive enumerations and
@@ -22,7 +22,8 @@
 //
 // Exactly one layer fans out at a time (one pool, never nested): whoever
 // owns the top level — the experiment harness, a plan-level search or the
-// planning service's intake queue — runs everything beneath it serially.
+// planning service, which runs at most Workers solves at once on their
+// requests' goroutines — runs everything beneath it serially.
 package par
 
 import (

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,9 +22,9 @@ import (
 	"repro/internal/workflow"
 )
 
-// blockPool occupies every worker and fills the queue up to the given
-// pending count with parked tasks, returning the release function. It
-// waits until all blockers are admitted (pending reflects them).
+// blockPool admits n parked tasks — they take every solver slot and the
+// rest wait for one — returning the release function. It waits until all
+// blockers are admitted (pending reflects them).
 func blockPool(t *testing.T, s *Server, n int) (release func()) {
 	t.Helper()
 	stop := make(chan struct{})
@@ -61,7 +62,7 @@ func smallApp(t *testing.T) *workflow.App {
 }
 
 func TestShedBeyondMaxPendingAndRetryCleanly(t *testing.T) {
-	s := New(Config{Workers: 1, QueueSize: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, MaxPending: 2})
 	defer s.Close()
 
 	release := blockPool(t, s, 2) // one running, one queued: watermark reached
@@ -88,7 +89,7 @@ func TestShedBeyondMaxPendingAndRetryCleanly(t *testing.T) {
 }
 
 func TestCacheHitsAreNeverShed(t *testing.T) {
-	s := New(Config{Workers: 1, QueueSize: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, MaxPending: 2})
 	defer s.Close()
 	req := Request{App: smallApp(t)}
 	if _, err := s.Plan(req); err != nil {
@@ -107,7 +108,7 @@ func TestCacheHitsAreNeverShed(t *testing.T) {
 }
 
 func TestShedHTTP429WithRetryAfter(t *testing.T) {
-	s := New(Config{Workers: 1, QueueSize: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, MaxPending: 2})
 	defer s.Close()
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
@@ -222,7 +223,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestShedBatchItemsFailAlone: a batch under load sheds per item; the
 // response stays 200 with per-item errors mentioning the overload.
 func TestShedBatchItemsFailAlone(t *testing.T) {
-	s := New(Config{Workers: 1, QueueSize: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, MaxPending: 2})
 	defer s.Close()
 	release := blockPool(t, s, 2)
 	defer release()
@@ -236,5 +237,35 @@ func TestShedBatchItemsFailAlone(t *testing.T) {
 	}
 	if st := s.Stats(); st.Shed == 0 {
 		t.Error("no shed counted")
+	}
+}
+
+// TestAbandonedWhileWaitingNeverRuns: a request whose context dies while
+// it waits for a solver slot returns the context error at once and its
+// work never runs, even after the slot frees.
+func TestAbandonedWhileWaitingNeverRuns(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	release := sync.OnceFunc(blockPool(t, s, 1)) // the only slot is held
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Bool
+	done := make(chan error, 1)
+	go func() { done <- s.submit(ctx, func() { ran.Store(true) }) }()
+	waitFor(t, "the second solve to be admitted", func() bool { return s.pending.Load() == 2 })
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("abandoned submit: err %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("abandoned submit still waiting 2 s after its context ended")
+		release()
+		<-done
+	}
+	release()
+	if ran.Load() {
+		t.Error("abandoned work ran")
 	}
 }

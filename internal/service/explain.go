@@ -2,23 +2,23 @@ package service
 
 // Plan provenance: the per-hash record behind GET /v1/explain/{hash}.
 //
-// Every served plan request updates one record keyed by the canonical
-// instance hash: which request last touched it, how it was served (cache
-// outcome and plan source), what the answer was, and — when a solve ever
-// ran for it, this process or a persisted one — the search-effort record
-// of that solve. The cache is a bounded LRU so a stream of distinct
-// instances cannot grow the daemon without limit, mirroring the registry.
+// Every served plan request updates one record of the canonical instance
+// hash: which request last touched it, how it was served (cache outcome
+// and plan source), what the answer was, and — when a solve ever ran for
+// it, this process or a persisted one — the search-effort record of that
+// solve. The record is part of the hash's drift-registry entry, so it
+// lives exactly as long as the hash stays registered (registrySize, least
+// recently used forgotten first).
 //
-// The hot-path contract: recording a serve for an already-known hash
-// allocates nothing (map lookup, in-place field writes, list reshuffle) —
-// the cache-hit AllocBudget guard covers this path. Only the first serve
-// of a hash allocates its record.
+// The hot-path contract: recording a serve allocates nothing (in-place
+// field writes into the registration the request already holds) — the
+// cache-hit AllocBudget guard covers this path.
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/solve"
@@ -58,45 +58,20 @@ type Explain struct {
 	Served time.Time
 }
 
-// explainCache is the bounded (explainSize), least-recently-served map of
-// Explain records.
-type explainCache struct {
+// registration is one drift-registry value: a canonical instance and the
+// provenance record of its most recent serve.
+type registration struct {
+	inst *canon.Instance
+
 	mu      sync.Mutex
-	entries map[string]*list.Element // hash → element; Value is *Explain
-	lru     *list.List               // most recently served at the front
+	explain Explain // Hash is "" until the first serve
 }
 
-func newExplainCache() *explainCache {
-	return &explainCache{
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// record notes one serve. In-place update for a known hash — no
-// allocation; creation (and possibly one eviction) otherwise.
-func (c *explainCache) record(hash, key, reqID string, req Request, outcome, source string, val *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[hash]; ok {
-		e := el.Value.(*Explain)
-		e.Key = key
-		e.RequestID = reqID
-		e.Model = req.Model
-		e.Objective = req.Objective
-		e.Method = req.Method
-		e.Family = req.Family
-		e.Outcome = outcome
-		e.Source = source
-		e.Value = val.sol.Value
-		e.Exact = val.sol.Exact
-		e.Effort = val.effort
-		e.Served = time.Now()
-		c.lru.MoveToFront(el)
-		return
-	}
-	e := &Explain{
-		Hash:      hash,
+// record notes one serve: field writes in place, no allocation.
+func (r *registration) record(key, reqID string, req Request, outcome, source string, val *cacheEntry) {
+	r.mu.Lock()
+	r.explain = Explain{
+		Hash:      r.inst.Hash(),
 		Key:       key,
 		RequestID: reqID,
 		Model:     req.Model,
@@ -110,28 +85,18 @@ func (c *explainCache) record(hash, key, reqID string, req Request, outcome, sou
 		Effort:    val.effort,
 		Served:    time.Now(),
 	}
-	c.entries[hash] = c.lru.PushFront(e)
-	for c.lru.Len() > explainSize {
-		oldest := c.lru.Back()
-		ev := oldest.Value.(*Explain)
-		c.lru.Remove(oldest)
-		delete(c.entries, ev.Hash)
-	}
-}
-
-// get returns a copy of the record for hash, if any.
-func (c *explainCache) get(hash string) (Explain, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[hash]
-	if !ok {
-		return Explain{}, false
-	}
-	return *el.Value.(*Explain), true
+	r.mu.Unlock()
 }
 
 // Explain returns the provenance record of the most recent serve of the
-// canonical hash, if the server has one.
+// canonical hash, if the hash is registered and was served. Peek, not
+// Get: reading a record does not refresh the registry's recency.
 func (s *Server) Explain(hash string) (Explain, bool) {
-	return s.explain.get(hash)
+	r, ok := s.registry.Peek(hash)
+	if !ok {
+		return Explain{}, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.explain, r.explain.Hash != ""
 }

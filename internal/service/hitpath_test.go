@@ -188,7 +188,7 @@ func servedBodiesMatchReference(t *testing.T, req Request) {
 		defer held.Done()
 		a.submit(nil, func() { <-release })
 	}()
-	waitFor(t, "the held task to occupy the worker", func() bool { return a.pending.Load() == 1 && len(a.queue) == 0 })
+	waitFor(t, "the held task to occupy the worker", func() bool { return a.pending.Load() == 1 && len(a.slots) == 1 })
 	bodies := make([]string, 2)
 	var clients sync.WaitGroup
 	post := func(i int) {

@@ -342,12 +342,9 @@ func Handler(s *Server) http.Handler {
 		WriteJSON(w, http.StatusOK, Healthz{Status: "ok", Version: s.version, Revision: s.revision})
 	}))
 
-	// Replica synchronization (sync.go): GET answers the digest, POST one
-	// push-pull exchange. The anti-entropy loop of internal/cluster drives
-	// both; a newly (re)joined owner converges by iterating exchanges.
-	mux.HandleFunc("GET /v1/sync", s.instrument("sync", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, s.SyncDigest())
-	}))
+	// Replica synchronization (sync.go): one push-pull exchange per POST,
+	// driven by the anti-entropy loop of internal/cluster; a newly
+	// (re)joined owner converges by iterating exchanges.
 	mux.HandleFunc("POST /v1/sync", s.instrument("sync", func(w http.ResponseWriter, r *http.Request) {
 		var doc SyncRequest
 		if !decodeBody(w, r, &doc) {

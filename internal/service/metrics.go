@@ -62,16 +62,16 @@ func (s *Server) initMetrics() {
 		"version", "revision").With(s.version, s.revision).Set(1)
 
 	m.GaugeFunc("filterd_queue_depth",
-		"Solves currently buffered in the intake queue.",
-		func() float64 { return float64(len(s.queue)) })
+		"Admitted solves currently waiting for a solver slot.",
+		func() float64 { return float64(s.waiting.Load()) })
 	m.GaugeFunc("filterd_pending_solves",
-		"Admitted-but-unfinished solves (queued, waiting for a slot, or running).",
+		"Admitted-but-unfinished solves (waiting for a slot or running).",
 		func() float64 { return float64(s.pending.Load()) })
 	m.GaugeFunc("filterd_max_pending",
 		"Load-shedding watermark: admissions beyond it are rejected with 429.",
 		func() float64 { return float64(s.cfg.MaxPending) })
 	m.GaugeFunc("filterd_workers",
-		"Solver pool size draining the intake queue.",
+		"Solver slots: the most solves running at once.",
 		func() float64 { return float64(s.cfg.Workers) })
 	m.CounterFunc("filterd_shed_total",
 		"Admissions rejected by the MaxPending watermark (HTTP 429).",
@@ -87,7 +87,7 @@ func (s *Server) initMetrics() {
 		"Requests rejected at validation.",
 		func() float64 { return float64(s.rejected.Load()) })
 	m.CounterFunc("filterd_solves_total",
-		"Solver runs actually executed on the pool.",
+		"Solver runs actually executed.",
 		func() float64 { return float64(s.solves.Load()) })
 
 	m.CounterFunc("filterd_plancache_hits_total",

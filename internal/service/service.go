@@ -21,15 +21,16 @@
 //
 // # One pool, never nested
 //
-// All solving runs on a single batch-intake queue drained by the worker
-// pool of package par — the PR 1 invariant. The service owns the whole
-// parallelism budget: Config.Workers goroutines drain the queue and every
-// inner solve runs with Workers: 1, so concurrent requests parallelize
-// across the pool while no request ever nests a second pool under it. Each
-// queued solve is deterministic (fixed canonical instance, serial solver),
-// so cached, coalesced and fresh responses for one key are bit-identical —
-// and identical to a direct solve.MinPeriod/MinLatency call with the same
-// options on the canonical instance.
+// The service owns the whole parallelism budget: at most Config.Workers
+// solves run at once, each on its request's own goroutine after taking one
+// of Workers solver slots, and every inner solve runs with Workers: 1, so
+// concurrent requests parallelize across the slots while no request ever
+// nests a second pool under it. Admission is one bound, Config.MaxPending:
+// beyond it a solve is shed. Each solve is deterministic (fixed canonical
+// instance, serial solver), so cached, coalesced and fresh responses for
+// one key are bit-identical — and identical to a direct
+// solve.MinPeriod/MinLatency call with the same options on the canonical
+// instance.
 package service
 
 import (
@@ -59,43 +60,42 @@ var ErrClosed = errors.New("service: server closed")
 
 // ErrOverloaded is returned by solve admissions beyond Config.MaxPending:
 // the intake backpressure signal. The HTTP layer maps it to 429 with a
-// Retry-After header; the request was shed before touching the queue, so
-// nothing about it is cached and an immediate retry is safe (if the
-// burst has passed).
+// Retry-After header; the request was shed before waiting for a solver
+// slot, so nothing about it is cached and an immediate retry is safe (if
+// the burst has passed).
 var ErrOverloaded = errors.New("service: overloaded")
 
 const (
 	// registrySize bounds the drift-target registry: the canonical
-	// instances drift updates may name. Least-recently-used instances are
-	// forgotten when the bound is hit; a drift against a forgotten hash
-	// fails and the client re-submits the instance.
+	// instances drift updates may name, each with its plan-provenance
+	// record (explain.go). Least-recently-used instances are forgotten when
+	// the bound is hit; a drift against a forgotten hash fails and the
+	// client re-submits the instance.
 	registrySize = 1024
-	// explainSize bounds the per-hash plan-provenance records served at
-	// GET /v1/explain/{hash}, least-recently-served evicted first.
-	explainSize = 1024
+	// waitingSolves is the fixed part of the default MaxPending,
+	// 64 + 2×Workers: with every slot busy, 64 + Workers admitted solves
+	// may wait for one.
+	waitingSolves = 64
 )
 
 // Config tunes a Server. The zero value requests defaults.
 type Config struct {
-	// Workers bounds the solver pool draining the intake queue
-	// (0 = runtime.NumCPU()). Inner solves always run serially on one
-	// pool worker.
+	// Workers bounds the solves running at once: the number of solver
+	// slots (0 = runtime.NumCPU()). Inner solves always run serially in
+	// their slot.
 	Workers int
 	// CacheSize bounds the plan cache (completed entries; default 256).
 	CacheSize int
-	// QueueSize bounds the intake queue buffer (default 64).
-	QueueSize int
 	// MaxServices rejects instances larger than this at validation
 	// (default 64) — the exact methods refuse far earlier, but the bound
-	// keeps even heuristic requests from monopolizing a worker.
+	// keeps even heuristic requests from monopolizing a slot.
 	MaxServices int
-	// MaxPending is the load-shedding watermark: the most admitted-but-
-	// unfinished solves (queued, waiting for a queue slot, or running) the
-	// server holds before shedding. An admission beyond it fails
-	// immediately with ErrOverloaded instead of ballooning goroutines and
-	// latency under a burst. 0 = QueueSize + 2×Workers (the queue buffer,
-	// a full complement of running solves, and as many again blocked at
-	// the queue). Cache hits are never shed — they cost no solver time.
+	// MaxPending is the load-shedding watermark and the one admission
+	// bound: the most admitted-but-unfinished solves (waiting for a slot
+	// or running) the server holds before shedding. An admission beyond it
+	// fails immediately with ErrOverloaded instead of ballooning goroutines
+	// and latency under a burst. 0 = 64 + 2×Workers. Cache hits are never
+	// shed — they cost no solver time.
 	MaxPending int
 	// Metrics, when non-nil, is the registry the server publishes its
 	// operational metrics into (request latency, solver wall time, cache
@@ -124,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
 	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 64
-	}
 	if c.MaxServices <= 0 {
 		c.MaxServices = 64
 	}
@@ -149,10 +146,10 @@ type Request struct {
 }
 
 // solveOptions builds the solver options of a request. Workers is pinned
-// to 1: the request already runs on a pool worker (one pool, never
-// nested). ctx bounds the search (nil: unbounded) — it can only abort the
-// solve with an error, never change its result, so it is not part of the
-// cache key.
+// to 1: the request already holds one of the service's solver slots (one
+// pool, never nested). ctx bounds the search (nil: unbounded) — it can
+// only abort the solve with an error, never change its result, so it is
+// not part of the cache key.
 func (r Request) solveOptions(ctx context.Context) solve.Options {
 	return solve.Options{
 		Method:    r.Method,
@@ -214,20 +211,20 @@ type Stats struct {
 	Cache plancache.Stats
 	// PlanRequests counts Plan calls (batch items included), DriftRequests
 	// the drift re-plannings, Rejected the validation failures, Solves the
-	// solver runs actually executed on the pool.
+	// solver runs actually executed.
 	PlanRequests  int64
 	DriftRequests int64
 	Rejected      int64
 	Solves        int64
 	// Registered counts the currently registered drift-target instances
-	// (bounded by registrySize); QueueDepth the currently queued
-	// solves; Workers the pool bound.
+	// (bounded by registrySize); QueueDepth the admitted solves currently
+	// waiting for a solver slot; Workers the number of slots.
 	Registered int
 	QueueDepth int
 	Workers    int
 	// Shed counts admissions rejected by the MaxPending watermark;
-	// Pending the currently admitted-but-unfinished solves; MaxPending
-	// the watermark itself.
+	// Pending the currently admitted-but-unfinished solves (waiting or
+	// running); MaxPending the watermark itself.
 	Shed       int64
 	Pending    int
 	MaxPending int
@@ -249,7 +246,7 @@ type Stats struct {
 	MemoHits   int64
 	MemoMisses int64
 	// SolverExpanded/SolverPruned/SolverEvaluated total the branch-and-
-	// bound search counters across every solve executed on the pool — the
+	// bound search counters across every executed solve — the
 	// running evidence for the paper's tractability claim, previously
 	// computed per solve and dropped.
 	SolverExpanded  int64
@@ -283,18 +280,15 @@ type cacheEntry struct {
 	}
 }
 
-type task struct {
-	fn   func()
-	done chan struct{}
-}
-
 // Server is the planning service. Create with New, release with Close.
 type Server struct {
 	cfg   Config
 	cache *plancache.Cache[*cacheEntry]
-	queue chan task
+	// slots is the solver semaphore: a running solve holds one of its
+	// Workers buffer places.
+	slots chan struct{}
 
-	mu     sync.RWMutex // guards closed
+	mu     sync.RWMutex // guards closed, and orders admissions before Close
 	closed bool
 	// closing is the shutdown broadcast that ends open subscription
 	// streams: closed by EndSubscriptions (idempotent) and by Close.
@@ -305,10 +299,13 @@ type Server struct {
 	closing     chan struct{}
 	closingOnce sync.Once
 	// registry holds the canonical instances seen, keyed by hash — the
-	// targets of drift updates. Bounded LRU (registrySize) so a
-	// stream of distinct instances cannot grow the daemon without limit.
-	registry *plancache.Cache[*canon.Instance]
+	// targets of drift updates — each with its provenance record
+	// (explain.go). Bounded LRU (registrySize) so a stream of distinct
+	// instances cannot grow the daemon without limit.
+	registry *plancache.Cache[*registration]
 
+	// wg counts the admitted solves, waiting or running; Close waits for
+	// them.
 	wg sync.WaitGroup
 
 	hub hub // drift subscriptions (subscribe.go)
@@ -317,9 +314,11 @@ type Server struct {
 	driftRequests atomic.Int64
 	rejected      atomic.Int64
 	solves        atomic.Int64
-	// pending counts admitted-but-unfinished solves; shed the admissions
-	// rejected at the MaxPending watermark (backpressure).
+	// pending counts admitted-but-unfinished solves, waiting those of
+	// them still without a slot; shed the admissions rejected at the
+	// MaxPending watermark (backpressure).
 	pending atomic.Int64
+	waiting atomic.Int64
 	shed    atomic.Int64
 
 	// metrics is the operational surface served at GET /metrics;
@@ -358,22 +357,20 @@ type Server struct {
 	syncBytesOut          atomic.Int64
 
 	// Observability spine: the span tracer (may be nil — every use is
-	// nil-safe), the structured logger (never nil after New), the per-hash
-	// explain records, and the build identity.
+	// nil-safe), the structured logger (never nil after New), and the
+	// build identity.
 	tracer   *obs.Tracer
 	logger   *slog.Logger
-	explain  *explainCache
 	version  string
 	revision string
 }
 
-// New starts a server: Config.Workers goroutines begin draining the intake
-// queue through the par pool.
+// New starts a server with Config.Workers solver slots.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	cfg.Workers = par.Workers(cfg.Workers)
 	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = cfg.QueueSize + 2*cfg.Workers
+		cfg.MaxPending = waitingSolves + 2*cfg.Workers
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -385,13 +382,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		cache:    plancache.New[*cacheEntry](cfg.CacheSize),
-		queue:    make(chan task, cfg.QueueSize),
-		registry: plancache.New[*canon.Instance](registrySize),
+		slots:    make(chan struct{}, cfg.Workers),
+		registry: plancache.New[*registration](registrySize),
 		closing:  make(chan struct{}),
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 		logger:   logger,
-		explain:  newExplainCache(),
 	}
 	s.version, s.revision = obs.BuildInfo()
 	s.initMetrics()
@@ -407,22 +403,10 @@ func New(cfg Config) *Server {
 			s.register(e.Instance)
 		})
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		// One pool for the whole server: every worker drains the shared
-		// intake queue until Close.
-		par.Run(cfg.Workers, cfg.Workers, func(int) {
-			for t := range s.queue {
-				t.fn()
-				close(t.done)
-			}
-		})
-	}()
 	return s
 }
 
-// Close stops the intake queue and waits for in-flight solves to finish.
+// Close refuses new solves and waits for the admitted ones to finish.
 // Requests submitted after Close fail with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -431,7 +415,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
 	s.EndSubscriptions()
 	s.wg.Wait()
@@ -450,17 +433,16 @@ func (s *Server) EndSubscriptions() {
 // subscription streams.
 func (s *Server) Closing() <-chan struct{} { return s.closing }
 
-// submit runs fn on a pool worker and waits for it. Admission is gated
-// by the MaxPending watermark: beyond it the request is shed immediately
-// with ErrOverloaded — a burst degrades into fast 429s instead of
-// ballooning goroutines and queue latency (shed requests never reach the
-// pool, and their errors are never cached). A request whose context dies
-// while still queued gives its queue slot back without ever reaching a
-// worker; once a worker picked fn up, submit waits for it to finish
-// (fn's own solve watches the same context, so a canceled request
-// returns promptly with the context error instead of burning the pool).
+// submit runs fn on the calling goroutine once it holds a solver slot.
+// Admission is gated by the MaxPending watermark: beyond it the request is
+// shed immediately with ErrOverloaded — a burst degrades into fast 429s
+// instead of ballooning goroutines and latency (shed requests never take
+// a slot, and their errors are never cached). A request whose context
+// dies while waiting for a slot leaves without running fn; once it holds
+// a slot, fn runs to the end (fn's own solve watches the same context, so
+// a canceled request returns promptly with the context error instead of
+// holding the slot).
 func (s *Server) submit(ctx context.Context, fn func()) error {
-	t := task{fn: fn, done: make(chan struct{})}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -475,24 +457,29 @@ func (s *Server) submit(ctx context.Context, fn func()) error {
 		return fmt.Errorf("%w: %d solves already pending (limit %d)",
 			ErrOverloaded, p-1, s.cfg.MaxPending)
 	}
+	s.wg.Add(1)
+	s.mu.RUnlock()
+	defer s.wg.Done()
 	defer s.pending.Add(-1)
 	var cancelled <-chan struct{}
 	if ctx != nil {
 		cancelled = ctx.Done()
 	}
+	s.waiting.Add(1)
 	select {
-	case s.queue <- t:
+	case s.slots <- struct{}{}:
+		s.waiting.Add(-1)
 	case <-cancelled:
-		s.mu.RUnlock()
+		s.waiting.Add(-1)
 		return fmt.Errorf("service: request abandoned while queued: %w", ctx.Err())
 	}
-	s.mu.RUnlock()
-	<-t.done
+	defer func() { <-s.slots }()
+	fn()
 	return nil
 }
 
 // validate rejects malformed requests before they reach canonicalization
-// or the queue.
+// or a solver slot.
 func (s *Server) validate(req Request) error {
 	if req.App == nil {
 		return fmt.Errorf("service: request has no instance")
@@ -549,9 +536,10 @@ func cacheKey(hash string, req Request) string {
 }
 
 // register remembers a canonical instance as a drift target (refreshing
-// its registry recency when already present).
-func (s *Server) register(inst *canon.Instance) {
-	s.registry.Do(inst.Hash(), func() (*canon.Instance, error) { return inst, nil })
+// its registry recency when already present) and returns its registration.
+func (s *Server) register(inst *canon.Instance) *registration {
+	r, _, _ := s.registry.Do(inst.Hash(), func() (*registration, error) { return &registration{inst: inst}, nil })
+	return r
 }
 
 // Register remembers a canonical instance as a drift target without
@@ -567,11 +555,15 @@ func (s *Server) Register(inst *canon.Instance) {
 
 // Instance returns the registered canonical instance for hash, if any.
 func (s *Server) Instance(hash string) (*canon.Instance, bool) {
-	return s.registry.Get(hash)
+	r, ok := s.registry.Get(hash)
+	if !ok {
+		return nil, false
+	}
+	return r.inst, true
 }
 
 // Plan canonicalizes the request's instance, serves the plan from the
-// cache when present, and otherwise solves it on the pool (concurrent
+// cache when present, and otherwise solves it in a solver slot (concurrent
 // identical requests coalesce onto one solve). The instance is registered
 // as a drift target.
 func (s *Server) Plan(req Request) (Response, error) {
@@ -597,15 +589,16 @@ func (s *Server) PlanContext(ctx context.Context, req Request) (Response, error)
 		s.rejected.Add(1)
 		return Response{}, err
 	}
-	s.register(inst)
-	return s.planCanonical(ctx, inst, req, nil)
+	return s.planCanonical(ctx, s.register(inst), req, nil)
 }
 
-// planCanonical serves an already-canonicalized instance. A non-nil
-// incumbent warm-starts the branch-and-bound search; it never changes the
-// solution (solve.Options.Incumbent contract), so it is deliberately not
-// part of the cache key.
-func (s *Server) planCanonical(ctx context.Context, inst *canon.Instance, req Request, incumbent *rat.Rat) (Response, error) {
+// planCanonical serves a registered canonical instance and records the
+// serve in its registration. A non-nil incumbent warm-starts the
+// branch-and-bound search; it never changes the solution
+// (solve.Options.Incumbent contract), so it is deliberately not part of
+// the cache key.
+func (s *Server) planCanonical(ctx context.Context, reg *registration, req Request, incumbent *rat.Rat) (Response, error) {
+	inst := reg.inst
 	span := obs.From(ctx)
 	key := cacheKey(inst.Hash(), req)
 	span.SetHash(inst.Hash(), key)
@@ -722,7 +715,7 @@ retry:
 	if e := val.effort; e != nil {
 		span.SetSolver(e.Search.Expanded, e.Search.Pruned, e.Evals, e.MemoHits)
 	}
-	s.explain.record(inst.Hash(), key, span.ID(), req, outcome.String(), source, val)
+	reg.record(key, span.ID(), req, outcome.String(), source, val)
 	return Response{
 		Hash:     inst.Hash(),
 		Key:      key,
@@ -739,11 +732,11 @@ type BatchResult struct {
 	Err      error
 }
 
-// PlanBatchContext submits every request concurrently (the pool bounds the
-// actual parallelism) and returns the results in request order. Identical
-// requests within one batch coalesce to a single solve. The requests share
-// ctx: a dead client abandons every queued item and aborts the in-flight
-// solves.
+// PlanBatchContext submits every request concurrently (the solver slots
+// bound the actual parallelism) and returns the results in request order.
+// Identical requests within one batch coalesce to a single solve. The
+// requests share ctx: a dead client abandons every waiting item and aborts
+// the in-flight solves.
 func (s *Server) PlanBatchContext(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	var wg sync.WaitGroup
@@ -833,11 +826,12 @@ func (s *Server) Drift(hash string, updates []Update, req Request) (DriftReport,
 // event per PATCH per subscriber.
 func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update, req Request) (DriftReport, error) {
 	s.driftRequests.Add(1)
-	oldInst, ok := s.Instance(hash)
+	oldReg, ok := s.registry.Get(hash)
 	if !ok {
 		s.rejected.Add(1)
 		return DriftReport{}, fmt.Errorf("service: no registered instance with hash %s", hash)
 	}
+	oldInst := oldReg.inst
 	req.App = oldInst.App()
 	if err := s.validate(req); err != nil {
 		s.rejected.Add(1)
@@ -857,7 +851,7 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 
 	// The old objective: served from cache when present, solved otherwise
 	// (the drift report always compares old vs new).
-	oldResp, err := s.planCanonical(ctx, oldInst, req, nil)
+	oldResp, err := s.planCanonical(ctx, oldReg, req, nil)
 	if err != nil {
 		return DriftReport{}, err
 	}
@@ -875,8 +869,8 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 	if req.Method == solve.BranchBound {
 		if eg, err := remapGraph(oldInst.App(), newInst.App(), oldResp.Solution.Graph); err == nil {
 			if familyMember(eg, req, newInst.App()) {
-				// This re-evaluation runs on the request goroutine, off
-				// the intake pool, and serially like every orchestration.
+				// This re-evaluation runs on the request goroutine without
+				// a solver slot, and serially like every orchestration.
 				if re, err := solve.Reevaluate(eg, req.Model, req.Objective, req.solveOptions(ctx)); err == nil {
 					v := re.Value
 					incumbent = &v
@@ -887,13 +881,13 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 		}
 	}
 
+	// Registered before its serve, so the serve is recorded (explain.go).
 	newReq := req
 	newReq.App = newInst.App()
-	newResp, err := s.planCanonical(ctx, newInst, newReq, incumbent)
+	newResp, err := s.planCanonical(ctx, s.register(newInst), newReq, incumbent)
 	if err != nil {
 		return DriftReport{}, err
 	}
-	s.register(newInst)
 	report.NewValue = newResp.Solution.Value
 	report.Response = newResp
 	// The streaming half of the re-planning story: a re-plan that moved
@@ -920,7 +914,7 @@ func (s *Server) Stats() Stats {
 		Rejected:        s.rejected.Load(),
 		Solves:          s.solves.Load(),
 		Registered:      registered,
-		QueueDepth:      len(s.queue),
+		QueueDepth:      int(s.waiting.Load()),
 		Workers:         s.cfg.Workers,
 		Shed:            s.shed.Load(),
 		Pending:         int(s.pending.Load()),

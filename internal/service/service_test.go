@@ -363,7 +363,7 @@ func TestValidation(t *testing.T) {
 // TestConfigClamping: degenerate (negative) configuration values fall back
 // to the defaults instead of panicking at startup.
 func TestConfigClamping(t *testing.T) {
-	s := newTestServer(t, Config{Workers: -1, CacheSize: -1, QueueSize: -1, MaxServices: -1})
+	s := newTestServer(t, Config{Workers: -1, CacheSize: -1, MaxServices: -1})
 	if _, err := s.Plan(Request{App: gen.App(gen.NewRand(20), 4, gen.Mixed)}); err != nil {
 		t.Fatal(err)
 	}

@@ -80,15 +80,16 @@ func (s *Server) SyncDigest() SyncDigest {
 
 // ExportInstances renders the registered instances named by hashes
 // (unknown hashes are skipped — the digest that advertised them may have
-// aged out of the LRU since).
+// aged out of the LRU since). Peek, not Get: exporting on a peer's behalf
+// must not distort the local LRU.
 func (s *Server) ExportInstances(hashes []string) []SyncInstance {
 	var out []SyncInstance
 	for _, h := range hashes {
-		inst, ok := s.registry.Get(h)
+		r, ok := s.registry.Peek(h)
 		if !ok {
 			continue
 		}
-		data, err := json.Marshal(inst.App())
+		data, err := json.Marshal(r.inst.App())
 		if err != nil {
 			continue
 		}

@@ -328,3 +328,37 @@ func FuzzSyncImport(f *testing.F) {
 		}
 	})
 }
+
+// TestSyncExportLeavesRegistryRecency: exporting an instance on a peer's
+// behalf must not refresh it in the local drift registry. The registry is
+// full and the peer wants only the least recently used hash; once one more
+// instance registers, that hash is still the one evicted.
+func TestSyncExportLeavesRegistryRecency(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	register := func(seed int64) string {
+		inst, err := canon.Canonicalize(gen.App(gen.NewRand(seed), 4, gen.Mixed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Register(inst)
+		return inst.Hash()
+	}
+	var hashes []string
+	for i := 0; i < registrySize; i++ {
+		hashes = append(hashes, register(int64(100+i)))
+	}
+	if n := s.Stats().Registered; n != registrySize {
+		t.Fatalf("registered %d distinct instances, want %d", n, registrySize)
+	}
+	resp := s.SyncExchange(SyncRequest{Digest: SyncDigest{Hashes: hashes[1:]}})
+	if len(resp.Instances) != 1 || resp.Instances[0].Hash != hashes[0] {
+		t.Fatalf("exported %d instances, want only the oldest", len(resp.Instances))
+	}
+	register(int64(100 + registrySize))
+	if _, ok := s.registry.Peek(hashes[0]); ok {
+		t.Error("the exported oldest instance survived: the export refreshed its recency")
+	}
+	if _, ok := s.registry.Peek(hashes[1]); !ok {
+		t.Error("a locally newer instance was evicted in place of the exported oldest one")
+	}
+}

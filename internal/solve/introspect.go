@@ -112,7 +112,7 @@ type Effort struct {
 	// orchestration memo served without recomputing.
 	Evals    int64
 	MemoHits int64
-	// QueueNanos is the wait for a pool worker, SolveNanos the solver wall
+	// QueueNanos is the wait for a solver slot, SolveNanos the solver wall
 	// time, OrchNanos the orchestration share of it. (Store-write time is
 	// deliberately absent: it happens after the solve, so a persisted
 	// Effort replays identically on warm restart.)

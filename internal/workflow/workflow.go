@@ -162,7 +162,7 @@ func (a *App) MarshalJSON() ([]byte, error) {
 	for _, e := range a.prec.Edges() {
 		doc.Precedence = append(doc.Precedence, [2]string{a.Name(e[0]), a.Name(e[1])})
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.Marshal(doc)
 }
 
 // UnmarshalJSON decodes an instance file produced by MarshalJSON (or written
