@@ -1,6 +1,7 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs
-# `make vet build test-race test test-alloc bench-smoke`, the four smoke-*
-# targets and `make fuzz`, so every package list below exists once.
+# `make vet build test-race test test-alloc bench-smoke bench-exec-round`,
+# the four smoke-* targets and `make fuzz`, so every package list below
+# exists once.
 #
 # The two source gates need no target of their own: both live in
 # deadcode_test.go (root package) and run in every `go test` above, -short
@@ -22,7 +23,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build bins test test-short test-race test-alloc bench bench-smoke bench-paired fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
+.PHONY: build bins test test-short test-race test-alloc bench bench-smoke bench-exec-round bench-paired fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
 
 build:
 	$(GO) build ./...
@@ -112,6 +113,11 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# One iteration of the executor's round benchmark (BenchmarkExecRound,
+# serial and pipelined): a smoke that the data-plane benchmark still runs.
+bench-exec-round:
+	$(GO) test -run '^$$' -bench ExecRound -benchtime 1x ./internal/exec/
+
 # Paired comparison of the working tree against a parent commit with the
 # identical benchmark code on both sides (bench/README.md, "Paired
 # comparison"): make bench-paired PARENT=<ref> WORKLOAD=plan-cold [PAIRS=10]
@@ -158,10 +164,12 @@ smoke-exec:
 # service permutation, unreduced rationals and implied precedence edges;
 # changed by one cost or one name), and the /v1/sync import (never panics;
 # a rejected item changes nothing but its counter; an accepted instance
-# re-canonicalises to its claimed hash), and the PATCH /v1/instance/{hash}
+# re-canonicalises to its claimed hash), the PATCH /v1/instance/{hash}
 # handler (never a 5xx; a failed PATCH changes no cache, registry or event
-# state; a 200 only for updates ApplyUpdates accepts). FUZZTIME bounds
-# each target.
+# state; a 200 only for updates ApplyUpdates accepts), and the POST
+# /v1/batch handler (never a 5xx; a non-200 changes no cache or registry
+# state; a 200 answers every item, in order, as POST /v1/plan answers it
+# alone). FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -172,6 +180,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime $(FUZZTIME) ./internal/orchestrate/
 	$(GO) test -run '^$$' -fuzz FuzzSyncImport -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzDriftRequest -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME) ./internal/canon/
 
-check: vet build test-short test-race test-alloc bench-smoke
+check: vet build test-short test-race test-alloc bench-smoke bench-exec-round

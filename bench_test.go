@@ -164,9 +164,10 @@ func BenchmarkSelfTimedSimulation(b *testing.B) {
 // family per sub-benchmark at its size cap: chains at n = 12 (12!
 // candidates, which no blind enumeration finishes), forests at n = 7 and
 // DAGs at n = 5, without and with precedence. ns/node is the whole solve
-// (incumbent seeding and orchestration included) over Options.Stats'
-// Expanded. (Everything timed end to end or per layer — cold plan search,
-// the two order searches — is the repository benchmark's, bench/.)
+// (incumbent seeding and orchestration included) over the Search.Expanded
+// of its Options.Effort. (Everything timed end to end or per layer — cold
+// plan search, the two order searches — is the repository benchmark's,
+// bench/.)
 func BenchmarkBranchBound(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -179,34 +180,33 @@ func BenchmarkBranchBound(b *testing.B) {
 		{"dag-n5-prec", solve.FamilyDAG, gen.AppWithPrecedence(gen.NewRand(5), 5, gen.Mixed, 0.4)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var st solve.Stats
+			var ef solve.Effort
 			opts := solve.Options{
 				Method:  solve.BranchBound,
 				Family:  c.family,
 				Workers: 1,
 				Orch:    orchestrate.Options{MaxExhaustive: 64},
-				Stats:   &st,
+				Effort:  &ef,
 			}
 			var nodes int64
 			for b.Loop() {
 				if _, err := solve.MinPeriod(c.app, plan.InOrder, opts); err != nil {
 					b.Fatal(err)
 				}
-				nodes += st.Expanded
+				nodes += ef.Search.Expanded
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 		})
 	}
 }
 
-// BenchmarkPlannerEndToEnd times the full public-API pipeline (plan search
-// + orchestration + validation) on an 8-service instance.
-func BenchmarkPlannerEndToEnd(b *testing.B) {
+// BenchmarkMinPeriodEndToEnd times the full public-API pipeline (plan
+// search + orchestration + validation) on an 8-service instance.
+func BenchmarkMinPeriodEndToEnd(b *testing.B) {
 	app := filtering.RandomApp(4, 8, filtering.Filtering)
-	planner := filtering.NewPlanner()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.MinimizePeriod(app, filtering.Overlap); err != nil {
+		if _, err := filtering.MinPeriod(app, filtering.Overlap, filtering.SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

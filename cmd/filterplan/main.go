@@ -92,11 +92,8 @@ func main() {
 	if fam != solve.FamilyAuto && meth != solve.BranchBound {
 		fatal(fmt.Errorf("-family %s requires -method bnb", fam))
 	}
-	opts := solve.Options{Method: meth, Family: fam, Workers: *workers}
-	var stats solve.Stats
-	if meth == solve.BranchBound {
-		opts.Stats = &stats
-	}
+	var effort solve.Effort
+	opts := solve.Options{Method: meth, Family: fam, Workers: *workers, Effort: &effort}
 
 	obj, err := cliopt.Objective(*objective)
 	if err != nil {
@@ -124,7 +121,7 @@ func main() {
 		sol.Sched.List.Period(), sol.Sched.List.Latency(), sol.Sched.LowerBound)
 	if meth == solve.BranchBound {
 		fmt.Printf("search: %d nodes expanded, %d candidates evaluated, %d subtrees pruned\n",
-			stats.Expanded, stats.Evaluated, stats.Pruned)
+			effort.Search.Expanded, effort.Search.Evaluated, effort.Search.Pruned)
 	}
 	fmt.Println()
 	fmt.Println(sol.Graph.Describe())

@@ -28,7 +28,7 @@ func Example() {
 }
 
 // Optimize a small query plan end to end and execute it.
-func ExamplePlanner() {
+func ExampleMinPeriod() {
 	app, err := filtering.NewApp([]filtering.Service{
 		{Name: "probe", Cost: filtering.Int(1), Selectivity: filtering.NewRat(1, 2)},
 		{Name: "score", Cost: filtering.Int(4), Selectivity: filtering.Int(1)},
@@ -37,8 +37,7 @@ func ExamplePlanner() {
 	if err != nil {
 		panic(err)
 	}
-	planner := filtering.NewPlanner()
-	sol, err := planner.MinimizePeriod(app, filtering.Overlap)
+	sol, err := filtering.MinPeriod(app, filtering.Overlap, filtering.SolveOptions{})
 	if err != nil {
 		panic(err)
 	}

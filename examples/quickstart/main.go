@@ -48,9 +48,8 @@ func main() {
 	fmt.Println(ino.List.Timeline())
 
 	fmt.Println("== free plan search: the graph itself is a decision ==")
-	planner := filtering.NewPlanner()
 	for _, m := range filtering.Models {
-		sol, err := planner.MinimizePeriod(app, m)
+		sol, err := filtering.MinPeriod(app, m, filtering.SolveOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func main() {
 
 	// Execute the OVERLAP optimum for 20 data sets and confirm the
 	// throughput operationally.
-	sol, err := planner.MinimizePeriod(app, filtering.Overlap)
+	sol, err := filtering.MinPeriod(app, filtering.Overlap, filtering.SolveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

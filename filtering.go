@@ -23,8 +23,7 @@
 // Quick start:
 //
 //	app := filtering.Uniform(5, filtering.Int(4), filtering.Int(1))
-//	planner := filtering.NewPlanner()
-//	sol, err := planner.MinimizePeriod(app, filtering.Overlap)
+//	sol, err := filtering.MinPeriod(app, filtering.Overlap, filtering.SolveOptions{})
 //	// sol.Graph is the execution graph, sol.Sched.List the schedule.
 //
 // For serving plans at scale there is a long-running planning service:
@@ -187,13 +186,12 @@ const (
 	// BranchBound is the exact search: it certifies the optimum of a
 	// structural family by incremental construction with lower-bound
 	// pruning (chains to n=12, forests to n=7, DAGs to n=5 by default).
-	// Set SolveOptions.Stats to observe the search effort and
+	// Set SolveOptions.Effort to observe the search effort and
 	// SolveOptions.Family to force a structural family.
 	BranchBound = solve.BranchBound
 )
 
-// Branch-and-bound structural families for SolveOptions.Family and search
-// counters for SolveOptions.Stats.
+// Branch-and-bound structural families for SolveOptions.Family.
 const (
 	// FamilyAuto searches the family whose optimum is global: forests for
 	// period without precedence constraints (Prop. 4), DAGs otherwise.
@@ -206,9 +204,11 @@ const (
 	FamilyDAG = solve.FamilyDAG
 )
 
-// SolveStats reports branch-and-bound search effort (nodes expanded,
-// candidates evaluated, subtrees pruned).
-type SolveStats = solve.Stats
+// SolveEffort is the search-effort record a solve fills when
+// SolveOptions.Effort points at one: method and family searched,
+// branch-and-bound counters (nodes expanded, candidates evaluated,
+// subtrees pruned), orchestration counters and timings.
+type SolveEffort = solve.Effort
 
 // Objectives.
 const (
@@ -217,47 +217,6 @@ const (
 	// LatencyObjective minimizes the latency (response time).
 	LatencyObjective = solve.LatencyObjective
 )
-
-// Planner is the high-level entry point combining plan search and
-// orchestration with configurable effort.
-type Planner struct {
-	// Solve configures the plan-level search.
-	Solve SolveOptions
-}
-
-// NewPlanner returns a planner with default options (automatic method
-// choice: branch-and-bound on small instances, hill climbing above).
-func NewPlanner() *Planner { return &Planner{} }
-
-// MinimizePeriod returns a full plan (execution graph + operation list)
-// minimizing the period of app under model m.
-func (p *Planner) MinimizePeriod(app *App, m Model) (Solution, error) {
-	return solve.MinPeriod(app, m, p.Solve)
-}
-
-// MinimizeLatency returns a full plan minimizing the latency of app under
-// model m.
-func (p *Planner) MinimizeLatency(app *App, m Model) (Solution, error) {
-	return solve.MinLatency(app, m, p.Solve)
-}
-
-// Orchestrate computes an operation list for a fixed execution graph: the
-// paper's "given an execution graph, compute the period/latency" problem.
-func (p *Planner) Orchestrate(eg *ExecGraph, m Model, obj solve.Objective) (Schedule, error) {
-	if obj == PeriodObjective {
-		return Period(eg, m, p.Solve.Orch)
-	}
-	return Latency(eg, m, p.Solve.Orch)
-}
-
-// EvaluatePlan validates an operation list under model m and reports its
-// period and latency.
-func (p *Planner) EvaluatePlan(l *OperationList, m Model) (period, latency Rat, err error) {
-	if err := l.Validate(m); err != nil {
-		return rat.Zero, rat.Zero, err
-	}
-	return l.Period(), l.Latency(), nil
-}
 
 // MinPeriod finds a plan minimizing the period of app under model m.
 func MinPeriod(app *App, m Model, opts SolveOptions) (Solution, error) {

@@ -12,8 +12,7 @@ import (
 // the public API only.
 func TestFacadeQuickstart(t *testing.T) {
 	app := filtering.Uniform(5, filtering.Int(4), filtering.Int(1))
-	planner := filtering.NewPlanner()
-	sol, err := planner.MinimizePeriod(app, filtering.Overlap)
+	sol, err := filtering.MinPeriod(app, filtering.Overlap, filtering.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +125,9 @@ func TestMatrixShape(t *testing.T) {
 }
 
 func TestPlannerEndToEnd(t *testing.T) {
-	p := filtering.NewPlanner()
 	app := paperex.Fig1App()
 	for _, m := range filtering.Models {
-		sol, err := p.MinimizePeriod(app, m)
+		sol, err := filtering.MinPeriod(app, m, filtering.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -142,7 +140,7 @@ func TestPlannerEndToEnd(t *testing.T) {
 			t.Fatalf("%s: period %s absurd", m, sol.Value)
 		}
 	}
-	sol, err := p.MinimizeLatency(app, filtering.InOrder)
+	sol, err := filtering.MinLatency(app, filtering.InOrder, filtering.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +152,15 @@ func TestPlannerEndToEnd(t *testing.T) {
 }
 
 func TestPlannerOrchestrate(t *testing.T) {
-	p := filtering.NewPlanner()
 	eg := paperex.Fig1Graph()
-	res, err := p.Orchestrate(eg, filtering.InOrder, filtering.PeriodObjective)
+	res, err := filtering.Period(eg, filtering.InOrder, filtering.OrchestrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Value.Equal(filtering.NewRat(23, 3)) {
 		t.Fatalf("INORDER period = %s, want 23/3", res.Value)
 	}
-	lat, err := p.Orchestrate(eg, filtering.OutOrder, filtering.LatencyObjective)
+	lat, err := filtering.Latency(eg, filtering.OutOrder, filtering.OrchestrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +170,20 @@ func TestPlannerOrchestrate(t *testing.T) {
 }
 
 func TestPlannerEvaluatePlan(t *testing.T) {
-	p := filtering.NewPlanner()
 	eg := paperex.Fig1Graph()
-	res, err := p.Orchestrate(eg, filtering.Overlap, filtering.PeriodObjective)
+	res, err := filtering.Period(eg, filtering.Overlap, filtering.OrchestrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	period, latency, err := p.EvaluatePlan(res.List, filtering.Overlap)
-	if err != nil {
+	if err := res.List.Validate(filtering.Overlap); err != nil {
 		t.Fatal(err)
 	}
+	period, latency := res.List.Period(), res.List.Latency()
 	if !period.Equal(filtering.Int(4)) || latency.Less(period) {
 		t.Fatalf("period=%s latency=%s", period, latency)
 	}
 	// The Theorem-1 list is not INORDER-valid (stretched comms).
-	if _, _, err := p.EvaluatePlan(res.List, filtering.InOrder); err == nil {
+	if err := res.List.Validate(filtering.InOrder); err == nil {
 		t.Fatal("stretched multi-port list must fail one-port validation")
 	}
 }

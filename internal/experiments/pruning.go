@@ -73,14 +73,15 @@ func E15Pruning(budget int) Report {
 		if c.obj == solve.LatencyObjective {
 			minimize, greedy = solve.MinLatency, solve.ChainLatencyValue(app, solve.GreedyLatencyChainOrder(app))
 		}
-		var st solve.Stats
+		var ef solve.Effort
 		sol, err := minimize(app, c.m, solve.Options{
 			Method: solve.BranchBound, Family: c.family,
-			Orch: orch, Restarts: 1, Workers: 1, Stats: &st,
+			Orch: orch, Restarts: 1, Workers: 1, Effort: &ef,
 		})
 		if err != nil {
 			return fail("E15", "pruning effectiveness", err)
 		}
+		st := ef.Search
 		// Every family contains the chains, so its optimum cannot exceed
 		// the best chain's; and pruning must cut the candidates scored at
 		// least tenfold.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,5 +205,46 @@ func TestHTTPCancelledRequestGets499(t *testing.T) {
 	}
 	if st := s.Stats(); st.Cache.Len != 0 {
 		t.Errorf("cache poisoned by the 499 request: %+v", st.Cache)
+	}
+}
+
+// tripCtx reports itself canceled from its (allow+1)-th Err poll on,
+// independent of wall clock: a solve aborted at a deterministic point.
+type tripCtx struct {
+	context.Context
+	allow int64
+	polls atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.polls.Add(1) > c.allow {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledSolveCountsItsEffort: a solve that aborts mid-search still
+// adds its branch-and-bound nodes to the solver totals, as it adds its
+// orchestrations to the memo totals — the totals cover every executed
+// solve, not only the ones that returned a plan.
+func TestCanceledSolveCountsItsEffort(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	req := Request{
+		App:       gen.App(gen.NewRand(3), 7, gen.Filtering),
+		Model:     plan.InOrder,
+		Objective: solve.PeriodObjective,
+		Method:    solve.BranchBound,
+		Family:    solve.FamilyForest,
+	}
+	if _, err := s.PlanContext(&tripCtx{Context: context.Background(), allow: 8}, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("tripped context: got error %v", err)
+	}
+	st := s.Stats()
+	if st.Solves != 1 || st.MemoMisses == 0 {
+		t.Fatalf("want one executed solve with orchestrations: %+v", st)
+	}
+	if st.SolverExpanded == 0 {
+		t.Errorf("the aborted solve's expanded nodes were dropped: %d orchestrations counted, 0 nodes",
+			st.MemoHits+st.MemoMisses)
 	}
 }

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 type patchCase struct {
@@ -130,6 +134,113 @@ func FuzzDriftRequest(f *testing.F) {
 		}
 		if _, err := ApplyUpdates(planned.Instance.App(), doc.Updates); err != nil {
 			t.Fatalf("body %q: 200 for updates ApplyUpdates rejects: %v", body, err)
+		}
+	})
+}
+
+// FuzzBatchRequest sends fuzzed bodies to POST /v1/batch. Properties: no
+// body gets a 5xx; a non-200 leaves the cache length and the registered
+// count as they were; a 200 carries one result per request, in request
+// order, and each result is what POST /v1/plan answers for that item
+// alone: the same error text, or the same plan (value, graph, schedule;
+// outcome and cached aside).
+func FuzzBatchRequest(f *testing.F) {
+	s := New(Config{Workers: 1})
+	f.Cleanup(s.Close)
+	small, err := json.Marshal(gen.App(gen.NewRand(11), 3, gen.Mixed))
+	if err != nil {
+		f.Fatal(err)
+	}
+	prec, err := json.Marshal(gen.AppWithPrecedence(gen.NewRand(12), 4, gen.Filtering, 0.4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s}, {"instance": %s, "model": "inorder", "objective": "latency"}]}`, small, prec))
+	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "bnb", "family": "chain"}, {"instance": %s, "model": "bogus"}, {"instance": %s}]}`, small, small, small))
+	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "hill-climb", "restarts": 2, "seed": 5}, {"model": "overlap"}, null]}`, prec))
+	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "greedy-chain"}]} trailing`, prec))
+	f.Add(`{"requests": [{"instance": {"services": []}}]}`)
+	f.Add(`{"requests": []}`)
+	f.Add(`{"requests": [5]}`)
+	f.Add(`{{{`)
+	h := Handler(s)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	// answer decodes a plan answer with outcome and cached cleared and its
+	// schedule compacted (a batch item nests it one level deeper).
+	answer := func(data []byte) (PlanResponse, error) {
+		var p PlanResponse
+		if err := json.Unmarshal(data, &p); err != nil {
+			return p, err
+		}
+		var sched bytes.Buffer
+		err := json.Compact(&sched, p.Schedule)
+		p.Outcome, p.Cached, p.Schedule = "", false, sched.Bytes()
+		return p, err
+	}
+
+	f.Fuzz(func(t *testing.T, body string) {
+		// The handler's framing: the first JSON value, trailing bytes
+		// ignored. Large batches, instances and restart counts exercise the
+		// solver, not the handler, and so does an exact search raised past
+		// its default caps.
+		var doc batchRequestJSON
+		json.NewDecoder(strings.NewReader(body)).Decode(&doc)
+		if len(doc.Requests) > 8 {
+			t.Skip()
+		}
+		for _, item := range doc.Requests {
+			if item.Instance.app.N() > 6 || item.Restarts > 4 || item.MaxExactN > 5 {
+				t.Skip()
+			}
+		}
+		before := s.Stats()
+		rec := post("/v1/batch", body)
+		after := s.Stats()
+		if rec.Code >= 500 {
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			if after.Cache.Len != before.Cache.Len || after.Registered != before.Registered {
+				t.Fatalf("body %q: status %d changed state: cache %d -> %d, registered %d -> %d",
+					body, rec.Code, before.Cache.Len, after.Cache.Len, before.Registered, after.Registered)
+			}
+			return
+		}
+		var got BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("body %q: undecodable 200 answer: %v", body, err)
+		}
+		// The items as the bytes a client would send one by one.
+		var raw struct {
+			Requests []json.RawMessage `json:"requests"`
+		}
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&raw); err != nil || len(got.Results) != len(raw.Requests) {
+			t.Fatalf("body %q: %d results for %d requests (%v)", body, len(got.Results), len(raw.Requests), err)
+		}
+		for i, item := range raw.Requests {
+			alone := post("/v1/plan", string(item))
+			if alone.Code != http.StatusOK {
+				var e ErrorBody
+				if err := json.Unmarshal(alone.Body.Bytes(), &e); err != nil || got.Results[i].Error != e.Error {
+					t.Fatalf("body %q item %d: batch error %q, /v1/plan %d %s", body, i, got.Results[i].Error, alone.Code, alone.Body)
+				}
+				continue
+			}
+			want, err := answer(alone.Body.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := answer(got.Results[i].Plan)
+			if err != nil {
+				t.Fatalf("body %q item %d: batch result %+v is no plan (%v), /v1/plan answered one", body, i, got.Results[i], err)
+			}
+			if !reflect.DeepEqual(have, want) {
+				t.Fatalf("body %q item %d: batch plan\n%+v\n/v1/plan\n%+v", body, i, have, want)
+			}
 		}
 	})
 }

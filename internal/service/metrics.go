@@ -36,7 +36,8 @@ func (s *Server) initMetrics() {
 	s.mPhaseOrch = phases.With("orchestrate")
 	s.mPhaseStore = phases.With("store")
 
-	// Solver search-effort totals, summed across every executed solve: the
+	// Solver search-effort totals, summed across every executed solve
+	// (failed and canceled ones included; observeEffort adds them): the
 	// branch-and-bound evidence counters, and how many candidate
 	// orchestrations each solve's own memo served rather than computed.
 	m.CounterFunc("filterd_solver_nodes_expanded_total",
@@ -46,7 +47,7 @@ func (s *Server) initMetrics() {
 		"Branch-and-bound subtrees discarded by the incumbent bound, summed over all solves.",
 		func() float64 { return float64(s.nodesPruned.Load()) })
 	m.CounterFunc("filterd_solver_candidates_evaluated_total",
-		"Complete candidate graphs whose objective was computed, summed over all solves.",
+		"Branch-and-bound leaves (complete candidate graphs) whose objective was computed, summed over all solves; hill-climb candidates are not counted.",
 		func() float64 { return float64(s.candEvaluated.Load()) })
 	m.CounterFunc("filterd_memo_hits_total",
 		"Candidate orchestrations served by their solve's memo, summed over all solves.",

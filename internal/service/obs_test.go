@@ -290,14 +290,14 @@ func TestExplainEffortIndependentOfHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &solve.EvalProbe{}
+	var ef solve.Effort
 	opts := req.solveOptions(nil)
-	opts.Probe = probe
+	opts.Effort = &ef
 	if _, err := solve.MinPeriod(inst.App(), req.Model, opts); err != nil {
 		t.Fatal(err)
 	}
-	o := probe.Orch()
-	direct := explainOrchJSON{Orchestrations: probe.Evals(), MemoHits: probe.MemoHits(), Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated, CutOffs: o.CutOffs}
+	o := ef.Orch
+	direct := explainOrchJSON{Orchestrations: ef.Evals, MemoHits: ef.MemoHits, Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated, CutOffs: o.CutOffs}
 	if got != direct {
 		t.Fatalf("served: %+v, direct solve: %+v", got, direct)
 	}

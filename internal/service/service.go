@@ -246,9 +246,10 @@ type Stats struct {
 	MemoHits   int64
 	MemoMisses int64
 	// SolverExpanded/SolverPruned/SolverEvaluated total the branch-and-
-	// bound search counters across every executed solve — the
-	// running evidence for the paper's tractability claim, previously
-	// computed per solve and dropped.
+	// bound search counters across every executed solve, failed and
+	// canceled ones included — the running evidence for the paper's
+	// tractability claim. SolverEvaluated counts branch-and-bound leaves
+	// only: a hill climb adds nothing to it.
 	SolverExpanded  int64
 	SolverPruned    int64
 	SolverEvaluated int64
@@ -610,56 +611,24 @@ retry:
 		var effort *solve.Effort
 		submitted := time.Now()
 		submitErr := s.submit(ctx, func() {
-			queued := time.Since(submitted)
 			s.solves.Add(1)
-			start := time.Now()
+			// Introspection: the solve fills its own effort record, failed
+			// and canceled solves included. It is observational — the
+			// service pins Workers: 1 and every solve has its own
+			// orchestration memo, so the counts are a function of the
+			// request alone (the /v1/explain contract).
+			ef := &solve.Effort{QueueNanos: int64(time.Since(submitted))}
 			opts := req.solveOptions(ctx)
 			opts.Incumbent = incumbent
-			// Introspection: the branch-and-bound counters and the
-			// orchestration probe. Both are observational — the service
-			// pins Workers: 1 and every solve has its own orchestration
-			// memo, so the counts are a function of the request alone (the
-			// /v1/explain contract).
-			var stats solve.Stats
-			probe := &solve.EvalProbe{}
-			opts.Stats = &stats
-			opts.Probe = probe
+			opts.Effort = ef
 			if req.Objective == solve.PeriodObjective {
 				sol, solveErr = solve.MinPeriod(inst.App(), req.Model, opts)
 			} else {
 				sol, solveErr = solve.MinLatency(inst.App(), req.Model, opts)
 			}
-			solveDur := time.Since(start)
-			s.mSolveSeconds.Observe(solveDur.Seconds())
-			s.mPhaseQueue.Observe(queued.Seconds())
-			s.mPhaseSolve.Observe(solveDur.Seconds())
-			orchDur := time.Duration(probe.OrchNanos())
-			s.mPhaseOrch.Observe(orchDur.Seconds())
-			s.memoHits.Add(probe.MemoHits())
-			s.memoMisses.Add(probe.Evals() - probe.MemoHits())
-			span.Observe(obs.PhaseQueue, queued)
-			span.Observe(obs.PhaseSolve, solveDur)
-			span.Observe(obs.PhaseOrchestrate, orchDur)
+			s.observeEffort(span, ef)
 			if solveErr == nil {
-				method := solve.ResolveMethod(inst.App(), req.Objective, opts)
-				family := req.Family
-				if method == solve.BranchBound {
-					family = solve.ResolveFamily(inst.App(), req.Objective, req.Family)
-				}
-				effort = &solve.Effort{
-					Method:     method,
-					Family:     family,
-					Search:     stats,
-					Orch:       probe.Orch(),
-					Evals:      probe.Evals(),
-					MemoHits:   probe.MemoHits(),
-					QueueNanos: int64(queued),
-					SolveNanos: int64(solveDur),
-					OrchNanos:  probe.OrchNanos(),
-				}
-				s.nodesExpanded.Add(stats.Expanded)
-				s.nodesPruned.Add(stats.Pruned)
-				s.candEvaluated.Add(stats.Evaluated)
+				effort = ef
 			}
 		})
 		if submitErr != nil {
@@ -724,6 +693,25 @@ retry:
 		Solution: val.sol,
 		entry:    val,
 	}, nil
+}
+
+// observeEffort publishes one executed solve's effort record, failed and
+// canceled solves included: its phase times to the histograms and the
+// request span, its counters to the solver totals.
+func (s *Server) observeEffort(span *obs.Span, ef *solve.Effort) {
+	queued, solveDur, orchDur := time.Duration(ef.QueueNanos), time.Duration(ef.SolveNanos), time.Duration(ef.OrchNanos)
+	s.mSolveSeconds.Observe(solveDur.Seconds())
+	s.mPhaseQueue.Observe(queued.Seconds())
+	s.mPhaseSolve.Observe(solveDur.Seconds())
+	s.mPhaseOrch.Observe(orchDur.Seconds())
+	span.Observe(obs.PhaseQueue, queued)
+	span.Observe(obs.PhaseSolve, solveDur)
+	span.Observe(obs.PhaseOrchestrate, orchDur)
+	s.nodesExpanded.Add(ef.Search.Expanded)
+	s.nodesPruned.Add(ef.Search.Pruned)
+	s.candEvaluated.Add(ef.Search.Evaluated)
+	s.memoHits.Add(ef.MemoHits)
+	s.memoMisses.Add(ef.Evals - ef.MemoHits)
 }
 
 // BatchResult is one item of a PlanBatchContext answer.

@@ -286,8 +286,8 @@ type shard[T any] struct {
 
 // branchAndBound searches t on the par pool, pruning against inc, and
 // returns the first strictly best leaf of the serial order — see the file
-// comment. The counters go to opts.Stats when it is set; noPlan words the
-// error when no leaf was kept.
+// comment. The counters go to the solve's tally when it has one; noPlan
+// words the error when no leaf was kept.
 func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan string) (T, error) {
 	t.split = min(t.split, t.depth)
 	n := 1
@@ -305,12 +305,9 @@ func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan strin
 		sh.replay(0, i, n)
 		return sh.stats
 	})
-	if opts.Stats != nil {
-		*opts.Stats = Stats{}
+	if t := opts.tally; t != nil {
 		for _, st := range stats {
-			opts.Stats.Expanded += st.Expanded
-			opts.Stats.Pruned += st.Pruned
-			opts.Stats.Evaluated += st.Evaluated
+			t.searched(st)
 		}
 	}
 	return reduce(results, opts, noPlan)

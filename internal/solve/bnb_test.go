@@ -24,7 +24,7 @@ func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, 
 	t.Helper()
 	want := describeSolution(oracleSolve(t, app, m, obj, family))
 	asks := []Options{{Method: BranchBound, Family: family}}
-	if ResolveMethod(app, obj, Options{}) == BranchBound && ResolveFamily(app, obj, FamilyAuto) == family {
+	if autoMethod(app, obj, Options{}) == BranchBound && ResolveFamily(app, obj, FamilyAuto) == family {
 		asks = append(asks, Options{Method: Auto})
 	}
 	solves := 0
@@ -202,7 +202,7 @@ func TestAutoBandRoutesRaisedMaxExactNToBranchBound(t *testing.T) {
 		{"raised past the mask width", free(65), PeriodObjective, 100, HillClimb},
 	}
 	for _, tc := range cases {
-		got := ResolveMethod(tc.app, tc.obj, Options{MaxExactN: tc.maxExactN})
+		got := autoMethod(tc.app, tc.obj, Options{MaxExactN: tc.maxExactN})
 		if got != tc.want {
 			t.Errorf("%s: auto picked %v, want %v", tc.name, got, tc.want)
 		}
@@ -222,13 +222,13 @@ func TestAutoDoesNotTaxTinyInstances(t *testing.T) {
 			for _, m := range plan.Models {
 				for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 					for _, workers := range []int{1, 4} {
-						probe := &EvalProbe{}
-						solveOnce(t, app, m, obj, Options{Orch: smallOrch(), Workers: workers, Probe: probe})
+						var ef Effort
+						solveOnce(t, app, m, obj, Options{Orch: smallOrch(), Workers: workers, Effort: &ef})
 						family := dags[n]
 						if obj == PeriodObjective {
 							family = forests[n]
 						}
-						if got := probe.Evals(); got > family+1 {
+						if got := ef.Evals; got > family+1 {
 							t.Errorf("n=%d seed %d %s/%s workers=%d: %d candidate orchestrations for a family of %d",
 								n, seed, m, obj, workers, got, family)
 						}
@@ -574,13 +574,14 @@ func parentVector(t *testing.T, eg *plan.ExecGraph) []int {
 func TestBranchBoundCertifiesBeyondBlindEnumeration(t *testing.T) {
 	const n = 12
 	app := gen.App(gen.NewRand(42), n, gen.Filtering)
-	var st Stats
-	opts := Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch(), Workers: 1, Stats: &st}
+	var ef Effort
+	opts := Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch(), Workers: 1, Effort: &ef}
 	sol := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
 	greedy := ChainPeriodValue(app, GreedyChainOrder(app, plan.InOrder), plan.InOrder)
 	if sol.Value.Greater(greedy) {
 		t.Fatalf("certified optimum %s worse than the greedy chain %s", sol.Value, greedy)
 	}
+	st := ef.Search
 	var blindLeaves int64 = 1
 	for i := int64(2); i <= n; i++ {
 		blindLeaves *= i
@@ -595,7 +596,7 @@ func TestBranchBoundCertifiesBeyondBlindEnumeration(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		o := opts
 		o.Workers = workers
-		o.Stats = nil
+		o.Effort = nil
 		if got := describeSolution(solveOnce(t, app, plan.InOrder, PeriodObjective, o)); got != want {
 			t.Fatalf("workers=%d diverged from serial:\n%s\nvs\n%s", workers, want, got)
 		}
@@ -608,10 +609,10 @@ func TestBranchBoundCertifiesBeyondBlindEnumeration(t *testing.T) {
 func TestBranchBoundStatsDeterministicSerial(t *testing.T) {
 	app := gen.App(gen.NewRand(9), 5, gen.Mixed)
 	run := func() Stats {
-		var st Stats
-		opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Restarts: 1, Workers: 1, Stats: &st}
+		var ef Effort
+		opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Restarts: 1, Workers: 1, Effort: &ef}
 		solveOnce(t, app, plan.Overlap, PeriodObjective, opts)
-		return st
+		return ef.Search
 	}
 	a, b := run(), run()
 	if a != b {

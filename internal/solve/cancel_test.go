@@ -83,30 +83,30 @@ func TestMidSearchCancellationStopsBranchBound(t *testing.T) {
 			app := gen.App(gen.NewRand(3), tc.n, tc.profile)
 			base := Options{Method: BranchBound, Family: tc.family, Workers: 1, Restarts: 1}
 
-			var full Stats
+			var full Effort
 			opts := base
-			opts.Stats = &full
+			opts.Effort = &full
 			if _, err := MinPeriod(app, tc.m, opts); err != nil {
 				t.Fatal(err)
 			}
-			if full.Expanded < 512 {
-				t.Skipf("instance too easy to observe a mid-search abort (%d expansions)", full.Expanded)
+			if full.Search.Expanded < 512 {
+				t.Skipf("instance too easy to observe a mid-search abort (%d expansions)", full.Search.Expanded)
 			}
 
 			// One successful probe (the minimize entry check), done from
 			// then on: the first in-loop probe of every climb and shard
 			// latches the abort.
-			var aborted Stats
+			var aborted Effort
 			opts = base
-			opts.Stats = &aborted
+			opts.Effort = &aborted
 			opts.Ctx = newProbeCtx(1)
 			_, err := MinPeriod(app, tc.m, opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-search cancel: got error %v", err)
 			}
-			if aborted.Expanded*4 > full.Expanded {
+			if aborted.Search.Expanded*4 > full.Search.Expanded {
 				t.Errorf("canceled run expanded %d of %d nodes — cancellation did not stop the search",
-					aborted.Expanded, full.Expanded)
+					aborted.Search.Expanded, full.Search.Expanded)
 			}
 		})
 	}

@@ -50,8 +50,8 @@ func checkClimbDigest(t *testing.T, insts []climbInstance, wantAnswers, wantEffo
 		for _, m := range plan.Models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 				for _, workers := range []int{1, 4} {
-					probe := &EvalProbe{}
-					opts := Options{Method: HillClimb, Seed: in.seed, Workers: workers, Probe: probe}
+					var ef Effort
+					opts := Options{Method: HillClimb, Seed: in.seed, Workers: workers, Effort: &ef}
 					var sol Solution
 					var err error
 					if obj == PeriodObjective {
@@ -62,9 +62,9 @@ func checkClimbDigest(t *testing.T, insts []climbInstance, wantAnswers, wantEffo
 					fmt.Fprintf(answers, "%s %s %s w%d: ", in.label, m, obj, workers)
 					writeAnswer(t, answers, sol, err)
 					if workers == 1 {
-						o := probe.Orch()
+						o := ef.Orch
 						fmt.Fprintf(effort, "%s %s %s: %d %d %d %d %d %d\n", in.label, m, obj,
-							probe.Evals(), probe.MemoHits(), o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
+							ef.Evals, ef.MemoHits, o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
 					}
 				}
 			}

@@ -83,9 +83,8 @@ func TestAnswerStreamDigest(t *testing.T) {
 			for _, m := range []plan.Model{plan.Overlap, plan.InOrder, plan.OutOrder} {
 				for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 					for _, workers := range []int{1, 4} {
-						var st Stats
-						probe := &EvalProbe{}
-						opts := Options{Method: c.method, Family: c.family, Seed: int64(ai), Workers: workers, Stats: &st, Probe: probe}
+						var ef Effort
+						opts := Options{Method: c.method, Family: c.family, Seed: int64(ai), Workers: workers, Effort: &ef}
 						var sol Solution
 						var err error
 						if obj == PeriodObjective {
@@ -96,7 +95,7 @@ func TestAnswerStreamDigest(t *testing.T) {
 						fmt.Fprintf(answers, "%d %s/%s %s %s w%d: ", ai, c.method, c.family, m, obj, workers)
 						writeAnswer(t, answers, sol, err)
 						if workers == 1 {
-							o := probe.Orch()
+							st, o := ef.Search, ef.Orch
 							fmt.Fprintf(counters, "%d %s/%s %s %s: %d %d %d %d %d %d %d\n", ai, c.method, c.family, m, obj,
 								st.Expanded, st.Pruned, st.Evaluated, o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
 						}

@@ -6,12 +6,10 @@ package solve
 // The paper's central claim is quantitative — pruned branch-and-bound and
 // relaxed-event-graph bounds make the NP-hard mapping tractable — and the
 // evidence is counters: nodes expanded versus pruned, candidate graphs
-// orchestrated, memo hits, order-search prefixes bounded and pruned.
-// The solvers already produce all of them; this file is the plumbing that
-// keeps them attached to the solve that produced them instead of being
-// dropped on the service floor. Everything here is observational: a probe
-// never changes which graphs are searched, what Solution is returned, or
-// any cache/memo key.
+// orchestrated, memo hits, order-search prefixes bounded and pruned. A
+// solve given Options.Effort records them all there. Counting never
+// changes which graphs are searched, what Solution is returned, or any
+// cache/memo key.
 
 import (
 	"sync"
@@ -19,88 +17,20 @@ import (
 	"time"
 
 	"repro/internal/orchestrate"
-	"repro/internal/plan"
-	"repro/internal/workflow"
 )
-
-// EvalProbe observes every candidate orchestration of one solve: how many
-// graphs were scored, how many were served by the orchestration memo, the
-// orchestration wall time, and the aggregated orchestration-search
-// counters (order-search prefixes, pruned, evaluated and cut-offs). Safe for
-// concurrent use — the parallel searches score candidates from many
-// goroutines.
-type EvalProbe struct {
-	evals     atomic.Int64
-	memoHits  atomic.Int64
-	orchNanos atomic.Int64
-
-	mu   sync.Mutex
-	orch orchestrate.Stats
-}
-
-// evaluate is the probe-instrumented scoring of the package evaluate
-// chokepoint: same memo discipline, same Score, plus accounting
-// (materialising the winner adds only to the orchestration time). The
-// orchestration counters are collected into a probe-local Stats per call
-// (the orchestrate layer overwrites rather than accumulates its Stats
-// target) and merged, so concurrent evaluations never share a Stats
-// pointer.
-func (p *EvalProbe) evaluate(w *plan.Weighted, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (orchestrate.Score, error) {
-	var st orchestrate.Stats
-	o := opts.Orch
-	o.Stats = &st // excluded from the memo key, so hit behavior is unchanged
-	start := time.Now()
-	var (
-		res orchestrate.Score
-		hit bool
-		err error
-	)
-	if obj == PeriodObjective {
-		res, hit, err = orchestrate.ScorePeriod(opts.memo, w, m, o, limit)
-	} else {
-		res, hit, err = orchestrate.ScoreLatency(opts.memo, w, m, o, limit)
-	}
-	d := time.Since(start)
-	p.evals.Add(1)
-	if hit {
-		p.memoHits.Add(1)
-	}
-	p.orchNanos.Add(int64(d))
-	// A memo hit leaves st zero — correct: no orchestration work was done.
-	p.mu.Lock()
-	p.orch.Prefixes += st.Prefixes
-	p.orch.Pruned += st.Pruned
-	p.orch.Evaluated += st.Evaluated
-	p.orch.CutOffs += st.CutOffs
-	p.mu.Unlock()
-	return res, err
-}
-
-// Evals returns the number of candidate orchestrations observed.
-func (p *EvalProbe) Evals() int64 { return p.evals.Load() }
-
-// MemoHits returns how many of them the orchestration memo served.
-func (p *EvalProbe) MemoHits() int64 { return p.memoHits.Load() }
-
-// OrchNanos returns the summed orchestration wall time in nanoseconds.
-func (p *EvalProbe) OrchNanos() int64 { return p.orchNanos.Load() }
-
-// Orch returns the aggregated orchestration-search counters.
-func (p *EvalProbe) Orch() orchestrate.Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.orch
-}
 
 // Effort is the search-effort record of one solve — what /v1/explain
 // reports and the persistent plan store keeps alongside a Solution, so a
 // warm-restarted service explains a stored plan with the counters of the
-// solve that produced it. All fields are observational; two solves of the
-// same request produce the same counters when run with Workers: 1 (the
-// planning service pins exactly that).
+// solve that produced it. MinPeriod and MinLatency fill it when
+// Options.Effort points at one, on every return (a failed or canceled
+// search included); BiCriteria and Reevaluate record nothing. All fields
+// are observational; two solves of the same request produce the same
+// counters when run with Workers: 1 (the planning service pins exactly
+// that).
 type Effort struct {
 	// Method and Family are the resolved search strategy (Auto already
-	// dispatched).
+	// dispatched; Family resolved for BranchBound, as requested otherwise).
 	Method Method
 	Family Family
 	// Search is the branch-and-bound counter set (zero for other methods).
@@ -112,23 +42,59 @@ type Effort struct {
 	// orchestration memo served without recomputing.
 	Evals    int64
 	MemoHits int64
-	// QueueNanos is the wait for a solver slot, SolveNanos the solver wall
-	// time, OrchNanos the orchestration share of it. (Store-write time is
-	// deliberately absent: it happens after the solve, so a persisted
-	// Effort replays identically on warm restart.)
+	// QueueNanos is the wait for a solver slot, the one field the caller
+	// sets (the solve keeps it); SolveNanos the solver wall time, OrchNanos
+	// the orchestration share of it. (Store-write time is deliberately
+	// absent: it happens after the solve, so a persisted Effort replays
+	// identically on warm restart.)
 	QueueNanos int64
 	SolveNanos int64
 	OrchNanos  int64
 }
 
-// ResolveMethod resolves Auto to the method minimize would dispatch for
-// this application and objective under the given options; non-auto
-// methods pass through. The planning service uses it to report the method
-// actually searched rather than the literal "auto" the request carried.
-func ResolveMethod(app *workflow.App, obj Objective, opts Options) Method {
-	opts = opts.withDefaults()
-	if opts.Method != Auto {
-		return opts.Method
+// tally is the accumulator behind one solve's Effort: every candidate
+// scoring, materialisation and branch-and-bound run of the solve adds to
+// it. Safe for concurrent use — the parallel searches score candidates
+// from many goroutines.
+type tally struct {
+	evals, memoHits, orchNanos atomic.Int64
+
+	mu     sync.Mutex
+	orch   orchestrate.Stats
+	search Stats
+}
+
+// scored counts one candidate scoring: a memo hit or not, its
+// orchestration-search counters (zero on a hit: no orchestration work was
+// done) and its wall time.
+func (t *tally) scored(hit bool, st orchestrate.Stats, d time.Duration) {
+	t.evals.Add(1)
+	if hit {
+		t.memoHits.Add(1)
 	}
-	return autoMethod(app, obj, opts)
+	t.orchNanos.Add(int64(d))
+	t.mu.Lock()
+	t.orch.Prefixes += st.Prefixes
+	t.orch.Pruned += st.Pruned
+	t.orch.Evaluated += st.Evaluated
+	t.orch.CutOffs += st.CutOffs
+	t.mu.Unlock()
+}
+
+// searched adds one branch-and-bound run's counters.
+func (t *tally) searched(st Stats) {
+	t.mu.Lock()
+	t.search.Expanded += st.Expanded
+	t.search.Pruned += st.Pruned
+	t.search.Evaluated += st.Evaluated
+	t.mu.Unlock()
+}
+
+// record writes the tally into e; the caller's QueueNanos stays.
+func (t *tally) record(e *Effort, method Method, family Family, solve time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e.Method, e.Family, e.Search, e.Orch = method, family, t.search, t.orch
+	e.Evals, e.MemoHits = t.evals.Load(), t.memoHits.Load()
+	e.SolveNanos, e.OrchNanos = int64(solve), t.orchNanos.Load()
 }

@@ -57,12 +57,12 @@ func TestMemoDoesNotChangeSolutions(t *testing.T) {
 // reaches again, so the solve's memo must serve hits.
 func TestMemoHitsAcrossSearchPhases(t *testing.T) {
 	app := gen.App(gen.NewRand(31), climbSeedMinN, gen.Mixed)
-	probe := &EvalProbe{}
-	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Restarts: 2, Workers: 1, Probe: probe}
+	var ef Effort
+	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Restarts: 2, Workers: 1, Effort: &ef}
 	if _, err := MinPeriod(app, plan.InOrder, opts); err != nil {
 		t.Fatal(err)
 	}
-	hits, evals := probe.MemoHits(), probe.Evals()
+	hits, evals := ef.MemoHits, ef.Evals
 	if hits == 0 || hits >= evals {
 		t.Fatalf("implausible memo counters: %d hits of %d orchestrations", hits, evals)
 	}

@@ -33,17 +33,26 @@ var evaluate = scoreCandidate
 // through the solve's orchestration memo when one is set: identical
 // weighted graphs reached anywhere in the search are scored once. limit is
 // the caller's acceptance limit (orchestrate.Limit): above it the score may
-// be a cut-off, which the caller rejects.
+// be a cut-off, which the caller rejects. A solve that records its effort
+// counts the scoring in its tally.
 func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (scored, error) {
 	c := scored{eg: eg, w: eg.Weighted()}
+	o, t := opts.Orch, opts.tally
+	var start time.Time
+	if t != nil {
+		// A Stats of this call's own: the orchestrate layer overwrites its
+		// target, and Stats is outside the memo key.
+		o.Stats, start = new(orchestrate.Stats), time.Now()
+	}
+	var hit bool
 	var err error
-	switch {
-	case opts.Probe != nil:
-		c.Score, err = opts.Probe.evaluate(c.w, m, obj, opts, limit)
-	case obj == PeriodObjective:
-		c.Score, _, err = orchestrate.ScorePeriod(opts.memo, c.w, m, opts.Orch, limit)
-	default:
-		c.Score, _, err = orchestrate.ScoreLatency(opts.memo, c.w, m, opts.Orch, limit)
+	if obj == PeriodObjective {
+		c.Score, hit, err = orchestrate.ScorePeriod(opts.memo, c.w, m, o, limit)
+	} else {
+		c.Score, hit, err = orchestrate.ScoreLatency(opts.memo, c.w, m, o, limit)
+	}
+	if t != nil {
+		t.scored(hit, *o.Stats, time.Since(start))
 	}
 	return c, err
 }
@@ -53,8 +62,8 @@ func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Option
 // variable only so that a test (TestMaterialiseOncePerSolve) can count the
 // schedules a solve builds; nothing else assigns it.
 var materialise = func(c scored, opts Options) (Solution, error) {
-	if p := opts.Probe; p != nil {
-		defer func(start time.Time) { p.orchNanos.Add(int64(time.Since(start))) }(time.Now())
+	if t := opts.tally; t != nil {
+		defer func(start time.Time) { t.orchNanos.Add(int64(time.Since(start))) }(time.Now())
 	}
 	sched, err := c.Score.Materialise(c.w)
 	if err != nil {
@@ -89,21 +98,31 @@ func MinLatency(app *workflow.App, m plan.Model, opts Options) (Solution, error)
 // (never marked Exact — no search was performed). It is the warm-start
 // companion of Options.Incumbent: re-evaluating a previously optimal graph
 // on an instance whose costs or selectivities drifted yields a certified
-// achievable objective to seed the branch-and-bound incumbent with.
+// achievable objective to seed the branch-and-bound incumbent with. It
+// records no effort (Options.Effort is ignored).
 func Reevaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	return solveGraph(eg, m, obj, opts.withDefaults())
 }
 
 func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	opts = opts.withDefaults()
+	method := opts.Method
+	if method == Auto {
+		method = autoMethod(app, obj, opts)
+	}
+	if rec := opts.Effort; rec != nil {
+		family := opts.Family
+		if method == BranchBound {
+			family = ResolveFamily(app, obj, opts.Family)
+		}
+		t := &tally{}
+		opts.tally = t
+		defer func(start time.Time) { t.record(rec, method, family, time.Since(start)) }(time.Now())
+	}
 	// An already-expired request costs nothing: fail before any search
 	// state is built (the searches poll the context periodically after).
 	if err := ctxErr(opts.Ctx); err != nil {
 		return Solution{}, err
-	}
-	method := opts.Method
-	if method == Auto {
-		method = autoMethod(app, obj, opts)
 	}
 	// The orchestration memo pays where a search revisits candidate graphs:
 	// hill-climb seeds/restarts converging on the same forests, and
@@ -486,13 +505,13 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 // BiCriteria minimizes latency subject to a period bound (the bi-criteria
 // problem the paper's conclusion raises): it scans the forest family (plus
 // the greedy chains) for plans whose period under m stays within bound and
-// returns the best-latency one.
+// returns the best-latency one. It records no effort (Options.Effort is
+// ignored).
 func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Options) (Solution, error) {
 	if app.HasPrecedence() {
 		return Solution{}, fmt.Errorf("solve: BiCriteria requires no precedence constraints")
 	}
 	opts = opts.withDefaults()
-	opts.Stats = nil // a scan, not a branch-and-bound: no search counters
 	n := app.N()
 	noPlan := fmt.Sprintf("no plan meets period bound %s under %s", periodBound, m)
 	// Only scores are compared — the period against the bound, the latency

@@ -43,7 +43,7 @@
 // for the one solve (orchestrate.Memo): a graph its shards, restarts and
 // incumbent seeding reach again is scored once. No memo outlives its
 // solve, so the Solution — and, at Workers 1, every search counter and
-// memo hit an EvalProbe records — depends on the call alone, never on what
+// memo hit its Effort records — depends on the call alone, never on what
 // the process solved before. GreedyChain, Reevaluate and BiCriteria score
 // without one.
 //
@@ -149,11 +149,6 @@ type Options struct {
 	// optimum would cut the optimum away. Methods other than BranchBound
 	// ignore it.
 	Incumbent *rat.Rat
-	// Stats, when non-nil, receives the branch-and-bound search counters.
-	// The returned Solution is identical for every worker count, but the
-	// counters are not: with Workers > 1 the pruning threshold evolves
-	// with goroutine timing. Use Workers: 1 for reproducible counts.
-	Stats *Stats
 	// Seed drives the randomized restarts of HillClimb.
 	Seed int64
 	// Restarts is the number of random restarts for HillClimb (default 3).
@@ -170,13 +165,13 @@ type Options struct {
 	// returns a partial Solution, only the error, so cancellation cannot
 	// weaken the determinism invariant.
 	Ctx context.Context
-	// Probe, when non-nil, observes every candidate orchestration of the
-	// solve (evaluation counts, memo hits, orchestration-search counters,
-	// orchestration wall time) — the introspection hook of the planning
-	// service's /v1/explain. Purely observational: it never changes which
-	// graphs are searched or what Solution is returned, and it is excluded
-	// from every cache and memo key.
-	Probe *EvalProbe
+	// Effort, when non-nil, receives the solve's search-effort record (see
+	// Effort) — the introspection hook of the planning service's
+	// /v1/explain. Purely observational: it never changes which graphs are
+	// searched or what Solution is returned, and no cache or memo key
+	// holds it. The Solution is the same for every worker count, the
+	// counters only at Workers: 1 (above, pruning follows goroutine timing).
+	Effort *Effort
 
 	// memo is the orchestration memo of one solve, shared by every
 	// candidate evaluation in it (see "One memo per solve" in the package
@@ -186,6 +181,9 @@ type Options struct {
 	// noMemo makes minimize create no memo: the memo-less reference of the
 	// package's determinism suites (TestMemoDoesNotChangeSolutions).
 	noMemo bool
+	// tally accumulates the Effort of one solve; only minimize sets it,
+	// and only when Effort is set.
+	tally *tally
 }
 
 // ctxErr converts a done context into the search abort error (nil context

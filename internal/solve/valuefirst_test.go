@@ -93,10 +93,10 @@ func (s search) String() string { return s.method.String() + "/" + s.family.Stri
 func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, how search, workers int, noMemo bool) outcome {
 	t.Helper()
 	var out outcome
-	probe := &EvalProbe{}
-	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Stats: &out.search, Probe: probe, noMemo: noMemo}
+	var ef Effort
+	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Effort: &ef, noMemo: noMemo}
 	sol, err := minimize(app, m, obj, opts)
-	out.orch, out.evals = probe.Orch(), probe.Evals()
+	out.search, out.orch, out.evals = ef.Search, ef.Orch, ef.Evals
 	if err != nil {
 		out.print = "error: " + err.Error()
 		return out

@@ -67,20 +67,20 @@ func TestIncumbentWarmStartPreservesSolution(t *testing.T) {
 // unseeded run.
 func TestIncumbentWarmStartPrunesHarder(t *testing.T) {
 	app := gen.App(gen.NewRand(41), 7, gen.Mixed)
-	var coldStats Stats
+	var coldEffort Effort
 	cold := solveOnce(t, app, plan.InOrder, PeriodObjective,
-		Options{Method: BranchBound, Family: FamilyChain, Workers: 1, Stats: &coldStats})
+		Options{Method: BranchBound, Family: FamilyChain, Workers: 1, Effort: &coldEffort})
 
-	var warmStats Stats
-	opts := Options{Method: BranchBound, Family: FamilyChain, Workers: 1, Stats: &warmStats}
+	var warmEffort Effort
+	opts := Options{Method: BranchBound, Family: FamilyChain, Workers: 1, Effort: &warmEffort}
 	opts.Incumbent = &cold.Value
 	warm := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
 	if describeSolution(warm) != describeSolution(cold) {
 		t.Fatal("warm start changed the solution")
 	}
-	if warmStats.Expanded > coldStats.Expanded {
+	if warmEffort.Search.Expanded > coldEffort.Search.Expanded {
 		t.Errorf("warm start expanded more nodes than cold: %d > %d",
-			warmStats.Expanded, coldStats.Expanded)
+			warmEffort.Search.Expanded, coldEffort.Search.Expanded)
 	}
 }
 
