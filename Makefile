@@ -3,9 +3,10 @@
 # the four smoke-* targets and `make fuzz`, so every package list below
 # exists once.
 #
-# The two source gates need no target of their own: both live in
+# The three source gates need no target of their own: all live in
 # deadcode_test.go (root package) and run in every `go test` above, -short
-# included, in about 4 s each; both type-check the module and bench/.
+# included; the first two type-check the module and bench/ in about 4 s
+# each, the third only parses it.
 # - TestShippedCodeIsReachable fails with one line per internal/
 #   declaration no shipped code reaches, as `file:line: pkg.Name has no
 #   shipped caller` (pkg.Type.Method for a method). Delete what it lists,
@@ -17,13 +18,20 @@
 #   write outside the struct's own defaulting), as `file:line:
 #   pkg.Type.Field has no shipped setter`. Make it a constant, or give it
 #   an entry, with its reason, in knobsAllowed.
-# An allowlist entry that gains a caller or setter, or stops existing,
-# fails its gate too.
+# - TestShippedSurfaceHasReaders fails with one line per CLI flag no
+#   script, Makefile recipe or CI step passes to its command, HTTP route no
+#   test, script or bench/ file requests, and metric family no test,
+#   script, bench/ or examples/ file names (comments and prose do not
+#   count), as `file:line: flag cmd -name has no reader` (route, metric
+#   family). Delete it, give it a reader, or give it an entry, with its
+#   reason, in surfaceAllowed.
+# An allowlist entry that gains a caller, setter or reader, or stops
+# existing, fails its gate too.
 
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build bins test test-short test-race test-alloc bench bench-smoke bench-exec-round bench-paired fuzz vet check smoke-filterd smoke-cluster smoke-exec smoke-chaos
+.PHONY: build bins test test-short test-race test-alloc bench bench-smoke bench-exec-round bench-paired fuzz vet check experiments smoke-filterd smoke-cluster smoke-exec smoke-chaos
 
 build:
 	$(GO) build ./...
@@ -125,9 +133,18 @@ bench-exec-round:
 bench-paired:
 	./scripts/bench_paired.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
-# End-to-end daemon smoke: start filterd on a local port, plan
-# testdata/webquery8.json over HTTP, and diff the objective value against
-# the filterplan CLI answer (CI runs the same check).
+# Rewrite EXPERIMENTS.md from its first `### ` heading on with the
+# experiment harness at the recorded configuration (budget 2, Markdown),
+# keeping the file's header; TestExperimentsMatchRecord pins the result.
+experiments:
+	{ sed '/^### /,$$d' EXPERIMENTS.md; $(GO) run ./cmd/filterexp -md -budget 2; } > EXPERIMENTS.md.new && mv EXPERIMENTS.md.new EXPERIMENTS.md
+
+# End-to-end daemon smoke: start filterd on a local port with a plan
+# store, plan testdata/webquery8.json and a filtergen instance over HTTP,
+# diff each objective value against the filterplan CLI answer, restart
+# the daemon on its store and require the repeat to be served from it;
+# also check filterplan -method auto's search report and the Figure 1
+# replay (CI runs the same check).
 smoke-filterd:
 	./scripts/smoke_filterd.sh
 
@@ -166,10 +183,13 @@ smoke-exec:
 # a rejected item changes nothing but its counter; an accepted instance
 # re-canonicalises to its claimed hash), the PATCH /v1/instance/{hash}
 # handler (never a 5xx; a failed PATCH changes no cache, registry or event
-# state; a 200 only for updates ApplyUpdates accepts), and the POST
+# state; a 200 only for updates ApplyUpdates accepts), the POST
 # /v1/batch handler (never a 5xx; a non-200 changes no cache or registry
 # state; a 200 answers every item, in order, as POST /v1/plan answers it
-# alone). FUZZTIME bounds each target.
+# alone), and the POST /v1/sync handler (never a 5xx; a non-200 leaves
+# the sync digest alone; a 200 accounts for every pushed item, holds each
+# accepted one in its digest and answers within the exchange caps).
+# FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -181,6 +201,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSyncImport -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzDriftRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzSyncRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME) ./internal/canon/
 
 check: vet build test-short test-race test-alloc bench-smoke bench-exec-round

@@ -15,7 +15,7 @@
 // restarted daemon answers previously solved requests bit-identical to
 // before, without re-solving. With -peers the daemon is a cluster router
 // (internal/cluster): requests are forwarded to the replicas owning the
-// canonical hash's shard (-shard-bits prefix bits, -replicas owners per
+// canonical hash's shard (2^8 shards by hash prefix, -replicas owners per
 // shard), with health checks, read failover across the owners, write
 // (PATCH) fan-out to all of them, and local-solve failover as the last
 // resort. With -sync-peers a replica gossips its drift registry and plan
@@ -35,12 +35,17 @@
 //
 // Usage:
 //
-//	filterd [-addr :8080] [-workers N] [-cache N] [-max-pending N] [-max-services N]
-//	        [-data-dir DIR] [-peers URL,URL,...] [-shard-bits B] [-replicas R]
+//	filterd [-addr :8080] [-workers N]
+//	        [-data-dir DIR] [-peers URL,URL,...] [-replicas R]
 //	        [-sync-peers URL,URL,...] [-gossip-interval D]
 //	        [-fault-seed S] [-fault-drop N] [-fault-error N] [-fault-truncate N] [-fault-delay N]
-//	        [-log-level info] [-log-format text] [-trace-requests N]
+//	        [-log-level info] [-log-format text]
 //	        [-debug-addr ADDR] [-version]
+//
+// The plan cache holds 256 entries, an instance may have at most 64
+// services, 64 + 2×workers admitted solves may be pending before the
+// daemon sheds with 429, and GET /debug/requests keeps the last 256
+// request spans.
 //
 // API (JSON; instances use the filterplan -in file format, schedules the
 // oplist codec):
@@ -60,8 +65,7 @@
 //	                           for a slot and shed counts, store and sync traffic — plus,
 //	                           in router mode, per-peer forward, failover and
 //	                           circuit-breaker state
-//	GET   /debug/requests      the most recent request spans (bounded ring; empty when
-//	                           -trace-requests is 0)
+//	GET   /debug/requests      the most recent request spans (bounded ring)
 //
 // Example (single replica with persistence):
 //
@@ -84,7 +88,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"strings"
@@ -99,16 +103,16 @@ import (
 	"repro/internal/store"
 )
 
+// traceRequests is the span ring's capacity: the request spans kept for
+// GET /debug/requests.
+const traceRequests = 256
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "solver slots: the most solves running at once (0 = all CPUs; inner solves are serial — one pool, never nested)")
-		cacheSize   = flag.Int("cache", 256, "plan cache capacity (completed entries)")
-		maxPending  = flag.Int("max-pending", 0, "load-shedding watermark: admitted solves (waiting for a slot or running) beyond it get 429 (0 = 64 + 2*workers)")
-		maxServices = flag.Int("max-services", 64, "largest accepted instance")
 		dataDir     = flag.String("data-dir", "", "persistent plan store directory (empty: in-memory only)")
 		peers       = flag.String("peers", "", "comma-separated replica base URLs; when set, run as the cluster router")
-		shardBits   = flag.Int("shard-bits", 8, "canonical-hash prefix bits for cluster sharding (2^B shards)")
 		replicas    = flag.Int("replicas", 2, "owners per shard R (router mode): reads fail over across them, writes fan to all")
 		syncPeers   = flag.String("sync-peers", "", "comma-separated co-replica base URLs to anti-entropy sync with (replica mode)")
 		gossipEvery = flag.Duration("gossip-interval", 2*time.Second, "anti-entropy period for -sync-peers")
@@ -119,7 +123,6 @@ func main() {
 		faultDelay  = flag.Int("fault-delay", 0, "delay 1-in-N forwarded requests (with -fault-seed)")
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
 		logFormat   = flag.String("log-format", "text", "log line format: text or json")
-		traceReqs   = flag.Int("trace-requests", 256, "request spans kept for GET /debug/requests (0 disables tracing)")
 		debugAddr   = flag.String("debug-addr", "", "private listen address for net/http/pprof (empty: disabled)")
 		showVersion = flag.Bool("version", false, "print version and VCS revision, then exit")
 	)
@@ -151,17 +154,14 @@ func main() {
 	// the router's middleware owns the spans (the embedded service
 	// annotates them), and the service's filterd_* families share the
 	// GET /metrics page with the cluster's filterd_router_* families.
-	tracer := obs.NewTracer(*traceReqs)
+	tracer := obs.NewTracer(traceRequests)
 	reg := metrics.New()
 	srv := service.New(service.Config{
-		Workers:     *workers,
-		CacheSize:   *cacheSize,
-		MaxPending:  *maxPending,
-		MaxServices: *maxServices,
-		Store:       st,
-		Metrics:     reg,
-		Tracer:      tracer,
-		Logger:      logger,
+		Workers: *workers,
+		Store:   st,
+		Metrics: reg,
+		Tracer:  tracer,
+		Logger:  logger,
 	})
 	if st != nil {
 		ls := st.Stats()
@@ -199,21 +199,20 @@ func main() {
 			client = &http.Client{Transport: injector.RoundTripper(nil)}
 		}
 		router, err = cluster.New(cluster.Config{
-			Peers:     peerList,
-			ShardBits: *shardBits,
-			Replicas:  *replicas,
-			Local:     srv,
-			Metrics:   reg,
-			Tracer:    tracer,
-			Logger:    logger,
-			Client:    client,
+			Peers:    peerList,
+			Replicas: *replicas,
+			Local:    srv,
+			Metrics:  reg,
+			Tracer:   tracer,
+			Logger:   logger,
+			Client:   client,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		handler = router
 		logger.Info("routing shards across peers (local failover attached)",
-			"shards", 1<<*shardBits, "replicas", *replicas, "peers", len(peerList))
+			"shards", router.Stats().Shards, "replicas", *replicas, "peers", len(peerList))
 	}
 
 	// Replica-side anti-entropy: with -sync-peers this replica gossips
@@ -271,7 +270,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	logger.Info("listening", "addr", *addr, "workers", srv.Stats().Workers, "cache", *cacheSize,
+	logger.Info("listening", "addr", *addr, "workers", srv.Stats().Workers, "cache", srv.Stats().Cache.Cap,
 		"version", version, "revision", revision)
 	select {
 	case err := <-done:
@@ -322,17 +321,13 @@ func newLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
-// newDebugServer builds the private profiling listener: pprof, the
-// expensive, potentially sensitive surface, stays off the public address
-// (the span ring is on the public handler at /debug/requests).
+// newDebugServer builds the private profiling listener on
+// http.DefaultServeMux, where net/http/pprof registers its handlers: pprof,
+// the expensive, potentially sensitive surface, stays off the public
+// address, whose handler is its own mux (the span ring is on the public
+// handler at /debug/requests).
 func newDebugServer(addr string) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	return &http.Server{Addr: addr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
 }
 
 // shutdown releases the daemon's moving parts in dependency order: debug

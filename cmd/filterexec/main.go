@@ -10,9 +10,10 @@
 // via PATCH /v1/instance/{hash}, external re-plans via the SSE subscribe
 // stream with Last-Event-ID resume; without -url an in-process planning
 // service is embedded, so the full closed loop runs in one process.
-// Both modes resolve -model, -objective, -method and -family with the
-// service's own resolver (service.Params.Request) before the mode is
-// chosen, so a bad name fails at start-up with the same error either way.
+// Both modes resolve -model and -objective with the service's own
+// resolver (service.Params.Request) before the mode is chosen, so a bad
+// name fails at start-up with the same error either way. The search
+// method, family and seed are the service's defaults.
 //
 // Drift is injected with -drift / -drift-cost: the declared instance is
 // planned as-is, but the stream behaves per the overridden truth, so the
@@ -23,9 +24,9 @@
 //	filterexec -in testdata/webquery8.json -tuples 8192 -drift 'C3=1/2'
 //	filterexec -in inst.json -url http://127.0.0.1:8080 -rate 5000 -json
 //
-// Determinism: fixed -exec-seed (and fixed instance/flags) reproduces
-// bit-identical verdicts, estimator values, and drift-trigger sequences
-// across runs and -workers settings.
+// Determinism: the stream's verdict seed is fixed (execSeed), so a fixed
+// instance and flags reproduce bit-identical verdicts, estimator values,
+// and drift-trigger sequences across runs, -rate and -workers settings.
 package main
 
 import (
@@ -40,12 +41,14 @@ import (
 	"syscall"
 
 	"repro/internal/exec"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rat"
 	"repro/internal/service"
 	"repro/internal/workflow"
 )
+
+// execSeed is the verdict seed of the synthetic stream.
+const execSeed = 1
 
 func main() {
 	var (
@@ -53,10 +56,6 @@ func main() {
 		url       = flag.String("url", "", "filterd base URL (empty: embed an in-process planning service)")
 		model     = flag.String("model", "", "cost model: overlap, inorder, outorder (default service/CLI default)")
 		obj       = flag.String("objective", "", "objective: period or latency")
-		method    = flag.String("method", "", "search method (e.g. auto, bnb, greedy)")
-		family    = flag.String("family", "", "structural family (e.g. auto, chain, dag)")
-		seed      = flag.Int64("seed", 0, "solver seed (randomized searches)")
-		execSeed  = flag.Uint64("exec-seed", 1, "verdict seed of the synthetic stream")
 		tuples    = flag.Uint64("tuples", 4096, "tuples to stream")
 		rate      = flag.Float64("rate", 0, "pace the stream to this many tuples/second of wall time (0 = unpaced)")
 		workers   = flag.Int("workers", 1, "execution mode: 1 = serial, >1 = pipelined stage network")
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	// Resolved before the mode is chosen, so both modes reject a bad name.
-	wire := service.Params{Model: *model, Objective: *obj, Method: *method, Family: *family, Seed: *seed}
+	wire := service.Params{Model: *model, Objective: *obj}
 	params, err := wire.Request(nil)
 	if err != nil {
 		fatal(err)
@@ -107,18 +106,16 @@ func main() {
 		planner = &exec.Local{Server: srv, Params: params}
 	}
 
-	reg := metrics.New()
 	ex, err := exec.New(exec.Config{
 		App:        &app,
 		Planner:    planner,
-		Seed:       *execSeed,
+		Seed:       execSeed,
 		Rate:       *rate,
 		Window:     *window,
 		MinSamples: *minSamp,
 		Threshold:  threshold,
 		Truth:      truth,
 		Workers:    *workers,
-		Metrics:    reg,
 		RequestID:  obs.NewID(),
 	})
 	if err != nil {

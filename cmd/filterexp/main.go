@@ -9,14 +9,15 @@
 //
 // Usage:
 //
-//	filterexp [-exp E1,E4] [-md] [-budget N] [-workers N]
+//	filterexp [-exp E1,E4] [-md] [-budget N]
 //
 // -exp selects a comma-separated subset of experiment IDs (default: all;
 // an ID no experiment has is an error, exit status 2);
 // -md emits Markdown tables instead of aligned text; -budget scales the
 // random sweeps (1 = smoke run, 2 = the configuration recorded in
-// EXPERIMENTS.md); -workers bounds the worker pool the experiments run on
-// (0 = all CPUs, 1 = serial — the reports are identical either way).
+// EXPERIMENTS.md). The experiments run on a pool of all CPUs; the reports
+// are identical for any pool size. `make experiments` rewrites
+// EXPERIMENTS.md from `filterexp -md -budget 2`.
 package main
 
 import (
@@ -34,11 +35,10 @@ func main() {
 		expFilter = flag.String("exp", "", "comma-separated experiment IDs to run (default all)")
 		markdown  = flag.Bool("md", false, "emit Markdown tables")
 		budget    = flag.Int("budget", 1, "sweep size multiplier (1 = smoke, 2 = full)")
-		workers   = flag.Int("workers", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
 	)
 	flag.Parse()
 
-	reports, err := selectReports(experiments.AllWorkers(*budget, *workers), *expFilter)
+	reports, err := selectReports(experiments.AllWorkers(*budget, 0), *expFilter)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "filterexp: %v\n", err)
 		os.Exit(2)

@@ -23,13 +23,13 @@
 // bounds every partial graph from below (the per-server Cexec maximum and
 // the heaviest path, taken on partial structures) and prunes subtrees that
 // cannot beat the incumbent seeded by the greedy and hill-climbing
-// solutions. It accepts
-// chains to n=12, forests to n=7 and DAGs to n=5 and, asked for by name,
-// reports the search effort as nodes expanded / candidates evaluated /
-// subtrees pruned. -family restricts the searched structural family: the
-// default auto picks the family whose optimum is global (forests for
-// period without precedence constraints, DAGs otherwise); chain certifies
-// optimality among chains on the largest instances.
+// solutions. It accepts chains to n=12, forests to n=7 and DAGs to n=5
+// and, whether asked for by name or dispatched by auto, reports the search
+// effort as nodes expanded / candidates evaluated / subtrees pruned.
+// -family restricts the searched structural family: the default auto picks
+// the family whose optimum is global (forests for period without
+// precedence constraints, DAGs otherwise); chain certifies optimality
+// among chains on the largest instances.
 package main
 
 import (
@@ -119,7 +119,7 @@ func main() {
 	fmt.Printf("%s = %s (%s)\n", *objective, sol.Value, exact)
 	fmt.Printf("schedule: period λ = %s, latency = %s, model lower bound = %s\n",
 		sol.Sched.List.Period(), sol.Sched.List.Latency(), sol.Sched.LowerBound)
-	if meth == solve.BranchBound {
+	if effort.Method == solve.BranchBound {
 		fmt.Printf("search: %d nodes expanded, %d candidates evaluated, %d subtrees pruned\n",
 			effort.Search.Expanded, effort.Search.Evaluated, effort.Search.Pruned)
 	}

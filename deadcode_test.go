@@ -6,13 +6,16 @@ import (
 	"go/build"
 	"go/importer"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -842,6 +845,376 @@ func Run(c Config) Stats { return Stats{} }`,
 			}
 			if strings.Join(names, " ") != strings.Join(c.unset, " ") {
 				t.Errorf("unset = %v, want %v", names, c.unset)
+			}
+			if len(problems) != c.problems {
+				t.Errorf("allowlist problems %q, want %d", problems, c.problems)
+			}
+		})
+	}
+}
+
+// surfaceAllowed lists the CLI flags, HTTP routes and metric families that
+// nothing reads but that stay, each with its reason. An entry that gains a
+// reader or names nothing fails the gate.
+var surfaceAllowed = map[string]string{
+	"filterexp -exp": "selectReports, what -exp runs, is covered in process by TestSelectReports (cmd/filterexp)",
+}
+
+// TestShippedSurfaceHasReaders is the gate that every shipped surface has a
+// reader: every flag a command declares is passed to that command by some
+// script, Makefile recipe or CI step; every HTTP route is requested by some
+// test, script or benchmark; and every metric family is named by some
+// test, script, benchmark or example. Comments and prose do not count. A
+// report reads "file:line: flag cmd -name has no reader" (or route, or
+// metric family): delete it, give it a reader, or add it to surfaceAllowed
+// with its reason.
+func TestShippedSurfaceHasReaders(t *testing.T) {
+	fset, pkgs := loadShipped(t)
+	texts, err := readerTexts(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unread, problems := surfaceGate(fset, pkgs, texts, surfaceAllowed)
+	for _, p := range problems {
+		t.Error(p)
+	}
+	for _, u := range unread {
+		t.Error(u)
+	}
+}
+
+// surfaceItem is one shipped flag ("cmd -name"), route (its pattern) or
+// metric family (its name).
+type surfaceItem struct {
+	kind, name string
+	file       string
+	line       int
+	read       bool
+}
+
+func (u *surfaceItem) String() string {
+	return fmt.Sprintf("%s:%d: %s %s has no reader", u.file, u.line, u.kind, u.name)
+}
+
+// registryConstructors are the metrics.Registry methods whose first
+// argument names a family.
+var registryConstructors = map[string]bool{
+	"CounterVec": true, "CounterFunc": true,
+	"GaugeVec": true, "GaugeFunc": true,
+	"Histogram": true, "HistogramVec": true,
+}
+
+var cmdMain = regexp.MustCompile(`^cmd/([^/]+)/main\.go$`)
+
+// surfaceGate collects the flags of every cmd/<cmd>/main.go, and the route
+// patterns and family names of every file in pkgs, and marks each one read
+// by texts (a path below the repository root → its content). It returns
+// the unread items not in allow, sorted by file and line, and one problem
+// per allow entry that names no item or names a read one.
+func surfaceGate(fset *token.FileSet, pkgs map[string]*srcPackage, texts map[string]string, allow map[string]string) ([]*surfaceItem, []string) {
+	var items []*surfaceItem
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			file := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+			cmd := ""
+			if m := cmdMain.FindStringSubmatch(file); m != nil {
+				cmd = m[1]
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					return true
+				}
+				var kind string
+				switch x, _ := sel.X.(*ast.Ident); {
+				case x != nil && x.Name == "flag" && cmd != "":
+					kind, name = "flag", cmd+" -"+name
+				case sel.Sel.Name == "Handle" || sel.Sel.Name == "HandleFunc":
+					kind = "route"
+				case registryConstructors[sel.Sel.Name]:
+					kind = "metric family"
+				default:
+					return true
+				}
+				pos := fset.Position(lit.Pos())
+				items = append(items, &surfaceItem{kind: kind, name: name, file: file, line: pos.Line})
+				return true
+			})
+		}
+	}
+
+	// The readers: invocations in scripts, the Makefile and CI; string
+	// literals of tests, the benchmark and the examples; non-comment
+	// lines of scripts.
+	var invocations []string
+	var routeText, familyText strings.Builder
+	for path, text := range texts {
+		script := strings.HasPrefix(path, "scripts/") && strings.HasSuffix(path, ".sh")
+		if script || path == "Makefile" || (strings.HasPrefix(path, ".github/workflows/") && strings.HasSuffix(path, ".yml")) {
+			invocations = append(invocations, commandLines(text)...)
+		}
+		bench := strings.HasPrefix(path, "bench/")
+		example := strings.HasPrefix(path, "examples/")
+		switch {
+		case strings.HasSuffix(path, ".go") && (strings.HasSuffix(path, "_test.go") || bench || example):
+			text = goStrings(text)
+		case (script || bench) && strings.HasSuffix(path, ".sh"):
+			text = strings.Join(commandLines(text), "\n")
+		default:
+			continue
+		}
+		if !example {
+			routeText.WriteString(text + "\n")
+		}
+		familyText.WriteString(text + "\n")
+	}
+	words := map[string]bool{}
+	for _, w := range regexp.MustCompile(`\w+`).FindAllString(familyText.String(), -1) {
+		words[w] = true
+	}
+	flagArg := regexp.MustCompile(`(?:^|[\s"'])(-[A-Za-z][\w-]*)`)
+	passed := map[string]bool{} // "cmd -name"
+	for _, it := range items {
+		if it.kind != "flag" {
+			continue
+		}
+		cmd, _, _ := strings.Cut(it.name, " ")
+		if passed[cmd] {
+			continue
+		}
+		passed[cmd] = true
+		invoke := regexp.MustCompile(`(?:/|\./cmd/)` + regexp.QuoteMeta(cmd) + `(?:["'\s]|$)`)
+		for _, line := range invocations {
+			for _, loc := range invoke.FindAllStringIndex(line, -1) {
+				rest := line[loc[1]:]
+				if end := strings.IndexAny(rest, "|;&)"); end >= 0 {
+					rest = rest[:end]
+				}
+				for _, m := range flagArg.FindAllStringSubmatch(rest, -1) {
+					passed[cmd+" "+m[1]] = true
+				}
+			}
+		}
+	}
+	for _, it := range items {
+		switch it.kind {
+		case "flag":
+			it.read = passed[it.name]
+		case "route":
+			path := it.name
+			if _, p, ok := strings.Cut(path, " "); ok {
+				path = p
+			}
+			path, _, _ = strings.Cut(path, "{")
+			it.read = strings.Contains(routeText.String(), path)
+		default:
+			it.read = words[it.name] || words[it.name+"_bucket"] || words[it.name+"_sum"] || words[it.name+"_count"]
+		}
+	}
+
+	var unread []*surfaceItem
+	byName := map[string]*surfaceItem{}
+	for _, it := range items {
+		if prev := byName[it.name]; prev == nil || it.read {
+			byName[it.name] = it
+		}
+		if _, ok := allow[it.name]; !it.read && !ok {
+			unread = append(unread, it)
+		}
+	}
+	sort.Slice(unread, func(i, j int) bool {
+		a, b := unread[i], unread[j]
+		if a.file != b.file {
+			return a.file < b.file
+		}
+		return a.line < b.line
+	})
+	var problems []string
+	for name := range allow {
+		switch it := byName[name]; {
+		case it == nil:
+			problems = append(problems, fmt.Sprintf("surface allowlist entry %s names no flag, route or metric family: drop it", name))
+		case it.read:
+			problems = append(problems, fmt.Sprintf("surface allowlist entry %s has a reader: drop it", name))
+		}
+	}
+	sort.Strings(problems)
+	return unread, problems
+}
+
+// commandLines returns text's lines with comment lines dropped and
+// backslash continuations joined.
+func commandLines(text string) []string {
+	var lines []string
+	var cur strings.Builder
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		if body, ok := strings.CutSuffix(line, `\`); ok {
+			cur.WriteString(body + " ")
+			continue
+		}
+		cur.WriteString(line)
+		lines = append(lines, cur.String())
+		cur.Reset()
+	}
+	return append(lines, cur.String())
+}
+
+// goStrings returns the string literals of Go source, one per line: what
+// the code says, without its comments.
+func goStrings(src string) string {
+	var s scanner.Scanner
+	fset := token.NewFileSet()
+	s.Init(fset.AddFile("", -1, len(src)), []byte(src), nil, 0)
+	var b strings.Builder
+	for {
+		_, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return b.String()
+		}
+		if tok == token.STRING {
+			b.WriteString(lit + "\n")
+		}
+	}
+}
+
+// readerTexts reads every file below root that can read a surface item:
+// scripts, the Makefile, CI workflows, tests, the benchmark and the
+// examples. Dot directories other than .github, testdata and bin are
+// skipped.
+func readerTexts(root string) (map[string]string, error) {
+	texts := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		name := e.Name()
+		if e.IsDir() {
+			if rel != "." && ((strings.HasPrefix(name, ".") && name != ".github") || name == "testdata" || name == "bin") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, ".sh") && !strings.HasSuffix(name, ".yml") && name != "Makefile" {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		texts[rel] = string(data)
+		return nil
+	})
+	return texts, err
+}
+
+// TestSurfaceGate runs the surface gate over small in-memory trees: an
+// unread flag, route or family is reported as file:line, and each kind of
+// reader clears its kind.
+func TestSurfaceGate(t *testing.T) {
+	const tool = `package main
+
+import ("flag"; "net/http"; "m/internal/metrics")
+
+func main() {
+	_ = flag.Int("depth", 1, "")
+	_ = flag.Bool("v", false, "")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/item/{id}", nil)
+	r := metrics.New()
+	r.CounterFunc("tool_items_total", "", nil)
+	r.HistogramVec("tool_seconds", "", nil, "phase")
+}`
+	const metricsPkg = `package metrics
+type Registry struct{}
+func New() *Registry { return nil }
+func (*Registry) CounterFunc(name, help string, fn func() float64) {}
+func (*Registry) HistogramVec(name, help string, b []float64, labels ...string) {}`
+	cases := []struct {
+		name     string
+		texts    map[string]string
+		allow    map[string]string
+		unread   []string
+		problems int
+	}{{
+		name: "nothing read: every item is reported at its line",
+		texts: map[string]string{
+			"README.md":          "tool -depth 3 GET /v1/item/1 tool_items_total",
+			"internal/a_test.go": "package a // tool_seconds /v1/item/",
+		},
+		unread: []string{
+			"cmd/tool/main.go:6: flag tool -depth has no reader",
+			"cmd/tool/main.go:7: flag tool -v has no reader",
+			"cmd/tool/main.go:9: route GET /v1/item/{id} has no reader",
+			"cmd/tool/main.go:11: metric family tool_items_total has no reader",
+			"cmd/tool/main.go:12: metric family tool_seconds has no reader",
+		},
+	}, {
+		name: "scripts pass flags, tests request routes and name families",
+		texts: map[string]string{
+			"scripts/run.sh": "# \"$BIN/tool\" -v\n\"$BIN/tool\" -depth 2 \\\n    -v | grep -x\n",
+			"internal/a_test.go": "package a\nvar _ = []string{\"/v1/item/\" + id, `tool_seconds_count{phase=\"x\"} 1`}\n" +
+				"var _ = \"tool_items_total_x\"",
+		},
+		unread: []string{"cmd/tool/main.go:11: metric family tool_items_total has no reader"},
+	}, {
+		name: "a flag after a pipe, or before the command, is not passed to it",
+		texts: map[string]string{
+			"Makefile":           "run:\n\tgo build -o bin/tool ./cmd/tool\n\t./bin/tool | other -depth 1\n\tgo run ./cmd/tool -v\n",
+			"examples/x/main.go": `package main; var _ = "tool_items_total tool_seconds /v1/item/"`,
+		},
+		unread: []string{
+			"cmd/tool/main.go:6: flag tool -depth has no reader",
+			"cmd/tool/main.go:9: route GET /v1/item/{id} has no reader",
+		},
+	}, {
+		name:  "stale and read allowlist entries fail",
+		texts: map[string]string{"scripts/run.sh": "go run ./cmd/tool -v"},
+		allow: map[string]string{"tool -depth": "covered in process", "tool -v": "read", "tool -gone": "deleted"},
+		unread: []string{
+			"cmd/tool/main.go:9: route GET /v1/item/{id} has no reader",
+			"cmd/tool/main.go:11: metric family tool_items_total has no reader",
+			"cmd/tool/main.go:12: metric family tool_seconds has no reader",
+		},
+		problems: 2,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			pkgs := map[string]*srcPackage{}
+			for path, src := range map[string]string{"cmd/tool/main.go": tool, "internal/metrics/m.go": metricsPkg} {
+				f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pkgs[filepath.Dir(path)] = &srcPackage{files: []*ast.File{f}}
+			}
+			unread, problems := surfaceGate(fset, pkgs, c.texts, c.allow)
+			var got []string
+			for _, u := range unread {
+				got = append(got, u.String())
+			}
+			if strings.Join(got, "\n") != strings.Join(c.unread, "\n") {
+				t.Errorf("unread:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(c.unread, "\n"))
 			}
 			if len(problems) != c.problems {
 				t.Errorf("allowlist problems %q, want %d", problems, c.problems)

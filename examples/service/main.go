@@ -56,8 +56,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Tracer: a 64-span ring behind GET /debug/requests (filterd's
-	// -trace-requests flag). Logger: every daemon log line is structured
+	// Tracer: a 64-span ring behind GET /debug/requests (filterd keeps
+	// 256). Logger: every daemon log line is structured
 	// and carries the request_id of the request that caused it (filterd's
 	// -log-level / -log-format flags).
 	srv := service.New(service.Config{
@@ -205,7 +205,7 @@ func main() {
 			"filterd_plancache_hits_total", "filterd_plancache_coalesced_total",
 			"filterd_registered_instances", "filterd_store_writes_total",
 			"filterd_subscribe_events_total", "filterd_queue_depth",
-			"filterd_shed_total", "filterd_solve_seconds_count",
+			"filterd_shed_total", `filterd_phase_seconds_count{phase="solve"}`,
 		} {
 			if strings.HasPrefix(line, prefix+" ") {
 				fmt.Printf("  %s\n", line)

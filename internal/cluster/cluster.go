@@ -80,10 +80,10 @@ type Config struct {
 	// Peers are the replicas' base URLs (e.g. http://10.0.0.1:8080), in
 	// shard-owner order: shard s belongs to Peers[s mod len(Peers)].
 	Peers []string
-	// ShardBits is the hash-prefix width B: 2^B shards (default 8,
-	// clamped to [1, 16]). More shards than peers just means finer
-	// round-robin interleaving.
-	ShardBits int
+	// shardBits is the hash-prefix width B: 2^B shards (0 = 8; the
+	// census test sets narrower ones, at most 16). More shards than peers
+	// just means finer round-robin interleaving.
+	shardBits int
 	// Replicas is R, the owners per shard (default 2, clamped to
 	// [1, len(Peers)]): shard s belongs to Peers[(s+k) mod N] for
 	// k = 0..R-1. Reads try the owners in that order and fail over
@@ -148,7 +148,7 @@ func (p *peer) available() bool { return p.breaker.State() != resilience.Open }
 
 // Stats is a snapshot of the router counters.
 type Stats struct {
-	// Shards is 2^ShardBits; PeersUp counts replicas whose breaker is
+	// Shards is 2^shardBits; PeersUp counts replicas whose breaker is
 	// not Open.
 	Shards  int
 	Peers   int
@@ -222,11 +222,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Local == nil {
 		return nil, fmt.Errorf("cluster: no local failover service")
 	}
-	if cfg.ShardBits == 0 {
-		cfg.ShardBits = 8
-	}
-	if cfg.ShardBits < 1 || cfg.ShardBits > 16 {
-		return nil, fmt.Errorf("cluster: shard bits %d out of range [1, 16]", cfg.ShardBits)
+	if cfg.shardBits == 0 {
+		cfg.shardBits = 8
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -374,7 +371,7 @@ func (rt *Router) healthLoop() {
 	}
 }
 
-// shardOf maps a canonical hash to its shard: the leading ShardBits bits
+// shardOf maps a canonical hash to its shard: the leading shardBits bits
 // of the hex digest.
 func (rt *Router) shardOf(hash string) (int, error) {
 	if len(hash) < 8 {
@@ -384,7 +381,7 @@ func (rt *Router) shardOf(hash string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cluster: hash %q is not hex", hash)
 	}
-	return int(v >> (32 - rt.cfg.ShardBits)), nil
+	return int(v >> (32 - rt.cfg.shardBits)), nil
 }
 
 // ownersOf resolves a shard's R owners in preference order: the primary
@@ -404,7 +401,7 @@ func (rt *Router) ownersOf(shard int) []*peer {
 // Stats returns a snapshot of the router counters.
 func (rt *Router) Stats() Stats {
 	st := Stats{
-		Shards:           1 << rt.cfg.ShardBits,
+		Shards:           1 << rt.cfg.shardBits,
 		Peers:            len(rt.peers),
 		Forwarded:        rt.forwarded.Load(),
 		LocalServed:      rt.localServed.Load(),
@@ -431,7 +428,7 @@ func (rt *Router) Stats() Stats {
 // function of shard mod len(peers) alone, so one pass over the residues
 // covers every shard.
 func (rt *Router) census() []int {
-	shards, n := 1<<rt.cfg.ShardBits, len(rt.peers)
+	shards, n := 1<<rt.cfg.shardBits, len(rt.peers)
 	byFactor := make([]int, rt.cfg.Replicas+1)
 	for res := 0; res < min(n, shards); res++ {
 		up := 0

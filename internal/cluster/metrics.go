@@ -46,7 +46,7 @@ func (rt *Router) initMetrics() {
 		"Replicas whose breaker is not open.",
 		func() float64 { return float64(rt.Stats().PeersUp) })
 	m.GaugeFunc("filterd_router_shards",
-		"Shard count 2^ShardBits.", func() float64 { return float64(int(1) << rt.cfg.ShardBits) })
+		"Shard count 2^B, for B hash-prefix bits.", func() float64 { return float64(int(1) << rt.cfg.shardBits) })
 	m.GaugeFunc("filterd_router_replicas",
 		"Configured owners per shard (R).", func() float64 { return float64(rt.cfg.Replicas) })
 	m.GaugeFunc("filterd_router_underreplicated_shards",

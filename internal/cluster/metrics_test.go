@@ -1,11 +1,13 @@
 package cluster
 
-// /metrics is the router's one counters surface: every Stats field has a
-// family (per-peer families sum to the Stats total), and after a workload
-// through forwards, fan-out, replica and local failover the scrape equals
-// Stats().
+// /metrics is the router's and the gossip agent's one counters surface:
+// every Stats field has a family (per-peer families sum to the Stats
+// total), and after a workload through forwards, fan-out, replica and
+// local failover, or gossip rounds against a live and a dead peer, the
+// scrape equals Stats().
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 )
 
@@ -150,7 +153,7 @@ func TestRouterMetricsCoverStats(t *testing.T) {
 func TestCensusMatchesPerShardCount(t *testing.T) {
 	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
 	for _, bits := range []int{1, 3, 8} {
-		rt := newRouter(t, Config{Peers: peers, ShardBits: bits, Replicas: 2, HealthInterval: time.Hour})
+		rt := newRouter(t, Config{Peers: peers, shardBits: bits, Replicas: 2, HealthInterval: time.Hour})
 		for i := 0; i < resilience.Threshold; i++ {
 			rt.peers[1].breaker.Failure() // peer 1 open
 		}
@@ -169,6 +172,69 @@ func TestCensusMatchesPerShardCount(t *testing.T) {
 		}
 		if got := rt.Stats().UnderReplicated; got != want[0]+want[1] {
 			t.Errorf("bits %d: under-replicated %d, want %d", bits, got, want[0]+want[1])
+		}
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		for f, n := range want {
+			if line := fmt.Sprintf("filterd_router_shards_by_replication{factor=\"%d\"} %d\n", f, n); !strings.Contains(rec.Body.String(), line) {
+				t.Errorf("bits %d: /metrics lacks %q", bits, line)
+			}
+		}
+	}
+}
+
+// TestGossipMetricsCoverStats maps every gossip Stats field to its
+// /metrics family and checks, after rounds against a live and a dead
+// peer, that the scrape equals Stats(). A Stats field added without a
+// family fails here.
+func TestGossipMetricsCoverStats(t *testing.T) {
+	a, b := newReplica(t), newReplica(t)
+	for rep, name := range map[*replica]string{a: "mixed6.json", b: "webquery8.json"} {
+		resp := post(t, rep.ts.URL+"/v1/plan",
+			fmt.Sprintf(`{"instance": %s, "model": "overlap", "objective": "period"}`, readTestdata(t, name)))
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	dead := newReplica(t)
+	dead.ts.Close()
+	reg := metrics.New()
+	g, err := NewGossip(GossipConfig{
+		Peers: []string{b.ts.URL, dead.ts.URL}, Local: a.srv,
+		Metrics: reg, BreakerCooldown: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= resilience.Threshold; i++ {
+		g.RunOnce(context.Background())
+	}
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+
+	families := map[string]string{
+		"Rounds":    "filterd_gossip_rounds_total",
+		"Exchanges": "filterd_gossip_exchanges_total",
+		"Failures":  "filterd_gossip_failures_total",
+		"Skipped":   "filterd_gossip_skipped_total",
+		"Imported":  "filterd_gossip_imported_total",
+		"Pushed":    "filterd_gossip_pushed_total",
+	}
+	scraped := scrapeFamilies(t, ts.URL)
+	v := reflect.ValueOf(g.Stats())
+	for i := 0; i < v.NumField(); i++ {
+		field := v.Type().Field(i).Name
+		name, ok := families[field]
+		if !ok {
+			t.Errorf("GossipStats.%s has no /metrics family", field)
+			continue
+		}
+		got, ok := scraped[name]
+		if want := float64(v.Field(i).Int()); !ok || got != want {
+			t.Errorf("GossipStats.%s = %v, /metrics %s = %v (present %v)", field, want, name, got, ok)
+		}
+		// The rounds reached every path the mapping speaks for.
+		if v.Field(i).Int() == 0 {
+			t.Errorf("GossipStats.%s is 0: the rounds missed its path", field)
 		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rat"
 	"repro/internal/sim"
@@ -103,8 +102,6 @@ type Config struct {
 	// per service). Both produce identical counts and decisions.
 	Workers int
 
-	// Metrics, when non-nil, receives the filterexec_* instruments.
-	Metrics *metrics.Registry
 	// RequestID correlates the run's control-plane requests; generated
 	// when empty.
 	RequestID string
@@ -152,10 +149,12 @@ type Report struct {
 	Rounds  uint64
 	// Patches counts controller-initiated drift PATCHes, ReplanEvents
 	// externally triggered re-plans adopted from the subscription
-	// stream, Swaps all schedule hot swaps (= Patches + ReplanEvents).
+	// stream, Swaps all schedule hot swaps (= Patches + ReplanEvents),
+	// Deferred the drift PATCHes the service shed, retried a round later.
 	Patches      int
 	ReplanEvents int
 	Swaps        int
+	Deferred     int
 	// Hash, Value, Period, Schedule and App describe the final plan.
 	Hash     string
 	Value    rat.Rat
@@ -175,7 +174,6 @@ type Report struct {
 // Executor runs one instance's tuple stream against the control plane.
 type Executor struct {
 	cfg Config
-	m   *execMetrics
 
 	// plan is the current plan and prog its compiled form, both replaced
 	// by adopt (run loop only, single goroutine).
@@ -234,9 +232,6 @@ func New(cfg Config) (*Executor, error) {
 		cfg:            cfg,
 		estimators:     make(map[string]*estimator, cfg.App.N()),
 		truthThreshold: make(map[string]uint64, cfg.App.N()),
-	}
-	if cfg.Metrics != nil {
-		e.m = newExecMetrics(cfg.Metrics)
 	}
 	for v := 0; v < cfg.App.N(); v++ {
 		name := cfg.App.Name(v)
@@ -313,12 +308,6 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 		report.Emitted += emitted
 		report.Rounds++
 		done += n
-		if e.m != nil {
-			e.m.tuples.Add(int64(n))
-			e.m.emitted.Add(int64(emitted))
-			e.m.rounds.Inc()
-			observeOccupancy(e.prog.stages, report.Tuples)
-		}
 
 		// Round boundary: adopt external re-plans, then run the drift
 		// controller. Both may hot-swap the plan for the next round.
@@ -355,9 +344,6 @@ func (e *Executor) Run(ctx context.Context, nTuples uint64) (*Report, error) {
 	report.Elapsed = time.Since(start)
 	if s := report.Elapsed.Seconds(); s > 0 {
 		report.Throughput = float64(report.Tuples) / s
-	}
-	if e.m != nil {
-		e.m.throughput.Set(report.Throughput)
 	}
 	return report, nil
 }
@@ -418,10 +404,6 @@ func (e *Executor) adoptExternal(ctx context.Context, events <-chan Replan, repo
 			e.adopt(p)
 			report.ReplanEvents++
 			report.Swaps++
-			if e.m != nil {
-				e.m.replans.Inc()
-				e.m.swaps.Inc()
-			}
 			swapped = true
 		default:
 			return swapped
@@ -477,9 +459,7 @@ func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64)
 			// backoff. The estimators keep their samples, so the drift is
 			// still visible next measurement round — retry then rather
 			// than failing the whole run over load shedding.
-			if e.m != nil {
-				e.m.driftDeferred.Inc()
-			}
+			report.Deferred++
 			return false, nil
 		}
 		return false, fmt.Errorf("exec: drift patch on %s: %w", e.plan.Hash, err)
@@ -499,10 +479,6 @@ func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64)
 	e.adopt(p)
 	report.Patches++
 	report.Swaps++
-	if e.m != nil {
-		e.m.patches.Inc()
-		e.m.swaps.Inc()
-	}
 	return true, nil
 }
 

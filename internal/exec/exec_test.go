@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/service"
@@ -166,7 +165,7 @@ func TestPredicateOverridesSyntheticVerdicts(t *testing.T) {
 	}
 	ex, err := New(Config{
 		App: app, Planner: localPlanner(t),
-		Threshold: neverDrift(), Metrics: metrics.New(),
+		Threshold: neverDrift(),
 		Predicate: func(name string, tuple uint64) bool { return tuple%4 == 0 },
 	})
 	if err != nil {
@@ -185,10 +184,51 @@ func TestPredicateOverridesSyntheticVerdicts(t *testing.T) {
 	if !s.EmpSelectivity.Equal(rat.New(1, 4)) {
 		t.Fatalf("empirical selectivity %s, want 1/4", s.EmpSelectivity)
 	}
-	// The only service sees the whole stream: its occupancy gauge, resolved
-	// when the plan was compiled, reads 1.
-	if got := ex.m.occupancy.With("only").Value(); got != 1 {
-		t.Fatalf("occupancy gauge %v, want 1", got)
+}
+
+// busyOnce sheds the first drift PATCH as the HTTP client does once its
+// bounded backoff gives up, and plans every later one.
+type busyOnce struct {
+	*Local
+	drifts int
+}
+
+func (b *busyOnce) Drift(ctx context.Context, hash string, app *workflow.App, updates []Update, requestID string) (Plan, error) {
+	if b.drifts++; b.drifts == 1 {
+		return Plan{}, fmt.Errorf("drift %s: %w", hash, ErrUpstreamBusy)
+	}
+	return b.Local.Drift(ctx, hash, app, updates, requestID)
+}
+
+// TestShedDriftIsDeferred: a drift PATCH the service sheds does not fail
+// the run. The report counts it in Deferred, and the estimators, which
+// keep their samples, land the patch one round later.
+func TestShedDriftIsDeferred(t *testing.T) {
+	costA := rat.New(9, 2) // declared 2: strong upward drift
+	run := func(planner Planner) *Report {
+		ex, err := New(Config{
+			App: testApp(t), Planner: planner, Seed: 7,
+			Truth: map[string]Truth{"a": {Cost: &costA}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := ex.Run(context.Background(), 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+	want := run(localPlanner(t))
+	got := run(&busyOnce{Local: localPlanner(t)})
+	if want.Deferred != 0 || got.Deferred != 1 {
+		t.Fatalf("Deferred = %d unshed, %d shed once; want 0 and 1", want.Deferred, got.Deferred)
+	}
+	if want.Patches == 0 || got.Patches == 0 {
+		t.Fatalf("patches: %d unshed, %d shed once; the drift never landed", want.Patches, got.Patches)
+	}
+	if w, g := want.Episodes[0], got.Episodes[0]; g.Source != "controller" || g.Round != w.Round+1 {
+		t.Fatalf("first patch after round %d (%s), want round %d", g.Round, g.Source, w.Round+1)
 	}
 }
 

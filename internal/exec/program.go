@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -39,7 +38,6 @@ type stage struct {
 	base      uint64 // sim.NameHash(seed, name)
 	threshold uint64 // truth: sim.Threshold of the true pass fraction
 	est       *estimator
-	occupancy *metrics.Gauge // nil without Config.Metrics
 
 	in, out uint64 // this round's evaluated / passed counts, folded at its end
 
@@ -90,9 +88,6 @@ func (e *Executor) compile(p Plan) *program {
 			base:      sim.NameHash(e.cfg.Seed, name),
 			threshold: e.truthThreshold[name],
 			est:       e.estimatorFor(name),
-		}
-		if e.m != nil {
-			st.occupancy = e.m.occupancy.With(name)
 		}
 		for _, u := range g.Pred(v) {
 			st.preds = append(st.preds, at[u])

@@ -76,7 +76,7 @@ func TestExperimentsMatchRecord(t *testing.T) {
 		t.Errorf("EXPERIMENTS.md holds %d sections, the harness renders %d (or their order differs)", len(sections), len(reports))
 	}
 	if t.Failed() {
-		t.Logf("if the change is meant, regenerate EXPERIMENTS.md from the repository root:\n\t%s", regenerate)
+		t.Logf("if the change is meant, regenerate EXPERIMENTS.md from the repository root with `make experiments`, which runs:\n\t%s", regenerate)
 	}
 }
 

@@ -9,7 +9,7 @@
 // report lives here, scrapeable by any Prometheus-compatible collector
 // without adding a dependency to the module.
 //
-// Concurrency: instrument methods (Add, Inc, Set, Observe) are lock-free
+// Concurrency: instrument methods (Inc, Set, Observe) are lock-free
 // atomics, safe on request hot paths; registration and scraping take the
 // registry lock. Output is deterministic: families sort by name, children
 // by label values, so scrapes diff cleanly in tests and smoke scripts.
@@ -56,9 +56,6 @@ type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be non-negative for the value to stay monotone).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Set pins the value — for scrape hooks mirroring a counter tracked
 // elsewhere (an atomic on a hot path, a breaker's transition count). The
@@ -201,11 +198,6 @@ func (r *Registry) register(name, help string, k kind, labels []string, buckets 
 	return f
 }
 
-// Counter registers an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(name, help, counterKind, nil, nil).child(nil).c
-}
-
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, counterKind, labels, nil)}
@@ -215,11 +207,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // time — for monotone counts already tracked on a hot path elsewhere.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, counterKind, nil, nil).child(nil).fn = fn
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, gaugeKind, nil, nil).child(nil).g
 }
 
 // GaugeVec registers a labeled gauge family.

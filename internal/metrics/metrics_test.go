@@ -27,10 +27,11 @@ func scrape(t *testing.T, r *Registry) string {
 
 func TestCounterGaugeText(t *testing.T) {
 	r := New()
-	c := r.Counter("test_requests_total", "Requests.")
-	g := r.Gauge("test_depth", "Depth.")
-	c.Inc()
-	c.Add(4)
+	c := r.CounterVec("test_requests_total", "Requests.").With()
+	g := r.GaugeVec("test_depth", "Depth.").With()
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	g.Set(2.5)
 
 	out := scrape(t, r)
@@ -54,7 +55,8 @@ func TestCounterGaugeText(t *testing.T) {
 func TestVecChildrenSortedAndEscaped(t *testing.T) {
 	r := New()
 	v := r.CounterVec("test_forwards_total", "Forwards.", "peer", "code")
-	v.With("http://b:1", "200").Add(2)
+	v.With("http://b:1", "200").Inc()
+	v.With("http://b:1", "200").Inc()
 	v.With("http://a:1", "200").Inc()
 	v.With(`weird"\`+"\n", "500").Inc()
 
@@ -124,20 +126,20 @@ func TestFuncsAndScrapeHooks(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := New()
-	r.Counter("test_dup", "One.")
+	r.CounterVec("test_dup", "One.")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("test_dup", "Two.")
+	r.GaugeVec("test_dup", "Two.")
 }
 
 // TestConcurrentInstrumentAndScrape runs instruments against scrapes under
 // the race detector.
 func TestConcurrentInstrumentAndScrape(t *testing.T) {
 	r := New()
-	c := r.Counter("test_total", "Total.")
+	c := r.CounterVec("test_total", "Total.").With()
 	h := r.Histogram("test_lat", "Latency.", nil)
 	v := r.CounterVec("test_vec", "Vec.", "k")
 	var wg sync.WaitGroup

@@ -1,6 +1,6 @@
 package service
 
-// Intake backpressure (Config.MaxPending) and the /metrics surface:
+// Intake backpressure (the maxPending watermark) and the /metrics surface:
 // admissions beyond the watermark shed with ErrOverloaded / HTTP 429 +
 // Retry-After, shed requests are never cached (the same key solves
 // cleanly once the burst passes), and the Prometheus endpoint exposes
@@ -62,7 +62,7 @@ func smallApp(t *testing.T) *workflow.App {
 }
 
 func TestShedBeyondMaxPendingAndRetryCleanly(t *testing.T) {
-	s := New(Config{Workers: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, maxPending: 2})
 	defer s.Close()
 
 	release := blockPool(t, s, 2) // one running, one queued: watermark reached
@@ -89,7 +89,7 @@ func TestShedBeyondMaxPendingAndRetryCleanly(t *testing.T) {
 }
 
 func TestCacheHitsAreNeverShed(t *testing.T) {
-	s := New(Config{Workers: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, maxPending: 2})
 	defer s.Close()
 	req := Request{App: smallApp(t)}
 	if _, err := s.Plan(req); err != nil {
@@ -108,7 +108,7 @@ func TestCacheHitsAreNeverShed(t *testing.T) {
 }
 
 func TestShedHTTP429WithRetryAfter(t *testing.T) {
-	s := New(Config{Workers: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, maxPending: 2})
 	defer s.Close()
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
@@ -202,7 +202,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"filterd_queue_depth 0",
 		"filterd_shed_total 0",
-		"filterd_solve_seconds_count 1",
+		`filterd_phase_seconds_count{phase="solve"} 1`,
 		"filterd_plancache_misses_total 1",
 		`filterd_http_requests_total{route="plan",code="200"} 1`,
 		`filterd_http_requests_total{route="plan",code="400"} 1`,
@@ -223,7 +223,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestShedBatchItemsFailAlone: a batch under load sheds per item; the
 // response stays 200 with per-item errors mentioning the overload.
 func TestShedBatchItemsFailAlone(t *testing.T) {
-	s := New(Config{Workers: 1, MaxPending: 2})
+	s := New(Config{Workers: 1, maxPending: 2})
 	defer s.Close()
 	release := blockPool(t, s, 2)
 	defer release()

@@ -122,7 +122,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // and a hit, by an entry warm-loaded from the store and by one imported
 // through /v1/sync, as a /v1/batch item and as the plan member of a PATCH
 // answer, equals the reference struct encoder's rendering byte for byte.
-// (Appendix B.1's 202-service instance is beyond Config.MaxServices.)
+// (Appendix B.1's 202-service instance is beyond maxServices.)
 func TestServedBodiesMatchReferenceEncoder(t *testing.T) {
 	var webquery workflow.App
 	if err := json.Unmarshal(readTestdata(t, "webquery8.json"), &webquery); err != nil {

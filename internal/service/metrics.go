@@ -4,7 +4,7 @@ package service
 // Prometheus-text surface served at GET /metrics by Handler, and the only
 // counters surface of the HTTP API — every number Stats reports has a
 // family here (TestMetricsCoverStats pins the mapping). Hot-path
-// instruments (request latency, solver wall time) are real histograms
+// instruments (request latency, phase times) are real histograms
 // updated inline; everything already tracked by an existing counter —
 // plan cache, registry, solver effort and orchestration-memo totals,
 // store, subscription stats — is published as a callback read at scrape
@@ -19,8 +19,6 @@ func (s *Server) initMetrics() {
 		"HTTP requests served, by route and status code.", "route", "code")
 	s.mLatency = m.HistogramVec("filterd_http_request_seconds",
 		"HTTP request latency in seconds, by route.", nil, "route")
-	s.mSolveSeconds = m.Histogram("filterd_solve_seconds",
-		"Solver wall time in seconds per executed solve (cache hits excluded).", nil)
 
 	// Per-phase latency histograms of the request spine (obs.Phase). The
 	// children are resolved once: Vec.With builds a lookup key per call,
@@ -70,12 +68,12 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.pending.Load()) })
 	m.GaugeFunc("filterd_max_pending",
 		"Load-shedding watermark: admissions beyond it are rejected with 429.",
-		func() float64 { return float64(s.cfg.MaxPending) })
+		func() float64 { return float64(s.cfg.maxPending) })
 	m.GaugeFunc("filterd_workers",
 		"Solver slots: the most solves running at once.",
 		func() float64 { return float64(s.cfg.Workers) })
 	m.CounterFunc("filterd_shed_total",
-		"Admissions rejected by the MaxPending watermark (HTTP 429).",
+		"Admissions rejected by the maxPending watermark (HTTP 429).",
 		func() float64 { return float64(s.shed.Load()) })
 
 	m.CounterFunc("filterd_plan_requests_total",

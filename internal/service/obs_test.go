@@ -72,7 +72,7 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 // TestRequestIDOnShed pins the 429 path: the load-shedding rejection must
 // still carry the ID (the middleware sets it before the handler runs).
 func TestRequestIDOnShed(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxPending: 2})
+	s := newTestServer(t, Config{Workers: 1, maxPending: 2})
 	ts := httptest.NewServer(Handler(s))
 	t.Cleanup(ts.Close)
 	release := blockPool(t, s, 2) // watermark reached: next admission sheds

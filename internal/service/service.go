@@ -25,8 +25,8 @@
 // solves run at once, each on its request's own goroutine after taking one
 // of Workers solver slots, and every inner solve runs with Workers: 1, so
 // concurrent requests parallelize across the slots while no request ever
-// nests a second pool under it. Admission is one bound, Config.MaxPending:
-// beyond it a solve is shed. Each solve is deterministic (fixed canonical
+// nests a second pool under it. Admission is one bound, the maxPending
+// watermark: beyond it a solve is shed. Each solve is deterministic (fixed canonical
 // instance, serial solver), so cached, coalesced and fresh responses for
 // one key are bit-identical — and identical to a direct
 // solve.MinPeriod/MinLatency call with the same options on the canonical
@@ -58,8 +58,8 @@ import (
 // ErrClosed is returned by requests submitted after Close.
 var ErrClosed = errors.New("service: server closed")
 
-// ErrOverloaded is returned by solve admissions beyond Config.MaxPending:
-// the intake backpressure signal. The HTTP layer maps it to 429 with a
+// ErrOverloaded is returned by solve admissions beyond the maxPending
+// watermark: the intake backpressure signal. The HTTP layer maps it to 429 with a
 // Retry-After header; the request was shed before waiting for a solver
 // slot, so nothing about it is cached and an immediate retry is safe (if
 // the burst has passed).
@@ -72,7 +72,13 @@ const (
 	// the bound is hit; a drift against a forgotten hash fails and the
 	// client re-submits the instance.
 	registrySize = 1024
-	// waitingSolves is the fixed part of the default MaxPending,
+	// cacheSize bounds the plan cache (completed entries).
+	cacheSize = 256
+	// maxServices rejects larger instances at validation: the exact
+	// methods refuse far earlier, but the bound keeps even heuristic
+	// requests from monopolizing a slot.
+	maxServices = 64
+	// waitingSolves is the fixed part of the default maxPending,
 	// 64 + 2×Workers: with every slot busy, 64 + Workers admitted solves
 	// may wait for one.
 	waitingSolves = 64
@@ -84,19 +90,14 @@ type Config struct {
 	// slots (0 = runtime.NumCPU()). Inner solves always run serially in
 	// their slot.
 	Workers int
-	// CacheSize bounds the plan cache (completed entries; default 256).
-	CacheSize int
-	// MaxServices rejects instances larger than this at validation
-	// (default 64) — the exact methods refuse far earlier, but the bound
-	// keeps even heuristic requests from monopolizing a slot.
-	MaxServices int
-	// MaxPending is the load-shedding watermark and the one admission
+	// maxPending is the load-shedding watermark and the one admission
 	// bound: the most admitted-but-unfinished solves (waiting for a slot
 	// or running) the server holds before shedding. An admission beyond it
 	// fails immediately with ErrOverloaded instead of ballooning goroutines
-	// and latency under a burst. 0 = 64 + 2×Workers. Cache hits are never
-	// shed — they cost no solver time.
-	MaxPending int
+	// and latency under a burst. 0 = 64 + 2×Workers; the backpressure
+	// tests set a small one. Cache hits are never shed — they cost no
+	// solver time.
+	maxPending int
 	// Metrics, when non-nil, is the registry the server publishes its
 	// operational metrics into (request latency, solver wall time, cache
 	// and memo counters, queue depth, shed count — served at GET /metrics
@@ -118,16 +119,6 @@ type Config struct {
 	// (sheds, store-write failures, encode errors), request_id-correlated.
 	// nil discards them — embedded test servers stay silent by default.
 	Logger *slog.Logger
-}
-
-func (c Config) withDefaults() Config {
-	if c.CacheSize <= 0 {
-		c.CacheSize = 256
-	}
-	if c.MaxServices <= 0 {
-		c.MaxServices = 64
-	}
-	return c
 }
 
 // Request is one planning request. The zero values of Model, Objective,
@@ -222,7 +213,7 @@ type Stats struct {
 	Registered int
 	QueueDepth int
 	Workers    int
-	// Shed counts admissions rejected by the MaxPending watermark;
+	// Shed counts admissions rejected by the maxPending watermark;
 	// Pending the currently admitted-but-unfinished solves (waiting or
 	// running); MaxPending the watermark itself.
 	Shed       int64
@@ -317,26 +308,25 @@ type Server struct {
 	solves        atomic.Int64
 	// pending counts admitted-but-unfinished solves, waiting those of
 	// them still without a slot; shed the admissions rejected at the
-	// MaxPending watermark (backpressure).
+	// maxPending watermark (backpressure).
 	pending atomic.Int64
 	waiting atomic.Int64
 	shed    atomic.Int64
 
 	// metrics is the operational surface served at GET /metrics;
-	// mRequests/mLatency instrument the HTTP routes, mSolveSeconds the
-	// solver wall time of every executed solve. The per-phase histogram
-	// children are resolved once here: Vec.With builds a map key per call,
-	// so the hot path observes through these cached handles instead.
-	metrics       *metrics.Registry
-	mRequests     *metrics.CounterVec
-	mLatency      *metrics.HistogramVec
-	mSolveSeconds *metrics.Histogram
-	mPhaseCanon   *metrics.Histogram
-	mPhaseCache   *metrics.Histogram
-	mPhaseQueue   *metrics.Histogram
-	mPhaseSolve   *metrics.Histogram
-	mPhaseOrch    *metrics.Histogram
-	mPhaseStore   *metrics.Histogram
+	// mRequests/mLatency instrument the HTTP routes. The per-phase
+	// histogram children (mPhaseSolve is the solver wall time of every
+	// executed solve) are resolved once here: Vec.With builds a map key per
+	// call, so the hot path observes through these cached handles instead.
+	metrics     *metrics.Registry
+	mRequests   *metrics.CounterVec
+	mLatency    *metrics.HistogramVec
+	mPhaseCanon *metrics.Histogram
+	mPhaseCache *metrics.Histogram
+	mPhaseQueue *metrics.Histogram
+	mPhaseSolve *metrics.Histogram
+	mPhaseOrch  *metrics.Histogram
+	mPhaseStore *metrics.Histogram
 
 	// Solver search-effort totals across every executed solve, read by
 	// Stats and /metrics: the branch-and-bound counters and the
@@ -368,10 +358,9 @@ type Server struct {
 
 // New starts a server with Config.Workers solver slots.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
 	cfg.Workers = par.Workers(cfg.Workers)
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = waitingSolves + 2*cfg.Workers
+	if cfg.maxPending <= 0 {
+		cfg.maxPending = waitingSolves + 2*cfg.Workers
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -382,7 +371,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    plancache.New[*cacheEntry](cfg.CacheSize),
+		cache:    plancache.New[*cacheEntry](cacheSize),
 		slots:    make(chan struct{}, cfg.Workers),
 		registry: plancache.New[*registration](registrySize),
 		closing:  make(chan struct{}),
@@ -435,7 +424,7 @@ func (s *Server) EndSubscriptions() {
 func (s *Server) Closing() <-chan struct{} { return s.closing }
 
 // submit runs fn on the calling goroutine once it holds a solver slot.
-// Admission is gated by the MaxPending watermark: beyond it the request is
+// Admission is gated by the maxPending watermark: beyond it the request is
 // shed immediately with ErrOverloaded — a burst degrades into fast 429s
 // instead of ballooning goroutines and latency (shed requests never take
 // a slot, and their errors are never cached). A request whose context
@@ -449,14 +438,14 @@ func (s *Server) submit(ctx context.Context, fn func()) error {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	if p := s.pending.Add(1); p > int64(s.cfg.MaxPending) {
+	if p := s.pending.Add(1); p > int64(s.cfg.maxPending) {
 		s.pending.Add(-1)
 		s.shed.Add(1)
 		s.mu.RUnlock()
 		s.logger.Warn("solve shed at the backpressure watermark",
-			"request_id", obs.From(ctx).ID(), "pending", p-1, "max_pending", s.cfg.MaxPending)
+			"request_id", obs.From(ctx).ID(), "pending", p-1, "max_pending", s.cfg.maxPending)
 		return fmt.Errorf("%w: %d solves already pending (limit %d)",
-			ErrOverloaded, p-1, s.cfg.MaxPending)
+			ErrOverloaded, p-1, s.cfg.maxPending)
 	}
 	s.wg.Add(1)
 	s.mu.RUnlock()
@@ -487,8 +476,8 @@ func (s *Server) validate(req Request) error {
 	}
 	if n := req.App.N(); n == 0 {
 		return fmt.Errorf("service: empty instance")
-	} else if n > s.cfg.MaxServices {
-		return fmt.Errorf("service: %d services exceeds the request limit %d", n, s.cfg.MaxServices)
+	} else if n > maxServices {
+		return fmt.Errorf("service: %d services exceeds the request limit %d", n, maxServices)
 	}
 	switch req.Model {
 	case plan.Overlap, plan.InOrder, plan.OutOrder:
@@ -700,7 +689,6 @@ retry:
 // request span, its counters to the solver totals.
 func (s *Server) observeEffort(span *obs.Span, ef *solve.Effort) {
 	queued, solveDur, orchDur := time.Duration(ef.QueueNanos), time.Duration(ef.SolveNanos), time.Duration(ef.OrchNanos)
-	s.mSolveSeconds.Observe(solveDur.Seconds())
 	s.mPhaseQueue.Observe(queued.Seconds())
 	s.mPhaseSolve.Observe(solveDur.Seconds())
 	s.mPhaseOrch.Observe(orchDur.Seconds())
@@ -906,7 +894,7 @@ func (s *Server) Stats() Stats {
 		Workers:         s.cfg.Workers,
 		Shed:            s.shed.Load(),
 		Pending:         int(s.pending.Load()),
-		MaxPending:      s.cfg.MaxPending,
+		MaxPending:      s.cfg.maxPending,
 		Subscribers:     s.hub.subscribers(),
 		EventsPublished: s.hub.published.Load(),
 		EventsDropped:   s.hub.dropped.Load(),

@@ -320,12 +320,12 @@ func TestDriftIdentityUpdateKeepsHash(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxServices: 5})
+	s := newTestServer(t, Config{Workers: 1})
 	app := gen.App(gen.NewRand(11), 4, gen.Mixed)
 	cases := []Request{
 		{App: nil},
 		{App: workflow.MustNew(nil, nil)},
-		{App: gen.App(gen.NewRand(12), 6, gen.Mixed)}, // over MaxServices
+		{App: gen.App(gen.NewRand(12), maxServices+1, gen.Mixed)}, // over maxServices
 		{App: app, Model: plan.Model(99)},
 		{App: app, Objective: solve.Objective(99)},
 		{App: app, Method: solve.Method(99)},
@@ -363,7 +363,7 @@ func TestValidation(t *testing.T) {
 // TestConfigClamping: degenerate (negative) configuration values fall back
 // to the defaults instead of panicking at startup.
 func TestConfigClamping(t *testing.T) {
-	s := newTestServer(t, Config{Workers: -1, CacheSize: -1, MaxServices: -1})
+	s := newTestServer(t, Config{Workers: -1})
 	if _, err := s.Plan(Request{App: gen.App(gen.NewRand(20), 4, gen.Mixed)}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ package service
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/rat"
 	"repro/internal/solve"
+	"repro/internal/store"
 	"repro/internal/workflow"
 )
 
@@ -361,4 +364,139 @@ func TestSyncExportLeavesRegistryRecency(t *testing.T) {
 	if _, ok := s.registry.Peek(hashes[1]); !ok {
 		t.Error("a locally newer instance was evicted in place of the exported oldest one")
 	}
+}
+
+// FuzzSyncRequest sends fuzzed bodies to POST /v1/sync on a replica that
+// holds one plan. Properties: no body gets a 5xx; a non-200 leaves the
+// sync digest as it was; a 200 accounts for every pushed item (accepted
+// instances + accepted entries + rejected = items pushed), accepts exactly
+// the instances that re-canonicalise to their claimed hash and the entries
+// that decode without conflicting, holds every accepted hash and key in
+// the post-exchange digest, and answers lists within syncMaxInstances and
+// syncMaxEntries. Bodies pushing more than 8 items are skipped.
+func FuzzSyncRequest(f *testing.F) {
+	src := New(Config{Workers: 1})
+	f.Cleanup(src.Close)
+	held, err := src.Plan(Request{App: gen.App(gen.NewRand(7), 4, gen.Filtering), Model: plan.InOrder, Objective: solve.PeriodObjective})
+	if err != nil {
+		f.Fatal(err)
+	}
+	pushed, err := src.Plan(Request{App: gen.App(gen.NewRand(6), 5, gen.Mixed), Model: plan.Overlap, Objective: solve.PeriodObjective})
+	if err != nil {
+		f.Fatal(err)
+	}
+	heldEntry := src.ExportEntries([]string{held.Key})[0]
+	inst := src.ExportInstances([]string{pushed.Hash})[0]
+	entry := src.ExportEntries([]string{pushed.Key})[0]
+	// Torn items travel as JSON strings: the body must stay one JSON value.
+	torn, err := json.Marshal(string(entry[:len(entry)/2]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	items, err := json.Marshal(SyncRequest{
+		Digest:    SyncDigest{Hashes: []string{pushed.Hash}, Keys: []string{pushed.Key, "nope"}},
+		Instances: []SyncInstance{inst, {Hash: strings.Repeat("0", 64), Instance: inst.Instance}, {Instance: torn}},
+		Entries:   []json.RawMessage{entry, heldEntry, torn},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(items))
+	f.Add(`{"digest": {"hashes": [], "keys": []}}`)
+	f.Add(`{"digest": {"hashes": ["x"]}, "instances": [{"hash": "", "instance": {"services": []}}]}`)
+	f.Add(`{"instances": [5], "entries": [null]}`)
+	f.Add(`{"digest": 1}`)
+	f.Add(`{`)
+
+	f.Fuzz(func(t *testing.T, body string) {
+		// The handler's framing: the first JSON value, trailing bytes
+		// ignored.
+		var doc SyncRequest
+		json.NewDecoder(strings.NewReader(body)).Decode(&doc)
+		if len(doc.Instances)+len(doc.Entries) > 8 {
+			t.Skip()
+		}
+		// A fresh replica per body, holding one plan, so duplicates and
+		// conflicts are reachable and no body sees another's imports.
+		s := New(Config{Workers: 1})
+		defer s.Close()
+		if err := s.ImportEntry(heldEntry); err != nil {
+			t.Fatal(err)
+		}
+		before := s.SyncDigest()
+		rec := httptest.NewRecorder()
+		Handler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sync", strings.NewReader(body)))
+		after := s.SyncDigest()
+		if rec.Code >= 500 {
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("body %q: status %d changed the digest:\n%+v\nvs\n%+v", body, rec.Code, before, after)
+			}
+			return
+		}
+		var resp SyncResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: 200 answer does not decode: %v", body, err)
+		}
+		if got, want := resp.AcceptedInstances+resp.AcceptedEntries+resp.Rejected, len(doc.Instances)+len(doc.Entries); got != want {
+			t.Fatalf("body %q: %d accepted instances + %d accepted entries + %d rejected != %d pushed",
+				body, resp.AcceptedInstances, resp.AcceptedEntries, resp.Rejected, want)
+		}
+		if len(resp.Instances) > syncMaxInstances || len(resp.Want.Hashes) > syncMaxInstances ||
+			len(resp.Entries) > syncMaxEntries || len(resp.Want.Keys) > syncMaxEntries {
+			t.Fatalf("body %q: answer lists exceed the caps: %d/%d instances, %d/%d entries",
+				body, len(resp.Instances), len(resp.Want.Hashes), len(resp.Entries), len(resp.Want.Keys))
+		}
+		hashes, keys := map[string]bool{}, map[string]bool{}
+		for _, h := range after.Hashes {
+			hashes[h] = true
+		}
+		for _, k := range after.Keys {
+			keys[k] = true
+		}
+		accepted := 0
+		for _, si := range doc.Instances {
+			app := new(workflow.App)
+			if json.Unmarshal(si.Instance, app) != nil {
+				continue
+			}
+			ci, err := canon.Canonicalize(app)
+			if err != nil || (si.Hash != "" && si.Hash != ci.Hash()) {
+				continue
+			}
+			accepted++
+			if !hashes[ci.Hash()] {
+				t.Fatalf("body %q: accepted instance %s not in the digest", body, ci.Hash())
+			}
+		}
+		if accepted != resp.AcceptedInstances {
+			t.Fatalf("body %q: %d instances accepted, want %d", body, resp.AcceptedInstances, accepted)
+		}
+		heldValue, err := store.Decode(heldEntry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := map[string]rat.Rat{heldValue.Key: heldValue.Solution.Value}
+		accepted = 0
+		for _, data := range doc.Entries {
+			e, err := store.Decode(data)
+			if err != nil {
+				continue
+			}
+			if v, ok := values[e.Key]; ok && !v.Equal(e.Solution.Value) {
+				continue // a conflict: the local entry is kept
+			} else if !ok {
+				values[e.Key] = e.Solution.Value
+			}
+			accepted++
+			if !keys[e.Key] {
+				t.Fatalf("body %q: accepted entry %s not in the digest", body, e.Key)
+			}
+		}
+		if accepted != resp.AcceptedEntries {
+			t.Fatalf("body %q: %d entries accepted, want %d", body, resp.AcceptedEntries, accepted)
+		}
+	})
 }

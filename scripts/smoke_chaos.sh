@@ -2,8 +2,8 @@
 # Chaos smoke of the replicated cluster (DESIGN.md §4): boot THREE
 # replicas gossiping over -sync-peers plus a router with -replicas 2 and
 # the deterministic fault injector armed (seeded drops, injected 502s,
-# torn response bodies on the forwarding wire). Drive traffic, kill the
-# owning replica mid-run, keep driving, then restart it. The whole run
+# torn response bodies and delays on the forwarding wire). Drive traffic,
+# kill the owning replica mid-run, keep driving, then restart it. The whole run
 # must show ZERO client-visible 5xx, every answer bit-identical to the
 # filterplan CLI, the router's under-replicated gauge rising on the kill
 # and healing on the restore, and the restarted replica — which lost all
@@ -47,7 +47,7 @@ REP3_PID=$(start_replica "$REP3_PORT" "$REP1_PORT" "$REP2_PORT")
 # rides the seeded injector, so the wire noise is reproducible run to run.
 "$BIN/filterd" -addr "127.0.0.1:$ROUTER_PORT" -workers 1 -replicas 2 \
     -peers "http://127.0.0.1:$REP1_PORT,http://127.0.0.1:$REP2_PORT,http://127.0.0.1:$REP3_PORT" \
-    -fault-seed 20090822 -fault-drop 12 -fault-error 15 -fault-truncate 18 \
+    -fault-seed 20090822 -fault-drop 12 -fault-error 15 -fault-truncate 18 -fault-delay 10 \
     2>>"$BIN/router.log" &
 ROUTER_PID=$!
 

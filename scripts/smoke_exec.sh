@@ -4,7 +4,8 @@
 # complete — the executor's estimators must trigger at least one re-plan
 # PATCH, and the hot-swapped schedule must be bit-identical to what the
 # filterplan CLI computes on the drifted (post-PATCH) instance, and the
-# daemon's /metrics must count the PATCHes the executor reports.
+# daemon's /metrics must count the PATCHes the executor reports. A second,
+# embedded run must converge a drifted selectivity on its true value.
 # No dependencies beyond a POSIX shell, awk and curl (JSON is picked
 # apart with sed so CI images without jq work too).
 set -eu
@@ -45,9 +46,11 @@ done
 # per the true cost, the estimators converge, the controller PATCHes
 # the instance over HTTP and hot-swaps to the re-planned schedule. The
 # wide window/threshold keeps Bernoulli selectivity noise below the
-# trigger, so the injected drift is the only re-plan episode.
+# trigger, so the injected drift is the only re-plan episode. The stream
+# is paced (-rate): pacing never moves a verdict or a decision, so the
+# final schedule is the unpaced one.
 "$BIN/filterexec" -in testdata/webquery8.json -url "http://127.0.0.1:$PORT" \
-    -model overlap -objective period -tuples 4096 -workers 4 \
+    -model overlap -objective period -tuples 4096 -workers 4 -rate 20000 \
     -window 512 -min-samples 256 -threshold 1/4 -drift-cost 'C1=8' \
     -json -dump-instance "$BIN/drifted.json" -dump-schedule "$BIN/exec_sched.json" \
     >"$BIN/report.json"
@@ -72,4 +75,15 @@ cmp -s "$BIN/exec_sched.json" "$BIN/cli_sched.json" || {
     echo "smoke-exec: executor and CLI schedules differ on the drifted instance" >&2
     exit 1
 }
+
+# Embedded mode (no -url): a selectivity drift on C3 (declared 7/10, true
+# 1/2). The controller must leave C3's declared selectivity within the
+# relative threshold of the truth. The run also patches undrifted
+# services on sampling noise, so its patch count is not asserted.
+"$BIN/filterexec" -in testdata/webquery8.json -model overlap -objective period \
+    -threshold 1/8 -drift 'C3=1/2' -dump-instance "$BIN/embedded.json" >/dev/null
+C3_SEL=$(awk '/"name": "C3"/ { c3 = 1 } c3 && /"selectivity"/ { gsub(/[",]/, "", $2); print $2; exit }' "$BIN/embedded.json")
+echo "smoke-exec: embedded run declared C3 selectivity=$C3_SEL (true 1/2)"
+echo "$C3_SEL" | awk -F/ '{ s = ($2 == "") ? $1 : $1 / $2; d = s - 0.5; if (d < 0) d = -d; exit !(d <= 0.5 / 8) }' \
+    || { echo "smoke-exec: declared C3 selectivity $C3_SEL is not within 1/8 of 1/2" >&2; exit 1; }
 echo "smoke-exec: OK"
