@@ -186,10 +186,13 @@ smoke-exec:
 # state; a 200 only for updates ApplyUpdates accepts), the POST
 # /v1/batch handler (never a 5xx; a non-200 changes no cache or registry
 # state; a 200 answers every item, in order, as POST /v1/plan answers it
-# alone), and the POST /v1/sync handler (never a 5xx; a non-200 leaves
+# alone), the POST /v1/sync handler (never a 5xx; a non-200 leaves
 # the sync digest alone; a 200 accounts for every pushed item, holds each
-# accepted one in its digest and answers within the exchange caps).
-# FUZZTIME bounds each target.
+# accepted one in its digest and answers within the exchange caps), and
+# the exact DAG search on decoded instances of up to 4 services (at 1 and
+# 2 workers the blind oracle's Solution over all labelled DAGs bit for bit,
+# a transitively reduced winner that validates, Exact as the model and
+# objective allow). FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -203,5 +206,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSyncRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME) ./internal/canon/
+	$(GO) test -run '^$$' -fuzz FuzzExactMatchesOracle -fuzztime $(FUZZTIME) ./internal/solve/
 
 check: vet build test-short test-race test-alloc bench-smoke bench-exec-round

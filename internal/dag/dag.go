@@ -276,6 +276,13 @@ func (g *Graph) TransitiveReduction() (*Graph, error) {
 	return r, nil
 }
 
+// IsReduced reports whether g is acyclic and transitively reduced: no edge
+// u->v is implied by another path from u to v.
+func (g *Graph) IsReduced() bool {
+	r, err := g.TransitiveReduction()
+	return err == nil && r.EdgeCount() == g.m
+}
+
 // IsForest reports whether every node has at most one direct predecessor
 // and the graph is acyclic: a forest of out-trees, the structure Prop. 4 of
 // the paper proves sufficient for optimal MINPERIOD plans.

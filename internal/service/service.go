@@ -772,7 +772,9 @@ func remapGraph(oldApp, newApp *workflow.App, g *plan.ExecGraph) (*plan.ExecGrap
 
 // familyMember reports whether eg belongs to the structural family the
 // request's branch-and-bound search will enumerate — the precondition for
-// using its re-evaluated objective as a warm-start incumbent.
+// using its re-evaluated objective as a warm-start incumbent. The DAG
+// search enumerates only transitively reduced graphs, so a plan with an
+// edge another path implies is not a member.
 func familyMember(eg *plan.ExecGraph, req Request, app *workflow.App) bool {
 	switch solve.ResolveFamily(app, req.Objective, req.Family) {
 	case solve.FamilyChain:
@@ -780,7 +782,7 @@ func familyMember(eg *plan.ExecGraph, req Request, app *workflow.App) bool {
 	case solve.FamilyForest:
 		return eg.IsForest()
 	default:
-		return true // every plan is a DAG
+		return eg.Graph().IsReduced()
 	}
 }
 

@@ -292,6 +292,60 @@ func TestDriftWarmStartMatchesColdSolve(t *testing.T) {
 	}
 }
 
+// TestDriftUnreducedPlanDoesNotWarmStart: the DAG search walks only
+// transitively reduced graphs, so a cached plan carrying an edge another
+// path implies is no member of its family and its value is not offered as
+// the incumbent; the same plan without that edge is, and both re-plans
+// answer as a cold solve of the drifted instance.
+func TestDriftUnreducedPlanDoesNotWarmStart(t *testing.T) {
+	app := gen.App(gen.NewRand(9), 4, gen.Mixed)
+	req := Request{Model: plan.InOrder, Objective: solve.LatencyObjective, Method: solve.BranchBound}
+	inst, err := canon.Canonicalize(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCost := rat.New(9, 2)
+	updates := []Update{{Service: inst.App().Name(0), Cost: &newCost}}
+	services := inst.App().Services()
+	services[0].Cost = newCost
+	coldReq := req
+	coldReq.App = workflow.MustNew(services, nil)
+	want := fingerprint(t, directSolve(t, coldReq))
+
+	chain := [][2]int{{0, 1}, {1, 2}, {2, 3}}
+	for _, c := range []struct {
+		edges [][2]int
+		warm  bool
+	}{{chain, true}, {append(chain, [2]int{0, 3}), false}} {
+		eg, err := plan.Build(inst.App(), c.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := solve.Reevaluate(eg, req.Model, req.Objective, solve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{Workers: 1})
+		s.register(inst)
+		if !s.cache.Seed(cacheKey(inst.Hash(), req), &cacheEntry{sol: cached, inst: inst, src: "test"}) {
+			t.Fatal("the cache refused the seeded plan")
+		}
+		report, err := s.Drift(inst.Hash(), updates, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !report.OldValue.Equal(cached.Value) {
+			t.Fatalf("%v: old value %s, the seeded plan's %s", c.edges, report.OldValue, cached.Value)
+		}
+		if report.WarmStart != c.warm {
+			t.Errorf("%v: warm start %v, want %v", c.edges, report.WarmStart, c.warm)
+		}
+		if got := fingerprint(t, report.Response.Solution); got != want {
+			t.Errorf("%v: drift re-plan differs from cold solve:\n%s\nvs\n%s", c.edges, got, want)
+		}
+	}
+}
+
 // TestDriftIdentityUpdateKeepsHash: an update that sets the same values is
 // a hash no-op served from cache.
 func TestDriftIdentityUpdateKeepsHash(t *testing.T) {

@@ -19,10 +19,16 @@ import (
 // family's optimum — by name, and through Auto where Auto resolves to this
 // family — at every worker count, with the memo on and off, returns the
 // oracle's Solution bit for bit: value, Exact, graph and operation list.
+// The DAG oracle walks every labelled DAG, and its winner must be
+// transitively reduced, the premise of the search's reduced tree (bnb.go).
 // who names the instance in a failure. It returns the number of solves.
 func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, obj Objective, family Family) int {
 	t.Helper()
-	want := describeSolution(oracleSolve(t, app, m, obj, family))
+	blind := oracleSolve(t, app, m, obj, family)
+	if family == FamilyDAG && !blind.Graph.Graph().IsReduced() {
+		t.Fatalf("%s %s/%s: the blind oracle's best DAG %s is not transitively reduced", who, m, obj, blind.Graph)
+	}
+	want := describeSolution(blind)
 	asks := []Options{{Method: BranchBound, Family: family}}
 	if autoMethod(app, obj, Options{}) == BranchBound && ResolveFamily(app, obj, FamilyAuto) == family {
 		asks = append(asks, Options{Method: Auto})

@@ -221,6 +221,24 @@ func (b *boundScratch) acyclic(g *dag.Graph) bool {
 	return len(order) == b.n
 }
 
+// reduced reports whether g, whose ancestor masks acyclic has just filled,
+// is transitively reduced. Another path implies the edge p→v exactly when p
+// is an ancestor of another predecessor of v, so one pass over Pred
+// settles it.
+func (b *boundScratch) reduced(g *dag.Graph) bool {
+	for v := 0; v < b.n; v++ {
+		var preds, above uint64
+		for _, p := range g.Pred(v) {
+			preds |= 1 << uint(p)
+			above |= b.anc[p]
+		}
+		if preds&above != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // --- forests ---
 
 // forest bounds the objective of every forest that completes the partial

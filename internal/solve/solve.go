@@ -16,7 +16,11 @@
 //     graphs by admissible lower bounds, so it returns the Solution a
 //     blind enumeration of the family returns — and that enumeration
 //     lives in the test suite, as the serial oracle the search is checked
-//     against (oracle_test.go);
+//     against (oracle_test.go). The DAG search walks only the transitively
+//     reduced DAGs: an edge another path implies changes no data volume,
+//     and the fixed order puts every DAG after its reduction, so the
+//     family's first best graph is reduced wherever dropping such an edge
+//     never raises the score (reduced_test.go);
 //   - hill-climbing heuristics over forests and DAGs for everything else,
 //     with incremental re-evaluation: each move recomputes only the touched
 //     subtree's volumes and orchestrates only when the resulting lower
@@ -142,7 +146,8 @@ type Options struct {
 	// re-evaluates a previously cached plan on a drifted instance and
 	// offers the result here. The value MUST be achievable on the instance
 	// being solved by a member of the searched structural family (e.g. the
-	// orchestrated objective of a chain plan when Family is FamilyChain):
+	// orchestrated objective of a chain plan when Family is FamilyChain, or
+	// of a transitively reduced DAG when it is FamilyDAG):
 	// the shared-incumbent pruning rule is strict, so any such seed leaves
 	// the returned Solution bit-identical to the unseeded search while
 	// pruning harder from the root, whereas a value below the family
