@@ -3,10 +3,10 @@
 # the four smoke-* targets and `make fuzz`, so every package list below
 # exists once.
 #
-# The three source gates need no target of their own: all live in
+# The four source gates need no target of their own: all live in
 # deadcode_test.go (root package) and run in every `go test` above, -short
-# included; the first two type-check the module and bench/ in about 4 s
-# each, the third only parses it.
+# included; all but the surface gate type-check the module and bench/ in
+# about 4 s each, the surface gate only parses it.
 # - TestShippedCodeIsReachable fails with one line per internal/
 #   declaration no shipped code reaches, as `file:line: pkg.Name has no
 #   shipped caller` (pkg.Type.Method for a method). Delete what it lists,
@@ -25,6 +25,13 @@
 #   count), as `file:line: flag cmd -name has no reader` (route, metric
 #   family). Delete it, give it a reader, or give it an entry, with its
 #   reason, in surfaceAllowed.
+# - TestShippedFieldsHaveReaders fails with one line per struct field of
+#   an internal/ file that no shipped code reads, as `file:line:
+#   pkg.Type.Field has no shipped reader`. Assignments, ++/--,
+#   composite-literal keys and sync/atomic Add/Store are writes; a struct
+#   tag, or a struct reaching an encoding/json or fmt argument, counts as
+#   read. Delete the field, or give it an entry, with its reason, in
+#   fieldsAllowed.
 # An allowlist entry that gains a caller, setter or reader, or stops
 # existing, fails its gate too.
 
@@ -188,8 +195,11 @@ smoke-exec:
 # state; a 200 answers every item, in order, as POST /v1/plan answers it
 # alone), the POST /v1/sync handler (never a 5xx; a non-200 leaves
 # the sync digest alone; a 200 accounts for every pushed item, holds each
-# accepted one in its digest and answers within the exchange caps), and
-# the exact DAG search on decoded instances of up to 4 services (at 1 and
+# accepted one in its digest and answers within the exchange caps), the
+# GET /v1/subscribe/{hash} Last-Event-ID resume (never a 5xx; a
+# non-numeric cursor is a 400; a numeric one replays exactly the retained
+# events past it, in order, with a lag notice exactly when events were
+# lost; no subscriber is left behind), and the exact DAG search on decoded instances of up to 4 services (at 1 and
 # 2 workers the blind oracle's Solution over all labelled DAGs bit for bit,
 # a transitively reduced winner that validates, Exact as the model and
 # objective allow). FUZZTIME bounds each target.
@@ -205,6 +215,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDriftRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSyncRequest -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzSubscribeResume -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME) ./internal/canon/
 	$(GO) test -run '^$$' -fuzz FuzzExactMatchesOracle -fuzztime $(FUZZTIME) ./internal/solve/
 

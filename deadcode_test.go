@@ -1222,3 +1222,372 @@ func (*Registry) HistogramVec(name, help string, b []float64, labels ...string) 
 		})
 	}
 }
+
+// fieldsAllowed lists the struct fields that no shipped code reads but that
+// stay, each with its reason. An entry that gains a reader or names no field
+// fails the gate.
+var fieldsAllowed = map[string]string{
+	"orchestrate.Options.Workers": "inert, but bench/ sets it; it goes with ROADMAP item 1a's inert identifiers",
+}
+
+// TestShippedFieldsHaveReaders is the gate that every struct field declared
+// in a non-test internal/ file is read by shipped code (the module and
+// bench/). A use is a read unless it is an assignment target, the operand of
+// ++/--, a composite-literal key, or the receiver of a sync/atomic Add or
+// Store. A field with a struct tag is read (a codec reads it), and so is
+// every field of a struct type that reaches an argument of an encoding/json
+// or fmt call through fields, pointers, slices, arrays and maps. A report
+// reads "file:line: pkg.Type.Field has no shipped reader": delete the field,
+// or add it to fieldsAllowed with its reason.
+func TestShippedFieldsHaveReaders(t *testing.T) {
+	fset, pkgs := loadShipped(t)
+	unread, problems, err := fieldGate(fset, pkgs, fieldsAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+	for _, f := range unread {
+		t.Error(f)
+	}
+}
+
+// structField is one field of a struct type declared in an internal/
+// package; name is "pkg.Type.Field" (a field of a nested anonymous struct
+// continues the path).
+type structField struct {
+	name string
+	file string
+	line int
+	read bool
+}
+
+func (f *structField) String() string {
+	return fmt.Sprintf("%s:%d: %s has no shipped reader", f.file, f.line, f.name)
+}
+
+// fieldGate type-checks pkgs and returns the internal/ struct fields that
+// have no shipped reader and are not in allow (sorted by file and line),
+// plus one problem per allow entry that names no field or names a read one.
+func fieldGate(fset *token.FileSet, pkgs map[string]*srcPackage, allow map[string]string) ([]*structField, []string, error) {
+	info, paths, err := typeCheck(fset, pkgs)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Every field of every struct type an internal/ package declares,
+	// package-level or local, with the anonymous structs nested in them.
+	fields := map[*types.Var]*structField{}
+	var collect func(prefix string, st *types.Struct)
+	collect = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			v := st.Field(i)
+			pos := fset.Position(v.Pos())
+			name := prefix + "." + v.Name()
+			fields[v] = &structField{name: name, file: filepath.ToSlash(pos.Filename), line: pos.Line, read: st.Tag(i) != ""}
+			if inner := anonymousStruct(v.Type()); inner != nil {
+				collect(name, inner)
+			}
+		}
+	}
+	for _, path := range paths {
+		if !strings.Contains("/"+path+"/", "/internal/") {
+			continue
+		}
+		for _, f := range pkgs[path].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if _, ok := ts.Type.(*ast.StructType); ok {
+						collect(pkgs[path].types.Name()+"."+ts.Name.Name, info.Defs[ts.Name].Type().Underlying().(*types.Struct))
+					}
+				}
+				return true
+			})
+		}
+	}
+	markRead := func(v *types.Var) {
+		if f := fields[v.Origin()]; f != nil {
+			f.read = true
+		}
+	}
+
+	// Every field of a struct type reachable from t is read.
+	seen := map[types.Type]bool{}
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		t = types.Unalias(t)
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			reach(t.Underlying())
+		case *types.Pointer:
+			reach(t.Elem())
+		case *types.Slice:
+			reach(t.Elem())
+		case *types.Array:
+			reach(t.Elem())
+		case *types.Map:
+			reach(t.Key())
+			reach(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				markRead(t.Field(i))
+				reach(t.Field(i).Type())
+			}
+		}
+	}
+
+	for _, path := range paths {
+		for _, f := range pkgs[path].files {
+			written := map[*ast.SelectorExpr]bool{}
+			write := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					written[sel] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.CallExpr:
+					switch pkg := calleePackage(n, info); {
+					case pkg == "sync/atomic":
+						if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && (sel.Sel.Name == "Add" || sel.Sel.Name == "Store") {
+							write(sel.X)
+						}
+					case pkg == "encoding/json" || pkg == "fmt":
+						for _, arg := range n.Args {
+							reach(info.Types[arg].Type)
+						}
+					}
+				case *ast.SelectorExpr:
+					sel := info.Selections[n]
+					if sel == nil {
+						return true
+					}
+					// Fields embedded on the way to the selected member are read.
+					t := sel.Recv()
+					for _, i := range sel.Index()[:len(sel.Index())-1] {
+						if p, ok := t.Underlying().(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						v := t.Underlying().(*types.Struct).Field(i)
+						markRead(v)
+						t = v.Type()
+					}
+					if v, ok := sel.Obj().(*types.Var); ok && sel.Kind() == types.FieldVal && !written[n] {
+						markRead(v)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unread []*structField
+	byName := map[string]*structField{}
+	for _, f := range fields {
+		byName[f.name] = f
+		if _, ok := allow[f.name]; !f.read && !ok {
+			unread = append(unread, f)
+		}
+	}
+	sort.Slice(unread, func(i, j int) bool {
+		a, b := unread[i], unread[j]
+		if a.file != b.file {
+			return a.file < b.file
+		}
+		return a.line < b.line
+	})
+	var problems []string
+	for name := range allow {
+		switch f := byName[name]; {
+		case f == nil:
+			problems = append(problems, fmt.Sprintf("field allowlist entry %s names no field: drop it", name))
+		case f.read:
+			problems = append(problems, fmt.Sprintf("field allowlist entry %s has a shipped reader: drop it", name))
+		}
+	}
+	sort.Strings(problems)
+	return unread, problems, nil
+}
+
+// anonymousStruct returns the unnamed struct type t is, or holds through
+// pointers, slices, arrays and maps, or nil.
+func anonymousStruct(t types.Type) *types.Struct {
+	for {
+		switch u := types.Unalias(t).(type) {
+		case *types.Struct:
+			return u
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Map:
+			t = u.Elem()
+		default:
+			return nil
+		}
+	}
+}
+
+// calleePackage returns the import path of the package declaring the
+// function or method call calls, or "".
+func calleePackage(call *ast.CallExpr, info *types.Info) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return ""
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+		return fn.Pkg().Path()
+	}
+	return ""
+}
+
+// TestFieldGate runs the field gate over small module trees written to
+// disk (so the loader's _test.go skip is part of what is tested):
+// m/internal/a is the scanned package, m/cmd its shipped caller.
+func TestFieldGate(t *testing.T) {
+	const counters = `package a
+
+import "sync/atomic"
+
+type Stats struct {
+	Hits   int64
+	Misses int64
+}
+
+type Server struct {
+	hits, misses atomic.Int64
+	name         string
+	n            int
+}
+
+func New(name string) *Server {
+	s := &Server{name: name}
+	s.n = 1
+	s.n++
+	s.hits.Add(1)
+	s.misses.Store(2)
+	return s
+}
+
+func (s *Server) Stats() Stats {
+	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load()}
+}`
+	cases := []struct {
+		name     string
+		files    map[string]string // path below the module root → source
+		allow    map[string]string
+		unread   []string
+		problems int
+	}{{
+		name: "writes, keys and atomic Add/Store are not reads, and a _test.go read does not count",
+		files: map[string]string{
+			"internal/a/a.go":      counters,
+			"internal/a/a_test.go": "package a\nvar _ = New(\"x\").Stats().Misses + int64(New(\"y\").n)",
+			"cmd/main.go":          `package main; import "m/internal/a"; func main() { _ = a.New("m").Stats().Hits }`,
+		},
+		unread: []string{
+			"internal/a/a.go:7: a.Stats.Misses has no shipped reader",
+			"internal/a/a.go:12: a.Server.name has no shipped reader",
+			"internal/a/a.go:13: a.Server.n has no shipped reader",
+		},
+	}, {
+		name: "a struct tag, or a struct reaching a json or fmt argument, clears its fields",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Wire struct {
+	Name string ` + "`json:\"name\"`" + `
+	Skip int
+}
+type Report struct {
+	Rows  []*Row
+	ByKey map[string]Row
+}
+type Row struct{ Cost, Count int }
+type Hidden struct{ Secret int }
+func Build() (Wire, Report, any) { return Wire{Skip: 1}, Report{}, Hidden{Secret: 1} }`,
+			"cmd/main.go": `package main
+import ("encoding/json"; "fmt"; "os"; "m/internal/a")
+func main() {
+	_, r, h := a.Build()
+	json.NewEncoder(os.Stdout).Encode(&r)
+	fmt.Println(h)
+}`,
+		},
+		unread: []string{
+			"internal/a/a.go:4: a.Wire.Skip has no shipped reader",
+			"internal/a/a.go:11: a.Hidden.Secret has no shipped reader",
+		},
+	}, {
+		name: "an embedded field a promoted selection passes through is read, and so is a nested anonymous struct",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Base struct{ ID int }
+type Item struct {
+	Base
+	Meta struct{ Tag, Unused string }
+}
+func New() Item { var it Item; it.ID = 1; it.Meta.Tag = "t"; return it }`,
+			"cmd/main.go": `package main; import "m/internal/a"; func main() { it := a.New(); _ = it.ID; _ = it.Meta.Tag }`,
+		},
+		unread: []string{"internal/a/a.go:5: a.Item.Meta.Unused has no shipped reader"},
+	}, {
+		name: "allowlist entries naming a read field, or no field, fail",
+		files: map[string]string{
+			"internal/a/a.go": counters,
+			"cmd/main.go":     `package main; import "m/internal/a"; func main() { st := a.New("m").Stats(); _ = st.Hits + st.Misses }`,
+		},
+		allow:    map[string]string{"a.Server.name": "seam", "a.Server.n": "seam", "a.Stats.Hits": "has a reader", "a.Stats.Gone": "deleted"},
+		problems: 2,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for path, src := range c.files {
+				full := filepath.Join(dir, filepath.FromSlash(path))
+				if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fset := token.NewFileSet()
+			pkgs := map[string]*srcPackage{}
+			if err := loadModule(fset, dir, "m", pkgs); err != nil {
+				t.Fatal(err)
+			}
+			unread, problems, err := fieldGate(fset, pkgs, c.allow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, f := range unread {
+				got = append(got, strings.TrimPrefix(f.String(), filepath.ToSlash(dir)+"/"))
+			}
+			if strings.Join(got, "\n") != strings.Join(c.unread, "\n") {
+				t.Errorf("unread:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(c.unread, "\n"))
+			}
+			if len(problems) != c.problems {
+				t.Errorf("allowlist problems %q, want %d", problems, c.problems)
+			}
+		})
+	}
+}

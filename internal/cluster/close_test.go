@@ -81,7 +81,7 @@ func TestGossipCloseLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Start()
-	for g.Stats().Exchanges < 3 {
+	for family(t, g.cfg.Metrics, "filterd_gossip_exchanges_total") < 3 {
 		runtime.Gosched()
 	}
 	g.Close()

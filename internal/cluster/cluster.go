@@ -146,13 +146,17 @@ type peer struct {
 // (the breaker's Allow gate arbitrates the half-open probe slot).
 func (p *peer) available() bool { return p.breaker.State() != resilience.Open }
 
-// Stats is a snapshot of the router counters.
+// Stats is the snapshot of the router counters that the benchmark and
+// cmd/filterd read in process. /metrics is the router's counters surface:
+// every field here is also a family there (a per-peer family sums to its
+// total), and every other counter is a family only.
 type Stats struct {
 	// Shards is 2^shardBits; PeersUp counts replicas whose breaker is
-	// not Open.
-	Shards  int
-	Peers   int
-	PeersUp int
+	// not Open; UnderReplicated counts shards with fewer than R owners
+	// currently available.
+	Shards          int
+	PeersUp         int
+	UnderReplicated int
 	// Forwarded counts requests served by their owner; LocalServed the
 	// requests the router owned locally or could not route (bad bodies
 	// answered without routing included); Failovers the forwards that
@@ -162,17 +166,6 @@ type Stats struct {
 	LocalServed int64
 	Failovers   int64
 	Retries     int64
-	// Replicas is the configured owners per shard (R); UnderReplicated
-	// counts shards with fewer than R owners currently available.
-	// ReplicaFailovers counts reads served by a non-preferred owner
-	// because an earlier owner failed; FanoutWrites the secondary copies
-	// of write fan-out (committed primary excluded); FanoutErrors the
-	// copies that failed (tolerated — gossip converges the owner later).
-	Replicas         int
-	UnderReplicated  int
-	ReplicaFailovers int64
-	FanoutWrites     int64
-	FanoutErrors     int64
 }
 
 // Router is the gateway handler. Create with New, release with Close.
@@ -200,7 +193,6 @@ type Router struct {
 	failovers        atomic.Int64
 	retries          atomic.Int64
 	replicaFailovers atomic.Int64
-	fanoutWrites     atomic.Int64
 	fanoutErrors     atomic.Int64
 
 	metrics         *metrics.Registry
@@ -401,16 +393,11 @@ func (rt *Router) ownersOf(shard int) []*peer {
 // Stats returns a snapshot of the router counters.
 func (rt *Router) Stats() Stats {
 	st := Stats{
-		Shards:           1 << rt.cfg.shardBits,
-		Peers:            len(rt.peers),
-		Forwarded:        rt.forwarded.Load(),
-		LocalServed:      rt.localServed.Load(),
-		Failovers:        rt.failovers.Load(),
-		Retries:          rt.retries.Load(),
-		Replicas:         rt.cfg.Replicas,
-		ReplicaFailovers: rt.replicaFailovers.Load(),
-		FanoutWrites:     rt.fanoutWrites.Load(),
-		FanoutErrors:     rt.fanoutErrors.Load(),
+		Shards:      1 << rt.cfg.shardBits,
+		Forwarded:   rt.forwarded.Load(),
+		LocalServed: rt.localServed.Load(),
+		Failovers:   rt.failovers.Load(),
+		Retries:     rt.retries.Load(),
 	}
 	for _, p := range rt.peers {
 		if p.available() {
@@ -676,7 +663,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, hash, path strin
 // method, path, body and request ID, but no client response writer —
 // only the breaker and the fan-out counters observe the outcome.
 func (rt *Router) forwardCopy(r *http.Request, p *peer, path string, body []byte) {
-	rt.fanoutWrites.Add(1)
 	rt.mFanoutWrites.With(p.url).Inc()
 	if !p.breaker.Allow() {
 		rt.fanoutErrors.Add(1)

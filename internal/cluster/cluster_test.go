@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/canon"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/service"
@@ -23,16 +24,18 @@ import (
 
 // replica is one in-process filterd: the service plus its HTTP listener.
 type replica struct {
-	srv *service.Server
-	ts  *httptest.Server
+	srv     *service.Server
+	ts      *httptest.Server
+	metrics *metrics.Registry
 }
 
 func newReplica(t *testing.T) *replica {
 	t.Helper()
-	s := service.New(service.Config{Workers: 2})
+	reg := metrics.New()
+	s := service.New(service.Config{Workers: 2, Metrics: reg})
 	ts := httptest.NewServer(service.Handler(s))
 	t.Cleanup(func() { ts.Close(); s.Close() })
-	return &replica{srv: s, ts: ts}
+	return &replica{srv: s, ts: ts, metrics: reg}
 }
 
 // newCluster boots n replicas and a router (with its own local failover
@@ -251,8 +254,8 @@ func TestFailoverToLocalSolve(t *testing.T) {
 		t.Fatalf("served by %q, want the surviving co-owner", by)
 	}
 	sameAnswer("replica failover", secondBytes)
-	if st := rt.Stats(); st.ReplicaFailovers == 0 {
-		t.Errorf("no replica failover counted: %+v", st)
+	if family(t, rt.metrics, "filterd_router_replica_failovers_total") == 0 {
+		t.Error("no replica failover counted")
 	}
 
 	// Kill the co-owner too: only the local service is left.

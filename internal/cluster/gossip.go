@@ -71,19 +71,11 @@ type GossipConfig struct {
 	Logger *slog.Logger
 }
 
-// GossipStats snapshots the agent's counters.
+// GossipStats is the snapshot of the agent's counters that the benchmark
+// reads in process; the gossip families on /metrics carry every counter.
 type GossipStats struct {
-	// Rounds counts completed anti-entropy passes over all peers;
-	// Exchanges the individual peer round trips that succeeded; Failures
-	// the round trips that did not; Skipped the attempts a breaker
-	// rejected. Imported totals items merged from exchange answers,
-	// Pushed the items sent on peers' want lists.
-	Rounds    int64
-	Exchanges int64
-	Failures  int64
-	Skipped   int64
-	Imported  int64
-	Pushed    int64
+	// Imported totals items merged from exchange answers.
+	Imported int64
 }
 
 // gossipPeer is one co-replica and its breaker.
@@ -214,14 +206,7 @@ func (g *Gossip) Close() {
 
 // Stats snapshots the agent's counters.
 func (g *Gossip) Stats() GossipStats {
-	return GossipStats{
-		Rounds:    g.rounds.Load(),
-		Exchanges: g.exchanges.Load(),
-		Failures:  g.failures.Load(),
-		Skipped:   g.skipped.Load(),
-		Imported:  g.imported.Load(),
-		Pushed:    g.pushed.Load(),
-	}
+	return GossipStats{Imported: g.imported.Load()}
 }
 
 // RunOnce executes one anti-entropy round: one push-pull exchange with

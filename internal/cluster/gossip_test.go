@@ -47,24 +47,24 @@ func TestGossipConvergesReplicas(t *testing.T) {
 	if len(db.Hashes) != 2 || len(db.Keys) != 2 {
 		t.Fatalf("b digest %+v, want 2 hashes / 2 keys", db)
 	}
-	if reg := scrapeFamilies(t, b.ts.URL)["filterd_registered_instances"]; reg != 2 {
-		t.Errorf("b /metrics reports %v instances registered, want both", reg)
+	if reg := family(t, b.metrics, "filterd_registered_instances"); reg != 2 {
+		t.Errorf("b reports %v instances registered, want both", reg)
 	}
 
-	st := g.Stats()
-	if st.Rounds != 1 || st.Exchanges != 1 || st.Failures != 0 {
-		t.Errorf("gossip stats %+v", st)
-	}
-	if st.Imported == 0 || st.Pushed == 0 {
-		t.Errorf("push-pull moved nothing: %+v", st)
+	wantFamilies(t, families(t, g.cfg.Metrics), map[string]float64{
+		"filterd_gossip_rounds_total":    1,
+		"filterd_gossip_exchanges_total": 1,
+		"filterd_gossip_failures_total":  0,
+	})
+	if g.Stats().Imported == 0 || family(t, g.cfg.Metrics, "filterd_gossip_pushed_total") == 0 {
+		t.Error("push-pull moved nothing")
 	}
 
 	// Converged replicas exchange empty rounds.
-	before := b.srv.SyncStats()
+	before := family(t, b.metrics, "filterd_sync_accepted_total")
 	g.RunOnce(context.Background())
-	after := b.srv.SyncStats()
-	if after.AcceptedInstances != before.AcceptedInstances || after.AcceptedEntries != before.AcceptedEntries {
-		t.Errorf("second round imported again: %+v vs %+v", before, after)
+	if after := family(t, b.metrics, "filterd_sync_accepted_total"); after != before {
+		t.Errorf("second round imported again: %v items accepted, then %v", before, after)
 	}
 }
 
@@ -158,16 +158,13 @@ func TestGossipBreakerBacksOffDeadPeer(t *testing.T) {
 		g.RunOnce(context.Background())
 	}
 
-	st := g.Stats()
-	if st.Failures != resilience.Threshold {
-		t.Errorf("failures %d, want exactly %d before the breaker opens", st.Failures, resilience.Threshold)
-	}
-	if st.Skipped != 2 {
-		t.Errorf("skipped %d, want 2 breaker-rejected rounds", st.Skipped)
-	}
-	if st.Rounds != resilience.Threshold+2 {
-		t.Errorf("rounds %d", st.Rounds)
-	}
+	// Threshold failures before the breaker opens, then two
+	// breaker-rejected rounds.
+	wantFamilies(t, families(t, g.cfg.Metrics), map[string]float64{
+		"filterd_gossip_failures_total": resilience.Threshold,
+		"filterd_gossip_skipped_total":  2,
+		"filterd_gossip_rounds_total":   resilience.Threshold + 2,
+	})
 }
 
 // TestGossipStartLoopConverges: the background loop (immediate first

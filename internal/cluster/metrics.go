@@ -1,11 +1,12 @@
 package cluster
 
 // The router's Prometheus families (DESIGN.md §5), served at GET /metrics
-// — the router's only counters surface: every Stats field has a family
-// here (a per-peer counter sums to its Stats total; TestRouterMetricsCoverStats
-// pins the mapping). Per-peer counters are labeled by the peer's base URL;
-// breaker positions are mirrored into gauges at scrape time so the breaker
-// itself stays the single source of truth.
+// — the router's counters surface. Stats keeps only the numbers the
+// benchmark and cmd/filterd read in process, each also a family here (a
+// per-peer counter sums to its Stats total). Per-peer counters are
+// labeled by the peer's base URL; breaker positions are mirrored into
+// gauges at scrape time so the breaker itself stays the single source of
+// truth.
 
 import "strconv"
 

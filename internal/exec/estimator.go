@@ -12,9 +12,12 @@ package exec
 // exact mean of the virtual per-tuple costs charged by the harness
 // (deterministic, what the controller uses) and a float64 EWMA of the
 // same samples (the observational smoother a real deployment would run).
-// Both are windowed by sample count with a confidence gate: an estimator
-// votes for drift only after MinSamples tuples, preventing the controller
-// from PATCHing the control plane off early-stream noise.
+// Both are cumulative over the run, behind a confidence gate: an estimator
+// votes for drift only after MinSamples tuples. A selectivity estimate
+// must also depart the declared value by more than driftSigmas standard
+// errors of a pass fraction, so Bernoulli sampling noise on an undrifted
+// service never PATCHes the control plane. A cost estimate is exact and
+// needs no such test.
 
 import (
 	"repro/internal/rat"
@@ -23,8 +26,6 @@ import (
 // estimator accumulates the per-service stream measurements. It outlives
 // the plans: a hot swap recompiles the stages, the estimators carry on.
 type estimator struct {
-	name string
-
 	// cost is the virtual cost charged per evaluated tuple — the service's
 	// true cost, fixed for the run — and costF its nearest float64.
 	cost  rat.Rat
@@ -37,8 +38,8 @@ type estimator struct {
 	ewma    float64 // observational cost smoother
 }
 
-func newEstimator(name string, cost rat.Rat) *estimator {
-	return &estimator{name: name, cost: cost, costF: cost.Float64()}
+func newEstimator(cost rat.Rat) *estimator {
+	return &estimator{cost: cost, costF: cost.Float64()}
 }
 
 // fold records one round's evaluations: in tuples evaluated, out of them
@@ -78,6 +79,19 @@ func (e *estimator) meanCost() (rat.Rat, bool) {
 // drift controller to act on it.
 func (e *estimator) confident(minSamples uint64) bool {
 	return e.in >= minSamples
+}
+
+// driftSigmas is how many standard errors a selectivity estimate must
+// depart the declared selectivity by before it votes for drift.
+const driftSigmas = 3
+
+// significant reports whether the pass fraction emp, measured on in
+// tuples, departs the declared selectivity sel by more than driftSigmas
+// standard errors sqrt(sel·(1 − sel)/in): (emp − sel)²·in >
+// driftSigmas²·sel·(1 − sel), exact.
+func significant(emp, sel rat.Rat, in uint64) bool {
+	d := emp.Sub(sel)
+	return d.Mul(d).MulInt(int64(in)).Greater(sel.Mul(rat.One.Sub(sel)).MulInt(driftSigmas * driftSigmas))
 }
 
 // drifted reports whether emp departs decl by more than the relative

@@ -246,7 +246,7 @@ func New(cfg Config) (*Executor, error) {
 			}
 		}
 		e.truthThreshold[name] = sim.Threshold(sel)
-		e.estimators[name] = newEstimator(name, cost)
+		e.estimators[name] = newEstimator(cost)
 	}
 	return e, nil
 }
@@ -363,7 +363,7 @@ func (e *Executor) adopt(p Plan) {
 func (e *Executor) estimatorFor(name string) *estimator {
 	st := e.estimators[name]
 	if st == nil {
-		st = newEstimator(name, rat.Zero)
+		st = newEstimator(rat.Zero)
 		e.estimators[name] = st
 	}
 	return st
@@ -433,7 +433,7 @@ func (e *Executor) controller(ctx context.Context, report *Report, tuple uint64)
 		if declSel.Less(rat.One) {
 			// An expanding (σ ≥ 1) service never drops tuples, so the
 			// pass-fraction estimator carries no drift signal for it.
-			if emp, ok := est.selectivity(); ok && drifted(emp, declSel, e.cfg.Threshold) {
+			if emp, ok := est.selectivity(); ok && drifted(emp, declSel, e.cfg.Threshold) && significant(emp, declSel, est.in) {
 				drift := emp // only a drifted estimate moves to the heap
 				up.Selectivity = &drift
 			}

@@ -3,7 +3,10 @@ package exec
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/plan"
@@ -229,6 +232,40 @@ func TestShedDriftIsDeferred(t *testing.T) {
 	}
 	if w, g := want.Episodes[0], got.Episodes[0]; g.Source != "controller" || g.Round != w.Round+1 {
 		t.Fatalf("first patch after round %d (%s), want round %d", g.Round, g.Source, w.Round+1)
+	}
+}
+
+// TestSelectivityNoiseDoesNotReplan: webquery8 with C3's true
+// selectivity at 1/2 (declared 7/10), streamed at the defaults filterexec
+// uses (seed 1, 4096 tuples), PATCHes once, and only C3. Undrifted
+// services whose pass fractions wander past the relative threshold on
+// sampling noise alone (C6, C7) stay inside three standard errors.
+func TestSelectivityNoiseDoesNotReplan(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "webquery8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var app workflow.App
+	if err := json.Unmarshal(data, &app); err != nil {
+		t.Fatal(err)
+	}
+	half := rat.New(1, 2)
+	ex, err := New(Config{
+		App: &app, Planner: localPlanner(t), Seed: 1,
+		Truth: map[string]Truth{"C3": {Selectivity: &half}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := ex.Run(context.Background(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Patches != 1 || len(report.Episodes) != 1 {
+		t.Fatalf("%d patches, want 1:\n%s", report.Patches, describeReport(report))
+	}
+	if ups := report.Episodes[0].Updates; len(ups) != 1 || ups[0].Service != "C3" || ups[0].Selectivity == nil || ups[0].Cost != nil {
+		t.Fatalf("the patch updates %+v, want C3's selectivity alone", ups)
 	}
 }
 

@@ -212,7 +212,7 @@ func perSampleRun(t *testing.T, cfg Config, nTuples uint64) (emitted uint64, est
 			v := p.App.IndexOf(name)
 			var up Update
 			if decl := p.App.Selectivity(v); decl.Less(rat.One) {
-				if emp := rat.New(int64(est.out), int64(est.in)); drifted(emp, decl, cfg.Threshold) {
+				if emp := rat.New(int64(est.out), int64(est.in)); drifted(emp, decl, cfg.Threshold) && significant(emp, decl, est.in) {
 					up.Selectivity = &emp
 				}
 			}
@@ -392,7 +392,7 @@ func checkAgainstReferenceStream(t *testing.T, name string, cfg Config, planner 
 func TestFoldEqualsPerSampleLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, cost := range []rat.Rat{rat.One, rat.New(1, 3), rat.New(22, 7), rat.New(1, 1<<40), rat.I(1 << 50), rat.New(123456789, 1000003)} {
-		folded := newEstimator("s", cost)
+		folded := newEstimator(cost)
 		var sampled sampleEstimator
 		for round := 0; round < 50; round++ {
 			in := uint64(rng.Intn(300))

@@ -16,7 +16,6 @@ import (
 // optimal one-port period decides RN3DM. The instance has a period-(2n+3)
 // operation list iff the RN3DM instance is YES.
 type OrchPeriodGadget struct {
-	R RN3DM
 	// Graph is the fixed execution graph the orchestration problem is posed
 	// on.
 	Graph *plan.ExecGraph
@@ -35,7 +34,7 @@ func NewOrchPeriodGadget(r RN3DM) (*OrchPeriodGadget, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("reduction: empty RN3DM instance")
 	}
-	g := &OrchPeriodGadget{R: r, n: n, K: rat.I(int64(2*n + 3))}
+	g := &OrchPeriodGadget{n: n, K: rat.I(int64(2*n + 3))}
 	services := make([]workflow.Service, 2*n+5)
 	for i := range services {
 		services[i] = workflow.Service{Selectivity: rat.One}
@@ -130,7 +129,6 @@ func (g *OrchPeriodGadget) WitnessOrders(lam1, lam2 []int) orchestrate.Orders {
 // services arranged as a fork-join; the optimal one-port latency is
 // n²+n+4 iff the RN3DM instance is YES.
 type ForkJoinLatencyGadget struct {
-	R     RN3DM
 	Graph *plan.ExecGraph
 	K     rat.Rat
 }
@@ -164,7 +162,6 @@ func NewForkJoinLatencyGadget(r RN3DM) (*ForkJoinLatencyGadget, error) {
 		return nil, err
 	}
 	return &ForkJoinLatencyGadget{
-		R:     r,
 		Graph: eg,
 		K:     rat.I(int64(n + 4 + n*n)),
 	}, nil
@@ -233,10 +230,9 @@ func (g *MinLatencyGadget) ForkJoinPlan() (*plan.ExecGraph, error) {
 // optimal OVERLAP period is K = 3/2 iff the RN3DM instance is YES; the
 // optimal plan consists of n independent chains C1,λ1(i) → C2,λ2(i) → C3,i.
 type MinPeriodOverlapGadget struct {
-	R           RN3DM
-	App         *workflow.App
-	K           rat.Rat
-	A, B, Gamma rat.Rat
+	R   RN3DM
+	App *workflow.App
+	K   rat.Rat
 	// Index helpers: L1[i], L2[i], L3[i] are the service indices of
 	// C_{1,i+1}, C_{2,i+1}, C_{3,i+1}.
 	L1, L2, L3 []int
@@ -256,7 +252,7 @@ func NewMinPeriodOverlapGadget(r RN3DM) (*MinPeriodOverlapGadget, error) {
 	}
 	k := rat.New(3, 2)
 	services := make([]workflow.Service, 3*n)
-	g := &MinPeriodOverlapGadget{R: r, K: k, A: a, B: b, Gamma: gamma}
+	g := &MinPeriodOverlapGadget{R: r, K: k}
 	for i := 1; i <= n; i++ {
 		sel := a.Mul(gamma.PowInt(i))
 		i1, i2, i3 := i-1, n+i-1, 2*n+i-1
@@ -337,14 +333,10 @@ type TwoPartition struct {
 // a heavy terminal C_{n+1}; among forest-shaped plans, latency ≤ K is
 // achievable iff the 2-Partition instance is YES.
 type ForestLatencyGadget struct {
-	TP  TwoPartition
 	App *workflow.App
 	K   rat.Rat
 	// Terminal is the index of C_{n+1}.
 	Terminal int
-	// AA is the paper's big constant A, Beta its β = (A−S)/(2A+S).
-	AA, Beta rat.Rat
-	S        rat.Rat
 }
 
 // NewForestLatencyGadget builds the Proposition 17 gadget.
@@ -369,6 +361,7 @@ func NewForestLatencyGadget(tp TwoPartition) (*ForestLatencyGadget, error) {
 	for i := 0; i < n; i++ {
 		pow3 *= 3
 	}
+	// β = (A−S)/(2A+S) shapes the selectivities 1 − c_i + β·c_i².
 	bigA := rat.I(2 * int64(n) * pow3 * xm * xm * xm)
 	S := rat.I(s)
 	beta := bigA.Sub(S).Div(bigA.MulInt(2).Add(S))
@@ -393,9 +386,7 @@ func NewForestLatencyGadget(tp TwoPartition) (*ForestLatencyGadget, error) {
 	k := services[n].Cost.
 		Sub(S.Mul(S).MulInt(3).Div(bigA.MulInt(8).Mul(bigA.Sub(S)))).
 		Add(rat.I(int64(n) * pow3).Mul(beta.PowInt(n)).Mul(rat.I(xm * xm * xm)).Div(bigA.PowInt(3)))
-	return &ForestLatencyGadget{
-		TP: tp, App: app, K: k, Terminal: n, AA: bigA, Beta: beta, S: S,
-	}, nil
+	return &ForestLatencyGadget{App: app, K: k, Terminal: n}, nil
 }
 
 // SubsetPlan builds the forest plan for a subset mask: the chosen services

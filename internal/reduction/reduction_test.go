@@ -350,8 +350,10 @@ func TestProp17GadgetConstruction(t *testing.T) {
 			t.Fatalf("selectivity %s out of (0,1)", s)
 		}
 	}
-	if g.Beta.Geq(rat.New(1, 2)) {
-		t.Fatalf("β = %s ≥ 1/2", g.Beta)
+	// σ_i = 1 − c_i + β·c_i², so β = (σ_i − 1 + c_i)/c_i².
+	c0 := g.App.Cost(0)
+	if beta := g.App.Selectivity(0).Sub(rat.One).Add(c0).Div(c0.Mul(c0)); beta.Sign() <= 0 || beta.Geq(rat.New(1, 2)) {
+		t.Fatalf("β = %s outside (0, 1/2)", beta)
 	}
 	if g.App.Cost(g.Terminal).Leq(rat.One) {
 		t.Fatal("terminal cost must exceed 1")

@@ -72,8 +72,8 @@ func TestShedBeyondMaxPendingAndRetryCleanly(t *testing.T) {
 		release()
 		t.Fatalf("plan over the watermark: err %v, want ErrOverloaded", err)
 	}
-	if st := s.Stats(); st.Shed != 1 || st.MaxPending != 2 {
-		t.Errorf("stats after shed = Shed %d MaxPending %d", st.Shed, st.MaxPending)
+	if shed, max := s.Stats().Shed, metric(t, s, "filterd_max_pending"); shed != 1 || max != 2 {
+		t.Errorf("after shed: Shed %d, filterd_max_pending %v", shed, max)
 	}
 
 	// The shed error was never cached: after the burst the same request

@@ -166,7 +166,7 @@ func TestCloseEndsOpenSubscriptionStreams(t *testing.T) {
 		streamClosed <- err
 	}()
 	// Wait for the subscription to be registered, then close the server.
-	for i := 0; s.Stats().Subscribers == 0 && i < 1000; i++ {
+	for i := 0; metric(t, s, "filterd_subscribers") == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	done := make(chan struct{})
@@ -243,7 +243,7 @@ func TestCanceledSolveCountsItsEffort(t *testing.T) {
 	if st.Solves != 1 || st.MemoMisses == 0 {
 		t.Fatalf("want one executed solve with orchestrations: %+v", st)
 	}
-	if st.SolverExpanded == 0 {
+	if metric(t, s, "filterd_solver_nodes_expanded_total") == 0 {
 		t.Errorf("the aborted solve's expanded nodes were dropped: %d orchestrations counted, 0 nodes",
 			st.MemoHits+st.MemoMisses)
 	}

@@ -35,6 +35,18 @@ func patchErrorCases(target string) []patchCase {
 	}
 }
 
+// handlerState is what a failed PATCH or batch must leave alone: the
+// completed cache entries, the registered instances and the published
+// events.
+func handlerState(t testing.TB, s *Server) [3]float64 {
+	t.Helper()
+	return [3]float64{
+		metric(t, s, "filterd_plancache_entries"),
+		metric(t, s, "filterd_registered_instances"),
+		metric(t, s, "filterd_subscribe_events_total"),
+	}
+}
+
 // TestHTTPPatchErrorPaths sweeps the PATCH /v1/instance/{hash} failure
 // modes: every malformed body fails with the right status, fails cleanly
 // (no cache entry, no event, no registry growth) and leaves the instance
@@ -43,6 +55,7 @@ func TestHTTPPatchErrorPaths(t *testing.T) {
 	s, ts := newTestAPI(t)
 	hash, target, _ := planAndTarget(t, s)
 	before := s.Stats()
+	registered, events := metric(t, s, "filterd_registered_instances"), metric(t, s, "filterd_subscribe_events_total")
 
 	cases := patchErrorCases(target)
 	for _, tc := range cases {
@@ -63,10 +76,10 @@ func TestHTTPPatchErrorPaths(t *testing.T) {
 	if after.Cache.Len != before.Cache.Len {
 		t.Errorf("failed PATCHes changed the cache: %d -> %d entries", before.Cache.Len, after.Cache.Len)
 	}
-	if after.Registered != before.Registered {
-		t.Errorf("failed PATCHes registered instances: %d -> %d", before.Registered, after.Registered)
+	if n := metric(t, s, "filterd_registered_instances"); n != registered {
+		t.Errorf("failed PATCHes registered instances: %v -> %v", registered, n)
 	}
-	if after.EventsPublished != before.EventsPublished {
+	if metric(t, s, "filterd_subscribe_events_total") != events {
 		t.Errorf("failed PATCHes published events")
 	}
 
@@ -113,19 +126,17 @@ func FuzzDriftRequest(f *testing.F) {
 		if doc.Restarts > 4 {
 			t.Skip()
 		}
-		before := s.Stats()
+		before := handlerState(t, s)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPatch, "/v1/instance/"+hash, strings.NewReader(body)))
-		after := s.Stats()
+		after := handlerState(t, s)
 		if rec.Code >= 500 {
 			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
 		}
 		if rec.Code != http.StatusOK {
-			if after.Cache.Len != before.Cache.Len || after.Registered != before.Registered ||
-				after.EventsPublished != before.EventsPublished {
-				t.Fatalf("body %q: status %d changed state: cache %d -> %d, registered %d -> %d, events %d -> %d",
-					body, rec.Code, before.Cache.Len, after.Cache.Len, before.Registered, after.Registered,
-					before.EventsPublished, after.EventsPublished)
+			if after != before {
+				t.Fatalf("body %q: status %d changed state: cache entries, registered, events %v -> %v",
+					body, rec.Code, before, after)
 			}
 			return
 		}
@@ -197,16 +208,16 @@ func FuzzBatchRequest(f *testing.F) {
 				t.Skip()
 			}
 		}
-		before := s.Stats()
+		before := handlerState(t, s)
 		rec := post("/v1/batch", body)
-		after := s.Stats()
+		after := handlerState(t, s)
 		if rec.Code >= 500 {
 			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
 		}
 		if rec.Code != http.StatusOK {
-			if after.Cache.Len != before.Cache.Len || after.Registered != before.Registered {
-				t.Fatalf("body %q: status %d changed state: cache %d -> %d, registered %d -> %d",
-					body, rec.Code, before.Cache.Len, after.Cache.Len, before.Registered, after.Registered)
+			if after != before {
+				t.Fatalf("body %q: status %d changed state: cache entries, registered, events %v -> %v",
+					body, rec.Code, before, after)
 			}
 			return
 		}

@@ -251,8 +251,9 @@ func servedBodiesMatchReference(t *testing.T, req Request) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, body := send(t, "POST", tsC.URL+"/v1/sync", string(push)); code != http.StatusOK || c.SyncStats().AcceptedEntries != 1 {
-		t.Fatalf("sync push: status %d, stats %+v: %s", code, c.SyncStats(), body)
+	if code, body := send(t, "POST", tsC.URL+"/v1/sync", string(push)); code != http.StatusOK ||
+		metric(t, c, `filterd_sync_accepted_total{kind="entries"}`) != 1 {
+		t.Fatalf("sync push: status %d, %v entries accepted: %s", code, metric(t, c, `filterd_sync_accepted_total{kind="entries"}`), body)
 	}
 	if _, body := send(t, "POST", tsC.URL+"/v1/plan", planDoc); body != want(plancache.Hit) {
 		t.Errorf("sync-imported hit body differs from the reference encoder:\n%s", body)

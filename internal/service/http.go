@@ -264,19 +264,17 @@ func Handler(s *Server) http.Handler {
 		}
 		// Last-Event-ID (the SSE resume convention) replays the retained
 		// events fired between a disconnect and this reconnect; a gap
-		// beyond the retained history is reported as a lagged event, the
-		// same "re-fetch the plan" signal as an in-connection overflow.
-		// Without the header the stream is live-only, per the SSE spec.
-		sinceID := liveOnly
-		if lastID := r.Header.Get("Last-Event-ID"); lastID != "" {
-			id, err := strconv.ParseUint(lastID, 10, 64)
-			if err != nil {
-				WriteError(w, http.StatusBadRequest, fmt.Errorf("service: parsing Last-Event-ID: %w", err))
-				return
-			}
-			sinceID = id
+		// beyond the retained history, or a cursor beyond this hash's
+		// numbering, is reported as a lagged event, the same "re-fetch
+		// the plan" signal as an in-connection overflow. Without the
+		// header the stream is live-only, per the SSE spec.
+		lastID := r.Header.Get("Last-Event-ID")
+		sinceID, err := strconv.ParseUint(lastID, 10, 64)
+		if lastID != "" && err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: parsing Last-Event-ID: %w", err))
+			return
 		}
-		sub, replay, missed, cancel := s.SubscribeSince(hash, sinceID)
+		sub, replay, missed, cancel := s.hub.subscribe(hash, lastID != "", sinceID)
 		events := sub.Events()
 		defer cancel()
 		w.Header().Set("Content-Type", "text/event-stream")

@@ -1,10 +1,10 @@
 package service
 
 // Operational metrics of the planning service (DESIGN.md §4): the
-// Prometheus-text surface served at GET /metrics by Handler, and the only
-// counters surface of the HTTP API — every number Stats reports has a
-// family here (TestMetricsCoverStats pins the mapping). Hot-path
-// instruments (request latency, phase times) are real histograms
+// Prometheus-text surface served at GET /metrics by Handler, and the
+// counters surface of the service — Stats keeps only the numbers the
+// benchmark and cmd/filterd read in process, each also a family here.
+// Hot-path instruments (request latency, phase times) are real histograms
 // updated inline; everything already tracked by an existing counter —
 // plan cache, registry, solver effort and orchestration-memo totals,
 // store, subscription stats — is published as a callback read at scrape

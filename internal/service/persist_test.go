@@ -70,7 +70,7 @@ func TestRestartServesWarmBitIdenticalResponses(t *testing.T) {
 		warm[i] = body
 	}
 	preStats := s1.Stats()
-	if !preStats.Persistent || preStats.Store.Writes != int64(len(requests)) {
+	if preStats.Store.Writes != int64(len(requests)) {
 		t.Fatalf("store stats before restart: %+v", preStats.Store)
 	}
 	ts1.Close()

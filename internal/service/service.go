@@ -197,56 +197,27 @@ type DriftReport struct {
 	Response Response
 }
 
-// Stats is a snapshot of the service counters.
+// Stats is the snapshot of the service counters that the benchmark and
+// cmd/filterd read in process. /metrics is the counters surface: every
+// field here is also a family there, and every other counter is a family
+// only.
 type Stats struct {
 	Cache plancache.Stats
-	// PlanRequests counts Plan calls (batch items included), DriftRequests
-	// the drift re-plannings, Rejected the validation failures, Solves the
+	// PlanRequests counts Plan calls (batch items included), Solves the
 	// solver runs actually executed.
-	PlanRequests  int64
-	DriftRequests int64
-	Rejected      int64
-	Solves        int64
-	// Registered counts the currently registered drift-target instances
-	// (bounded by registrySize); QueueDepth the admitted solves currently
-	// waiting for a solver slot; Workers the number of slots.
-	Registered int
-	QueueDepth int
-	Workers    int
-	// Shed counts admissions rejected by the maxPending watermark;
-	// Pending the currently admitted-but-unfinished solves (waiting or
-	// running); MaxPending the watermark itself.
-	Shed       int64
-	Pending    int
-	MaxPending int
-	// Persistent reports whether a plan store is attached; Store its
-	// counters (zero value otherwise).
-	Persistent bool
-	Store      store.Stats
-	// Sync counts the replica-to-replica /v1/sync merges (anti-entropy).
-	Sync SyncStats
-	// Subscribers counts the currently open drift subscriptions;
-	// EventsPublished the re-plan events delivered to them;
-	// EventsDropped the events lost to full subscriber buffers.
-	Subscribers     int
-	EventsPublished int64
-	EventsDropped   int64
+	PlanRequests int64
+	Solves       int64
+	// Workers is the number of solver slots; Shed counts admissions
+	// rejected by the maxPending watermark.
+	Workers int
+	Shed    int64
+	// Store is the plan store's counters (zero value without one).
+	Store store.Stats
 	// MemoHits/MemoMisses split the candidate orchestrations of every
 	// executed solve into those its per-solve orchestration memo served and
 	// those it computed.
 	MemoHits   int64
 	MemoMisses int64
-	// SolverExpanded/SolverPruned/SolverEvaluated total the branch-and-
-	// bound search counters across every executed solve, failed and
-	// canceled ones included — the running evidence for the paper's
-	// tractability claim. SolverEvaluated counts branch-and-bound leaves
-	// only: a hill climb adds nothing to it.
-	SolverExpanded  int64
-	SolverPruned    int64
-	SolverEvaluated int64
-	// Version and Revision identify the running build (obs.BuildInfo).
-	Version  string
-	Revision string
 }
 
 // cacheEntry is the cached value of one key. src is what a later cache
@@ -884,33 +855,16 @@ func (s *Server) DriftContext(ctx context.Context, hash string, updates []Update
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
-	registered := s.registry.Stats().Len
 	st := Stats{
-		Cache:           s.cache.Stats(),
-		PlanRequests:    s.planRequests.Load(),
-		DriftRequests:   s.driftRequests.Load(),
-		Rejected:        s.rejected.Load(),
-		Solves:          s.solves.Load(),
-		Registered:      registered,
-		QueueDepth:      int(s.waiting.Load()),
-		Workers:         s.cfg.Workers,
-		Shed:            s.shed.Load(),
-		Pending:         int(s.pending.Load()),
-		MaxPending:      s.cfg.maxPending,
-		Subscribers:     s.hub.subscribers(),
-		EventsPublished: s.hub.published.Load(),
-		EventsDropped:   s.hub.dropped.Load(),
-		MemoHits:        s.memoHits.Load(),
-		MemoMisses:      s.memoMisses.Load(),
-		SolverExpanded:  s.nodesExpanded.Load(),
-		SolverPruned:    s.nodesPruned.Load(),
-		SolverEvaluated: s.candEvaluated.Load(),
-		Sync:            s.SyncStats(),
-		Version:         s.version,
-		Revision:        s.revision,
+		Cache:        s.cache.Stats(),
+		PlanRequests: s.planRequests.Load(),
+		Solves:       s.solves.Load(),
+		Workers:      s.cfg.Workers,
+		Shed:         s.shed.Load(),
+		MemoHits:     s.memoHits.Load(),
+		MemoMisses:   s.memoMisses.Load(),
 	}
 	if s.cfg.Store != nil {
-		st.Persistent = true
 		st.Store = s.cfg.Store.Stats()
 	}
 	return st

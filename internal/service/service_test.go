@@ -181,8 +181,8 @@ func TestConcurrentExactlyOneSolvePerHash(t *testing.T) {
 	if total := st.Cache.Hits + st.Cache.Coalesced + st.Cache.Misses; total != distinct*callersPerInstance {
 		t.Errorf("hits+coalesced+misses = %d, want %d", total, distinct*callersPerInstance)
 	}
-	if st.Registered != distinct {
-		t.Errorf("registered instances = %d, want %d", st.Registered, distinct)
+	if n := metric(t, s, "filterd_registered_instances"); n != float64(distinct) {
+		t.Errorf("registered instances = %v, want %d", n, distinct)
 	}
 }
 
@@ -409,8 +409,8 @@ func TestValidation(t *testing.T) {
 	if _, err := s.Drift(ok.Hash, []Update{{Service: app.Name(0)}}, Request{}); err == nil {
 		t.Error("no-op update accepted")
 	}
-	if st := s.Stats(); st.Rejected != int64(len(cases)+4) {
-		t.Errorf("rejected = %d, want %d", st.Rejected, len(cases)+4)
+	if n := metric(t, s, "filterd_rejected_total"); n != float64(len(cases)+4) {
+		t.Errorf("rejected = %v, want %d", n, len(cases)+4)
 	}
 }
 
@@ -438,8 +438,8 @@ func TestRegistryBounded(t *testing.T) {
 		}
 		hashes = append(hashes, resp.Hash)
 	}
-	if st := s.Stats(); st.Registered != registrySize {
-		t.Fatalf("registered = %d, want %d", st.Registered, registrySize)
+	if n := metric(t, s, "filterd_registered_instances"); n != registrySize {
+		t.Fatalf("registered = %v, want %d", n, registrySize)
 	}
 	if _, ok := s.Instance(hashes[0]); ok {
 		t.Error("oldest instance survived past registrySize")

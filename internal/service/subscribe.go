@@ -12,9 +12,10 @@ package service
 // that reconnects with the ID of the last event it saw (the SSE
 // Last-Event-ID header) replays the events fired during the gap instead of
 // silently missing them. The in-connection `lagged` signal (a stalled
-// consumer overflowing its buffer) and the resume gap (a reconnect beyond
-// the retained ring) share one meaning: "you missed events, re-fetch the
-// plan".
+// consumer overflowing its buffer) and the resume gap (a reconnect behind
+// the retained ring, or with a cursor beyond the hash's numbering — issued
+// before a restart, a topic eviction or by a co-owner numbering its own
+// events) share one meaning: "you missed events, re-fetch the plan".
 
 import (
 	"sync"
@@ -98,7 +99,6 @@ type hub struct {
 
 	published atomic.Int64
 	dropped   atomic.Int64
-	replayed  atomic.Int64
 }
 
 func (h *hub) topicLocked(hash string) *topic {
@@ -136,18 +136,20 @@ func (h *hub) evictLocked() {
 	}
 }
 
-// liveOnly is the sinceID sentinel for a fresh subscription: no replay,
-// events from now on. Any real resume cursor is the ID of the last event
-// the consumer saw (0 = subscribed but saw nothing yet).
-const liveOnly = ^uint64(0)
-
 // subscribe registers a listener for hash and returns it plus the cancel
-// function (idempotent; always call it — it releases the slot). sinceID is
-// the resume cursor: liveOnly subscribes with no replay; otherwise every
-// retained event with ID > sinceID is replayed (atomically with the
-// registration, so no event falls between the replay slice and the live
-// channel) and missed counts the events lost beyond the retained ring.
-func (h *hub) subscribe(hash string, sinceID uint64) (sub *Subscription, replay []Event, missed uint64, cancel func()) {
+// function (idempotent; always call it — it releases the slot). Without
+// resume the subscription is live-only: no replay, events from now on.
+// With it — the SSE Last-Event-ID resume of GET /v1/subscribe/{hash} —
+// sinceID is the ID of the last event the consumer saw (0 = subscribed
+// but saw nothing yet): every retained event with ID > sinceID is
+// replayed, in order and atomically with the registration (an event is
+// replayed or delivered, never both, never neither), and missed counts
+// the events lost beyond the retained ring, in which case the consumer
+// should re-fetch the current plan. A cursor beyond the hash's sequence
+// was issued under another numbering, so what it saw cannot be placed:
+// the whole ring replays and missed is 1, the one count such a gap is
+// known to have.
+func (h *hub) subscribe(hash string, resume bool, sinceID uint64) (sub *Subscription, replay []Event, missed uint64, cancel func()) {
 	sub = &Subscription{ch: make(chan Event, subscriberBuffer)}
 	h.mu.Lock()
 	t := h.topicLocked(hash)
@@ -155,9 +157,12 @@ func (h *hub) subscribe(hash string, sinceID uint64) (sub *Subscription, replay 
 		t.subs = make(map[*Subscription]struct{})
 	}
 	t.subs[sub] = struct{}{}
-	if sinceID != liveOnly && t.seq > sinceID {
+	if resume {
 		oldest := t.seq - uint64(len(t.ring)) + 1 // ID of ring[0] (seq+1 when empty)
-		if sinceID+1 < oldest {
+		switch {
+		case sinceID > t.seq:
+			sinceID, missed = 0, 1
+		case sinceID+1 < oldest:
 			missed = oldest - sinceID - 1
 		}
 		for _, ev := range t.ring {
@@ -165,7 +170,6 @@ func (h *hub) subscribe(hash string, sinceID uint64) (sub *Subscription, replay 
 				replay = append(replay, ev)
 			}
 		}
-		h.replayed.Add(int64(len(replay)))
 	}
 	h.mu.Unlock()
 	return sub, replay, missed, func() {
@@ -223,18 +227,6 @@ func (h *hub) subscribers() int {
 // path — and recorded on the Subscription's lag counter so the consumer
 // can detect the gap.
 func (s *Server) Subscribe(hash string) (*Subscription, func()) {
-	sub, _, _, cancel := s.hub.subscribe(hash, liveOnly)
+	sub, _, _, cancel := s.hub.subscribe(hash, false, 0)
 	return sub, cancel
-}
-
-// SubscribeSince is Subscribe resuming from a previously seen event ID:
-// retained events with ID > sinceID are returned for replay (in order,
-// atomically consistent with the live channel — an event is replayed or
-// delivered, never both, never neither) and missed counts events lost
-// beyond the retained history, in which case the consumer should re-fetch
-// the current plan. sinceID 0 means "subscribed before, saw nothing":
-// every retained event replays. This is the engine behind the SSE
-// Last-Event-ID resume on GET /v1/subscribe/{hash}.
-func (s *Server) SubscribeSince(hash string, sinceID uint64) (sub *Subscription, replay []Event, missed uint64, cancel func()) {
-	return s.hub.subscribe(hash, sinceID)
 }

@@ -2,9 +2,12 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,8 +43,8 @@ func TestDriftDeliversExactlyOneEventPerSubscriber(t *testing.T) {
 	chA, chB := subA.Events(), subB.Events()
 	defer cancelA()
 	defer cancelB()
-	if st := s.Stats(); st.Subscribers != 2 {
-		t.Fatalf("subscribers = %d", st.Subscribers)
+	if n := metric(t, s, "filterd_subscribers"); n != 2 {
+		t.Fatalf("subscribers = %v", n)
 	}
 
 	cost := rat.I(99)
@@ -70,8 +73,8 @@ func TestDriftDeliversExactlyOneEventPerSubscriber(t *testing.T) {
 		default:
 		}
 	}
-	if st := s.Stats(); st.EventsPublished != 2 || st.EventsDropped != 0 {
-		t.Errorf("event counters: %+v", st)
+	if pub, drop := metric(t, s, "filterd_subscribe_events_total"), metric(t, s, "filterd_subscribe_dropped_total"); pub != 2 || drop != 0 {
+		t.Errorf("events published %v, dropped %v; want 2 and 0", pub, drop)
 	}
 
 	// A no-op drift (cost re-set to its current value) re-plans to the
@@ -90,8 +93,8 @@ func TestDriftDeliversExactlyOneEventPerSubscriber(t *testing.T) {
 
 	// Canceled subscriptions stop counting and stop receiving.
 	cancelA()
-	if st := s.Stats(); st.Subscribers != 1 {
-		t.Errorf("subscribers after cancel = %d", st.Subscribers)
+	if n := metric(t, s, "filterd_subscribers"); n != 1 {
+		t.Errorf("subscribers after cancel = %v", n)
 	}
 }
 
@@ -163,10 +166,8 @@ func TestSlowSubscriberDropsAreCountedAndFlagged(t *testing.T) {
 	for i := 0; i < subscriberBuffer+extra; i++ {
 		s.hub.publish("h", Event{Hash: "h", NewHash: "h2"})
 	}
-	st := s.Stats()
-	if st.EventsPublished != subscriberBuffer || st.EventsDropped != extra {
-		t.Fatalf("published %d dropped %d, want %d and %d",
-			st.EventsPublished, st.EventsDropped, subscriberBuffer, extra)
+	if pub, drop := metric(t, s, "filterd_subscribe_events_total"), metric(t, s, "filterd_subscribe_dropped_total"); pub != subscriberBuffer || drop != extra {
+		t.Fatalf("published %v dropped %v, want %d and %d", pub, drop, subscriberBuffer, extra)
 	}
 	if got := sub.Lagged(); got != extra {
 		t.Fatalf("Lagged() = %d, want %d", got, extra)
@@ -256,7 +257,7 @@ func TestSubscribeSinceReplaysRetainedEvents(t *testing.T) {
 	}
 
 	// Resume from the second-to-last seen event: two replays, no gap.
-	sub, replay, missed, cancel := s.SubscribeSince("h", total-2)
+	sub, replay, missed, cancel := s.hub.subscribe("h", true, total-2)
 	if missed != 0 || len(replay) != 2 ||
 		replay[0].ID != total-1 || replay[1].ID != total {
 		t.Fatalf("resume at %d: replay %v missed %d, want IDs [%d %d] and 0",
@@ -275,7 +276,7 @@ func TestSubscribeSinceReplaysRetainedEvents(t *testing.T) {
 
 	// Cursor 0 ("subscribed before, saw nothing") is beyond the ring by
 	// exactly the evicted prefix; the whole ring replays.
-	_, replay, missed, cancel2 := s.SubscribeSince("h", 0)
+	_, replay, missed, cancel2 := s.hub.subscribe("h", true, 0)
 	defer cancel2()
 	if missed != extra+1 { // events 1..extra evicted, plus the post-resume publish shifted one more out
 		t.Fatalf("gap from cursor 0 = %d, want %d", missed, extra+1)
@@ -286,10 +287,33 @@ func TestSubscribeSinceReplaysRetainedEvents(t *testing.T) {
 	}
 
 	// A cursor at or past the sequence head replays nothing.
-	_, replay, missed, cancel3 := s.SubscribeSince("h", total+1)
+	_, replay, missed, cancel3 := s.hub.subscribe("h", true, total+1)
 	defer cancel3()
 	if len(replay) != 0 || missed != 0 {
 		t.Fatalf("up-to-date resume: replay %v missed %d", replay, missed)
+	}
+}
+
+// TestResumeCursorBeyondSequenceIsAGap: a resume cursor beyond
+// the hash's sequence was issued under another numbering (before a
+// restart, a topic eviction, or by a co-owner). It is a gap, not "up to
+// date": the whole retained ring replays and the gap is reported, so the
+// SSE handler sends lagged instead of silently losing events 1 and 2.
+func TestResumeCursorBeyondSequenceIsAGap(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for i := 0; i < 2; i++ {
+		s.hub.publish("h", Event{Hash: "h", NewHash: "next"})
+	}
+	_, replay, missed, cancel := s.hub.subscribe("h", true, 5)
+	defer cancel()
+	if len(replay) != 2 || replay[0].ID != 1 || replay[1].ID != 2 || missed < 1 {
+		t.Fatalf("cursor 5 on sequence 2: replay %v missed %d, want IDs [1 2] and missed ≥ 1", replay, missed)
+	}
+	// On a hash with no events yet, any cursor past 0 is a gap too.
+	_, replay, missed, cancel2 := s.hub.subscribe("fresh", true, 3)
+	defer cancel2()
+	if len(replay) != 0 || missed < 1 {
+		t.Fatalf("cursor 3 on a fresh hash: replay %v missed %d, want none and missed ≥ 1", replay, missed)
 	}
 }
 
@@ -424,4 +448,99 @@ func TestHTTPSubscribeUnknownHash404s(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
+}
+
+// FuzzSubscribeResume fuzzes the Last-Event-ID header of GET
+// /v1/subscribe/{hash} against a hash with k published events (k from 0
+// to past the replay ring). Properties: never a 5xx; a non-numeric cursor
+// gets 400; a numeric cursor replays exactly the retained events with a
+// larger ID, in order, and gets lagged exactly when the cursor is below
+// the ring's oldest ID minus 1 or above the sequence; every stream leaves
+// filterd_subscribers at 0. The request context is canceled up front, so
+// the handler writes its preamble, lag notice and replay, then returns.
+func FuzzSubscribeResume(f *testing.F) {
+	s := New(Config{Workers: 1})
+	f.Cleanup(s.Close)
+	hash, _, _ := planAndTarget(f, s)
+	h := Handler(s)
+	for _, seed := range []struct {
+		k      uint8
+		cursor string
+	}{
+		{2, "5"}, {2, "2"}, {2, "0"}, {0, "1"}, {0, "0"},
+		{replayRing + 5, "0"}, {replayRing + 5, "5"}, {replayRing + 5, "6"},
+		{3, ""}, {3, "x"}, {3, "-1"}, {3, "+1"}, {3, "18446744073709551615"}, {3, "18446744073709551616"},
+	} {
+		f.Add(seed.k, seed.cursor)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	f.Fuzz(func(t *testing.T, kByte uint8, cursor string) {
+		k := uint64(kByte) % (replayRing + 8)
+		s.hub.mu.Lock()
+		delete(s.hub.topics, hash)
+		s.hub.mu.Unlock()
+		for i := uint64(0); i < k; i++ {
+			s.hub.publish(hash, Event{Hash: hash, NewHash: "next"})
+		}
+
+		req := httptest.NewRequest(http.MethodGet, "/v1/subscribe/"+hash, nil).WithContext(ctx)
+		req.Header["Last-Event-Id"] = []string{cursor}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("cursor %q: status %d: %s", cursor, rec.Code, rec.Body)
+		}
+		if n := metric(t, s, "filterd_subscribers"); n != 0 {
+			t.Fatalf("cursor %q: %v subscribers left behind", cursor, n)
+		}
+		since, err := strconv.ParseUint(cursor, 10, 64)
+		if cursor != "" && err != nil {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("non-numeric cursor %q: status %d, want 400", cursor, rec.Code)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("cursor %q: status %d: %s", cursor, rec.Code, rec.Body)
+		}
+
+		// The expected stream: no header is live-only; otherwise the
+		// retained IDs oldest..k above the cursor (all of them for a cursor
+		// beyond the sequence), after a lag notice iff events were lost.
+		oldest := max(k, replayRing) - replayRing + 1
+		var wantIDs []string
+		wantLagged := false
+		if cursor != "" {
+			wantLagged = since > k || since+1 < oldest
+			for id := oldest; id <= k; id++ {
+				if id > since || since > k {
+					wantIDs = append(wantIDs, strconv.FormatUint(id, 10))
+				}
+			}
+		}
+		blocks := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n\n"), "\n\n")
+		if !strings.HasPrefix(blocks[0], ": subscribed ") {
+			t.Fatalf("cursor %q: preamble %q", cursor, blocks[0])
+		}
+		blocks = blocks[1:]
+		lagged := len(blocks) > 0 && strings.HasPrefix(blocks[0], "event: lagged\n")
+		if lagged {
+			blocks = blocks[1:]
+		}
+		var gotIDs []string
+		for _, b := range blocks {
+			id, ok := strings.CutPrefix(b, "id: ")
+			if !ok {
+				t.Fatalf("cursor %q: unexpected frame %q", cursor, b)
+			}
+			id, _, _ = strings.Cut(id, "\n")
+			gotIDs = append(gotIDs, id)
+		}
+		if lagged != wantLagged || strings.Join(gotIDs, ",") != strings.Join(wantIDs, ",") {
+			t.Fatalf("cursor %q on %d events: lagged %v, replayed [%s]; want lagged %v, replayed [%s]",
+				cursor, k, lagged, strings.Join(gotIDs, ","), wantLagged, strings.Join(wantIDs, ","))
+		}
+	})
 }

@@ -47,24 +47,6 @@ type SyncInstance struct {
 	Instance json.RawMessage `json:"instance"`
 }
 
-// SyncStats counts the replica's sync traffic.
-type SyncStats struct {
-	// AcceptedInstances/AcceptedEntries count imported items;
-	// Duplicates the imports already present locally; Rejected the
-	// imports that failed verification; Conflicts the impossible case —
-	// an already-present key whose stored solution disagrees with the
-	// imported one (determinism says zero, the counter is the evidence).
-	AcceptedInstances int64
-	AcceptedEntries   int64
-	Duplicates        int64
-	Rejected          int64
-	Conflicts         int64
-	// BytesIn/BytesOut total the store-codec entry bytes imported and
-	// exported — the "sync bytes streamed" series on /metrics.
-	BytesIn  int64
-	BytesOut int64
-}
-
 // SyncDigest snapshots the replica's syncable identity. Registry and
 // cache are bounded LRUs, so the digest is bounded too.
 func (s *Server) SyncDigest() SyncDigest {
@@ -186,19 +168,6 @@ func (s *Server) ImportEntry(data []byte) error {
 	}
 	s.syncAcceptedEntries.Add(1)
 	return nil
-}
-
-// SyncStats snapshots the sync counters.
-func (s *Server) SyncStats() SyncStats {
-	return SyncStats{
-		AcceptedInstances: s.syncAcceptedInstances.Load(),
-		AcceptedEntries:   s.syncAcceptedEntries.Load(),
-		Duplicates:        s.syncDuplicates.Load(),
-		Rejected:          s.syncRejected.Load(),
-		Conflicts:         s.syncConflicts.Load(),
-		BytesIn:           s.syncBytesIn.Load(),
-		BytesOut:          s.syncBytesOut.Load(),
-	}
 }
 
 // syncMaxInstances and syncMaxEntries cap one exchange's payload in each

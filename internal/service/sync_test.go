@@ -95,15 +95,17 @@ func TestSyncExchangeConvergesTwoReplicas(t *testing.T) {
 		t.Error("synced answer differs from the origin replica's")
 	}
 
-	stA, stB := a.SyncStats(), b.SyncStats()
-	if stA.AcceptedInstances != 1 || stA.AcceptedEntries != 1 {
-		t.Errorf("a sync stats %+v", stA)
-	}
-	if stB.AcceptedInstances != 1 || stB.AcceptedEntries != 1 {
-		t.Errorf("b sync stats %+v", stB)
-	}
-	if stA.BytesIn == 0 || stB.BytesIn == 0 || stA.BytesOut == 0 || stB.BytesOut == 0 {
-		t.Errorf("sync byte counters did not move: a=%+v b=%+v", stA, stB)
+	for name, srv := range map[string]*Server{"a": a, "b": b} {
+		for _, kind := range []string{"instances", "entries"} {
+			if n := metric(t, srv, `filterd_sync_accepted_total{kind="`+kind+`"}`); n != 1 {
+				t.Errorf("%s accepted %v %s, want 1", name, n, kind)
+			}
+		}
+		for _, dir := range []string{"in", "out"} {
+			if n := metric(t, srv, `filterd_sync_bytes_total{direction="`+dir+`"}`); n == 0 {
+				t.Errorf("%s sync bytes %s did not move", name, dir)
+			}
+		}
 	}
 
 	// A second round moves nothing: the exchange is idempotent.
@@ -183,8 +185,14 @@ func TestImportRejectsForgedAndTorn(t *testing.T) {
 		t.Error("torn entry imported")
 	}
 
-	if st := b.SyncStats(); st.Rejected != 3 || st.AcceptedInstances != 0 || st.AcceptedEntries != 0 {
-		t.Errorf("sync stats %+v, want 3 rejected and nothing accepted", st)
+	for series, want := range map[string]float64{
+		"filterd_sync_rejected_total":                   3,
+		`filterd_sync_accepted_total{kind="instances"}`: 0,
+		`filterd_sync_accepted_total{kind="entries"}`:   0,
+	} {
+		if got := metric(t, b, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 	if d := b.SyncDigest(); len(d.Hashes) != 0 || len(d.Keys) != 0 {
 		t.Errorf("rejected imports left state behind: %+v", d)
@@ -210,9 +218,8 @@ func TestImportCountsDuplicatesAndConflicts(t *testing.T) {
 	if err := b.ImportEntry(entries[0]); err != nil {
 		t.Fatalf("identical duplicate rejected: %v", err)
 	}
-	st := b.SyncStats()
-	if st.Duplicates != 1 || st.Conflicts != 0 {
-		t.Fatalf("after duplicate: %+v", st)
+	if dup, conf := metric(t, b, "filterd_sync_duplicates_total"), metric(t, b, "filterd_sync_conflicts_total"); dup != 1 || conf != 0 {
+		t.Fatalf("after duplicate: %v duplicates, %v conflicts", dup, conf)
 	}
 
 	// A conflicting entry: same key, tampered objective value. Decode
@@ -230,8 +237,8 @@ func TestImportCountsDuplicatesAndConflicts(t *testing.T) {
 	if err := b.ImportEntry(tampered); err == nil {
 		t.Error("conflicting entry imported silently")
 	}
-	if st := b.SyncStats(); st.Conflicts != 1 {
-		t.Errorf("after conflict: %+v", st)
+	if n := metric(t, b, "filterd_sync_conflicts_total"); n != 1 {
+		t.Errorf("after conflict: %v conflicts", n)
 	}
 	got, err := b.Plan(req)
 	if err != nil {
@@ -282,33 +289,41 @@ func FuzzSyncImport(f *testing.F) {
 	if _, err := s.Plan(Request{App: gen.App(gen.NewRand(7), 4, gen.Filtering), Model: plan.InOrder, Objective: solve.PeriodObjective}); err != nil {
 		f.Fatal(err)
 	}
-	// state is what a rejected import must leave alone: every counter
-	// but the rejected and received-bytes ones, plus both digests.
-	state := func() (Stats, SyncDigest) {
-		st := s.Stats()
-		st.Sync.Rejected, st.Sync.BytesIn = 0, 0
-		return st, s.SyncDigest()
+	// state is what a rejected import must leave alone: the whole scrape
+	// but the rejected and received-bytes series, plus both digests.
+	const rejectedSeries, bytesInSeries = "filterd_sync_rejected_total", `filterd_sync_bytes_total{direction="in"}`
+	state := func(t testing.TB) (map[string]float64, SyncDigest) {
+		scrape := samples(t, s)
+		for _, series := range []string{rejectedSeries, bytesInSeries} {
+			if _, ok := scrape[series]; !ok {
+				t.Fatalf("no series %s in the registry", series)
+			}
+		}
+		return scrape, s.SyncDigest()
 	}
 
 	f.Fuzz(func(t *testing.T, isEntry bool, hash string, data []byte) {
-		before, digest := state()
-		rejected := s.SyncStats().Rejected
+		before, digest := state(t)
 		var err error
 		if isEntry {
 			err = s.ImportEntry(data)
 		} else {
 			err = s.ImportInstance(SyncInstance{Hash: hash, Instance: data})
 		}
-		if err != nil && s.SyncStats().Conflicts != before.Sync.Conflicts {
+		if err != nil && metric(t, s, "filterd_sync_conflicts_total") != before["filterd_sync_conflicts_total"] {
 			return // a conflict: counted on its own counter, local entry kept
 		}
 		if err != nil {
-			after, afterDigest := state()
-			if got := s.SyncStats().Rejected; got != rejected+1 {
-				t.Fatalf("rejected import moved the rejected counter %d -> %d", rejected, got)
+			after, afterDigest := state(t)
+			if got, was := after[rejectedSeries], before[rejectedSeries]; got != was+1 {
+				t.Fatalf("rejected import moved the rejected counter %v -> %v", was, got)
+			}
+			for _, series := range []string{rejectedSeries, bytesInSeries} {
+				delete(before, series)
+				delete(after, series)
 			}
 			if !reflect.DeepEqual(before, after) || !reflect.DeepEqual(digest, afterDigest) {
-				t.Fatalf("rejected import (%v) changed state:\n%+v %+v\nvs\n%+v %+v", err, before, digest, after, afterDigest)
+				t.Fatalf("rejected import (%v) changed state:\n%v %+v\nvs\n%v %+v", err, before, digest, after, afterDigest)
 			}
 			return
 		}
@@ -350,8 +365,8 @@ func TestSyncExportLeavesRegistryRecency(t *testing.T) {
 	for i := 0; i < registrySize; i++ {
 		hashes = append(hashes, register(int64(100+i)))
 	}
-	if n := s.Stats().Registered; n != registrySize {
-		t.Fatalf("registered %d distinct instances, want %d", n, registrySize)
+	if n := metric(t, s, "filterd_registered_instances"); n != registrySize {
+		t.Fatalf("registered %v distinct instances, want %d", n, registrySize)
 	}
 	resp := s.SyncExchange(SyncRequest{Digest: SyncDigest{Hashes: hashes[1:]}})
 	if len(resp.Instances) != 1 || resp.Instances[0].Hash != hashes[0] {

@@ -27,7 +27,6 @@ import (
 
 // Trace records the execution of nData consecutive data sets.
 type Trace struct {
-	w *plan.Weighted
 	// CalcEnd[n][v] is the completion of node v's computation on data set n.
 	CalcEnd [][]rat.Rat
 	// CommEnd[n][e] is the completion of communication e for data set n.
@@ -87,7 +86,6 @@ func Replay(l *oplist.List, nData int) (*Trace, error) {
 	}
 	w := l.Plan()
 	tr := &Trace{
-		w:       w,
 		CalcEnd: make([][]rat.Rat, nData),
 		CommEnd: make([][]rat.Rat, nData),
 		Start:   make([]rat.Rat, nData),
@@ -172,7 +170,6 @@ func SelfTimedInOrder(w *plan.Weighted, orders orchestrate.Orders, nData int) (*
 
 	end := make([][]rat.Rat, nData) // end[n][op]
 	tr := &Trace{
-		w:       w,
 		CalcEnd: make([][]rat.Rat, nData),
 		CommEnd: make([][]rat.Rat, nData),
 		Start:   make([]rat.Rat, nData),

@@ -88,15 +88,13 @@ func Finalise(nameHash, tuple uint64) uint64 {
 
 // StreamCounts are the per-service tuple counters of one executed stream
 // segment: In counts tuples a service evaluated (every graph ancestor
-// passed them), Out the subset it passed. Completed counts tuples pushed
-// through the graph, Emitted the survivors — tuples alive at every exit
-// service, i.e. passed by every service that saw them on every path to the
-// output.
+// passed them), Out the subset it passed, Emitted the survivors — tuples
+// alive at every exit service, i.e. passed by every service that saw them
+// on every path to the output.
 type StreamCounts struct {
-	In        map[string]uint64
-	Out       map[string]uint64
-	Completed uint64
-	Emitted   uint64
+	In      map[string]uint64
+	Out     map[string]uint64
+	Emitted uint64
 }
 
 // ReferenceStream executes tuples [first, first+n) serially through the
@@ -141,7 +139,6 @@ func ReferenceStream(app *workflow.App, eg *plan.ExecGraph, seed uint64, first, 
 			}
 			pass[v] = alive
 		}
-		counts.Completed++
 		emitted := true
 		for v := 0; v < nv; v++ {
 			if eg.Graph().OutDegree(v) == 0 && !pass[v] {

@@ -77,13 +77,15 @@ cmp -s "$BIN/exec_sched.json" "$BIN/cli_sched.json" || {
 }
 
 # Embedded mode (no -url): a selectivity drift on C3 (declared 7/10, true
-# 1/2). The controller must leave C3's declared selectivity within the
-# relative threshold of the truth. The run also patches undrifted
-# services on sampling noise, so its patch count is not asserted.
+# 1/2). The controller must PATCH exactly once, and leave C3's declared
+# selectivity within the relative threshold of the truth: sampling noise
+# on the undrifted services stays inside three standard errors.
 "$BIN/filterexec" -in testdata/webquery8.json -model overlap -objective period \
-    -threshold 1/8 -drift 'C3=1/2' -dump-instance "$BIN/embedded.json" >/dev/null
+    -threshold 1/8 -drift 'C3=1/2' -json -dump-instance "$BIN/embedded.json" >"$BIN/embedded_report.json"
+EMB_PATCHES=$(sed -n 's/^  "Patches": \([0-9]*\),*$/\1/p' "$BIN/embedded_report.json" | head -1)
 C3_SEL=$(awk '/"name": "C3"/ { c3 = 1 } c3 && /"selectivity"/ { gsub(/[",]/, "", $2); print $2; exit }' "$BIN/embedded.json")
-echo "smoke-exec: embedded run declared C3 selectivity=$C3_SEL (true 1/2)"
+echo "smoke-exec: embedded run patches=$EMB_PATCHES, declared C3 selectivity=$C3_SEL (true 1/2)"
+[ "$EMB_PATCHES" = 1 ] || { echo "smoke-exec: embedded run sent $EMB_PATCHES patches, want 1" >&2; exit 1; }
 echo "$C3_SEL" | awk -F/ '{ s = ($2 == "") ? $1 : $1 / $2; d = s - 0.5; if (d < 0) d = -d; exit !(d <= 0.5 / 8) }' \
     || { echo "smoke-exec: declared C3 selectivity $C3_SEL is not within 1/8 of 1/2" >&2; exit 1; }
 echo "smoke-exec: OK"
