@@ -100,8 +100,9 @@ test-race:
 # under a limit (INORDER period, one-port latency; at the optimum and in a
 # cut-off) allocates no more than the unlimited one on a warm evaluator;
 # building a candidate (FromGraph + Weighted) stays inside a budget that
-# does not grow with n, and the Kahn pass + ancestor sets on a warm
-# dag.Scratch allocate nothing.
+# does not grow with n, the period floor costs two allocations per solve
+# at every n, and the Kahn pass + ancestor sets on a warm dag.Scratch
+# allocate nothing.
 # Must run unraced — the guards self-skip under -race because
 # instrumentation inflates the counts.
 test-alloc:

@@ -627,11 +627,13 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, hash, path strin
 			break
 		}
 		if i < len(owners)-1 {
-			rt.replicaFailovers.Add(1)
 			rt.logger.Info("failing over to the next shard owner",
 				"request_id", obs.From(r.Context()).ID(),
 				"path", path, "shard", shard, "owner", p.url, "next", owners[i+1].url)
 		}
+	}
+	if served != nil && served != primary {
+		rt.replicaFailovers.Add(1)
 	}
 	if served == nil {
 		// No owner committed an answer (down, erroring, or — for a

@@ -36,7 +36,7 @@ func (rt *Router) initMetrics() {
 		"Requests answered by the embedded service (owned locally, unroutable, or failovers).",
 		func() float64 { return float64(rt.localServed.Load()) })
 	m.CounterFunc("filterd_router_replica_failovers_total",
-		"Reads served by a non-preferred owner after an earlier owner failed.",
+		"Requests served by a non-preferred owner after an earlier owner failed.",
 		func() float64 { return float64(rt.replicaFailovers.Load()) })
 	m.CounterFunc("filterd_router_fanout_errors_total",
 		"Failed secondary write copies (tolerated; gossip converges the owner).",

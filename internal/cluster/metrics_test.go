@@ -129,7 +129,7 @@ func TestRouterMetricsCoverStats(t *testing.T) {
 		"filterd_router_forwards_total":          3,
 		"filterd_router_fanout_writes_total":     1,
 		"filterd_router_fanout_errors_total":     0,
-		"filterd_router_replica_failovers_total": 2, // the dead owner, twice
+		"filterd_router_replica_failovers_total": 1, // the co-owner served; the second read was served locally
 		"filterd_router_failovers_total":         1,
 		"filterd_router_retries_total":           4, // forwardRetries per owner found dead
 		"filterd_router_local_served_total":      2,

@@ -106,6 +106,7 @@ func E15Pruning(budget int) Report {
 			"'searched family' is what the search's tree can reach: every chain and forest, but only the transitively reduced DAGs (219 of the 543 on 4 nodes). An edge another path implies changes no data volume and only adds a communication, and the tree's order puts every DAG after its reduction, so wherever dropping such an edge never raises the score the first best DAG is already reduced; the differential suite checks the answers against the blind enumeration of all labeled DAGs.",
 			"Every row checks that the certified optimum is no worse than the greedy chain's value (a chain is a forest is a DAG). That branch-and-bound returns the blind enumeration's Solution bit for bit is pinned by the differential suite in internal/solve, where the enumeration now lives as the test oracle.",
 			"The n=12 chain row is beyond any blind enumeration: the optimum is certified against the greedy-chain incumbent with a ~1e-4% evaluation fraction.",
+			"A period search also stops where a shard's best meets the instance's period floor, a lower bound on every plan's period: no later leaf can beat that value, so the period rows count the nodes up to the first leaf at the floor wherever the optimum meets it.",
 			"Counters come from Workers: 1 runs; parallel runs return the identical Solution but timing-dependent counters.",
 		},
 	}

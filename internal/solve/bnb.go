@@ -73,6 +73,16 @@ package solve
 // the blind enumeration returns — for every worker count. Only the Stats
 // counters vary with the interleaving (run with Workers: 1 for
 // reproducible counts).
+//
+// A period search also stops at the instance's period floor (see the
+// package documentation): a shard whose best meets it expands nothing
+// more, and every shard after the lowest such index does nothing, or
+// stops where it is. No leaf is worth less than the floor, so no skipped
+// leaf could have improved its shard, and no shard after a floor-valued
+// one could win the reduction, which keeps the first strictly best; the
+// shards before it still run in full. Which later shards had started when
+// the floor was met depends on the interleaving, so again only the
+// counters do.
 
 import (
 	"fmt"
@@ -241,14 +251,19 @@ func branchBound(app *workflow.App, m plan.Model, obj Objective, opts Options) (
 // caller's warm-start value (Options.Incumbent), the re-evaluated cached
 // plan of the planning service's drift re-planning. Seeds only feed
 // pruning — the search returns the first enumerated graph reaching the
-// optimum, never the seed itself.
+// optimum, never the seed itself — so a seed at the period floor, which no
+// later seed can lower, ends the seeding.
 func seedIncumbent(inc *incumbent, app *workflow.App, m plan.Model, obj Objective, opts Options) {
-	if opts.Incumbent != nil {
-		inc.offer(*opts.Incumbent)
+	seed := func(v rat.Rat) bool {
+		inc.offer(v)
+		return atFloor(opts.floor, v)
+	}
+	if opts.Incumbent != nil && seed(*opts.Incumbent) {
+		return
 	}
 	if !app.HasPrecedence() {
-		if s, err := greedyChainSolution(app, m, obj, opts); err == nil {
-			inc.offer(s.Value)
+		if s, err := greedyChainSolution(app, m, obj, opts); err == nil && seed(s.Value) {
+			return
 		}
 	}
 	// Below six services the climb costs more than it saves: its 400 + 40n
@@ -315,13 +330,16 @@ type walker[T any] struct {
 	leaf  func(r *result[T], limit orchestrate.Limit) bool
 }
 
-// shard is one shard's search: its walker, its outcome, its counters, its
-// cached view of the shared incumbent and its cancellation probe.
+// shard is one shard's search: its walker, its outcome, its index and the
+// search's floor stop, its counters, its cached view of the shared
+// incumbent and its cancellation probe.
 type shard[T any] struct {
 	walker[T]
 	*result[T]
 	t     *tree[T]
 	inc   *incumbent
+	stop  *floorStop
+	i     int
 	stats Stats
 	cache incumbentCache
 	cc    cancelCheck
@@ -341,10 +359,14 @@ func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan strin
 	// worker runs share one walker.
 	walkers := sync.Pool{New: func() any { w := t.walk(); return &w }}
 	results := make([]result[T], n)
+	stop := floorStop{floor: opts.floor}
 	stats := par.Map(opts.Workers, n, func(i int) Stats {
+		if stop.settled(i) {
+			return Stats{}
+		}
 		w := walkers.Get().(*walker[T])
 		defer walkers.Put(w)
-		sh := shard[T]{walker: *w, result: &results[i], t: &t, inc: inc, cc: cancelCheck{ctx: opts.Ctx}}
+		sh := shard[T]{walker: *w, result: &results[i], t: &t, inc: inc, stop: &stop, i: i, cc: cancelCheck{ctx: opts.Ctx}}
 		sh.replay(0, i, n)
 		return sh.stats
 	})
@@ -394,10 +416,14 @@ func (sh *shard[T]) descend(k int) {
 		sh.stats.Evaluated++
 		if sh.leaf(sh.result, sh.limit()) {
 			sh.inc.offer(sh.val)
+			sh.stop.settle(sh.i, sh.val)
 		}
 		return
 	}
 	for c := range sh.t.children[k] {
+		if sh.stop.settled(sh.i) {
+			return
+		}
 		switch sh.apply(k, c) {
 		case stepSkip:
 			continue

@@ -21,25 +21,31 @@ import (
 // oracle's Solution bit for bit: value, Exact, graph and operation list.
 // The DAG oracle walks every labelled DAG, and its winner must be
 // transitively reduced, the premise of the search's reduced tree (bnb.go).
-// who names the instance in a failure. It returns the number of solves.
-func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, obj Objective, family Family) int {
+// who names the instance in a failure. It returns the number of solves,
+// and how many of them returned the period floor: there the winning shard
+// (and, through Auto, the seeding climb) stops at the floor, so the stop
+// path is what those solves compare against the oracle.
+func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, obj Objective, family Family) (solves, atFloor int) {
 	t.Helper()
 	blind := oracleSolve(t, app, m, obj, family)
 	if family == FamilyDAG && !blind.Graph.Graph().IsReduced() {
 		t.Fatalf("%s %s/%s: the blind oracle's best DAG %s is not transitively reduced", who, m, obj, blind.Graph)
 	}
+	met := obj == PeriodObjective && periodFloor(app, m).Equal(blind.Value)
 	want := describeSolution(blind)
 	asks := []Options{{Method: BranchBound, Family: family}}
 	if autoMethod(app, obj, Options{}) == BranchBound && ResolveFamily(app, obj, FamilyAuto) == family {
 		asks = append(asks, Options{Method: Auto})
 	}
-	solves := 0
 	for _, ask := range asks {
 		for _, workers := range []int{1, 4} {
 			for _, noMemo := range []bool{true, false} {
 				opts := ask
 				opts.Orch, opts.Restarts, opts.Workers, opts.noMemo = smallOrch(), 1, workers, noMemo
 				solves++
+				if met {
+					atFloor++
+				}
 				if got := describeSolution(solveOnce(t, app, m, obj, opts)); got != want {
 					t.Fatalf("%s %s/%s method=%s family=%s workers=%d noMemo=%v diverged from the blind oracle over %ss:\n--- oracle ---\n%s\n--- search ---\n%s",
 						who, m, obj, ask.Method, ask.Family, workers, noMemo, family, want, got)
@@ -47,7 +53,7 @@ func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, 
 			}
 		}
 	}
-	return solves
+	return solves, atFloor
 }
 
 // oracleTooSlow thins the cells where the blind enumeration costs seconds:
@@ -111,7 +117,7 @@ func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 		{2, true, 50, 4}, {3, true, 60, 6}, {4, true, 30, 4}, {5, true, 1, 0},
 	}
 	t.Run("corpus", func(t *testing.T) {
-		instances, solves := 0, 0
+		instances, solves, atFloor := 0, 0, 0
 		for si, shape := range shapes {
 			count := shape.full
 			if testing.Short() || raceEnabled {
@@ -138,14 +144,18 @@ func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 					for _, m := range plan.Models {
 						for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 							if !oracleTooSlow(family, app, m, obj) {
-								solves += agreeWithOracle(t, who, app, m, obj, family)
+								s, f := agreeWithOracle(t, who, app, m, obj, family)
+								solves, atFloor = solves+s, atFloor+f
 							}
 						}
 					}
 				}
 			}
 		}
-		t.Logf("%d instances, %d solves", instances, solves)
+		if atFloor == 0 {
+			t.Errorf("no solve of %d returned the period floor: the floor stop went unchecked", solves)
+		}
+		t.Logf("%d instances, %d solves, %d at the period floor", instances, solves, atFloor)
 	})
 }
 

@@ -36,6 +36,7 @@ package solve
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/plan"
@@ -68,18 +69,22 @@ func unitCosts(app *workflow.App, m plan.Model) unitTables {
 	n := app.N()
 	u := unitTables{m: m, cexec: make([]rat.Rat, n*(n+1)), cs: make([]rat.Rat, n)}
 	for v := 0; v < n; v++ {
-		c, s := app.Cost(v), app.Selectivity(v)
-		u.cs[v] = c.Add(s)
+		u.cs[v] = app.Cost(v).Add(app.Selectivity(v))
 		for k := 0; k <= n; k++ {
-			sK := s.MulInt(int64(max(1, k)))
-			if m == plan.Overlap {
-				u.cexec[v*(n+1)+k] = rat.MaxOf(rat.One, c, sK)
-			} else {
-				u.cexec[v*(n+1)+k] = rat.One.Add(c).Add(sK)
-			}
+			u.cexec[v*(n+1)+k] = unitCexec(app, m, v, k)
 		}
 	}
 	return u
+}
+
+// unitCexec is the Cexec of service v with k consumers on input product 1
+// under model m (see unitTables).
+func unitCexec(app *workflow.App, m plan.Model, v, k int) rat.Rat {
+	c, sK := app.Cost(v), app.Selectivity(v).MulInt(int64(max(1, k)))
+	if m == plan.Overlap {
+		return rat.MaxOf(rat.One, c, sK)
+	}
+	return rat.One.Add(c).Add(sK)
 }
 
 // unit returns the unit-volume Cexec of v with k consumers.
@@ -429,6 +434,72 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 		bound = rat.Max(bound, last)
 	}
 	return bound
+}
+
+// --- the period floor ---
+
+// periodFloor bounds the period of every plan of app under model m from
+// below, with or without precedence constraints: chainCompletionBound's
+// pigeonhole argument, carried from chains to every DAG. In a topological
+// order of a plan, the service v at position k has at most k ancestors,
+// so its input product is at least P_k(v), the product of the k smallest
+// shrink factors among the other services. Each term of its Cexec — Cin
+// (a sum of predecessor outputs, each a product over at most k of those
+// services; or 1 at a source), Ccomp and Cout — is then at least the unit
+// one scaled by P_k(v), so the plan's period is at least
+// max_k unitCexec(π_k, 0)·P_k(π_k) for its order π. The floor is the
+// bottleneck assignment: the minimum of that maximum over every order π.
+// Precedence only adds ancestors, so it holds under precedence as well.
+//
+// A cost P_k(v)·unitCexec(v, 0) never grows with k (every shrink factor is
+// at most 1), so under a threshold T each service may stand on a suffix of
+// the positions, and an assignment exists iff, for every k, at least k+1
+// services may stand at position k or before (the i-th smallest first
+// feasible position is at most i). That holds iff the (k+1)-th smallest
+// cost at position k is at most T, so the floor is the largest of those
+// n order statistics: n² Muls and n sorts of n Rats, in two allocations
+// whatever n (while the products fit int64 Rats).
+func periodFloor(app *workflow.App, m plan.Model) rat.Rat {
+	n := app.N()
+	rats, ints := make([]rat.Rat, 4*n), make([]int, 2*n)
+	factor, unit, prod, col := rats[:n], rats[n:2*n], rats[2*n:3*n], rats[3*n:]
+	byFactor, rank := ints[:n], ints[n:]
+	for v := 0; v < n; v++ {
+		factor[v], unit[v], prod[v], byFactor[v] = shrinkFactor(app, v), unitCexec(app, m, v, 0), rat.One, v
+	}
+	slices.SortStableFunc(byFactor, func(a, b int) int { return factor[a].Cmp(factor[b]) })
+	for r, v := range byFactor {
+		rank[v] = r
+	}
+	floor := rat.Zero
+	for k := 0; k < n; k++ {
+		// prod[v] is P_k(v); col, sorted, holds position k's costs.
+		for v := range col {
+			col[v] = unit[v].Mul(prod[v])
+		}
+		slices.SortFunc(col, rat.Rat.Cmp)
+		floor = rat.Max(floor, col[k])
+		if k+1 == n {
+			break
+		}
+		// P_{k+1}(v) gains the (k+1)-th smallest factor of the others:
+		// byFactor[k], or byFactor[k+1] once v itself is among the first k+1.
+		for v := range prod {
+			j := k
+			if rank[v] <= k {
+				j = k + 1
+			}
+			prod[v] = prod[v].Mul(factor[byFactor[j]])
+		}
+	}
+	return floor
+}
+
+// atFloor reports whether v meets floor (nil: no floor). Every plan's
+// period is at least the floor, so a search holding a plan of value v
+// can find nothing strictly better.
+func atFloor(floor *rat.Rat, v rat.Rat) bool {
+	return floor != nil && v.Leq(*floor)
 }
 
 // --- chains ---

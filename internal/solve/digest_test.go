@@ -26,12 +26,13 @@ import (
 // counter halves re-recorded when the order searches gained cut-offs and
 // the exact search lost its climb seed below six services, and again when
 // the DAG tree began cutting every orientation that leaves an implied edge
-// (fewer nodes expanded and graphs evaluated, the same answers).
+// (fewer nodes expanded and graphs evaluated, the same answers), and again
+// when the searches began stopping at the period floor.
 const (
 	answerDigestFull   = "75fe13a8215d91c28cb39489f7879fcfcc7f4d60bbb7048b78afecfa1c237685"
-	counterDigestFull  = "7326a6fb9ff0db648fb28859aad98a4c3f4d5b2ffaa47a3b2ed530b6217afe1e"
+	counterDigestFull  = "25c8d3246e9fb24a0d30a9a0cad4d6a2148736e2775d5f60e7e6a922b854833a"
 	answerDigestShort  = "bc846e970773b47390ceef23af722f5d92a40a9314b18511ce8165e1ee6ffc22"
-	counterDigestShort = "17e98498ab0381fc3688da20adb07187d9c3f9cdb8ceaf3281df09e854c9908f"
+	counterDigestShort = "23cc530957f14671cf3a1fb1613b042d4939c0279e6b612c6fabcdbd251542be"
 )
 
 // digestCorpus draws, per selectivity profile, free instances of 4 to 6

@@ -45,7 +45,9 @@ func fuzzApps(data []byte) []*workflow.App {
 // branch-and-bound at 1 and 2 workers returns the blind oracle's Solution
 // over ALL labelled DAGs bit for bit, whose winner is transitively reduced
 // (the premise of the search's reduced tree), validates under its model and
-// is Exact exactly where exactOrchestration says the orchestration is. The
+// is Exact exactly where exactOrchestration says the orchestration is; for
+// the period objective the oracle's optimum is at least the period floor,
+// where the search's shards stop (periodFloor). The
 // cells oracleTooSlow thins (one-port period over the 543 DAGs of a free
 // n = 4) are skipped, as the seeded suite skips them.
 func FuzzExactMatchesOracle(f *testing.F) {
@@ -64,6 +66,9 @@ func FuzzExactMatchesOracle(f *testing.F) {
 					blind := oracleSolve(t, app, m, obj, FamilyDAG)
 					if !blind.Graph.Graph().IsReduced() {
 						t.Fatalf("%s/%s: the blind oracle's best DAG %s is not transitively reduced", m, obj, blind.Graph)
+					}
+					if floor := periodFloor(app, m); obj == PeriodObjective && floor.Greater(blind.Value) {
+						t.Fatalf("%s/%s: period floor %s above the blind oracle's optimum %s", m, obj, floor, blind.Value)
 					}
 					want := describeSolution(blind)
 					for _, workers := range []int{1, 2} {

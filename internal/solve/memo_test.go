@@ -54,9 +54,15 @@ func TestMemoDoesNotChangeSolutions(t *testing.T) {
 // TestMemoHitsAcrossSearchPhases pins the point of the memo: from six
 // services up the branch-and-bound search seeds its incumbent with
 // greedy-chain and hill-climb solutions whose graphs the enumeration then
-// reaches again, so the solve's memo must serve hits.
+// reaches again, so the solve's memo must serve hits. A seed at the period
+// floor ends the seeding, so the instance's greedy chain must be above its
+// floor for the climb seed to run.
 func TestMemoHitsAcrossSearchPhases(t *testing.T) {
-	app := gen.App(gen.NewRand(31), climbSeedMinN, gen.Mixed)
+	app := gen.App(gen.NewRand(33), climbSeedMinN, gen.Mixed)
+	floor := periodFloor(app, plan.InOrder)
+	if greedy := ChainPeriodValue(app, GreedyChainOrder(app, plan.InOrder), plan.InOrder); atFloor(&floor, greedy) {
+		t.Fatalf("the greedy chain meets the period floor %s: no climb seed runs", floor)
+	}
 	var ef Effort
 	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Restarts: 2, Workers: 1, Effort: &ef}
 	if _, err := MinPeriod(app, plan.InOrder, opts); err != nil {

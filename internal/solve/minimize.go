@@ -3,6 +3,7 @@ package solve
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dag"
@@ -131,6 +132,10 @@ func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 	// memo) already orchestrated or cut off.
 	if !opts.noMemo && (method == HillClimb || method == BranchBound) {
 		opts.memo = orchestrate.NewMemo()
+	}
+	if obj == PeriodObjective && (method == HillClimb || method == BranchBound) {
+		floor := periodFloor(app, m)
+		opts.floor = &floor
 	}
 	switch method {
 	case GreedyChain:
@@ -363,10 +368,55 @@ func hillClimbForest(app *workflow.App, m plan.Model, obj Objective, opts Option
 	}
 
 	costs := unitCosts(app, m)
-	shards := par.Map(opts.Workers, len(seeds), func(i int) shardResult {
+	return climbRestarts(opts, len(seeds), func(i int) shardResult {
 		return climbForestFrom(app, m, obj, opts, costs, seeds[i], climbBudget(n, len(seeds)), i)
 	})
+}
+
+// climbRestarts runs restarts 0..n-1 on the worker pool and reduces their
+// winners in restart order. A restart whose best meets the period floor
+// settles the search: the restarts after it do nothing (floorStop).
+func climbRestarts(opts Options, n int, restart func(i int) shardResult) (Solution, error) {
+	stop := floorStop{floor: opts.floor}
+	shards := par.Map(opts.Workers, n, func(i int) shardResult {
+		if stop.settled(i) {
+			return shardResult{}
+		}
+		r := restart(i)
+		if r.ok {
+			stop.settle(i, r.val)
+		}
+		return r
+	})
 	return reduceShards(shards, opts, "hill climbing found no feasible plan")
+}
+
+// floorStop is the shard-order stop of one parallel search: the solve's
+// period floor, and 1 + the lowest index of a shard whose best met it (0:
+// none yet). No shard after that one can win the reduction — its best is
+// at least the floor, and reduce keeps the first strictly best — so it
+// does nothing, or stops where it is. A nil floor never settles.
+type floorStop struct {
+	floor *rat.Rat
+	first atomic.Int64
+}
+
+// settle records that shard i holds a best of value v.
+func (s *floorStop) settle(i int, v rat.Rat) {
+	if !atFloor(s.floor, v) {
+		return
+	}
+	for f := s.first.Load(); f == 0 || int64(i) < f-1; f = s.first.Load() {
+		if s.first.CompareAndSwap(f, int64(i)+1) {
+			return
+		}
+	}
+}
+
+// settled reports whether shard i, or a shard before it, met the floor.
+func (s *floorStop) settled(i int) bool {
+	f := s.first.Load()
+	return f != 0 && int64(i) >= f-1
 }
 
 // climbForestFrom runs restart i of the hill climb over forest parent
@@ -432,10 +482,9 @@ func hillClimbDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) 
 		starts = append(starts, g)
 	}
 	costs := unitCosts(app, m)
-	shards := par.Map(opts.Workers, len(starts), func(i int) shardResult {
+	return climbRestarts(opts, len(starts), func(i int) shardResult {
 		return climbDAGFrom(app, m, obj, opts, costs, starts[i], climbBudget(app.N(), len(starts)))
 	})
-	return reduceShards(shards, opts, "hill climbing found no feasible plan")
 }
 
 // climbDAGFrom runs one hill climb over DAG edge sets from the given start
@@ -463,9 +512,9 @@ func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 // skips without charge a move graphEval.reaches rules out (a cycle, a broken
 // precedence constraint, or a bound at the current value), orchestrates the
 // rest with the current value as the limit, keeps a strict improvement, and
-// reports whether budget is left.
+// reports whether budget is left and the climb goes on.
 // r.best is the climb's current point: only strict improvements are ever
-// accepted.
+// accepted, so the climb returns once that point meets the period floor.
 func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, g *dag.Graph, budget int,
 	moves func(e *graphEval, x int, try func(v, a, b int) bool)) shardResult {
 	var r shardResult
@@ -475,27 +524,27 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 		r.fail(err)
 		return r
 	}
-	if !offerGraph(&r, eg, m, obj, opts, orchestrate.NoLimit) {
+	if !offerGraph(&r, eg, m, obj, opts, orchestrate.NoLimit) || atFloor(opts.floor, r.val) {
 		return r
 	}
 	e := newGraphEval(app, costs, obj, g)
-	improved := true
+	improved, settled := true, false
 	try := func(v, a, b int) bool {
-		if !e.reaches(v, a, b, r.best.Value) {
+		if !settled && !e.reaches(v, a, b, r.best.Value) {
 			budget--
 			if eg, err := e.candidate(v, a, b); err != nil {
 				r.fail(err)
 			} else if offerGraph(&r, eg, m, obj, opts, r.limit()) {
 				e.Move(v, a, b)
-				improved = true
+				improved, settled = true, atFloor(opts.floor, r.val)
 			}
 		}
-		return budget > 0
+		return budget > 0 && !settled
 	}
 	cc := cancelCheck{ctx: opts.Ctx}
-	for improved && budget > 0 && !cc.stop() {
+	for improved && budget > 0 && !settled && !cc.stop() {
 		improved = false
-		for x := 0; x < app.N() && budget > 0 && !cc.stop(); x++ {
+		for x := 0; x < app.N() && budget > 0 && !settled && !cc.stop(); x++ {
 			moves(e, x, try)
 		}
 	}

@@ -51,6 +51,23 @@
 // the process solved before. GreedyChain, Reevaluate and BiCriteria score
 // without one.
 //
+// # Period floor
+//
+// No plan of an instance has a period below its period floor (periodFloor,
+// bound.go): in a topological order the service at position k has at most
+// k ancestors, so its input product is at least the product of the k
+// smallest shrink factors among the others, and the best assignment of
+// services to positions bounds the period of every plan, with or without
+// precedence constraints. minimize computes it once per period solve of
+// HillClimb and BranchBound. A climb whose current value meets it returns;
+// a restart or a branch-and-bound shard whose best meets it stops, and the
+// shards after it in shard order do nothing; a branch-and-bound incumbent
+// seed that meets it ends the seeding. Every score is the value of a
+// real schedule, so none of the skipped candidates could score strictly
+// below that best: climbs keep strict improvements only, and reduce keeps
+// the first strictly best in shard order, so the Solution is the one the
+// full search returns, at every worker count. Only the effort moves.
+//
 // # Parallel search
 //
 // The branch-and-bound searches and the hill-climbing restarts run on the
@@ -189,6 +206,11 @@ type Options struct {
 	// tally accumulates the Effort of one solve; only minimize sets it,
 	// and only when Effort is set.
 	tally *tally
+	// floor is the period floor of one solve (periodFloor), where a climb,
+	// a restart or a branch-and-bound shard stops (see "Period floor" in
+	// the package documentation); only minimize sets it, for the period
+	// objective of HillClimb and BranchBound. Nil means no floor.
+	floor *rat.Rat
 }
 
 // ctxErr converts a done context into the search abort error (nil context
