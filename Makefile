@@ -110,8 +110,8 @@ test-alloc:
 
 # One pass over every go-test benchmark: the experiments E1-E12, the
 # component benchmarks, BranchBound (ns per expanded node of the whole
-# exact solve at Workers 1: chain n = 12, forest n = 7, DAG n = 5 without
-# and with precedence), the branch-and-bound partial bounds (BenchmarkPartialBound: ns/node and allocs/node over the whole
+# exact solve at Workers 1: forest n = 7, DAG n = 5 without and with
+# precedence), the branch-and-bound partial bounds (BenchmarkPartialBound: ns/node and allocs/node over the whole
 # forest n = 7 and DAG n = 5 search trees on a warm scratch), the order
 # search's cut-off (BenchmarkScoreCutoff: ns/op of one one-port latency
 # scoring at n = 6, 7 with no limit and with the limit at 0.9 × the

@@ -161,9 +161,8 @@ func BenchmarkSelfTimedSimulation(b *testing.B) {
 }
 
 // BenchmarkBranchBound times the exact search per expanded node, one
-// family per sub-benchmark at its size cap: chains at n = 12 (12!
-// candidates, which no blind enumeration finishes), forests at n = 7 and
-// DAGs at n = 5, without and with precedence. ns/node is the whole solve
+// family per sub-benchmark at its size cap: forests at n = 7 and DAGs at
+// n = 5, without and with precedence. ns/node is the whole solve
 // (incumbent seeding and orchestration included) over the Search.Expanded
 // of its Options.Effort, and leaves/op its Search.Evaluated, the graphs
 // scored per solve. Read the two together: a cut that removes cheap nodes,
@@ -177,7 +176,6 @@ func BenchmarkBranchBound(b *testing.B) {
 		family solve.Family
 		app    *workflow.App
 	}{
-		{"chain-n12", solve.FamilyChain, gen.App(gen.NewRand(42), 12, gen.Filtering)},
 		{"forest-n7", solve.FamilyForest, gen.App(gen.NewRand(7), 7, gen.Filtering)},
 		{"dag-n5", solve.FamilyDAG, gen.App(gen.NewRand(5), 5, gen.Mixed)},
 		{"dag-n5-prec", solve.FamilyDAG, gen.AppWithPrecedence(gen.NewRand(5), 5, gen.Mixed, 0.4)},

@@ -9,7 +9,7 @@
 //	filterplan -in instance.json [-model overlap|inorder|outorder]
 //	           [-objective period|latency]
 //	           [-method auto|greedy-chain|hill-climb|bnb]
-//	           [-family auto|chain|forest|dag]
+//	           [-family auto|forest|dag]
 //	           [-workers N] [-canon] [-gantt] [-timeline] [-replay N]
 //	filterplan -demo fig1|b1|b2    (run on a built-in paper instance)
 //
@@ -23,13 +23,13 @@
 // bounds every partial graph from below (the per-server Cexec maximum and
 // the heaviest path, taken on partial structures) and prunes subtrees that
 // cannot beat the incumbent seeded by the greedy and hill-climbing
-// solutions. It accepts chains to n=12, forests to n=7 and DAGs to n=5
-// and, whether asked for by name or dispatched by auto, reports the search
-// effort as nodes expanded / candidates evaluated / subtrees pruned.
-// -family restricts the searched structural family: the default auto picks
-// the family whose optimum is global (forests for period without
-// precedence constraints, DAGs otherwise); chain certifies optimality
-// among chains on the largest instances.
+// solutions. It accepts forests to n=7 and DAGs to n=5 and, whether asked
+// for by name or dispatched by auto, reports the search effort as nodes
+// expanded / candidates evaluated / subtrees pruned. -family restricts the
+// searched structural family: the default auto picks the family whose
+// optimum is global (forests for period without precedence constraints,
+// DAGs otherwise). The optimum among chains needs no search: it is
+// greedy-chain's (Prop. 8 and 16).
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 		modelName = flag.String("model", "overlap", "communication model: overlap, inorder, outorder")
 		objective = flag.String("objective", "period", "objective: period or latency")
 		method    = flag.String("method", "auto", "search method: auto, greedy-chain, hill-climb, bnb (branch-and-bound)")
-		family    = flag.String("family", "auto", "structural family for -method bnb: auto, chain, forest, dag")
+		family    = flag.String("family", "auto", "structural family for -method bnb: auto, forest, dag")
 		workers   = flag.Int("workers", 0, "worker goroutines for the plan search (0 = all CPUs, 1 = serial; any value returns the same plan)")
 		canonical = flag.Bool("canon", false, "canonicalize the instance first (the filterd service form) and print its content hash")
 		gantt     = flag.Bool("gantt", false, "print an ASCII Gantt chart of the schedule")

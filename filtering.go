@@ -185,7 +185,8 @@ const (
 	HillClimb = solve.HillClimb
 	// BranchBound is the exact search: it certifies the optimum of a
 	// structural family by incremental construction with lower-bound
-	// pruning (chains to n=12, forests to n=7, DAGs to n=5 by default).
+	// pruning (forests to n=7, DAGs to n=5 by default). The optimum among
+	// chains is GreedyChain's.
 	// Set SolveOptions.Effort to observe the search effort and
 	// SolveOptions.Family to force a structural family.
 	BranchBound = solve.BranchBound
@@ -196,8 +197,6 @@ const (
 	// FamilyAuto searches the family whose optimum is global: forests for
 	// period without precedence constraints (Prop. 4), DAGs otherwise.
 	FamilyAuto = solve.FamilyAuto
-	// FamilyChain searches linear chains (optimal among chains).
-	FamilyChain = solve.FamilyChain
 	// FamilyForest searches forests (period-optimal by Prop. 4).
 	FamilyForest = solve.FamilyForest
 	// FamilyDAG searches general DAGs.

@@ -57,19 +57,17 @@ func Method(s string) (solve.Method, error) {
 	}
 }
 
-// Family parses a branch-and-bound structural-family name: auto, chain,
-// forest, dag.
+// Family parses a branch-and-bound structural-family name: auto, forest,
+// dag.
 func Family(s string) (solve.Family, error) {
 	switch strings.ToLower(s) {
 	case "auto":
 		return solve.FamilyAuto, nil
-	case "chain":
-		return solve.FamilyChain, nil
 	case "forest":
 		return solve.FamilyForest, nil
 	case "dag":
 		return solve.FamilyDAG, nil
 	default:
-		return 0, fmt.Errorf("unknown family %q (want auto, chain, forest or dag)", s)
+		return 0, fmt.Errorf("unknown family %q (want auto, forest or dag)", s)
 	}
 }

@@ -167,8 +167,9 @@ func FuzzBatchRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s}, {"instance": %s, "model": "inorder", "objective": "latency"}]}`, small, prec))
-	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "bnb", "family": "chain"}, {"instance": %s, "model": "bogus"}, {"instance": %s}]}`, small, small, small))
+	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "bnb", "family": "forest"}, {"instance": %s, "model": "bogus"}, {"instance": %s}]}`, small, small, small))
 	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "hill-climb", "restarts": 2, "seed": 5}, {"model": "overlap"}, null]}`, prec))
+	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "bnb", "family": "chain"}, {"instance": %s}]}`, small, small))
 	f.Add(fmt.Sprintf(`{"requests": [{"instance": %s, "method": "greedy-chain"}]} trailing`, prec))
 	f.Add(`{"requests": [{"instance": {"services": []}}]}`)
 	f.Add(`{"requests": []}`)

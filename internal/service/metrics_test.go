@@ -104,7 +104,7 @@ func TestMetricsCoverStats(t *testing.T) {
 
 	// A plan, then a batch with a duplicate and a rejected item.
 	hash, target, _ := planAndTarget(t, s)
-	item := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "chain"}`,
+	item := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "forest"}`,
 		readTestdata(t, "mixed6.json"))
 	doJSON(t, "POST", ts.URL+"/v1/batch",
 		fmt.Sprintf(`{"requests": [%s, %s, {"instance": {"services": []}}]}`, item, item), nil)

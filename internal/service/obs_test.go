@@ -162,11 +162,11 @@ type explainDoc struct {
 // counters everywhere — the persisted effort record replays bit-identical.
 func TestExplainAcrossServePaths(t *testing.T) {
 	dir := t.TempDir()
-	// mixed6 has no precedence constraints, so the chain branch-and-bound
+	// mixed6 has no precedence constraints, so the forest branch-and-bound
 	// applies — the same configuration smoke_cluster.sh cross-checks
 	// against filterplan.
 	instance := readTestdata(t, "mixed6.json")
-	body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "chain"}`, instance)
+	body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "forest"}`, instance)
 
 	boot := func() (*Server, *httptest.Server) {
 		st, err := store.Open(dir)
@@ -197,7 +197,7 @@ func TestExplainAcrossServePaths(t *testing.T) {
 	if solved.Source != "solve" || solved.Outcome != "miss" {
 		t.Fatalf("fresh solve source/outcome = %q/%q", solved.Source, solved.Outcome)
 	}
-	if solved.Method != "branch-bound" || solved.Family != "chain" {
+	if solved.Method != "branch-bound" || solved.Family != "forest" {
 		t.Fatalf("resolved method/family = %q/%q", solved.Method, solved.Family)
 	}
 	if solved.Solver == nil || solved.Solver.Expanded == 0 {
@@ -244,7 +244,7 @@ func TestExplainAcrossServePaths(t *testing.T) {
 		stored.Orch.MemoHits != solved.Orch.MemoHits {
 		t.Fatalf("store orch counters %+v != solve's %+v", stored.Orch, solved.Orch)
 	}
-	if stored.Method != "branch-bound" || stored.Family != "chain" {
+	if stored.Method != "branch-bound" || stored.Family != "forest" {
 		t.Fatalf("restart method/family = %q/%q", stored.Method, stored.Family)
 	}
 }
@@ -337,7 +337,7 @@ func TestExplainShowsCutOffs(t *testing.T) {
 func TestSolverStatsSurfaced(t *testing.T) {
 	_, ts := newTestAPI(t)
 	instance := readTestdata(t, "mixed6.json")
-	body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "chain"}`, instance)
+	body := fmt.Sprintf(`{"instance": %s, "model": "inorder", "objective": "period", "method": "bnb", "family": "forest"}`, instance)
 	if resp := doJSON(t, "POST", ts.URL+"/v1/plan", body, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan status %d", resp.StatusCode)
 	}

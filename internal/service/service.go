@@ -466,7 +466,7 @@ func (s *Server) validate(req Request) error {
 		return fmt.Errorf("service: unknown method %v", req.Method)
 	}
 	switch req.Family {
-	case solve.FamilyAuto, solve.FamilyChain, solve.FamilyForest, solve.FamilyDAG:
+	case solve.FamilyAuto, solve.FamilyForest, solve.FamilyDAG:
 	default:
 		return fmt.Errorf("service: unknown family %v", req.Family)
 	}
@@ -748,8 +748,6 @@ func remapGraph(oldApp, newApp *workflow.App, g *plan.ExecGraph) (*plan.ExecGrap
 // edge another path implies is not a member.
 func familyMember(eg *plan.ExecGraph, req Request, app *workflow.App) bool {
 	switch solve.ResolveFamily(app, req.Objective, req.Family) {
-	case solve.FamilyChain:
-		return eg.IsChain()
 	case solve.FamilyForest:
 		return eg.IsForest()
 	default:

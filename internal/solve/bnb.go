@@ -1,7 +1,9 @@
 package solve
 
 // The exact search: one branch-and-bound driver over the decision trees of
-// chains, forests and DAGs.
+// forests and DAGs. The optimum among chains needs no search: the paper's
+// greedy orders (Prop. 8 and 16, Method GreedyChain) reach it in
+// O(n log n).
 //
 // A blind enumeration orchestrates every member of a structural family and
 // keeps the first strictly best (the test suite's oracle, oracle_test.go,
@@ -19,16 +21,17 @@ package solve
 // two rules as a bound (shard.limit), so a candidate that could neither
 // improve its shard nor win the reduction ends in an order-search cut-off.
 //
-// # One driver, three trees
+// # One driver, two trees
 //
 // A family is only its decision tree (a tree): how many decisions lead to
-// a leaf, how many choices each has — chains place one of the n−k
-// remaining services at position k, forests give node v one of n+1
+// a leaf, how many choices each has — forests give node v one of n+1
 // parents (none, or a node), DAGs orient node pair k one of 3 ways (no
 // edge, u→v, v→u) — and, per shard, how a choice is applied and undone,
-// the partial bound and the leaf's score. The driver, branchAndBound, owns
-// the rest: the shards, both pruning rules, the Expanded/Pruned/Evaluated
-// counters, the cancellation probe, the leaf dispatch and the reduction.
+// the partial bound and the leaf's score, a scored graph offered to the
+// shard's result. The driver, branchAndBound, owns the rest: the shards,
+// both pruning rules, the Expanded/Pruned/Evaluated counters, the
+// cancellation probe, the leaf dispatch, the reduction and the winner's
+// materialisation.
 // A choice that is not a member of the family (a forest parent that
 // closes a cycle) is skipped uncounted, like a child the tree never had;
 // a choice that is a member but dooms every completion (a DAG edge that
@@ -58,9 +61,9 @@ package solve
 // # Determinism
 //
 // The top of the tree is sharded over the par pool: shard i is the i-th
-// combination of choices for the first split decisions (chains by first
-// service, forests by the first two parents, DAGs by the first three pair
-// orientations), and per-shard winners reduce in shard order. The shared
+// combination of choices for the first split decisions (forests by the
+// first two parents, DAGs by the first three pair orientations), and
+// per-shard winners reduce in shard order. The shared
 // incumbent makes the SET of expanded nodes depend on worker interleaving,
 // but not the returned Solution, because pruning follows two rules: against
 // the shared incumbent the test is STRICT (bound > incumbent), and ties
@@ -105,9 +108,6 @@ const (
 	// FamilyAuto picks the family that makes the search exact: forests for
 	// MINPERIOD without precedence constraints (Prop. 4), DAGs otherwise.
 	FamilyAuto Family = iota
-	// FamilyChain searches the n! linear chains (optimal among chains;
-	// closed-form evaluation, no orchestration per candidate).
-	FamilyChain
 	// FamilyForest searches all forests.
 	FamilyForest
 	// FamilyDAG searches the transitively reduced DAGs containing the
@@ -122,8 +122,6 @@ func (f Family) String() string {
 	switch f {
 	case FamilyAuto:
 		return "auto"
-	case FamilyChain:
-		return "chain"
 	case FamilyForest:
 		return "forest"
 	case FamilyDAG:
@@ -134,9 +132,8 @@ func (f Family) String() string {
 }
 
 // Default instance-size caps of the branch-and-bound searches
-// (Options.MaxExactN overrides all of them).
+// (Options.MaxExactN overrides both).
 const (
-	bnbMaxChainN  = 12
 	bnbMaxForestN = 7
 	bnbMaxDAGN    = 5
 )
@@ -212,8 +209,8 @@ func (in *incumbent) prunes(c *incumbentCache, bound rat.Rat) bool {
 // (the Prop. 4 certificate), DAGs otherwise. Non-auto families pass
 // through. Warm-start callers (the planning service) use it to check that
 // a seed value is achievable within the searched family before offering it
-// as Options.Incumbent: a chain for FamilyChain, a forest for FamilyForest,
-// a transitively reduced DAG for FamilyDAG.
+// as Options.Incumbent: a forest for FamilyForest, a transitively reduced
+// DAG for FamilyDAG.
 func ResolveFamily(app *workflow.App, obj Objective, fam Family) Family {
 	if fam != FamilyAuto {
 		return fam
@@ -231,8 +228,6 @@ func ResolveFamily(app *workflow.App, obj Objective, fam Family) Family {
 // branchBound dispatches the BranchBound method to its family search.
 func branchBound(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	switch ResolveFamily(app, obj, opts.Family) {
-	case FamilyChain:
-		return branchBoundChain(app, m, obj, opts)
 	case FamilyForest:
 		return branchBoundForest(app, m, obj, opts)
 	case FamilyDAG:
@@ -311,10 +306,10 @@ const (
 // tree is one family's decision tree: depth decisions lead to a leaf,
 // decision k has children[k] choices, and the first split decisions shard
 // the search. walk builds one shard's private decision state.
-type tree[T any] struct {
+type tree struct {
 	depth, split int
 	children     []int
-	walk         func() walker[T]
+	walk         func() walker
 }
 
 // walker is one shard's decision state. apply takes choice c at decision k
@@ -323,20 +318,20 @@ type tree[T any] struct {
 // first k decisions from below (nil: the search never prunes). leaf scores
 // the complete decision into r under the shard's acceptance limit (a
 // scoring above it may be cut off) and reports whether r's best improved.
-type walker[T any] struct {
+type walker struct {
 	apply func(k, c int) step
 	undo  func(k, c int)
 	bound func(k int) rat.Rat
-	leaf  func(r *result[T], limit orchestrate.Limit) bool
+	leaf  func(r *shardResult, limit orchestrate.Limit) bool
 }
 
 // shard is one shard's search: its walker, its outcome, its index and the
 // search's floor stop, its counters, its cached view of the shared
 // incumbent and its cancellation probe.
-type shard[T any] struct {
-	walker[T]
-	*result[T]
-	t     *tree[T]
+type shard struct {
+	walker
+	*shardResult
+	t     *tree
 	inc   *incumbent
 	stop  *floorStop
 	i     int
@@ -346,10 +341,10 @@ type shard[T any] struct {
 }
 
 // branchAndBound searches t on the par pool, pruning against inc, and
-// returns the first strictly best leaf of the serial order — see the file
-// comment. The counters go to the solve's tally when it has one; noPlan
-// words the error when no leaf was kept.
-func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan string) (T, error) {
+// returns the first strictly best leaf of the serial order, materialised —
+// see the file comment. The counters go to the solve's tally when it has
+// one; noPlan words the error when no leaf was kept.
+func branchAndBound(t tree, inc *incumbent, opts Options, noPlan string) (Solution, error) {
 	t.split = min(t.split, t.depth)
 	n := 1
 	for _, c := range t.children[:t.split] {
@@ -358,15 +353,15 @@ func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan strin
 	// A shard hands its walker back as it found it, so the shards one
 	// worker runs share one walker.
 	walkers := sync.Pool{New: func() any { w := t.walk(); return &w }}
-	results := make([]result[T], n)
+	results := make([]shardResult, n)
 	stop := floorStop{floor: opts.floor}
 	stats := par.Map(opts.Workers, n, func(i int) Stats {
 		if stop.settled(i) {
 			return Stats{}
 		}
-		w := walkers.Get().(*walker[T])
+		w := walkers.Get().(*walker)
 		defer walkers.Put(w)
-		sh := shard[T]{walker: *w, result: &results[i], t: &t, inc: inc, stop: &stop, i: i, cc: cancelCheck{ctx: opts.Ctx}}
+		sh := shard{walker: *w, shardResult: &results[i], t: &t, inc: inc, stop: &stop, i: i, cc: cancelCheck{ctx: opts.Ctx}}
 		sh.replay(0, i, n)
 		return sh.stats
 	})
@@ -383,7 +378,7 @@ func branchAndBound[T any](t tree[T], inc *incumbent, opts Options, noPlan strin
 // first; stride is the number of shards sharing the choices taken so far —
 // searches below them and undoes them. A skipped choice leaves the shard
 // empty; a cut one counts one Pruned.
-func (sh *shard[T]) replay(k, i, stride int) {
+func (sh *shard) replay(k, i, stride int) {
 	if k == sh.t.split {
 		sh.descend(k)
 		return
@@ -403,7 +398,7 @@ func (sh *shard[T]) replay(k, i, stride int) {
 
 // descend expands the node k decisions deep: it is bounded, and searched
 // unless the bound prunes it.
-func (sh *shard[T]) descend(k int) {
+func (sh *shard) descend(k int) {
 	sh.stats.Expanded++
 	if sh.bound != nil && sh.prunes(sh.bound(k)) {
 		sh.stats.Pruned++
@@ -414,9 +409,9 @@ func (sh *shard[T]) descend(k int) {
 	}
 	if k == sh.t.depth {
 		sh.stats.Evaluated++
-		if sh.leaf(sh.result, sh.limit()) {
-			sh.inc.offer(sh.val)
-			sh.stop.settle(sh.i, sh.val)
+		if sh.leaf(sh.shardResult, sh.limit()) {
+			sh.inc.offer(sh.best.Value)
+			sh.stop.settle(sh.i, sh.best.Value)
 		}
 		return
 	}
@@ -443,8 +438,8 @@ func (sh *shard[T]) descend(k int) {
 // completions that dominate filtering instances. Against the shared
 // incumbent the comparison stays strict so the result cannot depend on
 // when other workers improve it.
-func (sh *shard[T]) prunes(bound rat.Rat) bool {
-	if sh.ok && !bound.Less(sh.val) {
+func (sh *shard) prunes(bound rat.Rat) bool {
+	if sh.ok && !bound.Less(sh.best.Value) {
 		return true
 	}
 	return sh.inc.prunes(&sh.cache, bound)
@@ -456,95 +451,12 @@ func (sh *shard[T]) prunes(bound rat.Rat) bool {
 // incumbent is achievable in the family, so the family optimum is at most
 // it). The cache is as fresh as the leaf's own bound test left it; with no
 // bound it is never read, and the limit is the shard's best alone.
-func (sh *shard[T]) limit() orchestrate.Limit {
-	l := sh.result.limit()
+func (sh *shard) limit() orchestrate.Limit {
+	l := sh.shardResult.limit()
 	if sh.cache.ok {
 		l = l.Min(sh.cache.val)
 	}
 	return l
-}
-
-// --- chains ---
-
-// branchBoundChain proves optimality among all n! chains: it places
-// services position by position and cuts every prefix whose completion
-// bound exceeds the incumbent. Candidate evaluation is the closed chain
-// formula; only the winner is orchestrated.
-func branchBoundChain(app *workflow.App, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	if app.HasPrecedence() {
-		return Solution{}, fmt.Errorf("solve: chain branch-and-bound requires no precedence constraints")
-	}
-	n := app.N()
-	if n > maxN(opts, bnbMaxChainN) {
-		return Solution{}, fmt.Errorf("solve: %d services too large for chain branch-and-bound (max %d)", n, maxN(opts, bnbMaxChainN))
-	}
-	inc := &incumbent{}
-	if opts.Incumbent != nil {
-		inc.offer(*opts.Incumbent)
-	}
-	if obj == PeriodObjective {
-		inc.offer(ChainPeriodValue(app, GreedyChainOrder(app, m), m))
-	} else {
-		inc.offer(ChainLatencyValue(app, GreedyLatencyChainOrder(app)))
-	}
-	order, err := branchAndBound(chainTree(app, m, obj, keepOrder), inc, opts, "chain branch-and-bound found no plan")
-	if err != nil {
-		return Solution{}, err
-	}
-	eg, err := plan.ChainFromOrder(app, order)
-	if err != nil {
-		return Solution{}, err
-	}
-	// Optimal among chains, not globally.
-	return solveGraph(eg, m, obj, opts)
-}
-
-// keepOrder is the chain search's leaf: it keeps a copy of the order when
-// its closed-form value improves r.
-func keepOrder(order []int, val rat.Rat, r *result[[]int]) bool {
-	return r.improves(val) && r.offer(append(r.best[:0], order...), val)
-}
-
-// chainTree is the chain family's tree: decision k swaps one of the
-// services order[k:] into position k. The walker keeps the exact prefix
-// state per depth — the running objective and the data volume leaving the
-// prefix — and hands leaf the order with its closed-form value.
-func chainTree(app *workflow.App, m plan.Model, obj Objective, leaf func(order []int, val rat.Rat, r *result[[]int]) bool) tree[[]int] {
-	n := app.N()
-	costs := unitCosts(app, m)
-	children := make([]int, n)
-	for k := range children {
-		children[k] = n - k
-	}
-	return tree[[]int]{depth: n, split: 1, children: children, walk: func() walker[[]int] {
-		order := make([]int, n)
-		for j := range order {
-			order[j] = j
-		}
-		objAt, prodAt := make([]rat.Rat, n+1), make([]rat.Rat, n+1)
-		prodAt[0] = rat.One
-		if obj == LatencyObjective {
-			objAt[0] = rat.One // the unit input communication
-		}
-		return walker[[]int]{
-			apply: func(k, c int) step {
-				order[k], order[k+c] = order[k+c], order[k]
-				s, in := order[k], prodAt[k]
-				prodAt[k+1] = in.Mul(app.Selectivity(s))
-				if obj == PeriodObjective {
-					objAt[k+1] = rat.Max(objAt[k], in.Mul(costs.unit(s, 1)))
-				} else {
-					objAt[k+1] = objAt[k].Add(in.Mul(app.Cost(s))).Add(prodAt[k+1])
-				}
-				return stepOK
-			},
-			undo: func(k, c int) { order[k], order[k+c] = order[k+c], order[k] },
-			bound: func(k int) rat.Rat {
-				return chainCompletionBound(app, costs, obj, objAt[k], prodAt[k], order[k:])
-			},
-			leaf: func(r *result[[]int], _ orchestrate.Limit) bool { return leaf(order, objAt[n], r) },
-		}
-	}}
 }
 
 // --- forests ---
@@ -569,27 +481,22 @@ func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Opti
 	return sol, err
 }
 
-// searchGraphs runs a graph family's tree from the seeded incumbent and
-// materialises the winner.
-func searchGraphs(tr tree[scored], app *workflow.App, m plan.Model, obj Objective, opts Options, noPlan string) (Solution, error) {
+// searchGraphs runs a family's tree from the seeded incumbent.
+func searchGraphs(tr tree, app *workflow.App, m plan.Model, obj Objective, opts Options, noPlan string) (Solution, error) {
 	inc := &incumbent{}
 	seedIncumbent(inc, app, m, obj, opts)
-	c, err := branchAndBound(tr, inc, opts, noPlan)
-	if err != nil {
-		return Solution{}, err
-	}
-	return materialise(c, opts)
+	return branchAndBound(tr, inc, opts, noPlan)
 }
 
 // forestTree is the forest family's tree over parent vectors: decision v
 // makes node v a root (choice 0) or hangs it under node c-1, skipping the
 // parents that would close a cycle, and hands leaf each forest's plan.
 // tables feeds the partial bound; nil means a search that never prunes.
-func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree[scored] {
+func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree {
 	n := app.N()
-	return tree[scored]{depth: n, split: 2, children: slices.Repeat([]int{n + 1}, n), walk: func() walker[scored] {
+	return tree{depth: n, split: 2, children: slices.Repeat([]int{n + 1}, n), walk: func() walker {
 		parent := slices.Repeat([]int{-1}, n)
-		w := walker[scored]{
+		w := walker{
 			apply: func(v, c int) step {
 				if p := c - 1; p == v || parentChainReaches(parent, p, v) {
 					return stepSkip
@@ -653,7 +560,7 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 // of prec (the precedence closure), closes a cycle or leaves the graph
 // transitively unreduced. A leaf FromGraph rejects misses a precedence
 // constraint and never reaches leaf.
-func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree[scored] {
+func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree {
 	n := app.N()
 	pairs := nodePairs(n)
 	tables := newBoundTables(app, m, obj, prec, pairs)
@@ -664,10 +571,10 @@ func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, le
 		}
 		return pairs[k][1], pairs[k][0]
 	}
-	return tree[scored]{depth: len(pairs), split: 3, children: slices.Repeat([]int{3}, len(pairs)), walk: func() walker[scored] {
+	return tree{depth: len(pairs), split: 3, children: slices.Repeat([]int{3}, len(pairs)), walk: func() walker {
 		g := dag.New(n)
 		b := newBoundScratch(tables)
-		return walker[scored]{
+		return walker{
 			apply: func(k, c int) step {
 				if c == 0 {
 					return stepOK

@@ -70,12 +70,14 @@ func oracleTooSlow(family Family, app *workflow.App, m plan.Model, obj Objective
 
 // TestBranchBoundMatchesExactEnumerations is the equivalence contract of
 // the exact search: it returns not just the objective value of the blind
-// chain / forest / DAG enumerations but the bit-identical Solution, for
-// MinPeriod and MinLatency under every model. Strict pruning guarantees the
-// first optimum-valued graph in enumeration order survives, which is
-// exactly the graph the blind search keeps. The named rows are fixed
-// instances; the corpus is random ones of every size the oracle can
-// afford, with and without precedence constraints.
+// forest / DAG enumerations but the bit-identical Solution, for MinPeriod
+// and MinLatency under every model. Strict pruning guarantees the first
+// optimum-valued graph in enumeration order survives, which is exactly the
+// graph the blind search keeps. The chain optimum has no search: its rows
+// hold the greedy chain (Prop. 8/16), as served, to the blind enumeration
+// of the n! chains. The named rows are fixed instances; the corpus is
+// random ones of every size the oracle can afford, with and without
+// precedence constraints.
 func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 	profiles := []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}
 	type row struct {
@@ -87,8 +89,15 @@ func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 	var rows []row
 	for seed := int64(0); seed < 3; seed++ {
 		p := profiles[seed]
+		chain := gen.App(gen.NewRand(seed), 5, p)
+		for _, m := range plan.Models {
+			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+				t.Run(fmt.Sprintf("chain/seed%d/%s/%s", seed, m, obj), func(t *testing.T) {
+					greedyAgreesWithChainOracle(t, chain, m, obj)
+				})
+			}
+		}
 		rows = append(rows,
-			row{fmt.Sprintf("chain/seed%d", seed), FamilyChain, gen.App(gen.NewRand(seed), 5, p), plan.Models},
 			row{fmt.Sprintf("forest/seed%d", seed), FamilyForest, gen.App(gen.NewRand(seed+100), 4, p), []plan.Model{plan.Overlap, plan.InOrder}},
 			row{fmt.Sprintf("dag/seed%d", seed), FamilyDAG, gen.App(gen.NewRand(seed+200), 4, p), []plan.Model{plan.Overlap, plan.InOrder}},
 		)
@@ -135,9 +144,9 @@ func TestBranchBoundMatchesExactEnumerations(t *testing.T) {
 					}
 					families = []Family{FamilyDAG}
 				case shape.n > 4: // an unconstrained DAG oracle stops at n = 4
-					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyChain, FamilyForest}
+					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyForest}
 				default:
-					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyChain, FamilyForest, FamilyDAG}
+					app, families = gen.App(gen.NewRand(seed), shape.n, profiles[k%3]), []Family{FamilyForest, FamilyDAG}
 				}
 				instances++
 				for _, family := range families {
@@ -259,7 +268,7 @@ func TestAutoDoesNotTaxTinyInstances(t *testing.T) {
 // honour it and instances far above their caps.
 func TestBranchBoundGuards(t *testing.T) {
 	big := gen.App(gen.NewRand(1), 16, gen.Mixed)
-	for _, fam := range []Family{FamilyChain, FamilyForest, FamilyDAG} {
+	for _, fam := range []Family{FamilyForest, FamilyDAG} {
 		opts := Options{Method: BranchBound, Family: fam}
 		if _, err := MinPeriod(big, plan.Overlap, opts); err == nil {
 			t.Errorf("family %s must reject n=16", fam)
@@ -275,15 +284,11 @@ func TestBranchBoundGuards(t *testing.T) {
 		}
 	}
 	withPrec := gen.AppWithPrecedence(gen.NewRand(8), 4, gen.Filtering, 0.3)
-	for _, fam := range []Family{FamilyChain, FamilyForest} {
-		opts := Options{Method: BranchBound, Family: fam}
-		if _, err := MinPeriod(withPrec, plan.Overlap, opts); err == nil {
-			t.Errorf("family %s must reject precedence-constrained instances", fam)
-		}
+	if _, err := MinPeriod(withPrec, plan.Overlap, Options{Method: BranchBound, Family: FamilyForest}); err == nil {
+		t.Error("the forest family must reject precedence-constrained instances")
 	}
-	if FamilyAuto.String() != "auto" || FamilyChain.String() != "chain" ||
-		FamilyForest.String() != "forest" || FamilyDAG.String() != "dag" ||
-		Family(9).String() != "Family(9)" {
+	if FamilyAuto.String() != "auto" || FamilyForest.String() != "forest" ||
+		FamilyDAG.String() != "dag" || Family(9).String() != "Family(9)" {
 		t.Error("family names wrong")
 	}
 	if BranchBound.String() != "branch-bound" {
@@ -300,26 +305,6 @@ func TestBranchBoundGuards(t *testing.T) {
 // member of the family, then against the orchestrated objective of the
 // enumerated optimal graphs (the values pruning actually competes with).
 func TestPartialBoundsAdmissible(t *testing.T) {
-	app := gen.App(gen.NewRand(3), 6, gen.Mixed)
-	for _, m := range plan.Models {
-		for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-			forEachChain(app.N(), func(order []int) {
-				var val rat.Rat
-				if obj == PeriodObjective {
-					val = ChainPeriodValue(app, order, m)
-				} else {
-					val = ChainLatencyValue(app, order)
-				}
-				for k := 0; k <= app.N(); k++ {
-					if b := chainPrefixBound(app, m, obj, order, k); b.Greater(val) {
-						t.Fatalf("%s/%s chain %v prefix %d: bound %s exceeds value %s",
-							m, obj, order, k, b, val)
-					}
-				}
-			})
-		}
-	}
-
 	small := gen.App(gen.NewRand(7), 4, gen.Mixed)
 	n := small.N()
 	for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
@@ -542,29 +527,6 @@ func TestDAGPrecedenceLastFloorExactOnTotalOrder(t *testing.T) {
 	}
 }
 
-// chainPrefixBound bounds every chain that starts with order[:k] and
-// continues with some permutation of order[k:]: the admissibility test's
-// from-scratch counterpart of the prefix state branchBoundChain maintains
-// incrementally before calling chainCompletionBound.
-func chainPrefixBound(app *workflow.App, m plan.Model, obj Objective, order []int, k int) rat.Rat {
-	inProd, units := rat.One, unitCosts(app, m)
-	var prefixObj rat.Rat
-	if obj == LatencyObjective {
-		prefixObj = rat.One
-	}
-	for _, s := range order[:k] {
-		if obj == PeriodObjective {
-			prefixObj = rat.Max(prefixObj, inProd.Mul(units.unit(s, 1)))
-			inProd = inProd.Mul(app.Selectivity(s))
-		} else {
-			prefixObj = prefixObj.Add(inProd.Mul(app.Cost(s)))
-			inProd = inProd.Mul(app.Selectivity(s))
-			prefixObj = prefixObj.Add(inProd)
-		}
-	}
-	return chainCompletionBound(app, units, obj, prefixObj, inProd, order[k:])
-}
-
 // parentVector extracts the forest parent assignment of an execution graph.
 func parentVector(t *testing.T, eg *plan.ExecGraph) []int {
 	t.Helper()
@@ -584,26 +546,31 @@ func parentVector(t *testing.T, eg *plan.ExecGraph) []int {
 // --- certification beyond the blind enumerations ---
 
 // TestBranchBoundCertifiesBeyondBlindEnumeration is the scale payoff: at
-// n = 12 a blind chain enumeration would evaluate 12! ≈ 4.8e8 chains,
-// while branch-and-bound certifies the chain optimum in a vanishing
-// fraction of that and stays worker-count deterministic.
+// n = 8, one service above the default cap, a blind forest enumeration
+// would orchestrate 9^7 ≈ 4.8e6 forests, while branch-and-bound certifies
+// the forest optimum — the global one, Prop. 4 — in a vanishing fraction of
+// that and stays worker-count deterministic. The instance's optimum lies
+// above its period floor, so no shard stops early: the bounds do the work.
 func TestBranchBoundCertifiesBeyondBlindEnumeration(t *testing.T) {
-	const n = 12
-	app := gen.App(gen.NewRand(42), n, gen.Filtering)
+	const n = 8
+	app := gen.App(gen.NewRand(40), n, gen.Filtering)
 	var ef Effort
-	opts := Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch(), Workers: 1, Effort: &ef}
+	opts := Options{Method: BranchBound, Family: FamilyForest, MaxExactN: n, Orch: smallOrch(), Workers: 1, Effort: &ef}
 	sol := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
 	greedy := ChainPeriodValue(app, GreedyChainOrder(app, plan.InOrder), plan.InOrder)
 	if sol.Value.Greater(greedy) {
 		t.Fatalf("certified optimum %s worse than the greedy chain %s", sol.Value, greedy)
 	}
+	if floor := periodFloor(app, plan.InOrder); !sol.Value.Greater(floor) {
+		t.Fatalf("optimum %s meets the period floor %s: the search stopped there", sol.Value, floor)
+	}
 	st := ef.Search
-	var blindLeaves int64 = 1
-	for i := int64(2); i <= n; i++ {
-		blindLeaves *= i
+	var blindLeaves int64 = 1 // (n+1)^(n-1) forests
+	for i := 1; i < n; i++ {
+		blindLeaves *= n + 1
 	}
 	if st.Evaluated == 0 || st.Evaluated >= blindLeaves/1000 {
-		t.Fatalf("expected a >1000x evaluation reduction: evaluated %d of %d chains", st.Evaluated, blindLeaves)
+		t.Fatalf("expected a >1000x evaluation reduction: evaluated %d of %d forests", st.Evaluated, blindLeaves)
 	}
 	if st.Pruned == 0 {
 		t.Fatal("expected pruned subtrees")

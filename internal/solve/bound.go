@@ -3,9 +3,9 @@ package solve
 // Admissible lower bounds on partially decided execution graphs, the
 // pruning engine of the branch-and-bound searches (bnb.go).
 //
-// Each enumeration family decides its graphs incrementally — chains place
-// one service per position, forests assign parents in node order, DAGs
-// orient one node pair at a time — and every function here bounds the
+// Each enumeration family decides its graphs incrementally — forests assign
+// parents in node order, DAGs orient one node pair at a time — and every
+// function here bounds the
 // objective of EVERY completion of a partial decision from below:
 //
 //	bound(partial) ≤ objective(G)   for every graph G completing partial.
@@ -54,12 +54,11 @@ func shrinkFactor(app *workflow.App, u int) rat.Rat {
 }
 
 // unitTables are the per-unit-volume costs of one solve under one model,
-// read by the partial bounds, the chain search and the hill climbs' move
-// filter: unit(v, k) is the Cexec of service v with 0 ≤ k ≤ n consumers on
-// input product 1 (Cin = 1, Ccomp = c, Cout = σ·max(1,k), combined by max
-// under OVERLAP and summed otherwise), so scaling it by a service's input
-// product gives its per-server period bound on forests and chains; cs[v] =
-// c+σ.
+// read by the partial bounds and the hill climbs' move filter: unit(v, k)
+// is the Cexec of service v with 0 ≤ k ≤ n consumers on input product 1
+// (Cin = 1, Ccomp = c, Cout = σ·max(1,k), combined by max under OVERLAP
+// and summed otherwise), so scaling it by a service's input product gives
+// its per-server period bound on forests; cs[v] = c+σ.
 type unitTables struct {
 	m         plan.Model
 	cexec, cs []rat.Rat
@@ -319,8 +318,8 @@ func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
 // valid completion: its selectivity enters v's input product exactly —
 // growth (σ > 1) included, where the optional-ancestor worst case must clamp
 // to 1 — and precedence descendants of v can never feed or precede v. This
-// is what lets the last-position floor below recover the chain family's
-// exact floor when precedence is a total order.
+// is what lets the last-position floor below be exact when precedence is a
+// total order (the one chain it admits).
 func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	n, anc, desc, minProd, minOut := b.n, b.anc, b.desc, b.minProd, b.minOut
 	if !b.acyclic(g) {
@@ -411,8 +410,8 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 	// exceed the sum — including Cin here would overshoot. The floor's
 	// strength comes from minProd's precedence-exact products: under a
 	// total-order precedence the (unique) candidate carries every other
-	// selectivity exactly, growth included — the chain family's exact
-	// last-position floor.
+	// selectivity exactly, growth included — the exact last-position floor
+	// of the one chain that order admits.
 	var src, last rat.Rat
 	haveSrc, haveLast := false, false
 	for v := 0; v < n; v++ {
@@ -439,11 +438,11 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 // --- the period floor ---
 
 // periodFloor bounds the period of every plan of app under model m from
-// below, with or without precedence constraints: chainCompletionBound's
-// pigeonhole argument, carried from chains to every DAG. In a topological
-// order of a plan, the service v at position k has at most k ancestors,
-// so its input product is at least P_k(v), the product of the k smallest
-// shrink factors among the other services. Each term of its Cexec — Cin
+// below, with or without precedence constraints, by a pigeonhole argument
+// over positions. In a topological order of a plan, the service v at
+// position k has at most k ancestors, so its input product is at least
+// P_k(v), the product of the k smallest shrink factors among the other
+// services. Each term of its Cexec — Cin
 // (a sum of predecessor outputs, each a product over at most k of those
 // services; or 1 at a source), Ccomp and Cout — is then at least the unit
 // one scaled by P_k(v), so the plan's period is at least
@@ -500,102 +499,4 @@ func periodFloor(app *workflow.App, m plan.Model) rat.Rat {
 // can find nothing strictly better.
 func atFloor(floor *rat.Rat, v rat.Rat) bool {
 	return floor != nil && v.Leq(*floor)
-}
-
-// --- chains ---
-
-// chainCompletionBound bounds every chain extending an exact prefix state:
-// prefixObj is the objective accumulated over the placed prefix (the max
-// per-server Cexec for MINPERIOD, the running latency for MINLATENCY),
-// inProd the data volume leaving the prefix, rest the unplaced services, u
-// the solve's unit tables.
-//
-// Both objectives use the same dominance argument over the suffix. A
-// service placed with k other rest services before it keeps an input
-// product of at least inProd times the k smallest shrink factors of rest,
-// and the predecessor counts of the suffix are exactly {0, .., r-1}:
-//
-//   - MINPERIOD: among the t services with the largest per-volume Cexec,
-//     one has at most r-t rest predecessors (pigeonhole), so some server
-//     costs at least inProd·Π(r-t smallest factors)·(t-th largest unit);
-//     the bound maximizes over t. t = r recovers "the next service runs on
-//     the prefix's volume undiminished".
-//   - MINLATENCY: every service adds its computation and one outgoing
-//     copy; by the rearrangement inequality the sum is smallest when the
-//     largest weights take the most-shrunk positions, so pairing the t-th
-//     largest weight with the product of the r-t smallest factors bounds
-//     the total from below.
-func chainCompletionBound(app *workflow.App, u unitTables, obj Objective, prefixObj, inProd rat.Rat, rest []int) rat.Rat {
-	r := len(rest)
-	if r == 0 {
-		return prefixObj
-	}
-	// shrink[k]: product of the k smallest shrink factors of rest.
-	factors := make([]rat.Rat, r)
-	for i, s := range rest {
-		factors[i] = shrinkFactor(app, s)
-	}
-	sortRats(factors)
-	shrink := make([]rat.Rat, r+1)
-	shrink[0] = rat.One
-	for k := 0; k < r; k++ {
-		shrink[k+1] = shrink[k].Mul(factors[k])
-	}
-	// weights, descending: per-volume Cexec (period) or comp+copy (latency).
-	weights := make([]rat.Rat, r)
-	for i, s := range rest {
-		if obj == PeriodObjective {
-			weights[i] = u.unit(s, 1)
-		} else {
-			weights[i] = u.cs[s]
-		}
-	}
-	sortRats(weights)
-	reverseRats(weights)
-	if obj == PeriodObjective {
-		bound := prefixObj
-		for t := 1; t <= r; t++ {
-			bound = rat.Max(bound, inProd.Mul(shrink[r-t]).Mul(weights[t-1]))
-		}
-		// Last-position floor: whichever service ends the chain receives
-		// the product of every other remaining selectivity EXACTLY — growth
-		// included — so min over the possible last services bounds every
-		// completion. This is the binding floor on expanding workloads,
-		// where the shrink products above degenerate to 1.
-		pre := make([]rat.Rat, r+1)
-		pre[0] = rat.One
-		for i, s := range rest {
-			pre[i+1] = pre[i].Mul(app.Selectivity(s))
-		}
-		suf := rat.One
-		var last rat.Rat
-		for i := r - 1; i >= 0; i-- {
-			v := pre[i].Mul(suf).Mul(u.unit(rest[i], 1))
-			if i == r-1 || v.Less(last) {
-				last = v
-			}
-			suf = suf.Mul(app.Selectivity(rest[i]))
-		}
-		return rat.Max(bound, inProd.Mul(last))
-	}
-	total := prefixObj
-	for t := 1; t <= r; t++ {
-		total = total.Add(inProd.Mul(shrink[r-t]).Mul(weights[t-1]))
-	}
-	return total
-}
-
-// sortRats sorts ascending (insertion sort: slices are search-suffix sized).
-func sortRats(s []rat.Rat) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Less(s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func reverseRats(s []rat.Rat) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -27,12 +27,15 @@ import (
 // the exact search lost its climb seed below six services, and again when
 // the DAG tree began cutting every orientation that leaves an implied edge
 // (fewer nodes expanded and graphs evaluated, the same answers), and again
-// when the searches began stopping at the period floor.
+// when the searches began stopping at the period floor. All four were
+// re-recorded when the chain family was retired: its configuration left the
+// grid, and every other configuration's answers and counters hash as they
+// did.
 const (
-	answerDigestFull   = "75fe13a8215d91c28cb39489f7879fcfcc7f4d60bbb7048b78afecfa1c237685"
-	counterDigestFull  = "25c8d3246e9fb24a0d30a9a0cad4d6a2148736e2775d5f60e7e6a922b854833a"
-	answerDigestShort  = "bc846e970773b47390ceef23af722f5d92a40a9314b18511ce8165e1ee6ffc22"
-	counterDigestShort = "23cc530957f14671cf3a1fb1613b042d4939c0279e6b612c6fabcdbd251542be"
+	answerDigestFull   = "897b7d512e919d5d2e61fabcc2c88020fb0ed4cdf6ec1bcbe192a709dbb68458"
+	counterDigestFull  = "60ca95fc218e8115d9e05960e586429672298db29700532d758a9da217351cb2"
+	answerDigestShort  = "8af65a59cca4ecbae66e8be31f1f54853c3058850532ffc8f2aac3a29bdfbde5"
+	counterDigestShort = "75ea385e8df0d4d0ca4f1834d5ebc50f424abec11dbdb8920e252f489c3176f1"
 )
 
 // digestCorpus draws, per selectivity profile, free instances of 4 to 6
@@ -78,7 +81,7 @@ func TestAnswerStreamDigest(t *testing.T) {
 	}
 	configs := []config{
 		{Auto, FamilyAuto}, {GreedyChain, FamilyAuto}, {HillClimb, FamilyAuto},
-		{BranchBound, FamilyAuto}, {BranchBound, FamilyChain}, {BranchBound, FamilyForest}, {BranchBound, FamilyDAG},
+		{BranchBound, FamilyAuto}, {BranchBound, FamilyForest}, {BranchBound, FamilyDAG},
 	}
 	answers, counters := sha256.New(), sha256.New()
 	for ai, app := range digestCorpus(testing.Short()) {

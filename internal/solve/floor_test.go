@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/orchestrate"
 	"repro/internal/plan"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -152,6 +153,26 @@ func TestPeriodFloorBelowEveryPlan(t *testing.T) {
 		t.Errorf("the floor met no value in %d solves: the property is vacuous", solves)
 	}
 	t.Logf("%d values checked, %d at the floor", solves, met)
+}
+
+// TestE15PeriodRowsAboveFloor pins the premise of experiment E15's period
+// rows (internal/experiments/pruning.go; same seeds, sizes, models and the
+// Filtering profile its profileFor gives those seeds): each instance's
+// forest optimum lies strictly above its period floor, so no shard of the
+// search stops at the floor and the row's counters measure the bounds.
+func TestE15PeriodRowsAboveFloor(t *testing.T) {
+	for _, row := range []struct {
+		n    int
+		seed int64
+		m    plan.Model
+	}{{5, 54, plan.Overlap}, {6, 48, plan.InOrder}} {
+		app := gen.App(gen.NewRand(row.seed), row.n, gen.Filtering)
+		sol := solveOnce(t, app, row.m, PeriodObjective, Options{Method: BranchBound, Family: FamilyForest,
+			Orch: orchestrate.Options{MaxExhaustive: 128}, Restarts: 1, Workers: 1})
+		if floor := periodFloor(app, row.m); !sol.Value.Greater(floor) {
+			t.Errorf("E15 forest n=%d seed %d %s: optimum %s is not above the period floor %s", row.n, row.seed, row.m, sol.Value, floor)
+		}
+	}
 }
 
 // TestPeriodFloorAllocBudget: the floor costs a fixed number of allocations

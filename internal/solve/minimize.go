@@ -74,8 +74,7 @@ var materialise = func(c scored, opts Options) (Solution, error) {
 }
 
 // solveGraph scores and materialises one fixed graph: the single-candidate
-// methods (greedy chain, the chain search's winner, Reevaluate) keep
-// whatever it gives.
+// methods (greedy chain, Reevaluate) keep whatever it gives.
 func solveGraph(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
 	c, err := evaluate(eg, m, obj, opts, orchestrate.NoLimit)
 	if err != nil {
@@ -191,21 +190,16 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 	return solveGraph(eg, m, obj, opts)
 }
 
-// result is one shard's outcome: its best candidate (ok false when the
-// shard kept none), that candidate's objective value, and the first
-// evaluation error the shard hit.
-type result[T any] struct {
-	best T
-	val  rat.Rat
+// shardResult is one shard's outcome: its best scored candidate (ok false
+// when the shard kept none) and the first evaluation error the shard hit.
+type shardResult struct {
+	best scored
 	ok   bool
 	err  error
 }
 
-// shardResult is the outcome of a graph search's shard: scored candidates.
-type shardResult = result[scored]
-
 // fail records the shard's first error.
-func (r *result[T]) fail(err error) {
+func (r *shardResult) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -213,26 +207,26 @@ func (r *result[T]) fail(err error) {
 
 // improves reports whether a candidate of value v would replace the
 // shard's best: only strict improvements do.
-func (r *result[T]) improves(v rat.Rat) bool {
-	return !r.ok || v.Less(r.val)
+func (r *shardResult) improves(v rat.Rat) bool {
+	return !r.ok || v.Less(r.best.Value)
 }
 
 // limit is the acceptance limit of r's next offer: its best value, once it
 // has one (offer keeps strict improvements only).
-func (r *result[T]) limit() orchestrate.Limit {
+func (r *shardResult) limit() orchestrate.Limit {
 	if !r.ok {
 		return orchestrate.NoLimit
 	}
-	return orchestrate.AtMost(r.val)
+	return orchestrate.AtMost(r.best.Value)
 }
 
-// offer keeps c, of value v, when it improves the shard's best and reports
-// whether it did.
-func (r *result[T]) offer(c T, v rat.Rat) bool {
-	if !r.improves(v) {
+// offer keeps c when it improves the shard's best and reports whether it
+// did.
+func (r *shardResult) offer(c scored) bool {
+	if !r.improves(c.Value) {
 		return false
 	}
-	r.best, r.val, r.ok = c, v, true
+	r.best, r.ok = c, true
 	return true
 }
 
@@ -244,45 +238,34 @@ func offerGraph(r *shardResult, eg *plan.ExecGraph, m plan.Model, obj Objective,
 		r.fail(err)
 		return false
 	}
-	return !c.NotBelow() && r.offer(c, c.Value)
+	return !c.NotBelow() && r.offer(c)
 }
 
 // reduce folds shard results in shard order, keeping the first
 // strictly-best candidate and the first error — exactly what the serial
-// enumeration would have kept. A done ctx wins over any outcome; with no
+// enumeration would have kept — and materialises the winner, the one
+// schedule a search builds. A done ctx wins over any outcome; with no
 // candidate kept, the error is "solve: <noPlan>" plus the first evaluation
-// error.
-func reduce[T any](shards []result[T], opts Options, noPlan string) (T, error) {
-	var win result[T]
+// error. Materialise is total on a Score the scoring produced, so its
+// failure is returned as the internal error it is.
+func reduce(shards []shardResult, opts Options, noPlan string) (Solution, error) {
+	var win shardResult
 	for _, r := range shards {
 		win.fail(r.err)
 		if r.ok {
-			win.offer(r.best, r.val)
+			win.offer(r.best)
 		}
 	}
-	var none T
 	if err := ctxErr(opts.Ctx); err != nil {
-		return none, err
+		return Solution{}, err
 	}
 	if !win.ok {
 		if win.err != nil {
-			return none, fmt.Errorf("solve: %s: %v", noPlan, win.err)
+			return Solution{}, fmt.Errorf("solve: %s: %v", noPlan, win.err)
 		}
-		return none, fmt.Errorf("solve: %s", noPlan)
+		return Solution{}, fmt.Errorf("solve: %s", noPlan)
 	}
-	return win.best, nil
-}
-
-// reduceShards reduces a graph search's shards (see reduce) and
-// materialises the winner, the one schedule a search builds. Materialise
-// is total on a Score the scoring produced, so its failure is returned as
-// the internal error it is.
-func reduceShards(shards []shardResult, opts Options, noPlan string) (Solution, error) {
-	c, err := reduce(shards, opts, noPlan)
-	if err != nil {
-		return Solution{}, err
-	}
-	return materialise(c, opts)
+	return materialise(win.best, opts)
 }
 
 // exactOrchestration reports whether the orchestration layer explores the
@@ -384,11 +367,11 @@ func climbRestarts(opts Options, n int, restart func(i int) shardResult) (Soluti
 		}
 		r := restart(i)
 		if r.ok {
-			stop.settle(i, r.val)
+			stop.settle(i, r.best.Value)
 		}
 		return r
 	})
-	return reduceShards(shards, opts, "hill climbing found no feasible plan")
+	return reduce(shards, opts, "hill climbing found no feasible plan")
 }
 
 // floorStop is the shard-order stop of one parallel search: the solve's
@@ -524,7 +507,7 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 		r.fail(err)
 		return r
 	}
-	if !offerGraph(&r, eg, m, obj, opts, orchestrate.NoLimit) || atFloor(opts.floor, r.val) {
+	if !offerGraph(&r, eg, m, obj, opts, orchestrate.NoLimit) || atFloor(opts.floor, r.best.Value) {
 		return r
 	}
 	e := newGraphEval(app, costs, obj, g)
@@ -536,7 +519,7 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 				r.fail(err)
 			} else if offerGraph(&r, eg, m, obj, opts, r.limit()) {
 				e.Move(v, a, b)
-				improved, settled = true, atFloor(opts.floor, r.val)
+				improved, settled = true, atFloor(opts.floor, r.best.Value)
 			}
 		}
 		return budget > 0 && !settled
@@ -573,17 +556,13 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 			return false
 		}
 		lat, _, err := orchestrate.ScoreLatency(nil, w, m, opts.Orch, best)
-		return err == nil && !lat.NotBelow() && r.offer(scored{eg: eg, w: w, Score: lat}, lat.Value)
+		return err == nil && !lat.NotBelow() && r.offer(scored{eg: eg, w: w, Score: lat})
 	}
 	if n <= maxN(opts, 6) {
 		// The forest branch-and-bound's tree and shards, with no bound:
 		// every forest's plan is scored, its latency against its shard's
 		// best (with no bound the shards never read the shared incumbent).
-		c, err := branchAndBound(forestTree(app, nil, tryGraph), &incumbent{}, opts, noPlan)
-		if err != nil {
-			return Solution{}, err
-		}
-		return materialise(c, opts)
+		return branchAndBound(forestTree(app, nil, tryGraph), &incumbent{}, opts, noPlan)
 	}
 	// Structured candidates: parallel, both greedy chains, and greedy
 	// chains split into k parallel sub-chains.
@@ -607,5 +586,5 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 			}
 		}
 	}
-	return reduceShards([]shardResult{best}, opts, noPlan)
+	return reduce([]shardResult{best}, opts, noPlan)
 }

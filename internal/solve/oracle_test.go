@@ -4,7 +4,8 @@ package solve
 // search is checked against. oracleSolve visits a structural family
 // serially, in the order the branch-and-bound searches visit it,
 // materialises EVERY member through Reevaluate and keeps the first strictly
-// best — no bounds, no shards, no memo.
+// best — no bounds, no shards, no memo. The chains have no search to check:
+// oracleChain is the reference the greedy chain (Prop. 8/16) is held to.
 
 import (
 	"testing"
@@ -89,10 +90,57 @@ func forEachDAGFrom(g *dag.Graph, pairs [][2]int, from int, fn func(g *dag.Graph
 	g.RemoveEdge(v, u)
 }
 
-// oracleSolve returns the blind search's Solution over one family. Chains
-// are compared by the closed forms and only the winner is orchestrated, as
-// the chain search defines its answer; Exact follows the families'
-// certificates (Prop. 4 for forests, full generality for DAGs).
+// oracleChain returns the first strictly best of the n! chains by their
+// closed-form value (exact on chains under every model), and that value.
+func oracleChain(app *workflow.App, m plan.Model, obj Objective) ([]int, rat.Rat) {
+	var best []int
+	var val rat.Rat
+	forEachChain(app.N(), func(order []int) {
+		v := ChainLatencyValue(app, order)
+		if obj == PeriodObjective {
+			v = ChainPeriodValue(app, order, m)
+		}
+		if best == nil || v.Less(val) {
+			best, val = append(best[:0], order...), v
+		}
+	})
+	return best, val
+}
+
+// greedyAgreesWithChainOracle holds the chain optimum as served — a
+// GreedyChain solve, at Workers 1 and 4 — to the blind chain enumeration:
+// its plan is a chain, it reaches the oracle's least value, and so does the
+// oracle's own first best chain once orchestrated. The greedy may keep
+// another chain of that value (their orders break ties differently), so
+// only values are compared with the oracle; the two worker counts must
+// agree bit for bit.
+func greedyAgreesWithChainOracle(t *testing.T, app *workflow.App, m plan.Model, obj Objective) {
+	t.Helper()
+	order, want := oracleChain(app, m, obj)
+	eg, err := plan.ChainFromOrder(app, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind, err := Reevaluate(eg, m, obj, Options{Orch: smallOrch()}); err != nil || !blind.Value.Equal(want) {
+		t.Fatalf("%s/%s: the oracle's chain %v orchestrates to %s (%v), its closed form is %s", m, obj, order, blind.Value, err, want)
+	}
+	var first string
+	for _, workers := range []int{1, 4} {
+		sol := solveOnce(t, app, m, obj, Options{Method: GreedyChain, Orch: smallOrch(), Workers: workers})
+		if !sol.Graph.IsChain() || !sol.Value.Equal(want) {
+			t.Fatalf("%s/%s workers=%d: the greedy chain %s has value %s, the optimal chain %s", m, obj, workers, sol.Graph, sol.Value, want)
+		}
+		if got := describeSolution(sol); first == "" {
+			first = got
+		} else if got != first {
+			t.Fatalf("%s/%s workers=%d diverged:\n%s\nvs\n%s", m, obj, workers, first, got)
+		}
+	}
+}
+
+// oracleSolve returns the blind search's Solution over one family; Exact
+// follows the families' certificates (Prop. 4 for forests, full generality
+// for DAGs).
 func oracleSolve(t testing.TB, app *workflow.App, m plan.Model, obj Objective, family Family) Solution {
 	t.Helper()
 	opts := Options{Orch: smallOrch(), Workers: 1}
@@ -108,21 +156,6 @@ func oracleSolve(t testing.TB, app *workflow.App, m plan.Model, obj Objective, f
 		}
 	}
 	switch family {
-	case FamilyChain:
-		var bestOrder []int
-		var bestVal rat.Rat
-		forEachChain(app.N(), func(order []int) {
-			v := ChainLatencyValue(app, order)
-			if obj == PeriodObjective {
-				v = ChainPeriodValue(app, order, m)
-			}
-			if bestOrder == nil || v.Less(bestVal) {
-				bestOrder, bestVal = append([]int(nil), order...), v
-			}
-		})
-		if eg, err := plan.ChainFromOrder(app, bestOrder); err == nil {
-			best, _ = Reevaluate(eg, m, obj, opts) // a failure leaves best empty: fatal below
-		}
 	case FamilyForest:
 		forEachForest(app.N(), func(parent []int) { offer(forestGraph(parent)) })
 		best.Exact = obj == PeriodObjective && best.Sched.Exact && m != plan.OutOrder

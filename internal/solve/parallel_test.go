@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/orchestrate"
 	"repro/internal/plan"
-	"repro/internal/rat"
 	"repro/internal/workflow"
 )
 
@@ -59,7 +58,8 @@ func TestParallelSolversDeterministic(t *testing.T) {
 		// value, ties only against the shard-local best) must keep the
 		// returned Solution bit-identical for every worker count — for each
 		// family's sharding (exact-<family>) and for the default family.
-		{"exact-chain/plain", plain, BranchBound, FamilyChain},
+		// The chain optimum is the greedy's (Prop. 8/16), with no search.
+		{"exact-chain/plain", plain, GreedyChain, FamilyAuto},
 		{"exact-forest/plain", plain, BranchBound, FamilyForest},
 		{"exact-dag/plain", plain, BranchBound, FamilyDAG},
 		{"exact-dag/precedence", withPrec, BranchBound, FamilyDAG},
@@ -118,8 +118,8 @@ func TestBiCriteriaParallelDeterministic(t *testing.T) {
 	}
 }
 
-// The ShardsPartitionSerialEnumeration tests pin each shipped decision tree
-// to its blind oracle. The driver walks the tree at Workers 1, so the
+// The ShardsPartitionSerialEnumeration tests pin each of the two decision
+// trees to its blind oracle. The driver walks the tree at Workers 1, so the
 // shards run in order, and no leaf is ever kept, so no bound can prune: the
 // leaves must then be the oracle's family in the oracle's order, with no
 // drops and no duplicates.
@@ -136,17 +136,6 @@ func checkLeaves(t *testing.T, family string, want, got []string) {
 			t.Fatalf("%s leaf %d: tree %s, oracle %s", family, i, got[i], want[i])
 		}
 	}
-}
-
-func TestChainShardsPartitionSerialEnumeration(t *testing.T) {
-	var want, got []string
-	app := gen.App(gen.NewRand(1), 5, gen.Mixed)
-	forEachChain(5, func(order []int) { want = append(want, fmt.Sprint(order)) })
-	branchAndBound(chainTree(app, plan.Overlap, PeriodObjective, func(order []int, _ rat.Rat, _ *result[[]int]) bool {
-		got = append(got, fmt.Sprint(order))
-		return false
-	}), &incumbent{}, Options{Workers: 1}, "")
-	checkLeaves(t, "chain", want, got)
 }
 
 func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
@@ -189,27 +178,6 @@ func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
 			return false
 		}), &incumbent{}, Options{Workers: 1}, "")
 		checkLeaves(t, fmt.Sprintf("DAG (precedence %v)", app.HasPrecedence()), want, got)
-	}
-}
-
-// TestBranchBoundChainDeterministic extends the determinism contract to the
-// chain family, whose shards race on the incumbent with closed-form
-// evaluations (no orchestration), the tightest interleaving pressure of the
-// three searches.
-func TestBranchBoundChainDeterministic(t *testing.T) {
-	app := gen.App(gen.NewRand(19), 7, gen.Mixed)
-	for _, m := range plan.Models {
-		for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-			opts := Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch()}
-			opts.Workers = 1
-			want := describeSolution(solveOnce(t, app, m, obj, opts))
-			for _, workers := range []int{2, 8} {
-				opts.Workers = workers
-				if got := describeSolution(solveOnce(t, app, m, obj, opts)); got != want {
-					t.Fatalf("%s/%s workers=%d diverged:\n%s\nvs\n%s", m, obj, workers, want, got)
-				}
-			}
-		}
 	}
 }
 

@@ -8,9 +8,10 @@
 //
 //   - the polynomial special cases proved in the paper: greedy chain
 //     construction for MINPERIOD (Prop. 8) and MINLATENCY (Prop. 16)
-//     restricted to linear-chain plans;
-//   - one exact search, branch-and-bound (bnb.go), over chains, forests
-//     (which Prop. 4 shows sufficient for MINPERIOD without precedence
+//     restricted to linear-chain plans — the optimum among chains, so no
+//     search over chains exists;
+//   - one exact search, branch-and-bound (bnb.go), over forests (which
+//     Prop. 4 shows sufficient for MINPERIOD without precedence
 //     constraints) and general DAGs, for small instances: it builds a
 //     family's graphs incrementally in a fixed order and prunes partial
 //     graphs by admissible lower bounds, so it returns the Solution a
@@ -73,9 +74,9 @@
 // The branch-and-bound searches and the hill-climbing restarts run on the
 // shared bounded worker pool of package par: Options.Workers bounds the
 // goroutines (0 means runtime.NumCPU(), 1 forces serial execution). The
-// searches shard their spaces statically — chains by first service,
-// forests by the parent assignment of the first two nodes, DAGs by the
-// orientation of the first pairs, hill climbing by restart index with a
+// searches shard their spaces statically — forests by the parent
+// assignment of the first two nodes, DAGs by the orientation of the first
+// pairs, hill climbing by restart index with a
 // per-restart seeded RNG — and reduce per-shard winners in shard order
 // with strict-improvement comparison. The result is deterministic: for a
 // fixed Options.Seed, every worker count (including 1) returns the same
@@ -149,9 +150,9 @@ type Options struct {
 	// Orch is passed to the orchestration layer.
 	Orch orchestrate.Options
 	// MaxExactN, when positive, replaces the instance-size cap of the
-	// exact search for every family (defaults: 12 services for chains, 7
-	// for forests, 5 for DAGs; never above 64): BranchBound rejects larger
-	// instances, and Auto picks HillClimb for them.
+	// exact search for both families (defaults: 7 services for forests, 5
+	// for DAGs; never above 64): BranchBound rejects larger instances, and
+	// Auto picks HillClimb for them.
 	MaxExactN int
 	// Family picks the structural family searched by BranchBound
 	// (default FamilyAuto: forests for MINPERIOD without precedence
@@ -163,8 +164,9 @@ type Options struct {
 	// re-evaluates a previously cached plan on a drifted instance and
 	// offers the result here. The value MUST be achievable on the instance
 	// being solved by a member of the searched structural family (e.g. the
-	// orchestrated objective of a chain plan when Family is FamilyChain, or
-	// of a transitively reduced DAG when it is FamilyDAG):
+	// orchestrated objective of a forest plan — a chain included — when
+	// Family is FamilyForest, or of a transitively reduced DAG when it is
+	// FamilyDAG):
 	// the shared-incumbent pruning rule is strict, so any such seed leaves
 	// the returned Solution bit-identical to the unseeded search while
 	// pruning harder from the root, whereas a value below the family

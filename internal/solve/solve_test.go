@@ -1,8 +1,11 @@
 package solve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -18,47 +21,45 @@ func smallOrch() orchestrate.Options {
 
 // --- E6/E7: the chain greedies match brute force over all n! chains ---
 
+// The greedy orders are the only way the package reaches the chain optimum
+// (Prop. 8 and 16), so these two tests carry that guarantee alone.
+
+// chainCorpus draws the instances the greedy tests hold to the blind chain
+// enumeration (oracleChain): n = 1 to 8 services under every selectivity
+// profile — Neutral, every σ = 1 and ties everywhere, included — with fewer
+// draws as n! grows; -short stops at n = 7. base offsets the seeds.
+func chainCorpus(base int64) []*workflow.App {
+	draws := [...]int{1: 6, 6, 6, 6, 6, 6, 3, 1}
+	var apps []*workflow.App
+	for n := 1; n < len(draws); n++ {
+		if testing.Short() && n == 8 {
+			break
+		}
+		for i, p := range []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding, gen.Neutral} {
+			for k := range draws[n] {
+				apps = append(apps, gen.App(gen.NewRand(base+int64(100*n+10*i+k)), n, p))
+			}
+		}
+	}
+	return apps
+}
+
 func TestGreedyChainPeriodMatchesExactChain(t *testing.T) {
-	profiles := []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}
-	for seed := int64(0); seed < 12; seed++ {
-		for _, p := range profiles {
-			app := gen.App(gen.NewRand(seed), 6, p)
-			for _, m := range plan.Models {
-				greedy := ChainPeriodValue(app, GreedyChainOrder(app, m), m)
-				var best rat.Rat
-				first := true
-				forEachChain(app.N(), func(order []int) {
-					v := ChainPeriodValue(app, order, m)
-					if first || v.Less(best) {
-						best, first = v, false
-					}
-				})
-				if !greedy.Equal(best) {
-					t.Fatalf("seed %d profile %s model %s: greedy %s != optimal %s",
-						seed, p, m, greedy, best)
-				}
+	for i, app := range chainCorpus(0) {
+		for _, m := range plan.Models {
+			greedy := ChainPeriodValue(app, GreedyChainOrder(app, m), m)
+			if order, best := oracleChain(app, m, PeriodObjective); !greedy.Equal(best) {
+				t.Fatalf("instance %d %v %s: greedy %s != optimal %s (chain %v)", i, app.Services(), m, greedy, best, order)
 			}
 		}
 	}
 }
 
 func TestGreedyLatencyChainMatchesExactChain(t *testing.T) {
-	profiles := []gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}
-	for seed := int64(20); seed < 32; seed++ {
-		for _, p := range profiles {
-			app := gen.App(gen.NewRand(seed), 6, p)
-			greedy := ChainLatencyValue(app, GreedyLatencyChainOrder(app))
-			var best rat.Rat
-			first := true
-			forEachChain(app.N(), func(order []int) {
-				v := ChainLatencyValue(app, order)
-				if first || v.Less(best) {
-					best, first = v, false
-				}
-			})
-			if !greedy.Equal(best) {
-				t.Fatalf("seed %d profile %s: greedy %s != optimal %s", seed, p, greedy, best)
-			}
+	for i, app := range chainCorpus(5000) {
+		greedy := ChainLatencyValue(app, GreedyLatencyChainOrder(app))
+		if order, best := oracleChain(app, plan.InOrder, LatencyObjective); !greedy.Equal(best) {
+			t.Fatalf("instance %d %v: greedy %s != optimal %s (chain %v)", i, app.Services(), greedy, best, order)
 		}
 	}
 }
@@ -127,7 +128,7 @@ func TestExactForestBeatsOrMatchesChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chain, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyChain, Orch: smallOrch()})
+			chain, err := MinPeriod(app, m, Options{Method: GreedyChain, Orch: smallOrch()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,23 +262,25 @@ func TestGreedyChainRejectsPrecedence(t *testing.T) {
 
 // TestSizeGuards pins the exact search's default caps at their boundary:
 // each family rejects the first size above its cap before searching, and
-// MaxExactN replaces the cap in both directions.
+// MaxExactN replaces the cap in both directions. An admitted search is
+// cancelled at its first probe inside the search, so it ends in the context
+// error, not the size error, without searching 9^7 forests.
 func TestSizeGuards(t *testing.T) {
 	for _, tc := range []struct {
 		family Family
 		limit  int
-	}{{FamilyChain, 12}, {FamilyForest, 7}, {FamilyDAG, 5}} {
+	}{{FamilyForest, 7}, {FamilyDAG, 5}} {
 		over := gen.App(gen.NewRand(1), tc.limit+1, gen.Mixed)
 		if _, err := MinPeriod(over, plan.Overlap, Options{Method: BranchBound, Family: tc.family}); err == nil {
 			t.Errorf("%s: n=%d must exceed the default cap %d", tc.family, tc.limit+1, tc.limit)
 		}
 	}
-	app := gen.App(gen.NewRand(1), 13, gen.Filtering)
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyChain, MaxExactN: 13}); err != nil {
-		t.Errorf("MaxExactN=13 must admit a 13-service chain search: %v", err)
+	app := gen.App(gen.NewRand(1), 8, gen.Filtering)
+	if _, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyForest, MaxExactN: 8, Ctx: newProbeCtx(1)}); !errors.Is(err, context.Canceled) {
+		t.Errorf("MaxExactN=8 must admit an 8-service forest search: %v", err)
 	}
-	if _, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyChain, MaxExactN: 3}); err == nil {
-		t.Error("MaxExactN=3 must reject n=13")
+	if _, err := MinPeriod(app, plan.Overlap, Options{Method: BranchBound, Family: FamilyForest, MaxExactN: 3}); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Errorf("MaxExactN=3 must reject n=8: %v", err)
 	}
 }
 

@@ -124,7 +124,7 @@ func valueFirstSearches(app *workflow.App, m plan.Model, obj Objective) []search
 		out = append(out, search{HillClimb, FamilyAuto})
 	}
 	if !prec {
-		out = append(out, search{GreedyChain, FamilyAuto}, search{BranchBound, FamilyChain})
+		out = append(out, search{GreedyChain, FamilyAuto})
 		if n <= 4 || (auto == FamilyForest && (n == 5 || (n == 6 && !onePortPeriod))) {
 			out = append(out, search{BranchBound, FamilyForest})
 		}
@@ -210,10 +210,10 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 	lying := c
 	lying.Value = c.Value.Mul(rat.New(1, 2))
 	var r shardResult
-	if !r.offer(c, c.Value) || !r.offer(lying, lying.Value) {
+	if !r.offer(c) || !r.offer(lying) {
 		t.Fatal("a strictly better score was refused")
 	}
-	if _, err := reduceShards([]shardResult{r}, opts, "no plan"); err == nil || !strings.Contains(err.Error(), lie) {
+	if _, err := reduce([]shardResult{r}, opts, "no plan"); err == nil || !strings.Contains(err.Error(), lie) {
 		t.Fatalf("lying winner: err = %v, want %q", err, lie)
 	}
 

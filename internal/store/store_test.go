@@ -287,12 +287,35 @@ func TestFlushAndOpenValidation(t *testing.T) {
 // to — "exact-forest", since retired. The plan must load as it was
 // written; only the effort record degrades to nil.
 func TestEntryOfRetiredMethodLoadsWithoutEffort(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "pr16_auto_exact_forest.plan.json"))
+	e := loadRetiredEntry(t, "pr16_auto_exact_forest.plan.json", `"method": "exact-forest"`)
+	if !strings.HasSuffix(e.Key, "|OVERLAP|period|auto|auto|0|0|0") || e.Solution.Value.String() != "16/5" || !e.Solution.Exact {
+		t.Errorf("entry: key %q value %s exact %v", e.Key, e.Solution.Value, e.Solution.Exact)
+	}
+}
+
+// TestEntryOfRetiredFamilyLoadsWithoutEffort: testdata holds an entry a
+// build with the chain branch-and-bound persisted for a "family": "chain"
+// request, a family since retired (the chain optimum is the greedy's). The
+// plan loads as it was written, under its old key; only the effort record
+// degrades to nil.
+func TestEntryOfRetiredFamilyLoadsWithoutEffort(t *testing.T) {
+	e := loadRetiredEntry(t, "bnb_chain_family.plan.json", `"family": "chain"`)
+	if !strings.HasSuffix(e.Key, "|INORDER|period|branch-bound|chain|0|0|0") || e.Solution.Value.String() != "11/4" || !e.Solution.Graph.IsChain() {
+		t.Errorf("entry: key %q value %s graph %s", e.Key, e.Solution.Value, e.Solution.Graph)
+	}
+}
+
+// loadRetiredEntry loads the testdata entry file, which must contain
+// marker, through a store of its own, and checks that it loads whole with
+// a nil effort record and re-encodes, effort aside, to the stored bytes.
+func loadRetiredEntry(t *testing.T, file, marker string) Entry {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"method": "exact-forest"`)) {
-		t.Fatal("fixture no longer names the retired method")
+	if !bytes.Contains(data, []byte(marker)) {
+		t.Fatalf("fixture no longer contains %s", marker)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "entry"+suffix), data, 0o644); err != nil {
@@ -311,12 +334,8 @@ func TestEntryOfRetiredMethodLoadsWithoutEffort(t *testing.T) {
 	}
 	e := got[0]
 	if e.Effort != nil {
-		t.Errorf("effort of a retired method decoded to %+v, want nil", e.Effort)
+		t.Errorf("retired effort record decoded to %+v, want nil", e.Effort)
 	}
-	if !strings.HasSuffix(e.Key, "|OVERLAP|period|auto|auto|0|0|0") || e.Solution.Value.String() != "16/5" || !e.Solution.Exact {
-		t.Errorf("entry: key %q value %s exact %v", e.Key, e.Solution.Value, e.Solution.Exact)
-	}
-	// Everything but the effort record re-encodes to the stored bytes.
 	again, err := Encode(e)
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +343,7 @@ func TestEntryOfRetiredMethodLoadsWithoutEffort(t *testing.T) {
 	if want := data[:bytes.Index(data, []byte(",\n  \"effort\""))]; !bytes.HasPrefix(again, want) {
 		t.Error("the loaded plan does not re-encode to the bytes it was loaded from")
 	}
+	return e
 }
 
 // TestEntryWithBoundCountersLoads: testdata holds an entry the build before

@@ -149,12 +149,13 @@ curl -sf "http://127.0.0.1:$ALIVE_PORT/metrics" | grep -q '^filterd_queue_depth'
     || { echo "smoke-cluster: replica /metrics missing filterd_queue_depth" >&2; exit 1; }
 
 # /v1/explain must agree with the CLI's own branch-and-bound search
-# report: plan mixed6 (no precedence, so the chain family applies) with
+# report: plan mixed6 (no precedence, so the forest family applies) with
 # -method bnb through the router, then compare the explain endpoint's
 # nodes-expanded counter against filterplan's "search:" line. Workers 1
 # on both sides — the service pins inner solves serial, which is what
-# makes the counters a deterministic contract.
-BNB_REQUEST="{\"instance\": $(cat testdata/mixed6.json), \"model\": \"$MODEL\", \"objective\": \"period\", \"method\": \"bnb\", \"family\": \"chain\"}"
+# makes the counters a deterministic contract. The counter must be
+# positive: two searches that expanded nothing would agree vacuously.
+BNB_REQUEST="{\"instance\": $(cat testdata/mixed6.json), \"model\": \"$MODEL\", \"objective\": \"period\", \"method\": \"bnb\", \"family\": \"forest\"}"
 BNB_HASH=$(curl -sf -X POST "http://127.0.0.1:$ROUTER_PORT/v1/plan" -d "$BNB_REQUEST" \
     | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p' | head -1)
 [ -n "$BNB_HASH" ] || { echo "smoke-cluster: bnb plan returned no hash" >&2; exit 1; }
@@ -162,11 +163,13 @@ EXPLAIN="$BIN/explain.json"
 curl -sf "http://127.0.0.1:$ROUTER_PORT/v1/explain/$BNB_HASH" >"$EXPLAIN"
 GOT_EXPANDED=$(sed -n 's/.*"expanded": \([0-9]*\).*/\1/p' "$EXPLAIN" | head -1)
 WANT_EXPANDED=$("$BIN/filterplan" -canon -in testdata/mixed6.json -model "$MODEL" -objective period \
-    -method bnb -family chain -workers 1 \
+    -method bnb -family forest -workers 1 \
     | sed -n 's/^search: \([0-9]*\) nodes expanded.*/\1/p' | head -1)
 echo "smoke-cluster: explain nodes-expanded=$GOT_EXPANDED CLI nodes-expanded=$WANT_EXPANDED"
 [ -n "$GOT_EXPANDED" ] && [ -n "$WANT_EXPANDED" ] \
     || { echo "smoke-cluster: missing nodes-expanded counter" >&2; cat "$EXPLAIN" >&2; exit 1; }
+[ "$GOT_EXPANDED" -gt 0 ] \
+    || { echo "smoke-cluster: the bnb search expanded no node" >&2; cat "$EXPLAIN" >&2; exit 1; }
 [ "$GOT_EXPANDED" = "$WANT_EXPANDED" ] \
     || { echo "smoke-cluster: explain and CLI disagree on nodes expanded" >&2; cat "$EXPLAIN" >&2; exit 1; }
 grep -q '"source": "' "$EXPLAIN" || { echo "smoke-cluster: explain has no source" >&2; exit 1; }
