@@ -86,7 +86,9 @@ test-race:
 
 # Allocation-regression guards: the orchestration inner loop
 # (AllocsPerRun budgets: the zero-alloc value path, prefix bound and
-# ratio-only MCR on a warm evaluator, and the value-first
+# ratio-only MCR on a warm evaluator — the one-port latency evaluator on
+# both lanes, its int64 Kahn pass and the event graph of a plan that falls
+# back — and the value-first
 # candidate path — scoring a candidate graph builds no operation list),
 # validating a valid operation list (no labels formatted off the error
 # path), the service cache-hit path (tracing spans must add zero
@@ -185,7 +187,10 @@ smoke-exec:
 # (values, canonical form), the candidate builder (FromGraph + Weighted)
 # against the one it replaced, the plan-store entry codec (never panics;
 # an accepted entry re-encodes stably), Score.Materialise (total on
-# what the scoring forms produce), the canonical hash (unchanged by a
+# what the scoring forms produce), the one-port latency evaluator's int64
+# lane against its exact-rational fallback (taken exactly when a math/big
+# oracle says the durations fit; then the same value, deadlock and prune
+# on decoded plans and orders), the canonical hash (unchanged by a
 # service permutation, unreduced rationals and implied precedence edges;
 # changed by one cost or one name), and the /v1/sync import (never panics;
 # a rejected item changes nothing but its counter; an accepted instance
@@ -212,6 +217,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFromGraph -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScoreMaterialise -fuzztime $(FUZZTIME) ./internal/orchestrate/
+	$(GO) test -run '^$$' -fuzz FuzzOnePortLanesAgree -fuzztime $(FUZZTIME) ./internal/orchestrate/
 	$(GO) test -run '^$$' -fuzz FuzzSyncImport -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzDriftRequest -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME) ./internal/service/

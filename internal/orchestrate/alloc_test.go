@@ -12,22 +12,35 @@ import (
 // budgets are measured steady-state numbers with a little headroom, not
 // aspirations; the inner loop — value() and the prefix bound exceeds() on a
 // warm evaluator: scratch reuse in the event graph, Howard's policy
-// iteration, Tarjan and the longest-path relaxation — must stay exactly
-// zero-alloc on every model. If one of these trips, an inner-loop change
+// iteration, Tarjan and the longest-path relaxation, and the one-port
+// integer lane's Kahn pass — must stay exactly zero-alloc on every model
+// and on both one-port lanes. If one of these trips, an inner-loop change
 // started allocating per evaluation.
 
-// allocEvals returns one evaluator per order-search model on w.
-func allocEvals(w *plan.Weighted) []struct {
+// allocEval is one row of the warm-evaluator guards: an order-search
+// evaluator and the plan it scores.
+type allocEval struct {
 	name string
+	w    *plan.Weighted
 	eval orderEval
-} {
-	return []struct {
-		name string
-		eval orderEval
-	}{
-		{"inorder", newInOrderEval(w)},
-		{"outorder", newOutOrderEval(w)},
-		{"oneport", newOnePortEval(w)},
+}
+
+// allocEvals returns one evaluator per order-search model on a gen plan,
+// plus the one-port latency evaluator on a planted plan whose durations
+// overflow the integer lane, so that both lanes are guarded.
+func allocEvals(t *testing.T) []allocEval {
+	w := gen.Weighted(gen.NewRand(5), 6, 0.6)
+	wide := overflowPlans(t)["lcm"]
+	oneport, fallback := newOnePortEval(w), newOnePortEval(wide)
+	if oneport.lane == nil || fallback.lane != nil {
+		t.Fatalf("one-port lanes: gen plan on the integer lane %v, planted plan %v; want true, false",
+			oneport.lane != nil, fallback.lane != nil)
+	}
+	return []allocEval{
+		{"inorder", w, newInOrderEval(w)},
+		{"outorder", w, newOutOrderEval(w)},
+		{"oneport", w, oneport},
+		{"oneport-fallback", wide, fallback},
 	}
 }
 
@@ -35,10 +48,9 @@ func TestOrderEvalAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	w := gen.Weighted(gen.NewRand(5), 6, 0.6)
-	for _, tc := range allocEvals(w) {
+	for _, tc := range allocEvals(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			orders := DefaultOrders(w)
+			orders := DefaultOrders(tc.w)
 			tc.eval.value(orders)
 			got := testing.AllocsPerRun(200, func() {
 				if _, err := tc.eval.value(orders); err != nil {
@@ -60,26 +72,16 @@ func TestBoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	w := gen.Weighted(gen.NewRand(5), 6, 0.6)
-	for _, tc := range allocEvals(w) {
+	for _, tc := range allocEvals(t) {
 		t.Run(tc.name, func(t *testing.T) {
+			w := tc.w
 			orders := DefaultOrders(w)
 			slots := collectSlots(orders)
 			if len(slots) == 0 {
-				t.Fatal("generated plan has no permutable slots")
+				t.Fatal("plan has no permutable slots")
 			}
-			decIn := make([]bool, w.N())
-			decOut := make([]bool, w.N())
-			for v := range decIn {
-				decIn[v], decOut[v] = true, true
-			}
-			for _, s := range slots[1:] {
-				if s.out {
-					decOut[s.server] = false
-				} else {
-					decIn[s.server] = false
-				}
-			}
+			decIn, decOut := openFlags(w, slots)
+			setSide(decIn, decOut, slots[0], true)
 			limits := [2]rat.Rat{tc.eval.floor().Mul(rat.New(1, 2)), tc.eval.floor().Mul(rat.New(4, 1))}
 			if !tc.eval.exceeds(orders, decIn, decOut, limits[0]) || tc.eval.exceeds(orders, decIn, decOut, limits[1]) {
 				t.Fatal("the limits do not bracket the bound")
@@ -102,7 +104,8 @@ func TestBoundAllocBudget(t *testing.T) {
 // the measured count plus three — deliberately less headroom than one
 // list: a change that puts the list back on the candidate path trips it.
 // Measured: overlap period 0, tree latency 4,
-// one-port latency on a sparse DAG 46 (evaluator and event-graph set-up).
+// one-port latency on a sparse DAG 36 (evaluator and integer-lane set-up;
+// 46 on the event graph the lane replaced).
 func TestScoringAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")

@@ -2,6 +2,8 @@ package orchestrate
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/eventgraph"
 	"repro/internal/oplist"
@@ -12,11 +14,12 @@ import (
 // OnePortLatencyWithOrders computes the single-data-set schedule induced by
 // fixed per-server orders under one-port communications: the begin times
 // are the longest paths of the order-induced DAG. It fails when the orders
-// deadlock (cross-server circular wait).
+// deadlock (cross-server circular wait). It always solves the exact-rational
+// event graph, which makes that lane the integer lane's oracle.
 func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, error) {
-	e := newOnePortEval(w)
+	e := newRatOnePortEval(w)
 	e.build(orders, nil, nil)
-	pi, err := e.g.Potentials(rat.One) // tokens are all 0: period-independent
+	pi, err := e.arcs.g.Potentials(rat.One) // tokens are all 0: period-independent
 	if err != nil {
 		return nil, fmt.Errorf("orchestrate: orders deadlock: %w", err)
 	}
@@ -30,38 +33,67 @@ func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 }
 
 // onePortEval is the latency order-search evaluator and the one encoding of
-// the order-induced DAG: the value of an assignment is its longest path,
-// computed on a reused event graph and begin-time buffer;
-// OnePortLatencyWithOrders materializes the winning orders from the same
-// graph once the search is over.
+// the order-induced DAG: the value of an assignment is its longest path.
+// Every arc of that DAG carries its source operation's duration and no
+// token, so the longest path is a sum of durations: on the integer lane
+// (intLane), taken whenever the plan's durations fit it, one Kahn pass over
+// scaled int64 durations scores an assignment. Otherwise (lane nil) the
+// arcs go into a reused event graph and its exact-rational longest-path
+// relaxation; OnePortLatencyWithOrders materializes the winning orders
+// from that graph once the search is over. fl is LatencyPathBound, on the
+// lane's durations when there is one.
 type onePortEval struct {
-	w  *plan.Weighted
-	g  *eventgraph.Graph
-	pi []rat.Rat
-	fl rat.Rat
+	w    *plan.Weighted
+	fl   rat.Rat
+	lane *intLane
+	arcs graphArcs
+	pi   []rat.Rat
 }
 
+// newOnePortEval returns w's search evaluator, on the integer lane when
+// w's durations fit it.
 func newOnePortEval(w *plan.Weighted) *onePortEval {
-	return &onePortEval{w: w, g: eventgraph.New(opCount(w)), fl: w.LatencyPathBound()}
+	if lane := newIntLane(w); lane != nil {
+		return &onePortEval{w: w, fl: lane.floor(), lane: lane}
+	}
+	return newRatOnePortEval(w)
+}
+
+// newRatOnePortEval returns w's evaluator on exact rationals.
+func newRatOnePortEval(w *plan.Weighted) *onePortEval {
+	return &onePortEval{w: w, fl: w.LatencyPathBound(), arcs: graphArcs{w: w, g: eventgraph.New(opCount(w))}}
 }
 
 func (e *onePortEval) floor() rat.Rat { return e.fl }
 
-// build fills the scratch graph with the one-port precedence constraints
-// of a partial assignment (nil decided flags: every side decided): one
+// build emits the one-port precedence constraints of a partial assignment
+// (nil decided flags: every side decided) into the evaluator's lane: one
 // chainEdges per server, exact on decided sides.
 func (e *onePortEval) build(o Orders, decidedIn, decidedOut []bool) {
-	e.g.Reset(opCount(e.w))
+	var sink arcSink = &e.arcs
+	if e.lane != nil {
+		e.lane.reset()
+		sink = e.lane
+	} else {
+		e.arcs.g.Reset(opCount(e.w))
+	}
 	for v := 0; v < e.w.N(); v++ {
-		chainEdges(e.w, e.g, v, o, decided(decidedIn, v), decided(decidedOut, v))
+		chainEdges(e.w, sink, v, o, decided(decidedIn, v), decided(decidedOut, v))
 	}
 }
 
-// latency runs the longest-path relaxation on the current scratch graph
-// and returns the latest communication end — List.Latency of the induced
-// schedule. The error is the deadlock of the (partial) orders.
+// latency runs the longest-path relaxation on the built arcs and returns
+// the latest communication end — List.Latency of the induced schedule. The
+// error is the deadlock of the (partial) orders, the same on both lanes.
 func (e *onePortEval) latency() (rat.Rat, error) {
-	pi, err := e.g.PotentialsInto(e.pi, rat.One) // tokens all 0: period-independent
+	if e.lane != nil {
+		lat, ok := e.lane.latency()
+		if !ok {
+			return rat.Zero, eventgraph.ErrZeroTokenCycle
+		}
+		return rat.New(lat, e.lane.den), nil
+	}
+	pi, err := e.arcs.g.PotentialsInto(e.pi, rat.One) // tokens all 0: period-independent
 	if pi != nil {
 		e.pi = pi
 	}
@@ -94,6 +126,163 @@ func (e *onePortEval) exceeds(o Orders, decidedIn, decidedOut []bool, limit rat.
 	return lb.Greater(limit)
 }
 
+// maxLaneSum caps the sum of a plan's scaled durations on the integer
+// lane. A path of the order DAG visits each operation at most once, so no
+// begin or end time can exceed the sum, and none overflows int64.
+const maxLaneSum = 1 << 62
+
+// intLane scores one-port latency orders on int64: the plan's operation
+// durations scaled to numerators over den, the lcm of their denominators,
+// and pointer-free scratch for one Kahn pass per assignment, which yields
+// the deadlock test, the begin times and the latest communication end
+// together. All int32 scratch shares one backing array, as does the int64.
+type intLane struct {
+	w     *plan.Weighted
+	den   int64
+	dur   []int64 // scaled duration per operation
+	begin []int64 // earliest begin per operation
+	arcs  []int32 // emitted (from, to) pairs
+	indeg []int32 // per operation: arcs into it not yet relaxed
+	start []int32 // per operation + 1: out-arc offsets into adj
+	adj   []int32 // arc heads grouped by tail
+	queue []int32 // Kahn order
+}
+
+// newIntLane builds w's integer lane, or returns nil when a duration is
+// not a small rational, den overflows int64 or the scaled durations sum
+// past maxLaneSum.
+func newIntLane(w *plan.Weighted) *intLane {
+	n := opCount(w)
+	den := uint64(1)
+	for op := 0; op < n; op++ {
+		d, ok := opDur(w, op).Den64()
+		if !ok {
+			return nil
+		}
+		hi, lo := bits.Mul64(den/gcd(den, uint64(d)), uint64(d))
+		if hi != 0 || lo > math.MaxInt64 {
+			return nil
+		}
+		den = lo
+	}
+	i64 := make([]int64, 2*n)
+	dur := i64[:n]
+	var sum uint64
+	for op := range dur {
+		r := opDur(w, op)
+		num, ok := r.Num64()
+		d, _ := r.Den64()
+		if !ok || num < 0 {
+			return nil
+		}
+		hi, lo := bits.Mul64(uint64(num), den/uint64(d))
+		if sum += lo; hi != 0 || lo > maxLaneSum || sum > maxLaneSum {
+			return nil
+		}
+		dur[op] = int64(lo)
+	}
+	// Every server emits at most one arc per communication on its sides.
+	arcs := 0
+	for v := 0; v < w.N(); v++ {
+		arcs += len(w.InEdges(v)) + len(w.OutEdges(v))
+	}
+	i32 := make([]int32, 3*arcs+3*n+1)
+	l := &intLane{w: w, den: int64(den), dur: dur, begin: i64[n:]}
+	l.arcs, i32 = i32[:0:2*arcs], i32[2*arcs:]
+	l.adj, i32 = i32[:arcs], i32[arcs:]
+	l.indeg, i32 = i32[:n], i32[n:]
+	l.start, l.queue = i32[:n+1], i32[n+1:n+1:2*n+1]
+	return l
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// reset empties the arcs and their counts before a build.
+func (l *intLane) reset() {
+	l.arcs = l.arcs[:0]
+	clear(l.indeg)
+	clear(l.start)
+}
+
+// arc records one arc of the order DAG and counts it at both ends.
+func (l *intLane) arc(from, to int) {
+	l.arcs = append(l.arcs, int32(from), int32(to))
+	l.start[from+1]++
+	l.indeg[to]++
+}
+
+// latency is one Kahn pass over the built arcs: every operation begins
+// once all its predecessors have ended, and the latest communication end
+// is the latency (scaled by den). ok is false when the arcs close a cycle
+// — the orders deadlock. It runs once per build: it turns the counts arc
+// left in start into offsets.
+func (l *intLane) latency() (lat int64, ok bool) {
+	n := len(l.dur)
+	start, adj := l.start, l.adj
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	// Filling advances start[v] to the end of v's run; shift back after.
+	for i := 0; i < len(l.arcs); i += 2 {
+		from := l.arcs[i]
+		adj[start[from]] = l.arcs[i+1]
+		start[from]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	q := l.queue[:0]
+	for v := 0; v < n; v++ {
+		l.begin[v] = 0
+		if l.indeg[v] == 0 {
+			q = append(q, int32(v))
+		}
+	}
+	calcs := int32(l.w.N())
+	for h := 0; h < len(q); h++ {
+		u := q[h]
+		end := l.begin[u] + l.dur[u]
+		if u >= calcs {
+			lat = max(lat, end)
+		}
+		for _, to := range adj[start[u]:start[u+1]] {
+			l.begin[to] = max(l.begin[to], end)
+			if l.indeg[to]--; l.indeg[to] == 0 {
+				q = append(q, to)
+			}
+		}
+	}
+	return lat, len(q) == n
+}
+
+// floor is w.LatencyPathBound on the scaled durations.
+func (l *intLane) floor() rat.Rat {
+	w := l.w
+	done := l.begin[:w.N()]
+	var best int64
+	for _, v := range w.Topo() {
+		var start int64
+		for _, ei := range w.InEdges(v) {
+			t := l.dur[commOp(w, ei)]
+			if from := w.Edge(ei).From; from != plan.In {
+				t += done[from]
+			}
+			start = max(start, t)
+		}
+		done[v] = start + l.dur[calcOp(v)]
+		for _, ei := range w.OutEdges(v) {
+			if w.Edge(ei).To == plan.Out {
+				best = max(best, done[v]+l.dur[commOp(w, ei)])
+			}
+		}
+	}
+	return rat.New(best, l.den)
+}
+
 // OnePortLatency searches per-server orders for the minimal one-port
 // latency. The search is exact (over all schedules, since any valid
 // one-port single-data-set schedule induces such orders) when the
@@ -105,8 +294,7 @@ func OnePortLatency(w *plan.Weighted, opts Options) (Result, error) {
 }
 
 func scoreOnePortLatency(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
-	return searchOrders(w, opts, newOnePortEval(w),
-		w.LatencyPathBound(), onePortPaths, limit)
+	return searchOrders(w, opts, newOnePortEval(w), onePortPaths, limit)
 }
 
 // OverlapLatencyShared builds the bandwidth-sharing multi-port schedule:
@@ -183,8 +371,9 @@ func OverlapLatency(w *plan.Weighted, opts Options) (Result, error) {
 // limit: a one-port optimum above the shared value loses to it anyway, and
 // ties go to the one-port schedule either way.
 func scoreOverlapLatency(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
-	shared := Score{Value: sharedSweep(w, nil), LowerBound: w.LatencyPathBound(), build: sharedBandwidth}
-	onePort, err := scoreOnePortLatency(w, opts, limit.Min(shared.Value))
+	e := newOnePortEval(w)
+	shared := Score{Value: sharedSweep(w, nil), LowerBound: e.floor(), build: sharedBandwidth}
+	onePort, err := searchOrders(w, opts, e, onePortPaths, limit.Min(shared.Value))
 	switch {
 	case err == nil && !onePort.NotBelow():
 		if shared.Value.Less(onePort.Value) {

@@ -139,15 +139,29 @@ func opDur(w *plan.Weighted, op int) rat.Rat {
 	return w.Vol(op - w.N())
 }
 
-// chainEdges adds server v's one-port chain to g: in-comms (in order) →
-// calc → out-comms (in order), zero tokens, each edge carrying its source
-// operation's duration. An open side (din or dout false) contributes only
-// what every permutation implies: each in-comm precedes the calc by its own
-// volume, the calc precedes each out-comm by the computation time. It
-// returns the first and last operation of the chain, the calc standing in
-// for an open or empty side. The one-port latency graph is these chains
-// alone; INORDER adds the one-token wraps.
-func chainEdges(w *plan.Weighted, g *eventgraph.Graph, v int, o Orders, din, dout bool) (first, last int) {
+// arcSink receives the arcs chainEdges emits. Every arc is a zero-token
+// precedence carrying its source operation's duration, so a sink needs only
+// the two operations: graphArcs turns each into an event-graph edge, the
+// one-port latency lane (intLane) keeps it as a pair of integers.
+type arcSink interface{ arc(from, to int) }
+
+// graphArcs adds each arc to g as AddEdge(from, to, opDur(w, from), 0).
+type graphArcs struct {
+	w *plan.Weighted
+	g *eventgraph.Graph
+}
+
+func (s *graphArcs) arc(from, to int) { s.g.AddEdge(from, to, opDur(s.w, from), 0) }
+
+// chainEdges emits server v's one-port chain into s: in-comms (in order) →
+// calc → out-comms (in order), each arc delayed by its source operation's
+// duration. An open side (din or dout false) contributes only what every
+// permutation implies: each in-comm precedes the calc by its own volume,
+// the calc precedes each out-comm by the computation time. It returns the
+// first and last operation of the chain, the calc standing in for an open
+// or empty side. The one-port latency graph is these chains alone; INORDER
+// adds the one-token wraps.
+func chainEdges(w *plan.Weighted, s arcSink, v int, o Orders, din, dout bool) (first, last int) {
 	calc := calcOp(v)
 	first, last = calc, calc
 	if din {
@@ -155,27 +169,27 @@ func chainEdges(w *plan.Weighted, g *eventgraph.Graph, v int, o Orders, din, dou
 		for _, ei := range o.In[v] {
 			op := commOp(w, ei)
 			if prev >= 0 {
-				g.AddEdge(prev, op, opDur(w, prev), 0)
+				s.arc(prev, op)
 			} else {
 				first = op
 			}
 			prev = op
 		}
 		if prev >= 0 {
-			g.AddEdge(prev, calc, opDur(w, prev), 0)
+			s.arc(prev, calc)
 		}
 	} else {
 		for _, ei := range o.In[v] {
-			g.AddEdge(commOp(w, ei), calc, w.Vol(ei), 0)
+			s.arc(commOp(w, ei), calc)
 		}
 	}
 	for _, ei := range o.Out[v] {
+		op := commOp(w, ei)
 		if dout {
-			op := commOp(w, ei)
-			g.AddEdge(last, op, opDur(w, last), 0)
+			s.arc(last, op)
 			last = op
 		} else {
-			g.AddEdge(calc, commOp(w, ei), w.Comp(v), 0)
+			s.arc(calc, op)
 		}
 	}
 	return first, last

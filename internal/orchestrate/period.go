@@ -171,15 +171,18 @@ func graphLambda(g *eventgraph.Graph) (rat.Rat, error) {
 type inOrderEval struct {
 	w     *plan.Weighted
 	g     *eventgraph.Graph
+	arcs  graphArcs // chainEdges' sink: g
 	pi    []rat.Rat
 	cexec []rat.Rat // per-server one-port execution time (Cin+comp+Cout)
 	fl    rat.Rat
 }
 
 func newInOrderEval(w *plan.Weighted) *inOrderEval {
+	g := eventgraph.New(opCount(w))
 	e := &inOrderEval{
 		w:     w,
-		g:     eventgraph.New(opCount(w)),
+		g:     g,
+		arcs:  graphArcs{w: w, g: g},
 		cexec: make([]rat.Rat, w.N()),
 		fl:    w.PeriodLowerBound(plan.InOrder),
 	}
@@ -214,7 +217,7 @@ func (e *inOrderEval) build(o Orders, decidedIn, decidedOut []bool) {
 // scratch graph.
 func (e *inOrderEval) serverEdges(v int, o Orders, din, dout bool) {
 	w, g := e.w, e.g
-	first, last := chainEdges(w, g, v, o, din, dout)
+	first, last := chainEdges(w, &e.arcs, v, o, din, dout)
 	ins, outs := o.In[v], o.Out[v]
 	switch {
 	case dout && din:
@@ -283,8 +286,7 @@ func InOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
 }
 
 func scoreInOrderPeriod(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
-	return searchOrders(w, opts, newInOrderEval(w),
-		w.PeriodLowerBound(plan.InOrder), inOrderCycle, limit)
+	return searchOrders(w, opts, newInOrderEval(w), inOrderCycle, limit)
 }
 
 // generations returns per-node pipeline stages: the hop-length of the
@@ -514,8 +516,7 @@ func OutOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
 }
 
 func scoreOutOrderPeriod(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
-	return searchOrders(w, opts, newOutOrderEval(w),
-		w.PeriodLowerBound(plan.OutOrder), outOrderCycle, limit)
+	return searchOrders(w, opts, newOutOrderEval(w), outOrderCycle, limit)
 }
 
 // OutOrderBottleneck identifies the critical cycle of an OUTORDER schedule

@@ -23,8 +23,11 @@ package orchestrate
 // every assignment out. A floor above the limit is a cut-off before any
 // search, on either path; the heuristic path is otherwise unlimited.
 //
-// The evaluator keeps a resettable event graph and a begin-time buffer;
-// complete assignments are scored with value() (no operation list), and a
+// Each evaluator owns its scratch and reuses it across assignments: the
+// period evaluators a resettable event graph and a begin-time buffer, the
+// one-port latency evaluator pointer-free integer arrays (or, when the
+// plan's durations do not fit its integer lane, an event graph too).
+// Complete assignments are scored with value() (no operation list), and a
 // candidate that improves the best only has its orders copied.
 //
 // The heuristic path (above MaxExhaustive: priority seeds, adjacent-swap
@@ -124,12 +127,13 @@ const boundMinSuffix = 4
 
 // searchOrders minimizes the model evaluator over order assignments:
 // exhaustively (pruned, see the file comment) when the combination count
-// fits the budget, otherwise seeds + adjacent-swap local search. bound is
-// the model's static lower bound and build the construction that
-// materialises the winning orders, both recorded in the returned Score; a
-// bound above limit is a cut-off before either path runs.
-func searchOrders(w *plan.Weighted, opts Options, eval orderEval, bound rat.Rat, build construction, limit Limit) (Score, error) {
+// fits the budget, otherwise seeds + adjacent-swap local search. The
+// evaluator's floor and build, the construction that materialises the
+// winning orders, are recorded in the returned Score; a floor above limit
+// is a cut-off before either path runs.
+func searchOrders(w *plan.Weighted, opts Options, eval orderEval, build construction, limit Limit) (Score, error) {
 	opts = opts.withDefaults()
+	bound := eval.floor()
 	if limit.excludes(bound) {
 		if opts.Stats != nil {
 			*opts.Stats = Stats{CutOffs: 1}
