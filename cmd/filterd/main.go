@@ -60,7 +60,7 @@
 //	                           health loop probes it on every peer)
 //	GET   /metrics             every counter, Prometheus text format: request latency,
 //	                           per-phase and solver wall time, search-effort totals
-//	                           (orchestration-memo hits of each solve included), plan-cache
+//	                           (candidate orchestrations included), plan-cache
 //	                           hit rates and capacity, registered instances, solves waiting
 //	                           for a slot and shed counts, store and sync traffic — plus,
 //	                           in router mode, per-peer forward, failover and

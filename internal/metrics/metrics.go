@@ -4,7 +4,7 @@
 //
 // filterd and the cluster router are the intended users (DESIGN.md §4),
 // and /metrics is their one counters surface: request latency per route,
-// solver wall time, cache and memo hit rates, queue depth, breaker state,
+// solver wall time, cache hit rates, queue depth, breaker state,
 // per-peer forward/failover counts — every number the Go Stats snapshots
 // report lives here, scrapeable by any Prometheus-compatible collector
 // without adding a dependency to the module.

@@ -143,8 +143,8 @@ type Span struct {
 	servedBy string
 	phases   [phaseCount]time.Duration
 	// Solver effort of the serving solve (zero when served without one).
-	expanded, pruned, evals, memoHits int64
-	ended                             bool
+	expanded, pruned, evals int64
+	ended                   bool
 }
 
 // ID returns the request ID ("" on a nil span).
@@ -200,12 +200,12 @@ func (s *Span) SetServedBy(by string) {
 }
 
 // SetSolver records the search effort behind the answer.
-func (s *Span) SetSolver(expanded, pruned, evals, memoHits int64) {
+func (s *Span) SetSolver(expanded, pruned, evals int64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.expanded, s.pruned, s.evals, s.memoHits = expanded, pruned, evals, memoHits
+	s.expanded, s.pruned, s.evals = expanded, pruned, evals
 	s.mu.Unlock()
 }
 
@@ -246,7 +246,6 @@ type SolverView struct {
 	Expanded int64 `json:"expanded"`
 	Pruned   int64 `json:"pruned"`
 	Evals    int64 `json:"orchestrations"`
-	MemoHits int64 `json:"memo_hits"`
 }
 
 // SpanView is the JSON form of one recorded span.
@@ -293,8 +292,8 @@ func (s *Span) view() SpanView {
 			v.PhaseSeconds[p.String()] = s.phases[p].Seconds()
 		}
 	}
-	if s.expanded != 0 || s.pruned != 0 || s.evals != 0 || s.memoHits != 0 {
-		v.Solver = &SolverView{Expanded: s.expanded, Pruned: s.pruned, Evals: s.evals, MemoHits: s.memoHits}
+	if s.expanded != 0 || s.pruned != 0 || s.evals != 0 {
+		v.Solver = &SolverView{Expanded: s.expanded, Pruned: s.pruned, Evals: s.evals}
 	}
 	return v
 }

@@ -88,7 +88,7 @@ func TestSpanAnnotations(t *testing.T) {
 	sp.SetServedBy("http://peer")
 	sp.Observe(PhaseCanon, 2*time.Millisecond)
 	sp.Observe(PhaseCanon, 3*time.Millisecond) // accumulates
-	sp.SetSolver(10, 4, 6, 2)
+	sp.SetSolver(10, 4, 6)
 	sp.End(500)
 	v := tr.Snapshot()[0]
 	if v.Hash != "deadbeef" || v.Outcome != "hit" || v.Source != "cache" {
@@ -100,7 +100,7 @@ func TestSpanAnnotations(t *testing.T) {
 	if got := v.PhaseSeconds["canon"]; got != (5 * time.Millisecond).Seconds() {
 		t.Errorf("canon phase %v, want 0.005", got)
 	}
-	if v.Solver == nil || v.Solver.Expanded != 10 || v.Solver.Pruned != 4 || v.Solver.Evals != 6 || v.Solver.MemoHits != 2 {
+	if v.Solver == nil || v.Solver.Expanded != 10 || v.Solver.Pruned != 4 || v.Solver.Evals != 6 {
 		t.Errorf("solver view %+v", v.Solver)
 	}
 	if v.Status != 500 {
@@ -120,7 +120,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetShard(1, "o")
 	sp.SetServedBy("x")
 	sp.Observe(PhaseSolve, time.Millisecond)
-	sp.SetSolver(1, 2, 3, 4)
+	sp.SetSolver(1, 2, 3)
 	sp.End(200)
 
 	var tr *Tracer

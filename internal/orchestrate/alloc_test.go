@@ -126,9 +126,9 @@ func TestScoringAllocBudget(t *testing.T) {
 		budget float64
 		score  func() (Score, error)
 	}{
-		{"overlap-period/forest", 3, func() (Score, error) { return scorePeriod(forest, plan.Overlap, Options{}, NoLimit) }},
-		{"tree-latency/forest", 7, func() (Score, error) { return scoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
-		{"one-port-latency/dag", 49, func() (Score, error) { return scoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
+		{"overlap-period/forest", 3, func() (Score, error) { return ScorePeriod(forest, plan.Overlap, Options{}, NoLimit) }},
+		{"tree-latency/forest", 7, func() (Score, error) { return ScoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
+		{"one-port-latency/dag", 49, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
 	}
 	for _, tc := range cases {
 		got := testing.AllocsPerRun(100, func() {

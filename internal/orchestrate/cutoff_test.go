@@ -2,8 +2,7 @@ package orchestrate
 
 // The cut-off suite: a scoring under a Limit is the unlimited scoring
 // whenever the optimum is within the limit, a not-below Score otherwise
-// (or, where nothing proves the limit out, the unlimited Score itself), and
-// the memo's not-below facts serve exactly the limits they cover.
+// (or, where nothing proves the limit out, the unlimited Score itself).
 
 import (
 	"fmt"
@@ -15,10 +14,10 @@ import (
 	"repro/internal/rat"
 )
 
-// scorer is one objective's memoized scoring entry point.
+// scorer is one objective's scoring entry point.
 type scorer struct {
 	obj   string
-	score func(*Memo, *plan.Weighted, plan.Model, Options, Limit) (Score, bool, error)
+	score func(*plan.Weighted, plan.Model, Options, Limit) (Score, error)
 	floor func(*plan.Weighted, plan.Model) rat.Rat
 }
 
@@ -27,7 +26,7 @@ var scorers = []scorer{
 	{"latency", ScoreLatency, func(w *plan.Weighted, _ plan.Model) rat.Rat { return w.LatencyPathBound() }},
 }
 
-// checkLimited scores w under AtMost(limit) with no memo and holds the
+// checkLimited scores w under AtMost(limit) and holds the
 // outcome to the unlimited Score s0: identical field for field when s0 is
 // within the limit; above it, a cut-off at the limit from an exhaustive
 // order search, from the heuristic one only when the floor rules the limit
@@ -40,7 +39,7 @@ func checkLimited(t *testing.T, name string, w *plan.Weighted, m plan.Model, sc 
 	var st Stats
 	o := opts
 	o.Stats = &st
-	s, _, err := sc.score(nil, w, m, o, AtMost(limit))
+	s, err := sc.score(w, m, o, AtMost(limit))
 	if err != nil {
 		t.Fatalf("%s limit %s: %v", name, limit, err)
 	}
@@ -73,7 +72,7 @@ func TestScoreBelowLimit(t *testing.T) {
 	for i, w := range scoreCorpus() {
 		for _, m := range plan.Models {
 			for _, sc := range scorers {
-				s0, _, err := sc.score(nil, w, m, smallSearch(), NoLimit)
+				s0, err := sc.score(w, m, smallSearch(), NoLimit)
 				if err != nil {
 					t.Fatalf("plan %d %s/%s: %v", i, m, sc.obj, err)
 				}
@@ -87,46 +86,6 @@ func TestScoreBelowLimit(t *testing.T) {
 		}
 	}
 }
-
-// TestMemoFacts pins the memo's rules for not-below facts: a fact at L
-// serves every limit up to L as a cut-off at that limit, misses above L and
-// with no limit, gives way to a higher fact and to a full Score, and never
-// replaces a full Score or a higher fact.
-func TestMemoFacts(t *testing.T) {
-	three, five, four, six := rat.I(3), rat.I(5), rat.I(4), rat.I(6)
-	full := Score{Value: rat.I(7), LowerBound: three, Exact: true, build: onePortPaths}
-	steps := []struct {
-		name  string
-		store *Score // nil: lookup only
-		limit Limit
-		hit   bool
-		want  Score
-	}{
-		{name: "empty", limit: AtMost(five)},
-		{name: "fact at 5", store: ptr(cutOff(AtMost(five))), limit: AtMost(four), hit: true, want: cutOff(AtMost(four))},
-		{name: "fact serves its own limit", limit: AtMost(five), hit: true, want: cutOff(AtMost(five))},
-		{name: "fact misses above", limit: AtMost(six)},
-		{name: "fact misses no limit", limit: NoLimit},
-		{name: "lower fact kept out", store: ptr(cutOff(AtMost(three))), limit: AtMost(four), hit: true, want: cutOff(AtMost(four))},
-		{name: "higher fact replaces", store: ptr(cutOff(AtMost(six))), limit: AtMost(six), hit: true, want: cutOff(AtMost(six))},
-		{name: "full score replaces", store: &full, limit: AtMost(three), hit: true, want: full},
-		{name: "full score serves no limit", limit: NoLimit, hit: true, want: full},
-		{name: "fact never replaces a score", store: ptr(cutOff(AtMost(rat.I(100)))), limit: AtMost(rat.I(100)), hit: true, want: full},
-	}
-	memo := NewMemo()
-	const key = "k"
-	for _, st := range steps {
-		if st.store != nil {
-			memo.store(key, *st.store, nil)
-		}
-		got, err, hit := memo.lookup(key, st.limit)
-		if err != nil || hit != st.hit || (hit && !reflect.DeepEqual(got, st.want)) {
-			t.Fatalf("%s: lookup = %+v, %v, hit %v; want %+v, hit %v", st.name, got, err, hit, st.want, st.hit)
-		}
-	}
-}
-
-func ptr[T any](v T) *T { return &v }
 
 // BenchmarkScoreCutoff times one one-port latency scoring on a gen DAG
 // plan of 6 and 7 services with no limit and with the limit at 0.9 × the

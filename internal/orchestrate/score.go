@@ -50,8 +50,7 @@ const (
 // without it. Above it, the order searches stop as soon as they prove that
 // no order reaches the limit and return a not-below Score instead of their
 // optimum: the limit prunes from the first prefix, and a model floor above
-// it ends the search before it starts. The limit is not part of the memo
-// key (memo.go).
+// it ends the search before it starts.
 type Limit struct {
 	v  rat.Rat
 	ok bool
@@ -81,7 +80,7 @@ func cutOff(l Limit) Score { return Score{Value: l.v, build: notBelow} }
 // search compares (Value), reports (LowerBound, Exact) and needs to rebuild
 // the schedule later (Orders and the construction that reads them). It
 // holds a few small integer slices and no operation list, so a search can
-// score thousands of candidate graphs and keep a memo of them cheaply.
+// score thousands of candidate graphs cheaply.
 type Score struct {
 	Value      rat.Rat
 	LowerBound rat.Rat
@@ -100,12 +99,11 @@ type Score struct {
 func (s Score) NotBelow() bool { return s.build == notBelow }
 
 // Materialise builds, validates and explains the schedule a score stands
-// for. w must be the weighted plan that was scored (or an identical one —
-// a memoized score serves every plan with the same memo key). It is total
-// on a score the scoring forms produced for w (FuzzScoreMaterialise); it
-// fails only on a foreign score, when the rebuilt list violates the model's
-// constraints or does not reach the scored value, and plan searches return
-// that failure as an internal error.
+// for. w must be the weighted plan that was scored (or an identical one).
+// It is total on a score the scoring forms produced for w
+// (FuzzScoreMaterialise); it fails only on a foreign score, when the
+// rebuilt list violates the model's constraints or does not reach the
+// scored value, and plan searches return that failure as an internal error.
 func (s Score) Materialise(w *plan.Weighted) (Result, error) {
 	res := Result{LowerBound: s.LowerBound, Exact: s.Exact}
 	var err error
@@ -169,9 +167,14 @@ func materialised(s Score, err error, w *plan.Weighted) (Result, error) {
 	return s.Materialise(w)
 }
 
-// scorePeriod dispatches to the model-specific period scoring form. Only
-// the order searches read the limit: Theorem 1 costs less than a cut-off.
-func scorePeriod(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Score, error) {
+// ScorePeriod scores the best period schedule of w under model m without
+// building it. With the optimum at most limit the Score is the one NoLimit
+// gives. Otherwise it is a not-below Score, or — where nothing proves the
+// limit out cheaply (Theorem 1, the tree algorithm, the heuristic order
+// path above its floor) — the Score itself, above the limit: either way
+// the caller rejects it. Only the order searches read the limit: Theorem 1
+// costs less than a cut-off.
+func ScorePeriod(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Score, error) {
 	switch m {
 	case plan.Overlap:
 		return scoreOverlapPeriod(w), nil
@@ -184,10 +187,10 @@ func scorePeriod(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Sco
 	}
 }
 
-// scoreLatency dispatches to the model-specific latency scoring form. For
-// forest-shaped plans the exact tree algorithm is used directly (one-port
-// communications are dominant on trees, paper Prop. 12), whatever the limit.
-func scoreLatency(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Score, error) {
+// ScoreLatency is ScorePeriod for the latency objective. For forest-shaped
+// plans the exact tree algorithm is used directly (one-port communications
+// are dominant on trees, paper Prop. 12), whatever the limit.
+func ScoreLatency(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Score, error) {
 	if isForestShaped(w) {
 		return scoreTreeLatency(w)
 	}
@@ -201,52 +204,15 @@ func scoreLatency(w *plan.Weighted, m plan.Model, opts Options, limit Limit) (Sc
 	}
 }
 
-// scoreMemo runs one scoring form through a memo: a nil memo is a direct
-// call, and a hit returns the Score of the first evaluation of an identical
-// weighted plan under identical options — bit-identical to recomputing,
-// since orchestration is deterministic — or a not-below fact that covers
-// limit (memo.go). hit is observational only.
-func scoreMemo(memo *Memo, kind byte, w *plan.Weighted, m plan.Model, opts Options, limit Limit,
-	score func(*plan.Weighted, plan.Model, Options, Limit) (Score, error)) (s Score, hit bool, err error) {
-	if memo == nil {
-		s, err = score(w, m, opts, limit)
-		return s, false, err
-	}
-	key := memoKey(kind, m, opts, w)
-	if s, err, ok := memo.lookup(key, limit); ok {
-		return s, true, err
-	}
-	s, err = score(w, m, opts, limit)
-	memo.store(key, s, err)
-	return s, false, err
-}
-
-// ScorePeriod scores the best period schedule of w under model m without
-// building it, through memo when non-nil; hit reports a memo hit (the
-// introspection layer accounts memo effectiveness with it). With the
-// optimum at most limit the Score is the one NoLimit gives. Otherwise it
-// is a not-below Score, or — where nothing proves the limit out cheaply
-// (Theorem 1, the tree algorithm, the heuristic order path above its
-// floor, a memoized Score) — the Score itself, above the limit: either
-// way the caller rejects it.
-func ScorePeriod(memo *Memo, w *plan.Weighted, m plan.Model, opts Options, limit Limit) (s Score, hit bool, err error) {
-	return scoreMemo(memo, 'p', w, m, opts, limit, scorePeriod)
-}
-
-// ScoreLatency is ScorePeriod for the latency objective.
-func ScoreLatency(memo *Memo, w *plan.Weighted, m plan.Model, opts Options, limit Limit) (s Score, hit bool, err error) {
-	return scoreMemo(memo, 'l', w, m, opts, limit, scoreLatency)
-}
-
 // Period orchestrates w for the period objective under model m: it scores,
 // then rebuilds the schedule from the score.
 func Period(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	s, err := scorePeriod(w, m, opts, NoLimit)
+	s, err := ScorePeriod(w, m, opts, NoLimit)
 	return materialised(s, err, w)
 }
 
 // Latency orchestrates w for the latency objective under model m.
 func Latency(w *plan.Weighted, m plan.Model, opts Options) (Result, error) {
-	s, err := scoreLatency(w, m, opts, NoLimit)
+	s, err := ScoreLatency(w, m, opts, NoLimit)
 	return materialised(s, err, w)
 }

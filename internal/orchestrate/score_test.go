@@ -2,14 +2,12 @@ package orchestrate
 
 // The score/materialise suite: a score carries the value of the schedule
 // Materialise later rebuilds, every rebuilt schedule passes the Appendix-A
-// validator of its model, a memoized score materialises to the same
-// schedule, the memo key keeps problems apart, and a score that does not
-// describe its plan is refused.
+// validator of its model, and a score that does not describe its plan is
+// refused.
 
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -39,8 +37,6 @@ func scoreCorpus() []*plan.Weighted {
 	return plans
 }
 
-// smallSearch keeps the exhaustive budget low so part of the corpus takes
-// the heuristic path.
 // randomChain is the chain execution graph visiting app's services in a
 // random order; app has no precedence constraints.
 func randomChain(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
@@ -51,10 +47,12 @@ func randomChain(rng *rand.Rand, app *workflow.App) *plan.ExecGraph {
 	return eg
 }
 
+// smallSearch keeps the exhaustive budget low so part of the corpus takes
+// the heuristic path.
 func smallSearch() Options { return Options{MaxExhaustive: 64} }
 
 func TestScoreValueIsMaterialisedValue(t *testing.T) {
-	type scorer func(*Memo, *plan.Weighted, plan.Model, Options, Limit) (Score, bool, error)
+	type scorer func(*plan.Weighted, plan.Model, Options, Limit) (Score, error)
 	objectives := []struct {
 		name  string
 		score scorer
@@ -64,15 +62,11 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 		{"latency", ScoreLatency, func(r Result) rat.Rat { return r.List.Latency() }},
 	}
 	for i, w := range scoreCorpus() {
-		memo := NewMemo() // per plan: the corpus repeats some shapes
 		for _, m := range plan.Models {
 			for _, obj := range objectives {
-				s, hit, err := obj.score(memo, w, m, smallSearch(), NoLimit)
+				s, err := obj.score(w, m, smallSearch(), NoLimit)
 				if err != nil {
 					t.Fatalf("plan %d %s/%s: score: %v", i, m, obj.name, err)
-				}
-				if hit {
-					t.Fatalf("plan %d %s/%s: first scoring reported a memo hit", i, m, obj.name)
 				}
 				res, err := s.Materialise(w)
 				if err != nil {
@@ -91,55 +85,8 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 				if s.Value.Less(s.LowerBound) {
 					t.Fatalf("plan %d %s/%s: value %s below bound %s", i, m, obj.name, s.Value, s.LowerBound)
 				}
-				// A memo hit is the same score and the same schedule.
-				again, hit, err := obj.score(memo, w, m, smallSearch(), NoLimit)
-				if err != nil || !hit {
-					t.Fatalf("plan %d %s/%s: second scoring: hit=%v err=%v", i, m, obj.name, hit, err)
-				}
-				res2, err := again.Materialise(w)
-				if err != nil || !listsIdentical(res.List, res2.List) {
-					t.Fatalf("plan %d %s/%s: memoized score materialised differently (err %v)", i, m, obj.name, err)
-				}
 			}
 		}
-	}
-}
-
-// TestMemoKeySeparatesProblems guards the memo key: one memo scores the same
-// weighted plan under two models and both objectives, and each result must
-// be the Score a memo-less call returns — a key that conflated models or
-// objectives would serve the first problem's Score to the next.
-func TestMemoKeySeparatesProblems(t *testing.T) {
-	w := gen.DAGPlan(gen.NewRand(4), gen.App(gen.NewRand(4), 5, gen.Mixed), 0.6).Weighted()
-	problems := []struct {
-		name  string
-		m     plan.Model
-		score func(*Memo, *plan.Weighted, plan.Model, Options, Limit) (Score, bool, error)
-	}{
-		{"inorder period", plan.InOrder, ScorePeriod},
-		{"overlap period", plan.Overlap, ScorePeriod},
-		{"inorder latency", plan.InOrder, ScoreLatency},
-	}
-	memo := NewMemo()
-	var values []rat.Rat
-	for _, p := range problems {
-		want, _, err := p.score(nil, w, p.m, smallSearch(), NoLimit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, hit, err := p.score(memo, w, p.m, smallSearch(), NoLimit)
-		if err != nil || hit {
-			t.Fatalf("%s: first memoized scoring: hit=%v err=%v", p.name, hit, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: memoized score %+v, memo-less %+v", p.name, got, want)
-		}
-		for i, v := range values {
-			if v.Equal(want.Value) {
-				t.Fatalf("%s and %s score the same value %s: the plan does not separate them", problems[i].name, p.name, v)
-			}
-		}
-		values = append(values, want.Value)
 	}
 }
 
@@ -149,7 +96,7 @@ func TestMemoKeySeparatesProblems(t *testing.T) {
 func TestMaterialiseRefusesForeignScore(t *testing.T) {
 	w := gen.DAGPlan(gen.NewRand(4), gen.App(gen.NewRand(4), 5, gen.Mixed), 0.6).Weighted()
 	for _, m := range []plan.Model{plan.InOrder, plan.OutOrder} {
-		s, _, err := ScorePeriod(nil, w, m, Options{}, NoLimit)
+		s, err := ScorePeriod(w, m, Options{}, NoLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +106,7 @@ func TestMaterialiseRefusesForeignScore(t *testing.T) {
 			t.Fatalf("%s: halved value materialised: %v", m, err)
 		}
 	}
-	lat, _, err := ScoreLatency(nil, w, plan.InOrder, Options{}, NoLimit)
+	lat, err := ScoreLatency(w, plan.InOrder, Options{}, NoLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +158,7 @@ func FuzzScoreMaterialise(f *testing.F) {
 		}
 		for _, m := range plan.Models {
 			for _, sc := range scorers {
-				s, _, err := sc.score(nil, w, m, opts, NoLimit)
+				s, err := sc.score(w, m, opts, NoLimit)
 				if err != nil {
 					continue // nothing scored, nothing to materialise
 				}

@@ -6,7 +6,7 @@ package service
 // benchmark and cmd/filterd read in process, each also a family here.
 // Hot-path instruments (request latency, phase times) are real histograms
 // updated inline; everything already tracked by an existing counter —
-// plan cache, registry, solver effort and orchestration-memo totals,
+// plan cache, registry, solver effort and orchestration totals,
 // store, subscription stats — is published as a callback read at scrape
 // time, so there is exactly one source of truth per number.
 
@@ -37,7 +37,7 @@ func (s *Server) initMetrics() {
 	// Solver search-effort totals, summed across every executed solve
 	// (failed and canceled ones included; observeEffort adds them): the
 	// branch-and-bound evidence counters, and how many candidate
-	// orchestrations each solve's own memo served rather than computed.
+	// orchestrations the solves computed.
 	m.CounterFunc("filterd_solver_nodes_expanded_total",
 		"Branch-and-bound partial assignments whose bound was computed, summed over all solves.",
 		func() float64 { return float64(s.nodesExpanded.Load()) })
@@ -48,11 +48,11 @@ func (s *Server) initMetrics() {
 		"Branch-and-bound leaves (complete candidate graphs) whose objective was computed, summed over all solves; hill-climb candidates are not counted.",
 		func() float64 { return float64(s.candEvaluated.Load()) })
 	m.CounterFunc("filterd_memo_hits_total",
-		"Candidate orchestrations served by their solve's memo, summed over all solves.",
-		func() float64 { return float64(s.memoHits.Load()) })
+		"Always 0: solves do not memoize candidate orchestrations.",
+		func() float64 { return 0 })
 	m.CounterFunc("filterd_memo_misses_total",
-		"Candidate orchestrations computed because their solve's memo had no entry, summed over all solves.",
-		func() float64 { return float64(s.memoMisses.Load()) })
+		"Candidate orchestrations computed, summed over all solves: every one of them, since solves do not memoize.",
+		func() float64 { return float64(s.orchestrations.Load()) })
 
 	// Build identity as the Prometheus build-info convention: a constant-1
 	// gauge whose labels carry the version and VCS revision.

@@ -149,7 +149,6 @@ type explainDoc struct {
 	} `json:"solver"`
 	Orch *struct {
 		Orchestrations int64 `json:"orchestrations"`
-		MemoHits       int64 `json:"memo_hits"`
 	} `json:"orchestration"`
 	Timings *struct {
 		SolveSeconds float64 `json:"solve_seconds"`
@@ -240,8 +239,7 @@ func TestExplainAcrossServePaths(t *testing.T) {
 	if stored.Solver == nil || *stored.Solver != *solved.Solver {
 		t.Fatalf("store counters %+v != solve counters %+v", stored.Solver, solved.Solver)
 	}
-	if stored.Orch == nil || stored.Orch.Orchestrations != solved.Orch.Orchestrations ||
-		stored.Orch.MemoHits != solved.Orch.MemoHits {
+	if stored.Orch == nil || *stored.Orch != *solved.Orch {
 		t.Fatalf("store orch counters %+v != solve's %+v", stored.Orch, solved.Orch)
 	}
 	if stored.Method != "branch-bound" || stored.Family != "forest" {
@@ -297,7 +295,7 @@ func TestExplainEffortIndependentOfHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := ef.Orch
-	direct := explainOrchJSON{Orchestrations: ef.Evals, MemoHits: ef.MemoHits, Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated, CutOffs: o.CutOffs}
+	direct := explainOrchJSON{Orchestrations: ef.Evals, Prefixes: o.Prefixes, Pruned: o.Pruned, Evaluated: o.Evaluated, CutOffs: o.CutOffs}
 	if got != direct {
 		t.Fatalf("served: %+v, direct solve: %+v", got, direct)
 	}

@@ -100,7 +100,7 @@ type Config struct {
 	maxPending int
 	// Metrics, when non-nil, is the registry the server publishes its
 	// operational metrics into (request latency, solver wall time, cache
-	// and memo counters, queue depth, shed count — served at GET /metrics
+	// and solver counters, queue depth, shed count — served at GET /metrics
 	// by Handler). nil creates a private registry, so embedded servers in
 	// tests never collide. Share one registry per process at most once:
 	// metric names are registered once per server lifetime.
@@ -213,9 +213,11 @@ type Stats struct {
 	Shed    int64
 	// Store is the plan store's counters (zero value without one).
 	Store store.Stats
-	// MemoHits/MemoMisses split the candidate orchestrations of every
-	// executed solve into those its per-solve orchestration memo served and
-	// those it computed.
+	// MemoHits is never written and reads 0: solves do not memoize
+	// orchestrations. MemoMisses counts the candidate orchestrations every
+	// executed solve computed, which is all of them. Both keep their names
+	// only because the benchmark module reads them; ROADMAP item 1a
+	// removes them.
 	MemoHits   int64
 	MemoMisses int64
 }
@@ -300,13 +302,12 @@ type Server struct {
 	mPhaseStore *metrics.Histogram
 
 	// Solver search-effort totals across every executed solve, read by
-	// Stats and /metrics: the branch-and-bound counters and the
-	// orchestration-memo split of the candidate orchestrations.
-	nodesExpanded atomic.Int64
-	nodesPruned   atomic.Int64
-	candEvaluated atomic.Int64
-	memoHits      atomic.Int64
-	memoMisses    atomic.Int64
+	// Stats and /metrics: the branch-and-bound counters and the candidate
+	// orchestrations.
+	nodesExpanded  atomic.Int64
+	nodesPruned    atomic.Int64
+	candEvaluated  atomic.Int64
+	orchestrations atomic.Int64
 
 	// Replica-sync counters (sync.go): the /v1/sync merge traffic of the
 	// anti-entropy loop.
@@ -574,9 +575,8 @@ retry:
 			s.solves.Add(1)
 			// Introspection: the solve fills its own effort record, failed
 			// and canceled solves included. It is observational — the
-			// service pins Workers: 1 and every solve has its own
-			// orchestration memo, so the counts are a function of the
-			// request alone (the /v1/explain contract).
+			// service pins Workers: 1, so the counts are a function of
+			// the request alone (the /v1/explain contract).
 			ef := &solve.Effort{QueueNanos: int64(time.Since(submitted))}
 			opts := req.solveOptions(ctx)
 			opts.Incumbent = incumbent
@@ -642,7 +642,7 @@ retry:
 	}
 	span.SetOutcome(outcome.String(), source)
 	if e := val.effort; e != nil {
-		span.SetSolver(e.Search.Expanded, e.Search.Pruned, e.Evals, e.MemoHits)
+		span.SetSolver(e.Search.Expanded, e.Search.Pruned, e.Evals)
 	}
 	reg.record(key, span.ID(), req, outcome.String(), source, val)
 	return Response{
@@ -669,8 +669,7 @@ func (s *Server) observeEffort(span *obs.Span, ef *solve.Effort) {
 	s.nodesExpanded.Add(ef.Search.Expanded)
 	s.nodesPruned.Add(ef.Search.Pruned)
 	s.candEvaluated.Add(ef.Search.Evaluated)
-	s.memoHits.Add(ef.MemoHits)
-	s.memoMisses.Add(ef.Evals - ef.MemoHits)
+	s.orchestrations.Add(ef.Evals)
 }
 
 // BatchResult is one item of a PlanBatchContext answer.
@@ -859,8 +858,7 @@ func (s *Server) Stats() Stats {
 		Solves:       s.solves.Load(),
 		Workers:      s.cfg.Workers,
 		Shed:         s.shed.Load(),
-		MemoHits:     s.memoHits.Load(),
-		MemoMisses:   s.memoMisses.Load(),
+		MemoMisses:   s.orchestrations.Load(),
 	}
 	if s.cfg.Store != nil {
 		st.Store = s.cfg.Store.Stats()

@@ -214,7 +214,6 @@ type explainSolverJSON struct {
 
 type explainOrchJSON struct {
 	Orchestrations int64 `json:"orchestrations"`
-	MemoHits       int64 `json:"memo_hits"`
 	Prefixes       int64 `json:"prefixes"`
 	Pruned         int64 `json:"pruned"`
 	Evaluated      int64 `json:"evaluated"`
@@ -257,7 +256,6 @@ func explainResponse(e Explain) explainJSON {
 		}
 		out.Orch = &explainOrchJSON{
 			Orchestrations: ef.Evals,
-			MemoHits:       ef.MemoHits,
 			Prefixes:       ef.Orch.Prefixes,
 			Pruned:         ef.Orch.Pruned,
 			Evaluated:      ef.Orch.Evaluated,

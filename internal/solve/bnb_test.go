@@ -17,8 +17,7 @@ import (
 // agreeWithOracle holds the exact search to the oracle (oracle_test.go) on
 // one instance, family, model and objective: every way of asking for the
 // family's optimum — by name, and through Auto where Auto resolves to this
-// family — at every worker count, with the memo on and off, returns the
-// oracle's Solution bit for bit: value, Exact, graph and operation list.
+// family — at every worker count returns the oracle's Solution bit for bit: value, Exact, graph and operation list.
 // The DAG oracle walks every labelled DAG, and its winner must be
 // transitively reduced, the premise of the search's reduced tree (bnb.go).
 // who names the instance in a failure. It returns the number of solves,
@@ -39,17 +38,15 @@ func agreeWithOracle(t *testing.T, who string, app *workflow.App, m plan.Model, 
 	}
 	for _, ask := range asks {
 		for _, workers := range []int{1, 4} {
-			for _, noMemo := range []bool{true, false} {
-				opts := ask
-				opts.Orch, opts.Restarts, opts.Workers, opts.noMemo = smallOrch(), 1, workers, noMemo
-				solves++
-				if met {
-					atFloor++
-				}
-				if got := describeSolution(solveOnce(t, app, m, obj, opts)); got != want {
-					t.Fatalf("%s %s/%s method=%s family=%s workers=%d noMemo=%v diverged from the blind oracle over %ss:\n--- oracle ---\n%s\n--- search ---\n%s",
-						who, m, obj, ask.Method, ask.Family, workers, noMemo, family, want, got)
-				}
+			opts := ask
+			opts.Orch, opts.Restarts, opts.Workers = smallOrch(), 1, workers
+			solves++
+			if met {
+				atFloor++
+			}
+			if got := describeSolution(solveOnce(t, app, m, obj, opts)); got != want {
+				t.Fatalf("%s %s/%s method=%s family=%s workers=%d diverged from the blind oracle over %ss:\n--- oracle ---\n%s\n--- search ---\n%s",
+					who, m, obj, ask.Method, ask.Family, workers, family, want, got)
 			}
 		}
 	}

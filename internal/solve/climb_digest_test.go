@@ -7,7 +7,7 @@ package solve
 // 12-node threshold where candidate parents are sampled; the DAG climb runs
 // on precedence instances of 6 to 8 services. Each digest is a pair, like
 // TestAnswerStreamDigest's: the answers, and at Workers 1 the search effort
-// (orchestrations, memo hits, order-search counters and cut-offs). A change
+// (orchestrations, order-search counters and cut-offs). A change
 // to a climb's move filter must move neither.
 
 import (
@@ -24,16 +24,19 @@ import (
 // The committed digests, recorded by these tests at commit 3ac4fd7; the
 // effort halves re-recorded when the order searches gained cut-offs, and
 // all but the short DAG one (no climb there stops early) when the
-// climbs began stopping at the period floor.
+// climbs began stopping at the period floor. All four effort halves moved
+// when the per-solve orchestration memo was deleted: former memo hits now
+// count their order-search prefixes and evaluations, and the effort line
+// lost its memo-hit column.
 const (
 	climbAnswerFull     = "bd988a2c3f70f2a2f137e2083e91f1f05ae4a70f7a34d08d1b3581107ff6ba9e"
-	climbEffortFull     = "a259b617a78f983f8509e495c2f0ff0005b2b9dcd3d832b83ea9d71933879049"
+	climbEffortFull     = "0ce62dd36639166c3f678b12a1a470f03572b6f6a491d4f0d6b741ce4b10ddd2"
 	climbAnswerShort    = "707b85cacccb7710c1153ea10666d149ae9d5d09996e8433475bfa3279b6d5e6"
-	climbEffortShort    = "cec165baddc5f51852c39dd54b4b1591d589f32d5633b660f2de40b6723785d0"
+	climbEffortShort    = "38cd76b9d5def6255375327753bfdf43c1beec216bcf548f7b64f4cb7905b3e9"
 	climbDAGAnswerFull  = "35df0be2c831e2f241d07349a769861a8b1320ddcbb931ad33b7d4b34a560cec"
-	climbDAGEffortFull  = "e998ee5c8d492edc8c3b4a4abde004cfe1385e6ce0f09253d82046689ac86663"
+	climbDAGEffortFull  = "c12f5bba15c6e2bbb6cd2d83fdc8a050be03dd5d3dd92ce390de2cf8ae28443e"
 	climbDAGAnswerShort = "d27338fe9804baa2492dfb774d0b3f62ad2bf7349a41c3f5dcf9fea192ab4f75"
-	climbDAGEffortShort = "83033e1cb582a59538dd8e74059dfbba6dfc4dbf95e54b00059fad869c797fee"
+	climbDAGEffortShort = "fd979bb114f0426b3d851ca98e24c8ced05cbb03f18e42ea4ed8cc3b8f0df14d"
 )
 
 // climbInstance is one digest instance and the climb seed it is solved with.
@@ -65,8 +68,8 @@ func checkClimbDigest(t *testing.T, insts []climbInstance, wantAnswers, wantEffo
 					writeAnswer(t, answers, sol, err)
 					if workers == 1 {
 						o := ef.Orch
-						fmt.Fprintf(effort, "%s %s %s: %d %d %d %d %d %d\n", in.label, m, obj,
-							ef.Evals, ef.MemoHits, o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
+						fmt.Fprintf(effort, "%s %s %s: %d %d %d %d %d\n", in.label, m, obj,
+							ef.Evals, o.Prefixes, o.Pruned, o.Evaluated, o.CutOffs)
 					}
 				}
 			}

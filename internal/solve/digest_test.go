@@ -30,12 +30,14 @@ import (
 // when the searches began stopping at the period floor. All four were
 // re-recorded when the chain family was retired: its configuration left the
 // grid, and every other configuration's answers and counters hash as they
-// did.
+// did. The counter halves moved again when the per-solve orchestration memo
+// was deleted: a candidate graph a search reaches twice is now scored twice,
+// so its order-search prefixes and evaluations count each time.
 const (
 	answerDigestFull   = "897b7d512e919d5d2e61fabcc2c88020fb0ed4cdf6ec1bcbe192a709dbb68458"
-	counterDigestFull  = "60ca95fc218e8115d9e05960e586429672298db29700532d758a9da217351cb2"
+	counterDigestFull  = "2a774b847aac04170f2a51bb684e161df01c40d759823dedb61dd889fc0346ff"
 	answerDigestShort  = "8af65a59cca4ecbae66e8be31f1f54853c3058850532ffc8f2aac3a29bdfbde5"
-	counterDigestShort = "75ea385e8df0d4d0ca4f1834d5ebc50f424abec11dbdb8920e252f489c3176f1"
+	counterDigestShort = "5ba1613dc07b82db9c0d41bf477a45b7989bb37a0818195930f3f3714272f8c8"
 )
 
 // digestCorpus draws, per selectivity profile, free instances of 4 to 6

@@ -6,10 +6,9 @@ package solve
 // The paper's central claim is quantitative — pruned branch-and-bound and
 // relaxed-event-graph bounds make the NP-hard mapping tractable — and the
 // evidence is counters: nodes expanded versus pruned, candidate graphs
-// orchestrated, memo hits, order-search prefixes bounded and pruned. A
-// solve given Options.Effort records them all there. Counting never
-// changes which graphs are searched, what Solution is returned, or any
-// cache/memo key.
+// orchestrated, order-search prefixes bounded and pruned. A solve given
+// Options.Effort records them all there. Counting never changes which
+// graphs are searched, what Solution is returned, or any cache key.
 
 import (
 	"sync"
@@ -38,9 +37,11 @@ type Effort struct {
 	// Orch aggregates the orchestration-search counters across every
 	// candidate evaluation of the solve.
 	Orch orchestrate.Stats
-	// Evals counts candidate orchestrations; MemoHits how many of them the
-	// orchestration memo served without recomputing.
-	Evals    int64
+	// Evals counts candidate orchestrations.
+	Evals int64
+	// MemoHits is never written and reads 0: solves no longer memoize
+	// orchestrations. It stays declared only because the benchmark module
+	// reads it; ROADMAP item 1a removes it.
 	MemoHits int64
 	// QueueNanos is the wait for a solver slot, the one field the caller
 	// sets (the solve keeps it); SolveNanos the solver wall time, OrchNanos
@@ -57,21 +58,17 @@ type Effort struct {
 // it. Safe for concurrent use — the parallel searches score candidates
 // from many goroutines.
 type tally struct {
-	evals, memoHits, orchNanos atomic.Int64
+	evals, orchNanos atomic.Int64
 
 	mu     sync.Mutex
 	orch   orchestrate.Stats
 	search Stats
 }
 
-// scored counts one candidate scoring: a memo hit or not, its
-// orchestration-search counters (zero on a hit: no orchestration work was
-// done) and its wall time.
-func (t *tally) scored(hit bool, st orchestrate.Stats, d time.Duration) {
+// scored counts one candidate scoring: its orchestration-search counters
+// and its wall time.
+func (t *tally) scored(st orchestrate.Stats, d time.Duration) {
 	t.evals.Add(1)
-	if hit {
-		t.memoHits.Add(1)
-	}
 	t.orchNanos.Add(int64(d))
 	t.mu.Lock()
 	t.orch.Prefixes += st.Prefixes
@@ -95,6 +92,6 @@ func (t *tally) record(e *Effort, method Method, family Family, solve time.Durat
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e.Method, e.Family, e.Search, e.Orch = method, family, t.search, t.orch
-	e.Evals, e.MemoHits = t.evals.Load(), t.memoHits.Load()
+	e.Evals = t.evals.Load()
 	e.SolveNanos, e.OrchNanos = int64(solve), t.orchNanos.Load()
 }

@@ -30,30 +30,27 @@ type scored struct {
 // the eager materialise-every-candidate reference; nothing else assigns it.
 var evaluate = scoreCandidate
 
-// scoreCandidate scores the objective on one candidate execution graph,
-// through the solve's orchestration memo when one is set: identical
-// weighted graphs reached anywhere in the search are scored once. limit is
-// the caller's acceptance limit (orchestrate.Limit): above it the score may
-// be a cut-off, which the caller rejects. A solve that records its effort
-// counts the scoring in its tally.
+// scoreCandidate scores the objective on one candidate execution graph.
+// limit is the caller's acceptance limit (orchestrate.Limit): above it the
+// score may be a cut-off, which the caller rejects. A solve that records
+// its effort counts the scoring in its tally.
 func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (scored, error) {
 	c := scored{eg: eg, w: eg.Weighted()}
 	o, t := opts.Orch, opts.tally
 	var start time.Time
 	if t != nil {
 		// A Stats of this call's own: the orchestrate layer overwrites its
-		// target, and Stats is outside the memo key.
+		// target.
 		o.Stats, start = new(orchestrate.Stats), time.Now()
 	}
-	var hit bool
 	var err error
 	if obj == PeriodObjective {
-		c.Score, hit, err = orchestrate.ScorePeriod(opts.memo, c.w, m, o, limit)
+		c.Score, err = orchestrate.ScorePeriod(c.w, m, o, limit)
 	} else {
-		c.Score, hit, err = orchestrate.ScoreLatency(opts.memo, c.w, m, o, limit)
+		c.Score, err = orchestrate.ScoreLatency(c.w, m, o, limit)
 	}
 	if t != nil {
-		t.scored(hit, *o.Stats, time.Since(start))
+		t.scored(*o.Stats, time.Since(start))
 	}
 	return c, err
 }
@@ -123,14 +120,6 @@ func minimize(app *workflow.App, m plan.Model, obj Objective, opts Options) (Sol
 	// state is built (the searches poll the context periodically after).
 	if err := ctxErr(opts.Ctx); err != nil {
 		return Solution{}, err
-	}
-	// The orchestration memo pays where a search revisits candidate graphs:
-	// hill-climb seeds/restarts converging on the same forests, and
-	// branch-and-bound re-reaching the graphs its incumbent seeding (the
-	// greedy chain, and from six services the hill climb, sharing this
-	// memo) already orchestrated or cut off.
-	if !opts.noMemo && (method == HillClimb || method == BranchBound) {
-		opts.memo = orchestrate.NewMemo()
 	}
 	if obj == PeriodObjective && (method == HillClimb || method == BranchBound) {
 		floor := periodFloor(app, m)
@@ -551,11 +540,11 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	// winning latency schedule is materialised at the end.
 	tryGraph := func(eg *plan.ExecGraph, r *shardResult, best orchestrate.Limit) bool {
 		w := eg.Weighted()
-		per, _, err := orchestrate.ScorePeriod(nil, w, m, opts.Orch, orchestrate.AtMost(periodBound))
+		per, err := orchestrate.ScorePeriod(w, m, opts.Orch, orchestrate.AtMost(periodBound))
 		if err != nil || per.NotBelow() || per.Value.Greater(periodBound) {
 			return false
 		}
-		lat, _, err := orchestrate.ScoreLatency(nil, w, m, opts.Orch, best)
+		lat, err := orchestrate.ScoreLatency(w, m, opts.Orch, best)
 		return err == nil && !lat.NotBelow() && r.offer(scored{eg: eg, w: w, Score: lat})
 	}
 	if n <= maxN(opts, 6) {

@@ -4,7 +4,7 @@ package solve
 // search is checked against. oracleSolve visits a structural family
 // serially, in the order the branch-and-bound searches visit it,
 // materialises EVERY member through Reevaluate and keeps the first strictly
-// best — no bounds, no shards, no memo. The chains have no search to check:
+// best — no bounds, no shards. The chains have no search to check:
 // oracleChain is the reference the greedy chain (Prop. 8/16) is held to.
 
 import (

@@ -41,16 +41,9 @@
 // must reach to be kept — a climb's current value, a branch-and-bound
 // leaf's shard best and shared incumbent — and a scoring that proves every
 // schedule above it ends in a cut-off the search rejects (orchestrate.Limit).
-//
-// # One memo per solve
-//
-// HillClimb and BranchBound score through an orchestration memo that lives
-// for the one solve (orchestrate.Memo): a graph its shards, restarts and
-// incumbent seeding reach again is scored once. No memo outlives its
-// solve, so the Solution — and, at Workers 1, every search counter and
-// memo hit its Effort records — depends on the call alone, never on what
-// the process solved before. GreedyChain, Reevaluate and BiCriteria score
-// without one.
+// A graph a search reaches twice is scored twice: no cache sits between a
+// search and the scoring, so the Solution and, at Workers 1, every counter
+// its Effort records depend on the call alone.
 //
 // # Period floor
 //
@@ -192,19 +185,11 @@ type Options struct {
 	// Effort, when non-nil, receives the solve's search-effort record (see
 	// Effort) — the introspection hook of the planning service's
 	// /v1/explain. Purely observational: it never changes which graphs are
-	// searched or what Solution is returned, and no cache or memo key
-	// holds it. The Solution is the same for every worker count, the
-	// counters only at Workers: 1 (above, pruning follows goroutine timing).
+	// searched or what Solution is returned, and no cache key holds it.
+	// The Solution is the same for every worker count, the counters only
+	// at Workers: 1 (above, pruning follows goroutine timing).
 	Effort *Effort
 
-	// memo is the orchestration memo of one solve, shared by every
-	// candidate evaluation in it (see "One memo per solve" in the package
-	// documentation); only minimize sets it. A hit is bit-identical to
-	// recomputing, so the Solution never depends on it.
-	memo *orchestrate.Memo
-	// noMemo makes minimize create no memo: the memo-less reference of the
-	// package's determinism suites (TestMemoDoesNotChangeSolutions).
-	noMemo bool
 	// tally accumulates the Effort of one solve; only minimize sets it,
 	// and only when Effort is set.
 	tally *tally

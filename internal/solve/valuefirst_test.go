@@ -5,8 +5,8 @@ package solve
 // kept here is the evaluation they replaced — materialise and validate
 // EVERY candidate, fail the candidate when that fails — plugged into the
 // same solvers through the evaluate seam. Over a seeded corpus the two must
-// return the identical Solution for every method, family, model, objective,
-// worker count and memo on or off, and do the identical plan search (same
+// return the identical Solution for every method, family, model, objective
+// and worker count, and do the identical plan search (same
 // search counters and candidate evaluations at Workers 1). The order
 // searches inside differ by design: the reference scores with no limit, so
 // it never cuts a candidate off, and its orchestration counters are not
@@ -90,11 +90,11 @@ type search struct {
 
 func (s search) String() string { return s.method.String() + "/" + s.family.String() }
 
-func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, how search, workers int, noMemo bool) outcome {
+func runValueFirstCase(t *testing.T, app *workflow.App, m plan.Model, obj Objective, how search, workers int) outcome {
 	t.Helper()
 	var out outcome
 	var ef Effort
-	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Effort: &ef, noMemo: noMemo}
+	opts := Options{Method: how.method, Family: how.family, Orch: smallOrch(), Restarts: 2, Seed: 7, Workers: workers, Effort: &ef}
 	sol, err := minimize(app, m, obj, opts)
 	out.search, out.orch, out.evals = ef.Search, ef.Orch, ef.Evals
 	if err != nil {
@@ -158,28 +158,26 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 		for _, m := range plan.Models {
 			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 				for _, how := range valueFirstSearches(app, m, obj) {
-					for _, noMemo := range []bool{true, false} {
-						name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s noMemo=%v", i, n, i%2 == 1, how, m, obj, noMemo)
-						var ref outcome
-						withEvaluate(eagerEvaluate, func() {
-							ref = runValueFirstCase(t, app, m, obj, how, 1, noMemo)
-						})
-						got1 := runValueFirstCase(t, app, m, obj, how, 1, noMemo)
-						got4 := runValueFirstCase(t, app, m, obj, how, 4, noMemo)
-						solves += 3
-						if got1.print != ref.print {
-							t.Fatalf("%s: value-first diverged from the eager reference:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got1.print)
-						}
-						if got4.print != ref.print {
-							t.Fatalf("%s: value-first at 4 workers diverged:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got4.print)
-						}
-						if got1.search != ref.search || got1.evals != ref.evals {
-							t.Fatalf("%s: search effort moved: eager %+v evals=%d, value-first %+v evals=%d",
-								name, ref.search, ref.evals, got1.search, got1.evals)
-						}
-						if ref.orch.CutOffs != 0 {
-							t.Fatalf("%s: the unlimited reference cut %d candidates off", name, ref.orch.CutOffs)
-						}
+					name := fmt.Sprintf("instance %d (n=%d prec=%v) %s/%s/%s", i, n, i%2 == 1, how, m, obj)
+					var ref outcome
+					withEvaluate(eagerEvaluate, func() {
+						ref = runValueFirstCase(t, app, m, obj, how, 1)
+					})
+					got1 := runValueFirstCase(t, app, m, obj, how, 1)
+					got4 := runValueFirstCase(t, app, m, obj, how, 4)
+					solves += 3
+					if got1.print != ref.print {
+						t.Fatalf("%s: value-first diverged from the eager reference:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got1.print)
+					}
+					if got4.print != ref.print {
+						t.Fatalf("%s: value-first at 4 workers diverged:\n--- eager ---\n%s\n--- value-first ---\n%s", name, ref.print, got4.print)
+					}
+					if got1.search != ref.search || got1.evals != ref.evals {
+						t.Fatalf("%s: search effort moved: eager %+v evals=%d, value-first %+v evals=%d",
+							name, ref.search, ref.evals, got1.search, got1.evals)
+					}
+					if ref.orch.CutOffs != 0 {
+						t.Fatalf("%s: the unlimited reference cut %d candidates off", name, ref.orch.CutOffs)
 					}
 				}
 			}
@@ -197,7 +195,7 @@ func TestValueFirstMatchesEagerReference(t *testing.T) {
 // returned, never skipped in favour of a runner-up.
 func TestLyingWinnerIsAnError(t *testing.T) {
 	app := gen.App(gen.NewRand(31), 4, gen.Mixed)
-	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1, noMemo: true}
+	opts := Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch(), Workers: 1}
 	honest := solveOnce(t, app, plan.InOrder, PeriodObjective, opts)
 	const lie = "materialised schedule reaches"
 

@@ -84,7 +84,7 @@ type Entry struct {
 	// Solution is the solved plan, reconstructed bit-identical on load.
 	Solution solve.Solution
 	// Effort, when non-nil, is the search-effort record of the solve that
-	// produced the Solution (solver counters, memo hits, timings) — kept
+	// produced the Solution (solver counters, timings) — kept
 	// so a warm-restarted service explains a stored plan with the original
 	// solve's evidence. Optional: entries written before the field existed
 	// load with a nil Effort, and a malformed effort block drops only the
@@ -174,7 +174,8 @@ type entryJSON struct {
 // canonical names, so entry files stay greppable and enum renumbering
 // cannot corrupt stored records. Entries written by older builds may also
 // carry bound_edges_built/_flat and filter_certified/_fallback, counters of
-// a bound and pre-filter since deleted: decoding ignores them.
+// a bound and pre-filter since deleted, and memo_hits, the counter of a
+// per-solve orchestration memo since deleted: decoding ignores them.
 type effortJSON struct {
 	Method   string `json:"method"`
 	Family   string `json:"family"`
@@ -184,7 +185,6 @@ type effortJSON struct {
 	// search; Evals every candidate orchestration of the solve.
 	Evaluated     int64 `json:"evaluated"`
 	Evals         int64 `json:"orchestrations"`
-	MemoHits      int64 `json:"memo_hits"`
 	OrchPrefixes  int64 `json:"orch_prefixes"`
 	OrchPruned    int64 `json:"orch_pruned"`
 	OrchEvaluated int64 `json:"orch_evaluated"`
@@ -206,7 +206,6 @@ func encodeEffort(e *solve.Effort) *effortJSON {
 		Pruned:        e.Search.Pruned,
 		Evaluated:     e.Search.Evaluated,
 		Evals:         e.Evals,
-		MemoHits:      e.MemoHits,
 		OrchPrefixes:  e.Orch.Prefixes,
 		OrchPruned:    e.Orch.Pruned,
 		OrchEvaluated: e.Orch.Evaluated,
@@ -238,7 +237,6 @@ func decodeEffort(d *effortJSON) *solve.Effort {
 		Search:     solve.Stats{Expanded: d.Expanded, Pruned: d.Pruned, Evaluated: d.Evaluated},
 		Orch:       orchestrate.Stats{Prefixes: d.OrchPrefixes, Pruned: d.OrchPruned, Evaluated: d.OrchEvaluated, CutOffs: d.OrchCutOffs},
 		Evals:      d.Evals,
-		MemoHits:   d.MemoHits,
 		QueueNanos: d.QueueNanos,
 		SolveNanos: d.SolveNanos,
 		OrchNanos:  d.OrchNanos,

@@ -350,9 +350,11 @@ func loadRetiredEntry(t *testing.T, file, marker string) Entry {
 // the order search lost its segmented bound and float pre-filter persisted
 // for a default (auto) INORDER period request on a 5-service instance with
 // precedence. Its effort record carries the four counters of those
-// mechanisms (bound_edges_*, filter_*). The entry must load, hold the
-// Solution a solve by this build returns, keep every other effort counter,
-// and re-encode to the stored bytes minus the four dropped counters. The
+// mechanisms (bound_edges_*, filter_*), and memo_hits, the counter of the
+// per-solve orchestration memo deleted since: five legacy counters. The
+// entry must load, hold the Solution a solve by this build returns, keep
+// every other effort counter, and re-encode to the stored bytes minus the
+// five dropped counters. The
 // record matches this build's own solve except for the search counters:
 // the DAG search now walks only transitively reduced graphs, so it expands
 // and evaluates no more nodes than the stored record says (580 and 156
@@ -365,14 +367,14 @@ func TestEntryWithBoundCountersLoads(t *testing.T) {
 	var want []byte
 	dropped := 0
 	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-		if bytes.Contains(line, []byte(`"bound_edges_`)) || bytes.Contains(line, []byte(`"filter_`)) {
+		if bytes.Contains(line, []byte(`"bound_edges_`)) || bytes.Contains(line, []byte(`"filter_`)) || bytes.Contains(line, []byte(`"memo_hits"`)) {
 			dropped++
 			continue
 		}
 		want = append(want, line...)
 	}
-	if dropped != 4 || !bytes.Contains(data, []byte(`"filter_certified": 65`)) {
-		t.Fatal("fixture no longer carries the four bound counters")
+	if dropped != 5 || !bytes.Contains(data, []byte(`"filter_certified": 65`)) {
+		t.Fatal("fixture no longer carries the five legacy counters")
 	}
 	e, err := Decode(data)
 	if err != nil {
@@ -386,7 +388,7 @@ func TestEntryWithBoundCountersLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again, want) {
-		t.Errorf("re-encoded entry differs from the stored one minus the bound counters:\n%s", again)
+		t.Errorf("re-encoded entry differs from the stored one minus the legacy counters:\n%s", again)
 	}
 
 	var fresh solve.Effort
