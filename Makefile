@@ -96,12 +96,14 @@ test-race:
 # stays inside its pinned budget), the executor's round (kernel, estimator
 # folds and a quiet controller pass allocate nothing on a warm program) and
 # the exact inner loop: a relaxation on a warm Graph and a branch-and-bound
-# partial bound on a warm shard scratch allocate nothing, and so do the
+# partial bound on a warm shard scratch (on the int64 lane and on its
+# rational fallback) allocate nothing, and so do the
 # hill climbs' move check and an accepted move on a warm evaluator, for a
 # forest re-parent and for a DAG edge toggle; an exhaustive order search
 # under a limit (INORDER period, one-port latency; at the optimum and in a
-# cut-off) allocates no more than the unlimited one on a warm evaluator;
-# building a candidate (FromGraph + Weighted) stays inside a budget that
+# cut-off) allocates no more than the unlimited one on a warm evaluator,
+# and a one-port latency scoring whose floor exceeds its limit costs two
+# allocations; building a candidate (FromGraph + Weighted) stays inside a budget that
 # does not grow with n, the period floor costs two allocations per solve
 # at every n, and the Kahn pass + ancestor sets on a warm dag.Scratch
 # allocate nothing.
@@ -113,8 +115,10 @@ test-alloc:
 # One pass over every go-test benchmark: the experiments E1-E12, the
 # component benchmarks, BranchBound (ns per expanded node of the whole
 # exact solve at Workers 1: forest n = 7, DAG n = 5 without and with
-# precedence), the branch-and-bound partial bounds (BenchmarkPartialBound: ns/node and allocs/node over the whole
-# forest n = 7 and DAG n = 5 search trees on a warm scratch), the order
+# precedence), the branch-and-bound partial bounds (BenchmarkPartialBound:
+# ns/node and allocs/node over the whole forest n = 7 and DAG n = 5 search
+# trees on a warm scratch, on the int64 lane and, in the -fallback rows,
+# on exact rationals; allocs/node leaves out the tree walk's own), the order
 # search's cut-off (BenchmarkScoreCutoff: ns/op of one one-port latency
 # scoring at n = 6, 7 with no limit and with the limit at 0.9 × the
 # optimum) and the executor's round (BenchmarkExecRound: ns/tuple and
@@ -208,7 +212,11 @@ smoke-exec:
 # lost; no subscriber is left behind), and the exact DAG search on decoded instances of up to 4 services (at 1 and
 # 2 workers the blind oracle's Solution over all labelled DAGs bit for bit,
 # a transitively reduced winner that validates, Exact as the model and
-# objective allow). FUZZTIME bounds each target.
+# objective allow), and the partial bounds' int64 lane against its
+# exact-rational fallback on decoded instances of up to 4 services (taken
+# exactly when a math/big oracle of its guard says the instance fits; then
+# the same Rat on every node of the forest and DAG search trees). FUZZTIME
+# bounds each target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzListJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/oplist/
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -225,5 +233,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSubscribeResume -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalHash -fuzztime $(FUZZTIME) ./internal/canon/
 	$(GO) test -run '^$$' -fuzz FuzzExactMatchesOracle -fuzztime $(FUZZTIME) ./internal/solve/
+	$(GO) test -run '^$$' -fuzz FuzzPartialBoundLanesAgree -fuzztime $(FUZZTIME) ./internal/solve/
 
 check: vet build test-short test-race test-alloc bench-smoke bench-exec-round

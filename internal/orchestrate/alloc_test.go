@@ -1,6 +1,7 @@
 package orchestrate
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -104,8 +105,10 @@ func TestBoundAllocBudget(t *testing.T) {
 // the measured count plus three — deliberately less headroom than one
 // list: a change that puts the list back on the candidate path trips it.
 // Measured: overlap period 0, tree latency 4,
-// one-port latency on a sparse DAG 36 (evaluator and integer-lane set-up;
-// 46 on the event graph the lane replaced).
+// one-port latency on a sparse DAG 35 (evaluator and integer-lane set-up;
+// 46 on the event graph the lane replaced). A one-port latency scoring
+// whose floor exceeds its limit builds only the evaluator's struct and its
+// scaled durations, and its budget is exactly those two.
 func TestScoringAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -121,6 +124,7 @@ func TestScoringAllocBudget(t *testing.T) {
 			dagPlan = w
 		}
 	}
+	belowFloor := AtMost(dagPlan.LatencyPathBound().Mul(rat.New(1, 2)))
 	cases := []struct {
 		name   string
 		budget float64
@@ -129,8 +133,12 @@ func TestScoringAllocBudget(t *testing.T) {
 		{"overlap-period/forest", 3, func() (Score, error) { return ScorePeriod(forest, plan.Overlap, Options{}, NoLimit) }},
 		{"tree-latency/forest", 7, func() (Score, error) { return ScoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
 		{"one-port-latency/dag", 49, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
+		{"one-port-latency/dag/below-floor", 2, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, belowFloor) }},
 	}
 	for _, tc := range cases {
+		if s, err := tc.score(); err != nil || s.NotBelow() != strings.HasSuffix(tc.name, "below-floor") {
+			t.Fatalf("%s: scored %+v, %v", tc.name, s, err)
+		}
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := tc.score(); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)

@@ -41,22 +41,28 @@ func OnePortLatencyWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, er
 // arcs go into a reused event graph and its exact-rational longest-path
 // relaxation; OnePortLatencyWithOrders materializes the winning orders
 // from that graph once the search is over. fl is LatencyPathBound, on the
-// lane's durations when there is one.
+// lane's durations when there is one. The lane lives in laneBuf, so an
+// evaluator on it is two allocations until its first build: a search whose
+// floor already exceeds its limit builds nothing else.
 type onePortEval struct {
-	w    *plan.Weighted
-	fl   rat.Rat
-	lane *intLane
-	arcs graphArcs
-	pi   []rat.Rat
+	w       *plan.Weighted
+	fl      rat.Rat
+	lane    *intLane // &laneBuf, or nil
+	laneBuf intLane
+	arcs    graphArcs
+	pi      []rat.Rat
 }
 
 // newOnePortEval returns w's search evaluator, on the integer lane when
 // w's durations fit it.
 func newOnePortEval(w *plan.Weighted) *onePortEval {
-	if lane := newIntLane(w); lane != nil {
-		return &onePortEval{w: w, fl: lane.floor(), lane: lane}
+	e := &onePortEval{w: w}
+	if !e.laneBuf.init(w) {
+		return newRatOnePortEval(w)
 	}
-	return newRatOnePortEval(w)
+	e.lane = &e.laneBuf
+	e.fl = e.lane.floor()
+	return e
 }
 
 // newRatOnePortEval returns w's evaluator on exact rationals.
@@ -135,7 +141,8 @@ const maxLaneSum = 1 << 62
 // durations scaled to numerators over den, the lcm of their denominators,
 // and pointer-free scratch for one Kahn pass per assignment, which yields
 // the deadlock test, the begin times and the latest communication end
-// together. All int32 scratch shares one backing array, as does the int64.
+// together. All int32 scratch shares one backing array, made by the first
+// reset, as does the int64.
 type intLane struct {
 	w     *plan.Weighted
 	den   int64
@@ -148,20 +155,20 @@ type intLane struct {
 	queue []int32 // Kahn order
 }
 
-// newIntLane builds w's integer lane, or returns nil when a duration is
-// not a small rational, den overflows int64 or the scaled durations sum
-// past maxLaneSum.
-func newIntLane(w *plan.Weighted) *intLane {
+// init makes l w's integer lane and reports whether w fits it: false when a
+// duration is not a small rational, den overflows int64 or the scaled
+// durations sum past maxLaneSum.
+func (l *intLane) init(w *plan.Weighted) bool {
 	n := opCount(w)
 	den := uint64(1)
 	for op := 0; op < n; op++ {
 		d, ok := opDur(w, op).Den64()
 		if !ok {
-			return nil
+			return false
 		}
 		hi, lo := bits.Mul64(den/gcd(den, uint64(d)), uint64(d))
 		if hi != 0 || lo > math.MaxInt64 {
-			return nil
+			return false
 		}
 		den = lo
 	}
@@ -173,26 +180,31 @@ func newIntLane(w *plan.Weighted) *intLane {
 		num, ok := r.Num64()
 		d, _ := r.Den64()
 		if !ok || num < 0 {
-			return nil
+			return false
 		}
 		hi, lo := bits.Mul64(uint64(num), den/uint64(d))
 		if sum += lo; hi != 0 || lo > maxLaneSum || sum > maxLaneSum {
-			return nil
+			return false
 		}
 		dur[op] = int64(lo)
 	}
+	*l = intLane{w: w, den: int64(den), dur: dur, begin: i64[n:]}
+	return true
+}
+
+// grow makes the int32 scratch.
+func (l *intLane) grow() {
+	n := len(l.dur)
 	// Every server emits at most one arc per communication on its sides.
 	arcs := 0
-	for v := 0; v < w.N(); v++ {
-		arcs += len(w.InEdges(v)) + len(w.OutEdges(v))
+	for v := 0; v < l.w.N(); v++ {
+		arcs += len(l.w.InEdges(v)) + len(l.w.OutEdges(v))
 	}
 	i32 := make([]int32, 3*arcs+3*n+1)
-	l := &intLane{w: w, den: int64(den), dur: dur, begin: i64[n:]}
 	l.arcs, i32 = i32[:0:2*arcs], i32[2*arcs:]
 	l.adj, i32 = i32[:arcs], i32[arcs:]
 	l.indeg, i32 = i32[:n], i32[n:]
 	l.start, l.queue = i32[:n+1], i32[n+1:n+1:2*n+1]
-	return l
 }
 
 func gcd(a, b uint64) uint64 {
@@ -204,6 +216,9 @@ func gcd(a, b uint64) uint64 {
 
 // reset empties the arcs and their counts before a build.
 func (l *intLane) reset() {
+	if l.start == nil {
+		l.grow()
+	}
 	l.arcs = l.arcs[:0]
 	clear(l.indeg)
 	clear(l.start)

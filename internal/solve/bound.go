@@ -27,14 +27,24 @@ package solve
 // The admissibility of every bound against the completed graphs is pinned
 // by TestPartialBoundsAdmissible.
 //
-// A bound costs O(n) rat operations per node. Node sets — decided
-// ancestors and descendants, precedence predecessors and successors, the
-// nodes still open — are uint64 masks, and a node's smallest reachable
-// input product (Π σ over its fixed ancestors, times Π shrink over the
-// services that may still move above it) is two subsetProducts reads and
-// one Mul. The masks cap the exact searches at maxMaskN services.
+// A bound costs O(n) operations per node. Node sets — decided ancestors
+// and descendants, precedence predecessors and successors, the nodes still
+// open — are uint64 masks, which cap the exact searches at maxMaskN
+// services. A node's smallest reachable input product is Π σ over its
+// fixed ancestors times Π shrink over the services that may still move
+// above it.
+//
+// The bounds have two lanes, chosen once per solve by newBoundTables. On
+// the int64 lane (boundLane) every bound is an integer B over one per-solve
+// denominator D: the input product is three subset-table reads and two
+// multiplies, and the bound is handed on as rat.New(B, D). A solve whose
+// numbers do not fit the lane runs the exact-rational code instead, where
+// the product is two subsetProducts reads and one Mul. Both lanes give the
+// same Rat in the same form (TestPartialBoundLanesAgree), so every pruning
+// decision is the same on either.
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -95,24 +105,30 @@ func (u unitTables) unit(v, k int) rat.Rat { return u.cexec[v*(len(u.cs)+1)+k] }
 // keep node sets as uint64 masks, so maxN clamps every exact-search cap to it.
 const maxMaskN = 64
 
-// subsetProducts tabulates a per-service factor's product over every subset
+// subsetTables tabulates a per-service factor's product over every subset
 // of each 8-service chunk of a node mask: chunk c holds 2^min(8, n-8c)
-// products, so the product over any mask costs one table read and one Mul
-// per non-empty chunk after the first. Exact Rats are canonical, so the
-// grouping gives the same value in the same form as a left-to-right loop.
-type subsetProducts [][]rat.Rat
-
-func newSubsetProducts(f []rat.Rat) subsetProducts {
-	t := make(subsetProducts, max(1, (len(f)+7)/8)) // n = 0: one table, {1}
+// products, so the product over any mask costs one table read per chunk
+// and one multiply per non-empty chunk after the first.
+func subsetTables[T any](f []T, one T, mul func(T, T) T) [][]T {
+	t := make([][]T, max(1, (len(f)+7)/8)) // n = 0: one table, {1}
 	for c := range t {
-		tab := make([]rat.Rat, 1<<min(8, len(f)-8*c))
-		tab[0] = rat.One
+		tab := make([]T, 1<<min(8, len(f)-8*c))
+		tab[0] = one
 		for s := 1; s < len(tab); s++ {
-			tab[s] = tab[s&(s-1)].Mul(f[8*c+bits.TrailingZeros(uint(s))])
+			tab[s] = mul(tab[s&(s-1)], f[8*c+bits.TrailingZeros(uint(s))])
 		}
 		t[c] = tab
 	}
 	return t
+}
+
+// subsetProducts are the subset tables of a Rat factor. Exact Rats are
+// canonical, so the grouping gives the same value in the same form as a
+// left-to-right loop.
+type subsetProducts [][]rat.Rat
+
+func newSubsetProducts(f []rat.Rat) subsetProducts {
+	return subsetTables(f, rat.One, rat.Rat.Mul)
 }
 
 // of returns the product of the factors of the services in mask.
@@ -129,7 +145,9 @@ func (t subsetProducts) of(mask uint64) rat.Rat {
 // boundTables are the constants of one solve the partial bounds read: built
 // once by newBoundTables, shared read-only by every shard. Node sets are
 // uint64 masks (bit u = service u), and the input products the bounds need
-// are subset products of the selectivities and shrink factors.
+// are subset products of the selectivities and shrink factors: as Rats for
+// the fallback, and scaled to integers in lane when the solve fits the
+// int64 lane (nil: it does not, and every bound runs on Rats).
 type boundTables struct {
 	unitTables
 	n          int
@@ -143,6 +161,7 @@ type boundTables struct {
 	mandPred   []uint64       // mandPred[v]: the services precedence puts before v in every valid completion
 	mandSucc   []uint64       // mandSucc[v]: the services precedence puts after v
 	openAt     []uint64       // openAt[d]: the nodes touched by the undecided pairs[d:]
+	lane       *boundLane
 }
 
 // newBoundTables builds the tables; prec is the transitive closure of the
@@ -173,7 +192,144 @@ func newBoundTables(app *workflow.App, m plan.Model, obj Objective, prec *dag.Gr
 	for d := len(pairs) - 1; d >= 0; d-- {
 		t.openAt[d] = t.openAt[d+1] | 1<<uint(pairs[d][0]) | 1<<uint(pairs[d][1])
 	}
+	t.lane = newBoundLane(t)
 	return t
+}
+
+// --- the int64 lane ---
+
+// laneCap bounds every integer the int64 lane computes (see newBoundLane).
+const laneCap = 1 << 62
+
+// boundLane is the partial bounds' int64 lane: every bound of one solve as
+// a numerator over one denominator D = Dσ·L, where Dσ = Π_u den σ_u and
+// L = lcm_u den c_u. A node's input product minProd[v] has one factor per
+// other service: σ_u over its fixed ancestors A, the shrink factor over the
+// services S that may still move above it, 1 over the rest R. So
+// minProd[v]·Dσ/den σ_v is the integer
+//
+//	q[v] = Π_A num σ_u · Π_S shr_u · Π_R den σ_u,   shr_u = num σ_u if σ_u < 1, else den σ_u,
+//
+// three reads of the subset tables num, shr and dens (prod) and two
+// multiplies. The per-service constants carry the rest of the scale,
+// den σ_v·L, so every term of a bound is q[v] times one of them.
+type boundLane struct {
+	den            int64     // D
+	num, shr, dens [][]int64 // subset tables of num σ_u, shr_u and den σ_u
+	out            []int64   // num σ_v·L: minOut[v]·D = q[v]·out[v]
+	comp           []int64   // c_v·den σ_v·L
+	tail           []int64   // tail_v·den σ_v·L
+	unit           []int64   // unit(v, k)·den σ_v·L, n+1 per service
+	others         []int64   // Dσ/den σ_v, so unit(v, k)·D = unit[v*(n+1)+k]·others[v]
+}
+
+// newBoundLane returns t's int64 lane, or nil when the solve does not fit
+// it. The guard asks that every selectivity and cost be a small rational
+// and that Pmax·T·(n+1) ≤ laneCap, where
+//   - Pmax = Π_u max(num σ_u, den σ_u) bounds every q[v] and every
+//     subset-table entry;
+//   - T = max(1, max_v max(unit(v, n), c_v+σ_v)·den σ_v·L) bounds every
+//     per-service constant, and out[v]·k for every out-degree k < n;
+//   - D ≤ Pmax·T.
+//
+// Every term of a bound is then at most Pmax·T, and a bound adds at most
+// n+1 of them: a latency path's unit entry and one term per node, or a
+// Cin's one term per predecessor and the node's own. So nothing the lane
+// computes passes laneCap, and neither does any intermediate of the guard.
+func newBoundLane(t *boundTables) *boundLane {
+	n := t.n
+	i64 := make([]int64, 3*n)
+	sn, sd, shr := i64[:n], i64[n:2*n], i64[2*n:]
+	dsig, lcm, pmax := uint64(1), uint64(1), uint64(1)
+	for v := 0; v < n; v++ {
+		num, ok1 := t.sel[v].Num64()
+		den, ok2 := t.sel[v].Den64()
+		cd, ok3 := t.cost[v].Den64()
+		if !(ok1 && ok2 && ok3) {
+			return nil
+		}
+		sn[v], sd[v], shr[v] = num, den, min(num, den) // σ < 1 iff num < den
+		var ok4, ok5, ok6 bool
+		dsig, ok4 = mulCap(dsig, uint64(den))
+		lcm, ok5 = mulCap(lcm/gcd(lcm, uint64(cd)), uint64(cd))
+		pmax, ok6 = mulCap(pmax, uint64(max(num, den)))
+		if !(ok4 && ok5 && ok6) {
+			return nil
+		}
+	}
+	l := &boundLane{num: subsetTables(sn, 1, mul64), shr: subsetTables(shr, 1, mul64), dens: subsetTables(sd, 1, mul64)}
+	consts := make([]int64, n*(n+1)+4*n)
+	l.unit, consts = consts[:n*(n+1)], consts[n*(n+1):]
+	l.out, l.comp, l.tail, l.others = consts[:n], consts[n:2*n], consts[2*n:3*n], consts[3*n:]
+	top := uint64(1) // T
+	// scaled returns r·s, an integer here, and whether it is at most
+	// laneCap; T keeps the largest.
+	scaled := func(r rat.Rat, s uint64) (int64, bool) {
+		x, ok := r.Mul(rat.I(int64(s))).Num64()
+		top = max(top, uint64(x))
+		return x, ok && x <= laneCap
+	}
+	for v := 0; v < n; v++ {
+		s, ok := mulCap(uint64(sd[v]), lcm)
+		if !ok {
+			return nil
+		}
+		var ok1, ok2, ok3, ok4 bool
+		l.out[v], ok1 = scaled(t.sel[v], s) // num σ_v·L
+		l.comp[v], ok2 = scaled(t.cost[v], s)
+		l.tail[v], ok3 = scaled(t.tail[v], s)
+		_, ok4 = scaled(t.cs[v], s) // c+σ enters T only
+		if !(ok1 && ok2 && ok3 && ok4) {
+			return nil
+		}
+		for k := 0; k <= n; k++ {
+			if l.unit[v*(n+1)+k], ok = scaled(t.unit(v, k), s); !ok {
+				return nil
+			}
+		}
+		l.others[v] = int64(dsig) / sd[v]
+	}
+	guard, ok1 := mulCap(pmax, top)
+	if _, ok2 := mulCap(guard, uint64(n+1)); !(ok1 && ok2) {
+		return nil
+	}
+	l.den = int64(dsig * lcm) // at most Pmax·T
+	return l
+}
+
+// mulCap returns a·b and whether it is at most laneCap.
+func mulCap(a, b uint64) (uint64, bool) {
+	hi, lo := bits.Mul64(a, b)
+	return lo, hi == 0 && lo <= laneCap
+}
+
+func mul64(a, b int64) int64 { return a * b }
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// prod returns q for a node whose fixed ancestors, shrinking candidates
+// and remaining services are the disjoint masks a, s and r.
+func (l *boundLane) prod(a, s, r uint64) int64 {
+	p := l.num[0][a&0xff] * l.shr[0][s&0xff] * l.dens[0][r&0xff]
+	if len(l.num) > 1 {
+		p *= l.prodAbove8(a, s, r)
+	}
+	return p
+}
+
+// prodAbove8 is prod's factor from the chunks past the first.
+func (l *boundLane) prodAbove8(a, s, r uint64) int64 {
+	p := int64(1)
+	for c := 1; c < len(l.num); c++ {
+		sh := 8 * uint(c)
+		p *= l.num[c][a>>sh&0xff] * l.shr[c][s>>sh&0xff] * l.dens[c][r>>sh&0xff]
+	}
+	return p
 }
 
 // boundScratch is one shard's working storage for the partial bounds, sized
@@ -181,6 +337,8 @@ func newBoundTables(app *workflow.App, m plan.Model, obj Objective, prec *dag.Gr
 // hold each node's ancestor and descendant masks in the decided graph: the
 // forest bound walks them off the parent chains; on DAGs, acyclic's Kahn
 // pass builds anc and order, and the bound builds desc in reverse order.
+// The per-node values are the fallback's Rats, or the int64 lane's scaled
+// integers (see boundLane).
 type boundScratch struct {
 	*boundTables
 	anc, desc []uint64
@@ -190,13 +348,20 @@ type boundScratch struct {
 	minProd   []rat.Rat // smallest reachable input product
 	minOut    []rat.Rat // minProd times the node's selectivity
 	done      []rat.Rat
+	q, out    []int64 // the lane's minProd (as q) and minOut·D
+	doneD     []int64 // the lane's done·D
 }
 
 func newBoundScratch(t *boundTables) *boundScratch {
 	n := t.n
 	rats, masks, ints := make([]rat.Rat, 3*n), make([]uint64, 2*n), make([]int, 3*n)
-	return &boundScratch{boundTables: t, anc: masks[:n], desc: masks[n:], kids: ints[:n], indeg: ints[n : 2*n],
+	b := &boundScratch{boundTables: t, anc: masks[:n], desc: masks[n:], kids: ints[:n], indeg: ints[n : 2*n],
 		order: ints[2*n:], minProd: rats[:n], minOut: rats[n : 2*n], done: rats[2*n:]}
+	if t.lane != nil {
+		i64 := make([]int64, 3*n)
+		b.q, b.out, b.doneD = i64[:n], i64[n:2*n], i64[2*n:]
+	}
+	return b
 }
 
 // acyclic is g.IsAcyclic on the shard's storage: one Kahn pass (smallest
@@ -275,6 +440,9 @@ func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
 			kids[p]++
 		}
 	}
+	if b.lane != nil {
+		return b.forestLane(parent, fixed)
+	}
 	// minProd[v]: the smallest input product v can reach in any completion.
 	// Any service that is neither v, an ancestor of v, nor a decided
 	// descendant of v (v on its chain) may still end up above an unfixed v.
@@ -305,6 +473,34 @@ func (b *boundScratch) forest(parent []int, decided int) rat.Rat {
 	return bound
 }
 
+// forestLane is forest's bound on the int64 lane, from the masks forest
+// has built: the same terms, scaled by D.
+func (b *boundScratch) forestLane(parent []int, fixed uint64) rat.Rat {
+	l, n, q := b.lane, b.n, b.q
+	var bound int64
+	for v := 0; v < n; v++ {
+		var shrink uint64
+		if fixed&(1<<uint(v)) == 0 {
+			shrink = b.every &^ (b.anc[v] | b.desc[v] | 1<<uint(v))
+		}
+		q[v] = l.prod(b.anc[v], shrink, b.every&^(b.anc[v]|shrink|1<<uint(v)))
+		if b.obj == PeriodObjective {
+			bound = max(bound, q[v]*l.unit[v*(n+1)+b.kids[v]])
+		}
+	}
+	if b.obj == PeriodObjective {
+		return rat.New(bound, l.den)
+	}
+	for v := 0; v < n; v++ {
+		t := l.den
+		for u := v; u >= 0; u = parent[u] {
+			t += q[u] * l.tail[u]
+		}
+		bound = max(bound, t)
+	}
+	return rat.New(bound, l.den)
+}
+
 // --- DAGs ---
 
 // dag bounds the objective of every DAG that completes the first `decided`
@@ -333,6 +529,9 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 		}
 	}
 	open := b.openAt[decided]
+	if b.lane != nil {
+		return b.dagLane(g, open)
+	}
 	// minProd[v]: smallest reachable input product. Decided and
 	// precedence-mandated ancestors contribute their exact selectivity;
 	// the ancestor set is final once neither v nor any of its ancestors is
@@ -433,6 +632,67 @@ func (b *boundScratch) dag(g *dag.Graph, decided int) rat.Rat {
 		bound = rat.Max(bound, last)
 	}
 	return bound
+}
+
+// dagLane is dag's bound on the int64 lane, from the masks dag has built:
+// the same terms, scaled by D.
+func (b *boundScratch) dagLane(g *dag.Graph, open uint64) rat.Rat {
+	l, n, q, out := b.lane, b.n, b.q, b.out
+	for v := 0; v < n; v++ {
+		above := b.anc[v] | b.mandPred[v]
+		var shrink uint64
+		if open&(b.anc[v]|1<<uint(v)) != 0 {
+			shrink = b.every &^ (above | b.desc[v] | b.mandSucc[v] | 1<<uint(v))
+		}
+		q[v] = l.prod(above, shrink, b.every&^(above|shrink|1<<uint(v)))
+		out[v] = q[v] * l.out[v]
+	}
+	var bound int64
+	if b.obj == LatencyObjective {
+		for _, v := range b.order {
+			start := l.den
+			for _, p := range g.Pred(v) {
+				start = max(start, b.doneD[p])
+			}
+			b.doneD[v] = start + q[v]*l.comp[v] + out[v]
+			bound = max(bound, b.doneD[v])
+		}
+		return rat.New(bound, l.den)
+	}
+	src, last := int64(math.MaxInt64), int64(math.MaxInt64) // none yet
+	for v := 0; v < n; v++ {
+		cin, preds := l.den, g.Pred(v)
+		if len(preds) > 0 {
+			cin = 0
+			for _, p := range preds {
+				cin += out[p]
+			}
+		} else if open&(1<<uint(v)) != 0 {
+			for feed := b.every &^ (b.desc[v] | b.mandSucc[v] | 1<<uint(v)); feed != 0; feed &= feed - 1 {
+				cin = min(cin, out[bits.TrailingZeros64(feed)])
+			}
+		}
+		k := g.OutDegree(v)
+		ccomp, cout := q[v]*l.comp[v], out[v]*int64(max(1, k))
+		if b.m == plan.Overlap {
+			bound = max(bound, cin, ccomp, cout)
+		} else {
+			bound = max(bound, cin+ccomp+cout)
+		}
+		if len(preds) == 0 && b.mandPred[v] == 0 {
+			src = min(src, l.unit[v*(n+1)+k]*l.others[v])
+		}
+		if k == 0 && b.mandSucc[v] == 0 {
+			last = min(last, q[v]*l.tail[v])
+		}
+	}
+	if src < math.MaxInt64 {
+		bound = max(bound, src)
+	}
+	if last < math.MaxInt64 {
+		bound = max(bound, last)
+	}
+	return rat.New(bound, l.den)
 }
 
 // --- the period floor ---

@@ -356,12 +356,24 @@ func walkDAGTree(prec *dag.Graph, pairs [][2]int, acyclic func(*dag.Graph) bool,
 	walk(0)
 }
 
+// onLane fails unless the tables take the int64 lane exactly when want
+// says so.
+func onLane(t *testing.T, name string, tables *boundTables, want bool) *boundTables {
+	t.Helper()
+	if (tables.lane != nil) != want {
+		t.Fatalf("%s: int64 lane taken %v, want %v", name, tables.lane != nil, want)
+	}
+	return tables
+}
+
 // TestScratchBoundsMatchAllocatingReference walks the complete branching
 // tree of the forest and DAG searches — every partial decision any pruned
 // run can expand, in the searches' own depth-first order, so each bound is
 // computed on a scratch left dirty by the previous node — and holds the
 // scratch bounds to the allocating reference, Rat for Rat. 120 random
-// instances, every profile, half of the DAG ones with precedence.
+// instances, every profile, half of the DAG ones with precedence, on the
+// int64 lane; and each again with one selectivity widened to
+// 999999937/1000000007, on the rational fallback.
 func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 	seeds := 10
 	if testing.Short() || raceEnabled {
@@ -375,21 +387,27 @@ func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 
 			// Forests, as bnbForestRec assigns parents.
 			for _, n := range []int{3, 5} {
-				app := gen.App(rng, n, profile)
-				for _, m := range plan.Models {
-					for _, obj := range objectives {
-						b := newBoundScratch(newBoundTables(app, m, obj, nil, nil))
-						walkForestTree(n, func(parent []int, v int) {
-							nodes++
-							sameBound(t, fmt.Sprintf("seed %d %s %s/%s forest %v decided %d", seed, profile, m, obj, parent, v),
-								b.forest(parent, v), forestPartialBoundRef(app, m, obj, parent, v))
-						})
+				drawn := gen.App(rng, n, profile)
+				for _, app := range []*workflow.App{drawn, wideSelectivity(drawn)} {
+					lane := app == drawn
+					for _, m := range plan.Models {
+						for _, obj := range objectives {
+							name := fmt.Sprintf("seed %d %s %s/%s forest (lane %v)", seed, profile, m, obj, lane)
+							b := newBoundScratch(onLane(t, name, newBoundTables(app, m, obj, nil, nil), lane))
+							walkForestTree(n, func(parent []int, v int) {
+								nodes++
+								sameBound(t, fmt.Sprintf("%s %v decided %d", name, parent, v),
+									b.forest(parent, v), forestPartialBoundRef(app, m, obj, parent, v))
+							})
+						}
 					}
 				}
 			}
 
 			// DAGs, as bnbDAGRec orients pairs, without and with precedence.
-			for _, app := range []*workflow.App{gen.App(rng, 4, profile), gen.AppWithPrecedence(rng, 4, profile, 0.4)} {
+			drawn := []*workflow.App{gen.App(rng, 4, profile), gen.AppWithPrecedence(rng, 4, profile, 0.4)}
+			for i, app := range append(drawn, wideSelectivity(drawn[0]), wideSelectivity(drawn[1])) {
+				lane := i < len(drawn)
 				prec, err := app.Precedence().TransitiveClosure()
 				if err != nil {
 					t.Fatal(err)
@@ -398,7 +416,8 @@ func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 				pairs := nodePairs(n)
 				for _, m := range plan.Models {
 					for _, obj := range objectives {
-						b := newBoundScratch(newBoundTables(app, m, obj, prec, pairs))
+						name := fmt.Sprintf("seed %d %s %s/%s DAG (lane %v)", seed, profile, m, obj, lane)
+						b := newBoundScratch(onLane(t, name, newBoundTables(app, m, obj, prec, pairs), lane))
 						acyclic := func(g *dag.Graph) bool {
 							acyclic := b.acyclic(g)
 							if acyclic != g.IsAcyclic() {
@@ -408,7 +427,7 @@ func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 						}
 						walkDAGTree(prec, pairs, acyclic, func(g *dag.Graph, i int) {
 							nodes++
-							sameBound(t, fmt.Sprintf("seed %d %s %s/%s DAG %v decided %d", seed, profile, m, obj, g.Edges(), i),
+							sameBound(t, fmt.Sprintf("%s %v decided %d", name, g.Edges(), i),
 								b.dag(g, i), dagPartialBoundRef(app, m, obj, g, prec, pairs, i))
 						})
 					}
@@ -420,35 +439,41 @@ func TestScratchBoundsMatchAllocatingReference(t *testing.T) {
 }
 
 // TestPartialBoundAllocBudget: on a warm shard scratch a partial bound
-// allocates nothing — forest and DAG, both objectives, with precedence.
+// allocates nothing — forest and DAG, both objectives, with precedence, on
+// the int64 lane and, with one selectivity widened to
+// 999999937/1000000007, on the rational fallback.
 func TestPartialBoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	app := gen.AppWithPrecedence(gen.NewRand(8), 5, gen.Mixed, 0.4)
-	prec, err := app.Precedence().TransitiveClosure()
+	drawn := gen.AppWithPrecedence(gen.NewRand(8), 5, gen.Mixed, 0.4)
+	prec, err := drawn.Precedence().TransitiveClosure()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := app.N()
+	n := drawn.N()
 	pairs := nodePairs(n)
 	parent := []int{-1, 0, 0, 2, -1}
 	g := dag.New(n)
 	for _, e := range prec.Edges() {
 		g.AddEdge(e[0], e[1])
 	}
-	for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
-		for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
-			b := newBoundScratch(newBoundTables(app, m, obj, prec, pairs))
-			run := func() {
-				b.forest(parent, 4)
-				b.acyclic(g)
-				b.dag(g, len(pairs)/2)
-				b.selProd.of(b.every)
-			}
-			run()
-			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-				t.Errorf("%s/%s: partial bounds on a warm scratch allocated %.1f times per run, want 0", m, obj, allocs)
+	for _, app := range []*workflow.App{drawn, wideSelectivity(drawn)} {
+		lane := app == drawn
+		for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
+			for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+				name := fmt.Sprintf("%s/%s (lane %v)", m, obj, lane)
+				b := newBoundScratch(onLane(t, name, newBoundTables(app, m, obj, prec, pairs), lane))
+				run := func() {
+					b.forest(parent, 4)
+					b.acyclic(g)
+					b.dag(g, len(pairs)/2)
+					b.selProd.of(b.every)
+				}
+				run()
+				if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+					t.Errorf("%s: partial bounds on a warm scratch allocated %.1f times per run, want 0", name, allocs)
+				}
 			}
 		}
 	}
@@ -490,35 +515,47 @@ var boundSink rat.Rat
 // at n = 7 and of the DAG search at n = 5 (without and with precedence), in
 // the searches' depth-first order on one warm scratch — no pruning, so the
 // whole branching tree — and reports ns/node and allocs/node (OVERLAP, both
-// objectives).
+// objectives). Every row runs on the int64 lane but the -fallback ones,
+// whose DAG instance has one selectivity widened to 999999937/1000000007.
 func BenchmarkPartialBound(b *testing.B) {
 	rng := gen.NewRand(36)
 	forestApp := gen.App(rng, 7, gen.Mixed)
+	dagApp := gen.App(rng, 5, gen.Mixed)
 	dagApps := []struct {
 		name string
 		app  *workflow.App
-	}{{"dag-n5", gen.App(rng, 5, gen.Mixed)}, {"dag-n5-prec", gen.AppWithPrecedence(rng, 5, gen.Mixed, 0.4)}}
-	// bench times walk, which bounds every node it visits and counts it.
-	bench := func(b *testing.B, nodes *int, walk func()) {
+	}{{"dag-n5", dagApp}, {"dag-n5-prec", gen.AppWithPrecedence(rng, 5, gen.Mixed, 0.4)}, {"dag-n5-fallback", wideSelectivity(dagApp)}}
+	// bench times walk(true), which bounds every node it visits and counts
+	// it. allocs/node leaves out the walk's own allocations: those of a
+	// second walk(false), which visits the same nodes and bounds none.
+	bench := func(b *testing.B, nodes *int, walk func(bound bool)) {
 		var before, after runtime.MemStats
+		walk(false)
+		runtime.ReadMemStats(&before)
+		walk(false)
+		runtime.ReadMemStats(&after)
+		harness := int64(after.Mallocs - before.Mallocs)
+		*nodes = 0
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			walk()
+			walk(true)
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(*nodes), "ns/node")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(*nodes), "allocs/node")
+		b.ReportMetric(float64(int64(after.Mallocs-before.Mallocs)-int64(b.N)*harness)/float64(*nodes), "allocs/node")
 	}
 	for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
 		b.Run("forest-n7/"+obj.String(), func(b *testing.B) {
 			sc := newBoundScratch(newBoundTables(forestApp, plan.Overlap, obj, nil, nil))
 			nodes := 0
-			bench(b, &nodes, func() {
+			bench(b, &nodes, func(bound bool) {
 				walkForestTree(forestApp.N(), func(parent []int, v int) {
 					nodes++
-					boundSink = sc.forest(parent, v)
+					if bound {
+						boundSink = sc.forest(parent, v)
+					}
 				})
 			})
 		})
@@ -531,10 +568,12 @@ func BenchmarkPartialBound(b *testing.B) {
 				pairs := nodePairs(d.app.N())
 				sc := newBoundScratch(newBoundTables(d.app, plan.Overlap, obj, prec, pairs))
 				nodes := 0
-				bench(b, &nodes, func() {
+				bench(b, &nodes, func(bound bool) {
 					walkDAGTree(prec, pairs, sc.acyclic, func(g *dag.Graph, i int) {
 						nodes++
-						boundSink = sc.dag(g, i)
+						if bound {
+							boundSink = sc.dag(g, i)
+						}
 					})
 				})
 			})

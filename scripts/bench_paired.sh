@@ -4,16 +4,19 @@
 #
 #   scripts/bench_paired.sh <parent-ref> <workload> [pairs=10] [seconds=15]
 #
-# The parent is exported with git archive into a temporary directory and the
-# working tree's bench/ and BENCHMARK.json are copied onto it, so both sides
-# run the IDENTICAL benchmark code; each side is built once; every pair runs
-# both sides with the same seed (the pair number), alternating which side
-# goes first. Prints, per end-to-end metric, each side's median and
+# Both sides run from sibling directories of one temporary directory: the
+# parent exported with git archive, the working tree with git ls-files (its
+# tracked and untracked, not ignored, files), and the working tree's bench/
+# and BENCHMARK.json copied onto the parent, so both sides run the IDENTICAL
+# benchmark code from equivalent trees; each side is built once; every pair
+# runs both sides with the same seed (the pair number), alternating which
+# side goes first. Prints, per end-to-end metric, each side's median and
 # quartiles, how many pairs the change won (ties count for neither) and the
 # median gap next to the parent's own interquartile range — a gain is
 # claimed only at >= 9 wins in 10 and a gap beyond that range
 # (choosing-metrics §8). Exits non-zero if any run fails its correctness
-# checks.
+# checks, after naming the side, pair and seed of each failed run and the
+# tail of its stderr.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -25,21 +28,34 @@ ref=$1 workload=$2 pairs=${3:-10} seconds=${4:-15}
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-parent="$work/parent"
-mkdir -p "$parent"
+mkdir -p "$work/parent" "$work/change"
 
-git -C "$root" archive "$ref" | tar -x -C "$parent"
-rm -rf "$parent/bench" "$parent/BENCHMARK.json"
-cp -r "$root/bench" "$root/BENCHMARK.json" "$parent/"
+git -C "$root" archive "$ref" | tar -x -C "$work/parent"
+rm -rf "$work/parent/bench" "$work/parent/BENCHMARK.json"
+cp -r "$root/bench" "$root/BENCHMARK.json" "$work/parent/"
+# The working tree's files as they stand; a tracked file deleted in the
+# working tree is left out.
+(cd "$root" && git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
+    if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+done | tar --null -T - -cf -) | tar -x -C "$work/change"
 
 echo "bench-paired: $workload, parent $(git -C "$root" rev-parse --short "$ref") vs working tree, $pairs pairs of $seconds s" >&2
-for side in "$parent" "$root"; do
-    (cd "$side" && bash bench/run.sh -workload "$workload" -seconds 0.1 >/dev/null)
+for side in parent change; do
+    (cd "$work/$side" && bash bench/run.sh -workload "$workload" -seconds 0.1 >/dev/null)
 done
 
-# run <dir> <seed>: one run, its JSON result line on stdout.
+# run <side> <pair>: one run of side (parent or change) with the pair number
+# as its seed, its JSON result line on stdout. A failed run names itself and
+# prints the tail of its stderr.
 run() {
-    (cd "$1" && .bench_build/bench -workload "$workload" -seed "$2" -seconds "$seconds" | tail -1)
+    local log="$work/$1.$2.stderr"
+    if ! (cd "$work/$1" && .bench_build/bench -workload "$workload" -seed "$2" -seconds "$seconds" 2>"$log" | tail -1); then
+        {
+            echo "bench-paired: the $1 side failed pair $2 (seed $2); the tail of its stderr:"
+            tail -n 20 "$log"
+        } >&2
+        return 1
+    fi
 }
 # metric <json> <name>: the metric's value.
 metric() {
@@ -50,11 +66,11 @@ metrics="ops_per_s lat_p50_ms setup_s"
 failed=0
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
-        p=$(run "$parent" "$i") || failed=1
-        c=$(run "$root" "$i") || failed=1
+        p=$(run parent "$i") || failed=1
+        c=$(run change "$i") || failed=1
     else
-        c=$(run "$root" "$i") || failed=1
-        p=$(run "$parent" "$i") || failed=1
+        c=$(run change "$i") || failed=1
+        p=$(run parent "$i") || failed=1
     fi
     line="pair $i:"
     for m in $metrics; do
@@ -89,6 +105,6 @@ for m in $metrics; do
         }'
 done
 if [ "$failed" -ne 0 ]; then
-    echo "bench-paired: a run failed its correctness checks" >&2
+    echo "bench-paired: a run failed (each failed run is named above)" >&2
     exit 1
 fi
