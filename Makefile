@@ -104,7 +104,8 @@ test-race:
 # cut-off) allocates no more than the unlimited one on a warm evaluator,
 # and a one-port latency scoring whose floor exceeds its limit costs two
 # allocations; building a candidate (FromGraph + Weighted) stays inside a budget that
-# does not grow with n, the period floor costs two allocations per solve
+# does not grow with n, and on a warm plan.Builder building or rejecting
+# one allocates nothing, the period floor costs two allocations per solve
 # at every n, and the Kahn pass + ancestor sets on a warm dag.Scratch
 # allocate nothing.
 # Must run unraced — the guards self-skip under -race because
@@ -121,8 +122,10 @@ test-alloc:
 # on exact rationals; allocs/node leaves out the tree walk's own), the order
 # search's cut-off (BenchmarkScoreCutoff: ns/op of one one-port latency
 # scoring at n = 6, 7 with no limit and with the limit at 0.9 × the
-# optimum) and the executor's round (BenchmarkExecRound: ns/tuple and
-# evaluations/tuple, serial and pipelined). End-to-end and per-layer
+# optimum), one candidate graph and its lowering (BenchmarkCandidateBuild:
+# ns/op and allocs/op of FromGraph + Weighted against a warm plan.Builder,
+# n = 8 with precedence) and the executor's round (BenchmarkExecRound:
+# ns/tuple and evaluations/tuple, serial and pipelined). End-to-end and per-layer
 # numbers are bench/'s (bench-paired).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

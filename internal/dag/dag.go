@@ -27,6 +27,7 @@ type Graph struct {
 	m    int // edge count
 	succ [][]int
 	pred [][]int
+	back []int // CopyFrom's backing array for both directions' lists
 }
 
 // New returns an empty graph with n nodes.
@@ -116,18 +117,48 @@ func (g *Graph) Edges() [][2]int {
 // one backing array; every list is capped at its length, so a later AddEdge
 // on either graph reallocates that list instead of writing into a neighbour.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.m = g.m
-	back := make([]int, 0, 2*g.m)
-	for v := 0; v < g.n; v++ {
-		at := len(back)
-		back = append(back, g.succ[v]...)
-		c.succ[v] = back[at:len(back):len(back)]
-		at = len(back)
-		back = append(back, g.pred[v]...)
-		c.pred[v] = back[at:len(back):len(back)]
-	}
+	c := new(Graph)
+	c.CopyFrom(g)
 	return c
+}
+
+// CopyFrom makes g an independent copy of src, as Clone does, on g's own
+// storage: the adjacency headers and the one backing array are reused once
+// they are large enough, so refilling a graph of a size it has held
+// allocates nothing.
+func (g *Graph) CopyFrom(src *Graph) {
+	if len(g.succ) != src.n {
+		adj := make([][]int, 2*src.n)
+		g.succ, g.pred = adj[:src.n:src.n], adj[src.n:]
+	}
+	g.n, g.m = src.n, src.m
+	if cap(g.back) < 2*src.m {
+		// Twice the need once a copy outgrows its array: a graph refilled
+		// with ever larger ones reallocates a logarithmic number of times.
+		c := 2 * src.m
+		if cap(g.back) > 0 {
+			c *= 2
+		}
+		g.back = make([]int, 0, c)
+	}
+	back := g.back[:0]
+	for v := 0; v < src.n; v++ {
+		at := len(back)
+		back = append(back, src.succ[v]...)
+		g.succ[v] = back[at:len(back):len(back)]
+		at = len(back)
+		back = append(back, src.pred[v]...)
+		g.pred[v] = back[at:len(back):len(back)]
+	}
+}
+
+// Clear removes every edge and keeps the adjacency storage: AddEdge then
+// refills each list in place, up to the length it had.
+func (g *Graph) Clear() {
+	for v := 0; v < g.n; v++ {
+		g.succ[v], g.pred[v] = g.succ[v][:0], g.pred[v][:0]
+	}
+	g.m = 0
 }
 
 // Roots returns the nodes with no predecessors, in increasing order.

@@ -105,8 +105,9 @@ func TestBoundAllocBudget(t *testing.T) {
 // the measured count plus three — deliberately less headroom than one
 // list: a change that puts the list back on the candidate path trips it.
 // Measured: overlap period 0, tree latency 4,
-// one-port latency on a sparse DAG 35 (evaluator and integer-lane set-up;
-// 46 on the event graph the lane replaced). A one-port latency scoring
+// one-port latency on a sparse DAG 11 (evaluator and integer-lane set-up;
+// 35 while every server's order list was an allocation of its own, 46 on
+// the event graph the lane replaced). A one-port latency scoring
 // whose floor exceeds its limit builds only the evaluator's struct and its
 // scaled durations, and its budget is exactly those two.
 func TestScoringAllocBudget(t *testing.T) {
@@ -132,7 +133,7 @@ func TestScoringAllocBudget(t *testing.T) {
 	}{
 		{"overlap-period/forest", 3, func() (Score, error) { return ScorePeriod(forest, plan.Overlap, Options{}, NoLimit) }},
 		{"tree-latency/forest", 7, func() (Score, error) { return ScoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
-		{"one-port-latency/dag", 49, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
+		{"one-port-latency/dag", 14, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
 		{"one-port-latency/dag/below-floor", 2, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, belowFloor) }},
 	}
 	for _, tc := range cases {
@@ -174,7 +175,8 @@ func TestMaxCycleRatioAllocBudget(t *testing.T) {
 // returns the optimum, and at 0.9 × it, where it ends in a cut-off —
 // allocates no more than the unlimited search, whose count (the orders,
 // slot and flag set-up plus one copy of the best orders per improvement)
-// stays within its budget: measured 34 on both, plus three.
+// stays within its budget: measured 10 on both, plus three (34 while every
+// server's order list was an allocation of its own).
 func TestCutOffSearchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -186,8 +188,8 @@ func TestCutOffSearchAllocBudget(t *testing.T) {
 		eval   orderEval
 		budget float64
 	}{
-		{"inorder-period", newInOrderEval(w), 37},
-		{"oneport-latency", newOnePortEval(w), 37},
+		{"inorder-period", newInOrderEval(w), 13},
+		{"oneport-latency", newOnePortEval(w), 13},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if c := orderCombinations(w, opts.MaxExhaustive); c > opts.MaxExhaustive || c < 4 {

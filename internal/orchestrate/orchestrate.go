@@ -90,24 +90,39 @@ type Orders struct {
 
 // DefaultOrders returns the natural (plan edge order) orders.
 func DefaultOrders(w *plan.Weighted) Orders {
-	o := Orders{In: make([][]int, w.N()), Out: make([][]int, w.N())}
-	for v := 0; v < w.N(); v++ {
-		o.In[v] = append([]int(nil), w.InEdges(v)...)
-		o.Out[v] = append([]int(nil), w.OutEdges(v)...)
-	}
-	return o
+	return newOrders(w.N(), w.N(), w.InEdges, w.OutEdges)
 }
 
 // clone returns a deep copy of the orders.
 func (o Orders) clone() Orders {
-	c := Orders{In: make([][]int, len(o.In)), Out: make([][]int, len(o.Out))}
-	for i := range o.In {
-		c.In[i] = append([]int(nil), o.In[i]...)
+	return newOrders(len(o.In), len(o.Out), func(v int) []int { return o.In[v] }, func(v int) []int { return o.Out[v] })
+}
+
+// newOrders copies in(v) for ni servers and out(v) for no servers into
+// fresh orders in two allocations, whatever the plan's size: the list
+// headers and one backing array, every list carved from it with a full
+// slice expression, so that an append to one reallocates it instead of
+// writing into its neighbour.
+func newOrders(ni, no int, in, out func(v int) []int) Orders {
+	total := 0
+	for v := range ni {
+		total += len(in(v))
 	}
-	for i := range o.Out {
-		c.Out[i] = append([]int(nil), o.Out[i]...)
+	for v := range no {
+		total += len(out(v))
 	}
-	return c
+	lists, back := make([][]int, ni+no), make([]int, 0, total)
+	o := Orders{In: lists[:ni:ni], Out: lists[ni:]}
+	carve := func(dst [][]int, src func(v int) []int) {
+		for v := range dst {
+			at := len(back)
+			back = append(back, src(v)...)
+			dst[v] = back[at:len(back):len(back)]
+		}
+	}
+	carve(o.In, in)
+	carve(o.Out, out)
+	return o
 }
 
 // set copies src into o, reusing o's storage once it has src's shape (all

@@ -156,7 +156,12 @@ func fuzzApp(n int, prec bool, data []byte) (*workflow.App, []byte) {
 
 // FuzzFromGraph holds FromGraph and the direct Weighted lowering to the
 // builder they replaced: the same error text, or the same order, edges and
-// volumes — and a Weighted equal to NewWeighted's field by field.
+// volumes — and a Weighted equal to NewWeighted's field by field. It also
+// builds every graph into one Builder that has just built a different
+// graph, then rebuilds that Builder's copy into a second warm Builder (what
+// the searches' keep site does), and holds both to the same reference and
+// to FromGraph: storage a Builder refills must carry nothing of its
+// previous graph.
 func FuzzFromGraph(f *testing.F) {
 	f.Add(uint8(5), false, []byte{0, 1, 0, 3, 1, 2, 2, 4, 3, 4})
 	f.Add(uint8(3), true, []byte{1, 0, 2, 0, 1, 1, 2})
@@ -171,26 +176,76 @@ func FuzzFromGraph(f *testing.F) {
 				g.AddEdge(u, v)
 			}
 		}
-		got, err := FromGraph(app, g)
 		want, wantErr := fromGraphRef(app, g)
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("FromGraph error %v, reference %v", err, wantErr)
+		fresh, err := FromGraph(app, g)
+		accepted := checkBuilt(t, "FromGraph", fresh, err, want, wantErr)
+		// A Builder warm from another graph, and a rebuild of its copy into
+		// a Builder warm from that graph too. The other graph is the complete
+		// forward DAG, valid under every precedence fuzzApp draws and
+		// larger than g in every vector, so a refill that leaves a stale
+		// tail shows.
+		other := dag.New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				other.AddEdge(u, v)
+			}
 		}
+		var b, keep Builder
+		prev, err := b.Build(app, other)
 		if err != nil {
+			t.Fatal(err)
+		}
+		b.Weighted()
+		if _, err := keep.Build(app, prev.Graph()); err != nil {
+			t.Fatal(err)
+		}
+		keep.Weighted()
+		eg, err := b.Build(app, g)
+		checkBuilt(t, "warm Build", eg, err, want, wantErr)
+		if !accepted {
 			return
 		}
-		if !reflect.DeepEqual(got.topo, want.topo) || !reflect.DeepEqual(got.edges, want.edges) ||
-			!reflect.DeepEqual(got.g.Edges(), want.g.Edges()) {
-			t.Fatalf("topo %v / edges %v, reference %v / %v", got.topo, got.edges, want.topo, want.edges)
+		checkWeighted(t, "FromGraph", fresh.Weighted(), want)
+		w := b.Weighted()
+		checkWeighted(t, "warm Build", w, want)
+		if !reflect.DeepEqual(w, fresh.Weighted()) {
+			t.Fatalf("warm Build lowering %+v, fresh FromGraph's %+v", w, fresh.Weighted())
 		}
-		if !sameRatVec(got.inProd, want.inProd) || !sameRatVec(got.outSize, want.outSize) {
-			t.Fatalf("inProd %v / outSize %v, reference %v / %v", got.inProd, got.outSize, want.inProd, want.outSize)
-		}
-		w, wr := got.Weighted(), weightedRef(want)
-		if !reflect.DeepEqual(w.names, wr.names) || !sameRatVec(w.comp, wr.comp) || !reflect.DeepEqual(w.edges, wr.edges) ||
-			!sameRatVec(w.vol, wr.vol) || !reflect.DeepEqual(w.inEdges, wr.inEdges) ||
-			!reflect.DeepEqual(w.outEdges, wr.outEdges) || !reflect.DeepEqual(w.topo, wr.topo) {
-			t.Fatalf("Weighted %+v, NewWeighted %+v", w, wr)
-		}
+		kept, err := keep.Build(app, eg.Graph())
+		checkBuilt(t, "rebuild of a built graph", kept, err, want, wantErr)
+		checkWeighted(t, "rebuild of a built graph", keep.Weighted(), want)
 	})
+}
+
+// checkBuilt holds one built graph to fromGraphRef's result: the same
+// error text, or the same order, edges and derived vectors. It reports
+// whether the graph was accepted.
+func checkBuilt(t *testing.T, what string, got *ExecGraph, err error, want *ExecGraph, wantErr error) bool {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%s error %v, reference %v", what, err, wantErr)
+	}
+	if err != nil {
+		return false
+	}
+	if !reflect.DeepEqual(got.topo, want.topo) || !reflect.DeepEqual(got.edges, want.edges) ||
+		!reflect.DeepEqual(got.g.Edges(), want.g.Edges()) {
+		t.Fatalf("%s: topo %v / edges %v, reference %v / %v", what, got.topo, got.edges, want.topo, want.edges)
+	}
+	if !sameRatVec(got.inProd, want.inProd) || !sameRatVec(got.outSize, want.outSize) {
+		t.Fatalf("%s: inProd %v / outSize %v, reference %v / %v", what, got.inProd, got.outSize, want.inProd, want.outSize)
+	}
+	return true
+}
+
+// checkWeighted holds a lowering to NewWeighted's of the reference graph,
+// field by field.
+func checkWeighted(t *testing.T, what string, w *Weighted, want *ExecGraph) {
+	t.Helper()
+	wr := weightedRef(want)
+	if !reflect.DeepEqual(w.names, wr.names) || !sameRatVec(w.comp, wr.comp) || !reflect.DeepEqual(w.edges, wr.edges) ||
+		!sameRatVec(w.vol, wr.vol) || !reflect.DeepEqual(w.inEdges, wr.inEdges) ||
+		!reflect.DeepEqual(w.outEdges, wr.outEdges) || !reflect.DeepEqual(w.topo, wr.topo) {
+		t.Fatalf("%s: Weighted %+v, NewWeighted %+v", what, w, wr)
+	}
 }

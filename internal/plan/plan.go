@@ -8,6 +8,14 @@
 // Entry services receive their input (volume δ0 = 1) from a private input
 // node; exit services send their output to a private output node. These
 // virtual endpoints appear as the special indices In and Out in Edge values.
+//
+// The plan searches build one candidate graph per step and keep few of them,
+// so a Builder builds candidates into storage it reuses. Its lifetime rule:
+// a graph a Builder returns, and the Weighted lowering it gives for it, are
+// valid until that Builder's next Build; to keep one, detach it: copy its
+// graph, or rebuild it into FromGraph's exactly-sized storage, which
+// nothing refills, or into a Builder of the keeper's own. FromGraph and
+// Build run one check (admit) and one construction (fill).
 package plan
 
 import (
@@ -16,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/dag"
 	"repro/internal/rat"
 	"repro/internal/workflow"
@@ -82,7 +91,8 @@ func (e Edge) String() string {
 }
 
 // ExecGraph is an execution graph with all derived quantities precomputed.
-// It is immutable after construction.
+// It is immutable after construction; one built by a Builder lives in the
+// Builder's storage until its next Build (see Builder).
 type ExecGraph struct {
 	app     *workflow.App
 	g       *dag.Graph
@@ -116,33 +126,99 @@ var (
 	errPrecedence = errors.New("plan: execution graph does not honor the precedence constraints")
 )
 
-// FromGraph constructs an execution graph from an already-built DAG. The
-// graph is cloned; the caller keeps ownership of g. One Kahn pass yields the
-// topological order and the ancestor sets; the precedence constraints are
-// checked against those sets (u→v is honoured iff u is an ancestor of v)
-// before anything is cloned, and every derived vector is sized once.
+// FromGraph constructs an execution graph from an already-built DAG, on
+// exactly-sized storage of its own that nothing refills: what a caller
+// keeps. The caller keeps ownership of g. It checks and fills the graph as
+// Builder.Build does (admit, then fill), and a graph it rejects costs only
+// the Kahn pass's scratch.
 func FromGraph(app *workflow.App, g *dag.Graph) (*ExecGraph, error) {
+	var s dag.Scratch
+	topo, anc, err := admit(app, g, &s)
+	if err != nil {
+		return nil, err
+	}
+	n := app.N()
+	rats := make([]rat.Rat, 2*n)
+	eg := &ExecGraph{app: app, g: g.Clone(), topo: topo, inProd: rats[:n:n], outSize: rats[n:]}
+	eg.fill(anc, make([]Edge, 0, 2*n+g.EdgeCount()))
+	return eg, nil
+}
+
+// Builder builds candidate execution graphs, and their Weighted lowerings,
+// into storage it reuses: the graph copy, the Kahn and ancestor scratch,
+// the derived vectors, the edge list and the lowering's names, weights and
+// index lists are refilled in place, so once a Builder has built a graph
+// of a size, building another allocates nothing. A graph it returns, and
+// its lowering, are valid until its next Build, successful or not: a
+// caller that keeps one copies its graph, or rebuilds it into storage it
+// owns (FromGraph, or another Builder). The zero value is ready; a
+// Builder is not safe for concurrent use.
+type Builder struct {
+	eg    ExecGraph
+	g     dag.Graph
+	s     dag.Scratch
+	rats  []rat.Rat // inProd, then outSize
+	edges []Edge
+	w     Weighted
+	l     lowering
+}
+
+// Build builds the execution graph of g for app into b's storage, which the
+// next Build refills. It fails if g is cyclic or if the application's
+// precedence constraints are not contained in its transitive closure, and
+// then b holds no graph.
+func (b *Builder) Build(app *workflow.App, g *dag.Graph) (*ExecGraph, error) {
+	topo, anc, err := admit(app, g, &b.s)
+	if err != nil {
+		return nil, err
+	}
+	n := app.N()
+	b.g.CopyFrom(g)
+	b.rats = grow(b.rats, 2*n)
+	b.eg = ExecGraph{app: app, g: &b.g, topo: topo, inProd: b.rats[:n:n], outSize: b.rats[n:]}
+	b.edges = b.eg.fill(anc, grow(b.edges, 2*n+g.EdgeCount())[:0])
+	return &b.eg, nil
+}
+
+// Weighted lowers the graph b's last Build returned into b's storage, as
+// ExecGraph.Weighted does; it is valid until b's next Build. Call it only
+// when that Build succeeded.
+func (b *Builder) Weighted() *Weighted {
+	b.eg.lowerInto(&b.w, &b.l)
+	return &b.w
+}
+
+// admit is the check FromGraph and Build share: g must have app's size, be
+// acyclic and honour app's precedence constraints. One Kahn pass, in s,
+// yields the topological order and the ancestor sets; the constraints are
+// checked against those sets (u→v is honoured iff u is an ancestor of v)
+// before anything is copied.
+func admit(app *workflow.App, g *dag.Graph, s *dag.Scratch) (topo []int, anc []*bitset.Set, err error) {
 	n := app.N()
 	if g.N() != n {
-		return nil, fmt.Errorf("plan: graph has %d nodes, application has %d services", g.N(), n)
+		return nil, nil, fmt.Errorf("plan: graph has %d nodes, application has %d services", g.N(), n)
 	}
-	var s dag.Scratch
-	topo, anc, err := g.AncestorsInto(&s)
+	topo, anc, err = g.AncestorsInto(s)
 	if err != nil {
-		return nil, errCyclic
+		return nil, nil, errCyclic
 	}
 	prec := app.Precedence()
 	for u := 0; u < n; u++ {
 		for _, v := range prec.Succ(u) {
 			if !anc[v].Has(u) {
-				return nil, errPrecedence
+				return nil, nil, errPrecedence
 			}
 		}
 	}
-	eg := &ExecGraph{app: app, g: g.Clone(), topo: topo}
-	rats := make([]rat.Rat, 2*n)
-	eg.inProd, eg.outSize = rats[:n:n], rats[n:]
-	for _, v := range topo {
+	return topo, anc, nil
+}
+
+// fill computes eg's derived vectors from the ancestor sets of its graph
+// and its edge list into edges (empty, with room for every comm), which it
+// returns. eg's app, graph copy, order and vectors are set.
+func (eg *ExecGraph) fill(anc []*bitset.Set, edges []Edge) []Edge {
+	app, n := eg.app, eg.app.N()
+	for _, v := range eg.topo {
 		p := rat.One
 		// Multiplying along one incoming path would double-count shared
 		// ancestors; the paper defines inProd over the ancestor *set*.
@@ -151,23 +227,38 @@ func FromGraph(app *workflow.App, g *dag.Graph) (*ExecGraph, error) {
 		eg.outSize[v] = p.Mul(app.Selectivity(v))
 	}
 	// Deterministic edge order: input comms, service comms, output comms.
-	eg.edges = make([]Edge, 0, 2*n+eg.g.EdgeCount())
 	for v := 0; v < n; v++ {
 		if eg.g.InDegree(v) == 0 {
-			eg.edges = append(eg.edges, Edge{In, v})
+			edges = append(edges, Edge{In, v})
 		}
 	}
 	for u := 0; u < n; u++ {
 		for _, v := range eg.g.Succ(u) {
-			eg.edges = append(eg.edges, Edge{u, v})
+			edges = append(edges, Edge{u, v})
 		}
 	}
 	for v := 0; v < n; v++ {
 		if eg.g.OutDegree(v) == 0 {
-			eg.edges = append(eg.edges, Edge{v, Out})
+			edges = append(edges, Edge{v, Out})
 		}
 	}
-	return eg, nil
+	eg.edges = edges
+	return edges
+}
+
+// grow returns s resized to n, reallocated only when it is too short: to
+// n the first time, to twice n when a buffer in use outgrows itself, so a
+// Builder fed ever larger candidates reallocates a logarithmic number of
+// times. The contents are stale; the caller overwrites them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		c := n
+		if cap(s) > 0 {
+			c = 2 * n
+		}
+		return make([]T, n, c)
+	}
+	return s[:n]
 }
 
 // MustBuild is Build that panics on error, for fixed examples and tests.
@@ -181,6 +272,9 @@ func MustBuild(app *workflow.App, edges [][2]int) *ExecGraph {
 
 // Graph returns the service-to-service DAG. The caller must not modify it.
 func (eg *ExecGraph) Graph() *dag.Graph { return eg.g }
+
+// App returns the application the graph was built for.
+func (eg *ExecGraph) App() *workflow.App { return eg.app }
 
 // N returns the number of services.
 func (eg *ExecGraph) N() int { return eg.app.N() }

@@ -106,19 +106,43 @@ func MustNewWeighted(names []string, comp []rat.Rat, edges []Edge, vols []rat.Ra
 }
 
 // Weighted lowers the execution graph to its scheduling-level view, with
-// Ccomp as node weights and CommSize as edge volumes. It shares the graph's
-// (immutable) edge list and topological order and builds the per-node index
-// lists on one backing slice: FromGraph already validated everything
-// NewWeighted would check.
+// Ccomp as node weights and CommSize as edge volumes, on storage of its
+// own. It shares the graph's (immutable) edge list and topological order
+// and builds the per-node index lists on one backing slice: the graph's
+// construction already validated everything NewWeighted would check.
 func (eg *ExecGraph) Weighted() *Weighted {
+	w := new(Weighted)
+	eg.lowerInto(w, new(lowering))
+	return w
+}
+
+// lowering is the backing storage of a Weighted built by lowerInto: the
+// names, the weights (comp, then vol), the per-node index list headers (in,
+// then out) and the one array those lists are carved from.
+type lowering struct {
+	names []string
+	rats  []rat.Rat
+	lists [][]int
+	back  []int
+}
+
+// lowerInto fills w with eg's lowering, carving every vector from l's
+// buffers, which grow only when too short: a Builder's lowering refills one
+// Weighted in place.
+func (eg *ExecGraph) lowerInto(w *Weighted, l *lowering) {
 	n, edges := eg.N(), eg.edges
-	rats := make([]rat.Rat, n+len(edges))
-	w := &Weighted{
-		names: make([]string, n),
-		comp:  rats[:n:n],
-		edges: edges,
-		vol:   rats[n:],
-		topo:  eg.topo,
+	l.names = grow(l.names, n)
+	l.rats = grow(l.rats, n+len(edges))
+	l.lists = grow(l.lists, 2*n)
+	l.back = grow(l.back, len(edges)+eg.g.EdgeCount())
+	*w = Weighted{
+		names:    l.names,
+		comp:     l.rats[:n:n],
+		edges:    edges,
+		vol:      l.rats[n:],
+		inEdges:  l.lists[:n:n],
+		outEdges: l.lists[n:],
+		topo:     eg.topo,
 	}
 	for v := 0; v < n; v++ {
 		w.names[v] = eg.app.Name(v)
@@ -126,9 +150,7 @@ func (eg *ExecGraph) Weighted() *Weighted {
 	}
 	// Every edge is listed once per real endpoint: In and Out comms once,
 	// service comms twice. Entry and exit nodes hold their one virtual comm.
-	lists := make([][]int, 2*n)
-	w.inEdges, w.outEdges = lists[:n:n], lists[n:]
-	back := make([]int, len(edges)+eg.g.EdgeCount())
+	back := l.back
 	for v := 0; v < n; v++ {
 		in, out := max(eg.g.InDegree(v), 1), max(eg.g.OutDegree(v), 1)
 		w.inEdges[v], w.outEdges[v] = back[:0:in], back[in:in:in+out]
@@ -143,7 +165,6 @@ func (eg *ExecGraph) Weighted() *Weighted {
 			w.inEdges[e.To] = append(w.inEdges[e.To], i)
 		}
 	}
-	return w
 }
 
 // N returns the number of (real) nodes.

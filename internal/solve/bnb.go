@@ -473,8 +473,8 @@ func branchBoundForest(app *workflow.App, m plan.Model, obj Objective, opts Opti
 	if n > maxN(opts, bnbMaxForestN) {
 		return Solution{}, fmt.Errorf("solve: %d services too large for forest branch-and-bound (max %d)", n, maxN(opts, bnbMaxForestN))
 	}
-	tr := forestTree(app, newBoundTables(app, m, obj, nil, nil), func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool {
-		return offerGraph(r, eg, m, obj, opts, limit)
+	tr := forestTree(app, newBoundTables(app, m, obj, nil, nil), func(c candidate, r *shardResult, limit orchestrate.Limit) bool {
+		return offerGraph(r, c, m, obj, opts, limit)
 	})
 	sol, err := searchGraphs(tr, app, m, obj, opts, "forest branch-and-bound found no plan")
 	sol.Exact = obj == PeriodObjective && sol.Sched.Exact && m != plan.OutOrder
@@ -490,12 +490,14 @@ func searchGraphs(tr tree, app *workflow.App, m plan.Model, obj Objective, opts 
 
 // forestTree is the forest family's tree over parent vectors: decision v
 // makes node v a root (choice 0) or hangs it under node c-1, skipping the
-// parents that would close a cycle, and hands leaf each forest's plan.
-// tables feeds the partial bound; nil means a search that never prunes.
-func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree {
+// parents that would close a cycle, and hands leaf each forest's plan,
+// built in the walker's workspace (valid until its next leaf). tables feeds
+// the partial bound; nil means a search that never prunes.
+func forestTree(app *workflow.App, tables *boundTables, leaf func(c candidate, r *shardResult, limit orchestrate.Limit) bool) tree {
 	n := app.N()
 	return tree{depth: n, split: 2, children: slices.Repeat([]int{n + 1}, n), walk: func() walker {
 		parent := slices.Repeat([]int{-1}, n)
+		g, pb := dag.New(n), new(plan.Builder)
 		w := walker{
 			apply: func(v, c int) step {
 				if p := c - 1; p == v || parentChainReaches(parent, p, v) {
@@ -506,8 +508,9 @@ func forestTree(app *workflow.App, tables *boundTables, leaf func(eg *plan.ExecG
 			},
 			undo: func(v, _ int) { parent[v] = -1 },
 			leaf: func(r *shardResult, limit orchestrate.Limit) bool {
-				eg, err := plan.FromGraph(app, forestGraph(parent))
-				return err == nil && leaf(eg, r, limit)
+				setForest(g, parent)
+				c, err := build(pb, app, g)
+				return err == nil && leaf(c, r, limit)
 			},
 		}
 		if tables != nil {
@@ -547,8 +550,8 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 	if err != nil {
 		return Solution{}, err
 	}
-	tr := dagTree(app, m, obj, precClosure, func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool {
-		return offerGraph(r, eg, m, obj, opts, limit)
+	tr := dagTree(app, m, obj, precClosure, func(c candidate, r *shardResult, limit orchestrate.Limit) bool {
+		return offerGraph(r, c, m, obj, opts, limit)
 	})
 	sol, err := searchGraphs(tr, app, m, obj, opts, "DAG branch-and-bound found no plan")
 	sol.Exact = sol.Sched.Exact && exactOrchestration(m, obj)
@@ -558,9 +561,10 @@ func branchBoundDAG(app *workflow.App, m plan.Model, obj Objective, opts Options
 // dagTree is the DAG family's tree: decision k gives pair k (nodePairs
 // order) no edge, then u→v, then v→u, cutting an edge that reverses a path
 // of prec (the precedence closure), closes a cycle or leaves the graph
-// transitively unreduced. A leaf FromGraph rejects misses a precedence
-// constraint and never reaches leaf.
-func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(eg *plan.ExecGraph, r *shardResult, limit orchestrate.Limit) bool) tree {
+// transitively unreduced. A leaf the plan builder rejects misses a
+// precedence constraint and never reaches leaf; the others reach it built
+// in the walker's workspace (valid until its next leaf).
+func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, leaf func(c candidate, r *shardResult, limit orchestrate.Limit) bool) tree {
 	n := app.N()
 	pairs := nodePairs(n)
 	tables := newBoundTables(app, m, obj, prec, pairs)
@@ -573,7 +577,7 @@ func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, le
 	}
 	return tree{depth: len(pairs), split: 3, children: slices.Repeat([]int{3}, len(pairs)), walk: func() walker {
 		g := dag.New(n)
-		b := newBoundScratch(tables)
+		b, pb := newBoundScratch(tables), new(plan.Builder)
 		return walker{
 			apply: func(k, c int) step {
 				if c == 0 {
@@ -597,8 +601,8 @@ func dagTree(app *workflow.App, m plan.Model, obj Objective, prec *dag.Graph, le
 			},
 			bound: func(k int) rat.Rat { return b.dag(g, k) },
 			leaf: func(r *shardResult, limit orchestrate.Limit) bool {
-				eg, err := plan.FromGraph(app, g)
-				return err == nil && leaf(eg, r, limit)
+				c, err := build(pb, app, g)
+				return err == nil && leaf(c, r, limit)
 			},
 		}
 	}}

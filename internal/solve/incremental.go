@@ -236,12 +236,12 @@ func (e *graphEval) edit(v, a, b int) {
 	}
 }
 
-// candidate builds the execution graph of the moved graph, leaving the
-// evaluator as it was.
-func (e *graphEval) candidate(v, a, b int) (*plan.ExecGraph, error) {
+// candidate builds the execution graph of the moved graph into pb's
+// workspace, leaving the evaluator as it was.
+func (e *graphEval) candidate(pb *plan.Builder, v, a, b int) (candidate, error) {
 	e.edit(v, a, b)
 	defer e.edit(v, b, a)
-	return plan.FromGraph(e.app, e.g)
+	return build(pb, e.app, e.g)
 }
 
 // Move applies the move (v, a, b), which reaches must not have ruled out

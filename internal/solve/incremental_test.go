@@ -235,7 +235,7 @@ func TestIncrementalFilterNeverSkipsImprovingMoves(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sched, err := evaluate(eg, m, obj, Options{Orch: smallOrch()}, orchestrate.NoLimit)
+					sched, err := evaluate(lower(eg), m, obj, Options{Orch: smallOrch()}, orchestrate.NoLimit)
 					if err != nil {
 						t.Fatal(err)
 					}

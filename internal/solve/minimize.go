@@ -3,6 +3,7 @@ package solve
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,10 +19,28 @@ import (
 // evaluate scores a candidate, shards keep scores, and the reduction
 // materialises the one winner.
 
-// scored is a candidate execution graph with its orchestration score.
-type scored struct {
+// candidate is an execution graph with its scheduling-level lowering.
+type candidate struct {
 	eg *plan.ExecGraph
 	w  *plan.Weighted
+}
+
+// lower pairs a graph the caller owns with a fresh lowering.
+func lower(eg *plan.ExecGraph) candidate { return candidate{eg, eg.Weighted()} }
+
+// build builds g into b's workspace: the candidate is valid until b's next
+// build (shardResult.offer rebuilds what it keeps into storage of its own).
+func build(b *plan.Builder, app *workflow.App, g *dag.Graph) (candidate, error) {
+	eg, err := b.Build(app, g)
+	if err != nil {
+		return candidate{}, err
+	}
+	return candidate{eg, b.Weighted()}, nil
+}
+
+// scored is a candidate with its orchestration score.
+type scored struct {
+	candidate
 	orchestrate.Score
 }
 
@@ -33,9 +52,10 @@ var evaluate = scoreCandidate
 // scoreCandidate scores the objective on one candidate execution graph.
 // limit is the caller's acceptance limit (orchestrate.Limit): above it the
 // score may be a cut-off, which the caller rejects. A solve that records
-// its effort counts the scoring in its tally.
-func scoreCandidate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (scored, error) {
-	c := scored{eg: eg, w: eg.Weighted()}
+// its effort counts the scoring in its tally. The score holds nothing of
+// the candidate's storage, only its own.
+func scoreCandidate(cand candidate, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) (scored, error) {
+	c := scored{candidate: cand}
 	o, t := opts.Orch, opts.tally
 	var start time.Time
 	if t != nil {
@@ -73,7 +93,7 @@ var materialise = func(c scored, opts Options) (Solution, error) {
 // solveGraph scores and materialises one fixed graph: the single-candidate
 // methods (greedy chain, Reevaluate) keep whatever it gives.
 func solveGraph(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options) (Solution, error) {
-	c, err := evaluate(eg, m, obj, opts, orchestrate.NoLimit)
+	c, err := evaluate(lower(eg), m, obj, opts, orchestrate.NoLimit)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -179,12 +199,16 @@ func greedyChainSolution(app *workflow.App, m plan.Model, obj Objective, opts Op
 	return solveGraph(eg, m, obj, opts)
 }
 
-// shardResult is one shard's outcome: its best scored candidate (ok false
-// when the shard kept none) and the first evaluation error the shard hit.
+// shardResult is one shard's outcome: the score of its best candidate and
+// that candidate's graph (ok false when the shard kept none), and the first
+// evaluation error the shard hit. The graph is a copy on the result's own
+// storage: the candidate itself lived in a builder its search refills.
 type shardResult struct {
-	best scored
-	ok   bool
-	err  error
+	best  orchestrate.Score
+	graph dag.Graph
+	app   *workflow.App
+	ok    bool
+	err   error
 }
 
 // fail records the shard's first error.
@@ -210,19 +234,24 @@ func (r *shardResult) limit() orchestrate.Limit {
 }
 
 // offer keeps c when it improves the shard's best and reports whether it
-// did.
+// did. It is the one place a search keeps a candidate, so it detaches the
+// kept one: c may live in a builder's workspace, which the search's next
+// candidate refills, so only its score and a copy of its graph, on the
+// storage of the best it replaces, are kept; reduce rebuilds the winner
+// from that copy. A rejected candidate is never copied.
 func (r *shardResult) offer(c scored) bool {
 	if !r.improves(c.Value) {
 		return false
 	}
-	r.best, r.ok = c, true
+	r.graph.CopyFrom(c.eg.Graph())
+	r.best, r.app, r.ok = c.Score, c.eg.App(), true
 	return true
 }
 
 // offerGraph scores one candidate graph under limit and offers it to r; a
 // cut-off is a rejection.
-func offerGraph(r *shardResult, eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) bool {
-	c, err := evaluate(eg, m, obj, opts, limit)
+func offerGraph(r *shardResult, cand candidate, m plan.Model, obj Objective, opts Options, limit orchestrate.Limit) bool {
+	c, err := evaluate(cand, m, obj, opts, limit)
 	if err != nil {
 		r.fail(err)
 		return false
@@ -235,26 +264,36 @@ func offerGraph(r *shardResult, eg *plan.ExecGraph, m plan.Model, obj Objective,
 // enumeration would have kept — and materialises the winner, the one
 // schedule a search builds. A done ctx wins over any outcome; with no
 // candidate kept, the error is "solve: <noPlan>" plus the first evaluation
-// error. Materialise is total on a Score the scoring produced, so its
-// failure is returned as the internal error it is.
+// error. The winner is rebuilt from its kept graph (the same graph gives
+// the same order, edges and lowering) into FromGraph's exactly-sized
+// storage, which the Solution owns. Materialise is total on a Score the
+// scoring produced, so its failure is returned as the internal error it is.
 func reduce(shards []shardResult, opts Options, noPlan string) (Solution, error) {
-	var win shardResult
-	for _, r := range shards {
-		win.fail(r.err)
-		if r.ok {
-			win.offer(r.best)
+	var win *shardResult
+	var err error
+	for i := range shards {
+		r := &shards[i]
+		if err == nil {
+			err = r.err
+		}
+		if r.ok && (win == nil || win.improves(r.best.Value)) {
+			win = r
 		}
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
 		return Solution{}, err
 	}
-	if !win.ok {
-		if win.err != nil {
-			return Solution{}, fmt.Errorf("solve: %s: %v", noPlan, win.err)
+	if win == nil {
+		if err != nil {
+			return Solution{}, fmt.Errorf("solve: %s: %v", noPlan, err)
 		}
 		return Solution{}, fmt.Errorf("solve: %s", noPlan)
 	}
-	return materialise(win.best, opts)
+	eg, err := plan.FromGraph(win.app, &win.graph)
+	if err != nil {
+		return Solution{}, err
+	}
+	return materialise(scored{lower(eg), win.best}, opts)
 }
 
 // exactOrchestration reports whether the orchestration layer explores the
@@ -340,21 +379,28 @@ func hillClimbForest(app *workflow.App, m plan.Model, obj Objective, opts Option
 	}
 
 	costs := unitCosts(app, m)
-	return climbRestarts(opts, len(seeds), func(i int) shardResult {
-		return climbForestFrom(app, m, obj, opts, costs, seeds[i], climbBudget(n, len(seeds)), i)
+	return climbRestarts(opts, len(seeds), func(i int, pb *plan.Builder) shardResult {
+		return climbForestFrom(app, m, obj, opts, costs, seeds[i], climbBudget(n, len(seeds)), i, pb)
 	})
 }
 
 // climbRestarts runs restarts 0..n-1 on the worker pool and reduces their
 // winners in restart order. A restart whose best meets the period floor
-// settles the search: the restarts after it do nothing (floorStop).
-func climbRestarts(opts Options, n int, restart func(i int) shardResult) (Solution, error) {
+// settles the search: the restarts after it do nothing (floorStop). Each
+// restart builds its candidates into a plan builder it hands back when it
+// ends, so the restarts one worker runs share one, as branchAndBound's
+// shards share walkers; nothing a builder holds outlives its restart, and
+// the pool dies with the search.
+func climbRestarts(opts Options, n int, restart func(i int, pb *plan.Builder) shardResult) (Solution, error) {
 	stop := floorStop{floor: opts.floor}
+	builders := sync.Pool{New: func() any { return new(plan.Builder) }}
 	shards := par.Map(opts.Workers, n, func(i int) shardResult {
 		if stop.settled(i) {
 			return shardResult{}
 		}
-		r := restart(i)
+		pb := builders.Get().(*plan.Builder)
+		defer builders.Put(pb)
+		r := restart(i, pb)
 		if r.ok {
 			stop.settle(i, r.best.Value)
 		}
@@ -392,9 +438,10 @@ func (s *floorStop) settled(i int) bool {
 }
 
 // climbForestFrom runs restart i of the hill climb over forest parent
-// vectors from the given start, spending at most budget orchestrations: the
-// moves of node v re-parent it under each candidate parent.
-func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, seed []int, budget, i int) shardResult {
+// vectors from the given start, spending at most budget orchestrations and
+// building its candidates into pb: the moves of node v re-parent it under
+// each candidate parent.
+func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, seed []int, budget, i int, pb *plan.Builder) shardResult {
 	n := app.N()
 	var rng *rand.Rand // drawn from only when parents are sampled
 	// candidateParents returns the parents to try for node v, in one reused
@@ -423,7 +470,7 @@ func climbForestFrom(app *workflow.App, m plan.Model, obj Objective, opts Option
 		return out
 	}
 
-	return climb(app, m, obj, opts, costs, forestGraph(seed), budget, func(e *graphEval, v int, try func(v, a, b int) bool) {
+	return climb(app, m, obj, opts, costs, forestGraph(seed), budget, pb, func(e *graphEval, v int, try func(v, a, b int) bool) {
 		for _, p := range candidateParents(v) {
 			if old := e.parent(v); p != old && !try(v, old, p) {
 				break
@@ -454,16 +501,16 @@ func hillClimbDAG(app *workflow.App, m plan.Model, obj Objective, opts Options) 
 		starts = append(starts, g)
 	}
 	costs := unitCosts(app, m)
-	return climbRestarts(opts, len(starts), func(i int) shardResult {
-		return climbDAGFrom(app, m, obj, opts, costs, starts[i], climbBudget(app.N(), len(starts)))
+	return climbRestarts(opts, len(starts), func(i int, pb *plan.Builder) shardResult {
+		return climbDAGFrom(app, m, obj, opts, costs, starts[i], climbBudget(app.N(), len(starts)), pb)
 	})
 }
 
 // climbDAGFrom runs one hill climb over DAG edge sets from the given start
-// graph (which the climb owns), spending at most budget orchestrations: the
-// moves of node u toggle each edge u→v.
-func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, start *dag.Graph, budget int) shardResult {
-	return climb(app, m, obj, opts, costs, start, budget, func(e *graphEval, u int, try func(v, a, b int) bool) {
+// graph (which the climb owns), spending at most budget orchestrations and
+// building its candidates into pb: the moves of node u toggle each edge u→v.
+func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, start *dag.Graph, budget int, pb *plan.Builder) shardResult {
+	return climb(app, m, obj, opts, costs, start, budget, pb, func(e *graphEval, u int, try func(v, a, b int) bool) {
 		// The row is finished even once the budget is spent, as this climb
 		// always did: TestClimbDAGDigest pins the answers that follow.
 		for v := 0; v < app.N(); v++ {
@@ -479,24 +526,25 @@ func climbDAGFrom(app *workflow.App, m plan.Model, obj Objective, opts Options, 
 }
 
 // climb runs one hill climb from the start graph g, which it owns, spending
-// at most budget orchestrations, in passes over the nodes until a pass
-// improves nothing. moves offers node x's moves in order to try, which
+// at most budget orchestrations and building every candidate, the start
+// first, into pb, in passes over the nodes until a pass improves nothing.
+// moves offers node x's moves in order to try, which
 // skips without charge a move graphEval.reaches rules out (a cycle, a broken
 // precedence constraint, or a bound at the current value), orchestrates the
 // rest with the current value as the limit, keeps a strict improvement, and
 // reports whether budget is left and the climb goes on.
 // r.best is the climb's current point: only strict improvements are ever
 // accepted, so the climb returns once that point meets the period floor.
-func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, g *dag.Graph, budget int,
+func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs unitTables, g *dag.Graph, budget int, pb *plan.Builder,
 	moves func(e *graphEval, x int, try func(v, a, b int) bool)) shardResult {
 	var r shardResult
 	budget--
-	eg, err := plan.FromGraph(app, g)
+	c, err := build(pb, app, g)
 	if err != nil {
 		r.fail(err)
 		return r
 	}
-	if !offerGraph(&r, eg, m, obj, opts, orchestrate.NoLimit) || atFloor(opts.floor, r.best.Value) {
+	if !offerGraph(&r, c, m, obj, opts, orchestrate.NoLimit) || atFloor(opts.floor, r.best.Value) {
 		return r
 	}
 	e := newGraphEval(app, costs, obj, g)
@@ -504,9 +552,9 @@ func climb(app *workflow.App, m plan.Model, obj Objective, opts Options, costs u
 	try := func(v, a, b int) bool {
 		if !settled && !e.reaches(v, a, b, r.best.Value) {
 			budget--
-			if eg, err := e.candidate(v, a, b); err != nil {
+			if c, err := e.candidate(pb, v, a, b); err != nil {
 				r.fail(err)
-			} else if offerGraph(&r, eg, m, obj, opts, r.limit()) {
+			} else if offerGraph(&r, c, m, obj, opts, r.limit()) {
 				e.Move(v, a, b)
 				improved, settled = true, atFloor(opts.floor, r.best.Value)
 			}
@@ -538,14 +586,13 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	// Only scores are compared — the period against the bound, the latency
 	// against the scan's best, each the limit of its scoring — and the one
 	// winning latency schedule is materialised at the end.
-	tryGraph := func(eg *plan.ExecGraph, r *shardResult, best orchestrate.Limit) bool {
-		w := eg.Weighted()
-		per, err := orchestrate.ScorePeriod(w, m, opts.Orch, orchestrate.AtMost(periodBound))
+	tryGraph := func(c candidate, r *shardResult, best orchestrate.Limit) bool {
+		per, err := orchestrate.ScorePeriod(c.w, m, opts.Orch, orchestrate.AtMost(periodBound))
 		if err != nil || per.NotBelow() || per.Value.Greater(periodBound) {
 			return false
 		}
-		lat, err := orchestrate.ScoreLatency(w, m, opts.Orch, best)
-		return err == nil && !lat.NotBelow() && r.offer(scored{eg: eg, w: w, Score: lat})
+		lat, err := orchestrate.ScoreLatency(c.w, m, opts.Orch, best)
+		return err == nil && !lat.NotBelow() && r.offer(scored{candidate: c, Score: lat})
 	}
 	if n <= maxN(opts, 6) {
 		// The forest branch-and-bound's tree and shards, with no bound:
@@ -557,11 +604,11 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 	// chains split into k parallel sub-chains.
 	var best shardResult
 	if eg, err := plan.Parallel(app); err == nil {
-		tryGraph(eg, &best, best.limit())
+		tryGraph(lower(eg), &best, best.limit())
 	}
 	for _, order := range [][]int{GreedyChainOrder(app, m), GreedyLatencyChainOrder(app)} {
 		if eg, err := plan.ChainFromOrder(app, order); err == nil {
-			tryGraph(eg, &best, best.limit())
+			tryGraph(lower(eg), &best, best.limit())
 		}
 		for k := 2; k <= 4 && k <= n; k++ {
 			var edges [][2]int
@@ -571,7 +618,7 @@ func BiCriteria(app *workflow.App, m plan.Model, periodBound rat.Rat, opts Optio
 				}
 			}
 			if eg, err := plan.Build(app, edges); err == nil {
-				tryGraph(eg, &best, best.limit())
+				tryGraph(lower(eg), &best, best.limit())
 			}
 		}
 	}

@@ -142,8 +142,8 @@ func TestForestShardsPartitionSerialEnumeration(t *testing.T) {
 	var want, got []string
 	app := gen.App(gen.NewRand(1), 5, gen.Mixed)
 	forEachForest(5, func(parent []int) { want = append(want, fmt.Sprint(forestGraph(parent).Edges())) })
-	branchAndBound(forestTree(app, nil, func(eg *plan.ExecGraph, _ *shardResult, _ orchestrate.Limit) bool {
-		got = append(got, fmt.Sprint(eg.Graph().Edges()))
+	branchAndBound(forestTree(app, nil, func(c candidate, _ *shardResult, _ orchestrate.Limit) bool {
+		got = append(got, fmt.Sprint(c.eg.Graph().Edges()))
 		return false
 	}), &incumbent{}, Options{Workers: 1}, "")
 	checkLeaves(t, "forest", want, got)
@@ -173,8 +173,8 @@ func TestDAGShardsPartitionSerialEnumeration(t *testing.T) {
 		if !app.HasPrecedence() && (valid != 543 || len(want) != 219) {
 			t.Fatalf("the oracle holds %d DAGs on 4 nodes, %d reduced; want 543 and 219", valid, len(want))
 		}
-		branchAndBound(dagTree(app, plan.Overlap, PeriodObjective, prec, func(eg *plan.ExecGraph, _ *shardResult, _ orchestrate.Limit) bool {
-			got = append(got, fmt.Sprint(eg.Graph().Edges()))
+		branchAndBound(dagTree(app, plan.Overlap, PeriodObjective, prec, func(c candidate, _ *shardResult, _ orchestrate.Limit) bool {
+			got = append(got, fmt.Sprint(c.eg.Graph().Edges()))
 			return false
 		}), &incumbent{}, Options{Workers: 1}, "")
 		checkLeaves(t, fmt.Sprintf("DAG (precedence %v)", app.HasPrecedence()), want, got)

@@ -385,12 +385,18 @@ func ChainLatencyValue(app *workflow.App, order []int) rat.Rat {
 // forestGraph converts a parent vector into a DAG.
 func forestGraph(parent []int) *dag.Graph {
 	g := dag.New(len(parent))
+	setForest(g, parent)
+	return g
+}
+
+// setForest makes g the forest of a parent vector, on g's storage.
+func setForest(g *dag.Graph, parent []int) {
+	g.Clear()
 	for v, p := range parent {
 		if p >= 0 {
 			g.AddEdge(p, v)
 		}
 	}
-	return g
 }
 
 // nodePairs lists the unordered node pairs in DAG-enumeration order.

@@ -39,14 +39,14 @@ var eagerFailures struct {
 // explained — before the search sees its value. The caller's limit is
 // ignored, so no candidate is ever cut off: a shipped search that rejects
 // a cut-off must keep what this one keeps.
-func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options, _ orchestrate.Limit) (scored, error) {
-	c, err := scoreCandidate(eg, m, obj, opts, orchestrate.NoLimit)
+func eagerEvaluate(cand candidate, m plan.Model, obj Objective, opts Options, _ orchestrate.Limit) (scored, error) {
+	c, err := scoreCandidate(cand, m, obj, opts, orchestrate.NoLimit)
 	if err != nil {
 		return c, err
 	}
 	if _, err := materialise(c, opts); err != nil {
 		eagerFailures.Lock()
-		eagerFailures.errs = append(eagerFailures.errs, fmt.Sprintf("%s/%s/%s: %v", eg, m, obj, err))
+		eagerFailures.errs = append(eagerFailures.errs, fmt.Sprintf("%s/%s/%s: %v", cand.eg, m, obj, err))
 		eagerFailures.Unlock()
 		return c, err
 	}
@@ -54,7 +54,7 @@ func eagerEvaluate(eg *plan.ExecGraph, m plan.Model, obj Objective, opts Options
 }
 
 // withEvaluate runs fn with the package's evaluation replaced.
-func withEvaluate(eval func(*plan.ExecGraph, plan.Model, Objective, Options, orchestrate.Limit) (scored, error), fn func()) {
+func withEvaluate(eval func(candidate, plan.Model, Objective, Options, orchestrate.Limit) (scored, error), fn func()) {
 	saved := evaluate
 	evaluate = eval
 	defer func() { evaluate = saved }()
@@ -201,7 +201,7 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 
 	// Unit level: a shard keeps scores, so a lying candidate that scores
 	// best is kept, and materialising it is where the lie surfaces.
-	c, err := scoreCandidate(honest.Graph, plan.InOrder, PeriodObjective, opts.withDefaults(), orchestrate.NoLimit)
+	c, err := scoreCandidate(lower(honest.Graph), plan.InOrder, PeriodObjective, opts.withDefaults(), orchestrate.NoLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +217,9 @@ func TestLyingWinnerIsAnError(t *testing.T) {
 
 	// Solver level: make the optimal graph's score lie. The search reaches
 	// it, keeps it as its winner, and must return the error.
-	withEvaluate(func(eg *plan.ExecGraph, m plan.Model, obj Objective, o Options, limit orchestrate.Limit) (scored, error) {
-		c, err := scoreCandidate(eg, m, obj, o, limit)
-		if err == nil && eg.String() == honest.Graph.String() {
+	withEvaluate(func(cand candidate, m plan.Model, obj Objective, o Options, limit orchestrate.Limit) (scored, error) {
+		c, err := scoreCandidate(cand, m, obj, o, limit)
+		if err == nil && cand.eg.String() == honest.Graph.String() {
 			c.Value = c.Value.Mul(rat.New(1, 2))
 		}
 		return c, err
