@@ -103,11 +103,15 @@ test-race:
 # under a limit (INORDER period, one-port latency; at the optimum and in a
 # cut-off) allocates no more than the unlimited one on a warm evaluator,
 # and a one-port latency scoring whose floor exceeds its limit costs two
-# allocations; building a candidate (FromGraph + Weighted) stays inside a budget that
-# does not grow with n, and on a warm plan.Builder building or rejecting
-# one allocates nothing, the period floor costs two allocations per solve
-# at every n, and the Kahn pass + ancestor sets on a warm dag.Scratch
-# allocate nothing.
+# allocations and a tree-latency scoring three (its path bound shares the
+# rest[] pass); Score.Materialise on a fixed 7-service plan builds each
+# template's event graph once and reads the bottleneck off that solve
+# (INORDER and OUTORDER rows at their measured counts, well under the
+# counts of a second graph built for the labels); building a candidate
+# (FromGraph + Weighted) stays inside a budget that does not grow with n,
+# and on a warm plan.Builder building or rejecting one allocates nothing,
+# the period floor costs two allocations per solve at every n, and the
+# Kahn pass + ancestor sets on a warm dag.Scratch allocate nothing.
 # Must run unraced — the guards self-skip under -race because
 # instrumentation inflates the counts.
 test-alloc:
@@ -194,12 +198,14 @@ smoke-exec:
 # (values, canonical form), the candidate builder (FromGraph + Weighted)
 # against the one it replaced, the plan-store entry codec (never panics;
 # an accepted entry re-encodes stably), Score.Materialise (total on
-# what the scoring forms produce), the one-port latency evaluator's int64
-# lane against its exact-rational fallback (taken exactly when a math/big
-# oracle says the durations fit; then the same value, deadlock and prune
-# on decoded plans and orders), the canonical hash (unchanged by a
-# service permutation, unreduced rationals and implied precedence edges;
-# changed by one cost or one name), and the /v1/sync import (never panics;
+# what the scoring forms produce; every period bottleneck a critical
+# cycle of the event graph the winning orders were scored on), the
+# one-port latency evaluator's int64 lane against its exact-rational
+# fallback (taken exactly when a math/big oracle says the durations fit;
+# then the same value, deadlock and prune on decoded plans and orders),
+# the canonical hash (unchanged by a service permutation, unreduced
+# rationals and implied precedence edges; changed by one cost or one
+# name), and the /v1/sync import (never panics;
 # a rejected item changes nothing but its counter; an accepted instance
 # re-canonicalises to its claimed hash), the PATCH /v1/instance/{hash}
 # handler (never a 5xx; a failed PATCH changes no cache, registry or event

@@ -61,6 +61,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/resilience"
 	"repro/internal/service"
 )
@@ -511,7 +512,7 @@ type batchJSON struct {
 
 // handleBatch fans the items out to their owners and reassembles the
 // answers in item order — a batch spanning shards parallelizes across
-// replicas, which a single replica cannot do. The fan-out is bounded by
+// replicas, which a single replica cannot do. The fan-out is par.Map with
 // batchFanoutPerPeer workers per peer draining a shared index: a
 // thousand-item batch costs a handful of goroutines and at most that many
 // concurrent forwards, not a thousand of each.
@@ -530,27 +531,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: batch has no requests"))
 		return
 	}
-	answers := make([]routedResponse, len(doc.Requests))
-	workers := batchFanoutPerPeer * len(rt.peers)
-	if workers > len(doc.Requests) {
-		workers = len(doc.Requests)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(doc.Requests) {
-					return
-				}
-				answers[i] = rt.routeItem(r, doc.Requests[i])
-			}
-		}()
-	}
-	wg.Wait()
+	answers := par.Map(batchFanoutPerPeer*len(rt.peers), len(doc.Requests), func(i int) routedResponse {
+		return rt.routeItem(r, doc.Requests[i])
+	})
 
 	out := service.BatchResponse{Results: make([]service.BatchItem, len(answers))}
 	for i, a := range answers {

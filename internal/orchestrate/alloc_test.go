@@ -104,12 +104,16 @@ func TestBoundAllocBudget(t *testing.T) {
 // allocations (the struct and its three time vectors), so each budget is
 // the measured count plus three — deliberately less headroom than one
 // list: a change that puts the list back on the candidate path trips it.
-// Measured: overlap period 0, tree latency 4,
+// Measured: overlap period 0,
 // one-port latency on a sparse DAG 11 (evaluator and integer-lane set-up;
 // 35 while every server's order list was an allocation of its own, 46 on
 // the event graph the lane replaced). A one-port latency scoring
 // whose floor exceeds its limit builds only the evaluator's struct and its
-// scaled durations, and its budget is exactly those two.
+// scaled durations, and its budget is exactly those two. Tree latency's
+// budget is exactly its three slices — rest[] with the path bound the same
+// pass computes, the orders and their backing array — one fewer than
+// while its LowerBound called LatencyPathBound, which allocates a vector
+// of its own.
 func TestScoringAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -132,7 +136,7 @@ func TestScoringAllocBudget(t *testing.T) {
 		score  func() (Score, error)
 	}{
 		{"overlap-period/forest", 3, func() (Score, error) { return ScorePeriod(forest, plan.Overlap, Options{}, NoLimit) }},
-		{"tree-latency/forest", 7, func() (Score, error) { return ScoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
+		{"tree-latency/forest", 3, func() (Score, error) { return ScoreLatency(forest, plan.InOrder, Options{}, NoLimit) }},
 		{"one-port-latency/dag", 14, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, NoLimit) }},
 		{"one-port-latency/dag/below-floor", 2, func() (Score, error) { return ScoreLatency(dagPlan, plan.InOrder, Options{}, belowFloor) }},
 	}
@@ -216,5 +220,43 @@ func TestCutOffSearchAllocBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMaterialiseAllocBudget pins Score.Materialise on a fixed 7-service
+// plan whose OUTORDER winner is the pipelined template: each template's
+// event graph is built and solved once, and the schedule's bottleneck is
+// the critical cycle of that one MCR call. Measured 44 (INORDER) and 95
+// (OUTORDER), the budgets; 89 and 161 while the bottleneck labels rebuilt
+// a second graph from orders re-read off the list's begin times.
+func TestMaterialiseAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	rng := gen.NewRand(7)
+	w := gen.DAGPlan(rng, gen.App(rng, 7, gen.Mixed), 0.5).Weighted()
+	for _, tc := range []struct {
+		m      plan.Model
+		budget float64
+	}{{plan.InOrder, 44}, {plan.OutOrder, 95}} {
+		s, err := ScorePeriod(w, tc.m, Options{MaxExhaustive: 4096}, NoLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Materialise(w)
+		if err != nil || len(res.Bottleneck) == 0 {
+			t.Fatalf("%s: materialised %v, %v: want a cycle-bound schedule", tc.m, res.Bottleneck, err)
+		}
+		if tc.m == plan.OutOrder && res.List.Validate(plan.InOrder) == nil {
+			t.Fatalf("OUTORDER winner is INORDER-valid: the pipelined path goes unmeasured")
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := s.Materialise(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.budget {
+			t.Errorf("%s: %.0f allocs per Materialise, budget %.0f", tc.m, got, tc.budget)
+		}
 	}
 }

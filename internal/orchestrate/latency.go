@@ -166,11 +166,9 @@ func (l *intLane) init(w *plan.Weighted) bool {
 		if !ok {
 			return false
 		}
-		hi, lo := bits.Mul64(den/gcd(den, uint64(d)), uint64(d))
-		if hi != 0 || lo > math.MaxInt64 {
+		if den, ok = rat.LCM(den, uint64(d), math.MaxInt64); !ok {
 			return false
 		}
-		den = lo
 	}
 	i64 := make([]int64, 2*n)
 	dur := i64[:n]
@@ -205,13 +203,6 @@ func (l *intLane) grow() {
 	l.adj, i32 = i32[:arcs], i32[arcs:]
 	l.indeg, i32 = i32[:n], i32[n:]
 	l.start, l.queue = i32[:n+1], i32[n+1:n+1:2*n+1]
-}
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // reset empties the arcs and their counts before a build.
@@ -424,13 +415,17 @@ func scoreTreeLatency(w *plan.Weighted) (Score, error) {
 		}
 	}
 	// rest[v] = time from the end of v's incoming communication to the
-	// completion of everything below v (including output communications).
-	rest := make([]rat.Rat, w.N())
-	order := make([][]int, w.N()) // chosen out-edge order per node
+	// completion of everything below v (including output communications);
+	// path[v] = the longest path below v, each operation counted once, so
+	// that the roots' in-communications plus path give LatencyPathBound.
+	n := w.N()
+	rest := make([]rat.Rat, 2*n)
+	rest, path := rest[:n], rest[n:]
+	order := make([][]int, n) // chosen out-edge order per node
 	flat := make([]int, 0, len(w.Edges()))
-	childRest := func(ei int) rat.Rat {
+	below := func(of []rat.Rat, ei int) rat.Rat {
 		if to := w.Edge(ei).To; to >= 0 {
-			return rest[to]
+			return of[to]
 		}
 		return rat.Zero
 	}
@@ -441,26 +436,29 @@ func scoreTreeLatency(w *plan.Weighted) (Score, error) {
 		start := len(flat)
 		for _, ei := range w.OutEdges(v) {
 			flat = append(flat, ei)
-			for j := len(flat) - 1; j > start && childRest(flat[j]).Greater(childRest(flat[j-1])); j-- {
+			for j := len(flat) - 1; j > start && below(rest, flat[j]).Greater(below(rest, flat[j-1])); j-- {
 				flat[j], flat[j-1] = flat[j-1], flat[j]
 			}
 		}
 		order[v] = flat[start:len(flat):len(flat)]
 		prefix := rat.Zero
-		worst := rat.Zero
+		worst, longest := rat.Zero, rat.Zero
 		for _, ei := range order[v] {
 			prefix = prefix.Add(w.Vol(ei))
-			worst = rat.Max(worst, prefix.Add(childRest(ei)))
+			worst = rat.Max(worst, prefix.Add(below(rest, ei)))
+			longest = rat.Max(longest, w.Vol(ei).Add(below(path, ei)))
 		}
 		rest[v] = w.Comp(v).Add(worst)
+		path[v] = w.Comp(v).Add(longest)
 	}
-	latency := rat.Zero
-	for v := 0; v < w.N(); v++ {
+	latency, bound := rat.Zero, rat.Zero
+	for v := 0; v < n; v++ {
 		if in := w.InEdges(v)[0]; w.Edge(in).From == plan.In {
 			latency = rat.Max(latency, w.Vol(in).Add(rest[v]))
+			bound = rat.Max(bound, w.Vol(in).Add(path[v]))
 		}
 	}
-	return Score{Value: latency, LowerBound: w.LatencyPathBound(), Exact: true, Orders: Orders{Out: order}, build: treeSchedule}, nil
+	return Score{Value: latency, LowerBound: bound, Exact: true, Orders: Orders{Out: order}, build: treeSchedule}, nil
 }
 
 // treeLatencyList builds the Algorithm-1 schedule from the chosen feeding

@@ -73,11 +73,15 @@ type Result struct {
 	Value      rat.Rat
 	LowerBound rat.Rat
 	Exact      bool
-	// Bottleneck describes the operations on the binding (critical) cycle
-	// of the schedule when the period is cycle-limited: the chain of
-	// computations and communications whose durations sum to the period.
-	// Empty when no cycle analysis applies (e.g. Theorem-1 OVERLAP
-	// schedules, where the bound is a single server's port or CPU).
+	// Bottleneck names, in cycle order, the operations ("calc(C1)",
+	// "comm(in->C1)", "comm(C1->out)") of a critical cycle of the event
+	// graph the period schedule was solved on — INORDER's, or OUTORDER's
+	// winning template — from the one maximum cycle ratio call that gave
+	// the period: their durations sum to the period times the data-set
+	// wraps on the cycle. Nil when no cycle binds the period (a graph
+	// without a cycle, or with ratio 0, scheduled at period 1), for
+	// Theorem-1 OVERLAP schedules (the bound is one server's port or CPU)
+	// and for latency schedules.
 	Bottleneck []string
 }
 

@@ -403,9 +403,4 @@ func TestBottleneckDiagnostics(t *testing.T) {
 	if len(out.Bottleneck) == 0 {
 		t.Fatal("OUTORDER result must report its critical cycle")
 	}
-	// A schedule with deliberate slack yields no bottleneck claim.
-	ino.List.SetLambda(ino.List.Lambda().AddInt(1))
-	if InOrderBottleneck(ino.List) != nil {
-		t.Fatal("slackened schedule must not claim a tight cycle")
-	}
 }

@@ -3,7 +3,6 @@ package orchestrate
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/eventgraph"
 	"repro/internal/oplist"
@@ -55,28 +54,25 @@ func overlapPeriodList(w *plan.Weighted, lambda rat.Rat) (*oplist.List, error) {
 	return l, nil
 }
 
-// solvePeriodGraph returns the earliest schedule of g at its period
-// (graphLambda).
-func solvePeriodGraph(w *plan.Weighted, g *eventgraph.Graph) (*oplist.List, error) {
-	lambda, err := graphLambda(g)
+// solvePeriodGraph returns the earliest schedule of g at its period — one
+// MaximumCycleRatio call under graphLambda's rule — and the labels of that
+// call's critical cycle: the schedule's bottleneck, nil when no cycle
+// attains the period (g has no cycle, or its ratio is 0 and the period 1).
+func solvePeriodGraph(w *plan.Weighted, g *eventgraph.Graph) (*oplist.List, []string, error) {
+	res, err := g.MaximumCycleRatio()
+	lambda, err := graphLambda(res.Ratio, err)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pi, err := g.Potentials(lambda)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return listFromTimes(w, lambda, pi), nil
-}
-
-// bottleneck labels the critical cycle of g when its ratio is the
-// schedule period lambda, and returns nil otherwise.
-func bottleneck(w *plan.Weighted, g *eventgraph.Graph, lambda rat.Rat) []string {
-	res, err := g.MaximumCycleRatio()
-	if err != nil || !res.Ratio.Equal(lambda) {
-		return nil
+	var labels []string
+	if res.Ratio.Equal(lambda) {
+		labels = describeCycle(w, g, res.CriticalCycle)
 	}
-	return describeCycle(w, g, res.CriticalCycle)
+	return listFromTimes(w, lambda, pi), labels, nil
 }
 
 // describeCycle renders the operations visited by a critical cycle.
@@ -114,42 +110,15 @@ func opLabel(w *plan.Weighted, op int) string {
 // InOrderPeriodWithOrders returns the optimal INORDER operation list for
 // the given fixed orders: the exact maximum-cycle-ratio period.
 func InOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, error) {
-	return newInOrderEval(w).list(orders)
+	l, _, err := newInOrderEval(w).list(orders)
+	return l, err
 }
 
-// extractOrders reads the per-server receive/send orders realized by an
-// operation list (sorting each side by communication begin time).
-func extractOrders(l *oplist.List) Orders {
-	w := l.Plan()
-	orders := DefaultOrders(w)
-	byBegin := func(s []int) {
-		sort.SliceStable(s, func(i, j int) bool {
-			return l.CommBegin(s[i]).Less(l.CommBegin(s[j]))
-		})
-	}
-	for v := 0; v < w.N(); v++ {
-		byBegin(orders.In[v])
-		byBegin(orders.Out[v])
-	}
-	return orders
-}
-
-// InOrderBottleneck identifies the critical cycle binding an INORDER
-// schedule's period: the sequence of operations whose durations sum to
-// exactly λ times the number of data-set wraps on the cycle. Returns nil
-// when the schedule's period is not the cycle optimum for its own orders
-// (e.g. a schedule with deliberate slack).
-func InOrderBottleneck(l *oplist.List) []string {
-	e := newInOrderEval(l.Plan())
-	e.build(extractOrders(l), nil, nil)
-	return bottleneck(l.Plan(), e.g, l.Lambda())
-}
-
-// graphLambda is the one degenerate-period rule: the period of g is its
-// exact maximum cycle ratio, 1 when that ratio is 0 or g has no cycle (no
-// cyclic constraint: any period works), and the error otherwise.
-func graphLambda(g *eventgraph.Graph) (rat.Rat, error) {
-	ratio, err := g.MaxCycleRatio()
+// graphLambda is the one degenerate-period rule, applied to a maximum
+// cycle ratio query's outcome: the period is the ratio, 1 when the ratio is
+// 0 or the graph has no cycle (no cyclic constraint: any period works), and
+// the error otherwise.
+func graphLambda(ratio rat.Rat, err error) (rat.Rat, error) {
 	switch err {
 	case nil:
 		if ratio.Sign() == 0 {
@@ -243,20 +212,21 @@ func (e *inOrderEval) serverEdges(v int, o Orders, din, dout bool) {
 
 func (e *inOrderEval) value(o Orders) (rat.Rat, error) {
 	e.build(o, nil, nil)
-	return graphLambda(e.g)
+	return graphLambda(e.g.MaxCycleRatio())
 }
 
-// list materializes the INORDER schedule of complete orders o.
-func (e *inOrderEval) list(o Orders) (*oplist.List, error) {
+// list materializes the INORDER schedule of complete orders o and its
+// bottleneck labels from the graph value scores.
+func (e *inOrderEval) list(o Orders) (*oplist.List, []string, error) {
 	e.build(o, nil, nil)
-	l, err := solvePeriodGraph(e.w, e.g)
+	l, labels, err := solvePeriodGraph(e.w, e.g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := l.Validate(plan.InOrder); err != nil {
-		return nil, fmt.Errorf("orchestrate: INORDER construction invalid: %w", err)
+		return nil, nil, fmt.Errorf("orchestrate: INORDER construction invalid: %w", err)
 	}
-	return l, nil
+	return l, labels, nil
 }
 
 // exceeds prunes a partial assignment when even its relaxed event graph —
@@ -316,51 +286,12 @@ func generations(w *plan.Weighted) (gen []int, commGen []int) {
 	return gen, commGen
 }
 
-// OutOrderPeriodWithOrders builds the pipelined OUTORDER schedule for fixed
-// orders and returns the better of it and the INORDER schedule (an INORDER
-// list is always OUTORDER-valid). The pipelined graph is solved in
-// generation-shifted time (see outOrderEval.build): begin times are
-// recovered by b = π + λ·(maxStage − stage).
-func OutOrderPeriodWithOrders(w *plan.Weighted, orders Orders) (*oplist.List, error) {
-	e := newOutOrderEval(w)
-	inorder, inErr := e.ino.list(orders)
-	e.build(orders, nil, nil)
-	shifted, err := solvePeriodGraph(w, e.g)
-	var pipelined *oplist.List
-	if err == nil {
-		lambda, maxStage := shifted.Lambda(), 0
-		for _, s := range slices.Concat(e.gen, e.commGen) {
-			maxStage = max(maxStage, s)
-		}
-		pipelined = oplist.New(w, lambda)
-		for v := 0; v < w.N(); v++ {
-			pipelined.SetCalc(v, shifted.CalcBegin(v).Add(lambda.MulInt(int64(maxStage-e.gen[v]))))
-		}
-		for ei := range w.Edges() {
-			pipelined.SetComm(ei, shifted.CommBegin(ei).Add(lambda.MulInt(int64(maxStage-e.commGen[ei]))))
-		}
-		if verr := pipelined.Validate(plan.OutOrder); verr != nil {
-			return nil, fmt.Errorf("orchestrate: pipelined construction invalid: %w", verr)
-		}
-	}
-	switch {
-	case pipelined == nil && inorder == nil:
-		return nil, fmt.Errorf("orchestrate: no OUTORDER schedule for these orders (inorder: %v, pipelined: %v)", inErr, err)
-	case pipelined == nil:
-		return inorder, nil
-	case inorder == nil || pipelined.Lambda().Less(inorder.Lambda()):
-		return pipelined, nil
-	default:
-		return inorder, nil
-	}
-}
-
 // outOrderEval is the OUTORDER order-search evaluator and the one encoding
 // of the pipelined template: the value of an assignment is the better of
 // its INORDER period and its pipelined-template period (an INORDER list is
-// always OUTORDER-valid), each an MCR on a reused event graph;
-// OutOrderPeriodWithOrders materializes the winning orders from the same
-// two graphs once the search is over.
+// always OUTORDER-valid), each an MCR on a reused event graph; list
+// materializes the winning orders from the same two graphs once the search
+// is over.
 type outOrderEval struct {
 	ino     *inOrderEval
 	g       *eventgraph.Graph // pipelined-template scratch
@@ -478,7 +409,7 @@ func (e *outOrderEval) residueEdges(v int, o Orders, din, dout bool) {
 func (e *outOrderEval) value(o Orders) (rat.Rat, error) {
 	inoVal, inoErr := e.ino.value(o)
 	e.build(o, nil, nil)
-	pipVal, pipErr := graphLambda(e.g)
+	pipVal, pipErr := graphLambda(e.g.MaxCycleRatio())
 	switch {
 	case inoErr != nil && pipErr != nil:
 		return rat.Zero, fmt.Errorf("orchestrate: no OUTORDER schedule for these orders (inorder: %v, pipelined: %v)", inoErr, pipErr)
@@ -489,6 +420,37 @@ func (e *outOrderEval) value(o Orders) (rat.Rat, error) {
 	default:
 		return rat.Min(pipVal, inoVal), nil
 	}
+}
+
+// list materializes the OUTORDER schedule of complete orders o and its
+// bottleneck labels from the template whose period value returned, solved
+// on the graph value scored: the pipelined one when its period is strictly
+// below the INORDER one, else the INORDER list. The pipelined graph is
+// solved in generation-shifted time (see build): begin times are recovered
+// by b = π + λ·(maxStage − stage).
+func (e *outOrderEval) list(o Orders) (*oplist.List, []string, error) {
+	w := e.ino.w
+	inorder, inLabels, inErr := e.ino.list(o)
+	e.build(o, nil, nil)
+	shifted, labels, err := solvePeriodGraph(w, e.g)
+	switch {
+	case err != nil && inErr != nil:
+		return nil, nil, fmt.Errorf("orchestrate: no OUTORDER schedule for these orders (inorder: %v, pipelined: %v)", inErr, err)
+	case err != nil || inErr == nil && !shifted.Lambda().Less(inorder.Lambda()):
+		return inorder, inLabels, nil
+	}
+	lambda, maxStage := shifted.Lambda(), max(slices.Max(e.gen), slices.Max(e.commGen))
+	pipelined := oplist.New(w, lambda)
+	for v := 0; v < w.N(); v++ {
+		pipelined.SetCalc(v, shifted.CalcBegin(v).Add(lambda.MulInt(int64(maxStage-e.gen[v]))))
+	}
+	for ei := range w.Edges() {
+		pipelined.SetComm(ei, shifted.CommBegin(ei).Add(lambda.MulInt(int64(maxStage-e.commGen[ei]))))
+	}
+	if err := pipelined.Validate(plan.OutOrder); err != nil {
+		return nil, nil, fmt.Errorf("orchestrate: pipelined construction invalid: %w", err)
+	}
+	return pipelined, labels, nil
 }
 
 // exceeds prunes a partial assignment only when BOTH templates rule the
@@ -517,20 +479,4 @@ func OutOrderPeriod(w *plan.Weighted, opts Options) (Result, error) {
 
 func scoreOutOrderPeriod(w *plan.Weighted, opts Options, limit Limit) (Score, error) {
 	return searchOrders(w, opts, newOutOrderEval(w), outOrderCycle, limit)
-}
-
-// OutOrderBottleneck identifies the critical cycle of an OUTORDER schedule
-// produced by this package: it re-analyzes the schedule's realized orders
-// under both the in-order and the pipelined event-graph templates and
-// reports the cycle of whichever matches the schedule's period. Returns nil
-// when neither does.
-func OutOrderBottleneck(l *oplist.List) []string {
-	w, o := l.Plan(), extractOrders(l)
-	e := newOutOrderEval(w)
-	e.ino.build(o, nil, nil)
-	if labels := bottleneck(w, e.ino.g, l.Lambda()); labels != nil {
-		return labels
-	}
-	e.build(o, nil, nil)
-	return bottleneck(w, e.g, l.Lambda())
 }

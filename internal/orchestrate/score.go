@@ -20,7 +20,9 @@ package orchestrate
 // the event graph their search evaluator builds (one encoding per model):
 // the value a search compared is by construction the value of the schedule
 // it later hands out (Materialise still refuses a list whose objective
-// differs from its score).
+// differs from its score). A period schedule's bottleneck is the critical
+// cycle of that same graph, from the one maximum cycle ratio call that
+// gave its period; each template's graph is built once per Materialise.
 
 import (
 	"fmt"
@@ -112,14 +114,12 @@ func (s Score) Materialise(w *plan.Weighted) (Result, error) {
 		res.List, err = overlapPeriodList(w, s.Value)
 		res.Value = s.Value
 	case inOrderCycle:
-		if res.List, err = InOrderPeriodWithOrders(w, s.Orders); err == nil {
+		if res.List, res.Bottleneck, err = newInOrderEval(w).list(s.Orders); err == nil {
 			res.Value = res.List.Lambda()
-			res.Bottleneck = InOrderBottleneck(res.List)
 		}
 	case outOrderCycle:
-		if res.List, err = OutOrderPeriodWithOrders(w, s.Orders); err == nil {
+		if res.List, res.Bottleneck, err = newOutOrderEval(w).list(s.Orders); err == nil {
 			res.Value = res.List.Lambda()
-			res.Bottleneck = OutOrderBottleneck(res.List)
 		}
 	case treeSchedule:
 		res.List = treeLatencyList(w, s.Orders.Out)

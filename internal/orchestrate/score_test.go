@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/eventgraph"
 	"repro/internal/gen"
 	"repro/internal/plan"
 	"repro/internal/rat"
@@ -85,8 +86,105 @@ func TestScoreValueIsMaterialisedValue(t *testing.T) {
 				if s.Value.Less(s.LowerBound) {
 					t.Fatalf("plan %d %s/%s: value %s below bound %s", i, m, obj.name, s.Value, s.LowerBound)
 				}
+				// The tree algorithm computes its bound in its own pass.
+				if obj.name == "latency" && isForestShaped(w) && !s.LowerBound.Equal(w.LatencyPathBound()) {
+					t.Fatalf("plan %d %s: tree latency bound %s, path bound %s", i, m, s.LowerBound, w.LatencyPathBound())
+				}
 			}
 		}
+	}
+}
+
+// TestBottleneckIsCriticalCycleOfScoredGraph holds every period Result of
+// a seeded DAG-plan corpus (4 to 8 services, every profile, the three
+// models) to checkBottleneck.
+func TestBottleneckIsCriticalCycleOfScoredGraph(t *testing.T) {
+	opts := Options{MaxExhaustive: 4096} // what package solve scores candidates with
+	for seed := int64(0); seed < 200; seed++ {
+		rng := gen.NewRand(seed)
+		n, p := 4+int(seed%5), gen.Profile(seed%4)
+		w := gen.DAGPlan(rng, gen.App(rng, n, p), 0.5).Weighted()
+		for _, m := range plan.Models {
+			name := fmt.Sprintf("seed %d n%d %s %s", seed, n, p, m)
+			s, err := ScorePeriod(w, m, opts, NoLimit)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := s.Materialise(w)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkBottleneck(t, name, w, m, s, res)
+		}
+	}
+}
+
+// checkBottleneck holds a period Result's labels to the event graph its
+// score was built on. Under an order model they name, in cycle order, the
+// operations of a cycle of the winning template's graph built from
+// s.Orders — the pipelined one when its period is strictly below the
+// INORDER one — whose edges sum to zero at the period (delay − λ·tokens;
+// no cycle sums above zero there, so it is a critical cycle). They may be
+// nil only for Theorem 1 and for a degenerate period: a graph without a
+// cycle, or with ratio 0.
+func checkBottleneck(t *testing.T, name string, w *plan.Weighted, m plan.Model, s Score, res Result) {
+	t.Helper()
+	var g *eventgraph.Graph
+	switch m {
+	case plan.InOrder:
+		e := newInOrderEval(w)
+		e.build(s.Orders, nil, nil)
+		g = e.g
+	case plan.OutOrder:
+		e := newOutOrderEval(w)
+		inoVal, inoErr := e.ino.value(s.Orders)
+		e.build(s.Orders, nil, nil)
+		g = e.ino.g
+		if pipVal, pipErr := graphLambda(e.g.MaxCycleRatio()); pipErr == nil && (inoErr != nil || pipVal.Less(inoVal)) {
+			g = e.g
+		}
+	default:
+		if res.Bottleneck != nil {
+			t.Fatalf("%s: Theorem-1 schedule labelled %q", name, res.Bottleneck)
+		}
+		return
+	}
+	if res.Bottleneck == nil {
+		if ratio, err := g.MaxCycleRatio(); err != eventgraph.ErrNoCycle && (err != nil || ratio.Sign() != 0) {
+			t.Fatalf("%s: period %s bound by a cycle (ratio %s, %v), no labels", name, res.Value, ratio, err)
+		}
+		return
+	}
+	ops := make([]int, len(res.Bottleneck))
+	for i, label := range res.Bottleneck {
+		ops[i] = -1
+		for op := 0; op < opCount(w); op++ {
+			if opLabel(w, op) == label {
+				ops[i] = op
+			}
+		}
+		if ops[i] < 0 {
+			t.Fatalf("%s: label %q names no operation", name, label)
+		}
+	}
+	// The heaviest edge at λ between each consecutive pair: the cycle sum
+	// is zero if any choice of parallel edges makes it so.
+	sum := rat.Zero
+	for i, from := range ops {
+		to := ops[(i+1)%len(ops)]
+		best, found := rat.Zero, false
+		for _, e := range g.Edges() {
+			if wt := e.Delay.Sub(res.Value.MulInt(int64(e.Tokens))); e.From == from && e.To == to && (!found || wt.Greater(best)) {
+				best, found = wt, true
+			}
+		}
+		if !found {
+			t.Fatalf("%s: labels %q: no edge %s -> %s in the scored graph", name, res.Bottleneck, opLabel(w, from), opLabel(w, to))
+		}
+		sum = sum.Add(best)
+	}
+	if sum.Sign() != 0 {
+		t.Fatalf("%s: labels %q sum to %s at period %s, not 0", name, res.Bottleneck, sum, res.Value)
 	}
 }
 
@@ -137,8 +235,9 @@ func TestMaterialiseRefusesForeignScore(t *testing.T) {
 // rebuilds into a schedule that reaches it and passes its model's
 // validator. The plan searches materialise only their winner and return a
 // failure as an internal error, so this is the property they stand on.
-// Each score is also redone under a drawn limit (limitPct/128 × the value)
-// and held to checkLimited's dichotomy.
+// Every period Result's labels pass checkBottleneck. Each score is also
+// redone under a drawn limit (limitPct/128 × the value) and held to
+// checkLimited's dichotomy.
 func FuzzScoreMaterialise(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed), uint8(36*seed), seed%2 == 1, seed%4 == 3, uint8(100+8*seed))
@@ -171,6 +270,9 @@ func FuzzScoreMaterialise(f *testing.F) {
 				}
 				if err := res.List.Validate(m); err != nil {
 					t.Fatalf("%s %s/%s: schedule invalid: %v", eg, m, sc.obj, err)
+				}
+				if sc.obj == "period" {
+					checkBottleneck(t, fmt.Sprintf("%s %s", eg, m), w, m, s, res)
 				}
 				limit := s.Value.Mul(rat.New(int64(limitPct), 128))
 				checkLimited(t, fmt.Sprintf("%s %s/%s", eg, m, sc.obj), w, m, sc, opts, s, limit)

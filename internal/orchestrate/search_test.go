@@ -32,8 +32,11 @@ func searchCases() []searchCase {
 		{
 			name: "outorder-period",
 			run:  OutOrderPeriod,
-			with: OutOrderPeriodWithOrders,
-			val:  func(l *oplist.List) rat.Rat { return l.Lambda() },
+			with: func(w *plan.Weighted, o Orders) (*oplist.List, error) {
+				l, _, err := newOutOrderEval(w).list(o)
+				return l, err
+			},
+			val: func(l *oplist.List) rat.Rat { return l.Lambda() },
 		},
 		{
 			name: "oneport-latency",

@@ -1,6 +1,8 @@
 // Package par is the shared parallel-search layer of the repository: a
 // bounded worker pool, used by the exact search and hill-climbing restarts
-// of package solve and by the experiment harness. Reductions live with
+// of package solve, by the experiment harness and by the cluster router's
+// batch fan-out (package cluster: each item of a POST /v1/batch forwarded
+// to its owner, the answers kept in item order). Reductions live with
 // their searches (package solve's reduce folds its shards' winners), under
 // the contract below.
 //

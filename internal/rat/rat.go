@@ -530,6 +530,15 @@ func gcd64(a, b uint64) uint64 {
 	return a
 }
 
+// LCM returns the least common multiple of a and b (both positive) and
+// whether it is at most limit: the step by which the integer lanes of the
+// order search and the branch-and-bound bounds fold a denominator into
+// their common one, each under its own cap.
+func LCM(a, b, limit uint64) (uint64, bool) {
+	hi, lo := bits.Mul64(a/gcd64(a, b), b)
+	return lo, hi == 0 && lo <= limit
+}
+
 // quo returns a/b for b > 0, in a 32-bit division when both operands fit
 // (a negative a does not).
 func quo(a, b int64) int64 {

@@ -636,3 +636,21 @@ func BenchmarkAddBig(b *testing.B) {
 		_ = x.Add(y)
 	}
 }
+
+func TestLCMCap(t *testing.T) {
+	for _, tc := range []struct {
+		a, b, limit, want uint64
+		ok                bool
+	}{
+		{4, 6, 12, 12, true},
+		{4, 6, 11, 12, false},
+		{1, 7, 7, 7, true},
+		{1 << 40, 3 << 20, 3 << 40, 3 << 40, true},
+		{1 << 63, 3, math.MaxUint64, 0, false}, // the product passes 2^64
+	} {
+		got, ok := LCM(tc.a, tc.b, tc.limit)
+		if ok != tc.ok || ok && got != tc.want {
+			t.Errorf("LCM(%d, %d, %d) = %d, %v; want %d, %v", tc.a, tc.b, tc.limit, got, ok, tc.want, tc.ok)
+		}
+	}
+}

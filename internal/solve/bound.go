@@ -251,7 +251,7 @@ func newBoundLane(t *boundTables) *boundLane {
 		sn[v], sd[v], shr[v] = num, den, min(num, den) // σ < 1 iff num < den
 		var ok4, ok5, ok6 bool
 		dsig, ok4 = mulCap(dsig, uint64(den))
-		lcm, ok5 = mulCap(lcm/gcd(lcm, uint64(cd)), uint64(cd))
+		lcm, ok5 = rat.LCM(lcm, uint64(cd), laneCap)
 		pmax, ok6 = mulCap(pmax, uint64(max(num, den)))
 		if !(ok4 && ok5 && ok6) {
 			return nil
@@ -304,13 +304,6 @@ func mulCap(a, b uint64) (uint64, bool) {
 }
 
 func mul64(a, b int64) int64 { return a * b }
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
 
 // prod returns q for a node whose fixed ancestors, shrinking candidates
 // and remaining services are the disjoint masks a, s and r.

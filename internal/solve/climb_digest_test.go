@@ -27,13 +27,15 @@ import (
 // climbs began stopping at the period floor. All four effort halves moved
 // when the per-solve orchestration memo was deleted: former memo hits now
 // count their order-search prefixes and evaluations, and the effort line
-// lost its memo-hit column.
+// lost its memo-hit column. The full DAG answers moved when OUTORDER
+// bottleneck labels began naming the scored graph's critical cycle: the
+// labels of two instances' OUTORDER period answers moved, nothing else.
 const (
 	climbAnswerFull     = "bd988a2c3f70f2a2f137e2083e91f1f05ae4a70f7a34d08d1b3581107ff6ba9e"
 	climbEffortFull     = "0ce62dd36639166c3f678b12a1a470f03572b6f6a491d4f0d6b741ce4b10ddd2"
 	climbAnswerShort    = "707b85cacccb7710c1153ea10666d149ae9d5d09996e8433475bfa3279b6d5e6"
 	climbEffortShort    = "38cd76b9d5def6255375327753bfdf43c1beec216bcf548f7b64f4cb7905b3e9"
-	climbDAGAnswerFull  = "35df0be2c831e2f241d07349a769861a8b1320ddcbb931ad33b7d4b34a560cec"
+	climbDAGAnswerFull  = "ea8435b2beb413bffd4119e025d0207f4608f948171da851e18fdb71bb0eb87e"
 	climbDAGEffortFull  = "c12f5bba15c6e2bbb6cd2d83fdc8a050be03dd5d3dd92ce390de2cf8ae28443e"
 	climbDAGAnswerShort = "d27338fe9804baa2492dfb774d0b3f62ad2bf7349a41c3f5dcf9fea192ab4f75"
 	climbDAGEffortShort = "fd979bb114f0426b3d851ca98e24c8ced05cbb03f18e42ea4ed8cc3b8f0df14d"
