@@ -117,7 +117,7 @@ test-race:
 test-alloc:
 	$(GO) test -count=1 -run AllocBudget ./internal/orchestrate/ ./internal/oplist/ ./internal/service/ ./internal/exec/ ./internal/rat/ ./internal/eventgraph/ ./internal/solve/ ./internal/plan/ ./internal/dag/
 
-# One pass over every go-test benchmark: the experiments E1-E12, the
+# One pass over every go-test benchmark: the experiments E1-E4 and E10-E12, the
 # component benchmarks, BranchBound (ns per expanded node of the whole
 # exact solve at Workers 1: forest n = 7, DAG n = 5 without and with
 # precedence), the branch-and-bound partial bounds (BenchmarkPartialBound:

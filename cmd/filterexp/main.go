@@ -1,9 +1,10 @@
 // Command filterexp regenerates every experiment of the reproduction: the
-// paper's worked example, the three counter-examples, the polynomial
-// special cases, the structural theorem, the NP-hardness gadgets, the
-// simulation studies, and the branch-and-bound pruning study (E15: nodes
-// expanded vs full enumeration per structural family). No report carries
-// a wall-clock number, so the output is deterministic: from its first
+// paper's worked example, the three counter-examples, the NP-hardness
+// gadgets, the simulation studies, and the branch-and-bound pruning study
+// (E15: nodes expanded vs full enumeration per structural family). The
+// paper's polynomial results are property tests in internal/orchestrate
+// and internal/solve, not reports. No report carries a wall-clock number,
+// so the output is deterministic: from its first
 // "### " heading on, EXPERIMENTS.md is exactly `filterexp -md -budget 2`
 // (internal/experiments' TestExperimentsMatchRecord enforces it).
 //

@@ -33,6 +33,9 @@ var unreachableAllowed = map[string]string{
 	// The kill-a-replica switch of the replication chaos suite
 	// (internal/cluster) and of faults' own tests.
 	"faults.Injector.SetDown": "shared test support (cluster chaos suite, faults tests)",
+	// Random forest plans for the forest-only checks (Prop. 12's tree
+	// latency against the exhaustive order search, among others).
+	"gen.ForestPlan": "shared test support (gen, orchestrate and root benchmark tests)",
 }
 
 // TestShippedCodeIsReachable is the gate that every declaration in a

@@ -1,12 +1,14 @@
-// Package experiments regenerates every quantitative artifact of the paper
-// (the §2.3 worked example, the three counter-examples of Appendix B, the
-// polynomial special cases, the structural theorem, and the NP-hardness
-// gadgets) plus the simulation studies its framework implies (heuristic
-// quality, model gaps, self-timed convergence). Every report is a pure
+// Package experiments regenerates the paper's artifacts (the §2.3 worked
+// example, the three counter-examples of Appendix B and the NP-hardness
+// gadgets) plus the measurement tables its framework implies (heuristic
+// quality, model gaps, pruning, the data plane). The polynomial results
+// (Theorem 1, Props. 4, 8, 12 and 16) are property tests in the packages
+// they speak about, orchestrate and solve. Every report is a pure
 // function of its seeds: no wall-clock number appears in one (those are
 // the repository benchmark's, bench/), so EXPERIMENTS.md is the budget-2
 // rendering byte for byte, and TestExperimentsMatchRecord holds it there.
-// cmd/filterexp prints the reports; the root benchmarks time E1–E12.
+// cmd/filterexp prints the reports; the root benchmarks time E1–E4 and
+// E10–E12.
 package experiments
 
 import (
@@ -21,7 +23,6 @@ import (
 	"repro/internal/rat"
 	"repro/internal/solve"
 	"repro/internal/texttab"
-	"repro/internal/workflow"
 )
 
 // Report is one experiment's outcome.
@@ -82,11 +83,6 @@ func AllWorkers(budget, workers int) []Report {
 		E2ChainVsForest,
 		E3MultiportLatency,
 		E4MultiportPeriod,
-		func() Report { return E5OverlapOrchestration(budget) },
-		func() Report { return E6ChainPeriodGreedy(budget) },
-		func() Report { return E7ChainLatencyGreedy(budget) },
-		func() Report { return E8TreeLatency(budget) },
-		func() Report { return E9ForestStructure(budget, 1) },
 		E10Reductions,
 		func() Report { return E11HeuristicQuality(budget, 1) },
 		func() Report { return E12ModelGaps(budget) },
@@ -233,151 +229,6 @@ func E4MultiportPeriod() Report {
 	}
 }
 
-// E5OverlapOrchestration verifies Theorem 1 empirically: the constructed
-// OVERLAP schedule meets max_k Cexec(k) on every random execution graph.
-func E5OverlapOrchestration(budget int) Report {
-	trials := 200 * budget
-	okCount := 0
-	for seed := int64(0); seed < int64(trials); seed++ {
-		rng := gen.NewRand(seed)
-		var w *plan.Weighted
-		if seed%2 == 0 {
-			app := gen.App(rng, 3+rng.Intn(8), gen.Mixed)
-			w = gen.DAGPlan(rng, app, 0.35).Weighted()
-		} else {
-			w = gen.Weighted(rng, 3+rng.Intn(8), 0.35)
-		}
-		res, err := orchestrate.OverlapPeriod(w)
-		if err == nil && res.Value.Equal(w.PeriodLowerBound(plan.Overlap)) {
-			okCount++
-		}
-	}
-	tab := texttab.New("random execution graphs", "period == max Cexec", "paper")
-	tab.Row(trials, fmt.Sprintf("%d/%d", okCount, trials), "always (Thm 1)")
-	return Report{
-		ID: "E5", Title: "Theorem 1: OVERLAP period orchestration is polynomial and tight", Table: tab,
-		OK: okCount == trials,
-		Notes: []string{
-			"Every constructed schedule passes the Appendix-A multi-port validator and meets the lower bound exactly.",
-		},
-	}
-}
-
-// E6ChainPeriodGreedy verifies Prop. 8: the greedy chain equals exhaustive
-// chain search for MINPERIOD under all three models.
-func E6ChainPeriodGreedy(budget int) Report {
-	trials := 60 * budget
-	n := 6
-	matches := map[plan.Model]int{}
-	for seed := int64(0); seed < int64(trials); seed++ {
-		app := gen.App(gen.NewRand(seed), n, profileFor(seed))
-		for _, m := range plan.Models {
-			greedy := solve.ChainPeriodValue(app, solve.GreedyChainOrder(app, m), m)
-			best := bestChainPeriod(app, m)
-			if greedy.Equal(best) {
-				matches[m]++
-			}
-		}
-	}
-	tab := texttab.New("model", "greedy == optimal chain", "paper")
-	for _, m := range plan.Models {
-		tab.Row(m, fmt.Sprintf("%d/%d", matches[m], trials), "always (Prop 8)")
-	}
-	ok := true
-	for _, m := range plan.Models {
-		ok = ok && matches[m] == trials
-	}
-	return Report{
-		ID: "E6", Title: "Prop. 8: greedy chain is period-optimal among chains", Table: tab, OK: ok,
-		Notes: []string{fmt.Sprintf("Random instances with %d services, brute force over all %d! chains.", n, n)},
-	}
-}
-
-// E7ChainLatencyGreedy verifies Prop. 16: sorting by decreasing
-// (1−σ)/(1+c) is latency-optimal among chains.
-func E7ChainLatencyGreedy(budget int) Report {
-	trials := 60 * budget
-	n := 6
-	match := 0
-	for seed := int64(0); seed < int64(trials); seed++ {
-		app := gen.App(gen.NewRand(seed+1000), n, profileFor(seed))
-		greedy := solve.ChainLatencyValue(app, solve.GreedyLatencyChainOrder(app))
-		if greedy.Equal(bestChainLatency(app)) {
-			match++
-		}
-	}
-	tab := texttab.New("instances", "greedy == optimal chain", "paper")
-	tab.Row(trials, fmt.Sprintf("%d/%d", match, trials), "always (Prop 16)")
-	return Report{
-		ID: "E7", Title: "Prop. 16: greedy chain is latency-optimal among chains", Table: tab,
-		OK: match == trials,
-	}
-}
-
-// E8TreeLatency verifies Prop. 12 / Algorithm 1: the O(n log n) tree
-// algorithm matches exhaustive order search on random forests.
-func E8TreeLatency(budget int) Report {
-	trials := 40 * budget
-	match, skipped := 0, 0
-	for seed := int64(0); seed < int64(trials); seed++ {
-		rng := gen.NewRand(seed)
-		app := gen.App(rng, 3+rng.Intn(4), gen.Filtering)
-		w := gen.ForestPlan(rng, app).Weighted()
-		tree, err := orchestrate.TreeLatency(w)
-		if err != nil {
-			skipped++
-			continue
-		}
-		ex, err := orchestrate.OnePortLatency(w, orchestrate.Options{MaxExhaustive: 50000})
-		if err != nil || !ex.Exact {
-			skipped++
-			continue
-		}
-		if tree.Value.Equal(ex.Value) {
-			match++
-		}
-	}
-	tab := texttab.New("random forests", "Algorithm 1 == exhaustive", "skipped (too wide)", "paper")
-	tab.Row(trials, fmt.Sprintf("%d/%d", match, trials-skipped), skipped, "always (Prop 12)")
-	return Report{
-		ID: "E8", Title: "Prop. 12 / Algorithm 1: tree latency in O(n log n)", Table: tab,
-		OK: match == trials-skipped,
-	}
-}
-
-// E9ForestStructure verifies Prop. 4: the forest-restricted optimum equals
-// the unrestricted (DAG) optimum for MINPERIOD without precedence. The
-// inner plan searches run on solverWorkers (1 under the parallel harness,
-// which owns the parallelism budget).
-func E9ForestStructure(budget, solverWorkers int) Report {
-	trials := 4 * budget
-	matches := map[plan.Model]int{}
-	models := []plan.Model{plan.Overlap, plan.InOrder}
-	opts := solve.Options{Orch: orchestrate.Options{MaxExhaustive: 256}, Workers: solverWorkers}
-	for seed := int64(0); seed < int64(trials); seed++ {
-		app := gen.App(gen.NewRand(seed), 4, gen.Mixed)
-		for _, m := range models {
-			f, err1 := solve.MinPeriod(app, m, exactOver(opts, solve.FamilyForest))
-			d, err2 := solve.MinPeriod(app, m, exactOver(opts, solve.FamilyDAG))
-			if err1 == nil && err2 == nil && f.Value.Equal(d.Value) {
-				matches[m]++
-			}
-		}
-	}
-	tab := texttab.New("model", "forest opt == DAG opt", "paper")
-	for _, m := range models {
-		tab.Row(m, fmt.Sprintf("%d/%d", matches[m], trials), "always (Prop 4)")
-	}
-	ok := true
-	for _, m := range models {
-		ok = ok && matches[m] == trials
-	}
-	return Report{
-		ID: "E9", Title: "Prop. 4: some optimal MINPERIOD plan is a forest", Table: tab, OK: ok,
-		Notes: []string{"Exact (branch-and-bound) optimum over all 125 forests vs over all 543 DAGs on 4 services."},
-	}
-}
-
 // --- helpers ---
 
 func mark(ok bool) string {
@@ -413,51 +264,4 @@ func withMethod(o solve.Options, m solve.Method) solve.Options {
 func exactOver(o solve.Options, f solve.Family) solve.Options {
 	o.Method, o.Family = solve.BranchBound, f
 	return o
-}
-
-// bestChainPeriod brute-forces the optimal chain period over all n! orders.
-func bestChainPeriod(app *workflow.App, m plan.Model) rat.Rat {
-	var best rat.Rat
-	first := true
-	permutations(app.N(), func(order []int) {
-		v := solve.ChainPeriodValue(app, order, m)
-		if first || v.Less(best) {
-			best, first = v, false
-		}
-	})
-	return best
-}
-
-// bestChainLatency brute-forces the optimal chain latency.
-func bestChainLatency(app *workflow.App) rat.Rat {
-	var best rat.Rat
-	first := true
-	permutations(app.N(), func(order []int) {
-		v := solve.ChainLatencyValue(app, order)
-		if first || v.Less(best) {
-			best, first = v, false
-		}
-	})
-	return best
-}
-
-// permutations enumerates all orders of 0..n-1.
-func permutations(n int, fn func([]int)) {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			fn(order)
-			return
-		}
-		for i := k; i < n; i++ {
-			order[k], order[i] = order[i], order[k]
-			rec(k + 1)
-			order[k], order[i] = order[i], order[k]
-		}
-	}
-	rec(0)
 }

@@ -111,7 +111,7 @@ func TestAllWorkersPreservesOrderAndResults(t *testing.T) {
 		t.Skip("runs the full harness; long mode only")
 	}
 	reports := AllWorkers(1, 4)
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E18", "E20"}
+	want := []string{"E1", "E2", "E3", "E4", "E10", "E11", "E12", "E13", "E14", "E15", "E18", "E20"}
 	if len(reports) != len(want) {
 		t.Fatalf("got %d reports, want %d", len(reports), len(want))
 	}

@@ -90,7 +90,7 @@ func E15Pruning(budget int) Report {
 			"'blind candidates' is the family's full candidate count ((n+1)^(n-1) forests, labeled DAGs) — what a blind enumeration scores; 'evaluated' counts the candidates branch-and-bound actually scored after lower-bound pruning.",
 			"'searched family' is what the search's tree can reach: every forest, but only the transitively reduced DAGs (219 of the 543 on 4 nodes). An edge another path implies changes no data volume and only adds a communication, and the tree's order puts every DAG after its reduction, so wherever dropping such an edge never raises the score the first best DAG is already reduced; the differential suite checks the answers against the blind enumeration of all labeled DAGs.",
 			"Every row checks that the certified optimum is no worse than the greedy chain's value (a chain is a forest is a DAG). That branch-and-bound returns the blind enumeration's Solution bit for bit is pinned by the differential suite in internal/solve, where the enumeration now lives as the test oracle.",
-			"No row searches chains: the greedy chain is optimal among chains in O(n log n) (Prop. 8 and 16, E6 and E7), and it seeds every row's incumbent.",
+			"No row searches chains: the greedy chain is optimal among chains in O(n log n) (Prop. 8 and 16), and it seeds every row's incumbent.",
 			"A period search also stops where a shard's best meets the instance's period floor, a lower bound on every plan's period. The period rows are instances whose optimum lies strictly above that floor, so no shard stops early and the counters measure the lower bounds' pruning alone.",
 			"Counters come from Workers: 1 runs; parallel runs return the identical Solution but timing-dependent counters.",
 		},

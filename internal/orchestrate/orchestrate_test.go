@@ -151,9 +151,34 @@ func TestB3OnePortStrictlyWorse(t *testing.T) {
 	}
 }
 
-// --- E5 and general properties on random instances ---
+// --- Theorem 1 and general properties on random instances ---
 
 func TestRandomPlansModelOrdering(t *testing.T) {
+	// Theorem 1: the constructed OVERLAP schedule meets max_k Cexec(k) on
+	// 400 random execution graphs of 3 to 10 services, DAG plans over
+	// Mixed applications on even seeds and random weighted graphs on odd.
+	compared := 0
+	for seed := int64(0); seed < 400; seed++ {
+		rng := gen.NewRand(seed)
+		var w *plan.Weighted
+		if seed%2 == 0 {
+			app := gen.App(rng, 3+rng.Intn(8), gen.Mixed)
+			w = gen.DAGPlan(rng, app, 0.35).Weighted()
+		} else {
+			w = gen.Weighted(rng, 3+rng.Intn(8), 0.35)
+		}
+		res, err := OverlapPeriod(w)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !res.Value.Equal(w.PeriodLowerBound(plan.Overlap)) {
+			t.Fatalf("seed %d: Theorem 1 period %s != bound %s", seed, res.Value, w.PeriodLowerBound(plan.Overlap))
+		}
+		compared++
+	}
+	if compared != 400 {
+		t.Fatalf("compared %d Theorem 1 periods, want 400", compared)
+	}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := gen.NewRand(seed)
 		var w *plan.Weighted
@@ -220,7 +245,8 @@ func TestRandomPlansLatencyProperties(t *testing.T) {
 }
 
 func TestTreeLatencyMatchesExhaustiveSearch(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
+	compared := 0
+	for seed := int64(0); seed < 80; seed++ {
 		rng := gen.NewRand(seed)
 		app := gen.App(rng, 3+rng.Intn(4), gen.Filtering)
 		w := gen.ForestPlan(rng, app).Weighted()
@@ -233,11 +259,15 @@ func TestTreeLatencyMatchesExhaustiveSearch(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !exhaustive.Exact {
-			continue // skip the rare too-wide instance
+			continue // too wide for the exhaustive search: counted below
 		}
 		if !tree.Value.Equal(exhaustive.Value) {
 			t.Fatalf("seed %d: tree latency %s != exhaustive %s", seed, tree.Value, exhaustive.Value)
 		}
+		compared++
+	}
+	if compared != 80 {
+		t.Fatalf("compared %d of 80 forests: the exhaustive search was cut short on the rest", compared)
 	}
 }
 

@@ -407,37 +407,44 @@ func (e *outOrderEval) residueEdges(v int, o Orders, din, dout bool) {
 }
 
 func (e *outOrderEval) value(o Orders) (rat.Rat, error) {
+	v, _, err := e.score(o)
+	return v, err
+}
+
+// score returns the OUTORDER period of complete orders o, the better of
+// the two templates' periods, and whether the pipelined template gives it
+// (strictly below the INORDER period). It leaves o's pipelined graph built.
+func (e *outOrderEval) score(o Orders) (rat.Rat, bool, error) {
 	inoVal, inoErr := e.ino.value(o)
 	e.build(o, nil, nil)
 	pipVal, pipErr := graphLambda(e.g.MaxCycleRatio())
 	switch {
 	case inoErr != nil && pipErr != nil:
-		return rat.Zero, fmt.Errorf("orchestrate: no OUTORDER schedule for these orders (inorder: %v, pipelined: %v)", inoErr, pipErr)
-	case inoErr != nil:
-		return pipVal, nil
-	case pipErr != nil:
-		return inoVal, nil
+		return rat.Zero, false, fmt.Errorf("orchestrate: no OUTORDER schedule for these orders (inorder: %v, pipelined: %v)", inoErr, pipErr)
+	case pipErr != nil || inoErr == nil && !pipVal.Less(inoVal):
+		return inoVal, false, nil
 	default:
-		return rat.Min(pipVal, inoVal), nil
+		return pipVal, true, nil
 	}
 }
 
 // list materializes the OUTORDER schedule of complete orders o and its
-// bottleneck labels from the template whose period value returned, solved
-// on the graph value scored: the pipelined one when its period is strictly
-// below the INORDER one, else the INORDER list. The pipelined graph is
-// solved in generation-shifted time (see build): begin times are recovered
-// by b = π + λ·(maxStage − stage).
+// bottleneck labels from the template score picks, solving only that
+// template's graph. The pipelined graph is solved in generation-shifted
+// time (see build): begin times are recovered by b = π + λ·(maxStage −
+// stage).
 func (e *outOrderEval) list(o Orders) (*oplist.List, []string, error) {
+	_, pip, err := e.score(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !pip {
+		return e.ino.list(o)
+	}
 	w := e.ino.w
-	inorder, inLabels, inErr := e.ino.list(o)
-	e.build(o, nil, nil)
 	shifted, labels, err := solvePeriodGraph(w, e.g)
-	switch {
-	case err != nil && inErr != nil:
-		return nil, nil, fmt.Errorf("orchestrate: no OUTORDER schedule for these orders (inorder: %v, pipelined: %v)", inErr, err)
-	case err != nil || inErr == nil && !shifted.Lambda().Less(inorder.Lambda()):
-		return inorder, inLabels, nil
+	if err != nil {
+		return nil, nil, err
 	}
 	lambda, maxStage := shifted.Lambda(), max(slices.Max(e.gen), slices.Max(e.commGen))
 	pipelined := oplist.New(w, lambda)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func smallOrch() orchestrate.Options {
 	return orchestrate.Options{MaxExhaustive: 256}
 }
 
-// --- E6/E7: the chain greedies match brute force over all n! chains ---
+// --- Props. 8 and 16: the chain greedies match brute force over all n! chains ---
 
 // The greedy orders are the only way the package reaches the chain optimum
 // (Prop. 8 and 16), so these two tests carry that guarantee alone.
@@ -27,8 +28,10 @@ func smallOrch() orchestrate.Options {
 // chainCorpus draws the instances the greedy tests hold to the blind chain
 // enumeration (oracleChain): n = 1 to 8 services under every selectivity
 // profile — Neutral, every σ = 1 and ties everywhere, included — with fewer
-// draws as n! grows; -short stops at n = 7. base offsets the seeds.
-func chainCorpus(base int64) []*workflow.App {
+// draws as n! grows; -short stops at n = 7. base offsets the seeds. Then
+// 120 six-service draws, seed sixBase+s under the Filtering, Mixed and
+// Expanding profiles in turn (s mod 3).
+func chainCorpus(base, sixBase int64) []*workflow.App {
 	draws := [...]int{1: 6, 6, 6, 6, 6, 6, 3, 1}
 	var apps []*workflow.App
 	for n := 1; n < len(draws); n++ {
@@ -41,26 +44,49 @@ func chainCorpus(base int64) []*workflow.App {
 			}
 		}
 	}
+	for s := range int64(120) {
+		p := [...]gen.Profile{gen.Filtering, gen.Mixed, gen.Expanding}[s%3]
+		apps = append(apps, gen.App(gen.NewRand(sixBase+s), 6, p))
+	}
 	return apps
 }
 
+// chainCorpusSize is how many instances chainCorpus draws: 160 over
+// n = 1 to 8 (156 under -short) plus the 120 six-service ones.
+func chainCorpusSize() int {
+	if testing.Short() {
+		return 276
+	}
+	return 280
+}
+
 func TestGreedyChainPeriodMatchesExactChain(t *testing.T) {
-	for i, app := range chainCorpus(0) {
+	compared := 0
+	for i, app := range chainCorpus(0, 0) {
 		for _, m := range plan.Models {
 			greedy := ChainPeriodValue(app, GreedyChainOrder(app, m), m)
 			if order, best := oracleChain(app, m, PeriodObjective); !greedy.Equal(best) {
 				t.Fatalf("instance %d %v %s: greedy %s != optimal %s (chain %v)", i, app.Services(), m, greedy, best, order)
 			}
+			compared++
 		}
+	}
+	if want := 3 * chainCorpusSize(); compared != want {
+		t.Fatalf("compared %d greedy chains, want %d", compared, want)
 	}
 }
 
 func TestGreedyLatencyChainMatchesExactChain(t *testing.T) {
-	for i, app := range chainCorpus(5000) {
+	compared := 0
+	for i, app := range chainCorpus(5000, 1000) {
 		greedy := ChainLatencyValue(app, GreedyLatencyChainOrder(app))
 		if order, best := oracleChain(app, plan.InOrder, LatencyObjective); !greedy.Equal(best) {
 			t.Fatalf("instance %d %v: greedy %s != optimal %s (chain %v)", i, app.Services(), greedy, best, order)
 		}
+		compared++
+	}
+	if want := chainCorpusSize(); compared != want {
+		t.Fatalf("compared %d greedy chains, want %d", compared, want)
 	}
 }
 
@@ -95,10 +121,11 @@ func TestChainValuesAgreeWithOrchestration(t *testing.T) {
 	}
 }
 
-// --- E9: Prop. 4 — forests suffice for MINPERIOD without precedence ---
+// --- Prop. 4: forests suffice for MINPERIOD without precedence ---
 
 func TestProp4ForestOptimalEqualsDAGOptimal(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
+	compared := 0
+	for seed := int64(0); seed < 8; seed++ {
 		app := gen.App(gen.NewRand(seed), 4, gen.Mixed)
 		for _, m := range []plan.Model{plan.Overlap, plan.InOrder} {
 			forest, err := MinPeriod(app, m, Options{Method: BranchBound, Family: FamilyForest, Orch: smallOrch()})
@@ -116,8 +143,75 @@ func TestProp4ForestOptimalEqualsDAGOptimal(t *testing.T) {
 			if !forest.Exact {
 				t.Fatalf("seed %d %s: forest search must be exact for MINPERIOD", seed, m)
 			}
+			compared++
 		}
 	}
+	if compared != 16 {
+		t.Fatalf("compared %d forest and DAG optima, want 16", compared)
+	}
+}
+
+// TestAddedPrecedenceNeverLowersExactOptimum is a metamorphic law of the
+// exact answers: a precedence edge only removes plans, so it never lowers
+// the optimum. Each seed draws a free instance of 3 to 5 services and a
+// constrained one; each gains one new edge that keeps its constraints
+// acyclic, branch-and-bound solves both sides under every model and
+// objective, and the two values are compared when both answers are Exact.
+func TestAddedPrecedenceNeverLowersExactOptimum(t *testing.T) {
+	compared := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := gen.NewRand(seed)
+		n, p := 3+int(seed%3), floorProfiles[seed%4]
+		for _, app := range []*workflow.App{gen.App(rng, n, p), gen.AppWithPrecedence(rng, n, p, 0.3)} {
+			more := withNewEdge(rng, app)
+			if more == nil {
+				continue // the constraints are a total order already
+			}
+			for _, m := range plan.Models {
+				for _, obj := range []Objective{PeriodObjective, LatencyObjective} {
+					opts := Options{Method: BranchBound, Orch: smallOrch()}
+					before, err := minimize(app, m, obj, opts)
+					if err != nil {
+						t.Fatalf("seed %d %s/%s: %v", seed, m, obj, err)
+					}
+					after, err := minimize(more, m, obj, opts)
+					if err != nil {
+						t.Fatalf("seed %d %s/%s: %v", seed, m, obj, err)
+					}
+					if !before.Exact || !after.Exact {
+						continue
+					}
+					if after.Value.Less(before.Value) {
+						t.Fatalf("seed %d %s/%s: optimum %s with precedence %v, %s with %v",
+							seed, m, obj, after.Value, more.Precedence().Edges(), before.Value, app.Precedence().Edges())
+					}
+					compared++
+				}
+			}
+		}
+	}
+	// OUTORDER period and OVERLAP latency answers are never Exact: four of
+	// the six cells compare on each of the 80 instances.
+	if compared != 320 {
+		t.Fatalf("compared %d exact optima, want 320", compared)
+	}
+}
+
+// withNewEdge returns app with one precedence edge it does not have and
+// that keeps its constraints acyclic, the first such pair in a random
+// order, or nil when there is none.
+func withNewEdge(rng *rand.Rand, app *workflow.App) *workflow.App {
+	n, prec := app.N(), app.Precedence()
+	for _, k := range rng.Perm(n * n) {
+		u, v := k/n, k%n
+		if u == v || prec.HasEdge(u, v) {
+			continue
+		}
+		if more, err := workflow.New(app.Services(), append(prec.Edges(), [2]int{u, v})); err == nil {
+			return more
+		}
+	}
+	return nil
 }
 
 func TestExactForestBeatsOrMatchesChains(t *testing.T) {
